@@ -9,7 +9,7 @@ and vmalert (PromQL queries).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable
+from typing import Any, Callable
 
 from repro.common.durations import parse_duration_ns
 from repro.common.errors import ValidationError
@@ -64,9 +64,11 @@ def format_value(value: float) -> str:
 class RuleEvaluator:
     """Periodic evaluator with per-series pending/firing tracking.
 
-    Subclasses provide ``_query(expr, time_ns)``; every returned sample is
-    an active series.  A series fires once it has been continuously active
-    for the rule's ``for`` duration, and resolves when it disappears.
+    Subclasses provide ``_compile(expr)`` — validate the expression when
+    the rule is added and return the form to evaluate, parsed once — and
+    ``_query(compiled, time_ns)``; every returned sample is an active
+    series.  A series fires once it has been continuously active for the
+    rule's ``for`` duration, and resolves when it disappears.
     """
 
     def __init__(
@@ -79,22 +81,27 @@ class RuleEvaluator:
         self._notifier = notifier
         self._generator = generator
         self._rules: list[RuleSpec] = []
-        self._state: dict[tuple[str, LabelSet], AlertSeriesState] = {}
+        # Per rule name: what _compile returned for its expression, and
+        # the states of the series it has seen (a rule walks only these).
+        self._compiled: dict[str, Any] = {}
+        self._state: dict[str, dict[LabelSet, AlertSeriesState]] = {}
         self.evaluations = 0
 
     # -- to be provided by subclasses --------------------------------------
-    def _query(self, expr: str, time_ns: int) -> list[Sample]:
+    def _compile(self, expr: str) -> Any:
+        """Validate ``expr`` at rule-add time; return what ``_query``
+        should be handed on every evaluation."""
         raise NotImplementedError
 
-    def _validate_expr(self, expr: str) -> None:
-        """Subclasses validate the expression at rule-add time."""
+    def _query(self, compiled: Any, time_ns: int) -> list[Sample]:
         raise NotImplementedError
 
     # -- configuration ------------------------------------------------------
     def add_rule(self, rule: RuleSpec) -> None:
-        if any(r.name == rule.name for r in self._rules):
+        if rule.name in self._compiled:
             raise ValidationError(f"duplicate rule name: {rule.name}")
-        self._validate_expr(rule.expr)
+        self._compiled[rule.name] = self._compile(rule.expr)
+        self._state[rule.name] = {}
         self._rules.append(rule)
 
     def rules(self) -> list[RuleSpec]:
@@ -113,23 +120,24 @@ class RuleEvaluator:
 
     def _evaluate_rule(self, rule: RuleSpec) -> list[AlertEvent]:
         now = self._clock.now_ns
-        samples = self._query(rule.expr, now)
+        samples = self._query(self._compiled[rule.name], now)
         active: dict[LabelSet, Sample] = {s.labels: s for s in samples}
+        states = self._state[rule.name]
+        for_ns = rule.for_ns
         events: list[AlertEvent] = []
 
         for labels, sample in active.items():
-            key = (rule.name, labels)
-            state = self._state.setdefault(key, AlertSeriesState())
+            state = states.setdefault(labels, AlertSeriesState())
             state.last_value = sample.value
             if state.pending_since_ns is None:
                 state.pending_since_ns = now
-            if not state.firing and now - state.pending_since_ns >= rule.for_ns:
+            if not state.firing and now - state.pending_since_ns >= for_ns:
                 state.firing = True
                 state.fired_count += 1
                 events.append(self._make_event(rule, labels, sample.value, state, now))
 
-        for (rule_name, labels), state in list(self._state.items()):
-            if rule_name != rule.name or labels in active:
+        for labels, state in states.items():
+            if labels in active:
                 continue
             if state.firing:
                 state.firing = False
@@ -173,18 +181,23 @@ class RuleEvaluator:
         )
 
     # -- introspection --------------------------------------------------------
-    def firing_series(self) -> list[tuple[str, LabelSet]]:
+    def _series(
+        self, wanted: Callable[[AlertSeriesState], bool]
+    ) -> list[tuple[str, LabelSet]]:
         return sorted(
-            (key for key, st in self._state.items() if st.firing),
+            (
+                (name, labels)
+                for name, states in self._state.items()
+                for labels, st in states.items()
+                if wanted(st)
+            ),
             key=lambda k: (k[0], k[1].items_tuple()),
         )
 
+    def firing_series(self) -> list[tuple[str, LabelSet]]:
+        return self._series(lambda st: st.firing)
+
     def pending_series(self) -> list[tuple[str, LabelSet]]:
-        return sorted(
-            (
-                key
-                for key, st in self._state.items()
-                if st.pending_since_ns is not None and not st.firing
-            ),
-            key=lambda k: (k[0], k[1].items_tuple()),
+        return self._series(
+            lambda st: st.pending_since_ns is not None and not st.firing
         )

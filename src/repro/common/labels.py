@@ -18,6 +18,7 @@ import re
 from typing import Iterable, Iterator, Mapping
 
 from repro.common.errors import ValidationError
+from repro.common.hashing import fnv1a_64, mix64
 
 _LABEL_NAME_RE = re.compile(r"^[a-zA-Z_][a-zA-Z0-9_]*$")
 
@@ -39,7 +40,11 @@ class LabelSet(Mapping[str, str]):
     always hash equally — the property stream identity depends on.
     """
 
-    __slots__ = ("_items", "_hash")
+    # ``_fingerprint`` is left unset until :meth:`fingerprint` is first
+    # asked for it: most label sets (every TSDB series, every query
+    # result) never place on a ring and should not pay for the slot's
+    # initialisation.
+    __slots__ = ("_items", "_hash", "_fingerprint")
 
     def __init__(self, labels: Mapping[str, str] | Iterable[tuple[str, str]] = ()):
         if isinstance(labels, Mapping):
@@ -109,6 +114,22 @@ class LabelSet(Mapping[str, str]):
 
     def to_dict(self) -> dict[str, str]:
         return dict(self._items)
+
+    def stream_key(self) -> str:
+        """Canonical ``name=value;...`` string: the ring key of the
+        stream this label set identifies."""
+        return ";".join(f"{n}={v}" for n, v in self._items)
+
+    def fingerprint(self) -> int:
+        """Stable 64-bit fingerprint, ``mix64(fnv1a_64(stream_key))``:
+        the stream's point on the hash ring and its object-store key
+        prefix.  Computed on first use and kept — the FNV loop is pure
+        Python, and a stream is placed on every push."""
+        try:
+            return self._fingerprint
+        except AttributeError:
+            self._fingerprint = mix64(fnv1a_64(self.stream_key().encode()))
+            return self._fingerprint
 
 
 EMPTY_LABELS = LabelSet()

@@ -91,6 +91,7 @@ from repro.selfheal.manager import SelfHealConfig, SelfHealManager
 from repro.selfheal.repairer import RingRepairerConfig
 from repro.selfheal.supervisor import SupervisorConfig
 from repro.exporters.selfheal_exporter import SelfHealExporter
+from repro.servicenow.alerts import SnAlertState
 from repro.servicenow.cmdb import build_from_cluster
 from repro.servicenow.platform import ServiceNowPlatform, ServiceNowReceiver
 from repro.servicenow.service_map import ServiceMap
@@ -1238,6 +1239,8 @@ class MonitoringFramework:
         #: OMNI's event archive (paper §III.C: "anything that has a
         #: start and end time"); SN alerts are mirrored in periodically.
         self.eventstore = EventStore()
+        # Alert number -> the state last mirrored into the archive.
+        self._mirrored_alert_states: dict[str, SnAlertState] = {}
 
         self._started = False
 
@@ -2063,8 +2066,15 @@ class MonitoringFramework:
         self._started = True
 
     def _mirror_alert_events(self) -> None:
+        """Mirror the ServiceNow alerts whose state changed since the
+        last pass.  An unchanged alert is left alone: re-visiting a
+        closed one would close whatever event a *later* alert has since
+        opened on the same CI."""
         for alert in self.servicenow.alerts():
+            if self._mirrored_alert_states.get(alert.number) is alert.state:
+                continue
             record_from_alert(self.eventstore, alert, self.clock.now_ns)
+            self._mirrored_alert_states[alert.number] = alert.state
 
     def service_map(self) -> str:
         """The live, alert-aware service topology view (paper §III.D)."""

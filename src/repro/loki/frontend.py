@@ -64,6 +64,12 @@ class _CacheKey:
     start_ns: int
     end_ns: int
     step_ns: int
+    #: ``start % step`` of the whole query: the evaluation grid inside
+    #: the sub-window is ``phase + k*step``.  Kept as its own field —
+    #: folded into the bounds, two same-length queries inside one split
+    #: window that share a step bucket but not a phase would share a key
+    #: and one would be served the other's grid.
+    phase_ns: int
     #: Cache entries are tenant-scoped: identical LogQL submitted by two
     #: tenants must never share results (their visible streams differ).
     tenant: str | None = None
@@ -252,10 +258,8 @@ class QueryFrontend:
         phase: int,
         tenant: str | None,
     ) -> list[Series]:
-        # The phase keys the evaluation grid (instants are phase + k*step),
-        # so differently-phased dashboards never share cache entries.
         key = _CacheKey(
-            query, start_ns - phase, end_ns - phase, step_ns, tenant, self._split_ns
+            query, start_ns, end_ns, step_ns, phase, tenant, self._split_ns
         )
         cached = self._cache.get(key)
         if cached is not None:
@@ -287,6 +291,7 @@ class QueryFrontend:
             "patterns:" + selector,
             start_ns,
             end_ns,
+            0,
             0,
             tenant,
             self._pattern_split_ns,

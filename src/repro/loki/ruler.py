@@ -21,7 +21,7 @@ from repro.common.simclock import SimClock
 from repro.common.vector import Sample
 from repro.alerting.events import AlertEvent
 from repro.alerting.rules import RuleEvaluator, RuleSpec
-from repro.loki.logql.ast import LogPipeline
+from repro.loki.logql.ast import LogPipeline, MetricExpr
 from repro.loki.logql.engine import LogQLEngine
 from repro.loki.logql.parser import parse
 
@@ -42,12 +42,13 @@ class Ruler(RuleEvaluator):
         super().__init__(clock, notifier, generator)
         self._engine = engine
 
-    def _validate_expr(self, expr: str) -> None:
+    def _compile(self, expr: str) -> MetricExpr:
         ast = parse(expr)
         if isinstance(ast, LogPipeline):
             raise QueryError(
                 "alerting rules need a metric query, not a log query"
             )
+        return ast
 
-    def _query(self, expr: str, time_ns: int) -> list[Sample]:
-        return self._engine.query_instant(expr, time_ns)
+    def _query(self, compiled: MetricExpr, time_ns: int) -> list[Sample]:
+        return self._engine.query_instant(compiled, time_ns)

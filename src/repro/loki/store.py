@@ -69,6 +69,11 @@ class LokiStore:
         self.index = LabelIndex()
         self._chunks: dict[int, list[Chunk]] = {}
         self._last_ts: dict[int, int] = {}
+        # Streams whose resident entries may have changed since the last
+        # drain_touched(): every mutation below that adds or frees
+        # entries marks its stream.  Bounded by the streams the index
+        # holds, whether or not anyone drains it.
+        self._touched: set[LabelSet] = set()
         self.stats = StoreStats()
 
     # ------------------------------------------------------------------
@@ -87,6 +92,7 @@ class LokiStore:
         labelset = labels if isinstance(labels, LabelSet) else LabelSet(labels)
         sid = self.index.get_or_create(labelset)
         chunks = self._chunks.setdefault(sid, [])
+        self._touched.add(labelset)
         accepted = 0
         for entry in entries:
             last = self._last_ts.get(sid)
@@ -195,6 +201,8 @@ class LokiStore:
                     dropped += 1
                 else:
                     keep.append(chunk)
+            if len(keep) != len(chunks):
+                self._touched.add(self.index.labels_of(sid))
             self._chunks[sid] = keep
         return dropped
 
@@ -246,6 +254,7 @@ class LokiStore:
         for i, resident in enumerate(chunks):
             if resident is chunk:
                 del chunks[i]
+                self._touched.add(labelset)
                 self.stats.chunks_flushed += 1
                 return True
         return False
@@ -255,6 +264,34 @@ class LokiStore:
         return [
             self.index.labels_of(sid) for sid in self.index.all_stream_ids()
         ]
+
+    # ------------------------------------------------------------------
+    # Anti-entropy support (the ring repairer's surface)
+    # ------------------------------------------------------------------
+    def resident_entry_counts(
+        self, streams: Iterable[LabelSet] | None = None
+    ) -> dict[LabelSet, int]:
+        """Resident entries per stream, read off chunk metadata — no
+        chunk is decoded.  Every known stream (flushed-away ones count
+        0), or only those of ``streams`` this store knows."""
+        if streams is None:
+            streams = self.stream_labels()
+        counts: dict[LabelSet, int] = {}
+        for labels in streams:
+            sid = self.index.lookup(labels)
+            if sid is not None:
+                counts[labels] = sum(
+                    chunk.entry_count for chunk in self._chunks.get(sid, ())
+                )
+        return counts
+
+    def drain_touched(self) -> set[LabelSet]:
+        """Streams whose resident entry count may have changed since the
+        previous call (pushed, replaced, retention-deleted, freed by the
+        shipper); the call forgets them.  One consumer per store: the
+        ring repairer, which re-diffs exactly these streams."""
+        touched, self._touched = self._touched, set()
+        return touched
 
     # ------------------------------------------------------------------
     # Accounting

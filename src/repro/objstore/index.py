@@ -35,8 +35,7 @@ INDEX_PREFIX = "index/"
 
 def stream_fingerprint(labels: LabelSet) -> int:
     """64-bit fingerprint of a label set — the per-stream key prefix."""
-    canonical = ";".join(f"{n}={v}" for n, v in labels.items_tuple())
-    return mix64(fnv1a_64(canonical.encode()))
+    return labels.fingerprint()
 
 
 def chunk_object_key(

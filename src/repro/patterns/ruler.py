@@ -127,12 +127,13 @@ class PatternRuler(RuleEvaluator):
     # RuleEvaluator hooks
     # ------------------------------------------------------------------
 
-    def _validate_expr(self, expr: str) -> None:
+    def _compile(self, expr: str) -> str:
         if expr not in (BURST_EXPR, NOVEL_EXPR):
             raise ValidationError(
                 f"pattern ruler only evaluates {BURST_EXPR!r} or "
                 f"{NOVEL_EXPR!r}, got {expr!r}"
             )
+        return expr
 
     def _query(self, expr: str, time_ns: int) -> list[Sample]:
         if expr == BURST_EXPR:

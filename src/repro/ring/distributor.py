@@ -16,12 +16,12 @@ replaying its WAL.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Iterable, Mapping
+from typing import TYPE_CHECKING, Collection, Iterable, Mapping
 
 from repro.common.errors import StateError, ValidationError
 from repro.common.labels import LabelSet, Matcher
 from repro.loki.model import LogEntry, PushRequest
-from repro.ring.hashring import HashRing, stream_key
+from repro.ring.hashring import HashRing
 from repro.ring.ingester import Ingester
 from repro.ring.merge import merge_replica_entries
 from repro.tempo.model import SpanContext
@@ -129,26 +129,21 @@ class Distributor:
 
     def replicas_for(self, labels: LabelSet) -> list[str]:
         """The stream's *desired* replica set: pure ring placement with
-        no health exclusions — what the anti-entropy repairer diffs the
-        actual replica inventories against."""
-        return self._placement_ring(labels).preference_list(
-            stream_key(labels),
-            self.replication_factor,
-            zone_spread=self.zone_aware,
-        )
+        no health exclusions."""
+        return self.replicas_excluding(labels, ())
 
     def replicas_excluding(
-        self, labels: LabelSet, exclude: set[str]
+        self, labels: LabelSet, exclude: Collection[str]
     ) -> list[str]:
-        """Desired placement over the ring minus ``exclude`` — the walk
-        the anti-entropy repairer diffs inventories against: where the
+        """Desired placement over the ring minus ``exclude`` — where the
         stream's replicas *should* live given which members are usable
         right now.  May return fewer than RF members when too few
-        survivors remain."""
-        if not exclude:
-            return self.replicas_for(labels)
+        survivors remain.  Every placement question (a push's targets,
+        the repairer's diff) goes through here, and so through the
+        ring's memo: it costs a clockwise walk only the first time it is
+        asked under a given ring version and exclusion set."""
         return self._placement_ring(labels).preference_list(
-            stream_key(labels),
+            labels,
             self.replication_factor,
             zone_spread=self.zone_aware,
             exclude=exclude,
@@ -160,26 +155,14 @@ class Distributor:
         extends clockwise over the survivors, so the quorum is taken
         over members that can plausibly answer instead of stalling on
         ones that cannot."""
-        ring = self._placement_ring(labels)
-        exclude: set[str] = set()
+        exclude: Collection[str] = ()
         if self.memberlist is not None:
             exclude = self.memberlist.write_excluded()
-        if not exclude:
-            return ring.preference_list(
-                stream_key(labels),
-                self.replication_factor,
-                zone_spread=self.zone_aware,
+        if exclude:
+            self.replicas_skipped_unhealthy += sum(
+                1 for member in self.replicas_for(labels) if member in exclude
             )
-        desired = self.replicas_for(labels)
-        self.replicas_skipped_unhealthy += sum(
-            1 for member in desired if member in exclude
-        )
-        return ring.preference_list(
-            stream_key(labels),
-            self.replication_factor,
-            zone_spread=self.zone_aware,
-            exclude=exclude,
-        )
+        return self.replicas_excluding(labels, exclude)
 
     # ------------------------------------------------------------------
     # Write path

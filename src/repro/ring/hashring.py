@@ -8,6 +8,14 @@ the hash, so every distributor sharing the ring agrees without
 coordination, and a join/leave only re-homes the keys adjacent to the
 tokens that appeared/vanished — the bounded-movement property the
 property-based test in ``tests/test_ring_hash.py`` pins down.
+
+Because placement is pure, it is also memoised: the ring carries a
+``version`` that every ``join``/``leave``/``set_zone`` bumps, and
+``preference_list`` answers a repeated question from a memo that lives
+exactly as long as the version and the exclusion set it was computed
+under.  The write path, the tenant sharder and the anti-entropy repairer
+all place through that one method, so all three pay the clockwise walk
+once per (key, membership epoch) instead of once per push or per sweep.
 """
 
 from __future__ import annotations
@@ -28,7 +36,7 @@ __all__ = ["HashRing", "fnv1a_64", "mix64", "stream_key"]
 def stream_key(labels: LabelSet | Mapping[str, str]) -> str:
     """Canonical ring key for a stream's label set."""
     labelset = labels if isinstance(labels, LabelSet) else LabelSet(labels)
-    return ";".join(f"{n}={v}" for n, v in labelset.items_tuple())
+    return labelset.stream_key()
 
 
 class HashRing:
@@ -46,6 +54,23 @@ class HashRing:
         # distinct zones fail independently, so the zone-spread placement
         # mode keeps a stream's replicas across as many zones as it can.
         self._zones: dict[str, str] = {}
+        #: Bumped by every join/leave/set_zone: two reads of the same
+        #: version saw the same tokens and zones, so placement between
+        #: them cannot have moved.
+        self.version = 0
+        # (key, n, zone_spread) -> replicas under the current version:
+        # one memo for walks that exclude nobody, one for walks excluding
+        # ``_memo_excluded``.  A version bump drops both and a new
+        # exclusion set drops the second, so a key being placed holds at
+        # most two walks per (n, zone_spread) asked of it.
+        self._memo: dict[tuple, tuple[str, ...]] = {}
+        self._memo_excluding: dict[tuple, tuple[str, ...]] = {}
+        self._memo_excluded: frozenset[str] = frozenset()
+
+    def _membership_changed(self) -> None:
+        self.version += 1
+        self._memo.clear()
+        self._memo_excluding.clear()
 
     # ------------------------------------------------------------------
     # Membership
@@ -79,6 +104,7 @@ class HashRing:
                 pos += 1
             self._tokens.insert(pos, token)
             self._owners.insert(pos, member)
+        self._membership_changed()
 
     def leave(self, member: str) -> None:
         """Remove a member; only keys it owned re-home."""
@@ -89,6 +115,7 @@ class HashRing:
         keep = [(t, o) for t, o in zip(self._tokens, self._owners) if o != member]
         self._tokens = [t for t, _ in keep]
         self._owners = [o for _, o in keep]
+        self._membership_changed()
 
     # ------------------------------------------------------------------
     # Zones
@@ -100,6 +127,7 @@ class HashRing:
         if not zone:
             raise ValidationError("zone must be non-empty")
         self._zones[member] = zone
+        self._membership_changed()
 
     def zone(self, member: str) -> str | None:
         """The member's zone label, or ``None`` if unlabelled."""
@@ -116,13 +144,13 @@ class HashRing:
     # ------------------------------------------------------------------
     # Placement
     # ------------------------------------------------------------------
-    def owner(self, key: str) -> str:
+    def owner(self, key: str | LabelSet) -> str:
         """The single member owning ``key`` (first token clockwise)."""
         return self.preference_list(key, 1)[0]
 
     def preference_list(
         self,
-        key: str,
+        key: str | LabelSet,
         n: int,
         *,
         zone_spread: bool = False,
@@ -130,9 +158,11 @@ class HashRing:
     ) -> list[str]:
         """The first ``n`` *distinct* members clockwise of ``key``'s hash.
 
-        This is the replica set for the key.  Asking for more members
-        than the ring holds raises: a distributor must degrade its
-        replication factor explicitly, not silently.
+        This is the replica set for the key.  A stream places by its
+        :class:`LabelSet` (hashed once, see ``LabelSet.fingerprint``) or,
+        equivalently, by its :func:`stream_key` string.  Asking for more
+        members than the ring holds raises: a distributor must degrade
+        its replication factor explicitly, not silently.
 
         ``exclude`` is exactly that explicit degradation: members in it
         (e.g. SUSPECT/DEAD per the failure detector) are skipped on the
@@ -154,13 +184,38 @@ class HashRing:
             raise StateError(
                 f"ring has {len(self._members)} member(s), wanted {n} replicas"
             )
-        excluded = set(exclude)
+        excluded = frozenset(exclude)
+        memo = self._memo
+        if excluded:
+            if excluded != self._memo_excluded:
+                self._memo_excluding.clear()
+                self._memo_excluded = excluded
+            memo = self._memo_excluding
+        memo_key = (key, n, zone_spread)
+        replicas = memo.get(memo_key)
+        if replicas is None:
+            replicas = tuple(self._walk(key, n, zone_spread, excluded))
+            memo[memo_key] = replicas
+        # A fresh list each time: callers own (and may mutate) the result.
+        return list(replicas)
+
+    def _walk(
+        self,
+        key: str | LabelSet,
+        n: int,
+        zone_spread: bool,
+        excluded: frozenset[str],
+    ) -> list[str]:
+        """The clockwise walk :meth:`preference_list` memoises."""
         # Finalize the key hash the same way member tokens are: raw
         # FNV-1a of short, similar keys clusters on a narrow arc of the
         # circle (the walk then always starts in the same band and a
         # handful of members dominate every replica set); mix64 spreads
         # the start points uniformly.
-        h = mix64(fnv1a_64(key.encode()))
+        if isinstance(key, LabelSet):
+            h = key.fingerprint()
+        else:
+            h = mix64(fnv1a_64(key.encode()))
         start = bisect.bisect_right(self._tokens, h)
         candidates: list[str] = []
         for i in range(len(self._tokens)):

@@ -71,18 +71,14 @@ class Ingester:
     # ------------------------------------------------------------------
     # Anti-entropy repair surface (repro.selfheal)
     # ------------------------------------------------------------------
-    def stream_inventory(self) -> dict[LabelSet, int]:
-        """Resident entry count per stream — what the repairer diffs the
-        ring's desired placement against."""
+    def stream_inventory(
+        self, streams: Iterable[LabelSet] | None = None
+    ) -> dict[LabelSet, int]:
+        """Resident entry count per stream (all of them, or only those
+        of ``streams`` held here) — what the repairer diffs the ring's
+        desired placement against."""
         self._require_active()
-        inventory: dict[LabelSet, int] = {}
-        for sid in self.store.index.all_stream_ids():
-            labels = self.store.index.labels_of(sid)
-            n = sum(
-                len(chunk.entries()) for chunk in self.store._chunks.get(sid, [])
-            )
-            inventory[labels] = n
-        return inventory
+        return self.store.resident_entry_counts(streams)
 
     def entries_of(self, labels: LabelSet | Mapping[str, str]) -> list[LogEntry]:
         """Every resident entry of one stream, in store order."""

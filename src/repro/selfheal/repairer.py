@@ -10,10 +10,10 @@ were going to), the repairer retires it:
    health-excluded writes were already extending onto.  New writes and
    the repair target therefore agree.
 2. **Diff placement against reality.**  For every stream the survivors
-   hold, the desired replica set (``distributor.replicas_for``) is
-   compared with the actual per-ingester inventories.  A desired replica
-   holding fewer resident entries than the fullest surviving copy is
-   under-replicated.
+   hold, the desired replica set (``distributor.replicas_excluding`` the
+   unusable members) is compared with the actual per-ingester
+   inventories.  A desired replica holding fewer resident entries than
+   the fullest surviving copy is under-replicated.
 3. **Re-replicate.**  The fullest surviving replicas donate: their
    merged history is grafted onto each short target via
    :meth:`~repro.ring.ingester.Ingester.repair_stream` (a from-scratch
@@ -33,12 +33,13 @@ would double-count what the object store already guarantees.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable
+from typing import Callable, Collection, Mapping
 
 from repro.common.errors import StateError, ValidationError
 from repro.common.labels import LabelSet
 from repro.common.simclock import NANOS_PER_SECOND, SimClock
 from repro.ring.cluster import RingLokiCluster
+from repro.ring.ingester import Ingester
 from repro.ring.merge import merge_replica_entries
 from repro.selfheal.memberlist import Memberlist, MemberState
 from repro.tempo.tracer import Tracer
@@ -100,6 +101,9 @@ class RingRepairer:
         self.entries_copied_total = 0
         self.heals_total = 0
         self.reports: list[RepairReport] = []
+        # The maintained placement diff and the epoch it was taken under.
+        self._epoch: tuple | None = None
+        self._short: dict[LabelSet, list[str]] = {}
 
     def start(self) -> None:
         if self._started:
@@ -110,30 +114,71 @@ class RingRepairer:
     # ------------------------------------------------------------------
     # Observation: placement vs. reality
     # ------------------------------------------------------------------
-    def _usable(self, member: str) -> bool:
-        """Whether a member's replica counts toward redundancy: process
+    def _usable(self) -> dict[str, Ingester]:
+        """The members whose replicas count toward redundancy: process
         up and not written off by the detector."""
-        ingester = self.cluster.ingesters.get(member)
-        if ingester is None or not ingester.active:
-            return False
-        return not self.memberlist.read_excluded(member)
-
-    def _inventories(self) -> dict[str, dict[LabelSet, int]]:
         return {
-            member: self.cluster.ingesters[member].stream_inventory()
-            for member in self.cluster.ingesters
-            if self._usable(member)
+            member: ingester
+            for member, ingester in self.cluster.ingesters.items()
+            if ingester.active and not self.memberlist.read_excluded(member)
+        }
+
+    @staticmethod
+    def _inventories(
+        streams: Collection[LabelSet], usable: Mapping[str, Ingester]
+    ) -> dict[str, dict[LabelSet, int]]:
+        return {
+            member: ingester.stream_inventory(streams)
+            for member, ingester in usable.items()
         }
 
     def placement_diff(self) -> dict[LabelSet, list[str]]:
         """Streams whose desired replicas are missing resident entries:
         stream → the under-filled target members.  Empty means the ring
         is fully replicated — the Hypothesis suite's convergence check
-        and the exporter's ``under_replicated_streams`` gauge."""
-        inventories = self._inventories()
-        streams: set[LabelSet] = set()
-        for inventory in inventories.values():
-            streams.update(inventory)
+        and the exporter's ``under_replicated_streams`` gauge.
+
+        The diff is maintained, not recomputed.  A stream's row depends
+        on the *placement epoch* — the ring version plus which members
+        are usable, and in which incarnation — and on that stream's
+        resident counts.  While the epoch stands, only streams some
+        usable store touched since the last call, and those still short,
+        can have a different row; when it moved, every stream can."""
+        usable = self._usable()
+        epoch = (
+            self.cluster.ring.version,
+            tuple((m, ingester.restarts) for m, ingester in usable.items()),
+        )
+        candidates: set[LabelSet] = set()
+        for ingester in usable.values():
+            candidates |= ingester.store.drain_touched()
+        if epoch == self._epoch:
+            candidates.update(self._short)
+        else:
+            self._epoch = epoch
+            for ingester in usable.values():
+                candidates.update(ingester.store.stream_labels())
+        # Every stream still short is a candidate, so the diff over the
+        # candidates is the whole diff.
+        self._short = self.diff_over(candidates, usable)
+        return dict(self._short)
+
+    def diff_over(
+        self,
+        streams: Collection[LabelSet],
+        usable: Mapping[str, Ingester] | None = None,
+    ) -> dict[LabelSet, list[str]]:
+        """The placement diff restricted to ``streams``; reads the ring
+        and the inventories, changes nothing.  Over every stream it is
+        the reference :meth:`placement_diff` must always equal."""
+        if usable is None:
+            usable = self._usable()
+        inventories = self._inventories(streams, usable)
+        unusable = {
+            member
+            for member in self.cluster.ring.members()
+            if member not in usable
+        }
         diff: dict[LabelSet, list[str]] = {}
         for labels in streams:
             fullest = max(
@@ -144,15 +189,15 @@ class RingRepairer:
                 continue
             short = [
                 target
-                for target in self._desired(labels)
-                if self._usable(target)
-                and inventories.get(target, {}).get(labels, 0) < fullest
+                for target in self._desired(labels, unusable)
+                if target in usable
+                and inventories[target].get(labels, 0) < fullest
             ]
             if short:
                 diff[labels] = short
         return diff
 
-    def _desired(self, labels: LabelSet) -> list[str]:
+    def _desired(self, labels: LabelSet, unusable: set[str]) -> list[str]:
         """The stream's *effective* desired replica set: the ring walk
         excluding unusable members, i.e. where replicas should live
         given the failures in effect right now.  (A DEAD member still
@@ -161,11 +206,6 @@ class RingRepairer:
         distributor's health-excluded writes already land.)  When fewer
         ring members remain than the replication factor asks for,
         degrade explicitly to full replication over every survivor."""
-        unusable = {
-            member
-            for member in self.cluster.ring.members()
-            if not self._usable(member)
-        }
         try:
             return self.cluster.distributor.replicas_excluding(
                 labels, unusable
@@ -242,7 +282,7 @@ class RingRepairer:
         """Re-replicate every short target in ``diff`` from the fullest
         surviving copies, then checkpoint the touched targets so a later
         crash replays the grafted history, not the pre-repair one."""
-        inventories = self._inventories()
+        inventories = self._inventories(diff, self._usable())
         touched: set[str] = set()
         for labels, targets in sorted(
             diff.items(), key=lambda pair: pair[0].items_tuple()

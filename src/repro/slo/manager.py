@@ -47,7 +47,7 @@ from repro.slo.burnrate import (
 from repro.slo.model import SLO, SLO_LABEL
 from repro.slo.sources import SliCollector, SliSource
 from repro.tempo.tracer import Tracer
-from repro.tsdb.promql import PromQLEngine
+from repro.tsdb.promql import PromExpr, PromQLEngine, parse_promql
 from repro.tsdb.recording import RecordingEngine, RecordingRule
 from repro.tsdb.storage import TimeSeriesStore
 
@@ -68,6 +68,9 @@ class _SloEntry:
     slo: SLO
     collector: SliCollector
     budget: ErrorBudget
+    #: Per distinct window, the parsed selector of this SLO's recorded
+    #: burn series — what every tick reads back.
+    burn_selectors: dict[str, PromExpr]
     history: deque = field(default_factory=lambda: deque(maxlen=BURN_HISTORY_LEN))
     exhausted: bool = False
     exhausted_since_ns: int | None = None
@@ -113,7 +116,15 @@ class SloManager:
             raise ValidationError(f"SLO {slo.name!r} already registered")
         collector = SliCollector(source)
         self._entries[slo.name] = _SloEntry(
-            slo=slo, collector=collector, budget=ErrorBudget(slo)
+            slo=slo,
+            collector=collector,
+            budget=ErrorBudget(slo),
+            burn_selectors={
+                window: parse_promql(
+                    f'{burn_metric_name(window)}{{{SLO_LABEL}="{slo.name}"}}'
+                )
+                for window in self._distinct_windows()
+            },
         )
         for window in self._distinct_windows():
             self.recording.add_rule(self._burn_rule(slo, window))
@@ -226,7 +237,7 @@ class SloManager:
         now = self._clock.now_ns
         for entry in self._entries.values():
             entry.budget.observe(now, entry.collector.snapshot())
-            entry.history.append((now, self._current_burns(entry.slo.name)))
+            entry.history.append((now, self._current_burns(entry)))
             self._check_exhaustion(entry, now)
         self.evaluations += 1
         if self._tracer is not None:
@@ -239,13 +250,12 @@ class SloManager:
                 attributes={"slos": str(len(self._entries))},
             )
 
-    def _current_burns(self, name: str) -> dict[str, float]:
+    def _current_burns(self, entry: _SloEntry) -> dict[str, float]:
         """Latest recorded burn per distinct window for one SLO."""
         burns: dict[str, float] = {}
         now = self._clock.now_ns
-        for window in self._distinct_windows():
-            expr = f'{burn_metric_name(window)}{{{SLO_LABEL}="{name}"}}'
-            samples = self._promql.query_instant(expr, now)
+        for window, selector in entry.burn_selectors.items():
+            samples = self._promql.query_instant(selector, now)
             if samples:
                 burns[window] = samples[0].value
         return burns
@@ -348,7 +358,7 @@ class SloManager:
         rows: list[dict[str, object]] = []
         for name in sorted(self._entries):
             entry = self._entries[name]
-            burns = self._current_burns(name)
+            burns = self._current_burns(entry)
             state = "ok"
             if entry.exhausted:
                 state = "exhausted"

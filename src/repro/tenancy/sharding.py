@@ -37,9 +37,10 @@ class ShuffleSharder:
     """Deterministic tenant → subring mapping over a live ring.
 
     ``shard_size == 0`` disables sharding: every tenant sees the whole
-    ring (Loki's default).  Subrings are cached per (tenant, member-set)
-    so repeated pushes don't rebuild token tables; any join/leave on the
-    underlying ring naturally misses the cache and recomputes.
+    ring (Loki's default).  Subrings are cached per (tenant, ring
+    version) so repeated pushes don't rebuild token tables; any
+    join/leave/relabel on the underlying ring bumps the version, misses
+    the cache and recomputes — shard members and their zones alike.
     """
 
     def __init__(self, ring: HashRing, shard_size: int = 0) -> None:
@@ -47,7 +48,7 @@ class ShuffleSharder:
             raise ValidationError("shard size must be >= 0 (0 = disabled)")
         self.ring = ring
         self.shard_size = shard_size
-        self._subrings: dict[str, tuple[tuple[str, ...], HashRing]] = {}
+        self._subrings: dict[str, tuple[int, HashRing]] = {}
 
     @property
     def enabled(self) -> bool:
@@ -73,17 +74,16 @@ class ShuffleSharder:
 
     def subring(self, tenant: str) -> HashRing:
         """A ring over just the tenant's shard, for stream placement."""
-        shard = self.shard(tenant)
         cached = self._subrings.get(tenant)
-        if cached is not None and cached[0] == shard:
+        if cached is not None and cached[0] == self.ring.version:
             return cached[1]
         subring = HashRing(vnodes=self.ring.vnodes)
-        for member in shard:
+        for member in self.shard(tenant):
             subring.join(member)
             # Zone labels carry into the subring so zone-aware placement
             # spreads a tenant's replicas exactly like unsharded streams.
             zone = self.ring.zone(member)
             if zone is not None:
                 subring.set_zone(member, zone)
-        self._subrings[tenant] = (shard, subring)
+        self._subrings[tenant] = (self.ring.version, subring)
         return subring

@@ -26,7 +26,7 @@ from repro.common.errors import ValidationError
 from repro.common.labels import METRIC_NAME_LABEL
 from repro.common.simclock import SimClock, Timer
 from repro.tempo.tracer import Tracer
-from repro.tsdb.promql import PromQLEngine, parse_promql
+from repro.tsdb.promql import PromExpr, PromQLEngine, parse_promql
 from repro.tsdb.storage import TimeSeriesStore
 
 #: Metric names must be exposition-safe: the LogQL lexer (shared with
@@ -42,6 +42,9 @@ class RecordingRule:
     record: str
     expr: str
     labels: dict[str, str] = field(default_factory=dict)
+    #: ``expr`` parsed, once, when the rule is built; what the engine
+    #: evaluates every cycle.
+    ast: PromExpr = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if not _RECORD_NAME_RE.match(self.record):
@@ -49,7 +52,8 @@ class RecordingRule:
                 f"recording rule output name {self.record!r} is not a "
                 "valid metric name (colons are not supported)"
             )
-        parse_promql(self.expr)  # fail fast on bad expressions
+        # Fails fast on a bad expression.
+        object.__setattr__(self, "ast", parse_promql(self.expr))
         if METRIC_NAME_LABEL in self.labels:
             raise ValidationError(
                 "recording rule labels may not override __name__; "
@@ -113,7 +117,7 @@ class RecordingEngine:
         recorded = 0
         for rule in self._rules:
             try:
-                samples = self._engine.query_instant(rule.expr, now)
+                samples = self._engine.query_instant(rule.ast, now)
             except Exception:
                 self.eval_errors += 1
                 continue

@@ -16,7 +16,7 @@ from repro.common.simclock import SimClock
 from repro.common.vector import Sample
 from repro.alerting.events import AlertEvent
 from repro.alerting.rules import RuleEvaluator, RuleSpec
-from repro.tsdb.promql import PromQLEngine, parse_promql
+from repro.tsdb.promql import PromExpr, PromQLEngine, parse_promql
 
 #: vmalert rules are Prometheus-format too; alias for symmetry with Ruler.
 MetricAlertingRule = RuleSpec
@@ -35,8 +35,8 @@ class VMAlert(RuleEvaluator):
         super().__init__(clock, notifier, generator)
         self._engine = engine
 
-    def _validate_expr(self, expr: str) -> None:
-        parse_promql(expr)
+    def _compile(self, expr: str) -> PromExpr:
+        return parse_promql(expr)
 
-    def _query(self, expr: str, time_ns: int) -> list[Sample]:
-        return self._engine.query_instant(expr, time_ns)
+    def _query(self, compiled: PromExpr, time_ns: int) -> list[Sample]:
+        return self._engine.query_instant(compiled, time_ns)

@@ -130,6 +130,71 @@ class TestAlertingEndToEnd:
         assert fw.ruler.firing_series() == []
 
 
+class TestAlertEventMirror:
+    """ServiceNow alerts mirrored into OMNI's event archive once a minute."""
+
+    @staticmethod
+    def sn_event(fw, key, severity):
+        from repro.servicenow.events import SnEvent, SnSeverity
+
+        return SnEvent(
+            source="alertmanager",
+            node="perlmutter",
+            metric_name=key,
+            severity=SnSeverity[severity],
+            message_key=key,
+            description=key,
+            time_ns=fw.clock.now_ns,
+        )
+
+    def test_second_alert_on_one_ci_opening_after_the_first_closed(self, fw):
+        from repro.omni.eventstore import Term
+
+        fw.start()
+        fw.servicenow.process_event(self.sn_event(fw, "novel-1", "CRITICAL"))
+        fw.run_for(minutes(2))
+        fw.servicenow.process_event(self.sn_event(fw, "novel-1", "CLEAR"))
+        fw.run_for(minutes(2))  # first alert mirrored closed
+        fw.servicenow.process_event(self.sn_event(fw, "novel-2", "CRITICAL"))
+        second_opened = fw.clock.now_ns
+        # Used to raise "event cannot end before it starts": on the pass
+        # after the second alert was mirrored, the long-closed first one
+        # was visited again and closed the second's open event — at the
+        # first's close time.
+        fw.run_for(minutes(5))
+        docs = fw.eventstore.search(Term("category", "sn_alert"))
+        assert [(d.fields["alert_number"], d.open) for d in docs] == [
+            ("ALERT0000001", False),
+            ("ALERT0000002", True),
+        ]
+        assert docs[0].end_ns < second_opened == docs[1].start_ns
+        fw.servicenow.process_event(self.sn_event(fw, "novel-2", "CLEAR"))
+        fw.run_for(minutes(2))
+        assert fw.eventstore.open_count() == 0
+        assert fw.eventstore.doc_count() == 2
+
+    def test_unchanged_alerts_are_not_mirrored_again(self, fw, monkeypatch):
+        from repro.core import framework as framework_module
+
+        mirrored = []
+        real = framework_module.record_from_alert
+        monkeypatch.setattr(
+            framework_module,
+            "record_from_alert",
+            lambda store, alert, now: mirrored.append(alert.number)
+            or real(store, alert, now),
+        )
+        fw.start()
+        fw.servicenow.process_event(self.sn_event(fw, "k", "MAJOR"))
+        fw.run_for(minutes(5))
+        assert mirrored == ["ALERT0000001"]
+        fw.servicenow.process_event(self.sn_event(fw, "k", "CLEAR"))
+        fw.run_for(minutes(5))
+        fw.servicenow.process_event(self.sn_event(fw, "k", "MAJOR"))  # reopened
+        fw.run_for(minutes(5))
+        assert mirrored == ["ALERT0000001"] * 3
+
+
 class TestRemediation:
     def test_auto_remediation_resolves_incident(self, small_config):
         fw = MonitoringFramework(small_config)

@@ -133,6 +133,25 @@ class TestCaching:
         assert b == direct
         assert a != b
 
+    def test_same_bucket_different_phase_inside_one_split_window(self, world):
+        # Both sub-windows are clipped by the queries themselves (nothing
+        # crosses an hour boundary), are equally long, and start in the
+        # same 10-minute step bucket — only the phase tells them apart.
+        clock, engine, frontend = world
+        step = minutes(10)
+        on_grid = (hours(1) + minutes(10), hours(1) + minutes(40))
+        shifted = (hours(1) + minutes(13), hours(1) + minutes(43))
+        for first, second in ((on_grid, shifted), (shifted, on_grid)):
+            frontend.invalidate()
+            for start, end in (first, second):
+                assert frontend.query_range(
+                    QUERY, start, end, step
+                ) == engine._engine.query_range(QUERY, start, end, step)
+        # A true repeat — same bounds, same phase — is still a hit.
+        hits = frontend.cache_hits
+        frontend.query_range(QUERY, *shifted, step)
+        assert frontend.cache_hits == hits + 1
+
 
 class TestLruEviction:
     """The cache is true LRU: a hit refreshes recency, so the hot entry

@@ -159,6 +159,85 @@ class TestStore:
         assert store.index_bytes() < 100  # one stream, one label
 
 
+def decoded_counts(store):
+    """Per-stream resident entries the slow way: decode every chunk."""
+    everything = [label_matcher("s", "=~", ".*")]
+    counts = {labels: 0 for labels in store.stream_labels()}
+    counts.update(
+        (labels, len(entries)) for labels, entries in store.select(everything, 0, 10**9)
+    )
+    return counts
+
+
+class TestAntiEntropySurface:
+    def mixed_store(self):
+        """Streams in every chunk state: sealed + head, all sealed,
+        partly retention-deleted, and wholly shipped away."""
+        store = LokiStore(ChunkPolicy(target_size_bytes=64))
+        line = "x" * 30
+
+        def push(name, timestamps):
+            store.push(PushRequest.single({"s": name}, [(t, line) for t in timestamps]))
+
+        push("head", [100])
+        push("mixed", range(100, 109))
+        push("sealed", range(100, 106))
+        push("cut", range(10))
+        push("gone", range(100, 104))
+        store.flush_all()
+        push("head", [101])  # flush_all sealed it; this opens a new head
+        push("mixed", [120])
+        assert store.delete_before(5) >= 1
+        push("cut", [30])
+        for labels, chunk in store.sealed_chunks():
+            if labels["s"] == "gone":
+                assert store.drop_chunk(labels, chunk)
+        return store
+
+    def test_resident_entry_counts_equal_decoded_entries(self):
+        store = self.mixed_store()
+        counts = store.resident_entry_counts()
+        assert counts == decoded_counts(store)
+        assert set(counts) == set(store.stream_labels())
+        assert counts[LabelSet({"s": "gone"})] == 0  # known, nothing resident
+        assert 0 < counts[LabelSet({"s": "cut"})] < 11  # partly deleted
+        assert counts[LabelSet({"s": "mixed"})] == 10  # sealed + head
+
+    def test_resident_entry_counts_of_some_streams(self):
+        store = self.mixed_store()
+        wanted = [LabelSet({"s": "mixed"}), LabelSet({"s": "never-pushed"})]
+        assert store.resident_entry_counts(wanted) == {LabelSet({"s": "mixed"}): 10}
+
+    def test_every_change_of_resident_entries_marks_its_stream(self):
+        store = LokiStore(ChunkPolicy(target_size_bytes=64))
+        line = "x" * 30
+        a, b, c = (LabelSet({"s": name}) for name in "abc")
+        for labels in (a, b, c):
+            store.push_stream(labels, [LogEntry(i, line) for i in range(6)])
+        assert store.drain_touched() == {a, b, c}
+        assert store.drain_touched() == set()  # the drain forgets
+        # Sealing moves no entry: nothing to re-diff.
+        store.flush_all()
+        store.select([label_matcher("s", "=~", ".*")], 0, 100)
+        assert store.drain_touched() == set()
+        store.push_stream(a, [LogEntry(50, line)])
+        assert store.drain_touched() == {a}
+        store.replace_stream(b, [LogEntry(60, line)])
+        assert store.drain_touched() == {b}
+        labels, chunk = next(p for p in store.sealed_chunks() if p[0] == c)
+        store.drop_chunk(labels, chunk)
+        assert store.drain_touched() == {c}
+        assert store.drop_chunk(labels, chunk) is False  # already gone
+        assert store.drain_touched() == set()
+        # Retention marks exactly the streams it cut: b's one entry is
+        # newer than the cutoff, a and c lose sealed chunks.
+        store.flush_all()
+        assert store.delete_before(4) >= 2
+        assert store.drain_touched() == {a, c}
+        assert store.delete_before(4) == 0
+        assert store.drain_touched() == set()
+
+
 class TestCluster:
     def test_shards_validated(self):
         with pytest.raises(ValidationError):

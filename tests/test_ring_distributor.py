@@ -262,3 +262,32 @@ class TestReadFallback:
         assert cluster.ingesters["ingester-0"].store.stats.entries_ingested == 0
         assert cluster.distributor.replicas_skipped_unhealthy > 0
         assert cluster.distributor.quorum_failures == 0
+
+    def test_skipped_unhealthy_counts_every_push_not_every_walk(self):
+        # Placement is memoised; the counter must not be.  Per push it
+        # adds the desired replicas the detector excludes, worked out
+        # here on a ring that has never answered anything.
+        from repro.common.labels import LabelSet
+        from repro.common.simclock import SimClock
+        from repro.ring.hashring import HashRing, stream_key
+
+        cluster = RingLokiCluster(ingesters=5, replication_factor=3)
+        memberlist = Memberlist(SimClock())
+        for member in sorted(cluster.ingesters):
+            memberlist.register(member)
+        cluster.attach_memberlist(memberlist)
+        fresh = HashRing()
+        for member in sorted(cluster.ingesters):
+            fresh.join(member)
+        feed(cluster, 16)
+        assert cluster.distributor.replicas_skipped_unhealthy == 0
+        memberlist.suspect("ingester-0")
+        feed(cluster, 40, start=16)
+        memberlist.suspect("ingester-3")
+        feed(cluster, 24, start=56)
+        want = 0
+        for i in range(16, 80):
+            excluded = {"ingester-0"} if i < 56 else {"ingester-0", "ingester-3"}
+            key = stream_key(LabelSet({"app": f"svc-{i % 8}"}))
+            want += len(excluded & set(fresh.preference_list(key, 3)))
+        assert cluster.distributor.replicas_skipped_unhealthy == want > 0

@@ -11,7 +11,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.common.errors import StateError, ValidationError
+from repro.common.labels import LabelSet
 from repro.ring.hashring import HashRing, fnv1a_64, stream_key
+from repro.tenancy.sharding import ShuffleSharder
 
 
 def build_ring(members, vnodes=64):
@@ -121,3 +123,134 @@ class TestBoundedMovement:
         ring.join("transient")
         ring.leave("transient")
         assert ring.placement(KEYS, rf) == before
+
+
+MEMBER_POOL = [f"ingester-{i}" for i in range(8)]
+ZONE_POOL = ["zone-a", "zone-b", "zone-c"]
+STREAMS = [LabelSet({"app": f"svc-{i}", "host": f"n{i % 5}"}) for i in range(12)]
+TENANTS = ["alpha", "beta", "gamma"]
+
+ring_ops = st.lists(
+    st.one_of(
+        st.tuples(st.just("join"), st.sampled_from(MEMBER_POOL)),
+        st.tuples(st.just("leave"), st.sampled_from(MEMBER_POOL)),
+        st.tuples(
+            st.just("set_zone"),
+            st.sampled_from(MEMBER_POOL),
+            st.sampled_from(ZONE_POOL),
+        ),
+        st.tuples(
+            st.just("exclude"),
+            st.frozensets(st.sampled_from(MEMBER_POOL), max_size=3),
+        ),
+    ),
+    min_size=1,
+    max_size=14,
+)
+
+
+def uncached_copy(ring):
+    """A ring with the same members and zones that has answered nothing."""
+    fresh = build_ring(ring.members(), vnodes=ring.vnodes)
+    for member in ring.members():
+        if ring.zone(member) is not None:
+            fresh.set_zone(member, ring.zone(member))
+    return fresh
+
+
+def answer(ring, key, n, zone_spread, exclude):
+    try:
+        return ring.preference_list(key, n, zone_spread=zone_spread, exclude=exclude)
+    except StateError:
+        return "too few members"
+
+
+class TestPlacementMemo:
+    """The memo may never be observable: a ring that has answered before
+    must answer exactly as one that never has."""
+
+    @given(ring_ops)
+    @settings(max_examples=60, deadline=None)
+    def test_memoised_ring_equals_fresh_ring_under_membership_churn(self, ops):
+        ring = build_ring(MEMBER_POOL[:4])
+        sharder = ShuffleSharder(ring, 3)
+        exclude = frozenset()
+        for op in [("exclude", frozenset()), *ops]:
+            if op[0] == "join" and op[1] not in ring.members():
+                ring.join(op[1])
+            elif op[0] == "leave" and op[1] in ring.members() and len(ring) > 1:
+                ring.leave(op[1])
+            elif op[0] == "set_zone" and op[1] in ring.members():
+                ring.set_zone(op[1], op[2])
+            elif op[0] == "exclude":
+                exclude = op[1]
+            # Ask everything twice on the long-lived ring (the second
+            # answer is the memo's) and once on a ring with no history.
+            fresh = uncached_copy(ring)
+            fresh_sharder = ShuffleSharder(fresh, 3)
+            for zone_spread in (False, True):
+                for labels in STREAMS:
+                    key = stream_key(labels)
+                    want = answer(fresh, key, 3, zone_spread, exclude)
+                    want_all = answer(fresh, key, 3, zone_spread, ())
+                    for _ in range(2):
+                        assert answer(ring, labels, 3, zone_spread, exclude) == want
+                        assert answer(ring, labels, 3, zone_spread, ()) == want_all
+            for tenant in TENANTS:
+                assert sharder.shard(tenant) == fresh_sharder.shard(tenant)
+                subring = sharder.subring(tenant)
+                fresh_subring = fresh_sharder.subring(tenant)
+                for labels in STREAMS[:4]:
+                    assert answer(subring, labels, 2, True, exclude) == answer(
+                        fresh_subring, labels, 2, True, exclude
+                    )
+
+    def test_returned_lists_are_copies(self):
+        ring = build_ring(MEMBER_POOL[:5])
+        first = ring.preference_list(STREAMS[0], 3)
+        want = list(first)
+        first.clear()
+        first.append("poison")
+        assert ring.preference_list(STREAMS[0], 3) == want
+        excluded = ring.preference_list(STREAMS[0], 3, exclude={want[0]})
+        excluded.reverse()
+        again = ring.preference_list(STREAMS[0], 3, exclude={want[0]})
+        assert again == list(reversed(excluded)) and want[0] not in again
+
+    def test_version_moves_exactly_with_membership_and_zones(self):
+        ring = build_ring(["a", "b", "c"])
+        seen = ring.version
+        ring.preference_list("k", 2, exclude={"a"})
+        ring.members(), ring.zones(), ring.zone("a")
+        assert ring.version == seen
+        for change in (
+            lambda: ring.join("d"),
+            lambda: ring.set_zone("d", "zone-a"),
+            lambda: ring.leave("a"),
+        ):
+            change()
+            assert ring.version > seen
+            seen = ring.version
+
+    def test_labelset_and_stream_key_place_identically(self):
+        ring = build_ring(MEMBER_POOL)
+        for labels in STREAMS:
+            assert ring.preference_list(labels, 3) == ring.preference_list(
+                stream_key(labels), 3
+            )
+            assert labels.fingerprint() == LabelSet(dict(labels)).fingerprint()
+
+    def test_memo_is_dropped_when_the_epoch_moves(self):
+        ring = build_ring(MEMBER_POOL[:5])
+        for labels in STREAMS:
+            ring.preference_list(labels, 3)
+            ring.preference_list(labels, 3, exclude={"ingester-0"})
+        assert len(ring._memo) == len(ring._memo_excluding) == len(STREAMS)
+        # A different exclusion set replaces the old one's walks and
+        # leaves the walks that exclude nobody alone...
+        ring.preference_list(STREAMS[0], 3, exclude={"ingester-1"})
+        assert len(ring._memo_excluding) == 1
+        assert len(ring._memo) == len(STREAMS)
+        # ...and a membership change drops everything.
+        ring.join("ingester-7")
+        assert not ring._memo and not ring._memo_excluding

@@ -1,12 +1,14 @@
 """Tests for the shared rule state machine, Loki Ruler and vmalert."""
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.common.errors import QueryError, ValidationError
 from repro.common.labels import LabelSet
 from repro.common.simclock import SimClock, minutes, seconds
+from repro.common.vector import Sample
 from repro.alerting.events import AlertState
-from repro.alerting.rules import RuleSpec, render_template
+from repro.alerting.rules import RuleEvaluator, RuleSpec, render_template
 from repro.loki.logql.engine import LogQLEngine
 from repro.loki.model import PushRequest
 from repro.loki.ruler import Ruler
@@ -91,6 +93,22 @@ class TestRuler:
         assert events[0].labels["severity"] == "critical"
         assert len(ruler.firing_series()) == 1
 
+    def test_evaluations_parse_nothing(self, loki_world, monkeypatch):
+        from repro.loki.logql import engine as engine_module
+
+        clock, store, ruler, events = loki_world
+        ruler.add_rule(RuleSpec(name="R", expr='count_over_time({a="b"}[10m]) > 0'))
+
+        def no_parsing(query):
+            raise AssertionError(f"parsed at evaluation time: {query!r}")
+
+        monkeypatch.setattr(engine_module, "parse", no_parsing)
+        store.push(PushRequest.single({"a": "b"}, [(clock.now_ns, "x")]))
+        clock.advance(seconds(1))
+        ruler.evaluate_all()
+        ruler.evaluate_all()
+        assert [e.state for e in events] == [AlertState.FIRING]
+
     def test_zero_for_fires_immediately(self, loki_world):
         clock, store, ruler, events = loki_world
         ruler.add_rule(RuleSpec(name="R", expr='count_over_time({a="b"}[10m]) > 0'))
@@ -174,3 +192,108 @@ class TestVMAlert:
         store.ingest("up", {"job": "j"}, 1.0, clock.now_ns)
         va.evaluate_all()
         assert [e.state for e in events] == [AlertState.FIRING, AlertState.RESOLVED]
+
+
+class ScriptedEvaluator(RuleEvaluator):
+    """An evaluator whose "query language" is a script: per rule, which
+    of its series are active at each evaluation."""
+
+    def __init__(self, clock, notifier, script):
+        super().__init__(clock, notifier, generator="scripted")
+        self._script = script
+        self.compiled_calls = []
+
+    def _compile(self, expr):
+        self.compiled_calls.append(expr)
+        return ("compiled", expr)
+
+    def _query(self, compiled, time_ns):
+        tag, rule_name = compiled
+        assert tag == "compiled"  # the parsed form, not the string
+        active = self._script[self.evaluations].get(rule_name, ())
+        return [
+            Sample(LabelSet({"series": str(i)}), float(i), time_ns) for i in active
+        ]
+
+
+def flat_state_reference(rules, script, interval_ns):
+    """The evaluator as it was before state was keyed per rule: one flat
+    ``(rule name, labels) -> state`` dict scanned in full by every rule.
+    Returns the ``(alertname, series, state, time)`` sequence it emits."""
+    state: dict = {}
+    out = []
+    for tick, activity in enumerate(script):
+        now = (tick + 1) * interval_ns
+        for rule in rules:
+            active = [str(i) for i in activity.get(rule.name, ())]
+            for series in active:
+                st_ = state.setdefault((rule.name, series), {"since": None, "firing": False})
+                if st_["since"] is None:
+                    st_["since"] = now
+                if not st_["firing"] and now - st_["since"] >= rule.for_ns:
+                    st_["firing"] = True
+                    out.append((rule.name, series, AlertState.FIRING, now))
+            for (rule_name, series), st_ in list(state.items()):
+                if rule_name != rule.name or series in active:
+                    continue
+                if st_["firing"]:
+                    st_["firing"] = False
+                    out.append((rule.name, series, AlertState.RESOLVED, now))
+                st_["since"] = None
+    return out
+
+
+SCRIPT_RULES = [
+    RuleSpec(name="Immediate", expr="Immediate"),
+    RuleSpec(name="Sustained", expr="Sustained", for_="30s"),
+    RuleSpec(name="Other", expr="Other", for_="10s"),
+]
+
+activity = st.fixed_dictionaries(
+    {rule.name: st.lists(st.integers(0, 4), unique=True, max_size=5) for rule in SCRIPT_RULES}
+)
+
+
+class TestPerRuleState:
+    @given(st.lists(activity, min_size=1, max_size=12))
+    @settings(max_examples=80, deadline=None)
+    def test_event_order_equals_the_flat_state_evaluator(self, script):
+        clock = SimClock(0)
+        events = []
+        evaluator = ScriptedEvaluator(clock, events.append, script)
+        for rule in SCRIPT_RULES:
+            evaluator.add_rule(rule)
+        evaluator.run_periodic(seconds(10))
+        clock.advance(seconds(10) * len(script))
+        got = [
+            (e.labels["alertname"], e.labels["series"], e.state, e.fired_at_ns)
+            for e in events
+        ]
+        assert got == flat_state_reference(SCRIPT_RULES, script, seconds(10))
+        firing = {(name, labels["series"]) for name, labels in evaluator.firing_series()}
+        want_firing = set()
+        for name, series, state, _ in got:
+            (want_firing.add if state is AlertState.FIRING else want_firing.discard)(
+                (name, series)
+            )
+        assert firing == want_firing
+
+    def test_expressions_are_compiled_once_at_registration(self):
+        clock = SimClock(0)
+        script = [{"Immediate": [1]}] * 5
+        evaluator = ScriptedEvaluator(clock, lambda e: None, script)
+        evaluator.add_rule(SCRIPT_RULES[0])
+        for _ in script:
+            evaluator.evaluate_all()
+        assert evaluator.compiled_calls == ["Immediate"]
+
+    def test_a_rule_walks_only_its_own_series(self):
+        clock = SimClock(0)
+        script = [{"Immediate": [0, 1, 2], "Other": [3]}, {}]
+        evaluator = ScriptedEvaluator(clock, lambda e: None, script)
+        for rule in SCRIPT_RULES:
+            evaluator.add_rule(rule)
+        evaluator.evaluate_all()
+        assert {name: len(states) for name, states in evaluator._state.items()} == {
+            "Immediate": 3, "Sustained": 0, "Other": 1,
+        }

@@ -173,3 +173,134 @@ class TestConvergence:
         # Permanent losses were actually retired, not left as zombies.
         for member in mgr.memberlist.in_state(MemberState.FORGOTTEN):
             assert member not in cluster.ingesters
+
+
+ZONES = ["zone-0", "zone-1", "zone-2"]
+
+
+def churn_ops():
+    """Everything that can move a stream's diff row, in any order: new
+    entries, crashes the supervisor restarts, restarts that land between
+    two sweeps (so the usable *set* never visibly changed), a rolling
+    restart, a zone outage and its end, a voluntary leave, a scale-out
+    join, a shipper flush freeing sealed chunks, a retention delete."""
+    member = st.integers(0, 8)
+    return st.lists(
+        st.one_of(
+            st.tuples(st.just("push"), st.integers(0, 11), st.integers(1, 4)),
+            st.tuples(st.just("crash"), member),
+            st.tuples(st.just("crash_restart"), member),
+            st.tuples(st.just("rolling_restart"), member),
+            st.tuples(st.just("zone_outage"), st.sampled_from(ZONES)),
+            st.tuples(st.just("zone_restore"), st.sampled_from(ZONES)),
+            st.tuples(st.just("leave"), member),
+            st.tuples(st.just("join"), st.sampled_from(ZONES)),
+            st.tuples(st.just("ship"), st.booleans()),
+            st.tuples(st.just("retention"), st.integers(0, 40)),
+            st.tuples(st.just("wait"), st.integers(1, 90)),
+        ),
+        min_size=4,
+        max_size=28,
+    )
+
+
+class TestIncrementalDiff:
+    """The repairer maintains its placement diff from the streams the
+    ingesters touched; the answer must be the one a diff over *every*
+    stream gives, each time anyone asks — sweep, heal, retire or scrape."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(ops=churn_ops())
+    def test_maintained_diff_equals_the_diff_over_all_streams(self, ops):
+        from repro.common.errors import StateError
+        from repro.loki.chunks import ChunkPolicy
+        from repro.objstore import ChunkShipper, ObjectStore, ShipperIndex
+
+        clock = SimClock()
+        cluster = RingLokiCluster(
+            ingesters=6,
+            replication_factor=3,
+            zones=3,
+            policy=ChunkPolicy(target_size_bytes=96),
+        )
+        mgr = SelfHealManager(clock, cluster)
+        objstore = ObjectStore(clock)
+        shipper = ChunkShipper(cluster, objstore, ShipperIndex(objstore), clock)
+        repairer = mgr.repairer
+        checks = [0]
+        maintained = repairer.placement_diff
+
+        def checked_placement_diff():
+            diff = maintained()
+            assert diff == repairer.diff_over(cluster.stream_labels())
+            checks[0] += 1
+            return diff
+
+        # heal(), repair_member() and under_replicated_streams() all ask
+        # through the instance, so every sweep and every scrape is checked.
+        repairer.placement_diff = checked_placement_diff
+        mgr.start()
+        next_ts = [1]
+        joined = [0]
+
+        def push(stream, n):
+            labels = LabelSet({"app": f"svc-{stream}"})
+            entries = []
+            for _ in range(n):
+                entries.append(LogEntry(next_ts[0], f"line {next_ts[0]:05d} " + "x" * 24))
+                next_ts[0] += 1
+            try:
+                cluster.push_stream(labels, entries)
+            except StateError:
+                pass  # below quorum: whichever replicas took it, took it
+
+        def pick(idx, want_active):
+            members = [
+                m for m, ing in sorted(cluster.ingesters.items())
+                if ing.active == want_active
+            ]
+            return members[idx % len(members)] if members else None
+
+        for stream in range(12):
+            push(stream, 3)
+        for op in ops:
+            kind = op[0]
+            if kind == "push":
+                push(op[1], op[2])
+            elif kind == "crash" and (m := pick(op[1], True)):
+                cluster.crash_ingester(m)
+            elif kind == "crash_restart" and (m := pick(op[1], True)):
+                cluster.crash_ingester(m)
+                cluster.restart_ingester(m)
+            elif kind == "rolling_restart" and (m := pick(op[1], True)):
+                cluster.restart_ingester(m)
+            elif kind == "zone_outage" and cluster.ring.members_in_zone(op[1]):
+                mgr.begin_zone_outage(op[1])
+            elif kind == "zone_restore":
+                mgr.end_zone_outage(op[1])
+            elif kind == "leave" and len(cluster.ring) > 4:
+                ring_members = cluster.ring.members()
+                cluster.leave_ingester(ring_members[op[1] % len(ring_members)])
+            elif kind == "join":
+                member = f"joined-{joined[0]}"
+                joined[0] += 1
+                cluster.join_ingester(member, zone=op[1])
+                mgr.adopt(member)
+            elif kind == "ship":
+                if op[1]:  # else only what already sealed by size goes
+                    cluster.flush_all()
+                shipper.flush()
+            elif kind == "retention":
+                cluster.flush_all()
+                cluster.delete_before(op[1])
+            elif kind == "wait":
+                clock.advance(seconds(op[1]))
+            # A scrape between sweeps: refreshes the same maintained diff.
+            assert mgr.under_replicated_streams() == len(
+                repairer.diff_over(cluster.stream_labels())
+            )
+            clock.advance(seconds(7))
+        for zone in ZONES:
+            mgr.end_zone_outage(zone)
+        clock.advance(minutes(5))
+        assert checks[0] > len(ops)

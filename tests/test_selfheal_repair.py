@@ -202,3 +202,84 @@ class TestZoneAwarePlacement:
         labels = LabelSet({"app": "svc"})
         assert len(cluster.distributor.replicas_for(labels)) == 3
         assert cluster.ring.zones() == []
+
+
+class TestTouchedSetContract:
+    """Between two membership epochs the repairer re-diffs only streams
+    an ingester's store marked.  Each way a stream's resident count can
+    move on one replica alone must therefore reach the maintained diff —
+    checked here one cause at a time, on streams nothing else touched."""
+
+    def quiet_cluster(self):
+        from repro.loki.chunks import ChunkPolicy
+
+        clock = SimClock()
+        cluster = RingLokiCluster(
+            ingesters=5,
+            replication_factor=3,
+            policy=ChunkPolicy(target_size_bytes=64),
+        )
+        # Not started: no sweep grafts behind the test's back.
+        mgr = SelfHealManager(clock, cluster)
+        feed(cluster, streams=6, entries=6)
+        repairer = mgr.repairer
+        assert repairer.placement_diff() == {}
+        return cluster, repairer
+
+    def assert_maintained_is_full(self, cluster, repairer, want):
+        assert repairer.placement_diff() == want
+        assert repairer.diff_over(cluster.stream_labels()) == want
+
+    def test_a_shipper_free_on_one_replica(self):
+        # E.g. a flush the object store failed half way through.
+        cluster, repairer = self.quiet_cluster()
+        labels = LabelSet({"app": "svc-2"})
+        member = cluster.distributor.replicas_for(labels)[1]
+        store = cluster.ingesters[member].store
+        chunk = next(c for ls, c in store.sealed_chunks() if ls == labels)
+        assert store.drop_chunk(labels, chunk)
+        self.assert_maintained_is_full(cluster, repairer, {labels: [member]})
+        # The graft marks the stream too: the next ask sees it healed.
+        assert repairer.heal().streams_repaired == 1
+        self.assert_maintained_is_full(cluster, repairer, {})
+
+    def test_a_retention_delete_on_one_replica(self):
+        cluster, repairer = self.quiet_cluster()
+        # Older than everything feed() wrote, so a cutoff can single it out.
+        labels = LabelSet({"app": "old"})
+        cluster.push_stream(
+            labels, [LogEntry(j + 1, f"old-line-{j:04d}") for j in range(6)]
+        )
+        assert repairer.placement_diff() == {}
+        member = cluster.distributor.replicas_for(labels)[0]
+        assert cluster.ingesters[member].delete_before(5) >= 1
+        self.assert_maintained_is_full(cluster, repairer, {labels: [member]})
+
+    def test_a_restart_that_lost_a_stream_between_two_asks(self):
+        # Crash and restart land between two sweeps, so the usable *set*
+        # never changed; the torn WAL tail means the stream's only record
+        # on this replica is gone and replay marks nothing for it.
+        clock = SimClock()
+        cluster = RingLokiCluster(ingesters=5, replication_factor=3)
+        repairer = SelfHealManager(clock, cluster).repairer
+        feed(cluster, streams=4, entries=3)
+        labels = LabelSet({"app": "late"})
+        cluster.push_stream(labels, [LogEntry(1, "only")])
+        assert repairer.placement_diff() == {}
+        member = cluster.distributor.replicas_for(labels)[2]
+        ingester = cluster.ingesters[member]
+        ingester.wal.segments[-1].truncate_tail(4)
+        ingester.crash()
+        ingester.restart()
+        assert labels not in ingester.stream_inventory()
+        self.assert_maintained_is_full(cluster, repairer, {labels: [member]})
+
+    def test_streams_still_short_stay_in_the_diff_untouched(self):
+        cluster, repairer = self.quiet_cluster()
+        labels = LabelSet({"app": "svc-0"})
+        member = cluster.distributor.replicas_for(labels)[0]
+        store = cluster.ingesters[member].store
+        chunk = next(c for ls, c in store.sealed_chunks() if ls == labels)
+        store.drop_chunk(labels, chunk)
+        for _ in range(3):  # nothing marks it again; it must not fall out
+            self.assert_maintained_is_full(cluster, repairer, {labels: [member]})

@@ -461,6 +461,38 @@ class TestSloManager:
         assert row["state"] == "ok"
         assert row["budget_remaining"] == pytest.approx(1.0)
 
+    def test_ticks_parse_nothing(self, slo_world, monkeypatch):
+        # Everything a tick evaluates — recording rules, the burn
+        # read-back, the vmalert tiers — was parsed when it was
+        # registered; an evaluation hands the engine ASTs.
+        from repro.tsdb import promql as promql_module
+        from repro.tsdb.vmalert import VMAlert
+
+        clock, store, promql, manager, _ = slo_world
+        collector = manager.register(
+            SLO(name="a", description="x", objective=0.99, window="10m"),
+            StaticSource(),
+        )
+        alerts = []
+        vmalert = VMAlert(promql, clock, alerts.append)
+        for spec in manager.rule_specs():
+            vmalert.add_rule(spec)
+
+        def no_parsing(query):
+            raise AssertionError(f"parsed at evaluation time: {query!r}")
+
+        monkeypatch.setattr(promql_module, "parse_promql", no_parsing)
+        collector.inject(1000.0, 0.0)
+        drive(clock, store, manager, collector, "a", 2)
+        collector.inject(0.0, 500.0)
+        drive(clock, store, manager, collector, "a", 3)
+        vmalert.evaluate_all()
+        assert manager.recording.eval_errors == 0
+        assert manager.recording.samples_recorded > 0
+        assert manager.burn_history("a")[-1][1]  # burns were read back
+        assert manager.status()[0]["fast_burn"] > 0
+        assert alerts and all(e.labels["slo"] == "a" for e in alerts)
+
     def test_inject_unknown_slo_raises(self, slo_world):
         _, _, _, manager, _ = slo_world
         with pytest.raises(ValidationError):

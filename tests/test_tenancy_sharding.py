@@ -73,6 +73,16 @@ class TestBasics:
         for t, subring in first.items():
             assert sharder.subring(t) is subring
 
+    def test_subring_follows_a_zone_relabel(self):
+        # The shard is unmoved by a relabel, but the cached subring
+        # carries zone labels: it must not keep serving the old ones.
+        ring = build_ring([f"ingester-{i}" for i in range(6)])
+        sharder = ShuffleSharder(ring, 3)
+        member = sharder.shard("alpha")[0]
+        assert sharder.subring("alpha").zone(member) is None
+        ring.set_zone(member, "zone-x")
+        assert sharder.subring("alpha").zone(member) == "zone-x"
+
 
 class TestSizeInvariants:
     @given(member_lists, tenant_lists, shard_sizes)
