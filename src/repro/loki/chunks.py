@@ -17,12 +17,15 @@ Compression statistics feed the storage-cost benches (C3/C4).
 from __future__ import annotations
 
 import zlib
+from bisect import bisect_left
 from dataclasses import dataclass
+from operator import attrgetter
 
 from repro.common.errors import StateError, ValidationError
 from repro.loki.model import LogEntry
 
 _SEPARATOR = "\x1e"  # record separator; never appears in log lines we accept
+_TIMESTAMP = attrgetter("timestamp_ns")
 
 
 @dataclass(frozen=True)
@@ -156,26 +159,42 @@ class Chunk:
     # ------------------------------------------------------------------
     # Reading
     # ------------------------------------------------------------------
+    def _fields(self) -> list[str]:
+        """A sealed chunk's payload split into ``ts, line, ts, line, ...``."""
+        if self._compressed is None or self.entry_count == 0:
+            return []
+        fields = zlib.decompress(self._compressed).decode().split(_SEPARATOR)
+        if len(fields) % 2:
+            fields.pop()  # a timestamp without its line: not an entry
+        return fields
+
     def entries(self) -> list[LogEntry]:
         """All entries in timestamp order (decompressing if sealed)."""
         if not self._sealed:
             return list(self._head)
-        if self._compressed is None or self.entry_count == 0:
-            return []
-        text = zlib.decompress(self._compressed).decode()
-        fields = text.split(_SEPARATOR)
-        out = []
-        for i in range(0, len(fields) - 1, 2):
-            out.append(LogEntry(int(fields[i]), fields[i + 1]))
-        return out
+        fields = self._fields()
+        return list(map(LogEntry, map(int, fields[::2]), fields[1::2]))
 
     def entries_between(self, start_ns: int, end_ns: int) -> list[LogEntry]:
-        """Entries with ``start_ns <= ts < end_ns``."""
+        """Entries with ``start_ns <= ts < end_ns``, as a fresh list.
+
+        Entries are time-ordered, so the range is a bisect: into the
+        open head directly, and for a sealed chunk into its parsed
+        timestamps, so that only the in-range slice is rebuilt.
+        """
         if self.first_ts_ns is None:
             return []
         if self.last_ts_ns < start_ns or self.first_ts_ns >= end_ns:
             return []
-        return [e for e in self.entries() if start_ns <= e.timestamp_ns < end_ns]
+        if not self._sealed:
+            head = self._head
+            lo = bisect_left(head, start_ns, key=_TIMESTAMP)
+            return head[lo : bisect_left(head, end_ns, lo, key=_TIMESTAMP)]
+        fields = self._fields()
+        ts = list(map(int, fields[::2]))
+        lo = bisect_left(ts, start_ns)
+        hi = bisect_left(ts, end_ns, lo)
+        return list(map(LogEntry, ts[lo:hi], fields[2 * lo + 1 : 2 * hi : 2]))
 
     def overlaps(self, start_ns: int, end_ns: int) -> bool:
         if self.first_ts_ns is None:

@@ -14,12 +14,15 @@ log line.
 
 from __future__ import annotations
 
+import itertools
+import json
 import re
-from typing import Iterable, Protocol
+from bisect import bisect_right
+from typing import Callable, Iterable, Protocol, Sequence
 
 from repro.common.errors import QueryError
 from repro.common.jsonutil import flatten_json
-from repro.common.labels import LabelSet, Matcher, validate_label_name
+from repro.common.labels import EMPTY_LABELS, LabelSet, Matcher, validate_label_name
 from repro.common.simclock import NANOS_PER_SECOND
 from repro.common.vector import Sample, Series
 from repro.loki.logql.ast import (
@@ -41,7 +44,6 @@ from repro.loki.logql.ast import (
     RangeAgg,
     RangeFunc,
     Scalar,
-    UNWRAPPED_FUNCS,
     UnwrapStage,
     VectorAgg,
     VectorOp,
@@ -142,39 +144,58 @@ class LogQLEngine:
         if expr.unwrap_label is not None:
             raise QueryError("unwrap is only valid inside a range aggregation")
         grouped = self._eval_pipeline(expr, start_ns, end_ns)
+        for entries in grouped.values():
+            entries.sort()
         return sorted(grouped.items(), key=lambda kv: kv[0].items_tuple())
 
     def query_instant(self, query: str | Expr, time_ns: int) -> list[Sample]:
-        """Evaluate a metric query at one instant; returns a vector."""
-        expr = parse(query) if isinstance(query, str) else query
-        if isinstance(expr, LogPipeline):
-            raise QueryError("instant query requires a metric query")
-        samples = self._eval_metric(expr, time_ns)
-        return sorted(samples, key=lambda s: s.labels.items_tuple())
+        """Evaluate a metric query at one instant; returns a vector.
+
+        The one-step case of :meth:`query_range`: same read, same
+        evaluator, one grid point.
+        """
+        return [
+            Sample(labels, points[0][1], time_ns)
+            for labels, points in self._evaluate(query, (time_ns,), "instant")
+        ]
 
     def query_range(
         self, query: str | Expr, start_ns: int, end_ns: int, step_ns: int
     ) -> list[Series]:
-        """Evaluate a metric query at each step in ``[start, end]``."""
+        """Evaluate a metric query at each step in ``[start, end]``.
+
+        The store is read once per range aggregation, over the union of
+        every step's window; each step then slices that read (see
+        :class:`_RangeVector`).
+        """
         if step_ns <= 0:
             raise QueryError("step must be positive")
         if end_ns < start_ns:
             raise QueryError("end before start")
-        expr = parse(query) if isinstance(query, str) else query
-        if isinstance(expr, LogPipeline):
-            raise QueryError("range query requires a metric query")
-        series: dict[LabelSet, list[tuple[int, float]]] = {}
-        t = start_ns
-        while t <= end_ns:
-            for sample in self._eval_metric(expr, t):
-                series.setdefault(sample.labels, []).append((t, sample.value))
-            t += step_ns
+        instants = range(start_ns, end_ns + 1, step_ns)
         return [
             Series(labels, tuple(points))
-            for labels, points in sorted(
-                series.items(), key=lambda kv: kv[0].items_tuple()
-            )
+            for labels, points in self._evaluate(query, instants, "range")
         ]
+
+    def _evaluate(
+        self, query: str | Expr, instants: Sequence[int], kind: str
+    ) -> list[tuple[LabelSet, list[tuple[int, float]]]]:
+        """Points per result label set over ascending ``instants``,
+        sorted by label set."""
+        expr = parse(query) if isinstance(query, str) else query
+        if isinstance(expr, LogPipeline):
+            raise QueryError(f"{kind} query requires a metric query")
+        evaluation = _Evaluation(self, expr, instants[0], instants[-1])
+        series: dict[LabelSet, list[tuple[int, float]]] = {}
+        for t in instants:
+            for labels, value in evaluation.at(expr, t):
+                points = series.get(labels)
+                if points is None:
+                    series[labels] = [(t, value)]
+                else:
+                    points.append((t, value))
+        return sorted(series.items(), key=lambda kv: kv[0].items_tuple())
 
     # ------------------------------------------------------------------
     # Pipeline evaluation
@@ -197,79 +218,101 @@ class LogQLEngine:
                 needles.append(stage.needle)
         return tuple(needles)
 
-    def _eval_pipeline(
+    def _select(
         self, pipeline: LogPipeline, start_ns: int, end_ns: int
-    ) -> dict[LabelSet, list[LogEntry]]:
+    ) -> list[tuple[LabelSet, list[LogEntry]]]:
         if getattr(self._source, "supports_line_hints", False):
-            raw = self._source.select(
+            return self._source.select(
                 pipeline.matchers,
                 start_ns,
                 end_ns,
                 line_contains=self._line_hints(pipeline),
             )
-        else:
-            raw = self._source.select(pipeline.matchers, start_ns, end_ns)
+        return self._source.select(pipeline.matchers, start_ns, end_ns)
+
+    def _eval_pipeline(
+        self, pipeline: LogPipeline, start_ns: int, end_ns: int
+    ) -> dict[LabelSet, list[LogEntry]]:
+        """Surviving entries per final label set, each list in the order
+        ``select`` produced them (stream order, then entry order).
+
+        Label work is per stream or per distinct label tuple, never per
+        entry: stages that cannot rewrite labels keep the stream's own
+        ``LabelSet``, and parser output is interned by its label tuple.
+        """
+        raw = self._select(pipeline, start_ns, end_ns)
+        # Unwrap is the range aggregation's business, not a filter.
+        stages = tuple(s for s in pipeline.stages if not isinstance(s, UnwrapStage))
         grouped: dict[LabelSet, list[LogEntry]] = {}
+        if not stages:
+            for stream_labels, entries in raw:
+                grouped.setdefault(stream_labels, []).extend(entries)
+            return grouped
+        # Keyed by the flat (names..., values...) tuple of the label dict.
+        interned: dict[tuple[str, ...], LabelSet] = {}
         for stream_labels, entries in raw:
             base = stream_labels.to_dict()
             for entry in entries:
-                final = self._apply_stages(pipeline.stages, base, entry)
+                final = self._apply_stages(stages, base, entry.line)
                 if final is None:
                     continue
                 labels, line = final
-                grouped.setdefault(labels, []).append(
-                    entry if line == entry.line else LogEntry(entry.timestamp_ns, line)
+                if labels is base:
+                    final_labels = stream_labels
+                else:
+                    key = (*labels, *labels.values())
+                    final_labels = interned.get(key)
+                    if final_labels is None:
+                        final_labels = interned[key] = LabelSet(labels)
+                bucket = grouped.get(final_labels)
+                if bucket is None:
+                    bucket = grouped[final_labels] = []
+                bucket.append(
+                    entry if line is entry.line else LogEntry(entry.timestamp_ns, line)
                 )
-        for entries in grouped.values():
-            entries.sort()
         return grouped
 
     def _apply_stages(
         self,
         stages: tuple,
         base_labels: dict[str, str],
-        entry: LogEntry,
-    ) -> tuple[LabelSet, str] | None:
-        """Run one entry through the pipeline; None means dropped."""
-        labels: dict[str, str] | None = None  # lazily copied
-        line = entry.line
+        line: str,
+    ) -> tuple[dict[str, str], str] | None:
+        """Run one line through the pipeline; None means dropped.
+
+        Returns the labels and the (possibly rewritten) line.  The
+        labels are ``base_labels`` itself — never a copy — unless a
+        parser or ``label_format`` stage ran.
+        """
+        labels = base_labels  # copied before the first write
         for stage in stages:
             if isinstance(stage, LineFilter):
                 if not stage.keep(line):
                     return None
             elif isinstance(stage, ParserStage):
-                if labels is None:
+                if labels is base_labels:
                     labels = dict(base_labels)
                 self._apply_parser(stage, labels, line)
             elif isinstance(stage, LabelFilter):
-                current = labels if labels is not None else base_labels
-                if not stage.keep(current):
+                if not stage.keep(labels):
                     return None
             elif isinstance(stage, LineFormatStage):
-                current = labels if labels is not None else base_labels
-                line = _render_line_format(stage.template, current, line)
+                line = _render_line_format(stage.template, labels, line)
             elif isinstance(stage, LabelFormatStage):
-                if labels is None:
+                if labels is base_labels:
                     labels = dict(base_labels)
                 if stage.src in labels:
                     labels[stage.dst] = labels[stage.src]
-            elif isinstance(stage, UnwrapStage):
-                # Handled by the range-aggregation path; for plain stage
-                # application it is a no-op (validation prevents misuse).
-                pass
-            else:  # pragma: no cover - parser only emits the four kinds
+            else:  # pragma: no cover - the parser emits no other kind
                 raise QueryError(f"unknown stage {stage!r}")
-        final_labels = LabelSet(labels if labels is not None else base_labels)
-        return final_labels, line
+        return labels, line
 
     def _apply_parser(
         self, stage: ParserStage, labels: dict[str, str], line: str
     ) -> None:
         if stage.kind is ParserKind.JSON:
             try:
-                import json as _json
-
-                obj = _json.loads(line)
+                obj = json.loads(line)
             except (ValueError, TypeError):
                 labels[ERROR_LABEL] = "JSONParserErr"
                 return
@@ -311,87 +354,166 @@ class LogQLEngine:
             labels[key] = value
 
     # ------------------------------------------------------------------
-    # Metric evaluation
+    # Metric evaluation: the one read behind every step
     # ------------------------------------------------------------------
-    def _eval_metric(self, expr: MetricExpr | Scalar, time_ns: int) -> list[Sample]:
+    def _range_vector(
+        self, expr: RangeAgg, first_ns: int, last_ns: int
+    ) -> "_RangeVector":
+        """Read ``expr``'s pipeline once for every instant in
+        ``[first_ns, last_ns]`` and column it per output series.
+
+        Unwrapped aggregations drop entries whose unwrap label is
+        missing or non-numeric (real Loki marks them
+        ``__error__=SampleExtractionErr``) and remove the unwrap label
+        from the series labels, so several pipeline groups may feed one
+        series.
+        """
+        grouped = self._eval_pipeline(
+            expr.pipeline, first_ns - expr.range_ns + 1, last_ns + 1
+        )
+        unwrap = expr.pipeline.unwrap_label
+        sized = expr.func in (RangeFunc.BYTES_OVER_TIME, RangeFunc.BYTES_RATE)
+        columns: dict[LabelSet, tuple[list[int], list]] = {}
+        for labels, entries in grouped.items():
+            extra: list = []
+            if unwrap is not None:
+                raw = labels.get(unwrap)
+                if raw is None:
+                    continue
+                try:
+                    value = float(raw)
+                except ValueError:
+                    continue
+                labels = labels.without(unwrap)
+                extra = [value] * len(entries)
+            elif sized:
+                extra = [len(entry.line.encode()) for entry in entries]
+            column = columns.get(labels)
+            if column is None:
+                column = columns[labels] = ([], [])
+            column[0].extend([entry.timestamp_ns for entry in entries])
+            column[1].extend(extra)
+        groups = []
+        for labels in sorted(columns, key=LabelSet.items_tuple):
+            ts, extra = columns[labels]
+            # One stream's entries arrive in time order; only a series
+            # fed by several streams or groups needs the (stable) sort.
+            in_order = sorted(ts)
+            if in_order != ts:
+                if extra:
+                    order = sorted(range(len(ts)), key=ts.__getitem__)
+                    extra = [extra[i] for i in order]
+                ts = in_order
+            if sized:
+                extra = list(itertools.accumulate(extra, initial=0))
+            groups.append((labels, ts, extra))
+        return _RangeVector(expr, groups)
+
+
+#: ``reduce(lo, hi, extra, range_seconds)`` over the window ``ts[lo:hi]``
+#: of one series (never empty).  ``extra`` is the running byte total for
+#: the bytes functions (``len(ts) + 1`` long, exact integers) and the
+#: unwrapped values for the ``*_over_time`` family, summed in time order.
+_REDUCERS: dict[RangeFunc, Callable[[int, int, list, float], float]] = {
+    RangeFunc.COUNT_OVER_TIME: lambda lo, hi, extra, secs: float(hi - lo),
+    RangeFunc.RATE: lambda lo, hi, extra, secs: (hi - lo) / secs,
+    RangeFunc.BYTES_OVER_TIME: lambda lo, hi, extra, secs: float(
+        extra[hi] - extra[lo]
+    ),
+    RangeFunc.BYTES_RATE: lambda lo, hi, extra, secs: (extra[hi] - extra[lo]) / secs,
+    RangeFunc.SUM_OVER_TIME: lambda lo, hi, extra, secs: sum(extra[lo:hi]),
+    RangeFunc.AVG_OVER_TIME: lambda lo, hi, extra, secs: (
+        sum(extra[lo:hi]) / (hi - lo)
+    ),
+    RangeFunc.MAX_OVER_TIME: lambda lo, hi, extra, secs: max(extra[lo:hi]),
+    RangeFunc.MIN_OVER_TIME: lambda lo, hi, extra, secs: min(extra[lo:hi]),
+}
+
+
+class _RangeVector:
+    """One range aggregation, read once and sliced per step (Loki's
+    range-vector iterator).
+
+    Per output series it holds the sorted timestamps of every surviving
+    entry; the window ``(t - range, t]`` of any instant is two bisects
+    into them.  Series are kept in ascending label order, so the vector
+    at ``t`` — and the float summation order of whatever aggregates it —
+    depends on the window's content only, not on which other instants
+    the same read serves.
+    """
+
+    __slots__ = ("_range_ns", "_range_seconds", "_reduce", "_groups")
+
+    def __init__(
+        self, expr: RangeAgg, groups: list[tuple[LabelSet, list[int], list]]
+    ) -> None:
+        self._range_ns = expr.range_ns
+        self._range_seconds = expr.range_ns / NANOS_PER_SECOND
+        self._reduce = _REDUCERS[expr.func]
+        self._groups = groups
+
+    def at(self, time_ns: int) -> list[tuple[LabelSet, float]]:
+        reduce, secs = self._reduce, self._range_seconds
+        window_start = time_ns - self._range_ns
+        out = []
+        for labels, ts, extra in self._groups:
+            hi = bisect_right(ts, time_ns)
+            lo = bisect_right(ts, window_start, 0, hi)
+            if lo < hi:
+                out.append((labels, reduce(lo, hi, extra, secs)))
+        return out
+
+
+class _Evaluation:
+    """One metric query over one set of instants: each range aggregation
+    in the expression is read once on construction, and ``by``/``without``
+    projections are remembered per input label set."""
+
+    def __init__(
+        self, engine: LogQLEngine, expr: MetricExpr, first_ns: int, last_ns: int
+    ) -> None:
+        self._vectors: dict[int, _RangeVector] = {}
+        self._projections: dict[int, dict[LabelSet, LabelSet]] = {}
+        pending: list[MetricExpr | Scalar] = [expr]
+        while pending:
+            node = pending.pop()
+            if isinstance(node, RangeAgg):
+                self._vectors[id(node)] = engine._range_vector(
+                    node, first_ns, last_ns
+                )
+            elif isinstance(node, VectorAgg):
+                self._projections[id(node)] = {}
+                pending.append(node.expr)
+            elif isinstance(node, BinOp):
+                pending += [node.lhs, node.rhs]
+
+    def at(self, expr: MetricExpr | Scalar, time_ns: int) -> list[tuple[LabelSet, float]]:
         if isinstance(expr, RangeAgg):
-            return self._eval_range_agg(expr, time_ns)
+            return self._vectors[id(expr)].at(time_ns)
         if isinstance(expr, VectorAgg):
-            return self._eval_vector_agg(expr, time_ns)
+            return self._vector_agg(expr, time_ns)
         if isinstance(expr, BinOp):
-            return self._eval_binop(expr, time_ns)
+            return self._binop(expr, time_ns)
         raise QueryError(f"cannot evaluate {type(expr).__name__} as a vector")
 
-    def _eval_unwrapped(
-        self, pipeline: LogPipeline, start_ns: int, end_ns: int
-    ) -> dict[LabelSet, list[float]]:
-        """Pipeline evaluation yielding numeric sample values per series.
-
-        Entries whose unwrap label is missing or non-numeric are dropped
-        (real Loki marks them ``__error__=SampleExtractionErr``); the
-        unwrapped label itself is removed from the series labels.
-        """
-        label = pipeline.unwrap_label
-        assert label is not None
-        grouped = self._eval_pipeline(pipeline, start_ns, end_ns)
-        out: dict[LabelSet, list[float]] = {}
-        for labels, entries in grouped.items():
-            raw = labels.get(label)
-            if raw is None:
-                continue
-            try:
-                value = float(raw)
-            except ValueError:
-                continue
-            series = labels.without(label)
-            out.setdefault(series, []).extend([value] * len(entries))
-        return out
-
-    def _eval_range_agg(self, expr: RangeAgg, time_ns: int) -> list[Sample]:
-        # Window semantics: (time - range, time].
-        start = time_ns - expr.range_ns + 1
-        end = time_ns + 1
-        range_seconds = expr.range_ns / NANOS_PER_SECOND
-        if expr.func in UNWRAPPED_FUNCS:
-            out = []
-            for labels, values in self._eval_unwrapped(
-                expr.pipeline, start, end
-            ).items():
-                if expr.func is RangeFunc.SUM_OVER_TIME:
-                    value = sum(values)
-                elif expr.func is RangeFunc.AVG_OVER_TIME:
-                    value = sum(values) / len(values)
-                elif expr.func is RangeFunc.MAX_OVER_TIME:
-                    value = max(values)
-                else:  # MIN_OVER_TIME
-                    value = min(values)
-                out.append(Sample(labels, value, time_ns))
-            return out
-        grouped = self._eval_pipeline(expr.pipeline, start, end)
-        out = []
-        for labels, entries in grouped.items():
-            if expr.func is RangeFunc.COUNT_OVER_TIME:
-                value = float(len(entries))
-            elif expr.func is RangeFunc.RATE:
-                value = len(entries) / range_seconds
-            elif expr.func is RangeFunc.BYTES_OVER_TIME:
-                value = float(sum(e.size_bytes() for e in entries))
-            else:  # BYTES_RATE
-                value = sum(e.size_bytes() for e in entries) / range_seconds
-            out.append(Sample(labels, value, time_ns))
-        return out
-
-    def _eval_vector_agg(self, expr: VectorAgg, time_ns: int) -> list[Sample]:
-        inner = self._eval_metric(expr.expr, time_ns)
+    def _vector_agg(self, expr: VectorAgg, time_ns: int) -> list[tuple[LabelSet, float]]:
+        projected = self._projections[id(expr)]
         groups: dict[LabelSet, list[float]] = {}
-        for sample in inner:
-            if expr.mode is GroupMode.BY:
-                key = sample.labels.project(expr.labels)
-            elif expr.mode is GroupMode.WITHOUT:
-                key = sample.labels.without(*expr.labels)
+        for labels, value in self.at(expr.expr, time_ns):
+            key = projected.get(labels)
+            if key is None:
+                if expr.mode is GroupMode.BY:
+                    key = labels.project(expr.labels)
+                elif expr.mode is GroupMode.WITHOUT:
+                    key = labels.without(*expr.labels)
+                else:
+                    key = EMPTY_LABELS
+                projected[labels] = key
+            values = groups.get(key)
+            if values is None:
+                groups[key] = [value]
             else:
-                key = LabelSet()
-            groups.setdefault(key, []).append(sample.value)
+                values.append(value)
         out = []
         for labels, values in groups.items():
             if expr.op is VectorOp.SUM:
@@ -404,26 +526,21 @@ class LogQLEngine:
                 value = sum(values) / len(values)
             else:  # COUNT
                 value = float(len(values))
-            out.append(Sample(labels, value, time_ns))
+            out.append((labels, value))
         return out
 
-    def _eval_binop(self, expr: BinOp, time_ns: int) -> list[Sample]:
+    def _binop(self, expr: BinOp, time_ns: int) -> list[tuple[LabelSet, float]]:
         scalar_left = isinstance(expr.lhs, Scalar)
-        scalar = (expr.lhs if scalar_left else expr.rhs)
+        scalar = expr.lhs if scalar_left else expr.rhs
         assert isinstance(scalar, Scalar)
-        vector_expr = expr.rhs if scalar_left else expr.lhs
-        vector = self._eval_metric(vector_expr, time_ns)  # type: ignore[arg-type]
+        vector = self.at(expr.rhs if scalar_left else expr.lhs, time_ns)
         out = []
-        for sample in vector:
-            a, b = (
-                (scalar.value, sample.value)
-                if scalar_left
-                else (sample.value, scalar.value)
-            )
+        for labels, value in vector:
+            a, b = (scalar.value, value) if scalar_left else (value, scalar.value)
             if isinstance(expr.op, CmpOp):
                 if expr.op.apply(a, b):
-                    out.append(sample)  # comparison filters, keeps value
+                    out.append((labels, value))  # comparison filters, keeps value
             else:
                 assert isinstance(expr.op, ArithOp)
-                out.append(sample.with_value(expr.op.apply(a, b)))
+                out.append((labels, expr.op.apply(a, b)))
         return out

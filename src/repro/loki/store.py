@@ -59,6 +59,9 @@ class LokiStore:
     timestamp) are rejected, as Loki 2.4 does by default.
     """
 
+    #: queryx hint protocol: ``select`` takes the ``shard`` stream cut.
+    supports_shard_hints = True
+
     def __init__(
         self,
         policy: ChunkPolicy | None = None,
@@ -164,23 +167,38 @@ class LokiStore:
     # Selection (LogQL's data plane)
     # ------------------------------------------------------------------
     def select(
-        self, matchers: Iterable[Matcher], start_ns: int, end_ns: int
+        self,
+        matchers: Iterable[Matcher],
+        start_ns: int,
+        end_ns: int,
+        shard: tuple[int, int] | None = None,
     ) -> list[tuple[LabelSet, list[LogEntry]]]:
         """Entries per matching stream with ``start <= ts < end``.
 
         Only chunks overlapping the window are decompressed — the chunk
-        time-bounds act as a coarse secondary index.
+        time-bounds act as a coarse secondary index.  ``shard=(i, n)``
+        keeps only the streams whose fingerprint lands in shard ``i`` of
+        ``n``, before any chunk is read.
+
+        The read contract every store's ``select`` keeps: streams with
+        no entry in the window are absent; a stream's entries are in
+        timestamp order, same-timestamp entries in arrival order; each
+        list is fresh (the caller's to keep or reorder) while the
+        ``LogEntry`` objects in it are the store's own and immutable.
         """
         if end_ns <= start_ns:
             raise ValidationError("empty time range")
         out = []
         for sid in self.index.select(matchers):
+            labels = self.index.labels_of(sid)
+            if shard is not None and labels.fingerprint() % shard[1] != shard[0]:
+                continue
             entries: list[LogEntry] = []
-            for chunk in self._chunks.get(sid, []):
+            for chunk in self._chunks.get(sid, ()):
                 if chunk.overlaps(start_ns, end_ns):
                     entries.extend(chunk.entries_between(start_ns, end_ns))
             if entries:
-                out.append((self.index.labels_of(sid), entries))
+                out.append((labels, entries))
         return out
 
     def delete_before(self, cutoff_ns: int) -> int:

@@ -19,7 +19,7 @@ from repro.loki.model import LogEntry, PushRequest, PushStream
 from repro.loki.store import LokiStore, StoreStats
 from repro.objstore.compactor import CompactionResult, Compactor
 from repro.objstore.gateway import StoreGateway
-from repro.objstore.index import ShipperIndex, stream_fingerprint
+from repro.objstore.index import ShipperIndex
 from repro.objstore.objectstore import ObjectStore
 from repro.objstore.shipper import ChunkShipper, FlushResult
 from repro.ring.cluster import RingLokiCluster
@@ -31,9 +31,10 @@ class TieredLokiStore:
     """Hot ingest tier + object-store cold tier, one store surface."""
 
     #: queryx hint protocol: ``select`` takes ``shard``/``line_contains``
-    #: pruning hints.  The shard cut is pushed down to the gateway (refs
-    #: pruned before any GET) and applied to hot results by fingerprint;
-    #: line hints reach the gateway's bloom gate.
+    #: pruning hints.  The shard cut is pushed down to both tiers — the
+    #: gateway prunes refs before any GET, the hot stores skip off-shard
+    #: streams before any chunk read or replica merge; line hints reach
+    #: the gateway's bloom gate.
     supports_shard_hints = True
     supports_line_hints = True
 
@@ -99,11 +100,9 @@ class TieredLokiStore:
     ) -> list[tuple[LabelSet, list[LogEntry]]]:
         matchers = list(matchers)
         merged: dict[LabelSet, list[list[LogEntry]]] = {}
-        for labels, entries in self.hot.select(matchers, start_ns, end_ns):
-            if shard is not None and (
-                stream_fingerprint(labels) % shard[1] != shard[0]
-            ):
-                continue
+        for labels, entries in self.hot.select(
+            matchers, start_ns, end_ns, shard=shard
+        ):
             merged.setdefault(labels, []).append(entries)
         for labels, entries in self.gateway.select(
             matchers, start_ns, end_ns, shard=shard, line_contains=line_contains

@@ -32,6 +32,9 @@ from repro.tenancy.sharding import ShuffleSharder
 class RingLokiCluster:
     """N ingesters on a hash ring behind one distributor."""
 
+    #: queryx hint protocol: ``select`` takes the ``shard`` stream cut.
+    supports_shard_hints = True
+
     def __init__(
         self,
         ingesters: int = 4,
@@ -108,9 +111,13 @@ class RingLokiCluster:
     # Store facade: reads + maintenance
     # ------------------------------------------------------------------
     def select(
-        self, matchers: Iterable[Matcher], start_ns: int, end_ns: int
+        self,
+        matchers: Iterable[Matcher],
+        start_ns: int,
+        end_ns: int,
+        shard: tuple[int, int] | None = None,
     ) -> list[tuple[LabelSet, list[LogEntry]]]:
-        return self.distributor.select(matchers, start_ns, end_ns)
+        return self.distributor.select(matchers, start_ns, end_ns, shard=shard)
 
     def active_stores(self) -> list["LokiStore"]:
         """The live replicas' stores, in ingester order — the surface the

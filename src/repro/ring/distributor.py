@@ -240,9 +240,16 @@ class Distributor:
     # Read path
     # ------------------------------------------------------------------
     def select(
-        self, matchers: Iterable[Matcher], start_ns: int, end_ns: int
+        self,
+        matchers: Iterable[Matcher],
+        start_ns: int,
+        end_ns: int,
+        shard: tuple[int, int] | None = None,
     ) -> list[tuple[LabelSet, list[LogEntry]]]:
         """Quorum read: gather from every live replica, merge, dedupe.
+
+        ``shard`` is handed to every replica, so a sharded sub-query
+        neither reads nor merges the other shards' streams.
 
         A replica that refuses mid-fan-out (crashed between placement
         and contact) is tolerated: the read falls back to the remaining
@@ -262,7 +269,7 @@ class Distributor:
             ):
                 continue
             try:
-                results = ingester.select(matchers, start_ns, end_ns)
+                results = ingester.select(matchers, start_ns, end_ns, shard=shard)
             except StateError:
                 if self.memberlist is not None:
                     self.memberlist.suspect_from_read(ingester_id)

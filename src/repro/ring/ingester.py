@@ -177,10 +177,14 @@ class Ingester:
         return self.state is IngesterState.ACTIVE
 
     def select(
-        self, matchers: Iterable[Matcher], start_ns: int, end_ns: int
+        self,
+        matchers: Iterable[Matcher],
+        start_ns: int,
+        end_ns: int,
+        shard: tuple[int, int] | None = None,
     ) -> list[tuple[LabelSet, list[LogEntry]]]:
         self._require_active()
-        return self.store.select(matchers, start_ns, end_ns)
+        return self.store.select(matchers, start_ns, end_ns, shard=shard)
 
     def flush_all(self) -> int:
         self._require_active()

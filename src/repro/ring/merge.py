@@ -26,8 +26,13 @@ def merge_replica_entries(replica_lists: list[list[LogEntry]]) -> list[LogEntry]
     is the same write and appears once — its multiplicity is the *max*
     across replicas, never the sum.
     """
-    if len(replica_lists) == 1:
-        return list(replica_lists[0])
+    if not replica_lists:
+        return []
+    first = replica_lists[0]
+    # The healthy steady state: every replica returned the same list, so
+    # the max multiplicity of every line is what any one of them holds.
+    if all(entries == first for entries in replica_lists[1:]):
+        return list(first)
     # Group each replica's entries by timestamp, preserving intra-ts order.
     by_ts: dict[int, list[list[str]]] = {}
     for entries in replica_lists:

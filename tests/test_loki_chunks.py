@@ -1,5 +1,8 @@
 """Tests for chunk storage: compression, sealing, windows."""
 
+import hashlib
+import zlib
+
 import pytest
 from hypothesis import given, strategies as st
 
@@ -147,3 +150,109 @@ class TestWindows:
         chunk.append(LogEntry(100, "x"))
         assert chunk.age_ns(150) == 50
         assert make_chunk().age_ns(12345) == 0
+
+
+def _filter_everything(entries, start, end):
+    return [e for e in entries if start <= e.timestamp_ns < end]
+
+
+class TestWindowBoundaries:
+    """``entries_between`` bisects; the reference filters every entry."""
+
+    SHAPES = {
+        "spread": [10, 20, 20, 20, 35, 50, 50, 90],
+        "gap": [10, 11, 80, 81],
+        "all_equal": [40, 40, 40, 40],
+        "single": [40],
+    }
+
+    @staticmethod
+    def chunks(timestamps):
+        entries = [LogEntry(ts, f"line {i}") for i, ts in enumerate(timestamps)]
+        head = make_chunk(target=10**9)
+        for e in entries:
+            head.append(e)
+        sealed = make_chunk(target=10**9)
+        for e in entries:
+            sealed.append(e)
+        sealed.seal()
+        restored = Chunk.restore(
+            sealed.policy,
+            sealed.payload(),
+            sealed.first_ts_ns,
+            sealed.last_ts_ns,
+            sealed.entry_count,
+            sealed.uncompressed_bytes(),
+        )
+        return entries, {"open head": head, "sealed": sealed, "restored": restored}
+
+    @pytest.mark.parametrize("shape", sorted(SHAPES))
+    def test_every_boundary_equals_filter_everything(self, shape):
+        entries, chunks = self.chunks(self.SHAPES[shape])
+        first, last = entries[0].timestamp_ns, entries[-1].timestamp_ns
+        edges = sorted({first - 1, first, first + 1, last - 1, last, last + 1, last + 2}
+                       | {ts + d for ts in self.SHAPES[shape] for d in (0, 1)})
+        for kind, chunk in chunks.items():
+            for start in edges:
+                for end in edges:
+                    if end > start:
+                        assert chunk.entries_between(start, end) == _filter_everything(
+                            entries, start, end
+                        ), (kind, start, end)
+
+    def test_named_boundaries(self):
+        entries, chunks = self.chunks(self.SHAPES["gap"])
+        for chunk in chunks.values():
+            # start == first_ts, end == last_ts + 1: everything.
+            assert chunk.entries_between(10, 82) == entries
+            # end == last_ts: the last entry is out (end-exclusive).
+            assert chunk.entries_between(10, 81) == entries[:3]
+            # A window inside the empty gap between two entries.
+            assert chunk.entries_between(12, 80) == []
+            assert chunk.entries_between(12, 81) == entries[2:3]
+
+    @given(
+        st.lists(st.integers(0, 60), min_size=1, max_size=25),
+        st.integers(-2, 62),
+        st.integers(1, 30),
+    )
+    def test_window_property(self, timestamps, start, width):
+        entries, chunks = self.chunks(sorted(timestamps))
+        for kind, chunk in chunks.items():
+            assert chunk.entries_between(start, start + width) == _filter_everything(
+                entries, start, start + width
+            ), kind
+
+    def test_window_is_a_fresh_list(self):
+        _entries, chunks = self.chunks(self.SHAPES["spread"])
+        head = chunks["open head"]
+        window = head.entries_between(0, 100)
+        window.clear()
+        assert len(head.entries_between(0, 100)) == 8
+
+
+class TestPayloadGolden:
+    """Content-addressed dedup (S1) keys on these bytes: the payload of a
+    fixed entry sequence must not move.  Hashes taken at commit c18870e,
+    before ``entries_between`` stopped decoding whole chunks."""
+
+    TEXT_SHA256 = "1ceb5dc8c7282752462fa8ef0d4f926edc09c3a52f416196e95a97f784d29dd8"
+    PAYLOAD_SHA256 = "575ec406be9f7bfea35412d0bcea62b83bd3a787b95d0e6082375bb61e477b3f"
+
+    def test_payload_bytes_unchanged(self):
+        chunk = Chunk(ChunkPolicy())
+        for i in range(200):
+            severity = "Warning" if i % 5 else "Critical"
+            chunk.append(
+                LogEntry(
+                    1646272077000000000 + (i // 3) * 1_000_000,
+                    f"x1102c4s{i % 8}b0 kernel: event {i} severity={severity} ünïcode",
+                )
+            )
+        chunk.append(LogEntry(1646272077000000000 + 10**9, ""))
+        chunk.seal()
+        payload = chunk.payload()
+        # The record format first, so a failure says which of the two moved.
+        assert hashlib.sha256(zlib.decompress(payload)).hexdigest() == self.TEXT_SHA256
+        assert hashlib.sha256(payload).hexdigest() == self.PAYLOAD_SHA256
+        assert len(payload) == 1253

@@ -6,6 +6,8 @@ surface (retention, expiry preview) must cover both tiers so the OMNI
 retention manager runs unmodified.
 """
 
+import pytest
+
 from repro.common.labels import LabelSet, label_matcher
 from repro.common.simclock import SimClock, days, minutes
 from repro.loki.chunks import ChunkPolicy
@@ -130,6 +132,70 @@ class TestTieredSelect:
         assert result.chunks_deduped == 2 * result.chunks_shipped
         [(_, got)] = tiered.select(MATCH_ALL, 0, FAR_FUTURE_NS)
         assert got == corpus
+
+
+class TestShardPushDown:
+    """``shard=(i, n)`` reaches every tier: the hot stores drop
+    off-shard streams before reading or merging them, and the answer is
+    the fingerprint partition of the unsharded select."""
+
+    STREAMS = [LabelSet({"app": "api", "host": f"n{i}"}) for i in range(12)]
+
+    def world(self, hot):
+        clock, tiered = make_tiered(hot=hot)
+        for k, labels in enumerate(self.STREAMS):
+            tiered.push_stream(labels, entries_for(60, start_ns=k))
+        tiered.flush_all()
+        tiered.flush_to_cold()
+        for k, labels in enumerate(self.STREAMS):
+            tiered.push_stream(labels, entries_for(20, start_ns=10**10 + k))
+        return tiered
+
+    @pytest.mark.parametrize(
+        "make_hot",
+        [
+            lambda: LokiStore(small_chunks()),
+            lambda: RingLokiCluster(
+                ingesters=4, replication_factor=3, policy=small_chunks()
+            ),
+        ],
+        ids=["store", "ring_rf3"],
+    )
+    def test_shards_partition_the_unsharded_select(self, make_hot):
+        tiered = self.world(make_hot())
+        for source in (tiered, tiered.hot):
+            full = source.select(MATCH_ALL, 0, FAR_FUTURE_NS)
+            assert len(full) == len(self.STREAMS)
+            for count in (1, 3, 4):
+                shards = [
+                    source.select(MATCH_ALL, 0, FAR_FUTURE_NS, shard=(i, count))
+                    for i in range(count)
+                ]
+                for i, part in enumerate(shards):
+                    assert part == [
+                        (labels, entries)
+                        for labels, entries in full
+                        if labels.fingerprint() % count == i
+                    ]
+
+    def test_off_shard_streams_never_reach_the_replica_merge(self, monkeypatch):
+        from repro.ring import distributor
+
+        merged_streams = []
+        real_merge = distributor.merge_replica_entries
+
+        def spy(replica_lists):
+            merged_streams.append(replica_lists)
+            return real_merge(replica_lists)
+
+        monkeypatch.setattr(distributor, "merge_replica_entries", spy)
+        ring = RingLokiCluster(
+            ingesters=4, replication_factor=3, policy=small_chunks()
+        )
+        tiered = self.world(ring)
+        on_shard = tiered.select(MATCH_ALL, 10**10, FAR_FUTURE_NS, shard=(1, 4))
+        assert 0 < len(on_shard) < len(self.STREAMS)
+        assert len(merged_streams) == len(on_shard)
 
 
 class TestTieredMaintenance:

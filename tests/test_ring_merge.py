@@ -1,0 +1,104 @@
+"""``merge_replica_entries``: the max-multiplicity merge and its
+all-replicas-agree short-circuit.
+
+Quorum reads, the tiered read path, the compactor and the repairer all
+lean on this one function, and in the healthy RF-3 steady state every
+replica hands it the same list.  The specification checked here is the
+general one — per timestamp, every line appears as often as the replica
+that saw it most — so the short-circuit is held to exactly what the slow
+path would have answered.
+"""
+
+from collections import Counter
+
+from hypothesis import given, strategies as st
+
+from repro.loki.model import LogEntry
+from repro.ring.merge import merge_replica_entries
+
+LINES = ("a", "b", "c")
+
+#: One stream's acknowledged history: time-ordered, duplicates allowed.
+history = st.lists(
+    st.tuples(st.integers(0, 6), st.sampled_from(LINES)), max_size=16
+).map(lambda pairs: [LogEntry(ts, line) for ts, line in sorted(pairs, key=lambda p: p[0])])
+
+
+def max_multiplicity(replica_lists):
+    """The specification: per ``(ts, line)`` the highest count any one
+    replica holds."""
+    want: Counter = Counter()
+    for entries in replica_lists:
+        for entry, n in Counter(entries).items():
+            want[entry] = max(want[entry], n)
+    return want
+
+
+def subsequence(entries, keep):
+    return [e for e, kept in zip(entries, keep) if kept]
+
+
+class TestAllReplicasAgree:
+    @given(history, st.integers(1, 4))
+    def test_identical_replicas_return_the_list_itself(self, entries, replicas):
+        # Separate but equal lists of separate but equal entries, as
+        # replicas that replayed a WAL or decoded their own chunk hold.
+        copies = [[LogEntry(e.timestamp_ns, e.line) for e in entries] for _ in range(replicas)]
+        merged = merge_replica_entries(copies)
+        assert merged == entries
+        assert Counter(merged) == max_multiplicity(copies)
+
+    def test_result_is_a_fresh_list(self):
+        entries = [LogEntry(1, "a"), LogEntry(2, "b")]
+        merged = merge_replica_entries([entries, list(entries), list(entries)])
+        assert merged == entries and merged is not entries
+        merged.clear()
+        assert len(entries) == 2
+
+    def test_no_replicas_and_empty_replicas(self):
+        assert merge_replica_entries([]) == []
+        assert merge_replica_entries([[], []]) == []
+
+
+class TestReplicasDisagree:
+    """Anything short of full agreement takes the general path and still
+    counts every acknowledged write exactly once."""
+
+    @given(history, st.data())
+    def test_max_multiplicity_over_lossy_replicas(self, entries, data):
+        replicas = [
+            subsequence(
+                entries, data.draw(st.lists(st.booleans(), min_size=len(entries), max_size=len(entries)))
+            )
+            for _ in range(3)
+        ]
+        merged = merge_replica_entries(replicas)
+        assert Counter(merged) == max_multiplicity(replicas)
+        assert [e.timestamp_ns for e in merged] == sorted(e.timestamp_ns for e in merged)
+
+    @given(history, st.integers(0, 16))
+    def test_lagging_replica_does_not_shorten_the_answer(self, entries, behind):
+        lagging = entries[: max(0, len(entries) - behind)]
+        assert merge_replica_entries([lagging, entries, entries]) == merge_replica_entries(
+            [entries]
+        )
+        assert Counter(merge_replica_entries([entries, lagging])) == Counter(entries)
+
+    def test_differing_lengths_with_an_equal_prefix(self):
+        full = [LogEntry(1, "a"), LogEntry(2, "b"), LogEntry(3, "c")]
+        assert merge_replica_entries([full[:2], full, full[:1]]) == full
+
+    def test_duplicate_lines_keep_their_multiplicity(self):
+        twice = [LogEntry(5, "a"), LogEntry(5, "a")]
+        once = [LogEntry(5, "a")]
+        # Two writes of the same line are two writes, on whichever
+        # replica saw both; one replica seeing both is not four.
+        assert merge_replica_entries([once, twice, once]) == twice
+        assert merge_replica_entries([twice, twice, twice]) == twice
+
+    def test_same_length_different_content(self):
+        left = [LogEntry(1, "a"), LogEntry(2, "b")]
+        right = [LogEntry(1, "a"), LogEntry(2, "c")]
+        assert merge_replica_entries([left, right]) == [
+            LogEntry(1, "a"), LogEntry(2, "b"), LogEntry(2, "c"),
+        ]
