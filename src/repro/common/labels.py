@@ -92,21 +92,41 @@ class LabelSet(Mapping[str, str]):
         return "{" + inner + "}"
 
     # -- Operations ------------------------------------------------------
+    @classmethod
+    def _trusted(cls, items: tuple[tuple[str, str], ...]) -> "LabelSet":
+        """Wrap an already-canonical ``items`` tuple — validated names,
+        ``str`` values, sorted, no duplicates — without checking it again.
+        Only for tuples derived from another label set's ``_items``."""
+        self = cls.__new__(cls)
+        self._items = items
+        self._hash = hash(items)
+        return self
+
     def with_labels(self, **extra: str) -> "LabelSet":
         """Return a new set with ``extra`` labels added/overridden."""
         merged = dict(self._items)
-        merged.update(extra)
-        return LabelSet(merged)
+        for name, value in extra.items():
+            if name not in merged:
+                validate_label_name(name)
+            if not isinstance(value, str):
+                raise ValidationError(
+                    f"label {name!r} value must be str, got {type(value).__name__}"
+                )
+            merged[name] = value
+        return LabelSet._trusted(tuple(sorted(merged.items())))
 
     def without(self, *names: str) -> "LabelSet":
         """Return a new set dropping the given label names."""
-        drop = set(names)
-        return LabelSet({n: v for n, v in self._items if n not in drop})
+        return self._subset(tuple(p for p in self._items if p[0] not in names))
 
     def project(self, names: Iterable[str]) -> "LabelSet":
         """Return a new set keeping only the given label names (``by`` clause)."""
         keep = set(names)
-        return LabelSet({n: v for n, v in self._items if n in keep})
+        return self._subset(tuple(p for p in self._items if p[0] in keep))
+
+    def _subset(self, items: tuple[tuple[str, str], ...]) -> "LabelSet":
+        # A subset of a canonical tuple is canonical: nothing to re-validate.
+        return self if len(items) == len(self._items) else LabelSet._trusted(items)
 
     def items_tuple(self) -> tuple[tuple[str, str], ...]:
         """The canonical sorted ``(name, value)`` tuple (cheap identity key)."""
@@ -147,13 +167,15 @@ class MatchOp(enum.Enum):
 class Matcher:
     """A single label matcher, e.g. ``cluster=~"perl.*"``."""
 
-    __slots__ = ("name", "op", "value", "_regex")
+    __slots__ = ("name", "op", "value", "_regex", "_hash")
 
     def __init__(self, name: str, op: MatchOp, value: str) -> None:
         validate_label_name(name)
         self.name = name
         self.op = op
         self.value = value
+        # Kept: query engines key their per-query reads by matcher tuples.
+        self._hash = hash((name, op, value))
         if op in (MatchOp.RE, MatchOp.NRE):
             try:
                 # Prometheus fully anchors selector regexes.
@@ -187,7 +209,7 @@ class Matcher:
         return (self.name, self.op, self.value) == (other.name, other.op, other.value)
 
     def __hash__(self) -> int:
-        return hash((self.name, self.op, self.value))
+        return self._hash
 
 
 def label_matcher(name: str, op: str, value: str) -> Matcher:

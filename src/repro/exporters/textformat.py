@@ -15,6 +15,7 @@ from __future__ import annotations
 import math
 import re
 from dataclasses import dataclass, field
+from typing import Iterator
 
 from repro.common.errors import ValidationError
 
@@ -108,15 +109,24 @@ def render_exposition(families: list[MetricFamily]) -> str:
 def parse_exposition(text: str) -> list[MetricPoint]:
     """Parse exposition text into points (HELP/TYPE lines are skipped)."""
     points: list[MetricPoint] = []
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
-        points.append(_parse_sample_line(line, lineno))
+    for lineno, line in sample_lines(text):
+        name, labels, pos = parse_sample_head(line, lineno)
+        points.append(MetricPoint(name, labels, *parse_sample_fields(line, pos, lineno)))
     return points
 
 
-def _parse_sample_line(line: str, lineno: int) -> MetricPoint:
+def sample_lines(text: str) -> Iterator[tuple[int, str]]:
+    """The sample lines of an exposition, stripped, with their 1-based
+    line numbers; blank lines and ``#`` comments are skipped."""
+    for lineno, raw in enumerate(text.splitlines(), start=1):
+        line = raw.strip()
+        if line and not line.startswith("#"):
+            yield lineno, line
+
+
+def parse_sample_head(line: str, lineno: int) -> tuple[str, dict[str, str], int]:
+    """The ``name{labels}`` head of a sample line: the metric name, its
+    labels unescaped, and the position the value field starts at."""
     name_match = _NAME_PREFIX_RE.match(line)
     if not name_match:
         raise ValidationError(f"bad exposition line {lineno}: {line!r}")
@@ -138,6 +148,12 @@ def _parse_sample_line(line: str, lineno: int) -> MetricPoint:
         if pos >= len(line) or line[pos] != "}":
             raise ValidationError(f"unterminated labels on line {lineno}: {line!r}")
         pos += 1
+    return name, labels, pos
+
+
+def parse_sample_fields(line: str, pos: int, lineno: int) -> tuple[float, int | None]:
+    """The value and optional millisecond timestamp after a sample
+    line's head, which ends at ``pos``."""
     rest = line[pos:].split()
     if not rest or len(rest) > 2:
         raise ValidationError(f"bad exposition line {lineno}: {line!r}")
@@ -163,4 +179,4 @@ def _parse_sample_line(line: str, lineno: int) -> MetricPoint:
             raise ValidationError(
                 f"bad timestamp on exposition line {lineno}: {rest[1]!r}"
             ) from None
-    return MetricPoint(name, labels, value, ts)
+    return value, ts

@@ -16,9 +16,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.common.errors import ValidationError
-from repro.common.labels import LabelSet
+from repro.common.labels import METRIC_NAME_LABEL, LabelSet
 from repro.common.simclock import SimClock, hours
-from repro.tsdb.storage import TimeSeriesStore, _Column
+from repro.tsdb.storage import TimeSeriesStore
 
 
 @dataclass(frozen=True)
@@ -70,10 +70,7 @@ class Downsampler:
             split = int(np.searchsorted(ts, cutoff, side="left"))
             if split == 0:
                 continue
-            old_ts = ts[:split].copy()
-            old_vals = column.values[:split].copy()
-            new_ts = ts[split:].copy()
-            new_vals = column.values[split:].copy()
+            old_ts, old_vals = ts[:split], column.values[:split]
 
             # Bucket the aged region (vectorised group-by on bucket index).
             buckets = old_ts // bucket
@@ -81,16 +78,19 @@ class Downsampler:
             groups_ts = np.split(old_ts, boundaries)
             groups_vals = np.split(old_vals, boundaries)
 
-            fresh = _Column()
+            starts, means = [], []
             for g_ts, g_vals in zip(groups_ts, groups_vals):
                 bucket_start = int(g_ts[0] // bucket * bucket)
-                fresh.append(bucket_start, float(g_vals.mean()))
+                starts.append(bucket_start)
+                means.append(float(g_vals.mean()))
                 self._write_rollup(labels, "min", bucket_start, float(g_vals.min()))
                 self._write_rollup(labels, "max", bucket_start, float(g_vals.max()))
                 self.samples_written += 3
-            for t, v in zip(new_ts.tolist(), new_vals.tolist()):
-                fresh.append(int(t), float(v))
-            self._store._series[labels] = fresh
+            # In place, so the store's series refs keep leading here.
+            column.rewrite(
+                np.concatenate([starts, ts[split:]]),
+                np.concatenate([means, column.values[split:]]),
+            )
             removed = split - len(groups_ts)
             self.samples_removed += split
             saved += removed
@@ -101,14 +101,8 @@ class Downsampler:
         self, labels: LabelSet, kind: str, ts: int, value: float
     ) -> None:
         rollup_labels = labels.with_labels(__rollup__=kind)
-        column = self._store._series.get(rollup_labels)
-        if column is None:
-            column = _Column()
-            self._store._series[rollup_labels] = column
-            for pair in rollup_labels.items_tuple():
-                self._store._postings.setdefault(pair, set()).add(rollup_labels)
-        existing = column.timestamps
-        if len(existing) and ts <= int(existing[-1]):
+        column = self._store._register(labels[METRIC_NAME_LABEL], rollup_labels)
+        if ts <= column.last_ts:
             return  # bucket already rolled in an earlier sweep
         column.append(ts, value)
 

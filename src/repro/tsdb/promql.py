@@ -25,13 +25,20 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
+from itertools import accumulate, compress
 from typing import Iterable, Protocol, Union
 
 import numpy as np
 
 from repro.common.durations import parse_duration_ns
 from repro.common.errors import QueryError
-from repro.common.labels import METRIC_NAME_LABEL, LabelSet, Matcher, MatchOp
+from repro.common.labels import (
+    EMPTY_LABELS,
+    METRIC_NAME_LABEL,
+    LabelSet,
+    Matcher,
+    MatchOp,
+)
 from repro.common.simclock import NANOS_PER_SECOND, minutes
 from repro.common.vector import Sample, Series
 from repro.loki.logql.ast import ArithOp, CmpOp, GroupMode, Scalar, VectorOp
@@ -384,11 +391,384 @@ def parse_promql(query: str) -> PromExpr:
 # Engine
 # ---------------------------------------------------------------------------
 class MetricSource(Protocol):
-    """What the engine needs from a TSDB."""
+    """What the engine needs from a TSDB: the series matching
+    ``matchers`` that hold a sample with ``start_ns <= ts < end_ns``, in
+    ascending label order, each with its time-ordered (timestamps,
+    values) inside that window.  The engine reads the arrays and never
+    writes to them."""
 
     def select(
         self, matchers: Iterable[Matcher], start_ns: int, end_ns: int
     ) -> list[tuple[LabelSet, np.ndarray, np.ndarray]]: ...
+
+
+@dataclass(frozen=True)
+class _Vector:
+    """An instant vector at every step of a query at once: row *i* is
+    one series, column *j* one step.  ``values`` means nothing where
+    ``present`` is false.  Vectors are shared (a leaf that occurs twice
+    is evaluated once), so operators build new arrays and never write
+    into an operand's."""
+
+    labels: list[LabelSet]
+    values: np.ndarray  # (series, steps) float64
+    present: np.ndarray  # (series, steps) bool
+
+
+_PAD_TS = np.zeros(1, dtype=np.int64)
+_PAD_VALUE = np.zeros(1)
+
+
+class _Read:
+    """What one ``select`` returned, columned: the samples of every
+    series end to end in ``ts``/``values`` (one pad element at the very
+    end, so a position just past the last sample can still be indexed),
+    series *i* starting at ``starts[i]``."""
+
+    def __init__(
+        self, selected: list[tuple[LabelSet, np.ndarray, np.ndarray]]
+    ) -> None:
+        labels, self._series_ts, series_values = (
+            zip(*selected) if selected else ((), (), ())
+        )
+        self.labels = list(labels)
+        self.starts = np.fromiter(
+            accumulate(map(len, self._series_ts[:-1]), initial=0),
+            dtype=np.intp,
+            count=len(selected),
+        )
+        self.ts = np.concatenate(self._series_ts + (_PAD_TS,))
+        self.values = np.concatenate(series_values + (_PAD_VALUE,))
+
+    def positions(self, instants: np.ndarray) -> np.ndarray:
+        """Per series and instant, the position in the end-to-end columns
+        just past the series' last sample at or before the instant (its
+        first position, if it has none that early)."""
+        out = np.empty((len(self.labels), len(instants)), dtype=np.intp)
+        for row, ts in zip(out, self._series_ts):
+            row[:] = ts.searchsorted(instants, "right")
+        out += self.starts[:, None]
+        return out
+
+    def reset_carry(self) -> np.ndarray | None:
+        """Per sample, the counter value lost to resets between its
+        series' first sample in the read and it — a counter's increase
+        between two samples is the difference of their values plus the
+        difference of their carries — or None if no counter was reset."""
+        fell = self.values[1:-1] < self.values[:-2]  # fell[i]: sample i+1 below sample i
+        fell[self.starts[1:] - 1] = False  # a next series is not a reset
+        if not fell.any():
+            return None
+        at = np.flatnonzero(fell) + 1
+        carry = np.zeros(len(self.values))
+        carry[at] = self.values[at - 1]
+        # Summed series by series, so one series' carry is never rounded
+        # at the magnitude of all the others' put together.
+        ends = np.append(self.starts[1:], len(carry) - 1)
+        for series in np.unique(np.searchsorted(self.starts, at, "right") - 1):
+            segment = slice(self.starts[series], ends[series])
+            carry[segment] = np.cumsum(carry[segment])
+        return carry
+
+
+_COMPARE = {
+    CmpOp.EQ: np.equal,
+    CmpOp.NEQ: np.not_equal,
+    CmpOp.GT: np.greater,
+    CmpOp.GTE: np.greater_equal,
+    CmpOp.LT: np.less,
+    CmpOp.LTE: np.less_equal,
+}
+_ARITH = {ArithOp.ADD: np.add, ArithOp.SUB: np.subtract, ArithOp.MUL: np.multiply}
+_WINDOW_REDUCE = {
+    PromRangeFunc.SUM_OVER_TIME: np.add,
+    PromRangeFunc.AVG_OVER_TIME: np.add,
+    PromRangeFunc.MIN_OVER_TIME: np.minimum,
+    PromRangeFunc.MAX_OVER_TIME: np.maximum,
+}
+
+
+def _arith(op: ArithOp, a, b) -> np.ndarray:
+    if op is ArithOp.DIV:  # x / 0 is NaN, as `ArithOp.apply` has it
+        return np.where(np.not_equal(b, 0), np.divide(a, b), np.nan)
+    return _ARITH[op](a, b)
+
+
+def _join_keys(vector: _Vector) -> list[LabelSet]:
+    """What binary operators match series on: all labels but the name."""
+    return [labels.without(METRIC_NAME_LABEL) for labels in vector.labels]
+
+
+class _Evaluation:
+    """One query over one grid of steps.
+
+    Every leaf — a selector, or a range function over one — reads the
+    source once, over the union of its windows at all steps, and finds
+    each step's window in each series with ``searchsorted``; everything
+    above a leaf is arithmetic on (series × steps) arrays.  An instant
+    query is the one-step case.
+
+    Float order is pinned so a result depends on the windows only, never
+    on the grid: a vector is consumed in row order, which is ascending
+    label order out of ``select`` and out of an aggregation, and
+    ``sum``/``avg`` add their rows one by one in that order.
+    """
+
+    def __init__(
+        self, source: MetricSource, lookback_ns: int, steps: np.ndarray
+    ) -> None:
+        self._source = source
+        self._lookback_ns = lookback_ns
+        self._steps = steps
+        self._first_step, self._last_step = int(steps[0]), int(steps[-1])
+        self._leaves: dict[VectorSelector | PromRangeAgg, _Vector] = {}
+
+    def vector(self, expr: PromExpr | Scalar) -> _Vector:
+        if isinstance(expr, (VectorSelector, PromRangeAgg)):
+            # Keyed by value: (matchers) or (func, matchers, range).
+            vector = self._leaves.get(expr)
+            if vector is None:
+                leaf = self._selector if isinstance(expr, VectorSelector) else self._range
+                vector = self._leaves[expr] = leaf(expr)
+            return vector
+        if isinstance(expr, PromVectorAgg):
+            return self._aggregate(expr)
+        if isinstance(expr, PromBinOp):
+            if isinstance(expr.lhs, Scalar) or isinstance(expr.rhs, Scalar):
+                return self._scalar_binop(expr)
+            return self._vector_binop(expr)
+        if isinstance(expr, PromSetOp):
+            return self._set_op(expr)
+        if isinstance(expr, PromAbsent):
+            return self._absent(expr)
+        if isinstance(expr, PromTopK):
+            return self._topk(expr)
+        raise QueryError(f"cannot evaluate {type(expr).__name__} as a vector")
+
+    def _empty(self, rows: int = 0) -> tuple[np.ndarray, np.ndarray]:
+        shape = (rows, len(self._steps))
+        return np.zeros(shape), np.zeros(shape, dtype=bool)
+
+    # -- leaves --------------------------------------------------------------
+    def _read(self, selector: VectorSelector, window_ns: int) -> _Read:
+        """The one read of a leaf: the union of the windows
+        ``(t - window, t]`` over every step ``t``."""
+        return _Read(
+            self._source.select(
+                selector.matchers,
+                self._first_step - window_ns + 1,
+                self._last_step + 1,
+            )
+        )
+
+    def _selector(self, expr: VectorSelector) -> _Vector:
+        read = self._read(expr, self._lookback_ns)
+        if not read.labels:
+            return _Vector([], *self._empty())
+        # The most recent sample at or before each step, if it is inside
+        # the staleness window.
+        last = read.positions(self._steps) - 1
+        fresh = read.ts[last] > self._steps - self._lookback_ns
+        return _Vector(
+            read.labels, read.values[last], (last >= read.starts[:, None]) & fresh
+        )
+
+    def _range(self, expr: PromRangeAgg) -> _Vector:
+        read = self._read(expr.selector, expr.range_ns)
+        if not read.labels:
+            return _Vector([], *self._empty())
+        func = expr.func
+        # Both edges of every window (t - range, t] in one search a series.
+        steps = self._steps
+        edges = read.positions(np.concatenate([steps - expr.range_ns, steps]))
+        first, end = edges[:, : len(steps)], edges[:, len(steps) :]
+        count = end - first
+        needed = 1
+        if func is PromRangeFunc.COUNT_OVER_TIME:
+            values = count.astype(np.float64)
+        elif func is PromRangeFunc.LAST_OVER_TIME:
+            values = read.values[end - 1]
+        elif func in _WINDOW_REDUCE:
+            # reduceat over [first0, end0, first1, end1, ...]: the even
+            # results are the windows, the odd ones the gaps between.
+            bounds = np.stack([first, end], axis=-1).ravel()
+            values = _WINDOW_REDUCE[func].reduceat(read.values, bounds)[::2]
+            values = values.reshape(count.shape)
+            if func is PromRangeFunc.AVG_OVER_TIME:
+                values = values / np.maximum(count, 1)
+        else:
+            # rate / increase / delta: last minus first, of two or more.
+            needed = 2
+            values = read.values[end - 1] - read.values[first]
+            if func is not PromRangeFunc.DELTA:
+                # Counter semantics: add back what resets took away.
+                carry = read.reset_carry()
+                if carry is not None:
+                    values = values + (carry[end - 1] - carry[first])
+                if func is PromRangeFunc.RATE:
+                    values = values / (expr.range_ns / NANOS_PER_SECOND)
+        return _Vector(
+            # Range functions drop the metric name (Prometheus semantics).
+            [labels.without(METRIC_NAME_LABEL) for labels in read.labels],
+            values,
+            count >= needed,
+        )
+
+    # -- operators -----------------------------------------------------------
+    def _aggregate(self, expr: PromVectorAgg) -> _Vector:
+        inner = self.vector(expr.expr)
+        if expr.mode is GroupMode.BY:
+            by = [name for name in expr.labels if name != METRIC_NAME_LABEL]
+            keys = [labels.project(by) for labels in inner.labels]
+        elif expr.mode is GroupMode.WITHOUT:
+            drop = (METRIC_NAME_LABEL, *expr.labels)
+            keys = [labels.without(*drop) for labels in inner.labels]
+        else:
+            keys = [EMPTY_LABELS] * len(inner.labels)
+        groups = sorted(set(keys), key=LabelSet.items_tuple)
+        number = {key: g for g, key in enumerate(groups)}
+        group_of = np.array([number[key] for key in keys], dtype=np.intp)
+
+        values, _ = self._empty(len(groups))
+        count = np.zeros(values.shape, dtype=np.int64)
+        np.add.at(count, group_of, inner.present.astype(np.int64))
+        if expr.op is VectorOp.COUNT:
+            values = count.astype(np.float64)
+        elif expr.op in (VectorOp.SUM, VectorOp.AVG):
+            # Row by row, top to bottom: each step's vector added up left
+            # to right, one IEEE addition at a time, for every step at once.
+            for g, row in zip(group_of, np.where(inner.present, inner.values, 0.0)):
+                values[g] += row
+            if expr.op is VectorOp.AVG:
+                values /= np.maximum(count, 1)
+        else:
+            # Python's min()/max(): the first value, then each one that
+            # is strictly better.
+            better = np.less if expr.op is VectorOp.MIN else np.greater
+            seen = np.zeros(values.shape, dtype=bool)
+            for g, row, here in zip(group_of, inner.values, inner.present):
+                take = here & (~seen[g] | better(row, values[g]))
+                values[g] = np.where(take, row, values[g])
+                seen[g] |= here
+        return _Vector(groups, values, count > 0)
+
+    def _scalar_binop(self, expr: PromBinOp) -> _Vector:
+        scalar_left = isinstance(expr.lhs, Scalar)
+        vector = self.vector(expr.rhs if scalar_left else expr.lhs)
+        scalar = (expr.lhs if scalar_left else expr.rhs).value
+        a, b = (scalar, vector.values) if scalar_left else (vector.values, scalar)
+        if isinstance(expr.op, CmpOp):  # a comparison filters
+            return _Vector(
+                vector.labels, vector.values, vector.present & _COMPARE[expr.op](a, b)
+            )
+        return _Vector(vector.labels, _arith(expr.op, a, b), vector.present)
+
+    def _vector_binop(self, expr: PromBinOp) -> _Vector:
+        lhs, rhs = self.vector(expr.lhs), self.vector(expr.rhs)
+        lkeys = _join_keys(lhs)
+        right = self._one_per_key(
+            rhs, _join_keys(rhs), "many-to-one matching not supported: "
+            "duplicate right-hand series"
+        )
+        self._one_per_key(
+            lhs, lkeys, "one-to-many matching not supported: "
+            "duplicate left-hand series"
+        )
+        row_of = dict(zip(right.labels, range(len(right.labels))))
+        # One-to-one join: unmatched series drop out.
+        rows = [i for i, key in enumerate(lkeys) if key in row_of]
+        others = [row_of[lkeys[i]] for i in rows]
+        a, b = lhs.values[rows], right.values[others]
+        both = lhs.present[rows] & right.present[others]
+        if isinstance(expr.op, CmpOp):
+            return _Vector(
+                [lhs.labels[i] for i in rows], a, both & _COMPARE[expr.op](a, b)
+            )
+        # Arithmetic drops the metric name (Prometheus semantics).
+        return _Vector([lkeys[i] for i in rows], _arith(expr.op, a, b), both)
+
+    def _one_per_key(
+        self, vector: _Vector, keys: list[LabelSet], problem: str
+    ) -> _Vector:
+        """``vector`` with one row per join key.  Rows sharing a key are
+        merged if they take turns; two of them present at one step is the
+        duplicate Prometheus refuses to match."""
+        if len(set(keys)) == len(keys):
+            return _Vector(keys, vector.values, vector.present)
+        rows_of: dict[LabelSet, list[int]] = {}
+        for row, key in enumerate(keys):
+            rows_of.setdefault(key, []).append(row)
+        values, present = self._empty(len(rows_of))
+        for merged, (key, rows) in enumerate(rows_of.items()):
+            if (vector.present[rows].sum(axis=0) > 1).any():
+                raise QueryError(f"{problem} {key}")
+            for row in rows:
+                here = vector.present[row]
+                values[merged] = np.where(here, vector.values[row], values[merged])
+                present[merged] |= here
+        return _Vector(list(rows_of), values, present)
+
+    def _held_by(
+        self, keys: list[LabelSet], other: _Vector, other_keys: list[LabelSet]
+    ) -> np.ndarray:
+        """Per key and step, whether ``other`` holds a series of that key."""
+        holds: dict[LabelSet, np.ndarray] = {}
+        for key, here in zip(other_keys, other.present):
+            holds[key] = holds[key] | here if key in holds else here
+        _, held = self._empty(len(keys))
+        for row, key in zip(held, keys):
+            if key in holds:
+                row[:] = holds[key]
+        return held
+
+    def _set_op(self, expr: PromSetOp) -> _Vector:
+        lhs, rhs = self.vector(expr.lhs), self.vector(expr.rhs)
+        lkeys, rkeys = _join_keys(lhs), _join_keys(rhs)
+        if expr.op is SetOp.OR:
+            extra = rhs.present & ~self._held_by(rkeys, lhs, lkeys)
+            return _Vector(
+                lhs.labels + rhs.labels,
+                np.concatenate([lhs.values, rhs.values]),
+                np.concatenate([lhs.present, extra]),
+            )
+        matched = self._held_by(lkeys, rhs, rkeys)
+        if expr.op is SetOp.UNLESS:
+            matched = ~matched
+        return _Vector(lhs.labels, lhs.values, lhs.present & matched)
+
+    def _absent(self, expr: PromAbsent) -> _Vector:
+        inner = self.vector(expr.selector)
+        # Equality matchers become the result labels, as in Prometheus.
+        labels = LabelSet(
+            {
+                m.name: m.value
+                for m in expr.selector.matchers
+                if m.op is MatchOp.EQ and m.name != METRIC_NAME_LABEL and m.value
+            }
+        )
+        return _Vector(
+            [labels],
+            np.ones((1, len(self._steps))),
+            ~inner.present.any(axis=0, keepdims=True),
+        )
+
+    def _topk(self, expr: PromTopK) -> _Vector:
+        inner = self.vector(expr.expr)
+        # Each row's place in ascending label order: the tie-break.
+        in_order = sorted(
+            range(len(inner.labels)), key=lambda row: inner.labels[row].items_tuple()
+        )
+        rank = np.empty(len(in_order), dtype=np.intp)
+        rank[in_order] = np.arange(len(in_order))
+        keep = np.zeros_like(inner.present)
+        for step in range(len(self._steps)):
+            rows = np.flatnonzero(inner.present[:, step])
+            if len(rows) > expr.k:
+                # Ascending by (value, labels); topk takes the far end.
+                ranked = rows[np.lexsort((rank[rows], inner.values[rows, step]))]
+                rows = ranked[: expr.k] if expr.bottom else ranked[-expr.k :]
+            keep[rows, step] = True
+        return _Vector(inner.labels, inner.values, keep)
 
 
 class PromQLEngine:
@@ -400,13 +780,27 @@ class PromQLEngine:
         self._source = source
         self._lookback_ns = lookback_ns
 
-    # -- public -------------------------------------------------------------
     def query_instant(self, query: str | PromExpr, time_ns: int) -> list[Sample]:
         expr = parse_promql(query) if isinstance(query, str) else query
-        result = self._eval(expr, time_ns)
+        vector = self._evaluate(expr, np.array([time_ns], dtype=np.int64))
+        result = [
+            Sample(labels, value, time_ns)
+            for labels, value, here in zip(
+                vector.labels,
+                vector.values[:, 0].tolist(),
+                vector.present[:, 0].tolist(),
+            )
+            if here
+        ]
         if isinstance(expr, PromTopK):
-            return result  # rank order is the point of topk/bottomk
-        return sorted(result, key=lambda s: s.labels.items_tuple())
+            # Rank order is the point of topk/bottomk.
+            result.sort(
+                key=lambda s: (s.value, s.labels.items_tuple()),
+                reverse=not expr.bottom,
+            )
+        else:
+            result.sort(key=lambda s: s.labels.items_tuple())
+        return result
 
     def query_range(
         self, query: str | PromExpr, start_ns: int, end_ns: int, step_ns: int
@@ -416,202 +810,29 @@ class PromQLEngine:
         if end_ns < start_ns:
             raise QueryError("end before start")
         expr = parse_promql(query) if isinstance(query, str) else query
-        series: dict[LabelSet, list[tuple[int, float]]] = {}
-        t = start_ns
-        while t <= end_ns:
-            for sample in self._eval(expr, t):
-                series.setdefault(sample.labels, []).append((t, sample.value))
-            t += step_ns
+        steps = np.arange(start_ns, end_ns + 1, step_ns, dtype=np.int64)
+        vector = self._evaluate(expr, steps)
+        points: dict[LabelSet, list[tuple[int, float]]] = {}
+        times = steps.tolist()
+        rows = np.flatnonzero(vector.present.any(axis=1))
+        for row, values, here in zip(
+            rows.tolist(), vector.values[rows].tolist(), vector.present[rows].tolist()
+        ):
+            of_row = list(zip(compress(times, here), compress(values, here)))
+            labels = vector.labels[row]
+            if labels in points:
+                # Two rows under one label set (a selector over several
+                # metric names, stripped of the name): step by step, the
+                # earlier row first.
+                of_row = sorted(points[labels] + of_row, key=lambda point: point[0])
+            points[labels] = of_row
         return [
-            Series(labels, tuple(points))
-            for labels, points in sorted(
-                series.items(), key=lambda kv: kv[0].items_tuple()
-            )
+            Series(labels, tuple(points[labels]))
+            for labels in sorted(points, key=LabelSet.items_tuple)
         ]
 
-    # -- evaluation ----------------------------------------------------------
-    def _eval(self, expr: PromExpr | Scalar, time_ns: int) -> list[Sample]:
-        if isinstance(expr, VectorSelector):
-            return self._eval_selector(expr, time_ns)
-        if isinstance(expr, PromRangeAgg):
-            return self._eval_range(expr, time_ns)
-        if isinstance(expr, PromVectorAgg):
-            return self._eval_agg(expr, time_ns)
-        if isinstance(expr, PromBinOp):
-            return self._eval_binop(expr, time_ns)
-        if isinstance(expr, PromSetOp):
-            return self._eval_setop(expr, time_ns)
-        if isinstance(expr, PromAbsent):
-            present = self._eval_selector(expr.selector, time_ns)
-            if present:
-                return []
-            # Equality matchers become the result labels, as in Prometheus.
-            labels = {
-                m.name: m.value
-                for m in expr.selector.matchers
-                if m.op is MatchOp.EQ and m.name != METRIC_NAME_LABEL and m.value
-            }
-            return [Sample(LabelSet(labels), 1.0, time_ns)]
-        if isinstance(expr, PromTopK):
-            inner = self._eval(expr.expr, time_ns)
-            inner.sort(key=lambda s: (s.value, s.labels.items_tuple()),
-                       reverse=not expr.bottom)
-            return inner[: expr.k]
-        raise QueryError(f"cannot evaluate {type(expr).__name__} as a vector")
-
-    def _eval_selector(self, expr: VectorSelector, time_ns: int) -> list[Sample]:
-        start = time_ns - self._lookback_ns + 1
-        out = []
-        for labels, _ts, vals in self._source.select(
-            expr.matchers, start, time_ns + 1
-        ):
-            # Most recent sample inside the staleness window.
-            out.append(Sample(labels, float(vals[-1]), time_ns))
-        return out
-
-    def _eval_range(self, expr: PromRangeAgg, time_ns: int) -> list[Sample]:
-        start = time_ns - expr.range_ns + 1
-        range_seconds = expr.range_ns / NANOS_PER_SECOND
-        out = []
-        for labels, ts, vals in self._source.select(
-            expr.selector.matchers, start, time_ns + 1
-        ):
-            value = self._range_value(expr.func, ts, vals, range_seconds)
-            if value is None:
-                continue
-            # Range functions drop the metric name (Prometheus semantics).
-            out.append(Sample(labels.without(METRIC_NAME_LABEL), value, time_ns))
-        return out
-
-    @staticmethod
-    def _range_value(
-        func: PromRangeFunc, ts: np.ndarray, vals: np.ndarray, range_seconds: float
-    ) -> float | None:
-        if func is PromRangeFunc.COUNT_OVER_TIME:
-            return float(len(vals))
-        if func is PromRangeFunc.LAST_OVER_TIME:
-            return float(vals[-1])
-        if func is PromRangeFunc.SUM_OVER_TIME:
-            return float(vals.sum())
-        if func is PromRangeFunc.AVG_OVER_TIME:
-            return float(vals.mean())
-        if func is PromRangeFunc.MIN_OVER_TIME:
-            return float(vals.min())
-        if func is PromRangeFunc.MAX_OVER_TIME:
-            return float(vals.max())
-        # rate / increase / delta need at least two points.
-        if len(vals) < 2:
-            return None
-        if func is PromRangeFunc.DELTA:
-            return float(vals[-1] - vals[0])
-        # Counter semantics: add back resets (vectorised).
-        diffs = np.diff(vals)
-        resets = vals[:-1][diffs < 0]
-        increase = float(vals[-1] - vals[0] + resets.sum())
-        if func is PromRangeFunc.INCREASE:
-            return increase
-        return increase / range_seconds  # RATE
-
-    def _eval_agg(self, expr: PromVectorAgg, time_ns: int) -> list[Sample]:
-        inner = self._eval(expr.expr, time_ns)
-        groups: dict[LabelSet, list[float]] = {}
-        for sample in inner:
-            labels = sample.labels.without(METRIC_NAME_LABEL)
-            if expr.mode is GroupMode.BY:
-                key = labels.project(expr.labels)
-            elif expr.mode is GroupMode.WITHOUT:
-                key = labels.without(*expr.labels)
-            else:
-                key = LabelSet()
-            groups.setdefault(key, []).append(sample.value)
-        out = []
-        for labels, values in groups.items():
-            if expr.op is VectorOp.SUM:
-                value = sum(values)
-            elif expr.op is VectorOp.MIN:
-                value = min(values)
-            elif expr.op is VectorOp.MAX:
-                value = max(values)
-            elif expr.op is VectorOp.AVG:
-                value = sum(values) / len(values)
-            else:
-                value = float(len(values))
-            out.append(Sample(labels, value, time_ns))
-        return out
-
-    def _eval_binop(self, expr: PromBinOp, time_ns: int) -> list[Sample]:
-        if isinstance(expr.lhs, Scalar) or isinstance(expr.rhs, Scalar):
-            return self._eval_binop_scalar(expr, time_ns)
-        return self._eval_binop_vector(expr, time_ns)
-
-    def _eval_binop_scalar(self, expr: PromBinOp, time_ns: int) -> list[Sample]:
-        scalar_left = isinstance(expr.lhs, Scalar)
-        scalar = expr.lhs if scalar_left else expr.rhs
-        assert isinstance(scalar, Scalar)
-        vector = self._eval(
-            expr.rhs if scalar_left else expr.lhs, time_ns  # type: ignore[arg-type]
-        )
-        out = []
-        for sample in vector:
-            a, b = (
-                (scalar.value, sample.value)
-                if scalar_left
-                else (sample.value, scalar.value)
-            )
-            if isinstance(expr.op, CmpOp):
-                if expr.op.apply(a, b):
-                    out.append(sample)
-            else:
-                assert isinstance(expr.op, ArithOp)
-                out.append(sample.with_value(expr.op.apply(a, b)))
-        return out
-
-    def _eval_binop_vector(self, expr: PromBinOp, time_ns: int) -> list[Sample]:
-        lhs = self._eval(expr.lhs, time_ns)
-        rhs = self._eval(expr.rhs, time_ns)
-        rindex: dict[LabelSet, Sample] = {}
-        for sample in rhs:
-            key = sample.labels.without(METRIC_NAME_LABEL)
-            if key in rindex:
-                raise QueryError(
-                    "many-to-one matching not supported: duplicate right-hand "
-                    f"series {key}"
-                )
-            rindex[key] = sample
-        seen: set[LabelSet] = set()
-        out = []
-        for sample in lhs:
-            key = sample.labels.without(METRIC_NAME_LABEL)
-            if key in seen:
-                raise QueryError(
-                    "one-to-many matching not supported: duplicate left-hand "
-                    f"series {key}"
-                )
-            seen.add(key)
-            other = rindex.get(key)
-            if other is None:
-                continue  # one-to-one join: unmatched series drop out
-            if isinstance(expr.op, CmpOp):
-                if expr.op.apply(sample.value, other.value):
-                    out.append(sample)
-            else:
-                assert isinstance(expr.op, ArithOp)
-                # Arithmetic drops the metric name (Prometheus semantics).
-                out.append(Sample(key, expr.op.apply(sample.value, other.value),
-                                  time_ns))
-        return out
-
-    def _eval_setop(self, expr: PromSetOp, time_ns: int) -> list[Sample]:
-        lhs = self._eval(expr.lhs, time_ns)
-        rhs = self._eval(expr.rhs, time_ns)
-        rkeys = {s.labels.without(METRIC_NAME_LABEL) for s in rhs}
-        if expr.op is SetOp.AND:
-            return [s for s in lhs if s.labels.without(METRIC_NAME_LABEL) in rkeys]
-        if expr.op is SetOp.UNLESS:
-            return [
-                s for s in lhs if s.labels.without(METRIC_NAME_LABEL) not in rkeys
-            ]
-        lkeys = {s.labels.without(METRIC_NAME_LABEL) for s in lhs}
-        return lhs + [
-            s for s in rhs if s.labels.without(METRIC_NAME_LABEL) not in lkeys
-        ]
+    def _evaluate(self, expr: PromExpr, steps: np.ndarray) -> _Vector:
+        # Values under a false `present` are never looked at, so whatever
+        # arithmetic makes of them is not worth a warning.
+        with np.errstate(all="ignore"):
+            return _Evaluation(self._source, self._lookback_ns, steps).vector(expr)

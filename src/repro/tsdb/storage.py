@@ -3,7 +3,10 @@
 Each series (metric name + labels) owns two NumPy columns — ``int64``
 timestamps and ``float64`` values — grown by amortised doubling.  Range
 reads are ``searchsorted`` slices; the per-sample Python cost is one
-append.  (HPC guide: vectorise the hot path, use views not copies.)
+dict lookup and one append: a sample reaches its column through a
+series-ref table keyed by the (name, labels) it arrived with, so only
+the first sample of a series pays for label validation and postings.
+(HPC guide: vectorise the hot path, use views not copies.)
 """
 
 from __future__ import annotations
@@ -21,6 +24,9 @@ from repro.common.labels import (
     Matcher,
     MatchOp,
 )
+
+#: ``_Column.last_ts`` of a column nothing was appended to yet.
+_NO_SAMPLE_YET = -(2**63)
 
 #: Exemplars kept per series — enough for "why is this spiking" clicks
 #: without unbounded growth (Prometheus keeps a similar small ring).
@@ -53,20 +59,35 @@ class Exemplar:
 class _Column:
     """Amortised-doubling (timestamp, value) column pair."""
 
-    __slots__ = ("_ts", "_val", "_len")
+    __slots__ = ("labels", "last_ts", "_ts", "_val", "_len")
 
-    def __init__(self) -> None:
+    def __init__(self, labels: LabelSet) -> None:
+        #: The series this column belongs to (``__name__`` included).
+        self.labels = labels
+        #: Timestamp of the newest sample: what the ordering check reads.
+        self.last_ts = _NO_SAMPLE_YET
         self._ts = np.empty(16, dtype=np.int64)
         self._val = np.empty(16, dtype=np.float64)
         self._len = 0
 
     def append(self, ts: int, value: float) -> None:
         if self._len == len(self._ts):
-            self._ts = np.concatenate([self._ts, np.empty_like(self._ts)])
-            self._val = np.concatenate([self._val, np.empty_like(self._val)])
+            room = max(16, self._len)
+            self._ts = np.concatenate([self._ts, np.empty(room, dtype=np.int64)])
+            self._val = np.concatenate([self._val, np.empty(room, dtype=np.float64)])
         self._ts[self._len] = ts
         self._val[self._len] = value
         self._len += 1
+        self.last_ts = ts
+
+    def rewrite(self, ts: np.ndarray, values: np.ndarray) -> None:
+        """Replace the samples with copies of the given time-ordered,
+        non-empty arrays (retention, downsampling).  The copies are fresh
+        arrays, so views handed out earlier keep showing what they showed."""
+        self._ts = np.array(ts, dtype=np.int64)
+        self._val = np.array(values, dtype=np.float64)
+        self._len = len(self._ts)
+        self.last_ts = int(self._ts[-1])
 
     @property
     def timestamps(self) -> np.ndarray:
@@ -79,10 +100,10 @@ class _Column:
     def window(self, start_ns: int, end_ns: int) -> tuple[np.ndarray, np.ndarray]:
         """Views over samples with ``start <= ts < end`` (requires the
         append order to be time-ordered, which ingest enforces)."""
-        ts = self.timestamps
-        lo = int(np.searchsorted(ts, start_ns, side="left"))
-        hi = int(np.searchsorted(ts, end_ns, side="left"))
-        return ts[lo:hi], self.values[lo:hi]
+        ts = self._ts[: self._len]
+        lo = ts.searchsorted(start_ns)
+        hi = ts.searchsorted(end_ns)
+        return ts[lo:hi], self._val[lo:hi]
 
     def __len__(self) -> int:
         return self._len
@@ -93,8 +114,16 @@ class TimeSeriesStore:
 
     def __init__(self) -> None:
         self._series: dict[LabelSet, _Column] = {}
-        self._postings: dict[tuple[str, str], set[LabelSet]] = {}
+        # Posting lists are insertion-ordered (a dict used as a set), so
+        # candidates reach the final sort in registration order — long
+        # ascending runs, as exporters emit them — not in hash order.
+        self._postings: dict[tuple[str, str], dict[LabelSet, None]] = {}
         self._exemplars: dict[LabelSet, deque[Exemplar]] = {}
+        # Series refs: (name, labels exactly as a caller passes them) →
+        # the series' column.  Several keys may name one column (a dict
+        # and a LabelSet, two insertion orders); a key is only ever added
+        # after `_register` validated it.
+        self._refs: dict[tuple, _Column] = {}
         self.samples_ingested = 0
         self.samples_rejected = 0
 
@@ -110,28 +139,43 @@ class TimeSeriesStore:
         exemplar: Exemplar | None = None,
     ) -> bool:
         """Ingest one sample; returns False if rejected (out of order)."""
+        ref = (
+            name,
+            labels if isinstance(labels, LabelSet) else tuple(labels.items()),
+        )
+        try:
+            column = self._refs.get(ref)
+        except TypeError:  # an unhashable label value: let _register say so
+            column = None
+        if column is None:
+            column = self._refs[ref] = self._register(name, labels)
+        if timestamp_ns < column.last_ts:
+            self.samples_rejected += 1
+            return False
+        column.append(timestamp_ns, value)
+        if exemplar is not None:
+            ring = self._exemplars.get(column.labels)
+            if ring is None:
+                ring = self._exemplars[column.labels] = deque(
+                    maxlen=EXEMPLARS_PER_SERIES
+                )
+            ring.append(exemplar)
+        self.samples_ingested += 1
+        return True
+
+    def _register(self, name: str, labels: Mapping[str, str] | LabelSet) -> _Column:
+        """The validating path, taken once per series ref: build the
+        series' label set, and its column and postings if it is new."""
         if not name:
             raise ValidationError("metric name cannot be empty")
         base = labels if isinstance(labels, LabelSet) else LabelSet(labels)
         full = base.with_labels(**{METRIC_NAME_LABEL: name})
         column = self._series.get(full)
         if column is None:
-            column = _Column()
-            self._series[full] = column
+            column = self._series[full] = _Column(full)
             for pair in full.items_tuple():
-                self._postings.setdefault(pair, set()).add(full)
-        ts = column.timestamps
-        if len(ts) and timestamp_ns < int(ts[-1]):
-            self.samples_rejected += 1
-            return False
-        column.append(timestamp_ns, value)
-        if exemplar is not None:
-            ring = self._exemplars.get(full)
-            if ring is None:
-                ring = self._exemplars[full] = deque(maxlen=EXEMPLARS_PER_SERIES)
-            ring.append(exemplar)
-        self.samples_ingested += 1
-        return True
+                self._postings.setdefault(pair, {})[full] = None
+        return column
 
     def ingest_sample(self, sample: MetricSample) -> bool:
         return self.ingest(
@@ -147,7 +191,12 @@ class TimeSeriesStore:
     def select(
         self, matchers: Iterable[Matcher], start_ns: int, end_ns: int
     ) -> list[tuple[LabelSet, np.ndarray, np.ndarray]]:
-        """Matching series with their (timestamps, values) in the window."""
+        """Matching series with their (timestamps, values) in the window,
+        in ascending label order, series without a sample in it left out.
+
+        The arrays are views of the columns as they are now — a snapshot
+        that later ingest and retention never change, and that the
+        caller must not write to."""
         if end_ns <= start_ns:
             raise ValidationError("empty time range")
         out = []
@@ -155,7 +204,6 @@ class TimeSeriesStore:
             ts, vals = self._series[labels].window(start_ns, end_ns)
             if len(ts):
                 out.append((labels, ts, vals))
-        out.sort(key=lambda item: item[0].items_tuple())
         return out
 
     def _select_series(self, matchers: Iterable[Matcher]) -> list[LabelSet]:
@@ -165,20 +213,23 @@ class TimeSeriesStore:
         eq = [m for m in matchers if m.op is MatchOp.EQ and m.value != ""]
         rest = [m for m in matchers if m.op is not MatchOp.EQ or m.value == ""]
         if eq:
-            sets = []
+            lists = []
             for m in eq:
                 postings = self._postings.get((m.name, m.value))
                 if not postings:
                     return []
-                sets.append(postings)
-            candidates = set.intersection(*sets)
+                lists.append(postings)
+            shortest, *others = sorted(lists, key=len)
+            candidates = list(shortest)
+            if others:
+                candidates = [s for s in candidates if all(s in o for o in others)]
         else:
-            candidates = set(self._series)
+            candidates = list(self._series)
         if rest:
-            candidates = {
+            candidates = [
                 s for s in candidates if all(m.matches(s) for m in rest)
-            }
-        return sorted(candidates, key=lambda s: s.items_tuple())
+            ]
+        return sorted(candidates, key=LabelSet.items_tuple)
 
     def exemplars(
         self, matchers: Iterable[Matcher], start_ns: int, end_ns: int
@@ -217,12 +268,14 @@ class TimeSeriesStore:
     def delete_before(self, cutoff_ns: int) -> int:
         """Retention: drop samples older than ``cutoff_ns``.
 
-        Columns are rebuilt (cheap — one slice copy per series); empty
-        series are unregistered. Returns samples dropped.
+        A trimmed column keeps its tail by one slice copy; an emptied
+        series is unregistered — column, postings, exemplars and the refs
+        that led to it — so it starts afresh if it is ingested again.
+        Returns samples dropped.
         """
         dropped = 0
-        for labels in list(self._series):
-            column = self._series[labels]
+        emptied: list[_Column] = []
+        for labels, column in list(self._series.items()):
             ts = column.timestamps
             keep_from = int(np.searchsorted(ts, cutoff_ns, side="left"))
             if keep_from == 0:
@@ -236,20 +289,21 @@ class TimeSeriesStore:
                     ring.extend(kept)
                 else:
                     del self._exemplars[labels]
-            if keep_from == len(ts):
-                del self._series[labels]
-                self._exemplars.pop(labels, None)
-                for pair in labels.items_tuple():
-                    postings = self._postings.get(pair)
-                    if postings:
-                        postings.discard(labels)
-                        if not postings:
-                            del self._postings[pair]
-            else:
-                fresh = _Column()
-                for t, v in zip(
-                    ts[keep_from:].tolist(), column.values[keep_from:].tolist()
-                ):
-                    fresh.append(t, v)
-                self._series[labels] = fresh
+            if keep_from < len(ts):
+                column.rewrite(ts[keep_from:], column.values[keep_from:])
+                continue
+            emptied.append(column)
+            del self._series[labels]
+            self._exemplars.pop(labels, None)
+            for pair in labels.items_tuple():
+                postings = self._postings.get(pair)
+                if postings:
+                    postings.pop(labels, None)
+                    if not postings:
+                        del self._postings[pair]
+        if emptied:
+            gone = set(emptied)
+            self._refs = {
+                ref: column for ref, column in self._refs.items() if column not in gone
+            }
         return dropped

@@ -84,6 +84,65 @@ class TestLabelSet:
         assert name not in LabelSet(d).without(name)
 
 
+def assert_same_set(derived: LabelSet, built: LabelSet):
+    """``derived`` skipped validation; it must be what the validating
+    constructor builds, as a mapping, a dict key and a sort key."""
+    assert derived == built and built == derived
+    assert hash(derived) == hash(built)
+    assert derived.items_tuple() == built.items_tuple()
+    assert {built: 1}[derived] == 1
+    assert derived.fingerprint() == built.fingerprint()
+    assert repr(derived) == repr(built)
+
+
+class TestDerivedSetsSkipValidationNotCorrectness:
+    """``without``/``project``/``with_labels`` derive from a canonical
+    tuple and do not validate it again."""
+
+    @given(label_dicts, st.lists(label_names, max_size=4))
+    def test_without_equals_the_public_constructor(self, d, names):
+        assert_same_set(
+            LabelSet(d).without(*names),
+            LabelSet({k: v for k, v in d.items() if k not in names}),
+        )
+
+    @given(label_dicts, st.lists(label_names, max_size=4))
+    def test_project_equals_the_public_constructor(self, d, names):
+        assert_same_set(
+            LabelSet(d).project(names),
+            LabelSet({k: v for k, v in d.items() if k in names}),
+        )
+        assert_same_set(
+            LabelSet(d).project(iter(names)),
+            LabelSet({k: v for k, v in d.items() if k in names}),
+        )
+
+    @given(label_dicts, label_dicts)
+    def test_with_labels_equals_the_public_constructor(self, d, extra):
+        assert_same_set(LabelSet(d).with_labels(**extra), LabelSet({**d, **extra}))
+
+    @given(label_dicts)
+    def test_dropping_or_keeping_everything(self, d):
+        labels = LabelSet(d)
+        assert_same_set(labels.without(), labels)
+        assert_same_set(labels.project(d), labels)
+        assert_same_set(labels.without(*d), LabelSet())
+        assert_same_set(labels.project([]), LabelSet())
+
+    @given(label_dicts, st.sampled_from(["9bad", "has space", "", "a-b", "é"]))
+    def test_with_labels_still_rejects_an_invalid_new_name(self, d, bad):
+        with pytest.raises(ValidationError):
+            LabelSet(d).with_labels(**{bad: "x"})
+
+    @given(label_dicts, label_names)
+    def test_with_labels_still_rejects_a_non_string_value(self, d, name):
+        with pytest.raises(ValidationError):
+            LabelSet(d).with_labels(**{name: 1})
+        if d:  # overriding an existing name is checked too
+            with pytest.raises(ValidationError):
+                LabelSet(d).with_labels(**{next(iter(d)): None})
+
+
 class TestMatchers:
     def test_eq(self):
         assert label_matcher("a", "=", "x").matches({"a": "x"})

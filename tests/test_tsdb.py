@@ -121,6 +121,109 @@ class TestRetention:
         store.delete_before(100)
         assert store.ingest("m", {}, 2.0, 200)
 
+    def test_an_emptied_series_starts_afresh(self, store):
+        by_name = [label_matcher(METRIC_NAME_LABEL, "=", "m")]
+        for labels in ({"a": "1"}, LabelSet({"a": "1"})):  # both kinds of ref
+            store.ingest("m", labels, 1.0, 100)
+        store.ingest("other", {}, 1.0, 500)
+        assert store.delete_before(200) == 2
+        assert store.series_count() == 1 and store.metric_names() == ["other"]
+        assert store.select(by_name, 0, 1000) == []
+        # Older than anything the dropped column held: it is a new column.
+        for labels in ({"a": "1"}, LabelSet({"a": "1"})):
+            assert store.ingest("m", labels, 2.0, 50)
+        assert store.series_count() == 2
+        assert store.metric_names() == ["m", "other"]
+        ((labels, ts, vals),) = store.select(
+            [label_matcher("a", "=", "1")], 0, 1000
+        )
+        assert labels == {METRIC_NAME_LABEL: "m", "a": "1"}
+        assert ts.tolist() == [50, 50] and vals.tolist() == [2.0, 2.0]
+
+    def test_a_trimmed_series_orders_against_its_new_tail(self, store):
+        for i in range(40):  # past the first capacity doubling
+            store.ingest("m", {"a": "1"}, float(i), i * 10)
+        assert store.delete_before(355) == 36
+        assert not store.ingest("m", {"a": "1"}, 9.0, 380)  # before the tail, 390
+        assert store.samples_rejected == 1
+        assert store.ingest("m", {"a": "1"}, 9.0, 390)
+        for i in range(40):
+            assert store.ingest("m", {"a": "1"}, float(i), 400 + i)
+        ((_, ts, vals),) = store.select([label_matcher(METRIC_NAME_LABEL, "=", "m")], 0, 1000)
+        assert ts.tolist() == [360, 370, 380, 390, 390, *range(400, 440)]
+        assert vals.tolist()[:5] == [36.0, 37.0, 38.0, 39.0, 9.0]
+        assert store.sample_count() == 45
+
+    def test_views_handed_out_before_retention_keep_what_they_showed(self, store):
+        for i in range(10):
+            store.ingest("m", {}, float(i), i * 10)
+        ((_, ts, vals),) = store.select([label_matcher(METRIC_NAME_LABEL, "=", "m")], 0, 1000)
+        store.delete_before(50)
+        store.ingest("m", {}, 99.0, 100)
+        assert ts.tolist() == [i * 10 for i in range(10)]
+        assert vals.tolist() == [float(i) for i in range(10)]
+
+    def test_exemplar_rings_follow_the_series_not_the_ref(self, store):
+        from repro.tsdb.storage import Exemplar
+
+        by_name = [label_matcher(METRIC_NAME_LABEL, "=", "m")]
+        store.ingest("m", {"a": "1"}, 1.0, 100, exemplar=Exemplar("t1", 1.0, 100))
+        store.ingest("m", LabelSet({"a": "1"}), 2.0, 300, exemplar=Exemplar("t2", 2.0, 300))
+        ((_, hits),) = store.exemplars(by_name, 0, 1000)
+        assert [e.trace_id for e in hits] == ["t1", "t2"]
+        store.delete_before(200)  # trims the column and the ring, keeps both refs
+        ((_, hits),) = store.exemplars(by_name, 0, 1000)
+        assert [e.trace_id for e in hits] == ["t2"]
+        store.ingest("m", {"a": "1"}, 3.0, 400, exemplar=Exemplar("t3", 3.0, 400))
+        store.delete_before(1000)  # empties the series: ring and refs go
+        assert store.exemplars(by_name, 0, 10_000) == []
+        store.ingest("m", {"a": "1"}, 4.0, 50, exemplar=Exemplar("t4", 4.0, 50))
+        ((_, hits),) = store.exemplars(by_name, 0, 10_000)
+        assert [e.trace_id for e in hits] == ["t4"]
+
+
+class TestSeriesRefs:
+    def test_every_spelling_of_a_series_reaches_one_column(self, store):
+        store.ingest("m", {"a": "1", "b": "2"}, 1.0, 10)
+        store.ingest("m", {"b": "2", "a": "1"}, 2.0, 20)
+        store.ingest("m", LabelSet({"a": "1", "b": "2"}), 3.0, 30)
+        store.ingest("x", {METRIC_NAME_LABEL: "x", "a": "1", "b": "2"}, 4.0, 40)
+        store.ingest("m", {METRIC_NAME_LABEL: "x", "a": "1", "b": "2"}, 5.0, 50)
+        assert store.series_count() == 2
+        ((_, ts, _v),) = store.select([label_matcher(METRIC_NAME_LABEL, "=", "m")], 0, 100)
+        assert ts.tolist() == [10, 20, 30, 50]
+        assert not store.ingest("m", {"b": "2", "a": "1"}, 0.0, 49)
+
+    def test_a_dict_the_caller_keeps_changing_is_read_each_time(self, store):
+        labels = {"a": "1"}
+        store.ingest("m", labels, 1.0, 10)
+        labels["a"] = "2"
+        store.ingest("m", labels, 1.0, 10)
+        labels["b"] = "3"
+        store.ingest("m", labels, 1.0, 10)
+        assert store.series_count() == 3
+
+    def test_a_key_that_fails_validation_fails_every_time(self, store):
+        for _ in range(2):
+            with pytest.raises(ValidationError):
+                store.ingest("", {"a": "1"}, 1.0, 0)
+            with pytest.raises(ValidationError):
+                store.ingest("m", {"9bad": "1"}, 1.0, 0)
+            with pytest.raises(ValidationError):
+                store.ingest("m", {"a": 1}, 1.0, 0)
+            with pytest.raises(ValidationError):
+                store.ingest("m", {"a": ["unhashable"]}, 1.0, 0)
+        assert store.series_count() == 0 and store.samples_ingested == 0
+        assert store.ingest("m", {"a": "1"}, 1.0, 0)
+
+    def test_select_returns_series_in_ascending_label_order(self, store):
+        for name, a in [("z", "1"), ("m", "2"), ("m", "10"), ("a", "9")]:
+            store.ingest(name, {"a": a}, 1.0, 0)
+        got = [labels.items_tuple() for labels, _t, _v in store.select(
+            [label_matcher("a", "=~", ".+")], 0, 10
+        )]
+        assert got == sorted(got) and len(got) == 4
+
 
 class TestIntrospection:
     def test_metric_names(self, store):
