@@ -6,6 +6,8 @@
   through the Telemetry API and writing to Loki / VictoriaMetrics;
 * :mod:`repro.core.framework` — the full Figure-1 wiring: sources → bus →
   stores → rulers → Alertmanager → Slack + ServiceNow, plus dashboards;
+* :mod:`repro.core.plane` / :mod:`repro.core.planes` — the hooks an
+  optional feature plane implements, and the ordered list of them;
 * :mod:`repro.core.remediation` — automated remediation workflows;
 * :mod:`repro.core.casestudies` — the two §IV case studies (cabinet leak,
   switch offline) as scripted end-to-end scenarios;

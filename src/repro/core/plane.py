@@ -1,0 +1,112 @@
+"""What a feature plane is to the framework (DESIGN §16).
+
+One :class:`Plane` object holds *all* of a plane's wiring.
+``MonitoringFramework`` calls the hooks below, in the order of
+:mod:`repro.core.planes`, on every plane its config switches on, and
+never names one.  A hook gets the framework and reads what the base stack
+and earlier planes have built; every default is "nothing to add".
+"""
+
+from __future__ import annotations
+
+import os
+from typing import TYPE_CHECKING, Callable
+
+from repro.common.simclock import hours
+from repro.loki.frontend import QueryFrontend
+
+if TYPE_CHECKING:
+    from repro.alerting.alertmanager import Route
+    from repro.alerting.receivers import Receiver
+    from repro.core.framework import FrameworkConfig, MonitoringFramework
+
+
+def env_flag(name: str) -> Callable[[], bool]:
+    """Default factory for an ``enable_*`` field: each CI ``planes`` leg
+    flips the framework default through its ``REPRO_*`` variable, so the
+    whole suite runs with that plane switched on, unmodified."""
+    return lambda: os.environ.get(name, "") not in ("", "0")
+
+
+class Plane:
+    """One feature plane's wiring.  Stateless: what it builds lives on
+    the framework, under the attribute names in :attr:`components`."""
+
+    #: Short name (README table, test ids).
+    name: str = ""
+    #: The ``FrameworkConfig`` field that switches the plane on.
+    flag: str = ""
+    #: ``fw.<attr>`` names this plane provides; the framework presets
+    #: them to ``None``, so a disabled plane's components read ``None``.
+    components: tuple[str, ...] = ()
+    #: ``(job, instance, component)`` per exporter vmagent should scrape;
+    #: ``component`` names the ``fw.<attr>`` holding the exporter.
+    scrape_targets: tuple[tuple[str, str, str], ...] = ()
+
+    def enabled(self, cfg: FrameworkConfig) -> bool:
+        return bool(getattr(cfg, self.flag))
+
+    def validate(self, cfg: FrameworkConfig) -> None:
+        """This plane's slice of ``FrameworkConfig.validate``."""
+
+    # -- construction phases, in the order the data flow forces ---------
+    def build_stores(self, fw: MonitoringFramework) -> None:
+        """Before the warehouse exists: ``OmniWarehouse`` takes the log
+        backend (``fw.log_backend`` — replace it or wrap it), admission
+        and the pattern tee as constructor arguments."""
+
+    def build_query(self, fw: MonitoringFramework) -> None:
+        """After ``fw.logql``/``fw.promql``: whatever fronts an engine."""
+
+    def wrap_receivers(
+        self, fw: MonitoringFramework, receivers: list[Receiver]
+    ) -> list[Receiver]:
+        """Just before ``Alertmanager.register_receiver``, which refuses
+        a second receiver of the same name: wrap now or never."""
+        return receivers
+
+    def build_alerting(self, fw: MonitoringFramework) -> None:
+        """After Alertmanager, ``fw.ruler`` and ``fw.vmalert``: whatever
+        notifies, evaluates, or reads the finished pipeline."""
+
+    # -- contributions, each made in plane order -------------------------
+    def routes(self, fw: MonitoringFramework) -> list[Route]:
+        return []
+
+    def install_rules(self, fw: MonitoringFramework) -> None:
+        """Add the plane's default alerting rules to whichever evaluator
+        runs them; called only under ``install_default_rules``."""
+
+    def dashboards(self, fw: MonitoringFramework) -> list[tuple]:
+        """``(key, title, rows)`` per dashboard over the metrics
+        datasource; rows as :meth:`Dashboard.add_rows` takes them."""
+        return []
+
+    def start(self, fw: MonitoringFramework) -> None:
+        """Register the plane's periodic work on ``fw.clock``."""
+
+    def health(self, fw: MonitoringFramework) -> dict[str, float]:
+        """The plane's ``health_summary()`` keys."""
+        return {}
+
+
+def query_frontend(fw: MonitoringFramework) -> QueryFrontend:
+    """The split/cache frontend, built for the first plane that asks.
+
+    It caches over whichever engine is configured: with queryx on, every
+    uncached sub-window fans out across the querier pool, and the split
+    intervals match so planner and cache cut at the same boundaries.
+    Pattern queries always go to the LogQL engine (they read period
+    blocks, not chunks, so sharding buys nothing), split on the store's
+    period so window merging is exact."""
+    if fw.frontend is None:
+        cfg = fw.config
+        sharded = fw.queryx is not None
+        fw.frontend = QueryFrontend(
+            fw.queryx if sharded else fw.logql,
+            fw.clock,
+            split_ns=cfg.queryx_split_interval_ns if sharded else hours(1),
+            pattern_source=fw.logql if fw.pattern_store is not None else None,
+            pattern_split_ns=cfg.objstore_index_period_ns,
+        )
+    return fw.frontend

@@ -28,6 +28,16 @@ class Dashboard:
             raise ValidationError(f"duplicate panel title: {panel.title}")
         self._panels.append(panel)
 
+    def add_rows(self, datasource, rows) -> "Dashboard":
+        """Add one panel per ``(panel type, title, query[, options])`` row,
+        all over ``datasource``; returns the dashboard so a whole board
+        reads as one table."""
+        for panel_type, title, query, *options in rows:
+            self.add_panel(
+                panel_type(title=title, datasource=datasource, query=query, **dict(*options))
+            )
+        return self
+
     def panels(self) -> list[Panel]:
         return list(self._panels)
 

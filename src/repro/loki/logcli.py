@@ -20,6 +20,7 @@ import json
 
 from repro.common.errors import QueryError, ValidationError
 from repro.common.jsonutil import ns_to_iso8601
+from repro.common.labels import LabelSet, matches_all
 from repro.loki.logql.ast import LogPipeline
 from repro.loki.logql.engine import LogQLEngine
 from repro.loki.logql.parser import parse
@@ -77,16 +78,19 @@ def run_logcli(store: LokiStore, argv: list[str], patterns=None, slo=None) -> st
     if args.command == "slo":
         return _run_slo(slo, args)
     engine = LogQLEngine(store, patterns=patterns)
+    # Browsing reads ``stream_labels()``, which every store shape has
+    # (cold-only streams included); a label index only the bare one.
     if args.command == "labels":
-        return "\n".join(store.index.label_names())
+        return "\n".join(sorted({n for ls in store.stream_labels() for n in ls}))
     if args.command == "label-values":
-        return "\n".join(store.index.label_values(args.label))
+        streams = store.stream_labels()
+        return "\n".join(sorted({ls[args.label] for ls in streams if args.label in ls}))
     if args.command == "series":
         expr = parse(args.selector)
         if not isinstance(expr, LogPipeline) or expr.stages:
             raise QueryError("series takes a bare stream selector")
-        sids = store.index.select(expr.matchers)
-        return "\n".join(str(store.index.labels_of(sid)) for sid in sids)
+        matching = [ls for ls in store.stream_labels() if matches_all(ls, expr.matchers)]
+        return "\n".join(str(ls) for ls in sorted(matching, key=LabelSet.items_tuple))
     return _run_query(store, engine, args)
 
 

@@ -1,0 +1,138 @@
+"""Tiered object storage as a framework plane (DESIGN §11, §16):
+everything ``enable_object_storage`` wires under the log backend."""
+
+from __future__ import annotations
+
+from repro.alerting.rules import RuleSpec
+from repro.common.errors import ValidationError
+from repro.core.plane import Plane
+from repro.exporters.objstore_exporter import ObjstoreExporter
+from repro.grafana.panels import StatPanel, TimeSeriesPanel
+from repro.objstore.compactor import CompactionPolicy, Compactor
+from repro.objstore.gateway import StoreGateway
+from repro.objstore.index import ShipperIndex
+from repro.objstore.objectstore import ObjectStore
+from repro.objstore.shipper import ChunkShipper
+from repro.objstore.tiered import TieredLokiStore
+
+
+class ObjstorePlane(Plane):
+    name = "objstore"
+    flag = "enable_object_storage"
+    components = (
+        "objstore", "shipper_index", "shipper", "compactor", "store_gateway",
+        "tiered", "objstore_exporter",
+    )
+    scrape_targets = (("objstore", "objstore-exporter:9105", "objstore_exporter"),)
+
+    def validate(self, cfg):
+        if cfg.objstore_index_period_ns <= 0:
+            raise ValidationError(
+                "objstore_index_period_ns must be positive"
+            )
+        if cfg.objstore_target_object_bytes < 1:
+            raise ValidationError(
+                "objstore_target_object_bytes must be positive"
+            )
+        if cfg.objstore_default_retention_ns is not None and (
+            cfg.objstore_default_retention_ns <= 0
+        ):
+            raise ValidationError(
+                "objstore_default_retention_ns must be positive or None"
+            )
+
+    def build_stores(self, fw):
+        cfg = fw.config
+        # Tiered cold storage wraps whatever hot tier is in place — the
+        # ring when it is on, the plain LokiStore otherwise — so on top
+        # of the ring it is replicated hot ingest *and* deduplicated flush.
+        hot = fw.log_backend
+        fw.objstore = ObjectStore(fw.clock)
+        fw.shipper_index = ShipperIndex(
+            fw.objstore, period_ns=cfg.objstore_index_period_ns
+        )
+        fw.shipper = ChunkShipper(
+            hot, fw.objstore, fw.shipper_index, fw.clock,
+            tracer=fw.tracer,
+        )
+        fw.compactor = Compactor(
+            fw.objstore,
+            fw.shipper_index,
+            fw.clock,
+            policy=CompactionPolicy(
+                target_object_bytes=cfg.objstore_target_object_bytes
+            ),
+            default_retention_ns=cfg.objstore_default_retention_ns,
+            tenant_retention_ns=cfg.objstore_tenant_retention_ns,
+            tracer=fw.tracer,
+        )
+        fw.store_gateway = StoreGateway(
+            fw.objstore, fw.shipper_index, fw.clock,
+            tracer=fw.tracer,
+        )
+        fw.tiered = TieredLokiStore(
+            hot, fw.objstore, fw.shipper_index, fw.shipper,
+            fw.compactor, fw.store_gateway,
+        )
+        fw.log_backend = fw.tiered
+        fw.objstore_exporter = ObjstoreExporter(
+            fw.objstore,
+            fw.shipper_index,
+            fw.shipper,
+            compactor=fw.compactor,
+            gateway=fw.store_gateway,
+        )
+        fw.faults.attach_objstore(fw.objstore, fw.shipper)
+
+    def install_rules(self, fw):
+        fw.vmalert.add_rule(
+            RuleSpec(
+                name="ObjstoreFlushStalled",
+                expr="objstore_flush_failures_consecutive > 0",
+                for_=fw.config.rule_for,
+                labels={"severity": "warning", "category": "storage"},
+                annotations={
+                    "summary": "{{ $value }} consecutive chunk flushes "
+                    "to object storage have failed; ingester memory is "
+                    "not draining"
+                },
+            )
+        )
+
+    def dashboards(self, fw):
+        rows = [
+            (StatPanel, "Cold chunk objects", 'sum(objstore_objects{kind="chunk"})'),
+            (TimeSeriesPanel, "Bucket bytes by kind", "objstore_bytes"),
+            (
+                TimeSeriesPanel,
+                "Consecutive flush failures (alert signal)",
+                "objstore_flush_failures_consecutive",
+            ),
+            (StatPanel, "Replica dedup ratio", "objstore_dedup_ratio"),
+            (
+                TimeSeriesPanel,
+                "Resident bytes freed by flushes",
+                'objstore_flush_bytes_total{kind="freed"}',
+            ),
+            (
+                TimeSeriesPanel,
+                "Store-gateway cold-read latency",
+                "objstore_gateway_last_query_seconds",
+            ),
+        ]
+        return [("objstore", "Object Storage", rows)]
+
+    def start(self, fw):
+        cfg = fw.config
+        fw.clock.every(cfg.objstore_flush_interval_ns, fw.shipper.flush)
+        fw.clock.every(cfg.objstore_compaction_interval_ns, fw.compactor.run)
+
+    def health(self, fw):
+        ship = fw.shipper.counters()
+        return {
+            "objstore_chunks_shipped": float(ship["chunks_shipped"]),
+            "objstore_chunks_deduped": float(ship["chunks_deduped"]),
+            "objstore_flush_failures": float(ship["flush_failures"]),
+            "objstore_cold_chunks": float(fw.tiered.cold_chunk_count()),
+            "objstore_cold_bytes": float(fw.tiered.cold_bytes()),
+        }

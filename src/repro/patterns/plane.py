@@ -1,0 +1,182 @@
+"""Online template mining as a framework plane (DESIGN §14, §16):
+everything ``enable_pattern_mining`` wires from ingest tee to alert."""
+
+from __future__ import annotations
+
+from repro.alerting.rules import RuleSpec
+from repro.common.errors import ValidationError
+from repro.common.labels import Matcher, MatchOp
+from repro.core.plane import Plane, query_frontend
+from repro.exporters.patterns_exporter import PatternsExporter
+from repro.grafana.panels import StatPanel, TimeSeriesPanel, TopListPanel
+from repro.patterns.ingester import PatternIngester
+from repro.patterns.miner import DrainConfig
+from repro.patterns.ruler import BURST_EXPR, NOVEL_EXPR, PatternRuler
+from repro.patterns.store import PatternStore
+
+
+class PatternsPlane(Plane):
+    name = "patterns"
+    flag = "enable_pattern_mining"
+    components = (
+        "pattern_store", "pattern_ingester", "frontend", "pattern_ruler",
+        "patterns_exporter",
+    )
+    scrape_targets = (("patterns", "patterns-exporter:9108", "patterns_exporter"),)
+
+    def validate(self, cfg):
+        if not 0.0 < cfg.patterns_sim_threshold <= 1.0:
+            raise ValidationError(
+                "patterns_sim_threshold must be in (0, 1]"
+            )
+        if not 0.0 < cfg.patterns_ewma_alpha <= 1.0:
+            raise ValidationError(
+                "patterns_ewma_alpha must be in (0, 1]"
+            )
+        if cfg.patterns_burst_factor <= 1.0:
+            raise ValidationError("patterns_burst_factor must be > 1")
+        if cfg.patterns_min_burst_rate <= 0.0:
+            raise ValidationError(
+                "patterns_min_burst_rate must be positive"
+            )
+        if cfg.patterns_warmup_evals < 1:
+            raise ValidationError("patterns_warmup_evals must be >= 1")
+        if cfg.patterns_novel_active_ns <= 0:
+            raise ValidationError(
+                "patterns_novel_active_ns must be positive"
+            )
+        if cfg.patterns_novel_bootstrap_ns < 0:
+            raise ValidationError(
+                "patterns_novel_bootstrap_ns must be >= 0"
+            )
+
+    def build_stores(self, fw):
+        cfg = fw.config
+        drain_config = DrainConfig(sim_threshold=cfg.patterns_sim_threshold)
+        # With object storage on, pattern blocks persist beside the
+        # chunks; without, the store is memory-resident.
+        fw.pattern_store = PatternStore(
+            fw.objstore,
+            period_ns=cfg.objstore_index_period_ns,
+            config=drain_config,
+            tracer=fw.tracer,
+        )
+        fw.pattern_ingester = PatternIngester(
+            fw.clock,
+            fw.pattern_store,
+            config=drain_config,
+            tracer=fw.tracer,
+            default_tenant=cfg.default_tenant,
+        )
+        if fw.objstore is not None:
+            fw.compactor.patterns = fw.pattern_store
+            fw.store_gateway.patterns = fw.pattern_store
+
+    def build_query(self, fw):
+        # Even with no tenancy plane (so no scheduler in front),
+        # detected_patterns wants the frontend's window split + cache.
+        query_frontend(fw)
+
+    def build_alerting(self, fw):
+        cfg = fw.config
+        fw.pattern_ruler = PatternRuler(
+            fw.clock,
+            fw.notifier("pattern-ruler"),
+            fw.pattern_ingester,
+            fw.pattern_store,
+            cluster=cfg.cluster_name,
+            ewma_alpha=cfg.patterns_ewma_alpha,
+            burst_factor=cfg.patterns_burst_factor,
+            min_burst_rate=cfg.patterns_min_burst_rate,
+            warmup_evals=cfg.patterns_warmup_evals,
+            novel_active_ns=cfg.patterns_novel_active_ns,
+            novel_bootstrap_ns=cfg.patterns_novel_bootstrap_ns,
+            tracer=fw.tracer,
+        )
+        fw.patterns_exporter = PatternsExporter(
+            fw.pattern_ingester, fw.pattern_store, fw.pattern_ruler
+        )
+
+    def routes(self, fw):
+        # Storm suppression: pattern alerts group on pattern_id, so
+        # a storm of thousands of identical lines — across streams
+        # and ingesters — collapses into ONE aggregation group and
+        # one notification per group_wait/group_interval window.
+        return [
+            fw.route(
+                "slack",
+                ("alertname", "pattern_id", "cluster"),
+                (Matcher("category", MatchOp.EQ, "patterns"),),
+            )
+        ]
+
+    def install_rules(self, fw):
+        # Pattern rules live on the *pattern* ruler, whose _query
+        # reads the miner directly instead of PromQL.  Both fire
+        # immediately (for_="0s"): a burst sample only exists while
+        # the rate genuinely exceeds the baseline, and a novel error
+        # template is by definition a one-time rising edge.
+        fw.pattern_ruler.add_rule(
+            RuleSpec(
+                name="PatternBurst",
+                expr=BURST_EXPR,
+                for_="0s",
+                labels={"severity": "warning", "category": "patterns"},
+                annotations={
+                    "summary": "Template '{{ $labels.pattern }}' is "
+                    "bursting at {{ $value }} lines/s over its "
+                    "baseline — storm grouped by pattern_id"
+                },
+            )
+        )
+        fw.pattern_ruler.add_rule(
+            RuleSpec(
+                name="NovelErrorPattern",
+                expr=NOVEL_EXPR,
+                for_="0s",
+                labels={"severity": "critical", "category": "patterns"},
+                annotations={
+                    "summary": "Never-before-seen error template "
+                    "'{{ $labels.pattern }}' appeared"
+                },
+            )
+        )
+
+    def dashboards(self, fw):
+        rows = [
+            (StatPanel, "Distinct templates", "patterns_templates"),
+            (
+                StatPanel,
+                "Compression ratio (lines per template)",
+                "patterns_compression_ratio",
+                {"unit": "x"},
+            ),
+            (TimeSeriesPanel, "Lines mined", "patterns_lines_mined_total"),
+            (
+                TopListPanel,
+                "Busiest templates",
+                "topk(10, patterns_template_lines_total)",
+                {"label": "pattern_id"},
+            ),
+            (TimeSeriesPanel, "Active bursts (alert signal)", "patterns_bursts_active"),
+            (StatPanel, "Novel error templates", "patterns_novel_error_templates_total"),
+        ]
+        return [("patterns", "Log Patterns", rows)]
+
+    def start(self, fw):
+        cfg = fw.config
+        fw.pattern_ruler.run_periodic(cfg.patterns_ruler_interval_ns)
+        if fw.objstore is not None:
+            # Live pattern blocks ship on the chunk-flush cadence.
+            fw.clock.every(
+                cfg.objstore_flush_interval_ns, fw.pattern_store.persist_dirty
+            )
+
+    def health(self, fw):
+        return {
+            "patterns_distinct_templates": float(fw.pattern_store.pattern_count()),
+            "patterns_lines_mined": float(fw.pattern_ingester.lines_observed),
+            "patterns_compression_ratio": fw.pattern_ingester.compression_ratio(),
+            "patterns_bursts_detected": float(fw.pattern_ruler.bursts_detected),
+            "patterns_novel_errors": float(fw.pattern_ruler.novel_detected),
+        }

@@ -1,0 +1,142 @@
+"""The sharded query engine as a framework plane (DESIGN §12, §16):
+everything ``enable_query_engine`` wires beside the LogQL engine."""
+
+from __future__ import annotations
+
+from repro.alerting.rules import RuleSpec
+from repro.common.errors import ValidationError
+from repro.core.plane import Plane
+from repro.exporters.queryx_exporter import QueryxExporter
+from repro.grafana.panels import StatPanel, TimeSeriesPanel, TopListPanel
+from repro.queryx.bloom import BloomStore
+from repro.queryx.engine import ShardedQueryEngine
+from repro.queryx.executor import QuerierPool
+from repro.queryx.planner import QueryPlanner
+
+
+class QueryxPlane(Plane):
+    name = "queryx"
+    flag = "enable_query_engine"
+    components = ("blooms", "queryx", "queryx_exporter")
+    scrape_targets = (("queryx", "queryx-exporter:9106", "queryx_exporter"),)
+
+    def validate(self, cfg):
+        if cfg.queryx_shard_count < 1:
+            raise ValidationError("queryx_shard_count must be >= 1")
+        if cfg.queryx_workers < 1:
+            raise ValidationError("queryx_workers must be >= 1")
+        if cfg.queryx_slow_query_threshold_ns <= 0:
+            raise ValidationError(
+                "queryx_slow_query_threshold_ns must be positive"
+            )
+        if not 0.0 < cfg.queryx_bloom_fp_rate < 1.0:
+            raise ValidationError(
+                "queryx_bloom_fp_rate must be in (0, 1)"
+            )
+
+    def build_stores(self, fw):
+        # The engine reads the log backend directly, so it can be built
+        # before the warehouse — and has to be: tenancy, earlier in the
+        # plane order, asks for the frontend over it in build_query.
+        cfg = fw.config
+        cold_latency_fn = None
+        if fw.objstore is not None:
+            # Bloom blocks ride the same bucket as the chunks; the
+            # compactor builds them, the gateway consults them.
+            fw.blooms = BloomStore(fw.objstore, fp_rate=cfg.queryx_bloom_fp_rate)
+            fw.compactor.blooms = fw.blooms
+            gateway = fw.store_gateway
+            gateway.blooms = fw.blooms
+
+            def cold_latency_fn() -> int:
+                # Charges each subquery with the cold object-store
+                # latency it actually incurred (delta of this counter).
+                return gateway.fetch_latency_ns_total
+
+        fw.queryx = ShardedQueryEngine(
+            fw.log_backend,
+            fw.clock,
+            planner=QueryPlanner(
+                shard_count=cfg.queryx_shard_count,
+                split_ns=cfg.queryx_split_interval_ns,
+            ),
+            pool=QuerierPool(workers=cfg.queryx_workers),
+            tracer=fw.tracer,
+            cold_latency_fn=cold_latency_fn,
+            slow_query_threshold_ns=cfg.queryx_slow_query_threshold_ns,
+        )
+        fw.queryx_exporter = QueryxExporter(
+            fw.queryx,
+            gateway=fw.store_gateway,
+            blooms=fw.blooms,
+        )
+        fw.faults.attach_queryx(fw.queryx.pool)
+
+    def install_rules(self, fw):
+        fw.vmalert.add_rule(
+            RuleSpec(
+                name="SlowQueries",
+                # The exporter gauge is a since-last-scrape delta, so
+                # it self-resolves on the next quiet scrape; no
+                # sustain window — one slow refresh is worth knowing.
+                expr="queryx_slow_queries_recent > 0",
+                for_="0s",
+                labels={"severity": "warning", "category": "query"},
+                annotations={
+                    "summary": "{{ $value }} queries exceeded the "
+                    "slow-query threshold since the last scrape"
+                },
+            )
+        )
+
+    def dashboards(self, fw):
+        rows = [
+            (StatPanel, "Realized speedup (serial / wall)", "queryx_speedup", {"unit": "x"}),
+            (
+                TimeSeriesPanel,
+                "Last query latency: wall vs serial",
+                "queryx_last_query_seconds",
+            ),
+            (
+                TopListPanel,
+                "Worker busy time (stragglers stand out)",
+                "topk(16, queryx_worker_busy_seconds)",
+                {"label": "worker"},
+            ),
+            (
+                TimeSeriesPanel,
+                "Subquery retries (querier crashes)",
+                "queryx_subquery_retries_total",
+            ),
+            (
+                TimeSeriesPanel,
+                "Slow queries since last scrape (alert signal)",
+                "queryx_slow_queries_recent",
+            ),
+        ]
+        if fw.blooms is not None:
+            rows += [
+                (StatPanel, "Bloom skip ratio", "queryx_bloom_skip_ratio"),
+                (
+                    TimeSeriesPanel,
+                    "Cold chunks considered / fetched / skipped",
+                    "queryx_gateway_chunks_total",
+                ),
+            ]
+        return [("queryx", "Query Engine", rows)]
+
+    def health(self, fw):
+        stats = fw.queryx.stats()
+        summary = {
+            "queryx_queries": float(stats["queries_total"]),
+            "queryx_subqueries": float(stats["subqueries_total"]),
+            "queryx_slow_queries": float(stats["slow_queries_total"]),
+            "queryx_retries": float(stats["pool_retries_total"]),
+            "queryx_speedup": float(stats["speedup"]),
+        }
+        if fw.blooms is not None:
+            summary["queryx_bloom_blocks"] = float(fw.blooms.counters()["blocks"])
+            summary["queryx_chunks_skipped"] = float(
+                fw.store_gateway.chunks_skipped_total
+            )
+        return summary

@@ -14,6 +14,13 @@ property tests in ``tests/test_tenancy_sharding.py`` pin down:
 * removing an ingester leaves every shard that did not contain it
   untouched, and replaces exactly that one member in shards that did.
 
+On a zoned ring the walk is the ring's zone-aware one — first one member
+per zone, then the closest of the rest — so a shard spans
+``min(shard_size, zones)`` zones and no single-zone outage can take a
+tenant below write quorum.  All three properties still hold for the
+shard as a *set*; its order is zone-first, so a membership change may
+reorder the survivors (placement never reads the order, see below).
+
 Within its shard the tenant's streams place on a *subring* holding only
 the shard members, so replica choice stays consistent-hash stable too.
 """
@@ -70,7 +77,12 @@ class ShuffleSharder:
         # *order* must stay the clockwise walk, so shrinking the fleet
         # to (or below) the shard size never reorders survivors.
         size = min(self.shard_size, len(members))
-        return tuple(self.ring.preference_list(shard_key(tenant), size))
+        # Unzoned rings (no spread) walk exactly as they always have.
+        return tuple(
+            self.ring.preference_list(
+                shard_key(tenant), size, zone_spread=bool(self.ring.zones())
+            )
+        )
 
     def subring(self, tenant: str) -> HashRing:
         """A ring over just the tenant's shard, for stream placement."""

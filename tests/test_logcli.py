@@ -107,3 +107,81 @@ class TestBrowsing:
     def test_series_rejects_pipelines(self, store):
         with pytest.raises(QueryError):
             run_logcli(store, ["series", '{app="fm"} |= "x"'])
+
+
+# ----------------------------------------------------------------------
+# Browsing works on every store shape the framework can hand out
+# ----------------------------------------------------------------------
+def _tiered(hot):
+    from tests.test_objstore_gateway_tiered import make_tiered
+
+    return make_tiered(hot)[1]
+
+
+def _ring():
+    from repro.ring.cluster import RingLokiCluster
+
+    return RingLokiCluster(ingesters=4, replication_factor=3)
+
+
+def _cold_only():
+    """A tiered store whose hot tier restarted empty: every stream it
+    knows lives in the cold index alone."""
+    from repro.objstore.tiered import TieredLokiStore
+
+    first = _tiered(LokiStore())
+    _push_browsing_corpus(first)
+    first.flush_all()
+    first.flush_to_cold()
+    return TieredLokiStore(
+        LokiStore(), first.objstore, first.index, first.shipper,
+        first.compactor, first.gateway,
+    )
+
+
+def _push_browsing_corpus(target):
+    for labels in (
+        {"app": "fm", "cluster": "perlmutter"},
+        {"app": "api", "cluster": "perlmutter", "pod": "api-0"},
+        {"app": "api", "cluster": "muller"},
+    ):
+        target.push(PushRequest.single(labels, [(seconds(1), "line")]))
+
+
+STORE_SHAPES = {
+    "bare": LokiStore,
+    "ring": _ring,
+    "tiered": lambda: _tiered(LokiStore()),
+    "ring+tiered": lambda: _tiered(_ring()),
+}
+
+
+class TestBrowsingAcrossStoreShapes:
+    """``labels`` / ``label-values`` / ``series`` used to reach into
+    ``store.index``, which only a bare LokiStore has (the ring has none,
+    the tiered store's is the cold ShipperIndex)."""
+
+    EXPECTED = {
+        "labels": "app\ncluster\npod",
+        "label-values app": "api\nfm",
+        "label-values pod": "api-0",
+        "label-values nope": "",
+        'series {app="api"}': (
+            '{app="api", cluster="muller"}\n'
+            '{app="api", cluster="perlmutter", pod="api-0"}'
+        ),
+        'series {cluster=~"perl.*", pod=""}': '{app="fm", cluster="perlmutter"}',
+    }
+
+    @pytest.mark.parametrize("shape", STORE_SHAPES)
+    def test_same_sorted_output_for_the_same_pushes(self, shape):
+        target = STORE_SHAPES[shape]()
+        _push_browsing_corpus(target)
+        for command, expected in self.EXPECTED.items():
+            assert run_logcli(target, command.split(" ", 1)) == expected, command
+
+    def test_cold_only_streams_are_listed(self):
+        target = _cold_only()
+        assert target.hot.stream_count() == 0
+        for command, expected in self.EXPECTED.items():
+            assert run_logcli(target, command.split(" ", 1)) == expected, command

@@ -64,6 +64,7 @@ class TestWiring:
     def test_query_engine_without_objstore_has_no_blooms(self):
         framework = MonitoringFramework(FrameworkConfig(
             cluster_spec=small_spec(), enable_query_engine=True,
+            enable_object_storage=False,
         ))
         assert framework.queryx is not None
         assert framework.blooms is None

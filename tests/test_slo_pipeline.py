@@ -50,7 +50,11 @@ class TestWiring:
         assert cfg.enable_slo
 
     def test_core_slo_always_registered(self):
-        fw = make_framework()
+        fw = make_framework(
+            enable_query_engine=False,
+            enable_reliable_delivery=False,
+            enable_pattern_mining=False,
+        )
         names = {s.name for s in fw.slo_manager.slos()}
         assert "ingest-availability" in names
         # Optional planes are off, so their SLOs are absent.

@@ -174,3 +174,73 @@ class TestBoundedReassignment:
         survivors_before = [m for m in before if m != leaver]
         survivors_after = [m for m in after if m in set(survivors_before)]
         assert survivors_after == survivors_before
+
+
+# ----------------------------------------------------------------------
+# Zoned rings: a shard must not keep two members in one zone
+# ----------------------------------------------------------------------
+def build_zoned_ring(members, zones):
+    ring = build_ring(members)
+    for i, member in enumerate(members):
+        ring.set_zone(member, f"zone-{i % zones}")
+    return ring
+
+
+class TestZonedRing:
+    @given(member_lists, tenant_lists, shard_sizes, st.integers(2, 4))
+    @settings(max_examples=60, deadline=None)
+    def test_shard_spans_as_many_zones_as_it_can(
+        self, members, tenants, size, zones
+    ):
+        ring = build_zoned_ring(members, zones)
+        sharder = ShuffleSharder(ring, size)
+        for tenant in tenants:
+            shard = sharder.shard(tenant)
+            assert len(shard) == size
+            assert len({ring.zone(m) for m in shard}) == min(size, zones)
+
+    @given(member_lists, tenant_lists, st.integers(2, 4))
+    @settings(max_examples=40, deadline=None)
+    def test_movement_properties_hold_for_the_shard_as_a_set(
+        self, members, tenants, zones
+    ):
+        ring = build_zoned_ring(members, zones)
+        sharder = ShuffleSharder(ring, 3)
+        before = {t: set(sharder.shard(t)) for t in tenants}
+        ring.join("ingester-new")
+        ring.set_zone("ingester-new", "zone-0")
+        grown = {t: set(sharder.shard(t)) for t in tenants}
+        assert all(len(grown[t] - before[t]) <= 1 for t in tenants)
+        victim = members[0]
+        ring.leave(victim)
+        for tenant in tenants:
+            shrunk = set(sharder.shard(tenant))
+            if victim not in grown[tenant]:
+                assert shrunk == grown[tenant]
+            else:
+                assert grown[tenant] - {victim} <= shrunk
+
+    def test_unzoned_ring_places_exactly_as_the_plain_walk(self):
+        ring = build_ring([f"ingester-{i}" for i in range(8)])
+        sharder = ShuffleSharder(ring, 3)
+        for i in range(20):
+            tenant = f"tenant-{i}"
+            assert list(sharder.shard(tenant)) == ring.preference_list(
+                shard_key(tenant), 3
+            )
+
+    @pytest.mark.parametrize("zone", ["zone-0", "zone-1", "zone-2"])
+    def test_every_tenant_survives_any_one_zone_outage_at_quorum(self, zone):
+        from repro.loki.model import LogEntry
+        from repro.ring.cluster import RingLokiCluster
+
+        cluster = RingLokiCluster(
+            ingesters=6, replication_factor=3, shard_size=3, zones=3
+        )
+        for member in cluster.ring.members_in_zone(zone):
+            cluster.crash_ingester(member)
+        # 1 of 3 replicas accepted -> QuorumError before the fix, for any
+        # tenant whose shard happened to hold two members of the dark zone.
+        for i in range(24):
+            labels = {"tenant": f"tenant-{i}", "app": "probe"}
+            assert cluster.push_stream(labels, [LogEntry(1 + i, "alive")]) == 1
