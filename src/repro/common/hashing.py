@@ -8,11 +8,10 @@ suffixes, so structured inputs (sequential member names, label values
 over a stride-aligned alphabet) land in micro-clusters instead of
 spreading.  ``mix64`` restores full avalanche.
 
-This module is the single home for both primitives; ``repro.ring.hashring``
-re-exports them for backwards compatibility.  It lives under ``common``
-because ``loki`` cannot import from ``ring`` (the ring packages import
-``loki`` at definition time) and the object-store shipper needs the same
-fingerprints as the ring.
+This module is the single home for both primitives.  It lives under
+``common`` because ``loki`` cannot import from ``ring`` (the ring packages
+import ``loki`` at definition time) and the object-store shipper needs the
+same fingerprints as the ring.
 """
 
 from __future__ import annotations

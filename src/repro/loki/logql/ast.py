@@ -1,10 +1,12 @@
-"""LogQL abstract syntax tree.
+"""LogQL abstract syntax tree: what is LogQL's own.
 
 Two expression families share the tree:
 
 * **log queries** evaluate to filtered log lines (:class:`LogPipeline`);
-* **metric queries** evaluate to instant vectors (:class:`RangeAgg`,
-  :class:`VectorAgg`, :class:`BinOp`, :class:`Scalar`).
+* **metric queries** evaluate to instant vectors.  Their one leaf is
+  :class:`RangeAgg`, a range aggregation over a log pipeline; every node
+  above it is the vector language shared with PromQL
+  (:mod:`repro.common.vectorlang`).
 """
 
 from __future__ import annotations
@@ -16,6 +18,7 @@ from typing import Union
 
 from repro.common.errors import QueryError, ValidationError
 from repro.common.labels import Matcher
+from repro.common.vectorlang import BinOp, CmpOp, SetExpr, TopK, VectorAgg
 
 
 class LineFilterOp(enum.Enum):
@@ -64,25 +67,6 @@ class ParserStage:
     def __post_init__(self) -> None:
         if self.kind is ParserKind.PATTERN and not self.arg:
             raise QueryError("pattern parser requires a template argument")
-
-
-class CmpOp(enum.Enum):
-    EQ = "=="
-    NEQ = "!="
-    GT = ">"
-    GTE = ">="
-    LT = "<"
-    LTE = "<="
-
-    def apply(self, a: float, b: float) -> bool:
-        return {
-            CmpOp.EQ: a == b,
-            CmpOp.NEQ: a != b,
-            CmpOp.GT: a > b,
-            CmpOp.GTE: a >= b,
-            CmpOp.LT: a < b,
-            CmpOp.LTE: a <= b,
-        }[self]
 
 
 @dataclass(frozen=True)
@@ -243,71 +227,8 @@ class RangeAgg:
             )
 
 
-class VectorOp(enum.Enum):
-    SUM = "sum"
-    MIN = "min"
-    MAX = "max"
-    AVG = "avg"
-    COUNT = "count"
-
-
-class GroupMode(enum.Enum):
-    NONE = "none"
-    BY = "by"
-    WITHOUT = "without"
-
-
-@dataclass(frozen=True)
-class VectorAgg:
-    """``sum(...) by (severity, context)`` — vector aggregation."""
-
-    op: VectorOp
-    expr: "MetricExpr"
-    mode: GroupMode = GroupMode.NONE
-    labels: tuple[str, ...] = ()
-
-
-class ArithOp(enum.Enum):
-    ADD = "+"
-    SUB = "-"
-    MUL = "*"
-    DIV = "/"
-
-    def apply(self, a: float, b: float) -> float:
-        if self is ArithOp.ADD:
-            return a + b
-        if self is ArithOp.SUB:
-            return a - b
-        if self is ArithOp.MUL:
-            return a * b
-        return a / b if b != 0 else float("nan")
-
-
-@dataclass(frozen=True)
-class Scalar:
-    value: float
-
-
-@dataclass(frozen=True)
-class BinOp:
-    """Vector-vs-scalar binary operation.
-
-    Comparisons *filter* the vector (PromQL semantics without ``bool``);
-    arithmetic transforms sample values.  Exactly one side is a scalar.
-    """
-
-    op: CmpOp | ArithOp
-    lhs: "MetricExpr | Scalar"
-    rhs: "MetricExpr | Scalar"
-
-    def __post_init__(self) -> None:
-        scalar_sides = isinstance(self.lhs, Scalar) + isinstance(self.rhs, Scalar)
-        if scalar_sides != 1:
-            raise QueryError("binary op must combine one vector and one scalar")
-
-
-MetricExpr = Union[RangeAgg, VectorAgg, BinOp]
-Expr = Union[LogPipeline, RangeAgg, VectorAgg, BinOp]
+MetricExpr = Union[RangeAgg, VectorAgg, BinOp, SetExpr, TopK]
+Expr = Union[LogPipeline, MetricExpr]
 
 
 @dataclass(frozen=True)

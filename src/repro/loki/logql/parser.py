@@ -2,7 +2,7 @@
 
 Grammar (the implemented subset)::
 
-    expr          := metric_expr | log_pipeline
+    expr          := log_pipeline | vector_expr
     log_pipeline  := selector stage*
     selector      := "{" matcher ("," matcher)* "}"
     matcher       := IDENT ("=" | "!=" | "=~" | "!~") STRING
@@ -11,29 +11,25 @@ Grammar (the implemented subset)::
     parser        := "json" | "logfmt" | "pattern" STRING
     label_filter  := IDENT (("=" | "!=" | "=~" | "!~") STRING
                             | ("==" | "!=" | ">" | ">=" | "<" | "<=") NUMBER)
-    metric_expr   := vector_agg | range_agg | metric_expr cmp NUMBER
-                     | metric_expr arith NUMBER | NUMBER cmp/arith metric_expr
     range_agg     := FUNC "(" log_pipeline "[" DURATION "]" ")"
-    vector_agg    := OP grouping? "(" metric_expr ")" grouping?
-    grouping      := ("by" | "without") "(" IDENT ("," IDENT)* ")"
+
+``vector_expr`` — aggregations, binary and set operators with their
+precedence, ``topk``, parentheses, scalars — is
+:class:`repro.common.vectorlang.VectorParser`'s, shared with PromQL; its
+one leaf here is ``range_agg``.
 """
 
 from __future__ import annotations
 
 from repro.common.errors import QueryError
-from repro.common.durations import parse_duration_ns
-from repro.common.labels import Matcher, MatchOp
+from repro.common.labels import Matcher
+from repro.common.vectorlang import CMP_TOKENS, MATCH_TOKENS, CmpOp, Tok, VectorParser
 from repro.loki.logql.ast import (
-    ArithOp,
-    BinOp,
-    CmpOp,
     Expr,
-    GroupMode,
     LabelFilter,
     LineFilter,
     LineFilterOp,
     LogPipeline,
-    MetricExpr,
     ParserKind,
     ParserStage,
     PatternTemplate,
@@ -41,35 +37,10 @@ from repro.loki.logql.ast import (
     LineFormatStage,
     RangeAgg,
     RangeFunc,
-    Scalar,
     UnwrapStage,
-    VectorAgg,
-    VectorOp,
 )
-from repro.loki.logql.lexer import Tok, Token, tokenize
 
 _RANGE_FUNCS = {f.value: f for f in RangeFunc}
-_VECTOR_OPS = {o.value: o for o in VectorOp}
-_CMP_TOKENS = {
-    Tok.GT: CmpOp.GT,
-    Tok.GTE: CmpOp.GTE,
-    Tok.LT: CmpOp.LT,
-    Tok.LTE: CmpOp.LTE,
-    Tok.EQL: CmpOp.EQ,
-    Tok.NEQ: CmpOp.NEQ,
-}
-_ARITH_TOKENS = {
-    Tok.ADD: ArithOp.ADD,
-    Tok.SUB: ArithOp.SUB,
-    Tok.MUL: ArithOp.MUL,
-    Tok.DIV: ArithOp.DIV,
-}
-_MATCH_TOKENS = {
-    Tok.EQ: MatchOp.EQ,
-    Tok.NEQ: MatchOp.NEQ,
-    Tok.RE: MatchOp.RE,
-    Tok.NRE: MatchOp.NRE,
-}
 _LINE_FILTER_TOKENS = {
     Tok.PIPE_EXACT: LineFilterOp.CONTAINS,
     Tok.NEQ: LineFilterOp.NOT_CONTAINS,
@@ -78,50 +49,16 @@ _LINE_FILTER_TOKENS = {
 }
 
 
-class _Parser:
-    def __init__(self, tokens: list[Token]) -> None:
-        self._tokens = tokens
-        self._pos = 0
-
-    # -- token plumbing ---------------------------------------------------
-    def peek(self, ahead: int = 0) -> Token:
-        idx = min(self._pos + ahead, len(self._tokens) - 1)
-        return self._tokens[idx]
-
-    def next(self) -> Token:
-        tok = self._tokens[self._pos]
-        if tok.kind is not Tok.EOF:
-            self._pos += 1
-        return tok
-
-    def expect(self, kind: Tok) -> Token:
-        tok = self.next()
-        if tok.kind is not kind:
-            raise QueryError(
-                f"expected {kind.value!r} but found {tok.text or 'EOF'!r} "
-                f"at position {tok.pos}"
-            )
-        return tok
-
-    def at(self, kind: Tok) -> bool:
-        return self.peek().kind is kind
-
-    # -- entry ------------------------------------------------------------
+class _Parser(VectorParser):
     def parse(self) -> Expr:
-        expr = self._expr()
-        tok = self.peek()
-        if tok.kind is not Tok.EOF:
-            raise QueryError(f"trailing input at position {tok.pos}: {tok.text!r}")
-        return expr
-
-    def _expr(self) -> Expr:
+        # A log query is only ever the whole query.
         if self.at(Tok.LBRACE):
-            return self._log_pipeline()
-        return self._metric_expr()
+            return self._whole(self._log_pipeline())
+        return super().parse()
 
     # -- log pipelines ------------------------------------------------------
     def _log_pipeline(self) -> LogPipeline:
-        matchers = self._selector()
+        matchers = self._matchers()
         stages: list = []
         while True:
             tok = self.peek()
@@ -135,26 +72,6 @@ class _Parser:
             else:
                 break
         return LogPipeline(tuple(matchers), tuple(stages))
-
-    def _selector(self) -> list[Matcher]:
-        self.expect(Tok.LBRACE)
-        matchers = []
-        while True:
-            name = self.expect(Tok.IDENT).text
-            op_tok = self.next()
-            if op_tok.kind not in _MATCH_TOKENS:
-                raise QueryError(
-                    f"expected matcher operator at position {op_tok.pos}, "
-                    f"found {op_tok.text!r}"
-                )
-            value = self.expect(Tok.STRING).text
-            matchers.append(Matcher(name, _MATCH_TOKENS[op_tok.kind], value))
-            if self.at(Tok.COMMA):
-                self.next()
-                continue
-            break
-        self.expect(Tok.RBRACE)
-        return matchers
 
     def _pipe_stage(self):
         tok = self.expect(Tok.IDENT)
@@ -178,117 +95,40 @@ class _Parser:
             return LabelFormatStage(dst, src)
         # Otherwise it is a label filter: IDENT op (STRING | NUMBER).
         op_tok = self.next()
-        if op_tok.kind in _MATCH_TOKENS and self.at(Tok.STRING):
+        if op_tok.kind in MATCH_TOKENS and self.at(Tok.STRING):
             value = self.expect(Tok.STRING).text
-            return LabelFilter(matcher=Matcher(word, _MATCH_TOKENS[op_tok.kind], value))
-        if op_tok.kind in _CMP_TOKENS or op_tok.kind is Tok.EQ:
+            return LabelFilter(matcher=Matcher(word, MATCH_TOKENS[op_tok.kind], value))
+        if op_tok.kind in CMP_TOKENS or op_tok.kind is Tok.EQ:
             num_tok = self.next()
             if num_tok.kind not in (Tok.NUMBER, Tok.DURATION):
                 raise QueryError(
                     f"expected number after comparison at position {num_tok.pos}"
                 )
-            cmp = _CMP_TOKENS.get(op_tok.kind, CmpOp.EQ)
+            cmp = CMP_TOKENS.get(op_tok.kind, CmpOp.EQ)
             return LabelFilter(name=word, cmp=cmp, number=float(num_tok.text))
         raise QueryError(
             f"cannot parse pipeline stage near position {op_tok.pos} "
             f"({word!r} {op_tok.text!r})"
         )
 
-    # -- metric expressions -------------------------------------------------
-    def _metric_expr(self) -> MetricExpr:
-        lhs = self._metric_atom()
-        # Left-associative chain of scalar binary ops.
-        while True:
-            tok = self.peek()
-            if tok.kind in _CMP_TOKENS:
-                self.next()
-                rhs = self._scalar_or_atom()
-                lhs = BinOp(_CMP_TOKENS[tok.kind], lhs, rhs)
-            elif tok.kind in _ARITH_TOKENS:
-                self.next()
-                rhs = self._scalar_or_atom()
-                lhs = BinOp(_ARITH_TOKENS[tok.kind], lhs, rhs)
-            else:
-                return lhs
-
-    def _scalar_or_atom(self):
-        if self.at(Tok.NUMBER):
-            return Scalar(float(self.next().text))
-        return self._metric_atom()
-
-    def _metric_atom(self) -> MetricExpr:
+    # -- the metric leaf ----------------------------------------------------
+    def _leaf(self) -> RangeAgg:
         tok = self.peek()
-        if tok.kind is Tok.NUMBER:
-            # Scalar on the left of a binop, e.g. "2 * rate(...)".
-            scalar = Scalar(float(self.next().text))
-            op_tok = self.next()
-            if op_tok.kind in _CMP_TOKENS:
-                return BinOp(_CMP_TOKENS[op_tok.kind], scalar, self._metric_atom())
-            if op_tok.kind in _ARITH_TOKENS:
-                return BinOp(_ARITH_TOKENS[op_tok.kind], scalar, self._metric_atom())
-            raise QueryError(f"bare scalar is not a metric query (pos {tok.pos})")
-        if tok.kind is Tok.LPAREN:
-            self.next()
-            inner = self._metric_expr()
-            self.expect(Tok.RPAREN)
-            return inner
         if tok.kind is not Tok.IDENT:
             raise QueryError(
                 f"expected a function or aggregation at position {tok.pos}, "
                 f"found {tok.text or 'EOF'!r}"
             )
-        word = tok.text
-        if word in _VECTOR_OPS:
-            return self._vector_agg()
-        if word in _RANGE_FUNCS:
-            return self._range_agg()
-        raise QueryError(f"unknown function {word!r} at position {tok.pos}")
-
-    def _range_agg(self) -> RangeAgg:
-        func = _RANGE_FUNCS[self.expect(Tok.IDENT).text]
+        if tok.text not in _RANGE_FUNCS:
+            raise QueryError(f"unknown function {tok.text!r} at position {tok.pos}")
+        func = _RANGE_FUNCS[self.next().text]
         self.expect(Tok.LPAREN)
         pipeline = self._log_pipeline()
-        self.expect(Tok.LBRACKET)
-        dur = self.expect(Tok.DURATION).text
-        range_ns = parse_duration_ns(dur)
-        self.expect(Tok.RBRACKET)
+        range_ns = self._range_ns()
         self.expect(Tok.RPAREN)
         return RangeAgg(func, pipeline, range_ns)
-
-    def _vector_agg(self) -> VectorAgg:
-        op = _VECTOR_OPS[self.expect(Tok.IDENT).text]
-        mode, labels = GroupMode.NONE, ()
-        if self.at(Tok.IDENT) and self.peek().text in ("by", "without"):
-            mode, labels = self._grouping()
-        self.expect(Tok.LPAREN)
-        inner = self._metric_expr()
-        self.expect(Tok.RPAREN)
-        if (
-            mode is GroupMode.NONE
-            and self.at(Tok.IDENT)
-            and self.peek().text in ("by", "without")
-        ):
-            mode, labels = self._grouping()
-        return VectorAgg(op, inner, mode, tuple(labels))
-
-    def _grouping(self) -> tuple[GroupMode, list[str]]:
-        word = self.expect(Tok.IDENT).text
-        mode = GroupMode.BY if word == "by" else GroupMode.WITHOUT
-        self.expect(Tok.LPAREN)
-        labels = []
-        if not self.at(Tok.RPAREN):
-            while True:
-                labels.append(self.expect(Tok.IDENT).text)
-                if self.at(Tok.COMMA):
-                    self.next()
-                    continue
-                break
-        self.expect(Tok.RPAREN)
-        return mode, labels
 
 
 def parse(query: str) -> Expr:
     """Parse a LogQL query into its AST. Raises :class:`QueryError`."""
-    if not query or not query.strip():
-        raise QueryError("empty query")
-    return _Parser(tokenize(query)).parse()
+    return _Parser(query).parse()

@@ -31,7 +31,7 @@ from repro.loki.chunks import Chunk, ChunkPolicy
 from repro.loki.model import LogEntry
 from repro.objstore.index import ChunkRef, ShipperIndex, chunk_object_key
 from repro.objstore.objectstore import ObjectStore, ObjectStoreUnavailable
-from repro.ring.distributor import _merge_replicas
+from repro.ring.merge import merge_replica_entries
 from repro.tempo.model import SpanStatus
 from repro.tempo.tracer import Tracer
 
@@ -211,7 +211,7 @@ class Compactor:
         # Max-multiplicity merge: disjoint sequential chunks concatenate
         # unchanged; overlapping divergent-replica chunks dedup per
         # (timestamp, line), the same semantics the ring read path uses.
-        merged = _merge_replicas(entry_lists)
+        merged = merge_replica_entries(entry_lists)
         new_chunks = self._rebuild_chunks(merged)
         new_keys: set[str] = set()
         for chunk in new_chunks:
@@ -284,7 +284,7 @@ class Compactor:
                     continue
                 entry_lists = [self._fetch_entries(ref) for ref in refs]
                 self.blooms.build_block(
-                    tenant, labels, period, _merge_replicas(entry_lists), keys
+                    tenant, labels, period, merge_replica_entries(entry_lists), keys
                 )
                 result.bloom_blocks_built += 1
                 self.bloom_blocks_built_total += 1
@@ -310,7 +310,7 @@ class Compactor:
                     continue
                 entry_lists = [self._fetch_entries(ref) for ref in refs]
                 self.patterns.build_block(
-                    tenant, labels, period, _merge_replicas(entry_lists), keys
+                    tenant, labels, period, merge_replica_entries(entry_lists), keys
                 )
                 result.pattern_blocks_built += 1
                 self.pattern_blocks_built_total += 1

@@ -37,7 +37,7 @@ from repro.loki.chunks import Chunk, ChunkPolicy
 from repro.loki.model import LogEntry
 from repro.objstore.index import ChunkRef, ShipperIndex, stream_fingerprint
 from repro.objstore.objectstore import ObjectStore
-from repro.ring.distributor import _merge_replicas
+from repro.ring.merge import merge_replica_entries
 from repro.tempo.tracer import Tracer
 
 
@@ -108,7 +108,7 @@ class StoreGateway:
             if entries:
                 per_stream.setdefault(labels, []).append(entries)
         out = [
-            (labels, _merge_replicas(entry_lists))
+            (labels, merge_replica_entries(entry_lists))
             for labels, entry_lists in per_stream.items()
         ]
         out.sort(key=lambda pair: pair[0].items_tuple())

@@ -23,7 +23,7 @@ from repro.objstore.index import ShipperIndex
 from repro.objstore.objectstore import ObjectStore
 from repro.objstore.shipper import ChunkShipper, FlushResult
 from repro.ring.cluster import RingLokiCluster
-from repro.ring.distributor import _merge_replicas
+from repro.ring.merge import merge_replica_entries
 from repro.tempo.model import SpanContext
 
 
@@ -109,7 +109,7 @@ class TieredLokiStore:
         ):
             merged.setdefault(labels, []).append(entries)
         out = [
-            (labels, _merge_replicas(entry_lists))
+            (labels, merge_replica_entries(entry_lists))
             for labels, entry_lists in merged.items()
         ]
         out.sort(key=lambda pair: pair[0].items_tuple())
@@ -152,7 +152,7 @@ class TieredLokiStore:
         for labels, entries in self.gateway.expired_entries(cutoff_ns):
             merged.setdefault(labels, []).append(entries)
         out = [
-            (labels, _merge_replicas(entry_lists))
+            (labels, merge_replica_entries(entry_lists))
             for labels, entry_lists in merged.items()
         ]
         out.sort(key=lambda pair: pair[0].items_tuple())

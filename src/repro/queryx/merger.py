@@ -10,7 +10,7 @@ Two merge surfaces, matching the two query families:
   exactly one window.
 - **Log partials** are ``(labels, entries)`` groups.  Shard streams are
   disjoint and time windows abut, so a plain union would do — but the
-  merger uses the same max-multiplicity ``_merge_replicas`` as
+  merger uses the same max-multiplicity ``merge_replica_entries`` as
   :class:`TieredLokiStore`, so a retried subquery whose partial ever
   arrived twice, or a hot/cold overlap inside one shard, still counts
   every entry exactly once.  Same dedup semantics end to end.
@@ -30,7 +30,7 @@ from repro.queryx.planner import (
     QueryPlan,
     Subquery,
 )
-from repro.ring.distributor import _merge_replicas
+from repro.ring.merge import merge_replica_entries
 
 _MERGE_FN = {
     MERGE_SUM: sum,
@@ -84,7 +84,7 @@ def merge_log_partials(
         for labels, entries in groups:
             grouped.setdefault(labels, []).append(entries)
     out = [
-        (labels, _merge_replicas(entry_lists))
+        (labels, merge_replica_entries(entry_lists))
         for labels, entry_lists in grouped.items()
     ]
     out.sort(key=lambda pair: pair[0].items_tuple())

@@ -27,7 +27,8 @@ max_over_time                           max   (max of maxes)
 min_over_time                           min
 avg_over_time                           unshardable (needs counts)
 sum|max|min(<matching-class inner>)     inherited from inner
-avg/count vector aggs, BinOp, nesting   unshardable
+avg/count vector aggs, nesting          unshardable
+binary and set operators, topk          unshardable
 log pipeline                            concat (streams disjoint)
 ======================================  ==========================
 """
@@ -38,9 +39,9 @@ from dataclasses import dataclass
 
 from repro.common.errors import ValidationError
 from repro.common.simclock import hours
+from repro.common.vectorlang import BinOp, SetExpr, TopK, VectorAgg, VectorOp
 from repro.loki.frontend import aligned_windows
 from repro.loki.logql.ast import (
-    BinOp,
     Expr,
     LineFilter,
     LineFilterOp,
@@ -48,8 +49,6 @@ from repro.loki.logql.ast import (
     LogPipeline,
     RangeAgg,
     RangeFunc,
-    VectorAgg,
-    VectorOp,
 )
 from repro.loki.logql.parser import parse
 from repro.queryx.bloom import NGRAM_LEN
@@ -99,8 +98,8 @@ def merge_class(expr: Expr) -> str:
         if outer is not None and outer == inner:
             return outer
         return MERGE_NONE
-    # BinOp (comparisons filter on *final* values), nested vector aggs,
-    # scalars: run unsharded.
+    # Binary and set operators (comparisons filter on *final* values, a
+    # join needs both sides whole), topk, nested vector aggs: run unsharded.
     return MERGE_NONE
 
 
@@ -109,13 +108,16 @@ def line_filter_needles(expr: Expr) -> tuple[str, ...]:
 
     Only ``|=`` filters *before any line_format stage* see the raw
     stored line, so only those may veto a chunk.  Needles shorter than
-    the bloom n-gram length carry no gating power and are dropped.
+    the bloom n-gram length carry no gating power and are dropped.  The
+    plan's needles gate every read its subqueries make, so a query with
+    more than one pipeline (``errors / total``) has none: one side's
+    filter must not skip the other side's chunks.
     """
-    pipeline = _pipeline_of(expr)
-    if pipeline is None:
+    pipelines = _pipelines_of(expr)
+    if len(pipelines) != 1:
         return ()
     needles = []
-    for stage in pipeline.stages:
+    for stage in pipelines[0].stages:
         if isinstance(stage, LineFormatStage):
             break
         if isinstance(stage, LineFilter) and stage.op is LineFilterOp.CONTAINS:
@@ -124,19 +126,17 @@ def line_filter_needles(expr: Expr) -> tuple[str, ...]:
     return tuple(needles)
 
 
-def _pipeline_of(expr: Expr) -> LogPipeline | None:
+def _pipelines_of(expr) -> list[LogPipeline]:
+    """The pipeline of every leaf of ``expr``, left to right."""
     if isinstance(expr, LogPipeline):
-        return expr
+        return [expr]
     if isinstance(expr, RangeAgg):
-        return expr.pipeline
-    if isinstance(expr, VectorAgg):
-        return _pipeline_of(expr.expr)
-    if isinstance(expr, BinOp):
-        for side in (expr.lhs, expr.rhs):
-            found = _pipeline_of(side)  # type: ignore[arg-type]
-            if found is not None:
-                return found
-    return None
+        return [expr.pipeline]
+    if isinstance(expr, (VectorAgg, TopK)):
+        return _pipelines_of(expr.expr)
+    if isinstance(expr, (BinOp, SetExpr)):
+        return _pipelines_of(expr.lhs) + _pipelines_of(expr.rhs)
+    return []  # a scalar
 
 
 @dataclass(frozen=True)

@@ -41,10 +41,6 @@ def unit_interval(seed: int | str, n: int) -> float:
     return (h >> 11) / float(1 << 53)
 
 
-#: Historical private name, kept for in-repo callers.
-_unit_interval = unit_interval
-
-
 @dataclass(frozen=True)
 class BackoffPolicy:
     """Exponential backoff: ``base * multiplier^attempt``, jittered, capped."""
@@ -82,7 +78,7 @@ class BackoffPolicy:
                 # Saturated: jitter cannot push below the cap's clamp and
                 # further multiplication would only overflow.
                 return self.cap_ns
-        jittered = raw * (1.0 + self.jitter * _unit_interval(self.seed, attempt))
+        jittered = raw * (1.0 + self.jitter * unit_interval(self.seed, attempt))
         return min(self.cap_ns, int(jittered))
 
     def schedule(self, attempts: int) -> list[int]:

@@ -32,10 +32,6 @@ from repro.tenancy.sharding import ShuffleSharder
 if TYPE_CHECKING:
     from repro.selfheal.memberlist import Memberlist
 
-#: Historical home of the merge; it moved to ``repro.ring.merge`` when
-#: the anti-entropy repairer (which the ingester imports) needed it too.
-_merge_replicas = merge_replica_entries
-
 
 class QuorumError(StateError):
     """Fewer than a write quorum of replicas accepted a stream."""

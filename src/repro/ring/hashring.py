@@ -27,11 +27,6 @@ from repro.common.errors import StateError, ValidationError
 from repro.common.hashing import fnv1a_64, mix64
 from repro.common.labels import LabelSet
 
-# Historical home of the hash primitives; they moved to
-# ``repro.common.hashing`` when the Loki shard placement (which the ring
-# packages import) started needing the same finalizer.
-__all__ = ["HashRing", "fnv1a_64", "mix64", "stream_key"]
-
 
 def stream_key(labels: LabelSet | Mapping[str, str]) -> str:
     """Canonical ring key for a stream's label set."""

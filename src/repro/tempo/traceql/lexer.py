@@ -1,6 +1,6 @@
 """TraceQL lexer.
 
-Same flat-token-stream approach as ``loki.logql.lexer``; TraceQL needs a
+Same flat-token-stream approach as ``common.vectorlang``; TraceQL needs a
 smaller operator set plus the boolean connectives ``&&``/``||`` and the
 ``.`` of ``span.<attribute>`` field paths.
 """

@@ -29,8 +29,8 @@ from repro.tempo.tracer import Tracer
 from repro.tsdb.promql import PromExpr, PromQLEngine, parse_promql
 from repro.tsdb.storage import TimeSeriesStore
 
-#: Metric names must be exposition-safe: the LogQL lexer (shared with
-#: PromQL) has no colon token, so unlike Prometheus the conventional
+#: Metric names must be exposition-safe: the lexer PromQL shares with
+#: LogQL has no colon token, so unlike Prometheus the conventional
 #: ``job:metric:rate5m`` colons are not allowed — use underscores.
 _RECORD_NAME_RE = re.compile(r"^[a-zA-Z_][a-zA-Z0-9_]*$")
 

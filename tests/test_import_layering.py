@@ -1,0 +1,73 @@
+"""Which package may import which, read off the source with ``ast``.
+
+``repro.common`` is the bottom layer: it imports no other ``repro``
+package, so anything may build on it.  The two query languages share
+their vector layer *through* it (``common.vectorlang``, ``common.vector``)
+and not through each other: nothing under ``repro.tsdb`` imports
+``repro.loki`` and nothing under ``repro.loki`` imports ``repro.tsdb``.
+"""
+
+import ast
+import pathlib
+
+import pytest
+
+SRC = pathlib.Path(__file__).resolve().parent.parent / "src"
+
+#: package -> the ``repro`` packages it must not import.
+FORBIDDEN = {
+    "repro.common": None,  # everything but itself
+    "repro.tsdb": ("repro.loki",),
+    "repro.loki": ("repro.tsdb",),
+}
+
+
+def imported_modules(path: pathlib.Path) -> list[tuple[int, str]]:
+    """Every module ``path`` imports, absolute, with the line it does so
+    on — at module level, inside functions and under ``TYPE_CHECKING``."""
+    package = path.relative_to(SRC).parent.parts
+    found = []
+    for node in ast.walk(ast.parse(path.read_text())):
+        if isinstance(node, ast.Import):
+            found += [(node.lineno, alias.name) for alias in node.names]
+        elif isinstance(node, ast.ImportFrom):
+            base = node.module or ""
+            if node.level:  # relative: resolve against this file's package
+                parent = package[: len(package) - node.level + 1]
+                base = ".".join([*parent, base] if base else parent)
+            found.append((node.lineno, base))
+            # `from repro import tsdb` names a package, too.
+            found += [(node.lineno, f"{base}.{alias.name}") for alias in node.names]
+    return found
+
+
+def inside(module: str, package: str) -> bool:
+    return module == package or module.startswith(package + ".")
+
+
+@pytest.mark.parametrize("package", sorted(FORBIDDEN))
+def test_package_keeps_to_its_layer(package):
+    forbidden = FORBIDDEN[package]
+    files = sorted((SRC / package.replace(".", "/")).rglob("*.py"))
+    assert files, package
+    offences = []
+    for path in files:
+        for line, module in imported_modules(path):
+            if not inside(module, "repro") or inside(module, package):
+                continue
+            if forbidden is None or any(inside(module, other) for other in forbidden):
+                offences.append(f"{path.relative_to(SRC)}:{line} imports {module}")
+    assert not offences, "\n".join(offences)
+
+
+def test_the_walk_sees_function_level_and_relative_imports(tmp_path, monkeypatch):
+    pkg = tmp_path / "repro" / "common"
+    pkg.mkdir(parents=True)
+    (pkg / "leaky.py").write_text(
+        "def f():\n    from repro.loki import store\n\n"
+        "from ..tsdb import promql\nfrom . import labels\n"
+    )
+    monkeypatch.setattr("tests.test_import_layering.SRC", tmp_path)
+    modules = {module for _line, module in imported_modules(pkg / "leaky.py")}
+    assert {"repro.loki", "repro.loki.store", "repro.tsdb", "repro.tsdb.promql"} <= modules
+    assert "repro.common.labels" in modules

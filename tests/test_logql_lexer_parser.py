@@ -5,10 +5,17 @@ import pytest
 from repro.common.errors import QueryError
 from repro.common.labels import MatchOp
 from repro.common.simclock import minutes
-from repro.loki.logql.ast import (
+from repro.common.vectorlang import (
     BinOp,
     CmpOp,
     GroupMode,
+    Scalar,
+    Tok,
+    VectorAgg,
+    VectorOp,
+    tokenize,
+)
+from repro.loki.logql.ast import (
     LabelFilter,
     LineFilter,
     LineFilterOp,
@@ -17,11 +24,7 @@ from repro.loki.logql.ast import (
     ParserStage,
     RangeAgg,
     RangeFunc,
-    Scalar,
-    VectorAgg,
-    VectorOp,
 )
-from repro.loki.logql.lexer import Tok, tokenize
 from repro.loki.logql.parser import parse
 
 

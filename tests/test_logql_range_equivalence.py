@@ -1,14 +1,17 @@
 """Property: one read sliced per step equals an independent read per instant.
 
-``LogQLEngine.query_range`` reads the store once per range aggregation
-and answers every step with two bisects.  The reference here is the
-evaluator it replaced, kept as plain loops: at every grid instant it
-selects that instant's own window ``(t - range, t]``, runs each entry
-through the pipeline, builds a label set per entry and reduces — no
-shared state between instants.  ``==`` on ``Series`` must hold: counts
-and bytes are exact integers, and the float sums are pinned by emitting a
-range aggregation's vector in ascending label order and summing unwrapped
-values in (timestamp, arrival) order, which is what the reference does.
+``LogQLEngine.query_range`` reads the store once per distinct range
+aggregation and fills every step's window from that read.  The reference
+here is the evaluator it replaced, kept as plain loops: at every grid
+instant it selects that instant's own window ``(t - range, t]``, runs each
+entry through the pipeline, builds a label set per entry and reduces — no
+shared state between instants; everything above a range aggregation is
+the shared per-instant vector layer (``tests/test_vector_reference.py``).
+``==`` on ``Series`` must hold: counts and bytes are exact integers, and
+the float sums are pinned by emitting a range aggregation's vector in
+ascending label order, adding a vector up one by one in that order, and
+summing unwrapped values in (timestamp, arrival) order, which is what the
+reference does.
 
 The same comparison runs over three stores, because a wide read also has
 to come back right from each of them: a bare ``LokiStore`` with sealed
@@ -16,30 +19,22 @@ and open chunks, an RF-3 ring with one replica behind (its merges take
 the slow path), and a tiered store whose early chunks are sealed, shipped
 and compacted.
 
-The grammar admits exactly one range aggregation per query (a ``BinOp``
-takes one vector and one scalar), so "one select per leaf" is "one select
-per query" and the shapes covered are ``BinOp`` chains and nested
-``VectorAgg`` over that one leaf.
+The shapes covered are scalar ``BinOp`` chains and nested ``VectorAgg``
+over one range aggregation, and — the vector layer being PromQL's —
+vector↔vector arithmetic and comparisons, ``and``/``or``/``unless`` and
+``topk``/``bottomk`` over two.
 """
+
+from functools import partial
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.common.labels import EMPTY_LABELS, LabelSet
+from repro.common.labels import LabelSet
 from repro.common.simclock import NANOS_PER_SECOND, SimClock, hours, seconds
 from repro.common.vector import Sample, Series
 from repro.loki.chunks import ChunkPolicy
-from repro.loki.logql.ast import (
-    BinOp,
-    CmpOp,
-    GroupMode,
-    RangeAgg,
-    RangeFunc,
-    Scalar,
-    UnwrapStage,
-    VectorAgg,
-    VectorOp,
-)
+from repro.loki.logql.ast import RangeAgg, RangeFunc, UnwrapStage
 from repro.loki.logql.engine import LogQLEngine
 from repro.loki.logql.parser import parse
 from repro.loki.model import LogEntry
@@ -54,6 +49,7 @@ from repro.objstore import (
 )
 from repro.queryx.bloom import BloomStore
 from repro.ring.cluster import RingLokiCluster
+from tests import test_vector_reference as shared
 
 #: Small enough that a stream of a dozen lines seals a chunk or two.
 POLICY = ChunkPolicy(target_size_bytes=200, max_age_ns=hours(2))
@@ -101,6 +97,21 @@ QUERIES = (
     'max(sum by (app, host) (rate({{app=~".+"}}[{r}s])) * 10) / 4',
     'count(count_over_time({{app=~".+"}}[{r}s]) >= 2)',
     'min by (app) (avg without (host) (bytes_rate({{app=~".+"}}[{r}s])))',
+    # Two leaves: vector↔vector, set operators, topk.
+    'sum(rate({{app=~".+"}} |= "error" [{r}s])) / sum(rate({{app=~".+"}}[{r}s]))',
+    '1 - sum by (app) (count_over_time({{app=~".+"}} |= "error" [{r}s]))'
+    ' / sum by (app) (count_over_time({{app=~".+"}}[{r}s]))',
+    'count_over_time({{app="fm"}}[{r}s]) - count_over_time({{app="fm"}}[3s])',
+    'bytes_over_time({{app=~".+"}}[{r}s]) > count_over_time({{app=~".+"}}[{r}s]) * 20',
+    'max_over_time({{app=~".+"}} | json | unwrap latency_ms [{r}s])'
+    ' / avg_over_time({{app=~".+"}} | json | unwrap latency_ms [{r}s])',
+    'rate({{app="fm"}}[{r}s]) and count_over_time({{app="fm"}} |= "error" [{r}s])',
+    'count_over_time({{app="fm"}}[{r}s]) or count_over_time({{app=~".+"}}[4s]) > -1',
+    'sum by (host) (count_over_time({{app=~".+"}}[{r}s]))'
+    ' unless sum by (host) (count_over_time({{app=~".+"}} |= "ok" [{r}s])) > 1',
+    'topk(2, sum by (host) (bytes_over_time({{app=~".+"}}[{r}s])))',
+    'bottomk(1, count_over_time({{app=~".+"}}[{r}s]))',
+    'sum(topk(2, rate({{app=~".+"}}[{r}s]))) or sum(rate({{app="api"}}[2s]))',
 )
 
 
@@ -157,57 +168,14 @@ def _ref_range_agg(source, agg: RangeAgg, t: int):
     return out
 
 
-def _ref_vector(source, expr, t: int):
-    if isinstance(expr, RangeAgg):
-        return _ref_range_agg(source, expr, t)
-    if isinstance(expr, VectorAgg):
-        groups: dict[LabelSet, list[float]] = {}
-        for labels, value in _ref_vector(source, expr.expr, t):
-            if expr.mode is GroupMode.BY:
-                key = labels.project(expr.labels)
-            elif expr.mode is GroupMode.WITHOUT:
-                key = labels.without(*expr.labels)
-            else:
-                key = EMPTY_LABELS
-            groups.setdefault(key, []).append(value)
-        reduce = {
-            VectorOp.SUM: sum,
-            VectorOp.MIN: min,
-            VectorOp.MAX: max,
-            VectorOp.AVG: lambda values: sum(values) / len(values),
-            VectorOp.COUNT: lambda values: float(len(values)),
-        }[expr.op]
-        return [(labels, reduce(values)) for labels, values in groups.items()]
-    assert isinstance(expr, BinOp)
-    scalar_left = isinstance(expr.lhs, Scalar)
-    scalar = (expr.lhs if scalar_left else expr.rhs).value
-    out = []
-    for labels, value in _ref_vector(source, expr.rhs if scalar_left else expr.lhs, t):
-        a, b = (scalar, value) if scalar_left else (value, scalar)
-        if isinstance(expr.op, CmpOp):
-            if expr.op.apply(a, b):
-                out.append((labels, value))
-        else:
-            out.append((labels, expr.op.apply(a, b)))
-    return out
-
-
 def reference_instant(source, query: str, t: int) -> list[Sample]:
-    vector = sorted(
-        _ref_vector(source, parse(query), t), key=lambda pair: pair[0].items_tuple()
-    )
-    return [Sample(labels, value, t) for labels, value in vector]
+    return shared.reference_instant(parse(query), t, partial(_ref_range_agg, source))
 
 
 def reference_range(source, query: str, start: int, end: int, step: int) -> list[Series]:
-    points: dict[LabelSet, list] = {}
-    for t in range(start, end + 1, step):
-        for sample in reference_instant(source, query, t):
-            points.setdefault(sample.labels, []).append((t, sample.value))
-    return [
-        Series(labels, tuple(points[labels]))
-        for labels in sorted(points, key=LabelSet.items_tuple)
-    ]
+    return shared.reference_range(
+        parse(query), start, end, step, partial(_ref_range_agg, source)
+    )
 
 
 # ----------------------------------------------------------------------
@@ -339,7 +307,9 @@ class TestRangeEqualsPerInstant:
         engine = LogQLEngine(source)
         vector = engine.query_instant(text, t)
         assert vector == reference_instant(source, text, t)
-        assert vector == [
+        # topk keeps its rank order in an instant vector; a range query
+        # has no rank to keep.
+        assert sorted(vector, key=lambda sample: sample.labels.items_tuple()) == [
             Sample(series.labels, series.points[0][1], t)
             for series in engine.query_range(text, t, t, int(seconds(1)))
         ]
@@ -413,6 +383,22 @@ class TestOneReadPerRangeQuery:
         end = start + (steps - 1) * step
         LogQLEngine(source).query_range(query, start, end, step)
         assert len(source.selects) == 1
+
+    @pytest.mark.parametrize("steps", [1, 7])
+    @pytest.mark.parametrize(
+        "query,leaves",
+        [
+            ('rate({app="fm"} |= "line 1" [5s]) / rate({app="fm"}[5s])', 2),
+            ('count_over_time({app="fm"}[5s]) / count_over_time({app="fm"}[5s])', 1),
+            ('count_over_time({app="fm"}[5s]) > 1 and count_over_time({app="fm"}[9s]) > 1', 2),
+            ('topk(2, rate({app="fm"}[5s])) unless rate({app="fm"}[5s]) > 1', 1),
+        ],
+    )
+    def test_one_select_per_distinct_range_aggregation(self, query, leaves, steps):
+        source = self.source()
+        start, step = int(seconds(5)), int(seconds(1))
+        LogQLEngine(source).query_range(query, start, start + (steps - 1) * step, step)
+        assert len(source.selects) == leaves
 
     def test_the_one_read_spans_every_window_and_no_more(self):
         source = self.source()

@@ -5,14 +5,11 @@ import pytest
 from repro.common.errors import QueryError
 from repro.common.labels import METRIC_NAME_LABEL, LabelSet
 from repro.common.simclock import minutes, seconds
+from repro.common.vectorlang import BinOp, SetExpr, SetOp, VectorAgg
 from repro.tsdb.promql import (
-    PromBinOp,
     PromQLEngine,
     PromRangeAgg,
     PromRangeFunc,
-    PromSetOp,
-    PromVectorAgg,
-    SetOp,
     VectorSelector,
     parse_promql,
 )
@@ -44,15 +41,15 @@ class TestParser:
         a = parse_promql("sum by (xname) (node_temp_celsius)")
         b = parse_promql("sum(node_temp_celsius) by (xname)")
         assert a == b
-        assert isinstance(a, PromVectorAgg)
+        assert isinstance(a, VectorAgg)
 
     def test_comparison(self):
         expr = parse_promql("node_up == 0")
-        assert isinstance(expr, PromBinOp)
+        assert isinstance(expr, BinOp)
 
     def test_arithmetic_chain(self):
         expr = parse_promql("avg(node_power_watts) / 1000 > 2")
-        assert isinstance(expr, PromBinOp)
+        assert isinstance(expr, BinOp)
 
     @pytest.mark.parametrize("bad", ["", "sum(", "rate(m)", "m[5m]", "5", "(((m)"])
     def test_invalid(self, bad):
@@ -61,26 +58,26 @@ class TestParser:
 
     def test_vector_vector_binop(self):
         expr = parse_promql("good_rate / total_rate")
-        assert isinstance(expr, PromBinOp)
+        assert isinstance(expr, BinOp)
         assert isinstance(expr.lhs, VectorSelector)
         assert isinstance(expr.rhs, VectorSelector)
 
     def test_set_op_lowest_precedence(self):
         expr = parse_promql("burn_5m > 14.4 and burn_1h > 14.4")
-        assert isinstance(expr, PromSetOp)
+        assert isinstance(expr, SetExpr)
         assert expr.op is SetOp.AND
-        assert isinstance(expr.lhs, PromBinOp)
-        assert isinstance(expr.rhs, PromBinOp)
+        assert isinstance(expr.lhs, BinOp)
+        assert isinstance(expr.rhs, BinOp)
 
     @pytest.mark.parametrize("word,op", [("or", SetOp.OR), ("unless", SetOp.UNLESS)])
     def test_or_unless(self, word, op):
         expr = parse_promql(f"a {word} b")
-        assert isinstance(expr, PromSetOp) and expr.op is op
+        assert isinstance(expr, SetExpr) and expr.op is op
 
     def test_set_op_chain_left_assoc(self):
         expr = parse_promql("a and b or c")
         assert expr.op is SetOp.OR
-        assert isinstance(expr.lhs, PromSetOp) and expr.lhs.op is SetOp.AND
+        assert isinstance(expr.lhs, SetExpr) and expr.lhs.op is SetOp.AND
 
 
 @pytest.fixture

@@ -30,25 +30,22 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.common.errors import QueryError
-from repro.common.labels import EMPTY_LABELS, METRIC_NAME_LABEL, LabelSet, MatchOp
+from repro.common.labels import METRIC_NAME_LABEL, LabelSet, MatchOp
 from repro.common.simclock import minutes, seconds
 from repro.common.vector import Sample, Series
-from repro.loki.logql.ast import CmpOp, GroupMode, Scalar, VectorOp
+from repro.common.vectorlang import VectorOp
 from repro.tsdb.promql import (
     DEFAULT_LOOKBACK_NS,
     PromAbsent,
-    PromBinOp,
     PromQLEngine,
     PromRangeAgg,
     PromRangeFunc,
-    PromSetOp,
-    PromTopK,
-    PromVectorAgg,
-    SetOp,
     VectorSelector,
     parse_promql,
 )
 from repro.tsdb.storage import TimeSeriesStore
+from tests import test_vector_reference as shared
+from tests.test_vector_reference import add_up, name_dropped
 
 #: Timestamps, steps, ranges and the lookback are whole seconds, so
 #: samples land exactly on window edges all the time.
@@ -144,22 +141,8 @@ ON_INTEGERS = (
 
 
 # ----------------------------------------------------------------------
-# The per-instant reference
+# The per-instant reference: PromQL's leaves under the shared vector layer
 # ----------------------------------------------------------------------
-def add_up(values) -> float:
-    """One IEEE addition after another, left to right — what the engine
-    pins.  (The built-in ``sum`` compensates for rounding from Python
-    3.12 on, so it is not that.)"""
-    total = 0.0
-    for value in values:
-        total = total + value
-    return total
-
-
-def _name_dropped(labels: LabelSet) -> LabelSet:
-    return LabelSet({k: v for k, v in labels.items() if k != METRIC_NAME_LABEL})
-
-
 def _ref_window(func: PromRangeFunc, values: list[float], range_ns: int):
     if func is PromRangeFunc.COUNT_OVER_TIME:
         return float(len(values))
@@ -184,93 +167,29 @@ def _ref_window(func: PromRangeFunc, values: list[float], range_ns: int):
     return increase / (range_ns / 1e9)
 
 
-def _ref_vector(source, lookback_ns: int, expr, t: int) -> list[tuple[LabelSet, float]]:
-    """The instant vector of ``expr`` at ``t`` as (labels, value) pairs,
-    in the order the next operator up consumes them."""
-    again = lambda inner: _ref_vector(source, lookback_ns, inner, t)  # noqa: E731
-    if isinstance(expr, VectorSelector):
-        lo, hi = t - lookback_ns + 1, t + 1
-        out = []
-        for labels, ts, vals in source.select(expr.matchers, lo, hi):
-            assert len(ts) and all(lo <= int(x) < hi for x in ts)
-            out.append((labels, float(vals[-1])))
-        return out
-    if isinstance(expr, PromRangeAgg):
-        lo, hi = t - expr.range_ns + 1, t + 1
-        out = []
-        for labels, ts, vals in source.select(expr.selector.matchers, lo, hi):
-            assert len(ts) and all(lo <= int(x) < hi for x in ts)
-            value = _ref_window(expr.func, [float(v) for v in vals], expr.range_ns)
-            if value is not None:
-                out.append((_name_dropped(labels), value))
-        return out
-    if isinstance(expr, PromVectorAgg):
-        groups: dict[LabelSet, list[float]] = {}
-        for labels, value in again(expr.expr):
-            rest = {k: v for k, v in labels.items() if k != METRIC_NAME_LABEL}
-            if expr.mode is GroupMode.BY:
-                key = LabelSet({k: v for k, v in rest.items() if k in expr.labels})
-            elif expr.mode is GroupMode.WITHOUT:
-                key = LabelSet({k: v for k, v in rest.items() if k not in expr.labels})
-            else:
-                key = EMPTY_LABELS
-            groups.setdefault(key, []).append(value)
-        reduce = {
-            VectorOp.SUM: add_up,
-            VectorOp.MIN: min,
-            VectorOp.MAX: max,
-            VectorOp.AVG: lambda values: add_up(values) / len(values),
-            VectorOp.COUNT: lambda values: float(len(values)),
-        }[expr.op]
-        # An aggregation's vector leaves in ascending label order.
-        return [
-            (key, reduce(groups[key]))
-            for key in sorted(groups, key=LabelSet.items_tuple)
-        ]
-    if isinstance(expr, PromBinOp):
-        if isinstance(expr.lhs, Scalar) or isinstance(expr.rhs, Scalar):
-            scalar_left = isinstance(expr.lhs, Scalar)
-            scalar = (expr.lhs if scalar_left else expr.rhs).value
+def _ref_leaf(source, lookback_ns: int):
+    """PromQL's own nodes at one instant, each from that instant's own
+    read, in the ascending label order ``select`` returns."""
+
+    def leaf(expr, t: int) -> list[tuple[LabelSet, float]]:
+        if isinstance(expr, VectorSelector):
+            lo, hi = t - lookback_ns + 1, t + 1
             out = []
-            for labels, value in again(expr.rhs if scalar_left else expr.lhs):
-                a, b = (scalar, value) if scalar_left else (value, scalar)
-                if isinstance(expr.op, CmpOp):
-                    if expr.op.apply(a, b):
-                        out.append((labels, value))
-                else:
-                    out.append((labels, expr.op.apply(a, b)))
+            for labels, ts, vals in source.select(expr.matchers, lo, hi):
+                assert len(ts) and all(lo <= int(x) < hi for x in ts)
+                out.append((labels, float(vals[-1])))
             return out
-        rindex: dict[LabelSet, float] = {}
-        for labels, value in again(expr.rhs):
-            key = _name_dropped(labels)
-            if key in rindex:
-                raise QueryError(f"duplicate right-hand series {key}")
-            rindex[key] = value
-        seen, out = set(), []
-        for labels, value in again(expr.lhs):
-            key = _name_dropped(labels)
-            if key in seen:
-                raise QueryError(f"duplicate left-hand series {key}")
-            seen.add(key)
-            if key not in rindex:
-                continue
-            if isinstance(expr.op, CmpOp):
-                if expr.op.apply(value, rindex[key]):
-                    out.append((labels, value))
-            else:
-                out.append((key, expr.op.apply(value, rindex[key])))
-        return out
-    if isinstance(expr, PromSetOp):
-        lhs, rhs = again(expr.lhs), again(expr.rhs)
-        rkeys = {_name_dropped(labels) for labels, _ in rhs}
-        if expr.op is SetOp.AND:
-            return [p for p in lhs if _name_dropped(p[0]) in rkeys]
-        if expr.op is SetOp.UNLESS:
-            return [p for p in lhs if _name_dropped(p[0]) not in rkeys]
-        lkeys = {_name_dropped(labels) for labels, _ in lhs}
-        return lhs + [p for p in rhs if _name_dropped(p[0]) not in lkeys]
-    if isinstance(expr, PromAbsent):
-        if again(expr.selector):
+        if isinstance(expr, PromRangeAgg):
+            lo, hi = t - expr.range_ns + 1, t + 1
+            out = []
+            for labels, ts, vals in source.select(expr.selector.matchers, lo, hi):
+                assert len(ts) and all(lo <= int(x) < hi for x in ts)
+                value = _ref_window(expr.func, [float(v) for v in vals], expr.range_ns)
+                if value is not None:
+                    out.append((name_dropped(labels), value))
+            return out
+        assert isinstance(expr, PromAbsent)
+        if leaf(expr.selector, t):
             return []
         labels = {
             m.name: m.value
@@ -278,34 +197,22 @@ def _ref_vector(source, lookback_ns: int, expr, t: int) -> list[tuple[LabelSet, 
             if m.op is MatchOp.EQ and m.name != METRIC_NAME_LABEL and m.value
         }
         return [(LabelSet(labels), 1.0)]
-    assert isinstance(expr, PromTopK)
-    ranked = sorted(
-        again(expr.expr),
-        key=lambda pair: (pair[1], pair[0].items_tuple()),
-        reverse=not expr.bottom,
-    )
-    return ranked[: expr.k]
+
+    return leaf
 
 
 def reference_instant(source, lookback_ns: int, query: str, t: int) -> list[Sample]:
-    expr = parse_promql(query)
-    vector = _ref_vector(source, lookback_ns, expr, t)
-    if not isinstance(expr, PromTopK):  # rank order is the point of topk
-        vector = sorted(vector, key=lambda pair: pair[0].items_tuple())
-    return [Sample(labels, value, t) for labels, value in vector]
+    return shared.reference_instant(
+        parse_promql(query), t, _ref_leaf(source, lookback_ns)
+    )
 
 
 def reference_range(
     source, lookback_ns: int, query: str, start: int, end: int, step: int
 ) -> list[Series]:
-    points: dict[LabelSet, list] = {}
-    for t in range(start, end + 1, step):
-        for sample in reference_instant(source, lookback_ns, query, t):
-            points.setdefault(sample.labels, []).append((t, sample.value))
-    return [
-        Series(labels, tuple(points[labels]))
-        for labels in sorted(points, key=LabelSet.items_tuple)
-    ]
+    return shared.reference_range(
+        parse_promql(query), start, end, step, _ref_leaf(source, lookback_ns)
+    )
 
 
 def outcome(compute):

@@ -223,6 +223,44 @@ class TestEdgeShapes:
         assert sum(len(es) for _, es in got) == 1
         assert tiered.gateway.chunks_skipped_total > 0
 
+    def test_error_ratio_gates_only_the_side_that_filters(self):
+        # Two leaves, one with a needle.  The plan carries no needles (they
+        # would gate both reads), the engine still hints each leaf's own:
+        # the filtered side skips cold chunks, the other reads them all.
+        streams = [
+            (
+                {"app": "fm", "host": f"n{i}"},
+                [
+                    LogEntry(
+                        int(minutes(2 * j)),
+                        "GPU memory error on n0" if i == 0 and j % 20 == 0
+                        else "routine heartbeat message",
+                    )
+                    for j in range(60)
+                ],
+            )
+            for i in range(5)
+        ]
+        clock, tiered = make_world(streams)
+        mono, sharded = engines(clock, tiered)
+        errors = 'sum(count_over_time({app="fm"} |= "GPU memory error" [1h]))'
+        total = 'sum(count_over_time({app="fm"}[1h]))'
+        args = (int(hours(1)), int(hours(3)), int(minutes(30)))
+        assert sharded.planner.plan_range(f"{errors} / {total}", *args).needles == ()
+        skipped_before = tiered.gateway.chunks_skipped_total
+        got = sharded.query_range(f"{errors} / {total}", *args)
+        assert tiered.gateway.chunks_skipped_total > skipped_before
+        assert got == mono.query_range(f"{errors} / {total}", *args)
+        # The denominator is every line of every stream: nothing skipped.
+        (ratio,), (count,), (whole,) = (
+            got, mono.query_range(errors, *args), mono.query_range(total, *args)
+        )
+        assert whole.values()[0] == 5 * 30
+        assert ratio.values() == [e / w for e, w in zip(count.values(), whole.values())]
+        # Set operators take the same unsharded, ungated path.
+        either = f"{errors} > 100 or {total}"
+        assert sharded.query_range(either, *args) == mono.query_range(total, *args)
+
 
 @pytest.mark.parametrize("seed", [0, 1, 2])
 def test_seeded_determinism(seed):

@@ -39,6 +39,14 @@ class TestMergeClass:
             ('count(count_over_time({app="fm"}[5m]))', MERGE_NONE),
             # Comparisons filter on final values.
             ('sum(count_over_time({app="fm"}[5m])) > 5', MERGE_NONE),
+            # A join, a set operator and a ranking need both sides whole.
+            ('sum(rate({app="fm"} |= "err" [5m])) / sum(rate({app="fm"}[5m]))', MERGE_NONE),
+            ('count_over_time({app="fm"}[5m]) > count_over_time({app="fm"}[1h])', MERGE_NONE),
+            ('count_over_time({app="fm"}[5m]) and count_over_time({app="db"}[5m])', MERGE_NONE),
+            ('count_over_time({app="fm"}[5m]) or count_over_time({app="db"}[5m])', MERGE_NONE),
+            ('count_over_time({app="fm"}[5m]) unless count_over_time({app="db"}[5m])', MERGE_NONE),
+            ('topk(3, count_over_time({app="fm"}[5m]))', MERGE_NONE),
+            ('sum(bottomk(3, count_over_time({app="fm"}[5m])))', MERGE_NONE),
             ('{app="fm"} |= "err"', MERGE_CONCAT),
         ],
     )
@@ -70,6 +78,23 @@ class TestLineFilterNeedles:
     def test_metric_query_reaches_pipeline(self):
         expr = parse('sum(count_over_time({app="fm"} |= "leak" [5m]))')
         assert line_filter_needles(expr) == ("leak",)
+        expr = parse('topk(2, sum by (host) (rate({app="fm"} |= "leak" [5m])) * 60) > -1')
+        assert line_filter_needles(expr) == ("leak",)
+
+    @pytest.mark.parametrize(
+        "query",
+        [
+            'sum(rate({app="fm"} |= "leak" [5m])) / sum(rate({app="fm"}[5m]))',
+            'sum(rate({app="fm"}[5m])) - sum(rate({app="fm"} |= "leak" [5m]))',
+            'rate({app="fm"} |= "leak" [5m]) unless rate({app="fm"} |= "flap" [5m])',
+            # Even the same filter twice: the plan gates all reads or none.
+            'rate({app="fm"} |= "leak" [5m]) / rate({app="fm"} |= "leak" [1h])',
+        ],
+    )
+    def test_two_pipelines_have_no_plan_wide_needles(self, query):
+        # The plan's needles gate every read a subquery makes, so one
+        # side's filter would skip the other side's chunks.
+        assert line_filter_needles(parse(query)) == ()
 
 
 class TestPlanRange:

@@ -11,8 +11,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.common.errors import StateError, ValidationError
+from repro.common.hashing import fnv1a_64
 from repro.common.labels import LabelSet
-from repro.ring.hashring import HashRing, fnv1a_64, stream_key
+from repro.ring.hashring import HashRing, stream_key
 from repro.tenancy.sharding import ShuffleSharder
 
 
