@@ -8,7 +8,9 @@ produce syslog; the Telemetry API consumes on behalf of clients.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterable
+from functools import lru_cache
+from operator import attrgetter
+from typing import Iterable, NamedTuple
 
 from repro.common.errors import (
     CapacityError,
@@ -23,9 +25,12 @@ from repro.common.simclock import SimClock
 DLQ_SUFFIX = ".dlq"
 
 
-@dataclass(frozen=True)
-class Record:
-    """A single message in a topic partition."""
+_DELIVERY_ORDER = attrgetter("timestamp_ns", "partition", "offset")
+
+
+class Record(NamedTuple):
+    """A single message in a topic partition (immutable; one is built
+    per produce, so it is a tuple, not a frozen dataclass)."""
 
     topic: str
     partition: int
@@ -38,8 +43,14 @@ class Record:
     headers: tuple[tuple[str, str], ...] = ()
 
     def size_bytes(self) -> int:
-        """Approximate wire size (key + value, UTF-8)."""
-        return len(self.value.encode()) + (len(self.key.encode()) if self.key else 0)
+        """Approximate wire size (key + value, UTF-8).  ASCII is known
+        from the string's header; only other text is encoded to be
+        measured."""
+        value, key = self.value, self.key
+        size = len(value) if value.isascii() else len(value.encode())
+        if key:
+            size += len(key) if key.isascii() else len(key.encode())
+        return size
 
     def header(self, name: str) -> str | None:
         for key, value in self.headers:
@@ -212,13 +223,13 @@ class Broker:
                 f"({bound} records); consumer lagging — backpressure"
             )
         record = Record(
-            topic=topic,
-            partition=partition,
-            offset=part.end_offset,
-            timestamp_ns=timestamp_ns if timestamp_ns is not None else self._clock.now_ns,
-            key=key,
-            value=value,
-            headers=headers,
+            topic,
+            partition,
+            part.end_offset,
+            timestamp_ns if timestamp_ns is not None else self._clock.now_ns,
+            key,
+            value,
+            headers,
         )
         part.append(record)
         t.total_produced += 1
@@ -284,7 +295,7 @@ class Broker:
         if auto_commit:
             group.offsets.update(group.positions)
         t.total_consumed += len(out)
-        out.sort(key=lambda r: (r.timestamp_ns, r.partition, r.offset))
+        out.sort(key=_DELIVERY_ORDER)
         return out
 
     def commit(self, group_id: str, topic: str) -> int:
@@ -434,8 +445,11 @@ class Broker:
         return sorted(self._groups)
 
 
+@lru_cache(maxsize=1 << 16)
 def _stable_hash(key: str) -> int:
-    """Deterministic across processes, unlike ``hash()``.
+    """Deterministic across processes, unlike ``hash()``; resolved once
+    per key (xnames, hostnames, app names: a machine's worth), since the
+    FNV loop is pure Python and a key is hashed on every record.
 
     Finalized FNV-1a: raw FNV avalanches poorly in the low bits for
     short structured keys (``x1000c0s3b0n0``-style hostnames differing

@@ -11,23 +11,91 @@ from __future__ import annotations
 
 import datetime as _dt
 import json
-from typing import Any, Iterator
+from functools import lru_cache
+from json.encoder import encode_basestring_ascii as _quote
+from typing import Any, Iterator, Mapping
 
 from repro.common.errors import ValidationError
 from repro.common.simclock import NANOS_PER_SECOND
 
+# One encoder and one decoder for the process: ``json.dumps`` with
+# non-default arguments builds a ``JSONEncoder`` on every call.
+_ENCODER = json.JSONEncoder(separators=(",", ":"), sort_keys=True)
+_DECODER = json.JSONDecoder()
+
 
 def dumps_compact(obj: Any) -> str:
     """Canonical compact JSON (no spaces, sorted keys) for stable payloads."""
-    return json.dumps(obj, separators=(",", ":"), sort_keys=True)
+    return _ENCODER.encode(obj)
 
 
 def loads(text: str) -> Any:
     """Parse JSON, converting failures into :class:`ValidationError`."""
     try:
-        return json.loads(text)
+        return _DECODER.decode(text)
     except (json.JSONDecodeError, TypeError) as exc:
         raise ValidationError(f"invalid JSON: {exc}") from exc
+
+
+class LogEnvelopeEncoder:
+    """Encodes the log-line envelope ``{"labels": …, "ts": …, "line": …}``
+    that rsyslog aggregators, container runtimes and the console publish
+    and :func:`decode_log_envelope` reads.
+
+    The bytes are :func:`dumps_compact`'s.  With sorted keys the labels
+    object leads, so that head is encoded once per label mapping *as
+    given* (same keys, same order, same values) and only the line and the
+    timestamp are encoded per line.  The table holds one entry per
+    distinct all-``str`` mapping a producer has sent — streams times key
+    orders, never lines — and starts over at :attr:`MAX_HEADS`, so a
+    producer that labels by something unique per line costs itself the
+    memo, not the memory; any other mapping is encoded afresh each time
+    and left for the consumer to refuse.
+    """
+
+    MAX_HEADS = 1 << 16
+
+    def __init__(self) -> None:
+        self._heads: dict[tuple, str] = {}
+
+    def encode(self, labels: Mapping[str, str], timestamp_ns: int, line: str) -> str:
+        ref = tuple(labels.items())
+        try:
+            head = self._heads.get(ref)
+        except TypeError:  # an unhashable label value
+            head = None
+        if head is None:
+            head = f'{{"labels":{dumps_compact(labels)},"line":'
+            if all(type(k) is str and type(v) is str for k, v in ref):
+                if len(self._heads) >= self.MAX_HEADS:
+                    self._heads.clear()
+                self._heads[ref] = head
+        try:
+            return f'{head}{_quote(line)},"ts":{timestamp_ns:d}}}'
+        except (TypeError, ValueError):
+            raise ValidationError(
+                "a log envelope takes a str line and an int timestamp, got "
+                f"{type(line).__name__} and {type(timestamp_ns).__name__}"
+            ) from None
+
+
+def decode_log_envelope(text: str) -> tuple[dict[str, Any], int, str]:
+    """``(labels, timestamp_ns, line)`` of one published envelope.
+
+    Checks the envelope's shape — an object whose ``labels`` is an object
+    and whose ``line`` is a string — on every line; whether the labels
+    name a legal stream is for the store to say, once per stream.
+    """
+    envelope = loads(text)
+    try:
+        labels = envelope["labels"]
+        timestamp_ns = int(envelope["ts"])
+        line = envelope["line"]
+    except (KeyError, TypeError, ValueError, OverflowError):
+        raise ValidationError(f"malformed log envelope: {text[:80]}") from None
+    if not isinstance(labels, dict) or not isinstance(line, str):
+        raise ValidationError(f"malformed log envelope: {text[:80]}")
+    return labels, timestamp_ns, line
 
 
 def iso8601_to_ns(text: str) -> int:
@@ -79,6 +147,7 @@ def flatten_json(obj: Any, prefix: str = "") -> Iterator[tuple[str, str]]:
             yield prefix, str(obj)
 
 
+@lru_cache(maxsize=4096)
 def _sanitize_key(key: str) -> str:
     out = []
     for ch in key:

@@ -14,7 +14,7 @@ pod handling and the store write each become spans.
 from __future__ import annotations
 
 from repro.common.errors import ValidationError
-from repro.common.jsonutil import loads
+from repro.common.jsonutil import decode_log_envelope, loads
 from repro.omni.warehouse import OmniWarehouse
 from repro.shasta.telemetry_api import Subscription, TelemetryAPI
 from repro.tempo.instrument import PipelineTracing
@@ -200,12 +200,6 @@ class LogLineConsumer(_BaseConsumer):
     """
 
     def _handle(self, value: str, timestamp_ns: int) -> None:
-        envelope = loads(value)
-        try:
-            labels = envelope["labels"]
-            ts = int(envelope["ts"])
-            line = envelope["line"]
-        except (KeyError, TypeError, ValueError):
-            raise ValidationError(f"malformed log envelope: {value[:80]}") from None
+        labels, ts, line = decode_log_envelope(value)
         self._warehouse.ingest_log(labels, ts, line, trace_ctx=self._record_ctx)
         self._trace_store([labels])

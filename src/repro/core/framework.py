@@ -91,7 +91,7 @@ from repro.tempo.traceql.engine import TraceQLEngine
 from repro.tsdb.promql import PromQLEngine
 from repro.tsdb.vmagent import ScrapeTarget, VMAgent
 from repro.tsdb.vmalert import VMAlert
-from repro.common.jsonutil import dumps_compact
+from repro.common.jsonutil import LogEnvelopeEncoder
 
 if TYPE_CHECKING:
     from repro.slo.burnrate import BurnWindow
@@ -392,6 +392,9 @@ class MonitoringFramework:
 
         # --- the Shasta telemetry plane -----------------------------------
         self.broker = Broker(self.clock)
+        # Both log producers below share it: a stream's labels are
+        # encoded once, whichever topic its lines go to.
+        self._envelopes = LogEnvelopeEncoder()
         self.redfish_source = RedfishEventSource(self.cluster, self.clock)
         self.hms = HmsCollector(
             self.broker, self.clock, self.redfish_source, self.sensors,
@@ -920,9 +923,9 @@ class MonitoringFramework:
         """What an rsyslogd aggregator does: envelope into the syslog topic."""
         self.broker.produce(
             TOPIC_SYSLOG,
-            dumps_compact({"labels": labels, "ts": timestamp_ns, "line": line}),
-            key=labels.get("hostname"),
-            timestamp_ns=timestamp_ns,
+            self._envelopes.encode(labels, timestamp_ns, line),
+            labels.get("hostname"),
+            timestamp_ns,
         )
 
     def publish_container_log(
@@ -930,9 +933,9 @@ class MonitoringFramework:
     ) -> None:
         self.broker.produce(
             TOPIC_CONTAINER_LOGS,
-            dumps_compact({"labels": labels, "ts": timestamp_ns, "line": line}),
-            key=labels.get("app"),
-            timestamp_ns=timestamp_ns,
+            self._envelopes.encode(labels, timestamp_ns, line),
+            labels.get("app"),
+            timestamp_ns,
         )
 
     # ------------------------------------------------------------------

@@ -81,18 +81,23 @@ class Chunk:
     def sealed(self) -> bool:
         return self._sealed
 
-    def space_for(self, entry: LogEntry) -> bool:
+    def space_for(self, entry: LogEntry, size: int | None = None) -> bool:
         """Whether the head block can absorb ``entry`` without exceeding
-        the target size (an empty chunk always accepts one entry)."""
+        the target size (an empty chunk always accepts one entry).
+        ``size`` is the entry's ``size_bytes()`` where the caller has
+        already taken it."""
         if self._sealed:
             return False
         if not self._head:
             return True
-        return self._head_bytes + entry.size_bytes() <= self.policy.target_size_bytes
+        if size is None:
+            size = entry.size_bytes()
+        return self._head_bytes + size <= self.policy.target_size_bytes
 
-    def append(self, entry: LogEntry) -> None:
+    def append(self, entry: LogEntry, size: int | None = None) -> None:
         """Append one entry. Entries must arrive in timestamp order within
-        the stream (the store enforces out-of-order rejection)."""
+        the stream (the store enforces out-of-order rejection).  ``size``
+        as for :meth:`space_for`."""
         if self._sealed:
             raise StateError("cannot append to a sealed chunk")
         if _SEPARATOR in entry.line:
@@ -104,9 +109,11 @@ class Chunk:
         if self.first_ts_ns is None:
             self.first_ts_ns = entry.timestamp_ns
         self.last_ts_ns = entry.timestamp_ns
+        if size is None:
+            size = entry.size_bytes()
         self._head.append(entry)
-        self._head_bytes += entry.size_bytes()
-        self._content_bytes += entry.size_bytes()
+        self._head_bytes += size
+        self._content_bytes += size
         self.entry_count += 1
 
     def seal(self) -> None:

@@ -28,7 +28,10 @@ class LogEntry:
     line: str
 
     def size_bytes(self) -> int:
-        return len(self.line.encode())
+        """UTF-8 length of the line.  ASCII is known from the string's
+        header; only other text is encoded to be measured."""
+        line = self.line
+        return len(line) if line.isascii() else len(line.encode())
 
 
 @dataclass(frozen=True)

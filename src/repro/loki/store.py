@@ -51,12 +51,31 @@ def aggregate_stats(stores: Iterable["LokiStore"]) -> StoreStats:
     return total
 
 
+class _Stream:
+    """One stream's resident state — what a push needs once its labels
+    are resolved."""
+
+    __slots__ = ("labels", "chunks", "last_ts")
+
+    def __init__(self, labels: LabelSet) -> None:
+        self.labels = labels
+        #: Oldest first; only the last may be open.
+        self.chunks: list[Chunk] = []
+        #: Ordering watermark.  Outlives the chunks: flushing them away
+        #: is a storage move, not forgetting the stream.
+        self.last_ts: int | None = None
+
+
 class LokiStore:
     """A single-ingester Loki.
 
     Per stream the store keeps an ordered list of chunks; only the last may
     be open.  Out-of-order entries (older than the stream's newest
     timestamp) are rejected, as Loki 2.4 does by default.
+
+    A push reaches its stream by *ref* (DESIGN §3, the log write path):
+    the labels exactly as passed are the key, so a steady-state line
+    builds no ``LabelSet`` and touches neither index nor postings.
     """
 
     #: queryx hint protocol: ``select`` takes the ``shard`` stream cut.
@@ -70,8 +89,14 @@ class LokiStore:
         self.policy = policy or ChunkPolicy()
         self.reject_out_of_order = reject_out_of_order
         self.index = LabelIndex()
-        self._chunks: dict[int, list[Chunk]] = {}
-        self._last_ts: dict[int, int] = {}
+        #: By stream id, in creation order.
+        self._streams: dict[int, _Stream] = {}
+        # Labels as given -> the stream: a LabelSet, or a mapping's
+        # (name, value) items in the order it iterates.  Several refs
+        # may name one stream (a dict and a LabelSet, two key orders);
+        # one is only ever added after `_register` validated it, so the
+        # table is bounded by streams x key orders, never by lines.
+        self._refs: dict[LabelSet | tuple, _Stream] = {}
         # Streams whose resident entries may have changed since the last
         # drain_touched(): every mutation below that adds or frees
         # entries marks its stream.  Bounded by the streams the index
@@ -89,34 +114,66 @@ class LokiStore:
             accepted += self.push_stream(stream.labels, stream.entries)
         return accepted
 
+    def _stream(self, labels: LabelSet | Mapping[str, str]) -> _Stream:
+        """The stream ``labels`` name, registered if this is its first
+        sight — by ref, so only first sight validates."""
+        ref = labels if type(labels) is LabelSet else tuple(labels.items())
+        try:
+            stream = self._refs.get(ref)
+        except TypeError:  # an unhashable label value: let _register say so
+            stream = None
+        if stream is None:
+            stream = self._refs[ref] = self._register(labels)
+        return stream
+
+    def _register(self, labels: LabelSet | Mapping[str, str]) -> _Stream:
+        """The validating path, taken once per stream ref: build the
+        label set, and the stream's index entry and postings if new."""
+        labelset = labels if isinstance(labels, LabelSet) else LabelSet(labels)
+        if not labelset:
+            raise ValidationError("a log stream needs at least one label")
+        sid = self.index.get_or_create(labelset)
+        stream = self._streams.get(sid)
+        if stream is None:  # then the index entry is new too, and holds `labelset`
+            stream = self._streams[sid] = _Stream(labelset)
+        return stream
+
     def push_stream(
         self, labels: LabelSet | Mapping[str, str], entries: Iterable[LogEntry]
     ) -> int:
-        labelset = labels if isinstance(labels, LabelSet) else LabelSet(labels)
-        sid = self.index.get_or_create(labelset)
-        chunks = self._chunks.setdefault(sid, [])
-        self._touched.add(labelset)
-        accepted = 0
-        for entry in entries:
-            last = self._last_ts.get(sid)
-            if last is not None and entry.timestamp_ns < last:
-                if self.reject_out_of_order:
-                    self.stats.entries_rejected += 1
-                    continue
-                raise ValidationError("out-of-order entry with rejection disabled")
-            chunk = chunks[-1] if chunks else None
-            if chunk is None or not chunk.space_for(entry):
-                if chunk is not None:
-                    chunk.seal()
-                    self.stats.chunks_sealed += 1
-                chunk = Chunk(self.policy)
-                chunks.append(chunk)
-                self.stats.chunks_created += 1
-            chunk.append(entry)
-            self._last_ts[sid] = entry.timestamp_ns
-            accepted += 1
-            self.stats.entries_ingested += 1
-            self.stats.bytes_ingested += entry.size_bytes()
+        stream = self._stream(labels)
+        self._touched.add(stream.labels)
+        stats = self.stats
+        chunks = stream.chunks
+        chunk = chunks[-1] if chunks else None
+        last = stream.last_ts
+        accepted = accepted_bytes = 0
+        # Watermark and counters are written once per push — in a
+        # `finally`, because a refused line (the reserved separator)
+        # leaves the entries accepted before it in place.
+        try:
+            for entry in entries:
+                if last is not None and entry.timestamp_ns < last:
+                    if self.reject_out_of_order:
+                        stats.entries_rejected += 1
+                        continue
+                    raise ValidationError("out-of-order entry with rejection disabled")
+                size = entry.size_bytes()
+                if chunk is None or not chunk.space_for(entry, size):
+                    if chunk is not None:
+                        chunk.seal()
+                        stats.chunks_sealed += 1
+                    chunk = Chunk(self.policy)
+                    chunks.append(chunk)
+                    stats.chunks_created += 1
+                chunk.append(entry, size)
+                last = entry.timestamp_ns
+                accepted += 1
+                accepted_bytes += size
+        finally:
+            stream.last_ts = last
+            stats.entries_ingested += accepted
+            stats.bytes_ingested += accepted_bytes
         return accepted
 
     def replace_stream(
@@ -135,16 +192,16 @@ class LokiStore:
         This is a physical rewrite: ingest counters advance for the
         re-written entries exactly as they would for fresh pushes.
         """
-        labelset = labels if isinstance(labels, LabelSet) else LabelSet(labels)
-        sid = self.index.get_or_create(labelset)
-        self._chunks[sid] = []
-        self._last_ts.pop(sid, None)
-        return self.push_stream(labelset, entries)
+        stream = self._stream(labels)
+        stream.chunks = []
+        stream.last_ts = None
+        return self.push_stream(stream.labels, entries)
 
     def flush_aged(self, now_ns: int) -> int:
         """Seal open chunks older than the policy's max age; returns count."""
         sealed = 0
-        for chunks in self._chunks.values():
+        for stream in self._streams.values():
+            chunks = stream.chunks
             if chunks and not chunks[-1].sealed:
                 chunk = chunks[-1]
                 if chunk.age_ns(now_ns) >= self.policy.max_age_ns:
@@ -156,7 +213,8 @@ class LokiStore:
     def flush_all(self) -> int:
         """Seal every open chunk (shutdown / test determinism)."""
         sealed = 0
-        for chunks in self._chunks.values():
+        for stream in self._streams.values():
+            chunks = stream.chunks
             if chunks and not chunks[-1].sealed:
                 chunks[-1].seal()
                 self.stats.chunks_sealed += 1
@@ -190,11 +248,12 @@ class LokiStore:
             raise ValidationError("empty time range")
         out = []
         for sid in self.index.select(matchers):
-            labels = self.index.labels_of(sid)
+            stream = self._streams[sid]
+            labels = stream.labels
             if shard is not None and labels.fingerprint() % shard[1] != shard[0]:
                 continue
             entries: list[LogEntry] = []
-            for chunk in self._chunks.get(sid, ()):
+            for chunk in stream.chunks:
                 if chunk.overlaps(start_ns, end_ns):
                     entries.extend(chunk.entries_between(start_ns, end_ns))
             if entries:
@@ -208,9 +267,9 @@ class LokiStore:
         are kept (Loki deletes at chunk granularity).
         """
         dropped = 0
-        for sid, chunks in self._chunks.items():
+        for stream in self._streams.values():
             keep = []
-            for chunk in chunks:
+            for chunk in stream.chunks:
                 if (
                     chunk.sealed
                     and chunk.last_ts_ns is not None
@@ -219,9 +278,9 @@ class LokiStore:
                     dropped += 1
                 else:
                     keep.append(chunk)
-            if len(keep) != len(chunks):
-                self._touched.add(self.index.labels_of(sid))
-            self._chunks[sid] = keep
+            if len(keep) != len(stream.chunks):
+                self._touched.add(stream.labels)
+            stream.chunks = keep
         return dropped
 
     def expired_entries(
@@ -230,9 +289,9 @@ class LokiStore:
         """Entries :meth:`delete_before` would drop at ``cutoff_ns``,
         grouped per stream — what a retention sweep archives first."""
         out = []
-        for sid, chunks in self._chunks.items():
+        for stream in self._streams.values():
             doomed: list[LogEntry] = []
-            for chunk in chunks:
+            for chunk in stream.chunks:
                 if (
                     chunk.sealed
                     and chunk.last_ts_ns is not None
@@ -240,7 +299,7 @@ class LokiStore:
                 ):
                     doomed.extend(chunk.entries())
             if doomed:
-                out.append((self.index.labels_of(sid), doomed))
+                out.append((stream.labels, doomed))
         return out
 
     # ------------------------------------------------------------------
@@ -251,24 +310,22 @@ class LokiStore:
         shipper's work list.  Open chunks stay out: they are still
         accepting writes and have no immutable payload yet."""
         out: list[tuple[LabelSet, Chunk]] = []
-        for sid, chunks in self._chunks.items():
-            labels = self.index.labels_of(sid)
-            out.extend((labels, chunk) for chunk in chunks if chunk.sealed)
+        for stream in self._streams.values():
+            out.extend(
+                (stream.labels, chunk) for chunk in stream.chunks if chunk.sealed
+            )
         return out
 
     def drop_chunk(self, labels: LabelSet | Mapping[str, str], chunk: Chunk) -> bool:
         """Release one flushed chunk from resident memory (by identity).
 
-        The stream itself — its index entry and its ``_last_ts`` ordering
+        The stream itself — its index entry and its ordering
         watermark — survives, so out-of-order rejection after a flush is
         exactly as it was before: flushing is a storage move, not a
         logical deletion.  Returns whether the chunk was resident.
         """
         labelset = labels if isinstance(labels, LabelSet) else LabelSet(labels)
-        sid = self.index.lookup(labelset)
-        if sid is None:
-            return False
-        chunks = self._chunks.get(sid, [])
+        chunks = self.stream_chunks(labelset)
         for i, resident in enumerate(chunks):
             if resident is chunk:
                 del chunks[i]
@@ -278,10 +335,15 @@ class LokiStore:
         return False
 
     def stream_labels(self) -> list[LabelSet]:
-        """Label sets of every known stream (flushed-away ones included)."""
-        return [
-            self.index.labels_of(sid) for sid in self.index.all_stream_ids()
-        ]
+        """Label sets of every known stream (flushed-away ones included),
+        in creation order."""
+        return [stream.labels for stream in self._streams.values()]
+
+    def stream_chunks(self, labels: LabelSet) -> list[Chunk]:
+        """One stream's resident chunks, oldest first — the store's own
+        list, or an empty one for a stream it does not know."""
+        sid = self.index.lookup(labels)
+        return self._streams[sid].chunks if sid is not None else []
 
     # ------------------------------------------------------------------
     # Anti-entropy support (the ring repairer's surface)
@@ -299,7 +361,7 @@ class LokiStore:
             sid = self.index.lookup(labels)
             if sid is not None:
                 counts[labels] = sum(
-                    chunk.entry_count for chunk in self._chunks.get(sid, ())
+                    chunk.entry_count for chunk in self._streams[sid].chunks
                 )
         return counts
 
@@ -315,18 +377,22 @@ class LokiStore:
     # Accounting
     # ------------------------------------------------------------------
     def chunk_count(self) -> int:
-        return sum(len(c) for c in self._chunks.values())
+        return sum(len(stream.chunks) for stream in self._streams.values())
 
     def stream_count(self) -> int:
         return len(self.index)
 
     def stored_bytes(self) -> int:
         """Resident chunk bytes (compressed where sealed)."""
-        return sum(c.stored_bytes() for chunks in self._chunks.values() for c in chunks)
+        return sum(
+            c.stored_bytes() for stream in self._streams.values() for c in stream.chunks
+        )
 
     def uncompressed_bytes(self) -> int:
         return sum(
-            c.uncompressed_bytes() for chunks in self._chunks.values() for c in chunks
+            c.uncompressed_bytes()
+            for stream in self._streams.values()
+            for c in stream.chunks
         )
 
     def index_bytes(self) -> int:
@@ -335,8 +401,8 @@ class LokiStore:
     def oldest_entry_ns(self) -> int | None:
         """Timestamp of the oldest resident entry, or ``None`` if empty."""
         oldest: int | None = None
-        for chunks in self._chunks.values():
-            for chunk in chunks:
+        for stream in self._streams.values():
+            for chunk in stream.chunks:
                 if chunk.first_ts_ns is not None and (
                     oldest is None or chunk.first_ts_ns < oldest
                 ):

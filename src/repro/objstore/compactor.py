@@ -184,12 +184,13 @@ class Compactor:
         chunks: list[Chunk] = []
         current: Chunk | None = None
         for entry in entries:
-            if current is None or not current.space_for(entry):
+            size = entry.size_bytes()
+            if current is None or not current.space_for(entry, size):
                 if current is not None:
                     current.seal()
                 current = Chunk(self._chunk_policy)
                 chunks.append(current)
-            current.append(entry)
+            current.append(entry, size)
         if current is not None:
             current.seal()
         return chunks

@@ -67,6 +67,13 @@ class OmniWarehouse:
         #: distributor): every *accepted* push is also mined for
         #: templates.  Rejected pushes never reach it.
         self.patterns = patterns
+        # Labels as given (a mapping's items, in its order) -> their
+        # LabelSet, for the push requests the planes take; a bare
+        # LokiStore keeps its own stream refs.  A ref is added once a
+        # push of it went through — validated, admitted, stored — so the
+        # table is bounded by the streams that exist x key orders, never
+        # by lines or by what admission turned away.
+        self._labelsets: dict[tuple, LabelSet] = {}
         self.messages_ingested = 0
         self._ingest_started_ns = clock.now_ns
 
@@ -81,21 +88,31 @@ class OmniWarehouse:
         trace_ctx: SpanContext | None = None,
         tenant: str | None = None,
     ) -> int:
-        entries = [LogEntry(timestamp_ns, line)]
-        if self.admission is not None:
-            labelset = labels if isinstance(labels, LabelSet) else LabelSet(labels)
-            request = PushRequest(
-                streams=(PushStream(labels=labelset, entries=tuple(entries)),)
-            )
-            return self.ingest_logs(request, trace_ctx=trace_ctx, tenant=tenant)
-        if self._ring is not None:
-            accepted = self._ring.push_stream(labels, entries, trace_ctx=trace_ctx)
-        else:
+        entries = (LogEntry(timestamp_ns, line),)
+        if self._ring is None and self.admission is None and self.patterns is None:
             accepted = self.loki.push_stream(labels, entries)
-        if self.patterns is not None:
-            labelset = labels if isinstance(labels, LabelSet) else LabelSet(labels)
-            self.patterns.observe(labelset, entries, tenant=tenant)
-        self.messages_ingested += accepted
+            self.messages_ingested += accepted
+            return accepted
+        # Every plane takes a push request: one stream, one entry.
+        ref = labelset = None
+        if type(labels) is LabelSet:
+            labelset = labels
+        else:
+            ref = tuple(labels.items())
+            try:
+                labelset = self._labelsets.get(ref)
+            except TypeError:  # an unhashable label value: let LabelSet say so
+                pass
+        first_sight = labelset is None
+        if first_sight:
+            labelset = LabelSet(labels)
+        request = PushRequest(
+            streams=(PushStream(labels=labelset, entries=entries),)
+        )
+        accepted = self.ingest_logs(request, trace_ctx=trace_ctx, tenant=tenant)
+        if first_sight:
+            # Admitted and pushed: the stream exists now, so its ref may.
+            self._labelsets[ref] = labelset
         return accepted
 
     def ingest_logs(

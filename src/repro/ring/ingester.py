@@ -84,11 +84,8 @@ class Ingester:
         """Every resident entry of one stream, in store order."""
         self._require_active()
         labelset = labels if isinstance(labels, LabelSet) else LabelSet(labels)
-        sid = self.store.index.lookup(labelset)
-        if sid is None:
-            return []
         out: list[LogEntry] = []
-        for chunk in self.store._chunks.get(sid, []):
+        for chunk in self.store.stream_chunks(labelset):
             out.extend(chunk.entries())
         return out
 
@@ -151,10 +148,9 @@ class Ingester:
         drop the logged segments; returns segments dropped."""
         self._require_active()
         streams = []
-        for sid in self.store.index.all_stream_ids():
-            labels = self.store.index.labels_of(sid)
+        for labels in self.store.stream_labels():
             entries = []
-            for chunk in self.store._chunks.get(sid, []):
+            for chunk in self.store.stream_chunks(labels):
                 entries.extend([e.timestamp_ns, e.line] for e in chunk.entries())
             streams.append({"l": labels.to_dict(), "e": entries})
         blob = zlib.compress(dumps_compact({"streams": streams}).encode(), level=6)

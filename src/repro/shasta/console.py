@@ -17,7 +17,7 @@ import numpy as np
 
 from repro.bus.broker import Broker, TopicConfig
 from repro.common.errors import ValidationError
-from repro.common.jsonutil import dumps_compact
+from repro.common.jsonutil import LogEnvelopeEncoder
 from repro.common.simclock import SimClock
 from repro.common.xname import XName
 
@@ -61,23 +61,21 @@ class ConsoleCollector:
         self._nodes = [str(x) for x in nodes]
         self._cluster = cluster
         self._rng = np.random.default_rng(seed)
+        self._envelopes = LogEnvelopeEncoder()
         weights = np.array([w for w, _ in _CHATTER])
         self._probs = weights / weights.sum()
         self.lines_published = 0
 
     def _publish(self, node: str, line: str) -> None:
-        envelope = {
-            "labels": {
-                "cluster": self._cluster,
-                "data_type": "console_log",
-                "hostname": node,
-            },
-            "ts": self._clock.now_ns,
-            "line": line,
+        labels = {
+            "cluster": self._cluster,
+            "data_type": "console_log",
+            "hostname": node,
         }
+        now = self._clock.now_ns
         self._broker.produce(
-            TOPIC_CONSOLE_LOGS, dumps_compact(envelope), key=node,
-            timestamp_ns=self._clock.now_ns,
+            TOPIC_CONSOLE_LOGS, self._envelopes.encode(labels, now, line),
+            key=node, timestamp_ns=now,
         )
         self.lines_published += 1
 

@@ -79,6 +79,10 @@ class AdmissionController:
         self._tenant_buckets: dict[str, TokenBucket] = {}
         self._stream_buckets: dict[tuple[str, LabelSet], TokenBucket] = {}
         self._streams: dict[str, set[LabelSet]] = {}
+        # (tenant, labels as pushed) -> the tenant-tagged label set, kept
+        # once the stream is admitted: bounded by the active streams the
+        # limits allow, and a steady-state line re-tags nothing.
+        self._tagged: dict[tuple[str, LabelSet], LabelSet] = {}
         self.counters: dict[str, TenantCounters] = {}
 
     # ------------------------------------------------------------------
@@ -111,6 +115,10 @@ class AdmissionController:
             self._stream_buckets[key] = bucket
         return bucket
 
+    def _tag(self, labels: LabelSet, tenant: str) -> LabelSet:
+        tagged = self._tagged.get((tenant, labels))
+        return tagged if tagged is not None else _with_tenant(labels, tenant)
+
     # ------------------------------------------------------------------
     # Admission
     # ------------------------------------------------------------------
@@ -137,7 +145,7 @@ class AdmissionController:
         tagged = PushRequest(
             streams=tuple(
                 PushStream(
-                    labels=_with_tenant(stream.labels, tenant),
+                    labels=self._tag(stream.labels, tenant),
                     entries=stream.entries,
                 )
                 for stream in request.streams
@@ -188,8 +196,9 @@ class AdmissionController:
                 f"tenant {tenant!r}: stream {stream.labels!r} exceeds "
                 f"per-stream rate {limits.per_stream_rate_lines_s:g}/s",
             )
-        for stream in tagged.streams:
+        for pushed, stream in zip(request.streams, tagged.streams):
             active.add(stream.labels)
+            self._tagged[(tenant, pushed.labels)] = stream.labels
         counters.entries_accepted += total
         self._span(tenant, "admit", total, trace_ctx)
         return tagged

@@ -110,6 +110,27 @@ class TestProduceConsume:
         assert broker.produce_batch("events", ["a", "b", "c"]) == 3
         assert broker.topic_stats("events")["total_produced"] == 3
 
+    def test_key_placement_is_pinned(self, clock):
+        """(partition of 4, partition of 7) per key, as ``mix64(fnv1a_64)``
+        placed them before a key's hash was memoised: placement, and with
+        it per-key order and the backlog's shape, must not move."""
+        pinned = {
+            "x1000c0s0b0n0": (1, 6), "x1000c0s0b0n1": (3, 4), "x1000c0s0b1n0": (3, 0),
+            "x1000c0s1b0n0": (1, 6), "x1000c1s0b0n0": (3, 3), "x1001c0s0b0n0": (2, 5),
+            "x1102c4s0b0": (1, 4), "x1c0s0b0n0": (3, 5), "x3000c0r15b0": (0, 5),
+            "telemetry-api": (0, 3), "vmagent": (2, 3), "loki-distributor": (2, 4),
+            "": (3, 5), "nöde-é": (0, 3),
+        }
+        b = Broker(clock)
+        b.create_topic("t4", TopicConfig(partitions=4))
+        b.create_topic("t7", TopicConfig(partitions=7))
+        for _ in range(2):  # first sight, then from the memo
+            assert {
+                key: (b.produce("t4", "v", key=key).partition,
+                      b.produce("t7", "v", key=key).partition)
+                for key in pinned
+            } == pinned
+
     @given(st.lists(st.text(min_size=1, max_size=10), min_size=1, max_size=50))
     def test_no_loss_no_duplication(self, values):
         clock = SimClock(0)
