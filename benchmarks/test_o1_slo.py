@@ -18,7 +18,18 @@ multi-window multi-burn-rate design:
 
 The harness is the standalone pipeline (exporter → vmagent → recording
 rules → vmalert) on a simulated clock, so every latency is exact.
+
+Beside the claims, what they cost: one ``SloManager.tick`` at the default
+plane's size (4 SLOs × the workbook table's 7 distinct windows) in wall
+milliseconds, ``select`` calls and vector nodes evaluated — the number a
+rule group as one evaluation (DESIGN §3) is there to keep small.  Inside
+a loaded pipeline a tick costs about a third more than this warm loop
+reads (EXPERIMENTS X7).
 """
+
+import statistics
+import time
+from unittest import mock
 
 from repro.alerting.events import AlertState
 from repro.alerting.rules import RuleSpec
@@ -30,6 +41,7 @@ from repro.common.simclock import (
     seconds,
 )
 from repro.exporters.slo_exporter import SloExporter
+from repro.common.vector import Evaluation
 from repro.slo import (
     SLO,
     BurnWindow,
@@ -130,6 +142,50 @@ class Harness:
         ]
 
 
+def _tick_cost(slos=4, warm_ticks=150, timed_ticks=200):
+    """``(median ms, selects, nodes evaluated, rules, stages)`` of one
+    steady-state tick of ``slos`` SLOs over the default windows."""
+    clock = SimClock(0)
+    store = TimeSeriesStore()
+    manager = SloManager(clock, PromQLEngine(store), store)
+    collectors = {
+        f"slo-{i}": manager.register(
+            SLO(name=f"slo-{i}", description="bench SLI", objective=OBJECTIVE),
+            StaticSource(),
+        )
+        for i in range(slos)
+    }
+
+    def tick():
+        """Scrape-shaped: the SLI counters land, then the manager ticks."""
+        clock.advance(STEP)
+        for name, collector in collectors.items():
+            collector.inject(1499.0, 1.0)
+            snap = collector.snapshot()
+            labels = {"slo": name, "job": "slo"}
+            store.ingest("slo_sli_good_total", labels, snap.good, clock.now_ns)
+            store.ingest("slo_sli_total", labels, snap.total, clock.now_ns)
+        started = time.perf_counter()
+        manager.tick()
+        return (time.perf_counter() - started) * 1e3
+
+    for _ in range(warm_ticks):
+        tick()
+    ms = statistics.median(tick() for _ in range(timed_ticks))
+
+    def counted(owner, name):
+        return mock.patch.object(
+            owner, name, autospec=True, side_effect=getattr(owner, name)
+        )
+
+    with counted(TimeSeriesStore, "select") as selects, counted(
+        Evaluation, "_evaluate"
+    ) as nodes:
+        tick()
+    stages = manager.recording.stages()
+    return ms, selects.call_count, nodes.call_count, sum(map(len, stages)), len(stages)
+
+
 def test_o1_slo_burn_alerting(benchmark):
     def scenario():
         results = {}
@@ -191,6 +247,12 @@ def test_o1_slo_burn_alerting(benchmark):
         f"noise-soak tight static     {r['noise_tight_static']} firings "
         f"(the noise a static threshold at the budget rate emits)",
     ]
+    ms, selects, nodes, rules, stages = _tick_cost()
+    rows.append(
+        f"one tick, 4 SLOs x 7 windows {ms:.2f} ms, {selects} selects, "
+        f"{nodes} nodes evaluated ({rules} rules in {stages} stages "
+        f"+ 7 burn families read back)"
+    )
     report("o1_slo", "\n".join(rows))
 
     # 1. Fast burns page inside the short window + one eval interval,

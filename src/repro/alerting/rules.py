@@ -9,10 +9,11 @@ and vmalert (PromQL queries).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import partial
 from typing import Any, Callable
 
 from repro.common.durations import parse_duration_ns
-from repro.common.errors import ValidationError
+from repro.common.errors import QueryError, ValidationError
 from repro.common.labels import LabelSet
 from repro.common.simclock import SimClock
 from repro.common.vector import Sample
@@ -66,9 +67,12 @@ class RuleEvaluator:
 
     Subclasses provide ``_compile(expr)`` — validate the expression when
     the rule is added and return the form to evaluate, parsed once — and
-    ``_query(compiled, time_ns)``; every returned sample is an active
-    series.  A series fires once it has been continuously active for the
-    rule's ``for`` duration, and resolves when it disappears.
+    how to evaluate: ``_instant(time_ns)``, the whole rule group at one
+    instant, or, with nothing to share between rules,
+    ``_query(compiled, time_ns)``.  Every sample returned for a rule is
+    an active series.  A series fires once it has been continuously
+    active for the rule's ``for`` duration, and resolves when it
+    disappears.
     """
 
     def __init__(
@@ -86,15 +90,22 @@ class RuleEvaluator:
         self._compiled: dict[str, Any] = {}
         self._state: dict[str, dict[LabelSet, AlertSeriesState]] = {}
         self.evaluations = 0
+        self.eval_errors = 0
 
     # -- to be provided by subclasses --------------------------------------
     def _compile(self, expr: str) -> Any:
-        """Validate ``expr`` at rule-add time; return what ``_query``
+        """Validate ``expr`` at rule-add time; return what the query
         should be handed on every evaluation."""
         raise NotImplementedError
 
     def _query(self, compiled: Any, time_ns: int) -> list[Sample]:
         raise NotImplementedError
+
+    def _instant(self, time_ns: int) -> Callable[[Any], list[Sample]]:
+        """One evaluation of the group at ``time_ns``: a query that takes
+        a compiled rule and returns its samples, sharing what the rules
+        share.  It is used for one ``evaluate_all`` and dropped."""
+        return partial(self._query, time_ns=time_ns)
 
     # -- configuration ------------------------------------------------------
     def add_rule(self, rule: RuleSpec) -> None:
@@ -112,15 +123,35 @@ class RuleEvaluator:
 
     # -- evaluation ----------------------------------------------------------
     def evaluate_all(self) -> list[AlertEvent]:
+        """Evaluate every rule at the current sim time, in order, each
+        rule's events notified before the next rule is evaluated.
+
+        The group is one evaluation — one read of the store per thing
+        read, however many rules read it — which rests on an invariant
+        of the pipeline: **notifying writes to no store a group reads**
+        (events go to Alertmanager and on to receivers; what those count
+        reaches the TSDB only through the next scrape).  A rule whose
+        query fails at runtime is counted in ``eval_errors`` and left
+        exactly as it was — its series neither resolved nor advanced, as
+        Prometheus keeps alerts over a failed evaluation — and the rest
+        of the group is evaluated.
+        """
+        now = self._clock.now_ns
+        query = self._instant(now)
         events: list[AlertEvent] = []
         for rule in self._rules:
-            events.extend(self._evaluate_rule(rule))
+            try:
+                samples = query(self._compiled[rule.name])
+            except QueryError:
+                self.eval_errors += 1
+                continue
+            events.extend(self._advance(rule, samples, now))
         self.evaluations += 1
         return events
 
-    def _evaluate_rule(self, rule: RuleSpec) -> list[AlertEvent]:
-        now = self._clock.now_ns
-        samples = self._query(self._compiled[rule.name], now)
+    def _advance(
+        self, rule: RuleSpec, samples: list[Sample], now: int
+    ) -> list[AlertEvent]:
         active: dict[LabelSet, Sample] = {s.labels: s for s in samples}
         states = self._state[rule.name]
         for_ns = rule.for_ns

@@ -63,7 +63,7 @@ class Series:
 class Vector:
     """An instant vector at every step of a query at once: row *i* is
     one series, column *j* one step.  ``values`` means nothing where
-    ``present`` is false.  Vectors are shared (a leaf that occurs twice
+    ``present`` is false.  Vectors are shared (a node that occurs twice
     is evaluated once), so operators build new arrays and never write
     into an operand's."""
 
@@ -110,23 +110,29 @@ def _join_keys(vector: Vector) -> list[LabelSet]:
 
 
 class Evaluation:
-    """One query over one grid of steps.
+    """Any number of expressions over one grid of steps: a query, or a
+    rule group at one instant.
 
-    A leaf — whatever node the language's ``leaf()`` turns into a
-    :class:`Vector` — is evaluated once per distinct value, for every
-    step at once; everything above a leaf is arithmetic on
-    (series × steps) arrays.  An instant query is the one-step case.
+    **Every node is evaluated once.**  Nodes are values, so the vector of
+    a node — a leaf, whatever the language's ``leaf()`` turns into a
+    :class:`Vector`, or an operator above one — is kept under the node
+    and handed to whoever asks next: the same leaf twice in a query, the
+    same sub-expression in two rules of a group.  Everything is for every
+    step at once, arithmetic on (series × steps) arrays; an instant query
+    is the one-step case.  Nothing is ever dropped from the table, so an
+    evaluation must not outlive a write to what its leaves read.
 
     **The float-order rule.**  A result depends on the windows only,
-    never on the grid or on which Python runs it: a vector is consumed in
-    row order — ascending label order out of a leaf (which owes that) and
-    out of an aggregation, whose groups are sorted — and ``sum``/``avg``
-    add their rows in that order, one IEEE addition at a time.
+    never on the grid, on what else was evaluated beside it or on which
+    Python runs it: a vector is consumed in row order — ascending label
+    order out of a leaf (which owes that) and out of an aggregation,
+    whose groups are sorted — and ``sum``/``avg`` add their rows in that
+    order, one IEEE addition at a time.
     """
 
     def __init__(self, steps: np.ndarray) -> None:
         self.steps = steps
-        self._leaves: dict[VectorExpr, Vector] = {}
+        self._vectors: dict[VectorExpr, Vector] = {}
 
     def leaf(self, expr: VectorExpr) -> Vector:
         """The vector of one of the language's own nodes at every step:
@@ -189,6 +195,12 @@ class Evaluation:
 
     # -- the algebra -----------------------------------------------------------
     def vector(self, expr: VectorExpr) -> Vector:
+        vector = self._vectors.get(expr)
+        if vector is None:
+            vector = self._vectors[expr] = self._evaluate(expr)
+        return vector
+
+    def _evaluate(self, expr: VectorExpr) -> Vector:
         if isinstance(expr, VectorAgg):
             return self._aggregate(expr)
         if isinstance(expr, BinOp):
@@ -199,11 +211,7 @@ class Evaluation:
             return self._set_op(expr)
         if isinstance(expr, TopK):
             return self._topk(expr)
-        # Keyed by value, so a leaf written twice is read once.
-        vector = self._leaves.get(expr)
-        if vector is None:
-            vector = self._leaves[expr] = self.leaf(expr)
-        return vector
+        return self.leaf(expr)
 
     def _empty(self, rows: int = 0) -> tuple[np.ndarray, np.ndarray]:
         shape = (rows, len(self.steps))

@@ -240,12 +240,32 @@ class GroupMode(enum.Enum):
     WITHOUT = "without"
 
 
-@dataclass(frozen=True)
+def node(cls: type) -> type:
+    """Class decorator for an AST node: a frozen dataclass, equal and
+    hashed by value, whose hash is worked out once, when it is built.
+    The evaluator looks every node up in a table, and the hash dataclasses
+    generate walks the whole subtree on every call; built bottom-up out of
+    nodes that already know theirs, a node's hash costs its own fields."""
+    validate = cls.__dict__.get("__post_init__")
+
+    def __post_init__(self) -> None:
+        if validate is not None:
+            validate(self)
+        object.__setattr__(self, "_hash", by_fields(self))
+
+    cls.__post_init__ = __post_init__
+    cls = dataclass(frozen=True)(cls)
+    by_fields = cls.__hash__
+    cls.__hash__ = lambda self: self._hash
+    return cls
+
+
+@node
 class Scalar:
     value: float
 
 
-@dataclass(frozen=True)
+@node
 class VectorAgg:
     """``sum(...) by (severity, context)`` — vector aggregation."""
 
@@ -259,7 +279,7 @@ class VectorAgg:
             raise QueryError(f"{self.op.value}() aggregates a vector, not a scalar")
 
 
-@dataclass(frozen=True)
+@node
 class TopK:
     """``topk(3, node_temp_celsius)`` / ``bottomk`` — k extreme series."""
 
@@ -274,7 +294,7 @@ class TopK:
             raise QueryError("topk/bottomk rank a vector, not a scalar")
 
 
-@dataclass(frozen=True)
+@node
 class BinOp:
     """Arithmetic or comparison between vector/scalar operands.
 
@@ -295,7 +315,7 @@ class BinOp:
             raise QueryError("binary op needs at least one vector operand")
 
 
-@dataclass(frozen=True)
+@node
 class SetExpr:
     """``and`` / ``or`` / ``unless`` between two instant vectors,
     matching on the full label set minus ``__name__``."""
@@ -310,7 +330,7 @@ class SetExpr:
 
 
 #: A vector-valued node: an operator above, or a language's leaf — any
-#: frozen value, hashable because the evaluator reads equal leaves once.
+#: frozen value, hashable because the evaluator evaluates equal nodes once.
 VectorExpr = Union[VectorAgg, BinOp, SetExpr, TopK, Hashable]
 
 

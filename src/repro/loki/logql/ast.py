@@ -18,7 +18,7 @@ from typing import Union
 
 from repro.common.errors import QueryError, ValidationError
 from repro.common.labels import Matcher
-from repro.common.vectorlang import BinOp, CmpOp, SetExpr, TopK, VectorAgg
+from repro.common.vectorlang import BinOp, CmpOp, SetExpr, TopK, VectorAgg, node
 
 
 class LineFilterOp(enum.Enum):
@@ -156,7 +156,7 @@ PipelineStage = Union[
 ]
 
 
-@dataclass(frozen=True)
+@node
 class LogPipeline:
     """A stream selector plus its ordered pipeline stages."""
 
@@ -203,7 +203,7 @@ UNWRAPPED_FUNCS = frozenset(
 )
 
 
-@dataclass(frozen=True)
+@node
 class RangeAgg:
     """``count_over_time({...} |= "x" | json [60m])`` — log range aggregation."""
 

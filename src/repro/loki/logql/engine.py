@@ -156,8 +156,13 @@ class LogQLEngine:
         The one-step case of :meth:`query_range`: same read, same
         evaluator, one grid point.
         """
-        expr = self._metric_expr(query, "instant")
-        return _Evaluation(self, instant_grid(time_ns)).samples(expr)
+        return self.instant(time_ns).samples(self._metric_expr(query, "instant"))
+
+    def instant(self, time_ns: int) -> Evaluation:
+        """One evaluation at one instant for any number of metric
+        expressions (a rule group): ``.samples(expr)`` of each, whatever
+        they have in common run once."""
+        return _Evaluation(self, instant_grid(time_ns))
 
     def query_range(
         self, query: str | Expr, start_ns: int, end_ns: int, step_ns: int

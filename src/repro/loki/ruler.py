@@ -50,5 +50,5 @@ class Ruler(RuleEvaluator):
             )
         return ast
 
-    def _query(self, compiled: MetricExpr, time_ns: int) -> list[Sample]:
-        return self._engine.query_instant(compiled, time_ns)
+    def _instant(self, time_ns: int) -> Callable[[MetricExpr], list[Sample]]:
+        return self._engine.instant(time_ns).samples

@@ -47,7 +47,7 @@ from repro.slo.burnrate import (
 from repro.slo.model import SLO, SLO_LABEL
 from repro.slo.sources import SliCollector, SliSource
 from repro.tempo.tracer import Tracer
-from repro.tsdb.promql import PromExpr, PromQLEngine, parse_promql
+from repro.tsdb.promql import PromQLEngine, parse_promql
 from repro.tsdb.recording import RecordingEngine, RecordingRule
 from repro.tsdb.storage import TimeSeriesStore
 
@@ -68,9 +68,6 @@ class _SloEntry:
     slo: SLO
     collector: SliCollector
     budget: ErrorBudget
-    #: Per distinct window, the parsed selector of this SLO's recorded
-    #: burn series — what every tick reads back.
-    burn_selectors: dict[str, PromExpr]
     history: deque = field(default_factory=lambda: deque(maxlen=BURN_HISTORY_LEN))
     exhausted: bool = False
     exhausted_since_ns: int | None = None
@@ -98,11 +95,18 @@ class SloManager:
         if not self.windows:
             raise ValidationError("at least one burn window is required")
         self._clock = clock
-        self._promql = promql
         self._notifier = notifier
         self._cluster = cluster
         self._tracer = tracer
         self.recording = RecordingEngine(promql, store, clock, tracer)
+        #: Per distinct window, the recorded burn family every tick reads
+        #: back — all SLOs' series of it at once, the seven families as
+        #: one group.
+        self._burn_families = {
+            window: parse_promql(burn_metric_name(window))
+            for window in self._distinct_windows()
+        }
+        self._burn_group = promql.group(self._burn_families.values())
         self._entries: dict[str, _SloEntry] = {}
         self.evaluations = 0
         self.exhaustion_events = 0
@@ -119,12 +123,6 @@ class SloManager:
             slo=slo,
             collector=collector,
             budget=ErrorBudget(slo),
-            burn_selectors={
-                window: parse_promql(
-                    f'{burn_metric_name(window)}{{{SLO_LABEL}="{slo.name}"}}'
-                )
-                for window in self._distinct_windows()
-            },
         )
         for window in self._distinct_windows():
             self.recording.add_rule(self._burn_rule(slo, window))
@@ -235,9 +233,10 @@ class SloManager:
 
     def evaluate_budgets(self) -> None:
         now = self._clock.now_ns
-        for entry in self._entries.values():
+        burns = self._current_burns()
+        for name, entry in self._entries.items():
             entry.budget.observe(now, entry.collector.snapshot())
-            entry.history.append((now, self._current_burns(entry)))
+            entry.history.append((now, burns.get(name, {})))
             self._check_exhaustion(entry, now)
         self.evaluations += 1
         if self._tracer is not None:
@@ -250,14 +249,18 @@ class SloManager:
                 attributes={"slos": str(len(self._entries))},
             )
 
-    def _current_burns(self, entry: _SloEntry) -> dict[str, float]:
-        """Latest recorded burn per distinct window for one SLO."""
-        burns: dict[str, float] = {}
-        now = self._clock.now_ns
-        for window, selector in entry.burn_selectors.items():
-            samples = self._promql.query_instant(selector, now)
-            if samples:
-                burns[window] = samples[0].value
+    def _current_burns(self) -> dict[str, dict[str, float]]:
+        """Latest recorded burn per SLO and distinct window: one
+        evaluation reads the families back, each once for every SLO."""
+        burns: dict[str, dict[str, float]] = {}
+        evaluation = self._burn_group.instant(self._clock.now_ns)
+        for window, family in self._burn_families.items():
+            for sample in evaluation.samples(family):
+                # An SLO's first series in label order, should it have
+                # recorded several.
+                burns.setdefault(sample.labels.get(SLO_LABEL, ""), {}).setdefault(
+                    window, sample.value
+                )
         return burns
 
     def _check_exhaustion(self, entry: _SloEntry, now: int) -> None:
@@ -356,9 +359,10 @@ class SloManager:
         fast_w = self.windows[0].short
         slow_w = self.windows[0].long
         rows: list[dict[str, object]] = []
+        current = self._current_burns()
         for name in sorted(self._entries):
             entry = self._entries[name]
-            burns = self._current_burns(entry)
+            burns = current.get(name, {})
             state = "ok"
             if entry.exhausted:
                 state = "exhausted"

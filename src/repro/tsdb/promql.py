@@ -17,9 +17,9 @@ PromQL's leaves, their grammar and how each reads the TSDB:
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
+from functools import cached_property
 from itertools import accumulate
-from typing import Iterable, Protocol, Union
+from typing import Iterable, Iterator, Mapping, Protocol, Union
 
 import numpy as np
 
@@ -36,11 +36,13 @@ from repro.common.vector import (
 )
 from repro.common.vectorlang import (
     BinOp,
+    Scalar,
     SetExpr,
     Tok,
     TopK,
     VectorAgg,
     VectorParser,
+    node,
 )
 
 #: Prometheus staleness lookback for instant selectors.
@@ -50,7 +52,7 @@ DEFAULT_LOOKBACK_NS = minutes(5)
 # ---------------------------------------------------------------------------
 # Leaves
 # ---------------------------------------------------------------------------
-@dataclass(frozen=True)
+@node
 class VectorSelector:
     matchers: tuple[Matcher, ...]
 
@@ -71,7 +73,7 @@ class PromRangeFunc(enum.Enum):
     LAST_OVER_TIME = "last_over_time"
 
 
-@dataclass(frozen=True)
+@node
 class PromRangeAgg:
     func: PromRangeFunc
     selector: VectorSelector
@@ -82,7 +84,7 @@ class PromRangeAgg:
             raise QueryError("range window must be positive")
 
 
-@dataclass(frozen=True)
+@node
 class PromAbsent:
     """``absent(node_up{job="node"})`` — 1 when the selector returns
     nothing.  The alerting primitive for *silent* failures: a sampler
@@ -139,6 +141,22 @@ def parse_promql(query: str) -> PromExpr:
     return _Parser(query).parse()
 
 
+def leaf_reads(expr: PromExpr | Scalar) -> Iterator[tuple[VectorSelector, int | None]]:
+    """Every selector ``expr`` reads, each time it does, with the range
+    window it asks of it (None: the engine's staleness lookback)."""
+    if isinstance(expr, PromRangeAgg):
+        yield expr.selector, expr.range_ns
+    elif isinstance(expr, PromAbsent):
+        yield expr.selector, None
+    elif isinstance(expr, VectorSelector):
+        yield expr, None
+    elif isinstance(expr, (BinOp, SetExpr)):
+        yield from leaf_reads(expr.lhs)
+        yield from leaf_reads(expr.rhs)
+    elif isinstance(expr, (VectorAgg, TopK)):
+        yield from leaf_reads(expr.expr)
+
+
 # ---------------------------------------------------------------------------
 # Engine
 # ---------------------------------------------------------------------------
@@ -162,10 +180,15 @@ class _Read:
     """What one ``select`` returned, columned: the samples of every
     series end to end in ``ts``/``values`` (one pad element at the very
     end, so a position just past the last sample can still be indexed),
-    series *i* starting at ``starts[i]``."""
+    series *i* starting at ``starts[i]``.  Every leaf over the selector
+    shares the read, so what depends on the read alone — where each step
+    ends in each series, what resets took from each counter — is worked
+    out once, here, and only ever read."""
 
     def __init__(
-        self, selected: list[tuple[LabelSet, np.ndarray, np.ndarray]]
+        self,
+        selected: list[tuple[LabelSet, np.ndarray, np.ndarray]],
+        steps: np.ndarray,
     ) -> None:
         labels, self._series_ts, series_values = (
             zip(*selected) if selected else ((), (), ())
@@ -178,6 +201,8 @@ class _Read:
         )
         self.ts = np.concatenate(self._series_ts + (_PAD_TS,))
         self.values = np.concatenate(series_values + (_PAD_VALUE,))
+        self._steps = steps
+        self._end: np.ndarray | None = None
 
     def positions(self, instants: np.ndarray) -> np.ndarray:
         """Per series and instant, the position in the end-to-end columns
@@ -189,6 +214,28 @@ class _Read:
         out += self.starts[:, None]
         return out
 
+    def end(self) -> np.ndarray:
+        """:meth:`positions` of the steps: where every window ends."""
+        if self._end is None:
+            self._end = self.positions(self._steps)
+        return self._end
+
+    def windows(self, range_ns: int) -> tuple[np.ndarray, np.ndarray]:
+        """:meth:`positions` of both edges of the windows ``(t - range, t]``."""
+        if self._end is not None:
+            return self.positions(self._steps - range_ns), self._end
+        # The first leaf to ask finds both in one search a series.
+        edges = self.positions(np.concatenate([self._steps - range_ns, self._steps]))
+        self._end = edges[:, len(self._steps) :]
+        return edges[:, : len(self._steps)], self._end
+
+    @cached_property
+    def nameless(self) -> list[LabelSet]:
+        """The series without their metric name: what a range function
+        calls its rows (Prometheus semantics)."""
+        return [labels.without(METRIC_NAME_LABEL) for labels in self.labels]
+
+    @cached_property
     def reset_carry(self) -> np.ndarray | None:
         """Per sample, the counter value lost to resets between its
         series' first sample in the read and it — a counter's increase
@@ -210,8 +257,6 @@ class _Read:
         return carry
 
 
-
-
 _WINDOW_REDUCE = {
     PromRangeFunc.SUM_OVER_TIME: np.add,
     PromRangeFunc.AVG_OVER_TIME: np.add,
@@ -221,18 +266,27 @@ _WINDOW_REDUCE = {
 
 
 class _Evaluation(Evaluation):
-    """PromQL's leaves over one grid of steps: a selector, or a range
-    function over one, reads the source once, over the union of its
-    windows at all steps, and finds each step's window in each series
-    with ``searchsorted``.  ``select`` returns series in ascending label
-    order, which is the row order a leaf owes the operators above it."""
+    """PromQL's leaves over one grid of steps.  The source is read once
+    per distinct *selector*: every leaf over it — the instant vector, a
+    range function, the same function over another window — finds its
+    own windows, with ``searchsorted``, in one read that spans the widest
+    of them at all steps.  ``select`` returns series in ascending label
+    order, which is the row order a leaf owes the operators above it; a
+    series the read holds that has nothing in a narrower window is a row
+    present at no step, which no operator can tell from no row."""
 
     def __init__(
-        self, source: MetricSource, lookback_ns: int, steps: np.ndarray
+        self,
+        source: MetricSource,
+        lookback_ns: int,
+        widest: Mapping[VectorSelector, int],
+        steps: np.ndarray,
     ) -> None:
         super().__init__(steps)
         self._source = source
         self._lookback_ns = lookback_ns
+        self._widest = widest
+        self._reads: dict[VectorSelector, _Read] = {}
 
     def leaf(self, expr: PromExpr) -> Vector:
         if isinstance(expr, VectorSelector):
@@ -243,38 +297,40 @@ class _Evaluation(Evaluation):
             return self._absent(expr)
         raise QueryError(f"cannot evaluate {type(expr).__name__} as a vector")
 
-    def _read(self, selector: VectorSelector, window_ns: int) -> _Read:
-        """The one read of a leaf: the union of the windows
-        ``(t - window, t]`` over every step ``t``."""
-        return _Read(
-            self._source.select(
-                selector.matchers,
-                int(self.steps[0]) - window_ns + 1,
-                int(self.steps[-1]) + 1,
+    def _read(self, selector: VectorSelector) -> _Read:
+        """The one read of a selector: the union of the windows
+        ``(t - widest, t]`` over every step ``t``, ``widest`` being the
+        widest window any expression of the group asks of it."""
+        read = self._reads.get(selector)
+        if read is None:
+            read = self._reads[selector] = _Read(
+                self._source.select(
+                    selector.matchers,
+                    int(self.steps[0]) - self._widest[selector] + 1,
+                    int(self.steps[-1]) + 1,
+                ),
+                self.steps,
             )
-        )
+        return read
 
     def _selector(self, expr: VectorSelector) -> Vector:
-        read = self._read(expr, self._lookback_ns)
+        read = self._read(expr)
         if not read.labels:
             return Vector([], *self._empty())
         # The most recent sample at or before each step, if it is inside
         # the staleness window.
-        last = read.positions(self.steps) - 1
+        last = read.end() - 1
         fresh = read.ts[last] > self.steps - self._lookback_ns
         return Vector(
             read.labels, read.values[last], (last >= read.starts[:, None]) & fresh
         )
 
     def _range(self, expr: PromRangeAgg) -> Vector:
-        read = self._read(expr.selector, expr.range_ns)
+        read = self._read(expr.selector)
         if not read.labels:
             return Vector([], *self._empty())
         func = expr.func
-        # Both edges of every window (t - range, t] in one search a series.
-        steps = self.steps
-        edges = read.positions(np.concatenate([steps - expr.range_ns, steps]))
-        first, end = edges[:, : len(steps)], edges[:, len(steps) :]
+        first, end = read.windows(expr.range_ns)
         count = end - first
         needed = 1
         if func is PromRangeFunc.COUNT_OVER_TIME:
@@ -295,17 +351,12 @@ class _Evaluation(Evaluation):
             values = read.values[end - 1] - read.values[first]
             if func is not PromRangeFunc.DELTA:
                 # Counter semantics: add back what resets took away.
-                carry = read.reset_carry()
+                carry = read.reset_carry
                 if carry is not None:
                     values = values + (carry[end - 1] - carry[first])
                 if func is PromRangeFunc.RATE:
                     values = values / (expr.range_ns / NANOS_PER_SECOND)
-        return Vector(
-            # Range functions drop the metric name (Prometheus semantics).
-            [labels.without(METRIC_NAME_LABEL) for labels in read.labels],
-            values,
-            count >= needed,
-        )
+        return Vector(read.nameless, values, count >= needed)
 
     def _absent(self, expr: PromAbsent) -> Vector:
         inner = self.vector(expr.selector)
@@ -324,6 +375,38 @@ class _Evaluation(Evaluation):
         )
 
 
+class Group:
+    """Expressions evaluated together — the rules of a group, the reads
+    of one tick, a single query: the unit the engine evaluates.  A group
+    knows, per distinct selector, the widest window any of its
+    expressions asks of it; that table moves when an expression is added,
+    so evaluating the group builds nothing but the :class:`Evaluation`,
+    which answers for the group's expressions and no others."""
+
+    def __init__(self, source: MetricSource, lookback_ns: int) -> None:
+        self._source = source
+        self._lookback_ns = lookback_ns
+        self._widest: dict[VectorSelector, int] = {}
+
+    def add(self, expr: PromExpr) -> None:
+        for selector, window_ns in leaf_reads(expr):
+            if window_ns is None:
+                window_ns = self._lookback_ns
+            if window_ns > self._widest.get(selector, 0):
+                self._widest[selector] = window_ns
+
+    def instant(self, time_ns: int) -> Evaluation:
+        """The group at one instant: ``.samples(expr)`` of each."""
+        return self._over(instant_grid(time_ns))
+
+    def range(self, start_ns: int, end_ns: int, step_ns: int) -> Evaluation:
+        """The group at every step of a range: ``.series(expr)`` of each."""
+        return self._over(range_grid(start_ns, end_ns, step_ns))
+
+    def _over(self, steps: np.ndarray) -> Evaluation:
+        return _Evaluation(self._source, self._lookback_ns, self._widest, steps)
+
+
 class PromQLEngine:
     """Evaluates the PromQL subset against a :class:`TimeSeriesStore`."""
 
@@ -333,18 +416,24 @@ class PromQLEngine:
         self._source = source
         self._lookback_ns = lookback_ns
 
+    def group(self, exprs: Iterable[PromExpr] = ()) -> Group:
+        """A :class:`Group` of parsed expressions, to be added to and
+        evaluated as often as its owner likes."""
+        group = Group(self._source, self._lookback_ns)
+        for expr in exprs:
+            group.add(expr)
+        return group
+
     def query_instant(self, query: str | PromExpr, time_ns: int) -> list[Sample]:
-        return self._evaluation(instant_grid(time_ns)).samples(self._parsed(query))
+        expr = self._parsed(query)
+        return self.group((expr,)).instant(time_ns).samples(expr)
 
     def query_range(
         self, query: str | PromExpr, start_ns: int, end_ns: int, step_ns: int
     ) -> list[Series]:
-        steps = range_grid(start_ns, end_ns, step_ns)
-        return self._evaluation(steps).series(self._parsed(query))
+        expr = self._parsed(query)
+        return self.group((expr,)).range(start_ns, end_ns, step_ns).series(expr)
 
     @staticmethod
     def _parsed(query: str | PromExpr) -> PromExpr:
         return parse_promql(query) if isinstance(query, str) else query
-
-    def _evaluation(self, steps: np.ndarray) -> _Evaluation:
-        return _Evaluation(self._source, self._lookback_ns, steps)

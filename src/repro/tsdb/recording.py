@@ -11,10 +11,26 @@ evaluation.
 
 The engine evaluates rules in registration order within one cycle and
 ingests each rule's output at the evaluation timestamp before moving to
-the next rule, so a rule may read the output of an earlier rule in the
-*same* cycle (Prometheus "rule group" chaining).  A rule registered
-before its input's producer still works — it just reads the previous
-cycle's value through the staleness lookback.
+the next rule (Prometheus "rule group" semantics).  The unit it hands the
+query engine is not the rule, though, but the **stage**: the ordered
+rules are cut, when they are added, into runs that one
+:class:`~repro.common.vector.Evaluation` can answer — sharing every read
+and every sub-expression the rules have in common — and the stage rule
+is what makes that the same as a query per rule:
+
+    a rule starts a new stage iff one of its selectors can match a name
+    an earlier rule *of the current stage* records.
+
+So no rule of a stage reads what a rule before it in the same stage
+wrote, and an evaluation never outlives a write to what it read; there
+is no cache to invalidate.  Same-cycle chaining is the cut itself (the
+consumer opens a stage, whose evaluation starts after the producer's
+output is in the store); a rule registered *before* its input's
+producer, or reading its own output, stays in the stage and reads the
+previous cycle's value through the staleness lookback, as it would
+alone.  "Can match" looks at the selector's ``__name__`` matchers only —
+an equality is a set membership, a regex is tried on each recorded name,
+a selector without one can match anything — so it errs towards cutting.
 """
 
 from __future__ import annotations
@@ -22,11 +38,18 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass, field
 
-from repro.common.errors import ValidationError
-from repro.common.labels import METRIC_NAME_LABEL
+from repro.common.errors import QueryError, ValidationError
+from repro.common.labels import METRIC_NAME_LABEL, LabelSet
 from repro.common.simclock import SimClock, Timer
 from repro.tempo.tracer import Tracer
-from repro.tsdb.promql import PromExpr, PromQLEngine, parse_promql
+from repro.tsdb.promql import (
+    Group,
+    PromExpr,
+    PromQLEngine,
+    VectorSelector,
+    leaf_reads,
+    parse_promql,
+)
 from repro.tsdb.storage import TimeSeriesStore
 
 #: Metric names must be exposition-safe: the lexer PromQL shares with
@@ -61,13 +84,43 @@ class RecordingRule:
             )
 
 
+class _Stage:
+    """A run of consecutive rules that one evaluation answers (the stage
+    rule is in the module docstring)."""
+
+    #: Output label sets kept per rule; a rule over series that come and
+    #: go without end starts its table over rather than grow it.
+    MAX_OUTPUTS = 1 << 12
+
+    def __init__(self, group: Group) -> None:
+        self.group = group
+        #: Each rule with its output label set per input label set: the
+        #: relabelling is the same every cycle, so it is done once.
+        self.rules: list[tuple[RecordingRule, dict[LabelSet, LabelSet]]] = []
+        self._records: set[str] = set()
+
+    def add(self, rule: RecordingRule) -> None:
+        self.group.add(rule.ast)
+        self.rules.append((rule, {}))
+        self._records.add(rule.record)
+
+    def feeds(self, selector: VectorSelector) -> bool:
+        """Whether ``selector`` can match a name a rule of this stage
+        records, going by its ``__name__`` matchers alone."""
+        on_name = [m for m in selector.matchers if m.name == METRIC_NAME_LABEL]
+        return any(
+            all(m.matches({METRIC_NAME_LABEL: name}) for m in on_name)
+            for name in self._records
+        )
+
+
 class RecordingEngine:
     """Evaluates recording rules on the sim clock and persists results.
 
-    Each evaluation queries the rule's expression as a PromQL instant
-    query at "now", relabels the result vector under the rule's record
-    name (merging any static rule labels), and ingests the samples back
-    into the store at the evaluation timestamp.
+    Each cycle evaluates every rule's expression at "now" — stage by
+    stage, a stage through one evaluation — relabels the result vector
+    under the rule's record name (merging any static rule labels), and
+    ingests the samples back into the store at the evaluation timestamp.
     """
 
     def __init__(
@@ -82,6 +135,7 @@ class RecordingEngine:
         self._clock = clock
         self._tracer = tracer
         self._rules: list[RecordingRule] = []
+        self._stages: list[_Stage] = []
         self._names: set[str] = set()
         self.evaluations = 0
         self.samples_recorded = 0
@@ -95,11 +149,22 @@ class RecordingEngine:
                 f"recording rule {rule.record!r} with this expression "
                 "is already registered"
             )
+        if not self._stages or any(
+            self._stages[-1].feeds(selector) for selector, _ in leaf_reads(rule.ast)
+        ):
+            self._stages.append(_Stage(self._engine.group()))
+        self._stages[-1].add(rule)
         self._rules.append(rule)
         self._names.add(rule.record)
 
     def rules(self) -> tuple[RecordingRule, ...]:
         return tuple(self._rules)
+
+    def stages(self) -> tuple[tuple[RecordingRule, ...], ...]:
+        """The rules as the engine evaluates them: stage by stage."""
+        return tuple(
+            tuple(rule for rule, _ in stage.rules) for stage in self._stages
+        )
 
     def records(self, name: str) -> bool:
         """Whether any registered rule outputs ``name``."""
@@ -115,18 +180,25 @@ class RecordingEngine:
         """
         now = self._clock.now_ns
         recorded = 0
-        for rule in self._rules:
-            try:
-                samples = self._engine.query_instant(rule.ast, now)
-            except Exception:
-                self.eval_errors += 1
-                continue
-            for sample in samples:
-                labels = sample.labels.without(METRIC_NAME_LABEL)
-                if rule.labels:
-                    labels = labels.with_labels(**rule.labels)
-                if self._store.ingest(rule.record, labels, sample.value, now):
-                    recorded += 1
+        for stage in self._stages:
+            evaluation = stage.group.instant(now)
+            for rule, outputs in stage.rules:
+                try:
+                    samples = evaluation.samples(rule.ast)
+                except QueryError:
+                    self.eval_errors += 1
+                    continue
+                for sample in samples:
+                    labels = outputs.get(sample.labels)
+                    if labels is None:
+                        labels = sample.labels.without(METRIC_NAME_LABEL)
+                        if rule.labels:
+                            labels = labels.with_labels(**rule.labels)
+                        if len(outputs) >= _Stage.MAX_OUTPUTS:
+                            outputs.clear()
+                        outputs[sample.labels] = labels
+                    if self._store.ingest(rule.record, labels, sample.value, now):
+                        recorded += 1
         self.evaluations += 1
         self.samples_recorded += recorded
         if self._tracer is not None:

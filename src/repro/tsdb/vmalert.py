@@ -33,10 +33,12 @@ class VMAlert(RuleEvaluator):
         generator: str = "vmalert",
     ) -> None:
         super().__init__(clock, notifier, generator)
-        self._engine = engine
+        self._group = engine.group()
 
     def _compile(self, expr: str) -> PromExpr:
-        return parse_promql(expr)
+        ast = parse_promql(expr)
+        self._group.add(ast)
+        return ast
 
-    def _query(self, compiled: PromExpr, time_ns: int) -> list[Sample]:
-        return self._engine.query_instant(compiled, time_ns)
+    def _instant(self, time_ns: int) -> Callable[[PromExpr], list[Sample]]:
+        return self._group.instant(time_ns).samples

@@ -535,31 +535,33 @@ class TestOneReadPerLeaf:
 
     @pytest.mark.parametrize("steps", [1, 2, 7, 40])
     @pytest.mark.parametrize(
-        "query,leaves",
+        "query,selectors",
         [
             ("m", 1),
             ("sum by (inst) (m) * 2 > 0", 1),
             ("max(sum by (inst) (rate(m[5s])))", 1),
             ("rate(m[5s]) / rate(n[5s])", 2),
             ("increase(m[5s]) / increase(m[5s])", 1),
-            ("increase(m[5s]) / increase(m[6s])", 2),
-            ("rate(m[5s]) + m", 2),
+            ("increase(m[5s]) / increase(m[6s])", 1),
+            ("rate(m[5s]) + m", 1),
             ("m > 1 and m < 50", 1),
             ("absent(m) or m", 1),
             ('m{inst="1"} or m', 2),
             ("(increase(n[9s]) - increase(m[9s])) / (increase(n[9s]) > 0) / 0.5", 2),
-            ("increase(m[5s]) > 1 and increase(m[9s]) > 1", 2),
-            ("topk(2, avg_over_time(m[5s])) unless min_over_time(m[5s]) > 3", 2),
+            ("increase(m[5s]) > 1 and increase(m[9s]) > 1", 1),
+            ("topk(2, avg_over_time(m[5s])) unless min_over_time(m[5s]) > 3", 1),
         ],
     )
     def test_one_select_per_distinct_leaf_whatever_the_step_count(
-        self, query, leaves, steps
+        self, query, selectors, steps
     ):
+        """Leaves over one selector — the instant vector, range functions
+        over whatever windows — share its one read."""
         source = self.source()
         start, step = int(seconds(10)), int(seconds(1))
         end = start + (steps - 1) * step
         PromQLEngine(source, self.LOOKBACK).query_range(query, start, end, step)
-        assert len(source.selects) == leaves
+        assert len(source.selects) == selectors
 
     def test_the_one_read_spans_the_union_of_the_windows_and_no_more(self):
         source = self.source()
@@ -568,9 +570,14 @@ class TestOneReadPerLeaf:
         engine = PromQLEngine(source, self.LOOKBACK)
         engine.query_range("m", start, end, step)
         engine.query_range("sum_over_time(m[7s])", start, end, step)
+        # Leaves sharing a selector: the widest window any of them asks.
+        engine.query_range("rate(m[3s]) + m", start, end, step)
+        engine.query_range("m unless increase(m[11s]) > delta(m[9s])", start, end, step)
         assert [(lo, hi) for _m, lo, hi in source.selects] == [
             (start - self.LOOKBACK + 1, last + 1),
             (start - int(seconds(7)) + 1, last + 1),
+            (start - self.LOOKBACK + 1, last + 1),
+            (start - int(seconds(11)) + 1, last + 1),
         ]
 
     def test_query_instant_is_one_read_of_one_window(self):
