@@ -107,6 +107,7 @@ class SloManager:
             for window in self._distinct_windows()
         }
         self._burn_group = promql.group(self._burn_families.values())
+        self._first_alias: RecordingRule | None = None
         self._entries: dict[str, _SloEntry] = {}
         self.evaluations = 0
         self.exhaustion_events = 0
@@ -124,21 +125,24 @@ class SloManager:
             collector=collector,
             budget=ErrorBudget(slo),
         )
+        # The window aliases re-emit what the burn rules of *every* SLO
+        # just recorded, so they stay behind all of them: a later SLO's
+        # rules go in ahead of the first alias.  (Behind only the first
+        # SLO's, an alias read the others' previous cycle.)
         for window in self._distinct_windows():
-            self.recording.add_rule(self._burn_rule(slo, window))
-            self.recording.add_rule(self._ratio_rule(slo, window))
-            # Chained alias: read the suffixed series just recorded and
-            # re-emit it with a window label for the dashboard heatmap.
-            alias = RecordingRule(
-                record="slo_burn_rate",
-                expr=burn_metric_name(window),
-                labels={"window": window},
-            )
-            if not any(
-                r.record == alias.record and r.expr == alias.expr
-                for r in self.recording.rules()
-            ):
+            for rule in (self._burn_rule(slo, window), self._ratio_rule(slo, window)):
+                self.recording.add_rule(rule, before=self._first_alias)
+        if self._first_alias is None:
+            for window in self._distinct_windows():
+                # Chained alias: read the suffixed series just recorded and
+                # re-emit it with a window label for the dashboard heatmap.
+                alias = RecordingRule(
+                    record="slo_burn_rate",
+                    expr=burn_metric_name(window),
+                    labels={"window": window},
+                )
                 self.recording.add_rule(alias)
+                self._first_alias = self._first_alias or alias
         return collector
 
     def _distinct_windows(self) -> list[str]:

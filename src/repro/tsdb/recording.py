@@ -39,7 +39,7 @@ import re
 from dataclasses import dataclass, field
 
 from repro.common.errors import QueryError, ValidationError
-from repro.common.labels import METRIC_NAME_LABEL, LabelSet
+from repro.common.labels import METRIC_NAME_LABEL, LabelSet, MatchOp
 from repro.common.simclock import SimClock, Timer
 from repro.tempo.tracer import Tracer
 from repro.tsdb.promql import (
@@ -108,6 +108,9 @@ class _Stage:
         """Whether ``selector`` can match a name a rule of this stage
         records, going by its ``__name__`` matchers alone."""
         on_name = [m for m in selector.matchers if m.name == METRIC_NAME_LABEL]
+        for m in on_name:
+            if m.op is MatchOp.EQ:  # the usual selector: one lookup
+                return m.value in self._records
         return any(
             all(m.matches({METRIC_NAME_LABEL: name}) for m in on_name)
             for name in self._records
@@ -141,21 +144,34 @@ class RecordingEngine:
         self.samples_recorded = 0
         self.eval_errors = 0
 
-    def add_rule(self, rule: RecordingRule) -> None:
-        """Register ``rule``; duplicate record/expr pairs are rejected."""
+    def add_rule(
+        self, rule: RecordingRule, before: RecordingRule | None = None
+    ) -> None:
+        """Register ``rule`` — last, or just ahead of the registered rule
+        ``before``; duplicate record/expr pairs are rejected."""
         key = (rule.record, rule.expr)
         if any((r.record, r.expr) == key for r in self._rules):
             raise ValidationError(
                 f"recording rule {rule.record!r} with this expression "
                 "is already registered"
             )
+        if before is None:
+            self._rules.append(rule)
+            self._stage(rule)
+        else:
+            self._rules.insert(self._rules.index(before), rule)
+            # Every cut after the newcomer may move: cut again.
+            self._stages = []
+            for each in self._rules:
+                self._stage(each)
+        self._names.add(rule.record)
+
+    def _stage(self, rule: RecordingRule) -> None:
         if not self._stages or any(
             self._stages[-1].feeds(selector) for selector, _ in leaf_reads(rule.ast)
         ):
             self._stages.append(_Stage(self._engine.group()))
         self._stages[-1].add(rule)
-        self._rules.append(rule)
-        self._names.add(rule.record)
 
     def rules(self) -> tuple[RecordingRule, ...]:
         return tuple(self._rules)

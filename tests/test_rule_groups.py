@@ -16,6 +16,7 @@ plain loops: every rule its own ``query_instant``, its output ingested
   calls, not in time.
 """
 
+from itertools import permutations
 from unittest import mock
 
 import pytest
@@ -36,6 +37,7 @@ from repro.loki.logql.parser import parse as parse_logql
 from repro.loki.model import LogEntry
 from repro.loki.ruler import Ruler
 from repro.loki.store import LokiStore
+from repro.slo import SLO, SloManager, StaticSource
 from repro.tsdb import PromQLEngine, RecordingEngine, RecordingRule, TimeSeriesStore
 from repro.tsdb.promql import parse_promql
 from repro.tsdb.vmalert import VMAlert
@@ -499,3 +501,97 @@ class TestAFailingAlertRule:
             with pytest.raises(ZeroDivisionError):
                 recording.evaluate_all()
         assert vmalert.eval_errors == recording.eval_errors == 0
+
+
+# ----------------------------------------------------------------------
+# The SLO plane's group
+# ----------------------------------------------------------------------
+def series_of(store: TimeSeriesStore, selector: str, until_ns: int) -> dict:
+    return {
+        labels.without("__name__", "window"): (ts.tolist(), [v.hex() for v in values.tolist()])
+        for labels, ts, values in store.select(parse_promql(selector).matchers, 0, until_ns + 1)
+    }
+
+
+class TestHeatmapAlias:
+    """``slo_burn_rate{window=w}`` re-emits ``slo_burn_rate_<w>``.  Its
+    rules sat behind the *first* SLO's burn rules only, so every later
+    SLO's alias read the previous cycle: one tick late, value by value."""
+
+    NAMES = ("ingest", "latency", "delivery", "freshness")
+
+    @pytest.mark.parametrize("order", list(permutations(range(4)))[::5])
+    def test_equals_its_source_at_equal_timestamps(self, order):
+        clock = SimClock(0)
+        store = TimeSeriesStore()
+        manager = SloManager(clock, PromQLEngine(store), store)
+        collectors = {}
+
+        def cycle(k: int) -> None:
+            clock.advance(seconds(30))
+            for i, (name, collector) in enumerate(collectors.items()):
+                collector.inject(100.0, float((k * (i + 1)) % 7))
+                snap = collector.snapshot()
+                labels = {"slo": name, "job": "slo"}
+                store.ingest("slo_sli_good_total", labels, snap.good, clock.now_ns)
+                store.ingest("slo_sli_total", labels, snap.total, clock.now_ns)
+            manager.tick()
+
+        for k, which in enumerate(order):
+            name = self.NAMES[which]
+            collectors[name] = manager.register(
+                SLO(name=name, description="x", objective=0.99), StaticSource()
+            )
+            cycle(k)  # the last one joins a group that is already ticking
+        for k in range(4, 16):
+            cycle(k)
+        for window in manager._distinct_windows():
+            source = series_of(store, f"slo_burn_rate_{window}", clock.now_ns)
+            alias = series_of(store, f'slo_burn_rate{{window="{window}"}}', clock.now_ns)
+            assert len(source) == 4 and alias == source
+        # Behind every SLO's rules, the aliases need one cut, not one a window.
+        assert [len(stage) for stage in manager.recording.stages()] == [4 * 7 * 2, 7]
+        assert manager.recording.eval_errors == 0
+
+
+def counted(owner, name: str):
+    """Patch ``owner.name`` with a mock that still does the work."""
+    return mock.patch.object(owner, name, autospec=True, side_effect=getattr(owner, name))
+
+
+class TestSteadyStateTickBudget:
+    """Call counts, no timing: one tick of the default plane — 4 SLOs ×
+    7 windows, 63 rules and the burn read-back — asked the TSDB 147
+    times when every rule was its own query."""
+
+    def test_one_tick_of_the_default_plane(self):
+        fw = MonitoringFramework(
+            FrameworkConfig(
+                cluster_spec=ClusterSpec(cabinets=1, chassis_per_cabinet=1),
+                **{plane.flag: True for plane in PLANES},
+            )
+        )
+        fw.start()
+        fw.run_for(minutes(10))  # every series seen, every label set memoised
+        manager = fw.slo_manager
+        assert len(manager.slos()) == 4 and len(manager.recording.rules()) == 63
+        recorded = manager.recording.samples_recorded
+        with (
+            counted(TimeSeriesStore, "select") as selects,
+            counted(LabelSet, "__init__") as labelsets,
+            counted(Evaluation, "_evaluate") as nodes,
+        ):
+            manager.tick()
+        assert manager.recording.samples_recorded > recorded
+        # 8 SLI counters and 7 recorded families for the aliases, then
+        # the 7 families again for the read-back.
+        assert selects.call_count <= 24
+        assert labelsets.call_count == 0
+        # Two stages and the read-back; in each, no node twice.
+        evaluated: dict[int, list] = {}
+        for call in nodes.call_args_list:
+            evaluation, expr = call.args
+            evaluated.setdefault(id(evaluation), []).append(expr)
+        assert len(evaluated) == 3
+        for exprs in evaluated.values():
+            assert len(set(exprs)) == len(exprs)
