@@ -38,14 +38,14 @@ class RuleSpec:
     labels: dict[str, str] = field(default_factory=dict)
     annotations: dict[str, str] = field(default_factory=dict)
 
+    #: ``for_`` in nanoseconds, parsed (and so validated) once, when the
+    #: rule is built; what every evaluation compares against.
+    for_ns: int = field(init=False, repr=False, compare=False)
+
     def __post_init__(self) -> None:
         if not self.name:
             raise ValidationError("rule needs a name")
-        parse_duration_ns(self.for_)  # validate eagerly
-
-    @property
-    def for_ns(self) -> int:
-        return parse_duration_ns(self.for_)
+        object.__setattr__(self, "for_ns", parse_duration_ns(self.for_))
 
 
 def render_template(template: str, labels: LabelSet, value: float) -> str:

@@ -43,8 +43,8 @@ class LabelSet(Mapping[str, str]):
     # ``_fingerprint`` is left unset until :meth:`fingerprint` is first
     # asked for it: most label sets (every TSDB series, every query
     # result) never place on a ring and should not pay for the slot's
-    # initialisation.
-    __slots__ = ("_items", "_hash", "_fingerprint")
+    # initialisation.  ``_nameless`` likewise, until :meth:`nameless`.
+    __slots__ = ("_items", "_hash", "_fingerprint", "_nameless")
 
     def __init__(self, labels: Mapping[str, str] | Iterable[tuple[str, str]] = ()):
         if isinstance(labels, Mapping):
@@ -118,6 +118,23 @@ class LabelSet(Mapping[str, str]):
     def without(self, *names: str) -> "LabelSet":
         """Return a new set dropping the given label names."""
         return self._subset(tuple(p for p in self._items if p[0] not in names))
+
+    def nameless(self) -> "LabelSet":
+        """This set without its metric name — itself, if it has none:
+        what binary operators match series on and what range functions
+        and rules call their rows.  Worked out on first use and kept (a
+        series is asked at every evaluation that reads it), as ``None``
+        for "itself" so that a set never refers to itself."""
+        try:
+            dropped = self._nameless
+        except AttributeError:
+            dropped = self.without(METRIC_NAME_LABEL)
+            if dropped is self:
+                dropped = None
+            else:
+                dropped._nameless = None
+            self._nameless = dropped
+        return self if dropped is None else dropped
 
     def project(self, names: Iterable[str]) -> "LabelSet":
         """Return a new set keeping only the given label names (``by`` clause)."""

@@ -106,7 +106,7 @@ def _arith(op: ArithOp, a, b) -> np.ndarray:
 
 def _join_keys(vector: Vector) -> list[LabelSet]:
     """What binary operators match series on: all labels but the name."""
-    return [labels.without(METRIC_NAME_LABEL) for labels in vector.labels]
+    return [labels.nameless() for labels in vector.labels]
 
 
 class Evaluation:

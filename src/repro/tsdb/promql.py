@@ -181,14 +181,16 @@ class _Read:
     series end to end in ``ts``/``values`` (one pad element at the very
     end, so a position just past the last sample can still be indexed),
     series *i* starting at ``starts[i]``.  Every leaf over the selector
-    shares the read, so what depends on the read alone — where each step
-    ends in each series, what resets took from each counter — is worked
-    out once, here, and only ever read."""
+    shares the read, so what depends on the read alone — where every
+    window the group asks of it begins and ends in each series, what
+    resets took from each counter — is worked out once, here, and only
+    ever read."""
 
     def __init__(
         self,
         selected: list[tuple[LabelSet, np.ndarray, np.ndarray]],
         steps: np.ndarray,
+        ranges: tuple[int, ...],
     ) -> None:
         labels, self._series_ts, series_values = (
             zip(*selected) if selected else ((), (), ())
@@ -201,8 +203,13 @@ class _Read:
         )
         self.ts = np.concatenate(self._series_ts + (_PAD_TS,))
         self.values = np.concatenate(series_values + (_PAD_VALUE,))
-        self._steps = steps
-        self._end: np.ndarray | None = None
+        # Both edges of every window (t - range, t], for every range
+        # function's range, in one search a series.
+        edges = self.positions(np.concatenate([steps - r for r in ranges] + [steps]))
+        n = len(steps)
+        #: Where each step's windows end, and per range where they begin.
+        self.end = edges[:, len(ranges) * n :]
+        self.first = {r: edges[:, i * n : (i + 1) * n] for i, r in enumerate(ranges)}
 
     def positions(self, instants: np.ndarray) -> np.ndarray:
         """Per series and instant, the position in the end-to-end columns
@@ -214,26 +221,11 @@ class _Read:
         out += self.starts[:, None]
         return out
 
-    def end(self) -> np.ndarray:
-        """:meth:`positions` of the steps: where every window ends."""
-        if self._end is None:
-            self._end = self.positions(self._steps)
-        return self._end
-
-    def windows(self, range_ns: int) -> tuple[np.ndarray, np.ndarray]:
-        """:meth:`positions` of both edges of the windows ``(t - range, t]``."""
-        if self._end is not None:
-            return self.positions(self._steps - range_ns), self._end
-        # The first leaf to ask finds both in one search a series.
-        edges = self.positions(np.concatenate([self._steps - range_ns, self._steps]))
-        self._end = edges[:, len(self._steps) :]
-        return edges[:, : len(self._steps)], self._end
-
     @cached_property
     def nameless(self) -> list[LabelSet]:
         """The series without their metric name: what a range function
         calls its rows (Prometheus semantics)."""
-        return [labels.without(METRIC_NAME_LABEL) for labels in self.labels]
+        return [labels.nameless() for labels in self.labels]
 
     @cached_property
     def reset_carry(self) -> np.ndarray | None:
@@ -280,12 +272,14 @@ class _Evaluation(Evaluation):
         source: MetricSource,
         lookback_ns: int,
         widest: Mapping[VectorSelector, int],
+        ranges: Mapping[VectorSelector, tuple[int, ...]],
         steps: np.ndarray,
     ) -> None:
         super().__init__(steps)
         self._source = source
         self._lookback_ns = lookback_ns
         self._widest = widest
+        self._ranges = ranges
         self._reads: dict[VectorSelector, _Read] = {}
 
     def leaf(self, expr: PromExpr) -> Vector:
@@ -310,6 +304,7 @@ class _Evaluation(Evaluation):
                     int(self.steps[-1]) + 1,
                 ),
                 self.steps,
+                self._ranges.get(selector, ()),
             )
         return read
 
@@ -319,7 +314,7 @@ class _Evaluation(Evaluation):
             return Vector([], *self._empty())
         # The most recent sample at or before each step, if it is inside
         # the staleness window.
-        last = read.end() - 1
+        last = read.end - 1
         fresh = read.ts[last] > self.steps - self._lookback_ns
         return Vector(
             read.labels, read.values[last], (last >= read.starts[:, None]) & fresh
@@ -330,7 +325,7 @@ class _Evaluation(Evaluation):
         if not read.labels:
             return Vector([], *self._empty())
         func = expr.func
-        first, end = read.windows(expr.range_ns)
+        first, end = read.first[expr.range_ns], read.end
         count = end - first
         needed = 1
         if func is PromRangeFunc.COUNT_OVER_TIME:
@@ -378,22 +373,27 @@ class _Evaluation(Evaluation):
 class Group:
     """Expressions evaluated together — the rules of a group, the reads
     of one tick, a single query: the unit the engine evaluates.  A group
-    knows, per distinct selector, the widest window any of its
-    expressions asks of it; that table moves when an expression is added,
-    so evaluating the group builds nothing but the :class:`Evaluation`,
-    which answers for the group's expressions and no others."""
+    knows what its expressions ask of each distinct selector — the widest
+    window, which is what gets read, and every range function's range,
+    whose edges the read finds in one go; those tables move when an
+    expression is added, so evaluating the group builds nothing but the
+    :class:`Evaluation`, which answers for the group's expressions and
+    no others."""
 
     def __init__(self, source: MetricSource, lookback_ns: int) -> None:
         self._source = source
         self._lookback_ns = lookback_ns
         self._widest: dict[VectorSelector, int] = {}
+        self._ranges: dict[VectorSelector, tuple[int, ...]] = {}
 
     def add(self, expr: PromExpr) -> None:
-        for selector, window_ns in leaf_reads(expr):
-            if window_ns is None:
-                window_ns = self._lookback_ns
+        for selector, range_ns in leaf_reads(expr):
+            window_ns = self._lookback_ns if range_ns is None else range_ns
             if window_ns > self._widest.get(selector, 0):
                 self._widest[selector] = window_ns
+            ranges = self._ranges.get(selector, ())
+            if range_ns is not None and range_ns not in ranges:
+                self._ranges[selector] = (*ranges, range_ns)
 
     def instant(self, time_ns: int) -> Evaluation:
         """The group at one instant: ``.samples(expr)`` of each."""
@@ -404,7 +404,9 @@ class Group:
         return self._over(range_grid(start_ns, end_ns, step_ns))
 
     def _over(self, steps: np.ndarray) -> Evaluation:
-        return _Evaluation(self._source, self._lookback_ns, self._widest, steps)
+        return _Evaluation(
+            self._source, self._lookback_ns, self._widest, self._ranges, steps
+        )
 
 
 class PromQLEngine:

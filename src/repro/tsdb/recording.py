@@ -207,7 +207,7 @@ class RecordingEngine:
                 for sample in samples:
                     labels = outputs.get(sample.labels)
                     if labels is None:
-                        labels = sample.labels.without(METRIC_NAME_LABEL)
+                        labels = sample.labels.nameless()
                         if rule.labels:
                             labels = labels.with_labels(**rule.labels)
                         if len(outputs) >= _Stage.MAX_OUTPUTS:

@@ -117,6 +117,16 @@ class TestDerivedSetsSkipValidationNotCorrectness:
             LabelSet({k: v for k, v in d.items() if k in names}),
         )
 
+    @given(label_dicts, st.booleans())
+    def test_nameless_is_without_the_name_and_is_kept(self, d, named):
+        labels = LabelSet({**d, "__name__": "m"} if named else d)
+        dropped = labels.nameless()
+        assert_same_set(dropped, labels.without("__name__"))
+        # Asked again, of either: the same object, and no set holds itself.
+        assert labels.nameless() is dropped and dropped.nameless() is dropped
+        assert (dropped is labels) == ("__name__" not in labels)
+        assert labels._nameless is not labels and dropped._nameless is None
+
     @given(label_dicts, label_dicts)
     def test_with_labels_equals_the_public_constructor(self, d, extra):
         assert_same_set(LabelSet(d).with_labels(**extra), LabelSet({**d, **extra}))

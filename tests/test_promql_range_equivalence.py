@@ -1,9 +1,9 @@
 """Property: one read sliced per step equals an independent read per instant.
 
-``PromQLEngine.query_range`` reads the store once per distinct leaf (a
-selector, or a range function over one), finds every step's window in
-every series with ``searchsorted`` and carries (series × steps) arrays up
-the expression.  The reference here is the evaluator it replaced, kept
+``PromQLEngine.query_range`` reads the store once per distinct selector
+(whatever leaves sit on it: the instant vector, range functions over any
+windows), finds every step's window in every series with ``searchsorted``
+and carries (series × steps) arrays up the expression.  The reference here is the evaluator it replaced, kept
 as plain loops over Python lists: at every grid instant it selects that
 instant's own window, builds one ``(labels, value)`` pair per series and
 reduces — nothing is shared between instants.
