@@ -133,16 +133,19 @@ class SloManager:
             for rule in (self._burn_rule(slo, window), self._ratio_rule(slo, window)):
                 self.recording.add_rule(rule, before=self._first_alias)
         if self._first_alias is None:
-            for window in self._distinct_windows():
-                # Chained alias: read the suffixed series just recorded and
-                # re-emit it with a window label for the dashboard heatmap.
-                alias = RecordingRule(
+            # Chained aliases: read the suffixed series just recorded and
+            # re-emit them with a window label for the dashboard heatmap.
+            aliases = [
+                RecordingRule(
                     record="slo_burn_rate",
                     expr=burn_metric_name(window),
                     labels={"window": window},
                 )
+                for window in self._distinct_windows()
+            ]
+            for alias in aliases:
                 self.recording.add_rule(alias)
-                self._first_alias = self._first_alias or alias
+            self._first_alias = aliases[0]
         return collector
 
     def _distinct_windows(self) -> list[str]:

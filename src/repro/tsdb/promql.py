@@ -19,7 +19,7 @@ from __future__ import annotations
 import enum
 from functools import cached_property
 from itertools import accumulate
-from typing import Iterable, Iterator, Mapping, Protocol, Union
+from typing import Iterable, Iterator, Protocol, Union
 
 import numpy as np
 
@@ -267,19 +267,11 @@ class _Evaluation(Evaluation):
     series the read holds that has nothing in a narrower window is a row
     present at no step, which no operator can tell from no row."""
 
-    def __init__(
-        self,
-        source: MetricSource,
-        lookback_ns: int,
-        widest: Mapping[VectorSelector, int],
-        ranges: Mapping[VectorSelector, tuple[int, ...]],
-        steps: np.ndarray,
-    ) -> None:
+    def __init__(self, group: "Group", steps: np.ndarray) -> None:
         super().__init__(steps)
-        self._source = source
-        self._lookback_ns = lookback_ns
-        self._widest = widest
-        self._ranges = ranges
+        self._source = group.source
+        self._lookback_ns = group.lookback_ns
+        self._asked = group.asked
         self._reads: dict[VectorSelector, _Read] = {}
 
     def leaf(self, expr: PromExpr) -> Vector:
@@ -297,14 +289,15 @@ class _Evaluation(Evaluation):
         widest window any expression of the group asks of it."""
         read = self._reads.get(selector)
         if read is None:
+            widest_ns, ranges = self._asked[selector]
             read = self._reads[selector] = _Read(
                 self._source.select(
                     selector.matchers,
-                    int(self.steps[0]) - self._widest[selector] + 1,
+                    int(self.steps[0]) - widest_ns + 1,
                     int(self.steps[-1]) + 1,
                 ),
                 self.steps,
-                self._ranges.get(selector, ()),
+                ranges,
             )
         return read
 
@@ -375,38 +368,33 @@ class Group:
     of one tick, a single query: the unit the engine evaluates.  A group
     knows what its expressions ask of each distinct selector — the widest
     window, which is what gets read, and every range function's range,
-    whose edges the read finds in one go; those tables move when an
+    whose edges the read finds in one go; that table moves when an
     expression is added, so evaluating the group builds nothing but the
     :class:`Evaluation`, which answers for the group's expressions and
     no others."""
 
     def __init__(self, source: MetricSource, lookback_ns: int) -> None:
-        self._source = source
-        self._lookback_ns = lookback_ns
-        self._widest: dict[VectorSelector, int] = {}
-        self._ranges: dict[VectorSelector, tuple[int, ...]] = {}
+        self.source = source
+        self.lookback_ns = lookback_ns
+        #: Per distinct selector: (widest window, every range asked).
+        self.asked: dict[VectorSelector, tuple[int, tuple[int, ...]]] = {}
 
     def add(self, expr: PromExpr) -> None:
         for selector, range_ns in leaf_reads(expr):
-            window_ns = self._lookback_ns if range_ns is None else range_ns
-            if window_ns > self._widest.get(selector, 0):
-                self._widest[selector] = window_ns
-            ranges = self._ranges.get(selector, ())
-            if range_ns is not None and range_ns not in ranges:
-                self._ranges[selector] = (*ranges, range_ns)
+            widest_ns, ranges = self.asked.get(selector, (0, ()))
+            if range_ns is None:
+                range_ns = self.lookback_ns  # a window to read, no range to find
+            elif range_ns not in ranges:
+                ranges = (*ranges, range_ns)
+            self.asked[selector] = max(widest_ns, range_ns), ranges
 
     def instant(self, time_ns: int) -> Evaluation:
         """The group at one instant: ``.samples(expr)`` of each."""
-        return self._over(instant_grid(time_ns))
+        return _Evaluation(self, instant_grid(time_ns))
 
     def range(self, start_ns: int, end_ns: int, step_ns: int) -> Evaluation:
         """The group at every step of a range: ``.series(expr)`` of each."""
-        return self._over(range_grid(start_ns, end_ns, step_ns))
-
-    def _over(self, steps: np.ndarray) -> Evaluation:
-        return _Evaluation(
-            self._source, self._lookback_ns, self._widest, self._ranges, steps
-        )
+        return _Evaluation(self, range_grid(start_ns, end_ns, step_ns))
 
 
 class PromQLEngine:

@@ -84,18 +84,35 @@ class RecordingRule:
             )
 
 
+#: Output label sets kept per rule; a rule over series that come and go
+#: without end starts its table over rather than grow it.
+MAX_OUTPUTS = 1 << 12
+
+
+def _recorded_as(
+    rule: RecordingRule, outputs: dict[LabelSet, LabelSet], labels: LabelSet
+) -> LabelSet:
+    """The label set ``rule`` records a result series under: its name
+    dropped, the rule's labels merged in.  The same every cycle, so done
+    once per input label set and kept in ``outputs``."""
+    recorded = outputs.get(labels)
+    if recorded is None:
+        recorded = labels.nameless()
+        if rule.labels:
+            recorded = recorded.with_labels(**rule.labels)
+        if len(outputs) >= MAX_OUTPUTS:
+            outputs.clear()
+        outputs[labels] = recorded
+    return recorded
+
+
 class _Stage:
     """A run of consecutive rules that one evaluation answers (the stage
     rule is in the module docstring)."""
 
-    #: Output label sets kept per rule; a rule over series that come and
-    #: go without end starts its table over rather than grow it.
-    MAX_OUTPUTS = 1 << 12
-
     def __init__(self, group: Group) -> None:
         self.group = group
-        #: Each rule with its output label set per input label set: the
-        #: relabelling is the same every cycle, so it is done once.
+        #: Each rule with its :func:`_recorded_as` table.
         self.rules: list[tuple[RecordingRule, dict[LabelSet, LabelSet]]] = []
         self._records: set[str] = set()
 
@@ -205,14 +222,7 @@ class RecordingEngine:
                     self.eval_errors += 1
                     continue
                 for sample in samples:
-                    labels = outputs.get(sample.labels)
-                    if labels is None:
-                        labels = sample.labels.nameless()
-                        if rule.labels:
-                            labels = labels.with_labels(**rule.labels)
-                        if len(outputs) >= _Stage.MAX_OUTPUTS:
-                            outputs.clear()
-                        outputs[sample.labels] = labels
+                    labels = _recorded_as(rule, outputs, sample.labels)
                     if self._store.ingest(rule.record, labels, sample.value, now):
                         recorded += 1
         self.evaluations += 1

@@ -41,6 +41,7 @@ from repro.slo import SLO, SloManager, StaticSource
 from repro.tsdb import PromQLEngine, RecordingEngine, RecordingRule, TimeSeriesStore
 from repro.tsdb.promql import parse_promql
 from repro.tsdb.vmalert import VMAlert
+from tests.test_stream_refs import counted
 
 STEP = seconds(5)
 LOOKBACK = int(seconds(12))
@@ -552,11 +553,6 @@ class TestHeatmapAlias:
         # Behind every SLO's rules, the aliases need one cut, not one a window.
         assert [len(stage) for stage in manager.recording.stages()] == [4 * 7 * 2, 7]
         assert manager.recording.eval_errors == 0
-
-
-def counted(owner, name: str):
-    """Patch ``owner.name`` with a mock that still does the work."""
-    return mock.patch.object(owner, name, autospec=True, side_effect=getattr(owner, name))
 
 
 class TestSteadyStateTickBudget:
