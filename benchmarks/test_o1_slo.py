@@ -22,9 +22,9 @@ rules → vmalert) on a simulated clock, so every latency is exact.
 Beside the claims, what they cost: one ``SloManager.tick`` at the default
 plane's size (4 SLOs × the workbook table's 7 distinct windows) in wall
 milliseconds, ``select`` calls and vector nodes evaluated — the number a
-rule group as one evaluation (DESIGN §3) is there to keep small.  Inside
-a loaded pipeline a tick costs about a third more than this warm loop
-reads (EXPERIMENTS X7).
+rule group as one evaluation (DESIGN §3) is there to keep small.  A warm
+loop over nothing but the tick; what a tick costs inside a loaded
+pipeline is in EXPERIMENTS X7.
 """
 
 import statistics
