@@ -7,9 +7,15 @@ Three provenances, as the paper lists them:
   :class:`~repro.exporters.kafka_exporter.KafkaExporter`;
 * written by NERSC — :class:`~repro.exporters.aruba.ArubaExporter`.
 
-Every exporter exposes ``scrape() -> str`` returning the Prometheus text
-exposition format; :mod:`repro.exporters.textformat` renders and parses it,
+Every exporter is :class:`~repro.exporters.exporter.Exporter` over its own
+metric tables and exposes ``scrape() -> str`` returning the Prometheus text
+exposition format; :mod:`repro.exporters.textformat` formats and parses it,
 so vmagent exercises the real wire format.
+
+This package exports by one rule: the four exporters the paper names and
+the text format.  A plane's self-exporter (``ring_exporter`` …
+``slo_exporter``) is imported from its own module by the plane that wires
+it.
 """
 
 from repro.exporters.textformat import (
@@ -22,7 +28,6 @@ from repro.exporters.node import NodeExporter
 from repro.exporters.blackbox import BlackboxExporter, ProbeTarget
 from repro.exporters.kafka_exporter import KafkaExporter
 from repro.exporters.aruba import ArubaExporter
-from repro.exporters.ring_exporter import RingExporter
 
 __all__ = [
     "MetricFamily",
@@ -34,5 +39,4 @@ __all__ = [
     "ProbeTarget",
     "KafkaExporter",
     "ArubaExporter",
-    "RingExporter",
 ]

@@ -7,13 +7,20 @@ rules that alert on ``aruba_port_up == 0`` are reproducible.
 
 from __future__ import annotations
 
+from typing import Iterator
+
 import numpy as np
 
 from repro.common.errors import ValidationError
-from repro.exporters.textformat import MetricFamily, render_exposition
+from repro.exporters.exporter import Exporter, Reading
+
+_PORTS = (
+    ("aruba_port_up", "gauge", "Aruba switch port status."),
+    ("aruba_port_rx_bytes_total", "counter", "Received bytes."),
+)
 
 
-class ArubaExporter:
+class ArubaExporter(Exporter):
     """Exports ``aruba_port_up`` and ``aruba_port_rx_bytes_total``."""
 
     def __init__(
@@ -33,7 +40,7 @@ class ArubaExporter:
         self._flap_p = flap_probability
         self._up = np.ones((switches, ports_per_switch), dtype=bool)
         self._rx = np.zeros((switches, ports_per_switch), dtype=np.float64)
-        self.scrapes_served = 0
+        super().__init__((_PORTS, self._read_ports))
 
     def step(self) -> None:
         """Advance the fleet: accumulate traffic, maybe flap ports."""
@@ -46,18 +53,12 @@ class ArubaExporter:
         """Deterministically set one port's state (fault injection)."""
         self._up[switch, port] = up
 
-    def scrape(self) -> str:
-        up = MetricFamily("aruba_port_up", "Aruba switch port status.", "gauge")
-        rx = MetricFamily(
-            "aruba_port_rx_bytes_total", "Received bytes.", "counter"
-        )
+    def _read_ports(self) -> Iterator[Reading]:
         for s in range(self._switches):
             for p in range(self._ports):
                 labels = {"switch": f"aruba-{s}", "port": str(p)}
-                up.add(1.0 if self._up[s, p] else 0.0, **labels)
-                rx.add(float(self._rx[s, p]), **labels)
-        self.scrapes_served += 1
-        return render_exposition([up, rx])
+                yield "aruba_port_up", self._up[s, p], labels
+                yield "aruba_port_rx_bytes_total", self._rx[s, p], labels
 
     def down_ports(self) -> list[tuple[int, int]]:
         rows, cols = np.nonzero(~self._up)

@@ -8,10 +8,15 @@ in-process service (Telemetry API, broker, Loki gateway) can be probed.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable
+from typing import Callable, Iterator
 
 from repro.common.errors import ValidationError
-from repro.exporters.textformat import MetricFamily, render_exposition
+from repro.exporters.exporter import Exporter, Reading
+
+_PROBES = (
+    ("probe_success", "gauge", "Whether the probe succeeded."),
+    ("probe_duration_seconds", "gauge", "Probe round-trip time."),
+)
 
 
 @dataclass(frozen=True)
@@ -27,7 +32,18 @@ class ProbeTarget:
             raise ValidationError("probe target needs a name")
 
 
-class BlackboxExporter:
+def _read_probes(targets: list[ProbeTarget]) -> Iterator[Reading]:
+    for target in targets:
+        try:
+            ok, latency = target.probe()
+        except Exception:
+            ok, latency = False, 0.0
+        labels = {"target": target.name, "module": target.module}
+        yield "probe_success", bool(ok), labels
+        yield "probe_duration_seconds", latency, labels
+
+
+class BlackboxExporter(Exporter):
     """Exports ``probe_success`` and ``probe_duration_seconds``."""
 
     def __init__(self, targets: list[ProbeTarget]) -> None:
@@ -35,26 +51,9 @@ class BlackboxExporter:
         if len(set(names)) != len(names):
             raise ValidationError("duplicate probe target names")
         self._targets = list(targets)
-        self.scrapes_served = 0
+        super().__init__((_PROBES, _read_probes, self._targets))
 
     def add_target(self, target: ProbeTarget) -> None:
         if any(t.name == target.name for t in self._targets):
             raise ValidationError(f"duplicate probe target: {target.name}")
         self._targets.append(target)
-
-    def scrape(self) -> str:
-        success = MetricFamily(
-            "probe_success", "Whether the probe succeeded.", "gauge"
-        )
-        duration = MetricFamily(
-            "probe_duration_seconds", "Probe round-trip time.", "gauge"
-        )
-        for target in self._targets:
-            try:
-                ok, latency = target.probe()
-            except Exception:
-                ok, latency = False, 0.0
-            success.add(1.0 if ok else 0.0, target=target.name, module=target.module)
-            duration.add(latency, target=target.name, module=target.module)
-        self.scrapes_served += 1
-        return render_exposition([success, duration])

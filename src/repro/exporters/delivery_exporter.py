@@ -10,10 +10,10 @@ monitoring its own alert tail.
 
 from __future__ import annotations
 
-from typing import Iterable
+from typing import Iterable, Iterator
 
 from repro.bus.broker import Broker, DLQ_SUFFIX
-from repro.exporters.textformat import MetricFamily, render_exposition
+from repro.exporters.exporter import Exporter, Reading
 from repro.resilience.circuit import CircuitState
 from repro.resilience.journal import NotificationJournal
 from repro.resilience.receivers import RetryingReceiver
@@ -25,8 +25,60 @@ _BREAKER_STATE = {
     CircuitState.OPEN: 2.0,
 }
 
+_RECEIVERS = (
+    ("alert_delivery_enqueued_total", "counter",
+     "Notifications journaled for delivery."),
+    ("alert_delivery_delivered_total", "counter",
+     "Notifications delivered at least once."),
+    ("alert_delivery_pending", "gauge",
+     "Journaled notifications not yet delivered."),
+    ("alert_delivery_dead_lettered_total", "counter",
+     "Notifications abandoned after exhausting the retry budget."),
+    ("alert_delivery_attempts_total", "counter",
+     "Delivery attempts made against the receiver."),
+    ("alert_delivery_retries_total", "counter",
+     "Retry timers scheduled (backoff + breaker deferrals)."),
+    ("alert_delivery_breaker_state", "gauge",
+     "Circuit state: 0 closed, 1 half-open, 2 open."),
+    ("alert_delivery_breaker_opens_total", "counter",
+     "Times the receiver's circuit opened."),
+)
+_DLQ = (
+    ("kafka_dlq_records", "gauge", "Poison records quarantined per source topic."),
+)
 
-class DeliveryExporter:
+
+def _read_receivers(
+    journal: NotificationJournal, receivers: list[RetryingReceiver]
+) -> Iterator[Reading]:
+    for receiver in receivers:
+        labels = {"receiver": receiver.name}
+        stats = journal.stats(receiver.name)
+        yield "alert_delivery_enqueued_total", stats["enqueued"], labels
+        yield "alert_delivery_delivered_total", stats["delivered"], labels
+        yield "alert_delivery_pending", stats["pending"], labels
+        yield "alert_delivery_dead_lettered_total", stats["failed"], labels
+        yield "alert_delivery_attempts_total", receiver.attempts_total, labels
+        yield "alert_delivery_retries_total", receiver.retries_scheduled, labels
+        breaker = receiver.breaker
+        if breaker is not None:
+            state = _BREAKER_STATE[breaker.state]
+            yield "alert_delivery_breaker_state", state, labels
+            yield "alert_delivery_breaker_opens_total", breaker.times_opened, labels
+
+
+def _read_dlq(broker: Broker) -> Iterator[Reading]:
+    for topic in broker.topics():
+        if topic.endswith(DLQ_SUFFIX):
+            continue
+        depth = broker.dlq_depth(topic)
+        if depth:
+            yield "kafka_dlq_records", depth, {"topic": topic}
+    total = broker.records_dead_lettered
+    yield "kafka_dlq_records", total, {"topic": "__total__"}
+
+
+class DeliveryExporter(Exporter):
     """Exports journal, retry, breaker and DLQ state per receiver."""
 
     def __init__(
@@ -35,91 +87,7 @@ class DeliveryExporter:
         receivers: Iterable[RetryingReceiver],
         broker: Broker | None = None,
     ) -> None:
-        self._journal = journal
-        self._receivers = list(receivers)
-        self._broker = broker
-        self.scrapes_served = 0
-
-    def scrape(self) -> str:
-        enqueued = MetricFamily(
-            "alert_delivery_enqueued_total",
-            "Notifications journaled for delivery.",
-            "counter",
+        super().__init__(
+            (_RECEIVERS, _read_receivers, journal, list(receivers)),
+            (_DLQ, _read_dlq, broker),
         )
-        delivered = MetricFamily(
-            "alert_delivery_delivered_total",
-            "Notifications delivered at least once.",
-            "counter",
-        )
-        pending = MetricFamily(
-            "alert_delivery_pending",
-            "Journaled notifications not yet delivered.",
-            "gauge",
-        )
-        dead = MetricFamily(
-            "alert_delivery_dead_lettered_total",
-            "Notifications abandoned after exhausting the retry budget.",
-            "counter",
-        )
-        attempts = MetricFamily(
-            "alert_delivery_attempts_total",
-            "Delivery attempts made against the receiver.",
-            "counter",
-        )
-        retries = MetricFamily(
-            "alert_delivery_retries_total",
-            "Retry timers scheduled (backoff + breaker deferrals).",
-            "counter",
-        )
-        breaker_state = MetricFamily(
-            "alert_delivery_breaker_state",
-            "Circuit state: 0 closed, 1 half-open, 2 open.",
-            "gauge",
-        )
-        breaker_opens = MetricFamily(
-            "alert_delivery_breaker_opens_total",
-            "Times the receiver's circuit opened.",
-            "counter",
-        )
-        for receiver in self._receivers:
-            name = receiver.name
-            stats = self._journal.stats(name)
-            enqueued.add(float(stats["enqueued"]), receiver=name)
-            delivered.add(float(stats["delivered"]), receiver=name)
-            pending.add(float(stats["pending"]), receiver=name)
-            dead.add(float(stats["failed"]), receiver=name)
-            attempts.add(float(receiver.attempts_total), receiver=name)
-            retries.add(float(receiver.retries_scheduled), receiver=name)
-            if receiver.breaker is not None:
-                breaker_state.add(
-                    _BREAKER_STATE[receiver.breaker.state], receiver=name
-                )
-                breaker_opens.add(
-                    float(receiver.breaker.times_opened), receiver=name
-                )
-        families = [
-            enqueued,
-            delivered,
-            pending,
-            dead,
-            attempts,
-            retries,
-            breaker_state,
-            breaker_opens,
-        ]
-        if self._broker is not None:
-            dlq = MetricFamily(
-                "kafka_dlq_records",
-                "Poison records quarantined per source topic.",
-                "gauge",
-            )
-            for topic in self._broker.topics():
-                if topic.endswith(DLQ_SUFFIX):
-                    continue
-                depth = self._broker.dlq_depth(topic)
-                if depth:
-                    dlq.add(float(depth), topic=topic)
-            dlq.add(float(self._broker.records_dead_lettered), topic="__total__")
-            families.append(dlq)
-        self.scrapes_served += 1
-        return render_exposition(families)

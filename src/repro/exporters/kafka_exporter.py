@@ -7,50 +7,37 @@ becomes an alert before data is lost.
 
 from __future__ import annotations
 
+from typing import Iterator
+
 from repro.bus.broker import Broker
-from repro.exporters.textformat import MetricFamily, render_exposition
+from repro.exporters.exporter import Exporter, Reading
+
+_BROKER = (
+    ("kafka_topic_messages_total", "counter",
+     "Messages produced to the topic since broker start."),
+    ("kafka_topic_bytes_total", "counter", "Bytes produced to the topic."),
+    ("kafka_topic_retained_records", "gauge",
+     "Records currently retained across partitions."),
+    ("kafka_topic_partitions", "gauge", "Partition count."),
+    ("kafka_consumergroup_lag", "gauge", "Records not yet consumed by the group."),
+)
 
 
-class KafkaExporter:
+def _read_broker(broker: Broker) -> Iterator[Reading]:
+    for topic in broker.topics():
+        stats = broker.topic_stats(topic)
+        labels = {"topic": topic}
+        yield "kafka_topic_messages_total", stats["total_produced"], labels
+        yield "kafka_topic_bytes_total", stats["total_bytes"], labels
+        yield "kafka_topic_retained_records", stats["retained_records"], labels
+        yield "kafka_topic_partitions", stats["partitions"], labels
+    for group_id, topic in broker.group_ids():
+        labels = {"consumergroup": group_id, "topic": topic}
+        yield "kafka_consumergroup_lag", broker.lag(group_id, topic), labels
+
+
+class KafkaExporter(Exporter):
     """Exports per-topic message counters and per-group lag."""
 
     def __init__(self, broker: Broker) -> None:
-        self._broker = broker
-        self.scrapes_served = 0
-
-    def scrape(self) -> str:
-        messages = MetricFamily(
-            "kafka_topic_messages_total",
-            "Messages produced to the topic since broker start.",
-            "counter",
-        )
-        bytes_total = MetricFamily(
-            "kafka_topic_bytes_total", "Bytes produced to the topic.", "counter"
-        )
-        retained = MetricFamily(
-            "kafka_topic_retained_records",
-            "Records currently retained across partitions.",
-            "gauge",
-        )
-        partitions = MetricFamily(
-            "kafka_topic_partitions", "Partition count.", "gauge"
-        )
-        lag = MetricFamily(
-            "kafka_consumergroup_lag",
-            "Records not yet consumed by the group.",
-            "gauge",
-        )
-        for topic in self._broker.topics():
-            stats = self._broker.topic_stats(topic)
-            messages.add(float(stats["total_produced"]), topic=topic)
-            bytes_total.add(float(stats["total_bytes"]), topic=topic)
-            retained.add(float(stats["retained_records"]), topic=topic)
-            partitions.add(float(stats["partitions"]), topic=topic)
-        for group_id, topic in self._broker.group_ids():
-            lag.add(
-                float(self._broker.lag(group_id, topic)),
-                consumergroup=group_id,
-                topic=topic,
-            )
-        self.scrapes_served += 1
-        return render_exposition([messages, bytes_total, retained, partitions, lag])
+        super().__init__((_BROKER, _read_broker, broker))

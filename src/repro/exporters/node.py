@@ -1,21 +1,46 @@
 """node-exporter equivalent: per-node health metrics.
 
 Installed by HPE on the real system; here it reads the synthetic cluster
-and sensor bank.  One exporter instance can cover any subset of nodes
-(per-cabinet sharding is the default wiring in the framework).
+and sensor bank.  One exporter instance can cover any subset of nodes;
+the framework builds a single one over all of them.
 """
 
 from __future__ import annotations
 
-from typing import Iterable
+from typing import Iterable, Iterator
 
 from repro.common.xname import XName
 from repro.cluster.sensors import SensorBank, SensorId, SensorKind
 from repro.cluster.topology import Cluster, NodeState
-from repro.exporters.textformat import MetricFamily, render_exposition
+from repro.exporters.exporter import Exporter, Reading
+
+_NODES = (
+    ("node_up", "gauge", "Whether the node is up."),
+    ("node_temp_celsius", "gauge", "Node temperature in Celsius."),
+    ("node_power_watts", "gauge", "Node power draw in Watts."),
+)
 
 
-class NodeExporter:
+def _read_nodes(
+    cluster: Cluster, sensors: SensorBank, nodes: list[XName]
+) -> Iterator[Reading]:
+    for xname in nodes:
+        labels = {"xname": str(xname)}
+        up = cluster.nodes[xname].state is NodeState.UP
+        yield "node_up", up, labels
+        yield (
+            "node_temp_celsius",
+            sensors.read(SensorId(xname, SensorKind.TEMPERATURE_C)),
+            labels,
+        )
+        yield (
+            "node_power_watts",
+            sensors.read(SensorId(xname, SensorKind.POWER_W)),
+            labels,
+        )
+
+
+class NodeExporter(Exporter):
     """Exports ``node_up``, ``node_temp_celsius`` and ``node_power_watts``."""
 
     def __init__(
@@ -23,30 +48,6 @@ class NodeExporter:
         cluster: Cluster,
         sensors: SensorBank,
         nodes: Iterable[XName] | None = None,
-        instance: str = "node-exporter",
     ) -> None:
-        self._cluster = cluster
-        self._sensors = sensors
-        self._nodes = sorted(nodes) if nodes is not None else sorted(cluster.nodes)
-        self.instance = instance
-        self.scrapes_served = 0
-
-    def scrape(self) -> str:
-        up = MetricFamily("node_up", "Whether the node is up.", "gauge")
-        temp = MetricFamily(
-            "node_temp_celsius", "Node temperature in Celsius.", "gauge"
-        )
-        power = MetricFamily("node_power_watts", "Node power draw in Watts.", "gauge")
-        for xname in self._nodes:
-            node = self._cluster.nodes[xname]
-            name = str(xname)
-            up.add(1.0 if node.state is NodeState.UP else 0.0, xname=name)
-            temp.add(
-                self._sensors.read(SensorId(xname, SensorKind.TEMPERATURE_C)),
-                xname=name,
-            )
-            power.add(
-                self._sensors.read(SensorId(xname, SensorKind.POWER_W)), xname=name
-            )
-        self.scrapes_served += 1
-        return render_exposition([up, temp, power])
+        covered = sorted(nodes) if nodes is not None else sorted(cluster.nodes)
+        super().__init__((_NODES, _read_nodes, cluster, sensors, covered))

@@ -17,16 +17,119 @@ and gateway cold-read latency for the "Object Storage" dashboard.
 
 from __future__ import annotations
 
+from typing import Iterator
+
 from repro.common.simclock import NANOS_PER_SECOND
-from repro.exporters.textformat import MetricFamily, render_exposition
+from repro.exporters.exporter import Exporter, Reading
 from repro.objstore.compactor import Compactor
 from repro.objstore.gateway import StoreGateway
 from repro.objstore.index import INDEX_PREFIX, ShipperIndex
 from repro.objstore.objectstore import ObjectStore
 from repro.objstore.shipper import ChunkShipper
 
+_STORE = (
+    ("objstore_objects", "gauge", "Objects resident in the bucket, by kind."),
+    ("objstore_bytes", "gauge", "Bytes resident in the bucket, by kind."),
+    ("objstore_requests_total", "counter", "Backend requests, by operation."),
+    ("objstore_transferred_bytes_total", "counter",
+     "Bytes moved to/from the backend."),
+    ("objstore_backend_down", "gauge",
+     "Whether the backend is currently refusing requests."),
+    ("objstore_outage_rejections_total", "counter",
+     "Requests refused while the backend was down."),
+    ("objstore_flushes_total", "counter", "Flush cycles attempted, by outcome."),
+    ("objstore_flush_failures_consecutive", "gauge",
+     "Failed flush cycles since the last success (alert signal)."),
+    ("objstore_chunks_flushed_total", "counter",
+     "Chunks leaving ingester memory, by disposition."),
+    ("objstore_flush_bytes_total", "counter",
+     "Bytes uploaded vs. resident bytes freed by flushes."),
+    ("objstore_dedup_ratio", "gauge",
+     "Fraction of flushed chunks deduplicated (≈ (RF-1)/RF when "
+     "the ring is healthy)."),
+    ("objstore_index_chunk_refs", "gauge", "Chunk refs held by the shipper index."),
+)
+_COMPACTOR = (
+    ("objstore_compaction_runs_total", "counter", "Compaction runs, by outcome."),
+    ("objstore_compaction_chunks_total", "counter",
+     "Chunk objects consumed and produced by compaction."),
+    ("objstore_compaction_duplicates_dropped_total", "counter",
+     "Duplicate entries removed while merging chunks."),
+    ("objstore_retention_chunks_deleted_total", "counter",
+     "Cold chunks deleted by retention and delete requests."),
+)
+_GATEWAY = (
+    ("objstore_gateway_queries_total", "counter",
+     "Cold selects served by the store-gateway."),
+    ("objstore_gateway_chunks_fetched_total", "counter",
+     "Chunk objects fetched for cold selects."),
+    ("objstore_gateway_last_query_seconds", "gauge",
+     "Accounted object-store latency of the last cold select."),
+)
 
-class ObjstoreExporter:
+
+def _read_store(
+    store: ObjectStore, index: ShipperIndex, shipper: ChunkShipper
+) -> Iterator[Reading]:
+    bucket = index.bucket
+    kinds = (("chunk", "chunks/"), ("index", INDEX_PREFIX))
+    for kind, prefix in kinds:
+        count = store.object_count(bucket, prefix=prefix)
+        yield "objstore_objects", count, {"bucket": bucket, "kind": kind}
+    for kind, prefix in kinds:
+        stored = store.stored_bytes(bucket, prefix=prefix)
+        yield "objstore_bytes", stored, {"bucket": bucket, "kind": kind}
+    counters = store.counters()
+    for op in ("puts", "gets", "deletes", "lists"):
+        yield "objstore_requests_total", counters[op], {"op": op.rstrip("s")}
+    for direction in ("in", "out"):
+        moved = counters[f"bytes_{direction}"]
+        yield "objstore_transferred_bytes_total", moved, {"direction": direction}
+    yield "objstore_backend_down", store.outage, {"bucket": bucket}
+    yield "objstore_outage_rejections_total", counters["outage_rejections"], None
+
+    ship = shipper.counters()
+    flushed = ship["flushes"] - ship["flush_failures"]
+    yield "objstore_flushes_total", flushed, {"outcome": "ok"}
+    yield "objstore_flushes_total", ship["flush_failures"], {"outcome": "failed"}
+    stalled = ship["consecutive_failures"]
+    yield "objstore_flush_failures_consecutive", stalled, None
+    for disposition in ("shipped", "deduped"):
+        chunks = ship[f"chunks_{disposition}"]
+        yield "objstore_chunks_flushed_total", chunks, {"disposition": disposition}
+    for kind in ("shipped", "freed"):
+        yield "objstore_flush_bytes_total", ship[f"bytes_{kind}"], {"kind": kind}
+    yield "objstore_dedup_ratio", shipper.dedup_ratio(), None
+    yield "objstore_index_chunk_refs", index.ref_count(), None
+
+
+def _read_compactor(compactor: Compactor) -> Iterator[Reading]:
+    comp = compactor.counters()
+    ran = comp["runs"] - comp["run_failures"]
+    yield "objstore_compaction_runs_total", ran, {"outcome": "ok"}
+    failed = comp["run_failures"]
+    yield "objstore_compaction_runs_total", failed, {"outcome": "failed"}
+    merged = comp["chunks_merged"]
+    yield "objstore_compaction_chunks_total", merged, {"direction": "in"}
+    written = comp["chunks_written"]
+    yield "objstore_compaction_chunks_total", written, {"direction": "out"}
+    dropped = comp["duplicates_dropped"]
+    yield "objstore_compaction_duplicates_dropped_total", dropped, None
+    expired = comp["retention_deleted"]
+    yield "objstore_retention_chunks_deleted_total", expired, {"reason": "retention"}
+    requested = comp["delete_requests"]
+    yield "objstore_retention_chunks_deleted_total", requested, {"reason": "request"}
+
+
+def _read_gateway(gateway: StoreGateway) -> Iterator[Reading]:
+    gw = gateway.counters()
+    yield "objstore_gateway_queries_total", gw["queries"], None
+    yield "objstore_gateway_chunks_fetched_total", gw["chunks_fetched"], None
+    latency = gateway.last_query_latency_ns / NANOS_PER_SECOND
+    yield "objstore_gateway_last_query_seconds", latency, None
+
+
+class ObjstoreExporter(Exporter):
     """Exports object-store, shipper, compactor and gateway counters."""
 
     def __init__(
@@ -37,197 +140,8 @@ class ObjstoreExporter:
         compactor: Compactor | None = None,
         gateway: StoreGateway | None = None,
     ) -> None:
-        self._store = store
-        self._index = index
-        self._shipper = shipper
-        self._compactor = compactor
-        self._gateway = gateway
-        self.scrapes_served = 0
-
-    def scrape(self) -> str:
-        bucket = self._index.bucket
-        families = []
-
-        objects = MetricFamily(
-            "objstore_objects",
-            "Objects resident in the bucket, by kind.",
-            "gauge",
+        super().__init__(
+            (_STORE, _read_store, store, index, shipper),
+            (_COMPACTOR, _read_compactor, compactor),
+            (_GATEWAY, _read_gateway, gateway),
         )
-        chunk_count = self._store.object_count(bucket, prefix="chunks/")
-        index_count = self._store.object_count(bucket, prefix=INDEX_PREFIX)
-        objects.add(float(chunk_count), bucket=bucket, kind="chunk")
-        objects.add(float(index_count), bucket=bucket, kind="index")
-        families.append(objects)
-
-        stored = MetricFamily(
-            "objstore_bytes",
-            "Bytes resident in the bucket, by kind.",
-            "gauge",
-        )
-        stored.add(
-            float(self._store.stored_bytes(bucket, prefix="chunks/")),
-            bucket=bucket, kind="chunk",
-        )
-        stored.add(
-            float(self._store.stored_bytes(bucket, prefix=INDEX_PREFIX)),
-            bucket=bucket, kind="index",
-        )
-        families.append(stored)
-
-        ops = MetricFamily(
-            "objstore_requests_total",
-            "Backend requests, by operation.",
-            "counter",
-        )
-        counters = self._store.counters()
-        for op in ("puts", "gets", "deletes", "lists"):
-            ops.add(float(counters[op]), op=op.rstrip("s"))
-        families.append(ops)
-
-        transferred = MetricFamily(
-            "objstore_transferred_bytes_total",
-            "Bytes moved to/from the backend.",
-            "counter",
-        )
-        transferred.add(float(counters["bytes_in"]), direction="in")
-        transferred.add(float(counters["bytes_out"]), direction="out")
-        families.append(transferred)
-
-        outage = MetricFamily(
-            "objstore_backend_down",
-            "Whether the backend is currently refusing requests.",
-            "gauge",
-        )
-        outage.add(1.0 if self._store.outage else 0.0, bucket=bucket)
-        families.append(outage)
-
-        rejections = MetricFamily(
-            "objstore_outage_rejections_total",
-            "Requests refused while the backend was down.",
-            "counter",
-        )
-        rejections.add(float(counters["outage_rejections"]))
-        families.append(rejections)
-
-        # --- shipper ----------------------------------------------------
-        ship = self._shipper.counters()
-        flushes = MetricFamily(
-            "objstore_flushes_total",
-            "Flush cycles attempted, by outcome.",
-            "counter",
-        )
-        flushes.add(
-            float(ship["flushes"] - ship["flush_failures"]), outcome="ok"
-        )
-        flushes.add(float(ship["flush_failures"]), outcome="failed")
-        families.append(flushes)
-
-        stalled = MetricFamily(
-            "objstore_flush_failures_consecutive",
-            "Failed flush cycles since the last success (alert signal).",
-            "gauge",
-        )
-        stalled.add(float(ship["consecutive_failures"]))
-        families.append(stalled)
-
-        shipped = MetricFamily(
-            "objstore_chunks_flushed_total",
-            "Chunks leaving ingester memory, by disposition.",
-            "counter",
-        )
-        shipped.add(float(ship["chunks_shipped"]), disposition="shipped")
-        shipped.add(float(ship["chunks_deduped"]), disposition="deduped")
-        families.append(shipped)
-
-        freed = MetricFamily(
-            "objstore_flush_bytes_total",
-            "Bytes uploaded vs. resident bytes freed by flushes.",
-            "counter",
-        )
-        freed.add(float(ship["bytes_shipped"]), kind="shipped")
-        freed.add(float(ship["bytes_freed"]), kind="freed")
-        families.append(freed)
-
-        dedup = MetricFamily(
-            "objstore_dedup_ratio",
-            "Fraction of flushed chunks deduplicated (≈ (RF-1)/RF when "
-            "the ring is healthy).",
-            "gauge",
-        )
-        dedup.add(self._shipper.dedup_ratio())
-        families.append(dedup)
-
-        refs = MetricFamily(
-            "objstore_index_chunk_refs",
-            "Chunk refs held by the shipper index.",
-            "gauge",
-        )
-        refs.add(float(self._index.ref_count()))
-        families.append(refs)
-
-        # --- compactor --------------------------------------------------
-        if self._compactor is not None:
-            comp = self._compactor.counters()
-            compactions = MetricFamily(
-                "objstore_compaction_runs_total",
-                "Compaction runs, by outcome.",
-                "counter",
-            )
-            compactions.add(
-                float(comp["runs"] - comp["run_failures"]), outcome="ok"
-            )
-            compactions.add(float(comp["run_failures"]), outcome="failed")
-            families.append(compactions)
-            merged = MetricFamily(
-                "objstore_compaction_chunks_total",
-                "Chunk objects consumed and produced by compaction.",
-                "counter",
-            )
-            merged.add(float(comp["chunks_merged"]), direction="in")
-            merged.add(float(comp["chunks_written"]), direction="out")
-            families.append(merged)
-            dropped = MetricFamily(
-                "objstore_compaction_duplicates_dropped_total",
-                "Duplicate entries removed while merging chunks.",
-                "counter",
-            )
-            dropped.add(float(comp["duplicates_dropped"]))
-            families.append(dropped)
-            expired = MetricFamily(
-                "objstore_retention_chunks_deleted_total",
-                "Cold chunks deleted by retention and delete requests.",
-                "counter",
-            )
-            expired.add(float(comp["retention_deleted"]), reason="retention")
-            expired.add(float(comp["delete_requests"]), reason="request")
-            families.append(expired)
-
-        # --- gateway ----------------------------------------------------
-        if self._gateway is not None:
-            gw = self._gateway.counters()
-            queries = MetricFamily(
-                "objstore_gateway_queries_total",
-                "Cold selects served by the store-gateway.",
-                "counter",
-            )
-            queries.add(float(gw["queries"]))
-            families.append(queries)
-            fetched = MetricFamily(
-                "objstore_gateway_chunks_fetched_total",
-                "Chunk objects fetched for cold selects.",
-                "counter",
-            )
-            fetched.add(float(gw["chunks_fetched"]))
-            families.append(fetched)
-            latency = MetricFamily(
-                "objstore_gateway_last_query_seconds",
-                "Accounted object-store latency of the last cold select.",
-                "gauge",
-            )
-            latency.add(
-                self._gateway.last_query_latency_ns / NANOS_PER_SECOND
-            )
-            families.append(latency)
-
-        self.scrapes_served += 1
-        return render_exposition(families)

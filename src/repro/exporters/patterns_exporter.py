@@ -11,9 +11,9 @@ by ``pattern_id``) feeds the dashboard's busiest-templates panel.
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, Iterator
 
-from repro.exporters.textformat import MetricFamily, render_exposition
+from repro.exporters.exporter import Exporter, Reading
 
 if TYPE_CHECKING:
     from repro.patterns.ingester import PatternIngester
@@ -24,8 +24,60 @@ if TYPE_CHECKING:
 #: would defeat the cardinality story patterns exist to fix.
 TOP_TEMPLATES = 10
 
+_MINER = (
+    ("patterns_lines_mined_total", "counter",
+     "Log lines consumed by the template miners."),
+    ("patterns_templates", "gauge",
+     "Distinct templates currently known across all blocks."),
+    ("patterns_compression_ratio", "gauge",
+     "Raw lines per distinct template (triage leverage)."),
+    ("patterns_miners", "gauge", "Live (tenant, stream) miner instances."),
+    ("patterns_template_lines_total", "counter",
+     "Lines absorbed by the busiest templates."),
+    ("patterns_novel_error_templates_total", "counter",
+     "Never-before-seen error-class templates detected."),
+    ("patterns_store_blocks", "gauge", "Pattern blocks resident in the store."),
+    ("patterns_blocks_persisted_total", "counter",
+     "Pattern blocks flushed to the object store."),
+    ("patterns_blocks_rebuilt_total", "counter",
+     "Pattern blocks re-mined from chunks by the compactor."),
+)
+_RULER = (
+    ("patterns_bursts_active", "gauge",
+     "Templates currently bursting above baseline."),
+    ("patterns_bursts_detected_total", "counter",
+     "Burst episodes detected (rising edges)."),
+    ("patterns_novel_detections_total", "counter",
+     "Novel error templates surfaced by the ruler."),
+)
 
-class PatternsExporter:
+
+def _read_miner(
+    ingester: "PatternIngester", store: "PatternStore"
+) -> Iterator[Reading]:
+    yield "patterns_lines_mined_total", ingester.lines_observed, None
+    yield "patterns_templates", store.pattern_count(), None
+    yield "patterns_compression_ratio", ingester.compression_ratio(), None
+    yield "patterns_miners", ingester.miner_count, None
+    counts = store.counts_by_pattern()
+    busiest = sorted(counts.items(), key=lambda kv: (-kv[1][0], kv[0]))
+    for (tenant, pattern_id), (count, _template) in busiest[:TOP_TEMPLATES]:
+        labels = {"tenant": tenant, "pattern_id": pattern_id}
+        yield "patterns_template_lines_total", count, labels
+    novel = ingester.novel_error_templates
+    yield "patterns_novel_error_templates_total", novel, None
+    yield "patterns_store_blocks", store.block_count, None
+    yield "patterns_blocks_persisted_total", store.blocks_persisted_total, None
+    yield "patterns_blocks_rebuilt_total", store.blocks_rebuilt_total, None
+
+
+def _read_ruler(ruler: "PatternRuler") -> Iterator[Reading]:
+    yield "patterns_bursts_active", ruler.active_bursts, None
+    yield "patterns_bursts_detected_total", ruler.bursts_detected, None
+    yield "patterns_novel_detections_total", ruler.novel_detected, None
+
+
+class PatternsExporter(Exporter):
     """Exports miner, store and pattern-ruler counters."""
 
     def __init__(
@@ -34,117 +86,7 @@ class PatternsExporter:
         store: "PatternStore",
         ruler: "PatternRuler | None" = None,
     ) -> None:
-        self._ingester = ingester
-        self._store = store
-        self._ruler = ruler
-        self.scrapes_served = 0
-
-    def scrape(self) -> str:
-        ingester = self._ingester
-        store = self._store
-        families = []
-
-        lines = MetricFamily(
-            "patterns_lines_mined_total",
-            "Log lines consumed by the template miners.",
-            "counter",
+        super().__init__(
+            (_MINER, _read_miner, ingester, store),
+            (_RULER, _read_ruler, ruler),
         )
-        lines.add(float(ingester.lines_observed))
-        families.append(lines)
-
-        templates = MetricFamily(
-            "patterns_templates",
-            "Distinct templates currently known across all blocks.",
-            "gauge",
-        )
-        templates.add(float(store.pattern_count()))
-        families.append(templates)
-
-        ratio = MetricFamily(
-            "patterns_compression_ratio",
-            "Raw lines per distinct template (triage leverage).",
-            "gauge",
-        )
-        ratio.add(float(ingester.compression_ratio()))
-        families.append(ratio)
-
-        miners = MetricFamily(
-            "patterns_miners",
-            "Live (tenant, stream) miner instances.",
-            "gauge",
-        )
-        miners.add(float(ingester.miner_count))
-        families.append(miners)
-
-        top = MetricFamily(
-            "patterns_template_lines_total",
-            "Lines absorbed by the busiest templates.",
-            "counter",
-        )
-        counts = store.counts_by_pattern()
-        busiest = sorted(
-            counts.items(), key=lambda kv: (-kv[1][0], kv[0])
-        )[:TOP_TEMPLATES]
-        for (tenant, pattern_id), (count, _template) in busiest:
-            top.add(float(count), tenant=tenant, pattern_id=pattern_id)
-        families.append(top)
-
-        novel = MetricFamily(
-            "patterns_novel_error_templates_total",
-            "Never-before-seen error-class templates detected.",
-            "counter",
-        )
-        novel.add(float(ingester.novel_error_templates))
-        families.append(novel)
-
-        blocks = MetricFamily(
-            "patterns_store_blocks",
-            "Pattern blocks resident in the store.",
-            "gauge",
-        )
-        blocks.add(float(store.block_count))
-        families.append(blocks)
-
-        persisted = MetricFamily(
-            "patterns_blocks_persisted_total",
-            "Pattern blocks flushed to the object store.",
-            "counter",
-        )
-        persisted.add(float(store.blocks_persisted_total))
-        families.append(persisted)
-
-        rebuilt = MetricFamily(
-            "patterns_blocks_rebuilt_total",
-            "Pattern blocks re-mined from chunks by the compactor.",
-            "counter",
-        )
-        rebuilt.add(float(store.blocks_rebuilt_total))
-        families.append(rebuilt)
-
-        if self._ruler is not None:
-            active = MetricFamily(
-                "patterns_bursts_active",
-                "Templates currently bursting above baseline.",
-                "gauge",
-            )
-            active.add(float(self._ruler.active_bursts))
-            families.append(active)
-
-            bursts = MetricFamily(
-                "patterns_bursts_detected_total",
-                "Burst episodes detected (rising edges).",
-                "counter",
-            )
-            bursts.add(float(self._ruler.bursts_detected))
-            families.append(bursts)
-
-            detections = MetricFamily(
-                "patterns_novel_detections_total",
-                "Novel error templates surfaced by the ruler.",
-                "counter",
-            )
-            detections.add(float(self._ruler.novel_detected))
-            families.append(detections)
-
-        self.scrapes_served += 1
-        return render_exposition(families)

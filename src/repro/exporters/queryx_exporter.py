@@ -16,15 +16,99 @@ fetched vs skipped at the store-gateway, plus resident block counts.
 
 from __future__ import annotations
 
+from typing import Iterator
+
 from repro.common.simclock import NANOS_PER_SECOND
 from repro.exporters.deltas import RecentDelta
-from repro.exporters.textformat import MetricFamily, render_exposition
+from repro.exporters.exporter import Exporter, Reading
 from repro.objstore.gateway import StoreGateway
 from repro.queryx.bloom import BloomStore
 from repro.queryx.engine import ShardedQueryEngine
 
+_ENGINE = (
+    ("queryx_queries_total", "counter",
+     "Queries planned and executed by the sharded engine, by kind."),
+    ("queryx_subqueries_total", "counter",
+     "Subqueries fanned out across the querier pool."),
+    ("queryx_unsharded_plans_total", "counter",
+     "Plans the planner refused to shard (time-split only)."),
+    ("queryx_querier_workers", "gauge", "Querier workers in the pool, by liveness."),
+    ("queryx_subquery_retries_total", "counter",
+     "Subquery attempts lost to querier crashes and retried."),
+    ("queryx_worker_busy_seconds", "gauge",
+     "Accounted busy time per worker for the last query "
+     "(stragglers show as one tall bar)."),
+    ("queryx_last_query_seconds", "gauge",
+     "Accounted latency of the last query: parallel wall-clock vs "
+     "the serial single-querier equivalent."),
+    ("queryx_speedup", "gauge",
+     "Cumulative serial/wall ratio — the realized parallelism."),
+    ("queryx_slow_queries_total", "counter",
+     "Queries whose wall-clock crossed the slowness threshold."),
+    ("queryx_slow_queries_recent", "gauge",
+     "Slow queries since the last scrape (alert signal; "
+     "self-resolves on the next quiet scrape)."),
+)
+_GATEWAY = (
+    ("queryx_gateway_chunks_total", "counter",
+     "Cold chunks considered vs fetched vs bloom-skipped."),
+    ("queryx_bloom_skip_ratio", "gauge",
+     "Fraction of considered chunks the blooms let us skip."),
+)
+_BLOOMS = (
+    ("queryx_bloom_blocks", "gauge", "Bloom blocks resident in the store."),
+    ("queryx_bloom_blocks_built_total", "counter",
+     "Bloom blocks (re)built by the compactor."),
+    ("queryx_bloom_needle_checks_total", "counter",
+     "Needle membership tests against bloom blocks, by verdict."),
+)
 
-class QueryxExporter:
+
+def _read_engine(
+    engine: ShardedQueryEngine, recent_slow: RecentDelta
+) -> Iterator[Reading]:
+    metric_queries = engine.queries_total - engine.log_queries_total
+    yield "queryx_queries_total", metric_queries, {"kind": "metric"}
+    yield "queryx_queries_total", engine.log_queries_total, {"kind": "log"}
+    yield "queryx_subqueries_total", engine.subqueries_total, None
+    yield "queryx_unsharded_plans_total", engine.planner.unsharded_plans, None
+    pool = engine.pool.counters()
+    yield "queryx_querier_workers", pool["live_workers"], {"state": "live"}
+    crashed = pool["workers"] - pool["live_workers"]
+    yield "queryx_querier_workers", crashed, {"state": "crashed"}
+    yield "queryx_subquery_retries_total", pool["retries_total"], None
+    for worker_id, busy_ns in sorted(engine.pool.worker_busy().items()):
+        busy = busy_ns / NANOS_PER_SECOND
+        yield "queryx_worker_busy_seconds", busy, {"worker": worker_id}
+    wall = engine.last_wall_ns / NANOS_PER_SECOND
+    yield "queryx_last_query_seconds", wall, {"mode": "wall"}
+    serial = engine.last_serial_ns / NANOS_PER_SECOND
+    yield "queryx_last_query_seconds", serial, {"mode": "serial"}
+    yield "queryx_speedup", engine.speedup(), None
+    yield "queryx_slow_queries_total", engine.slow_queries_total, None
+    recent = recent_slow.observe_scalar(engine.slow_queries_total)
+    yield "queryx_slow_queries_recent", recent, None
+
+
+def _read_gateway(gateway: StoreGateway) -> Iterator[Reading]:
+    gw = gateway.counters()
+    for disposition in ("considered", "fetched", "skipped"):
+        chunks = gw[f"chunks_{disposition}"]
+        yield "queryx_gateway_chunks_total", chunks, {"disposition": disposition}
+    yield "queryx_bloom_skip_ratio", gateway.skip_ratio(), None
+
+
+def _read_blooms(blooms: BloomStore) -> Iterator[Reading]:
+    bl = blooms.counters()
+    yield "queryx_bloom_blocks", bl["blocks"], None
+    yield "queryx_bloom_blocks_built_total", bl["blocks_built"], None
+    maybe = bl["needle_checks"] - bl["needle_rejections"]
+    yield "queryx_bloom_needle_checks_total", maybe, {"verdict": "maybe"}
+    absent = bl["needle_rejections"]
+    yield "queryx_bloom_needle_checks_total", absent, {"verdict": "absent"}
+
+
+class QueryxExporter(Exporter):
     """Exports planner, pool, merger and bloom-gate counters."""
 
     def __init__(
@@ -33,155 +117,8 @@ class QueryxExporter:
         gateway: StoreGateway | None = None,
         blooms: BloomStore | None = None,
     ) -> None:
-        self._engine = engine
-        self._gateway = gateway
-        self._blooms = blooms
-        self.scrapes_served = 0
-        self._recent_slow = RecentDelta()
-
-    def scrape(self) -> str:
-        engine = self._engine
-        families = []
-
-        queries = MetricFamily(
-            "queryx_queries_total",
-            "Queries planned and executed by the sharded engine, by kind.",
-            "counter",
+        super().__init__(
+            (_ENGINE, _read_engine, engine, RecentDelta()),
+            (_GATEWAY, _read_gateway, gateway),
+            (_BLOOMS, _read_blooms, blooms),
         )
-        queries.add(
-            float(engine.queries_total - engine.log_queries_total), kind="metric"
-        )
-        queries.add(float(engine.log_queries_total), kind="log")
-        families.append(queries)
-
-        subqueries = MetricFamily(
-            "queryx_subqueries_total",
-            "Subqueries fanned out across the querier pool.",
-            "counter",
-        )
-        subqueries.add(float(engine.subqueries_total))
-        families.append(subqueries)
-
-        unsharded = MetricFamily(
-            "queryx_unsharded_plans_total",
-            "Plans the planner refused to shard (time-split only).",
-            "counter",
-        )
-        unsharded.add(float(engine.planner.unsharded_plans))
-        families.append(unsharded)
-
-        pool = engine.pool.counters()
-        workers = MetricFamily(
-            "queryx_querier_workers",
-            "Querier workers in the pool, by liveness.",
-            "gauge",
-        )
-        workers.add(float(pool["live_workers"]), state="live")
-        workers.add(
-            float(pool["workers"] - pool["live_workers"]), state="crashed"
-        )
-        families.append(workers)
-
-        retries = MetricFamily(
-            "queryx_subquery_retries_total",
-            "Subquery attempts lost to querier crashes and retried.",
-            "counter",
-        )
-        retries.add(float(pool["retries_total"]))
-        families.append(retries)
-
-        busy = MetricFamily(
-            "queryx_worker_busy_seconds",
-            "Accounted busy time per worker for the last query "
-            "(stragglers show as one tall bar).",
-            "gauge",
-        )
-        for worker_id, busy_ns in sorted(engine.pool.worker_busy().items()):
-            busy.add(busy_ns / NANOS_PER_SECOND, worker=worker_id)
-        families.append(busy)
-
-        latency = MetricFamily(
-            "queryx_last_query_seconds",
-            "Accounted latency of the last query: parallel wall-clock vs "
-            "the serial single-querier equivalent.",
-            "gauge",
-        )
-        latency.add(engine.last_wall_ns / NANOS_PER_SECOND, mode="wall")
-        latency.add(engine.last_serial_ns / NANOS_PER_SECOND, mode="serial")
-        families.append(latency)
-
-        speedup = MetricFamily(
-            "queryx_speedup",
-            "Cumulative serial/wall ratio — the realized parallelism.",
-            "gauge",
-        )
-        speedup.add(engine.speedup())
-        families.append(speedup)
-
-        slow_total = MetricFamily(
-            "queryx_slow_queries_total",
-            "Queries whose wall-clock crossed the slowness threshold.",
-            "counter",
-        )
-        slow_total.add(float(engine.slow_queries_total))
-        families.append(slow_total)
-
-        slow_recent = MetricFamily(
-            "queryx_slow_queries_recent",
-            "Slow queries since the last scrape (alert signal; "
-            "self-resolves on the next quiet scrape).",
-            "gauge",
-        )
-        slow_recent.add(self._recent_slow.observe_scalar(engine.slow_queries_total))
-        families.append(slow_recent)
-
-        if self._gateway is not None:
-            gw = self._gateway.counters()
-            pruning = MetricFamily(
-                "queryx_gateway_chunks_total",
-                "Cold chunks considered vs fetched vs bloom-skipped.",
-                "counter",
-            )
-            pruning.add(float(gw["chunks_considered"]), disposition="considered")
-            pruning.add(float(gw["chunks_fetched"]), disposition="fetched")
-            pruning.add(float(gw["chunks_skipped"]), disposition="skipped")
-            families.append(pruning)
-
-            skip_ratio = MetricFamily(
-                "queryx_bloom_skip_ratio",
-                "Fraction of considered chunks the blooms let us skip.",
-                "gauge",
-            )
-            skip_ratio.add(self._gateway.skip_ratio())
-            families.append(skip_ratio)
-
-        if self._blooms is not None:
-            bl = self._blooms.counters()
-            blocks = MetricFamily(
-                "queryx_bloom_blocks",
-                "Bloom blocks resident in the store.",
-                "gauge",
-            )
-            blocks.add(float(bl["blocks"]))
-            families.append(blocks)
-            built = MetricFamily(
-                "queryx_bloom_blocks_built_total",
-                "Bloom blocks (re)built by the compactor.",
-                "counter",
-            )
-            built.add(float(bl["blocks_built"]))
-            families.append(built)
-            checks = MetricFamily(
-                "queryx_bloom_needle_checks_total",
-                "Needle membership tests against bloom blocks, by verdict.",
-                "counter",
-            )
-            checks.add(
-                float(bl["needle_checks"] - bl["needle_rejections"]),
-                verdict="maybe",
-            )
-            checks.add(float(bl["needle_rejections"]), verdict="absent")
-            families.append(checks)
-
-        self.scrapes_served += 1
-        return render_exposition(families)

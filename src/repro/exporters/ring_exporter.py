@@ -9,143 +9,82 @@ ingest tier, exactly as the kafka/blackbox exporters watch the bus.
 
 from __future__ import annotations
 
-from repro.exporters.textformat import MetricFamily, render_exposition
+from typing import Iterator
+
+from repro.exporters.exporter import Exporter, Reading
 from repro.ring.cluster import RingLokiCluster
 
+_RING = (
+    ("loki_ring_members", "gauge", "Ingesters registered in the ring."),
+    ("loki_ring_ingester_up", "gauge",
+     "Whether the ingester is serving (1) or crashed (0)."),
+    ("loki_ring_ingester_entries_total", "counter",
+     "Entries resident in the ingester's store."),
+    ("loki_ring_ingester_chunks", "gauge", "Chunks held by the ingester."),
+    ("loki_ring_wal_segments", "gauge", "Live WAL segments awaiting checkpoint."),
+    ("loki_ring_wal_bytes", "gauge",
+     "Bytes held by the WAL (segments + checkpoint)."),
+    ("loki_ring_wal_records_total", "counter", "Records ever appended to the WAL."),
+    ("loki_ring_ingester_crashes_total", "counter",
+     "Times the ingester process died."),
+    ("ring_member_state", "gauge",
+     "One-hot lifecycle state per ring member: the series with "
+     "value 1 names the member's current state (active/suspect/"
+     "dead/forgotten — process state when no detector attached)."),
+    ("ring_member_heartbeat_age_seconds", "gauge",
+     "Seconds since the member's last heartbeat (failure "
+     "detector attached only)."),
+    ("loki_ring_wal_replayed_records_total", "counter",
+     "Records recovered via WAL replay across restarts."),
+    ("loki_distributor_pushes_total", "counter",
+     "Push requests handled by the distributor."),
+    ("loki_distributor_entries_accepted_total", "counter",
+     "Entries acknowledged at write quorum."),
+    ("loki_distributor_replica_writes_failed_total", "counter",
+     "Per-replica write attempts refused by a down ingester."),
+    ("loki_distributor_quorum_failures_total", "counter",
+     "Streams that could not reach a write quorum."),
+)
 
-class RingExporter:
+#: Per-ingester families, by the ``ring_health()`` key that feeds them.
+_PER_INGESTER = (
+    ("loki_ring_ingester_up", "up"),
+    ("loki_ring_ingester_entries_total", "entries"),
+    ("loki_ring_ingester_chunks", "chunks"),
+    ("loki_ring_wal_segments", "wal_segments"),
+    ("loki_ring_wal_bytes", "wal_bytes"),
+    ("loki_ring_wal_records_total", "wal_records"),
+    ("loki_ring_ingester_crashes_total", "crashes"),
+    ("loki_ring_wal_replayed_records_total", "replayed"),
+)
+
+
+def _read_ring(ring: RingLokiCluster) -> Iterator[Reading]:
+    yield "loki_ring_members", len(ring.ring), None
+    for ingester_id, health in ring.ring_health().items():
+        labels = {"ingester": ingester_id}
+        for family, key in _PER_INGESTER:
+            yield family, health[key], labels
+        current = str(health["state"])
+        member = {"ingester": ingester_id, "zone": str(health.get("zone", ""))}
+        for state in ("active", "suspect", "dead", "forgotten", "crashed"):
+            if state != current and state == "crashed":
+                continue  # plain process-state rows only when current
+            yield "ring_member_state", state == current, {**member, "state": state}
+        if "heartbeat_age_seconds" in health:
+            age = health["heartbeat_age_seconds"]
+            yield "ring_member_heartbeat_age_seconds", age, member
+    distributor = ring.distributor
+    yield "loki_distributor_pushes_total", distributor.pushes, None
+    accepted = distributor.entries_accepted
+    yield "loki_distributor_entries_accepted_total", accepted, None
+    failed = distributor.replica_writes_failed
+    yield "loki_distributor_replica_writes_failed_total", failed, None
+    yield "loki_distributor_quorum_failures_total", distributor.quorum_failures, None
+
+
+class RingExporter(Exporter):
     """Exports ring membership, per-ingester health and WAL state."""
 
     def __init__(self, ring: RingLokiCluster) -> None:
-        self._ring = ring
-        self.scrapes_served = 0
-
-    def scrape(self) -> str:
-        members = MetricFamily(
-            "loki_ring_members", "Ingesters registered in the ring.", "gauge"
-        )
-        up = MetricFamily(
-            "loki_ring_ingester_up",
-            "Whether the ingester is serving (1) or crashed (0).",
-            "gauge",
-        )
-        entries = MetricFamily(
-            "loki_ring_ingester_entries_total",
-            "Entries resident in the ingester's store.",
-            "counter",
-        )
-        chunks = MetricFamily(
-            "loki_ring_ingester_chunks",
-            "Chunks held by the ingester.",
-            "gauge",
-        )
-        wal_segments = MetricFamily(
-            "loki_ring_wal_segments",
-            "Live WAL segments awaiting checkpoint.",
-            "gauge",
-        )
-        wal_bytes = MetricFamily(
-            "loki_ring_wal_bytes",
-            "Bytes held by the WAL (segments + checkpoint).",
-            "gauge",
-        )
-        wal_records = MetricFamily(
-            "loki_ring_wal_records_total",
-            "Records ever appended to the WAL.",
-            "counter",
-        )
-        crashes = MetricFamily(
-            "loki_ring_ingester_crashes_total",
-            "Times the ingester process died.",
-            "counter",
-        )
-        member_state = MetricFamily(
-            "ring_member_state",
-            "One-hot lifecycle state per ring member: the series with "
-            "value 1 names the member's current state (active/suspect/"
-            "dead/forgotten — process state when no detector attached).",
-            "gauge",
-        )
-        heartbeat_age = MetricFamily(
-            "ring_member_heartbeat_age_seconds",
-            "Seconds since the member's last heartbeat (failure "
-            "detector attached only).",
-            "gauge",
-        )
-        replayed = MetricFamily(
-            "loki_ring_wal_replayed_records_total",
-            "Records recovered via WAL replay across restarts.",
-            "counter",
-        )
-        distributor = self._ring.distributor
-        pushes = MetricFamily(
-            "loki_distributor_pushes_total",
-            "Push requests handled by the distributor.",
-            "counter",
-        )
-        accepted = MetricFamily(
-            "loki_distributor_entries_accepted_total",
-            "Entries acknowledged at write quorum.",
-            "counter",
-        )
-        replica_failures = MetricFamily(
-            "loki_distributor_replica_writes_failed_total",
-            "Per-replica write attempts refused by a down ingester.",
-            "counter",
-        )
-        quorum_failures = MetricFamily(
-            "loki_distributor_quorum_failures_total",
-            "Streams that could not reach a write quorum.",
-            "counter",
-        )
-        members.add(float(len(self._ring.ring)))
-        for ingester_id, health in self._ring.ring_health().items():
-            up.add(health["up"], ingester=ingester_id)
-            entries.add(health["entries"], ingester=ingester_id)
-            chunks.add(health["chunks"], ingester=ingester_id)
-            wal_segments.add(health["wal_segments"], ingester=ingester_id)
-            wal_bytes.add(health["wal_bytes"], ingester=ingester_id)
-            wal_records.add(health["wal_records"], ingester=ingester_id)
-            crashes.add(health["crashes"], ingester=ingester_id)
-            replayed.add(health["replayed"], ingester=ingester_id)
-            current = str(health["state"])
-            zone = str(health.get("zone", ""))
-            for state in ("active", "suspect", "dead", "forgotten", "crashed"):
-                if state != current and state == "crashed":
-                    continue  # plain process-state rows only when current
-                member_state.add(
-                    1.0 if state == current else 0.0,
-                    ingester=ingester_id,
-                    state=state,
-                    zone=zone,
-                )
-            if "heartbeat_age_seconds" in health:
-                heartbeat_age.add(
-                    float(health["heartbeat_age_seconds"]),
-                    ingester=ingester_id,
-                    zone=zone,
-                )
-        pushes.add(float(distributor.pushes))
-        accepted.add(float(distributor.entries_accepted))
-        replica_failures.add(float(distributor.replica_writes_failed))
-        quorum_failures.add(float(distributor.quorum_failures))
-        self.scrapes_served += 1
-        return render_exposition(
-            [
-                members,
-                up,
-                entries,
-                chunks,
-                wal_segments,
-                wal_bytes,
-                wal_records,
-                crashes,
-                member_state,
-                heartbeat_age,
-                replayed,
-                pushes,
-                accepted,
-                replica_failures,
-                quorum_failures,
-            ]
-        )
+        super().__init__((_RING, _read_ring, ring))

@@ -17,150 +17,88 @@ the supervisor's restart/replay/skip accounting.
 
 from __future__ import annotations
 
-from repro.exporters.textformat import MetricFamily, render_exposition
+from typing import Iterator
+
+from repro.exporters.exporter import Exporter, Reading
 from repro.selfheal.manager import SelfHealManager
 
+_SELFHEAL = (
+    ("selfheal_members", "gauge", "Ring members by lifecycle state."),
+    ("selfheal_heartbeats_total", "counter",
+     "Heartbeats stamped into the memberlist."),
+    ("selfheal_transitions_total", "counter",
+     "Lifecycle transitions by kind (suspect/dead/recovered/"
+     "forgotten)."),
+    ("selfheal_read_triggered_suspects_total", "counter",
+     "Members suspected because a read fan-out found them refusing "
+     "before the sweep noticed the stale heartbeat."),
+    ("selfheal_under_replicated_streams", "gauge",
+     "Streams whose desired replicas are missing resident entries "
+     "(live placement diff; self-resolves once repaired)."),
+    ("selfheal_members_repaired_total", "counter",
+     "DEAD members retired by anti-entropy repair."),
+    ("selfheal_heal_passes_total", "counter",
+     "Anti-entropy heal passes that closed a placement gap with "
+     "no member to retire (scale-out newcomers, voluntary "
+     "leaves)."),
+    ("selfheal_streams_repaired_total", "counter",
+     "Streams re-replicated onto new ring owners."),
+    ("selfheal_entries_copied_total", "counter",
+     "Entries grafted onto repair targets."),
+    ("selfheal_supervisor_restarts_total", "counter",
+     "Crashed ingesters the supervisor restarted."),
+    ("selfheal_supervisor_replayed_records_total", "counter",
+     "WAL records replayed by supervised restarts."),
+    ("selfheal_supervisor_skips_total", "counter",
+     "Restart candidates skipped, by reason."),
+    ("selfheal_reads_degraded_total", "counter",
+     "Reads that failed because fewer than a quorum of replicas "
+     "answered."),
+    ("selfheal_replicas_skipped_unhealthy_total", "counter",
+     "Desired write replicas skipped because the detector held "
+     "them SUSPECT or DEAD."),
+)
 
-class SelfHealExporter:
+
+def _read_manager(manager: SelfHealManager) -> Iterator[Reading]:
+    memberlist = manager.memberlist
+    repairer = manager.repairer
+    supervisor = manager.supervisor
+    distributor = manager.cluster.distributor
+    for state, count in manager.counts_by_state().items():
+        yield "selfheal_members", count, {"state": state}
+    yield "selfheal_heartbeats_total", memberlist.heartbeats_total, None
+    for kind, count in (
+        ("suspect", memberlist.suspects_total),
+        ("dead", memberlist.deaths_total),
+        ("recovered", memberlist.recoveries_total),
+        ("forgotten", memberlist.forgotten_total),
+    ):
+        yield "selfheal_transitions_total", count, {"kind": kind}
+    read_suspects = memberlist.read_triggered_suspects
+    yield "selfheal_read_triggered_suspects_total", read_suspects, None
+    under = repairer.under_replicated_streams()
+    yield "selfheal_under_replicated_streams", under, None
+    yield "selfheal_members_repaired_total", repairer.members_repaired_total, None
+    yield "selfheal_heal_passes_total", repairer.heals_total, None
+    yield "selfheal_streams_repaired_total", repairer.streams_repaired_total, None
+    yield "selfheal_entries_copied_total", repairer.entries_copied_total, None
+    yield "selfheal_supervisor_restarts_total", supervisor.restarts_total, None
+    replayed = supervisor.records_replayed_total
+    yield "selfheal_supervisor_replayed_records_total", replayed, None
+    for reason, count in (
+        ("unrecoverable", supervisor.skipped_unrecoverable),
+        ("zone_down", supervisor.skipped_zone_down),
+        ("backoff", supervisor.skipped_backoff),
+    ):
+        yield "selfheal_supervisor_skips_total", count, {"reason": reason}
+    yield "selfheal_reads_degraded_total", distributor.reads_degraded, None
+    skipped = distributor.replicas_skipped_unhealthy
+    yield "selfheal_replicas_skipped_unhealthy_total", skipped, None
+
+
+class SelfHealExporter(Exporter):
     """Exports memberlist, detector, repairer and supervisor counters."""
 
     def __init__(self, manager: SelfHealManager) -> None:
-        self._manager = manager
-        self.scrapes_served = 0
-
-    def scrape(self) -> str:
-        manager = self._manager
-        memberlist = manager.memberlist
-        repairer = manager.repairer
-        supervisor = manager.supervisor
-        families = []
-
-        members = MetricFamily(
-            "selfheal_members",
-            "Ring members by lifecycle state.",
-            "gauge",
-        )
-        for state, count in manager.counts_by_state().items():
-            members.add(float(count), state=state)
-        families.append(members)
-
-        heartbeats = MetricFamily(
-            "selfheal_heartbeats_total",
-            "Heartbeats stamped into the memberlist.",
-            "counter",
-        )
-        heartbeats.add(float(memberlist.heartbeats_total))
-        families.append(heartbeats)
-
-        transitions = MetricFamily(
-            "selfheal_transitions_total",
-            "Lifecycle transitions by kind (suspect/dead/recovered/"
-            "forgotten).",
-            "counter",
-        )
-        transitions.add(float(memberlist.suspects_total), kind="suspect")
-        transitions.add(float(memberlist.deaths_total), kind="dead")
-        transitions.add(float(memberlist.recoveries_total), kind="recovered")
-        transitions.add(float(memberlist.forgotten_total), kind="forgotten")
-        families.append(transitions)
-
-        read_suspects = MetricFamily(
-            "selfheal_read_triggered_suspects_total",
-            "Members suspected because a read fan-out found them refusing "
-            "before the sweep noticed the stale heartbeat.",
-            "counter",
-        )
-        read_suspects.add(float(memberlist.read_triggered_suspects))
-        families.append(read_suspects)
-
-        under = MetricFamily(
-            "selfheal_under_replicated_streams",
-            "Streams whose desired replicas are missing resident entries "
-            "(live placement diff; self-resolves once repaired).",
-            "gauge",
-        )
-        under.add(float(repairer.under_replicated_streams()))
-        families.append(under)
-
-        repaired_members = MetricFamily(
-            "selfheal_members_repaired_total",
-            "DEAD members retired by anti-entropy repair.",
-            "counter",
-        )
-        repaired_members.add(float(repairer.members_repaired_total))
-        families.append(repaired_members)
-
-        heals = MetricFamily(
-            "selfheal_heal_passes_total",
-            "Anti-entropy heal passes that closed a placement gap with "
-            "no member to retire (scale-out newcomers, voluntary "
-            "leaves).",
-            "counter",
-        )
-        heals.add(float(repairer.heals_total))
-        families.append(heals)
-
-        repaired_streams = MetricFamily(
-            "selfheal_streams_repaired_total",
-            "Streams re-replicated onto new ring owners.",
-            "counter",
-        )
-        repaired_streams.add(float(repairer.streams_repaired_total))
-        families.append(repaired_streams)
-
-        copied = MetricFamily(
-            "selfheal_entries_copied_total",
-            "Entries grafted onto repair targets.",
-            "counter",
-        )
-        copied.add(float(repairer.entries_copied_total))
-        families.append(copied)
-
-        restarts = MetricFamily(
-            "selfheal_supervisor_restarts_total",
-            "Crashed ingesters the supervisor restarted.",
-            "counter",
-        )
-        restarts.add(float(supervisor.restarts_total))
-        families.append(restarts)
-
-        replayed = MetricFamily(
-            "selfheal_supervisor_replayed_records_total",
-            "WAL records replayed by supervised restarts.",
-            "counter",
-        )
-        replayed.add(float(supervisor.records_replayed_total))
-        families.append(replayed)
-
-        skipped = MetricFamily(
-            "selfheal_supervisor_skips_total",
-            "Restart candidates skipped, by reason.",
-            "counter",
-        )
-        skipped.add(float(supervisor.skipped_unrecoverable), reason="unrecoverable")
-        skipped.add(float(supervisor.skipped_zone_down), reason="zone_down")
-        skipped.add(float(supervisor.skipped_backoff), reason="backoff")
-        families.append(skipped)
-
-        degraded_reads = MetricFamily(
-            "selfheal_reads_degraded_total",
-            "Reads that failed because fewer than a quorum of replicas "
-            "answered.",
-            "counter",
-        )
-        degraded_reads.add(float(manager.cluster.distributor.reads_degraded))
-        families.append(degraded_reads)
-
-        skipped_writes = MetricFamily(
-            "selfheal_replicas_skipped_unhealthy_total",
-            "Desired write replicas skipped because the detector held "
-            "them SUSPECT or DEAD.",
-            "counter",
-        )
-        skipped_writes.add(
-            float(manager.cluster.distributor.replicas_skipped_unhealthy)
-        )
-        families.append(skipped_writes)
-
-        self.scrapes_served += 1
-        return render_exposition(families)
+        super().__init__((_SELFHEAL, _read_manager, manager))

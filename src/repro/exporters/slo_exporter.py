@@ -15,68 +15,47 @@ exporters use.
 
 from __future__ import annotations
 
+from typing import Iterator
+
 from repro.exporters.deltas import RecentDelta
-from repro.exporters.textformat import MetricFamily, render_exposition
+from repro.exporters.exporter import Exporter, Reading
 from repro.slo.manager import SloManager
 from repro.slo.model import SLO_LABEL
 
+_SLOS = (
+    ("slo_sli_good_total", "counter",
+     "Cumulative good events per SLO (SLI numerator)."),
+    ("slo_sli_total", "counter",
+     "Cumulative total events per SLO (SLI denominator)."),
+    ("slo_objective", "gauge",
+     "Configured objective per SLO (fraction, e.g. 0.999)."),
+    ("slo_budget_remaining_ratio", "gauge",
+     "Error budget left over the SLO window (1 untouched, "
+     "0 exhausted, negative when overspent)."),
+    ("slo_budget_exhausted", "gauge",
+     "1 while the SLO's error budget is spent, else 0."),
+    ("slo_bad_events_recent", "gauge",
+     "Bad events since the last scrape (alert signal; "
+     "self-resolves on the next quiet scrape)."),
+)
 
-class SloExporter:
+
+def _read_slos(manager: SloManager, recent_bad: RecentDelta) -> Iterator[Reading]:
+    for slo in manager.slos():
+        labels = {SLO_LABEL: slo.name}
+        snap = manager.collector(slo.name).snapshot()
+        budget = manager.budget(slo.name)
+        yield "slo_sli_good_total", snap.good, labels
+        yield "slo_sli_total", snap.total, labels
+        yield "slo_objective", slo.objective, labels
+        yield "slo_budget_remaining_ratio", budget.remaining_ratio(), labels
+        yield "slo_budget_exhausted", budget.exhausted, labels
+        recent = recent_bad.observe(slo.name, snap.bad)
+        yield "slo_bad_events_recent", recent, labels
+
+
+class SloExporter(Exporter):
     """Exports per-SLO SLI counters and error-budget gauges."""
 
     def __init__(self, manager: SloManager) -> None:
-        self._manager = manager
-        self.scrapes_served = 0
-        self._recent_bad = RecentDelta()
-
-    def scrape(self) -> str:
-        good = MetricFamily(
-            "slo_sli_good_total",
-            "Cumulative good events per SLO (SLI numerator).",
-            "counter",
-        )
-        total = MetricFamily(
-            "slo_sli_total",
-            "Cumulative total events per SLO (SLI denominator).",
-            "counter",
-        )
-        objective = MetricFamily(
-            "slo_objective",
-            "Configured objective per SLO (fraction, e.g. 0.999).",
-            "gauge",
-        )
-        remaining = MetricFamily(
-            "slo_budget_remaining_ratio",
-            "Error budget left over the SLO window (1 untouched, "
-            "0 exhausted, negative when overspent).",
-            "gauge",
-        )
-        exhausted = MetricFamily(
-            "slo_budget_exhausted",
-            "1 while the SLO's error budget is spent, else 0.",
-            "gauge",
-        )
-        recent_bad = MetricFamily(
-            "slo_bad_events_recent",
-            "Bad events since the last scrape (alert signal; "
-            "self-resolves on the next quiet scrape).",
-            "gauge",
-        )
-
-        for slo in self._manager.slos():
-            labels = {SLO_LABEL: slo.name}
-            snap = self._manager.collector(slo.name).snapshot()
-            budget = self._manager.budget(slo.name)
-            good.add(snap.good, **labels)
-            total.add(snap.total, **labels)
-            objective.add(slo.objective, **labels)
-            remaining.add(budget.remaining_ratio(), **labels)
-            exhausted.add(1.0 if budget.exhausted else 0.0, **labels)
-            recent_bad.add(
-                self._recent_bad.observe(slo.name, snap.bad), **labels
-            )
-
-        self.scrapes_served += 1
-        return render_exposition(
-            [good, total, objective, remaining, exhausted, recent_bad]
-        )
+        super().__init__((_SLOS, _read_slos, manager, RecentDelta()))

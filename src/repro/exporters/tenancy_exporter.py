@@ -18,15 +18,89 @@ tenant's pipeline actually draining".
 
 from __future__ import annotations
 
+from typing import Iterator
+
 from repro.bus.broker import Broker
 from repro.common.simclock import NANOS_PER_SECOND
 from repro.exporters.deltas import RecentDelta
-from repro.exporters.textformat import MetricFamily, render_exposition
+from repro.exporters.exporter import Exporter, Reading
 from repro.tenancy.admission import AdmissionController
 from repro.tenancy.scheduler import QueryScheduler
 
+_ADMISSION = (
+    ("tenant_ingest_entries_total", "counter", "Log lines accepted from the tenant."),
+    ("tenant_ingest_discarded_total", "counter", "Log lines rejected, by 429 reason."),
+    ("tenant_ingest_discarded_recent", "gauge",
+     "Lines discarded since the previous scrape (alert signal)."),
+    ("tenant_active_streams", "gauge",
+     "Distinct active streams held by the tenant."),
+    ("tenant_pushes_rejected_total", "counter",
+     "Whole pushes refused with a typed 429."),
+)
+_SCHEDULER = (
+    ("tenant_query_queue_depth", "gauge",
+     "Queries waiting in the tenant's scheduler queue."),
+    ("tenant_queries_running", "gauge",
+     "Tenant queries currently holding querier slots."),
+    ("tenant_queries_completed_total", "counter",
+     "Tenant queries finished successfully."),
+    ("tenant_queries_rejected_total", "counter",
+     "Tenant queries refused by limits (range/series)."),
+    ("tenant_query_wait_p95_seconds", "gauge",
+     "95th percentile queue wait for the tenant's queries."),
+    ("tenant_query_wait_mean_seconds", "gauge",
+     "Mean queue wait for the tenant's queries."),
+)
+_BUS = (
+    ("bus_topic_produced_total", "counter", "Records produced to the topic."),
+    ("bus_topic_consumed_total", "counter",
+     "Records delivered to consumers from the topic."),
+    ("bus_topic_rejected_total", "counter",
+     "Produce attempts refused by backpressure."),
+)
 
-class TenancyExporter:
+
+def _read_admission(
+    admission: AdmissionController, recent_discards: RecentDelta
+) -> Iterator[Reading]:
+    for tenant in admission.tenants():
+        counters = admission.counters[tenant]
+        labels = {"tenant": tenant}
+        yield "tenant_ingest_entries_total", counters.entries_accepted, labels
+        for reason, count in sorted(counters.discarded.items()):
+            yield "tenant_ingest_discarded_total", count, {**labels, "reason": reason}
+        recent = recent_discards.observe(tenant, counters.entries_discarded)
+        yield "tenant_ingest_discarded_recent", recent, labels
+        yield "tenant_active_streams", admission.active_streams(tenant), labels
+        yield "tenant_pushes_rejected_total", counters.pushes_rejected, labels
+
+
+def _read_scheduler(scheduler: QueryScheduler) -> Iterator[Reading]:
+    for tenant in scheduler.tenants():
+        stats = scheduler.stats.get(tenant)
+        labels = {"tenant": tenant}
+        yield "tenant_query_queue_depth", scheduler.queue_depth(tenant), labels
+        yield "tenant_queries_running", scheduler.running(tenant), labels
+        if stats is None:
+            continue
+        yield "tenant_queries_completed_total", stats.completed, labels
+        yield "tenant_queries_rejected_total", stats.rejected + stats.failed, labels
+        p95 = scheduler.wait_percentile_ns(tenant, 95.0) / NANOS_PER_SECOND
+        yield "tenant_query_wait_p95_seconds", p95, labels
+        mean = stats.mean_wait_ns / NANOS_PER_SECOND
+        yield "tenant_query_wait_mean_seconds", mean, labels
+
+
+def _read_bus(broker: Broker) -> Iterator[Reading]:
+    for topic in broker.topics():
+        stats = broker.topic_stats(topic)
+        labels = {"topic": topic}
+        yield "bus_topic_produced_total", stats["total_produced"], labels
+        yield "bus_topic_consumed_total", stats["total_consumed"], labels
+        yield "bus_topic_rejected_total", stats["backpressure_rejections"], labels
+
+
+class TenancyExporter(Exporter):
     """Exports admission, scheduler and (optionally) bus counters."""
 
     def __init__(
@@ -35,132 +109,9 @@ class TenancyExporter:
         scheduler: QueryScheduler | None = None,
         broker: Broker | None = None,
     ) -> None:
-        self._admission = admission
-        self._scheduler = scheduler
-        self._broker = broker
-        #: tenant -> entries_discarded at the previous scrape.
-        self._recent_discards = RecentDelta()
-        self.scrapes_served = 0
-
-    def scrape(self) -> str:
-        accepted = MetricFamily(
-            "tenant_ingest_entries_total",
-            "Log lines accepted from the tenant.",
-            "counter",
+        # The delta keeps tenant -> entries_discarded at the previous scrape.
+        super().__init__(
+            (_ADMISSION, _read_admission, admission, RecentDelta()),
+            (_SCHEDULER, _read_scheduler, scheduler),
+            (_BUS, _read_bus, broker),
         )
-        discarded = MetricFamily(
-            "tenant_ingest_discarded_total",
-            "Log lines rejected, by 429 reason.",
-            "counter",
-        )
-        recent = MetricFamily(
-            "tenant_ingest_discarded_recent",
-            "Lines discarded since the previous scrape (alert signal).",
-            "gauge",
-        )
-        streams = MetricFamily(
-            "tenant_active_streams",
-            "Distinct active streams held by the tenant.",
-            "gauge",
-        )
-        rejected_pushes = MetricFamily(
-            "tenant_pushes_rejected_total",
-            "Whole pushes refused with a typed 429.",
-            "counter",
-        )
-        for tenant in self._admission.tenants():
-            counters = self._admission.counters[tenant]
-            accepted.add(float(counters.entries_accepted), tenant=tenant)
-            for reason, count in sorted(counters.discarded.items()):
-                discarded.add(float(count), tenant=tenant, reason=reason)
-            recent.add(
-                self._recent_discards.observe(tenant, counters.entries_discarded),
-                tenant=tenant,
-            )
-            streams.add(
-                float(self._admission.active_streams(tenant)), tenant=tenant
-            )
-            rejected_pushes.add(float(counters.pushes_rejected), tenant=tenant)
-        families = [accepted, discarded, recent, streams, rejected_pushes]
-        if self._scheduler is not None:
-            depth = MetricFamily(
-                "tenant_query_queue_depth",
-                "Queries waiting in the tenant's scheduler queue.",
-                "gauge",
-            )
-            running = MetricFamily(
-                "tenant_queries_running",
-                "Tenant queries currently holding querier slots.",
-                "gauge",
-            )
-            completed = MetricFamily(
-                "tenant_queries_completed_total",
-                "Tenant queries finished successfully.",
-                "counter",
-            )
-            q_rejected = MetricFamily(
-                "tenant_queries_rejected_total",
-                "Tenant queries refused by limits (range/series).",
-                "counter",
-            )
-            wait_p95 = MetricFamily(
-                "tenant_query_wait_p95_seconds",
-                "95th percentile queue wait for the tenant's queries.",
-                "gauge",
-            )
-            wait_mean = MetricFamily(
-                "tenant_query_wait_mean_seconds",
-                "Mean queue wait for the tenant's queries.",
-                "gauge",
-            )
-            for tenant in self._scheduler.tenants():
-                stats = self._scheduler.stats.get(tenant)
-                depth.add(
-                    float(self._scheduler.queue_depth(tenant)), tenant=tenant
-                )
-                running.add(
-                    float(self._scheduler.running(tenant)), tenant=tenant
-                )
-                if stats is None:
-                    continue
-                completed.add(float(stats.completed), tenant=tenant)
-                q_rejected.add(
-                    float(stats.rejected + stats.failed), tenant=tenant
-                )
-                wait_p95.add(
-                    self._scheduler.wait_percentile_ns(tenant, 95.0)
-                    / NANOS_PER_SECOND,
-                    tenant=tenant,
-                )
-                wait_mean.add(
-                    stats.mean_wait_ns / NANOS_PER_SECOND, tenant=tenant
-                )
-            families += [
-                depth, running, completed, q_rejected, wait_p95, wait_mean,
-            ]
-        if self._broker is not None:
-            produced = MetricFamily(
-                "bus_topic_produced_total",
-                "Records produced to the topic.",
-                "counter",
-            )
-            consumed = MetricFamily(
-                "bus_topic_consumed_total",
-                "Records delivered to consumers from the topic.",
-                "counter",
-            )
-            rejected = MetricFamily(
-                "bus_topic_rejected_total",
-                "Produce attempts refused by backpressure.",
-                "counter",
-            )
-            for topic in self._broker.topics():
-                stats = self._broker.topic_stats(topic)
-                produced.add(float(stats["total_produced"]), topic=topic)
-                consumed.add(float(stats["total_consumed"]), topic=topic)
-                rejected.add(
-                    float(stats["backpressure_rejections"]), topic=topic
-                )
-            families += [produced, consumed, rejected]
-        self.scrapes_served += 1
-        return render_exposition(families)

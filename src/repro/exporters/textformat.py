@@ -15,7 +15,8 @@ from __future__ import annotations
 import math
 import re
 from dataclasses import dataclass, field
-from typing import Iterator
+from numbers import Integral
+from typing import Iterator, Mapping
 
 from repro.common.errors import ValidationError
 
@@ -34,6 +35,17 @@ class MetricPoint:
     timestamp_ms: int | None = None
 
 
+def family_header(name: str, help: str, type: str) -> str:
+    """The ``# HELP`` / ``# TYPE`` lines of a family, validated: the one
+    place a family header is formatted."""
+    if not _NAME_RE.match(name):
+        raise ValidationError(f"invalid metric name: {name!r}")
+    if type not in ("gauge", "counter", "untyped"):
+        raise ValidationError(f"invalid metric type: {type!r}")
+    type_line = f"# TYPE {name} {type}"
+    return f"# HELP {name} {help}\n{type_line}" if help else type_line
+
+
 @dataclass
 class MetricFamily:
     """A named family: HELP/TYPE header plus its points."""
@@ -44,10 +56,7 @@ class MetricFamily:
     points: list[MetricPoint] = field(default_factory=list)
 
     def __post_init__(self) -> None:
-        if not _NAME_RE.match(self.name):
-            raise ValidationError(f"invalid metric name: {self.name!r}")
-        if self.type not in ("gauge", "counter", "untyped"):
-            raise ValidationError(f"invalid metric type: {self.type!r}")
+        family_header(self.name, self.help, self.type)
 
     def add(self, value: float, **labels: str) -> None:
         self.points.append(MetricPoint(self.name, labels, value))
@@ -73,36 +82,51 @@ def _unescape(value: str) -> str:
 
 
 def _format_value(value: float) -> str:
+    if isinstance(value, Integral):  # int, bool, NumPy integers
+        return str(int(value))
+    # A float subclass (np.float64) must not spell its own type out.
+    value = float(value)
     if math.isnan(value):
         return "NaN"
     if math.isinf(value):
         return "+Inf" if value > 0 else "-Inf"
-    return repr(value) if isinstance(value, float) else str(value)
+    return repr(value)
+
+
+def sample_line(
+    name: str,
+    labels: Mapping[str, str] | None,
+    value: float,
+    timestamp_ms: int | None = None,
+) -> str:
+    """One sample line, labels sorted by key: the one place a sample is
+    formatted."""
+    if labels:
+        label_text = ",".join(
+            f'{k}="{_escape(v)}"' for k, v in sorted(labels.items())
+        )
+        head = f"{name}{{{label_text}}}"
+    else:
+        head = name
+    line = f"{head} {_format_value(value)}"
+    if timestamp_ms is not None:
+        line += f" {timestamp_ms}"
+    return line
 
 
 def render_exposition(families: list[MetricFamily]) -> str:
-    """Render families to exposition text."""
+    """Render whole families to exposition text."""
     lines: list[str] = []
     for family in families:
-        if family.help:
-            lines.append(f"# HELP {family.name} {family.help}")
-        lines.append(f"# TYPE {family.name} {family.type}")
+        lines.append(family_header(family.name, family.help, family.type))
         for point in family.points:
             if point.name != family.name:
                 raise ValidationError(
                     f"point {point.name!r} inside family {family.name!r}"
                 )
-            if point.labels:
-                label_text = ",".join(
-                    f'{k}="{_escape(v)}"' for k, v in sorted(point.labels.items())
-                )
-                head = f"{point.name}{{{label_text}}}"
-            else:
-                head = point.name
-            line = f"{head} {_format_value(point.value)}"
-            if point.timestamp_ms is not None:
-                line += f" {point.timestamp_ms}"
-            lines.append(line)
+            lines.append(
+                sample_line(point.name, point.labels, point.value, point.timestamp_ms)
+            )
     return "\n".join(lines) + ("\n" if lines else "")
 
 

@@ -1,7 +1,9 @@
-"""Tests for the Prometheus text format and the four exporters."""
+"""Tests for the Prometheus text format, the one exporter over metric
+tables and the four paper exporters."""
 
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
@@ -12,6 +14,7 @@ from repro.cluster.sensors import build_standard_bank
 from repro.cluster.topology import Cluster, ClusterSpec, NodeState
 from repro.exporters.aruba import ArubaExporter
 from repro.exporters.blackbox import BlackboxExporter, ProbeTarget
+from repro.exporters.exporter import Exporter
 from repro.exporters.kafka_exporter import KafkaExporter
 from repro.exporters.node import NodeExporter
 from repro.exporters.textformat import (
@@ -19,6 +22,19 @@ from repro.exporters.textformat import (
     MetricPoint,
     parse_exposition,
     render_exposition,
+    sample_line,
+)
+
+_FINITE = st.floats(allow_nan=False, allow_infinity=False, width=32)
+#: Everything a read function may hand over as a sample value.
+_VALUES = st.one_of(
+    _FINITE,
+    st.booleans(),
+    st.integers(-(2**40), 2**40),
+    _FINITE.map(np.float64),
+    _FINITE.map(np.float32),
+    st.integers(-(2**40), 2**40).map(np.int64),
+    st.booleans().map(np.bool_),
 )
 
 
@@ -85,14 +101,85 @@ class TestTextFormat:
             ),
             max_size=4,
         ),
-        st.floats(allow_nan=False, allow_infinity=False, width=32),
+        _VALUES,
     )
     def test_roundtrip_property(self, labels, value):
         fam = MetricFamily("metric_name")
         fam.add(value, **labels)
         (p,) = parse_exposition(render_exposition([fam]))
         assert p.labels == labels
-        assert p.value == pytest.approx(value)
+        assert p.value == pytest.approx(float(value))
+
+    def test_numpy_and_bool_values_spell_plain_numbers(self):
+        """``repr(np.float64(1.5))`` is ``np.float64(1.5)`` and ``str(True)``
+        is ``True``: either one fails the whole target's parse."""
+        assert sample_line("m", None, np.float64(1.5)) == "m 1.5"
+        assert sample_line("m", None, np.float32(0.25)) == "m 0.25"
+        assert sample_line("m", None, np.int64(7)) == "m 7"
+        assert sample_line("m", None, True) == "m 1"
+        assert sample_line("m", None, 7) == "m 7"
+        assert sample_line("m", {"b": "2", "a": "1"}, 2.5, 9) == 'm{a="1",b="2"} 2.5 9'
+        assert sample_line("m", None, np.float64("nan")) == "m NaN"
+        assert sample_line("m", None, -math.inf) == "m -Inf"
+
+
+_TABLE = (
+    ("t_requests_total", "counter", "Requests."),
+    ("t_depth", "gauge", "Depth."),
+)
+
+
+def _read_two(source):
+    yield "t_depth", source["depth"], None
+    yield "t_requests_total", source["ok"], {"code": "200"}
+    yield "t_requests_total", source["bad"], {"code": "500"}
+
+
+class TestExporterTables:
+    def test_groups_readings_under_headers_in_table_order(self):
+        exp = Exporter((_TABLE, _read_two, {"depth": 3, "ok": 5, "bad": True}))
+        assert exp.scrape() == (
+            "# HELP t_requests_total Requests.\n# TYPE t_requests_total counter\n"
+            't_requests_total{code="200"} 5.0\nt_requests_total{code="500"} 1.0\n'
+            "# HELP t_depth Depth.\n# TYPE t_depth gauge\nt_depth 3.0\n"
+        )
+        assert exp.scrapes_served == 1
+
+    def test_family_without_readings_is_still_a_header(self):
+        exp = Exporter((_TABLE, lambda: iter(())))
+        assert exp.scrape().splitlines() == [
+            "# HELP t_requests_total Requests.", "# TYPE t_requests_total counter",
+            "# HELP t_depth Depth.", "# TYPE t_depth gauge",
+        ]
+
+    def test_part_with_a_missing_component_is_left_out(self):
+        extra = ((("t_extra", "untyped", ""),), lambda c: [("t_extra", c, None)])
+        without = Exporter((_TABLE, _read_two, {"depth": 0, "ok": 0, "bad": 0}),
+                           (*extra, None))
+        assert "t_extra" not in without.scrape()
+        assert Exporter((*extra, 4)).scrape() == "# TYPE t_extra untyped\nt_extra 4.0\n"
+
+    @pytest.mark.parametrize(
+        "table",
+        [
+            (("9bad", "gauge", "Bad name."),),
+            (("t_hist", "histogram", "Bad type."),),
+            (*_TABLE, ("t_depth", "gauge", "Declared twice.")),
+        ],
+        ids=["name", "type", "twice"],
+    )
+    def test_bad_table_is_rejected_when_the_exporter_is_built(self, table):
+        with pytest.raises(ValidationError):
+            Exporter((table, lambda: iter(())))
+
+    def test_family_declared_by_two_parts_is_rejected(self):
+        with pytest.raises(ValidationError):
+            Exporter((_TABLE, lambda: iter(())), (_TABLE[:1], lambda: iter(())))
+
+    def test_reading_for_an_undeclared_family_is_rejected(self):
+        exp = Exporter((_TABLE, lambda: [("t_other", 1.0, None)]))
+        with pytest.raises(ValidationError):
+            exp.scrape()
 
 
 class TestNodeExporter:
@@ -148,6 +235,20 @@ class TestBlackboxExporter:
         with pytest.raises(ValidationError):
             BlackboxExporter([t, t])
 
+    def test_numpy_latency_does_not_poison_the_target(self):
+        exp = BlackboxExporter(
+            [ProbeTarget("np", lambda: (np.bool_(True), np.float64(0.25)))]
+        )
+        exp.add_target(ProbeTarget("late", lambda: (True, np.float32(0.5))))
+        values = {
+            (p.name, p.labels["target"]): p.value
+            for p in parse_exposition(exp.scrape())
+        }
+        assert values == {
+            ("probe_success", "np"): 1.0, ("probe_duration_seconds", "np"): 0.25,
+            ("probe_success", "late"): 1.0, ("probe_duration_seconds", "late"): 0.5,
+        }
+
 
 class TestKafkaExporter:
     def test_topic_and_lag_metrics(self):
@@ -191,3 +292,50 @@ class TestArubaExporter:
             ArubaExporter(switches=0)
         with pytest.raises(ValidationError):
             ArubaExporter(flap_probability=2.0)
+
+
+# ----------------------------------------------------------------------
+# Closure: what rules and panels select, something writes
+# ----------------------------------------------------------------------
+#: Series no exporter serves: the sensor, facility and GPFS paths write
+#: them through ``ingest_metric``, tempo's self-metrics write the last.
+NON_EXPORTER_SERIES = {
+    "shasta_temperature_celsius",
+    "facility_cdu_flow_lpm",
+    "facility_pdu_load_kw",
+    "facility_room_humidity_percent",
+    "gpfs_unhealthy_nsds",
+    "tempo_stage_latency_p99_seconds",
+}
+
+
+def test_every_selected_metric_is_declared_or_recorded():
+    """A typo in a rule or a panel used to render an empty panel and fail
+    nothing.  Family names are data now: every metric the all-planes
+    framework's vmalert rules, recording rules and metric panels select
+    is a family some exporter declares (a ``# TYPE`` line of its scrape,
+    present even without samples), a series a recording rule writes, or
+    on the short list above."""
+    from repro.core.framework import MonitoringFramework
+    from repro.grafana.datasource import PrometheusDatasource
+    from repro.tsdb.promql import leaf_reads, parse_promql
+    from tests.test_wiring_manifest import FLAGS, _config
+
+    fw = MonitoringFramework(_config(FLAGS, tracing_sampling=1.0))
+    written = set(NON_EXPORTER_SERIES)
+    for target in fw.vmagent.targets():
+        lines = target.exporter.scrape().splitlines()
+        written.update(ln.split()[2] for ln in lines if ln.startswith("# TYPE "))
+    recording = fw.slo_manager.recording.rules()
+    written.update(rule.record for rule in recording)
+    exprs = [(f"rule {rule.name}", rule.expr) for rule in fw.vmalert.rules()]
+    exprs += [(f"recording rule {rule.record}", rule.expr) for rule in recording]
+    for key, dashboard in fw.dashboards.items():
+        for panel in dashboard.panels():
+            if isinstance(panel.datasource, PrometheusDatasource):
+                exprs.append((f"panel {key}/{panel.title}", panel.query))
+    assert len(exprs) > 100
+    for where, expr in exprs:
+        for selector, _ in leaf_reads(parse_promql(expr)):
+            names = [m.value for m in selector.matchers if m.name == "__name__"]
+            assert names and set(names) <= written, f"{where}: {expr}"

@@ -26,7 +26,7 @@ from repro.common.simclock import minutes, seconds
 from repro.core.framework import FrameworkConfig, MonitoringFramework
 from repro.core.plane import Plane
 from repro.core.planes import PLANES
-from repro.exporters.textformat import MetricFamily, render_exposition
+from repro.exporters.exporter import Exporter
 from repro.grafana.panels import StatPanel
 from repro.loki.logcli import run_logcli
 
@@ -100,19 +100,20 @@ def test_subset_builds_runs_and_reads(on):
 # ----------------------------------------------------------------------
 # A ninth plane, defined outside src/
 # ----------------------------------------------------------------------
-class _Canary:
+class _Canary(Exporter):
     """The exporter and the periodic of the test plane."""
 
     def __init__(self) -> None:
         self.beats = 0
+        super().__init__(
+            ((("canary_beats_total", "counter", "Beats."),), self._read_beats)
+        )
 
     def beat(self) -> None:
         self.beats += 1
 
-    def scrape(self) -> str:
-        family = MetricFamily("canary_beats_total", "Beats.", "counter")
-        family.add(float(self.beats))
-        return render_exposition([family])
+    def _read_beats(self):
+        yield "canary_beats_total", self.beats, None
 
 
 class CanaryPlane(Plane):
