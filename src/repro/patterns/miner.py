@@ -7,10 +7,11 @@ route through a wildcard branch so identifiers and counters never
 explode the tree), landing in a leaf that holds a bounded set of
 template clusters.  Within the leaf the line joins the most similar
 cluster — similarity is the fraction of positions whose tokens match
-exactly — and positions that disagree are widened to the ``<*>``
-wildcard.  By construction every line matches the template of the
-cluster it joined, and the total number of clusters is bounded by the
-tree shape (see :meth:`DrainConfig.max_clusters`).
+exactly or carry digits where the cluster's seed did — and positions
+that disagree are widened to the ``<*>`` wildcard.  By construction
+every line matches the template of the cluster it joined, and the total
+number of clusters is bounded by the tree shape (see
+:meth:`DrainConfig.max_clusters`).
 
 Cluster identities are content-derived: the pattern id is the mix64
 finalizer over the FNV-1a hash of the *seed* template (the first line
@@ -120,6 +121,9 @@ class PatternCluster:
 
     pattern_id: str
     tokens: list[str]
+    #: Per position: did the seed mask a digit-bearing token here?  Fixed
+    #: at creation; ``tokens`` also gains ``<*>`` where lines disagree.
+    masked: tuple[bool, ...]
     count: int = 0
     first_seen_ns: int = 0
     last_seen_ns: int = 0
@@ -130,11 +134,18 @@ class PatternCluster:
         return " ".join(self.tokens)
 
     def _similarity(self, tokens: list[str]) -> float:
-        """Fraction of positions matching exactly; wildcard positions
-        earn no credit, so a template cannot dissolve into ``<*>`` by
-        attracting everything."""
-        exact = sum(1 for t, s in zip(self.tokens, tokens) if t == s)
-        return exact / len(tokens)
+        """Fraction of positions that match: the same token, or a
+        digit-bearing token where the seed masked one — so the seed line
+        itself scores 1.0 however many of its tokens carry digits, and a
+        second cluster with this one's ``pattern_id`` is never minted.  A
+        position widened by disagreement earns no credit, so a template
+        cannot dissolve into ``<*>`` by attracting everything."""
+        matching = sum(
+            1
+            for t, s, m in zip(self.tokens, tokens, self.masked)
+            if t == s or (m and _has_digit(s))
+        )
+        return matching / len(tokens)
 
     def _absorb(self, tokens: list[str], timestamp_ns: int) -> None:
         for i, tok in enumerate(tokens):
@@ -187,6 +198,7 @@ class DrainMiner:
         cluster = PatternCluster(
             pattern_id=pattern_id_for(seed),
             tokens=seed,
+            masked=tuple(tok == WILDCARD for tok in seed),
             count=1,
             first_seen_ns=timestamp_ns,
             last_seen_ns=timestamp_ns,
