@@ -6,7 +6,8 @@ alerts on — so everything above a leaf is written once, here:
 
 * the lexer (one flat token stream; context sensitivity, e.g. ``!=``
   being a label matcher inside ``{}`` but a line filter outside, is the
-  parser's job);
+  parser's job) and the :class:`TokenCursor` parsers walk it with —
+  TraceQL's span filters lex and walk with the same two;
 * the nodes — :class:`VectorAgg` (``sum/min/max/avg/count`` with
   ``by``/``without``), :class:`BinOp` (arithmetic and comparisons,
   vector↔scalar or vector↔vector), :class:`SetExpr` (``and``, ``or``,
@@ -51,6 +52,10 @@ class Tok(enum.Enum):
     PIPE = "|"
     PIPE_EXACT = "|="
     PIPE_MATCH = "|~"
+    # TraceQL's connectives and the dot of ``span.<attribute>``.
+    AND = "&&"
+    OR = "||"
+    DOT = "."
     GT = ">"
     GTE = ">="
     LT = "<"
@@ -82,6 +87,8 @@ _IDENT_RE = re.compile(r"[a-zA-Z_][a-zA-Z0-9_]*")
 _OPERATORS: list[tuple[str, Tok]] = [
     ("|=", Tok.PIPE_EXACT),
     ("|~", Tok.PIPE_MATCH),
+    ("||", Tok.OR),
+    ("&&", Tok.AND),
     ("!=", Tok.NEQ),
     ("!~", Tok.NRE),
     ("=~", Tok.RE),
@@ -95,6 +102,7 @@ _OPERATORS: list[tuple[str, Tok]] = [
     ("[", Tok.LBRACKET),
     ("]", Tok.RBRACKET),
     (",", Tok.COMMA),
+    (".", Tok.DOT),
     ("=", Tok.EQ),
     ("|", Tok.PIPE),
     (">", Tok.GT),
@@ -365,9 +373,10 @@ _VECTOR_OPS = {o.value: o for o in VectorOp}
 _GROUPINGS = {"by": GroupMode.BY, "without": GroupMode.WITHOUT}
 
 
-class VectorParser:
-    """Recursive descent over one query's tokens: the cursor and every
-    production above a leaf.  A language supplies :meth:`_leaf`."""
+class TokenCursor:
+    """One query's tokens and a position in them: what every
+    recursive-descent parser over this lexer (the vector languages,
+    TraceQL) is built on."""
 
     def __init__(self, query: str) -> None:
         if not query or not query.strip():
@@ -375,7 +384,6 @@ class VectorParser:
         self._tokens = tokenize(query)
         self._pos = 0
 
-    # -- token plumbing ---------------------------------------------------
     def peek(self, ahead: int = 0) -> Token:
         idx = min(self._pos + ahead, len(self._tokens) - 1)
         return self._tokens[idx]
@@ -397,6 +405,11 @@ class VectorParser:
 
     def at(self, kind: Tok) -> bool:
         return self.peek().kind is kind
+
+
+class VectorParser(TokenCursor):
+    """Recursive descent over one query's tokens: every production above
+    a leaf.  A language supplies :meth:`_leaf`."""
 
     # -- entry ------------------------------------------------------------
     def parse(self) -> VectorExpr:

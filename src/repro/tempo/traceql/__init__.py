@@ -6,8 +6,9 @@ Supports the span-filter core of Grafana Tempo's query language::
     { name =~ "push|write" || span.alertname != "" }
     { (span.service = "ruler" || span.service = "vmalert") && duration >= 30s }
 
-Layout mirrors ``repro.loki.logql``: :mod:`lexer` → :mod:`parser` →
-:mod:`ast` nodes → :mod:`engine` evaluation.
+Layout mirrors ``repro.loki.logql``: the lexer and token cursor LogQL and
+PromQL use (:mod:`repro.common.vectorlang`) → :mod:`parser` → :mod:`ast`
+nodes → :mod:`engine` evaluation.
 """
 
 from repro.tempo.traceql.ast import (

@@ -17,6 +17,7 @@ from __future__ import annotations
 
 from repro.common.durations import parse_duration_ns
 from repro.common.errors import QueryError
+from repro.common.vectorlang import Tok, TokenCursor
 from repro.tempo.traceql.ast import (
     BinaryOp,
     BooleanExpr,
@@ -25,7 +26,6 @@ from repro.tempo.traceql.ast import (
     PredicateExpr,
     SpanFilter,
 )
-from repro.tempo.traceql.lexer import Tok, Token, tokenize
 
 _OP_BY_TOK = {
     Tok.EQ: BinaryOp.EQ,
@@ -41,7 +41,7 @@ _OP_BY_TOK = {
 
 def parse_query(text: str) -> SpanFilter:
     """Parse a TraceQL query string into a :class:`SpanFilter`."""
-    parser = _Parser(tokenize(text))
+    parser = _Parser(text)
     parser.expect(Tok.LBRACE)
     expr = parser.parse_or()
     parser.expect(Tok.RBRACE)
@@ -49,38 +49,7 @@ def parse_query(text: str) -> SpanFilter:
     return SpanFilter(expr)
 
 
-class _Parser:
-    def __init__(self, tokens: list[Token]) -> None:
-        self._tokens = tokens
-        self._pos = 0
-
-    # ------------------------------------------------------------------
-    # Token plumbing
-    # ------------------------------------------------------------------
-    def peek(self) -> Token:
-        return self._tokens[self._pos]
-
-    def next(self) -> Token:
-        tok = self._tokens[self._pos]
-        if tok.kind is not Tok.EOF:
-            self._pos += 1
-        return tok
-
-    def at(self, kind: Tok) -> bool:
-        return self.peek().kind is kind
-
-    def expect(self, kind: Tok) -> Token:
-        tok = self.peek()
-        if tok.kind is not kind:
-            raise QueryError(
-                f"expected {kind.value!r} at position {tok.pos}, "
-                f"got {tok.text or 'end of query'!r}"
-            )
-        return self.next()
-
-    # ------------------------------------------------------------------
-    # Grammar
-    # ------------------------------------------------------------------
+class _Parser(TokenCursor):
     def parse_or(self) -> PredicateExpr:
         left = self.parse_and()
         while self.at(Tok.OR):

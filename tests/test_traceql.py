@@ -12,7 +12,7 @@ from repro.tempo.traceql.ast import (
     DurationPredicate,
     FieldPredicate,
 )
-from repro.tempo.traceql.lexer import Tok, tokenize
+from repro.common.vectorlang import Tok, tokenize
 
 
 @pytest.fixture

@@ -22,9 +22,11 @@ from repro.common.vectorlang import (
     Scalar,
     SetExpr,
     SetOp,
+    Tok,
     TopK,
     VectorAgg,
     VectorOp,
+    tokenize,
 )
 from repro.loki.logql.engine import LogQLEngine
 from repro.loki.logql.parser import parse
@@ -179,6 +181,60 @@ class TestSharedProductions:
     def test_malformed_input_is_a_query_error(self, language, template):
         with pytest.raises(QueryError):
             language.tree(template)
+
+
+class TestOneLexer:
+    """TraceQL lexes with this lexer too; its three tokens (``&&``,
+    ``||``, ``.``) change nothing the vector languages lexed before and
+    nothing they rejected."""
+
+    def test_pipe_forms_still_lex_apart_next_to_the_double_pipe(self):
+        kinds = [t.kind for t in tokenize('{a="b"} |= "x" |~ "y" | json || c && d')]
+        assert kinds == [
+            Tok.LBRACE, Tok.IDENT, Tok.EQ, Tok.STRING, Tok.RBRACE,
+            Tok.PIPE_EXACT, Tok.STRING, Tok.PIPE_MATCH, Tok.STRING,
+            Tok.PIPE, Tok.IDENT, Tok.OR, Tok.IDENT, Tok.AND, Tok.IDENT, Tok.EOF,
+        ]
+        assert [t.kind for t in tokenize("|||=")] == [Tok.OR, Tok.PIPE_EXACT, Tok.EOF]
+
+    def test_a_fraction_is_still_one_number_next_to_the_dot(self):
+        tokens = tokenize("1.5 1.5m 2e3 a.b 7.x")
+        assert [(t.kind, t.text) for t in tokens[:-1]] == [
+            (Tok.NUMBER, "1.5"), (Tok.DURATION, "1.5m"), (Tok.NUMBER, "2e3"),
+            (Tok.IDENT, "a"), (Tok.DOT, "."), (Tok.IDENT, "b"),
+            (Tok.NUMBER, "7"), (Tok.DOT, "."), (Tok.IDENT, "x"),
+        ]
+
+    @pytest.mark.parametrize(
+        "template",
+        [
+            "{a} && {b}", "{a} || {b}", "{a} . {b}", "{a}.x", ".5 * {a}", "{a} * .5",
+            "{a} > 1.", "sum.by (x) ({a})", "sum by (x.y) ({a})", "topk(3., {a})",
+            "{a} &&", "|| {a}", "({a} || {b})", "sum({a} && {b})",
+        ],
+    )
+    def test_what_was_a_bad_character_is_still_a_query_error(self, language, template):
+        with pytest.raises(QueryError):
+            language.tree(template)
+
+    @pytest.mark.parametrize(
+        "query",
+        [
+            '{s="a"} || "x"', '{s="a"} && {s="b"}', '{s.t="a"}', '{s="a"} | json || x',
+            '{s="a"} | json | level.x="error"', '{s="a"} |= "x" . "y"',
+            'count_over_time({s="a"} || "x" [1m])', 'rate({s="a"}[1m]) by (s.t)',
+        ],
+    )
+    def test_logql_pipelines_reject_the_new_tokens(self, query):
+        with pytest.raises(QueryError):
+            parse(query)
+
+    @pytest.mark.parametrize(
+        "query", ["a.b", 'a{x.y="1"}', "a && b", "a || b", "rate(a.b[5m])", "absent(a.b)"]
+    )
+    def test_promql_selectors_reject_the_new_tokens(self, query):
+        with pytest.raises(QueryError):
+            parse_promql(query)
 
 
 # ----------------------------------------------------------------------
