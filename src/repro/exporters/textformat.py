@@ -82,10 +82,11 @@ def _unescape(value: str) -> str:
 
 
 def _format_value(value: float) -> str:
-    if isinstance(value, Integral):  # int, bool, NumPy integers
-        return str(int(value))
-    # A float subclass (np.float64) must not spell its own type out.
-    value = float(value)
+    if type(value) is not float:  # the common case skips both checks
+        if isinstance(value, Integral):  # int, bool, NumPy integers
+            return str(int(value))
+        # A float subclass (np.float64) must not spell its own type out.
+        value = float(value)
     if math.isnan(value):
         return "NaN"
     if math.isinf(value):
