@@ -28,8 +28,6 @@ from typing import Callable, Iterable, Mapping
 from repro.common.errors import ValidationError
 from repro.exporters.textformat import family_header, sample_line
 
-#: ``(name, type, help)``.
-Family = tuple[str, str, str]
 #: ``(family, value, labels)``; ``None`` for a sample without labels.
 Reading = tuple[str, float, Mapping[str, str] | None]
 
@@ -46,7 +44,7 @@ class Exporter:
             for name, type_, help_ in table:
                 if name in self._headers:
                     raise ValidationError(f"metric family declared twice: {name!r}")
-                self._headers[name] = family_header(name, help_, type_)
+                self._headers[name] = family_header(name, type_, help_)
             self._reads.append((read, components))
         self.scrapes_served = 0
 

@@ -26,18 +26,11 @@ def _read_nodes(
 ) -> Iterator[Reading]:
     for xname in nodes:
         labels = {"xname": str(xname)}
-        up = cluster.nodes[xname].state is NodeState.UP
-        yield "node_up", up, labels
-        yield (
-            "node_temp_celsius",
-            sensors.read(SensorId(xname, SensorKind.TEMPERATURE_C)),
-            labels,
-        )
-        yield (
-            "node_power_watts",
-            sensors.read(SensorId(xname, SensorKind.POWER_W)),
-            labels,
-        )
+        yield "node_up", cluster.nodes[xname].state is NodeState.UP, labels
+        temp = sensors.read(SensorId(xname, SensorKind.TEMPERATURE_C))
+        yield "node_temp_celsius", temp, labels
+        power = sensors.read(SensorId(xname, SensorKind.POWER_W))
+        yield "node_power_watts", power, labels
 
 
 class NodeExporter(Exporter):

@@ -8,6 +8,14 @@ The format every exporter speaks::
 
 vmagent parses this back into samples, so the scrape path exercises the
 real wire format instead of passing Python objects around.
+
+Two functions format it and nothing else under ``src/`` does:
+:func:`family_header` (the ``# HELP`` / ``# TYPE`` lines, validated) and
+:func:`sample_line`.  The renderer every exporter serves from is
+:meth:`repro.exporters.exporter.Exporter.scrape`, which groups a scrape's
+readings under headers it rendered when it was built;
+:func:`render_exposition` here is the same two functions over whole
+:class:`MetricFamily` objects, for tests and one-off views.
 """
 
 from __future__ import annotations
@@ -35,7 +43,7 @@ class MetricPoint:
     timestamp_ms: int | None = None
 
 
-def family_header(name: str, help: str, type: str) -> str:
+def family_header(name: str, type: str, help: str) -> str:
     """The ``# HELP`` / ``# TYPE`` lines of a family, validated: the one
     place a family header is formatted."""
     if not _NAME_RE.match(name):
@@ -56,7 +64,7 @@ class MetricFamily:
     points: list[MetricPoint] = field(default_factory=list)
 
     def __post_init__(self) -> None:
-        family_header(self.name, self.help, self.type)
+        family_header(self.name, self.type, self.help)
 
     def add(self, value: float, **labels: str) -> None:
         self.points.append(MetricPoint(self.name, labels, value))
@@ -119,7 +127,7 @@ def render_exposition(families: list[MetricFamily]) -> str:
     """Render whole families to exposition text."""
     lines: list[str] = []
     for family in families:
-        lines.append(family_header(family.name, family.help, family.type))
+        lines.append(family_header(family.name, family.type, family.help))
         for point in family.points:
             if point.name != family.name:
                 raise ValidationError(
