@@ -1,10 +1,11 @@
 """C8 — the paper's Loki deployment: "8 server nodes (that work as
 Kubernetes worker nodes) and 4 virtual machines" (paper §IV).
 
-Why 8 workers?  This bench sweeps the shard count of the label-hash
-sharded Loki cluster over a fixed multi-stream corpus and reports the
-ideal-parallel ingest speedup (total work / max per-shard work) plus the
-shard balance.
+Why 8 workers?  This bench sweeps the ingester count of the cluster the
+framework itself runs — ``RingLokiCluster`` at replication factor 1, so
+each stream is one ingester's work — over a fixed multi-stream corpus and
+reports the ideal-parallel ingest speedup (total work / max per-ingester
+work) plus the balance.
 
 Expected shape: speedup grows near-linearly while streams >> shards,
 then saturates — 8 shards is comfortably in the linear regime for a
@@ -14,7 +15,7 @@ Perlmutter-scale stream population.
 from repro.common.labels import LabelSet
 from repro.common.xname import XName
 from repro.loki.model import LogEntry, PushRequest, PushStream
-from repro.loki.store import LokiCluster
+from repro.ring.cluster import RingLokiCluster
 from repro.workloads.loggen import SyslogGenerator
 
 from conftest import report
@@ -38,26 +39,25 @@ def _corpus():
     )
 
 
+def _ingest(request, ingesters):
+    """Entries each ingester took: the per-worker work."""
+    cluster = RingLokiCluster(ingesters=ingesters, replication_factor=1)
+    cluster.push(request)
+    return [i.store.stats.entries_ingested for i in cluster.ingesters.values()]
+
+
 def test_c8_shard_scaling(benchmark):
     request = _corpus()
-
-    def ingest_8():
-        cluster = LokiCluster(shards=8)
-        cluster.push(request)
-        return cluster
-
-    cluster = benchmark.pedantic(ingest_8, rounds=3, iterations=1)
-    assert cluster.total_entries() == N_LOGS
+    counts = benchmark.pedantic(_ingest, args=(request, 8), rounds=3, iterations=1)
+    assert sum(counts) == N_LOGS
 
     rows = [f"{'shards':>7} {'speedup':>8} {'busiest_shard':>14} {'idlest_shard':>13}"]
     speedups = {}
     for shards in (1, 2, 4, 8, 16):
-        c = LokiCluster(shards=shards)
-        c.push(request)
-        counts = c.shard_entry_counts()
-        speedups[shards] = c.parallel_speedup()
+        counts = _ingest(request, shards)
+        speedups[shards] = sum(counts) / max(counts)
         rows.append(
-            f"{shards:>7} {c.parallel_speedup():>7.2f}x {max(counts):>14} "
+            f"{shards:>7} {speedups[shards]:>7.2f}x {max(counts):>14} "
             f"{min(counts):>13}"
         )
     # Shape: monotone growth, 8 shards well past 4x.

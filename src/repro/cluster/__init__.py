@@ -9,7 +9,8 @@ models the parts of the machine the monitoring stack sees:
 * :mod:`repro.cluster.sensors` — seeded sensor models (temperature, power,
   humidity, fan speed, leak detectors) producing deterministic readings.
 * :mod:`repro.cluster.faults` — fault injection: cabinet coolant leaks,
-  switch state changes, node crashes, thermal excursions, GPFS degradation.
+  switch state changes, node crashes, thermal excursions, and a registry
+  for the kinds whoever builds the rest of the stack adds.
 * :mod:`repro.cluster.gpfs` — synthetic GPFS health (paper future work §V).
 """
 

@@ -2,37 +2,32 @@
 
 The paper's two case studies are triggered by physical faults: a coolant
 leak in a cabinet zone (§IV.A) and a Rosetta switch leaving the ONLINE
-state (§IV.B).  The injector schedules such faults on the simulated clock,
-mutates cluster state when they begin/end, and records ground truth so the
-MTTR study (bench C5) can compare *fault time* against *alert time*.
+state (§IV.B).  The injector schedules faults on the simulated clock and
+records ground truth so the MTTR study (bench C5) can compare *fault
+time* against *alert time*.
+
+:class:`FaultKind` is the one catalogue of kinds; what a kind *does* is a
+handler in a registry (DESIGN §16).  The injector itself registers the
+machine kinds, which it can apply with what its constructor is given (the
+cluster, the sensor bank).  Every other kind is registered by whoever
+builds what the fault acts on — the base stack or a feature plane — with
+:meth:`FaultInjector.register`, so this module names no plane.  A kind
+nobody registered is refused by :meth:`FaultInjector.schedule`, before
+anything reaches the clock.
 """
 
 from __future__ import annotations
 
 import enum
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING
+from functools import partial
+from typing import Callable
 
-from repro.common.errors import CapacityError, ValidationError
-from repro.common.labels import LabelSet
-from repro.common.simclock import SimClock, Timer, seconds
+from repro.common.errors import ValidationError
+from repro.common.simclock import SimClock
 from repro.common.xname import XName
 from repro.cluster.sensors import SensorBank, SensorId, SensorKind
 from repro.cluster.topology import Cluster, NodeState, SwitchState
-from repro.loki.model import LogEntry, PushRequest, PushStream
-
-if TYPE_CHECKING:
-    from repro.core.consumers import _BaseConsumer
-    from repro.objstore.objectstore import ObjectStore
-    from repro.objstore.shipper import ChunkShipper
-    from repro.omni.warehouse import OmniWarehouse
-    from repro.queryx.executor import QuerierPool
-    from repro.resilience.journal import NotificationJournal
-    from repro.resilience.receivers import FlakyReceiver
-    from repro.ring.cluster import RingLokiCluster
-    from repro.selfheal.manager import SelfHealManager
-    from repro.slo.manager import SloManager
-    from repro.tenancy.scheduler import QueryScheduler
 
 
 class FaultKind(enum.Enum):
@@ -89,47 +84,8 @@ class FaultKind(enum.Enum):
     BURN_INJECTION = "burn_injection"
 
 
-#: Fault kinds whose target is an ingest-ring member id, not an xname.
-_INGESTER_KINDS = frozenset(
-    {FaultKind.INGESTER_CRASH, FaultKind.INGESTER_RESTART}
-)
-
-#: Fault kinds whose target is a delivery-plane component name.
-_DELIVERY_KINDS = frozenset(
-    {FaultKind.RECEIVER_OUTAGE, FaultKind.SLOW_CONSUMER}
-)
-
-#: Fault kinds whose target is a tenant id.
-_TENANCY_KINDS = frozenset({FaultKind.NOISY_NEIGHBOR})
-
-#: Fault kinds whose target is an object-store backend name.
-_OBJSTORE_KINDS = frozenset(
-    {FaultKind.OBJSTORE_OUTAGE, FaultKind.OBJSTORE_SLOW}
-)
-
-#: Fault kinds whose target is a querier worker id.
-_QUERYX_KINDS = frozenset({FaultKind.QUERIER_CRASH, FaultKind.SLOW_QUERIER})
-
-#: Fault kinds whose target is an ingester id / zone name (selfheal).
-_SELFHEAL_KINDS = frozenset(
-    {FaultKind.HEARTBEAT_LOSS, FaultKind.ZONE_OUTAGE}
-)
-
-#: Fault kinds whose target is an app name (pattern mining).
-_PATTERN_KINDS = frozenset({FaultKind.LOG_STORM, FaultKind.NOVEL_ERROR})
-
-#: Fault kinds whose target is an SLO name.
-_SLO_KINDS = frozenset({FaultKind.BURN_INJECTION})
-
-
-def _letters_marker(n: int, length: int = 6) -> str:
-    """Deterministic all-alphabetic marker from an integer (the miner
-    masks digit-bearing tokens, so novelty markers must be letters)."""
-    out = []
-    for _ in range(length):
-        out.append(chr(ord("a") + n % 26))
-        n //= 26
-    return "".join(out)
+#: What ends a fault: the callable a kind's ``begin`` returned.
+Undo = Callable[[], None]
 
 
 @dataclass
@@ -137,107 +93,80 @@ class Fault:
     """One injected fault with ground-truth timing."""
 
     kind: FaultKind
-    target: XName | str  # str = ingester id for the INGESTER_* kinds
+    target: XName | str  # str = whatever names the kind's target
     start_ns: int
     end_ns: int | None  # None = until repaired
     detail: dict[str, object] = field(default_factory=dict)
-    active: bool = False
     repaired_ns: int | None = None
+    #: Held from the fault's begin to its end, and only then.
+    undo: Undo | None = field(default=None, repr=False)
+
+    @property
+    def active(self) -> bool:
+        return self.undo is not None
+
+
+#: ``begin(fault)`` applies the fault and returns what undoes it; ``None``
+#: means the fault was instantaneous and is already over.
+Begin = Callable[[Fault], "Undo | None"]
+
+
+def _xname(target: XName | str) -> XName:
+    return XName.parse(target) if isinstance(target, str) else target
 
 
 class FaultInjector:
-    """Schedules faults and applies them to cluster/sensor state."""
+    """Schedules faults and applies them through the registered handlers."""
 
     def __init__(
         self,
         cluster: Cluster,
         clock: SimClock,
         sensors: SensorBank | None = None,
-        ring: "RingLokiCluster | None" = None,
     ) -> None:
         self._cluster = cluster
-        self._clock = clock
+        self.clock = clock
         self._sensors = sensors
-        self._ring = ring
-        self._receivers: dict[str, "FlakyReceiver"] = {}
-        self._consumers: dict[str, "_BaseConsumer"] = {}
-        self._journal: "NotificationJournal | None" = None
-        self._warehouse: "OmniWarehouse | None" = None
-        self._scheduler: "QueryScheduler | None" = None
-        self._objstore: "ObjectStore | None" = None
-        self._shipper: "ChunkShipper | None" = None
-        self._querier_pool: "QuerierPool | None" = None
-        self._selfheal: "SelfHealManager | None" = None
-        self._pattern_warehouse: "OmniWarehouse | None" = None
-        self._pattern_ingester = None
-        self._slo_manager: "SloManager | None" = None
-        self._flood_timers: dict[int, Timer] = {}
+        self._handlers: dict[FaultKind, tuple[Begin, Callable]] = {}
         self.faults: list[Fault] = []
+        machine = {
+            FaultKind.CABINET_LEAK: self._leak,
+            FaultKind.SWITCH_OFFLINE: partial(self._switch, SwitchState.OFFLINE),
+            FaultKind.SWITCH_UNKNOWN: partial(self._switch, SwitchState.UNKNOWN),
+            FaultKind.NODE_DOWN: self._node_down,
+        }
+        if sensors is not None:
+            machine[FaultKind.THERMAL_EXCURSION] = self._thermal
+        for kind, begin in machine.items():
+            self.register(kind, begin, target=_xname)
 
-    def attach_ring(self, ring: "RingLokiCluster") -> None:
-        """Late-bind the ingest ring (the framework builds it after the
-        injector, since the warehouse needs the fault-free clock first)."""
-        self._ring = ring
-
-    def attach_delivery(
+    def register(
         self,
-        receivers: "dict[str, FlakyReceiver]",
-        consumers: "dict[str, _BaseConsumer]",
-        journal: "NotificationJournal | None" = None,
+        kind: FaultKind,
+        begin: Begin,
+        *,
+        target: Callable[[XName | str], XName | str] = str,
+        replace: bool = False,
     ) -> None:
-        """Late-bind the alert-delivery plane (reliable-delivery mode):
-        flaky receiver wrappers by receiver name, consumer pods by name,
-        and the notification journal for ground-truth snapshots."""
-        self._receivers = dict(receivers)
-        self._consumers = dict(consumers)
-        self._journal = journal
+        """Teach the injector ``kind``.
 
-    def attach_tenancy(
-        self,
-        warehouse: "OmniWarehouse",
-        scheduler: "QueryScheduler | None" = None,
-    ) -> None:
-        """Late-bind the multi-tenant plane: the warehouse whose write
-        path the noisy neighbor floods, and (optionally) the query
-        scheduler it hammers with wide range queries."""
-        self._warehouse = warehouse
-        self._scheduler = scheduler
+        ``begin(fault)`` applies the fault and returns the callable that
+        undoes it, run at the fault's end or at :meth:`repair` (``None`` =
+        instantaneous: nothing to undo, the fault is never active).
+        ``target`` turns what ``schedule`` was given into ``fault.target``
+        and may refuse it with a ``ValidationError``.  Registering a kind
+        a second time is an error unless the caller says ``replace``.
+        """
+        if (kind in self._handlers) != replace:
+            raise ValidationError(
+                f"fault kind {kind.value} is "
+                + ("not registered yet" if replace else "already registered")
+            )
+        self._handlers[kind] = (begin, target)
 
-    def attach_objstore(
-        self,
-        store: "ObjectStore",
-        shipper: "ChunkShipper | None" = None,
-    ) -> None:
-        """Late-bind the cold tier (object-storage mode): the backend the
-        OBJSTORE_* faults toggle, plus the shipper whose failure counters
-        give the ground-truth snapshots."""
-        self._objstore = store
-        self._shipper = shipper
-
-    def attach_queryx(self, pool: "QuerierPool") -> None:
-        """Late-bind the querier pool (query-engine mode): the workers
-        the QUERIER_CRASH / SLOW_QUERIER faults kill and drag."""
-        self._querier_pool = pool
-
-    def attach_selfheal(self, manager: "SelfHealManager") -> None:
-        """Late-bind the self-healing loop (self-healing mode): the
-        manager whose detector the HEARTBEAT_LOSS fault mutes and whose
-        supervisor the ZONE_OUTAGE fault bars."""
-        self._selfheal = manager
-
-    def attach_patterns(
-        self, warehouse: "OmniWarehouse", ingester=None
-    ) -> None:
-        """Late-bind the log-pattern plane: the warehouse the LOG_STORM /
-        NOVEL_ERROR faults flood, plus (optionally) the pattern ingester
-        for ground-truth counters."""
-        self._pattern_warehouse = warehouse
-        self._pattern_ingester = ingester
-
-    def attach_slo(self, manager: "SloManager") -> None:
-        """Late-bind the SLO plane: the manager whose SLI collectors the
-        BURN_INJECTION fault degrades."""
-        self._slo_manager = manager
+    def kinds(self) -> frozenset[FaultKind]:
+        """The kinds :meth:`schedule` accepts."""
+        return frozenset(self._handlers)
 
     # ------------------------------------------------------------------
     # Scheduling
@@ -254,467 +183,65 @@ class FaultInjector:
         (or until :meth:`repair`)."""
         if delay_ns < 0:
             raise ValidationError("delay must be non-negative")
-        if (
-            kind in _INGESTER_KINDS
-            or kind in _DELIVERY_KINDS
-            or kind in _TENANCY_KINDS
-            or kind in _OBJSTORE_KINDS
-            or kind in _QUERYX_KINDS
-            or kind in _SELFHEAL_KINDS
-            or kind in _PATTERN_KINDS
-            or kind in _SLO_KINDS
-        ):
-            x: XName | str = str(target)
-        else:
-            x = XName.parse(target) if isinstance(target, str) else target
-        start = self._clock.now_ns + delay_ns
+        if duration_ns is not None and duration_ns < 0:
+            raise ValidationError("duration must be non-negative")
+        if kind not in self._handlers:
+            raise ValidationError(
+                f"no handler registered for fault kind {kind.value}: "
+                "whatever it acts on was not built"
+            )
+        _begin, parse = self._handlers[kind]
+        start = self.clock.now_ns + delay_ns
         end = start + duration_ns if duration_ns is not None else None
-        fault = Fault(kind=kind, target=x, start_ns=start, end_ns=end, detail=detail)
+        fault = Fault(
+            kind=kind, target=parse(target), start_ns=start, end_ns=end, detail=detail
+        )
         self.faults.append(fault)
-        self._clock.call_at(start, lambda: self._begin(fault))
+        self.clock.call_at(start, lambda: self._begin(fault))
         if end is not None:
-            self._clock.call_at(end, lambda: self._end(fault))
+            self.clock.call_at(end, lambda: self._end(fault))
         return fault
 
     def repair(self, fault: Fault) -> None:
         """Explicitly repair an open-ended fault now."""
-        if fault.active:
-            self._end(fault)
-        fault.repaired_ns = self._clock.now_ns
+        self._end(fault)
+        fault.repaired_ns = self.clock.now_ns
 
-    # ------------------------------------------------------------------
-    # Application
-    # ------------------------------------------------------------------
     def _begin(self, fault: Fault) -> None:
-        fault.active = True
-        kind, target, detail = fault.kind, fault.target, fault.detail
-        if kind is FaultKind.CABINET_LEAK:
-            zone = str(detail.get("zone", "Front"))
-            sensor = str(detail.get("sensor", "A"))
-            self._cluster.set_leak(target.cabinet_xname(), zone, sensor, True)
-        elif kind is FaultKind.SWITCH_OFFLINE:
-            self._cluster.set_switch_state(target, SwitchState.OFFLINE)
-        elif kind is FaultKind.SWITCH_UNKNOWN:
-            self._cluster.set_switch_state(target, SwitchState.UNKNOWN)
-        elif kind is FaultKind.NODE_DOWN:
-            self._cluster.set_node_state(target, NodeState.DOWN)
-        elif kind is FaultKind.THERMAL_EXCURSION:
-            if self._sensors is None:
-                raise ValidationError("thermal fault requires a sensor bank")
-            delta = float(detail.get("delta_c", 25.0))  # type: ignore[arg-type]
-            self._sensors.set_offset(
-                SensorId(target, SensorKind.TEMPERATURE_C), delta
-            )
-        elif kind is FaultKind.GPFS_DEGRADED:
-            # Recorded as ground truth; the GPFS health model polls it.
-            pass
-        elif kind is FaultKind.INGESTER_CRASH:
-            self._require_ring().crash_ingester(str(target))
-            if self._selfheal is not None and fault.end_ns is not None:
-                # A crash with a declared duration is a *bounded* outage:
-                # the fault's own end is the recovery, so the self-healing
-                # loop must neither restart it early nor re-home its data.
-                self._selfheal.begin_bounded_crash(str(target))
-                detail["bounded_selfheal"] = True
-        elif kind is FaultKind.INGESTER_RESTART:
-            # A bounce: the process restarts immediately, rebuilding its
-            # store from the checkpoint + WAL before serving again.
-            ring = self._require_ring()
-            ingester = ring.ingesters.get(str(target))
-            if ingester is not None and ingester.active:
-                ingester.crash()
-            fault.detail["replayed"] = ring.restart_ingester(str(target))
-            fault.active = False  # instantaneous by construction
-        elif kind is FaultKind.RECEIVER_OUTAGE:
-            flaky = self._require_receiver(str(target))
-            flaky.set_down(True)
-            if self._journal is not None:
-                # Ground truth: what the delivery plane owed this
-                # receiver when the outage began.
-                stats = self._journal.stats(str(target))
-                detail["enqueued_at_start"] = stats["enqueued"]
-                detail["delivered_at_start"] = stats["delivered"]
-        elif kind is FaultKind.SLOW_CONSUMER:
-            consumer = self._require_consumer(str(target))
-            consumer.set_throttle(int(detail.get("max_per_pump", 10)))  # type: ignore[arg-type]
-            detail["lag_at_start"] = consumer.lag()
-        elif kind is FaultKind.NOISY_NEIGHBOR:
-            self._begin_noisy_neighbor(fault)
-        elif kind is FaultKind.OBJSTORE_OUTAGE:
-            store = self._require_objstore()
-            store.set_outage(True)
-            if self._shipper is not None:
-                # Ground truth: how many flushes had failed before the
-                # outage, so chaos tests can count failures *during* it.
-                detail["flush_failures_at_start"] = self._shipper.flush_failures
-        elif kind is FaultKind.OBJSTORE_SLOW:
-            factor = float(detail.get("factor", 10.0))  # type: ignore[arg-type]
-            self._require_objstore().set_slowdown(factor)
-        elif kind is FaultKind.QUERIER_CRASH:
-            pool = self._require_querier_pool()
-            pool.set_crashed(str(target), True)
-            # Ground truth: retries before the crash, so chaos tests can
-            # count the retries this fault alone caused.
-            detail["retries_at_start"] = pool.retries_total
-        elif kind is FaultKind.SLOW_QUERIER:
-            factor = float(detail.get("factor", 10.0))  # type: ignore[arg-type]
-            self._require_querier_pool().set_slow(str(target), factor)
-        elif kind is FaultKind.HEARTBEAT_LOSS:
-            manager = self._require_selfheal()
-            manager.begin_heartbeat_loss(str(target))
-            if bool(detail.get("permanent", False)):
-                # The node behind the gray failure is actually gone:
-                # restarts will never answer, so the supervisor stands
-                # aside and the repair path takes over after detection.
-                manager.mark_unrecoverable(str(target))
-            # Ground truth for the chaos tests: detector state before
-            # the silence began.
-            detail["deaths_at_start"] = manager.memberlist.deaths_total
-            detail["repairs_at_start"] = manager.repairer.members_repaired_total
-        elif kind is FaultKind.ZONE_OUTAGE:
-            manager = self._require_selfheal()
-            detail["members_downed"] = manager.begin_zone_outage(str(target))
-            detail["restarts_at_start"] = manager.supervisor.restarts_total
-        elif kind is FaultKind.LOG_STORM:
-            self._begin_log_storm(fault)
-        elif kind is FaultKind.NOVEL_ERROR:
-            self._begin_novel_error(fault)
-        elif kind is FaultKind.BURN_INJECTION:
-            self._begin_burn_injection(fault)
-        else:  # pragma: no cover - exhaustive over enum
-            raise ValidationError(f"unhandled fault kind {kind}")
-
-    def _begin_noisy_neighbor(self, fault: Fault) -> None:
-        """Start the flood: every tick, one oversized push (and optional
-        wide queries) under the target tenant id.  Typed 429s from
-        admission are the *expected* outcome — they are counted, never
-        propagated into the clock loop."""
-        warehouse = self._require_warehouse()
-        tenant = str(fault.target)
-        detail = fault.detail
-        interval = int(detail.get("interval_ns", seconds(1)))  # type: ignore[arg-type]
-        lines = int(detail.get("lines_per_tick", 5_000))  # type: ignore[arg-type]
-        queries = int(detail.get("queries_per_tick", 0))  # type: ignore[arg-type]
-        query = str(detail.get("query", '{app="noisy-app"}'))
-        detail.setdefault("pushes_attempted", 0)
-        detail.setdefault("pushes_rejected", 0)
-        detail.setdefault("entries_accepted", 0)
-        detail.setdefault("queries_submitted", 0)
-        detail.setdefault("queries_refused", 0)
-        labels = LabelSet({"app": "noisy-app", "tenant_source": tenant})
-
-        def flood() -> None:
-            now = self._clock.now_ns
-            request = PushRequest(
-                streams=(
-                    PushStream(
-                        labels=labels,
-                        entries=tuple(
-                            LogEntry(now + i, f"noise burst line {i}")
-                            for i in range(lines)
-                        ),
-                    ),
-                )
-            )
-            detail["pushes_attempted"] = int(detail["pushes_attempted"]) + 1  # type: ignore[arg-type]
-            try:
-                accepted = warehouse.ingest_logs(request, tenant=tenant)
-                detail["entries_accepted"] = (
-                    int(detail["entries_accepted"]) + accepted  # type: ignore[arg-type]
-                )
-            except CapacityError:
-                detail["pushes_rejected"] = int(detail["pushes_rejected"]) + 1  # type: ignore[arg-type]
-            if self._scheduler is not None:
-                for _ in range(queries):
-                    detail["queries_submitted"] = (
-                        int(detail["queries_submitted"]) + 1  # type: ignore[arg-type]
-                    )
-                    try:
-                        self._scheduler.submit(
-                            tenant, query, now - seconds(3600), now, seconds(60)
-                        )
-                    except CapacityError:
-                        detail["queries_refused"] = (
-                            int(detail["queries_refused"]) + 1  # type: ignore[arg-type]
-                        )
-
-        self._flood_timers[id(fault)] = self._clock.every(interval, flood)
-
-    def _begin_log_storm(self, fault: Fault) -> None:
-        """Start an alert storm: every tick, a burst of lines that are
-        all instances of ONE template, varying only in a digit-bearing
-        parameter.  Per-line alerting would page once per line; pattern
-        grouping must collapse the whole storm into one incident."""
-        warehouse = self._require_pattern_warehouse()
-        app = str(fault.target)
-        detail = fault.detail
-        interval = int(detail.get("interval_ns", seconds(1)))  # type: ignore[arg-type]
-        lines = int(detail.get("lines_per_tick", 100))  # type: ignore[arg-type]
-        detail.setdefault("lines_injected", 0)
-        detail.setdefault("pushes_rejected", 0)
-        labels = LabelSet({"app": app, "data_type": "app_log"})
-        sector = [0]
-
-        def flood() -> None:
-            now = self._clock.now_ns
-            request = PushRequest(
-                streams=(
-                    PushStream(
-                        labels=labels,
-                        entries=tuple(
-                            LogEntry(
-                                now + i,
-                                f"{app}: I/O error on dev sda, sector "
-                                f"{sector[0] + i}",
-                            )
-                            for i in range(lines)
-                        ),
-                    ),
-                )
-            )
-            sector[0] += lines
-            try:
-                warehouse.ingest_logs(request)
-                detail["lines_injected"] = (
-                    int(detail["lines_injected"]) + lines  # type: ignore[arg-type]
-                )
-            except CapacityError:
-                detail["pushes_rejected"] = (
-                    int(detail["pushes_rejected"]) + 1  # type: ignore[arg-type]
-                )
-
-        self._flood_timers[id(fault)] = self._clock.every(interval, flood)
-
-    def _begin_novel_error(self, fault: Fault) -> None:
-        """Inject one burst of a never-before-seen error template.
-
-        The distinguishing marker is alphabetic (digit tokens are masked
-        to ``<*>`` by the miner, so a numeric marker would collapse into
-        a previously-seen template).  Instantaneous: the lines land and
-        the fault is over."""
-        warehouse = self._require_pattern_warehouse()
-        app = str(fault.target)
-        detail = fault.detail
-        lines = int(detail.get("lines", 20))  # type: ignore[arg-type]
-        marker = str(detail.get("marker", _letters_marker(fault.start_ns)))
-        now = self._clock.now_ns
-        labels = LabelSet({"app": app, "data_type": "app_log"})
-        request = PushRequest(
-            streams=(
-                PushStream(
-                    labels=labels,
-                    entries=tuple(
-                        LogEntry(
-                            now + i,
-                            f"{app}: FATAL {marker} assertion failure in "
-                            f"module {marker}_core, unit {i}",
-                        )
-                        for i in range(lines)
-                    ),
-                ),
-            )
-        )
-        detail["marker"] = marker
-        detail["injected_at_ns"] = now
-        try:
-            detail["lines_injected"] = warehouse.ingest_logs(request)
-        except CapacityError:
-            detail["lines_injected"] = 0
-        fault.active = False  # instantaneous, like INGESTER_RESTART
-
-    def _begin_burn_injection(self, fault: Fault) -> None:
-        """Start burning a chosen SLO's error budget: every tick,
-        ``events_per_tick`` synthetic SLI events of which ``error_rate``
-        are bad flow into the SLO's collector.  At 1.0 the SLI is a
-        total outage; at e.g. 0.002 against a 99.9% objective it is the
-        slow 2x burn only the long-window ticket tiers catch."""
-        manager = self._require_slo_manager()
-        name = str(fault.target)
-        manager.collector(name)  # fail fast on unknown SLO names
-        detail = fault.detail
-        interval = int(detail.get("interval_ns", seconds(1)))  # type: ignore[arg-type]
-        events = int(detail.get("events_per_tick", 100))  # type: ignore[arg-type]
-        rate = float(detail.get("error_rate", 1.0))  # type: ignore[arg-type]
-        if not 0.0 < rate <= 1.0:
-            raise ValidationError("error_rate must be in (0, 1]")
-        if events < 1:
-            raise ValidationError("events_per_tick must be >= 1")
-        detail.setdefault("injected_good", 0)
-        detail.setdefault("injected_bad", 0)
-        # Deterministic rate without randomness: accumulate the exact
-        # fractional quota and inject its integer part each tick.
-        carry = [0.0]
-
-        def burn() -> None:
-            carry[0] += events * rate
-            bad = int(carry[0])
-            carry[0] -= bad
-            good = events - bad
-            manager.inject(name, good, bad)
-            detail["injected_good"] = int(detail["injected_good"]) + good  # type: ignore[arg-type]
-            detail["injected_bad"] = int(detail["injected_bad"]) + bad  # type: ignore[arg-type]
-
-        self._flood_timers[id(fault)] = self._clock.every(interval, burn)
-
-    def _require_ring(self) -> "RingLokiCluster":
-        if self._ring is None:
-            raise ValidationError("ingester fault requires an ingest ring")
-        return self._ring
-
-    def _require_receiver(self, name: str) -> "FlakyReceiver":
-        try:
-            return self._receivers[name]
-        except KeyError:
-            raise ValidationError(
-                f"receiver-outage fault needs an attached flaky receiver "
-                f"named {name!r} (enable reliable delivery)"
-            ) from None
-
-    def _require_consumer(self, name: str) -> "_BaseConsumer":
-        try:
-            return self._consumers[name]
-        except KeyError:
-            raise ValidationError(
-                f"slow-consumer fault needs an attached consumer named "
-                f"{name!r} (enable reliable delivery)"
-            ) from None
-
-    def _require_warehouse(self) -> "OmniWarehouse":
-        if self._warehouse is None:
-            raise ValidationError(
-                "noisy-neighbor fault requires an attached warehouse "
-                "(enable multi-tenancy)"
-            )
-        return self._warehouse
-
-    def _require_pattern_warehouse(self) -> "OmniWarehouse":
-        if self._pattern_warehouse is None:
-            raise ValidationError(
-                "log-storm/novel-error faults require an attached "
-                "warehouse (attach_patterns)"
-            )
-        return self._pattern_warehouse
-
-    def _require_objstore(self) -> "ObjectStore":
-        if self._objstore is None:
-            raise ValidationError(
-                "objstore fault requires an attached object store "
-                "(enable object storage)"
-            )
-        return self._objstore
-
-    def _require_querier_pool(self) -> "QuerierPool":
-        if self._querier_pool is None:
-            raise ValidationError(
-                "querier fault requires an attached querier pool "
-                "(enable the query engine)"
-            )
-        return self._querier_pool
-
-    def _require_selfheal(self) -> "SelfHealManager":
-        if self._selfheal is None:
-            raise ValidationError(
-                "self-healing fault requires an attached manager "
-                "(enable self-healing)"
-            )
-        return self._selfheal
-
-    def _require_slo_manager(self) -> "SloManager":
-        if self._slo_manager is None:
-            raise ValidationError(
-                "burn-injection fault requires an attached SLO manager "
-                "(enable the SLO plane)"
-            )
-        return self._slo_manager
+        begin, _parse = self._handlers[fault.kind]
+        fault.undo = begin(fault)
 
     def _end(self, fault: Fault) -> None:
-        if not fault.active:
-            return
-        fault.active = False
-        kind, target, detail = fault.kind, fault.target, fault.detail
-        if kind is FaultKind.CABINET_LEAK:
-            zone = str(detail.get("zone", "Front"))
-            sensor = str(detail.get("sensor", "A"))
-            self._cluster.set_leak(target.cabinet_xname(), zone, sensor, False)
-        elif kind in (FaultKind.SWITCH_OFFLINE, FaultKind.SWITCH_UNKNOWN):
-            self._cluster.set_switch_state(target, SwitchState.ONLINE)
-        elif kind is FaultKind.NODE_DOWN:
-            self._cluster.set_node_state(target, NodeState.UP)
-        elif kind is FaultKind.THERMAL_EXCURSION:
-            if self._sensors is not None:
-                self._sensors.set_offset(
-                    SensorId(target, SensorKind.TEMPERATURE_C), 0.0
-                )
-        elif kind is FaultKind.INGESTER_CRASH:
-            # Fault end = the operator restarts the process; WAL replay
-            # recovers every acknowledged entry the replica held.
-            if self._selfheal is not None and detail.get("bounded_selfheal"):
-                fault.detail["replayed"] = self._selfheal.end_bounded_crash(
-                    str(target)
-                )
-            else:
-                fault.detail["replayed"] = self._require_ring().restart_ingester(
-                    str(target)
-                )
-        elif kind is FaultKind.RECEIVER_OUTAGE:
-            flaky = self._require_receiver(str(target))
-            flaky.set_down(False)
-            if self._journal is not None:
-                stats = self._journal.stats(str(target))
-                start = int(detail.get("enqueued_at_start", 0))  # type: ignore[arg-type]
-                detail["enqueued_at_end"] = stats["enqueued"]
-                # Every notification enqueued during the outage (plus any
-                # already pending) must eventually deliver — the zero-loss
-                # contract acceptance tests assert without re-deriving.
-                detail["expected_deliveries"] = stats["enqueued"]
-                detail["enqueued_during_outage"] = stats["enqueued"] - start
-        elif kind is FaultKind.SLOW_CONSUMER:
-            consumer = self._require_consumer(str(target))
-            consumer.set_throttle(None)
-            detail["lag_at_end"] = consumer.lag()
-        elif kind is FaultKind.NOISY_NEIGHBOR:
-            timer = self._flood_timers.pop(id(fault), None)
-            if timer is not None:
-                timer.cancel()
-        elif kind is FaultKind.OBJSTORE_OUTAGE:
-            self._require_objstore().set_outage(False)
-            if self._shipper is not None:
-                start = int(detail.get("flush_failures_at_start", 0))  # type: ignore[arg-type]
-                detail["flush_failures_at_end"] = self._shipper.flush_failures
-                detail["flush_failures_during"] = (
-                    self._shipper.flush_failures - start
-                )
-        elif kind is FaultKind.OBJSTORE_SLOW:
-            self._require_objstore().set_slowdown(1.0)
-        elif kind is FaultKind.QUERIER_CRASH:
-            pool = self._require_querier_pool()
-            pool.set_crashed(str(target), False)
-            start = int(detail.get("retries_at_start", 0))  # type: ignore[arg-type]
-            detail["retries_at_end"] = pool.retries_total
-            detail["retries_during"] = pool.retries_total - start
-        elif kind is FaultKind.SLOW_QUERIER:
-            self._require_querier_pool().set_slow(str(target), 1.0)
-        elif kind is FaultKind.HEARTBEAT_LOSS:
-            manager = self._require_selfheal()
-            manager.end_heartbeat_loss(str(target))
-            detail["deaths_at_end"] = manager.memberlist.deaths_total
-            detail["repairs_at_end"] = manager.repairer.members_repaired_total
-        elif kind is FaultKind.ZONE_OUTAGE:
-            manager = self._require_selfheal()
-            manager.end_zone_outage(str(target))
-            detail["restarts_at_end"] = manager.supervisor.restarts_total
-        elif kind is FaultKind.LOG_STORM:
-            timer = self._flood_timers.pop(id(fault), None)
-            if timer is not None:
-                timer.cancel()
-        elif kind is FaultKind.BURN_INJECTION:
-            timer = self._flood_timers.pop(id(fault), None)
-            if timer is not None:
-                timer.cancel()
-            manager = self._require_slo_manager()
-            detail["budget_remaining_at_end"] = manager.budget(
-                str(target)
-            ).remaining_ratio()
+        # Dropped before it runs: an undo runs once, and what it closes
+        # over (a flood's lines, a timer) does not outlive the fault.
+        undo, fault.undo = fault.undo, None
+        if undo is not None:
+            undo()
+
+    # ------------------------------------------------------------------
+    # The machine kinds
+    # ------------------------------------------------------------------
+    def _leak(self, fault: Fault) -> Undo:
+        cabinet = fault.target.cabinet_xname()
+        zone = str(fault.detail.get("zone", "Front"))
+        sensor = str(fault.detail.get("sensor", "A"))
+        self._cluster.set_leak(cabinet, zone, sensor, True)
+        return lambda: self._cluster.set_leak(cabinet, zone, sensor, False)
+
+    def _switch(self, state: SwitchState, fault: Fault) -> Undo:
+        self._cluster.set_switch_state(fault.target, state)
+        return lambda: self._cluster.set_switch_state(
+            fault.target, SwitchState.ONLINE
+        )
+
+    def _node_down(self, fault: Fault) -> Undo:
+        self._cluster.set_node_state(fault.target, NodeState.DOWN)
+        return lambda: self._cluster.set_node_state(fault.target, NodeState.UP)
+
+    def _thermal(self, fault: Fault) -> Undo:
+        sensor = SensorId(fault.target, SensorKind.TEMPERATURE_C)
+        self._sensors.set_offset(sensor, float(fault.detail.get("delta_c", 25.0)))
+        return lambda: self._sensors.set_offset(sensor, 0.0)
 
     # ------------------------------------------------------------------
     # Ground truth
@@ -736,7 +263,7 @@ class FaultInjector:
         """
         out: list[dict[str, object]] = []
         for f in self.faults:
-            if f.kind not in _DELIVERY_KINDS:
+            if f.kind not in (FaultKind.RECEIVER_OUTAGE, FaultKind.SLOW_CONSUMER):
                 continue
             out.append(
                 {

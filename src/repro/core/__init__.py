@@ -8,6 +8,8 @@
   stores → rulers → Alertmanager → Slack + ServiceNow, plus dashboards;
 * :mod:`repro.core.plane` / :mod:`repro.core.planes` — the hooks an
   optional feature plane implements, and the ordered list of them;
+* :mod:`repro.core.faults` — the fault kinds the base stack owns, and
+  the log flood the planes' fault handlers share;
 * :mod:`repro.core.remediation` — automated remediation workflows;
 * :mod:`repro.core.casestudies` — the two §IV case studies (cabinet leak,
   switch offline) as scripted end-to-end scenarios;

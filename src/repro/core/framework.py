@@ -17,7 +17,7 @@ from typing import TYPE_CHECKING
 
 from repro.common.errors import ValidationError
 from repro.common.labels import Matcher, MatchOp
-from repro.common.simclock import NANOS_PER_DAY, SimClock, hours, minutes, seconds
+from repro.common.simclock import SimClock, hours, minutes, seconds
 from repro.alerting.alertmanager import Alertmanager, Route
 from repro.alerting.rules import RuleSpec
 from repro.bus.broker import Broker
@@ -32,6 +32,7 @@ from repro.core.consumers import (
     RedfishEventConsumer,
     SensorMetricConsumer,
 )
+from repro.core.faults import register_faults
 from repro.core.plane import env_flag
 from repro.exporters.aruba import ArubaExporter
 from repro.exporters.blackbox import BlackboxExporter, ProbeTarget
@@ -56,11 +57,9 @@ from repro.loki.store import LokiStore
 from repro.omni.anomaly import EwmaDetector, ProactiveMonitor
 from repro.omni.eventstore import EventStore, record_from_alert
 from repro.omni.warehouse import OmniWarehouse
-# The three plane-owned constants FrameworkConfig's defaults are made of;
-# the class below uses nothing from a plane package.
+# The one plane-owned constant a FrameworkConfig default is made of; the
+# class below uses nothing else from a plane package.
 from repro.queryx.engine import DEFAULT_SLOW_QUERY_NS
-from repro.slo.burnrate import DEFAULT_BURN_WINDOWS
-from repro.tenancy.limits import DEFAULT_TENANT
 from repro.servicenow.alerts import SnAlertState
 from repro.servicenow.cmdb import build_from_cluster
 from repro.servicenow.platform import ServiceNowPlatform, ServiceNowReceiver
@@ -94,7 +93,6 @@ from repro.tsdb.vmalert import VMAlert
 from repro.common.jsonutil import LogEnvelopeEncoder
 
 if TYPE_CHECKING:
-    from repro.slo.burnrate import BurnWindow
     from repro.tenancy.limits import TenantLimits
 
 
@@ -177,7 +175,6 @@ class FrameworkConfig:
     # the surviving ring owners before releasing its tokens.
     enable_self_healing: bool = field(default_factory=env_flag("REPRO_SELF_HEAL"))
     selfheal_heartbeat_interval_ns: int = seconds(5)
-    selfheal_suspect_after_ns: int = seconds(15)
     selfheal_dead_after_ns: int = seconds(45)
     selfheal_sweep_interval_ns: int = seconds(5)
     selfheal_repair_grace_ns: int = seconds(30)
@@ -193,14 +190,6 @@ class FrameworkConfig:
     enable_reliable_delivery: bool = field(
         default_factory=env_flag("REPRO_RELIABLE_DELIVERY")
     )
-    delivery_backoff_base_ns: int = seconds(30)
-    delivery_backoff_cap_ns: int = minutes(10)
-    delivery_backoff_jitter: float = 0.2
-    #: None = retry forever (a lost alert is the unacceptable outcome);
-    #: finite budgets dead-letter the notification in the journal.
-    delivery_max_attempts: int | None = None
-    breaker_failure_threshold: int = 3
-    breaker_reset_timeout_ns: int = minutes(2)
     #: Consumer-side processing failures before a record is poison and
     #: quarantines to the topic's dead-letter queue.
     max_delivery_failures: int = 3
@@ -212,15 +201,10 @@ class FrameworkConfig:
     # ingest ring when the ring is enabled, and queried through a fair
     # per-tenant scheduler in front of the split/cache frontend.
     enable_multi_tenancy: bool = field(default_factory=env_flag("REPRO_MULTI_TENANCY"))
-    default_tenant: str = DEFAULT_TENANT
-    #: None = the generous built-in defaults every tenant inherits.
-    tenant_default_limits: TenantLimits | None = None
     tenant_overrides: dict[str, TenantLimits] = field(default_factory=dict)
     #: Ingesters per tenant shard when the ingest ring is also enabled;
     #: 0 disables shuffle sharding (every tenant uses the whole ring).
     tenant_shard_size: int = 3
-    #: Querier slots the fair scheduler multiplexes across tenants.
-    query_max_concurrency: int = 4
     # Tiered object storage (repro.objstore).  Off by default (or via
     # the REPRO_OBJECT_STORAGE env var, for CI's object-storage leg):
     # chunks stay resident in ingester memory forever, exactly as
@@ -234,12 +218,10 @@ class FrameworkConfig:
     )
     objstore_flush_interval_ns: int = minutes(5)
     objstore_compaction_interval_ns: int = minutes(30)
-    objstore_index_period_ns: int = NANOS_PER_DAY
     objstore_target_object_bytes: int = 1 << 20
     #: None = cold chunks are kept forever; the OMNI retention manager
     #: still sweeps both tiers on its own schedule either way.
     objstore_default_retention_ns: int | None = None
-    objstore_tenant_retention_ns: dict[str, int] = field(default_factory=dict)
     # Sharded parallel query engine (repro.queryx).  Off by default (or
     # via the REPRO_QUERY_ENGINE env var, for CI's query-engine leg):
     # queries run monolithically on one LogQL engine as before.  On:
@@ -250,17 +232,11 @@ class FrameworkConfig:
     # per-stream n-gram bloom blocks and the store-gateway uses them to
     # skip cold chunks that cannot match a line filter.
     enable_query_engine: bool = field(default_factory=env_flag("REPRO_QUERY_ENGINE"))
-    #: Stream shards per shardable query (Loki's -querier.max-query-parallelism).
-    queryx_shard_count: int = 4
-    #: Simulated querier workers in the executor pool.
-    queryx_workers: int = 4
     #: Time-split interval; shared with the frontend cache so both cut a
     #: range at identical aligned boundaries.
     queryx_split_interval_ns: int = hours(1)
     #: Accounted wall-clock above this marks a query slow (SlowQueries).
     queryx_slow_query_threshold_ns: int = DEFAULT_SLOW_QUERY_NS
-    #: Target false-positive rate for the compactor-built bloom blocks.
-    queryx_bloom_fp_rate: float = 0.01
     # Online log-template mining (repro.patterns).  Off by default (or
     # via the REPRO_PATTERNS env var, for CI's pattern-mining leg).  On:
     # a Drain-style miner tees off every accepted log push per (tenant,
@@ -277,23 +253,8 @@ class FrameworkConfig:
     #: to join an existing cluster instead of seeding a new one.
     patterns_sim_threshold: float = 0.5
     patterns_ruler_interval_ns: int = seconds(30)
-    #: EWMA smoothing for per-template rate baselines.
-    patterns_ewma_alpha: float = 0.3
     #: A warmed-up template bursts at burst_factor × its EWMA baseline.
     patterns_burst_factor: float = 8.0
-    #: Absolute storm floor (lines/s): any template above this rate is
-    #: bursting regardless of baseline — catches storms of brand-new
-    #: templates that have no history yet.
-    patterns_min_burst_rate: float = 50.0
-    #: Evaluations of baseline history before relative bursts can fire.
-    patterns_warmup_evals: int = 3
-    #: How long a NovelErrorPattern series stays active before it
-    #: self-resolves.
-    patterns_novel_active_ns: int = minutes(10)
-    #: Cold-start corpus bootstrap: templates first sighted within this
-    #: window of startup are not "novel" — an empty template store makes
-    #: every early line never-before-seen.
-    patterns_novel_bootstrap_ns: int = seconds(90)
     # Service-level objectives (repro.slo).  Off by default (or via the
     # REPRO_SLO env var, for CI's SLO leg).  On: built-in SLOs for
     # ingest availability, query latency (query engine on), alert
@@ -307,14 +268,8 @@ class FrameworkConfig:
     enable_slo: bool = field(default_factory=env_flag("REPRO_SLO"))
     #: Recording-rule + budget evaluation cadence.
     slo_eval_interval_ns: int = seconds(30)
-    #: Error-budget window shared by the built-in SLOs.
-    slo_window: str = "30d"
     #: Per-SLO objective overrides on top of DEFAULT_SLO_OBJECTIVES.
     slo_objectives: dict[str, float] = field(default_factory=dict)
-    #: The multi-window multi-burn-rate alert tiers.
-    slo_burn_windows: tuple[BurnWindow, ...] = DEFAULT_BURN_WINDOWS
-    #: A novel pattern detected within this bound counts as "fresh".
-    slo_pattern_freshness_bound_ns: int = minutes(2)
 
     def __post_init__(self) -> None:
         self.validate()
@@ -421,9 +376,7 @@ class MonitoringFramework:
             self.clock, loki=self.log_backend, admission=self.admission,
             patterns=self.pattern_ingester,
         )
-        # LOG_STORM / NOVEL_ERROR flood the warehouse whether or not
-        # anything is mining what they write.
-        self.faults.attach_patterns(self.warehouse, self.pattern_ingester)
+        register_faults(self.faults, self.warehouse, self.gpfs)
         self.logql = LogQLEngine(self.warehouse.loki, patterns=self.pattern_store)
         self.promql = PromQLEngine(self.warehouse.tsdb)
         for plane in self.planes:

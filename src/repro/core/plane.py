@@ -98,7 +98,7 @@ def query_frontend(fw: MonitoringFramework) -> QueryFrontend:
     intervals match so planner and cache cut at the same boundaries.
     Pattern queries always go to the LogQL engine (they read period
     blocks, not chunks, so sharding buys nothing), split on the store's
-    period so window merging is exact."""
+    period — the frontend's default, a day — so window merging is exact."""
     if fw.frontend is None:
         cfg = fw.config
         sharded = fw.queryx is not None
@@ -107,6 +107,5 @@ def query_frontend(fw: MonitoringFramework) -> QueryFrontend:
             fw.clock,
             split_ns=cfg.queryx_split_interval_ns if sharded else hours(1),
             pattern_source=fw.logql if fw.pattern_store is not None else None,
-            pattern_split_ns=cfg.objstore_index_period_ns,
         )
     return fw.frontend

@@ -20,7 +20,7 @@ the paper's design leans on (§III.A, §IV.A):
 
 from repro.loki.model import LogEntry, PushRequest, PushStream
 from repro.loki.chunks import Chunk, ChunkPolicy
-from repro.loki.store import LokiStore, LokiCluster, StoreStats, aggregate_stats
+from repro.loki.store import LokiStore, StoreStats, aggregate_stats
 from repro.loki.ruler import Ruler, AlertingRule
 
 __all__ = [
@@ -30,7 +30,6 @@ __all__ = [
     "Chunk",
     "ChunkPolicy",
     "LokiStore",
-    "LokiCluster",
     "StoreStats",
     "aggregate_stats",
     "Ruler",

@@ -1,8 +1,8 @@
-"""The Loki store: ingestion, chunk lifecycle, selection, sharded cluster.
+"""The Loki store: ingestion, chunk lifecycle, selection.
 
-``LokiStore`` is a single ingester; ``LokiCluster`` shards streams across
-several ingesters by label hash, mirroring the 8-worker deployment the
-paper evaluates on (bench C8 sweeps the worker count).
+``LokiStore`` is a single ingester.  Several of them behind one
+distributor — the 8-worker deployment the paper evaluates on, bench C8 —
+is :class:`repro.ring.cluster.RingLokiCluster`.
 """
 
 from __future__ import annotations
@@ -12,7 +12,6 @@ from dataclasses import dataclass
 from typing import Iterable, Mapping
 
 from repro.common.errors import ValidationError
-from repro.common.hashing import mix64
 from repro.common.labels import LabelSet, Matcher
 from repro.loki.chunks import Chunk, ChunkPolicy
 from repro.loki.index import LabelIndex
@@ -412,83 +411,3 @@ class LokiStore:
     def compression_ratio(self) -> float:
         stored = self.stored_bytes()
         return self.uncompressed_bytes() / stored if stored else 0.0
-
-
-@dataclass
-class _Shard:
-    store: LokiStore
-    pushes: int = 0
-    entries: int = 0
-
-
-class LokiCluster:
-    """Label-hash sharded Loki: N ingesters behind one query frontend.
-
-    Ingest work distributes by stream-label hash (Loki's distributor ring);
-    queries fan out to every shard and merge.  ``max_shard_entries`` over
-    ``total_entries`` approximates the parallel-speedup the 8-worker
-    deployment in the paper gets (bench C8).
-    """
-
-    def __init__(
-        self, shards: int = 8, policy: ChunkPolicy | None = None
-    ) -> None:
-        if shards < 1:
-            raise ValidationError("need at least one shard")
-        self._shards = [_Shard(LokiStore(policy)) for _ in range(shards)]
-
-    @property
-    def shard_count(self) -> int:
-        return len(self._shards)
-
-    def _shard_for(self, labels: LabelSet) -> _Shard:
-        h = 0xCBF29CE484222325
-        for name, value in labels.items_tuple():
-            for byte in f"{name}={value};".encode():
-                h ^= byte
-                h = (h * 0x100000001B3) & 0xFFFFFFFFFFFFFFFF
-        # Raw FNV-1a mod a small shard count collapses structured label
-        # corpora (values differing only in stride-8 characters all share
-        # their low bits); the SplitMix64 finalizer restores balance —
-        # same fix the ring applied to its vnode tokens.
-        return self._shards[mix64(h) % len(self._shards)]
-
-    def push(self, request: PushRequest) -> int:
-        accepted = 0
-        for stream in request.streams:
-            shard = self._shard_for(stream.labels)
-            got = shard.store.push_stream(stream.labels, stream.entries)
-            shard.pushes += 1
-            shard.entries += got
-            accepted += got
-        return accepted
-
-    def select(
-        self, matchers: Iterable[Matcher], start_ns: int, end_ns: int
-    ) -> list[tuple[LabelSet, list[LogEntry]]]:
-        matchers = list(matchers)
-        out: list[tuple[LabelSet, list[LogEntry]]] = []
-        for shard in self._shards:
-            out.extend(shard.store.select(matchers, start_ns, end_ns))
-        out.sort(key=lambda pair: pair[0].items_tuple())
-        return out
-
-    def flush_all(self) -> int:
-        return sum(s.store.flush_all() for s in self._shards)
-
-    @property
-    def stats(self) -> StoreStats:
-        """Cluster-wide ingest/storage totals across every shard."""
-        return aggregate_stats(s.store for s in self._shards)
-
-    def shard_entry_counts(self) -> list[int]:
-        return [s.entries for s in self._shards]
-
-    def parallel_speedup(self) -> float:
-        """total work / max per-shard work — ideal-parallel ingest speedup."""
-        counts = self.shard_entry_counts()
-        peak = max(counts)
-        return (sum(counts) / peak) if peak else float(len(counts))
-
-    def total_entries(self) -> int:
-        return sum(self.shard_entry_counts())

@@ -4,6 +4,7 @@ everything ``enable_object_storage`` wires under the log backend."""
 from __future__ import annotations
 
 from repro.alerting.rules import RuleSpec
+from repro.cluster.faults import FaultKind
 from repro.common.errors import ValidationError
 from repro.core.plane import Plane
 from repro.exporters.objstore_exporter import ObjstoreExporter
@@ -16,6 +17,33 @@ from repro.objstore.shipper import ChunkShipper
 from repro.objstore.tiered import TieredLokiStore
 
 
+def register_faults(injector, store, shipper):
+    """The backend goes dark (every request refused, flushes stall
+    resident) or degrades (accounted latencies multiplied); the target
+    is the backend's name."""
+
+    def outage(fault):
+        detail = fault.detail
+        store.set_outage(True)
+        # Ground truth: how many flushes had failed before the outage,
+        # so chaos tests can count failures *during* it.
+        start = detail["flush_failures_at_start"] = shipper.flush_failures
+
+        def end():
+            store.set_outage(False)
+            detail["flush_failures_at_end"] = shipper.flush_failures
+            detail["flush_failures_during"] = shipper.flush_failures - start
+
+        return end
+
+    def slow(fault):
+        store.set_slowdown(float(fault.detail.get("factor", 10.0)))
+        return lambda: store.set_slowdown(1.0)
+
+    injector.register(FaultKind.OBJSTORE_OUTAGE, outage)
+    injector.register(FaultKind.OBJSTORE_SLOW, slow)
+
+
 class ObjstorePlane(Plane):
     name = "objstore"
     flag = "enable_object_storage"
@@ -26,10 +54,6 @@ class ObjstorePlane(Plane):
     scrape_targets = (("objstore", "objstore-exporter:9105", "objstore_exporter"),)
 
     def validate(self, cfg):
-        if cfg.objstore_index_period_ns <= 0:
-            raise ValidationError(
-                "objstore_index_period_ns must be positive"
-            )
         if cfg.objstore_target_object_bytes < 1:
             raise ValidationError(
                 "objstore_target_object_bytes must be positive"
@@ -48,9 +72,7 @@ class ObjstorePlane(Plane):
         # of the ring it is replicated hot ingest *and* deduplicated flush.
         hot = fw.log_backend
         fw.objstore = ObjectStore(fw.clock)
-        fw.shipper_index = ShipperIndex(
-            fw.objstore, period_ns=cfg.objstore_index_period_ns
-        )
+        fw.shipper_index = ShipperIndex(fw.objstore)
         fw.shipper = ChunkShipper(
             hot, fw.objstore, fw.shipper_index, fw.clock,
             tracer=fw.tracer,
@@ -63,7 +85,6 @@ class ObjstorePlane(Plane):
                 target_object_bytes=cfg.objstore_target_object_bytes
             ),
             default_retention_ns=cfg.objstore_default_retention_ns,
-            tenant_retention_ns=cfg.objstore_tenant_retention_ns,
             tracer=fw.tracer,
         )
         fw.store_gateway = StoreGateway(
@@ -82,7 +103,7 @@ class ObjstorePlane(Plane):
             compactor=fw.compactor,
             gateway=fw.store_gateway,
         )
-        fw.faults.attach_objstore(fw.objstore, fw.shipper)
+        register_faults(fw.faults, fw.objstore, fw.shipper)
 
     def install_rules(self, fw):
         fw.vmalert.add_rule(

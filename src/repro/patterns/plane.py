@@ -6,6 +6,7 @@ from __future__ import annotations
 from repro.alerting.rules import RuleSpec
 from repro.common.errors import ValidationError
 from repro.common.labels import Matcher, MatchOp
+from repro.common.simclock import seconds
 from repro.core.plane import Plane, query_frontend
 from repro.exporters.patterns_exporter import PatternsExporter
 from repro.grafana.panels import StatPanel, TimeSeriesPanel, TopListPanel
@@ -13,6 +14,12 @@ from repro.patterns.ingester import PatternIngester
 from repro.patterns.miner import DrainConfig
 from repro.patterns.ruler import BURST_EXPR, NOVEL_EXPR, PatternRuler
 from repro.patterns.store import PatternStore
+
+
+#: Cold-start corpus bootstrap: templates first sighted within this
+#: window of startup are not "novel" — an empty template store makes
+#: every early line never-before-seen.
+NOVEL_BOOTSTRAP_NS = seconds(90)
 
 
 class PatternsPlane(Plane):
@@ -29,26 +36,8 @@ class PatternsPlane(Plane):
             raise ValidationError(
                 "patterns_sim_threshold must be in (0, 1]"
             )
-        if not 0.0 < cfg.patterns_ewma_alpha <= 1.0:
-            raise ValidationError(
-                "patterns_ewma_alpha must be in (0, 1]"
-            )
         if cfg.patterns_burst_factor <= 1.0:
             raise ValidationError("patterns_burst_factor must be > 1")
-        if cfg.patterns_min_burst_rate <= 0.0:
-            raise ValidationError(
-                "patterns_min_burst_rate must be positive"
-            )
-        if cfg.patterns_warmup_evals < 1:
-            raise ValidationError("patterns_warmup_evals must be >= 1")
-        if cfg.patterns_novel_active_ns <= 0:
-            raise ValidationError(
-                "patterns_novel_active_ns must be positive"
-            )
-        if cfg.patterns_novel_bootstrap_ns < 0:
-            raise ValidationError(
-                "patterns_novel_bootstrap_ns must be >= 0"
-            )
 
     def build_stores(self, fw):
         cfg = fw.config
@@ -56,17 +45,10 @@ class PatternsPlane(Plane):
         # With object storage on, pattern blocks persist beside the
         # chunks; without, the store is memory-resident.
         fw.pattern_store = PatternStore(
-            fw.objstore,
-            period_ns=cfg.objstore_index_period_ns,
-            config=drain_config,
-            tracer=fw.tracer,
+            fw.objstore, config=drain_config, tracer=fw.tracer
         )
         fw.pattern_ingester = PatternIngester(
-            fw.clock,
-            fw.pattern_store,
-            config=drain_config,
-            tracer=fw.tracer,
-            default_tenant=cfg.default_tenant,
+            fw.clock, fw.pattern_store, config=drain_config, tracer=fw.tracer
         )
         if fw.objstore is not None:
             fw.compactor.patterns = fw.pattern_store
@@ -85,12 +67,8 @@ class PatternsPlane(Plane):
             fw.pattern_ingester,
             fw.pattern_store,
             cluster=cfg.cluster_name,
-            ewma_alpha=cfg.patterns_ewma_alpha,
             burst_factor=cfg.patterns_burst_factor,
-            min_burst_rate=cfg.patterns_min_burst_rate,
-            warmup_evals=cfg.patterns_warmup_evals,
-            novel_active_ns=cfg.patterns_novel_active_ns,
-            novel_bootstrap_ns=cfg.patterns_novel_bootstrap_ns,
+            novel_bootstrap_ns=NOVEL_BOOTSTRAP_NS,
             tracer=fw.tracer,
         )
         fw.patterns_exporter = PatternsExporter(

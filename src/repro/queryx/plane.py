@@ -4,6 +4,7 @@ everything ``enable_query_engine`` wires beside the LogQL engine."""
 from __future__ import annotations
 
 from repro.alerting.rules import RuleSpec
+from repro.cluster.faults import FaultKind
 from repro.common.errors import ValidationError
 from repro.core.plane import Plane
 from repro.exporters.queryx_exporter import QueryxExporter
@@ -14,6 +15,33 @@ from repro.queryx.executor import QuerierPool
 from repro.queryx.planner import QueryPlanner
 
 
+def register_faults(injector, pool):
+    """A querier worker dies holding its subqueries (each is retried on a
+    live peer), or drags as a straggler with multiplied execution costs;
+    targets are worker ids ("querier-0", ...)."""
+
+    def crash(fault):
+        worker, detail = fault.target, fault.detail
+        pool.set_crashed(worker, True)
+        # Ground truth: retries before the crash, so chaos tests can
+        # count the retries this fault alone caused.
+        start = detail["retries_at_start"] = pool.retries_total
+
+        def end():
+            pool.set_crashed(worker, False)
+            detail["retries_at_end"] = pool.retries_total
+            detail["retries_during"] = pool.retries_total - start
+
+        return end
+
+    def slow(fault):
+        pool.set_slow(fault.target, float(fault.detail.get("factor", 10.0)))
+        return lambda: pool.set_slow(fault.target, 1.0)
+
+    injector.register(FaultKind.QUERIER_CRASH, crash)
+    injector.register(FaultKind.SLOW_QUERIER, slow)
+
+
 class QueryxPlane(Plane):
     name = "queryx"
     flag = "enable_query_engine"
@@ -21,17 +49,9 @@ class QueryxPlane(Plane):
     scrape_targets = (("queryx", "queryx-exporter:9106", "queryx_exporter"),)
 
     def validate(self, cfg):
-        if cfg.queryx_shard_count < 1:
-            raise ValidationError("queryx_shard_count must be >= 1")
-        if cfg.queryx_workers < 1:
-            raise ValidationError("queryx_workers must be >= 1")
         if cfg.queryx_slow_query_threshold_ns <= 0:
             raise ValidationError(
                 "queryx_slow_query_threshold_ns must be positive"
-            )
-        if not 0.0 < cfg.queryx_bloom_fp_rate < 1.0:
-            raise ValidationError(
-                "queryx_bloom_fp_rate must be in (0, 1)"
             )
 
     def build_stores(self, fw):
@@ -43,7 +63,7 @@ class QueryxPlane(Plane):
         if fw.objstore is not None:
             # Bloom blocks ride the same bucket as the chunks; the
             # compactor builds them, the gateway consults them.
-            fw.blooms = BloomStore(fw.objstore, fp_rate=cfg.queryx_bloom_fp_rate)
+            fw.blooms = BloomStore(fw.objstore)
             fw.compactor.blooms = fw.blooms
             gateway = fw.store_gateway
             gateway.blooms = fw.blooms
@@ -56,11 +76,8 @@ class QueryxPlane(Plane):
         fw.queryx = ShardedQueryEngine(
             fw.log_backend,
             fw.clock,
-            planner=QueryPlanner(
-                shard_count=cfg.queryx_shard_count,
-                split_ns=cfg.queryx_split_interval_ns,
-            ),
-            pool=QuerierPool(workers=cfg.queryx_workers),
+            planner=QueryPlanner(split_ns=cfg.queryx_split_interval_ns),
+            pool=QuerierPool(),
             tracer=fw.tracer,
             cold_latency_fn=cold_latency_fn,
             slow_query_threshold_ns=cfg.queryx_slow_query_threshold_ns,
@@ -70,7 +87,7 @@ class QueryxPlane(Plane):
             gateway=fw.store_gateway,
             blooms=fw.blooms,
         )
-        fw.faults.attach_queryx(fw.queryx.pool)
+        register_faults(fw.faults, fw.queryx.pool)
 
     def install_rules(self, fw):
         fw.vmalert.add_rule(

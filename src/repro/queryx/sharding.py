@@ -7,7 +7,7 @@ out partitions work without double counting.  This module supplies the
 two halves of that contract for the reproduction:
 
 - :func:`shard_of` — the partition function, the same FNV-1a +
-  SplitMix64 fingerprint the shipper index and ``LokiCluster`` use, so
+  SplitMix64 fingerprint the shipper index and the ingest ring use, so
   a stream lands in exactly one shard no matter which component asks.
 - :class:`ShardedSource` — a store facade restricting ``select`` to one
   shard.  Stores that advertise ``supports_shard_hints`` get the shard

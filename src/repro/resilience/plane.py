@@ -6,7 +6,9 @@ the framework hands its consumer pods.)"""
 from __future__ import annotations
 
 from repro.alerting.rules import RuleSpec
+from repro.cluster.faults import FaultKind
 from repro.common.errors import ValidationError
+from repro.common.simclock import minutes, seconds
 from repro.core.plane import Plane
 from repro.exporters.delivery_exporter import DeliveryExporter
 from repro.grafana.panels import StatPanel, TimeSeriesPanel, TopListPanel
@@ -20,6 +22,61 @@ from repro.resilience.receivers import (
 )
 
 
+#: Retry forever (``RetryingReceiver``'s default: a lost alert is the
+#: unacceptable outcome), backing off from 30 s to a 10 min ceiling.
+BACKOFF_BASE_NS = seconds(30)
+BACKOFF_CAP_NS = minutes(10)
+#: An open breaker probes its receiver again after this long.
+BREAKER_RESET_TIMEOUT_NS = minutes(2)
+
+
+def register_faults(injector, receivers, consumers, journal):
+    """RECEIVER_OUTAGE darkens a flaky receiver wrapper, SLOW_CONSUMER
+    throttles a consumer pod; targets are their names."""
+
+    def named(things, what, fault):
+        try:
+            return things[fault.target]
+        except KeyError:
+            raise ValidationError(f"no {what} named {fault.target!r}") from None
+
+    def receiver_outage(fault):
+        name, detail = fault.target, fault.detail
+        flaky = named(receivers, "receiver", fault)
+        flaky.set_down(True)
+        # Ground truth: what the delivery plane owed this receiver when
+        # the outage began.
+        stats = journal.stats(name)
+        start = detail["enqueued_at_start"] = stats["enqueued"]
+        detail["delivered_at_start"] = stats["delivered"]
+
+        def end():
+            flaky.set_down(False)
+            enqueued = journal.stats(name)["enqueued"]
+            detail["enqueued_at_end"] = enqueued
+            # Every notification enqueued during the outage (plus any
+            # already pending) must eventually deliver — the zero-loss
+            # contract acceptance tests assert without re-deriving.
+            detail["expected_deliveries"] = enqueued
+            detail["enqueued_during_outage"] = enqueued - start
+
+        return end
+
+    def slow_consumer(fault):
+        consumer = named(consumers, "consumer", fault)
+        consumer.set_throttle(int(fault.detail.get("max_per_pump", 10)))
+        fault.detail["lag_at_start"] = consumer.lag()
+
+        def end():
+            consumer.set_throttle(None)
+            fault.detail["lag_at_end"] = consumer.lag()
+
+        return end
+
+    injector.register(FaultKind.RECEIVER_OUTAGE, receiver_outage)
+    injector.register(FaultKind.SLOW_CONSUMER, slow_consumer)
+
+
 class DeliveryPlane(Plane):
     name = "delivery"
     flag = "enable_reliable_delivery"
@@ -29,12 +86,6 @@ class DeliveryPlane(Plane):
     scrape_targets = (("alert-delivery", "delivery-exporter:9103", "delivery_exporter"),)
 
     def validate(self, cfg):
-        if cfg.delivery_backoff_base_ns <= 0:
-            raise ValidationError("delivery backoff base must be positive")
-        if cfg.delivery_backoff_cap_ns < cfg.delivery_backoff_base_ns:
-            raise ValidationError("delivery backoff cap must be >= base")
-        if cfg.breaker_failure_threshold < 1:
-            raise ValidationError("breaker threshold must be positive")
         if cfg.max_delivery_failures < 1:
             raise ValidationError("max_delivery_failures must be positive")
 
@@ -53,27 +104,19 @@ class DeliveryPlane(Plane):
                 flaky,
                 fw.clock,
                 BackoffPolicy(
-                    base_ns=cfg.delivery_backoff_base_ns,
-                    cap_ns=cfg.delivery_backoff_cap_ns,
-                    jitter=cfg.delivery_backoff_jitter,
+                    base_ns=BACKOFF_BASE_NS,
+                    cap_ns=BACKOFF_CAP_NS,
                     seed=cfg.seed + 31 + idx,
                 ),
                 fw.journal,
                 breaker=CircuitBreaker(
-                    fw.clock,
-                    failure_threshold=cfg.breaker_failure_threshold,
-                    reset_timeout_ns=cfg.breaker_reset_timeout_ns,
+                    fw.clock, reset_timeout_ns=BREAKER_RESET_TIMEOUT_NS
                 ),
-                max_attempts=cfg.delivery_max_attempts,
                 tracer=fw.tracer,
             )
             fw.flaky_receivers[retrying.name] = flaky
             fw.delivery_receivers[retrying.name] = retrying
-        fw.faults.attach_delivery(
-            receivers=fw.flaky_receivers,
-            consumers=fw.consumers,
-            journal=fw.journal,
-        )
+        register_faults(fw.faults, fw.flaky_receivers, fw.consumers, fw.journal)
         fw.delivery_exporter = DeliveryExporter(
             fw.journal, fw.delivery_receivers.values(), fw.broker
         )

@@ -4,11 +4,38 @@ everything ``enable_ingest_ring`` wires into the pipeline."""
 from __future__ import annotations
 
 from repro.alerting.rules import RuleSpec
+from repro.cluster.faults import FaultKind
 from repro.common.errors import ValidationError
 from repro.core.plane import Plane
 from repro.exporters.ring_exporter import RingExporter
 from repro.grafana.panels import StatPanel, TimeSeriesPanel, TopListPanel
 from repro.ring.cluster import RingLokiCluster
+
+
+def register_faults(injector, ring):
+    """Faults against the monitoring pipeline itself; targets are
+    ingester ids."""
+
+    def crash(fault):
+        ring.crash_ingester(fault.target)
+
+        def restart():
+            # Fault end = the operator restarts the process; WAL replay
+            # recovers every acknowledged entry the replica held.
+            fault.detail["replayed"] = ring.restart_ingester(fault.target)
+
+        return restart
+
+    def bounce(fault):
+        # The process restarts immediately, rebuilding its store from the
+        # checkpoint + WAL before serving again: nothing to undo.
+        ingester = ring.ingesters.get(fault.target)
+        if ingester is not None and ingester.active:
+            ingester.crash()
+        fault.detail["replayed"] = ring.restart_ingester(fault.target)
+
+    injector.register(FaultKind.INGESTER_CRASH, crash)
+    injector.register(FaultKind.INGESTER_RESTART, bounce)
 
 
 class RingPlane(Plane):
@@ -42,7 +69,7 @@ class RingPlane(Plane):
         )
         fw.log_backend = fw.ring
         fw.ring_exporter = RingExporter(fw.ring)
-        fw.faults.attach_ring(fw.ring)
+        register_faults(fw.faults, fw.ring)
 
     def install_rules(self, fw):
         distributor = fw.ring.distributor

@@ -4,6 +4,7 @@
 from __future__ import annotations
 
 from repro.alerting.rules import RuleSpec
+from repro.cluster.faults import FaultKind
 from repro.common.errors import ValidationError
 from repro.core.plane import Plane
 from repro.exporters.selfheal_exporter import SelfHealExporter
@@ -12,6 +13,67 @@ from repro.selfheal.detector import FailureDetectorConfig
 from repro.selfheal.manager import SelfHealConfig, SelfHealManager
 from repro.selfheal.repairer import RingRepairerConfig
 from repro.selfheal.supervisor import SupervisorConfig
+
+
+def register_faults(injector, manager):
+    """HEARTBEAT_LOSS (target: an ingester id) and ZONE_OUTAGE (a zone
+    name), plus the one declared replacement of another plane's handler:
+    under a self-healing loop a ring member's crash is not the ring's
+    alone to undo."""
+    ring = manager.cluster
+
+    def crash(fault):
+        member = fault.target
+        ring.crash_ingester(member)
+        if fault.end_ns is None:
+            # Open-ended: the supervisor's to restart, or the operator's.
+            restart = ring.restart_ingester
+        else:
+            # A crash with a declared duration is a *bounded* outage:
+            # the fault's own end is the recovery, so the self-healing
+            # loop must neither restart it early nor re-home its data.
+            manager.begin_bounded_crash(member)
+            restart = manager.end_bounded_crash
+
+        def end():
+            fault.detail["replayed"] = restart(member)
+
+        return end
+
+    def heartbeat_loss(fault):
+        member, detail = fault.target, fault.detail
+        manager.begin_heartbeat_loss(member)
+        if detail.get("permanent", False):
+            # The node behind the gray failure is actually gone:
+            # restarts will never answer, so the supervisor stands
+            # aside and the repair path takes over after detection.
+            manager.mark_unrecoverable(member)
+        # Ground truth for the chaos tests: detector state before the
+        # silence began, and after it ended.
+        detail["deaths_at_start"] = manager.memberlist.deaths_total
+        detail["repairs_at_start"] = manager.repairer.members_repaired_total
+
+        def end():
+            manager.end_heartbeat_loss(member)
+            detail["deaths_at_end"] = manager.memberlist.deaths_total
+            detail["repairs_at_end"] = manager.repairer.members_repaired_total
+
+        return end
+
+    def zone_outage(fault):
+        zone, detail = fault.target, fault.detail
+        detail["members_downed"] = manager.begin_zone_outage(zone)
+        detail["restarts_at_start"] = manager.supervisor.restarts_total
+
+        def end():
+            manager.end_zone_outage(zone)
+            detail["restarts_at_end"] = manager.supervisor.restarts_total
+
+        return end
+
+    injector.register(FaultKind.INGESTER_CRASH, crash, replace=True)
+    injector.register(FaultKind.HEARTBEAT_LOSS, heartbeat_loss)
+    injector.register(FaultKind.ZONE_OUTAGE, zone_outage)
 
 
 class SelfHealPlane(Plane):
@@ -30,9 +92,8 @@ class SelfHealPlane(Plane):
         # The FailureDetectorConfig/RingRepairerConfig constructors
         # validate the relationships (suspect_after vs heartbeat gap,
         # dead_after vs suspect_after); here the signs no cadence loop has.
-        for name in ("selfheal_suspect_after_ns", "selfheal_dead_after_ns"):
-            if getattr(cfg, name) <= 0:
-                raise ValidationError(f"{name} must be positive")
+        if cfg.selfheal_dead_after_ns <= 0:
+            raise ValidationError("selfheal_dead_after_ns must be positive")
         if cfg.selfheal_repair_grace_ns < 0:
             raise ValidationError("selfheal_repair_grace_ns must be >= 0")
 
@@ -44,7 +105,6 @@ class SelfHealPlane(Plane):
             SelfHealConfig(
                 detector=FailureDetectorConfig(
                     heartbeat_interval_ns=cfg.selfheal_heartbeat_interval_ns,
-                    suspect_after_ns=cfg.selfheal_suspect_after_ns,
                     dead_after_ns=cfg.selfheal_dead_after_ns,
                     sweep_interval_ns=cfg.selfheal_sweep_interval_ns,
                 ),
@@ -59,7 +119,7 @@ class SelfHealPlane(Plane):
             tracer=fw.tracer,
         )
         fw.selfheal_exporter = SelfHealExporter(fw.selfheal)
-        fw.faults.attach_selfheal(fw.selfheal)
+        register_faults(fw.faults, fw.selfheal)
 
     def install_rules(self, fw):
         fw.vmalert.add_rule(

@@ -3,8 +3,10 @@ everything ``enable_slo`` wires on top of the finished pipeline."""
 
 from __future__ import annotations
 
+from repro.cluster.faults import FaultKind
 from repro.common.errors import ValidationError
 from repro.common.labels import Matcher, MatchOp
+from repro.common.simclock import minutes, seconds
 from repro.core.plane import Plane
 from repro.exporters.slo_exporter import SloExporter
 from repro.grafana.panels import (
@@ -13,7 +15,7 @@ from repro.grafana.panels import (
     TimeSeriesPanel,
     TopListPanel,
 )
-from repro.slo.burnrate import burn_metric_name
+from repro.slo.burnrate import DEFAULT_BURN_WINDOWS, burn_metric_name
 from repro.slo.manager import SloManager
 from repro.slo.model import SLO
 from repro.slo.sources import (
@@ -32,6 +34,52 @@ DEFAULT_SLO_OBJECTIVES: dict[str, float] = {
     "pattern-freshness": 0.9,
 }
 
+#: A novel pattern detected within this bound counts as "fresh".
+PATTERN_FRESHNESS_BOUND_NS = minutes(2)
+
+
+def register_faults(injector, manager):
+    def burn_injection(fault):
+        """Burn a chosen SLO's error budget (the target is its name):
+        every tick, ``events_per_tick`` synthetic SLI events of which
+        ``error_rate`` are bad flow into the SLO's collector.  At 1.0 the
+        SLI is a total outage; at e.g. 0.002 against a 99.9% objective it
+        is the slow 2x burn only the long-window ticket tiers catch."""
+        name, detail = fault.target, fault.detail
+        manager.collector(name)  # fail fast on unknown SLO names
+        events = int(detail.get("events_per_tick", 100))
+        rate = float(detail.get("error_rate", 1.0))
+        if not 0.0 < rate <= 1.0:
+            raise ValidationError("error_rate must be in (0, 1]")
+        if events < 1:
+            raise ValidationError("events_per_tick must be >= 1")
+        detail.setdefault("injected_good", 0)
+        detail.setdefault("injected_bad", 0)
+        # Deterministic rate without randomness: accumulate the exact
+        # fractional quota and inject its integer part each tick.
+        carry = 0.0
+
+        def burn():
+            nonlocal carry
+            carry += events * rate
+            bad = int(carry)
+            carry -= bad
+            manager.inject(name, events - bad, bad)
+            detail["injected_good"] += events - bad
+            detail["injected_bad"] += bad
+
+        interval = int(detail.get("interval_ns", seconds(1)))
+        timer = injector.clock.every(interval, burn)
+
+        def end():
+            timer.cancel()
+            budget = manager.budget(name)
+            detail["budget_remaining_at_end"] = budget.remaining_ratio()
+
+        return end
+
+    injector.register(FaultKind.BURN_INJECTION, burn_injection)
+
 
 class SloPlane(Plane):
     name = "slo"
@@ -40,14 +88,6 @@ class SloPlane(Plane):
     scrape_targets = (("slo", "slo-exporter:9109", "slo_exporter"),)
 
     def validate(self, cfg):
-        if not cfg.slo_burn_windows:
-            raise ValidationError(
-                "slo_burn_windows needs at least one tier"
-            )
-        if cfg.slo_pattern_freshness_bound_ns <= 0:
-            raise ValidationError(
-                "slo_pattern_freshness_bound_ns must be positive"
-            )
         for name, objective in cfg.slo_objectives.items():
             if not 0.0 < objective < 1.0:
                 raise ValidationError(
@@ -65,7 +105,6 @@ class SloPlane(Plane):
             fw.promql,
             fw.warehouse.tsdb,
             fw.notifier("slo-manager"),
-            windows=cfg.slo_burn_windows,
             cluster=cfg.cluster_name,
             tracer=fw.tracer,
         )
@@ -73,10 +112,7 @@ class SloPlane(Plane):
 
         def _slo(name: str, description: str) -> SLO:
             return SLO(
-                name=name,
-                description=description,
-                objective=objectives[name],
-                window=cfg.slo_window,
+                name=name, description=description, objective=objectives[name]
             )
 
         manager.register(
@@ -115,7 +151,7 @@ class SloPlane(Plane):
                     "novel error templates detected within the bound",
                 ),
                 PatternFreshnessSource(
-                    fw.pattern_ruler, cfg.slo_pattern_freshness_bound_ns
+                    fw.pattern_ruler, PATTERN_FRESHNESS_BOUND_NS
                 ),
             )
         # The burn rules exist whenever the plane does — they are not
@@ -124,7 +160,7 @@ class SloPlane(Plane):
         for spec in manager.rule_specs():
             fw.vmalert.add_rule(spec)
         fw.slo_exporter = SloExporter(manager)
-        fw.faults.attach_slo(manager)
+        register_faults(fw.faults, manager)
 
     def routes(self, fw):
         # Severity-tiered SLO routing.  Pages (severity=critical)
@@ -141,7 +177,7 @@ class SloPlane(Plane):
         ]
 
     def dashboards(self, fw):
-        fastest = fw.config.slo_burn_windows[0]
+        fastest = DEFAULT_BURN_WINDOWS[0]  # the manager's tiers
         rows = [
             (
                 StatPanel,

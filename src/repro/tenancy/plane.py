@@ -4,13 +4,62 @@
 from __future__ import annotations
 
 from repro.alerting.rules import RuleSpec
-from repro.common.errors import ValidationError
+from repro.cluster.faults import FaultKind
+from repro.common.errors import CapacityError, ValidationError
+from repro.common.labels import LabelSet
+from repro.common.simclock import seconds
+from repro.core.faults import push_lines
 from repro.core.plane import Plane, query_frontend
 from repro.exporters.tenancy_exporter import TenancyExporter
 from repro.grafana.panels import StatPanel, TimeSeriesPanel, TopListPanel
 from repro.tenancy.admission import AdmissionController
 from repro.tenancy.limits import LimitsRegistry
 from repro.tenancy.scheduler import QueryScheduler
+
+
+def register_faults(injector, warehouse, scheduler):
+    clock = injector.clock
+
+    def noisy_neighbor(fault):
+        """A tenant (the target) goes rogue: every tick, one oversized
+        push and ``queries_per_tick`` wide range queries under its id,
+        until the fault ends.  Typed 429s from admission and the
+        scheduler are the *expected* outcome — counted, never raised."""
+        tenant, detail = fault.target, fault.detail
+        lines = [
+            f"noise burst line {i}"
+            for i in range(int(detail.get("lines_per_tick", 5_000)))
+        ]
+        queries = int(detail.get("queries_per_tick", 0))
+        query = str(detail.get("query", '{app="noisy-app"}'))
+        for counter in (
+            "pushes_attempted", "pushes_rejected", "entries_accepted",
+            "queries_submitted", "queries_refused",
+        ):
+            detail.setdefault(counter, 0)
+        labels = LabelSet({"app": "noisy-app", "tenant_source": tenant})
+
+        def flood():
+            now = clock.now_ns
+            detail["pushes_attempted"] += 1
+            accepted = push_lines(warehouse, labels, now, lines, tenant)
+            if accepted is None:
+                detail["pushes_rejected"] += 1
+            else:
+                detail["entries_accepted"] += accepted
+            for _ in range(queries):
+                detail["queries_submitted"] += 1
+                try:
+                    scheduler.submit(
+                        tenant, query, now - seconds(3600), now, seconds(60)
+                    )
+                except CapacityError:
+                    detail["queries_refused"] += 1
+
+        interval = int(detail.get("interval_ns", seconds(1)))
+        return clock.every(interval, flood).cancel
+
+    injector.register(FaultKind.NOISY_NEIGHBOR, noisy_neighbor)
 
 
 class TenancyPlane(Plane):
@@ -20,10 +69,6 @@ class TenancyPlane(Plane):
     scrape_targets = (("tenancy", "tenancy-exporter:9104", "tenancy_exporter"),)
 
     def validate(self, cfg):
-        if not cfg.default_tenant:
-            raise ValidationError("default_tenant must be non-empty")
-        if cfg.query_max_concurrency < 1:
-            raise ValidationError("query_max_concurrency must be >= 1")
         if cfg.tenant_shard_size < 0:
             raise ValidationError("tenant_shard_size must be >= 0")
         if (
@@ -36,29 +81,22 @@ class TenancyPlane(Plane):
             )
 
     def build_stores(self, fw):
-        cfg = fw.config
-        fw.limits = LimitsRegistry(
-            cfg.tenant_default_limits, cfg.tenant_overrides
-        )
-        fw.admission = AdmissionController(
-            fw.limits,
-            fw.clock,
-            default_tenant=cfg.default_tenant,
-            tracer=fw.tracer,
-        )
+        # Every tenant inherits the generous built-in limits unless
+        # overridden; untenanted pushes belong to the default tenant.
+        fw.limits = LimitsRegistry(overrides=fw.config.tenant_overrides)
+        fw.admission = AdmissionController(fw.limits, fw.clock, tracer=fw.tracer)
 
     def build_query(self, fw):
         fw.scheduler = QueryScheduler(
             query_frontend(fw),
             fw.clock,
             registry=fw.limits,
-            max_concurrency=fw.config.query_max_concurrency,
             tracer=fw.tracer,
         )
         fw.tenancy_exporter = TenancyExporter(
             fw.admission, fw.scheduler, fw.broker
         )
-        fw.faults.attach_tenancy(fw.warehouse, fw.scheduler)
+        register_faults(fw.faults, fw.warehouse, fw.scheduler)
 
     def install_rules(self, fw):
         fw.vmalert.add_rule(

@@ -13,7 +13,7 @@ from repro.loki.frontend import QueryFrontend
 from repro.loki.logql.engine import LogQLEngine
 from repro.loki.model import PushRequest
 from repro.loki.ruler import Ruler
-from repro.loki.store import LokiCluster
+from repro.ring.cluster import RingLokiCluster
 from repro.tsdb.promql import PromQLEngine
 from repro.tsdb.storage import TimeSeriesStore
 
@@ -21,7 +21,7 @@ from repro.tsdb.storage import TimeSeriesStore
 class TestEngineOverShardedCluster:
     @pytest.fixture
     def world(self):
-        cluster = LokiCluster(shards=4)
+        cluster = RingLokiCluster(ingesters=4, replication_factor=1)
         for i in range(40):
             cluster.push(
                 PushRequest.single(

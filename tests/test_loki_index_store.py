@@ -7,7 +7,8 @@ from repro.common.labels import LabelSet, label_matcher
 from repro.loki.chunks import ChunkPolicy
 from repro.loki.index import LabelIndex
 from repro.loki.model import LogEntry, PushRequest
-from repro.loki.store import LokiCluster, LokiStore
+from repro.loki.store import LokiStore
+from repro.ring.cluster import RingLokiCluster
 
 
 class TestLabelIndex:
@@ -238,13 +239,22 @@ class TestAntiEntropySurface:
         assert store.drain_touched() == set()
 
 
+def ring(ingesters):
+    """The one sharded cluster: the ingest ring, unreplicated."""
+    return RingLokiCluster(ingesters=ingesters, replication_factor=1)
+
+
+def entry_counts(cluster):
+    return [i.store.stats.entries_ingested for i in cluster.ingesters.values()]
+
+
 class TestCluster:
     def test_shards_validated(self):
         with pytest.raises(ValidationError):
-            LokiCluster(shards=0)
+            ring(0)
 
     def test_push_and_global_select(self):
-        cluster = LokiCluster(shards=4)
+        cluster = ring(4)
         for i in range(20):
             cluster.push(PushRequest.single({"stream": str(i)}, [(1, f"line{i}")]))
         results = cluster.select([label_matcher("stream", "=~", ".*")], 0, 10)
@@ -252,35 +262,36 @@ class TestCluster:
 
     def test_stream_affinity(self):
         """The same stream always lands on the same shard (ordering holds)."""
-        cluster = LokiCluster(shards=4)
+        cluster = ring(4)
         for i in range(10):
             cluster.push(PushRequest.single({"s": "fixed"}, [(i, str(i))]))
-        counts = [c for c in cluster.shard_entry_counts() if c]
+        counts = [c for c in entry_counts(cluster) if c]
         assert counts == [10]
 
     def test_distribution_across_shards(self):
-        cluster = LokiCluster(shards=8)
+        cluster = ring(8)
         for i in range(200):
             cluster.push(PushRequest.single({"s": str(i)}, [(1, "x")]))
-        busy = [c for c in cluster.shard_entry_counts() if c > 0]
+        busy = [c for c in entry_counts(cluster) if c > 0]
         assert len(busy) == 8  # every shard participates
 
     def test_parallel_speedup_grows_with_shards(self):
         def speedup(shards):
-            cluster = LokiCluster(shards=shards)
+            cluster = ring(shards)
             for i in range(400):
                 cluster.push(PushRequest.single({"s": str(i)}, [(1, "x")]))
-            return cluster.parallel_speedup()
+            counts = entry_counts(cluster)
+            return sum(counts) / max(counts)
 
         assert speedup(8) > speedup(2) > speedup(1) * 0.99
 
     def test_total_entries(self):
-        cluster = LokiCluster(shards=2)
+        cluster = ring(2)
         cluster.push(PushRequest.single({"a": "1"}, [(1, "x"), (2, "y")]))
-        assert cluster.total_entries() == 2
+        assert cluster.stats.entries_ingested == 2
 
     def test_stats_aggregates_across_shards(self):
-        cluster = LokiCluster(shards=4)
+        cluster = ring(4)
         for i in range(50):
             cluster.push(PushRequest.single({"s": str(i)}, [(1, "x" * 10)]))
         # Out-of-order entry rejected by whichever shard owns the stream.

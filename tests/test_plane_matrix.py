@@ -19,6 +19,7 @@ from pathlib import Path
 import pytest
 
 from repro.alerting.rules import RuleSpec
+from repro.cluster.faults import FaultKind
 from repro.cluster.topology import ClusterSpec
 from repro.common.errors import ValidationError
 from repro.common.labels import Matcher, MatchOp
@@ -105,12 +106,18 @@ class _Canary(Exporter):
 
     def __init__(self) -> None:
         self.beats = 0
+        self.held = False
         super().__init__(
             ((("canary_beats_total", "counter", "Beats."),), self._read_beats)
         )
 
     def beat(self) -> None:
-        self.beats += 1
+        self.beats += not self.held
+
+    def hold(self, fault):
+        """The plane's fault: ``begin(fault)`` applies, returns the undo."""
+        self.held = True
+        return lambda: setattr(self, "held", False)
 
     def _read_beats(self):
         yield "canary_beats_total", self.beats, None
@@ -124,6 +131,9 @@ class CanaryPlane(Plane):
 
     def build_alerting(self, fw):
         fw.canary = _Canary()
+        # FaultKind is the one catalogue; with the delivery plane off
+        # nobody has claimed this member.
+        fw.faults.register(FaultKind.SLOW_CONSUMER, fw.canary.hold)
 
     def routes(self, fw):
         return [
@@ -167,6 +177,9 @@ def test_ninth_plane_needs_no_edit_under_src(monkeypatch):
     )
     assert fw.health_summary()["canary_beats"] == fw.canary.beats == 12
     assert fw.promql.query_instant("canary_beats_total", fw.clock.now_ns)
+    fault = fw.faults.schedule(FaultKind.SLOW_CONSUMER, "canary", duration_ns=minutes(1))
+    fw.run_for(minutes(1) + seconds(20))
+    assert not fault.active and fw.canary.beats == 12 + 3  # 5 of 8 held back
     # Without the plane the attribute does not exist at all.
     monkeypatch.undo()
     assert not hasattr(MonitoringFramework(config_for(())), "canary")

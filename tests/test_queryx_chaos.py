@@ -143,6 +143,6 @@ class TestValidation:
             cluster_spec=spec, enable_query_engine=False,
             install_default_rules=False,
         ))
-        fw.faults.schedule(FaultKind.QUERIER_CRASH, "querier-0", delay_ns=0)
         with pytest.raises(ValidationError):
-            fw.run_for(minutes(1))
+            fw.faults.schedule(FaultKind.QUERIER_CRASH, "querier-0", delay_ns=0)
+        fw.run_for(minutes(1))

@@ -121,9 +121,10 @@ class TestChaosFaults:
             )
         )
         fw.start()
-        fw.faults.schedule(FaultKind.INGESTER_CRASH, "ingester-0")
-        with pytest.raises(ValidationError, match="requires an ingest ring"):
-            fw.run_for(minutes(1))
+        with pytest.raises(ValidationError, match="no handler registered"):
+            fw.faults.schedule(FaultKind.INGESTER_CRASH, "ingester-0")
+        fw.run_for(minutes(1))
+        assert fw.faults.faults == []
 
     def test_no_log_loss_across_crash_and_replay(self):
         fw = MonitoringFramework(ring_config())

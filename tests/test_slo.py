@@ -33,6 +33,7 @@ from repro.slo import (
     time_to_exceed_ns,
     windowed_error_fraction,
 )
+from repro.slo.plane import register_faults
 from repro.slo.sources import (
     AlertDeliverySource,
     IngestAvailabilitySource,
@@ -599,7 +600,7 @@ def fault_world(slo_world):
     clock, store, promql, manager, events = slo_world
     cluster = Cluster(ClusterSpec(cabinets=1, chassis_per_cabinet=1))
     injector = FaultInjector(cluster, clock)
-    injector.attach_slo(manager)
+    register_faults(injector, manager)
     return clock, manager, injector
 
 
@@ -676,11 +677,12 @@ class TestBurnInjectionFault:
         clock = SimClock(0)
         cluster = Cluster(ClusterSpec(cabinets=1, chassis_per_cabinet=1))
         injector = FaultInjector(cluster, clock)
-        injector.schedule(
-            FaultKind.BURN_INJECTION, "a", delay_ns=seconds(1)
-        )
         with pytest.raises(ValidationError):
-            clock.advance(seconds(1))
+            injector.schedule(
+                FaultKind.BURN_INJECTION, "a", delay_ns=seconds(1)
+            )
+        clock.advance(seconds(1))
+        assert injector.faults == []
 
 
 # ----------------------------------------------------------------------

@@ -228,8 +228,8 @@ class TestLegacyModeUntouched:
 
     def test_noisy_fault_requires_the_flag(self):
         fw = MonitoringFramework(FrameworkConfig(enable_multi_tenancy=False))
-        fw.faults.schedule(FaultKind.NOISY_NEIGHBOR, "noisy", delay_ns=0)
         with pytest.raises(ValidationError):
             # Surfaces the misconfiguration instead of silently running
             # the flood untenanted.
-            fw.run_for(seconds(1))
+            fw.faults.schedule(FaultKind.NOISY_NEIGHBOR, "noisy", delay_ns=0)
+        fw.run_for(seconds(1))
