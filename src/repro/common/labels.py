@@ -208,7 +208,10 @@ class Matcher:
         As in Prometheus, a missing label is treated as the empty string, so
         ``foo!="bar"`` matches series without a ``foo`` label.
         """
-        actual = labels.get(self.name, "")
+        return self.matches_value(labels.get(self.name, ""))
+
+    def matches_value(self, actual: str) -> bool:
+        """Whether a label holding ``actual`` ("" if absent) satisfies this."""
         if self.op is MatchOp.EQ:
             return actual == self.value
         if self.op is MatchOp.NEQ:

@@ -1,30 +1,30 @@
 """The label index: the *only* index Loki keeps.
 
-Maps stream ids ↔ label sets and maintains an inverted index from
-``(label, value)`` pairs to stream ids so equality matchers resolve by set
-intersection instead of a scan.  Its measured size is the point of bench
-C3: it grows with stream count (label cardinality), never with log volume.
+Maps stream ids ↔ label sets over a :class:`PostingsIndex` from
+``(label, value)`` pairs to stream ids, so a selector resolves over a
+label's distinct values instead of a scan of the streams.  Its measured
+size is the point of bench C3: it grows with stream count (label
+cardinality), never with log volume.
 """
 
 from __future__ import annotations
 
 from typing import Iterable
 
-from repro.common.errors import NotFoundError
-from repro.common.labels import LabelSet, Matcher, MatchOp
+from repro.common.labels import LabelSet, Matcher
+from repro.common.postings import PostingsIndex
 
 
 class LabelIndex:
     """Bidirectional stream/label index with inverted posting lists."""
 
     def __init__(self) -> None:
-        self._streams: dict[int, LabelSet] = {}
+        #: By stream id; ids count up from 0 in creation order.
+        self._postings = PostingsIndex()
         self._by_labels: dict[LabelSet, int] = {}
-        self._postings: dict[tuple[str, str], set[int]] = {}
-        self._next_id = 0
 
     def __len__(self) -> int:
-        return len(self._streams)
+        return len(self._by_labels)
 
     # ------------------------------------------------------------------
     # Registration
@@ -32,21 +32,13 @@ class LabelIndex:
     def get_or_create(self, labels: LabelSet) -> int:
         """Return the stream id for ``labels``, creating it if new."""
         sid = self._by_labels.get(labels)
-        if sid is not None:
-            return sid
-        sid = self._next_id
-        self._next_id += 1
-        self._streams[sid] = labels
-        self._by_labels[labels] = sid
-        for pair in labels.items_tuple():
-            self._postings.setdefault(pair, set()).add(sid)
+        if sid is None:
+            sid = self._by_labels[labels] = len(self._by_labels)
+            self._postings.add(sid, labels)
         return sid
 
     def labels_of(self, stream_id: int) -> LabelSet:
-        try:
-            return self._streams[stream_id]
-        except KeyError:
-            raise NotFoundError(f"no such stream id: {stream_id}") from None
+        return self._postings.labels_of(stream_id)
 
     def lookup(self, labels: LabelSet) -> int | None:
         return self._by_labels.get(labels)
@@ -54,55 +46,29 @@ class LabelIndex:
     # ------------------------------------------------------------------
     # Selection
     # ------------------------------------------------------------------
-    def select(self, matchers: Iterable[Matcher]) -> list[int]:
-        """Stream ids whose labels satisfy every matcher.
-
-        Equality matchers narrow via posting-list intersection; the other
-        operators filter the surviving candidates.
-        """
-        matchers = list(matchers)
-        # `{foo=""}` matches streams *without* the label (Prometheus
-        # semantics) and so cannot use the posting lists.
-        eq = [m for m in matchers if m.op is MatchOp.EQ and m.value != ""]
-        rest = [m for m in matchers if m.op is not MatchOp.EQ or m.value == ""]
-
-        if eq:
-            candidate_sets = []
-            for m in eq:
-                postings = self._postings.get((m.name, m.value))
-                if not postings:
-                    return []
-                candidate_sets.append(postings)
-            candidates: set[int] = set.intersection(*candidate_sets)
-        else:
-            candidates = set(self._streams)
-
-        if rest:
-            candidates = {
-                sid
-                for sid in candidates
-                if all(m.matches(self._streams[sid]) for m in rest)
-            }
-        return sorted(candidates)
+    def select(
+        self, matchers: Iterable[Matcher], shard: tuple[int, int] | None = None
+    ) -> list[int]:
+        """Stream ids, ascending, whose labels satisfy every matcher —
+        only those in stream shard ``i`` of ``n`` when ``shard=(i, n)``."""
+        return list(self._postings.select(matchers, shard))
 
     # ------------------------------------------------------------------
     # Introspection (Grafana's label browser; bench C3 sizing)
     # ------------------------------------------------------------------
     def label_names(self) -> list[str]:
-        return sorted({name for name, _ in self._postings})
+        return self._postings.names()
 
     def label_values(self, name: str) -> list[str]:
-        return sorted({v for (n, v) in self._postings if n == name})
+        return self._postings.values(name)
 
     def size_bytes(self) -> int:
-        """Approximate resident size of the index structures."""
+        """Approximate resident size of the index structures (the
+        postings' select memo is a cache and is not counted)."""
         total = 0
-        for labels in self._streams.values():
+        for labels in self._by_labels:
             for name, value in labels.items_tuple():
                 total += len(name.encode()) + len(value.encode()) + 16
-        for (name, value), postings in self._postings.items():
-            total += len(name.encode()) + len(value.encode()) + 8 * len(postings)
+        for name, value, ids in self._postings.entries():
+            total += len(name.encode()) + len(value.encode()) + 8 * ids
         return total
-
-    def all_stream_ids(self) -> list[int]:
-        return sorted(self._streams)

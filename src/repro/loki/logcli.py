@@ -20,7 +20,7 @@ import json
 
 from repro.common.errors import QueryError, ValidationError
 from repro.common.jsonutil import ns_to_iso8601
-from repro.common.labels import LabelSet, matches_all
+from repro.common.labels import LabelSet
 from repro.loki.logql.ast import LogPipeline
 from repro.loki.logql.engine import LogQLEngine
 from repro.loki.logql.parser import parse
@@ -89,7 +89,7 @@ def run_logcli(store: LokiStore, argv: list[str], patterns=None, slo=None) -> st
         expr = parse(args.selector)
         if not isinstance(expr, LogPipeline) or expr.stages:
             raise QueryError("series takes a bare stream selector")
-        matching = [ls for ls in store.stream_labels() if matches_all(ls, expr.matchers)]
+        matching = store.stream_labels(expr.matchers)
         return "\n".join(str(ls) for ls in sorted(matching, key=LabelSet.items_tuple))
     return _run_query(store, engine, args)
 

@@ -246,17 +246,14 @@ class LokiStore:
         if end_ns <= start_ns:
             raise ValidationError("empty time range")
         out = []
-        for sid in self.index.select(matchers):
+        for sid in self.index.select(matchers, shard):
             stream = self._streams[sid]
-            labels = stream.labels
-            if shard is not None and labels.fingerprint() % shard[1] != shard[0]:
-                continue
             entries: list[LogEntry] = []
             for chunk in stream.chunks:
                 if chunk.overlaps(start_ns, end_ns):
                     entries.extend(chunk.entries_between(start_ns, end_ns))
             if entries:
-                out.append((labels, entries))
+                out.append((stream.labels, entries))
         return out
 
     def delete_before(self, cutoff_ns: int) -> int:
@@ -333,10 +330,10 @@ class LokiStore:
                 return True
         return False
 
-    def stream_labels(self) -> list[LabelSet]:
-        """Label sets of every known stream (flushed-away ones included),
-        in creation order."""
-        return [stream.labels for stream in self._streams.values()]
+    def stream_labels(self, matchers: Iterable[Matcher] = ()) -> list[LabelSet]:
+        """Label sets of every known stream (flushed-away ones included)
+        that satisfies ``matchers``, in creation order."""
+        return [self._streams[sid].labels for sid in self.index.select(matchers)]
 
     def stream_chunks(self, labels: LabelSet) -> list[Chunk]:
         """One stream's resident chunks, oldest first — the store's own

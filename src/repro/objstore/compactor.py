@@ -249,12 +249,7 @@ class Compactor:
         self.duplicates_dropped_total += entries_in - len(merged)
 
     def _compact_period(self, period: int, result: CompactionResult) -> None:
-        groups: dict[tuple[str, LabelSet], list[ChunkRef]] = {}
-        for ref in self._index.refs_in_period(period):
-            groups.setdefault((ref.tenant, ref.labels), []).append(ref)
-        for (tenant, labels), refs in sorted(
-            groups.items(), key=lambda kv: (kv[0][0], kv[0][1].items_tuple())
-        ):
+        for tenant, labels, refs in self._index.streams_in_period(period):
             result.groups_examined += 1
             if len(refs) < self.policy.min_merge_chunks:
                 continue
@@ -274,12 +269,7 @@ class Compactor:
         """
         assert self.blooms is not None
         for period in self._index.periods():
-            groups: dict[tuple[str, LabelSet], list[ChunkRef]] = {}
-            for ref in self._index.refs_in_period(period):
-                groups.setdefault((ref.tenant, ref.labels), []).append(ref)
-            for (tenant, labels), refs in sorted(
-                groups.items(), key=lambda kv: (kv[0][0], kv[0][1].items_tuple())
-            ):
+            for tenant, labels, refs in self._index.streams_in_period(period):
                 keys = {ref.key for ref in refs}
                 if not self.blooms.needs_build(tenant, labels, period, keys):
                     continue
@@ -300,12 +290,7 @@ class Compactor:
         ``needs_build`` declines them."""
         assert self.patterns is not None
         for period in self._index.periods():
-            groups: dict[tuple[str, LabelSet], list[ChunkRef]] = {}
-            for ref in self._index.refs_in_period(period):
-                groups.setdefault((ref.tenant, ref.labels), []).append(ref)
-            for (tenant, labels), refs in sorted(
-                groups.items(), key=lambda kv: (kv[0][0], kv[0][1].items_tuple())
-            ):
+            for tenant, labels, refs in self._index.streams_in_period(period):
                 keys = {ref.key for ref in refs}
                 if not self.patterns.needs_build(tenant, labels, period, keys):
                     continue

@@ -35,7 +35,7 @@ from repro.common.labels import LabelSet, Matcher
 from repro.common.simclock import SimClock
 from repro.loki.chunks import Chunk, ChunkPolicy
 from repro.loki.model import LogEntry
-from repro.objstore.index import ChunkRef, ShipperIndex, stream_fingerprint
+from repro.objstore.index import ChunkRef, ShipperIndex
 from repro.objstore.objectstore import ObjectStore
 from repro.ring.merge import merge_replica_entries
 from repro.tempo.tracer import Tracer
@@ -126,20 +126,12 @@ class StoreGateway:
         """Cold entries per matching stream with ``start <= ts < end``."""
         started = self._clock.now_ns
         self.queries += 1
+        # Off-shard refs belong to another subquery, not to this query's
+        # pruning story: they are cut here and never "considered".
         refs = self._index.refs_overlapping(
-            start_ns, end_ns, tenant=tenant, matchers=list(matchers)
+            start_ns, end_ns, tenant=tenant, matchers=matchers, shard=shard
         )
         considered = len(refs)
-        if shard is not None:
-            shard_index, shard_count = shard
-            refs = [
-                ref
-                for ref in refs
-                if stream_fingerprint(ref.labels) % shard_count == shard_index
-            ]
-            # Off-shard refs belong to another subquery, not to this
-            # query's pruning story: they are not "considered" here.
-            considered = len(refs)
         skipped = 0
         if self.blooms is not None and line_contains:
             kept = []

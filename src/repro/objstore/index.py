@@ -17,13 +17,17 @@ authoritative (so removals never resurrect), and the compactor's
 from __future__ import annotations
 
 import zlib
+from bisect import bisect_left, insort
 from dataclasses import dataclass
+from itertools import accumulate
+from operator import attrgetter
 from typing import TYPE_CHECKING, Iterable
 
 from repro.common.errors import ValidationError
 from repro.common.hashing import fnv1a_64, mix64
 from repro.common.jsonutil import dumps_compact, loads
-from repro.common.labels import LabelSet, Matcher, matches_all
+from repro.common.labels import LabelSet, Matcher
+from repro.common.postings import PostingsIndex, check_shard
 from repro.common.simclock import NANOS_PER_DAY
 from repro.objstore.objectstore import ObjectStore
 
@@ -70,8 +74,9 @@ class ChunkRef:
     key: str
     period: int
 
-    def overlaps(self, start_ns: int, end_ns: int) -> bool:
-        return self.last_ts_ns >= start_ns and self.first_ts_ns < end_ns
+    def order(self) -> tuple:
+        """What a list of refs is returned sorted by."""
+        return self.labels.items_tuple(), self.first_ts_ns, self.key
 
     def to_obj(self) -> dict:
         return {
@@ -116,7 +121,11 @@ class ShipperIndex:
         self.bucket = bucket
         self.period_ns = period_ns
         self._refs: dict[str, ChunkRef] = {}
-        self._by_period: dict[int, set[str]] = {}
+        # Per (period, tenant): one postings table over its streams' label
+        # sets and, by labels, each stream's refs in (first_ts_ns, key)
+        # order beside ``reach``, the running maximum of their
+        # last_ts_ns — so both ends of a time cut are bisects.
+        self._tables: dict[tuple[int, str], tuple[PostingsIndex, dict]] = {}
         self._dirty: set[int] = set()
         self._seq = 0
         self.index_files_written = 0
@@ -135,20 +144,37 @@ class ShipperIndex:
         """Register a ref; returns False if the key is already indexed."""
         if ref.key in self._refs:
             return False
-        self._refs[ref.key] = ref
-        self._by_period.setdefault(ref.period, set()).add(ref.key)
+        self._insert(ref)
         self._dirty.add(ref.period)
         return True
+
+    def _insert(self, ref: ChunkRef) -> None:
+        self._refs[ref.key] = ref
+        at = (ref.period, ref.tenant)
+        if at not in self._tables:
+            self._tables[at] = (PostingsIndex(key=LabelSet.items_tuple), {})
+        table, streams = self._tables[at]
+        if ref.labels not in streams:
+            streams[ref.labels] = ([], [])
+            table.add(ref.labels, ref.labels)
+        refs, reach = streams[ref.labels]
+        insort(refs, ref, key=attrgetter("first_ts_ns", "key"))
+        reach[:] = accumulate((r.last_ts_ns for r in refs), max)
 
     def remove(self, key: str) -> bool:
         ref = self._refs.pop(key, None)
         if ref is None:
             return False
-        keys = self._by_period.get(ref.period)
-        if keys is not None:
-            keys.discard(key)
-            if not keys:
-                del self._by_period[ref.period]
+        at = (ref.period, ref.tenant)
+        table, streams = self._tables[at]
+        refs, reach = streams[ref.labels]
+        refs.remove(ref)
+        reach[:] = accumulate((r.last_ts_ns for r in refs), max)
+        if not refs:
+            del streams[ref.labels]
+            table.remove(ref.labels)
+            if not streams:
+                del self._tables[at]
         # The period file must be rewritten even if now empty.
         self._dirty.add(ref.period)
         return True
@@ -163,13 +189,33 @@ class ShipperIndex:
         return [self._refs[key] for key in sorted(self._refs)]
 
     def periods(self) -> list[int]:
-        return sorted(self._by_period)
-
-    def refs_in_period(self, period: int) -> list[ChunkRef]:
-        return [self._refs[key] for key in sorted(self._by_period.get(period, ()))]
+        return sorted({period for period, _ in self._tables})
 
     def tenants(self) -> list[str]:
-        return sorted({ref.tenant for ref in self._refs.values()})
+        return sorted({tenant for _, tenant in self._tables})
+
+    def _scan(self, period: int | None = None, tenant: str | None = None):
+        """Every ref of one period and/or tenant, stream by stream."""
+        for (p, t), (_, streams) in self._tables.items():
+            if (period is None or p == period) and (tenant is None or t == tenant):
+                for refs, _ in streams.values():
+                    yield from refs
+
+    def refs_in_period(self, period: int) -> list[ChunkRef]:
+        return sorted(self._scan(period=period), key=attrgetter("key"))
+
+    def streams_in_period(self, period: int) -> list[tuple[str, LabelSet, list[ChunkRef]]]:
+        """Each ``(tenant, stream)`` of one period with its refs by key, in
+        ``(tenant, labels)`` order — the compactor's unit of work."""
+        return sorted(
+            (
+                (tenant, labels, sorted(refs, key=attrgetter("key")))
+                for (p, tenant), (_, streams) in self._tables.items()
+                if p == period
+                for labels, (refs, _) in streams.items()
+            ),
+            key=lambda group: (group[0], group[1].items_tuple()),
+        )
 
     def refs_overlapping(
         self,
@@ -177,16 +223,22 @@ class ShipperIndex:
         end_ns: int,
         tenant: str | None = None,
         matchers: Iterable[Matcher] | None = None,
+        shard: tuple[int, int] | None = None,
     ) -> list[ChunkRef]:
-        matchers = list(matchers or ())
-        out = [
-            ref
-            for ref in self._refs.values()
-            if ref.overlaps(start_ns, end_ns)
-            and (tenant is None or ref.tenant == tenant)
-            and (not matchers or matches_all(ref.labels, matchers))
-        ]
-        out.sort(key=lambda r: (r.labels.items_tuple(), r.first_ts_ns, r.key))
+        """Refs with an entry span reaching into ``[start, end)``, cut to
+        one tenant, the streams ``matchers`` select and a stream shard."""
+        if shard is not None:
+            check_shard(shard)  # even with no table to ask
+        matchers = tuple(matchers or ())
+        out: list[ChunkRef] = []
+        for (_, of), (table, streams) in self._tables.items():
+            if tenant is None or of == tenant:
+                for labels in table.select(matchers, shard):
+                    refs, reach = streams[labels]
+                    low = bisect_left(reach, start_ns)
+                    high = bisect_left(refs, end_ns, low, key=attrgetter("first_ts_ns"))
+                    out.extend(r for r in refs[low:high] if r.last_ts_ns >= start_ns)
+        out.sort(key=ChunkRef.order)
         return out
 
     def refs_wholly_before(
@@ -194,39 +246,23 @@ class ShipperIndex:
     ) -> list[ChunkRef]:
         """Refs whose entire time range precedes ``cutoff_ns`` — retention's
         unit of deletion, mirroring the hot store's chunk granularity."""
-        out = [
-            ref
-            for ref in self._refs.values()
-            if ref.last_ts_ns < cutoff_ns
-            and (tenant is None or ref.tenant == tenant)
-        ]
-        out.sort(key=lambda r: (r.labels.items_tuple(), r.first_ts_ns, r.key))
-        return out
+        return sorted(
+            (r for r in self._scan(tenant=tenant) if r.last_ts_ns < cutoff_ns),
+            key=ChunkRef.order,
+        )
 
     def entry_count(self, tenant: str | None = None) -> int:
-        return sum(
-            ref.entry_count
-            for ref in self._refs.values()
-            if tenant is None or ref.tenant == tenant
-        )
+        return sum(ref.entry_count for ref in self._scan(tenant=tenant))
 
     def chunk_bytes(self, tenant: str | None = None) -> int:
-        return sum(
-            ref.size_bytes
-            for ref in self._refs.values()
-            if tenant is None or ref.tenant == tenant
-        )
+        return sum(ref.size_bytes for ref in self._scan(tenant=tenant))
 
     def oldest_first_ts(self, tenant: str | None = None) -> int | None:
-        candidates = [
-            ref.first_ts_ns
-            for ref in self._refs.values()
-            if tenant is None or ref.tenant == tenant
-        ]
-        return min(candidates) if candidates else None
+        return min((ref.first_ts_ns for ref in self._scan(tenant=tenant)), default=None)
 
-    def stream_labels(self) -> set[LabelSet]:
-        return {ref.labels for ref in self._refs.values()}
+    def stream_labels(self, matchers: Iterable[Matcher] = ()) -> set[LabelSet]:
+        matchers = tuple(matchers)
+        return {ls for table, _ in self._tables.values() for ls in table.select(matchers)}
 
     # ------------------------------------------------------------------
     # Durability: period files in the object store
@@ -282,7 +318,7 @@ class ShipperIndex:
         directory in the bucket — cold start from pure object storage.
         Returns the number of refs restored."""
         self._refs.clear()
-        self._by_period.clear()
+        self._tables.clear()
         self._dirty.clear()
         by_period: dict[str, list[str]] = {}
         for key in self._store.list_keys(self.bucket, INDEX_PREFIX):
@@ -302,7 +338,5 @@ class ShipperIndex:
                 zlib.decompress(self._store.get(self.bucket, newest)).decode()
             )
             for ref_obj in obj["refs"]:
-                ref = ChunkRef.from_obj(ref_obj)
-                self._refs[ref.key] = ref
-                self._by_period.setdefault(ref.period, set()).add(ref.key)
+                self._insert(ChunkRef.from_obj(ref_obj))
         return len(self._refs)

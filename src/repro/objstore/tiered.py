@@ -170,8 +170,8 @@ class TieredLokiStore:
         hot_labels = set(self.hot.stream_labels())
         return len(hot_labels | self.index.stream_labels())
 
-    def stream_labels(self) -> list[LabelSet]:
-        labels = set(self.hot.stream_labels()) | self.index.stream_labels()
+    def stream_labels(self, matchers: Sequence[Matcher] = ()) -> list[LabelSet]:
+        labels = set(self.hot.stream_labels(matchers)) | self.index.stream_labels(matchers)
         return sorted(labels, key=lambda ls: ls.items_tuple())
 
     def chunk_count(self) -> int:

@@ -29,6 +29,7 @@ from __future__ import annotations
 import math
 import zlib
 from dataclasses import dataclass, field
+from functools import lru_cache
 from typing import TYPE_CHECKING, Iterable
 
 from repro.common.errors import ValidationError
@@ -54,6 +55,19 @@ def line_ngrams(text: str, n: int = NGRAM_LEN) -> set[str]:
     if len(text) < n:
         return set()
     return {text[i : i + n] for i in range(len(text) - n + 1)}
+
+
+def hash_pair(token: str) -> tuple[int, int]:
+    """A token's ``(h1, h2)``: all a filter of any geometry needs of it."""
+    h1 = fnv1a_64(token.encode())
+    return h1, mix64(h1) | 1  # odd: cycles the whole bit space
+
+
+@lru_cache(maxsize=1 << 10)
+def needle_probes(needle: str) -> tuple[tuple[int, int], ...]:
+    """The hash pair of every n-gram of ``needle`` — kept per needle, so a
+    query hashes its needles once, not once per chunk it considers."""
+    return tuple(hash_pair(gram) for gram in line_ngrams(needle))
 
 
 class BloomFilter:
@@ -87,21 +101,25 @@ class BloomFilter:
         k = max(1, round(m / n * math.log(2)))
         return cls(m, k)
 
-    def _probes(self, token: str) -> Iterable[int]:
-        h1 = fnv1a_64(token.encode())
-        h2 = mix64(h1) | 1  # odd: cycles the whole bit space
-        for i in range(self.k):
-            yield (h1 + i * h2) % self.m_bits
-
     def add(self, token: str) -> None:
-        for bit in self._probes(token):
+        h1, h2 = hash_pair(token)
+        for i in range(self.k):
+            bit = (h1 + i * h2) % self.m_bits
             self._bits[bit >> 3] |= 1 << (bit & 7)
         self.inserted += 1
 
     def might_contain(self, token: str) -> bool:
-        return all(
-            self._bits[bit >> 3] & (1 << (bit & 7)) for bit in self._probes(token)
-        )
+        return self.has_all((hash_pair(token),))
+
+    def has_all(self, pairs: Iterable[tuple[int, int]]) -> bool:
+        """Whether every token of the given hash pairs might be present."""
+        bits, m_bits, probes = self._bits, self.m_bits, range(self.k)
+        for h1, h2 in pairs:
+            for i in probes:
+                bit = (h1 + i * h2) % m_bits
+                if not bits[bit >> 3] & (1 << (bit & 7)):
+                    return False
+        return True
 
     def fill_ratio(self) -> float:
         set_bits = sum(bin(b).count("1") for b in self._bits)
@@ -160,10 +178,7 @@ class BloomBlock:
         is proof of absence.  Needles shorter than the gram length are
         unverifiable and conservatively match.
         """
-        grams = line_ngrams(needle)
-        if not grams:
-            return True
-        return all(self.filter.might_contain(g) for g in grams)
+        return self.filter.has_all(needle_probes(needle))
 
     def to_obj(self) -> dict:
         return {
@@ -289,10 +304,11 @@ class BloomStore:
         if block is None or not block.covers(ref):
             return False
         for needle in needles:
-            if not line_ngrams(needle):
+            probes = needle_probes(needle)
+            if not probes:
                 continue
             self.needle_checks += 1
-            if not block.might_match_needle(needle):
+            if not block.filter.has_all(probes):
                 self.needle_rejections += 1
                 return True
         return False

@@ -20,16 +20,15 @@ from __future__ import annotations
 
 from typing import Iterable, Sequence
 
-from repro.common.errors import ValidationError
 from repro.common.labels import LabelSet, Matcher
+from repro.common.postings import check_shard
 from repro.loki.model import LogEntry
 from repro.objstore.index import stream_fingerprint
 
 
 def shard_of(labels: LabelSet, shard_count: int) -> int:
     """Which of ``shard_count`` shards owns this stream."""
-    if shard_count < 1:
-        raise ValidationError("shard_count must be >= 1")
+    check_shard((0, shard_count))
     return stream_fingerprint(labels) % shard_count
 
 
@@ -52,10 +51,7 @@ class ShardedSource:
         shard_count: int,
         line_contains: Sequence[str] = (),
     ) -> None:
-        if not 0 <= shard_index < shard_count:
-            raise ValidationError(
-                f"shard_index {shard_index} out of range for {shard_count} shards"
-            )
+        check_shard((shard_index, shard_count))
         self._inner = inner
         self.shard_index = shard_index
         self.shard_count = shard_count

@@ -14,7 +14,7 @@ distributor: ``distributor.entries_accepted``.
 
 from __future__ import annotations
 
-from typing import Iterable, Mapping
+from typing import Iterable, Mapping, Sequence
 
 from repro.common.errors import NotFoundError, ValidationError
 from repro.common.labels import LabelSet, Matcher
@@ -229,11 +229,11 @@ class RingLokiCluster:
         """Distinct streams cluster-wide (union across replicas)."""
         return len(set(self.stream_labels()))
 
-    def stream_labels(self) -> list[LabelSet]:
+    def stream_labels(self, matchers: Sequence[Matcher] = ()) -> list[LabelSet]:
         """Distinct stream label sets cluster-wide, sorted."""
         seen: set[LabelSet] = set()
         for ingester in self.ingesters.values():
-            seen.update(ingester.store.stream_labels())
+            seen.update(ingester.store.stream_labels(matchers))
         return sorted(seen, key=lambda ls: ls.items_tuple())
 
     def chunk_count(self) -> int:

@@ -18,12 +18,8 @@ from typing import Iterable, Mapping
 import numpy as np
 
 from repro.common.errors import ValidationError
-from repro.common.labels import (
-    METRIC_NAME_LABEL,
-    LabelSet,
-    Matcher,
-    MatchOp,
-)
+from repro.common.labels import METRIC_NAME_LABEL, LabelSet, Matcher
+from repro.common.postings import PostingsIndex
 
 #: ``_Column.last_ts`` of a column nothing was appended to yet.
 _NO_SAMPLE_YET = -(2**63)
@@ -114,10 +110,8 @@ class TimeSeriesStore:
 
     def __init__(self) -> None:
         self._series: dict[LabelSet, _Column] = {}
-        # Posting lists are insertion-ordered (a dict used as a set), so
-        # candidates reach the final sort in registration order — long
-        # ascending runs, as exporters emit them — not in hash order.
-        self._postings: dict[tuple[str, str], dict[LabelSet, None]] = {}
+        #: By column, selecting in ascending label order.
+        self._postings = PostingsIndex(key=lambda column: column.labels.items_tuple())
         self._exemplars: dict[LabelSet, deque[Exemplar]] = {}
         # Series refs: (name, labels exactly as a caller passes them) →
         # the series' column.  Several keys may name one column (a dict
@@ -173,8 +167,7 @@ class TimeSeriesStore:
         column = self._series.get(full)
         if column is None:
             column = self._series[full] = _Column(full)
-            for pair in full.items_tuple():
-                self._postings.setdefault(pair, {})[full] = None
+            self._postings.add(column, full)
         return column
 
     def ingest_sample(self, sample: MetricSample) -> bool:
@@ -200,36 +193,11 @@ class TimeSeriesStore:
         if end_ns <= start_ns:
             raise ValidationError("empty time range")
         out = []
-        for labels in self._select_series(matchers):
-            ts, vals = self._series[labels].window(start_ns, end_ns)
+        for column in self._postings.select(matchers):
+            ts, vals = column.window(start_ns, end_ns)
             if len(ts):
-                out.append((labels, ts, vals))
+                out.append((column.labels, ts, vals))
         return out
-
-    def _select_series(self, matchers: Iterable[Matcher]) -> list[LabelSet]:
-        matchers = list(matchers)
-        # `{foo=""}` matches series *without* the label (Prometheus
-        # semantics) and so cannot use the posting lists.
-        eq = [m for m in matchers if m.op is MatchOp.EQ and m.value != ""]
-        rest = [m for m in matchers if m.op is not MatchOp.EQ or m.value == ""]
-        if eq:
-            lists = []
-            for m in eq:
-                postings = self._postings.get((m.name, m.value))
-                if not postings:
-                    return []
-                lists.append(postings)
-            shortest, *others = sorted(lists, key=len)
-            candidates = list(shortest)
-            if others:
-                candidates = [s for s in candidates if all(s in o for o in others)]
-        else:
-            candidates = list(self._series)
-        if rest:
-            candidates = [
-                s for s in candidates if all(m.matches(s) for m in rest)
-            ]
-        return sorted(candidates, key=LabelSet.items_tuple)
 
     def exemplars(
         self, matchers: Iterable[Matcher], start_ns: int, end_ns: int
@@ -238,7 +206,8 @@ class TimeSeriesStore:
         if end_ns <= start_ns:
             raise ValidationError("empty time range")
         out: list[tuple[LabelSet, list[Exemplar]]] = []
-        for labels in self._select_series(matchers):
+        for column in self._postings.select(matchers):
+            labels = column.labels
             ring = self._exemplars.get(labels)
             if not ring:
                 continue
@@ -257,9 +226,7 @@ class TimeSeriesStore:
         return sum(len(c) for c in self._series.values())
 
     def metric_names(self) -> list[str]:
-        return sorted(
-            {v for (n, v) in self._postings if n == METRIC_NAME_LABEL}
-        )
+        return self._postings.values(METRIC_NAME_LABEL)
 
     def retained_bytes(self) -> int:
         """Resident column bytes (16 per sample: int64 ts + float64 value)."""
@@ -295,12 +262,7 @@ class TimeSeriesStore:
             emptied.append(column)
             del self._series[labels]
             self._exemplars.pop(labels, None)
-            for pair in labels.items_tuple():
-                postings = self._postings.get(pair)
-                if postings:
-                    postings.pop(labels, None)
-                    if not postings:
-                        del self._postings[pair]
+            self._postings.remove(column)
         if emptied:
             gone = set(emptied)
             self._refs = {
