@@ -42,11 +42,12 @@ def mix64(h: int) -> int:
       of micro-clusters instead of spreading over the circle — breaking
       the bounded-movement guarantee in practice (a joining member could
       capture half the key space);
-    * a modulo placement ``fnv % shards`` (queryx's ``shard_of``, the
-      broker's partitioner) maps every label set whose values differ
-      only in characters a multiple of 8 apart (e.g. ``'0'`` vs ``'8'``,
-      one ASCII bit) onto a *single* shard, because each per-byte delta
-      times the odd FNV prime preserves the low three bits.
+    * a modulo placement ``fnv % shards`` (the stream shard cut in
+      ``PostingsIndex.select``, the broker's partitioner) maps every
+      label set whose values differ only in characters a multiple of 8
+      apart (e.g. ``'0'`` vs ``'8'``, one ASCII bit) onto a *single*
+      shard, because each per-byte delta times the odd FNV prime
+      preserves the low three bits.
 
     Running the finalizer over the raw hash restores uniformity without
     changing the underlying key hash (pinned by regression tests).

@@ -1,7 +1,8 @@
 """LogQL evaluation engine.
 
-Evaluates parsed queries against a :class:`~repro.loki.store.LokiStore`
-(or sharded cluster — anything with ``select``).  The engine implements
+Evaluates parsed queries against any log store — a
+:class:`~repro.loki.store.LokiStore`, the ring, the tiered store — through
+the one ``select`` they share (DESIGN §3).  The engine implements
 the paper's core conversion: log lines, filtered and parsed, become
 Prometheus-style instant vectors / range series that Grafana plots and
 the Ruler alerts on.
@@ -17,7 +18,7 @@ from __future__ import annotations
 import json
 import re
 from operator import itemgetter
-from typing import Iterable, Protocol
+from typing import Iterable, Protocol, Sequence
 
 import numpy as np
 
@@ -75,10 +76,15 @@ _LOGFMT_RE = re.compile(r'([A-Za-z_][A-Za-z0-9_]*)=("(?:[^"\\]|\\.)*"|\S*)')
 
 
 class LogSource(Protocol):
-    """What the engine needs from a store (single-node or sharded)."""
+    """What the engine needs from a store: the one log-store ``select``."""
 
     def select(
-        self, matchers: Iterable[Matcher], start_ns: int, end_ns: int
+        self,
+        matchers: Iterable[Matcher],
+        start_ns: int,
+        end_ns: int,
+        shard: tuple[int, int] | None = None,
+        line_contains: Sequence[str] = (),
     ) -> list[tuple[LabelSet, list[LogEntry]]]: ...
 
 
@@ -95,13 +101,22 @@ class PatternSource(Protocol):
 
 
 class LogQLEngine:
-    """Evaluates LogQL log and metric queries."""
+    """Evaluates LogQL log and metric queries.
+
+    ``shard=(i, n)`` restricts every read to the streams of shard ``i`` of
+    ``n`` — one queryx subquery's slice; shards partition streams, so the
+    union of all ``n`` engines' answers is the unsharded one.
+    """
 
     def __init__(
-        self, source: LogSource, patterns: "PatternSource | None" = None
+        self,
+        source: LogSource,
+        patterns: "PatternSource | None" = None,
+        shard: tuple[int, int] | None = None,
     ) -> None:
         self._source = source
         self._patterns = patterns
+        self._shard = shard
         self._pattern_cache: dict[str, PatternTemplate] = {}
 
     # ------------------------------------------------------------------
@@ -187,13 +202,15 @@ class LogQLEngine:
     # ------------------------------------------------------------------
     @staticmethod
     def _line_hints(pipeline: LogPipeline) -> tuple[str, ...]:
-        """CONTAINS needles that apply to the *stored* line.
+        """CONTAINS needles that apply to the *stored* line, each once,
+        in pipeline order.
 
         Filters appearing after a ``line_format`` stage see rewritten
-        lines and cannot gate raw chunks.  The hints are purely a
-        pruning aid for stores that understand them (bloom blocks);
-        every filter is still re-applied here, so a store that ignores
-        or over-prunes nothing changes answers.
+        lines and cannot gate raw chunks.  The hints are a per-leaf
+        pruning aid for stores with blooms, so in ``errors / total`` the
+        ``total`` read is never gated by the ``errors`` filter; every
+        filter is still re-applied here, so a store that ignores them
+        changes no answer.
         """
         needles = []
         for stage in pipeline.stages:
@@ -201,19 +218,18 @@ class LogQLEngine:
                 break
             if isinstance(stage, LineFilter) and stage.op is LineFilterOp.CONTAINS:
                 needles.append(stage.needle)
-        return tuple(needles)
+        return tuple(dict.fromkeys(needles))
 
     def _select(
         self, pipeline: LogPipeline, start_ns: int, end_ns: int
     ) -> list[tuple[LabelSet, list[LogEntry]]]:
-        if getattr(self._source, "supports_line_hints", False):
-            return self._source.select(
-                pipeline.matchers,
-                start_ns,
-                end_ns,
-                line_contains=self._line_hints(pipeline),
-            )
-        return self._source.select(pipeline.matchers, start_ns, end_ns)
+        return self._source.select(
+            pipeline.matchers,
+            start_ns,
+            end_ns,
+            shard=self._shard,
+            line_contains=self._line_hints(pipeline),
+        )
 
     def _eval_pipeline(
         self, pipeline: LogPipeline, start_ns: int, end_ns: int

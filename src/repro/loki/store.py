@@ -9,13 +9,14 @@ from __future__ import annotations
 
 import dataclasses
 from dataclasses import dataclass
-from typing import Iterable, Mapping
+from typing import Iterable, Mapping, Sequence
 
 from repro.common.errors import ValidationError
 from repro.common.labels import LabelSet, Matcher
 from repro.loki.chunks import Chunk, ChunkPolicy
 from repro.loki.index import LabelIndex
 from repro.loki.model import LogEntry, PushRequest
+from repro.tempo.model import SpanContext
 
 
 @dataclass
@@ -75,10 +76,13 @@ class LokiStore:
     A push reaches its stream by *ref* (DESIGN §3, the log write path):
     the labels exactly as passed are the key, so a steady-state line
     builds no ``LabelSet`` and touches neither index nor postings.
-    """
 
-    #: queryx hint protocol: ``select`` takes the ``shard`` stream cut.
-    supports_shard_hints = True
+    Its ``push`` / ``push_stream`` / ``select`` / maintenance surface is
+    the one log-store contract :class:`~repro.ring.cluster.RingLokiCluster`
+    and :class:`~repro.objstore.tiered.TieredLokiStore` keep too (DESIGN
+    §3); arguments only another backend uses — a trace context, a line
+    hint — are accepted here and ignored.
+    """
 
     def __init__(
         self,
@@ -106,7 +110,9 @@ class LokiStore:
     # ------------------------------------------------------------------
     # Ingestion
     # ------------------------------------------------------------------
-    def push(self, request: PushRequest) -> int:
+    def push(
+        self, request: PushRequest, trace_ctx: SpanContext | None = None
+    ) -> int:
         """Ingest a push request; returns accepted entry count."""
         accepted = 0
         for stream in request.streams:
@@ -138,7 +144,10 @@ class LokiStore:
         return stream
 
     def push_stream(
-        self, labels: LabelSet | Mapping[str, str], entries: Iterable[LogEntry]
+        self,
+        labels: LabelSet | Mapping[str, str],
+        entries: Iterable[LogEntry],
+        trace_ctx: SpanContext | None = None,
     ) -> int:
         stream = self._stream(labels)
         self._touched.add(stream.labels)
@@ -229,13 +238,15 @@ class LokiStore:
         start_ns: int,
         end_ns: int,
         shard: tuple[int, int] | None = None,
+        line_contains: Sequence[str] = (),
     ) -> list[tuple[LabelSet, list[LogEntry]]]:
         """Entries per matching stream with ``start <= ts < end``.
 
         Only chunks overlapping the window are decompressed — the chunk
         time-bounds act as a coarse secondary index.  ``shard=(i, n)``
         keeps only the streams whose fingerprint lands in shard ``i`` of
-        ``n``, before any chunk is read.
+        ``n``, before any chunk is read.  ``line_contains`` is a pruning
+        hint for stores with blooms; a hot store has none to consult.
 
         The read contract every store's ``select`` keeps: streams with
         no entry in the window are absent; a stream's entries are in
@@ -301,6 +312,10 @@ class LokiStore:
     # ------------------------------------------------------------------
     # Flush-to-cold support (the chunk shipper's surface)
     # ------------------------------------------------------------------
+    def active_stores(self) -> list[LokiStore]:
+        """The live stores behind this backend: itself."""
+        return [self]
+
     def sealed_chunks(self) -> list[tuple[LabelSet, Chunk]]:
         """Every resident sealed chunk with its stream's labels — the
         shipper's work list.  Open chunks stay out: they are still

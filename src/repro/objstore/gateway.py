@@ -4,15 +4,16 @@ The gateway is the read half of the cold tier.  A select consults the
 shipper index for overlapping chunk refs (matcher filtering happens on
 ref metadata — no chunk is fetched unless its stream matches and its
 time bounds overlap), GETs each payload, restores the chunk, and merges
-per stream with the same max-multiplicity semantics the ring uses — so
-divergent replica chunks that were shipped before the compactor could
-dedup them still read back exactly once.
+per stream with :func:`~repro.ring.merge.merge_streams`, as a quorum read
+does — so divergent replica chunks that were shipped before the
+compactor could dedup them still read back exactly once.
 
 Latency is accounted per query from the object store's charge model;
 ``last_query_latency_ns`` is what bench S1 prices cold reads with.
 
-Two pushed-down pruning hints cut the fetch set before any GET is paid
-(both optional, both exact):
+``select`` takes the one log-store signature (DESIGN §3), and its two
+pruning hints cut the fetch set before any GET is paid (both optional,
+both exact):
 
 * ``shard=(i, n)`` keeps only refs whose stream fingerprint lands in
   shard ``i`` of ``n`` — the queryx engine's stream partition;
@@ -37,17 +38,12 @@ from repro.loki.chunks import Chunk, ChunkPolicy
 from repro.loki.model import LogEntry
 from repro.objstore.index import ChunkRef, ShipperIndex
 from repro.objstore.objectstore import ObjectStore
-from repro.ring.merge import merge_replica_entries
+from repro.ring.merge import merge_streams
 from repro.tempo.tracer import Tracer
 
 
 class StoreGateway:
     """Selects over shipped chunks, transparently to the querier."""
-
-    #: The queryx hint protocol: ``select`` accepts ``shard`` and
-    #: ``line_contains`` keyword pruning hints.
-    supports_shard_hints = True
-    supports_line_hints = True
 
     def __init__(
         self,
@@ -100,26 +96,11 @@ class StoreGateway:
         self.bytes_fetched_total += len(payload)
         return chunk, latency
 
-    def _merge_per_stream(
-        self, fetched: list[tuple[LabelSet, list[LogEntry]]]
-    ) -> list[tuple[LabelSet, list[LogEntry]]]:
-        per_stream: dict[LabelSet, list[list[LogEntry]]] = {}
-        for labels, entries in fetched:
-            if entries:
-                per_stream.setdefault(labels, []).append(entries)
-        out = [
-            (labels, merge_replica_entries(entry_lists))
-            for labels, entry_lists in per_stream.items()
-        ]
-        out.sort(key=lambda pair: pair[0].items_tuple())
-        return out
-
     def select(
         self,
         matchers: Iterable[Matcher],
         start_ns: int,
         end_ns: int,
-        tenant: str | None = None,
         shard: tuple[int, int] | None = None,
         line_contains: Sequence[str] = (),
     ) -> list[tuple[LabelSet, list[LogEntry]]]:
@@ -129,7 +110,7 @@ class StoreGateway:
         # Off-shard refs belong to another subquery, not to this query's
         # pruning story: they are cut here and never "considered".
         refs = self._index.refs_overlapping(
-            start_ns, end_ns, tenant=tenant, matchers=matchers, shard=shard
+            start_ns, end_ns, matchers=matchers, shard=shard
         )
         considered = len(refs)
         skipped = 0
@@ -154,7 +135,7 @@ class StoreGateway:
         self.last_chunks_skipped = skipped
         self.chunks_considered_total += considered
         self.chunks_skipped_total += skipped
-        out = self._merge_per_stream(fetched)
+        out = merge_streams(fetched)
         if self._tracer is not None and self._tracer.enabled:
             self._tracer.record(
                 service="store-gateway",
@@ -186,15 +167,15 @@ class StoreGateway:
         return self.patterns.query(matchers, start_ns, end_ns, tenant=tenant)
 
     def expired_entries(
-        self, cutoff_ns: int, tenant: str | None = None
+        self, cutoff_ns: int
     ) -> list[tuple[LabelSet, list[LogEntry]]]:
         """Entries cold retention would drop at ``cutoff_ns`` (chunks
         wholly before the cutoff) — what a retention sweep archives."""
         fetched: list[tuple[LabelSet, list[LogEntry]]] = []
-        for ref in self._index.refs_wholly_before(cutoff_ns, tenant=tenant):
+        for ref in self._index.refs_wholly_before(cutoff_ns):
             chunk, _ = self._fetch(ref)
             fetched.append((ref.labels, chunk.entries()))
-        return self._merge_per_stream(fetched)
+        return merge_streams(fetched)
 
     # ------------------------------------------------------------------
     # Introspection

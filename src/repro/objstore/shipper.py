@@ -1,13 +1,14 @@
 """The chunk shipper: sealed chunks leave memory for the object store.
 
-Each flush walks every live store (the single ``LokiStore``, or every
-active replica of the RF-3 ring), uploads each sealed chunk's compressed
-payload under a content-addressed key, registers a :class:`ChunkRef` in
-the shipper index, and only *then* drops the resident copy — a chunk is
-never memory-released before its bytes are durable cold.  Because the
-key is a content hash and replicas seal byte-identical chunks, RF-3
-uploads collapse to one object per logical chunk: replicas two and three
-count as dedups and are dropped without a second PUT.
+Each flush walks the hot tier's ``active_stores()`` (a bare
+``LokiStore`` is its own one, the RF-3 ring its live replicas), uploads
+each sealed chunk's compressed payload under a content-addressed key,
+registers a :class:`ChunkRef` in the shipper index, and only *then*
+drops the resident copy — a chunk is never memory-released before its
+bytes are durable cold.  Because the key is a content hash and replicas
+seal byte-identical chunks, RF-3 uploads collapse to one object per
+logical chunk: replicas two and three count as dedups and are dropped
+without a second PUT.
 
 An object-store outage aborts the flush mid-way: whatever was not yet
 uploaded stays resident and the failure is counted (the
@@ -20,12 +21,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from repro.common.errors import ValidationError
 from repro.common.simclock import SimClock
 from repro.loki.store import LokiStore
 from repro.objstore.index import ChunkRef, ShipperIndex, chunk_object_key
 from repro.objstore.objectstore import ObjectStore, ObjectStoreUnavailable
-from repro.ring.cluster import RingLokiCluster
 from repro.tempo.model import SpanStatus
 from repro.tempo.tracer import Tracer
 from repro.tenancy.limits import DEFAULT_TENANT, TENANT_LABEL
@@ -50,17 +49,13 @@ class ChunkShipper:
 
     def __init__(
         self,
-        source: LokiStore | RingLokiCluster,
+        source: LokiStore,
         store: ObjectStore,
         index: ShipperIndex,
         clock: SimClock,
         tracer: Tracer | None = None,
         seal_aged: bool = True,
     ) -> None:
-        if not isinstance(source, (LokiStore, RingLokiCluster)):
-            raise ValidationError(
-                "shipper source must be a LokiStore or RingLokiCluster"
-            )
         self._source = source
         self._objstore = store
         self._index = index
@@ -83,11 +78,6 @@ class ChunkShipper:
     @property
     def bucket(self) -> str:
         return self._index.bucket
-
-    def _stores(self) -> list[LokiStore]:
-        if isinstance(self._source, RingLokiCluster):
-            return self._source.active_stores()
-        return [self._source]
 
     def _ship_store(self, store: LokiStore, result: FlushResult) -> bool:
         """Flush one store's sealed chunks; True if any PUT happened."""
@@ -138,7 +128,7 @@ class ChunkShipper:
             if self._seal_aged:
                 self._source.flush_aged(now)
             touched_backend = False
-            for store in self._stores():
+            for store in self._source.active_stores():
                 touched_backend |= self._ship_store(store, result)
             result.index_files = self._index.persist_dirty()
             touched_backend |= result.index_files > 0

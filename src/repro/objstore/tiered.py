@@ -1,13 +1,15 @@
-"""TieredLokiStore: hot + cold behind the ordinary store surface.
+"""TieredLokiStore: hot + cold behind the one log-store contract.
 
 The facade the rest of the stack talks to when object storage is on.
-Writes go to the hot tier (a single ``LokiStore`` or the RF-3 ring)
-unchanged; reads fan out to both tiers and merge per stream with
-max-multiplicity semantics, so a window spanning resident and flushed
-data returns every entry exactly once even while chunks are mid-flight
-(resident *and* shipped).  Maintenance — retention, expiry preview,
-flushes — covers both tiers, which is what lets the OMNI retention
-manager, the LogQL engine, Promtail and the ruler run unmodified.
+It wraps whatever hot tier it is given — a bare ``LokiStore`` or the
+RF-3 ring — through the contract both keep (DESIGN §3), so it never asks
+which one it holds.  Writes go to the hot tier unchanged; reads fan out
+to both tiers and :func:`~repro.ring.merge.merge_streams` them, so a
+window spanning resident and flushed data returns every entry exactly
+once even while chunks are mid-flight (resident *and* shipped).
+Maintenance — retention, expiry preview, flushes — covers both tiers,
+which is what lets the OMNI retention manager, the LogQL engine,
+Promtail and the ruler run unmodified.
 """
 
 from __future__ import annotations
@@ -15,32 +17,23 @@ from __future__ import annotations
 from typing import Iterable, Mapping, Sequence
 
 from repro.common.labels import LabelSet, Matcher
-from repro.loki.model import LogEntry, PushRequest, PushStream
+from repro.loki.model import LogEntry, PushRequest
 from repro.loki.store import LokiStore, StoreStats
 from repro.objstore.compactor import CompactionResult, Compactor
 from repro.objstore.gateway import StoreGateway
 from repro.objstore.index import ShipperIndex
 from repro.objstore.objectstore import ObjectStore
 from repro.objstore.shipper import ChunkShipper, FlushResult
-from repro.ring.cluster import RingLokiCluster
-from repro.ring.merge import merge_replica_entries
+from repro.ring.merge import merge_streams
 from repro.tempo.model import SpanContext
 
 
 class TieredLokiStore:
     """Hot ingest tier + object-store cold tier, one store surface."""
 
-    #: queryx hint protocol: ``select`` takes ``shard``/``line_contains``
-    #: pruning hints.  The shard cut is pushed down to both tiers — the
-    #: gateway prunes refs before any GET, the hot stores skip off-shard
-    #: streams before any chunk read or replica merge; line hints reach
-    #: the gateway's bloom gate.
-    supports_shard_hints = True
-    supports_line_hints = True
-
     def __init__(
         self,
-        hot: LokiStore | RingLokiCluster,
+        hot: LokiStore,
         objstore: ObjectStore,
         index: ShipperIndex,
         shipper: ChunkShipper,
@@ -53,7 +46,6 @@ class TieredLokiStore:
         self.shipper = shipper
         self.compactor = compactor
         self.gateway = gateway
-        self._hot_is_ring = isinstance(hot, RingLokiCluster)
 
     # ------------------------------------------------------------------
     # Ingest (hot tier only; the shipper moves data cold later)
@@ -61,9 +53,7 @@ class TieredLokiStore:
     def push(
         self, request: PushRequest, trace_ctx: SpanContext | None = None
     ) -> int:
-        if self._hot_is_ring:
-            return self.hot.push(request, trace_ctx=trace_ctx)
-        return self.hot.push(request)
+        return self.hot.push(request, trace_ctx=trace_ctx)
 
     def push_stream(
         self,
@@ -71,21 +61,7 @@ class TieredLokiStore:
         entries: Iterable[LogEntry],
         trace_ctx: SpanContext | None = None,
     ) -> int:
-        if self._hot_is_ring:
-            return self.hot.push_stream(labels, entries, trace_ctx=trace_ctx)
-        request = PushRequest(
-            streams=(
-                PushStream(
-                    labels=(
-                        labels
-                        if isinstance(labels, LabelSet)
-                        else LabelSet(labels)
-                    ),
-                    entries=tuple(entries),
-                ),
-            )
-        )
-        return self.hot.push(request)
+        return self.hot.push_stream(labels, entries, trace_ctx=trace_ctx)
 
     # ------------------------------------------------------------------
     # Reads: both tiers, merged
@@ -98,22 +74,14 @@ class TieredLokiStore:
         shard: tuple[int, int] | None = None,
         line_contains: Sequence[str] = (),
     ) -> list[tuple[LabelSet, list[LogEntry]]]:
+        """Both tiers' answers, merged per stream.  The shard cut reaches
+        both (the gateway prunes refs before any GET, the hot stores skip
+        off-shard streams before any chunk read or replica merge); the
+        line hints reach the gateway's bloom gate."""
         matchers = list(matchers)
-        merged: dict[LabelSet, list[list[LogEntry]]] = {}
-        for labels, entries in self.hot.select(
-            matchers, start_ns, end_ns, shard=shard
-        ):
-            merged.setdefault(labels, []).append(entries)
-        for labels, entries in self.gateway.select(
-            matchers, start_ns, end_ns, shard=shard, line_contains=line_contains
-        ):
-            merged.setdefault(labels, []).append(entries)
-        out = [
-            (labels, merge_replica_entries(entry_lists))
-            for labels, entry_lists in merged.items()
-        ]
-        out.sort(key=lambda pair: pair[0].items_tuple())
-        return out
+        hot = self.hot.select(matchers, start_ns, end_ns, shard, line_contains)
+        cold = self.gateway.select(matchers, start_ns, end_ns, shard, line_contains)
+        return merge_streams(hot + cold)
 
     # ------------------------------------------------------------------
     # Tier movement
@@ -146,17 +114,10 @@ class TieredLokiStore:
     ) -> list[tuple[LabelSet, list[LogEntry]]]:
         """What :meth:`delete_before` would doom, hot and cold merged —
         entries flushed but still WAL-resident in a replica count once."""
-        merged: dict[LabelSet, list[list[LogEntry]]] = {}
-        for labels, entries in self.hot.expired_entries(cutoff_ns):
-            merged.setdefault(labels, []).append(entries)
-        for labels, entries in self.gateway.expired_entries(cutoff_ns):
-            merged.setdefault(labels, []).append(entries)
-        out = [
-            (labels, merge_replica_entries(entry_lists))
-            for labels, entry_lists in merged.items()
-        ]
-        out.sort(key=lambda pair: pair[0].items_tuple())
-        return out
+        return merge_streams(
+            self.hot.expired_entries(cutoff_ns)
+            + self.gateway.expired_entries(cutoff_ns)
+        )
 
     # ------------------------------------------------------------------
     # Accounting: resident figures are the hot tier's (that is the

@@ -11,15 +11,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from typing import TYPE_CHECKING
-
 from repro.common.errors import RetentionError, ValidationError
 from repro.common.simclock import SimClock, days
 from repro.loki.store import LokiStore
 from repro.omni.archive import ArchiveStore
-
-if TYPE_CHECKING:  # avoid an import cycle; the ring imports loki
-    from repro.ring.cluster import RingLokiCluster
 
 #: "at least two years of data immediately [available]" (paper §I).
 TWO_YEARS_NS = days(2 * 365)
@@ -37,12 +32,13 @@ class RetentionPolicy:
 
 
 class RetentionManager:
-    """Sweeps aged data from the hot store into the archive."""
+    """Sweeps aged data from the hot store into the archive — any log
+    backend, through the one store contract (DESIGN §3)."""
 
     def __init__(
         self,
         clock: SimClock,
-        store: "LokiStore | RingLokiCluster",
+        store: LokiStore,
         archive: ArchiveStore,
         policy: RetentionPolicy | None = None,
     ) -> None:
@@ -65,8 +61,8 @@ class RetentionManager:
         cutoff = self.cutoff_ns()
         moved = 0
         # Read what delete_before would drop, then archive it.  A
-        # replicated store deduplicates across replicas here, so the
-        # archive holds each entry once regardless of replication factor.
+        # replicated store merges its replicas here, so the archive holds
+        # every acknowledged entry once regardless of replication factor.
         for labels, doomed in self._store.expired_entries(cutoff):
             self._archive.archive_logs(labels, doomed)
             moved += len(doomed)

@@ -32,9 +32,9 @@ class OmniWarehouse:
     The log backend is a single :class:`LokiStore` (the default), a
     replicated :class:`~repro.ring.cluster.RingLokiCluster`, or a
     :class:`~repro.objstore.tiered.TieredLokiStore` wrapping either —
-    all expose the same store surface; the ring and the tiered store
-    also accept a trace context so distributor→ingester spans join the
-    pipeline's trace.  The retention manager runs against whatever
+    one store contract, trace context included (the ring's
+    distributor→ingester spans join the pipeline's trace; the bare store
+    ignores it).  The retention manager runs against whatever
     backend is installed: with the tiered store, a sweep archives and
     deletes across the hot *and* cold tiers in one pass.
     """
@@ -50,12 +50,9 @@ class OmniWarehouse:
     ) -> None:
         self._clock = clock
         self.loki = loki or LokiStore()
-        # Backends that take a trace context on their push paths.
-        self._ring = (
-            self.loki
-            if isinstance(self.loki, (RingLokiCluster, TieredLokiStore))
-            else None
-        )
+        # Only a bare LokiStore resolves mapping refs itself, so only it
+        # takes a plane-less line straight (see `ingest_log`).
+        self._resolves_refs = isinstance(self.loki, LokiStore)
         self.tsdb = tsdb or TimeSeriesStore()
         self.archive = ArchiveStore()
         self.retention = RetentionManager(clock, self.loki, self.archive, policy)
@@ -89,7 +86,7 @@ class OmniWarehouse:
         tenant: str | None = None,
     ) -> int:
         entries = (LogEntry(timestamp_ns, line),)
-        if self._ring is None and self.admission is None and self.patterns is None:
+        if self._resolves_refs and self.admission is None and self.patterns is None:
             accepted = self.loki.push_stream(labels, entries)
             self.messages_ingested += accepted
             return accepted
@@ -127,10 +124,7 @@ class OmniWarehouse:
             request = self.admission.admit_push(
                 request, tenant=tenant, trace_ctx=trace_ctx
             )
-        if self._ring is not None:
-            accepted = self._ring.push(request, trace_ctx=trace_ctx)
-        else:
-            accepted = self.loki.push(request)
+        accepted = self.loki.push(request, trace_ctx=trace_ctx)
         if self.patterns is not None:
             for stream in request.streams:
                 self.patterns.observe(

@@ -38,10 +38,8 @@ from repro.queryx.planner import (
     QueryPlan,
     QueryPlanner,
     Subquery,
-    line_filter_needles,
     merge_class,
 )
-from repro.queryx.sharding import ShardedSource, shard_of
 
 __all__ = [
     "AllQueriersDown",
@@ -61,13 +59,10 @@ __all__ = [
     "QueryPlan",
     "QueryPlanner",
     "ShardedQueryEngine",
-    "ShardedSource",
     "Subquery",
     "bloom_object_key",
-    "line_filter_needles",
     "line_ngrams",
     "merge_class",
     "merge_log_partials",
     "merge_metric_partials",
-    "shard_of",
 ]

@@ -21,7 +21,7 @@ merges the finished tickets.
 
 from __future__ import annotations
 
-from typing import Callable, Sequence
+from typing import Callable
 
 from repro.common.errors import ValidationError
 from repro.common.labels import LabelSet
@@ -32,7 +32,6 @@ from repro.loki.model import LogEntry
 from repro.queryx.executor import QuerierPool, QuerierWorker
 from repro.queryx.merger import merge_log_partials, merge_metric_partials
 from repro.queryx.planner import QueryPlan, QueryPlanner, Subquery
-from repro.queryx.sharding import ShardedSource
 from repro.tempo.model import SpanStatus
 from repro.tempo.tracer import Tracer
 
@@ -63,9 +62,10 @@ class ShardedQueryEngine:
         self.tracer = tracer
         self._cold_latency_fn = cold_latency_fn
         self.slow_query_threshold_ns = slow_query_threshold_ns
-        #: One LogQLEngine per (shard, needles) slice; engines are
-        #: stateless over the shared source, so caching them is free.
-        self._engines: dict[tuple, LogQLEngine] = {}
+        #: One LogQLEngine per stream shard (``None``: unsharded);
+        #: engines are stateless over the shared source, so caching
+        #: them is free.
+        self._engines: dict[tuple[int, int] | None, LogQLEngine] = {}
         self.queries_total = 0
         self.log_queries_total = 0
         self.subqueries_total = 0
@@ -156,28 +156,15 @@ class ShardedQueryEngine:
     # ------------------------------------------------------------------
     # Execution internals
     # ------------------------------------------------------------------
-    def _engine_for(self, sub: Subquery, needles: Sequence[str]) -> LogQLEngine:
-        if sub.shard_count == 1 and not needles:
-            key = ("mono",)
-            engine = self._engines.get(key)
-            if engine is None:
-                engine = self._engines[key] = LogQLEngine(self._source)
-            return engine
-        key = (sub.shard_index, sub.shard_count, tuple(needles))
-        engine = self._engines.get(key)
+    def _engine_for(self, sub: Subquery) -> LogQLEngine:
+        shard = (sub.shard_index, sub.shard_count) if sub.shard_count > 1 else None
+        engine = self._engines.get(shard)
         if engine is None:
-            engine = self._engines[key] = LogQLEngine(
-                ShardedSource(
-                    self._source,
-                    sub.shard_index,
-                    sub.shard_count,
-                    line_contains=needles,
-                )
-            )
+            engine = self._engines[shard] = LogQLEngine(self._source, shard=shard)
         return engine
 
     def _run_subquery(self, plan: QueryPlan, sub: Subquery, phase: int):
-        engine = self._engine_for(sub, plan.needles)
+        engine = self._engine_for(sub)
         if plan.is_log_query:
             return engine.query_logs(plan.expr, sub.start_ns, sub.end_ns)
         # First on-grid evaluation instant inside this inclusive window
@@ -252,7 +239,6 @@ class ShardedQueryEngine:
             root,
             start_ns=base_ns,
             end_ns=base_ns,
-            attributes={"needles": ",".join(plan.needles)[:80]},
         )
         for sub, worker, start_off, end_off, ok in attempts:
             self.tracer.record(

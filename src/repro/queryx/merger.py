@@ -10,10 +10,10 @@ Two merge surfaces, matching the two query families:
   exactly one window.
 - **Log partials** are ``(labels, entries)`` groups.  Shard streams are
   disjoint and time windows abut, so a plain union would do — but the
-  merger uses the same max-multiplicity ``merge_replica_entries`` as
-  :class:`TieredLokiStore`, so a retried subquery whose partial ever
-  arrived twice, or a hot/cold overlap inside one shard, still counts
-  every entry exactly once.  Same dedup semantics end to end.
+  merger is the same ``merge_streams`` every store's ``select`` answers
+  with, so a retried subquery whose partial ever arrived twice, or a
+  hot/cold overlap inside one shard, still counts every entry exactly
+  once.  Same dedup semantics end to end.
 """
 
 from __future__ import annotations
@@ -30,7 +30,7 @@ from repro.queryx.planner import (
     QueryPlan,
     Subquery,
 )
-from repro.ring.merge import merge_replica_entries
+from repro.ring.merge import merge_streams
 
 _MERGE_FN = {
     MERGE_SUM: sum,
@@ -78,14 +78,5 @@ def merge_log_partials(
     partials: list[tuple[Subquery, list[tuple[LabelSet, list[LogEntry]]]]],
 ) -> list[tuple[LabelSet, list[LogEntry]]]:
     """Union log groups across shards and windows, deduplicated with
-    the tiered store's max-multiplicity semantics."""
-    grouped: dict[LabelSet, list[list[LogEntry]]] = {}
-    for _sub, groups in partials:
-        for labels, entries in groups:
-            grouped.setdefault(labels, []).append(entries)
-    out = [
-        (labels, merge_replica_entries(entry_lists))
-        for labels, entry_lists in grouped.items()
-    ]
-    out.sort(key=lambda pair: pair[0].items_tuple())
-    return out
+    the stores' max-multiplicity semantics."""
+    return merge_streams(pair for _sub, groups in partials for pair in groups)

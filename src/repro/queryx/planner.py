@@ -39,19 +39,10 @@ from dataclasses import dataclass
 
 from repro.common.errors import ValidationError
 from repro.common.simclock import hours
-from repro.common.vectorlang import BinOp, SetExpr, TopK, VectorAgg, VectorOp
+from repro.common.vectorlang import VectorAgg, VectorOp
 from repro.loki.frontend import aligned_windows
-from repro.loki.logql.ast import (
-    Expr,
-    LineFilter,
-    LineFilterOp,
-    LineFormatStage,
-    LogPipeline,
-    RangeAgg,
-    RangeFunc,
-)
+from repro.loki.logql.ast import Expr, LogPipeline, RangeAgg, RangeFunc
 from repro.loki.logql.parser import parse
-from repro.queryx.bloom import NGRAM_LEN
 
 #: Merge classes — how shard partials recombine per (labels, instant).
 MERGE_SUM = "sum"
@@ -103,42 +94,6 @@ def merge_class(expr: Expr) -> str:
     return MERGE_NONE
 
 
-def line_filter_needles(expr: Expr) -> tuple[str, ...]:
-    """CONTAINS needles usable for bloom chunk gating.
-
-    Only ``|=`` filters *before any line_format stage* see the raw
-    stored line, so only those may veto a chunk.  Needles shorter than
-    the bloom n-gram length carry no gating power and are dropped.  The
-    plan's needles gate every read its subqueries make, so a query with
-    more than one pipeline (``errors / total``) has none: one side's
-    filter must not skip the other side's chunks.
-    """
-    pipelines = _pipelines_of(expr)
-    if len(pipelines) != 1:
-        return ()
-    needles = []
-    for stage in pipelines[0].stages:
-        if isinstance(stage, LineFormatStage):
-            break
-        if isinstance(stage, LineFilter) and stage.op is LineFilterOp.CONTAINS:
-            if len(stage.needle) >= NGRAM_LEN:
-                needles.append(stage.needle)
-    return tuple(needles)
-
-
-def _pipelines_of(expr) -> list[LogPipeline]:
-    """The pipeline of every leaf of ``expr``, left to right."""
-    if isinstance(expr, LogPipeline):
-        return [expr]
-    if isinstance(expr, RangeAgg):
-        return [expr.pipeline]
-    if isinstance(expr, (VectorAgg, TopK)):
-        return _pipelines_of(expr.expr)
-    if isinstance(expr, (BinOp, SetExpr)):
-        return _pipelines_of(expr.lhs) + _pipelines_of(expr.rhs)
-    return []  # a scalar
-
-
 @dataclass(frozen=True)
 class Subquery:
     """One independently executable slice of the original query."""
@@ -165,7 +120,6 @@ class QueryPlan:
     subqueries: tuple[Subquery, ...]
     time_splits: int
     shard_count: int
-    needles: tuple[str, ...]
 
     @property
     def is_log_query(self) -> bool:
@@ -265,5 +219,4 @@ class QueryPlanner:
             subqueries=tuple(subqueries),
             time_splits=len(windows),
             shard_count=shards,
-            needles=line_filter_needles(expr),
         )

@@ -24,6 +24,7 @@ from repro.loki.store import LokiStore, StoreStats, aggregate_stats
 from repro.ring.distributor import Distributor
 from repro.ring.hashring import HashRing
 from repro.ring.ingester import Ingester
+from repro.ring.merge import merge_streams
 from repro.tempo.model import SpanContext
 from repro.tempo.tracer import Tracer
 from repro.tenancy.sharding import ShuffleSharder
@@ -31,9 +32,6 @@ from repro.tenancy.sharding import ShuffleSharder
 
 class RingLokiCluster:
     """N ingesters on a hash ring behind one distributor."""
-
-    #: queryx hint protocol: ``select`` takes the ``shard`` stream cut.
-    supports_shard_hints = True
 
     def __init__(
         self,
@@ -116,7 +114,10 @@ class RingLokiCluster:
         start_ns: int,
         end_ns: int,
         shard: tuple[int, int] | None = None,
+        line_contains: Sequence[str] = (),
     ) -> list[tuple[LabelSet, list[LogEntry]]]:
+        """The quorum read; ``line_contains`` is a pruning hint a hot
+        replica has no use for."""
         return self.distributor.select(matchers, start_ns, end_ns, shard=shard)
 
     def active_stores(self) -> list["LokiStore"]:
@@ -127,31 +128,28 @@ class RingLokiCluster:
         (and re-flushed copies dedup away by content hash)."""
         return [i.store for i in self.ingesters.values() if i.active]
 
-    def _active_stores(self):
-        return iter(self.active_stores())
-
     def flush_all(self) -> int:
-        return sum(store.flush_all() for store in self._active_stores())
+        return sum(store.flush_all() for store in self.active_stores())
 
     def flush_aged(self, now_ns: int) -> int:
-        return sum(store.flush_aged(now_ns) for store in self._active_stores())
+        return sum(store.flush_aged(now_ns) for store in self.active_stores())
 
     def delete_before(self, cutoff_ns: int) -> int:
         return sum(
-            store.delete_before(cutoff_ns) for store in self._active_stores()
+            store.delete_before(cutoff_ns) for store in self.active_stores()
         )
 
     def expired_entries(
         self, cutoff_ns: int
     ) -> list[tuple[LabelSet, list[LogEntry]]]:
-        """What retention would archive, deduplicated across replicas:
-        per stream the fullest replica's expired run is authoritative."""
-        best: dict[LabelSet, list[LogEntry]] = {}
-        for store in self._active_stores():
-            for labels, entries in store.expired_entries(cutoff_ns):
-                if len(entries) > len(best.get(labels, ())):
-                    best[labels] = entries
-        return sorted(best.items(), key=lambda pair: pair[0].items_tuple())
+        """What retention would archive, merged across replicas like a
+        read: a replica that missed a crash window's entries still
+        doomed the others', and :meth:`delete_before` drops them all."""
+        return merge_streams(
+            pair
+            for store in self.active_stores()
+            for pair in store.expired_entries(cutoff_ns)
+        )
 
     # ------------------------------------------------------------------
     # Lifecycle / chaos hooks

@@ -23,7 +23,7 @@ from repro.common.labels import LabelSet, Matcher
 from repro.loki.model import LogEntry, PushRequest
 from repro.ring.hashring import HashRing
 from repro.ring.ingester import Ingester
-from repro.ring.merge import merge_replica_entries
+from repro.ring.merge import merge_streams
 from repro.tempo.model import SpanContext
 from repro.tempo.tracer import Tracer
 from repro.tenancy.limits import TENANT_LABEL
@@ -257,7 +257,7 @@ class Distributor:
         """
         self.reads += 1
         matchers = list(matchers)
-        per_stream: dict[LabelSet, list[list[LogEntry]]] = {}
+        gathered: list[tuple[LabelSet, list[LogEntry]]] = []
         responded = 0
         for ingester_id, ingester in self.ingesters.items():
             if self.memberlist is not None and self.memberlist.read_excluded(
@@ -265,20 +265,13 @@ class Distributor:
             ):
                 continue
             try:
-                results = ingester.select(matchers, start_ns, end_ns, shard=shard)
+                gathered += ingester.select(matchers, start_ns, end_ns, shard=shard)
             except StateError:
                 if self.memberlist is not None:
                     self.memberlist.suspect_from_read(ingester_id)
                 continue
             responded += 1
-            for labels, entries in results:
-                per_stream.setdefault(labels, []).append(entries)
         if responded < self.write_quorum:
             self.reads_degraded += 1
             raise ReadDegradedError(responded, self.write_quorum)
-        out = [
-            (labels, merge_replica_entries(replica_lists))
-            for labels, replica_lists in per_stream.items()
-        ]
-        out.sort(key=lambda pair: pair[0].items_tuple())
-        return out
+        return merge_streams(gathered)

@@ -1,19 +1,42 @@
 """Replica-entry merging: one stream's history across several copies.
 
-Quorum reads, the tiered hot+cold read path, the compactor and the
+Quorum reads, the tiered hot+cold read path, the store-gateway, queryx's
+log merger, retention's expiry preview, the compactor and the
 anti-entropy repairer all face the same problem: several replicas hold
 overlapping views of the same logical stream and the union must count
 every acknowledged write exactly once.  The max-multiplicity merge here
-is the single shared answer.
+is the single shared answer; :func:`merge_streams` applies it per stream
+to several sources' ``select``-shaped answers.
 """
 
 from __future__ import annotations
 
 from collections import Counter
+from typing import Iterable
 
+from repro.common.labels import LabelSet
 from repro.loki.model import LogEntry
 
-__all__ = ["merge_replica_entries"]
+__all__ = ["merge_replica_entries", "merge_streams"]
+
+
+def merge_streams(
+    results: Iterable[tuple[LabelSet, list[LogEntry]]],
+) -> list[tuple[LabelSet, list[LogEntry]]]:
+    """Several sources' ``(labels, entries)`` pairs as one answer: per
+    stream the :func:`merge_replica_entries` of its non-empty lists,
+    streams in label order — the read contract of every store's
+    ``select`` (a stream with nothing left is absent, each list fresh)."""
+    per_stream: dict[LabelSet, list[list[LogEntry]]] = {}
+    for labels, entries in results:
+        if entries:
+            per_stream.setdefault(labels, []).append(entries)
+    out = [
+        (labels, merge_replica_entries(entry_lists))
+        for labels, entry_lists in per_stream.items()
+    ]
+    out.sort(key=lambda pair: pair[0].items_tuple())
+    return out
 
 
 def merge_replica_entries(replica_lists: list[list[LogEntry]]) -> list[LogEntry]:

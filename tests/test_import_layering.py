@@ -9,7 +9,9 @@ and not through each other: nothing under ``repro.tsdb`` imports
 ``repro.common`` alone: what a fault does to a plane is registered by the
 plane (DESIGN §16), so the injector imports none of them.  The one
 postings index sits in ``repro.common`` too (DESIGN §3): the TSDB and the
-cold tier hold it directly, never by way of ``repro.loki.index``.
+cold tier hold it directly, never by way of ``repro.loki.index``.  The
+cold tier wraps whatever hot tier it is given through the one log-store
+contract (DESIGN §3), so of the ring it imports ``repro.ring.merge`` only.
 """
 
 import ast
@@ -29,7 +31,12 @@ ONLY = {
 FORBIDDEN = {
     "repro.tsdb": ("repro.loki",),
     "repro.loki": ("repro.tsdb",),
-    "repro.objstore": ("repro.loki.index",),
+    "repro.objstore": (
+        "repro.loki.index",
+        "repro.ring.cluster",
+        "repro.ring.distributor",
+        "repro.ring.ingester",
+    ),
 }
 
 

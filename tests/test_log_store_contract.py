@@ -1,0 +1,298 @@
+"""One log-store contract, held by every backend alike.
+
+A bare ``LokiStore``, an RF-3 ``RingLokiCluster`` and a ``TieredLokiStore``
+over either take the same ``push`` / ``push_stream`` (a trace context
+accepted by all) and the same ``select(matchers, start, end, shard=None,
+line_contains=())`` (DESIGN §3), so no caller asks which one it holds.
+Each world here is pushed in two halves: between them every resident
+chunk is sealed — on a tiered store also shipped and compacted, blooms
+built — and on a ring one replica crashes, to come back from its WAL
+without the second halves, so reads must merge replicas.
+"""
+
+from collections import Counter
+
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from repro.common.labels import LabelSet, label_matcher
+from repro.common.simclock import SimClock, hours, seconds
+from repro.loki.chunks import ChunkPolicy
+from repro.loki.model import LogEntry, PushRequest, PushStream
+from repro.loki.store import LokiStore
+from repro.objstore import (
+    ChunkShipper,
+    Compactor,
+    ObjectStore,
+    ShipperIndex,
+    StoreGateway,
+    TieredLokiStore,
+)
+from repro.omni.archive import ArchiveStore
+from repro.omni.retention import RetentionManager, RetentionPolicy
+from repro.queryx.bloom import BloomStore
+from repro.ring.cluster import RingLokiCluster
+from repro.ring.merge import merge_replica_entries, merge_streams
+from repro.tempo.model import SpanContext
+
+#: Small enough that a stream of a dozen lines seals a chunk or two.
+POLICY = ChunkPolicy(target_size_bytes=200, max_age_ns=hours(2))
+MATCH_ALL = [label_matcher("app", "=~", ".+")]
+SPAN_S = 60
+WORDS = ("GPU memory error", "link flap", "ok heartbeat", "disk I/O error")
+CTX = SpanContext(trace_id="ab" * 16, span_id="cd" * 8)
+
+
+def ring():
+    return RingLokiCluster(ingesters=4, replication_factor=3, policy=POLICY)
+
+
+def tiered(hot):
+    clock = SimClock(0)
+    objstore = ObjectStore(clock)
+    index = ShipperIndex(objstore)
+    blooms = BloomStore(objstore)
+    return TieredLokiStore(
+        hot,
+        objstore,
+        index,
+        ChunkShipper(hot, objstore, index, clock),
+        Compactor(objstore, index, clock, blooms=blooms),
+        StoreGateway(objstore, index, clock, blooms=blooms),
+    )
+
+
+BACKENDS = {
+    "bare": lambda: LokiStore(POLICY),
+    "ring_rf3": ring,
+    "tiered_bare": lambda: tiered(LokiStore(POLICY)),
+    "tiered_ring": lambda: tiered(ring()),
+}
+
+
+def the_ring(store):
+    hot = getattr(store, "hot", store)
+    return hot if isinstance(hot, RingLokiCluster) else None
+
+
+def build(kind, streams):
+    """A ``kind`` backend holding ``streams``, pushed in two halves."""
+    store = BACKENDS[kind]()
+    for labels, entries in streams:
+        if entries[: len(entries) // 2]:
+            store.push_stream(labels, entries[: len(entries) // 2])
+    store.flush_all()
+    if isinstance(store, TieredLokiStore):
+        store.flush_to_cold()
+        store.compact()
+    cluster = the_ring(store)
+    if cluster is not None:
+        cluster.crash_ingester("ingester-1")
+    for labels, entries in streams:
+        if entries[len(entries) // 2 :]:
+            store.push_stream(labels, entries[len(entries) // 2 :])
+    if cluster is not None:
+        cluster.restart_ingester("ingester-1")
+    store.flush_all()
+    return store
+
+
+stream_strategy = st.lists(
+    st.tuples(
+        st.fixed_dictionaries(
+            {
+                "app": st.sampled_from(["fm", "api"]),
+                "host": st.sampled_from(["n0", "n1", "n2"]),
+            }
+        ),
+        # Distinct timestamps: a stream's expected order is then unique.
+        st.lists(
+            st.tuples(st.integers(0, SPAN_S), st.sampled_from(WORDS)),
+            min_size=1,
+            max_size=14,
+            unique_by=lambda pair: pair[0],
+        ),
+    ),
+    min_size=1,
+    max_size=5,
+    unique_by=lambda s: (s[0]["app"], s[0]["host"]),
+)
+
+
+def to_streams(raw_streams):
+    return [
+        (
+            LabelSet(labels),
+            [LogEntry(int(seconds(ts)), line) for ts, line in sorted(raw)],
+        )
+        for labels, raw in raw_streams
+    ]
+
+
+def window(start_s, end_s):
+    return int(seconds(start_s)), int(seconds(end_s))
+
+
+def as_multiset(result):
+    return Counter((labels, entry) for labels, entries in result for entry in entries)
+
+
+@pytest.mark.parametrize("kind", sorted(BACKENDS))
+class TestLogStoreContract:
+    def test_push_and_push_stream_take_a_trace_context(self, kind):
+        store = BACKENDS[kind]()
+        labels = LabelSet({"app": "fm", "host": "n0"})
+        entries = (LogEntry(1, "a"), LogEntry(2, "b"))
+        request = PushRequest(streams=(PushStream(labels=labels, entries=entries),))
+        assert store.push(request, trace_ctx=CTX) == 2
+        assert store.push_stream({"app": "fm", "host": "n1"}, entries, trace_ctx=CTX) == 2
+        assert store.push_stream(labels, [LogEntry(3, "c")], trace_ctx=None) == 1
+        assert [len(es) for _labels, es in store.select(MATCH_ALL, 0, 10)] == [3, 2]
+
+    @given(
+        raw_streams=stream_strategy,
+        start_s=st.integers(0, SPAN_S),
+        span_s=st.integers(1, SPAN_S),
+    )
+    @settings(max_examples=40, deadline=None)
+    def test_the_read_contract(self, kind, raw_streams, start_s, span_s):
+        streams = to_streams(raw_streams)
+        store = build(kind, streams)
+        start, end = window(start_s, start_s + span_s)
+        expected = {
+            labels: [e for e in entries if start <= e.timestamp_ns < end]
+            for labels, entries in streams
+        }
+        got = store.select(MATCH_ALL, start, end)
+        # Every acknowledged entry in the window, once, in timestamp
+        # order; a stream with nothing in the window is absent.
+        assert dict(got) == {labels: es for labels, es in expected.items() if es}
+        assert len(got) == len(dict(got))
+        # Each list is fresh: the caller may mutate it.
+        for _labels, entries in got:
+            entries.clear()
+        assert dict(store.select(MATCH_ALL, start, end)) == {
+            labels: es for labels, es in expected.items() if es
+        }
+
+    @given(raw_streams=stream_strategy, shards=st.integers(1, 4))
+    @settings(max_examples=30, deadline=None)
+    def test_shards_partition_the_unsharded_select(self, kind, raw_streams, shards):
+        store = build(kind, to_streams(raw_streams))
+        start, end = window(0, SPAN_S + 1)
+        full = store.select(MATCH_ALL, start, end)
+        parts = [
+            store.select(MATCH_ALL, start, end, shard=(i, shards)) for i in range(shards)
+        ]
+        seen = [labels for part in parts for labels, _entries in part]
+        assert len(seen) == len(set(seen))  # no stream in two shards
+        assert sorted(
+            (pair for part in parts for pair in part), key=lambda p: p[0].items_tuple()
+        ) == sorted(full, key=lambda p: p[0].items_tuple())
+
+    @given(
+        raw_streams=stream_strategy,
+        needles=st.lists(st.sampled_from([*WORDS, "memory", "ab", "absent needle"]), max_size=2),
+    )
+    @settings(max_examples=30, deadline=None)
+    def test_line_contains_never_changes_an_answer(self, kind, raw_streams, needles):
+        # A hint may let a store skip chunks that provably hold no line
+        # with every needle; the lines that do are all still there.
+        store = build(kind, to_streams(raw_streams))
+        start, end = window(0, SPAN_S + 1)
+
+        def matching(result):
+            return [
+                (labels, kept)
+                for labels, entries in result
+                if (kept := [e for e in entries if all(n in e.line for n in needles)])
+            ]
+
+        hinted = store.select(MATCH_ALL, start, end, line_contains=tuple(needles))
+        plain = store.select(MATCH_ALL, start, end)
+        assert matching(hinted) == matching(plain)
+        assert not as_multiset(hinted) - as_multiset(plain)
+
+    @given(raw_streams=stream_strategy, cutoff_s=st.integers(0, SPAN_S + 1))
+    @settings(max_examples=30, deadline=None)
+    def test_expired_entries_is_what_delete_before_removes(
+        self, kind, raw_streams, cutoff_s
+    ):
+        store = build(kind, to_streams(raw_streams))
+        start, end = window(0, SPAN_S + 1)
+        cutoff = int(seconds(cutoff_s))
+        before = as_multiset(store.select(MATCH_ALL, start, end))
+        expired = store.expired_entries(cutoff)
+        assert all(entries for _labels, entries in expired)
+        store.delete_before(cutoff)
+        after = as_multiset(store.select(MATCH_ALL, start, end))
+        assert as_multiset(expired) == before - after
+
+
+def test_ring_expiry_archives_every_acknowledged_entry_once():
+    """Each of three RF-3 ingesters misses three pushes while crashed.
+    Retention must archive the union of the replicas, not the fullest
+    one: ``delete_before`` drops the stream from all three."""
+    clock = SimClock(0)
+    cluster = RingLokiCluster(ingesters=3, replication_factor=3, policy=POLICY)
+    labels = LabelSet({"app": "fm", "host": "n0"})
+    acknowledged = []
+
+    def push_three():
+        for _ in range(3):
+            entry = LogEntry(len(acknowledged) + 1, f"line {len(acknowledged) + 1}")
+            assert cluster.push_stream(labels, [entry]) == 1
+            acknowledged.append(entry)
+
+    push_three()
+    for ingester_id in ("ingester-0", "ingester-1", "ingester-2"):
+        cluster.crash_ingester(ingester_id)
+        push_three()
+        cluster.restart_ingester(ingester_id)
+    push_three()
+    cluster.flush_all()
+    assert len(acknowledged) == 15
+
+    clock.advance(hours(1))
+    archive = ArchiveStore()
+    retention = RetentionManager(
+        clock, cluster, archive, RetentionPolicy(hot_window_ns=hours(1) - 100)
+    )
+    assert cluster.expired_entries(retention.cutoff_ns()) == [(labels, acknowledged)]
+    assert retention.sweep() == 15
+    assert cluster.select(MATCH_ALL, 0, int(hours(2))) == []
+    assert archive.restore_between(0, int(hours(2))) == [(labels, acknowledged)]
+
+
+def reference_merge(results):
+    """The group → merge → sort loop ``merge_streams`` replaced, as the
+    store-gateway wrote it (the other four copies never saw an empty
+    list: no store's ``select`` returns one)."""
+    per_stream = {}
+    for labels, entries in results:
+        if entries:
+            per_stream.setdefault(labels, []).append(entries)
+    out = [
+        (labels, merge_replica_entries(entry_lists))
+        for labels, entry_lists in per_stream.items()
+    ]
+    out.sort(key=lambda pair: pair[0].items_tuple())
+    return out
+
+
+@given(
+    st.lists(
+        st.tuples(
+            st.sampled_from([LabelSet({"app": a}) for a in ("fm", "api", "db")]),
+            st.lists(
+                st.builds(LogEntry, st.integers(0, 5), st.sampled_from(["a", "b", "c"])),
+                max_size=6,
+            ).map(sorted),
+        ),
+        max_size=8,
+    )
+)
+@settings(max_examples=200, deadline=None)
+def test_merge_streams_is_the_loop_it_replaced(results):
+    assert merge_streams(results) == reference_merge(results)
+    assert merge_streams(iter(results)) == reference_merge(results)

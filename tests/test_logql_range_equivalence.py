@@ -343,15 +343,18 @@ class TestWindowEdges:
 
 
 class CountingSource:
-    """A ``LogSource`` double that counts the reads it serves."""
+    """A ``LogSource`` double that counts the reads it serves and records
+    the ``(shard, line_contains)`` hints each one carried."""
 
     def __init__(self, inner):
         self._inner = inner
         self.selects = []
+        self.hints = []
 
-    def select(self, matchers, start_ns, end_ns):
+    def select(self, matchers, start_ns, end_ns, shard=None, line_contains=()):
         self.selects.append((start_ns, end_ns))
-        return self._inner.select(matchers, start_ns, end_ns)
+        self.hints.append((shard, tuple(line_contains)))
+        return self._inner.select(matchers, start_ns, end_ns, shard, line_contains)
 
 
 class TestOneReadPerRangeQuery:

@@ -181,14 +181,14 @@ class TestShardPushDown:
     def test_off_shard_streams_never_reach_the_replica_merge(self, monkeypatch):
         from repro.ring import distributor
 
-        merged_streams = []
-        real_merge = distributor.merge_replica_entries
+        merged_streams = set()
+        real_merge = distributor.merge_streams
 
-        def spy(replica_lists):
-            merged_streams.append(replica_lists)
-            return real_merge(replica_lists)
+        def spy(results):
+            merged_streams.update(labels for labels, _entries in results)
+            return real_merge(results)
 
-        monkeypatch.setattr(distributor, "merge_replica_entries", spy)
+        monkeypatch.setattr(distributor, "merge_streams", spy)
         ring = RingLokiCluster(
             ingesters=4, replication_factor=3, policy=small_chunks()
         )

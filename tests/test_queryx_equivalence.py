@@ -30,6 +30,7 @@ from repro.queryx.bloom import BloomStore
 from repro.queryx.engine import ShardedQueryEngine
 from repro.queryx.executor import QuerierPool
 from repro.queryx.planner import QueryPlanner
+from tests.test_logql_range_equivalence import CountingSource
 
 WORDS = ("GPU memory error", "link flap", "ok heartbeat", "cache miss")
 
@@ -183,7 +184,7 @@ class TestEdgeShapes:
         ) == mono.query_range(q, 0, int(hours(3)), int(minutes(10)))
 
     def test_hot_only_world_matches(self):
-        # Nothing shipped: the shard path post-filters the hot tier.
+        # Nothing shipped: every shard's read is the hot tier's own cut.
         streams = [
             (
                 {"app": "fm", "host": f"n{i}"},
@@ -224,9 +225,9 @@ class TestEdgeShapes:
         assert tiered.gateway.chunks_skipped_total > 0
 
     def test_error_ratio_gates_only_the_side_that_filters(self):
-        # Two leaves, one with a needle.  The plan carries no needles (they
-        # would gate both reads), the engine still hints each leaf's own:
-        # the filtered side skips cold chunks, the other reads them all.
+        # Two leaves, one with a needle.  Each leaf's read carries its own
+        # needles and no other's: the filtered side skips cold chunks, the
+        # other reads them all.
         streams = [
             (
                 {"app": "fm", "host": f"n{i}"},
@@ -246,7 +247,9 @@ class TestEdgeShapes:
         errors = 'sum(count_over_time({app="fm"} |= "GPU memory error" [1h]))'
         total = 'sum(count_over_time({app="fm"}[1h]))'
         args = (int(hours(1)), int(hours(3)), int(minutes(30)))
-        assert sharded.planner.plan_range(f"{errors} / {total}", *args).needles == ()
+        recorded = CountingSource(tiered)
+        ShardedQueryEngine(recorded, clock).query_range(f"{errors} / {total}", *args)
+        assert set(recorded.hints) == {(None, ("GPU memory error",)), (None, ())}
         skipped_before = tiered.gateway.chunks_skipped_total
         got = sharded.query_range(f"{errors} / {total}", *args)
         assert tiered.gateway.chunks_skipped_total > skipped_before

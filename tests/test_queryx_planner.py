@@ -1,10 +1,15 @@
-"""Tests for the queryx planner: merge classes, needles, subquery grids."""
+"""Tests for the queryx planner: merge classes and subquery grids; and
+the line-filter needles the engine hints to every read it makes."""
 
 import pytest
 
 from repro.common.errors import ValidationError
-from repro.common.simclock import hours, minutes
+from repro.common.simclock import SimClock, hours, minutes
+from repro.loki.logql.ast import LogPipeline
+from repro.loki.logql.engine import LogQLEngine
 from repro.loki.logql.parser import parse
+from repro.loki.store import LokiStore
+from repro.queryx.engine import ShardedQueryEngine
 from repro.queryx.planner import (
     MERGE_CONCAT,
     MERGE_MAX,
@@ -12,9 +17,10 @@ from repro.queryx.planner import (
     MERGE_NONE,
     MERGE_SUM,
     QueryPlanner,
-    line_filter_needles,
     merge_class,
 )
+from tests.test_logql_range_equivalence import CountingSource
+from tests.test_queryx_gateway import make_world, noisy_streams
 
 
 class TestMergeClass:
@@ -54,47 +60,82 @@ class TestMergeClass:
         assert merge_class(parse(query)) == expected
 
 
+def leaf_hints(query):
+    """The ``line_contains`` of every read ``LogQLEngine`` makes for
+    ``query``, sorted (two leaves may be read in either order)."""
+    source = CountingSource(LokiStore())
+    engine = LogQLEngine(source)
+    if isinstance(parse(query), LogPipeline):
+        engine.query_logs(query, 0, int(hours(1)))
+    else:
+        engine.query_instant(query, int(hours(1)))
+    return sorted(line_contains for _shard, line_contains in source.hints)
+
+
+#: Two-leaf queries -> each leaf's own needles, never the other leaf's.
+TWO_LEAVES = {
+    'sum(rate({app="fm"} |= "leak" [5m])) / sum(rate({app="fm"}[5m]))': [(), ("leak",)],
+    'sum(rate({app="fm"}[5m])) - sum(rate({app="fm"} |= "leak" [5m]))': [(), ("leak",)],
+    'rate({app="fm"} |= "leak" [5m]) unless rate({app="fm"} |= "flap" [5m])': [
+        ("flap",),
+        ("leak",),
+    ],
+    'rate({app="fm"} |= "leak" [5m]) / rate({app="fm"} |= "leak" [1h])': [
+        ("leak",),
+        ("leak",),
+    ],
+}
+
+
 class TestLineFilterNeedles:
+    """What the engine hints to each read (``line_contains``): pruning
+    aids a store with blooms may use, never a change to the answer."""
+
     def test_contains_needles_extracted(self):
-        expr = parse('{app="fm"} |= "GPU memory" |= "error"')
-        assert line_filter_needles(expr) == ("GPU memory", "error")
+        assert leaf_hints('{app="fm"} |= "GPU memory" |= "error"') == [
+            ("GPU memory", "error")
+        ]
+
+    def test_repeated_needle_is_hinted_once(self):
+        assert leaf_hints('{app="fm"} |= "leak" != "x" |= "leak"') == [("leak",)]
 
     def test_non_contains_ops_ignored(self):
-        expr = parse('{app="fm"} != "noise" |~ "e+" |= "keep"')
-        assert line_filter_needles(expr) == ("keep",)
+        assert leaf_hints('{app="fm"} != "noise" |~ "e+" |= "keep"') == [("keep",)]
 
     def test_filters_after_line_format_dropped(self):
         # After line_format the filter sees a rewritten line, not the
         # stored one — gating on it would be unsound.
-        expr = parse(
-            '{app="fm"} |= "before" | line_format "x" |= "after"'
-        )
-        assert line_filter_needles(expr) == ("before",)
+        query = '{app="fm"} |= "before" | line_format "x" |= "after"'
+        assert leaf_hints(query) == [("before",)]
 
     def test_short_needles_dropped(self):
-        expr = parse('{app="fm"} |= "ab" |= "abc"')
-        assert line_filter_needles(expr) == ("abc",)
+        # The engine hints a short needle too; the bloom gate drops it
+        # before counting — shorter than a gram, it cannot veto a chunk.
+        assert leaf_hints('{app="fm"} |= "ab" |= "abc"') == [("ab", "abc")]
+        tiered, gateway, blooms = make_world(noisy_streams())
+        LogQLEngine(tiered).query_logs('{app="fm"} |= "ab"', 0, int(hours(2)))
+        assert blooms.needle_checks == 0
+        assert gateway.chunks_skipped_total == 0
 
     def test_metric_query_reaches_pipeline(self):
-        expr = parse('sum(count_over_time({app="fm"} |= "leak" [5m]))')
-        assert line_filter_needles(expr) == ("leak",)
-        expr = parse('topk(2, sum by (host) (rate({app="fm"} |= "leak" [5m])) * 60) > -1')
-        assert line_filter_needles(expr) == ("leak",)
+        assert leaf_hints('sum(count_over_time({app="fm"} |= "leak" [5m]))') == [
+            ("leak",)
+        ]
+        query = 'topk(2, sum by (host) (rate({app="fm"} |= "leak" [5m])) * 60) > -1'
+        assert leaf_hints(query) == [("leak",)]
 
-    @pytest.mark.parametrize(
-        "query",
-        [
-            'sum(rate({app="fm"} |= "leak" [5m])) / sum(rate({app="fm"}[5m]))',
-            'sum(rate({app="fm"}[5m])) - sum(rate({app="fm"} |= "leak" [5m]))',
-            'rate({app="fm"} |= "leak" [5m]) unless rate({app="fm"} |= "flap" [5m])',
-            # Even the same filter twice: the plan gates all reads or none.
-            'rate({app="fm"} |= "leak" [5m]) / rate({app="fm"} |= "leak" [1h])',
-        ],
-    )
+    @pytest.mark.parametrize("query", list(TWO_LEAVES))
     def test_two_pipelines_have_no_plan_wide_needles(self, query):
-        # The plan's needles gate every read a subquery makes, so one
-        # side's filter would skip the other side's chunks.
-        assert line_filter_needles(parse(query)) == ()
+        # One side's filter must never skip the other side's chunks.
+        assert leaf_hints(query) == TWO_LEAVES[query]
+
+    def test_every_subquery_read_carries_its_shard_and_the_needles(self):
+        source = CountingSource(LokiStore())
+        planner = QueryPlanner(shard_count=2, split_ns=hours(1))
+        engine = ShardedQueryEngine(source, SimClock(0), planner=planner)
+        engine.query_logs('{app="fm"} |= "err"', minutes(30), hours(2))
+        assert sorted(set(source.hints)) == [((0, 2), ("err",)), ((1, 2), ("err",))]
+        assert len(source.hints) == 4  # two windows x two shards
 
 
 class TestPlanRange:
@@ -157,7 +198,6 @@ class TestPlanLogs:
         planner = QueryPlanner(shard_count=2, split_ns=hours(1))
         plan = planner.plan_logs('{app="fm"} |= "err"', minutes(30), hours(2))
         assert plan.is_log_query
-        assert plan.needles == ("err",)
         windows = sorted({(s.start_ns, s.end_ns) for s in plan.subqueries})
         assert windows[0][0] == minutes(30)
         assert windows[-1][1] == hours(2)  # exclusive end preserved
