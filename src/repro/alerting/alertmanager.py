@@ -16,7 +16,6 @@ All timing runs on the simulated clock.
 
 from __future__ import annotations
 
-import datetime as _dt
 from dataclasses import dataclass, field
 from typing import Iterable
 
@@ -26,34 +25,6 @@ from repro.common.labels import LabelSet, Matcher, matches_all
 from repro.common.simclock import SimClock
 from repro.alerting.events import AlertEvent, AlertState
 from repro.alerting.receivers import Notification, Receiver
-
-
-@dataclass(frozen=True)
-class TimeWindow:
-    """One recurring weekly window, in simulation UTC.
-
-    ``weekdays`` uses Monday=0; minutes count from midnight.  A window
-    ending at 24*60 runs to end of day.
-    """
-
-    weekdays: tuple[int, ...] = (0, 1, 2, 3, 4, 5, 6)
-    start_minute: int = 0
-    end_minute: int = 24 * 60
-
-    def __post_init__(self) -> None:
-        if not self.weekdays:
-            raise ValidationError("time window needs at least one weekday")
-        if any(not 0 <= d <= 6 for d in self.weekdays):
-            raise ValidationError("weekdays are 0 (Monday) .. 6 (Sunday)")
-        if not 0 <= self.start_minute < self.end_minute <= 24 * 60:
-            raise ValidationError("window minutes must satisfy 0 <= start < end <= 1440")
-
-    def contains(self, ts_ns: int) -> bool:
-        dt = _dt.datetime.fromtimestamp(ts_ns / 1e9, tz=_dt.timezone.utc)
-        if dt.weekday() not in self.weekdays:
-            return False
-        minute = dt.hour * 60 + dt.minute
-        return self.start_minute <= minute < self.end_minute
 
 
 @dataclass
@@ -68,9 +39,6 @@ class Route:
     repeat_interval: str = "4h"
     continue_: bool = False
     routes: list["Route"] = field(default_factory=list)
-    #: Names of mute intervals (registered on the Alertmanager) during
-    #: which this route's notifications are held back.
-    mute_time_intervals: tuple[str, ...] = ()
 
     def __post_init__(self) -> None:
         for attr in ("group_wait", "group_interval", "repeat_interval"):
@@ -148,9 +116,7 @@ class Alertmanager:
         self._groups: dict[tuple[int, LabelSet], _AggregationGroup] = {}
         self._silences: list[Silence] = []
         self._inhibit_rules: list[InhibitRule] = []
-        self._mute_intervals: dict[str, tuple[TimeWindow, ...]] = {}
         self.events_received = 0
-        self.notifications_muted = 0
         self.events_silenced = 0
         self.events_inhibited = 0
         self.notifications_sent = 0
@@ -170,25 +136,6 @@ class Alertmanager:
 
     def add_inhibit_rule(self, rule: InhibitRule) -> None:
         self._inhibit_rules.append(rule)
-
-    def add_mute_time_interval(
-        self, name: str, windows: tuple[TimeWindow, ...]
-    ) -> None:
-        """Register a named maintenance window set routes can reference."""
-        if not name or not windows:
-            raise ValidationError("mute interval needs a name and windows")
-        if name in self._mute_intervals:
-            raise ValidationError(f"duplicate mute interval: {name}")
-        self._mute_intervals[name] = tuple(windows)
-
-    def _route_muted(self, route: Route, now_ns: int) -> bool:
-        for name in route.mute_time_intervals:
-            windows = self._mute_intervals.get(name)
-            if windows is None:
-                raise NotFoundError(f"route references unknown mute interval {name!r}")
-            if any(w.contains(now_ns) for w in windows):
-                return True
-        return False
 
     # ------------------------------------------------------------------
     # Ingestion
@@ -239,13 +186,6 @@ class Alertmanager:
     # ------------------------------------------------------------------
     def _flush(self, group: _AggregationGroup) -> None:
         now = self._clock.now_ns
-        if self._route_muted(group.route, now):
-            # Maintenance window: hold the notification, keep the state,
-            # and try again next interval.
-            self.notifications_muted += 1
-            interval = parse_duration_ns(group.route.group_interval)
-            self._clock.call_later(interval, lambda: self._flush(group))
-            return
         repeat = parse_duration_ns(group.route.repeat_interval)
         due_repeat = (
             group.last_notified_ns is not None

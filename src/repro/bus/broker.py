@@ -348,14 +348,6 @@ class Broker:
             total += part.end_offset - committed
         return total
 
-    def seek_to_beginning(self, group_id: str, topic: str) -> None:
-        """Rewind a group to the log start offsets (replay)."""
-        t = self._topic(topic)
-        group = self._group(group_id, topic)
-        for pidx, part in enumerate(t.partitions):
-            group.offsets[pidx] = part.start_offset
-            group.positions[pidx] = part.start_offset
-
     # ------------------------------------------------------------------
     # Dead-letter queues
     # ------------------------------------------------------------------

@@ -67,19 +67,6 @@ class ClusterSpec:
     def switches_per_chassis(self) -> int:
         return (self.slots_per_chassis * self.nodes_per_slot) // NODES_PER_SWITCH
 
-    @property
-    def total_nodes(self) -> int:
-        return (
-            self.cabinets
-            * self.chassis_per_cabinet
-            * self.slots_per_chassis
-            * self.nodes_per_slot
-        )
-
-    @property
-    def total_switches(self) -> int:
-        return self.cabinets * self.chassis_per_cabinet * self.switches_per_chassis
-
 
 @dataclass
 class ComputeNode:

@@ -41,9 +41,6 @@ class Sample:
     value: float
     timestamp_ns: int
 
-    def with_value(self, value: float) -> "Sample":
-        return Sample(self.labels, value, self.timestamp_ns)
-
 
 @dataclass(frozen=True)
 class Series:

@@ -109,25 +109,8 @@ class XName:
 
     # -- hierarchy helpers -------------------------------------------------
     @property
-    def is_cabinet(self) -> bool:
-        return self.chassis is None
-
-    @property
-    def is_chassis(self) -> bool:
-        return (
-            self.chassis is not None
-            and self.slot is None
-            and self.switch is None
-            and self.bmc is None
-        )
-
-    @property
     def is_switch(self) -> bool:
         return self.switch is not None and self.node is None
-
-    @property
-    def is_node(self) -> bool:
-        return self.node is not None
 
     @property
     def is_controller(self) -> bool:

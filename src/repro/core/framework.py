@@ -54,7 +54,6 @@ from repro.grafana.panels import (
 from repro.loki.logql.engine import LogQLEngine
 from repro.loki.ruler import Ruler
 from repro.loki.store import LokiStore
-from repro.omni.anomaly import EwmaDetector, ProactiveMonitor
 from repro.omni.eventstore import EventStore, record_from_alert
 from repro.omni.warehouse import OmniWarehouse
 # The one plane-owned constant a FrameworkConfig default is made of; the
@@ -147,7 +146,8 @@ class FrameworkConfig:
     hot_node_threshold_c: float = 90.0
     install_default_rules: bool = True
     # §II/§III.D "machine learning methods for proactive incident
-    # response": EWMA anomaly scanning over key metrics.
+    # response" (repro.omni.plane): EWMA anomaly scanning over key
+    # metrics into Alertmanager.  Off by default, with no env default.
     enable_proactive_detection: bool = False
     proactive_interval_ns: int = seconds(300)
     # Self-tracing of the pipeline (repro.tempo). 0.0 = off: no tracer is
@@ -219,8 +219,9 @@ class FrameworkConfig:
     objstore_flush_interval_ns: int = minutes(5)
     objstore_compaction_interval_ns: int = minutes(30)
     objstore_target_object_bytes: int = 1 << 20
-    #: None = cold chunks are kept forever; the OMNI retention manager
-    #: still sweeps both tiers on its own schedule either way.
+    #: None = cold chunks are kept forever.  Nothing schedules the OMNI
+    #: retention manager: its ``sweep()`` runs only when called (one
+    #: lifecycle for both tiers is ROADMAP item 4).
     objstore_default_retention_ns: int | None = None
     # Sharded parallel query engine (repro.queryx).  Off by default (or
     # via the REPRO_QUERY_ENGINE env var, for CI's query-engine leg):
@@ -503,20 +504,6 @@ class MonitoringFramework:
                 )
         if cfg.install_default_rules:
             self._install_default_rules()
-
-        self.proactive: ProactiveMonitor | None = None
-        if cfg.enable_proactive_detection:
-            # z=6 with a long warmup keeps the fleet-wide false-positive
-            # rate at zero over the sensors' own noise, while a real
-            # excursion (tens of degrees) scores far beyond it.
-            self.proactive = ProactiveMonitor(
-                self.warehouse.tsdb,
-                self.clock,
-                self.alertmanager.receive,
-                detector=EwmaDetector(z_threshold=6.0, warmup=15),
-            )
-            self.proactive.watch_metric("node_temp_celsius", severity="warning")
-            self.proactive.watch_metric("gpfs_write_mb_s", severity="warning")
 
         #: OMNI's event archive (paper §III.C: "anything that has a
         #: start and end time"); SN alerts are mirrored in periodically.
@@ -812,8 +799,6 @@ class MonitoringFramework:
         self.clock.every(cfg.facility_interval_ns, self._sample_facility)
         self.ruler.run_periodic(cfg.ruler_interval_ns)
         self.vmalert.run_periodic(cfg.vmalert_interval_ns)
-        if self.proactive is not None:
-            self.proactive.run_periodic(cfg.proactive_interval_ns)
         if self.trace_metrics is not None:
             self.clock.every(
                 cfg.tracing_metrics_interval_ns, self.trace_metrics.export

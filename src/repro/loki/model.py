@@ -71,39 +71,6 @@ class PushRequest:
             )
         )
 
-    @classmethod
-    def from_json_obj(cls, obj: Any) -> "PushRequest":
-        """Parse the Figure-3 wire format, validating shape strictly."""
-        if not isinstance(obj, dict) or "streams" not in obj:
-            raise ValidationError("push payload must be an object with 'streams'")
-        streams = []
-        for raw in obj["streams"]:
-            if not isinstance(raw, dict):
-                raise ValidationError("each stream must be an object")
-            try:
-                stream_labels = raw["stream"]
-                values = raw["values"]
-            except KeyError as exc:
-                raise ValidationError(f"stream missing key {exc}") from None
-            entries = []
-            for pair in values:
-                if not isinstance(pair, (list, tuple)) or len(pair) != 2:
-                    raise ValidationError("each value must be [ts, line]")
-                ts_raw, line = pair
-                try:
-                    ts = int(ts_raw)
-                except (TypeError, ValueError):
-                    raise ValidationError(
-                        f"timestamp must be integer nanoseconds, got {ts_raw!r}"
-                    ) from None
-                if not isinstance(line, str):
-                    raise ValidationError("log line must be a string")
-                entries.append(LogEntry(ts, line))
-            streams.append(
-                PushStream(labels=LabelSet(stream_labels), entries=tuple(entries))
-            )
-        return cls(streams=tuple(streams))
-
     def to_json_obj(self) -> dict[str, Any]:
         """Serialise back to the Figure-3 wire format."""
         return {

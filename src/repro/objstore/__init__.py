@@ -8,8 +8,8 @@ merges small objects, deduplicates what replication and WAL replay
 multiplied, and applies retention / delete requests at chunk
 granularity; a :class:`StoreGateway` serves historical selects straight
 from the object store.  :class:`TieredLokiStore` snaps the pieces behind
-the ordinary store surface so the LogQL engine, Promtail, the ruler and
-the retention manager run unchanged with the tier on.
+the ordinary store surface so the LogQL engine, the ruler and the
+retention manager run unchanged with the tier on.
 """
 
 from repro.objstore.compactor import (

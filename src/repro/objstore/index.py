@@ -254,9 +254,6 @@ class ShipperIndex:
     def entry_count(self, tenant: str | None = None) -> int:
         return sum(ref.entry_count for ref in self._scan(tenant=tenant))
 
-    def chunk_bytes(self, tenant: str | None = None) -> int:
-        return sum(ref.size_bytes for ref in self._scan(tenant=tenant))
-
     def oldest_first_ts(self, tenant: str | None = None) -> int | None:
         return min((ref.first_ts_ns for ref in self._scan(tenant=tenant)), default=None)
 

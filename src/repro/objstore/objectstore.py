@@ -89,10 +89,6 @@ class ObjectStore:
     def outage(self) -> bool:
         return self._outage
 
-    @property
-    def slowdown(self) -> float:
-        return self._slowdown
-
     def set_outage(self, down: bool) -> None:
         self._outage = bool(down)
 

@@ -9,8 +9,8 @@ monitoring ML actually ships:
 * :class:`EwmaDetector` — exponentially weighted moving average with a
   variance-tracked z-score: flags points that deviate from the learned
   local level (temperature creep before a thermal trip).
-* :class:`RateOfChangeDetector` — flags abrupt jumps between consecutive
-  samples (a fan dying, power stepping).
+* :class:`CusumDetector` — two-sided CUSUM: flags a persistent drift
+  the spike detector would absorb (a node creeping hotter).
 * :class:`ProactiveMonitor` — scans TSDB series on a schedule and emits
   Alertmanager-compatible ``AnomalyDetected`` events, giving operators
   warning *before* a threshold rule would fire.
@@ -154,27 +154,6 @@ class CusumDetector:
         return anomalies
 
 
-class RateOfChangeDetector:
-    """Flags consecutive-sample jumps larger than ``max_relative_step``."""
-
-    def __init__(self, max_relative_step: float = 0.5, min_base: float = 1.0) -> None:
-        if max_relative_step <= 0:
-            raise ValidationError("relative step must be positive")
-        self.max_relative_step = max_relative_step
-        self.min_base = min_base
-
-    def scan(self, timestamps: np.ndarray, values: np.ndarray) -> list[Anomaly]:
-        if len(values) < 2:
-            return []
-        base = np.maximum(np.abs(values[:-1]), self.min_base)
-        rel = np.abs(np.diff(values)) / base
-        hits = np.nonzero(rel >= self.max_relative_step)[0]
-        return [
-            Anomaly(int(timestamps[i + 1]), float(values[i + 1]), float(rel[i]))
-            for i in hits
-        ]
-
-
 class ProactiveMonitor:
     """Scans selected TSDB series and emits anomaly alert events."""
 
@@ -183,7 +162,7 @@ class ProactiveMonitor:
         store: TimeSeriesStore,
         clock: SimClock,
         notifier: Callable[[AlertEvent], None],
-        detector: "EwmaDetector | RateOfChangeDetector | CusumDetector | None" = None,
+        detector: EwmaDetector | CusumDetector | None = None,
         window_ns: int = 3_600_000_000_000,  # 1h of history per scan
     ) -> None:
         if window_ns <= 0:
@@ -206,12 +185,14 @@ class ProactiveMonitor:
     def scan_once(self) -> list[AlertEvent]:
         """One pass over every watched metric; returns emitted events."""
         now = self._clock.now_ns
+        start = now - self._window_ns
+        # A point older than the window is never selected again, so its
+        # key can go: the set holds one window's worth of anomalies.
+        self._reported = {key for key in self._reported if key[1] >= start}
         events: list[AlertEvent] = []
         for metric, severity in self._watched:
             selected = self._store.select(
-                [Matcher(METRIC_NAME_LABEL, MatchOp.EQ, metric)],
-                now - self._window_ns,
-                now + 1,
+                [Matcher(METRIC_NAME_LABEL, MatchOp.EQ, metric)], start, now + 1
             )
             for labels, ts, vals in selected:
                 for anomaly in self._detector.scan(ts, vals):
@@ -253,4 +234,4 @@ class ProactiveMonitor:
         )
 
     def run_periodic(self, interval_ns: int) -> None:
-        self._clock.every(interval_ns, lambda: self.scan_once())
+        self._clock.every(interval_ns, self.scan_once)

@@ -125,12 +125,6 @@ class BloomFilter:
         set_bits = sum(bin(b).count("1") for b in self._bits)
         return set_bits / self.m_bits
 
-    def expected_fp_rate(self) -> float:
-        """``(1 - e^(-kn/m))^k`` for the tokens actually inserted."""
-        if self.inserted == 0:
-            return 0.0
-        return (1.0 - math.exp(-self.k * self.inserted / self.m_bits)) ** self.k
-
     # ------------------------------------------------------------------
     # Serialization (bit array + geometry)
     # ------------------------------------------------------------------

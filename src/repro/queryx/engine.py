@@ -13,10 +13,10 @@ store-gateway's ``fetch_latency_ns_total``).  The query's wall-clock is
 the busiest worker's timeline; the serial figure is the timeline sum —
 what the monolithic path would have paid.  Bench Q1 is the ratio.
 
-Scheduler integration: :meth:`submit_via_scheduler` pushes each
-subquery through the tenancy ``QueryScheduler`` as its own ticket, so
-round-robin fairness applies at fan-out granularity; :func:`collect`
-merges the finished tickets.
+With multi-tenancy on, the engine sits behind the tenancy
+``QueryScheduler`` (through the query frontend): the scheduler times a
+whole query as one ticket, and this pool times the subqueries inside it
+(DESIGN §12).
 """
 
 from __future__ import annotations
@@ -98,60 +98,6 @@ class ShardedQueryEngine:
         self.queries_total += 1
         self.log_queries_total += 1
         return result
-
-    # ------------------------------------------------------------------
-    # Scheduler-granular execution
-    # ------------------------------------------------------------------
-    def submit_via_scheduler(
-        self, scheduler, tenant: str | None, query: str,
-        start_ns: int, end_ns: int, step_ns: int,
-    ):
-        """Submit one scheduler ticket *per subquery*; returns
-        ``(plan, tickets)``.  Drive the sim clock until every ticket is
-        done, then hand both to :meth:`collect` for the merged frame.
-        """
-        plan = self.planner.plan_range(query, start_ns, end_ns, step_ns)
-        phase = start_ns % step_ns
-        self.pool.reset_timelines()
-        tickets = []
-        for sub in plan.subqueries:
-            tickets.append(
-                scheduler.submit(
-                    tenant,
-                    query,
-                    sub.start_ns,
-                    sub.end_ns,
-                    step_ns,
-                    execute_fn=self._subquery_fn(plan, sub, phase),
-                )
-            )
-        self.queries_total += 1
-        self.subqueries_total += len(plan.subqueries)
-        return plan, tickets
-
-    def _subquery_fn(self, plan: QueryPlan, sub: Subquery, phase: int):
-        # Ticket *timing* belongs to the scheduler (slot hold, queue
-        # wait); the pool is not charged on this path.
-        def run() -> list[Series]:
-            return self._run_subquery(plan, sub, phase)
-
-        return run
-
-    def collect(self, plan: QueryPlan, tickets) -> list[Series]:
-        """Merge finished scheduler tickets into the final frame."""
-        pending = [t for t in tickets if not t.done]
-        if pending:
-            raise ValidationError(
-                f"{len(pending)} subquery tickets still pending"
-            )
-        errors = [t.error for t in tickets if t.error is not None]
-        if errors:
-            raise errors[0]
-        partials = [
-            (sub, ticket.result or [])
-            for sub, ticket in zip(plan.subqueries, tickets)
-        ]
-        return merge_metric_partials(plan, partials)
 
     # ------------------------------------------------------------------
     # Execution internals

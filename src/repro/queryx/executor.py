@@ -90,9 +90,6 @@ class QuerierPool:
                 return w
         raise ValidationError(f"no such querier {worker_id!r}")
 
-    def worker_ids(self) -> list[str]:
-        return [w.worker_id for w in self._workers]
-
     def set_crashed(self, worker_id: str, crashed: bool) -> None:
         self.worker(worker_id).crashed = crashed
 

@@ -125,9 +125,6 @@ class NotificationJournal:
             if e.state is NotificationState.FAILED
         ]
 
-    def enqueued_count(self, receiver: str | None = None) -> int:
-        return len(self.entries(receiver))
-
     def delivered_count(self, receiver: str | None = None) -> int:
         return sum(
             1

@@ -115,9 +115,6 @@ class FailureDetector:
     def unmute(self, member: str) -> None:
         self._muted.discard(member)
 
-    def muted(self, member: str) -> bool:
-        return member in self._muted
-
     # ------------------------------------------------------------------
     # Loops
     # ------------------------------------------------------------------

@@ -53,6 +53,3 @@ class SnAlert:
     @property
     def is_active(self) -> bool:
         return self.state is not SnAlertState.CLOSED
-
-    def event_count(self) -> int:
-        return len(self.events)

@@ -70,6 +70,3 @@ class ErrorBudget:
     @property
     def exhausted(self) -> bool:
         return self.remaining_ratio() <= 0.0 and len(self._snapshots) >= 2
-
-    def snapshot_count(self) -> int:
-        return len(self._snapshots)

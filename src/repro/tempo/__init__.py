@@ -23,13 +23,12 @@ Layout mirrors ``repro.loki``:
 
 from repro.tempo.model import Span, SpanContext, SpanStatus
 from repro.tempo.store import TraceStore, TraceSummary
-from repro.tempo.tracer import SpanHandle, Tracer
+from repro.tempo.tracer import Tracer
 
 __all__ = [
     "Span",
     "SpanContext",
     "SpanStatus",
-    "SpanHandle",
     "TraceStore",
     "TraceSummary",
     "Tracer",

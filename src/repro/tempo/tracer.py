@@ -1,14 +1,9 @@
 """The in-process tracer: ID generation, head sampling, span recording.
 
-Two recording styles are offered:
-
-* :meth:`Tracer.start_trace` / :meth:`Tracer.start_span` return a
-  :class:`SpanHandle` that is closed with ``end()`` — the familiar
-  open/close style for synchronous work;
-* :meth:`Tracer.record` writes a finished span with explicit start/end
-  timestamps in one call — the natural style in a discrete-event
-  simulation, where a stage like "broker queue wait" is only known to be
-  over at the *consumer* side, long after the producer returned.
+:meth:`Tracer.record` writes a finished span with explicit start/end
+timestamps in one call — the natural style in a discrete-event
+simulation, where a stage like "broker queue wait" is only known to be
+over at the *consumer* side, long after the producer returned.
 
 Sampling is head-based and decided once per trace at the root: a sampled-
 out root returns ``None`` and every downstream stage, seeing no context,
@@ -24,34 +19,6 @@ from collections.abc import Mapping
 from repro.common.simclock import SimClock
 from repro.tempo.model import TRACEPARENT_KEY, Span, SpanContext, SpanStatus
 from repro.tempo.store import TraceStore
-
-
-class SpanHandle:
-    """An open span; ``end()`` stamps the finish time and stores it."""
-
-    def __init__(self, tracer: "Tracer", span: Span) -> None:
-        self._tracer = tracer
-        self._span = span
-        self._ended = False
-
-    @property
-    def context(self) -> SpanContext:
-        return self._span.context()
-
-    @property
-    def span(self) -> Span:
-        return self._span
-
-    def set_attribute(self, key: str, value: str) -> None:
-        self._span.attributes[key] = value
-
-    def end(self, status: SpanStatus = SpanStatus.OK) -> Span:
-        if not self._ended:
-            self._ended = True
-            self._span.end_ns = self._tracer.now_ns
-            self._span.status = status
-            self._tracer._commit(self._span)
-        return self._span
 
 
 class Tracer:
@@ -103,50 +70,6 @@ class Tracer:
             return True
         self.traces_sampled_out += 1
         return False
-
-    # ------------------------------------------------------------------
-    # Open/close recording
-    # ------------------------------------------------------------------
-    def start_trace(
-        self,
-        service: str,
-        name: str,
-        start_ns: int | None = None,
-        attributes: dict[str, str] | None = None,
-    ) -> SpanHandle | None:
-        """Begin a new root span, or ``None`` if the trace is sampled out."""
-        if not self._sample_root():
-            return None
-        span = Span(
-            trace_id=self._new_trace_id(),
-            span_id=self._new_span_id(),
-            parent_id=None,
-            service=service,
-            name=name,
-            start_ns=self.now_ns if start_ns is None else start_ns,
-            attributes=dict(attributes or {}),
-        )
-        return SpanHandle(self, span)
-
-    def start_span(
-        self,
-        parent: SpanContext,
-        service: str,
-        name: str,
-        start_ns: int | None = None,
-        attributes: dict[str, str] | None = None,
-    ) -> SpanHandle:
-        """Begin a child span under an already-sampled context."""
-        span = Span(
-            trace_id=parent.trace_id,
-            span_id=self._new_span_id(),
-            parent_id=parent.span_id,
-            service=service,
-            name=name,
-            start_ns=self.now_ns if start_ns is None else start_ns,
-            attributes=dict(attributes or {}),
-        )
-        return SpanHandle(self, span)
 
     # ------------------------------------------------------------------
     # One-shot recording

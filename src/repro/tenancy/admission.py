@@ -245,9 +245,6 @@ class AdmissionController:
     def active_streams(self, tenant: str) -> int:
         return len(self._streams.get(tenant, ()))
 
-    def discards(self, tenant: str) -> dict[str, int]:
-        return dict(self._counters(tenant).discarded)
-
 
 def _with_tenant(labels: LabelSet, tenant: str) -> LabelSet:
     if labels.get(TENANT_LABEL) == tenant:

@@ -23,7 +23,6 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass, field
-from typing import Callable
 
 from repro.common.errors import QueryLimitError, ValidationError
 from repro.common.simclock import NANOS_PER_HOUR, SimClock, seconds
@@ -46,12 +45,6 @@ class ScheduledQuery:
     finished_ns: int | None = None
     result: list[Series] | None = None
     error: Exception | None = None
-    #: When set, the ticket runs this callable instead of the frontend —
-    #: the hook the queryx engine uses to push *subqueries* through the
-    #: scheduler, so fairness is enforced at fan-out granularity (a
-    #: tenant's 24 subqueries round-robin against other tenants' work
-    #: instead of slipping through as one opaque query).
-    execute_fn: Callable[[], list[Series]] | None = None
 
     @property
     def done(self) -> bool:
@@ -130,15 +123,14 @@ class QueryScheduler:
         start_ns: int,
         end_ns: int,
         step_ns: int,
-        execute_fn: Callable[[], list[Series]] | None = None,
     ) -> ScheduledQuery:
         """Enqueue a range query for ``tenant``; returns the ticket.
 
         Raises :class:`QueryLimitError` immediately if the window
         exceeds the tenant's ``max_query_range_ns`` — an over-wide query
-        is refused at the door, not queued.  ``execute_fn`` substitutes
-        the execution body (used for queryx subqueries); limits are
-        checked against the ticket's window either way.
+        is refused at the door, not queued.  A ticket is a whole query:
+        behind the frontend, queryx fans it out and times the subqueries
+        on its own pool.
         """
         tenant = tenant or DEFAULT_TENANT
         stats = self._stats(tenant)
@@ -158,7 +150,6 @@ class QueryScheduler:
             end_ns=end_ns,
             step_ns=step_ns,
             submitted_ns=self._clock.now_ns,
-            execute_fn=execute_fn,
         )
         stats.submitted += 1
         queue = self._queues.get(tenant)
@@ -221,16 +212,13 @@ class QueryScheduler:
         stats.waits_ns.append(now - ticket.submitted_ns)
         limits = self.registry.limits_for(ticket.tenant)
         try:
-            if ticket.execute_fn is not None:
-                result = ticket.execute_fn()
-            else:
-                result = self._frontend.query_range(
-                    ticket.query,
-                    ticket.start_ns,
-                    ticket.end_ns,
-                    ticket.step_ns,
-                    tenant=ticket.tenant,
-                )
+            result = self._frontend.query_range(
+                ticket.query,
+                ticket.start_ns,
+                ticket.end_ns,
+                ticket.step_ns,
+                tenant=ticket.tenant,
+            )
             if len(result) > limits.max_series_per_query:
                 raise QueryLimitError(
                     ticket.tenant,

@@ -5,11 +5,7 @@ import pytest
 
 from repro.common.errors import ValidationError
 from repro.common.simclock import SimClock, minutes, seconds
-from repro.omni.anomaly import (
-    EwmaDetector,
-    ProactiveMonitor,
-    RateOfChangeDetector,
-)
+from repro.omni.anomaly import EwmaDetector, ProactiveMonitor
 from repro.tsdb.storage import TimeSeriesStore
 
 
@@ -60,30 +56,6 @@ class TestEwmaDetector:
             EwmaDetector(z_threshold=0)
         with pytest.raises(ValidationError):
             EwmaDetector(warmup=0)
-
-
-class TestRateOfChangeDetector:
-    def test_smooth_series_quiet(self):
-        ts, vals = series(np.linspace(100, 120, 50))
-        assert RateOfChangeDetector().scan(ts, vals) == []
-
-    def test_jump_flagged(self):
-        ts, vals = series([100.0, 101.0, 250.0, 251.0])
-        anomalies = RateOfChangeDetector(max_relative_step=0.5).scan(ts, vals)
-        assert len(anomalies) == 1
-        assert anomalies[0].timestamp_ns == 20
-
-    def test_short_series_quiet(self):
-        ts, vals = series([5.0])
-        assert RateOfChangeDetector().scan(ts, vals) == []
-
-    def test_min_base_avoids_divzero_blowup(self):
-        ts, vals = series([0.0, 0.4])
-        assert RateOfChangeDetector(max_relative_step=0.5).scan(ts, vals) == []
-
-    def test_validation(self):
-        with pytest.raises(ValidationError):
-            RateOfChangeDetector(max_relative_step=0)
 
 
 class TestProactiveMonitor:
@@ -149,3 +121,27 @@ class TestProactiveMonitor:
         clock.advance(minutes(30))
         assert monitor.scans == 6
         assert events  # the spike reached the notifier
+
+    def test_reported_keys_stay_within_one_window(self):
+        """A day of a spike every five minutes: every scan finds something
+        new, yet the dedup set never holds more keys than the window holds
+        samples (it used to keep every anomaly ever reported)."""
+        clock = SimClock(0)
+        store = TimeSeriesStore()
+        monitor = ProactiveMonitor(
+            store, clock, lambda event: None,
+            detector=EwmaDetector(warmup=5), window_ns=minutes(10),
+        )
+        monitor.watch_metric("node_temp_celsius")
+        rng = np.random.default_rng(4)
+        sizes = []
+        for sample in range(24 * 120):  # one sample per 30 s
+            spike = sample % 10 == 9
+            value = 95.0 if spike else 35.0 + rng.standard_normal()
+            store.ingest("node_temp_celsius", {"xname": "x1c0s0b0n0"}, value, clock.now_ns)
+            clock.advance(seconds(30))
+            if sample % 10 == 9:
+                monitor.scan_once()
+                sizes.append(len(monitor._reported))
+        assert monitor.anomalies_found >= 280
+        assert max(sizes) <= 21  # samples in [now - 10 min, now]

@@ -102,8 +102,8 @@ class TestProduceConsume:
 
     def test_seek_to_beginning(self, broker):
         broker.produce("events", "a")
-        broker.poll("g", "events")
-        broker.seek_to_beginning("g", "events")
+        (record,) = broker.poll("g", "events")
+        broker.seek("g", "events", record.partition, 0)
         assert len(broker.poll("g", "events")) == 1
 
     def test_produce_batch(self, broker):

@@ -1,13 +1,12 @@
 """Integration tests for the extension features: proactive anomaly
-detection in the framework, and Promtail feeding the framework's Loki."""
+detection in the framework."""
 
 import pytest
 
-from repro.common.simclock import minutes, seconds
+from repro.common.simclock import minutes
 from repro.cluster.faults import FaultKind
 from repro.cluster.topology import ClusterSpec
 from repro.core.framework import FrameworkConfig, MonitoringFramework
-from repro.loki.promtail import MatchStage, Promtail, RegexStage, ScrapeConfig
 
 
 @pytest.fixture
@@ -53,46 +52,3 @@ class TestProactiveDetection:
                                                      chassis_per_cabinet=1))
         )
         assert fw.proactive is None
-
-
-class TestPromtailIntegration:
-    def test_promtail_feeds_framework_loki(self, fw):
-        fw.start()
-        promtail = Promtail(fw.warehouse.loki)
-        promtail.add_scrape_config(
-            ScrapeConfig(
-                job="varlog",
-                static_labels={"cluster": "perlmutter", "data_type": "syslog"},
-                stages=[
-                    RegexStage(r"(?P<facility>\w+)\["),
-                    MatchStage("DEBUG", invert=True),
-                ],
-            )
-        )
-        now = fw.clock.now_ns
-        promtail.collect(
-            "varlog",
-            [
-                (now, "sshd[123]: Accepted publickey for alice"),
-                (now + 1, "kernel[0]: DEBUG scheduler tick"),
-                (now + 2, "kernel[0]: nvme0: I/O error"),
-            ],
-        )
-        assert promtail.lines_dropped == 1
-        results = fw.logql.query_logs(
-            '{job="varlog", facility="kernel"}', 0, now + minutes(1)
-        )
-        assert sum(len(e) for _, e in results) == 1
-
-    def test_promtail_logs_visible_in_dashboard_queries(self, fw):
-        fw.start()
-        promtail = Promtail(fw.warehouse.loki)
-        promtail.add_scrape_config(
-            ScrapeConfig(job="app", static_labels={"data_type": "container_log"})
-        )
-        now = fw.clock.now_ns
-        promtail.collect("app", [(now + i, f"line {i}") for i in range(5)])
-        samples = fw.logql.query_instant(
-            'sum(count_over_time({job="app"}[5m]))', now + seconds(10)
-        )
-        assert samples[0].value == 5.0

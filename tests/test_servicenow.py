@@ -173,7 +173,7 @@ class TestPlatformCorrelation:
         a1 = platform.process_event(make_event(t=0))
         a2 = platform.process_event(make_event(t=1))
         assert a1 is a2
-        assert a1.event_count() == 2
+        assert len(a1.events) == 2
         assert platform.funnel() == {"events": 2, "alerts": 1, "incidents": 1}
 
     def test_different_keys_distinct_alerts(self, platform):

@@ -3,7 +3,7 @@
 import pytest
 
 from repro.common.errors import ValidationError
-from repro.common.simclock import SimClock, seconds
+from repro.common.simclock import SimClock
 from repro.tempo import Span, SpanContext, SpanStatus, TraceStore, Tracer
 
 TRACE = "0af7651916cd43dd8448eb211c80319c"
@@ -75,26 +75,9 @@ class TestTracer:
         assert spans[1].parent_id == root.span_id
         assert store.duration_ns(root.trace_id) == 30
 
-    def test_handles_open_close_style(self):
-        tracer, store, clock = make_tracer()
-        handle = tracer.start_trace("ruler", "eval")
-        clock.advance(seconds(5))
-        child = tracer.start_span(handle.context, "alertmanager", "notify")
-        child.set_attribute("alertname", "Leak")
-        clock.advance(seconds(1))
-        child.end()
-        handle.end()
-        spans = store.trace(handle.context.trace_id)
-        assert len(spans) == 2
-        assert spans[0].duration_ns == seconds(6)
-        assert spans[1].attributes["alertname"] == "Leak"
-        # end() is idempotent
-        assert child.end().end_ns == spans[1].end_ns
-
     def test_sampling_zero_is_inert(self):
         tracer, store, _ = make_tracer(sampling=0.0)
         assert not tracer.enabled
-        assert tracer.start_trace("a", "b") is None
         assert tracer.record("a", "b", None, 0, 1) is None
         assert store.spans_added == 0
         assert tracer.counters() == {

@@ -29,9 +29,9 @@ class TestSpec:
         )
 
     def test_totals(self):
-        spec = ClusterSpec(cabinets=2, chassis_per_cabinet=2)
-        assert spec.total_nodes == 2 * 2 * 8 * 2
-        assert spec.total_switches == 2 * 2 * 2
+        cluster = Cluster(ClusterSpec(cabinets=2, chassis_per_cabinet=2))
+        assert len(cluster.nodes) == 2 * 2 * 8 * 2
+        assert len(cluster.switches) == 2 * 2 * 2
 
     def test_rejects_non_multiple_of_eight(self):
         with pytest.raises(ValidationError):
@@ -45,8 +45,9 @@ class TestSpec:
 class TestBuild:
     def test_component_counts(self, cluster):
         spec = cluster.spec
-        assert len(cluster.nodes) == spec.total_nodes
-        assert len(cluster.switches) == spec.total_switches
+        chassis = spec.cabinets * spec.chassis_per_cabinet
+        assert len(cluster.nodes) == chassis * spec.slots_per_chassis * spec.nodes_per_slot
+        assert len(cluster.switches) == chassis * spec.switches_per_chassis
         assert len(cluster.cabinets) == spec.cabinets
         assert len(cluster.chassis) == spec.cabinets * spec.chassis_per_cabinet
 

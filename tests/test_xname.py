@@ -24,11 +24,11 @@ class TestParse:
 
     def test_full_node(self):
         x = XName.parse("x1000c0s5b0n1")
-        assert x.node == 1
-        assert x.is_node
+        assert (x.cabinet, x.chassis, x.slot, x.bmc, x.node) == (1000, 0, 5, 0, 1)
 
     def test_cabinet_only(self):
-        assert XName.parse("x3000").is_cabinet
+        x = XName.parse("x3000")
+        assert x.cabinet == 3000 and x.chassis is None and x.parent() is None
 
     @pytest.mark.parametrize(
         "bad", ["", "x", "y1000", "x1000c", "x1000s0", "x1000c0n1", "x1c0s0r0"]
