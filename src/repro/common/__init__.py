@@ -19,7 +19,6 @@ from repro.common.errors import (
     QueryError,
     AuthError,
     NotFoundError,
-    RetentionError,
 )
 from repro.common.labels import LabelSet, label_matcher, Matcher, MatchOp
 from repro.common.simclock import SimClock, Timer
@@ -31,7 +30,6 @@ __all__ = [
     "QueryError",
     "AuthError",
     "NotFoundError",
-    "RetentionError",
     "LabelSet",
     "Matcher",
     "MatchOp",

@@ -28,10 +28,6 @@ class NotFoundError(ReproError):
     """A named entity (topic, stream, CI, dashboard, ...) does not exist."""
 
 
-class RetentionError(ReproError):
-    """Requested data falls outside the retention window and is not archived."""
-
-
 class CapacityError(ReproError):
     """A bounded component (chunk, partition, queue) refused more data."""
 

@@ -55,6 +55,7 @@ from repro.loki.logql.engine import LogQLEngine
 from repro.loki.ruler import Ruler
 from repro.loki.store import LokiStore
 from repro.omni.eventstore import EventStore, record_from_alert
+from repro.omni.lifecycle import SWEEP_INTERVAL_NS, Lifecycle
 from repro.omni.warehouse import OmniWarehouse
 # The one plane-owned constant a FrameworkConfig default is made of; the
 # class below uses nothing else from a plane package.
@@ -211,18 +212,14 @@ class FrameworkConfig:
     # before.  On: a shipper periodically seals aged chunks and uploads
     # them to a simulated S3 bucket behind a period-partitioned index
     # (replica copies deduplicate by content hash), freeing hot memory;
-    # a compactor merges small objects and applies retention; queries
-    # merge recent-from-ingester with cold-from-gateway transparently.
+    # a compactor merges small objects; queries merge
+    # recent-from-ingester with cold-from-gateway transparently.
     enable_object_storage: bool = field(
         default_factory=env_flag("REPRO_OBJECT_STORAGE")
     )
     objstore_flush_interval_ns: int = minutes(5)
     objstore_compaction_interval_ns: int = minutes(30)
     objstore_target_object_bytes: int = 1 << 20
-    #: None = cold chunks are kept forever.  Nothing schedules the OMNI
-    #: retention manager: its ``sweep()`` runs only when called (one
-    #: lifecycle for both tiers is ROADMAP item 4).
-    objstore_default_retention_ns: int | None = None
     # Sharded parallel query engine (repro.queryx).  Off by default (or
     # via the REPRO_QUERY_ENGINE env var, for CI's query-engine leg):
     # queries run monolithically on one LogQL engine as before.  On:
@@ -378,6 +375,11 @@ class MonitoringFramework:
             patterns=self.pattern_ingester,
         )
         register_faults(self.faults, self.warehouse, self.gpfs)
+        #: The one retention path: each sweep archives aged log chunks,
+        #: downsamples aged metrics and expires broker topics.
+        self.lifecycle = Lifecycle(
+            self.clock, self.warehouse.loki, self.warehouse.tsdb, self.broker
+        )
         self.logql = LogQLEngine(self.warehouse.loki, patterns=self.pattern_store)
         self.promql = PromQLEngine(self.warehouse.tsdb)
         for plane in self.planes:
@@ -806,6 +808,7 @@ class MonitoringFramework:
         for plane in self.planes:
             plane.start(self)
         self.clock.every(minutes(1), self._mirror_alert_events)
+        self.clock.every(SWEEP_INTERVAL_NS, self.lifecycle.sweep)
         self._started = True
 
     def _mirror_alert_events(self) -> None:

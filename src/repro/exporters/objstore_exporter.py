@@ -117,7 +117,7 @@ def _read_compactor(compactor: Compactor) -> Iterator[Reading]:
     yield "objstore_compaction_duplicates_dropped_total", dropped, None
     expired = comp["retention_deleted"]
     yield "objstore_retention_chunks_deleted_total", expired, {"reason": "retention"}
-    requested = comp["delete_requests"]
+    requested = comp["request_deleted"]
     yield "objstore_retention_chunks_deleted_total", requested, {"reason": "request"}
 
 

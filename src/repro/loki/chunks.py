@@ -225,3 +225,22 @@ class Chunk:
         if self.first_ts_ns is None:
             return 0
         return max(0, now_ns - self.first_ts_ns)
+
+
+def pack_chunks(entries: list[LogEntry], policy: ChunkPolicy) -> list[Chunk]:
+    """Time-ordered ``entries`` cut into sealed chunks of at most the
+    policy's target size — how the compactor rewrites a merged stream and
+    the lifecycle archives an expired one."""
+    chunks: list[Chunk] = []
+    current: Chunk | None = None
+    for entry in entries:
+        size = entry.size_bytes()
+        if current is None or not current.space_for(entry, size):
+            if current is not None:
+                current.seal()
+            current = Chunk(policy)
+            chunks.append(current)
+        current.append(entry, size)
+    if current is not None:
+        current.seal()
+    return chunks

@@ -5,11 +5,11 @@ recent, open-or-just-sealed chunks; everything sealed ships to a
 simulated S3-like :class:`ObjectStore` through the :class:`ChunkShipper`
 and its period-partitioned :class:`ShipperIndex`.  A :class:`Compactor`
 merges small objects, deduplicates what replication and WAL replay
-multiplied, and applies retention / delete requests at chunk
+multiplied, and applies delete requests at chunk
 granularity; a :class:`StoreGateway` serves historical selects straight
 from the object store.  :class:`TieredLokiStore` snaps the pieces behind
 the ordinary store surface so the LogQL engine, the ruler and the
-retention manager run unchanged with the tier on.
+lifecycle run unchanged with the tier on.
 """
 
 from repro.objstore.compactor import (

@@ -1,6 +1,6 @@
 """The compactor: fewer, bigger, deduplicated cold objects.
 
-Three jobs, same as Loki's compactor component:
+Two jobs, as in Loki's compactor component:
 
 * **Merge** — within one index period, a stream's many small chunk
   objects are fetched, merged in timestamp order, and rewritten as few
@@ -8,11 +8,12 @@ Three jobs, same as Loki's compactor component:
   duplicates (divergent replica chunks from crash windows, where content
   hashing could not dedup at ship time) collapse here via the same
   max-multiplicity merge the ring's read path uses.
-* **Retention** — per-tenant (or default) horizons delete every chunk
-  wholly older than the cutoff; straddling chunks survive, exactly like
-  the hot store's ``delete_before``.
 * **Delete requests** — explicit, tenant-scoped, matcher + time-window
   requests (GDPR-style) processed at chunk granularity on the next run.
+
+Retention is not a job of its own: the OMNI lifecycle archives what aged
+out, then deletes it through the tiered store's ``delete_before``, which
+reaches :meth:`Compactor.delete_chunks_before` for the cold tier.
 
 Each run finishes by persisting dirty index periods and collapsing every
 period's snapshot pile to a single file.  An outage aborts the run and
@@ -27,9 +28,9 @@ from dataclasses import dataclass
 from repro.common.errors import ValidationError
 from repro.common.labels import LabelSet, Matcher
 from repro.common.simclock import SimClock
-from repro.loki.chunks import Chunk, ChunkPolicy
+from repro.loki.chunks import Chunk, ChunkPolicy, pack_chunks
 from repro.loki.model import LogEntry
-from repro.objstore.index import ChunkRef, ShipperIndex, chunk_object_key
+from repro.objstore.index import ChunkRef, ShipperIndex
 from repro.objstore.objectstore import ObjectStore, ObjectStoreUnavailable
 from repro.ring.merge import merge_replica_entries
 from repro.tempo.model import SpanStatus
@@ -82,7 +83,6 @@ class CompactionResult:
     entries_in: int = 0
     entries_out: int = 0
     duplicates_dropped: int = 0
-    retention_chunks_deleted: int = 0
     delete_requests_processed: int = 0
     index_files_removed: int = 0
     bloom_blocks_built: int = 0
@@ -90,7 +90,7 @@ class CompactionResult:
 
 
 class Compactor:
-    """Merges, deduplicates and expires cold chunks period by period."""
+    """Merges and deduplicates cold chunks period by period."""
 
     def __init__(
         self,
@@ -98,8 +98,6 @@ class Compactor:
         index: ShipperIndex,
         clock: SimClock,
         policy: CompactionPolicy | None = None,
-        default_retention_ns: int | None = None,
-        tenant_retention_ns: dict[str, int] | None = None,
         tracer: Tracer | None = None,
         blooms=None,
         patterns=None,
@@ -108,8 +106,6 @@ class Compactor:
         self._index = index
         self._clock = clock
         self.policy = policy or CompactionPolicy()
-        self.default_retention_ns = default_retention_ns
-        self.tenant_retention_ns = dict(tenant_retention_ns or {})
         self._tracer = tracer
         #: Optional ``repro.queryx.bloom.BloomStore`` (duck-typed; the
         #: compactor is the bloom *writer* — it already holds every
@@ -133,8 +129,10 @@ class Compactor:
         self.chunks_merged_total = 0
         self.chunks_written_total = 0
         self.duplicates_dropped_total = 0
+        #: Chunks deleted by :meth:`delete_chunks_before` (retention) and
+        #: by delete requests.
         self.retention_deleted_total = 0
-        self.delete_requests_total = 0
+        self.request_deleted_total = 0
         self.index_files_removed_total = 0
         self.last_success_ns: int | None = None
 
@@ -180,31 +178,12 @@ class Compactor:
         )
         return chunk.entries()
 
-    def _rebuild_chunks(self, entries: list[LogEntry]) -> list[Chunk]:
-        chunks: list[Chunk] = []
-        current: Chunk | None = None
-        for entry in entries:
-            size = entry.size_bytes()
-            if current is None or not current.space_for(entry, size):
-                if current is not None:
-                    current.seal()
-                current = Chunk(self._chunk_policy)
-                chunks.append(current)
-            current.append(entry, size)
-        if current is not None:
-            current.seal()
-        return chunks
-
     def _delete_ref(self, ref: ChunkRef) -> None:
         self._objstore.delete(self.bucket, ref.key)
         self._index.remove(ref.key)
 
     def _compact_group(
-        self,
-        tenant: str,
-        labels: LabelSet,
-        refs: list[ChunkRef],
-        result: CompactionResult,
+        self, labels: LabelSet, refs: list[ChunkRef], result: CompactionResult
     ) -> None:
         refs = sorted(refs, key=lambda r: (r.first_ts_ns, r.last_ts_ns, r.key))
         entry_lists = [self._fetch_entries(ref) for ref in refs]
@@ -213,28 +192,11 @@ class Compactor:
         # unchanged; overlapping divergent-replica chunks dedup per
         # (timestamp, line), the same semantics the ring read path uses.
         merged = merge_replica_entries(entry_lists)
-        new_chunks = self._rebuild_chunks(merged)
         new_keys: set[str] = set()
-        for chunk in new_chunks:
-            payload = chunk.payload()
-            period = self._index.period_of(chunk.first_ts_ns or 0)
-            key = chunk_object_key(tenant, labels, period, chunk, payload)
+        for chunk in pack_chunks(merged, self._chunk_policy):
+            key, put = self._index.write_chunk(labels, chunk)
             new_keys.add(key)
-            if not self._index.has_key(key):
-                self._objstore.put(self.bucket, key, payload)
-                self._index.add(
-                    ChunkRef(
-                        tenant=tenant,
-                        labels=labels,
-                        first_ts_ns=chunk.first_ts_ns or 0,
-                        last_ts_ns=chunk.last_ts_ns or 0,
-                        entry_count=chunk.entry_count,
-                        size_bytes=len(payload),
-                        uncompressed_bytes=chunk.uncompressed_bytes(),
-                        key=key,
-                        period=period,
-                    )
-                )
+            if put:
                 result.chunks_written += 1
                 self.chunks_written_total += 1
         for ref in refs:
@@ -249,11 +211,11 @@ class Compactor:
         self.duplicates_dropped_total += entries_in - len(merged)
 
     def _compact_period(self, period: int, result: CompactionResult) -> None:
-        for tenant, labels, refs in self._index.streams_in_period(period):
+        for _tenant, labels, refs in self._index.streams_in_period(period):
             result.groups_examined += 1
             if len(refs) < self.policy.min_merge_chunks:
                 continue
-            self._compact_group(tenant, labels, refs, result)
+            self._compact_group(labels, refs, result)
 
     # ------------------------------------------------------------------
     # Bloom blocks
@@ -262,7 +224,7 @@ class Compactor:
         """(Re)build the bloom block of every stream-period group whose
         chunk coverage changed since the last build.
 
-        Runs after merge/retention/deletes so the blocks describe the
+        Runs after merge and deletes so the blocks describe the
         bucket as it will be read.  Coverage is pinned to the exact
         chunk-key set: a chunk shipped after this run is outside every
         block and therefore never skipped on a stale bloom's word.
@@ -302,29 +264,17 @@ class Compactor:
                 self.pattern_blocks_built_total += 1
 
     # ------------------------------------------------------------------
-    # Retention and deletes
+    # Deletes
     # ------------------------------------------------------------------
-    def delete_chunks_before(
-        self, cutoff_ns: int, tenant: str | None = None
-    ) -> int:
+    def delete_chunks_before(self, cutoff_ns: int) -> int:
         """Drop every cold chunk wholly before ``cutoff_ns``; straddling
         chunks are kept (chunk granularity).  Returns chunks deleted."""
         deleted = 0
-        for ref in self._index.refs_wholly_before(cutoff_ns, tenant=tenant):
+        for ref in self._index.refs_wholly_before(cutoff_ns):
             self._delete_ref(ref)
             deleted += 1
+            self.retention_deleted_total += 1
         return deleted
-
-    def _apply_retention(self, now_ns: int, result: CompactionResult) -> None:
-        for tenant in self._index.tenants():
-            horizon = self.tenant_retention_ns.get(
-                tenant, self.default_retention_ns
-            )
-            if horizon is None:
-                continue
-            deleted = self.delete_chunks_before(now_ns - horizon, tenant=tenant)
-            result.retention_chunks_deleted += deleted
-            self.retention_deleted_total += deleted
 
     def _apply_delete_requests(self, result: CompactionResult) -> None:
         for request in self.delete_requests:
@@ -342,10 +292,10 @@ class Compactor:
             for ref in doomed:
                 self._delete_ref(ref)
                 result.objects_deleted += 1
+                self.request_deleted_total += 1
             request.chunks_deleted = len(doomed)
             request.processed = True
             result.delete_requests_processed += 1
-            self.delete_requests_total += 1
 
     # ------------------------------------------------------------------
     # The run loop
@@ -359,8 +309,6 @@ class Compactor:
             for period in self._index.periods():
                 self._compact_period(period, result)
             self._apply_delete_requests(result)
-            if self.default_retention_ns is not None or self.tenant_retention_ns:
-                self._apply_retention(now, result)
             if self.blooms is not None:
                 self._build_blooms(result)
             if self.patterns is not None:
@@ -385,7 +333,6 @@ class Compactor:
                     "chunks_merged": str(result.chunks_merged),
                     "chunks_written": str(result.chunks_written),
                     "duplicates_dropped": str(result.duplicates_dropped),
-                    "retention_deleted": str(result.retention_chunks_deleted),
                 },
                 status=SpanStatus.OK if result.ok else SpanStatus.ERROR,
             )
@@ -399,7 +346,7 @@ class Compactor:
             "chunks_written": self.chunks_written_total,
             "duplicates_dropped": self.duplicates_dropped_total,
             "retention_deleted": self.retention_deleted_total,
-            "delete_requests": self.delete_requests_total,
+            "request_deleted": self.request_deleted_total,
             "index_files_removed": self.index_files_removed_total,
             "bloom_blocks_built": self.bloom_blocks_built_total,
             "pattern_blocks_built": self.pattern_blocks_built_total,

@@ -58,12 +58,6 @@ class ObjstorePlane(Plane):
             raise ValidationError(
                 "objstore_target_object_bytes must be positive"
             )
-        if cfg.objstore_default_retention_ns is not None and (
-            cfg.objstore_default_retention_ns <= 0
-        ):
-            raise ValidationError(
-                "objstore_default_retention_ns must be positive or None"
-            )
 
     def build_stores(self, fw):
         cfg = fw.config
@@ -84,7 +78,6 @@ class ObjstorePlane(Plane):
             policy=CompactionPolicy(
                 target_object_bytes=cfg.objstore_target_object_bytes
             ),
-            default_retention_ns=cfg.objstore_default_retention_ns,
             tracer=fw.tracer,
         )
         fw.store_gateway = StoreGateway(

@@ -23,11 +23,10 @@ from dataclasses import dataclass
 
 from repro.common.simclock import SimClock
 from repro.loki.store import LokiStore
-from repro.objstore.index import ChunkRef, ShipperIndex, chunk_object_key
+from repro.objstore.index import ShipperIndex
 from repro.objstore.objectstore import ObjectStore, ObjectStoreUnavailable
 from repro.tempo.model import SpanStatus
 from repro.tempo.tracer import Tracer
-from repro.tenancy.limits import DEFAULT_TENANT, TENANT_LABEL
 
 HEARTBEAT_KEY = "uploader/heartbeat"
 
@@ -83,35 +82,18 @@ class ChunkShipper:
         """Flush one store's sealed chunks; True if any PUT happened."""
         put_happened = False
         for labels, chunk in store.sealed_chunks():
-            payload = chunk.payload()
-            tenant = labels.get(TENANT_LABEL, DEFAULT_TENANT)
-            period = self._index.period_of(chunk.first_ts_ns or 0)
-            key = chunk_object_key(tenant, labels, period, chunk, payload)
-            if self._index.has_key(key):
+            _, put = self._index.write_chunk(labels, chunk)
+            if put:
+                put_happened = True
+                result.chunks_shipped += 1
+                self.chunks_shipped_total += 1
+                result.bytes_shipped += put
+                self.bytes_shipped_total += put
+            else:
                 # A replica (or WAL-replayed re-seal) of a chunk already
                 # shipped: the object is durable, just free the memory.
                 result.chunks_deduped += 1
                 self.chunks_deduped_total += 1
-            else:
-                self._objstore.put(self.bucket, key, payload)
-                put_happened = True
-                self._index.add(
-                    ChunkRef(
-                        tenant=tenant,
-                        labels=labels,
-                        first_ts_ns=chunk.first_ts_ns or 0,
-                        last_ts_ns=chunk.last_ts_ns or 0,
-                        entry_count=chunk.entry_count,
-                        size_bytes=len(payload),
-                        uncompressed_bytes=chunk.uncompressed_bytes(),
-                        key=key,
-                        period=period,
-                    )
-                )
-                result.chunks_shipped += 1
-                self.chunks_shipped_total += 1
-                result.bytes_shipped += len(payload)
-                self.bytes_shipped_total += len(payload)
             freed = chunk.stored_bytes()
             store.drop_chunk(labels, chunk)
             result.bytes_freed += freed

@@ -8,7 +8,7 @@ to both tiers and :func:`~repro.ring.merge.merge_streams` them, so a
 window spanning resident and flushed data returns every entry exactly
 once even while chunks are mid-flight (resident *and* shipped).
 Maintenance — retention, expiry preview, flushes — covers both tiers,
-which is what lets the OMNI retention manager, the LogQL engine and
+which is what lets the OMNI lifecycle, the LogQL engine and
 the ruler run unmodified.
 """
 

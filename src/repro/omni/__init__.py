@@ -8,14 +8,12 @@ two months, which is exactly why OMNI streams and retains everything.
 
 * :mod:`repro.omni.warehouse` — facade over the Loki and TSDB stores with
   ingest accounting;
-* :mod:`repro.omni.archive` — compressed cold storage for data past the
-  hot window;
-* :mod:`repro.omni.retention` — the two-year hot-window sweep plus
-  restore-on-demand.
+* :mod:`repro.omni.lifecycle` — the one retention path: the two-year hot
+  window, an archive of ``Chunk`` objects read through a store-gateway,
+  metric downsampling and topic expiry, in one scheduled sweep.
 """
 
 from repro.omni.warehouse import OmniWarehouse
-from repro.omni.archive import ArchiveStore
-from repro.omni.retention import RetentionPolicy, RetentionManager
+from repro.omni.lifecycle import Lifecycle
 
-__all__ = ["OmniWarehouse", "ArchiveStore", "RetentionPolicy", "RetentionManager"]
+__all__ = ["OmniWarehouse", "Lifecycle"]

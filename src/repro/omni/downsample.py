@@ -39,7 +39,10 @@ class Downsampler:
 
     The mean lands back on the original series; min and max land on
     sibling series with a ``__rollup__`` label so range queries can still
-    see envelopes.  Fresh samples are untouched.
+    see envelopes.  Fresh samples are untouched.  Only whole buckets roll:
+    the cutoff is floored to a bucket boundary, so a bucket is rolled once,
+    from all of its raw samples, whenever the sweeps run; a sweep starts
+    after the last bucket the ``min`` rollup holds.
     """
 
     def __init__(
@@ -51,14 +54,11 @@ class Downsampler:
         self._store = store
         self._clock = clock
         self.policy = policy or DownsamplePolicy()
-        self.samples_removed = 0
-        self.samples_written = 0
-        self.sweeps = 0
 
     def sweep(self) -> int:
         """Downsample every series' aged region; returns samples saved."""
-        cutoff = self._clock.now_ns - self.policy.downsample_after_ns
         bucket = self.policy.bucket_ns
+        cutoff = (self._clock.now_ns - self.policy.downsample_after_ns) // bucket * bucket
         saved = 0
         for labels in list(self._store._series):
             if "__rollup__" in labels:
@@ -68,9 +68,12 @@ class Downsampler:
             if len(ts) == 0 or int(ts[0]) >= cutoff:
                 continue
             split = int(np.searchsorted(ts, cutoff, side="left"))
-            if split == 0:
+            # Buckets up to the last one rolled hold their one mean already.
+            rolled = self._store._series.get(labels.with_labels(__rollup__="min"))
+            first = 0 if rolled is None else int(np.searchsorted(ts, rolled.last_ts + bucket))
+            if split <= first:
                 continue
-            old_ts, old_vals = ts[:split], column.values[:split]
+            old_ts, old_vals = ts[first:split], column.values[first:split]
 
             # Bucket the aged region (vectorised group-by on bucket index).
             buckets = old_ts // bucket
@@ -85,26 +88,16 @@ class Downsampler:
                 means.append(float(g_vals.mean()))
                 self._write_rollup(labels, "min", bucket_start, float(g_vals.min()))
                 self._write_rollup(labels, "max", bucket_start, float(g_vals.max()))
-                self.samples_written += 3
             # In place, so the store's series refs keep leading here.
             column.rewrite(
-                np.concatenate([starts, ts[split:]]),
-                np.concatenate([means, column.values[split:]]),
+                np.concatenate([ts[:first], starts, ts[split:]]),
+                np.concatenate([column.values[:first], means, column.values[split:]]),
             )
-            removed = split - len(groups_ts)
-            self.samples_removed += split
-            saved += removed
-        self.sweeps += 1
+            saved += split - first - len(groups_ts)
         return saved
 
     def _write_rollup(
         self, labels: LabelSet, kind: str, ts: int, value: float
     ) -> None:
         rollup_labels = labels.with_labels(__rollup__=kind)
-        column = self._store._register(labels[METRIC_NAME_LABEL], rollup_labels)
-        if ts <= column.last_ts:
-            return  # bucket already rolled in an earlier sweep
-        column.append(ts, value)
-
-    def run_periodic(self, interval_ns: int) -> None:
-        self._clock.every(interval_ns, lambda: self.sweep())
+        self._store._register(labels[METRIC_NAME_LABEL], rollup_labels).append(ts, value)

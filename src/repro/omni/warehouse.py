@@ -2,8 +2,8 @@
 
 One object owning the two stores ("As a rule, we send metrics to
 Victoriametrics, the time series database and logs to Loki" — paper §III)
-plus the archive, retention manager and ingest accounting that backs the
-400 k msgs/s capability claim (bench C1).
+plus the ingest accounting that backs the 400 k msgs/s capability claim
+(bench C1).  What ages out of them is :mod:`repro.omni.lifecycle`'s.
 """
 
 from __future__ import annotations
@@ -15,8 +15,6 @@ from repro.common.simclock import SimClock, NANOS_PER_SECOND, days
 from repro.loki.model import LogEntry, PushRequest, PushStream
 from repro.loki.store import LokiStore
 from repro.objstore.tiered import TieredLokiStore
-from repro.omni.archive import ArchiveStore
-from repro.omni.retention import RetentionManager, RetentionPolicy
 from repro.ring.cluster import RingLokiCluster
 from repro.tempo.model import SpanContext
 from repro.tenancy.admission import AdmissionController
@@ -34,9 +32,9 @@ class OmniWarehouse:
     :class:`~repro.objstore.tiered.TieredLokiStore` wrapping either —
     one store contract, trace context included (the ring's
     distributor→ingester spans join the pipeline's trace; the bare store
-    ignores it).  The retention manager runs against whatever
-    backend is installed: with the tiered store, a sweep archives and
-    deletes across the hot *and* cold tiers in one pass.
+    ignores it).  The lifecycle runs against whatever backend is
+    installed: with the tiered store, a sweep archives and deletes
+    across the hot *and* cold tiers in one pass.
     """
 
     def __init__(
@@ -44,7 +42,6 @@ class OmniWarehouse:
         clock: SimClock,
         loki: LokiStore | RingLokiCluster | TieredLokiStore | None = None,
         tsdb: TimeSeriesStore | None = None,
-        policy: RetentionPolicy | None = None,
         admission: AdmissionController | None = None,
         patterns: "PatternIngester | None" = None,
     ) -> None:
@@ -54,8 +51,6 @@ class OmniWarehouse:
         # takes a plane-less line straight (see `ingest_log`).
         self._resolves_refs = isinstance(self.loki, LokiStore)
         self.tsdb = tsdb or TimeSeriesStore()
-        self.archive = ArchiveStore()
-        self.retention = RetentionManager(clock, self.loki, self.archive, policy)
         #: Multi-tenant front door.  When set, every log push is
         #: attributed to a tenant, tagged, and limit-checked before it
         #: reaches either log backend; over-limit pushes raise typed 429s.
@@ -167,8 +162,6 @@ class OmniWarehouse:
             "metric_samples": float(self.tsdb.sample_count()),
             "metric_series": float(self.tsdb.series_count()),
             "metric_bytes": float(self.tsdb.retained_bytes()),
-            "archive_blobs": float(self.archive.blob_count()),
-            "archive_bytes": float(self.archive.bytes_archived),
         }
         if isinstance(self.loki, TieredLokiStore):
             # With the cold tier on, `log_stored_bytes` above is the

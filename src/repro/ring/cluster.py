@@ -3,7 +3,7 @@
 Owns the ring, the ingesters and the distributor, and exposes the store
 surface the rest of the stack consumes (``push``/``push_stream``/
 ``select`` plus the accounting and maintenance methods), so the OMNI
-warehouse, the LogQL engine and the retention manager can run
+warehouse, the LogQL engine and the lifecycle can run
 unchanged against a replicated, crash-tolerant ingest tier.
 
 Sizes and chunk counts reported here are **physical** — summed across

@@ -25,14 +25,16 @@ exporters (:mod:`repro.exporters.tenancy_exporter`), driving the
 from repro.tenancy.admission import AdmissionController, TenantCounters
 from repro.tenancy.limits import LimitsRegistry, TenantLimits, TokenBucket
 from repro.tenancy.scheduler import QueryScheduler, ScheduledQuery
-from repro.tenancy.sharding import ShuffleSharder
+
+# ``ShuffleSharder`` is not re-exported: ``repro.tenancy.sharding`` imports
+# the ring, whose cluster imports it back, so loading it here would make
+# ``repro.tenancy.limits`` unimportable before ``repro.ring``.
 
 __all__ = [
     "AdmissionController",
     "LimitsRegistry",
     "QueryScheduler",
     "ScheduledQuery",
-    "ShuffleSharder",
     "TenantCounters",
     "TenantLimits",
     "TokenBucket",

@@ -1,6 +1,7 @@
 """Tests for OMNI downsampling and ServiceNow reporting."""
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.common.errors import ValidationError
 from repro.common.labels import METRIC_NAME_LABEL, label_matcher
@@ -123,6 +124,76 @@ class TestDownsampler:
             0, days(41),
         )
         assert results[0][2].tolist() == [20.0]
+
+    # ------------------------------------------------------------------
+    # Sweeps at any time: a bucket rolls once, from all its raw samples
+    # ------------------------------------------------------------------
+    @staticmethod
+    def _rolled(store, kind):
+        [(_, ts, vals)] = store.select(
+            [label_matcher(METRIC_NAME_LABEL, "=", "m"),
+             label_matcher("__rollup__", "=", kind)],
+            0, days(100),
+        )
+        return dict(zip(ts.tolist(), vals.tolist()))
+
+    def _assert_rollups_match_raw(self, store, raw, cutoff, bucket):
+        by_bucket = {}
+        for ts, value in raw.items():
+            if ts < cutoff:
+                by_bucket.setdefault(ts // bucket * bucket, []).append(value)
+        means = self._rolled(store, "")
+        assert {ts: v for ts, v in means.items() if ts >= cutoff} == {
+            ts: v for ts, v in raw.items() if ts >= cutoff
+        }
+        assert {ts: v for ts, v in means.items() if ts < cutoff} == pytest.approx(
+            {start: sum(vs) / len(vs) for start, vs in by_bucket.items()}, rel=1e-12
+        )
+        if by_bucket:
+            assert self._rolled(store, "min") == {s: min(v) for s, v in by_bucket.items()}
+            assert self._rolled(store, "max") == {s: max(v) for s, v in by_bucket.items()}
+
+    def test_mid_bucket_cutoffs_roll_whole_buckets(self):
+        """Sweeps whose cutoffs fall mid-bucket used to roll part of a
+        bucket, then average that mean with the rest of its raw samples
+        and skip its min and max."""
+        clock = SimClock(0)
+        store = TimeSeriesStore()
+        raw = {}
+        for t in range(0, days(40), minutes(10)):
+            raw[t] = float(t // minutes(10) * 7919 % 1000)
+            store.ingest("m", {"x": "1"}, raw[t], t)
+        ds = Downsampler(
+            store, clock,
+            DownsamplePolicy(downsample_after_ns=days(30), bucket_ns=hours(1)),
+        )
+        clock.advance_to(days(35) + minutes(30))
+        ds.sweep()
+        clock.advance_to(days(36) + minutes(50))
+        ds.sweep()
+        self._assert_rollups_match_raw(store, raw, days(6), hours(1))
+
+    @given(
+        step_min=st.sampled_from([1, 7, 10, 25, 60]),
+        sweep_offsets=st.lists(st.integers(0, days(2)), min_size=1, max_size=5),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_any_sweep_times_match_a_raw_recomputation(self, step_min, sweep_offsets):
+        policy = DownsamplePolicy(downsample_after_ns=days(1), bucket_ns=hours(1))
+        clock = SimClock(0)
+        store = TimeSeriesStore()
+        ds = Downsampler(store, clock, policy)
+        raw = {}
+        t = 0
+        for offset in sorted(sweep_offsets):
+            clock.advance_to(days(1) + offset)
+            while t <= clock.now_ns:  # samples arrive as time passes
+                raw[t] = float(t // minutes(step_min) * 7919 % 1000)
+                store.ingest("m", {"x": "1"}, raw[t], t)
+                t += minutes(step_min)
+            ds.sweep()
+        cutoff = (clock.now_ns - days(1)) // hours(1) * hours(1)
+        self._assert_rollups_match_raw(store, raw, cutoff, hours(1))
 
 
 def _event(key, node, severity, t):

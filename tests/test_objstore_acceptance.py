@@ -59,8 +59,6 @@ class TestConfig:
             tier_config(objstore_flush_interval_ns=0)
         with pytest.raises(ValidationError):
             tier_config(objstore_target_object_bytes=0)
-        with pytest.raises(ValidationError):
-            tier_config(objstore_default_retention_ns=-1)
 
 
 class TestEndToEnd:

@@ -1,7 +1,8 @@
-"""The compactor: merge, dedup, retention and delete requests, cold.
+"""The compactor: merge, dedup and delete requests, cold.
 
-All cold-tier surgery happens here — these tests pin the three jobs
-(merge small objects, drop divergent-replica duplicates, expire chunks)
+All cold-tier surgery happens here — these tests pin its two jobs
+(merge small objects dropping divergent-replica duplicates, delete
+requests), the chunk-granular cold delete the lifecycle's sweep reaches,
 plus the index-file collapse and outage behaviour.
 """
 
@@ -10,6 +11,8 @@ import pytest
 from repro.common.errors import ValidationError
 from repro.common.labels import LabelSet, label_matcher
 from repro.common.simclock import SimClock, days, minutes
+from repro.exporters.objstore_exporter import ObjstoreExporter
+from repro.tenancy.limits import DEFAULT_TENANT
 from repro.loki.chunks import ChunkPolicy
 from repro.loki.model import LogEntry
 from repro.loki.store import LokiStore
@@ -125,25 +128,6 @@ class TestReplicaDedup:
 
 
 class TestRetention:
-    def test_default_and_per_tenant_horizons(self):
-        clock, objstore, index, compactor, gateway = make_tier(
-            default_retention_ns=days(30),
-            tenant_retention_ns={"astro": days(2)},
-        )
-        now = clock.now_ns
-        astro = LabelSet({"app": "api", "tenant": "astro"})
-        fusion = LabelSet({"app": "api", "tenant": "fusion"})
-        store = LokiStore(small_chunks())
-        # Both tenants have week-old data; only astro's horizon has passed.
-        store.push_stream(astro, entries_for(50, start_ns=now - days(7)))
-        store.push_stream(fusion, entries_for(50, start_ns=now - days(7)))
-        ship(objstore, index, store)
-
-        result = compactor.run()
-        assert result.retention_chunks_deleted > 0
-        assert index.entry_count("astro") == 0
-        assert index.entry_count("fusion") == 50
-
     def test_straddling_chunks_survive(self):
         clock, objstore, index, compactor, _ = make_tier()
         store = LokiStore()  # one big chunk straddling the cutoff
@@ -188,6 +172,33 @@ class TestDeleteRequests:
         assert request.processed and request.chunks_deleted > 0
         assert index.entry_count("astro") == 0
         assert index.entry_count("fusion") == 200
+
+    def test_exported_counts_are_chunks_not_requests(self):
+        # Merging is off, so the request meets every shipped chunk.
+        clock, objstore, index, compactor, gateway = make_tier(
+            policy=CompactionPolicy(min_merge_chunks=1000)
+        )
+        store = LokiStore(small_chunks())
+        store.push_stream(LABELS, entries_for(200))
+        ship(objstore, index, store)
+        chunks = index.ref_count()
+        assert chunks > 2
+        request = compactor.request_delete(
+            DEFAULT_TENANT, [label_matcher("app", "=", "api")], 0, 10**12
+        )
+        compactor.run()
+        assert request.chunks_deleted == chunks
+        # The lifecycle's cold delete counts under reason="retention".
+        store.push_stream(LABELS, entries_for(200, start_ns=10**12))
+        ship(objstore, index, store)
+        expired = compactor.delete_chunks_before(10**13)
+        assert expired > 2
+        text = ObjstoreExporter(
+            objstore, index, ChunkShipper(store, objstore, index, clock), compactor
+        ).scrape()
+        deleted = 'objstore_retention_chunks_deleted_total{reason="%s"} %s'
+        assert deleted % ("request", float(chunks)) in text.splitlines()
+        assert deleted % ("retention", float(expired)) in text.splitlines()
 
     def test_window_edges_are_chunk_granular(self):
         clock, objstore, index, compactor, _ = make_tier()

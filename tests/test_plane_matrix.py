@@ -266,4 +266,4 @@ def test_start_is_all_or_nothing():
     fw.start()
     pending = fw.clock.pending()
     fw.start()  # idempotent
-    assert fw.clock.pending() == pending == 14
+    assert fw.clock.pending() == pending == 15

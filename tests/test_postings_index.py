@@ -126,7 +126,6 @@ class TestSelectIsALinearFilter:
             assert index.stream_labels(matchers) == {
                 r.labels for r in alive if matches_all(r.labels, matchers)
             }
-            assert index.tenants() == sorted({r.tenant for r in alive})
             assert index.periods() == sorted({r.period for r in alive})
 
         check(refs)

@@ -29,7 +29,6 @@ PROGRAM = ("src", "benchmarks", "examples")
 
 _READ = "test read accessor"
 _RECOVERY = "recovery path a test drives; to become a fault (ROADMAP 3(d))"
-_LIFECYCLE = "retention the one data lifecycle will schedule (ROADMAP 4)"
 
 #: Test-only definitions that stay, by dotted name, with the reason.
 ALLOWED: dict[str, str] = {
@@ -39,7 +38,6 @@ ALLOWED: dict[str, str] = {
     "repro.alerting.rules.RuleEvaluator.pending_series": _READ,
     "repro.bus.broker.Broker.produce_batch": "test driver: bulk produce",
     "repro.bus.broker.Broker.reset_to_committed": _RECOVERY,
-    "repro.bus.broker.Broker.enforce_retention": _LIFECYCLE,
     "repro.cluster.facility.FacilityModel.repair_cdu": "test driver: facility plant state",
     "repro.cluster.facility.FacilityModel.trip_pdu_breaker": "test driver: facility plant state",
     "repro.cluster.facility.FacilityModel.cabinet_heat_offset_c": _READ,
@@ -63,7 +61,8 @@ ALLOWED: dict[str, str] = {
     "repro.loki.index.LabelIndex.label_names": _READ,
     "repro.loki.index.LabelIndex.label_values": _READ,
     "repro.objstore.compactor.Compactor.request_delete": (
-        _LIFECYCLE + "; pinned by the exposition golden's reason=\"request\" counter"
+        "operator API: tenant delete requests; pinned by the exposition golden's "
+        "reason=\"request\" counter"
     ),
     "repro.objstore.index.ShipperIndex.index_file_count": _READ,
     "repro.objstore.index.ShipperIndex.rebuild": _RECOVERY,

@@ -203,7 +203,7 @@ def test_all_on_headline_counts(manifest):
     assert [len(v) for v in everything["rules"].values()] == [3, 19, 2]
     panels = sum(len(p) for _, p in everything["dashboards"])
     assert (len(everything["dashboards"]), panels) == (9, 55)
-    assert (everything["timers_pending"], nothing["timers_pending"]) == (24, 12)
+    assert (everything["timers_pending"], nothing["timers_pending"]) == (25, 13)
     assert len(everything["health_keys"]) == 54
     assert everything["none_components"] == []
     assert nothing["none_components"] == list(COMPONENTS)
