@@ -11,9 +11,10 @@ from __future__ import annotations
 
 import datetime as _dt
 import json
+import re
 from functools import lru_cache
 from json.encoder import encode_basestring_ascii as _quote
-from typing import Any, Iterator, Mapping
+from typing import AbstractSet, Any, Iterator, Mapping
 
 from repro.common.errors import ValidationError
 from repro.common.simclock import NANOS_PER_SECOND
@@ -119,40 +120,42 @@ def ns_to_iso8601(ts_ns: int) -> str:
     return dt.isoformat(timespec="seconds")
 
 
-def flatten_json(obj: Any, prefix: str = "") -> Iterator[tuple[str, str]]:
+def flatten_json(
+    obj: Any, wanted: AbstractSet[str] | None = None, prefix: str = ""
+) -> Iterator[tuple[str, str]]:
     """Yield ``(flattened_key, string_value)`` pairs from nested JSON.
 
     This implements the extraction semantics of LogQL's ``| json`` stage:
     nested keys are joined with ``_``, array indices with ``_<i>_``-style
     suffixes, and scalar values are stringified.  Keys are sanitised to be
-    legal label names (non-alphanumerics become ``_``).
+    legal label names (every character outside ``[A-Za-z0-9_]`` becomes
+    ``_``, as Loki's ``sanitizeLabelKey`` does).  ``wanted`` (``None`` =
+    all) keeps only the pairs whose key it holds, in the same order.
     """
     if isinstance(obj, dict):
         for key, value in obj.items():
             clean = _sanitize_key(key)
             new_prefix = f"{prefix}_{clean}" if prefix else clean
-            yield from flatten_json(value, new_prefix)
+            yield from flatten_json(value, wanted, new_prefix)
     elif isinstance(obj, list):
         for i, value in enumerate(obj):
             new_prefix = f"{prefix}_{i}" if prefix else str(i)
-            yield from flatten_json(value, new_prefix)
+            yield from flatten_json(value, wanted, new_prefix)
+    elif wanted is not None and prefix not in wanted:
+        return
+    elif isinstance(obj, bool):
+        yield prefix, "true" if obj else "false"
+    elif obj is None:
+        yield prefix, ""
+    elif isinstance(obj, float) and obj.is_integer():
+        yield prefix, str(int(obj))
     else:
-        if isinstance(obj, bool):
-            yield prefix, "true" if obj else "false"
-        elif obj is None:
-            yield prefix, ""
-        elif isinstance(obj, float) and obj.is_integer():
-            yield prefix, str(int(obj))
-        else:
-            yield prefix, str(obj)
+        yield prefix, str(obj)
 
 
 @lru_cache(maxsize=4096)
 def _sanitize_key(key: str) -> str:
-    out = []
-    for ch in key:
-        out.append(ch if (ch.isalnum() or ch == "_") else "_")
-    clean = "".join(out)
-    if clean and clean[0].isdigit():
+    clean = re.sub(r"[^A-Za-z0-9_]", "_", key)
+    if clean[:1].isdigit():
         clean = "_" + clean
     return clean or "_"

@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import json
 import re
+from dataclasses import replace
 from operator import itemgetter
 from typing import Iterable, Protocol, Sequence
 
@@ -24,7 +25,7 @@ import numpy as np
 
 from repro.common.errors import QueryError
 from repro.common.jsonutil import flatten_json
-from repro.common.labels import LabelSet, Matcher, validate_label_name
+from repro.common.labels import LabelSet, Matcher, MatchOp
 from repro.common.simclock import NANOS_PER_SECOND
 from repro.common.vector import (
     Evaluation,
@@ -34,6 +35,7 @@ from repro.common.vector import (
     instant_grid,
     range_grid,
 )
+from repro.common.vectorlang import GroupMode, VectorAgg, VectorOp
 from repro.loki.logql.ast import (
     UNWRAPPED_FUNCS,
     Expr,
@@ -56,6 +58,8 @@ from repro.loki.model import LogEntry
 
 #: Label attached when a parser stage fails on a line (as real Loki does).
 ERROR_LABEL = "__error__"
+
+_JSON = ParserStage(ParserKind.JSON)
 
 _LINE_FORMAT_RE = re.compile(r"\{\{\s*\.([a-zA-Z_][a-zA-Z0-9_]*)\s*\}\}")
 
@@ -108,6 +112,9 @@ class LogQLEngine:
     union of all ``n`` engines' answers is the unsharded one.
     """
 
+    #: Compiled pipelines kept; past it the table starts over.
+    MAX_COMPILED = 1 << 10
+
     def __init__(
         self,
         source: LogSource,
@@ -118,6 +125,7 @@ class LogQLEngine:
         self._patterns = patterns
         self._shard = shard
         self._pattern_cache: dict[str, PatternTemplate] = {}
+        self._compiled: dict[LogPipeline, tuple] = {}
 
     # ------------------------------------------------------------------
     # Public API
@@ -200,39 +208,44 @@ class LogQLEngine:
     # ------------------------------------------------------------------
     # Pipeline evaluation
     # ------------------------------------------------------------------
-    @staticmethod
-    def _line_hints(pipeline: LogPipeline) -> tuple[str, ...]:
-        """CONTAINS needles that apply to the *stored* line, each once,
-        in pipeline order.
-
-        Filters appearing after a ``line_format`` stage see rewritten
-        lines and cannot gate raw chunks.  The hints are a per-leaf
-        pruning aid for stores with blooms, so in ``errors / total`` the
-        ``total`` read is never gated by the ``errors`` filter; every
-        filter is still re-applied here, so a store that ignores them
-        changes no answer.
-        """
-        needles = []
-        for stage in pipeline.stages:
-            if isinstance(stage, LineFormatStage):
-                break
-            if isinstance(stage, LineFilter) and stage.op is LineFilterOp.CONTAINS:
-                needles.append(stage.needle)
-        return tuple(dict.fromkeys(needles))
-
-    def _select(
-        self, pipeline: LogPipeline, start_ns: int, end_ns: int
-    ) -> list[tuple[LabelSet, list[LogEntry]]]:
-        return self._source.select(
-            pipeline.matchers,
-            start_ns,
-            end_ns,
-            shard=self._shard,
-            line_contains=self._line_hints(pipeline),
-        )
+    def _compile(self, pipeline: LogPipeline) -> tuple:
+        """``(stages, contains, needles)`` of ``pipeline``, worked out once
+        (DESIGN §3, "compiled pipeline").  ``stages`` leave out ``unwrap``,
+        the range aggregation's business.  ``contains`` are the ``|=``
+        needles of the *stored* line — filters after ``line_format`` see
+        rewritten lines — each once: a per-leaf pruning aid for stores with
+        blooms, so in ``errors / total`` the ``total`` read is never gated
+        by the ``errors`` filter; every filter is still re-applied here, so
+        a store that ignores them changes no answer.  ``needles`` are the
+        byte prefilter's ``(label, value)`` pairs."""
+        if pipeline not in self._compiled:
+            if len(self._compiled) >= self.MAX_COMPILED:
+                self._compiled.clear()
+            stages = tuple(s for s in pipeline.stages if not isinstance(s, UnwrapStage))
+            contains, needles, plain = [], [], True
+            for stage in stages:
+                if isinstance(stage, LineFormatStage):
+                    break
+                if isinstance(stage, LineFilter):
+                    if stage.op is LineFilterOp.CONTAINS:
+                        contains.append(stage.needle)
+                elif isinstance(stage, LabelFilter):
+                    m = stage.matcher
+                    if plain and m and m.op is MatchOp.EQ and m.value and m.name != ERROR_LABEL:
+                        try:
+                            float(m.value)
+                        except ValueError:
+                            needles.append((m.name, m.value))
+                elif stage != _JSON:
+                    plain = False
+            self._compiled[pipeline] = (
+                stages, tuple(dict.fromkeys(contains)), tuple(dict.fromkeys(needles))
+            )
+        return self._compiled[pipeline]
 
     def _eval_pipeline(
-        self, pipeline: LogPipeline, start_ns: int, end_ns: int
+        self, pipeline: LogPipeline, start_ns: int, end_ns: int,
+        wanted: frozenset[str] | None = None,
     ) -> dict[LabelSet, list[LogEntry]]:
         """Surviving entries per final label set, each list in the order
         ``select`` produced them (stream order, then entry order).
@@ -240,10 +253,12 @@ class LogQLEngine:
         Label work is per stream or per distinct label tuple, never per
         entry: stages that cannot rewrite labels keep the stream's own
         ``LabelSet``, and parser output is interned by its label tuple.
+        ``wanted`` (``None`` = all) is a parser hint (:func:`_sum_hint`).
         """
-        raw = self._select(pipeline, start_ns, end_ns)
-        # Unwrap is the range aggregation's business, not a filter.
-        stages = tuple(s for s in pipeline.stages if not isinstance(s, UnwrapStage))
+        stages, contains, needles = self._compile(pipeline)
+        raw = self._source.select(
+            pipeline.matchers, start_ns, end_ns, shard=self._shard, line_contains=contains
+        )
         grouped: dict[LabelSet, list[LogEntry]] = {}
         if not stages:
             for stream_labels, entries in raw:
@@ -253,8 +268,12 @@ class LogQLEngine:
         interned: dict[tuple[str, ...], LabelSet] = {}
         for stream_labels, entries in raw:
             base = stream_labels.to_dict()
+            absent = [value for name, value in needles if name not in base]
             for entry in entries:
-                final = self._apply_stages(stages, base, entry.line)
+                if (absent and "\\" not in entry.line
+                        and not all(map(entry.line.__contains__, absent))):
+                    continue
+                final = self._apply_stages(stages, base, entry.line, wanted)
                 if final is None:
                     continue
                 labels, line = final
@@ -278,6 +297,7 @@ class LogQLEngine:
         stages: tuple,
         base_labels: dict[str, str],
         line: str,
+        wanted: frozenset[str] | None = None,
     ) -> tuple[dict[str, str], str] | None:
         """Run one line through the pipeline; None means dropped.
 
@@ -293,7 +313,7 @@ class LogQLEngine:
             elif isinstance(stage, ParserStage):
                 if labels is base_labels:
                     labels = dict(base_labels)
-                self._apply_parser(stage, labels, line)
+                self._apply_parser(stage, labels, line, wanted)
             elif isinstance(stage, LabelFilter):
                 if not stage.keep(labels):
                     return None
@@ -309,7 +329,7 @@ class LogQLEngine:
         return labels, line
 
     def _apply_parser(
-        self, stage: ParserStage, labels: dict[str, str], line: str
+        self, stage: ParserStage, labels: dict[str, str], line: str, wanted: frozenset[str] | None
     ) -> None:
         if stage.kind is ParserKind.JSON:
             try:
@@ -320,7 +340,7 @@ class LogQLEngine:
             if not isinstance(obj, dict):
                 labels[ERROR_LABEL] = "JSONParserErr"
                 return
-            for key, value in flatten_json(obj):
+            for key, value in flatten_json(obj, wanted):
                 self._set_extracted(labels, key, value)
         elif stage.kind is ParserKind.LOGFMT:
             for m in _LOGFMT_RE.finditer(line):
@@ -344,11 +364,9 @@ class LogQLEngine:
     @staticmethod
     def _set_extracted(labels: dict[str, str], key: str, value: str) -> None:
         """Merge an extracted label; collisions with existing labels get the
-        ``_extracted`` suffix, as in real Loki."""
-        try:
-            validate_label_name(key)
-        except Exception:
-            return  # unextractable key: skip silently (Loki drops them too)
+        ``_extracted`` suffix, as in real Loki.  Every parser's keys are
+        legal label names: sanitised JSON keys, ``_LOGFMT_RE``'s group and
+        the captures ``PatternTemplate.compile`` checks."""
         if key in labels and labels[key] != value:
             labels[f"{key}_extracted"] = value
         else:
@@ -367,6 +385,29 @@ _UNWRAPPED_REDUCERS = {
 }
 
 
+def _sum_hint(expr: VectorAgg) -> frozenset[str] | None:
+    """The labels ``json`` must extract under ``sum [by (…)]`` of a
+    ``count_over_time``/``bytes_over_time`` of line filters, one ``json``
+    and label filters (DESIGN §3, "compiled pipeline"); None (all) under
+    any other shape.  They are the ``by`` and label-filter names, closed
+    under stripping ``_extracted``: ``k`` decides where ``k``'s value goes."""
+    agg = expr.expr
+    if (expr.op is not VectorOp.SUM or expr.mode is GroupMode.WITHOUT
+            or not isinstance(agg, RangeAgg)
+            or agg.func not in (RangeFunc.COUNT_OVER_TIME, RangeFunc.BYTES_OVER_TIME)
+            or [s for s in agg.pipeline.stages if not isinstance(s, (LineFilter, LabelFilter))]
+            != [_JSON]):
+        return None
+    filters = (s for s in agg.pipeline.stages if isinstance(s, LabelFilter))
+    wanted = set()
+    for name in (*expr.labels, *(f.name or f.matcher.name for f in filters)):
+        wanted.add(name)
+        while name.endswith("_extracted"):
+            name = name[: -len("_extracted")]
+            wanted.add(name)
+    return frozenset(wanted)
+
+
 class _Evaluation(Evaluation):
     """LogQL's leaf over one grid of steps: a range aggregation runs its
     pipeline once, over the union of the windows ``(t - range, t]`` of
@@ -379,17 +420,29 @@ class _Evaluation(Evaluation):
         super().__init__(steps)
         self._engine = engine
 
-    def leaf(self, expr: MetricExpr) -> Vector:
+    def leaf(self, expr: MetricExpr | tuple) -> Vector:
+        wanted = None
+        if isinstance(expr, tuple):  # (RangeAgg, wanted): see `_aggregate`
+            expr, wanted = expr
         if not isinstance(expr, RangeAgg):
             raise QueryError(f"cannot evaluate {type(expr).__name__} as a vector")
         grouped = self._engine._eval_pipeline(
             expr.pipeline,
             int(self.steps[0]) - expr.range_ns + 1,
             int(self.steps[-1]) + 1,
+            wanted,
         )
         if expr.func in UNWRAPPED_FUNCS:
             return self._unwrapped(expr, grouped)
         return self._counted(expr, grouped)
+
+    def _aggregate(self, expr: VectorAgg) -> Vector:
+        # A hinted leaf is its own node in the table, apart from the same
+        # RangeAgg read whole: a rule group may read both.
+        wanted = _sum_hint(expr)
+        if wanted is not None:
+            expr = replace(expr, expr=(expr.expr, wanted))
+        return super()._aggregate(expr)
 
     def _counted(
         self, expr: RangeAgg, grouped: dict[LabelSet, list[LogEntry]]

@@ -1,7 +1,7 @@
 """Tests for JSON helpers: timestamps, flattening, strict parsing."""
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from repro.common.errors import ValidationError
 from repro.common.jsonutil import (
@@ -11,6 +11,7 @@ from repro.common.jsonutil import (
     loads,
     ns_to_iso8601,
 )
+from repro.common.labels import validate_label_name
 from repro.common.simclock import NANOS_PER_SECOND
 
 
@@ -76,6 +77,33 @@ class TestFlatten:
     def test_key_sanitisation(self):
         flat = dict(flatten_json({"@odata.id": "x", "9lives": "y"}))
         assert flat == {"_odata_id": "x", "_9lives": "y"}
+
+    def test_every_sanitised_key_is_a_label_name(self):
+        # The engine merges these keys without validating them again.
+        obj = {"": 1, "9lives": 2, "a.b-c d": 3, "café": 4, "k²": 5, "٣x": 6,
+               "nest": {"": {"é": 7}, "0": 8}, "xs": [9, [10, {"-": 11}]]}
+        flat = dict(flatten_json(obj))
+        assert len(flat) == 11
+        for key in flat:
+            assert validate_label_name(key) == key
+
+    @settings(max_examples=200, deadline=None)
+    @given(obj=st.dictionaries(st.text(max_size=4), st.recursive(
+        st.none() | st.booleans() | st.floats() | st.text(max_size=3),
+        lambda inner: st.lists(inner, max_size=3)
+        | st.dictionaries(st.text(max_size=4), inner, max_size=3),
+        max_leaves=8,
+    ), max_size=4))
+    def test_any_object_flattens_to_label_names(self, obj):
+        for key, _value in flatten_json(obj):
+            validate_label_name(key)
+
+    def test_wanted_keeps_only_its_keys_in_order(self):
+        obj = {"b": 1, "a": {"b": 2}, "a_b": 3, "c": [4]}
+        assert list(flatten_json(obj, frozenset({"a_b", "c_0"}))) == [
+            ("a_b", "2"), ("a_b", "3"), ("c_0", "4"),
+        ]
+        assert list(flatten_json(obj, frozenset())) == []
 
     def test_paper_redfish_content(self):
         content = {

@@ -99,6 +99,15 @@ class TestLogQueries:
         assert labels["app"] == "stream-app"
         assert labels["app_extracted"] == "inner"
 
+    def test_non_ascii_keys_are_sanitised_not_dropped(self, engine):
+        # Loki's sanitizeLabelKey: every character outside [A-Za-z0-9_]
+        # becomes "_", non-ASCII letters and digits too.
+        store, eng = engine
+        line = json.dumps({"café": "x", "k²": "y", "ok": "z"}, ensure_ascii=False)
+        push(store, {"a": "b"}, [(1, line)])
+        results = eng.query_logs('{a="b"} | json', 0, 10)
+        assert results[0][0] == {"a": "b", "caf_": "x", "k_": "y", "ok": "z"}
+
     def test_metric_query_rejected_in_query_logs(self, engine):
         _, eng = engine
         with pytest.raises(QueryError):
