@@ -54,7 +54,7 @@ def _world():
     index = ShipperIndex(objstore)
     shipper = ChunkShipper(hot, objstore, index, clock)
     blooms = BloomStore(objstore)
-    compactor = Compactor(objstore, index, clock, blooms=blooms)
+    compactor = Compactor(objstore, index, clock, derived=(blooms,))
     gateway = StoreGateway(objstore, index, clock, blooms=blooms)
     tiered = TieredLokiStore(hot, objstore, index, shipper, compactor, gateway)
     step = SPAN_NS // N_ENTRIES

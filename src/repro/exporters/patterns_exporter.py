@@ -67,8 +67,8 @@ def _read_miner(
     novel = ingester.novel_error_templates
     yield "patterns_novel_error_templates_total", novel, None
     yield "patterns_store_blocks", store.block_count, None
-    yield "patterns_blocks_persisted_total", store.blocks_persisted_total, None
-    yield "patterns_blocks_rebuilt_total", store.blocks_rebuilt_total, None
+    yield "patterns_blocks_persisted_total", store.blocks_persisted, None
+    yield "patterns_blocks_rebuilt_total", store.blocks_built, None
 
 
 def _read_ruler(ruler: "PatternRuler") -> Iterator[Reading]:

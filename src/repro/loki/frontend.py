@@ -20,8 +20,10 @@ from typing import Protocol
 
 from repro.common.errors import ValidationError
 from repro.common.labels import LabelSet
-from repro.common.simclock import NANOS_PER_DAY, SimClock, hours
+from repro.common.simclock import SimClock, hours
 from repro.common.vector import Series
+from repro.objstore.index import INDEX_PERIOD_NS
+from repro.patterns.store import merge_patterns
 
 
 class RangeQueryable(Protocol):
@@ -90,24 +92,20 @@ class QueryFrontend:
         split_ns: int = hours(1),
         max_entries: int = 1024,
         pattern_source: PatternQueryable | None = None,
-        pattern_split_ns: int = NANOS_PER_DAY,
     ) -> None:
         if split_ns <= 0:
             raise ValidationError("split interval must be positive")
         if max_entries < 1:
             raise ValidationError("cache needs at least one entry")
-        if pattern_split_ns <= 0:
-            raise ValidationError("pattern split interval must be positive")
         self._engine = engine
         self._clock = clock
         self._split_ns = split_ns
         self._max_entries = max_entries
         #: Engine exposing ``detected_patterns`` (the LogQL engine when
-        #: pattern mining is on); pattern windows split on the *store's*
-        #: period so each pattern record lands in exactly one sub-window
-        #: and the merged counts equal the direct call.
+        #: pattern mining is on); pattern windows split on the block
+        #: store's period so each pattern record lands in exactly one
+        #: sub-window and the merged rows equal the direct call.
         self._pattern_source = pattern_source
-        self._pattern_split_ns = pattern_split_ns
         # True LRU: ordered oldest-access-first; hits refresh recency.
         # Values are lists of Series (range queries) or DetectedPattern
         # rows (pattern queries) — the key's query string disambiguates.
@@ -169,8 +167,9 @@ class QueryFrontend:
         """Split + cached ``detected_patterns``, merged across windows.
 
         Windows are aligned to the pattern store's index period, so each
-        period-partitioned pattern record falls in exactly one window
-        and summing counts across windows reproduces the direct answer.
+        period-partitioned pattern record falls in exactly one window,
+        and :func:`~repro.patterns.store.merge_patterns` — the merge the
+        store runs across blocks — reproduces the direct answer.
         Completed windows are cached under a ``patterns:``-prefixed key
         (step 0 — patterns have no evaluation grid).
         """
@@ -178,47 +177,15 @@ class QueryFrontend:
             raise ValidationError("no pattern source wired into the frontend")
         if end_ns <= start_ns:
             raise ValidationError("detected_patterns requires start < end")
-        merged: dict[str, dict] = {}
-        for sub_start, sub_end in aligned_windows(
-            start_ns, end_ns - 1, self._pattern_split_ns
-        ):
-            rows = self._pattern_sub_query(
+        return merge_patterns(
+            row
+            for sub_start, sub_end in aligned_windows(
+                start_ns, end_ns - 1, INDEX_PERIOD_NS
+            )
+            for row in self._pattern_sub_query(
                 selector, sub_start, sub_end + 1, tenant
             )
-            for row in rows:
-                have = merged.get(row.pattern_id)
-                if have is None:
-                    merged[row.pattern_id] = {
-                        "template": row.template,
-                        "count": row.count,
-                        "first": row.first_ts_ns,
-                        "last": row.last_ts_ns,
-                        "exemplar": row.exemplar,
-                        "streams": row.streams,
-                    }
-                    continue
-                have["count"] += row.count
-                if row.first_ts_ns < have["first"]:
-                    have["first"] = row.first_ts_ns
-                    have["exemplar"] = row.exemplar
-                have["last"] = max(have["last"], row.last_ts_ns)
-                have["streams"] = max(have["streams"], row.streams)
-        from repro.patterns.store import DetectedPattern
-
-        out = [
-            DetectedPattern(
-                pattern_id=pid,
-                template=row["template"],
-                count=row["count"],
-                first_ts_ns=row["first"],
-                last_ts_ns=row["last"],
-                exemplar=row["exemplar"],
-                streams=row["streams"],
-            )
-            for pid, row in merged.items()
-        ]
-        out.sort(key=lambda r: (-r.count, r.pattern_id))
-        return out
+        )
 
     def invalidate(self) -> None:
         """Drop every cached sub-result (config or data rewrite)."""
@@ -294,7 +261,7 @@ class QueryFrontend:
             0,
             0,
             tenant,
-            self._pattern_split_ns,
+            INDEX_PERIOD_NS,
         )
         cached = self._cache.get(key)
         if cached is not None:

@@ -15,8 +15,12 @@ Retention is not a job of its own: the OMNI lifecycle archives what aged
 out, then deletes it through the tiered store's ``delete_before``, which
 reaches :meth:`Compactor.delete_chunks_before` for the cold tier.
 
-Each run finishes by persisting dirty index periods and collapsing every
-period's snapshot pile to a single file.  An outage aborts the run and
+After merges and deletes a run makes one pass over the derived block
+stores it was given (bloom and pattern blocks, DESIGN §11): a stream-period
+group stale for any of them has its chunks fetched and merged once, and
+every stale kind is built from that.  Each run finishes by persisting
+dirty index periods and derived blocks, and collapsing every period's
+snapshot pile to a single file.  An outage aborts the run and
 counts a failure; whatever was already rewritten stays consistent
 because an object is only deleted after its replacement is durable.
 """
@@ -24,12 +28,14 @@ because an object is only deleted after its replacement is durable.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Sequence
 
 from repro.common.errors import ValidationError
 from repro.common.labels import LabelSet, Matcher
 from repro.common.simclock import SimClock
 from repro.loki.chunks import Chunk, ChunkPolicy, pack_chunks
 from repro.loki.model import LogEntry
+from repro.objstore.blocks import BlockStore
 from repro.objstore.index import ChunkRef, ShipperIndex
 from repro.objstore.objectstore import ObjectStore, ObjectStoreUnavailable
 from repro.ring.merge import merge_replica_entries
@@ -85,8 +91,6 @@ class CompactionResult:
     duplicates_dropped: int = 0
     delete_requests_processed: int = 0
     index_files_removed: int = 0
-    bloom_blocks_built: int = 0
-    pattern_blocks_built: int = 0
 
 
 class Compactor:
@@ -99,23 +103,16 @@ class Compactor:
         clock: SimClock,
         policy: CompactionPolicy | None = None,
         tracer: Tracer | None = None,
-        blooms=None,
-        patterns=None,
+        derived: Sequence[BlockStore] = (),
     ) -> None:
         self._objstore = store
         self._index = index
         self._clock = clock
         self.policy = policy or CompactionPolicy()
         self._tracer = tracer
-        #: Optional ``repro.queryx.bloom.BloomStore`` (duck-typed; the
-        #: compactor is the bloom *writer* — it already holds every
-        #: stream-period's entries when it runs).
-        self.blooms = blooms
-        #: Optional ``repro.patterns.store.PatternStore`` (duck-typed,
-        #: same contract as blooms): the compactor re-mines pattern
-        #: blocks for stream-periods that have no live block or whose
-        #: chunk coverage changed.
-        self.patterns = patterns
+        #: The derived block stores this compactor writes: it already
+        #: holds every stream-period's entries when it runs.
+        self.derived = tuple(derived)
         self._chunk_policy = ChunkPolicy(
             target_size_bytes=self.policy.target_object_bytes,
             max_age_ns=_NEVER_AGE_NS,
@@ -124,8 +121,6 @@ class Compactor:
         self._next_request_id = 1
         self.runs = 0
         self.run_failures = 0
-        self.bloom_blocks_built_total = 0
-        self.pattern_blocks_built_total = 0
         self.chunks_merged_total = 0
         self.chunks_written_total = 0
         self.duplicates_dropped_total = 0
@@ -218,50 +213,32 @@ class Compactor:
             self._compact_group(labels, refs, result)
 
     # ------------------------------------------------------------------
-    # Bloom blocks
+    # Derived blocks
     # ------------------------------------------------------------------
-    def _build_blooms(self, result: CompactionResult) -> None:
-        """(Re)build the bloom block of every stream-period group whose
-        chunk coverage changed since the last build.
+    def _build_derived(self) -> None:
+        """(Re)build every derived block that is stale for its group.
 
-        Runs after merge and deletes so the blocks describe the
-        bucket as it will be read.  Coverage is pinned to the exact
-        chunk-key set: a chunk shipped after this run is outside every
-        block and therefore never skipped on a stale bloom's word.
+        Runs after merge and deletes so the blocks describe the bucket
+        as it will be read.  A group's chunks are fetched and merged once
+        for all the kinds stale on it; a kind pins the exact chunk-key
+        set it was built from, so a chunk shipped after this run is
+        outside every block and never judged on a stale block's word.
         """
-        assert self.blooms is not None
         for period in self._index.periods():
             for tenant, labels, refs in self._index.streams_in_period(period):
-                keys = {ref.key for ref in refs}
-                if not self.blooms.needs_build(tenant, labels, period, keys):
+                keys = frozenset(ref.key for ref in refs)
+                stale = [
+                    store
+                    for store in self.derived
+                    if store.needs_build(tenant, labels, period, keys)
+                ]
+                if not stale:
                     continue
-                entry_lists = [self._fetch_entries(ref) for ref in refs]
-                self.blooms.build_block(
-                    tenant, labels, period, merge_replica_entries(entry_lists), keys
+                entries = merge_replica_entries(
+                    [self._fetch_entries(ref) for ref in refs]
                 )
-                result.bloom_blocks_built += 1
-                self.bloom_blocks_built_total += 1
-
-    # ------------------------------------------------------------------
-    # Pattern blocks
-    # ------------------------------------------------------------------
-    def _build_patterns(self, result: CompactionResult) -> None:
-        """Re-mine pattern blocks for stream-periods the store cannot
-        answer from live mining: a cold restart, or a compacted block
-        whose chunk coverage changed.  Live blocks are authoritative and
-        ``needs_build`` declines them."""
-        assert self.patterns is not None
-        for period in self._index.periods():
-            for tenant, labels, refs in self._index.streams_in_period(period):
-                keys = {ref.key for ref in refs}
-                if not self.patterns.needs_build(tenant, labels, period, keys):
-                    continue
-                entry_lists = [self._fetch_entries(ref) for ref in refs]
-                self.patterns.build_block(
-                    tenant, labels, period, merge_replica_entries(entry_lists), keys
-                )
-                result.pattern_blocks_built += 1
-                self.pattern_blocks_built_total += 1
+                for store in stale:
+                    store.build_block(tenant, labels, period, entries, keys)
 
     # ------------------------------------------------------------------
     # Deletes
@@ -309,11 +286,11 @@ class Compactor:
             for period in self._index.periods():
                 self._compact_period(period, result)
             self._apply_delete_requests(result)
-            if self.blooms is not None:
-                self._build_blooms(result)
-            if self.patterns is not None:
-                self._build_patterns(result)
+            if self.derived:
+                self._build_derived()
             self._index.persist_dirty()
+            for store in self.derived:
+                store.persist_dirty()
             for period in self._index.periods():
                 removed = self._index.compact_period_files(period)
                 result.index_files_removed += removed
@@ -348,6 +325,4 @@ class Compactor:
             "retention_deleted": self.retention_deleted_total,
             "request_deleted": self.request_deleted_total,
             "index_files_removed": self.index_files_removed_total,
-            "bloom_blocks_built": self.bloom_blocks_built_total,
-            "pattern_blocks_built": self.pattern_blocks_built_total,
         }

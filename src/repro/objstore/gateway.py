@@ -31,7 +31,6 @@ from __future__ import annotations
 
 from typing import Iterable, Sequence
 
-from repro.common.errors import ValidationError
 from repro.common.labels import LabelSet, Matcher
 from repro.common.simclock import SimClock
 from repro.loki.chunks import Chunk, ChunkPolicy
@@ -53,7 +52,6 @@ class StoreGateway:
         policy: ChunkPolicy | None = None,
         tracer: Tracer | None = None,
         blooms=None,
-        patterns=None,
     ) -> None:
         self._objstore = store
         self._index = index
@@ -63,10 +61,6 @@ class StoreGateway:
         #: Optional ``repro.queryx.bloom.BloomStore`` (duck-typed so the
         #: storage layer carries no dependency on the query engine).
         self.blooms = blooms
-        #: Optional ``repro.patterns.store.PatternStore`` (duck-typed):
-        #: lets ``detected_patterns`` answer cold, from blocks the
-        #: compactor rebuilt out of shipped chunks.
-        self.patterns = patterns
         self.queries = 0
         self.chunks_fetched_total = 0
         self.bytes_fetched_total = 0
@@ -152,19 +146,6 @@ class StoreGateway:
                 },
             )
         return out
-
-    def detected_patterns(
-        self,
-        matchers: Sequence[Matcher],
-        start_ns: int,
-        end_ns: int,
-        tenant: str | None = None,
-    ) -> list:
-        """Cold ``detected_patterns``: answered from the pattern blocks
-        the compactor rebuilt beside the chunks, no chunk GET paid."""
-        if self.patterns is None:
-            raise ValidationError("no pattern store attached to the gateway")
-        return self.patterns.query(matchers, start_ns, end_ns, tenant=tenant)
 
     def expired_entries(
         self, cutoff_ns: int

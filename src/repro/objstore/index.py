@@ -39,6 +39,11 @@ if TYPE_CHECKING:
     from repro.loki.chunks import Chunk
 
 INDEX_PREFIX = "index/"
+#: The bucket the cold tier's chunks, index files and derived blocks share.
+CHUNK_BUCKET = "loki"
+#: Index period: chunk refs, and the blocks derived from them, are
+#: grouped by the day of their first timestamp.
+INDEX_PERIOD_NS = NANOS_PER_DAY
 
 
 def stream_fingerprint(labels: LabelSet) -> int:
@@ -116,8 +121,8 @@ class ShipperIndex:
     def __init__(
         self,
         store: ObjectStore,
-        bucket: str = "loki",
-        period_ns: int = NANOS_PER_DAY,
+        bucket: str = CHUNK_BUCKET,
+        period_ns: int = INDEX_PERIOD_NS,
     ) -> None:
         if period_ns < 1:
             raise ValidationError("index period must be positive")

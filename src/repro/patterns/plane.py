@@ -51,8 +51,7 @@ class PatternsPlane(Plane):
             fw.clock, fw.pattern_store, config=drain_config, tracer=fw.tracer
         )
         if fw.objstore is not None:
-            fw.compactor.patterns = fw.pattern_store
-            fw.store_gateway.patterns = fw.pattern_store
+            fw.compactor.derived += (fw.pattern_store,)
 
     def build_query(self, fw):
         # Even with no tenancy plane (so no scheduler in front),

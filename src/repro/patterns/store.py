@@ -1,49 +1,38 @@
 """Period-partitioned pattern blocks persisted beside the chunks.
 
-Mirrors the bloom-block layout (:mod:`repro.queryx.bloom`): one
-:class:`_PatternBlock` per (tenant, stream, index period), keyed in the
-object store as ``patterns/{tenant}/{period:012d}/{fp:016x}.json.z``.
-Blocks come from two producers:
+One :class:`_PatternBlock` per (tenant, stream, index period), kept by
+:class:`~repro.objstore.blocks.BlockStore` under
+``patterns/{tenant}/{period:012d}/{fp:016x}.json.z`` like the bloom
+blocks.  Blocks come from two producers:
 
-* the **live** path — the pattern ingester calls :meth:`observe` per
-  mined line, and the framework flushes dirty blocks on the shipper
-  cadence; a live block is authoritative for its period and is never
-  rebuilt;
+* the **live** path — the pattern ingester calls :meth:`PatternStore.observe`
+  per mined line, and the framework flushes dirty blocks on the shipper
+  cadence; a live block pins no chunk keys, so it is authoritative for
+  its period and never rebuilt;
 * the **compactor** — for periods with no live block (a querier that
   restarted cold, or blocks lost with the process) it re-mines the
-  merged chunk entries it already holds and persists the result, so the
-  store-gateway can answer ``detected_patterns`` from object storage
-  alone.
+  merged chunk entries it already holds, pinning the chunk keys it mined,
+  so ``detected_patterns`` can be answered from object storage alone.
 
-A compacted block records exactly which chunk keys it was mined from;
-``needs_build`` requests a rebuild only when that coverage changed —
-the same idempotence contract the bloom store uses.
+:func:`merge_patterns` is the one merge of ``detected_patterns`` rows:
+across the blocks of one query and across the query frontend's windows.
 """
 
 from __future__ import annotations
 
-import zlib
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Iterable, Sequence
 
 from repro.common.errors import ValidationError
-from repro.common.jsonutil import dumps_compact, loads
 from repro.common.labels import LabelSet, Matcher, matches_all
-from repro.common.simclock import NANOS_PER_DAY
-from repro.objstore.index import stream_fingerprint
-from repro.objstore.objectstore import ObjectStoreUnavailable
+from repro.objstore.blocks import BlockStore
+from repro.objstore.index import INDEX_PERIOD_NS, stream_fingerprint
 from repro.patterns.miner import DrainConfig, DrainMiner
 
 if TYPE_CHECKING:
     from repro.loki.model import LogEntry
     from repro.objstore.objectstore import ObjectStore
     from repro.tempo.tracer import Tracer
-
-PATTERN_PREFIX = "patterns/"
-
-
-def pattern_object_key(tenant: str, fingerprint: int, period: int) -> str:
-    return f"{PATTERN_PREFIX}{tenant}/{period:012d}/{fingerprint:016x}.json.z"
 
 
 @dataclass
@@ -81,7 +70,12 @@ class PatternRecord:
 
 @dataclass(frozen=True)
 class DetectedPattern:
-    """One row of a ``detected_patterns`` answer (merged across blocks)."""
+    """One row of a ``detected_patterns`` answer (merged across blocks).
+
+    ``stream_ids`` are the ``(tenant, fingerprint)`` of the streams the
+    pattern was seen on — not rendered, but what lets rows from disjoint
+    windows merge into a count of *distinct* streams.
+    """
 
     pattern_id: str
     template: str
@@ -89,7 +83,35 @@ class DetectedPattern:
     first_ts_ns: int
     last_ts_ns: int
     exemplar: str
-    streams: int
+    stream_ids: frozenset[tuple[str, int]] = field(repr=False)
+
+    @property
+    def streams(self) -> int:
+        return len(self.stream_ids)
+
+
+def merge_patterns(rows: Iterable[DetectedPattern]) -> list[DetectedPattern]:
+    """One row per pattern id, busiest first: counts summed, time bounds
+    widened, the first row's template, the earliest row's exemplar and
+    the union of the streams.  Rows arrive in period order, so merging
+    per-window answers gives what one query over all windows gives."""
+    merged: dict[str, DetectedPattern] = {}
+    for row in rows:
+        have = merged.get(row.pattern_id)
+        if have is None:
+            merged[row.pattern_id] = row
+            continue
+        earliest = row if row.first_ts_ns < have.first_ts_ns else have
+        merged[row.pattern_id] = DetectedPattern(
+            pattern_id=have.pattern_id,
+            template=have.template,
+            count=have.count + row.count,
+            first_ts_ns=earliest.first_ts_ns,
+            last_ts_ns=max(have.last_ts_ns, row.last_ts_ns),
+            exemplar=earliest.exemplar,
+            stream_ids=have.stream_ids | row.stream_ids,
+        )
+    return sorted(merged.values(), key=lambda r: (-r.count, r.pattern_id))
 
 
 @dataclass
@@ -133,31 +155,24 @@ class _PatternBlock:
         return block
 
 
-class PatternStore:
-    """Pattern blocks: live mining sink, object-store persistence, and
-    the ``detected_patterns`` query surface."""
+class PatternStore(BlockStore):
+    """Pattern blocks: live mining sink, the compactor's re-mined blocks
+    and the ``detected_patterns`` query surface.  Without an object
+    store the blocks are memory-resident."""
+
+    prefix = "patterns/"
+    block_type = _PatternBlock
 
     def __init__(
         self,
         store: "ObjectStore | None" = None,
-        bucket: str = "loki",
-        period_ns: int = NANOS_PER_DAY,
         config: DrainConfig | None = None,
         tracer: "Tracer | None" = None,
     ) -> None:
-        if period_ns <= 0:
-            raise ValidationError("period_ns must be positive")
-        self._store = store
-        self._bucket = bucket
-        self._period_ns = period_ns
+        super().__init__(store)
         self._config = config or DrainConfig()
         self._tracer = tracer
-        self._blocks: dict[tuple[str, int, int], _PatternBlock] = {}
-        self._dirty: set[tuple[str, int, int]] = set()
         self.lines_recorded = 0
-        self.blocks_persisted_total = 0
-        self.persist_failures = 0
-        self.blocks_rebuilt_total = 0
         self.queries_served = 0
 
     # ------------------------------------------------------------------
@@ -174,7 +189,7 @@ class PatternStore:
         line: str,
     ) -> None:
         """Record one mined line into the live block for its period."""
-        period = timestamp_ns // self._period_ns
+        period = timestamp_ns // INDEX_PERIOD_NS
         fp = stream_fingerprint(labels)
         key = (tenant, fp, period)
         block = self._blocks.get(key)
@@ -207,6 +222,41 @@ class PatternStore:
         self.lines_recorded += 1
 
     # ------------------------------------------------------------------
+    # Compactor path
+    # ------------------------------------------------------------------
+
+    def make_block(
+        self,
+        tenant: str,
+        labels: LabelSet,
+        period: int,
+        entries: "Sequence[LogEntry]",
+        chunk_keys: frozenset[str],
+    ) -> _PatternBlock:
+        """Re-mine ``entries`` (the compactor's merged chunk contents)."""
+        miner = DrainMiner(self._config)
+        for entry in entries:
+            miner.add_line(entry.line, entry.timestamp_ns)
+        block = _PatternBlock(
+            tenant=tenant,
+            fingerprint=stream_fingerprint(labels),
+            labels=labels,
+            period=period,
+            origin="compacted",
+            chunk_keys=chunk_keys,
+        )
+        for cluster in miner.clusters():
+            block.records[cluster.pattern_id] = PatternRecord(
+                pattern_id=cluster.pattern_id,
+                template=cluster.template,
+                count=cluster.count,
+                first_ts_ns=cluster.first_seen_ns,
+                last_ts_ns=cluster.last_seen_ns,
+                exemplar=cluster.exemplar,
+            )
+        return block
+
+    # ------------------------------------------------------------------
     # Query path
     # ------------------------------------------------------------------
 
@@ -221,49 +271,32 @@ class PatternStore:
         activity overlaps ``[start_ns, end_ns)``, busiest first."""
         if end_ns <= start_ns:
             raise ValidationError("query range must satisfy start < end")
-        first_period = start_ns // self._period_ns
-        last_period = (end_ns - 1) // self._period_ns
-        merged: dict[str, dict] = {}
-        for (blk_tenant, _fp, period), block in self._blocks.items():
-            if tenant is not None and blk_tenant != tenant:
-                continue
-            if not first_period <= period <= last_period:
-                continue
-            if not matches_all(block.labels, matchers):
-                continue
-            for record in block.records.values():
-                if record.last_ts_ns < start_ns or record.first_ts_ns >= end_ns:
-                    continue
-                row = merged.get(record.pattern_id)
-                if row is None:
-                    merged[record.pattern_id] = {
-                        "template": record.template,
-                        "count": record.count,
-                        "first": record.first_ts_ns,
-                        "last": record.last_ts_ns,
-                        "exemplar": record.exemplar,
-                        "streams": 1,
-                    }
-                    continue
-                row["count"] += record.count
-                if record.first_ts_ns < row["first"]:
-                    row["first"] = record.first_ts_ns
-                    row["exemplar"] = record.exemplar
-                row["last"] = max(row["last"], record.last_ts_ns)
-                row["streams"] += 1
-        rows = [
+        first_period = start_ns // INDEX_PERIOD_NS
+        last_period = (end_ns - 1) // INDEX_PERIOD_NS
+        blocks = sorted(
+            (
+                block
+                for (blk_tenant, _fp, period), block in self._blocks.items()
+                if (tenant is None or blk_tenant == tenant)
+                and first_period <= period <= last_period
+                and matches_all(block.labels, matchers)
+            ),
+            key=lambda block: block.period,
+        )
+        rows = merge_patterns(
             DetectedPattern(
-                pattern_id=pid,
-                template=row["template"],
-                count=row["count"],
-                first_ts_ns=row["first"],
-                last_ts_ns=row["last"],
-                exemplar=row["exemplar"],
-                streams=row["streams"],
+                pattern_id=record.pattern_id,
+                template=record.template,
+                count=record.count,
+                first_ts_ns=record.first_ts_ns,
+                last_ts_ns=record.last_ts_ns,
+                exemplar=record.exemplar,
+                stream_ids=frozenset({(block.tenant, block.fingerprint)}),
             )
-            for pid, row in merged.items()
-        ]
-        rows.sort(key=lambda r: (-r.count, r.pattern_id))
+            for block in blocks
+            for record in block.records.values()
+            if record.last_ts_ns >= start_ns and record.first_ts_ns < end_ns
+        )
         self.queries_served += 1
         if self._tracer is not None and self._tracer.enabled:
             now = self._tracer.now_ns
@@ -305,122 +338,13 @@ class PatternStore:
             seen.update(block.records)
         return len(seen)
 
-    @property
-    def block_count(self) -> int:
-        return len(self._blocks)
-
-    # ------------------------------------------------------------------
-    # Persistence
-    # ------------------------------------------------------------------
-
-    def persist_dirty(self) -> int:
-        """Flush dirty live blocks to the object store; returns blocks
-        written.  Failed writes stay dirty and retry next flush."""
-        if self._store is None:
-            self._dirty.clear()
-            return 0
-        written = 0
-        for key in sorted(self._dirty):
-            try:
-                self._persist(self._blocks[key])
-            except ObjectStoreUnavailable:
-                self.persist_failures += 1
-                continue
-            self._dirty.discard(key)
-            written += 1
-        return written
-
-    def _persist(self, block: _PatternBlock) -> None:
-        assert self._store is not None
-        payload = zlib.compress(
-            dumps_compact(block.to_obj()).encode(), level=6
-        )
-        self._store.put(
-            self._bucket,
-            pattern_object_key(block.tenant, block.fingerprint, block.period),
-            payload,
-        )
-        self.blocks_persisted_total += 1
-
-    def rebuild(self) -> int:
-        """Cold start: repopulate every block from the object store."""
-        if self._store is None:
-            return 0
-        self._blocks.clear()
-        self._dirty.clear()
-        loaded = 0
-        for key in sorted(self._store.list_keys(self._bucket, PATTERN_PREFIX)):
-            payload = self._store.get(self._bucket, key)
-            block = _PatternBlock.from_obj(
-                loads(zlib.decompress(payload).decode())
-            )
-            self._blocks[(block.tenant, block.fingerprint, block.period)] = block
-            loaded += 1
-        return loaded
-
-    # ------------------------------------------------------------------
-    # Compactor hooks (duck-typed like BloomStore)
-    # ------------------------------------------------------------------
-
-    def needs_build(
-        self,
-        tenant: str,
-        labels: LabelSet,
-        period: int,
-        chunk_keys: Iterable[str],
-    ) -> bool:
-        block = self._blocks.get((tenant, stream_fingerprint(labels), period))
-        if block is None:
-            return True
-        if block.origin == "live":
-            # The live miner saw every line pre-flush; chunk coverage is
-            # irrelevant to it.
-            return False
-        return block.chunk_keys != frozenset(chunk_keys)
-
-    def build_block(
-        self,
-        tenant: str,
-        labels: LabelSet,
-        period: int,
-        entries: "Sequence[LogEntry]",
-        chunk_keys: Iterable[str],
-    ) -> int:
-        """Re-mine ``entries`` (the compactor's merged chunk contents)
-        into a compacted block; returns the template count."""
-        miner = DrainMiner(self._config)
-        for entry in entries:
-            miner.add_line(entry.line, entry.timestamp_ns)
-        block = _PatternBlock(
-            tenant=tenant,
-            fingerprint=stream_fingerprint(labels),
-            labels=labels,
-            period=period,
-            origin="compacted",
-            chunk_keys=frozenset(chunk_keys),
-        )
-        for cluster in miner.clusters():
-            block.records[cluster.pattern_id] = PatternRecord(
-                pattern_id=cluster.pattern_id,
-                template=cluster.template,
-                count=cluster.count,
-                first_ts_ns=cluster.first_seen_ns,
-                last_ts_ns=cluster.last_seen_ns,
-                exemplar=cluster.exemplar,
-            )
-        self._blocks[(block.tenant, block.fingerprint, block.period)] = block
-        if self._store is not None:
-            self._persist(block)
-        self.blocks_rebuilt_total += 1
-        return len(block.records)
-
     def counters(self) -> dict[str, int]:
         return {
             "blocks": len(self._blocks),
             "dirty": len(self._dirty),
             "lines_recorded": self.lines_recorded,
-            "blocks_persisted_total": self.blocks_persisted_total,
+            "blocks_persisted_total": self.blocks_persisted,
             "persist_failures": self.persist_failures,
-            "blocks_rebuilt_total": self.blocks_rebuilt_total,
+            "blocks_rebuilt_total": self.blocks_built,
             "queries_served": self.queries_served,
         }

@@ -18,7 +18,6 @@ from repro.queryx.bloom import (
     BloomFilter,
     BloomStore,
     NGRAM_LEN,
-    bloom_object_key,
     line_ngrams,
 )
 from repro.queryx.engine import DEFAULT_SLOW_QUERY_NS, ShardedQueryEngine
@@ -60,7 +59,6 @@ __all__ = [
     "QueryPlanner",
     "ShardedQueryEngine",
     "Subquery",
-    "bloom_object_key",
     "line_ngrams",
     "merge_class",
     "merge_log_partials",

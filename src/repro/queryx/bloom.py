@@ -34,7 +34,7 @@ from typing import TYPE_CHECKING, Iterable
 
 from repro.common.errors import ValidationError
 from repro.common.hashing import fnv1a_64, mix64
-from repro.common.jsonutil import dumps_compact, loads
+from repro.objstore.blocks import BlockStore
 from repro.objstore.index import ChunkRef, stream_fingerprint
 
 if TYPE_CHECKING:
@@ -47,7 +47,8 @@ if TYPE_CHECKING:
 #: be decomposed into covered tokens.
 NGRAM_LEN = 3
 
-BLOOM_PREFIX = "blooms/"
+#: Target false-positive rate of every block's filter.
+FP_RATE = 0.01
 
 
 def line_ngrams(text: str, n: int = NGRAM_LEN) -> set[str]:
@@ -91,7 +92,7 @@ class BloomFilter:
         self.inserted = 0
 
     @classmethod
-    def for_capacity(cls, n: int, fp_rate: float = 0.01) -> "BloomFilter":
+    def for_capacity(cls, n: int, fp_rate: float = FP_RATE) -> "BloomFilter":
         """Size a filter for ``n`` tokens at a target false-positive rate."""
         if n < 1:
             n = 1
@@ -196,94 +197,45 @@ class BloomBlock:
         )
 
 
-def bloom_object_key(tenant: str, fingerprint: int, period: int) -> str:
-    return f"{BLOOM_PREFIX}{tenant}/{period:012d}/{fingerprint:016x}.json.z"
-
-
-class BloomStore:
-    """Bloom blocks in memory, persisted to the chunk bucket.
+class BloomStore(BlockStore):
+    """Bloom blocks beside the chunks (:class:`~repro.objstore.blocks.BlockStore`).
 
     The compactor is the only writer (it already holds each stream's
     merged entries when it runs); the store-gateway is the reader.  Like
-    the shipper index, the in-memory maps answer queries uncharged and
-    :meth:`rebuild` restores them from a cold bucket.
+    the shipper index, the in-memory table answers queries uncharged and
+    :meth:`rebuild` restores it from a cold bucket.
     """
 
-    def __init__(
-        self,
-        store: "ObjectStore",
-        bucket: str = "loki",
-        fp_rate: float = 0.01,
-    ) -> None:
-        if not 0.0 < fp_rate < 1.0:
-            raise ValidationError("fp_rate must be in (0, 1)")
-        self._store = store
-        self.bucket = bucket
-        self.fp_rate = fp_rate
-        self._blocks: dict[tuple[str, int, int], BloomBlock] = {}
-        self.blocks_built = 0
-        self.blocks_persisted = 0
+    prefix = "blooms/"
+    block_type = BloomBlock
+
+    def __init__(self, store: "ObjectStore") -> None:
+        super().__init__(store)
         self.needle_checks = 0
         self.needle_rejections = 0
 
-    # ------------------------------------------------------------------
-    # Building (compactor side)
-    # ------------------------------------------------------------------
-    def get(self, tenant: str, fingerprint: int, period: int) -> BloomBlock | None:
-        return self._blocks.get((tenant, fingerprint, period))
-
-    def block_for_ref(self, ref: ChunkRef) -> BloomBlock | None:
-        return self.get(ref.tenant, stream_fingerprint(ref.labels), ref.period)
-
-    def needs_build(
-        self, tenant: str, labels: "LabelSet", period: int, chunk_keys: set[str]
-    ) -> bool:
-        """Whether the group's block is missing or stale (coverage moved)."""
-        block = self.get(tenant, stream_fingerprint(labels), period)
-        return block is None or block.chunk_keys != frozenset(chunk_keys)
-
-    def build_block(
+    def make_block(
         self,
         tenant: str,
         labels: "LabelSet",
         period: int,
         entries: "list[LogEntry]",
-        chunk_keys: set[str],
+        chunk_keys: frozenset[str],
     ) -> BloomBlock:
-        """(Re)build and persist the block for one stream-period group."""
         grams: set[str] = set()
         for entry in entries:
             grams |= line_ngrams(entry.line)
-        filt = BloomFilter.for_capacity(len(grams), self.fp_rate)
+        filt = BloomFilter.for_capacity(len(grams), FP_RATE)
         for gram in sorted(grams):  # sorted: deterministic insertion order
             filt.add(gram)
-        block = BloomBlock(
+        return BloomBlock(
             tenant=tenant,
             fingerprint=stream_fingerprint(labels),
             period=period,
             filter=filt,
-            chunk_keys=frozenset(chunk_keys),
+            chunk_keys=chunk_keys,
             lines_indexed=len(entries),
         )
-        self._blocks[(block.tenant, block.fingerprint, block.period)] = block
-        self.blocks_built += 1
-        self._persist(block)
-        return block
-
-    def _persist(self, block: BloomBlock) -> None:
-        key = bloom_object_key(block.tenant, block.fingerprint, block.period)
-        payload = zlib.compress(dumps_compact(block.to_obj()).encode(), level=6)
-        self._store.put(self.bucket, key, payload)
-        self.blocks_persisted += 1
-
-    def rebuild(self) -> int:
-        """Reload every persisted block from the bucket (cold start)."""
-        self._blocks.clear()
-        for key in self._store.list_keys(self.bucket, BLOOM_PREFIX):
-            obj = loads(zlib.decompress(self._store.get(self.bucket, key)).decode())
-            block = BloomBlock.from_obj(obj)
-            self._blocks[(block.tenant, block.fingerprint, block.period)] = block
-        return len(self._blocks)
 
     # ------------------------------------------------------------------
     # Gating (gateway side)
@@ -294,7 +246,7 @@ class BloomStore:
         Conservative on every doubt: no block, a block that does not
         cover the ref, or a needle too short to decompose all fetch.
         """
-        block = self.block_for_ref(ref)
+        block = self.get(ref.tenant, stream_fingerprint(ref.labels), ref.period)
         if block is None or not block.covers(ref):
             return False
         for needle in needles:
@@ -306,12 +258,6 @@ class BloomStore:
                 self.needle_rejections += 1
                 return True
         return False
-
-    # ------------------------------------------------------------------
-    # Introspection
-    # ------------------------------------------------------------------
-    def block_count(self) -> int:
-        return len(self._blocks)
 
     def counters(self) -> dict[str, int]:
         return {

@@ -64,7 +64,7 @@ class QueryxPlane(Plane):
             # Bloom blocks ride the same bucket as the chunks; the
             # compactor builds them, the gateway consults them.
             fw.blooms = BloomStore(fw.objstore)
-            fw.compactor.blooms = fw.blooms
+            fw.compactor.derived += (fw.blooms,)
             gateway = fw.store_gateway
             gateway.blooms = fw.blooms
 

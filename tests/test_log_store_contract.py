@@ -63,7 +63,7 @@ def tiered(hot):
         objstore,
         index,
         ChunkShipper(hot, objstore, index, clock),
-        Compactor(objstore, index, clock, blooms=blooms),
+        Compactor(objstore, index, clock, derived=(blooms,)),
         StoreGateway(objstore, index, clock, blooms=blooms),
     )
 

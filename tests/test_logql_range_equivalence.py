@@ -212,7 +212,7 @@ def tiered_early_chunks_cold(streams):
     index = ShipperIndex(objstore)
     shipper = ChunkShipper(hot, objstore, index, clock)
     blooms = BloomStore(objstore)
-    compactor = Compactor(objstore, index, clock, blooms=blooms)
+    compactor = Compactor(objstore, index, clock, derived=(blooms,))
     gateway = StoreGateway(objstore, index, clock, blooms=blooms)
     tiered = TieredLokiStore(hot, objstore, index, shipper, compactor, gateway)
     for labels, entries in streams:

@@ -229,4 +229,4 @@ class TestObservability:
                            duration_ns=minutes(2))
         fw.run_for(minutes(10))
         assert fw.objstore.object_count(prefix="patterns/") >= 1
-        assert fw.pattern_store.blocks_persisted_total >= 1
+        assert fw.pattern_store.blocks_persisted >= 1

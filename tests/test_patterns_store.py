@@ -1,12 +1,16 @@
 """Pattern blocks: live recording, queries, persistence, the compactor
-rebuild path, and the store-gateway's cold ``detected_patterns``."""
+rebuild path, the cold ``detected_patterns`` answered from the bucket,
+and the query frontend's window split."""
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from repro.common.errors import ValidationError
 from repro.common.labels import LabelSet, label_matcher
 from repro.common.simclock import NANOS_PER_DAY, SimClock, minutes
 from repro.loki.chunks import ChunkPolicy
+from repro.loki.frontend import QueryFrontend
+from repro.loki.logql.engine import LogQLEngine
 from repro.loki.model import LogEntry
 from repro.loki.store import LokiStore
 from repro.objstore import (
@@ -14,9 +18,9 @@ from repro.objstore import (
     Compactor,
     ObjectStore,
     ShipperIndex,
-    StoreGateway,
 )
-from repro.patterns.store import PATTERN_PREFIX, PatternStore, pattern_object_key
+from repro.patterns.ingester import PatternIngester
+from repro.patterns.store import PatternStore
 
 MATCH_ALL = [label_matcher("app", "=~", ".+")]
 LABELS = LabelSet({"app": "api"})
@@ -65,15 +69,17 @@ class TestObserveAndQuery:
         assert store.query(MATCH_ALL, 0, 100) == []
         assert len(store.query(MATCH_ALL, 100, 101)) == 1
 
-    def test_streams_counts_distinct_blocks(self):
+    def test_streams_counts_distinct_streams(self):
         store = PatternStore()
         # Same line shape on two streams → same pattern_id, streams=2.
         observe_lines(store, ["oom killed pid 1"], labels=LABELS)
         observe_lines(store, ["oom killed pid 2"], labels=OTHER)
-        rows = store.query(MATCH_ALL, 0, 10)
+        # One stream on a second day is still one stream.
+        observe_lines(store, ["oom killed pid 3"], labels=OTHER, start_ns=NANOS_PER_DAY)
+        rows = store.query(MATCH_ALL, 0, 2 * NANOS_PER_DAY)
         assert len(rows) == 1
         assert rows[0].streams == 2
-        assert rows[0].count == 2
+        assert rows[0].count == 3
 
     def test_invalid_range_rejected(self):
         store = PatternStore()
@@ -99,7 +105,7 @@ class TestPersistence:
         observe_lines(store, [f"fan {i} failed" for i in range(4)])
         written = store.persist_dirty()
         assert written == 1
-        assert objstore.object_count("loki", prefix=PATTERN_PREFIX) == 1
+        assert objstore.object_count("loki", prefix=PatternStore.prefix) == 1
 
         cold = PatternStore(objstore)
         assert cold.rebuild() == 1
@@ -119,17 +125,17 @@ class TestPersistence:
         assert store.counters()["dirty"] == 0
 
     def test_object_key_layout(self):
-        assert pattern_object_key("ops", 0xAB, 3) == (
+        assert PatternStore.object_key("ops", 0xAB, 3) == (
             "patterns/ops/000000000003/00000000000000ab.json.z"
         )
 
     def test_period_partitioning(self):
-        store = PatternStore(period_ns=100)
+        store = PatternStore()
         observe_lines(store, ["tick a b"], start_ns=0)
-        observe_lines(store, ["tick a b"], start_ns=150)
+        observe_lines(store, ["tick a b"], start_ns=NANOS_PER_DAY + 50)
         assert store.block_count == 2
         # Querying one period only sees that period's count.
-        rows = store.query(MATCH_ALL, 0, 100)
+        rows = store.query(MATCH_ALL, 0, NANOS_PER_DAY)
         assert rows[0].count == 1
 
 
@@ -143,7 +149,7 @@ class TestCompactorRebuild:
     def test_compactor_builds_blocks_from_shipped_chunks(self):
         clock, objstore, index = self._tier()
         patterns = PatternStore(objstore)
-        compactor = Compactor(objstore, index, clock, patterns=patterns)
+        compactor = Compactor(objstore, index, clock, derived=(patterns,))
         loki = LokiStore(ChunkPolicy(target_size_bytes=256, max_age_ns=minutes(5)))
         loki.push_stream(
             LABELS,
@@ -152,9 +158,9 @@ class TestCompactorRebuild:
         loki.flush_all()
         ChunkShipper(loki, objstore, index, clock).flush()
 
-        result = compactor.run()
-        assert result.ok
-        assert result.pattern_blocks_built >= 1
+        assert compactor.run().ok
+        assert patterns.blocks_built >= 1
+        assert objstore.object_count("loki", prefix=PatternStore.prefix) >= 1
         rows = patterns.query(MATCH_ALL, 0, 10**18)
         assert len(rows) == 1
         assert rows[0].count == 50
@@ -179,22 +185,22 @@ class TestCompactorRebuild:
     def test_idempotent_second_run(self):
         clock, objstore, index = self._tier()
         patterns = PatternStore(objstore)
-        compactor = Compactor(objstore, index, clock, patterns=patterns)
+        compactor = Compactor(objstore, index, clock, derived=(patterns,))
         loki = LokiStore()
         loki.push_stream(LABELS, [LogEntry(0, "steady line")])
         loki.flush_all()
         ChunkShipper(loki, objstore, index, clock).flush()
-        first = compactor.run()
-        again = compactor.run()
-        assert first.pattern_blocks_built >= 1
-        assert again.pattern_blocks_built == 0
+        compactor.run()
+        built = patterns.blocks_built
+        compactor.run()
+        assert built >= 1
+        assert patterns.blocks_built == built
 
 
-class TestGatewayColdPath:
-    def test_gateway_answers_without_chunk_gets(self):
+class TestColdPath:
+    def test_rebuilt_store_answers_without_chunk_gets(self):
         clock = SimClock()
         objstore = ObjectStore(clock)
-        index = ShipperIndex(objstore)
         patterns = PatternStore(objstore)
         observe_lines(patterns, [f"node {i} offline" for i in range(3)])
         patterns.persist_dirty()
@@ -202,16 +208,77 @@ class TestGatewayColdPath:
         # A cold querier: rebuild the pattern view from object storage.
         cold = PatternStore(objstore)
         cold.rebuild()
-        gateway = StoreGateway(objstore, index, clock, patterns=cold)
-        rows = gateway.detected_patterns(MATCH_ALL, 0, 10)
+        gets = objstore.gets
+        rows = cold.query(MATCH_ALL, 0, 10)
         assert len(rows) == 1
         assert rows[0].count == 3
-        assert gateway.chunks_fetched_total == 0  # no chunk GET paid
+        assert objstore.gets == gets  # no chunk GET paid
 
-    def test_gateway_without_patterns_raises(self):
-        clock = SimClock()
-        objstore = ObjectStore(clock)
-        index = ShipperIndex(objstore)
-        gateway = StoreGateway(objstore, index, clock)
-        with pytest.raises(ValidationError):
-            gateway.detected_patterns(MATCH_ALL, 0, 10)
+
+STREAM_LABELS = (LabelSet({"job": "a"}), LabelSet({"job": "b"}), LabelSet({"job": "c"}))
+SHAPES = (
+    "fan {n} failed on node {m}",
+    "link {n} down after {m} retries",
+    "session opened for user {name} on the login node",  # one id, templates widen
+)
+NAMES = ("alice", "bob", "carol")
+
+
+def split_world(observations):
+    """A LogQL engine over a pattern store fed ``(stream, day, shape)``
+    observations, and a query frontend in front of it."""
+    clock = SimClock()
+    store = PatternStore()
+    ingester = PatternIngester(clock, store)
+    for i, (stream, day, shape) in enumerate(observations):
+        ts = day * NANOS_PER_DAY + minutes(10) + i
+        line = SHAPES[shape].format(n=i, m=i * 7, name=NAMES[i % len(NAMES)])
+        ingester.observe(STREAM_LABELS[stream], [LogEntry(ts, line)])
+    engine = LogQLEngine(LokiStore(), patterns=store)
+    return engine, QueryFrontend(engine, clock, pattern_source=engine)
+
+
+class TestFrontendSplit:
+    def test_streams_are_distinct_on_both_paths(self):
+        # {job="a"}: p1 on day 0, p2 on days 0 and 1; {job="b"}: p1 on day 1.
+        engine, frontend = split_world([(0, 0, 0), (0, 0, 1), (0, 1, 1), (1, 1, 0)])
+        selector = '{job=~".+"}'
+        for rows in (
+            engine.detected_patterns(selector, 0, 2 * NANOS_PER_DAY),
+            frontend.detected_patterns(selector, 0, 2 * NANOS_PER_DAY),
+        ):
+            streams = {r.template.split()[0]: r.streams for r in rows}
+            assert streams == {"fan": 2, "link": 1}
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        observations=st.lists(
+            st.tuples(
+                st.integers(0, len(STREAM_LABELS) - 1),
+                st.integers(0, 3),
+                st.integers(0, len(SHAPES) - 1),
+            ),
+            min_size=1,
+            max_size=30,
+        ),
+        first_day=st.integers(0, 2),
+        start_offset=st.integers(0, NANOS_PER_DAY - 1),
+        periods=st.integers(1, 3),
+    )
+    @example(
+        observations=[(0, 0, 0), (0, 0, 1), (0, 1, 1), (1, 1, 0)],
+        first_day=0,
+        start_offset=0,
+        periods=2,
+    )
+    def test_frontend_split_equals_direct(
+        self, observations, first_day, start_offset, periods
+    ):
+        engine, frontend = split_world(observations)
+        start = first_day * NANOS_PER_DAY + start_offset
+        end = (first_day + periods) * NANOS_PER_DAY
+        selector = '{job=~".+"}'
+        direct = engine.detected_patterns(selector, start, end)
+        assert frontend.detected_patterns(selector, start, end) == direct
+        # The second answer comes from cached windows and is the same.
+        assert frontend.detected_patterns(selector, start, end) == direct

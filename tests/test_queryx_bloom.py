@@ -12,7 +12,6 @@ from repro.queryx.bloom import (
     BloomFilter,
     BloomStore,
     NGRAM_LEN,
-    bloom_object_key,
     line_ngrams,
 )
 
@@ -91,7 +90,7 @@ class TestBloomStore:
     @pytest.fixture
     def store(self):
         objstore = ObjectStore(SimClock(0))
-        return objstore, BloomStore(objstore, fp_rate=0.01)
+        return objstore, BloomStore(objstore)
 
     def test_build_and_query_block(self, store):
         _, blooms = store
@@ -111,6 +110,8 @@ class TestBloomStore:
         objstore, blooms = store
         labels = LabelSet({"app": "fm"})
         blooms.build_block("fake", labels, 0, _entries("hello world"), {"c1"})
+        assert objstore.object_count("loki", prefix="blooms/") == 0
+        assert blooms.persist_dirty() == 1
         assert objstore.object_count("loki", prefix="blooms/") == 1
         # Cold start: a fresh store reloads the block from the bucket.
         fresh = BloomStore(objstore)
@@ -148,6 +149,6 @@ class TestBloomStore:
         assert not blooms.can_skip(ref, ("zzqxv",))
 
     def test_object_key_layout(self):
-        key = bloom_object_key("fake", 0xDEADBEEF, int(hours(24)))
+        key = BloomStore.object_key("fake", 0xDEADBEEF, int(hours(24)))
         assert key.startswith("blooms/fake/")
         assert key.endswith(f"{0xDEADBEEF:016x}.json.z")

@@ -43,7 +43,7 @@ def make_world(streams, with_cold=True):
     index = ShipperIndex(objstore)
     shipper = ChunkShipper(hot, objstore, index, clock)
     blooms = BloomStore(objstore)
-    compactor = Compactor(objstore, index, clock, blooms=blooms)
+    compactor = Compactor(objstore, index, clock, derived=(blooms,))
     gateway = StoreGateway(objstore, index, clock, blooms=blooms)
     tiered = TieredLokiStore(hot, objstore, index, shipper, compactor, gateway)
     for labels, entries in streams:

@@ -26,7 +26,7 @@ def make_world(streams, with_blooms=True, compact=True):
     index = ShipperIndex(objstore)
     shipper = ChunkShipper(hot, objstore, index, clock)
     blooms = BloomStore(objstore) if with_blooms else None
-    compactor = Compactor(objstore, index, clock, blooms=blooms)
+    compactor = Compactor(objstore, index, clock, derived=(blooms,) if blooms else ())
     gateway = StoreGateway(objstore, index, clock, blooms=blooms)
     tiered = TieredLokiStore(hot, objstore, index, shipper, compactor, gateway)
     for labels, entries in streams:

@@ -60,6 +60,7 @@ ALLOWED: dict[str, str] = {
     "repro.loki.frontend.QueryFrontend.set_split_ns": "test driver: cache reconfiguration",
     "repro.loki.index.LabelIndex.label_names": _READ,
     "repro.loki.index.LabelIndex.label_values": _READ,
+    "repro.objstore.blocks.BlockStore.rebuild": _RECOVERY,
     "repro.objstore.compactor.Compactor.request_delete": (
         "operator API: tenant delete requests; pinned by the exposition golden's "
         "reason=\"request\" counter"
@@ -73,11 +74,9 @@ ALLOWED: dict[str, str] = {
     "repro.patterns.miner.template_matches": "oracle: a property test checks mined templates",
     "repro.patterns.miner.DrainMiner.cluster_count": _READ,
     "repro.patterns.ruler.PatternRuler.baseline_rate": _READ,
-    "repro.patterns.store.PatternStore.rebuild": _RECOVERY,
     "repro.queryx.bloom.BloomFilter.might_contain": _READ,
     "repro.queryx.bloom.BloomFilter.fill_ratio": _READ,
     "repro.queryx.bloom.BloomBlock.might_match_needle": "oracle: the no-false-negative property",
-    "repro.queryx.bloom.BloomStore.rebuild": _RECOVERY,
     "repro.resilience.journal.NotificationJournal.delivered_count": _READ,
     "repro.ring.cluster.RingLokiCluster.checkpoint_all": "test driver: checkpoint before a crash",
     "repro.ring.cluster.RingLokiCluster.join_ingester": "scale-out: drives heal() in a property suite",
