@@ -41,7 +41,7 @@ def _run(for_duration: str):
             for_=for_duration,
         )
     )
-    ruler.run_periodic(seconds(15))
+    clock.every(seconds(15), ruler.evaluate_all)
 
     # Blips: a single event each, 5 minutes apart (clears within 45s).
     for i in range(BLIPS):

@@ -36,7 +36,7 @@ def _run():
         window_ns=minutes(180),  # hold the 60-sample baseline + live data
     )
     proactive.watch_metric("node_temp_celsius", severity="warning")
-    proactive.run_periodic(seconds(120))
+    fw.clock.every(seconds(120), proactive.scan_once)
     victim = sorted(fw.cluster.nodes)[0]
     sensor = SensorId(victim, SensorKind.TEMPERATURE_C)
 

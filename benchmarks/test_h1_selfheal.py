@@ -56,7 +56,8 @@ def _detection_trials():
             clock = SimClock()
             cluster = RingLokiCluster(ingesters=6, replication_factor=3)
             mgr = SelfHealManager(clock, cluster)
-            mgr.start()
+            for job in mgr.jobs():
+                clock.every(job.interval_ns, job.run)
             clock.advance(seconds(30 + offset_s))
             victim = f"ingester-{victim_idx}"
             silent_at = clock.now_ns

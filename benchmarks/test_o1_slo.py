@@ -108,9 +108,9 @@ class Harness:
                 labels={"severity": "critical"},
             )
         )
-        agent.run_periodic(STEP)
-        self.manager.run_periodic(STEP)
-        self.vmalert.run_periodic(STEP)
+        self.clock.every(STEP, agent.scrape_all)
+        self.clock.every(STEP, self.manager.tick)
+        self.clock.every(STEP, self.vmalert.evaluate_all)
         self._carry = 0.0
 
     def run(self, duration_ns, events_per_step=1500.0, error_rate=0.0):

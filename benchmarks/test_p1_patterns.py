@@ -18,6 +18,7 @@ from repro.cluster.faults import FaultKind
 from repro.cluster.topology import ClusterSpec
 from repro.common.simclock import NANOS_PER_SECOND, minutes
 from repro.core.framework import FrameworkConfig, MonitoringFramework
+from repro.patterns.plane import RULER_INTERVAL_NS
 
 from conftest import report
 
@@ -57,7 +58,7 @@ def test_p1_pattern_mining(benchmark):
     latencies = [
         d.latency_ns for d in detections if d.first_seen_ns >= injected_ns
     ]
-    bound_ns = fw.config.patterns_ruler_interval_ns
+    bound_ns = RULER_INTERVAL_NS
 
     storm_lines = int(storm.detail["lines_injected"])
     storm_notifications = [

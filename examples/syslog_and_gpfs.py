@@ -54,7 +54,7 @@ def main() -> None:
 
     remediator.register_playbook("GpfsDegraded", gpfs_playbook,
                                  duration_ns=minutes(5))
-    remediator.run_periodic(minutes(1))
+    framework.clock.every(minutes(1), remediator.poll)
 
     framework.clock.call_later(
         minutes(3), lambda: framework.gpfs.set_degraded("scratch", True, 0.25)

@@ -118,9 +118,6 @@ class RuleEvaluator:
     def rules(self) -> list[RuleSpec]:
         return list(self._rules)
 
-    def run_periodic(self, interval_ns: int) -> None:
-        self._clock.every(interval_ns, self.evaluate_all)
-
     # -- evaluation ----------------------------------------------------------
     def evaluate_all(self) -> list[AlertEvent]:
         """Evaluate every rule at the current sim time, in order, each

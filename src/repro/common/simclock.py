@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import heapq
 from dataclasses import dataclass, field
-from typing import Callable
+from typing import Callable, NamedTuple
 
 NANOS_PER_SECOND = 1_000_000_000
 NANOS_PER_MINUTE = 60 * NANOS_PER_SECOND
@@ -45,6 +45,14 @@ def hours(n: float) -> int:
 def days(n: float) -> int:
     """Convert days to integer nanoseconds."""
     return int(n * NANOS_PER_DAY)
+
+
+class Job(NamedTuple):
+    """One periodic: ``run`` every ``interval_ns``, known by ``name``."""
+
+    name: str
+    interval_ns: int
+    run: Callable[[], object]
 
 
 @dataclass(order=True)
@@ -132,7 +140,8 @@ class SimClock:
         """Run ``callback`` every ``interval_ns``, starting one interval from now.
 
         Returns the :class:`Timer` for the *next* occurrence; cancelling it
-        stops the whole periodic chain.
+        stops the whole periodic chain.  A run that raises is re-armed
+        all the same; the exception propagates out of :meth:`advance`.
         """
         if interval_ns <= 0:
             raise ValueError("interval must be positive")
@@ -140,12 +149,14 @@ class SimClock:
         timer_box: list[Timer] = []
 
         def tick() -> None:
-            callback()
-            if not timer_box[0].cancelled:
-                inner = self.call_later(interval_ns, tick)
-                # Re-point the shared handle at the fresh event so a later
-                # cancel() stops the chain.
-                timer_box[0]._event = inner._event
+            try:
+                callback()
+            finally:
+                if not timer_box[0].cancelled:
+                    inner = self.call_later(interval_ns, tick)
+                    # Re-point the shared handle at the fresh event so a
+                    # later cancel() stops the chain.
+                    timer_box[0]._event = inner._event
 
         first = self.call_later(interval_ns, tick)
         timer_box.append(first)

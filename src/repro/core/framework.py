@@ -17,7 +17,7 @@ from typing import TYPE_CHECKING
 
 from repro.common.errors import ValidationError
 from repro.common.labels import Matcher, MatchOp
-from repro.common.simclock import SimClock, hours, minutes, seconds
+from repro.common.simclock import Job, SimClock, hours, minutes, seconds
 from repro.alerting.alertmanager import Alertmanager, Route
 from repro.alerting.rules import RuleSpec
 from repro.bus.broker import Broker
@@ -125,20 +125,7 @@ class FrameworkConfig:
     cluster_spec: ClusterSpec = field(default_factory=ClusterSpec)
     cluster_name: str = "perlmutter"
     seed: int = 0
-    # Collection cadences.
-    redfish_poll_interval_ns: int = seconds(10)
-    sensor_interval_ns: int = seconds(60)
-    fm_poll_interval_ns: int = seconds(30)
-    consumer_interval_ns: int = seconds(10)
-    scrape_interval_ns: int = seconds(60)
-    gpfs_interval_ns: int = seconds(60)
-    console_interval_ns: int = seconds(60)
-    console_lines_per_tick: int = 5
-    ldms_interval_ns: int = seconds(60)
-    facility_interval_ns: int = seconds(60)
-    # Alerting cadences.
-    ruler_interval_ns: int = seconds(30)
-    vmalert_interval_ns: int = seconds(30)
+    # Alerting.
     rule_for: str = "1m"  # "lasts more than one minute" (paper §IV.A)
     group_wait: str = "30s"
     group_interval: str = "5m"
@@ -150,12 +137,10 @@ class FrameworkConfig:
     # response" (repro.omni.plane): EWMA anomaly scanning over key
     # metrics into Alertmanager.  Off by default, with no env default.
     enable_proactive_detection: bool = False
-    proactive_interval_ns: int = seconds(300)
     # Self-tracing of the pipeline (repro.tempo). 0.0 = off: no tracer is
     # constructed and every instrumented site takes its untraced path.
     tracing_sampling: float = 0.0
     tracing_max_traces: int = 10_000
-    tracing_metrics_interval_ns: int = seconds(60)
     # Replicated ingest (repro.ring).  Off by default: logs land in a
     # single LokiStore as before.  On: pushes go through a distributor to
     # a consistent-hash ring of WAL-backed ingesters at write quorum.
@@ -175,12 +160,8 @@ class FrameworkConfig:
     # repairer re-replicates a permanently lost member's streams onto
     # the surviving ring owners before releasing its tokens.
     enable_self_healing: bool = field(default_factory=env_flag("REPRO_SELF_HEAL"))
-    selfheal_heartbeat_interval_ns: int = seconds(5)
     selfheal_dead_after_ns: int = seconds(45)
-    selfheal_sweep_interval_ns: int = seconds(5)
     selfheal_repair_grace_ns: int = seconds(30)
-    selfheal_repair_interval_ns: int = seconds(10)
-    selfheal_supervisor_interval_ns: int = seconds(5)
     # At-least-once alert delivery (repro.resilience).  Off by default
     # (or via the REPRO_RELIABLE_DELIVERY env var, for CI's second leg):
     # receivers are called directly and a failure loses the notification.
@@ -250,7 +231,6 @@ class FrameworkConfig:
     #: Drain similarity threshold: the exact-match fraction a line needs
     #: to join an existing cluster instead of seeding a new one.
     patterns_sim_threshold: float = 0.5
-    patterns_ruler_interval_ns: int = seconds(30)
     #: A warmed-up template bursts at burst_factor × its EWMA baseline.
     patterns_burst_factor: float = 8.0
     # Service-level objectives (repro.slo).  Off by default (or via the
@@ -264,8 +244,6 @@ class FrameworkConfig:
     # slow-burn tickets only annotate, and budget exhaustion escalates
     # as a critical incident with the burn history attached.
     enable_slo: bool = field(default_factory=env_flag("REPRO_SLO"))
-    #: Recording-rule + budget evaluation cadence.
-    slo_eval_interval_ns: int = seconds(30)
     #: Per-SLO objective overrides on top of DEFAULT_SLO_OBJECTIVES.
     slo_objectives: dict[str, float] = field(default_factory=dict)
 
@@ -279,8 +257,6 @@ class FrameworkConfig:
 
         if not 0.0 <= self.tracing_sampling <= 1.0:
             raise ValidationError("tracing_sampling must be in [0, 1]")
-        if self.console_lines_per_tick < 1:
-            raise ValidationError("console_lines_per_tick must be >= 1")
         # Every cadence ends up in SimClock.every, which refuses zero
         # half-way through start(); plane cadences count on or off.
         for f in fields(self):
@@ -779,36 +755,44 @@ class MonitoringFramework:
     # ------------------------------------------------------------------
     # Lifecycle
     # ------------------------------------------------------------------
+    @property
+    def jobs(self) -> list[Job]:
+        """Every periodic, in registration order: the order jobs due on
+        the same instant run in.  The base stack's come first, then each
+        plane's in plane order; the lifecycle sweep is last, so it sees
+        every other job's writes at its instant."""
+        jobs = [
+            Job("hms.events", seconds(10), self.hms.collect_events),
+            Job("hms.sensors", seconds(60), self._sample_sensors),
+            Job("fm.poll", seconds(30), self.fm_monitor.poll_once),
+            Job("consumers.pump", seconds(10), self._pump_consumers),
+            Job("vmagent.scrape", seconds(60), self._scrape_tick),
+            Job("gpfs.scrape", seconds(60), self._scrape_gpfs),
+            Job("console.chatter", seconds(60), self.console.emit_chatter),
+            Job("ldms.sample", seconds(60), self.ldms.sample_once),
+            Job("facility.sample", seconds(60), self._sample_facility),
+            Job("ruler.eval", seconds(30), self.ruler.evaluate_all),
+            Job("vmalert.eval", seconds(30), self.vmalert.evaluate_all),
+        ]
+        if self.trace_metrics is not None:
+            jobs.append(Job("tempo.metrics", seconds(60), self.trace_metrics.export))
+        for plane in self.planes:
+            jobs += plane.jobs(self)
+        jobs.append(Job("alerts.mirror", minutes(1), self._mirror_alert_events))
+        jobs.append(Job("lifecycle.sweep", SWEEP_INTERVAL_NS, self.lifecycle.sweep))
+        return jobs
+
     def start(self) -> None:
-        """Register every periodic activity on the clock (idempotent).
+        """Register :attr:`jobs` on the clock (idempotent).
 
         All or nothing: the mutable config is validated again first, so a
         cadence zeroed since construction raises here, not from
-        ``SimClock.every`` with half the periodics already registered."""
+        ``SimClock.every`` with half the jobs already registered."""
         if self._started:
             return
-        cfg = self.config
-        cfg.validate()
-        self.hms.run_periodic(cfg.redfish_poll_interval_ns, cfg.sensor_interval_ns)
-        self.fm_monitor.run_periodic(cfg.fm_poll_interval_ns)
-        self.clock.every(cfg.consumer_interval_ns, self._pump_consumers)
-        self.clock.every(cfg.scrape_interval_ns, self._scrape_tick)
-        self.clock.every(cfg.gpfs_interval_ns, self._scrape_gpfs)
-        self.console.run_periodic(
-            cfg.console_interval_ns, cfg.console_lines_per_tick
-        )
-        self.ldms.run_periodic(cfg.ldms_interval_ns)
-        self.clock.every(cfg.facility_interval_ns, self._sample_facility)
-        self.ruler.run_periodic(cfg.ruler_interval_ns)
-        self.vmalert.run_periodic(cfg.vmalert_interval_ns)
-        if self.trace_metrics is not None:
-            self.clock.every(
-                cfg.tracing_metrics_interval_ns, self.trace_metrics.export
-            )
-        for plane in self.planes:
-            plane.start(self)
-        self.clock.every(minutes(1), self._mirror_alert_events)
-        self.clock.every(SWEEP_INTERVAL_NS, self.lifecycle.sweep)
+        self.config.validate()
+        for job in self.jobs:
+            self.clock.every(job.interval_ns, job.run)
         self._started = True
 
     def _mirror_alert_events(self) -> None:
@@ -832,6 +816,10 @@ class MonitoringFramework:
         causes (paper §I: "real-time automated root cause analysis")."""
         analyzer = RootCauseAnalyzer(self.cluster, self.facility)
         return analyzer.analyze(self.alertmanager.active_alerts())
+
+    def _sample_sensors(self) -> None:
+        self.sensors.step()
+        self.hms.collect_sensors()
 
     def _pump_consumers(self) -> None:
         for consumer in self.consumers.values():

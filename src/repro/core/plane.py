@@ -12,7 +12,7 @@ from __future__ import annotations
 import os
 from typing import TYPE_CHECKING, Callable
 
-from repro.common.simclock import hours
+from repro.common.simclock import Job, hours
 from repro.loki.frontend import QueryFrontend
 
 if TYPE_CHECKING:
@@ -82,8 +82,10 @@ class Plane:
         datasource; rows as :meth:`Dashboard.add_rows` takes them."""
         return []
 
-    def start(self, fw: MonitoringFramework) -> None:
-        """Register the plane's periodic work on ``fw.clock``."""
+    def jobs(self, fw: MonitoringFramework) -> list[Job]:
+        """The plane's rows of ``fw.jobs``, in the order they run on a
+        shared instant."""
+        return []
 
     def health(self, fw: MonitoringFramework) -> dict[str, float]:
         """The plane's ``health_summary()`` keys."""

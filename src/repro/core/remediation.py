@@ -118,9 +118,6 @@ class AutoRemediator:
                 note=f"auto-remediated via playbook '{entry.match_substring}'",
             )
 
-    def run_periodic(self, interval_ns: int) -> None:
-        self._clock.every(interval_ns, lambda: self.poll())
-
     def success_rate(self) -> float:
         done = [r for r in self.records if r.succeeded is not None]
         if not done:

@@ -6,6 +6,7 @@ from __future__ import annotations
 from repro.alerting.rules import RuleSpec
 from repro.cluster.faults import FaultKind
 from repro.common.errors import ValidationError
+from repro.common.simclock import Job
 from repro.core.plane import Plane
 from repro.exporters.objstore_exporter import ObjstoreExporter
 from repro.grafana.panels import StatPanel, TimeSeriesPanel
@@ -136,10 +137,12 @@ class ObjstorePlane(Plane):
         ]
         return [("objstore", "Object Storage", rows)]
 
-    def start(self, fw):
+    def jobs(self, fw):
         cfg = fw.config
-        fw.clock.every(cfg.objstore_flush_interval_ns, fw.shipper.flush)
-        fw.clock.every(cfg.objstore_compaction_interval_ns, fw.compactor.run)
+        return [
+            Job("objstore.flush", cfg.objstore_flush_interval_ns, fw.shipper.flush),
+            Job("objstore.compact", cfg.objstore_compaction_interval_ns, fw.compactor.run),
+        ]
 
     def health(self, fw):
         ship = fw.shipper.counters()

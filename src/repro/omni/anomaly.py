@@ -232,6 +232,3 @@ class ProactiveMonitor:
             fired_at_ns=now_ns,
             generator="proactive-monitor",
         )
-
-    def run_periodic(self, interval_ns: int) -> None:
-        self._clock.every(interval_ns, self.scan_once)

@@ -5,6 +5,7 @@ behind Alertmanager."""
 
 from __future__ import annotations
 
+from repro.common.simclock import Job, seconds
 from repro.core.plane import Plane
 from repro.omni.anomaly import EwmaDetector, ProactiveMonitor
 
@@ -30,5 +31,5 @@ class ProactivePlane(Plane):
         for metric, severity in WATCHED:
             fw.proactive.watch_metric(metric, severity=severity)
 
-    def start(self, fw):
-        fw.proactive.run_periodic(fw.config.proactive_interval_ns)
+    def jobs(self, fw):
+        return [Job("proactive.scan", seconds(300), fw.proactive.scan_once)]

@@ -6,7 +6,7 @@ from __future__ import annotations
 from repro.alerting.rules import RuleSpec
 from repro.common.errors import ValidationError
 from repro.common.labels import Matcher, MatchOp
-from repro.common.simclock import seconds
+from repro.common.simclock import Job, seconds
 from repro.core.plane import Plane, query_frontend
 from repro.exporters.patterns_exporter import PatternsExporter
 from repro.grafana.panels import StatPanel, TimeSeriesPanel, TopListPanel
@@ -20,6 +20,8 @@ from repro.patterns.store import PatternStore
 #: window of startup are not "novel" — an empty template store makes
 #: every early line never-before-seen.
 NOVEL_BOOTSTRAP_NS = seconds(90)
+#: The pattern ruler's cadence, which also bounds its alert latency.
+RULER_INTERVAL_NS = seconds(30)
 
 
 class PatternsPlane(Plane):
@@ -140,14 +142,13 @@ class PatternsPlane(Plane):
         ]
         return [("patterns", "Log Patterns", rows)]
 
-    def start(self, fw):
-        cfg = fw.config
-        fw.pattern_ruler.run_periodic(cfg.patterns_ruler_interval_ns)
+    def jobs(self, fw):
+        jobs = [Job("patterns.eval", RULER_INTERVAL_NS, fw.pattern_ruler.evaluate_all)]
         if fw.objstore is not None:
             # Live pattern blocks ship on the chunk-flush cadence.
-            fw.clock.every(
-                cfg.objstore_flush_interval_ns, fw.pattern_store.persist_dirty
-            )
+            flush_ns = fw.config.objstore_flush_interval_ns
+            jobs.append(Job("patterns.persist", flush_ns, fw.pattern_store.persist_dirty))
+        return jobs
 
     def health(self, fw):
         return {

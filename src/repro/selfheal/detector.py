@@ -83,7 +83,10 @@ class FailureDetectorConfig:
 
 
 class FailureDetector:
-    """Per-member heartbeat loops + the staleness sweep."""
+    """Per-member heartbeat loops + the staleness sweep.  A loop has no
+    fixed cadence and starts when its member is watched (every member
+    registered by construction time is); :meth:`sweep` is a job on the
+    owner's schedule."""
 
     def __init__(
         self,
@@ -99,11 +102,12 @@ class FailureDetector:
         self.config = config or FailureDetectorConfig()
         self.tracer = tracer
         self._muted: set[str] = set()
-        self._started = False
         self.sweeps = 0
         #: member → time its heartbeats were last observed missing, for
         #: the bench's detection-latency measurement.
         self.detected_dead_at_ns: dict[str, int] = {}
+        for member in memberlist.members():
+            self.watch(member)
 
     # ------------------------------------------------------------------
     # Gray-failure hooks (HEARTBEAT_LOSS fault)
@@ -118,19 +122,10 @@ class FailureDetector:
     # ------------------------------------------------------------------
     # Loops
     # ------------------------------------------------------------------
-    def start(self) -> None:
-        """Start one heartbeat loop per registered member + the sweep."""
-        if self._started:
-            return
-        self._started = True
-        for member in self.memberlist.members():
-            self._schedule_heartbeat(member, tick=0)
-        self.clock.every(self.config.sweep_interval_ns, self.sweep)
-
     def watch(self, member: str) -> None:
-        """Start heartbeating a member registered after :meth:`start`."""
-        if self._started:
-            self._schedule_heartbeat(member, tick=0)
+        """Start a member's heartbeat loop.  Members registered before
+        construction are watched by it; a later one is watched here."""
+        self._schedule_heartbeat(member, tick=0)
 
     def _schedule_heartbeat(self, member: str, tick: int) -> None:
         gap = int(

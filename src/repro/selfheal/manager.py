@@ -4,7 +4,8 @@ One object owns the four moving parts (memberlist, detector, supervisor,
 repairer), registers the ring members, hooks the shared memberlist into
 the cluster's write/read paths, and exposes the metrics surface the
 exporter scrapes.  The framework constructs it behind
-``enable_self_healing`` and calls :meth:`start` when the sim starts.
+``enable_self_healing`` and registers its :meth:`jobs` when the sim
+starts.
 
 It is also the fault injector's hook point: ``HEARTBEAT_LOSS`` mutes a
 member's heartbeats (gray failure — the process keeps serving while the
@@ -18,7 +19,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from repro.common.errors import ValidationError
-from repro.common.simclock import SimClock
+from repro.common.simclock import Job, SimClock
 from repro.ring.cluster import RingLokiCluster
 from repro.selfheal.detector import FailureDetector, FailureDetectorConfig
 from repro.selfheal.memberlist import Memberlist, MemberState
@@ -71,7 +72,6 @@ class SelfHealManager:
             # that is about to return.
             holdback=self._held_back,
         )
-        self._started = False
 
     def _held_back(self, member: str) -> bool:
         if member in self._declared_down:
@@ -79,13 +79,16 @@ class SelfHealManager:
         zone = self.cluster.ring.zone(member)
         return zone is not None and self.supervisor.zone_is_down(zone)
 
-    def start(self) -> None:
-        if self._started:
-            return
-        self._started = True
-        self.detector.start()
-        self.supervisor.start()
-        self.repairer.start()
+    def jobs(self) -> list[Job]:
+        """The three sweeps, detect before restart before repair.  The
+        heartbeat loops are not here: each started when its member was
+        registered with the detector."""
+        cfg = self.config
+        return [
+            Job("selfheal.detect", cfg.detector.sweep_interval_ns, self.detector.sweep),
+            Job("selfheal.restart", cfg.supervisor.sweep_interval_ns, self.supervisor.sweep),
+            Job("selfheal.repair", cfg.repairer.sweep_interval_ns, self.repairer.sweep),
+        ]
 
     def adopt(self, member: str) -> None:
         """Wire a member that joined the cluster after construction into

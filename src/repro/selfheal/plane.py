@@ -12,7 +12,6 @@ from repro.grafana.panels import StatPanel, TimeSeriesPanel, TopListPanel
 from repro.selfheal.detector import FailureDetectorConfig
 from repro.selfheal.manager import SelfHealConfig, SelfHealManager
 from repro.selfheal.repairer import RingRepairerConfig
-from repro.selfheal.supervisor import SupervisorConfig
 
 
 def register_faults(injector, manager):
@@ -103,18 +102,8 @@ class SelfHealPlane(Plane):
             fw.clock,
             fw.ring,
             SelfHealConfig(
-                detector=FailureDetectorConfig(
-                    heartbeat_interval_ns=cfg.selfheal_heartbeat_interval_ns,
-                    dead_after_ns=cfg.selfheal_dead_after_ns,
-                    sweep_interval_ns=cfg.selfheal_sweep_interval_ns,
-                ),
-                repairer=RingRepairerConfig(
-                    grace_ns=cfg.selfheal_repair_grace_ns,
-                    sweep_interval_ns=cfg.selfheal_repair_interval_ns,
-                ),
-                supervisor=SupervisorConfig(
-                    sweep_interval_ns=cfg.selfheal_supervisor_interval_ns,
-                ),
+                detector=FailureDetectorConfig(dead_after_ns=cfg.selfheal_dead_after_ns),
+                repairer=RingRepairerConfig(grace_ns=cfg.selfheal_repair_grace_ns),
             ),
             tracer=fw.tracer,
         )
@@ -181,8 +170,8 @@ class SelfHealPlane(Plane):
         ]
         return [("selfheal", "Self-Healing", rows)]
 
-    def start(self, fw):
-        fw.selfheal.start()
+    def jobs(self, fw):
+        return fw.selfheal.jobs()
 
     def health(self, fw):
         return {

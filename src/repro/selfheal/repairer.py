@@ -94,7 +94,6 @@ class RingRepairer:
         #: wasted work; the supervisor restarts them when it lifts.
         self.holdback = holdback
         self.members_held_back = 0
-        self._started = False
         self.sweeps = 0
         self.members_repaired_total = 0
         self.streams_repaired_total = 0
@@ -104,12 +103,6 @@ class RingRepairer:
         # The maintained placement diff and the epoch it was taken under.
         self._epoch: tuple | None = None
         self._short: dict[LabelSet, list[str]] = {}
-
-    def start(self) -> None:
-        if self._started:
-            return
-        self._started = True
-        self.clock.every(self.config.sweep_interval_ns, self.sweep)
 
     # ------------------------------------------------------------------
     # Observation: placement vs. reality

@@ -70,19 +70,12 @@ class IngesterSupervisor:
         # member → (consecutive restart attempts, next attempt time).
         self._attempts: dict[str, int] = {}
         self._next_attempt_ns: dict[str, int] = {}
-        self._started = False
         self.sweeps = 0
         self.restarts_total = 0
         self.records_replayed_total = 0
         self.skipped_unrecoverable = 0
         self.skipped_zone_down = 0
         self.skipped_backoff = 0
-
-    def start(self) -> None:
-        if self._started:
-            return
-        self._started = True
-        self.clock.every(self.config.sweep_interval_ns, self.sweep)
 
     # ------------------------------------------------------------------
     # Fault hooks

@@ -79,7 +79,7 @@ class ConsoleCollector:
         )
         self.lines_published += 1
 
-    def emit_chatter(self, lines: int) -> int:
+    def emit_chatter(self, lines: int = 5) -> int:
         """Publish ``lines`` of ordinary console noise across the fleet."""
         if lines < 0:
             raise ValidationError("line count must be non-negative")
@@ -106,7 +106,3 @@ class ConsoleCollector:
         line = template.format(cpu=int(self._rng.integers(0, 64)))
         self._publish(name, line)
         return line
-
-    def run_periodic(self, interval_ns: int, lines_per_tick: int = 5) -> None:
-        """Background chatter on the simulated clock."""
-        self._clock.every(interval_ns, lambda: self.emit_chatter(lines_per_tick))

@@ -116,7 +116,3 @@ class FabricManagerMonitor:
         self._last_states = current
         self.events_emitted += len(events)
         return events
-
-    def run_periodic(self, interval_ns: int) -> None:
-        """Poll every ``interval_ns`` on the simulated clock."""
-        self._clock.every(interval_ns, lambda: self.poll_once())

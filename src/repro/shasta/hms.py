@@ -135,13 +135,3 @@ class HmsCollector:
             n += 1
         self.samples_collected += n
         return n
-
-    def run_periodic(self, event_interval_ns: int, sensor_interval_ns: int) -> None:
-        """Register periodic collection on the simulated clock."""
-        self._clock.every(event_interval_ns, lambda: self.collect_events())
-        if self._sensors is not None:
-            def sensor_tick() -> None:
-                self._sensors.step()
-                self.collect_sensors()
-
-            self._clock.every(sensor_interval_ns, sensor_tick)

@@ -93,9 +93,6 @@ class LdmsAggregator:
         self.samples_published += published
         return published
 
-    def run_periodic(self, interval_ns: int) -> None:
-        self._clock.every(interval_ns, lambda: self.sample_once())
-
 
 class LdmsConsumer:
     """The k3s pod reading LDMS envelopes into VictoriaMetrics."""

@@ -36,7 +36,7 @@ from repro.alerting.events import (
 from repro.alerting.rules import RuleSpec
 from repro.common.errors import ValidationError
 from repro.common.labels import LabelSet
-from repro.common.simclock import NANOS_PER_SECOND, SimClock, Timer
+from repro.common.simclock import NANOS_PER_SECOND, SimClock
 from repro.slo.budget import ErrorBudget
 from repro.slo.burnrate import (
     DEFAULT_BURN_WINDOWS,
@@ -232,11 +232,6 @@ class SloManager:
         """One evaluation cycle: recording rules, then budgets."""
         self.recording.evaluate_all()
         self.evaluate_budgets()
-
-    def run_periodic(self, interval_ns: int) -> Timer:
-        if interval_ns <= 0:
-            raise ValidationError("SLO eval interval must be positive")
-        return self._clock.every(interval_ns, self.tick)
 
     def evaluate_budgets(self) -> None:
         now = self._clock.now_ns

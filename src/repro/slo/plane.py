@@ -6,7 +6,7 @@ from __future__ import annotations
 from repro.cluster.faults import FaultKind
 from repro.common.errors import ValidationError
 from repro.common.labels import Matcher, MatchOp
-from repro.common.simclock import minutes, seconds
+from repro.common.simclock import Job, minutes, seconds
 from repro.core.plane import Plane
 from repro.exporters.slo_exporter import SloExporter
 from repro.grafana.panels import (
@@ -203,8 +203,8 @@ class SloPlane(Plane):
         ]
         return [("slo", "SLO Overview", rows)]
 
-    def start(self, fw):
-        fw.slo_manager.run_periodic(fw.config.slo_eval_interval_ns)
+    def jobs(self, fw):
+        return [Job("slo.tick", seconds(30), fw.slo_manager.tick)]
 
     def health(self, fw):
         summary = {}

@@ -40,7 +40,7 @@ from dataclasses import dataclass, field
 
 from repro.common.errors import QueryError, ValidationError
 from repro.common.labels import METRIC_NAME_LABEL, LabelSet, MatchOp
-from repro.common.simclock import SimClock, Timer
+from repro.common.simclock import SimClock
 from repro.tempo.tracer import Tracer
 from repro.tsdb.promql import (
     Group,
@@ -240,7 +240,3 @@ class RecordingEngine:
                 },
             )
         return recorded
-
-    def run_periodic(self, interval_ns: int) -> Timer:
-        """Evaluate the rule group every ``interval_ns`` on the clock."""
-        return self._clock.every(interval_ns, self.evaluate_all)

@@ -122,6 +122,3 @@ class VMAgent:
             value, _timestamp_ms = parse_sample_fields(line, end, lineno)
             points.append((*series, value))
         return points, heads
-
-    def run_periodic(self, interval_ns: int) -> None:
-        self._clock.every(interval_ns, lambda: self.scrape_all())

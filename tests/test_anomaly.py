@@ -117,7 +117,7 @@ class TestProactiveMonitor:
         clock, store, monitor, events = world
         monitor.watch_metric("node_temp_celsius")
         self._fill(store, clock, spike_at=40)
-        monitor.run_periodic(minutes(5))
+        clock.every(minutes(5), monitor.scan_once)
         clock.advance(minutes(30))
         assert monitor.scans == 6
         assert events  # the spike reached the notifier

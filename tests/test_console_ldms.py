@@ -65,7 +65,7 @@ class TestConsole:
     def test_periodic(self, world):
         clock, cluster, broker = world
         collector = ConsoleCollector(broker, clock, sorted(cluster.nodes))
-        collector.run_periodic(seconds(30), lines_per_tick=3)
+        clock.every(seconds(30), lambda: collector.emit_chatter(3))
         clock.advance(minutes(2))
         assert collector.lines_published == 12
 
@@ -127,6 +127,6 @@ class TestLdms:
     def test_periodic(self, world):
         clock, cluster, broker = world
         agg = LdmsAggregator(broker, clock, cluster)
-        agg.run_periodic(seconds(15))
+        clock.every(seconds(15), agg.sample_once)
         clock.advance(minutes(1))
         assert agg.samples_published == 4 * len(cluster.nodes)

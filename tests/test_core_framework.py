@@ -27,7 +27,7 @@ def fw(small_config):
 class TestConfig:
     def test_bad_interval_rejected(self):
         with pytest.raises(ValidationError):
-            FrameworkConfig(ruler_interval_ns=0)
+            FrameworkConfig(objstore_flush_interval_ns=0)
 
 
 class TestPipeline:
@@ -211,7 +211,7 @@ class TestRemediation:
         remediator.register_playbook(
             "SwitchOffline", playbook, duration_ns=minutes(2)
         )
-        remediator.run_periodic(minutes(1))
+        fw.clock.every(minutes(1), remediator.poll)
         sw = sorted(fw.cluster.switches)[0]
         fw.faults.schedule(FaultKind.SWITCH_OFFLINE, sw, delay_ns=minutes(1))
         fw.run_for(minutes(20))
@@ -227,7 +227,7 @@ class TestRemediation:
         fw.start()
         remediator = AutoRemediator(fw.clock, fw.servicenow)
         remediator.register_playbook("SomethingElse", lambda i: True)
-        remediator.run_periodic(minutes(1))
+        fw.clock.every(minutes(1), remediator.poll)
         node = sorted(fw.cluster.nodes)[0]
         fw.faults.schedule(FaultKind.NODE_DOWN, node, delay_ns=minutes(1))
         fw.run_for(minutes(15))

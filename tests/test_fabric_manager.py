@@ -94,7 +94,7 @@ class TestMonitor:
 
     def test_periodic_polling(self, world):
         clock, cluster, _, monitor, events = world
-        monitor.run_periodic(seconds(30))
+        clock.every(seconds(30), monitor.poll_once)
         sw = sorted(cluster.switches)[0]
         cluster.set_switch_state(sw, SwitchState.UNKNOWN)
         clock.advance(seconds(29))

@@ -61,7 +61,8 @@ class TestHms:
 
     def test_periodic_collection(self, world):
         clock, cluster, injector, broker, hms = world
-        hms.run_periodic(seconds(10), seconds(30))
+        clock.every(seconds(10), hms.collect_events)
+        clock.every(seconds(30), hms.collect_sensors)
         cab = next(iter(cluster.cabinets))
         injector.schedule(FaultKind.CABINET_LEAK, cab, delay_ns=seconds(15))
         clock.advance(minutes(1))

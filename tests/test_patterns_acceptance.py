@@ -17,6 +17,7 @@ from repro.common.errors import QueryError, ValidationError
 from repro.common.simclock import minutes, seconds
 from repro.core.framework import FrameworkConfig, MonitoringFramework
 from repro.loki.logcli import run_logcli
+from repro.patterns.plane import RULER_INTERVAL_NS
 
 REDUCTION_TARGET = 50.0
 
@@ -59,8 +60,6 @@ class TestConfig:
     def test_validation(self):
         with pytest.raises(ValidationError):
             patterns_config(patterns_sim_threshold=0.0)
-        with pytest.raises(ValidationError):
-            patterns_config(patterns_ruler_interval_ns=0)
         with pytest.raises(ValidationError):
             patterns_config(patterns_burst_factor=1.0)
 
@@ -117,7 +116,7 @@ class TestNovelErrorDetection:
         mine = [d for d in detections if d.first_seen_ns >= injected]
         assert mine
         # Documented detection bound: one ruler evaluation interval.
-        assert mine[0].latency_ns <= cfg.patterns_ruler_interval_ns
+        assert mine[0].latency_ns <= RULER_INTERVAL_NS
 
         fired = [
             m for m in fw.slack.messages if "NovelErrorPattern" in m.text

@@ -4,7 +4,7 @@ Every subset of the nine planes of :data:`repro.core.planes.PLANES` of
 size 0, 1, 2 and the full set (47 configs) is constructed, started, fed
 and read through every surface a plane contributes to.  A tenth plane
 defined *here* proves the loop is complete: appended to the list, it
-lands a route, a scrape target, a rule, a dashboard, a periodic and a
+lands a route, a scrape target, a rule, a dashboard, a job and a
 health key with no edit under ``src/``.  The same list checks README's plane table and the config
 validation that moved into it.
 """
@@ -23,7 +23,7 @@ from repro.cluster.faults import FaultKind
 from repro.cluster.topology import ClusterSpec
 from repro.common.errors import ValidationError
 from repro.common.labels import Matcher, MatchOp
-from repro.common.simclock import minutes, seconds
+from repro.common.simclock import Job, minutes, seconds
 from repro.core.framework import FrameworkConfig, MonitoringFramework
 from repro.core.plane import Plane
 from repro.core.planes import PLANES
@@ -67,6 +67,16 @@ def test_subset_builds_runs_and_reads(on):
     expected = [n for n in NAMES if n in on and (n != "selfheal" or "ring" in on)]
     assert enabled == expected
     fw.start()
+    names = [job.name for job in fw.jobs]
+    assert len(set(names)) == len(names)
+    # Last on purpose: on an instant it shares with other jobs the
+    # lifecycle sweep must see every other job's writes before it ages
+    # data out, and registration order is the clock's tie-break.
+    assert names[-1] == "lifecycle.sweep"
+    # start() registers the table and nothing else; the one other chain
+    # is each ring member's heartbeat, started with the detector.
+    heartbeats = len(fw.selfheal.memberlist.members()) if fw.selfheal else 0
+    assert fw.clock.pending() == len(fw.jobs) + heartbeats
     now = fw.clock.now_ns
     for i in range(20):
         fw.publish_syslog(
@@ -156,8 +166,8 @@ class CanaryPlane(Plane):
     def dashboards(self, fw):
         return [("canary", "Canary", [(StatPanel, "Beats", "canary_beats_total")])]
 
-    def start(self, fw):
-        fw.clock.every(seconds(10), fw.canary.beat)
+    def jobs(self, fw):
+        return [Job("canary.beat", seconds(10), fw.canary.beat)]
 
     def health(self, fw):
         return {"canary_beats": float(fw.canary.beats)}
@@ -232,13 +242,11 @@ CADENCES = [f.name for f in fields(FrameworkConfig) if f.name.endswith("_interva
 
 
 def test_every_cadence_field_is_covered():
-    # The six the old hand list missed, and a plane's while it is off.
-    assert {
-        "gpfs_interval_ns", "console_interval_ns", "ldms_interval_ns",
-        "facility_interval_ns", "proactive_interval_ns",
-        "tracing_metrics_interval_ns", "objstore_flush_interval_ns",
-    } <= set(CADENCES)
-    assert len(CADENCES) == 22
+    # The cadences a caller can set; every other job's is its constant.
+    assert CADENCES == [
+        "objstore_flush_interval_ns", "objstore_compaction_interval_ns",
+        "queryx_split_interval_ns",
+    ]
 
 
 @pytest.mark.parametrize("name", CADENCES)
@@ -248,21 +256,16 @@ def test_non_positive_cadence_is_a_typed_config_error(name, value):
         config_for((), **{name: value})
 
 
-def test_console_lines_per_tick_must_be_positive():
-    with pytest.raises(ValidationError, match="console_lines_per_tick"):
-        config_for((), console_lines_per_tick=0)
-
-
 def test_start_is_all_or_nothing():
     fw = MonitoringFramework(config_for(("objstore",)))
-    fw.config.gpfs_interval_ns = 0  # mutated after construction
-    with pytest.raises(ValidationError, match="gpfs_interval_ns"):
+    fw.config.objstore_flush_interval_ns = 0  # mutated after construction
+    with pytest.raises(ValidationError, match="objstore_flush_interval_ns"):
         fw.start()
     assert fw.clock.pending() == 0  # nothing half-registered
     with pytest.raises(ValidationError):
         fw.run_for(minutes(1))
     assert fw.clock.pending() == 0
-    fw.config.gpfs_interval_ns = seconds(60)
+    fw.config.objstore_flush_interval_ns = minutes(5)
     fw.start()
     pending = fw.clock.pending()
     fw.start()  # idempotent

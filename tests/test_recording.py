@@ -121,12 +121,12 @@ class TestRecordingEngine:
         assert recording.evaluate_all() == 0
         assert engine.query_instant("empty", clock.now_ns) == []
 
-    def test_run_periodic_on_clock(self, world):
+    def test_evaluates_every_interval_on_clock(self, world):
         clock, store, engine, recording = world
         recording.add_rule(
             RecordingRule(record="req_rate", expr="rate(req_total[2m])")
         )
-        recording.run_periodic(seconds(30))
+        clock.every(seconds(30), recording.evaluate_all)
 
         t0 = clock.now_ns
         for i in range(10):

@@ -80,7 +80,7 @@ class TestRuler:
                 labels={"severity": "critical"},
             )
         )
-        ruler.run_periodic(seconds(30))
+        clock.every(seconds(30), ruler.evaluate_all)
         clock.advance(seconds(30))
         store.push(PushRequest.single({"a": "b"}, [(clock.now_ns, "boom")]))
         clock.advance(seconds(30))  # first eval seeing it: pending
@@ -135,7 +135,7 @@ class TestRuler:
             RuleSpec(name="R", expr='count_over_time({a="b"}[30s]) > 0', for_="2m")
         )
         store.push(PushRequest.single({"a": "b"}, [(clock.now_ns, "x")]))
-        ruler.run_periodic(seconds(15))
+        clock.every(seconds(15), ruler.evaluate_all)
         clock.advance(minutes(10))
         assert events == []
 
@@ -164,7 +164,7 @@ class TestVMAlert:
         events = []
         va = VMAlert(engine, clock, events.append)
         va.add_rule(RuleSpec(name="NodeDown", expr="node_up == 0", for_="1m"))
-        va.run_periodic(seconds(30))
+        clock.every(seconds(30), va.evaluate_all)
         clock.advance(minutes(1))
         store.ingest("node_up", {"xname": "x1c0s0b0n0"}, 0.0, clock.now_ns)
         clock.advance(minutes(2))
@@ -263,7 +263,7 @@ class TestPerRuleState:
         evaluator = ScriptedEvaluator(clock, events.append, script)
         for rule in SCRIPT_RULES:
             evaluator.add_rule(rule)
-        evaluator.run_periodic(seconds(10))
+        clock.every(seconds(10), evaluator.evaluate_all)
         clock.advance(seconds(10) * len(script))
         got = [
             (e.labels["alertname"], e.labels["series"], e.state, e.fired_at_ns)

@@ -164,7 +164,7 @@ class TestDetectorConfig:
 class TestDetection:
     def test_healthy_cluster_never_flaps(self):
         clock, _, memberlist, detector = make_detector()
-        detector.start()
+        clock.every(detector.config.sweep_interval_ns, detector.sweep)
         clock.advance(minutes(10))
         assert memberlist.suspects_total == 0
         assert memberlist.in_state(MemberState.ACTIVE) == memberlist.members()
@@ -172,7 +172,7 @@ class TestDetection:
 
     def test_crashed_member_declared_dead_within_bound(self):
         clock, cluster, memberlist, detector = make_detector()
-        detector.start()
+        clock.every(detector.config.sweep_interval_ns, detector.sweep)
         clock.advance(seconds(12))
         silent_at = clock.now_ns
         cluster.crash_ingester("ingester-2")
@@ -188,7 +188,7 @@ class TestDetection:
         """HEARTBEAT_LOSS: heartbeats muted, process alive — the
         detector must still walk the member to DEAD."""
         clock, cluster, memberlist, detector = make_detector()
-        detector.start()
+        clock.every(detector.config.sweep_interval_ns, detector.sweep)
         detector.mute("ingester-1")
         clock.advance(2 * detector.config.max_detection_latency_ns)
         assert memberlist.state_of("ingester-1") is MemberState.DEAD
@@ -196,7 +196,7 @@ class TestDetection:
 
     def test_unmute_recovers_member(self):
         clock, _, memberlist, detector = make_detector()
-        detector.start()
+        clock.every(detector.config.sweep_interval_ns, detector.sweep)
         detector.mute("ingester-1")
         clock.advance(seconds(25))
         assert memberlist.state_of("ingester-1") is MemberState.SUSPECT
@@ -207,7 +207,7 @@ class TestDetection:
 
     def test_restarted_member_recovers_via_heartbeat(self):
         clock, cluster, memberlist, detector = make_detector()
-        detector.start()
+        clock.every(detector.config.sweep_interval_ns, detector.sweep)
         cluster.crash_ingester("ingester-0")
         clock.advance(2 * detector.config.max_detection_latency_ns)
         assert memberlist.state_of("ingester-0") is MemberState.DEAD
@@ -217,7 +217,7 @@ class TestDetection:
 
     def test_watch_covers_late_joined_member(self):
         clock, cluster, memberlist, detector = make_detector()
-        detector.start()
+        clock.every(detector.config.sweep_interval_ns, detector.sweep)
         clock.advance(seconds(10))
         cluster.join_ingester("ingester-9")
         memberlist.register("ingester-9")
@@ -231,7 +231,7 @@ class TestDetection:
 
         def run():
             clock, cluster, memberlist, detector = make_detector()
-            detector.start()
+            clock.every(detector.config.sweep_interval_ns, detector.sweep)
             clock.advance(seconds(12))
             cluster.crash_ingester("ingester-2")
             clock.advance(minutes(3))

@@ -58,7 +58,7 @@ def detector_under(config, ingesters=4):
     for member in sorted(cluster.ingesters):
         memberlist.register(member)
     detector = FailureDetector(clock, cluster, memberlist, config)
-    detector.start()
+    clock.every(detector.config.sweep_interval_ns, detector.sweep)
     return clock, cluster, memberlist, detector
 
 
@@ -120,7 +120,8 @@ class TestConvergence:
         clock = SimClock()
         cluster = RingLokiCluster(ingesters=8, replication_factor=3)
         mgr = SelfHealManager(clock, cluster)
-        mgr.start()
+        for job in mgr.jobs():
+            clock.every(job.interval_ns, job.run)
         expected: dict[LabelSet, list[LogEntry]] = {}
         next_ts = [1]
         joined = [0]
@@ -239,7 +240,8 @@ class TestIncrementalDiff:
         # heal(), repair_member() and under_replicated_streams() all ask
         # through the instance, so every sweep and every scrape is checked.
         repairer.placement_diff = checked_placement_diff
-        mgr.start()
+        for job in mgr.jobs():
+            clock.every(job.interval_ns, job.run)
         next_ts = [1]
         joined = [0]
 

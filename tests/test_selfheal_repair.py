@@ -26,7 +26,8 @@ def make_healing_cluster(ingesters=6, zones=0):
         ingesters=ingesters, replication_factor=3, zones=zones
     )
     manager = SelfHealManager(clock, cluster)
-    manager.start()
+    for job in manager.jobs():
+        clock.every(job.interval_ns, job.run)
     return clock, cluster, manager
 
 

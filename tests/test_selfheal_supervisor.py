@@ -27,7 +27,7 @@ def make_supervised(ingesters=4, config=None):
     for member in sorted(cluster.ingesters):
         memberlist.register(member)
     supervisor = IngesterSupervisor(clock, cluster, memberlist, config)
-    supervisor.start()
+    clock.every(supervisor.config.sweep_interval_ns, supervisor.sweep)
     return clock, cluster, memberlist, supervisor
 
 
@@ -69,7 +69,7 @@ class TestRestart:
         for member in sorted(cluster.ingesters):
             memberlist.register(member)
         supervisor = IngesterSupervisor(clock, cluster, memberlist)
-        supervisor.start()
+        clock.every(supervisor.config.sweep_interval_ns, supervisor.sweep)
         supervisor.mark_zone_down("zone-1")
         for member in cluster.ring.members_in_zone("zone-1"):
             cluster.crash_ingester(member)

@@ -155,3 +155,35 @@ class TestPeriodic:
         # Ties at t=6 resolve by reschedule order: slow re-armed at t=3,
         # fast at t=4, so slow runs first.
         assert seen == ["fast", "slow", "fast", "slow", "fast"]
+
+    def test_a_run_that_raises_does_not_end_the_chain(self):
+        clock = SimClock(0)
+        runs = []
+
+        def job():
+            runs.append(clock.now_ns)
+            if len(runs) == 1:
+                raise RuntimeError("first run fails")
+
+        clock.every(seconds(10), job)
+        with pytest.raises(RuntimeError):
+            clock.advance(seconds(15))
+        assert clock.pending() == 1  # re-armed although the run raised
+        clock.advance(seconds(60))
+        assert len(runs) == 7
+
+    def test_a_run_that_cancels_itself_and_raises_stays_cancelled(self):
+        clock = SimClock(0)
+        runs = []
+        timer = None
+
+        def job():
+            runs.append(clock.now_ns)
+            timer.cancel()
+            raise RuntimeError("last run")
+
+        timer = clock.every(seconds(10), job)
+        with pytest.raises(RuntimeError):
+            clock.advance(seconds(15))
+        clock.advance(seconds(60))
+        assert runs == [seconds(10)] and clock.pending() == 0

@@ -80,7 +80,7 @@ class TestScraping:
         clock, store, agent = world
         exporter = FakeExporter()
         agent.add_target(ScrapeTarget("j", "i", exporter))
-        agent.run_periodic(seconds(15))
+        clock.every(seconds(15), agent.scrape_all)
         clock.advance(minutes(1))
         assert exporter.calls == 4
         results = store.select([label_matcher(METRIC_NAME_LABEL, "=", "m")], 0, minutes(2))

@@ -2,7 +2,7 @@
 
 ``wiring_manifest.json`` records what :class:`MonitoringFramework` wires
 for twelve plane configurations — scrape jobs, rule names per evaluator,
-the route tree, dashboards, periodic registrations, ``health_summary()``
+the route tree, dashboards, the job table, ``health_summary()``
 keys and which plane components read ``None`` — plus the Slack/incident
 transcript of one all-planes run under overlapping faults.  Moving a
 plane's wiring shows up here as a diff in data, not as a behaviour change
@@ -11,7 +11,7 @@ found later.  Regenerate with::
     PYTHONPATH=src python tests/test_wiring_manifest.py > tests/wiring_manifest.json
 
 Per-evaluator rule order and route order are contract (both reach the
-Slack transcript); periodic registration follows plane order; scrape-job
+Slack transcript); the job table follows plane order; scrape-job
 order and the two dict orders are free but pinned so a move is seen.
 """
 
@@ -70,13 +70,6 @@ def _config(on: tuple[str, ...], **overrides) -> FrameworkConfig:
     return FrameworkConfig(cluster_spec=ClusterSpec(**SMALL), **flags, **overrides)
 
 
-def _callback_name(callback) -> str:
-    owner = getattr(callback, "__self__", None)
-    if owner is not None:
-        return f"{type(owner).__name__}.{callback.__name__}"
-    return callback.__qualname__
-
-
 def _route_row(route) -> list:
     matchers = [[m.name, m.op.value, m.value] for m in route.matchers]
     return [route.receiver, matchers, list(route.group_by)]
@@ -84,16 +77,7 @@ def _route_row(route) -> list:
 
 def wiring(on: tuple[str, ...]) -> dict:
     fw = MonitoringFramework(_config(on))
-    periodics: list[list] = []
-    every = fw.clock.every
-
-    def recording_every(interval_ns, callback):
-        periodics.append([interval_ns, _callback_name(callback)])
-        return every(interval_ns, callback)
-
-    fw.clock.every = recording_every  # shim on the shared clock
     fw.start()
-    del fw.clock.every
     root = fw.alertmanager._root
     evaluators = {"ruler": fw.ruler, "vmalert": fw.vmalert, "pattern_ruler": fw.pattern_ruler}
     return {
@@ -107,7 +91,7 @@ def wiring(on: tuple[str, ...]) -> dict:
             [key, [[type(p).__name__, p.title, p.query] for p in dash.panels()]]
             for key, dash in fw.dashboards.items()
         ],
-        "periodics": periodics,
+        "periodics": [[job.interval_ns, job.name] for job in fw.jobs],
         "timers_pending": fw.clock.pending(),
         "health_keys": list(fw.health_summary()),
         "none_components": [name for name in COMPONENTS if getattr(fw, name) is None],
