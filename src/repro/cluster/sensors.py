@@ -131,19 +131,28 @@ class SensorBank:
     # ------------------------------------------------------------------
     # Reading
     # ------------------------------------------------------------------
-    def read(self, sensor: SensorId) -> float:
-        self._materialise()
+    def position(self, sensor: SensorId) -> int:
+        """Where ``sensor`` sits in :meth:`snapshot` (registration order):
+        a reader that resolves its sensors once reads them by position."""
         try:
-            i = self._index[sensor]
+            return self._index[sensor]
         except KeyError:
             raise NotFoundError(f"no such sensor: {sensor}") from None
+
+    def read(self, sensor: SensorId) -> float:
+        self._materialise()
+        i = self.position(sensor)
         return float(self._values[i] + self._offsets[i])
+
+    def snapshot(self) -> list[float]:
+        """Every sensor's reading, in registration order: the same IEEE
+        sum :meth:`read` takes, for the whole bank at once."""
+        self._materialise()
+        return (self._values + self._offsets).tolist()
 
     def read_all(self) -> list[tuple[SensorId, float]]:
         """Snapshot every sensor (ordered by registration)."""
-        self._materialise()
-        combined = self._values + self._offsets
-        return list(zip(self._ids, combined.tolist()))
+        return list(zip(self._ids, self.snapshot()))
 
     def sensors(self) -> list[SensorId]:
         return list(self._ids)
@@ -157,10 +166,7 @@ class SensorBank:
     def set_offset(self, sensor: SensorId, offset: float) -> None:
         """Apply an additive excursion (thermal fault, power spike...)."""
         self._materialise()
-        try:
-            i = self._index[sensor]
-        except KeyError:
-            raise NotFoundError(f"no such sensor: {sensor}") from None
+        i = self.position(sensor)
         self._offsets[i] = offset
 
     def clear_offsets(self) -> None:

@@ -30,6 +30,17 @@ def dumps_compact(obj: Any) -> str:
     return _ENCODER.encode(obj)
 
 
+_NON_FINITE = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
+
+
+def json_float(value: float) -> str:
+    """A float as :func:`dumps_compact` writes it: ``float.__repr__``, and
+    ``NaN`` / ``Infinity`` / ``-Infinity`` for the values JSON lacks.  The
+    pre-encoded telemetry envelopes splice readings in with this."""
+    text = float.__repr__(value)
+    return _NON_FINITE.get(text, text)
+
+
 def loads(text: str) -> Any:
     """Parse JSON, converting failures into :class:`ValidationError`."""
     try:

@@ -26,6 +26,10 @@ _XNAME_RE = re.compile(
 )
 
 
+def _level(v: int | None) -> int:
+    return -1 if v is None else v
+
+
 @dataclass(frozen=True)
 class XName:
     """Parsed xname. ``None`` fields mean the level is absent.
@@ -49,51 +53,25 @@ class XName:
             raise ValidationError("slot/switch/bmc require a chassis level")
         if self.node is not None and self.bmc is None:
             raise ValidationError("a node requires a BMC level")
-
-    def _sort_key(self) -> tuple[int, ...]:
-        """Total order across mixed depths: absent levels sort first."""
-        def k(v: int | None) -> int:
-            return -1 if v is None else v
-
-        return (
+        # The text, the sort key and the hash depend on the fields alone,
+        # and the fields never change: each is computed here, once, and
+        # ``__str__``, the comparisons and ``__hash__`` only read it.
+        object.__setattr__(self, "_text", self._format())
+        # Total order across mixed depths: absent levels sort first.
+        object.__setattr__(self, "_sort_key", (
             self.cabinet,
-            k(self.chassis),
+            _level(self.chassis),
             0 if self.switch is None else 1,  # slots before switches
-            k(self.slot if self.switch is None else self.switch),
-            k(self.bmc),
-            k(self.node),
-        )
+            _level(self.slot if self.switch is None else self.switch),
+            _level(self.bmc),
+            _level(self.node),
+        ))
+        # The dataclass's own hash, so set and dict order cannot move.
+        object.__setattr__(self, "_hash", hash(
+            (self.cabinet, self.chassis, self.slot, self.switch, self.bmc, self.node)
+        ))
 
-    def __lt__(self, other: "XName") -> bool:
-        if not isinstance(other, XName):
-            return NotImplemented
-        return self._sort_key() < other._sort_key()
-
-    def __le__(self, other: "XName") -> bool:
-        if not isinstance(other, XName):
-            return NotImplemented
-        return self._sort_key() <= other._sort_key()
-
-    def __gt__(self, other: "XName") -> bool:
-        if not isinstance(other, XName):
-            return NotImplemented
-        return self._sort_key() > other._sort_key()
-
-    def __ge__(self, other: "XName") -> bool:
-        if not isinstance(other, XName):
-            return NotImplemented
-        return self._sort_key() >= other._sort_key()
-
-    @classmethod
-    def parse(cls, text: str) -> "XName":
-        """Parse an xname string such as ``x1102c4s0b0``."""
-        m = _XNAME_RE.match(text)
-        if not m:
-            raise ValidationError(f"invalid xname: {text!r}")
-        g = {k: (int(v) if v is not None else None) for k, v in m.groupdict().items()}
-        return cls(**g)
-
-    def __str__(self) -> str:
+    def _format(self) -> str:
         out = f"x{self.cabinet}"
         if self.chassis is not None:
             out += f"c{self.chassis}"
@@ -106,6 +84,41 @@ class XName:
         if self.node is not None:
             out += f"n{self.node}"
         return out
+
+    def __hash__(self) -> int:
+        return self._hash
+
+    def __lt__(self, other: "XName") -> bool:
+        if not isinstance(other, XName):
+            return NotImplemented
+        return self._sort_key < other._sort_key
+
+    def __le__(self, other: "XName") -> bool:
+        if not isinstance(other, XName):
+            return NotImplemented
+        return self._sort_key <= other._sort_key
+
+    def __gt__(self, other: "XName") -> bool:
+        if not isinstance(other, XName):
+            return NotImplemented
+        return self._sort_key > other._sort_key
+
+    def __ge__(self, other: "XName") -> bool:
+        if not isinstance(other, XName):
+            return NotImplemented
+        return self._sort_key >= other._sort_key
+
+    @classmethod
+    def parse(cls, text: str) -> "XName":
+        """Parse an xname string such as ``x1102c4s0b0``."""
+        m = _XNAME_RE.match(text)
+        if not m:
+            raise ValidationError(f"invalid xname: {text!r}")
+        g = {k: (int(v) if v is not None else None) for k, v in m.groupdict().items()}
+        return cls(**g)
+
+    def __str__(self) -> str:
+        return self._text
 
     # -- hierarchy helpers -------------------------------------------------
     @property

@@ -151,11 +151,19 @@ class SensorMetricConsumer(_BaseConsumer):
     """Sensor telemetry: per-sample JSON → VictoriaMetrics.
 
     The metric name is derived from the sensor's physical context, e.g.
-    ``shasta_temperature_celsius``.
+    ``shasta_temperature_celsius``.  Name and labels depend on the sensor
+    alone, so they are built once per sensor: a table keyed on the
+    decoded ``(Context, PhysicalContext, Index)`` holds them, and a sample
+    of a known sensor only converts its value and timestamp.  A key joins
+    the table once the store has accepted its series, and only a ``str``,
+    ``str``, ``int`` key does (``1``, ``1.0`` and ``true`` are equal keys
+    that spell three different labels); the table starts over at
+    :attr:`MAX_SENSORS`.
     """
 
     STORE_SERVICE = "tsdb"
     STORE_NAME = "write"
+    MAX_SENSORS = 1 << 16
 
     def __init__(
         self,
@@ -173,6 +181,7 @@ class SensorMetricConsumer(_BaseConsumer):
             reliable=reliable, max_delivery_failures=max_delivery_failures,
         )
         self._cluster = cluster
+        self._series: dict[tuple[str, str, int], tuple[str, dict[str, str]]] = {}
 
     def _handle(self, value: str, timestamp_ns: int) -> None:
         sample = loads(value)
@@ -181,14 +190,25 @@ class SensorMetricConsumer(_BaseConsumer):
             physical = sample["PhysicalContext"]
             reading = float(sample["Value"])
             ts = int(sample["Timestamp"])
-        except (KeyError, TypeError, ValueError):
+        except (KeyError, TypeError, ValueError, OverflowError):
             raise ValidationError(f"malformed sensor sample: {value[:80]}") from None
-        labels = {
-            "xname": context,
-            "cluster": self._cluster,
-            "index": str(sample.get("Index", 0)),
-        }
-        self._warehouse.ingest_metric(f"shasta_{physical}", labels, reading, ts)
+        index = sample.get("Index", 0)
+        key = None
+        if type(context) is str and type(physical) is str and type(index) is int:
+            key = (context, physical, index)
+        series = self._series.get(key)
+        first_sight = series is None
+        if first_sight:
+            series = (
+                f"shasta_{physical}",
+                {"xname": context, "cluster": self._cluster, "index": str(index)},
+            )
+        name, labels = series
+        self._warehouse.ingest_metric(name, labels, reading, ts)
+        if first_sight and key is not None:
+            if len(self._series) >= self.MAX_SENSORS:
+                self._series.clear()
+            self._series[key] = series
         self._trace_store([labels])
 
 

@@ -11,7 +11,7 @@ from typing import Iterable, Iterator
 
 from repro.common.xname import XName
 from repro.cluster.sensors import SensorBank, SensorId, SensorKind
-from repro.cluster.topology import Cluster, NodeState
+from repro.cluster.topology import Cluster, ComputeNode, NodeState
 from repro.exporters.exporter import Exporter, Reading
 
 _NODES = (
@@ -22,15 +22,13 @@ _NODES = (
 
 
 def _read_nodes(
-    cluster: Cluster, sensors: SensorBank, nodes: list[XName]
+    sensors: SensorBank, nodes: list[tuple[dict[str, str], ComputeNode, int, int]]
 ) -> Iterator[Reading]:
-    for xname in nodes:
-        labels = {"xname": str(xname)}
-        yield "node_up", cluster.nodes[xname].state is NodeState.UP, labels
-        temp = sensors.read(SensorId(xname, SensorKind.TEMPERATURE_C))
-        yield "node_temp_celsius", temp, labels
-        power = sensors.read(SensorId(xname, SensorKind.POWER_W))
-        yield "node_power_watts", power, labels
+    values = sensors.snapshot()
+    for labels, node, temp, power in nodes:
+        yield "node_up", node.state is NodeState.UP, labels
+        yield "node_temp_celsius", values[temp], labels
+        yield "node_power_watts", values[power], labels
 
 
 class NodeExporter(Exporter):
@@ -43,4 +41,15 @@ class NodeExporter(Exporter):
         nodes: Iterable[XName] | None = None,
     ) -> None:
         covered = sorted(nodes) if nodes is not None else sorted(cluster.nodes)
-        super().__init__((_NODES, _read_nodes, cluster, sensors, covered))
+        # Each covered node resolved once: its labels, its state holder
+        # and where its two sensors sit in the bank's snapshot.
+        resolved = [
+            (
+                {"xname": str(xname)},
+                cluster.node(xname),
+                sensors.position(SensorId(xname, SensorKind.TEMPERATURE_C)),
+                sensors.position(SensorId(xname, SensorKind.POWER_W)),
+            )
+            for xname in covered
+        ]
+        super().__init__((_NODES, _read_nodes, sensors, resolved))

@@ -12,9 +12,9 @@ per-component ordering is preserved across partitions.
 from __future__ import annotations
 
 from repro.bus.broker import Broker, TopicConfig
-from repro.common.jsonutil import dumps_compact
+from repro.common.jsonutil import dumps_compact, json_float
 from repro.common.simclock import SimClock, days
-from repro.cluster.sensors import SensorBank
+from repro.cluster.sensors import SensorBank, SensorId
 from repro.shasta.redfish import RedfishEvent, RedfishEventSource, telemetry_payload
 from repro.tempo.tracer import Tracer
 
@@ -53,6 +53,8 @@ class HmsCollector:
         self._tracer = tracer if tracer is not None and tracer.enabled else None
         self.events_collected = 0
         self.samples_collected = 0
+        #: One ``_sensor_entry`` per sensor, in the bank's order.
+        self._sensor_entries: list[tuple[str, str, dict[str, str]]] = []
         for topic in ALL_TOPICS:
             broker.ensure_topic(
                 topic, TopicConfig(partitions=4, retention_ns=HPE_RETENTION_NS)
@@ -107,31 +109,41 @@ class HmsCollector:
     # ------------------------------------------------------------------
     # Sensor telemetry
     # ------------------------------------------------------------------
+    @staticmethod
+    def _sensor_entry(sid: SensorId) -> tuple[str, str, dict[str, str]]:
+        """What a sample owes to its sensor alone: the envelope up to
+        ``"Timestamp":`` (keys sort Context, Index, PhysicalContext,
+        Timestamp, Value), the record key and the trace attributes."""
+        xname = str(sid.xname)
+        fixed = dumps_compact(
+            {"Context": xname, "Index": sid.index, "PhysicalContext": sid.kind.value}
+        )
+        head = f'{fixed[:-1]},"Timestamp":'
+        return head, xname, {"xname": xname, "physical": sid.kind.value}
+
     def collect_sensors(self) -> int:
         """Snapshot every sensor into the telemetry topic."""
-        if self._sensors is None:
+        bank = self._sensors
+        if bank is None:
             return 0
+        entries = self._sensor_entries
+        if len(entries) < len(bank):  # sensors only ever join the bank
+            entries.extend(map(self._sensor_entry, bank.sensors()[len(entries):]))
         now = self._clock.now_ns
-        n = 0
-        for sid, value in self._sensors.read_all():
-            sample = {
-                "Context": str(sid.xname),
-                "PhysicalContext": sid.kind.value,
-                "Index": sid.index,
-                "Timestamp": now,
-                "Value": round(value, 3),
-            }
-            headers = self._trace_headers(
-                "hms.sensor_sample",
-                now,
-                {"xname": str(sid.xname), "physical": sid.kind.value},
+        stamp = f'{now:d},"Value":'
+        produce = self._broker.produce
+        traced = self._tracer is not None
+        for (head, key, attributes), value in zip(entries, bank.snapshot()):
+            headers = (
+                self._trace_headers("hms.sensor_sample", now, attributes)
+                if traced else ()
             )
-            self._broker.produce(
+            produce(
                 TOPIC_SENSOR_TELEMETRY,
-                dumps_compact(sample),
-                key=str(sid.xname),
+                f"{head}{stamp}{json_float(round(value, 3))}}}",
+                key=key,
                 headers=headers,
             )
-            n += 1
+        n = len(entries)
         self.samples_collected += n
         return n

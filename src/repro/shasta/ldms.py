@@ -14,7 +14,7 @@ import numpy as np
 
 from repro.bus.broker import Broker, TopicConfig
 from repro.common.errors import ValidationError
-from repro.common.jsonutil import dumps_compact
+from repro.common.jsonutil import dumps_compact, json_float, loads
 from repro.common.simclock import SimClock
 from repro.cluster.topology import Cluster, NodeState
 
@@ -28,6 +28,9 @@ _METRICS: dict[str, tuple[float, float, bool]] = {
     "ldms_hsn_rx_bytes": (2.0e9, 8.0e8, True),
     "ldms_procs_running": (64.0, 20.0, False),
 }
+_NAMES = sorted(_METRICS)
+#: The envelope's metrics object as JSON sorts it: ``"name":%s`` per metric.
+_METRICS_FORMAT = ",".join(f"{dumps_compact(name)}:%s" for name in _NAMES)
 
 
 class LdmsAggregator:
@@ -49,22 +52,30 @@ class LdmsAggregator:
         broker.ensure_topic(TOPIC_LDMS, TopicConfig(partitions=4))
         self._broker = broker
         self._clock = clock
-        self._cluster = cluster
-        self._cluster_name = cluster_name
         self._rng = np.random.default_rng(seed)
-        self._nodes = sorted(cluster.nodes)
-        n = len(self._nodes)
+        nodes = sorted(cluster.nodes)
+        n = len(nodes)
         self._counters = {
             name: np.zeros(n)
             for name, (_, _, is_counter) in _METRICS.items()
             if is_counter
         }
+        # What an envelope owes to its node alone, resolved once: the
+        # envelope up to its metrics (keys sort Cluster, Context, Metrics,
+        # Timestamp), the record key and the node whose state gates it.
+        self._nodes = [
+            (
+                dumps_compact({"Cluster": cluster_name, "Context": str(x)})[:-1]
+                + ',"Metrics":{',
+                str(x),
+                cluster.nodes[x],
+            )
+            for x in nodes
+        ]
         self.samples_published = 0
 
     def sample_once(self) -> int:
         """One sampling pass over the fleet; returns envelopes published."""
-        now = self._clock.now_ns
-        published = 0
         gauges = {}
         for name, (mean, std, is_counter) in _METRICS.items():
             draws = mean + std * self._rng.standard_normal(len(self._nodes))
@@ -74,20 +85,21 @@ class LdmsAggregator:
                 gauges[name] = self._counters[name]
             else:
                 gauges[name] = draws
-        for i, xname in enumerate(self._nodes):
-            if self._cluster.nodes[xname].state is not NodeState.UP:
+        return self._publish(self._clock.now_ns, gauges)
+
+    def _publish(self, now: int, gauges: dict[str, np.ndarray]) -> int:
+        """One envelope per UP node from the metric columns ``gauges``."""
+        # Python's correctly rounded ``round``, value by value: NumPy's
+        # rounding is not the same function, and the wire bytes would move.
+        rows = zip(*(gauges[name].tolist() for name in _NAMES))
+        tail = f'}},"Timestamp":{now:d}}}'
+        published = 0
+        for (head, key, node), row in zip(self._nodes, rows):
+            if node.state is not NodeState.UP:
                 continue
-            metrics = {name: round(float(values[i]), 3)
-                       for name, values in gauges.items()}
-            envelope = {
-                "Context": str(xname),
-                "Timestamp": now,
-                "Cluster": self._cluster_name,
-                "Metrics": metrics,
-            }
+            metrics = _METRICS_FORMAT % tuple(json_float(round(v, 3)) for v in row)
             self._broker.produce(
-                TOPIC_LDMS, dumps_compact(envelope), key=str(xname),
-                timestamp_ns=now,
+                TOPIC_LDMS, f"{head}{metrics}{tail}", key=key, timestamp_ns=now,
             )
             published += 1
         self.samples_published += published
@@ -105,26 +117,23 @@ class LdmsConsumer:
         self.records_failed = 0
 
     def pump(self, max_records: int = 1000) -> int:
-        from repro.common.jsonutil import loads
-
         records = self._api.fetch(self._sub, max_records)
         done = 0
         for record in records:
             try:
                 envelope = loads(record.value)
-                context = envelope["Context"]
                 ts = int(envelope["Timestamp"])
-                cluster = envelope.get("Cluster", "")
+                labels = {"xname": envelope["Context"], "cluster": envelope.get("Cluster", "")}
                 metrics = envelope["Metrics"]
-                for name, value in metrics.items():
-                    self._warehouse.ingest_metric(
-                        name,
-                        {"xname": context, "cluster": cluster},
-                        float(value),
-                        ts,
-                    )
+                if not isinstance(metrics, dict) or "" in metrics:
+                    raise ValidationError("LDMS metrics must be an object of named values")
+                # Every value converts before the first one is written, so
+                # a refused envelope leaves nothing behind.
+                values = [(name, float(value)) for name, value in metrics.items()]
+                for name, value in values:
+                    self._warehouse.ingest_metric(name, labels, value, ts)
                 done += 1
-            except (KeyError, TypeError, ValueError, ValidationError):
+            except (KeyError, TypeError, ValueError, OverflowError, ValidationError):
                 self.records_failed += 1
         self.records_processed += done
         return done

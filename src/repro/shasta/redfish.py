@@ -31,7 +31,7 @@ from typing import Any
 from repro.common.jsonutil import ns_to_iso8601
 from repro.common.simclock import SimClock
 from repro.common.xname import XName
-from repro.cluster.topology import Cluster, NodeState
+from repro.cluster.topology import Cabinet, Cluster, NodeState
 
 MSG_ID_LEAK = "CrayAlerts.1.0.CabinetLeakDetected"
 MSG_ID_LEAK_CLEARED = "CrayAlerts.1.0.CabinetLeakCleared"
@@ -150,44 +150,47 @@ class RedfishEventSource:
     """
 
     def __init__(self, cluster: Cluster, clock: SimClock) -> None:
-        self._cluster = cluster
         self._clock = clock
-        self._leak_seen: dict[tuple[str, str, str], bool] = {}
-        self._node_seen: dict[XName, NodeState] = {}
-        self._prime()
+        # The topology and each cabinet's leak sensors are fixed once the
+        # cluster is built, so the poll order is sorted here, once: per
+        # cabinet its reporting controller, its leak keys in order and the
+        # states last seen; per node the state last seen.
+        self._cabinets = [
+            (
+                cab,
+                self._reporting_controller(cluster, cab),
+                sorted(cab.leak_state),
+                dict(cab.leak_state),
+            )
+            for _cab_x, cab in sorted(cluster.cabinets.items())
+        ]
+        self._nodes = sorted(cluster.nodes.items())
+        self._node_seen = [node.state for _node_x, node in self._nodes]
 
-    def _prime(self) -> None:
-        for cab_x, cab in self._cluster.cabinets.items():
-            for (zone, sensor), state in cab.leak_state.items():
-                self._leak_seen[(str(cab_x), zone, sensor)] = state
-        for node_x, node in self._cluster.nodes.items():
-            self._node_seen[node_x] = node.state
-
-    def _cabinet_reporting_controller(self, cab_x: XName) -> XName:
+    @staticmethod
+    def _reporting_controller(cluster: Cluster, cab: Cabinet) -> XName:
         """The chassis BMC that carries cabinet-environment events."""
-        cab = self._cluster.cabinets[cab_x]
         first_chassis = cab.chassis[0] if len(cab.chassis) == 1 else cab.chassis[1]
-        return self._cluster.chassis_controller_xname(first_chassis)
+        return cluster.chassis_controller_xname(first_chassis)
 
     def poll(self) -> list[RedfishEvent]:
         """Diff state since the last poll; return new events."""
         now = self._clock.now_ns
         events: list[RedfishEvent] = []
-        for cab_x, cab in sorted(self._cluster.cabinets.items()):
-            controller = self._cabinet_reporting_controller(cab_x)
-            for (zone, sensor), state in sorted(cab.leak_state.items()):
-                key = (str(cab_x), zone, sensor)
-                prev = self._leak_seen.get(key, False)
-                if state != prev:
+        for cab, controller, leak_keys, seen in self._cabinets:
+            for key in leak_keys:
+                state = cab.leak_state[key]
+                if state != seen[key]:
+                    zone, sensor = key
                     events.append(
                         cabinet_leak_event(controller, zone, sensor, now, state)
                     )
-                    self._leak_seen[key] = state
-        for node_x, node in sorted(self._cluster.nodes.items()):
-            prev_state = self._node_seen.get(node_x, NodeState.UP)
-            if node.state != prev_state:
+                    seen[key] = state
+        seen_states = self._node_seen
+        for i, (node_x, node) in enumerate(self._nodes):
+            if node.state is not seen_states[i]:
                 events.append(
                     node_power_event(node_x, now, node.state is NodeState.UP)
                 )
-                self._node_seen[node_x] = node.state
+                seen_states[i] = node.state
         return events

@@ -9,7 +9,7 @@ from repro.common.errors import ValidationError
 from repro.common.simclock import SimClock, minutes, seconds
 from repro.cluster.topology import Cluster, ClusterSpec, NodeState
 from repro.omni.warehouse import OmniWarehouse
-from repro.shasta.console import ConsoleCollector, PANIC_LINES, TOPIC_CONSOLE_LOGS
+from repro.shasta.console import ConsoleCollector, TOPIC_CONSOLE_LOGS
 from repro.shasta.ldms import LdmsAggregator, LdmsConsumer, TOPIC_LDMS
 from repro.shasta.telemetry_api import TelemetryAPI
 
@@ -130,3 +130,26 @@ class TestLdms:
         clock.every(seconds(15), agg.sample_once)
         clock.advance(minutes(1))
         assert agg.samples_published == 4 * len(cluster.nodes)
+
+    @pytest.mark.parametrize("metrics", [
+        '{"a":1.0,"b":"oops"}', '{"a":1.0,"b":null}', '{"a":1.0,"":2.0}',
+        '{"a":1.0,"b":1%s}' % ("0" * 400), '[1.0]',
+    ], ids=["str", "null", "unnamed", "overflow", "not-an-object"])
+    def test_a_refused_envelope_writes_nothing(self, world, metrics):
+        """Every value converts before the first is stored: an envelope
+        with one bad metric is refused whole, not half-ingested."""
+        clock, _cluster, broker = world
+        broker.ensure_topic(TOPIC_LDMS)
+        api = TelemetryAPI(broker)
+        api.register_client("pods", "tok")
+        warehouse = OmniWarehouse(clock)
+        consumer = LdmsConsumer(api, "tok", warehouse)
+        broker.produce(
+            TOPIC_LDMS,
+            '{"Context":"x1000c0s0b0n0","Timestamp":5,"Cluster":"p",'
+            f'"Metrics":{metrics}}}',
+        )
+        assert consumer.pump() == 0
+        assert consumer.records_failed == 1
+        assert warehouse.tsdb.samples_ingested == 0
+        assert warehouse.messages_ingested == 0

@@ -49,6 +49,7 @@ ALLOWED: dict[str, str] = {
     ),
     "repro.cluster.faults.FaultInjector.is_degraded": _READ,
     "repro.cluster.sensors.SensorBank.clear_offsets": "test driver: sensor state",
+    "repro.cluster.sensors.SensorBank.read_all": _READ,
     "repro.cluster.topology.Cluster.offline_switches": _READ,
     "repro.cluster.topology.Cluster.unreachable_nodes": _READ,
     "repro.common.simclock.SimClock.now_seconds": _READ,
