@@ -10,7 +10,6 @@ queries over the aged region stay within noise of the full-resolution
 answer.
 """
 
-from repro.common.labels import METRIC_NAME_LABEL, label_matcher
 from repro.common.simclock import SimClock, days, hours, minutes
 from repro.omni.downsample import DownsamplePolicy, Downsampler
 from repro.tsdb.promql import PromQLEngine

@@ -14,7 +14,6 @@ import time
 from repro.common.simclock import SimClock, hours, minutes
 from repro.loki.frontend import QueryFrontend
 from repro.loki.logql.engine import LogQLEngine
-from repro.loki.model import PushRequest
 from repro.loki.store import LokiStore
 from repro.common.labels import LabelSet
 from repro.loki.model import LogEntry

@@ -18,7 +18,7 @@ latency; grep pays a full scan every time.
 
 import time
 
-from repro.common.labels import LabelSet, label_matcher
+from repro.common.labels import LabelSet
 from repro.common.xname import XName
 from repro.baselines.fulltext import FullTextLogStore
 from repro.baselines.grepstore import GrepLogStore

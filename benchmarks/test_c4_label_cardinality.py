@@ -17,7 +17,7 @@ import time
 
 import numpy as np
 
-from repro.common.labels import LabelSet, label_matcher
+from repro.common.labels import LabelSet
 from repro.loki.logql.engine import LogQLEngine
 from repro.loki.model import LogEntry
 from repro.loki.store import LokiStore

@@ -12,7 +12,7 @@ the storm width; per-device grouping gives no compression.
 """
 
 from repro.common.labels import LabelSet
-from repro.common.simclock import SimClock, minutes, seconds
+from repro.common.simclock import SimClock, minutes
 from repro.alerting.alertmanager import Alertmanager, Route
 from repro.alerting.events import AlertEvent, AlertState
 from repro.alerting.receivers import MemoryReceiver

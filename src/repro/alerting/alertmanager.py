@@ -41,8 +41,13 @@ class Route:
     routes: list["Route"] = field(default_factory=list)
 
     def __post_init__(self) -> None:
-        for attr in ("group_wait", "group_interval", "repeat_interval"):
-            parse_duration_ns(getattr(self, attr))
+        parse_duration_ns(self.group_wait)
+        # A group re-arms its flush every group_interval: zero would
+        # re-arm forever at one instant.  Alertmanager's loader refuses
+        # both zero intervals; a zero group_wait is legal.
+        for attr in ("group_interval", "repeat_interval"):
+            if parse_duration_ns(getattr(self, attr)) == 0:
+                raise ValidationError(f"route {attr} must be positive")
 
     def matches(self, labels: LabelSet) -> bool:
         return matches_all(labels, self.matchers)

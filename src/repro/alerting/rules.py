@@ -24,6 +24,10 @@ from repro.alerting.events import (
     AlertState,
 )
 
+#: The sustain window of the stack's default rules: an alert fires when
+#: its condition "lasts more than one minute" (paper §IV.A).
+RULE_FOR = "1m"
+
 
 @dataclass(frozen=True)
 class RuleSpec:

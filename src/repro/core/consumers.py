@@ -21,6 +21,10 @@ from repro.tempo.instrument import PipelineTracing
 from repro.tempo.model import SpanContext
 from repro.core.transform import redfish_payload_to_push
 
+#: Processing failures (reliable mode) before a record is poison and
+#: quarantines to its topic's dead-letter queue.
+MAX_DELIVERY_FAILURES = 3
+
 
 class _BaseConsumer:
     """Shared subscription plumbing."""
@@ -37,7 +41,6 @@ class _BaseConsumer:
         warehouse: OmniWarehouse,
         tracing: PipelineTracing | None = None,
         reliable: bool = False,
-        max_delivery_failures: int = 3,
     ) -> None:
         self._api = api
         self._warehouse = warehouse
@@ -45,7 +48,6 @@ class _BaseConsumer:
         self._tracing = tracing
         self._record_ctx: SpanContext | None = None
         self._reliable = reliable
-        self._max_delivery_failures = max_delivery_failures
         self._throttle: int | None = None
         self.records_processed = 0
         self.records_failed = 0
@@ -68,7 +70,7 @@ class _BaseConsumer:
         a record whose processing fails is simply dropped.  In reliable
         mode offsets commit only after processing: a failing record blocks
         its partition and is redelivered next pump, until
-        ``max_delivery_failures`` attempts quarantine it to the topic's
+        :data:`MAX_DELIVERY_FAILURES` attempts quarantine it to the topic's
         dead-letter queue and the pod commits past the poison.
         """
         if self._throttle is not None:
@@ -94,7 +96,7 @@ class _BaseConsumer:
                 self.records_failed += 1
                 if self._reliable:
                     quarantined = self._api.fail_delivery(
-                        self._sub, record, str(err), self._max_delivery_failures
+                        self._sub, record, str(err), MAX_DELIVERY_FAILURES
                     )
                     if quarantined:
                         self.records_quarantined += 1
@@ -132,11 +134,9 @@ class RedfishEventConsumer(_BaseConsumer):
         cluster: str = "perlmutter",
         tracing: PipelineTracing | None = None,
         reliable: bool = False,
-        max_delivery_failures: int = 3,
     ) -> None:
         super().__init__(
-            api, token, topic, warehouse, tracing=tracing,
-            reliable=reliable, max_delivery_failures=max_delivery_failures,
+            api, token, topic, warehouse, tracing=tracing, reliable=reliable
         )
         self._cluster = cluster
 
@@ -174,11 +174,9 @@ class SensorMetricConsumer(_BaseConsumer):
         cluster: str = "perlmutter",
         tracing: PipelineTracing | None = None,
         reliable: bool = False,
-        max_delivery_failures: int = 3,
     ) -> None:
         super().__init__(
-            api, token, topic, warehouse, tracing=tracing,
-            reliable=reliable, max_delivery_failures=max_delivery_failures,
+            api, token, topic, warehouse, tracing=tracing, reliable=reliable
         )
         self._cluster = cluster
         self._series: dict[tuple[str, str, int], tuple[str, dict[str, str]]] = {}

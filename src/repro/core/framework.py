@@ -19,7 +19,7 @@ from repro.common.errors import ValidationError
 from repro.common.labels import Matcher, MatchOp
 from repro.common.simclock import Job, SimClock, hours, minutes, seconds
 from repro.alerting.alertmanager import Alertmanager, Route
-from repro.alerting.rules import RuleSpec
+from repro.alerting.rules import RULE_FOR, RuleSpec
 from repro.bus.broker import Broker
 from repro.cluster.facility import FacilityModel
 from repro.cluster.faults import FaultInjector
@@ -57,9 +57,6 @@ from repro.loki.store import LokiStore
 from repro.omni.eventstore import EventStore, record_from_alert
 from repro.omni.lifecycle import SWEEP_INTERVAL_NS, Lifecycle
 from repro.omni.warehouse import OmniWarehouse
-# The one plane-owned constant a FrameworkConfig default is made of; the
-# class below uses nothing else from a plane package.
-from repro.queryx.engine import DEFAULT_SLOW_QUERY_NS
 from repro.servicenow.alerts import SnAlertState
 from repro.servicenow.cmdb import build_from_cluster
 from repro.servicenow.platform import ServiceNowPlatform, ServiceNowReceiver
@@ -116,23 +113,20 @@ SWITCH_RULE_QUERY = (
     '|= "fm_switch_offline" | pattern "' + SWITCH_PATTERN + '" [5m])) '
     "by (severity, problem, xname, state)"
 )
+#: NodeHotTemperature fires above this node temperature (°C).
+HOT_NODE_THRESHOLD_C = 90.0
 
 
 @dataclass
 class FrameworkConfig:
-    """All the knobs, with production-plausible defaults."""
+    """What a program sets, with production-plausible defaults: the
+    plane flags, deployment settings, operator policy and values a
+    program caller sets or reads.  Every other setting is its
+    component's own default (DESIGN §16)."""
 
     cluster_spec: ClusterSpec = field(default_factory=ClusterSpec)
     cluster_name: str = "perlmutter"
     seed: int = 0
-    # Alerting.
-    rule_for: str = "1m"  # "lasts more than one minute" (paper §IV.A)
-    group_wait: str = "30s"
-    group_interval: str = "5m"
-    repeat_interval: str = "4h"
-    # Node-temperature alert threshold (°C).
-    hot_node_threshold_c: float = 90.0
-    install_default_rules: bool = True
     # §II/§III.D "machine learning methods for proactive incident
     # response" (repro.omni.plane): EWMA anomaly scanning over key
     # metrics into Alertmanager.  Off by default, with no env default.
@@ -140,13 +134,11 @@ class FrameworkConfig:
     # Self-tracing of the pipeline (repro.tempo). 0.0 = off: no tracer is
     # constructed and every instrumented site takes its untraced path.
     tracing_sampling: float = 0.0
-    tracing_max_traces: int = 10_000
     # Replicated ingest (repro.ring).  Off by default: logs land in a
     # single LokiStore as before.  On: pushes go through a distributor to
     # a consistent-hash ring of WAL-backed ingesters at write quorum.
     enable_ingest_ring: bool = False
     ring_ingesters: int = 4
-    ring_replication: int = 3
     #: Availability zones the ring ingesters spread over (round-robin).
     #: 0 = unzoned; > 0 also turns on zone-aware replica placement.
     ring_zones: int = 0
@@ -160,8 +152,6 @@ class FrameworkConfig:
     # repairer re-replicates a permanently lost member's streams onto
     # the surviving ring owners before releasing its tokens.
     enable_self_healing: bool = field(default_factory=env_flag("REPRO_SELF_HEAL"))
-    selfheal_dead_after_ns: int = seconds(45)
-    selfheal_repair_grace_ns: int = seconds(30)
     # At-least-once alert delivery (repro.resilience).  Off by default
     # (or via the REPRO_RELIABLE_DELIVERY env var, for CI's second leg):
     # receivers are called directly and a failure loses the notification.
@@ -172,9 +162,6 @@ class FrameworkConfig:
     enable_reliable_delivery: bool = field(
         default_factory=env_flag("REPRO_RELIABLE_DELIVERY")
     )
-    #: Consumer-side processing failures before a record is poison and
-    #: quarantines to the topic's dead-letter queue.
-    max_delivery_failures: int = 3
     # Multi-tenancy (repro.tenancy).  Off by default (or via the
     # REPRO_MULTI_TENANCY env var, for CI's tenancy leg): the stack is
     # single-tenant exactly as before.  On: every log push is attributed
@@ -200,7 +187,6 @@ class FrameworkConfig:
     )
     objstore_flush_interval_ns: int = minutes(5)
     objstore_compaction_interval_ns: int = minutes(30)
-    objstore_target_object_bytes: int = 1 << 20
     # Sharded parallel query engine (repro.queryx).  Off by default (or
     # via the REPRO_QUERY_ENGINE env var, for CI's query-engine leg):
     # queries run monolithically on one LogQL engine as before.  On:
@@ -214,8 +200,6 @@ class FrameworkConfig:
     #: Time-split interval; shared with the frontend cache so both cut a
     #: range at identical aligned boundaries.
     queryx_split_interval_ns: int = hours(1)
-    #: Accounted wall-clock above this marks a query slow (SlowQueries).
-    queryx_slow_query_threshold_ns: int = DEFAULT_SLOW_QUERY_NS
     # Online log-template mining (repro.patterns).  Off by default (or
     # via the REPRO_PATTERNS env var, for CI's pattern-mining leg).  On:
     # a Drain-style miner tees off every accepted log push per (tenant,
@@ -228,11 +212,6 @@ class FrameworkConfig:
     # ``pattern_id`` label lets Alertmanager collapse an alert storm
     # into one grouped incident.
     enable_pattern_mining: bool = field(default_factory=env_flag("REPRO_PATTERNS"))
-    #: Drain similarity threshold: the exact-match fraction a line needs
-    #: to join an existing cluster instead of seeding a new one.
-    patterns_sim_threshold: float = 0.5
-    #: A warmed-up template bursts at burst_factor × its EWMA baseline.
-    patterns_burst_factor: float = 8.0
     # Service-level objectives (repro.slo).  Off by default (or via the
     # REPRO_SLO env var, for CI's SLO leg).  On: built-in SLOs for
     # ingest availability, query latency (query engine on), alert
@@ -309,7 +288,7 @@ class MonitoringFramework:
         self.tracing: PipelineTracing | None = None
         self.trace_metrics: TraceMetricsExporter | None = None
         if cfg.tracing_sampling > 0.0:
-            self.traces = TraceStore(cfg.tracing_max_traces)
+            self.traces = TraceStore()
             self.tracer = Tracer(
                 self.traces,
                 self.clock,
@@ -368,11 +347,7 @@ class MonitoringFramework:
 
         # --- the k3s consumer pods -------------------------------------------
         token = "token-nersc-k3s"
-        pod = dict(
-            tracing=self.tracing,
-            reliable=cfg.enable_reliable_delivery,
-            max_delivery_failures=cfg.max_delivery_failures,
-        )
+        pod = dict(tracing=self.tracing, reliable=cfg.enable_reliable_delivery)
         self.redfish_consumer = RedfishEventConsumer(
             self.telemetry_api, token, TOPIC_REDFISH_EVENTS, self.warehouse,
             cluster=cfg.cluster_name, **pod,
@@ -441,13 +416,13 @@ class MonitoringFramework:
         self.servicenow = ServiceNowPlatform(self.clock, cmdb=cmdb)
         by_alert = ("alertname", "cluster")
         child_routes = [
-            self.route(
+            Route(
                 "servicenow",
-                by_alert,
-                (Matcher("severity", MatchOp.EQ, "critical"),),
+                matchers=(Matcher("severity", MatchOp.EQ, "critical"),),
+                group_by=by_alert,
                 continue_=True,
             ),
-            self.route("slack", by_alert),
+            Route("slack", group_by=by_alert),
         ]
         # Route order is contract (first match wins).  Plane routes sit
         # between the ServiceNow route and the catch-all, a later plane's
@@ -455,7 +430,7 @@ class MonitoringFramework:
         for plane in self.planes:
             child_routes[1:1] = plane.routes(self)
         self.alertmanager = Alertmanager(
-            self.clock, self.route("slack", by_alert, routes=child_routes)
+            self.clock, Route("slack", group_by=by_alert, routes=child_routes)
         )
         self.dashboards = self._build_dashboards()
         receivers = [
@@ -480,8 +455,7 @@ class MonitoringFramework:
                 self.vmagent.add_target(
                     ScrapeTarget(job, instance, getattr(self, component))
                 )
-        if cfg.install_default_rules:
-            self._install_default_rules()
+        self._install_default_rules()
 
         #: OMNI's event archive (paper §III.C: "anything that has a
         #: start and end time"); SN alerts are mirrored in periodically.
@@ -494,25 +468,6 @@ class MonitoringFramework:
     # ------------------------------------------------------------------
     # What the planes build with
     # ------------------------------------------------------------------
-    def route(
-        self,
-        receiver: str,
-        group_by: tuple[str, ...],
-        matchers: tuple[Matcher, ...] = (),
-        **kwargs,
-    ) -> Route:
-        """A route on the configured group timings."""
-        cfg = self.config
-        return Route(
-            receiver=receiver,
-            matchers=matchers,
-            group_by=group_by,
-            group_wait=cfg.group_wait,
-            group_interval=cfg.group_interval,
-            repeat_interval=cfg.repeat_interval,
-            **kwargs,
-        )
-
     def notifier(self, generator: str):
         """Alertmanager's front door for one rule evaluator, traced under
         the evaluator's name when tracing is on."""
@@ -571,12 +526,11 @@ class MonitoringFramework:
             )
 
     def _install_default_rules(self) -> None:
-        cfg = self.config
         self.ruler.add_rule(
             RuleSpec(
                 name="PerlmutterCabinetLeak",
                 expr=LEAK_RULE_QUERY + " > 0",
-                for_=cfg.rule_for,
+                for_=RULE_FOR,
                 labels={"severity": "critical", "category": "facility"},
                 annotations={
                     "summary": "Coolant leak detected in {{ $labels.Context }} "
@@ -588,7 +542,7 @@ class MonitoringFramework:
             RuleSpec(
                 name="SwitchOffline",
                 expr=SWITCH_RULE_QUERY + " > 0",
-                for_=cfg.rule_for,
+                for_=RULE_FOR,
                 labels={"severity": "critical", "category": "network"},
                 annotations={
                     "summary": "Rosetta switch {{ $labels.xname }} entered state "
@@ -600,7 +554,7 @@ class MonitoringFramework:
             RuleSpec(
                 name="NodeDown",
                 expr="node_up == 0",
-                for_=cfg.rule_for,
+                for_=RULE_FOR,
                 labels={"severity": "critical", "category": "compute"},
                 annotations={"summary": "Node {{ $labels.xname }} is down"},
             )
@@ -608,7 +562,7 @@ class MonitoringFramework:
         self.vmalert.add_rule(
             RuleSpec(
                 name="NodeHotTemperature",
-                expr=f"node_temp_celsius > {cfg.hot_node_threshold_c:g}",
+                expr=f"node_temp_celsius > {HOT_NODE_THRESHOLD_C:g}",
                 for_="5m",
                 labels={"severity": "warning", "category": "compute"},
                 annotations={
@@ -647,7 +601,7 @@ class MonitoringFramework:
             RuleSpec(
                 name="CduLowFlow",
                 expr="facility_cdu_flow_lpm < 200",
-                for_=cfg.rule_for,
+                for_=RULE_FOR,
                 labels={"severity": "critical", "category": "facility"},
                 annotations={
                     "summary": "CDU {{ $labels.cdu }} coolant flow down to "
@@ -670,7 +624,7 @@ class MonitoringFramework:
             RuleSpec(
                 name="PduBreakerOpen",
                 expr="facility_pdu_load_kw == 0",
-                for_=cfg.rule_for,
+                for_=RULE_FOR,
                 labels={"severity": "critical", "category": "facility"},
                 annotations={
                     "summary": "PDU {{ $labels.pdu }} carries no load "
@@ -700,7 +654,7 @@ class MonitoringFramework:
             RuleSpec(
                 name="GpfsDegraded",
                 expr="gpfs_unhealthy_nsds > 0",
-                for_=cfg.rule_for,
+                for_=RULE_FOR,
                 labels={"severity": "critical", "category": "storage"},
                 annotations={
                     "summary": "GPFS {{ $labels.fs }} has {{ $value }} "

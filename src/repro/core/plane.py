@@ -75,7 +75,7 @@ class Plane:
 
     def install_rules(self, fw: MonitoringFramework) -> None:
         """Add the plane's default alerting rules to whichever evaluator
-        runs them; called only under ``install_default_rules``."""
+        runs them; called after the base rules."""
 
     def dashboards(self, fw: MonitoringFramework) -> list[tuple]:
         """``(key, title, rows)`` per dashboard over the metrics

@@ -41,7 +41,8 @@ def _build_parser() -> argparse.ArgumentParser:
                        help="window end, ns epoch (exclusive; metric "
                             "queries evaluate at this instant)")
     query.add_argument("--limit", type=int, default=100,
-                       help="max log lines printed (default 100)")
+                       help="max log lines or pattern rows printed "
+                            "(default 100; 0 = no limit)")
     query.add_argument("--step", type=int, default=None,
                        help="step in ns: evaluate a metric range query "
                             "instead of an instant query")
@@ -97,6 +98,8 @@ def run_logcli(store: LokiStore, argv: list[str], patterns=None, slo=None) -> st
 def _run_query(store: LokiStore, engine: LogQLEngine, args) -> str:
     if args.to_ns <= args.from_ns:
         raise ValidationError("--to must be after --from")
+    if args.limit < 0:
+        raise ValidationError("--limit must be >= 0 (0 = no limit)")
     if args.patterns:
         return _run_patterns(engine, args)
     expr = parse(args.logql)
@@ -107,7 +110,8 @@ def _run_query(store: LokiStore, engine: LogQLEngine, args) -> str:
             for entry in entries:
                 rows.append((entry.timestamp_ns, labels, entry.line))
         rows.sort(key=lambda r: r[0])
-        rows = rows[-args.limit:]  # newest lines win, as in logcli
+        if args.limit:
+            rows = rows[-args.limit:]  # newest lines win, as in logcli
         out = []
         for ts, labels, line in rows:
             if args.output == "jsonl":
@@ -133,7 +137,8 @@ def _run_query(store: LokiStore, engine: LogQLEngine, args) -> str:
 def _run_patterns(engine: LogQLEngine, args) -> str:
     """Render ``detected_patterns`` as a table (or JSONL), busiest first."""
     rows = engine.detected_patterns(args.logql, args.from_ns, args.to_ns)
-    rows = rows[: args.limit]
+    if args.limit:
+        rows = rows[: args.limit]
     if args.output == "jsonl":
         return "\n".join(
             json.dumps(

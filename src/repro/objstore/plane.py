@@ -3,14 +3,13 @@ everything ``enable_object_storage`` wires under the log backend."""
 
 from __future__ import annotations
 
-from repro.alerting.rules import RuleSpec
+from repro.alerting.rules import RULE_FOR, RuleSpec
 from repro.cluster.faults import FaultKind
-from repro.common.errors import ValidationError
 from repro.common.simclock import Job
 from repro.core.plane import Plane
 from repro.exporters.objstore_exporter import ObjstoreExporter
 from repro.grafana.panels import StatPanel, TimeSeriesPanel
-from repro.objstore.compactor import CompactionPolicy, Compactor
+from repro.objstore.compactor import Compactor
 from repro.objstore.gateway import StoreGateway
 from repro.objstore.index import ShipperIndex
 from repro.objstore.objectstore import ObjectStore
@@ -54,14 +53,7 @@ class ObjstorePlane(Plane):
     )
     scrape_targets = (("objstore", "objstore-exporter:9105", "objstore_exporter"),)
 
-    def validate(self, cfg):
-        if cfg.objstore_target_object_bytes < 1:
-            raise ValidationError(
-                "objstore_target_object_bytes must be positive"
-            )
-
     def build_stores(self, fw):
-        cfg = fw.config
         # Tiered cold storage wraps whatever hot tier is in place — the
         # ring when it is on, the plain LokiStore otherwise — so on top
         # of the ring it is replicated hot ingest *and* deduplicated flush.
@@ -73,13 +65,7 @@ class ObjstorePlane(Plane):
             tracer=fw.tracer,
         )
         fw.compactor = Compactor(
-            fw.objstore,
-            fw.shipper_index,
-            fw.clock,
-            policy=CompactionPolicy(
-                target_object_bytes=cfg.objstore_target_object_bytes
-            ),
-            tracer=fw.tracer,
+            fw.objstore, fw.shipper_index, fw.clock, tracer=fw.tracer
         )
         fw.store_gateway = StoreGateway(
             fw.objstore, fw.shipper_index, fw.clock,
@@ -104,7 +90,7 @@ class ObjstorePlane(Plane):
             RuleSpec(
                 name="ObjstoreFlushStalled",
                 expr="objstore_flush_failures_consecutive > 0",
-                for_=fw.config.rule_for,
+                for_=RULE_FOR,
                 labels={"severity": "warning", "category": "storage"},
                 annotations={
                     "summary": "{{ $value }} consecutive chunk flushes "

@@ -3,15 +3,14 @@ everything ``enable_pattern_mining`` wires from ingest tee to alert."""
 
 from __future__ import annotations
 
+from repro.alerting.alertmanager import Route
 from repro.alerting.rules import RuleSpec
-from repro.common.errors import ValidationError
 from repro.common.labels import Matcher, MatchOp
 from repro.common.simclock import Job, seconds
 from repro.core.plane import Plane, query_frontend
 from repro.exporters.patterns_exporter import PatternsExporter
 from repro.grafana.panels import StatPanel, TimeSeriesPanel, TopListPanel
 from repro.patterns.ingester import PatternIngester
-from repro.patterns.miner import DrainConfig
 from repro.patterns.ruler import BURST_EXPR, NOVEL_EXPR, PatternRuler
 from repro.patterns.store import PatternStore
 
@@ -33,24 +32,12 @@ class PatternsPlane(Plane):
     )
     scrape_targets = (("patterns", "patterns-exporter:9108", "patterns_exporter"),)
 
-    def validate(self, cfg):
-        if not 0.0 < cfg.patterns_sim_threshold <= 1.0:
-            raise ValidationError(
-                "patterns_sim_threshold must be in (0, 1]"
-            )
-        if cfg.patterns_burst_factor <= 1.0:
-            raise ValidationError("patterns_burst_factor must be > 1")
-
     def build_stores(self, fw):
-        cfg = fw.config
-        drain_config = DrainConfig(sim_threshold=cfg.patterns_sim_threshold)
         # With object storage on, pattern blocks persist beside the
         # chunks; without, the store is memory-resident.
-        fw.pattern_store = PatternStore(
-            fw.objstore, config=drain_config, tracer=fw.tracer
-        )
+        fw.pattern_store = PatternStore(fw.objstore, tracer=fw.tracer)
         fw.pattern_ingester = PatternIngester(
-            fw.clock, fw.pattern_store, config=drain_config, tracer=fw.tracer
+            fw.clock, fw.pattern_store, tracer=fw.tracer
         )
         if fw.objstore is not None:
             fw.compactor.derived += (fw.pattern_store,)
@@ -68,7 +55,6 @@ class PatternsPlane(Plane):
             fw.pattern_ingester,
             fw.pattern_store,
             cluster=cfg.cluster_name,
-            burst_factor=cfg.patterns_burst_factor,
             novel_bootstrap_ns=NOVEL_BOOTSTRAP_NS,
             tracer=fw.tracer,
         )
@@ -82,10 +68,10 @@ class PatternsPlane(Plane):
         # and ingesters — collapses into ONE aggregation group and
         # one notification per group_wait/group_interval window.
         return [
-            fw.route(
+            Route(
                 "slack",
-                ("alertname", "pattern_id", "cluster"),
-                (Matcher("category", MatchOp.EQ, "patterns"),),
+                matchers=(Matcher("category", MatchOp.EQ, "patterns"),),
+                group_by=("alertname", "pattern_id", "cluster"),
             )
         ]
 

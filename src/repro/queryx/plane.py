@@ -5,7 +5,6 @@ from __future__ import annotations
 
 from repro.alerting.rules import RuleSpec
 from repro.cluster.faults import FaultKind
-from repro.common.errors import ValidationError
 from repro.core.plane import Plane
 from repro.exporters.queryx_exporter import QueryxExporter
 from repro.grafana.panels import StatPanel, TimeSeriesPanel, TopListPanel
@@ -48,12 +47,6 @@ class QueryxPlane(Plane):
     components = ("blooms", "queryx", "queryx_exporter")
     scrape_targets = (("queryx", "queryx-exporter:9106", "queryx_exporter"),)
 
-    def validate(self, cfg):
-        if cfg.queryx_slow_query_threshold_ns <= 0:
-            raise ValidationError(
-                "queryx_slow_query_threshold_ns must be positive"
-            )
-
     def build_stores(self, fw):
         # The engine reads the log backend directly, so it can be built
         # before the warehouse — and has to be: tenancy, earlier in the
@@ -80,7 +73,6 @@ class QueryxPlane(Plane):
             pool=QuerierPool(),
             tracer=fw.tracer,
             cold_latency_fn=cold_latency_fn,
-            slow_query_threshold_ns=cfg.queryx_slow_query_threshold_ns,
         )
         fw.queryx_exporter = QueryxExporter(
             fw.queryx,

@@ -85,10 +85,6 @@ class DeliveryPlane(Plane):
     )
     scrape_targets = (("alert-delivery", "delivery-exporter:9103", "delivery_exporter"),)
 
-    def validate(self, cfg):
-        if cfg.max_delivery_failures < 1:
-            raise ValidationError("max_delivery_failures must be positive")
-
     def wrap_receivers(self, fw, receivers):
         # Chain per receiver: Retrying(Flaky(Idempotent(real))).  The
         # flaky wrapper is the RECEIVER_OUTAGE fault hook; the idempotent

@@ -21,7 +21,7 @@ from repro.common.labels import LabelSet, Matcher
 from repro.loki.chunks import ChunkPolicy
 from repro.loki.model import LogEntry, PushRequest, PushStream
 from repro.loki.store import LokiStore, StoreStats, aggregate_stats
-from repro.ring.distributor import Distributor
+from repro.ring.distributor import REPLICATION_FACTOR, Distributor
 from repro.ring.hashring import HashRing
 from repro.ring.ingester import Ingester
 from repro.ring.merge import merge_streams
@@ -36,7 +36,7 @@ class RingLokiCluster:
     def __init__(
         self,
         ingesters: int = 4,
-        replication_factor: int = 3,
+        replication_factor: int = REPLICATION_FACTOR,
         policy: ChunkPolicy | None = None,
         vnodes: int = 64,
         wal_segment_bytes: int = 64 * 1024,

@@ -32,6 +32,9 @@ from repro.tenancy.sharding import ShuffleSharder
 if TYPE_CHECKING:
     from repro.selfheal.memberlist import Memberlist
 
+#: Replicas per stream; the write quorum is a majority of them.
+REPLICATION_FACTOR = 3
+
 
 class QuorumError(StateError):
     """Fewer than a write quorum of replicas accepted a stream."""
@@ -71,7 +74,7 @@ class Distributor:
         self,
         ring: HashRing,
         ingesters: Mapping[str, Ingester],
-        replication_factor: int = 3,
+        replication_factor: int = REPLICATION_FACTOR,
         tracer: Tracer | None = None,
         sharder: ShuffleSharder | None = None,
         zone_aware: bool = False,

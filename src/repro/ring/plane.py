@@ -3,13 +3,14 @@ everything ``enable_ingest_ring`` wires into the pipeline."""
 
 from __future__ import annotations
 
-from repro.alerting.rules import RuleSpec
+from repro.alerting.rules import RULE_FOR, RuleSpec
 from repro.cluster.faults import FaultKind
 from repro.common.errors import ValidationError
 from repro.core.plane import Plane
 from repro.exporters.ring_exporter import RingExporter
 from repro.grafana.panels import StatPanel, TimeSeriesPanel, TopListPanel
 from repro.ring.cluster import RingLokiCluster
+from repro.ring.distributor import REPLICATION_FACTOR
 
 
 def register_faults(injector, ring):
@@ -45,11 +46,10 @@ class RingPlane(Plane):
     scrape_targets = (("loki-ring", "ring-exporter:9102", "ring_exporter"),)
 
     def validate(self, cfg):
-        if cfg.ring_ingesters < 1:
-            raise ValidationError("ring needs at least one ingester")
-        if not 1 <= cfg.ring_replication <= cfg.ring_ingesters:
+        if cfg.ring_ingesters < REPLICATION_FACTOR:
             raise ValidationError(
-                "ring_replication must be in [1, ring_ingesters]"
+                f"ring_ingesters must be >= {REPLICATION_FACTOR}, "
+                "the replication factor"
             )
         if not 0 <= cfg.ring_zones <= cfg.ring_ingesters:
             raise ValidationError(
@@ -60,7 +60,6 @@ class RingPlane(Plane):
         cfg = fw.config
         fw.ring = RingLokiCluster(
             ingesters=cfg.ring_ingesters,
-            replication_factor=cfg.ring_replication,
             tracer=fw.tracer,
             shard_size=(
                 cfg.tenant_shard_size if cfg.enable_multi_tenancy else 0
@@ -77,7 +76,7 @@ class RingPlane(Plane):
             RuleSpec(
                 name="IngesterDown",
                 expr="loki_ring_ingester_up == 0",
-                for_=fw.config.rule_for,
+                for_=RULE_FOR,
                 labels={"severity": "warning", "category": "pipeline"},
                 annotations={
                     "summary": "Loki ingester {{ $labels.ingester }} is "

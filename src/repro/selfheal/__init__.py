@@ -22,7 +22,7 @@ what the framework wires in behind ``enable_self_healing``.
 """
 
 from repro.selfheal.detector import FailureDetector, FailureDetectorConfig
-from repro.selfheal.manager import SelfHealConfig, SelfHealManager
+from repro.selfheal.manager import SelfHealManager
 from repro.selfheal.memberlist import Memberlist, MemberState, MemberView
 from repro.selfheal.repairer import RepairReport, RingRepairer, RingRepairerConfig
 from repro.selfheal.supervisor import IngesterSupervisor, SupervisorConfig
@@ -37,7 +37,6 @@ __all__ = [
     "RepairReport",
     "RingRepairer",
     "RingRepairerConfig",
-    "SelfHealConfig",
     "SelfHealManager",
     "SupervisorConfig",
 ]

@@ -16,23 +16,14 @@ the outage ends.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-
 from repro.common.errors import ValidationError
 from repro.common.simclock import Job, SimClock
 from repro.ring.cluster import RingLokiCluster
-from repro.selfheal.detector import FailureDetector, FailureDetectorConfig
+from repro.selfheal.detector import FailureDetector
 from repro.selfheal.memberlist import Memberlist, MemberState
-from repro.selfheal.repairer import RingRepairer, RingRepairerConfig
-from repro.selfheal.supervisor import IngesterSupervisor, SupervisorConfig
+from repro.selfheal.repairer import RingRepairer
+from repro.selfheal.supervisor import IngesterSupervisor
 from repro.tempo.tracer import Tracer
-
-
-@dataclass(frozen=True)
-class SelfHealConfig:
-    detector: FailureDetectorConfig = field(default_factory=FailureDetectorConfig)
-    repairer: RingRepairerConfig = field(default_factory=RingRepairerConfig)
-    supervisor: SupervisorConfig = field(default_factory=SupervisorConfig)
 
 
 class SelfHealManager:
@@ -42,29 +33,24 @@ class SelfHealManager:
         self,
         clock: SimClock,
         cluster: RingLokiCluster,
-        config: SelfHealConfig | None = None,
         tracer: Tracer | None = None,
     ) -> None:
         self.clock = clock
         self.cluster = cluster
-        self.config = config or SelfHealConfig()
         self.memberlist = Memberlist(clock)
         for member in sorted(cluster.ingesters):
             self.memberlist.register(member)
         cluster.attach_memberlist(self.memberlist)
         self.detector = FailureDetector(
-            clock, cluster, self.memberlist, self.config.detector, tracer
+            clock, cluster, self.memberlist, tracer=tracer
         )
-        self.supervisor = IngesterSupervisor(
-            clock, cluster, self.memberlist, self.config.supervisor
-        )
+        self.supervisor = IngesterSupervisor(clock, cluster, self.memberlist)
         self._declared_down: set[str] = set()
         self.repairer = RingRepairer(
             clock,
             cluster,
             self.memberlist,
-            self.config.repairer,
-            tracer,
+            tracer=tracer,
             # A member in a *declared bounded* failure — its whole zone
             # is in an outage, or a fault with a known duration crashed
             # it — is coming back: hold repair back and let the restart
@@ -83,11 +69,13 @@ class SelfHealManager:
         """The three sweeps, detect before restart before repair.  The
         heartbeat loops are not here: each started when its member was
         registered with the detector."""
-        cfg = self.config
         return [
-            Job("selfheal.detect", cfg.detector.sweep_interval_ns, self.detector.sweep),
-            Job("selfheal.restart", cfg.supervisor.sweep_interval_ns, self.supervisor.sweep),
-            Job("selfheal.repair", cfg.repairer.sweep_interval_ns, self.repairer.sweep),
+            Job(f"selfheal.{name}", part.config.sweep_interval_ns, part.sweep)
+            for name, part in (
+                ("detect", self.detector),
+                ("restart", self.supervisor),
+                ("repair", self.repairer),
+            )
         ]
 
     def adopt(self, member: str) -> None:

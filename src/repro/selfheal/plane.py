@@ -5,13 +5,10 @@ from __future__ import annotations
 
 from repro.alerting.rules import RuleSpec
 from repro.cluster.faults import FaultKind
-from repro.common.errors import ValidationError
 from repro.core.plane import Plane
 from repro.exporters.selfheal_exporter import SelfHealExporter
 from repro.grafana.panels import StatPanel, TimeSeriesPanel, TopListPanel
-from repro.selfheal.detector import FailureDetectorConfig
-from repro.selfheal.manager import SelfHealConfig, SelfHealManager
-from repro.selfheal.repairer import RingRepairerConfig
+from repro.selfheal.manager import SelfHealManager
 
 
 def register_faults(injector, manager):
@@ -87,26 +84,8 @@ class SelfHealPlane(Plane):
         # whole suite (ring-less tests included) unmodified.
         return cfg.enable_self_healing and cfg.enable_ingest_ring
 
-    def validate(self, cfg):
-        # The FailureDetectorConfig/RingRepairerConfig constructors
-        # validate the relationships (suspect_after vs heartbeat gap,
-        # dead_after vs suspect_after); here the signs no cadence loop has.
-        if cfg.selfheal_dead_after_ns <= 0:
-            raise ValidationError("selfheal_dead_after_ns must be positive")
-        if cfg.selfheal_repair_grace_ns < 0:
-            raise ValidationError("selfheal_repair_grace_ns must be >= 0")
-
     def build_stores(self, fw):
-        cfg = fw.config
-        fw.selfheal = SelfHealManager(
-            fw.clock,
-            fw.ring,
-            SelfHealConfig(
-                detector=FailureDetectorConfig(dead_after_ns=cfg.selfheal_dead_after_ns),
-                repairer=RingRepairerConfig(grace_ns=cfg.selfheal_repair_grace_ns),
-            ),
-            tracer=fw.tracer,
-        )
+        fw.selfheal = SelfHealManager(fw.clock, fw.ring, tracer=fw.tracer)
         fw.selfheal_exporter = SelfHealExporter(fw.selfheal)
         register_faults(fw.faults, fw.selfheal)
 

@@ -3,6 +3,7 @@ everything ``enable_slo`` wires on top of the finished pipeline."""
 
 from __future__ import annotations
 
+from repro.alerting.alertmanager import Route
 from repro.cluster.faults import FaultKind
 from repro.common.errors import ValidationError
 from repro.common.labels import Matcher, MatchOp
@@ -154,9 +155,8 @@ class SloPlane(Plane):
                     fw.pattern_ruler, PATTERN_FRESHNESS_BOUND_NS
                 ),
             )
-        # The burn rules exist whenever the plane does — they are not
-        # default rules, so install_default_rules has no say — and they
-        # therefore lead vmalert's evaluation order.
+        # The burn rules are added here, when the plane is built, not by
+        # install_rules, so they lead vmalert's evaluation order.
         for spec in manager.rule_specs():
             fw.vmalert.add_rule(spec)
         fw.slo_exporter = SloExporter(manager)
@@ -169,10 +169,10 @@ class SloPlane(Plane):
         # slow-burn tickets per (alert, SLO) for the Slack channel —
         # tickets never reach ServiceNow at all.
         return [
-            fw.route(
+            Route(
                 "slack",
-                ("alertname", "slo", "cluster"),
-                (Matcher("category", MatchOp.EQ, "slo"),),
+                matchers=(Matcher("category", MatchOp.EQ, "slo"),),
+                group_by=("alertname", "slo", "cluster"),
             )
         ]
 

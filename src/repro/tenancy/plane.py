@@ -3,7 +3,7 @@
 
 from __future__ import annotations
 
-from repro.alerting.rules import RuleSpec
+from repro.alerting.rules import RULE_FOR, RuleSpec
 from repro.cluster.faults import FaultKind
 from repro.common.errors import CapacityError, ValidationError
 from repro.common.labels import LabelSet
@@ -12,6 +12,7 @@ from repro.core.faults import push_lines
 from repro.core.plane import Plane, query_frontend
 from repro.exporters.tenancy_exporter import TenancyExporter
 from repro.grafana.panels import StatPanel, TimeSeriesPanel, TopListPanel
+from repro.ring.distributor import REPLICATION_FACTOR
 from repro.tenancy.admission import AdmissionController
 from repro.tenancy.limits import LimitsRegistry
 from repro.tenancy.scheduler import QueryScheduler
@@ -73,11 +74,11 @@ class TenancyPlane(Plane):
             raise ValidationError("tenant_shard_size must be >= 0")
         if (
             cfg.enable_ingest_ring
-            and 0 < cfg.tenant_shard_size < cfg.ring_replication
+            and 0 < cfg.tenant_shard_size < REPLICATION_FACTOR
         ):
             raise ValidationError(
                 "tenant_shard_size must be 0 (disabled) or >= "
-                "ring_replication"
+                f"{REPLICATION_FACTOR}, the replication factor"
             )
 
     def build_stores(self, fw):
@@ -103,7 +104,7 @@ class TenancyPlane(Plane):
             RuleSpec(
                 name="TenantRateLimited",
                 expr="tenant_ingest_discarded_recent > 0",
-                for_=fw.config.rule_for,
+                for_=RULE_FOR,
                 labels={"severity": "warning", "category": "tenancy"},
                 annotations={
                     "summary": "Tenant {{ $labels.tenant }} is being "

@@ -3,7 +3,7 @@
 import pytest
 
 from repro.common.errors import QueryError
-from repro.common.simclock import minutes, seconds
+from repro.common.simclock import minutes
 from repro.cluster.topology import ClusterSpec
 from repro.core.framework import FrameworkConfig, MonitoringFramework
 from repro.tsdb.promql import PromAbsent, PromQLEngine, parse_promql

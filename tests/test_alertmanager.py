@@ -160,6 +160,16 @@ class TestRouting:
         with pytest.raises(ValidationError):
             am.register_receiver(MemoryReceiver("mem"))
 
+    @pytest.mark.parametrize("attr", ["group_interval", "repeat_interval"])
+    def test_zero_interval_rejected(self, attr):
+        # A zero group_interval re-armed the group's flush forever at one
+        # instant; a zero repeat_interval re-notified on every flush.
+        with pytest.raises(ValidationError, match=attr):
+            Route(
+                receiver="mem", group_by=("alertname",), group_wait="0s",
+                **{attr: "0s"},
+            )
+
 
 class TestSilences:
     def test_active_silence_drops_alert(self, world):

@@ -16,7 +16,7 @@ generated traffic rather than a handful of examples:
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.common.simclock import hours, minutes, seconds
+from repro.common.simclock import hours, seconds
 from repro.slo import (
     DEFAULT_BURN_WINDOWS,
     budget_rate,

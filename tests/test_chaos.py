@@ -75,7 +75,7 @@ class TestMalformedTelemetry:
         fw.run_for(minutes(1))
         if fw.config.enable_reliable_delivery:
             # records_failed counts *attempts* here: each poison record
-            # is retried max_delivery_failures times, then quarantined.
+            # is retried MAX_DELIVERY_FAILURES times, then quarantined.
             assert fw.syslog_consumer.records_quarantined == 2
         else:
             assert fw.syslog_consumer.records_failed == 2

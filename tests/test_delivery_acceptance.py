@@ -12,8 +12,9 @@ import pytest
 from repro.common.simclock import minutes, seconds
 from repro.cluster.faults import FaultKind
 from repro.cluster.topology import ClusterSpec
+from repro.core.consumers import MAX_DELIVERY_FAILURES
 from repro.core.framework import FrameworkConfig, MonitoringFramework
-from repro.shasta.hms import TOPIC_SENSOR_TELEMETRY, TOPIC_SYSLOG
+from repro.shasta.hms import TOPIC_SENSOR_TELEMETRY
 
 
 def reliable_framework(**overrides) -> MonitoringFramework:
@@ -77,7 +78,7 @@ class TestZeroLossAcceptance:
         ]
         assert len(node_down) == 1
 
-        # The poison record quarantined after max_delivery_failures
+        # The poison record quarantined after MAX_DELIVERY_FAILURES
         # attempts, with provenance headers, and the stream kept flowing.
         assert fw.sensor_consumer.records_quarantined == 1
         assert fw.broker.dlq_depth(TOPIC_SENSOR_TELEMETRY) == 1
@@ -85,9 +86,7 @@ class TestZeroLossAcceptance:
             "inspector", fw.broker.dlq_topic(TOPIC_SENSOR_TELEMETRY), 10
         )
         assert dead.header("dlq-source-topic") == TOPIC_SENSOR_TELEMETRY
-        assert dead.header("dlq-failures") == str(
-            fw.config.max_delivery_failures
-        )
+        assert dead.header("dlq-failures") == str(MAX_DELIVERY_FAILURES)
         assert fw.sensor_consumer.records_processed > 0
         assert fw.sensor_consumer.lag() == 0
 

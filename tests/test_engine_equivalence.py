@@ -8,7 +8,7 @@ any indexing bug that changes results surfaces here.
 
 from hypothesis import given, settings, strategies as st
 
-from repro.common.labels import METRIC_NAME_LABEL, LabelSet, label_matcher
+from repro.common.labels import LabelSet, label_matcher
 from repro.loki.logql.engine import LogQLEngine
 from repro.loki.model import LogEntry, PushRequest
 from repro.loki.store import LokiStore

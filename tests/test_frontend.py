@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.common.errors import ValidationError
-from repro.common.simclock import SimClock, hours, minutes, seconds
+from repro.common.simclock import SimClock, hours, minutes
 from repro.loki.frontend import QueryFrontend
 from repro.loki.logql.engine import LogQLEngine
 from repro.loki.model import PushRequest

@@ -15,9 +15,6 @@ def fw():
         FrameworkConfig(
             cluster_spec=ClusterSpec(cabinets=1, chassis_per_cabinet=2),
             enable_proactive_detection=True,
-            # Low threshold so a thermal excursion is *also* caught by the
-            # classic rule — the proactive path should win on time.
-            hot_node_threshold_c=70.0,
         )
     )
 

@@ -16,7 +16,7 @@ from repro.common.jsonutil import (
     dumps_compact,
 )
 from repro.common.simclock import SimClock, minutes
-from repro.core.consumers import LogLineConsumer
+from repro.core.consumers import MAX_DELIVERY_FAILURES, LogLineConsumer
 from repro.core.framework import FrameworkConfig, MonitoringFramework
 from repro.omni.warehouse import OmniWarehouse
 from repro.shasta.hms import TOPIC_SYSLOG
@@ -167,11 +167,11 @@ class TestPoisonEnvelopes:
             fw.broker.produce(TOPIC_SYSLOG, value)
         fw.publish_syslog({"app": "a", "hostname": "x1c0s0b0n0"}, fw.clock.now_ns, "good line")
         # Reliably delivered, a poison record blocks its partition for
-        # max_delivery_failures pumps before the one behind it gets a turn.
+        # MAX_DELIVERY_FAILURES pumps before the one behind it gets a turn.
         fw.run_for(minutes(5))
         pod = fw.syslog_consumer
         if reliable:
-            retries = fw.config.max_delivery_failures
+            retries = MAX_DELIVERY_FAILURES
             assert pod.records_failed == retries * len(poison)
             assert pod.records_quarantined == len(poison)
             assert fw.broker.dlq_depth(TOPIC_SYSLOG) == len(poison)

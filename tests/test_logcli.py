@@ -66,6 +66,23 @@ class TestLogQueries:
         )
         assert "online" in out and "offline" not in out
 
+    def test_limit_zero_means_no_limit(self, store):
+        out = run_logcli(
+            store,
+            ["query", '{app="fm"}', "--from", "0", "--to", str(minutes(1)),
+             "--limit", "0", "--output", "raw"],
+        )
+        assert len(out.splitlines()) == 2
+
+    def test_negative_limit_rejected(self, store):
+        # rows[-(-1):] would drop the oldest line instead of capping.
+        with pytest.raises(ValidationError, match="--limit"):
+            run_logcli(
+                store,
+                ["query", '{app="fm"}', "--from", "0",
+                 "--to", str(minutes(1)), "--limit", "-1"],
+            )
+
     def test_bad_window_rejected(self, store):
         with pytest.raises(ValidationError):
             run_logcli(store, ["query", '{app="fm"}', "--from", "10", "--to", "10"])

@@ -4,7 +4,7 @@ import json
 
 import pytest
 
-from repro.common.errors import QueryError
+from repro.common.errors import QueryError, ValidationError
 from repro.common.labels import LabelSet
 from repro.common.simclock import minutes
 from repro.loki.logcli import run_logcli
@@ -66,6 +66,16 @@ class TestPatternsTable:
         store, patterns = world
         out = run(store, patterns, "--limit", "1")
         assert len(out.splitlines()) == 2  # header + one row
+
+    def test_limit_zero_means_no_limit(self, world):
+        store, patterns = world
+        out = run(store, patterns, "--limit", "0")
+        assert len(out.splitlines()) == 3  # header + both rows
+
+    def test_negative_limit_rejected(self, world):
+        store, patterns = world
+        with pytest.raises(ValidationError, match="--limit"):
+            run(store, patterns, "--limit", "-1")
 
     def test_patterns_without_store_is_query_error(self, world):
         store, _ = world

@@ -57,8 +57,6 @@ class TestConfig:
     def test_validation(self):
         with pytest.raises(ValidationError):
             tier_config(objstore_flush_interval_ns=0)
-        with pytest.raises(ValidationError):
-            tier_config(objstore_target_object_bytes=0)
 
 
 class TestEndToEnd:

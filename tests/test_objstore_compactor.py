@@ -98,6 +98,10 @@ class TestMerge:
         assert {r.key for r in index.refs()} == refs
         assert again.objects_deleted == 0
 
+    def test_non_positive_target_size_rejected(self):
+        with pytest.raises(ValidationError, match="target object size"):
+            CompactionPolicy(target_object_bytes=0)
+
 
 class TestReplicaDedup:
     def test_divergent_replica_chunks_dedup_at_merge(self):

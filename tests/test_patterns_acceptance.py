@@ -13,8 +13,8 @@ import pytest
 
 from repro.cluster.faults import FaultKind
 from repro.cluster.topology import ClusterSpec
-from repro.common.errors import QueryError, ValidationError
-from repro.common.simclock import minutes, seconds
+from repro.common.errors import QueryError
+from repro.common.simclock import minutes
 from repro.core.framework import FrameworkConfig, MonitoringFramework
 from repro.loki.logcli import run_logcli
 from repro.patterns.plane import RULER_INTERVAL_NS
@@ -56,12 +56,6 @@ class TestConfig:
     def test_env_flag_flips_the_default(self, monkeypatch):
         monkeypatch.setenv("REPRO_PATTERNS", "1")
         assert FrameworkConfig().enable_pattern_mining
-
-    def test_validation(self):
-        with pytest.raises(ValidationError):
-            patterns_config(patterns_sim_threshold=0.0)
-        with pytest.raises(ValidationError):
-            patterns_config(patterns_burst_factor=1.0)
 
 
 class TestStormSuppression:

@@ -7,13 +7,13 @@ PatternBurst event carries the same content-derived ``pattern_id``.
 """
 
 from repro.alerting.alertmanager import Alertmanager, Route
-from repro.alerting.events import AlertEvent, AlertState
+from repro.alerting.events import AlertState
 from repro.alerting.receivers import MemoryReceiver
 from repro.common.labels import LabelSet, label_matcher
 from repro.common.simclock import SimClock, minutes, seconds
 from repro.loki.model import LogEntry
 from repro.patterns.ingester import PatternIngester
-from repro.patterns.ruler import BURST_EXPR, PatternRuler
+from repro.patterns.ruler import PatternRuler
 from repro.patterns.store import PatternStore
 from tests.test_patterns_ruler import burst_rule
 

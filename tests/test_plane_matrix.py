@@ -18,6 +18,7 @@ from pathlib import Path
 
 import pytest
 
+from repro.alerting.alertmanager import Route
 from repro.alerting.rules import RuleSpec
 from repro.cluster.faults import FaultKind
 from repro.cluster.topology import ClusterSpec
@@ -147,8 +148,10 @@ class CanaryPlane(Plane):
 
     def routes(self, fw):
         return [
-            fw.route(
-                "slack", ("alertname",), (Matcher("category", MatchOp.EQ, "canary"),)
+            Route(
+                "slack",
+                matchers=(Matcher("category", MatchOp.EQ, "canary"),),
+                group_by=("alertname",),
             )
         ]
 
@@ -246,6 +249,25 @@ def test_every_cadence_field_is_covered():
     assert CADENCES == [
         "objstore_flush_interval_ns", "objstore_compaction_interval_ns",
         "queryx_split_interval_ns",
+    ]
+
+
+def test_config_holds_only_what_a_program_sets():
+    # A field stays only if a program caller sets or reads it, or it is a
+    # plane flag, a deployment setting or operator policy.
+    assert [f.name for f in fields(FrameworkConfig)] == [
+        "cluster_spec", "cluster_name", "seed",
+        "enable_proactive_detection",
+        "tracing_sampling",
+        "enable_ingest_ring", "ring_ingesters", "ring_zones",
+        "enable_self_healing",
+        "enable_reliable_delivery",
+        "enable_multi_tenancy", "tenant_overrides", "tenant_shard_size",
+        "enable_object_storage",
+        "objstore_flush_interval_ns", "objstore_compaction_interval_ns",
+        "enable_query_engine", "queryx_split_interval_ns",
+        "enable_pattern_mining",
+        "enable_slo", "slo_objectives",
     ]
 
 

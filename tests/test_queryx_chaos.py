@@ -26,7 +26,6 @@ def small_framework(**overrides):
     cfg = FrameworkConfig(
         cluster_spec=spec,
         enable_query_engine=True,
-        install_default_rules=False,
         **overrides,
     )
     return MonitoringFramework(cfg)
@@ -117,9 +116,8 @@ class TestSlowQuerier:
         assert fw.queryx.pool.worker("querier-2").slow_factor == 1.0
 
     def test_slow_querier_can_trip_slow_queries_signal(self):
-        fw = small_framework(
-            queryx_slow_query_threshold_ns=int(minutes(1) // 600),
-        )
+        fw = small_framework()
+        fw.queryx.slow_query_threshold_ns = int(minutes(1) // 600)
         fw.run_for(minutes(10))
         fw.faults.schedule(
             FaultKind.SLOW_QUERIER, "querier-0", delay_ns=0, factor=50.0,
@@ -141,7 +139,6 @@ class TestValidation:
         )
         fw = MonitoringFramework(FrameworkConfig(
             cluster_spec=spec, enable_query_engine=False,
-            install_default_rules=False,
         ))
         with pytest.raises(ValidationError):
             fw.faults.schedule(FaultKind.QUERIER_CRASH, "querier-0", delay_ns=0)

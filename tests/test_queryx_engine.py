@@ -178,7 +178,7 @@ class TestSchedulerPath:
         )
         flags = {plane.flag: True for plane in PLANES}
         fw = MonitoringFramework(
-            FrameworkConfig(cluster_spec=spec, install_default_rules=False, **flags)
+            FrameworkConfig(cluster_spec=spec, **flags)
         )
         fw.run_for(minutes(10))
         end = fw.clock.now_ns

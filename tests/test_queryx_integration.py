@@ -122,8 +122,8 @@ class TestSlowQueriesAlert:
         framework = MonitoringFramework(FrameworkConfig(
             cluster_spec=small_spec(),
             enable_query_engine=True,
-            queryx_slow_query_threshold_ns=1,  # every query is "slow"
         ))
+        framework.queryx.slow_query_threshold_ns = 1  # every query is "slow"
         framework.run_for(minutes(10))
         start, end = last_window(framework)
         framework.queryx.query_range(QUERY, start, end, minutes(1))

@@ -9,7 +9,7 @@ import pytest
 
 from repro.common.errors import NotFoundError, StateError, ValidationError
 from repro.common.labels import label_matcher
-from repro.loki.model import LogEntry, PushRequest
+from repro.loki.model import PushRequest
 from repro.ring.cluster import RingLokiCluster
 from repro.ring.distributor import QuorumError, ReadDegradedError
 from repro.selfheal.memberlist import Memberlist, MemberState

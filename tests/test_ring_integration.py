@@ -33,8 +33,8 @@ def ring_config(**overrides):
 
 class TestConfig:
     def test_replication_bounded_by_ingesters(self):
-        with pytest.raises(ValidationError):
-            ring_config(ring_ingesters=2, ring_replication=3)
+        with pytest.raises(ValidationError, match="ring_ingesters must be >= 3"):
+            ring_config(ring_ingesters=2)
 
     def test_ring_off_means_no_ring(self):
         fw = MonitoringFramework(

@@ -17,25 +17,32 @@ from repro.common.labels import LabelSet, label_matcher
 from repro.common.simclock import minutes, seconds
 from repro.core.framework import FrameworkConfig, MonitoringFramework
 from repro.loki.model import LogEntry
+from repro.selfheal.detector import FailureDetectorConfig
 from repro.selfheal.memberlist import MemberState
+from repro.selfheal.repairer import RingRepairerConfig
 
 MATCH_ALL = [label_matcher("app", "=~", ".+")]
 
 
-def heal_config(**overrides):
+def heal_framework(**overrides):
     """Timings widened so the 60s scrape / 30s vmalert cadence reliably
-    samples both the SUSPECT window and the under-replicated window."""
+    samples both the SUSPECT window and the under-replicated window.
+    The sweeps read them, so they are set before ``start()``."""
     defaults = dict(
         cluster_spec=ClusterSpec(cabinets=1, chassis_per_cabinet=2),
         enable_ingest_ring=True,
         enable_self_healing=True,
         ring_ingesters=6,
         ring_zones=3,
-        selfheal_dead_after_ns=seconds(90),
-        selfheal_repair_grace_ns=seconds(120),
     )
     defaults.update(overrides)
-    return FrameworkConfig(**defaults)
+    fw = MonitoringFramework(FrameworkConfig(**defaults))
+    if fw.selfheal is not None:
+        fw.selfheal.detector.config = FailureDetectorConfig(
+            dead_after_ns=seconds(90)
+        )
+        fw.selfheal.repairer.config = RingRepairerConfig(grace_ns=seconds(120))
+    return fw
 
 
 def feed(fw, streams=20, entries=10):
@@ -68,7 +75,7 @@ def victim_with_streams(fw):
 
 class TestUncleanPermanentLoss:
     def test_detect_repair_zero_loss_alert_lifecycle(self):
-        fw = MonitoringFramework(heal_config())
+        fw = heal_framework()
         fw.start()
         fw.run_for(seconds(30))
         expected = feed(fw)
@@ -111,7 +118,7 @@ class TestUncleanPermanentLoss:
         assert fault.detail["deaths_at_start"] == 0
 
     def test_selfheal_spans_traced(self):
-        fw = MonitoringFramework(heal_config(tracing_sampling=1.0))
+        fw = heal_framework(tracing_sampling=1.0)
         fw.start()
         feed(fw)
         victim = victim_with_streams(fw)
@@ -127,7 +134,7 @@ class TestUncleanPermanentLoss:
 
 class TestZoneOutage:
     def test_bounded_outage_restarts_instead_of_repairing(self):
-        fw = MonitoringFramework(heal_config())
+        fw = heal_framework()
         fw.start()
         fw.run_for(seconds(30))
         expected = feed(fw)
@@ -169,7 +176,7 @@ class TestZoneOutage:
         end: the supervisor must not restart it early (the outage is the
         scenario), the repairer must not re-home its data (it is coming
         back with its WAL), and fault end restarts + reactivates it."""
-        fw = MonitoringFramework(heal_config())
+        fw = heal_framework()
         fw.start()
         fw.run_for(seconds(30))
         expected = feed(fw)
@@ -196,7 +203,7 @@ class TestZoneOutage:
         assert read_all(fw) == expected
 
     def test_every_stream_keeps_a_replica_outside_each_zone(self):
-        fw = MonitoringFramework(heal_config())
+        fw = heal_framework()
         fw.start()
         feed(fw)
         for labels in fw.ring.stream_labels():
@@ -207,9 +214,7 @@ class TestZoneOutage:
 
 class TestWiring:
     def test_flag_off_means_no_selfheal(self):
-        fw = MonitoringFramework(
-            heal_config(enable_self_healing=False)
-        )
+        fw = heal_framework(enable_self_healing=False)
         fw.run_for(minutes(1))
         assert fw.selfheal is None
         assert fw.selfheal_exporter is None
@@ -234,7 +239,7 @@ class TestWiring:
         assert not FrameworkConfig().enable_self_healing
 
     def test_exporters_and_dashboard_render(self):
-        fw = MonitoringFramework(heal_config())
+        fw = heal_framework()
         fw.start()
         feed(fw)
         victim = victim_with_streams(fw)
@@ -259,7 +264,7 @@ class TestWiring:
         assert summary["selfheal_under_replicated_streams"] == 0.0
 
     def test_ring_health_carries_lifecycle_columns(self):
-        fw = MonitoringFramework(heal_config())
+        fw = heal_framework()
         fw.start()
         fw.run_for(minutes(1))
         health = fw.ring.ring_health()
@@ -269,9 +274,7 @@ class TestWiring:
             assert row["heartbeat_age_seconds"] >= 0.0
 
     def test_heartbeat_loss_without_selfheal_rejected(self):
-        fw = MonitoringFramework(
-            heal_config(enable_self_healing=False)
-        )
+        fw = heal_framework(enable_self_healing=False)
         fw.start()
         with pytest.raises(Exception, match="no handler registered"):
             fw.faults.schedule(FaultKind.HEARTBEAT_LOSS, "ingester-0")

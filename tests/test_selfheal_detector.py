@@ -15,7 +15,7 @@ by the Hypothesis suite (``test_selfheal_properties``):
 import pytest
 
 from repro.common.errors import StateError, ValidationError
-from repro.common.simclock import NANOS_PER_SECOND, SimClock, minutes, seconds
+from repro.common.simclock import SimClock, minutes, seconds
 from repro.ring.cluster import RingLokiCluster
 from repro.selfheal.detector import FailureDetector, FailureDetectorConfig
 from repro.selfheal.memberlist import Memberlist, MemberState

@@ -6,10 +6,8 @@ back at full effective replication, the member's tokens are released
 and its memberlist entry is terminal — all without operator action.
 """
 
-import pytest
-
 from repro.common.labels import LabelSet, label_matcher
-from repro.common.simclock import NANOS_PER_SECOND, SimClock, minutes, seconds
+from repro.common.simclock import SimClock, minutes, seconds
 from repro.loki.model import LogEntry
 from repro.selfheal.manager import SelfHealManager
 from repro.selfheal.memberlist import MemberState

@@ -10,7 +10,7 @@ down zone are left for the repair path.
 import pytest
 
 from repro.common.labels import LabelSet, label_matcher
-from repro.common.simclock import NANOS_PER_SECOND, SimClock, minutes, seconds
+from repro.common.simclock import SimClock, minutes, seconds
 from repro.loki.model import LogEntry
 from repro.resilience.backoff import BackoffPolicy
 from repro.ring.cluster import RingLokiCluster

@@ -24,6 +24,7 @@ from repro.loki.model import LogEntry
 from repro.loki.store import LokiStore, StoreStats
 from repro.omni.warehouse import OmniWarehouse
 from repro.ring.cluster import RingLokiCluster
+from repro.ring.distributor import REPLICATION_FACTOR
 from repro.shasta.hms import TOPIC_SYSLOG
 from repro.tenancy.admission import AdmissionController
 from repro.tenancy.limits import LimitsRegistry, TenantLimits
@@ -252,7 +253,7 @@ class TestSteadyStateBudget:
 
     @pytest.mark.parametrize(
         ("flags", "stores"),
-        [(PLANES_OFF, 1), (TENANCY_OVER_RING, FrameworkConfig.ring_replication)],
+        [(PLANES_OFF, 1), (TENANCY_OVER_RING, REPLICATION_FACTOR)],
         ids=["planes-off", "tenancy-over-ring"],
     )
     def test_a_line_of_a_known_stream(self, flags, stores):

@@ -169,7 +169,6 @@ class TestShuffleShardingEndToEnd:
             enable_multi_tenancy=True,
             enable_ingest_ring=True,
             ring_ingesters=8,
-            ring_replication=3,
             tenant_shard_size=3,
         )
         fw = MonitoringFramework(cfg)
