@@ -55,11 +55,11 @@ class AlertEvent:
 
 @dataclass
 class AlertSeriesState:
-    """Rule-side lifecycle state for one (rule, label-set) pair."""
+    """Rule-side lifecycle state for one (rule, label-set) pair, kept
+    while the series is active (and until its RESOLVED, if it fired)."""
 
-    pending_since_ns: int | None = None
+    #: When the series became active, this time.
+    pending_since_ns: int
     firing: bool = False
     last_value: float = 0.0
-    resolved_count: int = 0
-    fired_count: int = 0
     extra: dict[str, object] = field(default_factory=dict)

@@ -76,7 +76,7 @@ class RuleEvaluator:
     ``_query(compiled, time_ns)``.  Every sample returned for a rule is
     an active series.  A series fires once it has been continuously
     active for the rule's ``for`` duration, and resolves when it
-    disappears.
+    disappears; a rule keeps state for its active series only.
     """
 
     def __init__(
@@ -159,27 +159,24 @@ class RuleEvaluator:
         events: list[AlertEvent] = []
 
         for labels, sample in active.items():
-            state = states.setdefault(labels, AlertSeriesState())
+            state = states.get(labels)
+            if state is None:
+                state = states[labels] = AlertSeriesState(pending_since_ns=now)
             state.last_value = sample.value
-            if state.pending_since_ns is None:
-                state.pending_since_ns = now
             if not state.firing and now - state.pending_since_ns >= for_ns:
                 state.firing = True
-                state.fired_count += 1
                 events.append(self._make_event(rule, labels, sample.value, state, now))
 
-        for labels, state in states.items():
-            if labels in active:
-                continue
+        # A series no longer active is forgotten, as Prometheus forgets
+        # inactive alerts — after its RESOLVED, if it was firing.
+        for labels in [labels for labels in states if labels not in active]:
+            state = states.pop(labels)
             if state.firing:
-                state.firing = False
-                state.resolved_count += 1
                 events.append(
                     self._make_event(
                         rule, labels, state.last_value, state, now, resolved=True
                     )
                 )
-            state.pending_since_ns = None
 
         for event in events:
             self._notifier(event)
@@ -207,7 +204,7 @@ class RuleEvaluator:
             annotations=annotations,
             state=AlertState.RESOLVED if resolved else AlertState.FIRING,
             value=value,
-            started_at_ns=state.pending_since_ns or now_ns,
+            started_at_ns=state.pending_since_ns,
             fired_at_ns=now_ns,
             generator=self._generator,
         )
@@ -230,6 +227,4 @@ class RuleEvaluator:
         return self._series(lambda st: st.firing)
 
     def pending_series(self) -> list[tuple[str, LabelSet]]:
-        return self._series(
-            lambda st: st.pending_since_ns is not None and not st.firing
-        )
+        return self._series(lambda st: not st.firing)

@@ -8,9 +8,10 @@ Three provenances, as the paper lists them:
 * written by NERSC — :class:`~repro.exporters.aruba.ArubaExporter`.
 
 Every exporter is :class:`~repro.exporters.exporter.Exporter` over its own
-metric tables and exposes ``scrape() -> str`` returning the Prometheus text
-exposition format; :mod:`repro.exporters.textformat` formats and parses it,
-so vmagent exercises the real wire format.
+metric tables and exposes ``scrape()``, returning the typed batch of its
+readings (:class:`~repro.exporters.exporter.Scrape`) that vmagent stores;
+the batch's ``text()`` is the Prometheus text exposition, which
+:mod:`repro.exporters.textformat` formats and parses.
 
 This package exports by one rule: the four exporters the paper names and
 the text format.  A plane's self-exporter (``ring_exporter`` …

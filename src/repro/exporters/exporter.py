@@ -1,4 +1,4 @@
-"""The one exporter: metric tables in, exposition text out.
+"""The one exporter: metric tables in, a typed batch of readings out.
 
 Every exporter under :mod:`repro.exporters` is this class over its own
 tables.  A *table* is data, declared once at import: one
@@ -11,19 +11,20 @@ per scrape, and a part any of whose components is ``None`` is left out
 when the exporter is built, families and all (the store-gateway's
 metrics exist iff there is a store-gateway).
 
-:meth:`Exporter.scrape` is the only ``scrape`` in the package: it groups
-the readings under their family's pre-rendered ``# HELP`` / ``# TYPE``
-header in table order — a family with no reading this scrape is still a
-header — keeps readings of one family in the order they were read, and
-formats every sample through :func:`~repro.exporters.textformat.sample_line`.
-Values are rendered as floats (``3`` reads ``3.0``), so a read function
-hands counters over as they are.
+:meth:`Exporter.scrape` is the only ``scrape`` in the package.  It hands
+back a :class:`Scrape`: the readings grouped under their family in
+table order — a family with no reading this scrape is still there,
+empty — readings of one family in the order they were read, every value
+a ``float`` (a read function hands counters over as they are).  That
+batch is what the in-process vmagent stores, sample by sample; its
+:meth:`Scrape.text` is the ``/metrics`` view of the same batch, the
+Prometheus text exposition, rendered only when someone asks for it.
 """
 
 from __future__ import annotations
 
 from itertools import chain
-from typing import Callable, Iterable, Mapping
+from typing import Callable, Iterable, Iterator, Mapping
 
 from repro.common.errors import ValidationError
 from repro.exporters.textformat import family_header, sample_line
@@ -32,8 +33,39 @@ from repro.exporters.textformat import family_header, sample_line
 Reading = tuple[str, float, Mapping[str, str] | None]
 
 
+class Scrape:
+    """One scrape's readings: per family, in table order, the readings
+    read for it, in the order they were read, each value a ``float``."""
+
+    __slots__ = ("families", "_headers")
+
+    def __init__(
+        self, headers: Mapping[str, str], families: dict[str, list[Reading]]
+    ) -> None:
+        #: Family name → its readings.
+        self.families = families
+        self._headers = headers
+
+    def __iter__(self) -> Iterator[Reading]:
+        """The readings, family by family."""
+        return chain.from_iterable(self.families.values())
+
+    def text(self) -> str:
+        """The batch as Prometheus text exposition: each family's
+        ``# HELP`` / ``# TYPE`` header, then its sample lines."""
+        return "\n".join(
+            chain.from_iterable(
+                chain(
+                    (self._headers[family],),
+                    (sample_line(name, labels, value) for name, value, labels in readings),
+                )
+                for family, readings in self.families.items()
+            )
+        ) + "\n"
+
+
 class Exporter:
-    """Serves ``scrape() -> str`` over ``(table, read, *components)`` parts."""
+    """Serves ``scrape() -> Scrape`` over ``(table, read, *components)`` parts."""
 
     def __init__(self, *parts: tuple) -> None:
         self._headers: dict[str, str] = {}
@@ -48,15 +80,15 @@ class Exporter:
             self._reads.append((read, components))
         self.scrapes_served = 0
 
-    def scrape(self) -> str:
-        lines = {name: [header] for name, header in self._headers.items()}
+    def scrape(self) -> Scrape:
+        families: dict[str, list] = {name: [] for name in self._headers}
         for read, components in self._reads:
             for family, value, labels in read(*components):
-                samples = lines.get(family)
+                samples = families.get(family)
                 if samples is None:
                     raise ValidationError(
                         f"reading for undeclared metric family {family!r}"
                     )
-                samples.append(sample_line(family, labels, float(value)))
+                samples.append((family, float(value), labels))
         self.scrapes_served += 1
-        return "\n".join(chain.from_iterable(lines.values())) + "\n"
+        return Scrape(self._headers, families)

@@ -6,16 +6,18 @@ The format every exporter speaks::
     # TYPE node_temp_celsius gauge
     node_temp_celsius{xname="x1000c0s0b0n0"} 34.72
 
-vmagent parses this back into samples, so the scrape path exercises the
-real wire format instead of passing Python objects around.
+It is the ``/metrics`` view of an exporter's scrape, not the way a
+scrape reaches vmagent: exporter and vmagent share one process, so
+vmagent stores the typed batch :meth:`repro.exporters.exporter.Exporter.scrape`
+returns, and the text is rendered only when someone asks for it —
+:meth:`repro.exporters.exporter.Scrape.text`, pinned byte for byte by
+``tests/exposition_golden.json``.
 
 Two functions format it and nothing else under ``src/`` does:
 :func:`family_header` (the ``# HELP`` / ``# TYPE`` lines, validated) and
-:func:`sample_line`.  The renderer every exporter serves from is
-:meth:`repro.exporters.exporter.Exporter.scrape`, which groups a scrape's
-readings under headers it rendered when it was built;
-:func:`render_exposition` here is the same two functions over whole
-:class:`MetricFamily` objects, for tests and one-off views.
+:func:`sample_line`.  :func:`render_exposition` is the same two
+functions over whole :class:`MetricFamily` objects, for tests and
+one-off views; :func:`parse_exposition` reads any of it back.
 """
 
 from __future__ import annotations
@@ -24,7 +26,7 @@ import math
 import re
 from dataclasses import dataclass, field
 from numbers import Integral
-from typing import Iterator, Mapping
+from typing import Mapping
 
 from repro.common.errors import ValidationError
 
@@ -142,74 +144,54 @@ def render_exposition(families: list[MetricFamily]) -> str:
 def parse_exposition(text: str) -> list[MetricPoint]:
     """Parse exposition text into points (HELP/TYPE lines are skipped)."""
     points: list[MetricPoint] = []
-    for lineno, line in sample_lines(text):
-        name, labels, pos = parse_sample_head(line, lineno)
-        points.append(MetricPoint(name, labels, *parse_sample_fields(line, pos, lineno)))
-    return points
-
-
-def sample_lines(text: str) -> Iterator[tuple[int, str]]:
-    """The sample lines of an exposition, stripped, with their 1-based
-    line numbers; blank lines and ``#`` comments are skipped."""
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
-        if line and not line.startswith("#"):
-            yield lineno, line
-
-
-def parse_sample_head(line: str, lineno: int) -> tuple[str, dict[str, str], int]:
-    """The ``name{labels}`` head of a sample line: the metric name, its
-    labels unescaped, and the position the value field starts at."""
-    name_match = _NAME_PREFIX_RE.match(line)
-    if not name_match:
-        raise ValidationError(f"bad exposition line {lineno}: {line!r}")
-    name = name_match.group()
-    pos = name_match.end()
-    labels: dict[str, str] = {}
-    if pos < len(line) and line[pos] == "{":
-        pos += 1
-        while pos < len(line) and line[pos] != "}":
-            lm = _LABEL_RE.match(line, pos)
-            if not lm:
-                raise ValidationError(
-                    f"bad label pair on exposition line {lineno}: {line!r}"
-                )
-            labels[lm.group(1)] = _unescape(lm.group(2))
-            pos = lm.end()
-            if pos < len(line) and line[pos] == ",":
-                pos += 1
-        if pos >= len(line) or line[pos] != "}":
-            raise ValidationError(f"unterminated labels on line {lineno}: {line!r}")
-        pos += 1
-    return name, labels, pos
-
-
-def parse_sample_fields(line: str, pos: int, lineno: int) -> tuple[float, int | None]:
-    """The value and optional millisecond timestamp after a sample
-    line's head, which ends at ``pos``."""
-    rest = line[pos:].split()
-    if not rest or len(rest) > 2:
-        raise ValidationError(f"bad exposition line {lineno}: {line!r}")
-    value_text = rest[0]
-    try:
-        if value_text == "NaN":
-            value = float("nan")
-        elif value_text in ("+Inf", "Inf"):
-            value = float("inf")
-        elif value_text == "-Inf":
-            value = float("-inf")
-        else:
-            value = float(value_text)
-    except ValueError:
-        raise ValidationError(
-            f"bad value on exposition line {lineno}: {value_text!r}"
-        ) from None
-    ts: int | None = None
-    if len(rest) == 2:
+        if not line or line.startswith("#"):
+            continue
+        name_match = _NAME_PREFIX_RE.match(line)
+        if not name_match:
+            raise ValidationError(f"bad exposition line {lineno}: {line!r}")
+        pos = name_match.end()
+        labels: dict[str, str] = {}
+        if pos < len(line) and line[pos] == "{":
+            pos += 1
+            while pos < len(line) and line[pos] != "}":
+                lm = _LABEL_RE.match(line, pos)
+                if not lm:
+                    raise ValidationError(
+                        f"bad label pair on exposition line {lineno}: {line!r}"
+                    )
+                labels[lm.group(1)] = _unescape(lm.group(2))
+                pos = lm.end()
+                if pos < len(line) and line[pos] == ",":
+                    pos += 1
+            if pos >= len(line) or line[pos] != "}":
+                raise ValidationError(f"unterminated labels on line {lineno}: {line!r}")
+            pos += 1
+        rest = line[pos:].split()
+        if not rest or len(rest) > 2:
+            raise ValidationError(f"bad exposition line {lineno}: {line!r}")
+        value_text = rest[0]
         try:
-            ts = int(rest[1])
+            if value_text == "NaN":
+                value = float("nan")
+            elif value_text in ("+Inf", "Inf"):
+                value = float("inf")
+            elif value_text == "-Inf":
+                value = float("-inf")
+            else:
+                value = float(value_text)
         except ValueError:
             raise ValidationError(
-                f"bad timestamp on exposition line {lineno}: {rest[1]!r}"
+                f"bad value on exposition line {lineno}: {value_text!r}"
             ) from None
-    return value, ts
+        ts: int | None = None
+        if len(rest) == 2:
+            try:
+                ts = int(rest[1])
+            except ValueError:
+                raise ValidationError(
+                    f"bad timestamp on exposition line {lineno}: {rest[1]!r}"
+                ) from None
+        points.append(MetricPoint(name_match.group(), labels, value, ts))
+    return points

@@ -18,8 +18,7 @@ from __future__ import annotations
 
 import enum
 from functools import cached_property
-from itertools import accumulate
-from typing import Iterable, Iterator, Protocol, Union
+from typing import Iterable, Iterator, Protocol, Sequence, Union
 
 import numpy as np
 
@@ -44,6 +43,7 @@ from repro.common.vectorlang import (
     VectorParser,
     node,
 )
+from repro.tsdb.storage import Selection
 
 #: Prometheus staleness lookback for instant selectors.
 DEFAULT_LOOKBACK_NS = minutes(5)
@@ -164,16 +164,13 @@ class MetricSource(Protocol):
     """What the engine needs from a TSDB: the series matching
     ``matchers`` that hold a sample with ``start_ns <= ts < end_ns``, in
     ascending label order, each with its time-ordered (timestamps,
-    values) inside that window.  The engine reads the arrays and never
-    writes to them."""
+    values) inside that window — a :class:`~repro.tsdb.storage.Selection`,
+    whose columns the engine reads as they are, or any sequence of such
+    rows.  The engine reads the arrays and never writes to them."""
 
     def select(
         self, matchers: Iterable[Matcher], start_ns: int, end_ns: int
-    ) -> list[tuple[LabelSet, np.ndarray, np.ndarray]]: ...
-
-
-_PAD_TS = np.zeros(1, dtype=np.int64)
-_PAD_VALUE = np.zeros(1)
+    ) -> Sequence[tuple[LabelSet, np.ndarray, np.ndarray]]: ...
 
 
 class _Read:
@@ -188,23 +185,17 @@ class _Read:
 
     def __init__(
         self,
-        selected: list[tuple[LabelSet, np.ndarray, np.ndarray]],
+        selected: Sequence[tuple[LabelSet, np.ndarray, np.ndarray]],
         steps: np.ndarray,
         ranges: tuple[int, ...],
     ) -> None:
-        labels, self._series_ts, series_values = (
-            zip(*selected) if selected else ((), (), ())
-        )
-        self.labels = list(labels)
-        self.starts = np.fromiter(
-            accumulate(map(len, self._series_ts[:-1]), initial=0),
-            dtype=np.intp,
-            count=len(selected),
-        )
-        self.ts = np.concatenate(self._series_ts + (_PAD_TS,))
-        self.values = np.concatenate(series_values + (_PAD_VALUE,))
+        selection = Selection.of(selected)
+        self.labels = selection.labels
+        self._bounds = selection.bounds
+        self.starts = selection.bounds[:-1]
+        self.ts, self.values = selection.ts, selection.values
         # Both edges of every window (t - range, t], for every range
-        # function's range, in one search a series.
+        # function's range, in one search.
         edges = self.positions(np.concatenate([steps - r for r in ranges] + [steps]))
         n = len(steps)
         #: Where each step's windows end, and per range where they begin.
@@ -214,11 +205,19 @@ class _Read:
     def positions(self, instants: np.ndarray) -> np.ndarray:
         """Per series and instant, the position in the end-to-end columns
         just past the series' last sample at or before the instant (its
-        first position, if it has none that early)."""
-        out = np.empty((len(self.labels), len(instants)), dtype=np.intp)
-        for row, ts in zip(out, self._series_ts):
-            row[:] = ts.searchsorted(instants, "right")
-        out += self.starts[:, None]
+        first position, if it has none that early).
+
+        No loop over series: a sample's *rank* is how many instants come
+        before it, so a series' samples at or before the instant of rank
+        j are those of rank j or less — a count of ranks per series, run
+        up the instants."""
+        order = instants.argsort(kind="stable")
+        rank = instants[order].searchsorted(self.ts[:-1], "left")
+        series, width = len(self.labels), len(instants) + 1
+        rank += np.arange(0, series * width, width).repeat(self._bounds[1:] - self.starts)
+        counts = np.bincount(rank, minlength=series * width).reshape(series, width)
+        out = np.empty((series, len(instants)), dtype=np.intp)
+        out[:, order] = counts[:, :-1].cumsum(axis=1) + self.starts[:, None]
         return out
 
     @cached_property

@@ -2,31 +2,34 @@
 
 Paper §IV workflow: "VMagent directly pushes metrics to the
 VictoriaMetrics cluster in OMNI."  Each scrape target gets the standard
-``job``/``instance`` labels added to every parsed sample.
+``job``/``instance`` labels added to every sample it hands over.
+
+An exporter and vmagent share one process, so a scrape is the exporter's
+typed batch of readings (:class:`~repro.exporters.exporter.Scrape`), not
+its text: nothing is formatted to be parsed back.  A reading names its
+series by ``(family, labels)``; a target resolves each such key to the
+series' label set once, and forgets them all once they outnumber twice
+a scrape's readings.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Protocol
+from typing import Iterable, Mapping, Protocol
 
 from repro.common.errors import ValidationError
 from repro.common.labels import LabelSet
 from repro.common.simclock import SimClock
-from repro.exporters.textformat import (
-    parse_sample_fields,
-    parse_sample_head,
-    sample_lines,
-)
 from repro.tsdb.storage import TimeSeriesStore
 
-#: Exposition line head exactly as rendered (``name{label-string}``) →
-#: the series it names once job/instance are added.
-_Heads = dict[str, tuple[str, LabelSet]]
+#: ``(family, labels items)`` of a reading (the family alone if it has
+#: no labels) → its series' name and label set, ``job``/``instance``
+#: added.
+_Series = dict[tuple | str, tuple[str, LabelSet]]
 
 
 class Scrapable(Protocol):
-    def scrape(self) -> str: ...
+    def scrape(self) -> Iterable[tuple[str, float, Mapping[str, str] | None]]: ...
 
 
 @dataclass(frozen=True)
@@ -49,9 +52,10 @@ class VMAgent:
         self._store = store
         self._clock = clock
         self._targets: list[ScrapeTarget] = []
-        # Per target, the heads of its last good scrape (so a target whose
-        # label values churn does not grow the memo).
-        self._heads: list[_Heads] = []
+        # Per target, the series its scrapes named, forgotten once they
+        # outnumber twice a scrape's readings (so a target whose label
+        # values churn does not grow the memo).
+        self._series: list[_Series] = []
         self.scrapes_done = 0
         self.samples_pushed = 0
         self.scrape_errors = 0
@@ -65,60 +69,56 @@ class VMAgent:
                 f"duplicate target {target.job}/{target.instance}"
             )
         self._targets.append(target)
-        self._heads.append({})
+        self._series.append({})
 
     def targets(self) -> list[ScrapeTarget]:
         return list(self._targets)
 
     def scrape_all(self) -> int:
-        """Scrape every target once; returns samples pushed."""
+        """Scrape every target once; returns samples pushed.
+
+        A scrape is all or nothing: if the exporter fails, or any of its
+        readings does not name a valid series, nothing of it is stored
+        and the target's ``up`` is 0."""
         now = self._clock.now_ns
+        ingest = self._store.ingest
         pushed = 0
         for i, target in enumerate(self._targets):
             up = {"job": target.job, "instance": target.instance}
             try:
-                points, self._heads[i] = self._parse(
-                    target, target.exporter.scrape(), self._heads[i]
-                )
+                points = self._resolve(target, target.exporter.scrape(), self._series[i])
             except Exception:
                 self.scrape_errors += 1
                 # Synthesise the `up` metric Prometheus would record.
-                self._store.ingest("up", up, 0.0, now)
+                ingest("up", up, 0.0, now)
                 continue
-            for name, labels, value in points:
-                if self._store.ingest(name, labels, value, now):
-                    pushed += 1
-            self._store.ingest("up", up, 1.0, now)
+            for (name, labels), value in points:
+                pushed += ingest(name, labels, value, now)
+            ingest("up", up, 1.0, now)
             self.scrapes_done += 1
         self.samples_pushed += pushed
         return pushed
 
     @staticmethod
-    def _parse(
-        target: ScrapeTarget, text: str, known: _Heads
-    ) -> tuple[list[tuple[str, LabelSet, float]], _Heads]:
-        """Parse one exposition into (name, labels, value) samples and the
-        heads it carried.  Only a head ``known`` does not hold goes
-        through the label grammar; the value and timestamp fields of
-        every line are parsed and validated."""
+    def _resolve(
+        target: ScrapeTarget,
+        readings: Iterable[tuple[str, float, Mapping[str, str] | None]],
+        known: _Series,
+    ) -> list[tuple[tuple[str, LabelSet], float]]:
+        """Each reading of one scrape with the series it names.  Only a
+        key ``known`` does not hold builds (and so validates) a label
+        set; the exporter's own ``job`` or ``instance`` wins over the
+        target's."""
         points = []
-        heads: _Heads = {}
-        for lineno, line in sample_lines(text):
-            # No field can hold a `}`, so the last one closes the labels;
-            # a line without labels has its name end at the first blank.
-            end = line.rfind("}") + 1 or len(line.split(None, 1)[0])
-            head = line[:end]
-            series = known.get(head)
+        for family, value, labels in readings:
+            key = (family, tuple(labels.items())) if labels else family
+            series = known.get(key)
             if series is None:
-                name, labels, end = parse_sample_head(line, lineno)
-                labels.setdefault("job", target.job)
-                labels.setdefault("instance", target.instance)
-                series = (name, LabelSet(labels))
-            if end == len(head):
-                # Else the grammar ends the head elsewhere (`m1.5 2` is
-                # `m1` with value .5): such a line is parsed in full
-                # every time.
-                heads[head] = series
-            value, _timestamp_ms = parse_sample_fields(line, end, lineno)
-            points.append((*series, value))
-        return points, heads
+                full = dict(labels) if labels else {}
+                full.setdefault("job", target.job)
+                full.setdefault("instance", target.instance)
+                series = known[key] = (family, LabelSet(full))
+            points.append((series, value))
+        if len(known) > 2 * len(points):
+            known.clear()  # label values churn: keep no more than they need
+        return points

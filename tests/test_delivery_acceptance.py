@@ -127,7 +127,7 @@ class TestMonitoringTheDeliveryPlane:
         fw.start()
         fw.broker.produce(TOPIC_SENSOR_TELEMETRY, "garbage")
         fw.run_for(minutes(5))
-        text = fw.delivery_exporter.scrape()
+        text = fw.delivery_exporter.scrape().text()
         assert 'alert_delivery_pending{receiver="servicenow"}' in text
         assert 'alert_delivery_breaker_state{receiver="slack"}' in text
         assert (

@@ -95,9 +95,9 @@ class TestExporterMigration:
                     return sample.value
             raise AssertionError("gauge missing")
 
-        first = recent(exporter.scrape())
+        first = recent(exporter.scrape().text())
         assert first > 0  # burst visible on the first scrape
-        assert recent(exporter.scrape()) == 0.0  # self-resolves when quiet
+        assert recent(exporter.scrape().text()) == 0.0  # self-resolves when quiet
 
     def test_queryx_recent_slow_self_resolves(self):
         class FakePool:
@@ -135,7 +135,7 @@ class TestExporterMigration:
                     return sample.value
             raise AssertionError("gauge missing")
 
-        assert recent(exporter.scrape()) == 2.0
-        assert recent(exporter.scrape()) == 0.0
+        assert recent(exporter.scrape().text()) == 2.0
+        assert recent(exporter.scrape().text()) == 0.0
         engine.slow_queries_total = 5
-        assert recent(exporter.scrape()) == 3.0
+        assert recent(exporter.scrape().text()) == 3.0

@@ -138,7 +138,7 @@ def _read_two(source):
 class TestExporterTables:
     def test_groups_readings_under_headers_in_table_order(self):
         exp = Exporter((_TABLE, _read_two, {"depth": 3, "ok": 5, "bad": True}))
-        assert exp.scrape() == (
+        assert exp.scrape().text() == (
             "# HELP t_requests_total Requests.\n# TYPE t_requests_total counter\n"
             't_requests_total{code="200"} 5.0\nt_requests_total{code="500"} 1.0\n'
             "# HELP t_depth Depth.\n# TYPE t_depth gauge\nt_depth 3.0\n"
@@ -147,7 +147,7 @@ class TestExporterTables:
 
     def test_family_without_readings_is_still_a_header(self):
         exp = Exporter((_TABLE, lambda: iter(())))
-        assert exp.scrape().splitlines() == [
+        assert exp.scrape().text().splitlines() == [
             "# HELP t_requests_total Requests.", "# TYPE t_requests_total counter",
             "# HELP t_depth Depth.", "# TYPE t_depth gauge",
         ]
@@ -156,8 +156,8 @@ class TestExporterTables:
         extra = ((("t_extra", "untyped", ""),), lambda c: [("t_extra", c, None)])
         without = Exporter((_TABLE, _read_two, {"depth": 0, "ok": 0, "bad": 0}),
                            (*extra, None))
-        assert "t_extra" not in without.scrape()
-        assert Exporter((*extra, 4)).scrape() == "# TYPE t_extra untyped\nt_extra 4.0\n"
+        assert "t_extra" not in without.scrape().text()
+        assert Exporter((*extra, 4)).scrape().text() == "# TYPE t_extra untyped\nt_extra 4.0\n"
 
     @pytest.mark.parametrize(
         "table",
@@ -179,7 +179,7 @@ class TestExporterTables:
     def test_reading_for_an_undeclared_family_is_rejected(self):
         exp = Exporter((_TABLE, lambda: [("t_other", 1.0, None)]))
         with pytest.raises(ValidationError):
-            exp.scrape()
+            exp.scrape().text()
 
 
 class TestNodeExporter:
@@ -190,7 +190,7 @@ class TestNodeExporter:
 
     def test_exports_three_families_per_node(self, world):
         cluster, exp = world
-        points = parse_exposition(exp.scrape())
+        points = parse_exposition(exp.scrape().text())
         names = {p.name for p in points}
         assert names == {"node_up", "node_temp_celsius", "node_power_watts"}
         ups = [p for p in points if p.name == "node_up"]
@@ -201,7 +201,7 @@ class TestNodeExporter:
         cluster, exp = world
         node = next(iter(cluster.nodes))
         cluster.set_node_state(node, NodeState.DOWN)
-        points = parse_exposition(exp.scrape())
+        points = parse_exposition(exp.scrape().text())
         down = [
             p for p in points if p.name == "node_up" and p.labels["xname"] == str(node)
         ]
@@ -211,7 +211,7 @@ class TestNodeExporter:
         cluster, _ = world
         subset = sorted(cluster.nodes)[:3]
         exp = NodeExporter(cluster, build_standard_bank(cluster), nodes=subset)
-        points = parse_exposition(exp.scrape())
+        points = parse_exposition(exp.scrape().text())
         assert len([p for p in points if p.name == "node_up"]) == 3
 
 
@@ -224,7 +224,7 @@ class TestBlackboxExporter:
                 ProbeTarget("crashy", lambda: 1 / 0),
             ]
         )
-        points = parse_exposition(exp.scrape())
+        points = parse_exposition(exp.scrape().text())
         by_target = {
             p.labels["target"]: p.value for p in points if p.name == "probe_success"
         }
@@ -242,7 +242,7 @@ class TestBlackboxExporter:
         exp.add_target(ProbeTarget("late", lambda: (True, np.float32(0.5))))
         values = {
             (p.name, p.labels["target"]): p.value
-            for p in parse_exposition(exp.scrape())
+            for p in parse_exposition(exp.scrape().text())
         }
         assert values == {
             ("probe_success", "np"): 1.0, ("probe_duration_seconds", "np"): 0.25,
@@ -258,7 +258,7 @@ class TestKafkaExporter:
         broker.produce("t", "hello")
         broker.poll("g", "t", 1)
         broker.produce("t", "more")
-        points = parse_exposition(KafkaExporter(broker).scrape())
+        points = parse_exposition(KafkaExporter(broker).scrape().text())
         msg = [p for p in points if p.name == "kafka_topic_messages_total"]
         assert msg[0].value == 2.0
         lag = [p for p in points if p.name == "kafka_consumergroup_lag"]
@@ -271,13 +271,13 @@ class TestArubaExporter:
         b = ArubaExporter(switches=1, ports_per_switch=4, seed=1)
         for e in (a, b):
             e.step()
-        assert a.scrape() == b.scrape()
+        assert a.scrape().text() == b.scrape().text()
 
     def test_down_port_moves_no_traffic(self):
         exp = ArubaExporter(switches=1, ports_per_switch=2, seed=0, flap_probability=0)
         exp.force_port(0, 0, False)
         exp.step()
-        points = parse_exposition(exp.scrape())
+        points = parse_exposition(exp.scrape().text())
         rx = {
             p.labels["port"]: p.value
             for p in points
@@ -324,7 +324,7 @@ def test_every_selected_metric_is_declared_or_recorded():
     fw = MonitoringFramework(_config(FLAGS, tracing_sampling=1.0))
     written = set(NON_EXPORTER_SERIES)
     for target in fw.vmagent.targets():
-        lines = target.exporter.scrape().splitlines()
+        lines = target.exporter.scrape().text().splitlines()
         written.update(ln.split()[2] for ln in lines if ln.startswith("# TYPE "))
     recording = fw.slo_manager.recording.rules()
     written.update(rule.record for rule in recording)

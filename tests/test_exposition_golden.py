@@ -1,8 +1,9 @@
 """Every exporter's exposition text, pinned as data.
 
 ``exposition_golden.json`` records, for the wiring manifest's eleven
-plane configurations on the small cluster, the exact text every scrape
-target handed vmagent at three of its scrapes of one short seeded run:
+plane configurations on the small cluster, the exact text of the batch
+every scrape target handed vmagent at three of its scrapes of one short
+seeded run:
 the first (every since-last-scrape gauge baselines against zero, the
 query scheduler is idle so six ``tenant_query_*`` families are a header
 and nothing else), one in the middle of the faults (an ingester down, a
@@ -108,9 +109,10 @@ def expositions(on: tuple[str, ...]) -> dict[str, dict[str, list[str]]]:
     for target in fw.vmagent.targets():
         texts = served[target.job] = []
 
-        def recording(scrape=target.exporter.scrape, texts=texts) -> str:
-            texts.append(scrape())
-            return texts[-1]
+        def recording(scrape=target.exporter.scrape, texts=texts):
+            batch = scrape()
+            texts.append(batch.text())
+            return batch
 
         target.exporter.scrape = recording  # shim on the instance
     _schedule_faults(fw)

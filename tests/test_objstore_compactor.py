@@ -199,7 +199,7 @@ class TestDeleteRequests:
         assert expired > 2
         text = ObjstoreExporter(
             objstore, index, ChunkShipper(store, objstore, index, clock), compactor
-        ).scrape()
+        ).scrape().text()
         deleted = 'objstore_retention_chunks_deleted_total{reason="%s"} %s'
         assert deleted % ("request", float(chunks)) in text.splitlines()
         assert deleted % ("retention", float(expired)) in text.splitlines()

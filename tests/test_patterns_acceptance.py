@@ -176,7 +176,7 @@ class TestQueryPath:
 class TestObservability:
     def test_exporter_scrapes_pattern_metrics(self):
         fw, _ = storm_world()
-        text = fw.patterns_exporter.scrape()
+        text = fw.patterns_exporter.scrape().text()
         assert "patterns_lines_mined_total" in text
         assert "patterns_compression_ratio" in text
         assert "patterns_bursts_detected_total 1" in text

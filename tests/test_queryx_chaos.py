@@ -127,7 +127,7 @@ class TestSlowQuerier:
         before = fw.queryx.slow_queries_total
         fw.queryx.query_range(QUERY, start, end, minutes(1))
         assert fw.queryx.slow_queries_total > before
-        scrape = fw.queryx_exporter.scrape()
+        scrape = fw.queryx_exporter.scrape().text()
         assert "queryx_slow_queries_recent" in scrape
 
 

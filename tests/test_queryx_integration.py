@@ -92,7 +92,7 @@ class TestMetricsPlane:
     def test_worker_and_subquery_metrics_present(self, fw):
         start, end = last_window(fw)
         fw.queryx.query_range(QUERY, start, end, minutes(1))
-        exposition = fw.queryx_exporter.scrape()
+        exposition = fw.queryx_exporter.scrape().text()
         for family in (
             "queryx_queries_total",
             "queryx_subqueries_total",

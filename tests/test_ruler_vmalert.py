@@ -218,7 +218,8 @@ class ScriptedEvaluator(RuleEvaluator):
 
 def flat_state_reference(rules, script, interval_ns):
     """The evaluator as it was before state was keyed per rule: one flat
-    ``(rule name, labels) -> state`` dict scanned in full by every rule.
+    ``(rule name, labels) -> state`` dict scanned in full by every rule,
+    a series' state dropped once it is inactive (after its RESOLVED).
     Returns the ``(alertname, series, state, time)`` sequence it emits."""
     state: dict = {}
     out = []
@@ -237,9 +238,8 @@ def flat_state_reference(rules, script, interval_ns):
                 if rule_name != rule.name or series in active:
                     continue
                 if st_["firing"]:
-                    st_["firing"] = False
                     out.append((rule.name, series, AlertState.RESOLVED, now))
-                st_["since"] = None
+                del state[(rule_name, series)]
     return out
 
 
@@ -297,3 +297,78 @@ class TestPerRuleState:
         assert {name: len(states) for name, states in evaluator._state.items()} == {
             "Immediate": 3, "Sustained": 0, "Other": 1,
         }
+
+
+class TestStateIsKeptForActiveSeriesOnly:
+    """A rule evaluator forgets a series once it is inactive — after its
+    RESOLVED, if it fired — as Prometheus forgets inactive alerts."""
+
+    def test_a_new_series_each_evaluation_leaves_only_the_active_ones(self):
+        clock = SimClock(0)
+        store = TimeSeriesStore()
+        events = []
+        va = VMAlert(PromQLEngine(store, lookback_ns=int(seconds(300))), clock, events.append)
+        va.add_rule(RuleSpec(name="Lagging", expr="lag > 10"))
+        for i in range(1000):
+            clock.advance(seconds(30))
+            store.ingest("lag", {"group": f"g{i}"}, 11.0, clock.now_ns)
+            va.evaluate_all()
+        # A sample is fresh for the 300 s lookback: the last ten or eleven
+        # groups are active, and no state is kept for the others.
+        assert len(va._state["Lagging"]) <= 11
+        assert len(va.firing_series()) == len(va._state["Lagging"])
+        firing = sum(e.state is AlertState.FIRING for e in events)
+        resolved = sum(e.state is AlertState.RESOLVED for e in events)
+        assert firing == 1000 and firing - resolved == len(va._state["Lagging"])
+
+    def test_a_series_that_returns_starts_pending_afresh(self):
+        clock = SimClock(0)
+        script = [{"Sustained": [0]}, {"Sustained": [0]}, {}, {"Sustained": [0]}]
+        evaluator = ScriptedEvaluator(clock, lambda e: None, script)
+        evaluator.add_rule(SCRIPT_RULES[1])
+        for _ in script:
+            clock.advance(seconds(10))
+            evaluator.evaluate_all()
+            assert evaluator.pending_series() == [
+                ("Sustained", labels) for labels in evaluator._state["Sustained"]
+            ]
+        (state,) = evaluator._state["Sustained"].values()
+        assert state.pending_since_ns == seconds(40)
+
+    def test_the_loki_ruler_forgets_too(self, loki_world):
+        clock, store, ruler, events = loki_world
+        ruler.add_rule(RuleSpec(name="R", expr='count_over_time({app=~".+"}[1m]) > 0'))
+        for i in range(50):
+            clock.advance(seconds(30))
+            store.push(PushRequest.single({"app": f"a{i}"}, [(clock.now_ns, "x")]))
+            clock.advance(seconds(1))
+            ruler.evaluate_all()
+        assert len(ruler._state["R"]) <= 2
+        assert sum(e.state is AlertState.RESOLVED for e in events) >= 48
+
+    def test_every_evaluator_shares_the_one_state_machine(self):
+        from repro.patterns.ruler import PatternRuler
+
+        for evaluator in (Ruler, VMAlert, PatternRuler):
+            assert evaluator._advance is RuleEvaluator._advance
+
+
+class TestStartedAt:
+    def test_an_alert_pending_since_time_zero_started_at_zero(self):
+        clock = SimClock(0)
+        store = TimeSeriesStore()
+        events = []
+        va = VMAlert(PromQLEngine(store), clock, events.append)
+        va.add_rule(RuleSpec(name="NodeDown", expr="node_up == 0", for_="1m"))
+        store.ingest("node_up", {"xname": "x1c0s0b0n0"}, 0.0, 0)
+        for _ in range(3):
+            va.evaluate_all()
+            clock.advance(seconds(30))
+            store.ingest("node_up", {"xname": "x1c0s0b0n0"}, 0.0, clock.now_ns)
+        clock.advance(seconds(30))
+        store.ingest("node_up", {"xname": "x1c0s0b0n0"}, 1.0, clock.now_ns)
+        va.evaluate_all()
+        assert [(e.state, e.started_at_ns, e.fired_at_ns) for e in events] == [
+            (AlertState.FIRING, 0, minutes(1)),
+            (AlertState.RESOLVED, 0, minutes(2)),
+        ]

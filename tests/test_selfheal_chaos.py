@@ -248,10 +248,10 @@ class TestWiring:
             permanent=True,
         )
         fw.run_for(minutes(8))
-        ring_text = fw.ring_exporter.scrape()
+        ring_text = fw.ring_exporter.scrape().text()
         assert 'ring_member_state{' in ring_text
         assert "ring_member_heartbeat_age_seconds" in ring_text
-        heal_text = fw.selfheal_exporter.scrape()
+        heal_text = fw.selfheal_exporter.scrape().text()
         assert "selfheal_under_replicated_streams" in heal_text
         assert 'selfheal_transitions_total{kind="dead"} 1' in heal_text
         assert "selfheal_members_repaired_total 1" in heal_text

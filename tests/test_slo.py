@@ -511,7 +511,7 @@ class TestSloExporter:
         )
         collector.inject(90.0, 10.0)
         exporter = SloExporter(manager)
-        text = exporter.scrape()
+        text = exporter.scrape().text()
         assert 'slo_sli_good_total{slo="a"} 90' in text
         assert 'slo_sli_total{slo="a"} 100' in text
         assert 'slo_objective{slo="a"} 0.999' in text
@@ -527,9 +527,9 @@ class TestSloExporter:
         )
         exporter = SloExporter(manager)
         collector.inject(0.0, 10.0)
-        exporter.scrape()
+        exporter.scrape().text()
         # Quiet interval: the delta gauge must return to 0.
-        text = exporter.scrape()
+        text = exporter.scrape().text()
         assert 'slo_bad_events_recent{slo="a"} 0' in text
 
 

@@ -371,7 +371,7 @@ class TestTenancyExporter:
             exec_per_hour_ns=0,
         )
         exporter = TenancyExporter(admission, scheduler)
-        text = exporter.scrape()
+        text = exporter.scrape().text()
         assert 'tenant_ingest_entries_total{tenant="small"} 5.0' in text
         assert (
             'tenant_ingest_discarded_total{reason="rate_limited",'
@@ -389,6 +389,6 @@ class TestTenancyExporter:
         with pytest.raises(RateLimitedError):
             admission.admit_push(push_of(20), tenant="small")
         exporter = TenancyExporter(admission)
-        assert 'discarded_recent{tenant="small"} 20.0' in exporter.scrape()
+        assert 'discarded_recent{tenant="small"} 20.0' in exporter.scrape().text()
         # No new discards: the next scrape reads zero — the alert clears.
-        assert 'discarded_recent{tenant="small"} 0.0' in exporter.scrape()
+        assert 'discarded_recent{tenant="small"} 0.0' in exporter.scrape().text()

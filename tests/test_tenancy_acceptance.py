@@ -160,7 +160,7 @@ class TestSystemTenantUnaffected:
         fw.run_for(minutes(2))
         assert "tenants" in fw.dashboards
         assert fw.tenancy_exporter is not None
-        assert "tenant_ingest_entries_total" in fw.tenancy_exporter.scrape()
+        assert "tenant_ingest_entries_total" in fw.tenancy_exporter.scrape().text()
 
 
 class TestShuffleShardingEndToEnd:

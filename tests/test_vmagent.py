@@ -1,23 +1,27 @@
 """Tests for vmagent scraping."""
 
+import math
+
+import numpy as np
 import pytest
 
 from repro.common.errors import ValidationError
 from repro.common.labels import label_matcher, METRIC_NAME_LABEL
 from repro.common.simclock import SimClock, minutes, seconds
+from repro.exporters.exporter import Exporter
 from repro.exporters.textformat import parse_exposition
 from repro.tsdb.storage import TimeSeriesStore
 from repro.tsdb.vmagent import ScrapeTarget, VMAgent
 
 
 class FakeExporter:
-    def __init__(self, text="m 1.0\n"):
-        self.text = text
+    def __init__(self, readings=(("m", 1.0, None),)):
+        self.readings = list(readings)
         self.calls = 0
 
     def scrape(self):
         self.calls += 1
-        return self.text
+        return self.readings
 
 
 class BrokenExporter:
@@ -45,7 +49,7 @@ class TestScraping:
     def test_exporter_labels_not_overridden(self, world):
         _, store, agent = world
         agent.add_target(
-            ScrapeTarget("j", "i", FakeExporter('m{job="inner"} 1.0\n'))
+            ScrapeTarget("j", "i", FakeExporter([("m", 1.0, {"job": "inner"})]))
         )
         agent.scrape_all()
         results = store.select([label_matcher(METRIC_NAME_LABEL, "=", "m")], 0, 10)
@@ -88,30 +92,26 @@ class TestScraping:
 
     def test_counters(self, world):
         _, _, agent = world
-        agent.add_target(ScrapeTarget("j", "i", FakeExporter("a 1\nb 2\n")))
+        agent.add_target(
+            ScrapeTarget("j", "i", FakeExporter([("a", 1.0, None), ("b", 2.0, None)]))
+        )
         pushed = agent.scrape_all()
         assert pushed == 2
         assert agent.samples_pushed == 2
         assert agent.scrapes_done == 1
 
 
-class ScriptedExporter:
-    """Serves one exposition per scrape, in order."""
-
-    def __init__(self, *texts):
-        self.texts = list(texts)
-
-    def scrape(self):
-        return self.texts.pop(0)
-
-
-def scrape_without_memo(store, target, text, now):
-    """What a scrape stores, by way of ``parse_exposition`` alone: every
-    head of every line through the label grammar.  Returns samples
+# ----------------------------------------------------------------------
+# The typed batch stores what its text would
+# ----------------------------------------------------------------------
+def scrape_through_text(store, target, batch, now):
+    """What a scrape stores by way of the exposition text: the batch
+    rendered, parsed back with ``parse_exposition`` and every point
+    stored with the target's ``job``/``instance`` added.  Returns samples
     pushed, or None for a failed scrape."""
     up = {"job": target.job, "instance": target.instance}
     try:
-        points = parse_exposition(text)
+        points = parse_exposition(batch().text())
     except Exception:
         store.ingest("up", up, 0.0, now)
         return None
@@ -133,111 +133,143 @@ def contents(store):
     ]
 
 
-class TestHeadMemo:
-    """A line head seen before skips the label grammar; nothing else may
-    change, scrape by scrape and line by line."""
+class Replay:
+    """Serves the given zero-argument scrapes, one per scrape; ``served``
+    is the last one it called."""
 
-    def run(self, *texts, job="j", instance="i"):
-        clock = SimClock(0)
-        store, reference = TimeSeriesStore(), TimeSeriesStore()
-        agent = VMAgent(store, clock)
-        target = ScrapeTarget(job, instance, ScriptedExporter(*texts))
-        agent.add_target(target)
-        pushed = scrapes = errors = 0
-        for text in texts:
-            clock.advance(seconds(15))
-            got = agent.scrape_all()
-            want = scrape_without_memo(reference, target, text, clock.now_ns)
-            assert got == (want or 0)
-            pushed += want or 0
-            scrapes += want is not None
-            errors += want is None
-            assert (agent.samples_pushed, agent.scrapes_done, agent.scrape_errors) == (
-                pushed, scrapes, errors
-            )
-            assert contents(store) == contents(reference)
-        return agent, store
+    def __init__(self, *batches):
+        self.batches = list(batches)
+        self.served = None
 
-    def test_repeated_scrapes_store_what_unmemoised_scrapes_store(self):
-        text = 'a{x="1"} 1\na{x="2"} 2.5\nb 3\n# HELP c help\nc{} 4\n'
-        _, store = self.run(text, text, text.replace(" 2.5", " NaN").replace(" 3", " +Inf"))
-        assert store.series_count() == 5  # a×2, b, c, up
+    def scrape(self):
+        self.served = self.batches.pop(0)
+        return self.served()
 
-    def test_a_label_set_that_changes_between_scrapes(self):
-        agent, store = self.run(
-            'm{state="up",pid="1"} 1\n',
-            'm{state="down",pid="2"} 1\n',
-            'm{pid="2",state="down"} 2\nm{state="up",pid="1"} 3\n',
-            'm 7\n',
+
+_TABLE = (
+    ("m", "gauge", "A gauge."),
+    ("n_total", "counter", "A counter."),
+    ("empty", "gauge", ""),
+)
+
+
+def batch(*readings):
+    """A zero-argument scrape of an exporter over ``_TABLE`` reading
+    ``readings``: raises what ``Exporter.scrape`` raises."""
+    return Exporter((_TABLE, lambda: iter(readings))).scrape
+
+
+def run(*batches, job="j", instance="i"):
+    """Scrape ``batches`` in turn through vmagent and through the text,
+    into two stores, and require the same contents and counters after
+    every scrape."""
+    clock = SimClock(0)
+    store, reference = TimeSeriesStore(), TimeSeriesStore()
+    agent = VMAgent(store, clock)
+    exporter = Replay(*batches)
+    target = ScrapeTarget(job, instance, exporter)
+    agent.add_target(target)
+    pushed = scrapes = errors = 0
+    for scrape in batches:
+        clock.advance(seconds(15))
+        got = agent.scrape_all()
+        want = scrape_through_text(reference, target, scrape, clock.now_ns)
+        assert got == (want or 0)
+        pushed += want or 0
+        scrapes += want is not None
+        errors += want is None
+        assert (agent.samples_pushed, agent.scrapes_done, agent.scrape_errors) == (
+            pushed, scrapes, errors
         )
-        by_name = [label_matcher(METRIC_NAME_LABEL, "=", "m")]
-        assert len(store.select(by_name, 0, 10**12)) == 3
-        # The memo holds the heads of the last good scrape, no more.
-        assert list(agent._heads[0]) == ["m"]
+        assert contents(store) == contents(reference)
+    return agent, store
+
+
+class TestTypedBatchEqualsItsText:
+    """vmagent stores a scrape's typed batch; nothing may differ from
+    storing what its exposition text parses back to, scrape by scrape."""
+
+    def test_repeated_scrapes(self):
+        readings = batch(
+            ("m", 1.0, {"x": "1"}), ("m", 2.5, {"x": "2"}), ("n_total", 3, None),
+            ("m", 4.0, {}),
+        )
+        _, store = run(readings, readings, readings)
+        assert store.series_count() == 5  # m×3, n_total, up
+
+    def test_values_of_every_kind(self):
+        values = [
+            math.nan, math.inf, -math.inf, -0.0, 0.0, 1e308, 5e-324, 0.1, 2**53 + 1,
+            True, False, np.float64(2.675), np.float32(0.1), np.int64(-7), np.bool_(True),
+            np.uint8(255),
+        ]
+        readings = batch(*(("m", v, {"i": str(i)}) for i, v in enumerate(values)))
+        run(readings, readings)
 
     def test_escaped_quotes_backslashes_newlines_and_braces_in_values(self):
-        text = (
-            'm{path="C:\\\\dir\\\\f",msg="say \\"hi\\"",nl="a\\nb"} 1\n'
-            'm{expr="rate(x{a=\\"b\\"}[5m]) > 1",sp="a b  c"} 2\n'
-            'm{ws = "padded" , other="x" } 3\n'
+        readings = batch(
+            ("m", 1, {"path": "C:\\dir\\f", "msg": 'say "hi"', "nl": "a\nb"}),
+            ("m", 2, {"expr": 'rate(x{a="b"}[5m]) > 1', "sp": "a b  c", "e": ""}),
+            ("m", 3, {"u": "ünïcødé", "tab": "a\tb", "trail": "x\\"}),
         )
-        _, store = self.run(text, text)
+        _, store = run(readings, readings)
         got = {
-            tuple(sorted((k, v) for k, v in labels.items() if k not in ("job", "instance", METRIC_NAME_LABEL)))
-            for labels, _t, _v in store.select([label_matcher(METRIC_NAME_LABEL, "=", "m")], 0, 10**12)
+            labels["msg"]
+            for labels, _t, _v in store.select([label_matcher("msg", "=~", ".+")], 0, 10**12)
         }
-        assert got == {
-            (("msg", 'say "hi"'), ("nl", "a\nb"), ("path", "C:\\dir\\f")),
-            (("expr", 'rate(x{a="b"}[5m]) > 1'), ("sp", "a b  c")),
-            (("other", "x"), ("ws", "padded")),
-        }
+        assert got == {'say "hi"'}
 
-    def test_lines_carrying_a_timestamp_field(self):
-        self.run(
-            'm{x="1"} 1 1646272077000\nn 2 1646272077000\n',
-            'm{x="1"} 2 1646272092000\nn 3\n',
-            'm{x="1"}   3\t1646272107000\n',
+    def test_an_exposition_job_or_instance_label_wins_over_the_targets(self):
+        readings = batch(
+            ("m", 1, {"job": "inner"}), ("m", 2, {"instance": "elsewhere:1"}), ("m", 3, None),
         )
-
-    def test_a_bad_field_behind_a_memoised_head_fails_the_scrape(self):
-        good = 'm{x="1"} 1\nn 2\n'
-        for bad in (
-            'm{x="1"} one\nn 2\n',
-            'm{x="1"} 1 2 3\nn 2\n',
-            'm{x="1"} 1 soon\nn 2\n',
-            'm{x="1"}\nn 2\n',
-            'n 2\nm{x="1"} 1\nn\n',
-            'm{x="1"} 1\nm{x="1" 2\n',
-            'm{x="1"} 1}\n',
-        ):
-            agent, store = self.run(good, bad, good)
-            assert agent.scrape_errors == 1 and agent.scrapes_done == 2
-            up = store.select([label_matcher(METRIC_NAME_LABEL, "=", "up")], 0, 10**12)
-            assert up[0][2].tolist() == [1.0, 0.0, 1.0]
-            # Nothing of the bad exposition was stored, not even its good lines.
-            m = store.select([label_matcher(METRIC_NAME_LABEL, "=", "n")], 0, 10**12)
-            assert len(m[0][1]) == 2
-
-    def test_an_exposition_job_label_wins_over_the_targets(self):
-        text = 'm{job="inner"} 1\nm{instance="elsewhere:1"} 2\nm 3\n'
-        _, store = self.run(text, text, job="outer", instance="here:9")
+        _, store = run(readings, readings, job="outer", instance="here:9")
         got = sorted(
             (labels["job"], labels["instance"])
             for labels, _t, _v in store.select([label_matcher(METRIC_NAME_LABEL, "=", "m")], 0, 10**12)
         )
         assert got == [("inner", "here:9"), ("outer", "elsewhere:1"), ("outer", "here:9")]
 
-    def test_a_head_the_grammar_ends_elsewhere_is_never_memoised(self):
-        # `m1.5 2` is metric m1 with value .5 and timestamp 2.
-        agent, store = self.run("m1.5 2\nok 1\n", "m1.5 2\nok 1\n")
-        assert list(agent._heads[0]) == ["ok"]
-        (series,) = store.select([label_matcher(METRIC_NAME_LABEL, "=", "m1")], 0, 10**12)
-        assert series[2].tolist() == [0.5, 0.5]
+    def test_a_label_set_that_changes_between_scrapes(self):
+        agent, store = run(
+            batch(("m", 1, {"state": "up", "pid": "1"})),
+            batch(("m", 1, {"state": "down", "pid": "2"})),
+            batch(("m", 2, {"pid": "2", "state": "down"}), ("m", 3, {"state": "up", "pid": "1"})),
+            batch(("m", 7, None)),
+        )
+        by_name = [label_matcher(METRIC_NAME_LABEL, "=", "m")]
+        assert len(store.select(by_name, 0, 10**12)) == 3
+        # Four keys named, then a scrape of one reading: the memo that
+        # outgrew twice a scrape's readings started over.
+        assert list(agent._series[0]) == []
 
-    def test_each_target_has_its_own_heads(self, world):
+    def test_an_undeclared_family_fails_the_whole_scrape(self):
+        good = batch(("m", 1, {"x": "1"}), ("n_total", 2, None))
+        bad = batch(("m", 1, {"x": "1"}), ("nope", 2, None))
+        agent, store = run(good, bad, good)
+        assert agent.scrape_errors == 1 and agent.scrapes_done == 2
+        up = store.select([label_matcher(METRIC_NAME_LABEL, "=", "up")], 0, 10**12)
+        assert up[0][2].tolist() == [1.0, 0.0, 1.0]
+        # Nothing of the failed scrape was stored, not even its good readings.
+        (m,) = store.select([label_matcher(METRIC_NAME_LABEL, "=", "m")], 0, 10**12)
+        assert len(m[1]) == 2
+
+    def test_a_reading_naming_no_valid_series_fails_the_whole_scrape(self):
+        good = batch(("m", 1, {"x": "1"}))
+        for bad in (
+            batch(("m", 1, {"x": "1"}), ("m", 2, {"9bad": "v"})),
+            batch(("m", 1, {"x": "1"}), ("m", 2, {"x": 3})),
+            batch(("m", "one", {"x": "1"})),
+        ):
+            agent, store = run(good, bad, good)
+            assert agent.scrape_errors == 1
+            (m,) = store.select([label_matcher(METRIC_NAME_LABEL, "=", "m")], 0, 10**12)
+            assert len(m[1]) == 2
+
+    def test_each_target_has_its_own_series(self, world):
         clock, store, agent = world
-        agent.add_target(ScrapeTarget("j", "one", FakeExporter('m{x="1"} 1\n')))
-        agent.add_target(ScrapeTarget("j", "two", FakeExporter('m{x="1"} 2\n')))
+        agent.add_target(ScrapeTarget("j", "one", FakeExporter([("m", 1.0, {"x": "1"})])))
+        agent.add_target(ScrapeTarget("j", "two", FakeExporter([("m", 2.0, {"x": "1"})])))
         for _ in range(3):
             clock.advance(seconds(15))
             assert agent.scrape_all() == 2
@@ -246,3 +278,33 @@ class TestHeadMemo:
             for labels, _t, vals in store.select([label_matcher(METRIC_NAME_LABEL, "=", "m")], 0, 10**12)
         }
         assert got == {"one": [1.0] * 3, "two": [2.0] * 3}
+
+    def test_every_exporter_of_the_all_planes_framework(self):
+        """Each target of the all-planes framework, two scrapes into a
+        warmed-up run: its batches stored directly and through their
+        text make the same store."""
+        from repro.core.framework import MonitoringFramework
+        from tests.test_wiring_manifest import FLAGS, _config
+
+        fw = MonitoringFramework(_config(FLAGS, tracing_sampling=1.0))
+        fw.start()
+        fw.run_for(minutes(3))
+        clock = SimClock(fw.clock.now_ns)
+        store, reference = TimeSeriesStore(), TimeSeriesStore()
+        agent = VMAgent(store, clock)
+        targets = []
+        for target in fw.vmagent.targets():
+            batches = [target.exporter.scrape() for _ in range(2)]
+            replay = Replay(*(lambda b=b: b for b in batches))
+            targets.append(ScrapeTarget(target.job, target.instance, replay))
+            agent.add_target(targets[-1])
+        assert len(targets) > 10
+        for _ in range(2):
+            clock.advance(seconds(15))
+            agent.scrape_all()
+            for target in targets:
+                assert scrape_through_text(
+                    reference, target, target.exporter.served, clock.now_ns
+                ) is not None
+            assert contents(store) == contents(reference)
+        assert agent.scrape_errors == 0
