@@ -195,6 +195,36 @@ class TestDownsampler:
         cutoff = (clock.now_ns - days(1)) // hours(1) * hours(1)
         self._assert_rollups_match_raw(store, raw, cutoff, hours(1))
 
+    def test_an_hourly_sweep_copies_only_the_hour_that_aged(self):
+        """Ten days of hourly sweeps past the 30-day mark: each reads the
+        three series' last aged hour (12 samples each), however much
+        rolled history lies behind it.  A sweep that read every aged
+        sample — rolled means and rollups included — grew by nine
+        samples an hour."""
+        clock = SimClock(0)
+        store = TimeSeriesStore()
+        ds = Downsampler(store, clock)
+        copied = []
+        select = store.select
+
+        def counting(*args):
+            got = select(*args)
+            copied[-1] += sum(len(ts) for _labels, ts, _values in got)
+            return got
+
+        store.select = counting
+        t = 0
+        for hour in range(24 * 30, 24 * 40):
+            clock.advance_to(hours(hour + 1))
+            while t < clock.now_ns:
+                for x in "abc":
+                    store.ingest("m", {"x": x}, float(t % 1000), t)
+                t += minutes(5)
+            copied.append(0)
+            ds.sweep()
+        assert copied[0] == 3 * 12
+        assert set(copied[1:]) == {3 * 12}
+
 
 def _event(key, node, severity, t):
     return SnEvent(
