@@ -21,39 +21,43 @@ class ErrorBudget:
 
     def __init__(self, slo: SLO) -> None:
         self.slo = slo
-        # (ts_ns, good, total) cumulative snapshots, oldest first.  One
+        # (ts_ns, good, total, bad_sum, total_sum) cumulative snapshots,
+        # oldest first.  The sums run over every consumption counted so
+        # far, so the window's is the last snapshot's less the first's:
+        # a read touches the two ends, however long the window.  One
         # snapshot older than the window is retained as the baseline the
         # in-window consumption is measured against.
-        self._snapshots: deque[tuple[int, float, float]] = deque()
+        self._snapshots: deque[tuple[int, float, float, float, float]] = deque()
 
     def observe(self, ts_ns: int, snapshot: SliSnapshot) -> None:
-        """Record a cumulative snapshot taken at ``ts_ns``."""
-        if self._snapshots and ts_ns < self._snapshots[-1][0]:
+        """Record a cumulative snapshot taken at ``ts_ns``.
+
+        Counter resets (a snapshot below its predecessor) consume zero
+        rather than a negative amount.
+        """
+        good, total = snapshot.good, snapshot.total
+        if not self._snapshots:
+            self._snapshots.append((ts_ns, good, total, 0.0, 0.0))
+            return
+        last_ts, last_good, last_total, bad_sum, total_sum = self._snapshots[-1]
+        if ts_ns < last_ts:
             raise ValidationError("budget snapshots must arrive in order")
-        self._snapshots.append((ts_ns, snapshot.good, snapshot.total))
+        d_total = total - last_total
+        d_good = good - last_good
+        if d_total >= 0 and d_good >= 0:
+            total_sum += d_total
+            bad_sum += max(d_total - d_good, 0.0)
+        self._snapshots.append((ts_ns, good, total, bad_sum, total_sum))
         horizon = ts_ns - self.slo.window_ns
         while len(self._snapshots) >= 2 and self._snapshots[1][0] <= horizon:
             self._snapshots.popleft()
 
     def window_totals(self) -> tuple[float, float]:
-        """(bad, total) events consumed within the current window.
-
-        Counter resets (a snapshot below its predecessor) contribute
-        zero rather than negative consumption.
-        """
+        """(bad, total) events consumed within the current window."""
         if len(self._snapshots) < 2:
             return (0.0, 0.0)
-        bad = 0.0
-        total = 0.0
-        prev = self._snapshots[0]
-        for snap in list(self._snapshots)[1:]:
-            d_total = snap[2] - prev[2]
-            d_good = snap[1] - prev[1]
-            if d_total >= 0 and d_good >= 0:
-                total += d_total
-                bad += max(d_total - d_good, 0.0)
-            prev = snap
-        return (bad, total)
+        first, last = self._snapshots[0], self._snapshots[-1]
+        return (last[3] - first[3], last[4] - first[4])
 
     def remaining_ratio(self) -> float:
         """Budget left as a fraction of the window's allowance.

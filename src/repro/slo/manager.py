@@ -3,12 +3,16 @@
 The manager owns the whole derived-data pipeline for every registered
 SLO:
 
-1. **Recording rules** — for each SLO and each distinct alerting
-   window it registers burn-rate and raw error-ratio rules with the
-   :class:`~repro.tsdb.recording.RecordingEngine`; vmalert rules and
-   dashboards then read precomputed series (``slo_burn_rate_5m``) not
-   raw counters.  A labelled ``slo_burn_rate{window=...}`` alias family
-   is chained off the suffixed series for the heatmap panel.
+1. **Recording rules** — one error-ratio rule per distinct alerting
+   window, over every SLO's SLI counters at once (the ``slo`` label
+   rides through the join).  Each ratio sample of a registered SLO,
+   divided by that SLO's budget, is its burn-rate sample; vmalert rules
+   and dashboards then read precomputed series (``slo_burn_rate_5m``)
+   not raw counters.  One read-back of the burn families feeds the
+   labelled ``slo_burn_rate{window=...}`` alias family of the heatmap
+   panel and the budgets' burn history.  The
+   :class:`~repro.tsdb.recording.RecordingEngine` ingests and counts
+   all three families.
 2. **Alerting rules** — one vmalert :class:`RuleSpec` per burn tier,
    global across SLOs (the ``slo`` label rides in from the series):
    ``slo_burn_rate_5m > 14.4 and slo_burn_rate_1h > 14.4``.  Pages
@@ -37,6 +41,7 @@ from repro.alerting.rules import RuleSpec
 from repro.common.errors import ValidationError
 from repro.common.labels import LabelSet
 from repro.common.simclock import NANOS_PER_SECOND, SimClock
+from repro.common.vector import Evaluation
 from repro.slo.budget import ErrorBudget
 from repro.slo.burnrate import (
     DEFAULT_BURN_WINDOWS,
@@ -44,11 +49,11 @@ from repro.slo.burnrate import (
     burn_metric_name,
     error_ratio_metric_name,
 )
-from repro.slo.model import SLO, SLO_LABEL
+from repro.slo.model import SLI_GOOD_METRIC, SLI_TOTAL_METRIC, SLO, SLO_LABEL
 from repro.slo.sources import SliCollector, SliSource
 from repro.tempo.tracer import Tracer
-from repro.tsdb.promql import PromQLEngine, parse_promql
-from repro.tsdb.recording import RecordingEngine, RecordingRule
+from repro.tsdb.promql import PromQLEngine
+from repro.tsdb.recording import RecordingEngine, RecordingRule, recorded_as
 from repro.tsdb.storage import TimeSeriesStore
 
 #: Alert label marking every alert the SLO plane emits; the framework
@@ -68,6 +73,10 @@ class _SloEntry:
     slo: SLO
     collector: SliCollector
     budget: ErrorBudget
+    #: What a burn sample is its ratio sample over: the budget rate as a
+    #: rule's ``{budget_rate:g}`` literal reads, which the recorded
+    #: values have always been divided by.
+    budget_literal: float
     history: deque = field(default_factory=lambda: deque(maxlen=BURN_HISTORY_LEN))
     exhausted: bool = False
     exhausted_since_ns: int | None = None
@@ -75,6 +84,18 @@ class _SloEntry:
 
 def _severity_label(window: BurnWindow) -> str:
     return "critical" if window.is_page else "warning"
+
+
+def _ratio_rule(window: str) -> RecordingRule:
+    # The `> 0` guard drops the sample when the window saw no traffic:
+    # no sample means the burn alert *cannot* fire, which is the correct
+    # reading of "nothing happened".
+    total = f"increase({SLI_TOTAL_METRIC}[{window}])"
+    good = f"increase({SLI_GOOD_METRIC}[{window}])"
+    return RecordingRule(
+        record=error_ratio_metric_name(window),
+        expr=f"({total} - {good}) / ({total} > 0)",
+    )
 
 
 class SloManager:
@@ -99,15 +120,31 @@ class SloManager:
         self._cluster = cluster
         self._tracer = tracer
         self.recording = RecordingEngine(promql, store, clock, tracer)
-        #: Per distinct window, the recorded burn family every tick reads
-        #: back — all SLOs' series of it at once, the seven families as
-        #: one group.
-        self._burn_families = {
-            window: parse_promql(burn_metric_name(window))
-            for window in self._distinct_windows()
+        windows = self._distinct_windows()
+        #: Per distinct window, its error-ratio rule over every SLO; the
+        #: windows' rules are one group, sharing its two SLI reads.
+        self._ratio_rules = {window: _ratio_rule(window) for window in windows}
+        self._ratio_group = promql.group(
+            rule.ast for rule in self._ratio_rules.values()
+        )
+        #: Per distinct window, the heatmap alias of its burn family, with
+        #: its :func:`recorded_as` table.  The aliases' reads are one
+        #: group: the burn families read back, every SLO's series at
+        #: once, which also feeds the budgets' burn history.
+        self._aliases: dict[str, tuple[RecordingRule, dict[LabelSet, LabelSet]]] = {
+            window: (
+                RecordingRule(
+                    record="slo_burn_rate",
+                    expr=burn_metric_name(window),
+                    labels={"window": window},
+                ),
+                {},
+            )
+            for window in windows
         }
-        self._burn_group = promql.group(self._burn_families.values())
-        self._first_alias: RecordingRule | None = None
+        self._burn_group = promql.group(
+            alias.ast for alias, _ in self._aliases.values()
+        )
         self._entries: dict[str, _SloEntry] = {}
         self.evaluations = 0
         self.exhaustion_events = 0
@@ -116,7 +153,8 @@ class SloManager:
     # Registration
     # ------------------------------------------------------------------
     def register(self, slo: SLO, source: SliSource) -> SliCollector:
-        """Register ``slo`` backed by ``source``; install its rules."""
+        """Register ``slo`` backed by ``source``: the per-window rules
+        record its series from the next tick on."""
         if slo.name in self._entries:
             raise ValidationError(f"SLO {slo.name!r} already registered")
         collector = SliCollector(source)
@@ -124,28 +162,8 @@ class SloManager:
             slo=slo,
             collector=collector,
             budget=ErrorBudget(slo),
+            budget_literal=float(f"{slo.budget_rate:g}"),
         )
-        # The window aliases re-emit what the burn rules of *every* SLO
-        # just recorded, so they stay behind all of them: a later SLO's
-        # rules go in ahead of the first alias.  (Behind only the first
-        # SLO's, an alias read the others' previous cycle.)
-        for window in self._distinct_windows():
-            for rule in (self._burn_rule(slo, window), self._ratio_rule(slo, window)):
-                self.recording.add_rule(rule, before=self._first_alias)
-        if self._first_alias is None:
-            # Chained aliases: read the suffixed series just recorded and
-            # re-emit them with a window label for the dashboard heatmap.
-            aliases = [
-                RecordingRule(
-                    record="slo_burn_rate",
-                    expr=burn_metric_name(window),
-                    labels={"window": window},
-                )
-                for window in self._distinct_windows()
-            ]
-            for alias in aliases:
-                self.recording.add_rule(alias)
-            self._first_alias = aliases[0]
         return collector
 
     def _distinct_windows(self) -> list[str]:
@@ -155,26 +173,6 @@ class SloManager:
                 if d not in seen:
                     seen.append(d)
         return seen
-
-    def _burn_rule(self, slo: SLO, window: str) -> RecordingRule:
-        # The `> 0` guard drops the sample when the window saw no
-        # traffic: no sample means the burn alert *cannot* fire, which
-        # is the correct reading of "nothing happened".
-        good, total = slo.good_expr, slo.total_expr
-        expr = (
-            f"(increase({total}[{window}]) - increase({good}[{window}]))"
-            f" / (increase({total}[{window}]) > 0)"
-            f" / {slo.budget_rate:g}"
-        )
-        return RecordingRule(record=burn_metric_name(window), expr=expr)
-
-    def _ratio_rule(self, slo: SLO, window: str) -> RecordingRule:
-        good, total = slo.good_expr, slo.total_expr
-        expr = (
-            f"(increase({total}[{window}]) - increase({good}[{window}]))"
-            f" / (increase({total}[{window}]) > 0)"
-        )
-        return RecordingRule(record=error_ratio_metric_name(window), expr=expr)
 
     # ------------------------------------------------------------------
     # Alerting rules (vmalert)
@@ -229,16 +227,46 @@ class SloManager:
     # Periodic evaluation
     # ------------------------------------------------------------------
     def tick(self) -> None:
-        """One evaluation cycle: recording rules, then budgets."""
-        self.recording.evaluate_all()
-        self.evaluate_budgets()
+        """One evaluation cycle: recording, then budgets."""
+        self.evaluate_budgets(self._record())
 
-    def evaluate_budgets(self) -> None:
+    def _record(self) -> Evaluation:
+        """Each window's error ratio and burn for every registered SLO,
+        then the burn families read back and re-emitted as the heatmap
+        aliases; returns the read-back."""
         now = self._clock.now_ns
-        burns = self._current_burns()
+        recorded = 0
+        ratios = self._ratio_group.instant(now)
+        for window, rule in self._ratio_rules.items():
+            burn = burn_metric_name(window)
+            for sample in ratios.samples(rule.ast):
+                entry = self._entries.get(sample.labels.get(SLO_LABEL, ""))
+                if entry is None:
+                    continue  # a series of no SLO registered here
+                recorded += self.recording.record(
+                    rule.record, sample.labels, sample.value
+                )
+                recorded += self.recording.record(
+                    burn, sample.labels, sample.value / entry.budget_literal
+                )
+        burns = self._burn_group.instant(now)
+        for alias, outputs in self._aliases.values():
+            for sample in burns.samples(alias.ast):
+                labels = recorded_as(alias, outputs, sample.labels)
+                recorded += self.recording.record(alias.record, labels, sample.value)
+        self.recording.traced(
+            len(self._ratio_rules) + len(self._aliases), recorded
+        )
+        return burns
+
+    def evaluate_budgets(self, burns: Evaluation) -> None:
+        """Observe every budget and check it for exhaustion; ``burns`` is
+        this cycle's read-back of the burn families."""
+        now = self._clock.now_ns
+        current = self._current_burns(burns)
         for name, entry in self._entries.items():
             entry.budget.observe(now, entry.collector.snapshot())
-            entry.history.append((now, burns.get(name, {})))
+            entry.history.append((now, current.get(name, {})))
             self._check_exhaustion(entry, now)
         self.evaluations += 1
         if self._tracer is not None:
@@ -251,19 +279,18 @@ class SloManager:
                 attributes={"slos": str(len(self._entries))},
             )
 
-    def _current_burns(self) -> dict[str, dict[str, float]]:
-        """Latest recorded burn per SLO and distinct window: one
-        evaluation reads the families back, each once for every SLO."""
-        burns: dict[str, dict[str, float]] = {}
-        evaluation = self._burn_group.instant(self._clock.now_ns)
-        for window, family in self._burn_families.items():
-            for sample in evaluation.samples(family):
+    def _current_burns(self, burns: Evaluation) -> dict[str, dict[str, float]]:
+        """Latest recorded burn per SLO and distinct window, out of one
+        evaluation of the burn families."""
+        current: dict[str, dict[str, float]] = {}
+        for window, (alias, _) in self._aliases.items():
+            for sample in burns.samples(alias.ast):
                 # An SLO's first series in label order, should it have
                 # recorded several.
-                burns.setdefault(sample.labels.get(SLO_LABEL, ""), {}).setdefault(
+                current.setdefault(sample.labels.get(SLO_LABEL, ""), {}).setdefault(
                     window, sample.value
                 )
-        return burns
+        return current
 
     def _check_exhaustion(self, entry: _SloEntry, now: int) -> None:
         exhausted = entry.budget.exhausted
@@ -361,7 +388,7 @@ class SloManager:
         fast_w = self.windows[0].short
         slow_w = self.windows[0].long
         rows: list[dict[str, object]] = []
-        current = self._current_burns()
+        current = self._current_burns(self._burn_group.instant(self._clock.now_ns))
         for name in sorted(self._entries):
             entry = self._entries[name]
             burns = current.get(name, {})

@@ -1,11 +1,10 @@
 """The declarative SLO: objective, budget window, and a good/total SLI.
 
 An SLO here is purely data — "99.9% of ingest pushes succeed, measured
-over 30 days" — expressed the way Sloth/pyrra-style tooling does it: a
-pair of PromQL selectors for the good-event and total-event counters.
-The :class:`~repro.slo.manager.SloManager` turns the pair into
-burn-rate recording rules by wrapping each selector in ``increase()``
-over every alerting window.
+over 30 days".  Every SLO's SLI is the pair of counter families
+``slo_sli_good_total`` / ``slo_sli_total`` under its ``slo`` label, so
+the :class:`~repro.slo.manager.SloManager` needs one error-ratio rule
+per alerting window over all of them, not a rule set per SLO.
 """
 
 from __future__ import annotations
@@ -16,7 +15,6 @@ from dataclasses import dataclass
 from repro.common.durations import format_duration_ns, parse_duration_ns
 from repro.common.errors import ValidationError
 from repro.slo.burnrate import budget_rate
-from repro.tsdb.promql import parse_promql
 
 #: Every SLO's SLI counters carry this label, keyed by the SLO name;
 #: it is the join key that keeps one SLO's windows matching each other
@@ -32,20 +30,13 @@ _NAME_RE = re.compile(r"^[a-z][a-z0-9-]*$")
 
 @dataclass(frozen=True)
 class SLO:
-    """One service-level objective over a good/total SLI pair.
-
-    ``good_expr`` / ``total_expr`` must be plain vector selectors (they
-    get wrapped in ``increase(<expr>[<window>])`` by the recording
-    rules); they default to the standard SLI counter families filtered
-    to this SLO's name.
-    """
+    """One service-level objective over the SLI counter families'
+    series labelled with its name."""
 
     name: str
     description: str
     objective: float = 0.999
     window: str = "30d"
-    good_expr: str = ""
-    total_expr: str = ""
 
     def __post_init__(self) -> None:
         if not _NAME_RE.match(self.name):
@@ -59,21 +50,6 @@ class SLO:
             )
         if parse_duration_ns(self.window) <= 0:
             raise ValidationError("SLO window must be positive")
-        if not self.good_expr:
-            object.__setattr__(
-                self,
-                "good_expr",
-                f'{SLI_GOOD_METRIC}{{{SLO_LABEL}="{self.name}"}}',
-            )
-        if not self.total_expr:
-            object.__setattr__(
-                self,
-                "total_expr",
-                f'{SLI_TOTAL_METRIC}{{{SLO_LABEL}="{self.name}"}}',
-            )
-        for expr in (self.good_expr, self.total_expr):
-            # Selectors must compose into range functions.
-            parse_promql(f"increase({expr}[5m])")
 
     @property
     def budget_rate(self) -> float:

@@ -89,7 +89,7 @@ class RecordingRule:
 MAX_OUTPUTS = 1 << 12
 
 
-def _recorded_as(
+def recorded_as(
     rule: RecordingRule, outputs: dict[LabelSet, LabelSet], labels: LabelSet
 ) -> LabelSet:
     """The label set ``rule`` records a result series under: its name
@@ -112,7 +112,7 @@ class _Stage:
 
     def __init__(self, group: Group) -> None:
         self.group = group
-        #: Each rule with its :func:`_recorded_as` table.
+        #: Each rule with its :func:`recorded_as` table.
         self.rules: list[tuple[RecordingRule, dict[LabelSet, LabelSet]]] = []
         self._records: set[str] = set()
 
@@ -161,26 +161,16 @@ class RecordingEngine:
         self.samples_recorded = 0
         self.eval_errors = 0
 
-    def add_rule(
-        self, rule: RecordingRule, before: RecordingRule | None = None
-    ) -> None:
-        """Register ``rule`` — last, or just ahead of the registered rule
-        ``before``; duplicate record/expr pairs are rejected."""
+    def add_rule(self, rule: RecordingRule) -> None:
+        """Register ``rule`` last; duplicate record/expr pairs are rejected."""
         key = (rule.record, rule.expr)
         if any((r.record, r.expr) == key for r in self._rules):
             raise ValidationError(
                 f"recording rule {rule.record!r} with this expression "
                 "is already registered"
             )
-        if before is None:
-            self._rules.append(rule)
-            self._stage(rule)
-        else:
-            self._rules.insert(self._rules.index(before), rule)
-            # Every cut after the newcomer may move: cut again.
-            self._stages = []
-            for each in self._rules:
-                self._stage(each)
+        self._rules.append(rule)
+        self._stage(rule)
         self._names.add(rule.record)
 
     def _stage(self, rule: RecordingRule) -> None:
@@ -222,21 +212,32 @@ class RecordingEngine:
                     self.eval_errors += 1
                     continue
                 for sample in samples:
-                    labels = _recorded_as(rule, outputs, sample.labels)
-                    if self._store.ingest(rule.record, labels, sample.value, now):
-                        recorded += 1
+                    labels = recorded_as(rule, outputs, sample.labels)
+                    recorded += self.record(rule.record, labels, sample.value)
         self.evaluations += 1
-        self.samples_recorded += recorded
+        self.traced(len(self._rules), recorded)
+        return recorded
+
+    def record(self, name: str, labels: LabelSet, value: float) -> bool:
+        """Ingest one sample of the recorded series ``name`` at the current
+        sim time and count it: a registered rule's, or one an owner that
+        evaluates its own group worked out (the SLO plane's ratios, burns
+        and heatmap aliases)."""
+        if not self._store.ingest(name, labels, value, self._clock.now_ns):
+            return False
+        self.samples_recorded += 1
+        return True
+
+    def traced(self, rules: int, recorded: int) -> None:
+        """The span of one recording cycle: ``rules`` evaluated,
+        ``recorded`` samples ingested."""
         if self._tracer is not None:
+            now = self._clock.now_ns
             self._tracer.record(
                 "recording",
                 "evaluate_rules",
                 None,
                 now,
                 now,
-                attributes={
-                    "rules": str(len(self._rules)),
-                    "samples": str(recorded),
-                },
+                attributes={"rules": str(rules), "samples": str(recorded)},
             )
-        return recorded

@@ -497,7 +497,7 @@ class TimeSeriesStore:
             ends = held.cumsum()
             src = _runs(stops, held, ends)
             ts, values = ts[src], values[src]
-        if not held.all():
+        if np.count_nonzero(held) != len(held):
             kept = held > 0
             labels, ends = labels[kept], ends[kept]
         return Selection(

@@ -1,6 +1,7 @@
 """Unit tests for repro.slo: model, burn math, budgets, manager,
 exporter, the heatmap panel, the BURN_INJECTION fault, and logcli slo."""
 
+from dataclasses import fields
 from types import SimpleNamespace
 
 import pytest
@@ -17,7 +18,10 @@ from repro.loki.logcli import run_logcli
 from repro.loki.store import LokiStore
 from repro.slo import (
     DEFAULT_BURN_WINDOWS,
+    SLI_GOOD_METRIC,
+    SLI_TOTAL_METRIC,
     SLO,
+    SLO_LABEL,
     BurnWindow,
     ErrorBudget,
     SliCollector,
@@ -48,9 +52,15 @@ from repro.tsdb import PromQLEngine, TimeSeriesStore
 # ----------------------------------------------------------------------
 class TestSLOModel:
     def test_defaults_point_at_sli_counters(self):
+        # No selector of its own: every SLO is the SLI counter families'
+        # series under its `slo` label.
         slo = SLO(name="ingest-availability", description="pushes land")
-        assert slo.good_expr == 'slo_sli_good_total{slo="ingest-availability"}'
-        assert slo.total_expr == 'slo_sli_total{slo="ingest-availability"}'
+        assert [f.name for f in fields(slo)] == [
+            "name", "description", "objective", "window",
+        ]
+        assert (SLI_GOOD_METRIC, SLI_TOTAL_METRIC, SLO_LABEL) == (
+            "slo_sli_good_total", "slo_sli_total", "slo",
+        )
 
     def test_rejects_bad_names(self):
         for bad in ("Ingest", "9lives", "has_underscore", ""):
@@ -63,7 +73,8 @@ class TestSLOModel:
                 SLO(name="a", description="x", objective=bad)
 
     def test_rejects_unparseable_expr(self):
-        with pytest.raises(Exception):
+        # The per-SLO selector knob is gone, not ignored.
+        with pytest.raises(TypeError):
             SLO(name="a", description="x", good_expr="rate(")
 
     def test_budget_rate_and_window(self):
@@ -342,13 +353,23 @@ def drive(clock, store, manager, collector, name, steps, step_ns=seconds(30)):
 
 class TestSloManager:
     def test_register_installs_rules_per_window(self, slo_world):
-        _, _, _, manager, _ = slo_world
-        manager.register(SLO(name="a", description="x"), StaticSource())
-        records = {r.record for r in manager.recording.rules()}
-        for w in ("5m", "1h", "30m", "6h", "2h", "1d", "3d"):
-            assert f"slo_burn_rate_{w}" in records
-            assert f"slo_error_ratio_{w}" in records
-        assert "slo_burn_rate" in records  # labelled heatmap alias
+        clock, store, promql, manager, _ = slo_world
+        collector = manager.register(SLO(name="a", description="x"), StaticSource())
+        windows = ("5m", "1h", "30m", "6h", "2h", "1d", "3d")
+        # One error-ratio rule per distinct window, over every SLO.
+        assert [rule.record for rule in manager._ratio_rules.values()] == [
+            f"slo_error_ratio_{w}" for w in windows
+        ]
+        for _ in range(2):
+            collector.inject(100.0, 1.0)
+            drive(clock, store, manager, collector, "a", 1)
+        for w in windows:
+            for recorded in (
+                f'slo_burn_rate_{w}{{slo="a"}}',
+                f'slo_error_ratio_{w}{{slo="a"}}',
+                f'slo_burn_rate{{slo="a",window="{w}"}}',  # heatmap alias
+            ):
+                assert len(promql.query_instant(recorded, clock.now_ns)) == 1
 
     def test_register_twice_rejected(self, slo_world):
         _, _, _, manager, _ = slo_world
@@ -359,14 +380,12 @@ class TestSloManager:
     def test_second_slo_shares_global_alias(self, slo_world):
         _, _, _, manager, _ = slo_world
         manager.register(SLO(name="a", description="x"), StaticSource())
-        n_rules = len(manager.recording.rules())
+        rules = dict(manager._ratio_rules)
+        aliases = dict(manager._aliases)
         manager.register(SLO(name="b", description="y"), StaticSource())
-        # Second SLO adds burn+ratio rules per window but no new aliases.
-        aliases = [
-            r for r in manager.recording.rules() if r.record == "slo_burn_rate"
-        ]
+        # The second SLO adds no rule and no alias: both are per window.
+        assert manager._ratio_rules == rules and manager._aliases == aliases
         assert len(aliases) == len(manager._distinct_windows())
-        assert len(manager.recording.rules()) > n_rules
 
     def test_rule_specs_are_global_multiwindow(self, slo_world):
         _, _, _, manager, _ = slo_world
