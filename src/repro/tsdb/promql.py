@@ -227,25 +227,20 @@ class _Read:
         return [labels.nameless() for labels in self.labels]
 
     @cached_property
-    def reset_carry(self) -> np.ndarray | None:
-        """Per sample, the counter value lost to resets between its
-        series' first sample in the read and it — a counter's increase
-        between two samples is the difference of their values plus the
-        difference of their carries — or None if no counter was reset."""
+    def reset_drops(self) -> np.ndarray | None:
+        """Per sample, the counter value a reset just before it took away
+        (the sample before it, where it is lower than that one; zero
+        elsewhere) — a counter's increase over a window is its last value
+        minus its first plus the drops after the first — or None if no
+        counter was reset."""
         fell = self.values[1:-1] < self.values[:-2]  # fell[i]: sample i+1 below sample i
         fell[self.starts[1:] - 1] = False  # a next series is not a reset
         if not fell.any():
             return None
         at = np.flatnonzero(fell) + 1
-        carry = np.zeros(len(self.values))
-        carry[at] = self.values[at - 1]
-        # Summed series by series, so one series' carry is never rounded
-        # at the magnitude of all the others' put together.
-        ends = np.append(self.starts[1:], len(carry) - 1)
-        for series in np.unique(np.searchsorted(self.starts, at, "right") - 1):
-            segment = slice(self.starts[series], ends[series])
-            carry[segment] = np.cumsum(carry[segment])
-        return carry
+        drops = np.zeros(len(self.values))
+        drops[at] = self.values[at - 1]
+        return drops
 
 
 _WINDOW_REDUCE = {
@@ -338,9 +333,17 @@ class _Evaluation(Evaluation):
             values = read.values[end - 1] - read.values[first]
             if func is not PromRangeFunc.DELTA:
                 # Counter semantics: add back what resets took away.
-                carry = read.reset_carry
-                if carry is not None:
-                    values = values + (carry[end - 1] - carry[first])
+                # Summed inside each window, so the increase depends on
+                # the window's samples alone, never on how much wider the
+                # group's read of the selector is.
+                drops = read.reset_drops
+                if drops is not None:
+                    after = np.minimum(first + 1, end)
+                    bounds = np.stack([after, end], axis=-1).ravel()
+                    lost = np.add.reduceat(drops, bounds)[::2].reshape(count.shape)
+                    # A window of one sample or none has no drop to add
+                    # (and no value: it needs two).
+                    values = values + np.where(end > after, lost, 0.0)
                 if func is PromRangeFunc.RATE:
                     values = values / (expr.range_ns / NANOS_PER_SECOND)
         return Vector(read.nameless, values, count >= needed)
