@@ -71,6 +71,14 @@ class LabelSet(Mapping[str, str]):
                 return value
         raise KeyError(key)
 
+    def get(self, key: str, default: str | None = None) -> str | None:
+        # Not the Mapping mixin's, which raises and catches a KeyError
+        # for every absent name: the write path asks on every push.
+        for name, value in self._items:
+            if name == key:
+                return value
+        return default
+
     def __iter__(self) -> Iterator[str]:
         return (name for name, _ in self._items)
 

@@ -46,8 +46,16 @@ class PostingsIndex:
     def add(self, id: Hashable, labels: LabelSet) -> None:
         """Register a new ``id`` under every pair of ``labels``."""
         self._labels[id] = labels
+        postings = self._postings
         for name, value in labels.items_tuple():
-            self._postings.setdefault(name, {}).setdefault(value, {})[id] = None
+            # Looked up before created: most pairs a new id carries exist.
+            values = postings.get(name)
+            if values is None:
+                values = postings[name] = {}
+            ids = values.get(value)
+            if ids is None:
+                ids = values[value] = {}
+            ids[id] = None
         self.generation += 1
 
     def remove(self, id: Hashable) -> None:

@@ -60,11 +60,12 @@ class OmniWarehouse:
         #: templates.  Rejected pushes never reach it.
         self.patterns = patterns
         # Labels as given (a mapping's items, in its order) -> their
-        # LabelSet, for the push requests the planes take; a bare
-        # LokiStore keeps its own stream refs.  A ref is added once a
-        # push of it went through — validated, admitted, stored — so the
-        # table is bounded by the streams that exist x key orders, never
-        # by lines or by what admission turned away.
+        # LabelSet, tenant-tagged when admission is on, for the push
+        # requests the planes take; a bare LokiStore keeps its own stream
+        # refs.  A ref is added once a push of it went through —
+        # validated, admitted, stored — so the table is bounded by the
+        # streams that exist x key orders, never by lines or by what
+        # admission turned away.
         self._labelsets: dict[tuple, LabelSet] = {}
         self.messages_ingested = 0
         self._ingest_started_ns = clock.now_ns
@@ -103,7 +104,11 @@ class OmniWarehouse:
         )
         accepted = self.ingest_logs(request, trace_ctx=trace_ctx, tenant=tenant)
         if first_sight:
-            # Admitted and pushed: the stream exists now, so its ref may.
+            # Admitted and pushed: the stream exists now, so its ref may —
+            # to the label set admission tagged it as, which passes the
+            # stream's next pushes on as they come.
+            if self.admission is not None:
+                labelset = self.admission.tag(labelset, tenant)
             self._labelsets[ref] = labelset
         return accepted
 

@@ -117,7 +117,9 @@ class PatternIngester:
         if miner is None:
             miner = DrainMiner(self._config)
             self._miners[(tenant, labels)] = miner
-        seen = self._seen.setdefault(tenant, set())
+        seen = self._seen.get(tenant)
+        if seen is None:
+            seen = self._seen[tenant] = set()
         mined = 0
         started_ns = self._clock.now_ns
         for entry in entries:

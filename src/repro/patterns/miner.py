@@ -22,6 +22,9 @@ what lets Alertmanager group a cross-stream storm into one incident.
 
 from __future__ import annotations
 
+import functools
+import operator
+import re
 from dataclasses import dataclass, field
 
 from repro.common.errors import ValidationError
@@ -88,8 +91,15 @@ def tokenize(line: str, config: DrainConfig) -> list[str] | None:
     return tokens
 
 
+_ASCII_DIGIT = re.compile("[0-9]").search
+
+
 def _has_digit(token: str) -> bool:
-    return any(ch.isdigit() for ch in token)
+    """``any(ch.isdigit() for ch in token)``, answered in C: the only
+    ASCII digits are 0-9, and other text is walked by ``map``."""
+    if token.isascii():
+        return _ASCII_DIGIT(token) is not None
+    return any(map(str.isdigit, token))
 
 
 def _seed_template(tokens: list[str]) -> list[str]:
@@ -100,8 +110,13 @@ def _seed_template(tokens: list[str]) -> list[str]:
 
 def pattern_id_for(seed_tokens: list[str]) -> str:
     """Content-derived cluster id, stable across streams and runs."""
-    digest = mix64(fnv1a_64(" ".join(seed_tokens).encode()))
-    return format(digest, "016x")
+    return _pattern_id(" ".join(seed_tokens))
+
+
+@functools.lru_cache(maxsize=4096)
+def _pattern_id(seed: str) -> str:
+    # Kept per seed: every stream of a storm seeds the same template.
+    return format(mix64(fnv1a_64(seed.encode())), "016x")
 
 
 def template_matches(template: str, line: str, config: DrainConfig) -> bool:
@@ -128,10 +143,12 @@ class PatternCluster:
     first_seen_ns: int = 0
     last_seen_ns: int = 0
     exemplar: str = ""
+    #: ``" ".join(tokens)``, kept: it changes only when a line widens it.
+    template: str = field(init=False)
 
-    @property
-    def template(self) -> str:
-        return " ".join(self.tokens)
+    def __post_init__(self) -> None:
+        self.template = " ".join(self.tokens)
+        self._masked_at = [i for i, m in enumerate(self.masked) if m]
 
     def _similarity(self, tokens: list[str]) -> float:
         """Fraction of positions that match: the same token, or a
@@ -140,26 +157,33 @@ class PatternCluster:
         second cluster with this one's ``pattern_id`` is never minted.  A
         position widened by disagreement earns no credit, so a template
         cannot dissolve into ``<*>`` by attracting everything."""
-        matching = sum(
-            1
-            for t, s, m in zip(self.tokens, tokens, self.masked)
-            if t == s or (m and _has_digit(s))
-        )
+        # A masked position holds ``<*>``, which carries no digit, so the
+        # two ways to match never both count.
+        matching = sum(map(operator.eq, self.tokens, tokens))
+        for i in self._masked_at:
+            if _has_digit(tokens[i]):
+                matching += 1
         return matching / len(tokens)
 
     def _absorb(self, tokens: list[str], timestamp_ns: int) -> None:
-        for i, tok in enumerate(tokens):
-            if self.tokens[i] != tok and self.tokens[i] != WILDCARD:
-                self.tokens[i] = WILDCARD
+        if tokens != self.tokens:
+            widened = [t if t == s else WILDCARD for t, s in zip(self.tokens, tokens)]
+            if widened != self.tokens:
+                self.tokens = widened
+                self.template = " ".join(widened)
         self.count += 1
-        self.first_seen_ns = min(self.first_seen_ns, timestamp_ns)
-        self.last_seen_ns = max(self.last_seen_ns, timestamp_ns)
+        if timestamp_ns < self.first_seen_ns:
+            self.first_seen_ns = timestamp_ns
+        if timestamp_ns > self.last_seen_ns:
+            self.last_seen_ns = timestamp_ns
 
 
-@dataclass
 class _Node:
-    children: dict[str, "_Node"] = field(default_factory=dict)
-    clusters: list[PatternCluster] = field(default_factory=list)
+    __slots__ = ("children", "clusters")
+
+    def __init__(self) -> None:
+        self.children: dict[int | str, _Node] = {}
+        self.clusters: list[PatternCluster] = []
 
 
 class DrainMiner:
@@ -183,16 +207,16 @@ class DrainMiner:
             return None
         self.lines_mined += 1
         leaf = self._route(tokens)
-        cluster = self._best_match(leaf, tokens)
+        cluster, similarity = self._closest(leaf, tokens)
+        if cluster is not None and similarity < self.config.sim_threshold:
+            if len(leaf.clusters) < self.config.max_clusters_per_leaf:
+                cluster = None  # room for a new one
+            else:
+                # Full leaf: force-merge into the closest cluster even below
+                # the similarity threshold — boundedness beats purity.
+                self.forced_merges += 1
         if cluster is not None:
             cluster._absorb(tokens, timestamp_ns)
-            return cluster, False
-        if len(leaf.clusters) >= self.config.max_clusters_per_leaf:
-            # Full leaf: force-merge into the closest cluster even below
-            # the similarity threshold — boundedness beats purity.
-            cluster = self._closest(leaf, tokens)
-            cluster._absorb(tokens, timestamp_ns)
-            self.forced_merges += 1
             return cluster, False
         seed = _seed_template(tokens)
         cluster = PatternCluster(
@@ -222,16 +246,14 @@ class DrainMiner:
         # assume equal lengths), and tokenize() already bounds the
         # number of length groups to max_length_tokens + 1, so this
         # level needs no max_children folding.
-        key = str(len(tokens))
-        node = self._root.children.get(key)
+        node = self._root.children.get(len(tokens))
         if node is None:
-            node = _Node()
-            self._root.children[key] = node
+            node = self._root.children[len(tokens)] = _Node()
         # Levels 1..leading_tokens: leading tokens, digits masked.
         for i in range(self.config.leading_tokens):
             tok = tokens[i] if i < len(tokens) else _PAD_KEY
             key = WILDCARD if _has_digit(tok) else tok
-            node = self._child(node, key)
+            node = node.children.get(key) or self._child(node, key)
         return node
 
     def _child(self, node: _Node, key: str) -> _Node:
@@ -246,22 +268,16 @@ class DrainMiner:
         node.children[key] = child
         return child
 
-    def _best_match(
-        self, leaf: _Node, tokens: list[str]
-    ) -> PatternCluster | None:
-        best = self._closest(leaf, tokens)
-        if best is None:
-            return None
-        if best._similarity(tokens) >= self.config.sim_threshold:
-            return best
-        return None
-
     @staticmethod
-    def _closest(leaf: _Node, tokens: list[str]) -> PatternCluster | None:
+    def _closest(
+        leaf: _Node, tokens: list[str]
+    ) -> tuple[PatternCluster | None, float]:
+        """The leaf's most similar cluster and its similarity, each
+        cluster scored once."""
         best = None
         best_sim = -1.0
         for cluster in leaf.clusters:  # creation order breaks ties
             sim = cluster._similarity(tokens)
             if sim > best_sim:
                 best, best_sim = cluster, sim
-        return best
+        return best, best_sim

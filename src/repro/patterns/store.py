@@ -190,7 +190,7 @@ class PatternStore(BlockStore):
     ) -> None:
         """Record one mined line into the live block for its period."""
         period = timestamp_ns // INDEX_PERIOD_NS
-        fp = stream_fingerprint(labels)
+        fp = labels.fingerprint()
         key = (tenant, fp, period)
         block = self._blocks.get(key)
         if block is None or block.origin != "live":
@@ -216,8 +216,10 @@ class PatternStore(BlockStore):
             block.records[pattern_id] = record
         record.count += 1
         record.template = template  # templates only widen over time
-        record.first_ts_ns = min(record.first_ts_ns, timestamp_ns)
-        record.last_ts_ns = max(record.last_ts_ns, timestamp_ns)
+        if timestamp_ns < record.first_ts_ns:
+            record.first_ts_ns = timestamp_ns
+        if timestamp_ns > record.last_ts_ns:
+            record.last_ts_ns = timestamp_ns
         self._dirty.add(key)
         self.lines_recorded += 1
 

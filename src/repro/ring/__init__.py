@@ -23,14 +23,13 @@ its *microservices* write path, which this package reimplements:
 """
 
 from repro.ring.hashring import HashRing
-from repro.ring.wal import WalRecord, WalSegment, WriteAheadLog
+from repro.ring.wal import WalSegment, WriteAheadLog
 from repro.ring.ingester import Ingester, IngesterState
 from repro.ring.distributor import Distributor, PushResult, QuorumError
 from repro.ring.cluster import RingLokiCluster
 
 __all__ = [
     "HashRing",
-    "WalRecord",
     "WalSegment",
     "WriteAheadLog",
     "Ingester",

@@ -24,6 +24,7 @@ from repro.loki.model import LogEntry, PushRequest
 from repro.ring.hashring import HashRing
 from repro.ring.ingester import Ingester
 from repro.ring.merge import merge_streams
+from repro.ring.wal import encode_bodies
 from repro.tempo.model import SpanContext
 from repro.tempo.tracer import Tracer
 from repro.tenancy.limits import TENANT_LABEL
@@ -191,12 +192,15 @@ class Distributor:
         accepted_total = 0
         ok_total = failed_total = 0
         for stream in request.streams:
-            replicas = self._write_replicas(stream.labels)
+            labels, entries = stream.labels, stream.entries
+            # Encoded once: every replica's WAL frames the same bodies.
+            bodies = encode_bodies(entries)
             accepted_counts = []
-            for replica_id in replicas:
-                ingester = self.ingesters[replica_id]
+            for replica_id in self._write_replicas(labels):
                 try:
-                    got = ingester.push_stream(stream.labels, stream.entries)
+                    got = self.ingesters[replica_id].push_stream(
+                        labels, entries, bodies
+                    )
                 except StateError:
                     failed_total += 1
                     self.replica_writes_failed += 1
@@ -220,7 +224,7 @@ class Distributor:
             if len(accepted_counts) < self.write_quorum:
                 self.quorum_failures += 1
                 raise QuorumError(
-                    f"stream {stream.labels!r}: {len(accepted_counts)} of "
+                    f"stream {labels!r}: {len(accepted_counts)} of "
                     f"{self.replication_factor} replicas accepted, quorum is "
                     f"{self.write_quorum}"
                 )

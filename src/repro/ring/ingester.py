@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import enum
 import zlib
-from typing import Iterable, Mapping
+from typing import Iterable, Mapping, Sequence
 
 from repro.common.errors import StateError
 from repro.common.jsonutil import dumps_compact, loads
@@ -23,6 +23,7 @@ from repro.loki.chunks import ChunkPolicy
 from repro.loki.model import LogEntry
 from repro.loki.store import LokiStore
 from repro.ring.merge import merge_replica_entries
+from repro.ring.wal import WriteAheadLog, encode_bodies
 
 
 class IngesterState(enum.Enum):
@@ -39,9 +40,6 @@ class Ingester:
         policy: ChunkPolicy | None = None,
         wal_segment_bytes: int = 64 * 1024,
     ) -> None:
-        # Imported here to avoid a cycle at package-definition time.
-        from repro.ring.wal import WriteAheadLog
-
         self.id = ingester_id
         self._policy = policy
         self.wal = WriteAheadLog(segment_max_bytes=wal_segment_bytes)
@@ -59,13 +57,20 @@ class Ingester:
             raise StateError(f"ingester {self.id} is {self.state.value}")
 
     def push_stream(
-        self, labels: LabelSet | Mapping[str, str], entries: Iterable[LogEntry]
+        self,
+        labels: LabelSet | Mapping[str, str],
+        entries: Iterable[LogEntry],
+        bodies: Sequence[bytes] | None = None,
     ) -> int:
-        """WAL-then-apply; returns entries the store accepted."""
+        """WAL-then-apply; returns entries the store accepted.  ``bodies``
+        are the entries' WAL bodies, when the caller already encoded them
+        (the distributor does, once for all replicas)."""
         self._require_active()
         labelset = labels if isinstance(labels, LabelSet) else LabelSet(labels)
-        entries = list(entries)
-        self.wal.append(labelset, entries)
+        if bodies is None:
+            entries = list(entries)
+            bodies = encode_bodies(entries)
+        self.wal.append(labelset, bodies)
         return self.store.push_stream(labelset, entries)
 
     # ------------------------------------------------------------------
@@ -134,8 +139,8 @@ class Ingester:
         if self.wal.checkpoint_blob is not None:
             self._restore_checkpoint(store, self.wal.checkpoint_blob)
         replayed = 0
-        for record in self.wal.replay():
-            store.push_stream(record.labelset(), [record.entry()])
+        for labels, entry in self.wal.replay():
+            store.push_stream(labels, (entry,))
             replayed += 1
         self.store = store
         self.state = IngesterState.ACTIVE

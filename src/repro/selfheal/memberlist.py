@@ -55,6 +55,8 @@ class Memberlist:
         self._state: dict[str, MemberState] = {}
         self._last_heartbeat_ns: dict[str, int] = {}
         self._state_since_ns: dict[str, int] = {}
+        #: Members not ACTIVE, kept at each transition: a push asks.
+        self._write_excluded: frozenset[str] = frozenset()
         # Transition accounting for the exporter and the benches.
         self.heartbeats_total = 0
         self.suspects_total = 0
@@ -107,6 +109,9 @@ class Memberlist:
     def _transition(self, member: str, state: MemberState) -> None:
         self._state[member] = state
         self._state_since_ns[member] = self.clock.now_ns
+        self._write_excluded = frozenset(
+            m for m, s in self._state.items() if s is not MemberState.ACTIVE
+        )
 
     def heartbeat(self, member: str) -> None:
         """Stamp liveness; a SUSPECT/DEAD member snaps back to ACTIVE."""
@@ -166,12 +171,10 @@ class Memberlist:
     # ------------------------------------------------------------------
     # Routing views
     # ------------------------------------------------------------------
-    def write_excluded(self) -> set[str]:
+    def write_excluded(self) -> frozenset[str]:
         """Members a push must not target: anything not ACTIVE.  The
         distributor extends its clockwise walk over the survivors."""
-        return {
-            m for m, s in self._state.items() if s is not MemberState.ACTIVE
-        }
+        return self._write_excluded
 
     def read_excluded(self, member: str) -> bool:
         """Whether a read fan-out should skip the member outright.

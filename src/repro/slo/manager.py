@@ -331,7 +331,9 @@ class SloManager:
             },
             state=state,
             value=remaining,
-            started_at_ns=entry.exhausted_since_ns or now,
+            started_at_ns=(
+                now if entry.exhausted_since_ns is None else entry.exhausted_since_ns
+            ),
             fired_at_ns=now,
             generator="slo-manager",
         )

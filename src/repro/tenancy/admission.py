@@ -80,8 +80,9 @@ class AdmissionController:
         self._stream_buckets: dict[tuple[str, LabelSet], TokenBucket] = {}
         self._streams: dict[str, set[LabelSet]] = {}
         # (tenant, labels as pushed) -> the tenant-tagged label set, kept
-        # once the stream is admitted: bounded by the active streams the
-        # limits allow, and a steady-state line re-tags nothing.
+        # once the stream is admitted (labels that already carry their tag
+        # need no entry): bounded by the active streams the limits allow,
+        # and a steady-state line re-tags nothing.
         self._tagged: dict[tuple[str, LabelSet], LabelSet] = {}
         self.counters: dict[str, TenantCounters] = {}
 
@@ -115,7 +116,13 @@ class AdmissionController:
             self._stream_buckets[key] = bucket
         return bucket
 
-    def _tag(self, labels: LabelSet, tenant: str) -> LabelSet:
+    def tag(self, labels: LabelSet, tenant: str | None = None) -> LabelSet:
+        """``labels`` as a push for ``tenant`` is admitted under: with the
+        ``tenant`` label set.  A push whose streams already carry their
+        tags passes admission as it came, nothing rebuilt."""
+        tenant = tenant or self.default_tenant
+        if labels in self._streams.get(tenant, ()):
+            return labels  # an active stream is a tagged label set
         tagged = self._tagged.get((tenant, labels))
         return tagged if tagged is not None else _with_tenant(labels, tenant)
 
@@ -141,16 +148,21 @@ class AdmissionController:
         limits = self.registry.limits_for(tenant)
         total = request.total_entries()
         now = self.clock.now_ns
+        active = self._streams.get(tenant)
+        if active is None:
+            active = self._streams[tenant] = set()
 
-        tagged = PushRequest(
-            streams=tuple(
-                PushStream(
-                    labels=self._tag(stream.labels, tenant),
-                    entries=stream.entries,
+        streams = request.streams
+        tags = [self.tag(stream.labels, tenant) for stream in streams]
+        new = [tag for tag in tags if tag not in active]
+        tagged = request
+        if any(tag is not stream.labels for tag, stream in zip(tags, streams)):
+            tagged = PushRequest(
+                streams=tuple(
+                    PushStream(labels=tag, entries=stream.entries)
+                    for tag, stream in zip(tags, streams)
                 )
-                for stream in request.streams
             )
-        )
 
         # Tenant-wide rate first: the cheapest check, and the one a
         # flooding tenant hits — all-or-nothing, no bucket debit on reject.
@@ -166,22 +178,17 @@ class AdmissionController:
                 f"(burst {limits.ingestion_burst_lines})",
             )
 
-        active = self._streams.setdefault(tenant, set())
-        for stream in tagged.streams:
-            if stream.labels not in active:
-                if len(active) >= limits.max_active_streams:
-                    bucket.give_back(total)
-                    self._reject(
-                        tenant, counters, REASON_STREAM_LIMIT, total, trace_ctx
-                    )
-                    raise StreamLimitError(
-                        tenant,
-                        f"tenant {tenant!r}: stream limit "
-                        f"{limits.max_active_streams} reached",
-                    )
+        if new and len(active) >= limits.max_active_streams:
+            bucket.give_back(total)
+            self._reject(tenant, counters, REASON_STREAM_LIMIT, total, trace_ctx)
+            raise StreamLimitError(
+                tenant,
+                f"tenant {tenant!r}: stream limit "
+                f"{limits.max_active_streams} reached",
+            )
         debited: list[tuple[TokenBucket, int]] = []
-        for stream in tagged.streams:
-            stream_bucket = self._stream_bucket(tenant, stream.labels)
+        for tag, stream in zip(tags, streams):
+            stream_bucket = self._stream_bucket(tenant, tag)
             if stream_bucket.take(now, len(stream.entries)):
                 debited.append((stream_bucket, len(stream.entries)))
                 continue
@@ -193,12 +200,13 @@ class AdmissionController:
             )
             raise RateLimitedError(
                 tenant,
-                f"tenant {tenant!r}: stream {stream.labels!r} exceeds "
+                f"tenant {tenant!r}: stream {tag!r} exceeds "
                 f"per-stream rate {limits.per_stream_rate_lines_s:g}/s",
             )
-        for pushed, stream in zip(request.streams, tagged.streams):
-            active.add(stream.labels)
-            self._tagged[(tenant, pushed.labels)] = stream.labels
+        active.update(new)
+        for tag, stream in zip(tags, streams):
+            if tag is not stream.labels:
+                self._tagged[(tenant, stream.labels)] = tag
         counters.entries_accepted += total
         self._span(tenant, "admit", total, trace_ctx)
         return tagged

@@ -12,7 +12,7 @@ from repro.common.errors import StateError, ValidationError
 from repro.common.labels import LabelSet, label_matcher
 from repro.loki.model import LogEntry
 from repro.ring.ingester import Ingester, IngesterState
-from repro.ring.wal import WalRecord, WriteAheadLog
+from repro.ring.wal import WriteAheadLog, encode_bodies
 
 APP = LabelSet({"app": "sim"})
 MATCH = [label_matcher("app", "=", "sim")]
@@ -22,15 +22,53 @@ def entries(*pairs):
     return [LogEntry(ts, line) for ts, line in pairs]
 
 
+def log(wal, labels, *pairs):
+    wal.append(labels, encode_bodies(entries(*pairs)))
+
+
 class TestWalFormat:
     def test_record_roundtrip(self):
-        record = WalRecord((("app", "sim"),), 42, "hello")
-        encoded = record.encode()
-        assert WalRecord.decode(encoded[4:]) == record
+        labels = LabelSet({"app": "sim", "host": "nid0001 é"})
+        log(wal := WriteAheadLog(), labels, (42, "hello"), (-1, ""), (43, "a\x1eb\n"))
+        assert list(wal.replay()) == [
+            (labels, LogEntry(42, "hello")),
+            (labels, LogEntry(-1, "")),
+            (labels, LogEntry(43, "a\x1eb\n")),
+        ]
 
     def test_decode_garbage_raises(self):
-        with pytest.raises(StateError):
-            WalRecord.decode(b"\x00not json")
+        wal = WriteAheadLog()
+        log(wal, APP, (1, "x"))
+        wal.segments[-1].data += b"\x00\x00\x00\x08not json"  # no such record kind
+        with pytest.raises(StateError, match="undecodable"):
+            list(wal.replay())
+
+    @pytest.mark.parametrize(
+        "garbage",
+        [
+            b"\x00\x00\x00\x05\x02\x00\x00\x00\x00",  # an entry record with no body
+            b"\x00\x00\x00\x0d\x02\x00\x00\x00\x07" + bytes(8),  # a ref no series names
+            b"\x00\x00\x00\x0a\x01\x00\x00\x00\x07\x01\x05\x05abc",  # labels cut short
+            b"\x00\x00\x00\x06\x01\x00\x00\x00\x07\x81",  # a varint cut short
+        ],
+    )
+    def test_decode_malformed_record_raises(self, garbage):
+        wal = WriteAheadLog()
+        log(wal, APP, (1, "x"))
+        wal.segments[-1].data += garbage
+        with pytest.raises(StateError, match="undecodable"):
+            list(wal.replay())
+
+    def test_a_timestamp_past_int64_is_refused(self):
+        with pytest.raises(ValidationError, match="timestamp out of range"):
+            encode_bodies(entries((2**63, "x")))
+
+    def test_invalid_utf8_line_raises(self):
+        wal = WriteAheadLog()
+        log(wal, APP, (1, "x"))
+        wal.segments[-1].data[-1] = 0xFF
+        with pytest.raises(StateError, match="undecodable"):
+            list(wal.replay())
 
     def test_segment_size_floor(self):
         with pytest.raises(ValidationError):
@@ -38,38 +76,38 @@ class TestWalFormat:
 
     def test_segments_roll_when_full(self):
         wal = WriteAheadLog(segment_max_bytes=128)
-        wal.append(APP, entries(*[(i, f"line-{i}") for i in range(20)]))
+        log(wal, APP, *[(i, f"line-{i}") for i in range(20)])
         assert wal.segment_count() > 1
         assert wal.segments_sealed == wal.segment_count() - 1
         # Every sealed segment respects the byte bound.
         for segment in wal.segments[:-1]:
             assert segment.size_bytes() <= 128
-        assert [r.line for r in wal.replay()] == [f"line-{i}" for i in range(20)]
+        assert [e.line for _, e in wal.replay()] == [f"line-{i}" for i in range(20)]
 
 
 class TestTornTail:
     def test_torn_tail_record_is_dropped(self):
         wal = WriteAheadLog()
-        wal.append(APP, entries((1, "keep-a"), (2, "keep-b"), (3, "torn")))
+        log(wal, APP, (1, "keep-a"), (2, "keep-b"), (3, "torn"))
         wal.segments[-1].truncate_tail(5)  # chop into the last record
-        lines = [r.line for r in wal.replay()]
+        lines = [e.line for _, e in wal.replay()]
         assert lines == ["keep-a", "keep-b"]
         assert wal.torn_records_dropped == 1
 
     def test_torn_header_is_dropped_too(self):
         wal = WriteAheadLog()
-        wal.append(APP, entries((1, "keep")))
+        log(wal, APP, (1, "keep"))
         size_one = wal.segments[-1].size_bytes()
-        wal.append(APP, entries((2, "torn")))
+        log(wal, APP, (2, "torn"))
         # Leave only 2 bytes of the second record's 4-byte length prefix.
         tail = wal.segments[-1]
         tail.truncate_tail(tail.size_bytes() - size_one - 2)
-        assert [r.line for r in wal.replay()] == ["keep"]
+        assert [e.line for _, e in wal.replay()] == ["keep"]
         assert wal.torn_records_dropped == 1
 
     def test_truncated_interior_segment_raises(self):
         wal = WriteAheadLog(segment_max_bytes=64)
-        wal.append(APP, entries(*[(i, f"line-{i}") for i in range(10)]))
+        log(wal, APP, *[(i, f"line-{i}") for i in range(10)])
         assert wal.segment_count() > 1
         wal.segments[0].truncate_tail(3)  # corruption, not a torn write
         with pytest.raises(StateError, match="truncated mid-record"):
@@ -77,7 +115,7 @@ class TestTornTail:
 
     def test_truncation_bounds_checked(self):
         wal = WriteAheadLog()
-        wal.append(APP, entries((1, "x")))
+        log(wal, APP, (1, "x"))
         with pytest.raises(ValidationError):
             wal.segments[-1].truncate_tail(10_000)
 

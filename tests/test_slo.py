@@ -467,6 +467,23 @@ class TestSloManager:
         assert len(resolved) == 1
         assert manager.exhaustion_events == 2
 
+    def test_exhausted_at_time_zero_resolves_with_that_start(self, slo_world):
+        clock, store, promql, manager, events = slo_world
+        collector = manager.register(
+            SLO(name="a", description="x", objective=0.99, window="10m"),
+            StaticSource(),
+        )
+        manager.tick()  # the budget's baseline, at t = 0
+        collector.inject(0.0, 200.0)
+        manager.tick()  # still t = 0, and the budget is gone
+        [firing] = [e for e in events if e.state is AlertState.FIRING]
+        assert firing.started_at_ns == firing.fired_at_ns == 0
+        collector.inject(2000.0, 0.0)
+        drive(clock, store, manager, collector, "a", 30)
+        [resolved] = [e for e in events if e.state is AlertState.RESOLVED]
+        assert resolved.fired_at_ns > 0
+        assert resolved.started_at_ns == 0
+
     def test_status_rows(self, slo_world):
         clock, store, promql, manager, _ = slo_world
         collector = manager.register(

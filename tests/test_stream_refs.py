@@ -289,10 +289,10 @@ class TestSteadyStateBudget:
         assert labelsets.call_count == 0
         assert envelopes.call_count == self.LINES
         assert decoder.decode.call_count == self.LINES
-        # One size per entry per store that holds it; the only JSON
-        # written besides the envelope is a replica's WAL record.
+        # One size per entry per store that holds it; no JSON is written
+        # besides the envelope (a replica's WAL record is binary).
         assert sizes.call_count == self.LINES * stores
-        assert encoder.encode.call_count == (self.LINES * stores if stores > 1 else 0)
+        assert encoder.encode.call_count == 0
 
     def test_first_sight_is_what_pays(self):
         """The other half of the contract: a new stream validates."""
