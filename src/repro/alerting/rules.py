@@ -9,7 +9,6 @@ and vmalert (PromQL queries).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import partial
 from typing import Any, Callable
 
 from repro.common.durations import parse_duration_ns
@@ -71,12 +70,11 @@ class RuleEvaluator:
 
     Subclasses provide ``_compile(expr)`` — validate the expression when
     the rule is added and return the form to evaluate, parsed once — and
-    how to evaluate: ``_instant(time_ns)``, the whole rule group at one
-    instant, or, with nothing to share between rules,
-    ``_query(compiled, time_ns)``.  Every sample returned for a rule is
-    an active series.  A series fires once it has been continuously
-    active for the rule's ``for`` duration, and resolves when it
-    disappears; a rule keeps state for its active series only.
+    ``_instant(time_ns)``, the whole rule group evaluated at one instant.
+    Every sample returned for a rule is an active series.  A series fires
+    once it has been continuously active for the rule's ``for`` duration,
+    and resolves when it disappears; a rule keeps state for its active
+    series only.
     """
 
     def __init__(
@@ -102,14 +100,11 @@ class RuleEvaluator:
         should be handed on every evaluation."""
         raise NotImplementedError
 
-    def _query(self, compiled: Any, time_ns: int) -> list[Sample]:
-        raise NotImplementedError
-
     def _instant(self, time_ns: int) -> Callable[[Any], list[Sample]]:
         """One evaluation of the group at ``time_ns``: a query that takes
         a compiled rule and returns its samples, sharing what the rules
         share.  It is used for one ``evaluate_all`` and dropped."""
-        return partial(self._query, time_ns=time_ns)
+        raise NotImplementedError
 
     # -- configuration ------------------------------------------------------
     def add_rule(self, rule: RuleSpec) -> None:

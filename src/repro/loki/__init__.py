@@ -21,7 +21,7 @@ the paper's design leans on (§III.A, §IV.A):
 from repro.loki.model import LogEntry, PushRequest, PushStream
 from repro.loki.chunks import Chunk, ChunkPolicy
 from repro.loki.store import LokiStore, StoreStats, aggregate_stats
-from repro.loki.ruler import Ruler, AlertingRule
+from repro.loki.ruler import Ruler
 
 __all__ = [
     "LogEntry",
@@ -33,5 +33,4 @@ __all__ = [
     "StoreStats",
     "aggregate_stats",
     "Ruler",
-    "AlertingRule",
 ]

@@ -24,7 +24,7 @@ from operator import attrgetter
 from repro.common.errors import StateError, ValidationError
 from repro.loki.model import LogEntry
 
-_SEPARATOR = "\x1e"  # record separator; never appears in log lines we accept
+SEPARATOR = "\x1e"  # record separator; never appears in log lines we accept
 _TIMESTAMP = attrgetter("timestamp_ns")
 
 
@@ -100,7 +100,7 @@ class Chunk:
         as for :meth:`space_for`."""
         if self._sealed:
             raise StateError("cannot append to a sealed chunk")
-        if _SEPARATOR in entry.line:
+        if SEPARATOR in entry.line:
             raise ValidationError("log line contains reserved separator byte 0x1e")
         if self.last_ts_ns is not None and entry.timestamp_ns < self.last_ts_ns:
             raise ValidationError(
@@ -120,8 +120,8 @@ class Chunk:
         """Compress the head block; the chunk becomes immutable."""
         if self._sealed:
             return
-        payload = _SEPARATOR.join(
-            f"{e.timestamp_ns}{_SEPARATOR}{e.line}" for e in self._head
+        payload = SEPARATOR.join(
+            f"{e.timestamp_ns}{SEPARATOR}{e.line}" for e in self._head
         )
         self._compressed = zlib.compress(payload.encode(), level=6)
         self._head = []
@@ -170,7 +170,7 @@ class Chunk:
         """A sealed chunk's payload split into ``ts, line, ts, line, ...``."""
         if self._compressed is None or self.entry_count == 0:
             return []
-        fields = zlib.decompress(self._compressed).decode().split(_SEPARATOR)
+        fields = zlib.decompress(self._compressed).decode().split(SEPARATOR)
         if len(fields) % 2:
             fields.pop()  # a timestamp without its line: not an entry
         return fields

@@ -20,13 +20,10 @@ from repro.common.errors import QueryError
 from repro.common.simclock import SimClock
 from repro.common.vector import Sample
 from repro.alerting.events import AlertEvent
-from repro.alerting.rules import RuleEvaluator, RuleSpec
+from repro.alerting.rules import RuleEvaluator
 from repro.loki.logql.ast import LogPipeline, MetricExpr
 from repro.loki.logql.engine import LogQLEngine
 from repro.loki.logql.parser import parse
-
-#: Loki rule files use the Prometheus rule format; alias for clarity.
-AlertingRule = RuleSpec
 
 
 class Ruler(RuleEvaluator):

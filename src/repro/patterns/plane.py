@@ -76,7 +76,7 @@ class PatternsPlane(Plane):
         ]
 
     def install_rules(self, fw):
-        # Pattern rules live on the *pattern* ruler, whose _query
+        # Pattern rules live on the *pattern* ruler, whose _instant
         # reads the miner directly instead of PromQL.  Both fire
         # immediately (for_="0s"): a burst sample only exists while
         # the rate genuinely exceeds the baseline, and a novel error

@@ -135,21 +135,25 @@ class PatternRuler(RuleEvaluator):
             )
         return expr
 
-    def _query(self, expr: str, time_ns: int) -> list[Sample]:
-        if expr == BURST_EXPR:
-            samples = self._burst_samples(time_ns)
-        else:
-            samples = self._novel_samples(time_ns)
-        if self._tracer is not None and self._tracer.enabled:
-            self._tracer.record(
-                "pattern-ruler",
-                f"ruler.{expr}",
-                None,
-                start_ns=time_ns,
-                end_ns=time_ns,
-                attributes={"samples": str(len(samples))},
-            )
-        return samples
+    def _instant(self, time_ns: int) -> Callable[[str], list[Sample]]:
+        # Each rule reads the miner directly; there is nothing to share.
+        def query(expr: str) -> list[Sample]:
+            if expr == BURST_EXPR:
+                samples = self._burst_samples(time_ns)
+            else:
+                samples = self._novel_samples(time_ns)
+            if self._tracer is not None and self._tracer.enabled:
+                self._tracer.record(
+                    "pattern-ruler",
+                    f"ruler.{expr}",
+                    None,
+                    start_ns=time_ns,
+                    end_ns=time_ns,
+                    attributes={"samples": str(len(samples))},
+                )
+            return samples
+
+        return query
 
     # ------------------------------------------------------------------
     # Burst detection

@@ -20,6 +20,7 @@ from typing import TYPE_CHECKING, Collection, Iterable, Mapping
 
 from repro.common.errors import StateError, ValidationError
 from repro.common.labels import LabelSet, Matcher
+from repro.loki.chunks import SEPARATOR
 from repro.loki.model import LogEntry, PushRequest
 from repro.ring.hashring import HashRing
 from repro.ring.ingester import Ingester
@@ -195,6 +196,12 @@ class Distributor:
             labels, entries = stream.labels, stream.entries
             # Encoded once: every replica's WAL frames the same bodies.
             bodies = encode_bodies(entries)
+            # Refused before any replica logs it: each replica's store
+            # would raise part-way through, after its WAL held the push.
+            if any(SEPARATOR in entry.line for entry in entries):
+                raise ValidationError(
+                    "log line contains reserved separator byte 0x1e"
+                )
             accepted_counts = []
             for replica_id in self._write_replicas(labels):
                 try:

@@ -119,7 +119,7 @@ class SloManager:
         self._notifier = notifier
         self._cluster = cluster
         self._tracer = tracer
-        self.recording = RecordingEngine(promql, store, clock, tracer)
+        self.recording = RecordingEngine(store, clock, tracer)
         windows = self._distinct_windows()
         #: Per distinct window, its error-ratio rule over every SLO; the
         #: windows' rules are one group, sharing its two SLI reads.

@@ -402,14 +402,6 @@ class TimeSeriesStore:
             self._postings.add(series, full)
         return series
 
-    def ingest_sample(self, sample: MetricSample) -> bool:
-        return self.ingest(
-            sample.name, sample.labels, sample.value, sample.timestamp_ns
-        )
-
-    def ingest_many(self, samples: Iterable[MetricSample]) -> int:
-        return sum(1 for s in samples if self.ingest_sample(s))
-
     def replace(
         self,
         labels: LabelSet,

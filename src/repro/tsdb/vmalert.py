@@ -15,11 +15,8 @@ from typing import Callable
 from repro.common.simclock import SimClock
 from repro.common.vector import Sample
 from repro.alerting.events import AlertEvent
-from repro.alerting.rules import RuleEvaluator, RuleSpec
+from repro.alerting.rules import RuleEvaluator
 from repro.tsdb.promql import PromExpr, PromQLEngine, parse_promql
-
-#: vmalert rules are Prometheus-format too; alias for symmetry with Ruler.
-MetricAlertingRule = RuleSpec
 
 
 class VMAlert(RuleEvaluator):

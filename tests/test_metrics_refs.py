@@ -22,7 +22,7 @@ from repro.common.labels import LabelSet
 from repro.common.simclock import minutes
 from repro.core.framework import FrameworkConfig, MonitoringFramework
 from repro.exporters import exporter as exporter_module, textformat
-from tests.test_telemetry_refs import counted
+from tests.counting import counted
 
 
 def warmed(cabinets: int) -> MonitoringFramework:

@@ -8,8 +8,8 @@ and WAL replay is byte-identical to an uninterrupted run.
 import pytest
 
 from repro.common.errors import NotFoundError, StateError, ValidationError
-from repro.common.labels import label_matcher
-from repro.loki.model import PushRequest
+from repro.common.labels import LabelSet, label_matcher
+from repro.loki.model import LogEntry, PushRequest, PushStream
 from repro.ring.cluster import RingLokiCluster
 from repro.ring.distributor import QuorumError, ReadDegradedError
 from repro.selfheal.memberlist import Memberlist, MemberState
@@ -75,6 +75,31 @@ class TestDistributor:
         assert cluster.distributor.entries_accepted == 50
         # Physical totals count every replica copy.
         assert cluster.stats.entries_ingested == 150
+
+
+    def test_a_reserved_separator_is_refused_before_any_replica_logs_it(self):
+        """A line holding the chunk separator 0x1e was logged by the first
+        replica, which then raised from its store part-way through the
+        push; the other replicas never saw it, and the first one raised
+        again replaying its WAL after a restart."""
+        cluster = RingLokiCluster(ingesters=3, replication_factor=3)
+        clean, bad = LabelSet({"app": "clean"}), LabelSet({"app": "bad"})
+        request = PushRequest(
+            streams=(
+                PushStream(clean, (LogEntry(1, "ok"),)),
+                PushStream(bad, (LogEntry(2, "before"), LogEntry(3, "a\x1eb"))),
+            )
+        )
+        with pytest.raises(ValidationError, match="0x1e"):
+            cluster.push(request)
+        ingesters = list(cluster.ingesters.values())
+        for ingester in ingesters:
+            assert [labels for labels, _ in ingester.wal.replay()] == [clean]
+        want = [(clean, [LogEntry(1, "ok")])]
+        assert all(i.select(MATCH_ALL, 0, 10) == want for i in ingesters)
+        cluster.crash_ingester("ingester-0")
+        assert cluster.restart_ingester("ingester-0") == 1
+        assert cluster.ingesters["ingester-0"].select(MATCH_ALL, 0, 10) == want
 
 
 class TestQuorumRead:

@@ -1,14 +1,15 @@
-"""A rule group is one evaluation (DESIGN §3 "the group is the unit",
-§15 "the stage rule"): whatever the rules of a group share — a read, a
-sub-expression — is done once a cycle, and nothing a rule returns may
-depend on that.  The reference is the evaluator as it was, kept here as
-plain loops: every rule its own ``query_instant``, its output ingested
-(or its alert states advanced) before the next rule is asked.
+"""A rule group is one evaluation (DESIGN §3 "the group is the unit"):
+whatever the expressions of a group share — a read, a sub-expression —
+is done once a cycle, and nothing an expression returns may depend on
+that.  The reference is each expression on its own, kept here as plain
+loops:
 
-* recording groups: the same ``ingest`` calls in the same order with
-  bit-equal values, the same ``eval_errors``;
+* a ``PromQLEngine.group()`` evaluation: every expression's samples the
+  same, value bits included, as its own ``query_instant``, or the same
+  ``QueryError``;
 * alerting groups, vmalert's and the Loki Ruler's: the same events in
-  the same order, the same series pending and firing;
+  the same order, the same series pending and firing, as an evaluator
+  that asks one instant query a rule;
 * a rule that fails at runtime is counted and skipped, its alert states
   left as they were, and never stops the clock (a regression: it
   silenced vmalert for good);
@@ -38,10 +39,10 @@ from repro.loki.model import LogEntry
 from repro.loki.ruler import Ruler
 from repro.loki.store import LokiStore
 from repro.slo import SLO, SloManager, StaticSource
-from repro.tsdb import PromQLEngine, RecordingEngine, RecordingRule, TimeSeriesStore
+from repro.tsdb import PromQLEngine, TimeSeriesStore
 from repro.tsdb.promql import parse_promql
 from repro.tsdb.vmalert import VMAlert
-from tests.test_stream_refs import counted
+from tests.counting import counted
 
 STEP = seconds(5)
 LOOKBACK = int(seconds(12))
@@ -51,20 +52,21 @@ LOOKBACK = int(seconds(12))
 WINDOWS = ("4s", "11s", "30s", "90s")
 
 #: Base series: (metric, labels).  ``c`` has no ``job="y"``, ``b`` has a
-#: third series, so joins drop rows and aggregations regroup.
+#: third series, so joins drop rows and aggregations regroup.  ``r0``–``r3``
+#: carry the labels rule outputs had, ``window`` included, and count in
+#: tenths, as inexact as the rates those outputs were.
 BASE = [
     ("a", {"job": "x"}), ("a", {"job": "y"}),
     ("b", {"job": "x"}), ("b", {"job": "y"}), ("b", {"job": "y", "zone": "1"}),
     ("c", {"job": "x"}),
+    ("r0", {"job": "x"}), ("r1", {"job": "y"}),
+    ("r2", {"job": "x"}), ("r2", {"job": "x", "window": "w"}), ("r3", {"job": "y"}),
 ]
-RECORDS = ("r0", "r1", "r2", "r3")
-#: What a rule may read: base metrics and what rules record — its own
-#: output and a later rule's included.
-NAMES = ("a", "b", "c", *RECORDS)
+NAMES = ("a", "b", "c", "r0", "r1", "r2", "r3")
 
-#: Expression shapes over names {m}/{n} and windows {w}/{v}.  Quarters
-#: and integers only, so every sum is exact and "bit-equal" is a fair ask
-#: of a counter's reset carry summed over a wider read.
+#: Expression shapes over names {m}/{n} and windows {w}/{v}.  "Bit-equal"
+#: is a fair ask of inexact values too: what an expression returns depends
+#: on its windows' samples alone, however wide the group reads a selector.
 SHAPES = (
     "{m}",
     '{m}{{job="x"}}',
@@ -87,19 +89,17 @@ SHAPES = (
     "topk(1, {m})",
 )
 
-rules_st = st.lists(
+exprs_st = st.lists(
     st.tuples(
-        st.sampled_from(RECORDS),
         st.sampled_from(SHAPES),
         st.sampled_from(NAMES), st.sampled_from(NAMES),
         st.sampled_from(WINDOWS), st.sampled_from(WINDOWS),
-        st.sampled_from([{}, {"window": "w"}]),
     ),
     min_size=1, max_size=8,
 )
 #: Per cycle and base series: None (no sample: the series falls behind
-#: and out of the narrow windows) or a quarter-valued increment, negative
-#: for a counter reset.
+#: and out of the narrow windows) or an increment in quarters (tenths for
+#: the r-names), negative for a counter reset.
 cycles_st = st.lists(
     st.lists(
         st.one_of(st.none(), st.integers(-6, 12)), min_size=len(BASE), max_size=len(BASE)
@@ -108,217 +108,99 @@ cycles_st = st.lists(
 )
 
 
-def build_rules(specs) -> list[RecordingRule]:
-    rules, seen = [], set()
-    for record, shape, m, n, w, v, labels in specs:
-        expr = shape.format(m=m, n=n, w=w, v=v)
-        if (record, expr) not in seen:
-            seen.add((record, expr))
-            rules.append(RecordingRule(record=record, expr=expr, labels=labels))
-    return rules
-
-
-class LoggedStore(TimeSeriesStore):
-    """A store that remembers every ``ingest`` call, value by its bits."""
-
-    def __init__(self) -> None:
-        super().__init__()
-        self.log = []
-
-    def ingest(self, name, labels, value, timestamp_ns, exemplar=None):
-        self.log.append((name, LabelSet(labels).items_tuple(), float(value).hex(), timestamp_ns))
-        return super().ingest(name, labels, value, timestamp_ns, exemplar)
-
-
-class PerRuleRecording:
-    """The recording engine as it was: one instant query a rule."""
-
-    def __init__(self, engine: PromQLEngine, store: TimeSeriesStore, clock: SimClock):
-        self.engine, self.store, self.clock = engine, store, clock
-        self.rules: list[RecordingRule] = []
-        self.samples_recorded = self.eval_errors = 0
-
-    def evaluate_all(self) -> None:
-        now = self.clock.now_ns
-        for rule in self.rules:
-            try:
-                samples = self.engine.query_instant(rule.ast, now)
-            except QueryError:
-                self.eval_errors += 1
-                continue
-            for sample in samples:
-                labels = sample.labels.without("__name__").with_labels(**rule.labels)
-                self.samples_recorded += self.store.ingest(rule.record, labels, sample.value, now)
+def build_exprs(specs) -> list[str]:
+    return list(dict.fromkeys(shape.format(m=m, n=n, w=w, v=v) for shape, m, n, w, v in specs))
 
 
 def feed(store: TimeSeriesStore, totals: list[float], increments, now: int) -> None:
     for i, ((name, labels), inc) in enumerate(zip(BASE, increments)):
         if inc is not None:
-            totals[i] = max(0.0, totals[i] + inc / 4)
+            totals[i] = max(0.0, totals[i] + inc / (10 if name[0] == "r" else 4))
             store.ingest(name, labels, totals[i], now)
 
 
-def assert_group_equals_rule_by_rule(specs, cycles) -> RecordingEngine:
-    rules = build_rules(specs)
-    clock = SimClock(0)
-    stores = LoggedStore(), LoggedStore()
-    grouped = RecordingEngine(PromQLEngine(stores[0], LOOKBACK), stores[0], clock)
-    reference = PerRuleRecording(PromQLEngine(stores[1], LOOKBACK), stores[1], clock)
-    for rule in rules:
-        grouped.add_rule(rule)
-    reference.rules = rules
-    totals = [[0.0] * len(BASE), [0.0] * len(BASE)]
-    for increments in cycles:
-        clock.advance(STEP)
-        for store, running in zip(stores, totals):
-            feed(store, running, increments, clock.now_ns)
-        grouped.evaluate_all()
-        reference.evaluate_all()
-    assert stores[0].log == stores[1].log
-    assert grouped.samples_recorded == reference.samples_recorded
-    assert grouped.eval_errors == reference.eval_errors
-    assert [rule for stage in grouped.stages() for rule in stage] == rules
-    return grouped
+def outcome(query, *args) -> list | str:
+    """Each sample's labels and value bits, or the error ``query`` raised."""
+    try:
+        return [(s.labels.items_tuple(), float(s.value).hex()) for s in query(*args)]
+    except QueryError as err:
+        return str(err)
 
 
-class TestRecordingGroupEqualsRuleByRule:
+def assert_group_equals_query_by_query(exprs: list[str], cycles) -> list[list]:
+    """Evaluate ``exprs`` as one group each cycle; return every cycle's
+    outcomes, each expression's the same as its own ``query_instant``."""
+    store = TimeSeriesStore()
+    engine = PromQLEngine(store, LOOKBACK)
+    asts = [parse_promql(expr) for expr in exprs]
+    group = engine.group(asts)
+    totals = [0.0] * len(BASE)
+    outcomes = []
+    for k, increments in enumerate(cycles, 1):
+        now = k * STEP
+        feed(store, totals, increments, now)
+        evaluation = group.instant(now)
+        got = [outcome(evaluation.samples, ast) for ast in asts]
+        assert got == [outcome(engine.query_instant, expr, now) for expr in exprs]
+        outcomes.append(got)
+    return outcomes
+
+
+class TestGroupEqualsQueryByQuery:
     @settings(max_examples=120, deadline=None)
-    @given(specs=rules_st, cycles=cycles_st)
-    def test_same_samples_same_order_same_bits(self, specs, cycles):
-        assert_group_equals_rule_by_rule(specs, cycles)
+    @given(specs=exprs_st, cycles=cycles_st)
+    def test_same_samples_same_bits(self, specs, cycles):
+        assert_group_equals_query_by_query(build_exprs(specs), cycles)
 
     def test_the_pool_holds_what_it_says(self):
         """The property is only worth its name if the generated groups
-        can fail, chain and share: this one has a rule before its
-        producer, two sharing a sub-expression, one that raises
-        mid-group, one reading its own output and a chained one."""
-        ratio, burn, many_to_one, summed = SHAPES[6], SHAPES[7], SHAPES[16], SHAPES[13]
-        specs = [
-            ("r1", "{m} * 2", "r0", "a", "4s", "4s", {}),
-            ("r0", burn, "a", "b", "30s", "4s", {}),
-            ("r2", ratio, "a", "b", "30s", "4s", {}),
-            ("r1", many_to_one, "a", "b", "4s", "4s", {}),
-            ("r3", summed, "r3", "a", "4s", "4s", {}),
-            ("r0", "{m} * 2", "r2", "a", "4s", "4s", {"window": "w"}),
-        ]
-        cycles = [[4 + k, 3, 2, 1, 1, 5] for k in range(4)]
-        engine = assert_group_equals_rule_by_rule(specs, cycles)
-        assert engine.eval_errors == len(cycles)
-        assert [len(stage) for stage in engine.stages()] == [5, 1]
-        store = engine._store
-        at = store.log[-1][3]
-        values = lambda name: {  # noqa: E731
-            labels: float.fromhex(value)
-            for n, labels, value, ts in store.log if n == name and ts == at
-        }
-        job_x, job_y = (("job", "x"),), (("job", "y"),)
-        # Between the four samples the 30 s window holds, a{x} rose
-        # 5+6+7 quarters and b{x} 3·2.
-        assert values("r2")[job_x] == (4.5 - 1.5) / 4.5
-        assert values("r0")[job_x] == values("r2")[job_x] / 0.25
-        assert values("r0")[(("job", "x"), ("window", "w"))] == values("r2")[job_x] * 2
-        # r1 read r0 before this cycle's r0 was there: last cycle's burn,
-        # of 5+6 quarters against 2·2.
-        assert values("r1")[job_x] == 2 * ((2.75 - 1.0) / 2.75 / 0.25)
-        # r3 adds a to itself, cycle after cycle.
-        assert values("r3")[job_y] == 4 * 0.75 + 3 * 0.75 + 2 * 0.75 + 0.75
+        can fail and share: this one has two expressions sharing a
+        sub-expression, one that raises mid-group, one selector read at
+        three widths and a counter reset."""
+        peak, ratio, burn, many_to_one = SHAPES[5], SHAPES[6], SHAPES[7], SHAPES[16]
+        exprs = build_exprs([
+            (burn, "a", "b", "30s", "4s"),
+            (ratio, "a", "b", "30s", "4s"),
+            (many_to_one, "a", "b", "4s", "4s"),
+            (peak, "a", "a", "11s", "4s"),
+        ])
+        cycles = [[4 + k, 3, 2, 1, 1, 5] + [None] * 5 for k in range(4)]
+        cycles[2][0] = -6  # a{x} resets, inside every window that reads it
+        outcomes = assert_group_equals_query_by_query(exprs, cycles)
+        values = lambda got: {labels: float.fromhex(v) for labels, v in got}  # noqa: E731
+        job_x = (("job", "x"),)
+        burns, ratios, failed, _ = outcomes[-1]
+        assert failed.startswith("many-to-one")
+        # In the 30 s window a{x} rose 1.25, reset to 0.75 and rose 1.75;
+        # b{x} rose 0.5 a cycle.
+        assert values(ratios)[job_x] == pytest.approx((3.75 - 1.5) / 3.75)
+        assert values(burns)[job_x] == values(ratios)[job_x] / 0.25
+        # The cycle a{x} fell: 2.25 within 11 s, 0.75 now.
+        assert values(outcomes[2][3])[job_x] == 2.25 - 0.75
 
     def test_an_increase_does_not_depend_on_the_read_width(self):
         """A counter's reset losses are summed inside the window.  Here
-        ``r3`` is reset within one instant by colliding series, one of
-        them a rate (not a quarter), and ``increase(r3[4s])`` shares a
-        stage with ``r3``, whose lookback widens the read to the cycle
-        before: losses summed from the read's start and differenced
-        came out 2 ulp off the rule evaluated alone."""
-        specs = [
-            ("r0", "{m}", "a", "a", "4s", "4s", {}),
-            ("r1", '{{job="x"}} * 2', "a", "a", "4s", "4s", {}),
-            ("r0", "rate({m}[{w}]) * 4", "r1", "a", "11s", "4s", {}),
-            ("r3", '{{job="x"}} * 2', "a", "a", "4s", "4s", {}),
-            ("r0", "{m}", "r3", "a", "4s", "4s", {}),
-            ("r0", "increase({m}[{w}])", "r3", "a", "4s", "4s", {}),
-        ]
-        cycles = [[None] * 6, [None, None, 1, None, None, 0], [None] * 6]
-        engine = assert_group_equals_rule_by_rule(specs, cycles)
-        assert [len(stage) for stage in engine.stages()][-1] == 2
-
-
-class TestStageRule:
-    """A rule starts a new stage iff one of its selectors can match a
-    name an earlier rule of the current stage records."""
-
-    def stages(self, *rules: tuple[str, str]) -> list[list[str]]:
+        ``r3`` falls before ``increase(r3[4s])``'s window and again inside
+        it, and the group reads ``r3`` back through the 12 s lookback:
+        losses summed from the read's start and differenced came out an
+        ulp off the query alone."""
         store = TimeSeriesStore()
-        engine = RecordingEngine(PromQLEngine(store), store, SimClock(0))
-        for record, expr in rules:
-            engine.add_rule(RecordingRule(record=record, expr=expr))
-        return [[rule.record for rule in stage] for stage in engine.stages()]
-
-    def test_rules_over_raw_series_share_a_stage(self):
-        assert self.stages(("r0", "rate(a[1m])"), ("r1", "rate(a[5m]) / rate(b[5m])")) == [
-            ["r0", "r1"]
-        ]
-
-    def test_a_consumer_opens_a_stage(self):
-        assert self.stages(("r0", "a"), ("r1", "r0 * 2"), ("r2", "b"), ("r3", "r1 + r2")) == [
-            ["r0"], ["r1", "r2"], ["r3"],
-        ]
-
-    def test_only_the_current_stage_counts(self):
-        # r0 was recorded two stages back: whoever reads it now reads the
-        # store, like any raw series.
-        assert self.stages(("r0", "a"), ("r1", "r0"), ("r2", "r0 + 1")) == [
-            ["r0"], ["r1", "r2"],
-        ]
-
-    def test_reading_ahead_or_oneself_does_not_cut(self):
-        assert self.stages(("r1", "r0 * 2"), ("r0", "a"), ("r2", "r2 + 1")) == [
-            ["r1", "r0", "r2"]
-        ]
-
-    @pytest.mark.parametrize(
-        ("selector", "cuts"),
-        [
-            ('{__name__=~"r0|zzz"}', True),
-            ('{__name__=~"r.*"}', True),
-            ('{__name__=~"q.*"}', False),
-            ('{__name__!="r0", job="x"}', False),
-            ('{__name__!="a", job="x"}', True),
-            ('{job="x"}', True),  # no __name__ matcher: could be anything
-            ('rate({__name__=~"r0|b"}[1m])', True),
-            ("absent(r0)", True),
-            ("a unless topk(1, sum by (job) (r0))", True),
-        ],
-    )
-    def test_can_match_goes_by_the_name_matchers(self, selector, cuts):
-        assert self.stages(("r0", "a"), ("r1", selector)) == (
-            [["r0"], ["r1"]] if cuts else [["r0", "r1"]]
-        )
-
-    def test_chaining_holds_in_the_same_cycle(self):
-        clock = SimClock(0)
-        store = TimeSeriesStore()
-        promql = PromQLEngine(store)
-        engine = RecordingEngine(promql, store, clock)
-        engine.add_rule(RecordingRule(record="late", expr="twice + 1"))
-        engine.add_rule(RecordingRule(record="twice", expr="a * 2"))
-        engine.add_rule(RecordingRule(record="chained", expr="twice + 1"))
-        for value in (1.0, 10.0):
-            clock.advance(seconds(30))
-            store.ingest("a", {"job": "x"}, value, clock.now_ns)
-            engine.evaluate_all()
-        at = clock.now_ns
-        assert [s.value for s in promql.query_instant("chained", at)] == [21.0]
-        # Registered before its producer: last cycle's value.
-        assert [s.value for s in promql.query_instant("late", at)] == [3.0]
+        engine = PromQLEngine(store, LOOKBACK)
+        for t, value in ((1, 0.1), (2, 0.0), (9, 0.2), (10, 0.0)):
+            store.ingest("r3", {"job": "x"}, value, seconds(t))
+        exprs = ["r3", "increase(r3[4s])"]
+        asts = [parse_promql(expr) for expr in exprs]
+        evaluation = engine.group(asts).instant(seconds(10))
+        for expr, ast in zip(exprs, asts):
+            alone = outcome(engine.query_instant, expr, seconds(10))
+            assert outcome(evaluation.samples, ast) == alone
 
 
 # ----------------------------------------------------------------------
 # Alerting groups
 # ----------------------------------------------------------------------
 class PerRule(RuleEvaluator):
-    """The alert evaluator as it was: one instant query a rule, through
-    the per-rule hook :class:`RuleEvaluator` keeps."""
+    """The alert evaluator as it was: one instant query a rule."""
 
     def __init__(self, engine, parse, clock, notifier):
         super().__init__(clock, notifier, generator="per-rule")
@@ -327,8 +209,8 @@ class PerRule(RuleEvaluator):
     def _compile(self, expr):
         return self._parse(expr)
 
-    def _query(self, compiled, time_ns):
-        return self._engine.query_instant(compiled, time_ns)
+    def _instant(self, time_ns):
+        return lambda compiled: self._engine.query_instant(compiled, time_ns)
 
 
 def transcript(events) -> list[tuple]:
@@ -506,21 +388,16 @@ class TestAFailingAlertRule:
 
     def test_only_a_query_error_is_a_rule_that_failed(self):
         """A bug in a node the rules share must not be filed under
-        ``eval_errors``: both evaluators catch ``QueryError`` alone."""
+        ``eval_errors``: the evaluator catches ``QueryError`` alone."""
         clock = SimClock(0)
         store = TimeSeriesStore()
         store.ingest("m", {"job": "x"}, 1.0, 0)
-        engine = PromQLEngine(store)
-        vmalert = VMAlert(engine, clock, lambda event: None)
+        vmalert = VMAlert(PromQLEngine(store), clock, lambda event: None)
         vmalert.add_rule(RuleSpec(name="Plain", expr="m > 0"))
-        recording = RecordingEngine(engine, store, clock)
-        recording.add_rule(RecordingRule(record="r0", expr="m * 2"))
         with mock.patch.object(Evaluation, "_scalar_binop", side_effect=ZeroDivisionError):
             with pytest.raises(ZeroDivisionError):
                 vmalert.evaluate_all()
-            with pytest.raises(ZeroDivisionError):
-                recording.evaluate_all()
-        assert vmalert.eval_errors == recording.eval_errors == 0
+        assert vmalert.eval_errors == 0
 
 
 # ----------------------------------------------------------------------
@@ -572,7 +449,6 @@ class TestHeatmapAlias:
         # One ratio rule a window covers every SLO; the aliases are read
         # back after all of them, however many joined.
         assert len(manager._ratio_rules) == len(manager._aliases) == 7
-        assert manager.recording.eval_errors == 0
 
 
 def tick_nodes(slos: int) -> list[int]:

@@ -207,13 +207,16 @@ class ScriptedEvaluator(RuleEvaluator):
         self.compiled_calls.append(expr)
         return ("compiled", expr)
 
-    def _query(self, compiled, time_ns):
-        tag, rule_name = compiled
-        assert tag == "compiled"  # the parsed form, not the string
-        active = self._script[self.evaluations].get(rule_name, ())
-        return [
-            Sample(LabelSet({"series": str(i)}), float(i), time_ns) for i in active
-        ]
+    def _instant(self, time_ns):
+        def query(compiled):
+            tag, rule_name = compiled
+            assert tag == "compiled"  # the parsed form, not the string
+            active = self._script[self.evaluations].get(rule_name, ())
+            return [
+                Sample(LabelSet({"series": str(i)}), float(i), time_ns) for i in active
+            ]
+
+        return query
 
 
 def flat_state_reference(rules, script, interval_ns):

@@ -524,7 +524,6 @@ class TestSloManager:
         collector.inject(0.0, 500.0)
         drive(clock, store, manager, collector, "a", 3)
         vmalert.evaluate_all()
-        assert manager.recording.eval_errors == 0
         assert manager.recording.samples_recorded > 0
         assert manager.burn_history("a")[-1][1]  # burns were read back
         assert manager.status()[0]["fast_burn"] > 0

@@ -12,11 +12,13 @@ Every sample the manager records must be one of those, at the same
 instant with the same bits, and every one of those must be recorded.
 """
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
+from repro.common.errors import ValidationError
 from repro.common.simclock import SimClock, seconds
 from repro.slo import SLO, BurnWindow, SloManager, StaticSource
-from repro.tsdb import PromQLEngine, TimeSeriesStore
+from repro.tsdb import PromQLEngine, RecordingRule, TimeSeriesStore
 from repro.tsdb.promql import parse_promql
 
 STEP = seconds(30)
@@ -122,7 +124,6 @@ def assert_recorded_as_per_slo(store, manager, windows, want) -> None:
         assert recorded(store, f'slo_burn_rate{{window="{w}"}}') == aliases
         total += len(ratios) + len(burns) + len(aliases)
     assert manager.recording.samples_recorded == total
-    assert manager.recording.eval_errors == 0
 
 
 class TestPerWindowEqualsPerSlo:
@@ -158,3 +159,17 @@ class TestPerWindowEqualsPerSlo:
         assert max(t for labels, t in burn_1m if slo(labels) == "b") < end
         assert max(t for labels, t in alias_1m if slo(labels) == "b") == end
         assert not any(recorded(store, f'slo_error_ratio_{w}{{slo="x"}}') for w in windows)
+
+
+class TestRecordingRule:
+    def test_rejects_bad_record_name(self):
+        with pytest.raises(ValidationError):
+            RecordingRule(record="job:rate:5m", expr="up")
+
+    def test_rejects_bad_expression(self):
+        with pytest.raises(Exception):
+            RecordingRule(record="ok_name", expr="rate(")
+
+    def test_rejects_name_label_override(self):
+        with pytest.raises(ValidationError):
+            RecordingRule(record="x", expr="up", labels={"__name__": "y"})

@@ -28,6 +28,7 @@ from repro.ring.distributor import REPLICATION_FACTOR
 from repro.shasta.hms import TOPIC_SYSLOG
 from repro.tenancy.admission import AdmissionController
 from repro.tenancy.limits import LimitsRegistry, TenantLimits
+from tests.counting import counted
 
 NAMES = st.from_regex(r"[a-z_][a-z0-9_]{0,5}", fullmatch=True)
 STREAMS = st.lists(
@@ -239,11 +240,6 @@ class TestEmptyLabelSet:
     def test_the_store_itself_refuses_it(self):
         with pytest.raises(ValidationError, match="at least one label"):
             LokiStore().push_stream(LabelSet(), [LogEntry(1, "x")])
-
-
-def counted(owner, name: str):
-    """Patch ``owner.name`` with a mock that still does the work."""
-    return mock.patch.object(owner, name, autospec=True, side_effect=getattr(owner, name))
 
 
 class TestSteadyStateBudget:

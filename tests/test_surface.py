@@ -96,7 +96,6 @@ ALLOWED: dict[str, str] = {
     "repro.slo.manager.SloManager.burn_history": _READ,
     "repro.tenancy.limits.LimitsRegistry.update_override": "operator API: runtime limit overrides",
     "repro.tenancy.limits.LimitsRegistry.clear_override": "operator API: runtime limit overrides",
-    "repro.tsdb.storage.TimeSeriesStore.ingest_many": "test driver: bulk ingest",
     "repro.tsdb.storage.TimeSeriesStore.metric_names": _READ,
 }
 

@@ -33,6 +33,7 @@ from repro.shasta import hms as hms_module, ldms as ldms_module
 from repro.shasta.hms import HmsCollector, TOPIC_SENSOR_TELEMETRY
 from repro.shasta.ldms import LdmsAggregator, TOPIC_LDMS, _METRICS
 from repro.shasta.telemetry_api import TelemetryAPI
+from tests.counting import counted
 
 #: Spellings ``repr`` and ``round`` are easy to get wrong on: non-finite,
 #: signed zero, past 2**53, the smallest subnormal, and ties at the
@@ -204,11 +205,6 @@ class TestSensorPodTable:
         consumer, tsdb = self.pod(*bad)
         assert (consumer.records_failed, consumer.records_processed) == (3, 0)
         assert consumer._series == {} and tsdb.samples_ingested == 0
-
-
-def counted(owner, name: str):
-    """Patch ``owner.name`` with a mock that still does the work."""
-    return mock.patch.object(owner, name, autospec=True, side_effect=getattr(owner, name))
 
 
 #: Set both ways, so the REPRO_* environment of a CI leg has no say.
