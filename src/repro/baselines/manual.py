@@ -7,7 +7,7 @@ the whole day. Because these tools looks like lines without any color
 differentiation, a person would have to read it line by line."
 
 The model: a staff member scans the event feed every ``scan_interval``;
-during a scan they read line-by-line at ``lines_per_second`` through the
+during a scan they read line-by-line at :data:`LINES_PER_SECOND` through the
 backlog since the previous scan, and notice the fault line only when they
 reach it (with a miss probability per pass — interspersed events are easy
 to skip).  Detection time = when their reading position crosses the fault
@@ -21,6 +21,11 @@ import numpy as np
 from repro.common.errors import ValidationError
 from repro.common.simclock import NANOS_PER_SECOND, minutes
 
+#: How fast a person reads the event feed, lines per second.
+LINES_PER_SECOND = 10.0
+#: Chance a pass over the backlog skips past the fault line.
+MISS_PROBABILITY = 0.2
+
 
 class ManualMonitoringModel:
     """Computes time-to-detection for a fault event in a log backlog."""
@@ -28,19 +33,11 @@ class ManualMonitoringModel:
     def __init__(
         self,
         scan_interval_ns: int = minutes(30),
-        lines_per_second: float = 10.0,
-        miss_probability: float = 0.2,
         seed: int = 0,
     ) -> None:
         if scan_interval_ns <= 0:
             raise ValidationError("scan interval must be positive")
-        if lines_per_second <= 0:
-            raise ValidationError("reading speed must be positive")
-        if not 0.0 <= miss_probability < 1.0:
-            raise ValidationError("miss probability must be in [0, 1)")
         self.scan_interval_ns = scan_interval_ns
-        self.lines_per_second = lines_per_second
-        self.miss_probability = miss_probability
         self._rng = np.random.default_rng(seed)
 
     def detection_time_ns(
@@ -71,9 +68,9 @@ class ManualMonitoringModel:
             # The fault line sits at a uniform position in the backlog.
             position = float(self._rng.uniform(0.0, 1.0))
             reading_ns = int(
-                backlog_lines * position / self.lines_per_second * NANOS_PER_SECOND
+                backlog_lines * position / LINES_PER_SECOND * NANOS_PER_SECOND
             )
-            if self._rng.random() >= self.miss_probability:
+            if self._rng.random() >= MISS_PROBABILITY:
                 return scan_time + reading_ns
             scan_time += self.scan_interval_ns
 

@@ -39,11 +39,6 @@ from repro.exporters.blackbox import BlackboxExporter, ProbeTarget
 from repro.exporters.kafka_exporter import KafkaExporter
 from repro.exporters.node import NodeExporter
 from repro.grafana.dashboard import Dashboard
-from repro.grafana.datasource import (
-    LokiDatasource,
-    PrometheusDatasource,
-    TempoDatasource,
-)
 from repro.grafana.panels import (
     LogsPanel,
     StatPanel,
@@ -337,8 +332,6 @@ class MonitoringFramework:
         )
         self.logql = LogQLEngine(self.warehouse.loki, patterns=self.pattern_store)
         self.promql = PromQLEngine(self.warehouse.tsdb)
-        for plane in self.planes:
-            plane.build_query(self)
         if self.traces is not None:
             self.trace_metrics = TraceMetricsExporter(
                 self.traces, self.warehouse.tsdb, self.clock,
@@ -664,11 +657,9 @@ class MonitoringFramework:
         )
 
     def _build_dashboards(self) -> dict[str, Dashboard]:
-        loki_ds = LokiDatasource(self.logql)
-        prom_ds = PrometheusDatasource(self.promql)
         overview = Dashboard("Perlmutter Monitoring Overview", uid="perlmutter-overview")
         overview.add_rows(
-            loki_ds,
+            self.logql,
             [
                 (LogsPanel, "Redfish events", '{data_type="redfish_event"}'),
                 (TimeSeriesPanel, "CabinetLeakDetected (count_over_time 60m)", LEAK_QUERY),
@@ -676,7 +667,7 @@ class MonitoringFramework:
             ],
         )
         overview.add_rows(
-            prom_ds,
+            self.promql,
             [
                 (StatPanel, "Nodes up", "sum(node_up)"),
                 (StatPanel, "Max node temp", "max(node_temp_celsius)", {"unit": " C"}),
@@ -686,15 +677,15 @@ class MonitoringFramework:
         dashboards = {"overview": overview}
         for plane in self.planes:
             for key, title, rows in plane.dashboards(self):
-                dashboards[key] = Dashboard(title).add_rows(prom_ds, rows)
+                dashboards[key] = Dashboard(title).add_rows(self.promql, rows)
         if self.traceql is not None:
             tracing = Dashboard("Pipeline Tracing", uid="pipeline-tracing")
             tracing.add_rows(
-                TempoDatasource(self.traceql),
+                self.traceql,
                 [(TracePanel, "Slowest delivered alert", '{ span.service = "alertmanager" }')],
             )
             tracing.add_rows(
-                prom_ds,
+                self.promql,
                 [
                     (
                         TimeSeriesPanel,

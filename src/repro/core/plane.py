@@ -55,9 +55,6 @@ class Plane:
         backend (``fw.log_backend`` — replace it or wrap it), admission
         and the pattern tee as constructor arguments."""
 
-    def build_query(self, fw: MonitoringFramework) -> None:
-        """After ``fw.logql``/``fw.promql``: whatever fronts an engine."""
-
     def wrap_receivers(
         self, fw: MonitoringFramework, receivers: list[Receiver]
     ) -> list[Receiver]:
@@ -67,7 +64,8 @@ class Plane:
 
     def build_alerting(self, fw: MonitoringFramework) -> None:
         """After Alertmanager, ``fw.ruler`` and ``fw.vmalert``: whatever
-        notifies, evaluates, or reads the finished pipeline."""
+        notifies, evaluates, or reads the finished pipeline — the query
+        frontend over ``fw.logql`` and what fronts it included."""
 
     # -- contributions, each made in plane order -------------------------
     def routes(self, fw: MonitoringFramework) -> list[Route]:

@@ -21,6 +21,11 @@ from repro.servicenow.platform import ServiceNowPlatform
 #: A playbook takes the incident and returns True on successful remediation.
 Playbook = Callable[[Incident], bool]
 
+#: How long a playbook registered without a duration "takes".
+DEFAULT_DURATION_NS = minutes(10)
+#: Who a dispatched incident is assigned to.
+OPERATOR = "auto-remediation"
+
 
 @dataclass
 class RemediationRecord:
@@ -43,17 +48,9 @@ class _PlaybookEntry:
 class AutoRemediator:
     """Polls ServiceNow for fresh incidents and runs playbooks."""
 
-    def __init__(
-        self,
-        clock: SimClock,
-        platform: ServiceNowPlatform,
-        default_duration_ns: int = minutes(10),
-        operator: str = "auto-remediation",
-    ) -> None:
+    def __init__(self, clock: SimClock, platform: ServiceNowPlatform) -> None:
         self._clock = clock
         self._platform = platform
-        self._default_duration_ns = default_duration_ns
-        self._operator = operator
         self._playbooks: list[_PlaybookEntry] = []
         self._seen: set[str] = set()
         self.records: list[RemediationRecord] = []
@@ -72,7 +69,7 @@ class AutoRemediator:
             _PlaybookEntry(
                 match_substring,
                 playbook,
-                duration_ns if duration_ns is not None else self._default_duration_ns,
+                duration_ns if duration_ns is not None else DEFAULT_DURATION_NS,
             )
         )
 
@@ -86,7 +83,7 @@ class AutoRemediator:
             if entry is None:
                 continue
             self._seen.add(incident.number)
-            incident.assign(self._operator)
+            incident.assign(OPERATOR)
             record = RemediationRecord(
                 incident_number=incident.number,
                 detected_ns=incident.opened_at_ns,

@@ -28,16 +28,14 @@ class ArubaExporter(Exporter):
         switches: int = 4,
         ports_per_switch: int = 48,
         seed: int = 0,
-        flap_probability: float = 0.001,
     ) -> None:
         if switches < 1 or ports_per_switch < 1:
             raise ValidationError("need at least one switch and port")
-        if not 0.0 <= flap_probability <= 1.0:
-            raise ValidationError("flap probability must be in [0, 1]")
         self._rng = np.random.default_rng(seed)
         self._switches = switches
         self._ports = ports_per_switch
-        self._flap_p = flap_probability
+        #: Chance a port flips state at each step.
+        self.flap_probability = 0.001
         self._up = np.ones((switches, ports_per_switch), dtype=bool)
         self._rx = np.zeros((switches, ports_per_switch), dtype=np.float64)
         super().__init__((_PORTS, self._read_ports))
@@ -46,7 +44,7 @@ class ArubaExporter(Exporter):
         """Advance the fleet: accumulate traffic, maybe flap ports."""
         traffic = self._rng.gamma(2.0, 5.0e6, size=self._rx.shape)
         self._rx += traffic * self._up  # down ports move no bytes
-        flips = self._rng.random(self._up.shape) < self._flap_p
+        flips = self._rng.random(self._up.shape) < self.flap_probability
         self._up ^= flips
 
     def force_port(self, switch: int, port: int, up: bool) -> None:

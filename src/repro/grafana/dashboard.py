@@ -30,8 +30,8 @@ class Dashboard:
 
     def add_rows(self, datasource, rows) -> "Dashboard":
         """Add one panel per ``(panel type, title, query[, options])`` row,
-        all over ``datasource``; returns the dashboard so a whole board
-        reads as one table."""
+        all over ``datasource`` (a query engine); returns the dashboard so
+        a whole board reads as one table."""
         for panel_type, title, query, *options in rows:
             self.add_panel(
                 panel_type(title=title, datasource=datasource, query=query, **dict(*options))

@@ -1,11 +1,22 @@
-"""Dashboard panels: logs, time series, stat."""
+"""Dashboard panels: logs, time series, stat.
+
+A panel's datasource is the query engine itself: Loki and
+VictoriaMetrics both "support Grafana ... natively. Therefore, even though
+metrics and logs are stored separately, they are unified in the stage of
+visualization and alerting" (paper §III).  ``LogQLEngine`` and
+``PromQLEngine`` share ``query_range``/``query_instant``; only the Loki
+engine answers ``query_logs``, and a trace panel reads a
+``TraceQLEngine``.
+"""
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
 from repro.common.errors import ValidationError
-from repro.grafana.datasource import Datasource, TempoDatasource
+from repro.loki.logql.engine import LogQLEngine
+from repro.tempo.traceql.engine import TraceQLEngine
+from repro.tsdb.promql import PromQLEngine
 from repro.grafana.render import (
     render_chart,
     render_log_table,
@@ -19,7 +30,7 @@ class LogsPanel:
     """A log-table panel (Figures 4 and 7)."""
 
     title: str
-    datasource: Datasource
+    datasource: LogQLEngine
     query: str
     max_rows: int = 50
 
@@ -33,7 +44,7 @@ class TimeSeriesPanel:
     """An ASCII chart panel over a metric query (Figure 5)."""
 
     title: str
-    datasource: Datasource
+    datasource: LogQLEngine | PromQLEngine
     query: str
     width: int = 72
     height: int = 10
@@ -50,7 +61,7 @@ class TopListPanel:
     """A ranked list of series at the window end (e.g. hottest nodes)."""
 
     title: str
-    datasource: Datasource
+    datasource: LogQLEngine | PromQLEngine
     query: str  # typically a topk(...) expression
     label: str = "xname"  # which label names each row
     unit: str = ""
@@ -71,14 +82,14 @@ class TracePanel:
     """A Tempo trace view: TraceQL search, slowest hit as a waterfall."""
 
     title: str
-    datasource: TempoDatasource
+    datasource: TraceQLEngine
     query: str
     width: int = 48
 
     def render(self, start_ns: int, end_ns: int, step_ns: int) -> str:
         hits = [
             t
-            for t in self.datasource.search(self.query)
+            for t in self.datasource.find_traces(self.query)
             if start_ns <= t.start_ns < end_ns
         ]
         header = f"== {self.title} =="
@@ -86,7 +97,7 @@ class TracePanel:
             return f"{header}\n(no matching traces)"
         slowest = max(hits, key=lambda t: (t.duration_ns, t.trace_id))
         waterfall = render_trace_waterfall(
-            self.datasource.trace(slowest.trace_id), self.width
+            self.datasource.store.trace(slowest.trace_id), self.width
         )
         return f"{header}\n{len(hits)} matching trace(s); slowest:\n{waterfall}"
 
@@ -104,7 +115,7 @@ class HeatmapPanel:
     """
 
     title: str
-    datasource: Datasource
+    datasource: LogQLEngine | PromQLEngine
     query: str
     row_labels: tuple[str, ...] = ("slo", "window")
     width: int = 48
@@ -177,7 +188,7 @@ class StatPanel:
     """A single-value tile evaluated at the window end."""
 
     title: str
-    datasource: Datasource
+    datasource: LogQLEngine | PromQLEngine
     query: str
     unit: str = ""
     reducer: str = "sum"  # sum | max | min | count over the instant vector

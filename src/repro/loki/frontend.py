@@ -90,17 +90,15 @@ class QueryFrontend:
         engine: RangeQueryable,
         clock: SimClock,
         split_ns: int = hours(1),
-        max_entries: int = 1024,
         pattern_source: PatternQueryable | None = None,
     ) -> None:
         if split_ns <= 0:
             raise ValidationError("split interval must be positive")
-        if max_entries < 1:
-            raise ValidationError("cache needs at least one entry")
         self._engine = engine
         self._clock = clock
         self._split_ns = split_ns
-        self._max_entries = max_entries
+        #: LRU capacity, in cached windows.
+        self.max_entries = 1024
         #: Engine exposing ``detected_patterns`` (the LogQL engine when
         #: pattern mining is on); pattern windows split on the block
         #: store's period so each pattern record lands in exactly one
@@ -242,7 +240,7 @@ class QueryFrontend:
             result = self._engine.query_range(query, first, end_ns, step_ns)
         self.splits_executed += 1
         if end_ns < self._clock.now_ns:  # complete, immutable window
-            if len(self._cache) >= self._max_entries:
+            if len(self._cache) >= self.max_entries:
                 self._cache.popitem(last=False)  # evict least recently used
             self._cache[key] = result
         return result
@@ -275,7 +273,7 @@ class QueryFrontend:
         )
         self.splits_executed += 1
         if end_ns <= self._clock.now_ns:  # window entirely in the past
-            if len(self._cache) >= self._max_entries:
+            if len(self._cache) >= self.max_entries:
                 self._cache.popitem(last=False)
             self._cache[key] = result
         return result

@@ -34,9 +34,8 @@ class Ruler(RuleEvaluator):
         engine: LogQLEngine,
         clock: SimClock,
         notifier: Callable[[AlertEvent], None],
-        generator: str = "loki-ruler",
     ) -> None:
-        super().__init__(clock, notifier, generator)
+        super().__init__(clock, notifier, "loki-ruler")
         self._engine = engine
 
     def _compile(self, expr: str) -> MetricExpr:

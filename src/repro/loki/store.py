@@ -84,13 +84,8 @@ class LokiStore:
     hint — are accepted here and ignored.
     """
 
-    def __init__(
-        self,
-        policy: ChunkPolicy | None = None,
-        reject_out_of_order: bool = True,
-    ) -> None:
+    def __init__(self, policy: ChunkPolicy | None = None) -> None:
         self.policy = policy or ChunkPolicy()
-        self.reject_out_of_order = reject_out_of_order
         self.index = LabelIndex()
         #: By stream id, in creation order.
         self._streams: dict[int, _Stream] = {}
@@ -162,10 +157,8 @@ class LokiStore:
         try:
             for entry in entries:
                 if last is not None and entry.timestamp_ns < last:
-                    if self.reject_out_of_order:
-                        stats.entries_rejected += 1
-                        continue
-                    raise ValidationError("out-of-order entry with rejection disabled")
+                    stats.entries_rejected += 1
+                    continue
                 size = entry.size_bytes()
                 if chunk is None or not chunk.space_for(entry, size):
                     if chunk is not None:

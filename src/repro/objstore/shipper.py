@@ -53,14 +53,12 @@ class ChunkShipper:
         index: ShipperIndex,
         clock: SimClock,
         tracer: Tracer | None = None,
-        seal_aged: bool = True,
     ) -> None:
         self._source = source
         self._objstore = store
         self._index = index
         self._clock = clock
         self._tracer = tracer
-        self._seal_aged = seal_aged
         self.flushes = 0
         self.flush_failures = 0
         #: Failed cycles since the last success — the
@@ -107,8 +105,7 @@ class ChunkShipper:
         self.flushes += 1
         result = FlushResult()
         try:
-            if self._seal_aged:
-                self._source.flush_aged(now)
+            self._source.flush_aged(now)
             touched_backend = False
             for store in self._source.active_stores():
                 touched_backend |= self._ship_store(store, result)

@@ -52,16 +52,12 @@ class EwmaDetector:
     noise never alerts.
     """
 
-    def __init__(
-        self, alpha: float = 0.1, z_threshold: float = 4.0, warmup: int = 10
-    ) -> None:
-        if not 0.0 < alpha <= 1.0:
-            raise ValidationError("alpha must be in (0, 1]")
+    def __init__(self, z_threshold: float = 4.0, warmup: int = 10) -> None:
         if z_threshold <= 0:
             raise ValidationError("z threshold must be positive")
         if warmup < 1:
             raise ValidationError("warmup must be >= 1")
-        self.alpha = alpha
+        self.alpha = 0.1
         self.z_threshold = z_threshold
         self.warmup = warmup
 

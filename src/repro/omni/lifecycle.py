@@ -15,7 +15,6 @@ is a read: :attr:`Lifecycle.archive` is a :class:`StoreGateway`, so
 from __future__ import annotations
 
 from repro.bus.broker import Broker
-from repro.common.errors import ValidationError
 from repro.common.simclock import SimClock, days, hours
 from repro.loki.chunks import ChunkPolicy, pack_chunks
 from repro.loki.store import LokiStore
@@ -44,14 +43,11 @@ class Lifecycle:
         store: LokiStore,
         tsdb: TimeSeriesStore,
         broker: Broker,
-        hot_window_ns: int = TWO_YEARS_NS,
     ) -> None:
-        if hot_window_ns <= 0:
-            raise ValidationError("hot window must be positive")
         self._clock = clock
         self._store = store
         self._broker = broker
-        self.hot_window_ns = hot_window_ns
+        self.hot_window_ns = TWO_YEARS_NS
         self.downsampler = Downsampler(tsdb, clock)
         self.objstore = ObjectStore(clock)
         self.archive_index = ShipperIndex(self.objstore, bucket=ARCHIVE_BUCKET)

@@ -41,7 +41,6 @@ class OmniWarehouse:
         self,
         clock: SimClock,
         loki: LokiStore | RingLokiCluster | TieredLokiStore | None = None,
-        tsdb: TimeSeriesStore | None = None,
         admission: AdmissionController | None = None,
         patterns: "PatternIngester | None" = None,
     ) -> None:
@@ -50,7 +49,7 @@ class OmniWarehouse:
         # Only a bare LokiStore resolves mapping refs itself, so only it
         # takes a plane-less line straight (see `ingest_log`).
         self._resolves_refs = isinstance(self.loki, LokiStore)
-        self.tsdb = tsdb or TimeSeriesStore()
+        self.tsdb = TimeSeriesStore()
         #: Multi-tenant front door.  When set, every log push is
         #: attributed to a tenant, tagged, and limit-checked before it
         #: reaches either log backend; over-limit pushes raise typed 429s.

@@ -21,8 +21,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Iterable
 
-from repro.patterns.miner import DrainConfig, DrainMiner
+from repro.patterns.miner import DrainMiner
 from repro.patterns.store import PatternStore
+from repro.tenancy.limits import DEFAULT_TENANT
 
 if TYPE_CHECKING:
     from repro.common.labels import LabelSet
@@ -84,15 +85,11 @@ class PatternIngester:
         self,
         clock: "SimClock",
         store: PatternStore,
-        config: DrainConfig | None = None,
         tracer: "Tracer | None" = None,
-        default_tenant: str = "ops",
     ) -> None:
         self._clock = clock
         self._store = store
-        self._config = config or DrainConfig()
         self._tracer = tracer
-        self._default_tenant = default_tenant
         self._miners: dict[tuple[str, "LabelSet"], DrainMiner] = {}
         self._seen: dict[str, set[str]] = {}
         #: Append-only novelty feed; the ruler consumes it by cursor.
@@ -112,10 +109,10 @@ class PatternIngester:
         tenant: str | None = None,
     ) -> int:
         """Mine one accepted stream push; returns lines mined."""
-        tenant = tenant or labels.get("tenant", "") or self._default_tenant
+        tenant = tenant or labels.get("tenant", "") or DEFAULT_TENANT
         miner = self._miners.get((tenant, labels))
         if miner is None:
-            miner = DrainMiner(self._config)
+            miner = DrainMiner()
             self._miners[(tenant, labels)] = miner
         seen = self._seen.get(tenant)
         if seen is None:

@@ -42,12 +42,10 @@ class PatternsPlane(Plane):
         if fw.objstore is not None:
             fw.compactor.derived += (fw.pattern_store,)
 
-    def build_query(self, fw):
+    def build_alerting(self, fw):
         # Even with no tenancy plane (so no scheduler in front),
         # detected_patterns wants the frontend's window split + cache.
         query_frontend(fw)
-
-    def build_alerting(self, fw):
         cfg = fw.config
         fw.pattern_ruler = PatternRuler(
             fw.clock,

@@ -5,11 +5,11 @@ two pseudo-expressions over the pattern store:
 
 * ``pattern_burst`` — one sample per (tenant, pattern_id) whose current
   line rate is bursting: above the absolute storm floor
-  (``min_burst_rate`` lines/s), or — once the baseline has warmed up —
-  above ``burst_factor ×`` its EWMA rate.  The EWMA is frozen while a
+  (:data:`MIN_BURST_RATE` lines/s), or — once the baseline has warmed up —
+  above :data:`BURST_FACTOR` × its EWMA rate.  The EWMA is frozen while a
   pattern bursts so the baseline cannot chase the storm and mask it.
 * ``novel_error_pattern`` — one sample per never-before-seen error-class
-  template, held active for ``novel_active_ns`` so the alert is visible
+  template, held active for :data:`NOVEL_ACTIVE_NS` so the alert is visible
   and then self-resolves when the series disappears.  Templates first
   sighted within ``novel_bootstrap_ns`` of the ruler's birth are corpus
   cold-start, not novelty — with an empty template store *everything*
@@ -46,6 +46,17 @@ NOVEL_EXPR = "novel_error_pattern"
 #: read in Slack, bounded so labels stay sane.
 _TEMPLATE_LABEL_LEN = 96
 
+#: Weight of the newest non-burst rate in a template's EWMA baseline.
+EWMA_ALPHA = 0.3
+#: A warmed-up template bursts at this many times its baseline rate.
+BURST_FACTOR = 8.0
+#: A template bursts at this rate (lines/s) whatever its baseline.
+MIN_BURST_RATE = 50.0
+#: Non-burst evaluations a baseline needs before it can judge a burst.
+WARMUP_EVALS = 3
+#: How long a novel error template stays alerting after it was first seen.
+NOVEL_ACTIVE_NS = minutes(10)
+
 
 @dataclass
 class _Baseline:
@@ -79,35 +90,15 @@ class PatternRuler(RuleEvaluator):
         ingester: "PatternIngester",
         store: "PatternStore",
         cluster: str = "",
-        ewma_alpha: float = 0.3,
-        burst_factor: float = 8.0,
-        min_burst_rate: float = 50.0,
-        warmup_evals: int = 3,
-        novel_active_ns: int = minutes(10),
         novel_bootstrap_ns: int = 0,
         tracer: "Tracer | None" = None,
     ) -> None:
-        if not 0.0 < ewma_alpha <= 1.0:
-            raise ValidationError("ewma_alpha must be in (0, 1]")
-        if burst_factor <= 1.0:
-            raise ValidationError("burst_factor must be > 1")
-        if min_burst_rate <= 0.0:
-            raise ValidationError("min_burst_rate must be positive")
-        if warmup_evals < 1:
-            raise ValidationError("warmup_evals must be >= 1")
-        if novel_active_ns <= 0:
-            raise ValidationError("novel_active_ns must be positive")
         if novel_bootstrap_ns < 0:
             raise ValidationError("novel_bootstrap_ns must be >= 0")
         super().__init__(clock, notifier, generator="pattern-ruler")
         self._ingester = ingester
         self._store = store
         self._cluster = cluster
-        self._alpha = ewma_alpha
-        self._burst_factor = burst_factor
-        self._min_burst_rate = min_burst_rate
-        self._warmup_evals = warmup_evals
-        self._novel_active_ns = novel_active_ns
         self._novel_bootstrap_ns = novel_bootstrap_ns
         self._born_ns = clock.now_ns
         self._tracer = tracer
@@ -116,7 +107,7 @@ class PatternRuler(RuleEvaluator):
         self._last_burst_eval_ns: int | None = None
         self._novel_cursor = 0
         # (tenant, pattern_id) -> the NovelPattern event, kept active
-        # until novel_active_ns elapses past first_seen.
+        # until NOVEL_ACTIVE_NS elapses past first_seen.
         self._novel_active: dict[tuple[str, str], "NovelPattern"] = {}
         self.bursts_detected = 0
         self.novel_detected = 0
@@ -190,11 +181,11 @@ class PatternRuler(RuleEvaluator):
             if dt <= 0.0:
                 continue
             rate = delta / dt
-            absolute_burst = rate >= self._min_burst_rate
+            absolute_burst = rate >= MIN_BURST_RATE
             relative_burst = (
-                state.evals >= self._warmup_evals
+                state.evals >= WARMUP_EVALS
                 and state.ewma is not None
-                and rate >= self._burst_factor * max(state.ewma, 0.1)
+                and rate >= BURST_FACTOR * max(state.ewma, 0.1)
                 and rate >= 1.0
             )
             if absolute_burst or relative_burst:
@@ -214,9 +205,7 @@ class PatternRuler(RuleEvaluator):
                 if state.ewma is None:
                     state.ewma = rate
                 else:
-                    state.ewma = (
-                        self._alpha * rate + (1.0 - self._alpha) * state.ewma
-                    )
+                    state.ewma = EWMA_ALPHA * rate + (1.0 - EWMA_ALPHA) * state.ewma
                 state.evals += 1
         self.active_bursts = len(samples)
         return samples
@@ -258,7 +247,7 @@ class PatternRuler(RuleEvaluator):
         samples: list[Sample] = []
         expired = []
         for key, event in self._novel_active.items():
-            if now_ns - event.first_seen_ns >= self._novel_active_ns:
+            if now_ns - event.first_seen_ns >= NOVEL_ACTIVE_NS:
                 expired.append(key)
                 continue
             samples.append(

@@ -27,7 +27,7 @@ from repro.common.errors import ValidationError
 from repro.common.labels import LabelSet, Matcher, matches_all
 from repro.objstore.blocks import BlockStore
 from repro.objstore.index import INDEX_PERIOD_NS, stream_fingerprint
-from repro.patterns.miner import DrainConfig, DrainMiner
+from repro.patterns.miner import DrainMiner
 
 if TYPE_CHECKING:
     from repro.loki.model import LogEntry
@@ -166,11 +166,9 @@ class PatternStore(BlockStore):
     def __init__(
         self,
         store: "ObjectStore | None" = None,
-        config: DrainConfig | None = None,
         tracer: "Tracer | None" = None,
     ) -> None:
         super().__init__(store)
-        self._config = config or DrainConfig()
         self._tracer = tracer
         self.lines_recorded = 0
         self.queries_served = 0
@@ -236,7 +234,7 @@ class PatternStore(BlockStore):
         chunk_keys: frozenset[str],
     ) -> _PatternBlock:
         """Re-mine ``entries`` (the compactor's merged chunk contents)."""
-        miner = DrainMiner(self._config)
+        miner = DrainMiner()
         for entry in entries:
             miner.add_line(entry.line, entry.timestamp_ns)
         block = _PatternBlock(

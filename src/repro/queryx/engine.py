@@ -23,7 +23,6 @@ from __future__ import annotations
 
 from typing import Callable
 
-from repro.common.errors import ValidationError
 from repro.common.labels import LabelSet
 from repro.common.simclock import SimClock, seconds
 from repro.common.vector import Series
@@ -51,17 +50,14 @@ class ShardedQueryEngine:
         pool: QuerierPool | None = None,
         tracer: Tracer | None = None,
         cold_latency_fn: Callable[[], int] | None = None,
-        slow_query_threshold_ns: int = DEFAULT_SLOW_QUERY_NS,
     ) -> None:
-        if slow_query_threshold_ns <= 0:
-            raise ValidationError("slow-query threshold must be positive")
         self._source = source
         self._clock = clock
         self.planner = planner or QueryPlanner()
         self.pool = pool or QuerierPool()
         self.tracer = tracer
         self._cold_latency_fn = cold_latency_fn
-        self.slow_query_threshold_ns = slow_query_threshold_ns
+        self.slow_query_threshold_ns = DEFAULT_SLOW_QUERY_NS
         #: One LogQLEngine per stream shard (``None``: unsharded);
         #: engines are stateless over the shared source, so caching
         #: them is free.

@@ -62,20 +62,12 @@ class QuerierPool:
     work-stealing scheduler: the idlest querier takes the next shard.
     """
 
-    def __init__(
-        self,
-        workers: int = 4,
-        exec_base_ns: int = int(seconds(0.02)),
-        exec_per_hour_ns: int = int(seconds(0.1)),
-        max_attempts: int = 4,
-    ) -> None:
+    def __init__(self, workers: int = 4) -> None:
         if workers < 1:
             raise ValidationError("pool needs at least one worker")
-        if max_attempts < 1:
-            raise ValidationError("max_attempts must be >= 1")
-        self.exec_base_ns = exec_base_ns
-        self.exec_per_hour_ns = exec_per_hour_ns
-        self.max_attempts = max_attempts
+        self.exec_base_ns = int(seconds(0.02))
+        self.exec_per_hour_ns = int(seconds(0.1))
+        self.max_attempts = 4
         self._workers = [QuerierWorker(f"querier-{i}") for i in range(workers)]
         self.subqueries_executed = 0
         self.retries_total = 0

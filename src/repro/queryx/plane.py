@@ -50,7 +50,7 @@ class QueryxPlane(Plane):
     def build_stores(self, fw):
         # The engine reads the log backend directly, so it can be built
         # before the warehouse — and has to be: tenancy, earlier in the
-        # plane order, asks for the frontend over it in build_query.
+        # plane order, asks for the frontend over it in build_alerting.
         cfg = fw.config
         cold_latency_fn = None
         if fw.objstore is not None:

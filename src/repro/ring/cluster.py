@@ -38,8 +38,6 @@ class RingLokiCluster:
         ingesters: int = 4,
         replication_factor: int = REPLICATION_FACTOR,
         policy: ChunkPolicy | None = None,
-        vnodes: int = 64,
-        wal_segment_bytes: int = 64 * 1024,
         tracer: Tracer | None = None,
         shard_size: int = 0,
         zones: int = 0,
@@ -59,19 +57,16 @@ class RingLokiCluster:
                 f"{zones} zones cannot all be populated by {ingesters} "
                 f"ingester(s)"
             )
-        self.ring = HashRing(vnodes=vnodes)
+        self.ring = HashRing()
         self.zones = zones
         self.ingesters: dict[str, Ingester] = {}
         for i in range(ingesters):
             ingester_id = f"ingester-{i}"
-            self.ingesters[ingester_id] = Ingester(
-                ingester_id, policy=policy, wal_segment_bytes=wal_segment_bytes
-            )
+            self.ingesters[ingester_id] = Ingester(ingester_id, policy=policy)
             self.ring.join(ingester_id)
             if zones > 0:
                 self.ring.set_zone(ingester_id, f"zone-{i % zones}")
         self._policy = policy
-        self._wal_segment_bytes = wal_segment_bytes
         self.sharder = ShuffleSharder(self.ring, shard_size)
         self.distributor = Distributor(
             self.ring,
@@ -181,11 +176,7 @@ class RingLokiCluster:
         every replica, so nothing needs migrating to stay queryable)."""
         if ingester_id in self.ingesters:
             raise ValidationError(f"ingester {ingester_id} already exists")
-        ingester = Ingester(
-            ingester_id,
-            policy=self._policy,
-            wal_segment_bytes=self._wal_segment_bytes,
-        )
+        ingester = Ingester(ingester_id, policy=self._policy)
         self.ingesters[ingester_id] = ingester
         self.ring.join(ingester_id)
         if zone is not None:

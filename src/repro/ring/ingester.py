@@ -38,11 +38,10 @@ class Ingester:
         self,
         ingester_id: str,
         policy: ChunkPolicy | None = None,
-        wal_segment_bytes: int = 64 * 1024,
     ) -> None:
         self.id = ingester_id
         self._policy = policy
-        self.wal = WriteAheadLog(segment_max_bytes=wal_segment_bytes)
+        self.wal = WriteAheadLog()
         self.store = LokiStore(policy)
         self.state = IngesterState.ACTIVE
         self.crashes = 0

@@ -79,14 +79,13 @@ class RingRepairer:
         clock: SimClock,
         cluster: RingLokiCluster,
         memberlist: Memberlist,
-        config: RingRepairerConfig | None = None,
         tracer: Tracer | None = None,
         holdback: Callable[[str], bool] | None = None,
     ) -> None:
         self.clock = clock
         self.cluster = cluster
         self.memberlist = memberlist
-        self.config = config or RingRepairerConfig()
+        self.config = RingRepairerConfig()
         self.tracer = tracer
         #: Optional predicate: DEAD members it returns True for are *not*
         #: retired — a known, bounded outage (e.g. the supervisor holds

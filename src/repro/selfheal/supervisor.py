@@ -59,12 +59,11 @@ class IngesterSupervisor:
         clock: SimClock,
         cluster: RingLokiCluster,
         memberlist: Memberlist,
-        config: SupervisorConfig | None = None,
     ) -> None:
         self.clock = clock
         self.cluster = cluster
         self.memberlist = memberlist
-        self.config = config or SupervisorConfig()
+        self.config = SupervisorConfig()
         self._unrecoverable: set[str] = set()
         self._down_zones: set[str] = set()
         # member → (consecutive restart attempts, next attempt time).

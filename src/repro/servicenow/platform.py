@@ -177,21 +177,16 @@ class ServiceNowReceiver:
     #: is the last resort: service-scoped alerts (e.g. the SLO plane's
     #: burn-rate pages) have no component CI, so the incident lands on
     #: the cluster's own CMDB entry rather than "unknown".
-    DEFAULT_CI_LABELS = (
+    CI_LABELS = (
         "xname", "Context", "hostname", "cdu", "pdu", "fs", "cluster",
     )
+    #: The event source every SN Event names.
+    SOURCE = "alertmanager"
+    #: The receiver name Alertmanager routes point at.
+    name = "servicenow"
 
-    def __init__(
-        self,
-        platform: ServiceNowPlatform,
-        name: str = "servicenow",
-        source: str = "alertmanager",
-        ci_labels: tuple[str, ...] = DEFAULT_CI_LABELS,
-    ) -> None:
-        self.name = name
+    def __init__(self, platform: ServiceNowPlatform) -> None:
         self._platform = platform
-        self._source = source
-        self._ci_labels = ci_labels
 
     def notify(self, notification: Notification) -> None:
         for alert in notification.alerts:
@@ -203,7 +198,7 @@ class ServiceNowReceiver:
             node = next(
                 (
                     value
-                    for name in self._ci_labels
+                    for name in self.CI_LABELS
                     if (value := alert.labels.get(name, ""))
                 ),
                 "unknown",
@@ -213,7 +208,7 @@ class ServiceNowReceiver:
                 f"{k}={v}" for k, v in alert.labels.items_tuple()
             )
             event = SnEvent(
-                source=self._source,
+                source=self.SOURCE,
                 node=node,
                 metric_name=alert.name,
                 severity=severity,

@@ -38,9 +38,10 @@ CORRELATION_LABELS = ("Context", "xname", "hostname", "context", "cdu", "pdu", "
 class PipelineTracing:
     """Shared correlation state between producers, stores and alerting."""
 
-    def __init__(self, tracer: Tracer, max_pending: int = 4096) -> None:
+    def __init__(self, tracer: Tracer) -> None:
         self.tracer = tracer
-        self._max_pending = max_pending
+        #: Bound on each correlation registry below.
+        self.max_pending = 4096
         # (label, value) -> (store-span context, data-available timestamp)
         self._pending: OrderedDict[tuple[str, str], tuple[SpanContext, int]] = (
             OrderedDict()
@@ -117,7 +118,7 @@ class PipelineTracing:
                 key = (name, value)
                 self._pending[key] = (ctx, available_ns)
                 self._pending.move_to_end(key)
-        while len(self._pending) > self._max_pending:
+        while len(self._pending) > self.max_pending:
             self._pending.popitem(last=False)
 
     def _correlate(self, labels: Mapping[str, str]) -> tuple[SpanContext, int] | None:
@@ -157,7 +158,7 @@ class PipelineTracing:
                     )
                     if ctx is not None:
                         self._alert_spans[fp] = (ctx, now)
-                        while len(self._alert_spans) > self._max_pending:
+                        while len(self._alert_spans) > self.max_pending:
                             self._alert_spans.popitem(last=False)
             elif event.state is AlertState.RESOLVED:
                 # A future re-fire of the same series starts a new span.
@@ -192,7 +193,7 @@ class PipelineTracing:
             if am_ctx is None:
                 return
             self._am_spans[fp] = am_ctx
-            while len(self._am_spans) > self._max_pending:
+            while len(self._am_spans) > self.max_pending:
                 self._am_spans.popitem(last=False)
         self.tracer.record(
             receiver_name,

@@ -33,10 +33,8 @@ class TraceSummary:
 class TraceStore:
     """In-memory span storage keyed by trace ID."""
 
-    def __init__(self, max_traces: int = 10_000) -> None:
-        if max_traces <= 0:
-            raise ValueError("max_traces must be positive")
-        self._max_traces = max_traces
+    def __init__(self) -> None:
+        self.max_traces = 10_000
         self._traces: OrderedDict[str, list[Span]] = OrderedDict()
         self.spans_added = 0
         self.traces_evicted = 0
@@ -47,7 +45,7 @@ class TraceStore:
     def add(self, span: Span) -> None:
         spans = self._traces.get(span.trace_id)
         if spans is None:
-            while len(self._traces) >= self._max_traces:
+            while len(self._traces) >= self.max_traces:
                 self._traces.popitem(last=False)
                 self.traces_evicted += 1
             spans = self._traces[span.trace_id] = []

@@ -69,12 +69,10 @@ class AdmissionController:
         self,
         registry: LimitsRegistry,
         clock: SimClock,
-        default_tenant: str = DEFAULT_TENANT,
         tracer: Tracer | None = None,
     ) -> None:
         self.registry = registry
         self.clock = clock
-        self.default_tenant = default_tenant
         self.tracer = tracer
         self._tenant_buckets: dict[str, TokenBucket] = {}
         self._stream_buckets: dict[tuple[str, LabelSet], TokenBucket] = {}
@@ -120,7 +118,7 @@ class AdmissionController:
         """``labels`` as a push for ``tenant`` is admitted under: with the
         ``tenant`` label set.  A push whose streams already carry their
         tags passes admission as it came, nothing rebuilt."""
-        tenant = tenant or self.default_tenant
+        tenant = tenant or DEFAULT_TENANT
         if labels in self._streams.get(tenant, ()):
             return labels  # an active stream is a tagged label set
         tagged = self._tagged.get((tenant, labels))
@@ -142,7 +140,7 @@ class AdmissionController:
         would be exceeded.  On success the returned request carries the
         ``tenant`` label on every stream and the buckets are debited.
         """
-        tenant = tenant or self.default_tenant
+        tenant = tenant or DEFAULT_TENANT
         counters = self._counters(tenant)
         counters.pushes += 1
         limits = self.registry.limits_for(tenant)

@@ -87,7 +87,7 @@ class TenancyPlane(Plane):
         fw.limits = LimitsRegistry(overrides=fw.config.tenant_overrides)
         fw.admission = AdmissionController(fw.limits, fw.clock, tracer=fw.tracer)
 
-    def build_query(self, fw):
+    def build_alerting(self, fw):
         fw.scheduler = QueryScheduler(
             query_frontend(fw),
             fw.clock,

@@ -67,12 +67,13 @@ class TenantQueueStats:
     rejected: int = 0
     failed: int = 0
     queue_depth_peak: int = 0
-    wait_ns_total: int = 0
+    #: Queue waits of every query that left the queue, whether it then
+    #: completed, failed or is still running.
     waits_ns: list[int] = field(default_factory=list)
 
     @property
     def mean_wait_ns(self) -> float:
-        return self.wait_ns_total / self.completed if self.completed else 0.0
+        return sum(self.waits_ns) / len(self.waits_ns) if self.waits_ns else 0.0
 
 
 class QueryScheduler:
@@ -84,8 +85,6 @@ class QueryScheduler:
         clock: SimClock,
         registry: LimitsRegistry | None = None,
         max_concurrency: int = 4,
-        exec_base_ns: int = seconds(0.05),
-        exec_per_hour_ns: int = seconds(0.5),
         fair: bool = True,
         tracer: Tracer | None = None,
     ) -> None:
@@ -94,14 +93,12 @@ class QueryScheduler:
         against."""
         if max_concurrency < 1:
             raise ValidationError("need at least one querier slot")
-        if exec_base_ns < 0 or exec_per_hour_ns < 0:
-            raise ValidationError("execution costs must be non-negative")
         self._frontend = frontend
         self._clock = clock
         self.registry = registry or LimitsRegistry()
         self.max_concurrency = max_concurrency
-        self.exec_base_ns = exec_base_ns
-        self.exec_per_hour_ns = exec_per_hour_ns
+        self.exec_base_ns = seconds(0.05)
+        self.exec_per_hour_ns = seconds(0.5)
         self.fair = fair
         self.tracer = tracer
         self._queues: dict[str, deque[ScheduledQuery]] = {}
@@ -208,7 +205,6 @@ class QueryScheduler:
         now = self._clock.now_ns
         ticket.started_ns = now
         stats = self._stats(ticket.tenant)
-        stats.wait_ns_total += now - ticket.submitted_ns
         stats.waits_ns.append(now - ticket.submitted_ns)
         limits = self.registry.limits_for(ticket.tenant)
         try:
@@ -286,7 +282,8 @@ class QueryScheduler:
         return sorted(set(self.stats) | set(self._queues))
 
     def wait_percentile_ns(self, tenant: str, pct: float) -> float:
-        """Linear-interpolated percentile of completed-query waits."""
+        """Linear-interpolated percentile of the queue waits of every
+        query that left the queue (``TenantQueueStats.waits_ns``)."""
         waits = sorted(self._stats(tenant).waits_ns)
         if not waits:
             return 0.0

@@ -27,9 +27,8 @@ class VMAlert(RuleEvaluator):
         engine: PromQLEngine,
         clock: SimClock,
         notifier: Callable[[AlertEvent], None],
-        generator: str = "vmalert",
     ) -> None:
-        super().__init__(clock, notifier, generator)
+        super().__init__(clock, notifier, "vmalert")
         self._group = engine.group()
 
     def _compile(self, expr: str) -> PromExpr:

@@ -31,6 +31,9 @@ _SYSLOG_TEMPLATES: list[tuple[float, str, str, str]] = [
     (1.0, "crit", "kernel", "EDAC MC0: UE memory read error on DIMM_{c}"),
 ]
 
+#: The ``cluster`` label every generated stream carries.
+CLUSTER = "perlmutter"
+
 _CONTAINER_APPS = (
     "telemetry-api",
     "kafka-consumer",
@@ -52,14 +55,11 @@ class GeneratedLog:
 class SyslogGenerator:
     """Weighted-template syslog generator over a set of node xnames."""
 
-    def __init__(
-        self, nodes: list[XName], seed: int = 0, cluster: str = "perlmutter"
-    ) -> None:
+    def __init__(self, nodes: list[XName], seed: int = 0) -> None:
         if not nodes:
             raise ValidationError("need at least one node")
         self._nodes = [str(x) for x in nodes]
         self._rng = np.random.default_rng(seed)
-        self._cluster = cluster
         weights = np.array([t[0] for t in _SYSLOG_TEMPLATES])
         self._probs = weights / weights.sum()
         self._job_counter = 100000
@@ -89,7 +89,7 @@ class SyslogGenerator:
                 GeneratedLog(
                     timestamp_ns=start_ns + i * interval_ns,
                     labels={
-                        "cluster": self._cluster,
+                        "cluster": CLUSTER,
                         "data_type": "syslog",
                         "hostname": xname,
                         "facility": program,
@@ -104,9 +104,8 @@ class SyslogGenerator:
 class ContainerLogGenerator:
     """JSON-line logs from the k3s service pods (paper Fig. 1 green box)."""
 
-    def __init__(self, seed: int = 0, cluster: str = "perlmutter") -> None:
+    def __init__(self, seed: int = 0) -> None:
         self._rng = np.random.default_rng(seed)
-        self._cluster = cluster
 
     def generate(self, count: int, start_ns: int, interval_ns: int) -> list[GeneratedLog]:
         if count < 0:
@@ -133,7 +132,7 @@ class ContainerLogGenerator:
                 GeneratedLog(
                     timestamp_ns=start_ns + i * interval_ns,
                     labels={
-                        "cluster": self._cluster,
+                        "cluster": CLUSTER,
                         "data_type": "container_log",
                         "app": app,
                         "namespace": "monitoring",

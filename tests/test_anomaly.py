@@ -51,8 +51,6 @@ class TestEwmaDetector:
 
     def test_validation(self):
         with pytest.raises(ValidationError):
-            EwmaDetector(alpha=0)
-        with pytest.raises(ValidationError):
             EwmaDetector(z_threshold=0)
         with pytest.raises(ValidationError):
             EwmaDetector(warmup=0)

@@ -7,7 +7,6 @@ import pytest
 from repro.common.simclock import SimClock, hours, minutes, seconds
 from repro.alerting.events import AlertState
 from repro.alerting.rules import RuleSpec
-from repro.grafana.datasource import PrometheusDatasource
 from repro.grafana.panels import TimeSeriesPanel
 from repro.loki.frontend import QueryFrontend
 from repro.loki.logql.engine import LogQLEngine
@@ -85,11 +84,6 @@ class TestFrontendOverPromQL:
         clock.advance(hours(1))
         engine = PromQLEngine(store)
         frontend = QueryFrontend(engine, clock, split_ns=minutes(30))
-
-        class FrontendDatasource(PrometheusDatasource):
-            def query_range(self, query, start_ns, end_ns, step_ns):
-                return frontend.query_range(query, start_ns, end_ns, step_ns)
-
-        panel = TimeSeriesPanel("up", FrontendDatasource(engine), "sum(node_up)")
+        panel = TimeSeriesPanel("up", frontend, "sum(node_up)")
         out = panel.render(0, minutes(50), minutes(10))
         assert "●" in out

@@ -119,7 +119,8 @@ class TestCaching:
 
     def test_cache_bounded(self, world):
         clock, engine, frontend = world
-        frontend = QueryFrontend(engine, clock, split_ns=hours(1), max_entries=2)
+        frontend = QueryFrontend(engine, clock, split_ns=hours(1))
+        frontend.max_entries = 2
         frontend.query_range(QUERY, 0, hours(5), minutes(10))
         assert len(frontend._cache) <= 2
 
@@ -159,7 +160,8 @@ class TestLruEviction:
 
     def test_hit_refreshes_recency(self, world):
         clock, engine, _ = world
-        frontend = QueryFrontend(engine, clock, split_ns=hours(1), max_entries=2)
+        frontend = QueryFrontend(engine, clock, split_ns=hours(1))
+        frontend.max_entries = 2
         # Fill the cache: windows [0,1h) and [1h,2h).
         frontend.query_range(QUERY, 0, hours(2) - minutes(10), minutes(10))
         assert len(frontend._cache) == 2
@@ -178,7 +180,8 @@ class TestLruEviction:
 
     def test_cold_entry_is_the_one_evicted(self, world):
         clock, engine, _ = world
-        frontend = QueryFrontend(engine, clock, split_ns=hours(1), max_entries=2)
+        frontend = QueryFrontend(engine, clock, split_ns=hours(1))
+        frontend.max_entries = 2
         frontend.query_range(QUERY, 0, hours(2) - minutes(10), minutes(10))
         frontend.query_range(QUERY, 0, hours(1) - minutes(10), minutes(10))
         frontend.query_range(
@@ -313,7 +316,8 @@ class TestSplitAwareKeys:
 
     def test_stale_split_entries_age_out_of_lru(self, world):
         clock, engine, _ = world
-        frontend = QueryFrontend(engine, clock, split_ns=hours(1), max_entries=4)
+        frontend = QueryFrontend(engine, clock, split_ns=hours(1))
+        frontend.max_entries = 4
         frontend.query_range(QUERY, 0, hours(4) - minutes(10), minutes(10))
         assert len(frontend._cache) == 4
         # After a resize the old-split entries are unreachable; new

@@ -7,7 +7,6 @@ from repro.common.labels import LabelSet
 from repro.common.simclock import minutes, seconds
 from repro.common.vector import Series
 from repro.grafana.dashboard import Dashboard
-from repro.grafana.datasource import LokiDatasource, PrometheusDatasource
 from repro.grafana.panels import LogsPanel, StatPanel, TimeSeriesPanel
 from repro.grafana.render import render_chart, render_log_table, render_stat
 from repro.loki.logql.engine import LogQLEngine
@@ -21,9 +20,7 @@ from repro.tsdb.storage import TimeSeriesStore
 def stores():
     loki = LokiStore()
     tsdb = TimeSeriesStore()
-    return loki, tsdb, LokiDatasource(LogQLEngine(loki)), PrometheusDatasource(
-        PromQLEngine(tsdb)
-    )
+    return loki, tsdb, LogQLEngine(loki), PromQLEngine(tsdb)
 
 
 class TestRenderers:
@@ -107,11 +104,6 @@ class TestPanels:
         _, _, _, prom_ds = stores
         with pytest.raises(ValidationError):
             StatPanel("x", prom_ds, "m", reducer="median")
-
-    def test_prometheus_ds_rejects_log_queries(self, stores):
-        _, _, _, prom_ds = stores
-        with pytest.raises(NotImplementedError):
-            prom_ds.query_logs("{}", 0, 1)
 
 
 class TestDashboard:

@@ -245,9 +245,8 @@ class TestLogStoreContract:
         cutoff = int(seconds(cutoff_s))
         before = store.select(MATCH_ALL, start, end)
         clock = SimClock(cutoff + HOT)
-        lifecycle = Lifecycle(
-            clock, store, TimeSeriesStore(), Broker(clock), hot_window_ns=HOT
-        )
+        lifecycle = Lifecycle(clock, store, TimeSeriesStore(), Broker(clock))
+        lifecycle.hot_window_ns = HOT
         moved = lifecycle.sweep()
         archived = lifecycle.archive.select(MATCH_ALL, start, end)
         # The archive holds each expired entry once, all before the cutoff.
@@ -285,9 +284,8 @@ def test_ring_expiry_archives_every_acknowledged_entry_once():
     assert len(acknowledged) == 15
 
     clock.advance(hours(1))
-    lifecycle = Lifecycle(
-        clock, cluster, TimeSeriesStore(), Broker(clock), hot_window_ns=hours(1) - 100
-    )
+    lifecycle = Lifecycle(clock, cluster, TimeSeriesStore(), Broker(clock))
+    lifecycle.hot_window_ns = hours(1) - 100
     assert cluster.expired_entries(lifecycle.cutoff_ns()) == [(labels, acknowledged)]
     assert lifecycle.sweep() == 15
     assert cluster.select(MATCH_ALL, 0, int(hours(2))) == []

@@ -26,6 +26,7 @@ from repro.loki.logql.engine import LogQLEngine
 from repro.loki.model import LogEntry
 from repro.loki.ruler import Ruler
 from repro.loki.store import LokiStore
+from tests.counting import counted
 
 SPAN_S = 12
 
@@ -173,33 +174,22 @@ def fixture_store() -> tuple[LokiStore, list[str]]:
     return store, lines
 
 
-def counted(run):
-    """``run()``'s result, and how many ``json.loads`` and ``LabelSet``
-    calls the engine made for it."""
-    loads = mock.Mock(wraps=json.loads)
-    label_set = mock.Mock(wraps=LabelSet)
-    with (
-        mock.patch.object(engine_mod, "json", mock.Mock(loads=loads)),
-        mock.patch.object(engine_mod, "LabelSet", label_set),
-    ):
-        result = run()
-    return result, loads.call_count, label_set.call_count
-
-
 def test_the_aggregation_decodes_only_lines_that_can_match():
     store, lines = fixture_store()
 
     def run():
         return LogQLEngine(store).query_instant(AGG, seconds(61))
 
-    got, loads, label_sets = counted(run)
+    with counted(json, "loads") as loads, counted(LabelSet, "__init__") as label_sets:
+        got = run()
     assert got == interpreted(run)
-    assert loads == sum("error" in line or "\\" in line for line in lines)
-    assert loads < len(lines)
+    assert loads.call_count == sum("error" in line or "\\" in line for line in lines)
+    assert loads.call_count < len(lines)
     # One per (stream, level) that survives the filter: level="error".
-    assert label_sets == 3
-    _, full_loads, full_label_sets = counted(lambda: interpreted(run))
-    assert (full_loads, full_label_sets) == (len(lines), 24)
+    assert label_sets.call_count == 3
+    with counted(json, "loads") as loads, counted(LabelSet, "__init__") as label_sets:
+        interpreted(run)
+    assert (loads.call_count, label_sets.call_count) == (len(lines), 24)
 
 
 def test_a_rule_group_keeps_the_bare_aggregation_whole():

@@ -231,9 +231,8 @@ class TestTieredMaintenance:
         recent = entries_for(80, start_ns=now - days(1))
         tiered.push_stream(LABELS, recent)
 
-        lifecycle = Lifecycle(
-            clock, tiered, TimeSeriesStore(), Broker(clock), hot_window_ns=days(365)
-        )
+        lifecycle = Lifecycle(clock, tiered, TimeSeriesStore(), Broker(clock))
+        lifecycle.hot_window_ns = days(365)
         moved = lifecycle.sweep()
         assert moved == len(ancient)
         assert tiered.cold_entry_count() == 0

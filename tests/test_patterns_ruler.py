@@ -72,21 +72,9 @@ def novel_rule():
 
 
 class TestValidation:
-    @pytest.mark.parametrize(
-        "kwargs",
-        [
-            {"ewma_alpha": 0.0},
-            {"ewma_alpha": 1.5},
-            {"burst_factor": 1.0},
-            {"min_burst_rate": 0.0},
-            {"warmup_evals": 0},
-            {"novel_active_ns": 0},
-            {"novel_bootstrap_ns": -1},
-        ],
-    )
-    def test_bad_knobs_rejected(self, kwargs):
+    def test_bad_knobs_rejected(self):
         with pytest.raises(ValidationError):
-            Harness(**kwargs)
+            Harness(novel_bootstrap_ns=-1)
 
     def test_only_pattern_exprs_accepted(self):
         h = Harness()
@@ -99,7 +87,7 @@ class TestBurstDetection:
     def test_absolute_floor_catches_brand_new_storm(self):
         """A storm template with no baseline still fires: the absolute
         rate floor needs no warmup."""
-        h = Harness(min_burst_rate=50.0)
+        h = Harness()
         h.ruler.add_rule(burst_rule())
         h.push("disk quiet line")
         h.tick()  # anchor
@@ -111,7 +99,7 @@ class TestBurstDetection:
         assert event.labels.get("severity") == "warning"
 
     def test_relative_burst_after_warmup(self):
-        h = Harness(burst_factor=8.0, warmup_evals=3, min_burst_rate=50.0)
+        h = Harness()
         h.ruler.add_rule(burst_rule())
         h.push("api request served in ms", n=10)
         h.tick()  # anchor
@@ -127,7 +115,7 @@ class TestBurstDetection:
         assert len(h.fired("PatternBurst")) == 1
 
     def test_ewma_frozen_during_burst(self):
-        h = Harness(min_burst_rate=50.0)
+        h = Harness()
         h.ruler.add_rule(burst_rule())
         h.push("api request served in ms", n=10)
         h.tick()
@@ -141,7 +129,7 @@ class TestBurstDetection:
         assert h.ruler.baseline_rate("ops", self_pid(h)) == before
 
     def test_burst_self_resolves_when_storm_ends(self):
-        h = Harness(min_burst_rate=50.0)
+        h = Harness()
         h.ruler.add_rule(burst_rule())
         h.push("noise line here")
         h.tick()
@@ -153,7 +141,7 @@ class TestBurstDetection:
         assert h.ruler.active_bursts == 0
 
     def test_sustained_storm_is_one_firing_edge(self):
-        h = Harness(min_burst_rate=50.0)
+        h = Harness()
         h.ruler.add_rule(burst_rule())
         h.push("warm up line")
         h.tick()
@@ -186,7 +174,7 @@ class TestNoveltyDetection:
         assert h.fired("NovelErrorPattern") == []
 
     def test_novel_alert_self_resolves_after_window(self):
-        h = Harness(novel_active_ns=minutes(10))
+        h = Harness()
         h.ruler.add_rule(novel_rule())
         h.push("app FATAL assertion failed in module core, unit")
         h.tick()

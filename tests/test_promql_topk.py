@@ -4,7 +4,6 @@ import pytest
 
 from repro.common.errors import QueryError
 from repro.common.simclock import seconds
-from repro.grafana.datasource import PrometheusDatasource
 from repro.grafana.panels import TopListPanel
 from repro.tsdb.promql import PromQLEngine, parse_promql
 from repro.tsdb.storage import TimeSeriesStore
@@ -50,7 +49,7 @@ class TestTopListPanel:
     def test_render(self, engine):
         panel = TopListPanel(
             "Hottest nodes",
-            PrometheusDatasource(engine),
+            engine,
             "topk(3, node_temp_celsius)",
             unit=" C",
         )
@@ -62,5 +61,5 @@ class TestTopListPanel:
         assert len(lines) == 4
 
     def test_render_empty(self, engine):
-        panel = TopListPanel("x", PrometheusDatasource(engine), "topk(3, ghost)")
+        panel = TopListPanel("x", engine, "topk(3, ghost)")
         assert "(no data)" in panel.render(0, seconds(1), seconds(1))

@@ -183,9 +183,8 @@ class TestRetentionOverRing:
             replication_factor=3,
             policy=ChunkPolicy(target_size_bytes=64),
         )
-        lifecycle = Lifecycle(
-            clock, ring, TimeSeriesStore(), Broker(clock), hot_window_ns=days(10)
-        )
+        lifecycle = Lifecycle(clock, ring, TimeSeriesStore(), Broker(clock))
+        lifecycle.hot_window_ns = days(10)
         for i in range(6):
             ring.push(
                 PushRequest.single(

@@ -161,7 +161,8 @@ class TestIngesterRecovery:
         assert ing.push_stream(APP, entries((15, "fifteen"))) == 0
 
     def test_checkpoint_then_crash_restores_full_state(self):
-        ing = Ingester("ingester-0", wal_segment_bytes=256)
+        ing = Ingester("ingester-0")
+        ing.wal.segment_max_bytes = 256
         ing.push_stream(APP, entries(*[(i, f"early-{i}") for i in range(10)]))
         dropped = ing.checkpoint()
         assert dropped >= 1

@@ -26,7 +26,9 @@ def make_supervised(ingesters=4, config=None):
     memberlist = Memberlist(clock)
     for member in sorted(cluster.ingesters):
         memberlist.register(member)
-    supervisor = IngesterSupervisor(clock, cluster, memberlist, config)
+    supervisor = IngesterSupervisor(clock, cluster, memberlist)
+    if config is not None:
+        supervisor.config = config
     clock.every(supervisor.config.sweep_interval_ns, supervisor.sweep)
     return clock, cluster, memberlist, supervisor
 

@@ -86,8 +86,8 @@ class PerLineStore:
     reference: a ``LabelSet`` built and validated for every push; the
     watermark, the counters and the entry's size touched per entry."""
 
-    def __init__(self, policy: ChunkPolicy, reject_out_of_order: bool) -> None:
-        self.policy, self.reject = policy, reject_out_of_order
+    def __init__(self, policy: ChunkPolicy) -> None:
+        self.policy = policy
         self.chunks: dict[LabelSet, list[Chunk]] = {}
         self.last_ts: dict[LabelSet, int] = {}
         self.stats = StoreStats()
@@ -100,8 +100,6 @@ class PerLineStore:
         for entry in entries:
             last = self.last_ts.get(labelset)
             if last is not None and entry.timestamp_ns < last:
-                if not self.reject:
-                    raise ValidationError("out-of-order entry with rejection disabled")
                 self.stats.entries_rejected += 1
                 continue
             if not chunks or not chunks[-1].space_for(entry):
@@ -139,12 +137,12 @@ def assert_refs_are_valid(refs: dict, streams: list) -> None:
 
 class TestStoreEndsWhereTheReferenceEnds:
     @settings(deadline=None)
-    @given(streams=STREAMS, ops=OPS, reject=st.booleans())
-    def test_loki_store(self, streams, ops, reject):
+    @given(streams=STREAMS, ops=OPS)
+    def test_loki_store(self, streams, ops):
         # 8 bytes a chunk: they fill, seal and roll within a few lines.
         policy = ChunkPolicy(target_size_bytes=8)
-        subject = LokiStore(policy, reject_out_of_order=reject)
-        reference = PerLineStore(policy, reject_out_of_order=reject)
+        subject = LokiStore(policy)
+        reference = PerLineStore(policy)
         errors = replay(ops, streams, subject.push_stream, per_line_labelset=False)
         assert errors == replay(ops, streams, reference.push_stream, per_line_labelset=True)
         assert subject.stats == reference.stats

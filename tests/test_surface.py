@@ -10,8 +10,17 @@ the language and are not probed.
 A definition that only tests reference is either deleted with the tests
 that check only it, or listed in :data:`ALLOWED` with a one-line reason.
 The list may only shrink: an entry the probe no longer finds fails the
-test, as does a definition nothing references at all.  Print the current
-findings with their line counts with::
+test, as does a definition nothing references at all.
+
+The same rule holds one level down, for options: every defaulted
+parameter of a class ``__init__`` under ``src/`` must be set by some call
+in the program — by keyword, by position, through ``*``/``**``, or
+through a subclass that inherits the ``__init__`` or forwards to it with
+``super().__init__`` — or be listed in :data:`OPTIONS_ALLOWED` with a
+one-line reason.  A value only a test sets is a constant of the
+component, which a test may reassign on the built object.  Classes match
+by name.  Print both probes' findings, with line counts and
+``file:line``, with::
 
     PYTHONPATH=src python -m tests.test_surface
 """
@@ -19,6 +28,7 @@ findings with their line counts with::
 from __future__ import annotations
 
 import ast
+import functools
 import sys
 from dataclasses import dataclass
 from pathlib import Path
@@ -97,6 +107,33 @@ ALLOWED: dict[str, str] = {
     "repro.tenancy.limits.LimitsRegistry.update_override": "operator API: runtime limit overrides",
     "repro.tenancy.limits.LimitsRegistry.clear_override": "operator API: runtime limit overrides",
     "repro.tsdb.storage.TimeSeriesStore.metric_names": _READ,
+}
+
+_SHAPE = "construction-time shape a test needs"
+_FAKE = "a fake a test substitutes"
+
+#: Defaulted ``__init__`` parameters no program call sets that stay, by
+#: dotted name, with the reason.
+OPTIONS_ALLOWED: dict[str, str] = {
+    "repro.cluster.facility.FacilityModel.cabinets_per_cdu": _SHAPE,
+    "repro.cluster.facility.FacilityModel.pdus": _SHAPE,
+    "repro.exporters.aruba.ArubaExporter.switches": _SHAPE,
+    "repro.exporters.aruba.ArubaExporter.ports_per_switch": _SHAPE,
+    "repro.exporters.node.NodeExporter.nodes": f"{_SHAPE}: the nodes an exporter covers",
+    "repro.objstore.compactor.Compactor.policy": f"{_SHAPE}: it sizes the compactor's chunks",
+    "repro.objstore.index.ShipperIndex.period_ns": f"{_SHAPE}: the index's period layout",
+    "repro.objstore.objectstore.ObjectStore.config": "deployment setting: backend latencies",
+    "repro.patterns.miner.DrainMiner.config": f"{_SHAPE}: the miner the property tests vary",
+    "repro.resilience.receivers.FlakyReceiver.outages": _FAKE,
+    "repro.resilience.receivers.FlakyReceiver.ambiguous": _FAKE,
+    "repro.resilience.receivers.RetryingReceiver.max_attempts": "deployment setting: retry budget",
+    "repro.resilience.receivers.RetryingReceiver.on_dead_letter": (
+        "deployment setting: dead-letter sink"
+    ),
+    "repro.ring.wal.WriteAheadLog.segment_max_bytes": f"{_SHAPE}: small segments that roll",
+    "repro.selfheal.detector.FailureDetector.config": f"{_SHAPE}: it starts the heartbeats",
+    "repro.servicenow.platform.ServiceNowPlatform.event_rule": "deployment setting: the event rule",
+    "repro.slackmock.webhook.SlackReceiver.name": "deployment name: the receiver a route names",
 }
 
 
@@ -187,6 +224,143 @@ def findings() -> tuple[list[Definition], list[Definition]]:
     )
 
 
+@dataclass(frozen=True)
+class Option:
+    qualname: str  # dotted: module, then class, then parameter
+    where: str  # file:line of the parameter
+
+
+@dataclass(frozen=True)
+class _Class:
+    qualname: str
+    path: Path
+    bases: tuple[str | None, ...]
+    init: ast.arguments | None  # None: it inherits its ``__init__``
+
+
+@dataclass(frozen=True)
+class _Call:
+    #: The class name called, or for a ``super().__init__`` the bases
+    #: whose first ``__init__`` it runs.
+    callees: tuple[str | None, ...]
+    node: ast.Call
+
+
+def _name(node: ast.expr) -> str | None:
+    if isinstance(node, ast.Name):
+        return node.id
+    return node.attr if isinstance(node, ast.Attribute) else None
+
+
+def _is_super_init(node: ast.AST) -> bool:
+    return (
+        isinstance(node, ast.Call)
+        and _name(node.func) == "__init__"
+        and isinstance(node.func.value, ast.Call)
+        and _name(node.func.value.func) == "super"
+    )
+
+
+@functools.cache
+def _classes_and_calls(top: str) -> tuple[dict[str, _Class], list[_Call]]:
+    """Every class under ``top`` by name (the first definition wins), and
+    every call that may construct one: a call of a CapWords name, or a
+    ``super().__init__`` in a class's own ``__init__``."""
+    classes: dict[str, _Class] = {}
+    calls: list[_Call] = []
+    for path in sorted((ROOT / top).rglob("*.py")):
+        tree = ast.parse(path.read_text(), str(path))
+        module = _module_name(path) if top == "src" else path.stem
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Call) and (_name(node.func) or "_").lstrip("_")[:1].isupper():
+                calls.append(_Call((_name(node.func),), node))
+            if not isinstance(node, ast.ClassDef):
+                continue
+            bases = tuple(_name(b) for b in node.bases)
+            init = next(
+                (m for m in node.body if isinstance(m, ast.FunctionDef) and m.name == "__init__"),
+                None,
+            )
+            classes.setdefault(
+                node.name,
+                _Class(f"{module}.{node.name}", path, bases, init and init.args),
+            )
+            if init is not None:
+                calls += [_Call(bases, c) for c in ast.walk(init) if _is_super_init(c)]
+    return classes, calls
+
+
+def _defaulted(args: ast.arguments) -> list[ast.arg]:
+    positional = args.posonlyargs + args.args
+    return positional[len(positional) - len(args.defaults):] + [
+        arg for arg, default in zip(args.kwonlyargs, args.kw_defaults) if default is not None
+    ]
+
+
+def options() -> list[Option]:
+    """Every defaulted parameter of a class ``__init__`` under ``src/``."""
+    return [
+        Option(f"{c.qualname}.{arg.arg}", f"{c.path.relative_to(ROOT)}:{arg.lineno}")
+        for c in _classes_and_calls("src")[0].values()
+        if c.init is not None
+        for arg in _defaulted(c.init)
+    ]
+
+
+def _runs(name: str | None, classes: dict[str, _Class], depth: int = 0) -> _Class | None:
+    """The class whose ``__init__`` a call of ``name`` runs."""
+    c = classes.get(name)
+    if c is None or c.init is not None:
+        return c
+    if depth > 8:  # a class named as the base it shadows
+        return None
+    return next((r for b in c.bases if (r := _runs(b, classes, depth + 1))), None)
+
+
+def _passes(call: ast.Call, args: ast.arguments) -> set[str]:
+    """The parameters of an ``__init__`` taking ``args`` that ``call`` passes."""
+    positional = [a.arg for a in args.posonlyargs + args.args][1:]
+    passed: set[str] = set()
+    for i, arg in enumerate(call.args):
+        if isinstance(arg, ast.Starred):
+            passed.update(positional[i:])
+            break
+        passed.update(positional[i:i + 1])
+    for keyword in call.keywords:
+        if keyword.arg is None:
+            passed.update(positional + [a.arg for a in args.kwonlyargs])
+        else:
+            passed.add(keyword.arg)
+    return passed
+
+
+def options_set(*dirs: str) -> set[str]:
+    """Every ``__init__`` parameter, dotted as :func:`options` names it,
+    that some call under ``dirs`` passes."""
+    classes: dict[str, _Class] = {}
+    for top in ("src", *dirs):
+        classes = {**_classes_and_calls(top)[0], **classes}
+    found: set[str] = set()
+    for top in dirs:
+        for call in _classes_and_calls(top)[1]:
+            runs = next((r for c in call.callees if (r := _runs(c, classes))), None)
+            if runs is not None:
+                found.update(f"{runs.qualname}.{p}" for p in _passes(call.node, runs.init))
+    return found
+
+
+def option_findings() -> tuple[list[Option], list[Option]]:
+    """``(unset, test_only)``: the options no program call sets, split by
+    whether a test sets them."""
+    program = options_set(*PROGRAM)
+    tests = options_set("tests")
+    unset = [o for o in options() if o.qualname not in program]
+    return (
+        [o for o in unset if o.qualname not in tests],
+        [o for o in unset if o.qualname in tests],
+    )
+
+
 def test_surface_matches_the_allowlist():
     unreferenced, test_only = findings()
     assert [d.qualname for d in unreferenced] == [], "referenced nowhere: delete it"
@@ -195,14 +369,42 @@ def test_surface_matches_the_allowlist():
     assert sorted(ALLOWED.keys() - found) == [], "stale entry: take it off the list"
 
 
+def test_options_match_the_allowlist():
+    unset, test_only = option_findings()
+    found = {o.qualname for o in unset + test_only}
+    assert sorted(found - OPTIONS_ALLOWED.keys()) == [], "make it a constant, or allowlist it"
+    assert sorted(OPTIONS_ALLOWED.keys() - found) == [], "stale entry: take it off the list"
+
+
 def test_every_allowlist_entry_has_a_one_line_reason():
-    for qualname, reason in ALLOWED.items():
+    for qualname, reason in {**ALLOWED, **OPTIONS_ALLOWED}.items():
         assert reason.strip() and "\n" not in reason, qualname
 
 
 def test_string_annotations_count_as_references():
     tree = ast.parse("def f(p: 'PatternSource | None') -> 'list[Plane]': pass")
     assert {"PatternSource", "Plane"} <= names_in(tree)
+
+
+def test_options_are_set_by_keyword_position_star_and_subclass(tmp_path):
+    (tmp_path / "shapes.py").write_text(
+        "class ProbeBase:\n"
+        "    def __init__(self, a, b=1, *, c=2, d=3, e=4): ...\n"
+        "class ProbeHeir(ProbeBase): ...\n"
+        "class ProbeForwards(ProbeBase):\n"
+        "    def __init__(self):\n"
+        "        super().__init__(0, d=5)\n"
+        "class ProbeSpread:\n"
+        "    def __init__(self, f=1, g=2, *, h=3): ...\n"
+        "ProbeHeir(0, 1)\n"
+        "ProbeBase(0, c=2)\n"
+        "ProbeSpread(*args)\n"
+        "ProbeSpread(**kwargs)\n"
+    )
+    assert options_set(str(tmp_path)) == {
+        "shapes.ProbeBase.a", "shapes.ProbeBase.b", "shapes.ProbeBase.c", "shapes.ProbeBase.d",
+        "shapes.ProbeSpread.f", "shapes.ProbeSpread.g", "shapes.ProbeSpread.h",
+    }
 
 
 def main() -> None:
@@ -216,6 +418,16 @@ def main() -> None:
         f"{len(unreferenced)} unreferenced ({sum(d.lines for d in unreferenced)} lines), "
         f"{len(test_only)} test-only ({sum(d.lines for d in test_only)} lines), "
         f"{len(ALLOWED)} allowlisted\n"
+    )
+    unset, tests_only = option_findings()
+    for kind, rows in (("unset", unset), ("test-only", tests_only)):
+        for o in rows:
+            mark = "allowed" if o.qualname in OPTIONS_ALLOWED else "FINDING"
+            sys.stdout.write(f"{o.where:<40}  {kind:<12}  {mark}  {o.qualname}\n")
+    total = len(options())
+    sys.stdout.write(
+        f"{total} defaulted options: {total - len(unset) - len(tests_only)} program-set, "
+        f"{len(tests_only)} test-only, {len(unset)} unset, {len(OPTIONS_ALLOWED)} allowlisted\n"
     )
 
 

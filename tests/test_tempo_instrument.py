@@ -14,7 +14,9 @@ def make_tracing(max_pending=4096):
     clock = SimClock()
     store = TraceStore()
     tracer = Tracer(store, clock)
-    return PipelineTracing(tracer, max_pending=max_pending), store, clock
+    tracing = PipelineTracing(tracer)
+    tracing.max_pending = max_pending
+    return tracing, store, clock
 
 
 def alert_event(state=AlertState.FIRING, ts=0, **labels):

@@ -12,7 +12,8 @@ SPAN = "b7ad6b7169203331"
 
 def make_tracer(sampling=1.0, seed=0, max_traces=100):
     clock = SimClock()
-    store = TraceStore(max_traces=max_traces)
+    store = TraceStore()
+    store.max_traces = max_traces
     return Tracer(store, clock, sampling=sampling, seed=seed), store, clock
 
 

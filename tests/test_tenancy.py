@@ -239,14 +239,8 @@ def scheduler_world(clock):
     clock.advance(hours(2))
     registry = LimitsRegistry()
     frontend = QueryFrontend(LogQLEngine(store), clock, split_ns=hours(1))
-    scheduler = QueryScheduler(
-        frontend,
-        clock,
-        registry=registry,
-        max_concurrency=2,
-        exec_base_ns=seconds(1),
-        exec_per_hour_ns=0,
-    )
+    scheduler = QueryScheduler(frontend, clock, registry=registry, max_concurrency=2)
+    scheduler.exec_base_ns, scheduler.exec_per_hour_ns = seconds(1), 0
     return clock, registry, scheduler
 
 
@@ -282,15 +276,8 @@ class TestScheduler:
         frontend = QueryFrontend(
             LogQLEngine(LokiStore()), clock, split_ns=hours(1)
         )
-        fifo = QueryScheduler(
-            frontend,
-            clock,
-            registry=registry,
-            max_concurrency=1,
-            exec_base_ns=seconds(1),
-            exec_per_hour_ns=0,
-            fair=False,
-        )
+        fifo = QueryScheduler(frontend, clock, registry=registry, max_concurrency=1, fair=False)
+        fifo.exec_base_ns, fifo.exec_per_hour_ns = seconds(1), 0
         for _ in range(5):
             fifo.submit("hog", QUERY, 0, hours(1), minutes(10))
         victim = fifo.submit("victim", QUERY, 0, hours(1), minutes(10))
@@ -324,12 +311,9 @@ class TestScheduler:
         registry = LimitsRegistry()
         registry.update_override("t", max_series_per_query=2)
         scheduler = QueryScheduler(
-            QueryFrontend(LogQLEngine(store), clock, split_ns=hours(1)),
-            clock,
-            registry=registry,
-            exec_base_ns=0,
-            exec_per_hour_ns=0,
+            QueryFrontend(LogQLEngine(store), clock, split_ns=hours(1)), clock, registry=registry
         )
+        scheduler.exec_base_ns = scheduler.exec_per_hour_ns = 0
         ticket = scheduler.submit(
             "t",
             'sum(count_over_time({app="fm"}[10m])) by (host)',
@@ -351,6 +335,23 @@ class TestScheduler:
         p50 = scheduler.wait_percentile_ns("t", 50.0)
         assert p95 >= p50 >= 0
 
+    def test_mean_and_percentile_wait_read_the_same_queries(self, clock):
+        """One slot: a query that completes, then one that fails after
+        waiting out the first's 0.55 s.  Both left the queue, so both
+        waits count, in the mean as in the percentile."""
+        store = LokiStore()
+        store.push(PushRequest.single({"app": "fm"}, [(minutes(1), "e")]))
+        clock.advance(hours(2))
+        frontend = QueryFrontend(LogQLEngine(store), clock, split_ns=hours(1))
+        scheduler = QueryScheduler(frontend, clock, max_concurrency=1)
+        scheduler.submit("t", QUERY, 0, hours(1), minutes(10))
+        scheduler.submit("t", "sum(", 0, hours(1), minutes(10))
+        clock.advance(seconds(2))
+        stats = scheduler.stats["t"]
+        assert (stats.completed, stats.failed) == (1, 1)
+        assert stats.waits_ns == [0, seconds(0.55)]
+        assert stats.mean_wait_ns == scheduler.wait_percentile_ns("t", 50.0) == seconds(0.55) / 2
+
 
 class TestTenancyExporter:
     def test_exports_admission_and_scheduler_metrics(self, clock):
@@ -364,12 +365,9 @@ class TestTenancyExporter:
             admission.admit_push(push_of(20), tenant="small")
         store = LokiStore()
         scheduler = QueryScheduler(
-            QueryFrontend(LogQLEngine(store), clock, split_ns=hours(1)),
-            clock,
-            registry=registry,
-            exec_base_ns=0,
-            exec_per_hour_ns=0,
+            QueryFrontend(LogQLEngine(store), clock, split_ns=hours(1)), clock, registry=registry
         )
+        scheduler.exec_base_ns = scheduler.exec_per_hour_ns = 0
         exporter = TenancyExporter(admission, scheduler)
         text = exporter.scrape().text()
         assert 'tenant_ingest_entries_total{tenant="small"} 5.0' in text

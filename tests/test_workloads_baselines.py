@@ -170,8 +170,6 @@ class TestManualModel:
         with pytest.raises(ValidationError):
             ManualMonitoringModel(scan_interval_ns=0)
         with pytest.raises(ValidationError):
-            ManualMonitoringModel(miss_probability=1.0)
-        with pytest.raises(ValidationError):
             ManualMonitoringModel().detection_time_ns(0, -1.0)
         with pytest.raises(ValidationError):
             ManualMonitoringModel().mean_detection_latency_ns(1.0, trials=0)
