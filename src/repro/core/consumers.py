@@ -8,7 +8,10 @@ Each consumer owns one subscription and a ``pump()`` that drains the next
 batch; the framework registers the pumps on the simulated clock.  When
 the framework runs with tracing enabled, each record carrying a
 ``traceparent`` header continues its trace here: queue-wait, API fetch,
-pod handling and the store write each become spans.
+pod handling and the store write each become spans.  While a record is
+handled its pod span is the tracer's current context, so the stages of
+the write below (admission, the ring distributor) join it without the
+context being passed to them.
 """
 
 from __future__ import annotations
@@ -16,9 +19,9 @@ from __future__ import annotations
 from repro.common.errors import ValidationError
 from repro.common.jsonutil import decode_log_envelope, loads
 from repro.omni.warehouse import OmniWarehouse
+from repro.shasta.ldms import TOPIC_LDMS
 from repro.shasta.telemetry_api import Subscription, TelemetryAPI
 from repro.tempo.instrument import PipelineTracing
-from repro.tempo.model import SpanContext
 from repro.core.transform import redfish_payload_to_push
 
 #: Processing failures (reliable mode) before a record is poison and
@@ -46,7 +49,6 @@ class _BaseConsumer:
         self._warehouse = warehouse
         self._sub: Subscription = api.subscribe(token, topic)
         self._tracing = tracing
-        self._record_ctx: SpanContext | None = None
         self._reliable = reliable
         self._throttle: int | None = None
         self.records_processed = 0
@@ -79,16 +81,15 @@ class _BaseConsumer:
             self._sub, max_records, auto_commit=not self._reliable
         )
         server = self._api.last_server_index
+        tracing = self._tracing
         #: partition -> offset of the record that blocked it this batch.
         blocked: dict[int, int] = {}
         done = 0
         for record in records:
             if record.partition in blocked:
                 continue
-            if self._tracing is not None and record.headers:
-                self._record_ctx = self._tracing.begin_record(
-                    record, type(self).__name__, server
-                )
+            if tracing is not None and record.headers:
+                tracing.begin_record(record, type(self).__name__, server)
             try:
                 self._handle(record.value, record.timestamp_ns)
                 done += 1
@@ -103,7 +104,8 @@ class _BaseConsumer:
                     else:
                         blocked[record.partition] = record.offset
             finally:
-                self._record_ctx = None
+                if tracing is not None:
+                    tracing.tracer.current = None
         if self._reliable:
             for partition, offset in blocked.items():
                 self._api.seek(self._sub, partition, offset)
@@ -113,9 +115,9 @@ class _BaseConsumer:
 
     def _trace_store(self, label_sets) -> None:
         """Span the store write of the record currently being handled."""
-        if self._tracing is not None and self._record_ctx is not None:
+        if self._tracing is not None:
             self._tracing.store_span(
-                self._record_ctx, self.STORE_SERVICE, self.STORE_NAME, label_sets
+                self.STORE_SERVICE, self.STORE_NAME, label_sets
             )
 
     def _handle(self, value: str, timestamp_ns: int) -> None:
@@ -143,7 +145,7 @@ class RedfishEventConsumer(_BaseConsumer):
     def _handle(self, value: str, timestamp_ns: int) -> None:
         payload = loads(value)
         push = redfish_payload_to_push(payload, cluster=self._cluster)
-        self._warehouse.ingest_logs(push, trace_ctx=self._record_ctx)
+        self._warehouse.ingest_logs(push)
         self._trace_store([stream.labels for stream in push.streams])
 
 
@@ -219,5 +221,40 @@ class LogLineConsumer(_BaseConsumer):
 
     def _handle(self, value: str, timestamp_ns: int) -> None:
         labels, ts, line = decode_log_envelope(value)
-        self._warehouse.ingest_log(labels, ts, line, trace_ctx=self._record_ctx)
+        self._warehouse.ingest_log(labels, ts, line)
         self._trace_store([labels])
+
+
+class LdmsConsumer(_BaseConsumer):
+    """LDMS metric sets: one envelope per node → VictoriaMetrics.
+
+    The envelope ``{"Cluster": …, "Context": xname, "Metrics": {name:
+    value, …}, "Timestamp": ns}`` becomes one sample per metric, labelled
+    by node and cluster.  The samplers publish no trace context, so the
+    pod takes no tracing.
+    """
+
+    def __init__(
+        self,
+        api: TelemetryAPI,
+        token: str,
+        warehouse: OmniWarehouse,
+        reliable: bool = False,
+    ) -> None:
+        super().__init__(api, token, TOPIC_LDMS, warehouse, reliable=reliable)
+
+    def _handle(self, value: str, timestamp_ns: int) -> None:
+        envelope = loads(value)
+        try:
+            ts = int(envelope["Timestamp"])
+            labels = {"xname": envelope["Context"], "cluster": envelope.get("Cluster", "")}
+            metrics = envelope["Metrics"]
+            if not isinstance(metrics, dict) or "" in metrics:
+                raise ValidationError("LDMS metrics must be an object of named values")
+            # Every value converts before the first one is written, so
+            # a refused envelope leaves nothing behind.
+            values = [(name, float(value)) for name, value in metrics.items()]
+            for name, reading in values:
+                self._warehouse.ingest_metric(name, labels, reading, ts)
+        except (KeyError, TypeError, ValueError, OverflowError):
+            raise ValidationError(f"malformed LDMS envelope: {value[:80]}") from None

@@ -28,6 +28,7 @@ from repro.cluster.sensors import build_standard_bank
 from repro.cluster.topology import Cluster, ClusterSpec
 from repro.core.correlation import RootCauseAnalyzer
 from repro.core.consumers import (
+    LdmsConsumer,
     LogLineConsumer,
     RedfishEventConsumer,
     SensorMetricConsumer,
@@ -70,7 +71,7 @@ from repro.shasta.hms import (
     TOPIC_SENSOR_TELEMETRY,
     TOPIC_SYSLOG,
 )
-from repro.shasta.ldms import LdmsAggregator, LdmsConsumer
+from repro.shasta.ldms import LdmsAggregator
 from repro.shasta.redfish import RedfishEventSource
 from repro.shasta.telemetry_api import TelemetryAPI
 from repro.slackmock.webhook import SlackReceiver, SlackWebhook
@@ -358,6 +359,10 @@ class MonitoringFramework:
         self.console_consumer = LogLineConsumer(
             self.telemetry_api, token, TOPIC_CONSOLE_LOGS, self.warehouse, **pod
         )
+        self.ldms_consumer = LdmsConsumer(
+            self.telemetry_api, token, self.warehouse,
+            reliable=cfg.enable_reliable_delivery,
+        )
         #: The broker-fed pods by name, in pump order.
         self.consumers = {
             "redfish": self.redfish_consumer,
@@ -365,10 +370,8 @@ class MonitoringFramework:
             "syslog": self.syslog_consumer,
             "container": self.container_consumer,
             "console": self.console_consumer,
+            "ldms": self.ldms_consumer,
         }
-        self.ldms_consumer = LdmsConsumer(
-            self.telemetry_api, token, self.warehouse
-        )
 
         # --- fabric manager + NERSC monitor ------------------------------------
         self.fabric_manager = FabricManager(self.cluster)
@@ -473,32 +476,25 @@ class MonitoringFramework:
     # ------------------------------------------------------------------
     def _fm_sink(self, event: SwitchEvent) -> None:
         """The FM monitor pushes its event lines straight to Loki."""
-        root = None
-        if self.tracer is not None and self.tracing is not None:
-            # The FM monitor bypasses the broker, so its trace starts at
-            # the event and goes straight to the store write; the switch
-            # alert correlates back via the xname label.
-            root = self.tracer.record(
-                "fabric_manager",
-                "switch_event",
-                None,
-                start_ns=event.timestamp_ns,
-                end_ns=self.clock.now_ns,
-                attributes={"xname": event.xname, "state": event.state},
-            )
-        self.warehouse.ingest_log(
-            {
-                "app": MONITOR_APP_LABEL,
-                "cluster": self.config.cluster_name,
-            },
-            event.timestamp_ns,
-            event.to_line(),
-            trace_ctx=root,
+        labels = {"app": MONITOR_APP_LABEL, "cluster": self.config.cluster_name}
+        if self.tracing is None:
+            self.warehouse.ingest_log(labels, event.timestamp_ns, event.to_line())
+            return
+        # The FM monitor bypasses the broker, so its trace starts at the
+        # event and goes straight to the store write; the switch alert
+        # correlates back via the xname label.
+        tracer = self.tracing.tracer
+        tracer.current = tracer.record(
+            "fabric_manager",
+            "switch_event",
+            start_ns=event.timestamp_ns,
+            attributes={"xname": event.xname, "state": event.state},
         )
-        if root is not None and self.tracing is not None:
-            self.tracing.store_span(
-                root, "loki", "push", [{"xname": event.xname}]
-            )
+        try:
+            self.warehouse.ingest_log(labels, event.timestamp_ns, event.to_line())
+            self.tracing.store_span("loki", "push", [{"xname": event.xname}])
+        finally:
+            tracer.current = None
 
     def _scrape_gpfs(self) -> None:
         """GPFS health (paper §V future work) lands as metrics."""
@@ -769,7 +765,6 @@ class MonitoringFramework:
     def _pump_consumers(self) -> None:
         for consumer in self.consumers.values():
             consumer.pump()
-        self.ldms_consumer.pump()
 
     def _sample_facility(self) -> None:
         """Environmental/facility series (paper §III.C) land as metrics."""

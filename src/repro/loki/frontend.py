@@ -226,24 +226,17 @@ class QueryFrontend:
         key = _CacheKey(
             query, start_ns, end_ns, step_ns, phase, tenant, self._split_ns
         )
-        cached = self._cache.get(key)
-        if cached is not None:
-            self.cache_hits += 1
-            self._cache.move_to_end(key)  # LRU: a hit refreshes recency
-            return cached
-        self.cache_misses += 1
         # First on-grid instant inside this sub-window.
         first = start_ns + (phase - start_ns) % step_ns
-        if first > end_ns:
-            result: list[Series] = []
-        else:
-            result = self._engine.query_range(query, first, end_ns, step_ns)
-        self.splits_executed += 1
-        if end_ns < self._clock.now_ns:  # complete, immutable window
-            if len(self._cache) >= self.max_entries:
-                self._cache.popitem(last=False)  # evict least recently used
-            self._cache[key] = result
-        return result
+        return self._cached(
+            key,
+            end_ns < self._clock.now_ns,  # complete, immutable window
+            lambda: (
+                []
+                if first > end_ns
+                else self._engine.query_range(query, first, end_ns, step_ns)
+            ),
+        )
 
     def _pattern_sub_query(
         self,
@@ -261,18 +254,28 @@ class QueryFrontend:
             tenant,
             INDEX_PERIOD_NS,
         )
+        assert self._pattern_source is not None
+        source = self._pattern_source
+        return self._cached(
+            key,
+            end_ns <= self._clock.now_ns,  # half-open window entirely past
+            lambda: source.detected_patterns(
+                selector, start_ns, end_ns, tenant=tenant
+            ),
+        )
+
+    def _cached(self, key: _CacheKey, complete: bool, compute) -> list:
+        """The LRU: a hit refreshes recency; a miss computes, and only a
+        ``complete`` window is stored, evicting the least recently used."""
         cached = self._cache.get(key)
         if cached is not None:
             self.cache_hits += 1
             self._cache.move_to_end(key)
             return cached
         self.cache_misses += 1
-        assert self._pattern_source is not None
-        result = self._pattern_source.detected_patterns(
-            selector, start_ns, end_ns, tenant=tenant
-        )
+        result = compute()
         self.splits_executed += 1
-        if end_ns <= self._clock.now_ns:  # window entirely in the past
+        if complete:
             if len(self._cache) >= self.max_entries:
                 self._cache.popitem(last=False)
             self._cache[key] = result

@@ -16,7 +16,6 @@ from repro.common.labels import LabelSet, Matcher
 from repro.loki.chunks import Chunk, ChunkPolicy
 from repro.loki.index import LabelIndex
 from repro.loki.model import LogEntry, PushRequest
-from repro.tempo.model import SpanContext
 
 
 @dataclass
@@ -80,8 +79,8 @@ class LokiStore:
     Its ``push`` / ``push_stream`` / ``select`` / maintenance surface is
     the one log-store contract :class:`~repro.ring.cluster.RingLokiCluster`
     and :class:`~repro.objstore.tiered.TieredLokiStore` keep too (DESIGN
-    §3); arguments only another backend uses — a trace context, a line
-    hint — are accepted here and ignored.
+    §3); an argument only another backend uses — a line hint — is
+    accepted here and ignored.
     """
 
     def __init__(self, policy: ChunkPolicy | None = None) -> None:
@@ -105,9 +104,7 @@ class LokiStore:
     # ------------------------------------------------------------------
     # Ingestion
     # ------------------------------------------------------------------
-    def push(
-        self, request: PushRequest, trace_ctx: SpanContext | None = None
-    ) -> int:
+    def push(self, request: PushRequest) -> int:
         """Ingest a push request; returns accepted entry count."""
         accepted = 0
         for stream in request.streams:
@@ -142,7 +139,6 @@ class LokiStore:
         self,
         labels: LabelSet | Mapping[str, str],
         entries: Iterable[LogEntry],
-        trace_ctx: SpanContext | None = None,
     ) -> int:
         stream = self._stream(labels)
         self._touched.add(stream.labels)

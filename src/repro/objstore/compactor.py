@@ -299,17 +299,15 @@ class Compactor:
         except ObjectStoreUnavailable:
             result.ok = False
             self.run_failures += 1
-        if self._tracer is not None and self._tracer.enabled:
+        if self._tracer is not None:
             self._tracer.record(
-                service="compactor",
-                name="objstore.compact",
-                parent=None,
+                "compactor",
+                "objstore.compact",
                 start_ns=now,
-                end_ns=self._clock.now_ns,
                 attributes={
-                    "chunks_merged": str(result.chunks_merged),
-                    "chunks_written": str(result.chunks_written),
-                    "duplicates_dropped": str(result.duplicates_dropped),
+                    "chunks_merged": result.chunks_merged,
+                    "chunks_written": result.chunks_written,
+                    "duplicates_dropped": result.duplicates_dropped,
                 },
                 status=SpanStatus.OK if result.ok else SpanStatus.ERROR,
             )

@@ -130,19 +130,17 @@ class StoreGateway:
         self.chunks_considered_total += considered
         self.chunks_skipped_total += skipped
         out = merge_streams(fetched)
-        if self._tracer is not None and self._tracer.enabled:
+        if self._tracer is not None:
             self._tracer.record(
-                service="store-gateway",
-                name="objstore.select",
-                parent=None,
+                "store-gateway",
+                "objstore.select",
                 start_ns=started,
-                end_ns=self._clock.now_ns,
                 attributes={
-                    "chunks_considered": str(considered),
-                    "chunks_fetched": str(len(refs)),
-                    "chunks_skipped": str(skipped),
-                    "streams": str(len(out)),
-                    "cold_latency_ns": str(latency),
+                    "chunks_considered": considered,
+                    "chunks_fetched": len(refs),
+                    "chunks_skipped": skipped,
+                    "streams": len(out),
+                    "cold_latency_ns": latency,
                 },
             )
         return out

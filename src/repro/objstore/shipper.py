@@ -122,18 +122,16 @@ class ChunkShipper:
             self.flush_failures += 1
             self.consecutive_failures += 1
             self.last_failure_ns = now
-        if self._tracer is not None and self._tracer.enabled:
+        if self._tracer is not None:
             self._tracer.record(
-                service="shipper",
-                name="objstore.flush",
-                parent=None,
+                "shipper",
+                "objstore.flush",
                 start_ns=now,
-                end_ns=self._clock.now_ns,
                 attributes={
-                    "chunks_shipped": str(result.chunks_shipped),
-                    "chunks_deduped": str(result.chunks_deduped),
-                    "bytes_shipped": str(result.bytes_shipped),
-                    "index_files": str(result.index_files),
+                    "chunks_shipped": result.chunks_shipped,
+                    "chunks_deduped": result.chunks_deduped,
+                    "bytes_shipped": result.bytes_shipped,
+                    "index_files": result.index_files,
                 },
                 status=SpanStatus.OK if result.ok else SpanStatus.ERROR,
             )

@@ -25,7 +25,6 @@ from repro.objstore.index import ShipperIndex
 from repro.objstore.objectstore import ObjectStore
 from repro.objstore.shipper import ChunkShipper, FlushResult
 from repro.ring.merge import merge_streams
-from repro.tempo.model import SpanContext
 
 
 class TieredLokiStore:
@@ -50,18 +49,13 @@ class TieredLokiStore:
     # ------------------------------------------------------------------
     # Ingest (hot tier only; the shipper moves data cold later)
     # ------------------------------------------------------------------
-    def push(
-        self, request: PushRequest, trace_ctx: SpanContext | None = None
-    ) -> int:
-        return self.hot.push(request, trace_ctx=trace_ctx)
+    def push(self, request: PushRequest) -> int:
+        return self.hot.push(request)
 
     def push_stream(
-        self,
-        labels: LabelSet | Mapping[str, str],
-        entries: Iterable[LogEntry],
-        trace_ctx: SpanContext | None = None,
+        self, labels: LabelSet | Mapping[str, str], entries: Iterable[LogEntry]
     ) -> int:
-        return self.hot.push_stream(labels, entries, trace_ctx=trace_ctx)
+        return self.hot.push_stream(labels, entries)
 
     # ------------------------------------------------------------------
     # Reads: both tiers, merged

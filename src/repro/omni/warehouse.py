@@ -16,7 +16,6 @@ from repro.loki.model import LogEntry, PushRequest, PushStream
 from repro.loki.store import LokiStore
 from repro.objstore.tiered import TieredLokiStore
 from repro.ring.cluster import RingLokiCluster
-from repro.tempo.model import SpanContext
 from repro.tenancy.admission import AdmissionController
 from repro.tsdb.storage import TimeSeriesStore
 
@@ -30,9 +29,7 @@ class OmniWarehouse:
     The log backend is a single :class:`LokiStore` (the default), a
     replicated :class:`~repro.ring.cluster.RingLokiCluster`, or a
     :class:`~repro.objstore.tiered.TieredLokiStore` wrapping either —
-    one store contract, trace context included (the ring's
-    distributor→ingester spans join the pipeline's trace; the bare store
-    ignores it).  The lifecycle runs against whatever backend is
+    one store contract.  The lifecycle runs against whatever backend is
     installed: with the tiered store, a sweep archives and deletes
     across the hot *and* cold tiers in one pass.
     """
@@ -77,7 +74,6 @@ class OmniWarehouse:
         labels: Mapping[str, str] | LabelSet,
         timestamp_ns: int,
         line: str,
-        trace_ctx: SpanContext | None = None,
         tenant: str | None = None,
     ) -> int:
         entries = (LogEntry(timestamp_ns, line),)
@@ -101,7 +97,7 @@ class OmniWarehouse:
         request = PushRequest(
             streams=(PushStream(labels=labelset, entries=entries),)
         )
-        accepted = self.ingest_logs(request, trace_ctx=trace_ctx, tenant=tenant)
+        accepted = self.ingest_logs(request, tenant=tenant)
         if first_sight:
             # Admitted and pushed: the stream exists now, so its ref may —
             # to the label set admission tagged it as, which passes the
@@ -114,16 +110,13 @@ class OmniWarehouse:
     def ingest_logs(
         self,
         request: PushRequest,
-        trace_ctx: SpanContext | None = None,
         tenant: str | None = None,
     ) -> int:
         if self.admission is not None:
             # Admission tags every stream with the tenant label and
             # raises the typed 429 before anything reaches a store.
-            request = self.admission.admit_push(
-                request, tenant=tenant, trace_ctx=trace_ctx
-            )
-        accepted = self.loki.push(request, trace_ctx=trace_ctx)
+            request = self.admission.admit_push(request, tenant=tenant)
+        accepted = self.loki.push(request)
         if self.patterns is not None:
             for stream in request.streams:
                 self.patterns.observe(

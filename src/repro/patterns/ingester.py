@@ -152,17 +152,12 @@ class PatternIngester:
                     )
                 )
         self.lines_observed += mined
-        if mined and self._tracer is not None and self._tracer.enabled:
+        if mined and self._tracer is not None:
             self._tracer.record(
                 "patterns",
                 "miner.observe",
-                None,
                 start_ns=started_ns,
-                end_ns=self._clock.now_ns,
-                attributes={
-                    "tenant": tenant,
-                    "lines": str(mined),
-                },
+                attributes={"tenant": tenant, "lines": mined},
             )
         return mined
 

@@ -133,14 +133,13 @@ class PatternRuler(RuleEvaluator):
                 samples = self._burst_samples(time_ns)
             else:
                 samples = self._novel_samples(time_ns)
-            if self._tracer is not None and self._tracer.enabled:
+            if self._tracer is not None:
                 self._tracer.record(
                     "pattern-ruler",
                     f"ruler.{expr}",
-                    None,
                     start_ns=time_ns,
                     end_ns=time_ns,
-                    attributes={"samples": str(len(samples))},
+                    attributes={"samples": len(samples)},
                 )
             return samples
 

@@ -298,18 +298,11 @@ class PatternStore(BlockStore):
             if record.last_ts_ns >= start_ns and record.first_ts_ns < end_ns
         )
         self.queries_served += 1
-        if self._tracer is not None and self._tracer.enabled:
-            now = self._tracer.now_ns
+        if self._tracer is not None:
             self._tracer.record(
                 "patterns",
                 "patterns.query",
-                None,
-                start_ns=now,
-                end_ns=now,
-                attributes={
-                    "matchers": str(len(matchers)),
-                    "rows": str(len(rows)),
-                },
+                attributes={"matchers": len(matchers), "rows": len(rows)},
             )
         return rows
 

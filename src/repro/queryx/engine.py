@@ -157,20 +157,19 @@ class ShardedQueryEngine:
         return results
 
     def _trace(self, plan, base_ns, wall_ns, attempts) -> None:
-        if self.tracer is None or not self.tracer.enabled:
+        if self.tracer is None:
             return
         root = self.tracer.record(
             "query-frontend",
             "queryx.query",
-            None,
             start_ns=base_ns,
             end_ns=base_ns + wall_ns,
             attributes={
                 "query": plan.query[:80],
                 "merge": plan.merge,
-                "subqueries": str(len(plan.subqueries)),
-                "shards": str(plan.shard_count),
-                "time_splits": str(plan.time_splits),
+                "subqueries": len(plan.subqueries),
+                "shards": plan.shard_count,
+                "time_splits": plan.time_splits,
             },
         )
         if root is None:

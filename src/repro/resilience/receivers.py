@@ -236,16 +236,13 @@ class RetryingReceiver:
             return
         from repro.tempo.model import SpanStatus
 
-        now = self._clock.now_ns
         self._tracer.record(
             self.name,
             "delivery_attempt",
-            None,
-            start_ns=entry.enqueued_ns if entry.attempts <= 1 else now,
-            end_ns=now,
+            start_ns=entry.enqueued_ns if entry.attempts <= 1 else None,
             attributes={
                 "key": entry.key,
-                "attempt": str(max(1, entry.attempts)),
+                "attempt": max(1, entry.attempts),
                 "outcome": "delivered" if ok else "failed",
             },
             status=SpanStatus.OK if ok else SpanStatus.ERROR,

@@ -25,7 +25,6 @@ from repro.ring.distributor import REPLICATION_FACTOR, Distributor
 from repro.ring.hashring import HashRing
 from repro.ring.ingester import Ingester
 from repro.ring.merge import merge_streams
-from repro.tempo.model import SpanContext
 from repro.tempo.tracer import Tracer
 from repro.tenancy.sharding import ShuffleSharder
 
@@ -83,22 +82,17 @@ class RingLokiCluster:
     # ------------------------------------------------------------------
     # Store facade: ingest
     # ------------------------------------------------------------------
-    def push(
-        self, request: PushRequest, trace_ctx: SpanContext | None = None
-    ) -> int:
-        return self.distributor.push(request, parent_ctx=trace_ctx).accepted
+    def push(self, request: PushRequest) -> int:
+        return self.distributor.push(request).accepted
 
     def push_stream(
-        self,
-        labels: LabelSet | Mapping[str, str],
-        entries: Iterable[LogEntry],
-        trace_ctx: SpanContext | None = None,
+        self, labels: LabelSet | Mapping[str, str], entries: Iterable[LogEntry]
     ) -> int:
         labelset = labels if isinstance(labels, LabelSet) else LabelSet(labels)
         request = PushRequest(
             streams=(PushStream(labels=labelset, entries=tuple(entries)),)
         )
-        return self.push(request, trace_ctx=trace_ctx)
+        return self.push(request)
 
     # ------------------------------------------------------------------
     # Store facade: reads + maintenance

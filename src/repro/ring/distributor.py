@@ -26,7 +26,6 @@ from repro.ring.hashring import HashRing
 from repro.ring.ingester import Ingester
 from repro.ring.merge import merge_streams
 from repro.ring.wal import encode_bodies
-from repro.tempo.model import SpanContext
 from repro.tempo.tracer import Tracer
 from repro.tenancy.limits import TENANT_LABEL
 from repro.tenancy.sharding import ShuffleSharder
@@ -168,26 +167,23 @@ class Distributor:
     # ------------------------------------------------------------------
     # Write path
     # ------------------------------------------------------------------
-    def push(
-        self, request: PushRequest, parent_ctx: SpanContext | None = None
-    ) -> PushResult:
+    def push(self, request: PushRequest) -> PushResult:
         """Replicate every stream; raise :class:`QuorumError` if any
         stream lands on fewer than ``write_quorum`` live replicas."""
         self.pushes += 1
+        tracer = self.tracer
         span_ctx = None
-        # Only join an existing (sampled) trace: rooting a fresh trace per
-        # push would swamp the store and skew the sampling counters.
-        if self.tracer is not None and parent_ctx is not None:
-            now = self.tracer.now_ns
-            span_ctx = self.tracer.record(
+        # Only join the tracer's current (sampled) trace: rooting a fresh
+        # trace per push would swamp the store and skew the sampling
+        # counters.
+        if tracer is not None and tracer.current is not None:
+            span_ctx = tracer.record(
                 "distributor",
                 "push",
-                parent_ctx,
-                start_ns=now,
-                end_ns=now,
+                tracer.current,
                 attributes={
-                    "streams": str(len(request.streams)),
-                    "rf": str(self.replication_factor),
+                    "streams": len(request.streams),
+                    "rf": self.replication_factor,
                 },
             )
         accepted_total = 0
@@ -215,18 +211,12 @@ class Distributor:
                 accepted_counts.append(got)
                 ok_total += 1
                 self.replica_writes_ok += 1
-                if span_ctx is not None and self.tracer is not None:
-                    now = self.tracer.now_ns
-                    self.tracer.record(
+                if span_ctx is not None:
+                    tracer.record(
                         "ingester",
                         "append",
                         span_ctx,
-                        start_ns=now,
-                        end_ns=now,
-                        attributes={
-                            "ingester": replica_id,
-                            "entries": str(got),
-                        },
+                        attributes={"ingester": replica_id, "entries": got},
                     )
             if len(accepted_counts) < self.write_quorum:
                 self.quorum_failures += 1

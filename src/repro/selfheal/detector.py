@@ -154,24 +154,19 @@ class FailureDetector:
             age = self.memberlist.heartbeat_age_ns(member)
             if state is MemberState.ACTIVE and age > self.config.suspect_after_ns:
                 self.memberlist.suspect(member)
-                self._span("suspect", member, age)
+                verdict = "suspect"
             elif state is MemberState.SUSPECT and age > self.config.dead_after_ns:
                 self.memberlist.declare_dead(member)
                 self.detected_dead_at_ns[member] = now
-                self._span("declare_dead", member, age)
-
-    def _span(self, name: str, member: str, age_ns: int) -> None:
-        if self.tracer is None:
-            return
-        now = self.clock.now_ns
-        self.tracer.record(
-            "selfheal",
-            name,
-            None,
-            start_ns=now,
-            end_ns=now,
-            attributes={
-                "member": member,
-                "heartbeat_age_seconds": f"{age_ns / NANOS_PER_SECOND:.3f}",
-            },
-        )
+                verdict = "declare_dead"
+            else:
+                continue
+            if self.tracer is not None:
+                self.tracer.record(
+                    "selfheal",
+                    verdict,
+                    attributes={
+                        "member": member,
+                        "heartbeat_age_seconds": f"{age / NANOS_PER_SECOND:.3f}",
+                    },
+                )

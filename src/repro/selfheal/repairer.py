@@ -258,12 +258,10 @@ class RingRepairer:
             self.tracer.record(
                 "selfheal",
                 "heal",
-                None,
                 start_ns=start_ns,
-                end_ns=self.clock.now_ns,
                 attributes={
-                    "streams_repaired": str(report.streams_repaired),
-                    "entries_copied": str(report.entries_copied),
+                    "streams_repaired": report.streams_repaired,
+                    "entries_copied": report.entries_copied,
                 },
             )
         return report
@@ -326,13 +324,11 @@ class RingRepairer:
             self.tracer.record(
                 "selfheal",
                 "repair_member",
-                None,
                 start_ns=start_ns,
-                end_ns=self.clock.now_ns,
                 attributes={
                     "member": member,
-                    "streams_repaired": str(report.streams_repaired),
-                    "entries_copied": str(report.entries_copied),
+                    "streams_repaired": report.streams_repaired,
+                    "entries_copied": report.entries_copied,
                 },
             )
         return report

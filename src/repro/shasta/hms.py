@@ -50,7 +50,7 @@ class HmsCollector:
         self._clock = clock
         self._event_source = event_source
         self._sensors = sensors
-        self._tracer = tracer if tracer is not None and tracer.enabled else None
+        self._tracer = tracer
         self.events_collected = 0
         self.samples_collected = 0
         #: One ``_sensor_entry`` per sensor, in the bank's order.
@@ -67,7 +67,7 @@ class HmsCollector:
         if self._tracer is None:
             return ()
         ctx = self._tracer.record(
-            "redfish", name, None, start_ns, self._clock.now_ns, attributes
+            "redfish", name, start_ns=start_ns, attributes=attributes
         )
         if ctx is None:
             return ()

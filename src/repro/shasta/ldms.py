@@ -13,8 +13,7 @@ from __future__ import annotations
 import numpy as np
 
 from repro.bus.broker import Broker, TopicConfig
-from repro.common.errors import ValidationError
-from repro.common.jsonutil import dumps_compact, json_float, loads
+from repro.common.jsonutil import dumps_compact, json_float
 from repro.common.simclock import SimClock
 from repro.cluster.topology import Cluster, NodeState
 
@@ -106,34 +105,13 @@ class LdmsAggregator:
         return published
 
 
-class LdmsConsumer:
-    """The k3s pod reading LDMS envelopes into VictoriaMetrics."""
+def __getattr__(name: str):
+    """``LdmsConsumer`` stays importable from here: the pod reading this
+    topic is one of the framework's consumers and lives beside them in
+    :mod:`repro.core.consumers`, which imports this module — so the name
+    is resolved on first use rather than at import."""
+    if name == "LdmsConsumer":
+        from repro.core.consumers import LdmsConsumer
 
-    def __init__(self, api, token: str, warehouse) -> None:
-        self._api = api
-        self._warehouse = warehouse
-        self._sub = api.subscribe(token, TOPIC_LDMS)
-        self.records_processed = 0
-        self.records_failed = 0
-
-    def pump(self, max_records: int = 1000) -> int:
-        records = self._api.fetch(self._sub, max_records)
-        done = 0
-        for record in records:
-            try:
-                envelope = loads(record.value)
-                ts = int(envelope["Timestamp"])
-                labels = {"xname": envelope["Context"], "cluster": envelope.get("Cluster", "")}
-                metrics = envelope["Metrics"]
-                if not isinstance(metrics, dict) or "" in metrics:
-                    raise ValidationError("LDMS metrics must be an object of named values")
-                # Every value converts before the first one is written, so
-                # a refused envelope leaves nothing behind.
-                values = [(name, float(value)) for name, value in metrics.items()]
-                for name, value in values:
-                    self._warehouse.ingest_metric(name, labels, value, ts)
-                done += 1
-            except (KeyError, TypeError, ValueError, OverflowError, ValidationError):
-                self.records_failed += 1
-        self.records_processed += done
-        return done
+        return LdmsConsumer
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

@@ -119,7 +119,7 @@ class SloManager:
         self._notifier = notifier
         self._cluster = cluster
         self._tracer = tracer
-        self.recording = RecordingEngine(store, clock, tracer)
+        self.recording = RecordingEngine(store, clock)
         windows = self._distinct_windows()
         #: Per distinct window, its error-ratio rule over every SLO; the
         #: windows' rules are one group, sharing its two SLI reads.
@@ -254,9 +254,15 @@ class SloManager:
             for sample in burns.samples(alias.ast):
                 labels = recorded_as(alias, outputs, sample.labels)
                 recorded += self.recording.record(alias.record, labels, sample.value)
-        self.recording.traced(
-            len(self._ratio_rules) + len(self._aliases), recorded
-        )
+        if self._tracer is not None:
+            self._tracer.record(
+                "recording",
+                "evaluate_rules",
+                attributes={
+                    "rules": len(self._ratio_rules) + len(self._aliases),
+                    "samples": recorded,
+                },
+            )
         return burns
 
     def evaluate_budgets(self, burns: Evaluation) -> None:
@@ -271,12 +277,7 @@ class SloManager:
         self.evaluations += 1
         if self._tracer is not None:
             self._tracer.record(
-                "slo",
-                "evaluate_budgets",
-                None,
-                now,
-                now,
-                attributes={"slos": str(len(self._entries))},
+                "slo", "evaluate_budgets", attributes={"slos": len(self._entries)}
             )
 
     def _current_burns(self, burns: Evaluation) -> dict[str, dict[str, float]]:

@@ -59,54 +59,56 @@ class PipelineTracing:
         record: Record,
         consumer_name: str,
         server_index: int | None = None,
-    ) -> SpanContext | None:
+    ) -> None:
         """Reconstruct the consume-side chain for one polled record.
 
         Records the queue-wait span (producer timestamp → now), the
-        Telemetry-API fetch and the consumer pod span; returns the
-        consumer span's context for the store write to parent under.
+        Telemetry-API fetch and the consumer pod span, and makes the
+        consumer span the tracer's :attr:`~Tracer.current` context for
+        the store write (``None`` for an untraced record); the pump
+        clears it once the record is handled.
         """
-        ctx = Tracer.extract(dict(record.headers))
-        if ctx is None or not ctx.sampled:
-            return None
-        now = self.tracer.now_ns
-        broker_ctx = self.tracer.record(
-            "broker",
-            "queue",
-            ctx,
-            start_ns=record.timestamp_ns,
-            end_ns=now,
-            attributes={
-                "topic": record.topic,
-                "partition": str(record.partition),
-                "offset": str(record.offset),
-            },
-        )
-        api_attrs = {} if server_index is None else {"server": str(server_index)}
-        api_ctx = self.tracer.record(
-            "telemetry_api", "fetch", broker_ctx, now, now, attributes=api_attrs
-        )
-        return self.tracer.record("consumer", consumer_name, api_ctx, now, now)
+        tracer = self.tracer
+        producer_ctx = Tracer.extract(dict(record.headers))
+        ctx = None
+        if producer_ctx is not None and producer_ctx.sampled:
+            broker_ctx = tracer.record(
+                "broker",
+                "queue",
+                producer_ctx,
+                start_ns=record.timestamp_ns,
+                attributes={
+                    "topic": record.topic,
+                    "partition": record.partition,
+                    "offset": record.offset,
+                },
+            )
+            api_attrs = {} if server_index is None else {"server": server_index}
+            api_ctx = tracer.record(
+                "telemetry_api", "fetch", broker_ctx, attributes=api_attrs
+            )
+            ctx = tracer.record("consumer", consumer_name, api_ctx)
+        tracer.current = ctx
 
     # ------------------------------------------------------------------
     # Boundary 2: store write → rule evaluation
     # ------------------------------------------------------------------
     def store_span(
         self,
-        parent: SpanContext | None,
         service: str,
         name: str,
         label_sets: Iterable[Mapping[str, str]],
-    ) -> SpanContext | None:
-        """Record the store-write span and register its correlation keys."""
+    ) -> None:
+        """Record the store-write span under the tracer's current context
+        and register its correlation keys; nothing when there is none."""
+        parent = self.tracer.current
         if parent is None:
-            return None
+            return
         now = self.tracer.now_ns
-        ctx = self.tracer.record(service, name, parent, now, now)
+        ctx = self.tracer.record(service, name, parent)
         if ctx is not None:
             for labels in label_sets:
                 self.continue_from_store(ctx, labels, now)
-        return ctx
 
     def continue_from_store(
         self, ctx: SpanContext, labels: Mapping[str, str], available_ns: int
@@ -150,7 +152,6 @@ class PipelineTracing:
                         event.name,
                         store_ctx,
                         start_ns=available_ns,
-                        end_ns=now,
                         attributes={
                             "alertname": event.name,
                             "severity": event.severity,

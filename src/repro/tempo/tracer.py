@@ -1,9 +1,16 @@
 """The in-process tracer: ID generation, head sampling, span recording.
 
-:meth:`Tracer.record` writes a finished span with explicit start/end
-timestamps in one call — the natural style in a discrete-event
-simulation, where a stage like "broker queue wait" is only known to be
-over at the *consumer* side, long after the producer returned.
+:meth:`Tracer.record` is the one way a component writes a span: a
+finished span in one call, its start and end the clock's now unless
+given — the natural style in a discrete-event simulation, where a stage
+like "broker queue wait" is only known to be over at the *consumer*
+side, long after the producer returned.
+
+:attr:`Tracer.current` is the ambient context, as OpenTelemetry keeps
+one: the span a store write in progress joins.  Whoever starts that
+write sets it and clears it when the write is done; a stage deep in the
+write path (admission, the ring distributor) reads it rather than take
+the context as an argument.
 
 Sampling is head-based and decided once per trace at the root: a sampled-
 out root returns ``None`` and every downstream stage, seeing no context,
@@ -37,13 +44,11 @@ class Tracer:
         self._clock = clock
         self._sampling = sampling
         self._rng = random.Random(seed)
+        #: The context the store write in progress joins, or ``None``.
+        self.current: SpanContext | None = None
         self.traces_started = 0
         self.traces_sampled_out = 0
         self.spans_recorded = 0
-
-    @property
-    def enabled(self) -> bool:
-        return self._sampling > 0.0
 
     @property
     def now_ns(self) -> int:
@@ -78,18 +83,19 @@ class Tracer:
         self,
         service: str,
         name: str,
-        parent: SpanContext | None,
-        start_ns: int,
-        end_ns: int,
-        attributes: dict[str, str] | None = None,
+        parent: SpanContext | None = None,
+        start_ns: int | None = None,
+        end_ns: int | None = None,
+        attributes: Mapping[str, object] | None = None,
         status: SpanStatus = SpanStatus.OK,
     ) -> SpanContext | None:
-        """Record a finished span with explicit timestamps.
+        """Record a finished span; a missing start or end is the clock's now.
 
         With ``parent=None`` this roots a new trace (subject to the head-
         sampling decision); otherwise the span joins the parent's trace
-        unconditionally.  Returns the new span's context for further
-        children, or ``None`` if the root was sampled out.
+        unconditionally.  Attribute values are stored as ``str(value)``.
+        Returns the new span's context for further children, or ``None``
+        if the root was sampled out.
         """
         if parent is None:
             if not self._sample_root():
@@ -99,15 +105,16 @@ class Tracer:
         else:
             trace_id = parent.trace_id
             parent_id = parent.span_id
+        now = self._clock.now_ns
         span = Span(
             trace_id=trace_id,
             span_id=self._new_span_id(),
             parent_id=parent_id,
             service=service,
             name=name,
-            start_ns=start_ns,
-            end_ns=end_ns,
-            attributes=dict(attributes or {}),
+            start_ns=now if start_ns is None else start_ns,
+            end_ns=now if end_ns is None else end_ns,
+            attributes={k: str(v) for k, v in (attributes or {}).items()},
             status=status,
         )
         self._commit(span)

@@ -27,7 +27,6 @@ from repro.common.errors import RateLimitedError, StreamLimitError
 from repro.common.labels import LabelSet
 from repro.common.simclock import SimClock
 from repro.loki.model import PushRequest, PushStream
-from repro.tempo.model import SpanContext
 from repro.tempo.tracer import Tracer
 from repro.tenancy.limits import (
     DEFAULT_TENANT,
@@ -131,7 +130,6 @@ class AdmissionController:
         self,
         request: PushRequest,
         tenant: str | None = None,
-        trace_ctx: SpanContext | None = None,
     ) -> PushRequest:
         """Validate ``request`` for ``tenant``; return the tagged request.
 
@@ -166,9 +164,7 @@ class AdmissionController:
         # flooding tenant hits — all-or-nothing, no bucket debit on reject.
         bucket = self._tenant_bucket(tenant)
         if not bucket.take(now, total):
-            self._reject(
-                tenant, counters, REASON_RATE_LIMITED, total, trace_ctx
-            )
+            self._reject(tenant, counters, REASON_RATE_LIMITED, total)
             raise RateLimitedError(
                 tenant,
                 f"tenant {tenant!r}: push of {total} lines exceeds "
@@ -178,7 +174,7 @@ class AdmissionController:
 
         if new and len(active) >= limits.max_active_streams:
             bucket.give_back(total)
-            self._reject(tenant, counters, REASON_STREAM_LIMIT, total, trace_ctx)
+            self._reject(tenant, counters, REASON_STREAM_LIMIT, total)
             raise StreamLimitError(
                 tenant,
                 f"tenant {tenant!r}: stream limit "
@@ -193,9 +189,7 @@ class AdmissionController:
             bucket.give_back(total)
             for debited_bucket, n in debited:
                 debited_bucket.give_back(n)
-            self._reject(
-                tenant, counters, REASON_PER_STREAM_RATE, total, trace_ctx
-            )
+            self._reject(tenant, counters, REASON_PER_STREAM_RATE, total)
             raise RateLimitedError(
                 tenant,
                 f"tenant {tenant!r}: stream {tag!r} exceeds "
@@ -206,41 +200,31 @@ class AdmissionController:
             if tag is not stream.labels:
                 self._tagged[(tenant, stream.labels)] = tag
         counters.entries_accepted += total
-        self._span(tenant, "admit", total, trace_ctx)
+        tracer = self.tracer
+        # Join only the tracer's current (sampled) trace, like the
+        # distributor: one rooted trace per push would swamp the store.
+        if tracer is not None and tracer.current is not None:
+            tracer.record(
+                "admission",
+                "admit",
+                tracer.current,
+                attributes={"tenant": tenant, "entries": total},
+            )
         return tagged
 
     def _reject(
-        self,
-        tenant: str,
-        counters: TenantCounters,
-        reason: str,
-        entries: int,
-        trace_ctx: SpanContext | None,
+        self, tenant: str, counters: TenantCounters, reason: str, entries: int
     ) -> None:
         counters.pushes_rejected += 1
         counters.discarded[reason] = counters.discarded.get(reason, 0) + entries
-        self._span(tenant, f"reject:{reason}", entries, trace_ctx)
-
-    def _span(
-        self,
-        tenant: str,
-        decision: str,
-        entries: int,
-        trace_ctx: SpanContext | None,
-    ) -> None:
-        # Join only existing (sampled) traces, like the distributor: one
-        # rooted trace per push would swamp the store.
-        if self.tracer is None or trace_ctx is None:
-            return
-        now = self.tracer.now_ns
-        self.tracer.record(
-            "admission",
-            decision,
-            trace_ctx,
-            start_ns=now,
-            end_ns=now,
-            attributes={"tenant": tenant, "entries": str(entries)},
-        )
+        tracer = self.tracer
+        if tracer is not None and tracer.current is not None:
+            tracer.record(
+                "admission",
+                f"reject:{reason}",
+                tracer.current,
+                attributes={"tenant": tenant, "entries": entries},
+            )
 
     # ------------------------------------------------------------------
     # Accounting surface

@@ -246,12 +246,10 @@ class QueryScheduler:
             ctx = self.tracer.record(
                 "scheduler",
                 "execute",
-                None,
                 start_ns=ticket.submitted_ns,
-                end_ns=ticket.finished_ns,
                 attributes={
                     "tenant": ticket.tenant,
-                    "wait_ns": str(ticket.wait_ns),
+                    "wait_ns": ticket.wait_ns,
                     "status": "error" if ticket.error else "ok",
                 },
             )
@@ -261,7 +259,6 @@ class QueryScheduler:
                     "query_range",
                     ctx,
                     start_ns=ticket.started_ns or ticket.submitted_ns,
-                    end_ns=ticket.finished_ns,
                     attributes={"query": ticket.query[:80]},
                 )
         self._dispatch()

@@ -24,7 +24,6 @@ from dataclasses import dataclass, field
 from repro.common.errors import ValidationError
 from repro.common.labels import METRIC_NAME_LABEL, LabelSet
 from repro.common.simclock import SimClock
-from repro.tempo.tracer import Tracer
 from repro.tsdb.promql import PromExpr, parse_promql
 from repro.tsdb.storage import TimeSeriesStore
 
@@ -86,15 +85,9 @@ class RecordingEngine:
     """Writes recorded series into the store at the current sim time and
     counts them; the owner evaluates its rules and hands it each sample."""
 
-    def __init__(
-        self,
-        store: TimeSeriesStore,
-        clock: SimClock,
-        tracer: Tracer | None = None,
-    ) -> None:
+    def __init__(self, store: TimeSeriesStore, clock: SimClock) -> None:
         self._store = store
         self._clock = clock
-        self._tracer = tracer
         self.samples_recorded = 0
 
     def record(self, name: str, labels: LabelSet, value: float) -> bool:
@@ -105,17 +98,3 @@ class RecordingEngine:
             return False
         self.samples_recorded += 1
         return True
-
-    def traced(self, rules: int, recorded: int) -> None:
-        """The span of one recording cycle: ``rules`` evaluated,
-        ``recorded`` samples ingested."""
-        if self._tracer is not None:
-            now = self._clock.now_ns
-            self._tracer.record(
-                "recording",
-                "evaluate_rules",
-                None,
-                now,
-                now,
-                attributes={"rules": str(rules), "samples": str(recorded)},
-            )

@@ -5,9 +5,12 @@ import json
 import pytest
 
 from repro.bus.broker import Broker
+from repro.cluster.faults import FaultKind
 from repro.common.errors import ValidationError
 from repro.common.simclock import SimClock, minutes, seconds
 from repro.cluster.topology import Cluster, ClusterSpec, NodeState
+from repro.core.consumers import MAX_DELIVERY_FAILURES
+from repro.core.framework import FrameworkConfig, MonitoringFramework
 from repro.omni.warehouse import OmniWarehouse
 from repro.shasta.console import ConsoleCollector, TOPIC_CONSOLE_LOGS
 from repro.shasta.ldms import LdmsAggregator, LdmsConsumer, TOPIC_LDMS
@@ -153,3 +156,36 @@ class TestLdms:
         assert consumer.records_failed == 1
         assert warehouse.tsdb.samples_ingested == 0
         assert warehouse.messages_ingested == 0
+
+
+class TestLdmsPod:
+    """The LDMS pod is one of the framework's consumer pods: it takes the
+    same delivery guarantee and the same throttle as the others."""
+
+    @pytest.fixture
+    def fw(self):
+        return MonitoringFramework(FrameworkConfig(
+            cluster_spec=ClusterSpec(cabinets=1, chassis_per_cabinet=1),
+            enable_reliable_delivery=True,
+        ))
+
+    def test_poison_record_quarantines_under_reliable_delivery(self, fw):
+        fw.broker.produce(TOPIC_LDMS, "not json")
+        for _ in range(MAX_DELIVERY_FAILURES + 1):
+            fw.ldms_consumer.pump()
+        assert fw.ldms_consumer.records_failed == MAX_DELIVERY_FAILURES
+        assert fw.ldms_consumer.records_quarantined == 1
+        assert fw.broker.dlq_depth(TOPIC_LDMS) == 1
+        assert fw.ldms_consumer.lag() == 0
+
+    def test_slow_consumer_throttles_the_ldms_pod(self, fw):
+        assert list(fw.consumers)[-1] == "ldms"
+        assert fw.consumers["ldms"] is fw.ldms_consumer
+        fw.faults.schedule(
+            FaultKind.SLOW_CONSUMER, "ldms", duration_ns=minutes(5), max_per_pump=2
+        )
+        fw.run_for(1)
+        published = fw.ldms.sample_once()
+        assert published > 2
+        assert fw.ldms_consumer.pump() == 2
+        assert fw.ldms_consumer.lag() == published - 2

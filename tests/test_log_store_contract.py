@@ -1,9 +1,9 @@
 """One log-store contract, held by every backend alike.
 
 A bare ``LokiStore``, an RF-3 ``RingLokiCluster`` and a ``TieredLokiStore``
-over either take the same ``push`` / ``push_stream`` (a trace context
-accepted by all) and the same ``select(matchers, start, end, shard=None,
-line_contains=())`` (DESIGN §3), so no caller asks which one it holds.
+over either take the same ``push`` / ``push_stream`` and the same
+``select(matchers, start, end, shard=None, line_contains=())`` (DESIGN
+§3), so no caller asks which one it holds.
 Each world here is pushed in two halves: between them every resident
 chunk is sealed — on a tiered store also shipped and compacted, blooms
 built — and on a ring one replica crashes, to come back from its WAL
@@ -21,7 +21,7 @@ from repro.bus.broker import Broker
 from repro.common.labels import LabelSet, label_matcher
 from repro.common.simclock import SimClock, hours, seconds
 from repro.loki.chunks import ChunkPolicy
-from repro.loki.model import LogEntry, PushRequest, PushStream
+from repro.loki.model import LogEntry
 from repro.loki.store import LokiStore
 from repro.objstore import (
     ChunkShipper,
@@ -35,7 +35,6 @@ from repro.omni.lifecycle import Lifecycle
 from repro.queryx.bloom import BloomStore
 from repro.ring.cluster import RingLokiCluster
 from repro.ring.merge import merge_replica_entries, merge_streams
-from repro.tempo.model import SpanContext
 from repro.tsdb.storage import TimeSeriesStore
 
 #: Small enough that a stream of a dozen lines seals a chunk or two.
@@ -46,7 +45,6 @@ MATCH_ALL = [label_matcher("app", "=~", ".+")]
 HOT = hours(1)
 SPAN_S = 60
 WORDS = ("GPU memory error", "link flap", "ok heartbeat", "disk I/O error")
-CTX = SpanContext(trace_id="ab" * 16, span_id="cd" * 8)
 
 
 def ring():
@@ -145,16 +143,6 @@ def as_multiset(result):
 
 @pytest.mark.parametrize("kind", sorted(BACKENDS))
 class TestLogStoreContract:
-    def test_push_and_push_stream_take_a_trace_context(self, kind):
-        store = BACKENDS[kind]()
-        labels = LabelSet({"app": "fm", "host": "n0"})
-        entries = (LogEntry(1, "a"), LogEntry(2, "b"))
-        request = PushRequest(streams=(PushStream(labels=labels, entries=entries),))
-        assert store.push(request, trace_ctx=CTX) == 2
-        assert store.push_stream({"app": "fm", "host": "n1"}, entries, trace_ctx=CTX) == 2
-        assert store.push_stream(labels, [LogEntry(3, "c")], trace_ctx=None) == 1
-        assert [len(es) for _labels, es in store.select(MATCH_ALL, 0, 10)] == [3, 2]
-
     @given(
         raw_streams=stream_strategy,
         start_s=st.integers(0, SPAN_S),

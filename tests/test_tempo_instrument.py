@@ -1,13 +1,20 @@
 """PipelineTracing edge cases: missing context, correlation, re-fires."""
 
+import pytest
+
 from repro.alerting.events import AlertEvent, AlertState
 from repro.alerting.receivers import MemoryReceiver, Notification
 from repro.bus.broker import Broker
+from repro.common.errors import RateLimitedError
 from repro.common.labels import LabelSet
 from repro.common.simclock import SimClock, seconds
+from repro.loki.model import PushRequest
+from repro.ring.cluster import RingLokiCluster
 from repro.tempo.instrument import PipelineTracing, TracingReceiver
 from repro.tempo.store import TraceStore
 from repro.tempo.tracer import Tracer
+from repro.tenancy.admission import AdmissionController
+from repro.tenancy.limits import LimitsRegistry, TenantLimits
 
 
 def make_tracing(max_pending=4096):
@@ -39,7 +46,8 @@ class TestBeginRecord:
         broker.create_topic("t")
         record = broker.produce("t", "payload")
         assert record.headers == ()
-        assert tracing.begin_record(record, "C") is None
+        tracing.begin_record(record, "C")
+        assert tracing.tracer.current is None
         assert store.spans_added == 0
 
     def test_record_with_context_builds_consume_chain(self):
@@ -51,7 +59,8 @@ class TestBeginRecord:
             "t", "payload", headers=tuple(Tracer.inject(root).items())
         )
         clock.advance(seconds(10))
-        ctx = tracing.begin_record(record, "RedfishEventConsumer", server_index=1)
+        tracing.begin_record(record, "RedfishEventConsumer", server_index=1)
+        ctx = tracing.tracer.current
         assert ctx is not None and ctx.trace_id == root.trace_id
         spans = store.trace(root.trace_id)
         assert [s.service for s in spans] == [
@@ -67,15 +76,67 @@ class TestBeginRecord:
         broker = Broker(clock)
         broker.create_topic("t")
         record = broker.produce("t", "v", headers=(("traceparent", "junk"),))
-        assert tracing.begin_record(record, "C") is None
+        tracing.begin_record(record, "C")
+        assert tracing.tracer.current is None
         assert store.spans_added == 0
+
+
+class TestCurrentContext:
+    """The write path's stages join the tracer's current context, and
+    record nothing without one."""
+
+    def test_store_span_without_current_context_records_nothing(self):
+        tracing, store, _ = make_tracing()
+        tracing.store_span("loki", "push", [{"Context": "x1"}])
+        assert store.spans_added == 0
+
+    def test_admission_spans_join_the_current_context(self):
+        tracing, store, clock = make_tracing()
+        # Two lines of burst and no refill: two pushes in, the third out.
+        registry = LimitsRegistry(
+            TenantLimits(ingestion_rate_lines_s=1e-9, ingestion_burst_lines=2)
+        )
+        admission = AdmissionController(registry, clock, tracer=tracing.tracer)
+        request = PushRequest.single({"app": "a"}, [(1, "line")])
+        admission.admit_push(request)  # no current context: no span
+        assert store.spans_added == 0
+        root = tracing.tracer.current = tracing.tracer.record("redfish", "birth")
+        admission.admit_push(request)
+        with pytest.raises(RateLimitedError):
+            admission.admit_push(request)
+        spans = store.trace(root.trace_id)
+        assert [s.name for s in spans] == ["birth", "admit", "reject:rate_limited"]
+        assert all(s.parent_id == root.span_id for s in spans[1:])
+        assert spans[-1].attributes == {"tenant": "ops", "entries": "1"}
+
+    def test_distributor_spans_join_the_current_context(self):
+        tracing, store, _ = make_tracing()
+        ring = RingLokiCluster(
+            ingesters=3, replication_factor=3, tracer=tracing.tracer
+        )
+        request = PushRequest.single({"app": "a"}, [(1, "line")])
+        ring.push(request)
+        assert store.spans_added == 0
+        root = tracing.tracer.current = tracing.tracer.record("redfish", "birth")
+        ring.push(request)
+        spans = store.trace(root.trace_id)
+        push = spans[1]
+        assert (push.service, push.name, push.parent_id) == (
+            "distributor", "push", root.span_id,
+        )
+        assert push.attributes == {"streams": "1", "rf": "3"}
+        assert sorted(s.attributes["ingester"] for s in spans[2:]) == [
+            "ingester-0", "ingester-1", "ingester-2",
+        ]
+        assert {s.parent_id for s in spans[2:]} == {push.span_id}
 
 
 class TestCorrelation:
     def test_alert_joins_trace_via_label(self):
         tracing, store, clock = make_tracing()
         root = tracing.tracer.record("redfish", "birth", None, 0, 0)
-        tracing.store_span(root, "loki", "push", [{"Context": "x1203c1b0"}])
+        tracing.tracer.current = root
+        tracing.store_span("loki", "push", [{"Context": "x1203c1b0"}])
         clock.advance(seconds(90))
         received = []
         notify = tracing.notifier(received.append, "ruler")
@@ -96,7 +157,8 @@ class TestCorrelation:
     def test_refire_after_resolve_gets_a_new_span(self):
         tracing, store, clock = make_tracing()
         root = tracing.tracer.record("redfish", "birth", None, 0, 0)
-        tracing.store_span(root, "loki", "push", [{"Context": "x1"}])
+        tracing.tracer.current = root
+        tracing.store_span("loki", "push", [{"Context": "x1"}])
         notify = tracing.notifier(lambda e: None, "ruler")
         firing = alert_event(Context="x1")
         notify(firing)
@@ -111,7 +173,8 @@ class TestCorrelation:
         tracing, _, _ = make_tracing(max_pending=2)
         root = tracing.tracer.record("redfish", "birth", None, 0, 0)
         for i in range(5):
-            tracing.store_span(root, "loki", "push", [{"xname": f"x{i}"}])
+            tracing.tracer.current = root
+            tracing.store_span("loki", "push", [{"xname": f"x{i}"}])
         assert len(tracing._pending) == 2
 
 
@@ -119,7 +182,8 @@ class TestDelivery:
     def test_receiver_wrapper_spans_firing_alerts_only(self):
         tracing, store, clock = make_tracing()
         root = tracing.tracer.record("redfish", "birth", None, 0, 0)
-        tracing.store_span(root, "loki", "push", [{"Context": "x1"}])
+        tracing.tracer.current = root
+        tracing.store_span("loki", "push", [{"Context": "x1"}])
         notify = tracing.notifier(lambda e: None, "ruler")
         firing = alert_event(Context="x1")
         notify(firing)
@@ -148,7 +212,8 @@ class TestDelivery:
     def test_two_receivers_share_one_alertmanager_span(self):
         tracing, store, clock = make_tracing()
         root = tracing.tracer.record("redfish", "birth", None, 0, 0)
-        tracing.store_span(root, "loki", "push", [{"Context": "x1"}])
+        tracing.tracer.current = root
+        tracing.store_span("loki", "push", [{"Context": "x1"}])
         notify = tracing.notifier(lambda e: None, "ruler")
         firing = alert_event(Context="x1")
         notify(firing)

@@ -76,9 +76,20 @@ class TestTracer:
         assert spans[1].parent_id == root.span_id
         assert store.duration_ns(root.trace_id) == 30
 
+    def test_record_defaults_to_now_and_stringifies_attributes(self):
+        tracer, store, clock = make_tracer()
+        start = clock.now_ns
+        clock.advance(50)
+        root = tracer.record("selfheal", "heal", attributes={"copied": 3, "who": "i-1"})
+        late = tracer.record("ruler", "eval", root, start_ns=start)
+        spans = store.trace(root.trace_id)
+        now = clock.now_ns
+        assert [(s.start_ns, s.end_ns) for s in spans] == [(start, now), (now, now)]
+        assert spans[1].attributes == {"copied": "3", "who": "i-1"}
+        assert spans[0].span_id == late.span_id
+
     def test_sampling_zero_is_inert(self):
         tracer, store, _ = make_tracer(sampling=0.0)
-        assert not tracer.enabled
         assert tracer.record("a", "b", None, 0, 1) is None
         assert store.spans_added == 0
         assert tracer.counters() == {

@@ -6,13 +6,19 @@ latency, metric exemplars linking back, and — the no-observer-effect
 guarantee — byte-identical case-study artifacts with tracing on and off.
 """
 
+import hashlib
+import json
+from collections import Counter
+
 import pytest
 
+from repro.cluster.faults import FaultKind
+from repro.cluster.topology import ClusterSpec
 from repro.common.labels import Matcher, MatchOp
 from repro.common.simclock import SimClock, minutes, seconds
 from repro.core.casestudies.leak import leak_case_config, run_leak_case_study
 from repro.core.casestudies.switch import run_switch_case_study, switch_case_config
-from repro.core.framework import FrameworkConfig
+from repro.core.framework import FrameworkConfig, MonitoringFramework
 from repro.grafana.render import render_trace_waterfall
 from repro.tempo.metrics import TraceMetricsExporter
 from repro.tempo.store import TraceStore
@@ -138,6 +144,136 @@ class TestNoObserverEffect:
 
     def test_default_config_has_tracing_off(self):
         assert FrameworkConfig().tracing_sampling == 0.0
+
+
+FLAGS = (
+    "enable_ingest_ring", "enable_self_healing", "enable_multi_tenancy",
+    "enable_object_storage", "enable_query_engine", "enable_reliable_delivery",
+    "enable_pattern_mining", "enable_slo",
+)
+
+#: Every (service, name) the faulted all-planes run below records: each
+#: place in the program that writes a span, and each correlation stage of
+#: the pipeline instrumentation, ran at least once.
+RECORDED = {
+    ("admission", "admit"),
+    ("alertmanager", "group_and_route"),
+    ("broker", "queue"),
+    ("compactor", "objstore.compact"),
+    ("consumer", "RedfishEventConsumer"),
+    ("consumer", "SensorMetricConsumer"),
+    ("distributor", "push"),
+    ("fabric_manager", "switch_event"),
+    ("ingester", "append"),
+    ("loki", "push"),
+    ("pattern-ruler", "ruler.novel_error_pattern"),
+    ("pattern-ruler", "ruler.pattern_burst"),
+    ("patterns", "miner.observe"),
+    ("patterns", "patterns.query"),
+    ("querier", "query_range"),
+    ("querier", "queryx.subquery"),
+    ("query-frontend", "queryx.merge"),
+    ("query-frontend", "queryx.plan"),
+    ("query-frontend", "queryx.query"),
+    ("recording", "evaluate_rules"),
+    ("redfish", "hms.publish_events"),
+    ("redfish", "hms.sensor_sample"),
+    ("ruler", "PerlmutterCabinetLeak"),
+    ("ruler", "SwitchOffline"),
+    ("scheduler", "execute"),
+    ("selfheal", "declare_dead"),
+    ("selfheal", "heal"),
+    ("selfheal", "repair_member"),
+    ("selfheal", "suspect"),
+    ("servicenow", "delivery_attempt"),
+    ("servicenow", "notify"),
+    ("shipper", "objstore.flush"),
+    ("slack", "delivery_attempt"),
+    ("slo", "evaluate_budgets"),
+    ("store-gateway", "objstore.select"),
+    ("telemetry_api", "fetch"),
+    ("tsdb", "write"),
+}
+
+#: sha256 over every span of that run, in the order the store got them.
+SPAN_DIGEST = "d2a6d352f2a3d3f0dc9eb02a3e36358529182c54a799b3dbfba86d3193363c6a"
+
+
+def span_digest() -> tuple[str, Counter, int]:
+    """A short, seeded, faulted all-planes run with tracing on: a leak, a
+    switch, a Slack outage, an ingester crash and a heartbeat loss, one
+    sharded log read, one scheduled query, one pattern query and one
+    compaction.  Every span is hashed as :class:`TraceStore` receives
+    it — the store keeps only the newest traces, so a digest of what it
+    holds at the end would miss the early ones."""
+    config = FrameworkConfig(
+        cluster_spec=ClusterSpec(cabinets=1, chassis_per_cabinet=2),
+        seed=7, tracing_sampling=1.0, **{flag: True for flag in FLAGS},
+    )
+    fw = MonitoringFramework(config)
+    digest = hashlib.sha256()
+    pairs: Counter = Counter()
+    add = fw.traces.add
+
+    def hashing(span):
+        digest.update(json.dumps([
+            span.trace_id, span.span_id, span.parent_id, span.service,
+            span.name, span.start_ns, span.end_ns,
+            sorted(span.attributes.items()), span.status.value,
+        ]).encode())
+        pairs[(span.service, span.name)] += 1
+        add(span)
+
+    fw.traces.add = hashing  # shim on the instance
+    fw.start()
+    schedule = fw.faults.schedule
+    schedule(FaultKind.CABINET_LEAK, sorted(fw.cluster.cabinets)[0],
+             delay_ns=minutes(1), duration_ns=minutes(5))
+    schedule(FaultKind.SWITCH_OFFLINE, sorted(fw.cluster.switches)[1],
+             delay_ns=minutes(2), duration_ns=minutes(4))
+    schedule(FaultKind.RECEIVER_OUTAGE, "slack",
+             delay_ns=minutes(2), duration_ns=minutes(4))
+    schedule(FaultKind.INGESTER_CRASH, "ingester-1",
+             delay_ns=minutes(3), duration_ns=minutes(3))
+    schedule(FaultKind.HEARTBEAT_LOSS, "ingester-2",
+             delay_ns=minutes(8), duration_ns=minutes(10))
+    hosts = sorted(str(x) for x in fw.cluster.nodes)
+    cluster = config.cluster_name
+    for minute in range(22):
+        now = fw.clock.now_ns
+        for i in range(6):
+            n = minute * 6 + i
+            fw.publish_syslog(
+                {"hostname": hosts[n % len(hosts)], "data_type": "syslog",
+                 "cluster": cluster, "severity": "err" if n % 17 == 0 else "info"},
+                now + i, f"kernel: eth{n % 4} link state change seq={n}",
+            )
+            fw.publish_container_log(
+                {"app": f"svc-{n % 3}", "data_type": "container_log",
+                 "cluster": cluster},
+                now + i, f"level=info request_id={n} took={n % 97}ms",
+            )
+        if minute == 12:
+            fw.queryx.query_logs(
+                '{data_type="syslog"} |= "link"', now - minutes(10), now
+            )
+            fw.scheduler.submit(
+                "ops", 'sum(count_over_time({data_type="syslog"} |= "link" [1m]))',
+                now - minutes(5), now, minutes(1),
+            )
+        fw.run_for(minutes(1))
+    now = fw.clock.now_ns
+    fw.frontend.detected_patterns('{data_type="syslog"}', now - minutes(30), now)
+    fw.compactor.run()
+    return digest.hexdigest(), pairs, fw.tracer.spans_recorded
+
+
+class TestSpanDigest:
+    def test_every_span_is_pinned(self):
+        digest, pairs, recorded = span_digest()
+        assert set(pairs) == RECORDED
+        assert sum(pairs.values()) == recorded == 8483
+        assert digest == SPAN_DIGEST
 
 
 class TestTraceMetricsExporter:
