@@ -18,6 +18,7 @@ from repro.omni.lifecycle import Lifecycle
 from repro.omni.warehouse import OmniWarehouse
 
 from conftest import report
+from tests.tracing import off_tracer
 
 MONTHS = 30
 ENTRIES_PER_DAY = 24  # hourly summaries, enough to show the mechanism
@@ -41,7 +42,8 @@ def _build_warehouse():
 
 def test_c2_retention_and_restore(benchmark):
     clock, w = _build_warehouse()
-    lifecycle = Lifecycle(clock, w.loki, w.tsdb, Broker(clock))  # two-year hot window
+    lifecycle = Lifecycle(clock, w.loki, w.tsdb, Broker(clock),
+        tracer=off_tracer())  # two-year hot window
     total = w.loki.stats.entries_ingested
 
     moved = benchmark.pedantic(lifecycle.sweep, rounds=1, iterations=1)

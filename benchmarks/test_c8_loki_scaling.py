@@ -19,6 +19,7 @@ from repro.ring.cluster import RingLokiCluster
 from repro.workloads.loggen import SyslogGenerator
 
 from conftest import report
+from tests.tracing import off_tracer
 
 N_LOGS = 20_000
 NODES = [XName.parse(f"x1{c:03d}c{ch}s{s}b0n0")
@@ -41,7 +42,7 @@ def _corpus():
 
 def _ingest(request, ingesters):
     """Entries each ingester took: the per-worker work."""
-    cluster = RingLokiCluster(ingesters=ingesters, replication_factor=1)
+    cluster = RingLokiCluster(ingesters=ingesters, replication_factor=1, tracer=off_tracer())
     cluster.push(request)
     return [i.store.stats.entries_ingested for i in cluster.ingesters.values()]
 

@@ -27,6 +27,7 @@ from repro.resilience.receivers import (
 )
 
 from conftest import report
+from tests.tracing import off_tracer
 
 N_GROUPS = 200
 #: Alert groups fire staggered over this window; the run then drains.
@@ -70,6 +71,7 @@ def _run(outages: bool):
         breaker=CircuitBreaker(
             clock, failure_threshold=3, reset_timeout_ns=minutes(2)
         ),
+        tracer=off_tracer(),
     )
     am = Alertmanager(
         clock,

@@ -28,6 +28,7 @@ from repro.selfheal.manager import SelfHealManager
 from repro.selfheal.memberlist import MemberState
 
 from conftest import report
+from tests.tracing import off_tracer
 
 MATCH_ALL = [label_matcher("app", "=~", ".+")]
 N_STREAMS = 24
@@ -54,8 +55,8 @@ def _detection_trials():
     for victim_idx in range(6):
         for offset_s in (0, 7, 13):
             clock = SimClock()
-            cluster = RingLokiCluster(ingesters=6, replication_factor=3)
-            mgr = SelfHealManager(clock, cluster)
+            cluster = RingLokiCluster(ingesters=6, replication_factor=3, tracer=off_tracer())
+            mgr = SelfHealManager(clock, cluster, tracer=off_tracer())
             for job in mgr.jobs():
                 clock.every(job.interval_ns, job.run)
             clock.advance(seconds(30 + offset_s))

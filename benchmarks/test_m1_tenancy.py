@@ -31,6 +31,7 @@ from repro.tenancy.limits import LimitsRegistry, TenantLimits
 from repro.tenancy.scheduler import QueryScheduler
 
 from conftest import report
+from tests.tracing import off_tracer
 
 #: Per-bucket capacity — per tenant when isolated, cluster-wide when not.
 CAPACITY = TenantLimits(
@@ -75,10 +76,11 @@ def _run(isolated: bool) -> dict:
     clock.advance(hours(2))
 
     registry = LimitsRegistry(defaults=CAPACITY)
-    admission = AdmissionController(registry, clock)
+    admission = AdmissionController(registry, clock, tracer=off_tracer())
     frontend = QueryFrontend(LogQLEngine(store), clock)
     scheduler = QueryScheduler(
-        frontend, clock, registry=registry, max_concurrency=4, fair=isolated
+        frontend, clock, registry=registry, max_concurrency=4, fair=isolated,
+        tracer=off_tracer(),
     )
 
     # Isolation off = the legacy shared pipeline: both workloads draw

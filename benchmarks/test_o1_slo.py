@@ -54,6 +54,7 @@ from repro.tsdb.vmagent import ScrapeTarget, VMAgent
 from repro.tsdb.vmalert import VMAlert
 
 from conftest import report
+from tests.tracing import off_tracer
 
 OBJECTIVE = 0.999
 STEP = seconds(15)  # scrape + recording + rule evaluation cadence
@@ -79,7 +80,8 @@ class Harness:
         promql = PromQLEngine(store)
         self.events = []
         self.manager = SloManager(
-            self.clock, promql, store, self.events.append, windows=WINDOWS
+            self.clock, promql, store, self.events.append, windows=WINDOWS,
+            tracer=off_tracer(),
         )
         self.collector = self.manager.register(
             SLO(name="bench", description="bench SLI", objective=OBJECTIVE),
@@ -147,7 +149,7 @@ def _tick_cost(slos=4, warm_ticks=150, timed_ticks=200):
     steady-state tick of ``slos`` SLOs over the default windows."""
     clock = SimClock(0)
     store = TimeSeriesStore()
-    manager = SloManager(clock, PromQLEngine(store), store)
+    manager = SloManager(clock, PromQLEngine(store), store, tracer=off_tracer())
     collectors = {
         f"slo-{i}": manager.register(
             SLO(name=f"slo-{i}", description="bench SLI", objective=OBJECTIVE),

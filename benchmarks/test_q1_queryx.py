@@ -38,6 +38,7 @@ from repro.queryx.executor import QuerierPool
 from repro.queryx.planner import QueryPlanner
 
 from conftest import report
+from tests.tracing import off_tracer
 
 N_STREAMS = 16
 N_ENTRIES = 240  # per stream, one every 90 s over 6 h
@@ -52,10 +53,10 @@ def _world():
     hot = LokiStore(ChunkPolicy(target_size_bytes=1024, max_age_ns=minutes(10)))
     objstore = ObjectStore(clock)
     index = ShipperIndex(objstore)
-    shipper = ChunkShipper(hot, objstore, index, clock)
+    shipper = ChunkShipper(hot, objstore, index, clock, tracer=off_tracer())
     blooms = BloomStore(objstore)
-    compactor = Compactor(objstore, index, clock, derived=(blooms,))
-    gateway = StoreGateway(objstore, index, clock, blooms=blooms)
+    compactor = Compactor(objstore, index, clock, derived=(blooms,), tracer=off_tracer())
+    gateway = StoreGateway(objstore, index, clock, blooms=blooms, tracer=off_tracer())
     tiered = TieredLokiStore(hot, objstore, index, shipper, compactor, gateway)
     step = SPAN_NS // N_ENTRIES
     for i in range(N_STREAMS):
@@ -83,6 +84,7 @@ def _engine(clock, tiered, workers):
         planner=QueryPlanner(shard_count=4, split_ns=hours(1)),
         pool=QuerierPool(workers=workers),
         cold_latency_fn=lambda: tiered.gateway.fetch_latency_ns_total,
+        tracer=off_tracer(),
     )
 
 

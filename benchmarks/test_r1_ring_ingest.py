@@ -22,6 +22,7 @@ from repro.ring.cluster import RingLokiCluster
 from repro.workloads.loggen import SyslogGenerator
 
 from conftest import report
+from tests.tracing import off_tracer
 
 N_LOGS = 12_000
 INGESTERS = 8
@@ -58,7 +59,7 @@ def _as_request(batch):
 
 
 def _ingest(requests, rf):
-    cluster = RingLokiCluster(ingesters=INGESTERS, replication_factor=rf)
+    cluster = RingLokiCluster(ingesters=INGESTERS, replication_factor=rf, tracer=off_tracer())
     start = time.perf_counter()
     for request in requests:
         cluster.push(request)
@@ -94,7 +95,7 @@ def test_r1_ring_ingest(benchmark):
     expect = baseline.select(MATCH_ALL, 0, 10**15)
 
     victim = "ingester-3"
-    cluster = RingLokiCluster(ingesters=INGESTERS, replication_factor=3)
+    cluster = RingLokiCluster(ingesters=INGESTERS, replication_factor=3, tracer=off_tracer())
     third = len(requests) // 3
     for request in requests[:third]:
         cluster.push(request)

@@ -31,6 +31,7 @@ from repro.workloads.loggen import SyslogGenerator
 from repro.common.xname import XName
 
 from conftest import report
+from tests.tracing import off_tracer
 
 N_LOGS = 20_000
 MATCH_ALL = [label_matcher("hostname", "=~", ".+")]
@@ -57,7 +58,7 @@ def _requests():
 
 
 def _make_ring():
-    return RingLokiCluster(ingesters=4, replication_factor=3, policy=POLICY)
+    return RingLokiCluster(ingesters=4, replication_factor=3, policy=POLICY, tracer=off_tracer())
 
 
 def _run_tier_off(request):
@@ -73,9 +74,9 @@ def _run_tier_on(request):
     ring = _make_ring()
     objstore = ObjectStore(clock)
     index = ShipperIndex(objstore)
-    shipper = ChunkShipper(ring, objstore, index, clock)
-    compactor = Compactor(objstore, index, clock)
-    gateway = StoreGateway(objstore, index, clock)
+    shipper = ChunkShipper(ring, objstore, index, clock, tracer=off_tracer())
+    compactor = Compactor(objstore, index, clock, tracer=off_tracer())
+    gateway = StoreGateway(objstore, index, clock, tracer=off_tracer())
     tiered = TieredLokiStore(ring, objstore, index, shipper, compactor, gateway)
     tiered.push(request)
     tiered.flush_all()

@@ -23,6 +23,8 @@ from repro.loki.model import LogEntry, PushRequest
 from repro.loki.store import LokiStore
 from repro.omni.lifecycle import Lifecycle
 from repro.omni.warehouse import OmniWarehouse
+from repro.tempo.store import TraceStore
+from repro.tempo.tracer import Tracer
 from repro.workloads.loggen import SyslogGenerator
 
 NODES = [XName.parse(f"x1c0s{s}b0n{n}") for s in range(8) for n in range(2)]
@@ -85,7 +87,8 @@ def measure_retention() -> None:
         )
     clock.advance(days(900))
     warehouse.loki.flush_all()
-    lifecycle = Lifecycle(clock, warehouse.loki, warehouse.tsdb, Broker(clock))
+    untraced = Tracer(TraceStore(), clock, sampling=0.0)
+    lifecycle = Lifecycle(clock, warehouse.loki, warehouse.tsdb, Broker(clock), untraced)
     moved = lifecycle.sweep()
     print(f"  ingested 900 days; archived {moved} aged entries")
     print(f"  hot window now spans {warehouse.history_span_days():.0f} days")

@@ -30,6 +30,18 @@ def fnv1a_64(data: bytes) -> int:
     return h
 
 
+def unit_interval(seed: int | str, n: int) -> float:
+    """Deterministic uniform-ish value in [0, 1) from ``(seed, n)``: the
+    top 53 bits of :func:`fnv1a_64` over ``"seed:n"``.
+
+    The stack's shared jitter primitive: retry schedules hash
+    ``(seed, attempt)``, the self-healing heartbeat loops hash
+    ``(member_id, tick)`` — any site needing reproducible spread uses
+    this instead of shared RNG state, so replays stay bit-identical.
+    """
+    return (fnv1a_64(f"{seed}:{n}".encode()) >> 11) / float(1 << 53)
+
+
 def mix64(h: int) -> int:
     """SplitMix64 finalizer: full-avalanche scrambling of a 64-bit value.
 

@@ -5,20 +5,22 @@ Kubernetes environment. They read data in different Kafka topics via the
 Telemetry API and send them to either Victoriametrics or Loki."
 
 Each consumer owns one subscription and a ``pump()`` that drains the next
-batch; the framework registers the pumps on the simulated clock.  When
-the framework runs with tracing enabled, each record carrying a
-``traceparent`` header continues its trace here: queue-wait, API fetch,
-pod handling and the store write each become spans.  While a record is
-handled its pod span is the tracer's current context, so the stages of
-the write below (admission, the ring distributor) join it without the
-context being passed to them.
+batch; the framework registers the pumps on the simulated clock.  Every
+pod holds the framework's :class:`PipelineTracing`.  A record carrying a
+``traceparent`` header (only a sampled producer span writes one)
+continues its trace here: queue-wait, API fetch, pod handling and the
+store write each become spans.  While a record is handled its pod span
+is the tracer's current context, so the stages of the write below
+(admission, the ring distributor) join it without the context being
+passed to them.  An untraced record costs the pod no tracing call.
 """
 
 from __future__ import annotations
 
-from repro.common.errors import ValidationError
+from repro.common.errors import CapacityError, ValidationError
 from repro.common.jsonutil import decode_log_envelope, loads
 from repro.omni.warehouse import OmniWarehouse
+from repro.ring.distributor import QuorumError
 from repro.shasta.ldms import TOPIC_LDMS
 from repro.shasta.telemetry_api import Subscription, TelemetryAPI
 from repro.tempo.instrument import PipelineTracing
@@ -42,7 +44,7 @@ class _BaseConsumer:
         token: str,
         topic: str,
         warehouse: OmniWarehouse,
-        tracing: PipelineTracing | None = None,
+        tracing: PipelineTracing,
         reliable: bool = False,
     ) -> None:
         self._api = api
@@ -73,7 +75,11 @@ class _BaseConsumer:
         mode offsets commit only after processing: a failing record blocks
         its partition and is redelivered next pump, until
         :data:`MAX_DELIVERY_FAILURES` attempts quarantine it to the topic's
-        dead-letter queue and the pod commits past the poison.
+        dead-letter queue and the pod commits past the poison.  A write
+        the store refuses (a tenant's 429, a lost ring quorum) fails the
+        record the same way, but never quarantines it: the refusal is the
+        store's state, not the record's, so reliable mode redelivers it
+        until the store takes it.
         """
         if self._throttle is not None:
             max_records = min(max_records, self._throttle)
@@ -82,13 +88,14 @@ class _BaseConsumer:
         )
         server = self._api.last_server_index
         tracing = self._tracing
+        tracer = tracing.tracer
         #: partition -> offset of the record that blocked it this batch.
         blocked: dict[int, int] = {}
         done = 0
         for record in records:
             if record.partition in blocked:
                 continue
-            if tracing is not None and record.headers:
+            if record.headers:
                 tracing.begin_record(record, type(self).__name__, server)
             try:
                 self._handle(record.value, record.timestamp_ns)
@@ -103,9 +110,12 @@ class _BaseConsumer:
                         self.records_quarantined += 1
                     else:
                         blocked[record.partition] = record.offset
+            except (CapacityError, QuorumError):
+                self.records_failed += 1
+                if self._reliable:
+                    blocked[record.partition] = record.offset
             finally:
-                if tracing is not None:
-                    tracing.tracer.current = None
+                tracer.current = None
         if self._reliable:
             for partition, offset in blocked.items():
                 self._api.seek(self._sub, partition, offset)
@@ -115,7 +125,7 @@ class _BaseConsumer:
 
     def _trace_store(self, label_sets) -> None:
         """Span the store write of the record currently being handled."""
-        if self._tracing is not None:
+        if self._tracing.tracer.current is not None:
             self._tracing.store_span(
                 self.STORE_SERVICE, self.STORE_NAME, label_sets
             )
@@ -134,7 +144,8 @@ class RedfishEventConsumer(_BaseConsumer):
         topic: str,
         warehouse: OmniWarehouse,
         cluster: str = "perlmutter",
-        tracing: PipelineTracing | None = None,
+        *,
+        tracing: PipelineTracing,
         reliable: bool = False,
     ) -> None:
         super().__init__(
@@ -174,7 +185,8 @@ class SensorMetricConsumer(_BaseConsumer):
         topic: str,
         warehouse: OmniWarehouse,
         cluster: str = "perlmutter",
-        tracing: PipelineTracing | None = None,
+        *,
+        tracing: PipelineTracing,
         reliable: bool = False,
     ) -> None:
         super().__init__(
@@ -230,8 +242,8 @@ class LdmsConsumer(_BaseConsumer):
 
     The envelope ``{"Cluster": …, "Context": xname, "Metrics": {name:
     value, …}, "Timestamp": ns}`` becomes one sample per metric, labelled
-    by node and cluster.  The samplers publish no trace context, so the
-    pod takes no tracing.
+    by node and cluster.  The samplers publish no trace context, so its
+    records cost the pod no tracing call.
     """
 
     def __init__(
@@ -239,9 +251,12 @@ class LdmsConsumer(_BaseConsumer):
         api: TelemetryAPI,
         token: str,
         warehouse: OmniWarehouse,
+        tracing: PipelineTracing,
         reliable: bool = False,
     ) -> None:
-        super().__init__(api, token, TOPIC_LDMS, warehouse, reliable=reliable)
+        super().__init__(
+            api, token, TOPIC_LDMS, warehouse, tracing=tracing, reliable=reliable
+        )
 
     def _handle(self, value: str, timestamp_ns: int) -> None:
         envelope = loads(value)

@@ -127,8 +127,10 @@ class FrameworkConfig:
     # response" (repro.omni.plane): EWMA anomaly scanning over key
     # metrics into Alertmanager.  Off by default, with no env default.
     enable_proactive_detection: bool = False
-    # Self-tracing of the pipeline (repro.tempo). 0.0 = off: no tracer is
-    # constructed and every instrumented site takes its untraced path.
+    # Self-tracing of the pipeline (repro.tempo): the head-sampling rate
+    # of the tracer every config builds.  0.0 = off: the tracer records
+    # and counts nothing, and the tempo.metrics job and the "Pipeline
+    # Tracing" dashboard are not built.
     tracing_sampling: float = 0.0
     # Replicated ingest (repro.ring).  Off by default: logs land in a
     # single LokiStore as before.  On: pushes go through a distributor to
@@ -278,21 +280,15 @@ class MonitoringFramework:
         )
 
         # --- self-tracing (repro.tempo) ---------------------------------
-        self.traces: TraceStore | None = None
-        self.tracer: Tracer | None = None
-        self.traceql: TraceQLEngine | None = None
-        self.tracing: PipelineTracing | None = None
-        self.trace_metrics: TraceMetricsExporter | None = None
-        if cfg.tracing_sampling > 0.0:
-            self.traces = TraceStore()
-            self.tracer = Tracer(
-                self.traces,
-                self.clock,
-                sampling=cfg.tracing_sampling,
-                seed=cfg.seed + 23,
-            )
-            self.traceql = TraceQLEngine(self.traces)
-            self.tracing = PipelineTracing(self.tracer)
+        self.traces = TraceStore()
+        self.tracer = Tracer(
+            self.traces,
+            self.clock,
+            sampling=cfg.tracing_sampling,
+            seed=cfg.seed + 23,
+        )
+        self.traceql = TraceQLEngine(self.traces)
+        self.tracing = PipelineTracing(self.tracer)
 
         # --- the Shasta telemetry plane -----------------------------------
         self.broker = Broker(self.clock)
@@ -329,15 +325,15 @@ class MonitoringFramework:
         #: The one retention path: each sweep archives aged log chunks,
         #: downsamples aged metrics and expires broker topics.
         self.lifecycle = Lifecycle(
-            self.clock, self.warehouse.loki, self.warehouse.tsdb, self.broker
+            self.clock, self.warehouse.loki, self.warehouse.tsdb, self.broker,
+            self.tracer,
         )
         self.logql = LogQLEngine(self.warehouse.loki, patterns=self.pattern_store)
         self.promql = PromQLEngine(self.warehouse.tsdb)
-        if self.traces is not None:
-            self.trace_metrics = TraceMetricsExporter(
-                self.traces, self.warehouse.tsdb, self.clock,
-                cluster=cfg.cluster_name,
-            )
+        self.trace_metrics = TraceMetricsExporter(
+            self.traces, self.warehouse.tsdb, self.clock,
+            cluster=cfg.cluster_name,
+        )
 
         # --- the k3s consumer pods -------------------------------------------
         token = "token-nersc-k3s"
@@ -360,8 +356,7 @@ class MonitoringFramework:
             self.telemetry_api, token, TOPIC_CONSOLE_LOGS, self.warehouse, **pod
         )
         self.ldms_consumer = LdmsConsumer(
-            self.telemetry_api, token, self.warehouse,
-            reliable=cfg.enable_reliable_delivery,
+            self.telemetry_api, token, self.warehouse, **pod
         )
         #: The broker-fed pods by name, in pump order.
         self.consumers = {
@@ -430,14 +425,15 @@ class MonitoringFramework:
         )
         self.dashboards = self._build_dashboards()
         receivers = [
-            SlackReceiver(
-                self.slack,
-                dashboard_base_url=self.dashboards["overview"].url(),
-            ),
-            ServiceNowReceiver(self.servicenow),
+            TracingReceiver(receiver, self.tracing)
+            for receiver in (
+                SlackReceiver(
+                    self.slack,
+                    dashboard_base_url=self.dashboards["overview"].url(),
+                ),
+                ServiceNowReceiver(self.servicenow),
+            )
         ]
-        if self.tracing is not None:
-            receivers = [TracingReceiver(r, self.tracing) for r in receivers]
         for plane in self.planes:
             receivers = plane.wrap_receivers(self, receivers)
         for receiver in receivers:
@@ -466,10 +462,8 @@ class MonitoringFramework:
     # ------------------------------------------------------------------
     def notifier(self, generator: str):
         """Alertmanager's front door for one rule evaluator, traced under
-        the evaluator's name when tracing is on."""
-        if self.tracing is not None:
-            return self.tracing.notifier(self.alertmanager.receive, generator)
-        return self.alertmanager.receive
+        the evaluator's name."""
+        return self.tracing.notifier(self.alertmanager.receive, generator)
 
     # ------------------------------------------------------------------
     # Wiring details
@@ -477,9 +471,6 @@ class MonitoringFramework:
     def _fm_sink(self, event: SwitchEvent) -> None:
         """The FM monitor pushes its event lines straight to Loki."""
         labels = {"app": MONITOR_APP_LABEL, "cluster": self.config.cluster_name}
-        if self.tracing is None:
-            self.warehouse.ingest_log(labels, event.timestamp_ns, event.to_line())
-            return
         # The FM monitor bypasses the broker, so its trace starts at the
         # event and goes straight to the store write; the switch alert
         # correlates back via the xname label.
@@ -674,7 +665,7 @@ class MonitoringFramework:
         for plane in self.planes:
             for key, title, rows in plane.dashboards(self):
                 dashboards[key] = Dashboard(title).add_rows(self.promql, rows)
-        if self.traceql is not None:
+        if self.tracer.sampling > 0.0:
             tracing = Dashboard("Pipeline Tracing", uid="pipeline-tracing")
             tracing.add_rows(
                 self.traceql,
@@ -715,7 +706,7 @@ class MonitoringFramework:
             Job("ruler.eval", seconds(30), self.ruler.evaluate_all),
             Job("vmalert.eval", seconds(30), self.vmalert.evaluate_all),
         ]
-        if self.trace_metrics is not None:
+        if self.tracer.sampling > 0.0:
             jobs.append(Job("tempo.metrics", seconds(60), self.trace_metrics.export))
         for plane in self.planes:
             jobs += plane.jobs(self)

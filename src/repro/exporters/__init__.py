@@ -19,21 +19,14 @@ the text format.  A plane's self-exporter (``ring_exporter`` …
 it.
 """
 
-from repro.exporters.textformat import (
-    MetricFamily,
-    MetricPoint,
-    render_exposition,
-    parse_exposition,
-)
+from repro.exporters.textformat import MetricPoint, parse_exposition
 from repro.exporters.node import NodeExporter
 from repro.exporters.blackbox import BlackboxExporter, ProbeTarget
 from repro.exporters.kafka_exporter import KafkaExporter
 from repro.exporters.aruba import ArubaExporter
 
 __all__ = [
-    "MetricFamily",
     "MetricPoint",
-    "render_exposition",
     "parse_exposition",
     "NodeExporter",
     "BlackboxExporter",

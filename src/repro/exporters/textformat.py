@@ -15,16 +15,15 @@ returns, and the text is rendered only when someone asks for it —
 
 Two functions format it and nothing else under ``src/`` does:
 :func:`family_header` (the ``# HELP`` / ``# TYPE`` lines, validated) and
-:func:`sample_line`.  :func:`render_exposition` is the same two
-functions over whole :class:`MetricFamily` objects, for tests and
-one-off views; :func:`parse_exposition` reads any of it back.
+:func:`sample_line`; ``Scrape.text`` is the one renderer built on them.
+:func:`parse_exposition` reads any of it back.
 """
 
 from __future__ import annotations
 
 import math
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from numbers import Integral
 from typing import Mapping
 
@@ -54,22 +53,6 @@ def family_header(name: str, type: str, help: str) -> str:
         raise ValidationError(f"invalid metric type: {type!r}")
     type_line = f"# TYPE {name} {type}"
     return f"# HELP {name} {help}\n{type_line}" if help else type_line
-
-
-@dataclass
-class MetricFamily:
-    """A named family: HELP/TYPE header plus its points."""
-
-    name: str
-    help: str = ""
-    type: str = "gauge"  # gauge | counter | untyped
-    points: list[MetricPoint] = field(default_factory=list)
-
-    def __post_init__(self) -> None:
-        family_header(self.name, self.type, self.help)
-
-    def add(self, value: float, **labels: str) -> None:
-        self.points.append(MetricPoint(self.name, labels, value))
 
 
 def _escape(value: str) -> str:
@@ -104,12 +87,7 @@ def _format_value(value: float) -> str:
     return repr(value)
 
 
-def sample_line(
-    name: str,
-    labels: Mapping[str, str] | None,
-    value: float,
-    timestamp_ms: int | None = None,
-) -> str:
+def sample_line(name: str, labels: Mapping[str, str] | None, value: float) -> str:
     """One sample line, labels sorted by key: the one place a sample is
     formatted."""
     if labels:
@@ -119,26 +97,7 @@ def sample_line(
         head = f"{name}{{{label_text}}}"
     else:
         head = name
-    line = f"{head} {_format_value(value)}"
-    if timestamp_ms is not None:
-        line += f" {timestamp_ms}"
-    return line
-
-
-def render_exposition(families: list[MetricFamily]) -> str:
-    """Render whole families to exposition text."""
-    lines: list[str] = []
-    for family in families:
-        lines.append(family_header(family.name, family.type, family.help))
-        for point in family.points:
-            if point.name != family.name:
-                raise ValidationError(
-                    f"point {point.name!r} inside family {family.name!r}"
-                )
-            lines.append(
-                sample_line(point.name, point.labels, point.value, point.timestamp_ms)
-            )
-    return "\n".join(lines) + ("\n" if lines else "")
+    return f"{head} {_format_value(value)}"
 
 
 def parse_exposition(text: str) -> list[MetricPoint]:

@@ -102,8 +102,9 @@ class Compactor:
         index: ShipperIndex,
         clock: SimClock,
         policy: CompactionPolicy | None = None,
-        tracer: Tracer | None = None,
         derived: Sequence[BlockStore] = (),
+        *,
+        tracer: Tracer,
     ) -> None:
         self._objstore = store
         self._index = index
@@ -299,18 +300,17 @@ class Compactor:
         except ObjectStoreUnavailable:
             result.ok = False
             self.run_failures += 1
-        if self._tracer is not None:
-            self._tracer.record(
-                "compactor",
-                "objstore.compact",
-                start_ns=now,
-                attributes={
-                    "chunks_merged": result.chunks_merged,
-                    "chunks_written": result.chunks_written,
-                    "duplicates_dropped": result.duplicates_dropped,
-                },
-                status=SpanStatus.OK if result.ok else SpanStatus.ERROR,
-            )
+        self._tracer.record(
+            "compactor",
+            "objstore.compact",
+            start_ns=now,
+            attributes={
+                "chunks_merged": result.chunks_merged,
+                "chunks_written": result.chunks_written,
+                "duplicates_dropped": result.duplicates_dropped,
+            },
+            status=SpanStatus.OK if result.ok else SpanStatus.ERROR,
+        )
         return result
 
     def counters(self) -> dict[str, int]:

@@ -50,8 +50,9 @@ class StoreGateway:
         index: ShipperIndex,
         clock: SimClock,
         policy: ChunkPolicy | None = None,
-        tracer: Tracer | None = None,
         blooms=None,
+        *,
+        tracer: Tracer,
     ) -> None:
         self._objstore = store
         self._index = index
@@ -130,19 +131,18 @@ class StoreGateway:
         self.chunks_considered_total += considered
         self.chunks_skipped_total += skipped
         out = merge_streams(fetched)
-        if self._tracer is not None:
-            self._tracer.record(
-                "store-gateway",
-                "objstore.select",
-                start_ns=started,
-                attributes={
-                    "chunks_considered": considered,
-                    "chunks_fetched": len(refs),
-                    "chunks_skipped": skipped,
-                    "streams": len(out),
-                    "cold_latency_ns": latency,
-                },
-            )
+        self._tracer.record(
+            "store-gateway",
+            "objstore.select",
+            start_ns=started,
+            attributes={
+                "chunks_considered": considered,
+                "chunks_fetched": len(refs),
+                "chunks_skipped": skipped,
+                "streams": len(out),
+                "cold_latency_ns": latency,
+            },
+        )
         return out
 
     def expired_entries(

@@ -52,7 +52,7 @@ class ChunkShipper:
         store: ObjectStore,
         index: ShipperIndex,
         clock: SimClock,
-        tracer: Tracer | None = None,
+        tracer: Tracer,
     ) -> None:
         self._source = source
         self._objstore = store
@@ -93,6 +93,10 @@ class ChunkShipper:
                 result.chunks_deduped += 1
                 self.chunks_deduped_total += 1
             freed = chunk.stored_bytes()
+            # Only memory is released: a ring replica's WAL still holds
+            # the entries, so a crash + replay re-seals them, and the
+            # re-flushed copy dedups against this object by content
+            # hash, keeping flush + crash idempotent.
             store.drop_chunk(labels, chunk)
             result.bytes_freed += freed
             self.bytes_freed_total += freed
@@ -122,19 +126,18 @@ class ChunkShipper:
             self.flush_failures += 1
             self.consecutive_failures += 1
             self.last_failure_ns = now
-        if self._tracer is not None:
-            self._tracer.record(
-                "shipper",
-                "objstore.flush",
-                start_ns=now,
-                attributes={
-                    "chunks_shipped": result.chunks_shipped,
-                    "chunks_deduped": result.chunks_deduped,
-                    "bytes_shipped": result.bytes_shipped,
-                    "index_files": result.index_files,
-                },
-                status=SpanStatus.OK if result.ok else SpanStatus.ERROR,
-            )
+        self._tracer.record(
+            "shipper",
+            "objstore.flush",
+            start_ns=now,
+            attributes={
+                "chunks_shipped": result.chunks_shipped,
+                "chunks_deduped": result.chunks_deduped,
+                "bytes_shipped": result.bytes_shipped,
+                "index_files": result.index_files,
+            },
+            status=SpanStatus.OK if result.ok else SpanStatus.ERROR,
+        )
         return result
 
     # ------------------------------------------------------------------

@@ -22,6 +22,7 @@ from repro.objstore.gateway import StoreGateway
 from repro.objstore.index import ShipperIndex
 from repro.objstore.objectstore import ObjectStore, ObjectStoreUnavailable
 from repro.omni.downsample import Downsampler
+from repro.tempo.tracer import Tracer
 from repro.tsdb.storage import TimeSeriesStore
 
 #: "at least two years of data immediately [available]" (paper §I).
@@ -43,6 +44,7 @@ class Lifecycle:
         store: LokiStore,
         tsdb: TimeSeriesStore,
         broker: Broker,
+        tracer: Tracer,
     ) -> None:
         self._clock = clock
         self._store = store
@@ -52,7 +54,8 @@ class Lifecycle:
         self.objstore = ObjectStore(clock)
         self.archive_index = ShipperIndex(self.objstore, bucket=ARCHIVE_BUCKET)
         self.archive = StoreGateway(
-            self.objstore, self.archive_index, clock, policy=_ARCHIVE_CHUNKS
+            self.objstore, self.archive_index, clock, policy=_ARCHIVE_CHUNKS,
+            tracer=tracer,
         )
         self.sweeps = 0
         #: Sweeps whose log part an object-store outage cut short.

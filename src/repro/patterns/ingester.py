@@ -85,7 +85,7 @@ class PatternIngester:
         self,
         clock: "SimClock",
         store: PatternStore,
-        tracer: "Tracer | None" = None,
+        tracer: "Tracer",
     ) -> None:
         self._clock = clock
         self._store = store
@@ -152,7 +152,7 @@ class PatternIngester:
                     )
                 )
         self.lines_observed += mined
-        if mined and self._tracer is not None:
+        if mined and self._tracer.sampling > 0.0:
             self._tracer.record(
                 "patterns",
                 "miner.observe",

@@ -91,7 +91,8 @@ class PatternRuler(RuleEvaluator):
         store: "PatternStore",
         cluster: str = "",
         novel_bootstrap_ns: int = 0,
-        tracer: "Tracer | None" = None,
+        *,
+        tracer: "Tracer",
     ) -> None:
         if novel_bootstrap_ns < 0:
             raise ValidationError("novel_bootstrap_ns must be >= 0")
@@ -133,14 +134,13 @@ class PatternRuler(RuleEvaluator):
                 samples = self._burst_samples(time_ns)
             else:
                 samples = self._novel_samples(time_ns)
-            if self._tracer is not None:
-                self._tracer.record(
-                    "pattern-ruler",
-                    f"ruler.{expr}",
-                    start_ns=time_ns,
-                    end_ns=time_ns,
-                    attributes={"samples": len(samples)},
-                )
+            self._tracer.record(
+                "pattern-ruler",
+                f"ruler.{expr}",
+                start_ns=time_ns,
+                end_ns=time_ns,
+                attributes={"samples": len(samples)},
+            )
             return samples
 
         return query

@@ -166,7 +166,8 @@ class PatternStore(BlockStore):
     def __init__(
         self,
         store: "ObjectStore | None" = None,
-        tracer: "Tracer | None" = None,
+        *,
+        tracer: "Tracer",
     ) -> None:
         super().__init__(store)
         self._tracer = tracer
@@ -298,12 +299,11 @@ class PatternStore(BlockStore):
             if record.last_ts_ns >= start_ns and record.first_ts_ns < end_ns
         )
         self.queries_served += 1
-        if self._tracer is not None:
-            self._tracer.record(
-                "patterns",
-                "patterns.query",
-                attributes={"matchers": len(matchers), "rows": len(rows)},
-            )
+        self._tracer.record(
+            "patterns",
+            "patterns.query",
+            attributes={"matchers": len(matchers), "rows": len(rows)},
+        )
         return rows
 
     def counts_by_pattern(

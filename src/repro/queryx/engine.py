@@ -48,7 +48,8 @@ class ShardedQueryEngine:
         clock: SimClock,
         planner: QueryPlanner | None = None,
         pool: QuerierPool | None = None,
-        tracer: Tracer | None = None,
+        *,
+        tracer: Tracer,
         cold_latency_fn: Callable[[], int] | None = None,
     ) -> None:
         self._source = source
@@ -157,8 +158,6 @@ class ShardedQueryEngine:
         return results
 
     def _trace(self, plan, base_ns, wall_ns, attempts) -> None:
-        if self.tracer is None:
-            return
         root = self.tracer.record(
             "query-frontend",
             "queryx.query",

@@ -20,25 +20,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from repro.common.errors import ValidationError
-
-_FNV_OFFSET = 0xCBF29CE484222325
-_FNV_PRIME = 0x100000001B3
-_MASK64 = 0xFFFFFFFFFFFFFFFF
-
-
-def unit_interval(seed: int | str, n: int) -> float:
-    """Deterministic uniform-ish value in [0, 1) from ``(seed, n)``.
-
-    The stack's shared jitter primitive: retry schedules hash
-    ``(seed, attempt)``, the self-healing heartbeat loops hash
-    ``(member_id, tick)`` — any site needing reproducible spread uses
-    this instead of shared RNG state, so replays stay bit-identical.
-    """
-    h = _FNV_OFFSET
-    for byte in f"{seed}:{n}".encode():
-        h ^= byte
-        h = (h * _FNV_PRIME) & _MASK64
-    return (h >> 11) / float(1 << 53)
+from repro.common.hashing import unit_interval
 
 
 @dataclass(frozen=True)

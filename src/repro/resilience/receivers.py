@@ -3,7 +3,7 @@
 The delivery chain the framework assembles in reliable mode is
 
     Alertmanager → RetryingReceiver → FlakyReceiver → IdempotentReceiver
-                → (TracingReceiver →) Slack / ServiceNow
+                → TracingReceiver → Slack / ServiceNow
 
 reading outward-in: the retrying layer owns the journal, backoff timers
 and circuit breaker; the flaky layer is the chaos hook (seeded outage
@@ -16,7 +16,7 @@ Slack post or ServiceNow incident.
 from __future__ import annotations
 
 import random
-from typing import TYPE_CHECKING, Callable, Sequence
+from typing import Callable, Sequence
 
 from repro.common.errors import DeliveryError, ValidationError
 from repro.common.simclock import SimClock
@@ -28,9 +28,8 @@ from repro.resilience.journal import (
     NotificationJournal,
     NotificationState,
 )
-
-if TYPE_CHECKING:
-    from repro.tempo.tracer import Tracer
+from repro.tempo.model import SpanStatus
+from repro.tempo.tracer import Tracer
 
 
 class FlakyReceiver:
@@ -152,7 +151,8 @@ class RetryingReceiver:
         breaker: CircuitBreaker | None = None,
         max_attempts: int | None = None,
         on_dead_letter: Callable[[JournalEntry], None] | None = None,
-        tracer: "Tracer | None" = None,
+        *,
+        tracer: Tracer,
     ) -> None:
         if max_attempts is not None and max_attempts < 1:
             raise ValidationError("max_attempts must be positive or None")
@@ -232,10 +232,6 @@ class RetryingReceiver:
         self._clock.call_later(max(1, delay_ns), lambda: self._attempt(entry))
 
     def _trace_attempt(self, entry: JournalEntry, ok: bool) -> None:
-        if self._tracer is None:
-            return
-        from repro.tempo.model import SpanStatus
-
         self._tracer.record(
             self.name,
             "delivery_attempt",

@@ -37,9 +37,10 @@ class RingLokiCluster:
         ingesters: int = 4,
         replication_factor: int = REPLICATION_FACTOR,
         policy: ChunkPolicy | None = None,
-        tracer: Tracer | None = None,
         shard_size: int = 0,
         zones: int = 0,
+        *,
+        tracer: Tracer,
     ) -> None:
         """``shard_size`` > 0 turns on shuffle sharding: streams carrying
         a ``tenant`` label confine their replicas to the tenant's subring

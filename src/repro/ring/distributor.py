@@ -76,9 +76,10 @@ class Distributor:
         ring: HashRing,
         ingesters: Mapping[str, Ingester],
         replication_factor: int = REPLICATION_FACTOR,
-        tracer: Tracer | None = None,
         sharder: ShuffleSharder | None = None,
         zone_aware: bool = False,
+        *,
+        tracer: Tracer,
     ) -> None:
         if replication_factor < 1:
             raise ValidationError("replication factor must be >= 1")
@@ -176,7 +177,7 @@ class Distributor:
         # Only join the tracer's current (sampled) trace: rooting a fresh
         # trace per push would swamp the store and skew the sampling
         # counters.
-        if tracer is not None and tracer.current is not None:
+        if tracer.current is not None:
             span_ctx = tracer.record(
                 "distributor",
                 "push",

@@ -170,7 +170,7 @@ class Ingester:
                 store.push_stream(labels, entries)
 
     # ------------------------------------------------------------------
-    # Read path / maintenance (delegates; crashed replicas refuse)
+    # Read path (a crashed replica refuses)
     # ------------------------------------------------------------------
     @property
     def active(self) -> bool:
@@ -185,28 +185,3 @@ class Ingester:
     ) -> list[tuple[LabelSet, list[LogEntry]]]:
         self._require_active()
         return self.store.select(matchers, start_ns, end_ns, shard=shard)
-
-    def flush_all(self) -> int:
-        self._require_active()
-        return self.store.flush_all()
-
-    def flush_aged(self, now_ns: int) -> int:
-        self._require_active()
-        return self.store.flush_aged(now_ns)
-
-    def delete_before(self, cutoff_ns: int) -> int:
-        self._require_active()
-        return self.store.delete_before(cutoff_ns)
-
-    def sealed_chunks(self):
-        """Sealed resident chunks awaiting shipment to the cold tier."""
-        self._require_active()
-        return self.store.sealed_chunks()
-
-    def drop_chunk(self, labels, chunk) -> bool:
-        """Release a shipped chunk from memory.  The WAL still holds the
-        entries, so a crash + replay re-materializes (and re-seals) them;
-        the re-flushed copies dedup against the already-shipped object by
-        content hash, keeping flush + crash idempotent."""
-        self._require_active()
-        return self.store.drop_chunk(labels, chunk)

@@ -1,7 +1,7 @@
 """Heartbeat-driven failure detection on the simulated clock.
 
 Each ring member runs a heartbeat loop: every ``heartbeat_interval`` (±
-bounded, deterministic jitter — :func:`repro.resilience.backoff.
+bounded, deterministic jitter — :func:`repro.common.hashing.
 unit_interval` hashed over ``(member, tick)``, so replays are
 bit-identical) it stamps its liveness into the shared
 :class:`~repro.selfheal.memberlist.Memberlist`, *provided the process is
@@ -31,7 +31,7 @@ from dataclasses import dataclass
 
 from repro.common.errors import ValidationError
 from repro.common.simclock import NANOS_PER_SECOND, SimClock
-from repro.resilience.backoff import unit_interval
+from repro.common.hashing import unit_interval
 from repro.ring.cluster import RingLokiCluster
 from repro.selfheal.memberlist import Memberlist, MemberState
 from repro.tempo.tracer import Tracer
@@ -94,7 +94,8 @@ class FailureDetector:
         cluster: RingLokiCluster,
         memberlist: Memberlist,
         config: FailureDetectorConfig | None = None,
-        tracer: Tracer | None = None,
+        *,
+        tracer: Tracer,
     ) -> None:
         self.clock = clock
         self.cluster = cluster
@@ -161,12 +162,11 @@ class FailureDetector:
                 verdict = "declare_dead"
             else:
                 continue
-            if self.tracer is not None:
-                self.tracer.record(
-                    "selfheal",
-                    verdict,
-                    attributes={
-                        "member": member,
-                        "heartbeat_age_seconds": f"{age / NANOS_PER_SECOND:.3f}",
-                    },
-                )
+            self.tracer.record(
+                "selfheal",
+                verdict,
+                attributes={
+                    "member": member,
+                    "heartbeat_age_seconds": f"{age / NANOS_PER_SECOND:.3f}",
+                },
+            )

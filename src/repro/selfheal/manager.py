@@ -33,7 +33,7 @@ class SelfHealManager:
         self,
         clock: SimClock,
         cluster: RingLokiCluster,
-        tracer: Tracer | None = None,
+        tracer: Tracer,
     ) -> None:
         self.clock = clock
         self.cluster = cluster

@@ -79,7 +79,7 @@ class RingRepairer:
         clock: SimClock,
         cluster: RingLokiCluster,
         memberlist: Memberlist,
-        tracer: Tracer | None = None,
+        tracer: Tracer,
         holdback: Callable[[str], bool] | None = None,
     ) -> None:
         self.clock = clock
@@ -254,16 +254,15 @@ class RingRepairer:
         self.streams_repaired_total += report.streams_repaired
         self.entries_copied_total += report.entries_copied
         self.reports.append(report)
-        if self.tracer is not None:
-            self.tracer.record(
-                "selfheal",
-                "heal",
-                start_ns=start_ns,
-                attributes={
-                    "streams_repaired": report.streams_repaired,
-                    "entries_copied": report.entries_copied,
-                },
-            )
+        self.tracer.record(
+            "selfheal",
+            "heal",
+            start_ns=start_ns,
+            attributes={
+                "streams_repaired": report.streams_repaired,
+                "entries_copied": report.entries_copied,
+            },
+        )
         return report
 
     def _graft(
@@ -320,15 +319,14 @@ class RingRepairer:
         self.streams_repaired_total += report.streams_repaired
         self.entries_copied_total += report.entries_copied
         self.reports.append(report)
-        if self.tracer is not None:
-            self.tracer.record(
-                "selfheal",
-                "repair_member",
-                start_ns=start_ns,
-                attributes={
-                    "member": member,
-                    "streams_repaired": report.streams_repaired,
-                    "entries_copied": report.entries_copied,
-                },
-            )
+        self.tracer.record(
+            "selfheal",
+            "repair_member",
+            start_ns=start_ns,
+            attributes={
+                "member": member,
+                "streams_repaired": report.streams_repaired,
+                "entries_copied": report.entries_copied,
+            },
+        )
         return report

@@ -44,7 +44,8 @@ class HmsCollector:
         clock: SimClock,
         event_source: RedfishEventSource | None = None,
         sensors: SensorBank | None = None,
-        tracer: Tracer | None = None,
+        *,
+        tracer: Tracer,
     ) -> None:
         self._broker = broker
         self._clock = clock
@@ -64,8 +65,6 @@ class HmsCollector:
         self, name: str, start_ns: int, attributes: dict[str, str]
     ) -> tuple[tuple[str, str], ...]:
         """Root a trace at data birth; empty when tracing is off/sampled out."""
-        if self._tracer is None:
-            return ()
         ctx = self._tracer.record(
             "redfish", name, start_ns=start_ns, attributes=attributes
         )
@@ -132,7 +131,8 @@ class HmsCollector:
         now = self._clock.now_ns
         stamp = f'{now:d},"Value":'
         produce = self._broker.produce
-        traced = self._tracer is not None
+        # One sampling check per batch, not a root span call per sample.
+        traced = self._tracer.sampling > 0.0
         for (head, key, attributes), value in zip(entries, bank.snapshot()):
             headers = (
                 self._trace_headers("hms.sensor_sample", now, attributes)

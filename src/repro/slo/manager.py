@@ -110,7 +110,7 @@ class SloManager:
         *,
         windows: Iterable[BurnWindow] = DEFAULT_BURN_WINDOWS,
         cluster: str = "",
-        tracer: Tracer | None = None,
+        tracer: Tracer,
     ) -> None:
         self.windows = tuple(windows)
         if not self.windows:
@@ -254,15 +254,14 @@ class SloManager:
             for sample in burns.samples(alias.ast):
                 labels = recorded_as(alias, outputs, sample.labels)
                 recorded += self.recording.record(alias.record, labels, sample.value)
-        if self._tracer is not None:
-            self._tracer.record(
-                "recording",
-                "evaluate_rules",
-                attributes={
-                    "rules": len(self._ratio_rules) + len(self._aliases),
-                    "samples": recorded,
-                },
-            )
+        self._tracer.record(
+            "recording",
+            "evaluate_rules",
+            attributes={
+                "rules": len(self._ratio_rules) + len(self._aliases),
+                "samples": recorded,
+            },
+        )
         return burns
 
     def evaluate_budgets(self, burns: Evaluation) -> None:
@@ -275,10 +274,9 @@ class SloManager:
             entry.history.append((now, current.get(name, {})))
             self._check_exhaustion(entry, now)
         self.evaluations += 1
-        if self._tracer is not None:
-            self._tracer.record(
-                "slo", "evaluate_budgets", attributes={"slos": len(self._entries)}
-            )
+        self._tracer.record(
+            "slo", "evaluate_budgets", attributes={"slos": len(self._entries)}
+        )
 
     def _current_burns(self, burns: Evaluation) -> dict[str, dict[str, float]]:
         """Latest recorded burn per SLO and distinct window, out of one

@@ -14,9 +14,14 @@ cause to effect:
 3. **alertmanager group → receiver** — bridged by remembering the firing
    alert's context per fingerprint until delivery.
 
-All state is bounded (FIFO) and all methods no-op when handed ``None``
-contexts, so an unsampled or disabled pipeline takes the exact same code
-path with zero recorded state.
+Every framework builds one :class:`PipelineTracing` around its tracer,
+whatever its sampling rate.  All state is bounded (FIFO) and every method
+records nothing without a context, so an unsampled record, or any record
+of a tracer at ``sampling = 0.0`` (tracing off), leaves no state behind.
+A per-record site calls in here only for a record that has a context:
+the consumer pump for one carrying a ``traceparent`` header, a store
+write while the tracer's :attr:`~repro.tempo.tracer.Tracer.current` is
+set.
 """
 
 from __future__ import annotations

@@ -20,12 +20,11 @@ LATENCY_P50_METRIC = "tempo_stage_latency_p50_seconds"
 LATENCY_P99_METRIC = "tempo_stage_latency_p99_seconds"
 
 
-def _nearest_rank(sorted_values: list[int], quantile: float) -> int:
-    """Nearest-rank percentile — exact and deterministic, no interpolation."""
-    if not sorted_values:
-        return 0
-    rank = max(1, -(-int(quantile * 1000) * len(sorted_values) // 1000))
-    return sorted_values[min(rank, len(sorted_values)) - 1]
+def _nearest_rank(items: list[tuple[int, str]], quantile: float) -> int:
+    """Nearest-rank percentile of a non-empty sorted ``(duration_ns,
+    trace_id)`` list — exact and deterministic, no interpolation."""
+    rank = max(1, -(-int(quantile * 1000) * len(items) // 1000))
+    return items[min(rank, len(items)) - 1][0]
 
 
 class TraceMetricsExporter:
@@ -52,15 +51,9 @@ class TraceMetricsExporter:
         if self._tsdb.ingest(TRACE_COUNT_METRIC, base, float(len(self._store)), now):
             written += 1
 
-        by_service: dict[str, list[tuple[int, str]]] = {}
-        for span in self._store.all_spans():
-            by_service.setdefault(span.service, []).append(
-                (span.duration_ns, span.trace_id)
-            )
-        for service, items in sorted(by_service.items()):
+        for service, items in sorted(self._store.durations_by_service().items()):
             labels = {**base, "service": service}
-            durations = sorted(d for d, _ in items)
-            slowest_ns, slowest_trace = max(items)
+            slowest_ns, slowest_trace = items[-1]
             exemplar = Exemplar(
                 trace_id=slowest_trace,
                 value=slowest_ns / 1e9,
@@ -71,14 +64,14 @@ class TraceMetricsExporter:
             if self._tsdb.ingest(
                 LATENCY_P50_METRIC,
                 labels,
-                _nearest_rank(durations, 0.50) / 1e9,
+                _nearest_rank(items, 0.50) / 1e9,
                 now,
             ):
                 written += 1
             if self._tsdb.ingest(
                 LATENCY_P99_METRIC,
                 labels,
-                _nearest_rank(durations, 0.99) / 1e9,
+                _nearest_rank(items, 0.99) / 1e9,
                 now,
                 exemplar=exemplar,
             ):

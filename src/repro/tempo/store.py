@@ -8,10 +8,16 @@ engine built on top of it.
 Capacity is bounded by whole traces, FIFO by first-seen order: when the
 ``max_traces`` limit is reached the oldest trace is dropped in full, never
 individual spans (a half-evicted trace is worse than none).
+
+Per service the store keeps every stored span's ``(duration_ns,
+trace_id)`` in sorted order, updated as spans arrive and traces are
+evicted, so the self-metrics read a service's count, quantiles and
+slowest span without a scan.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_left, insort
 from collections import OrderedDict
 from dataclasses import dataclass
 
@@ -36,6 +42,7 @@ class TraceStore:
     def __init__(self) -> None:
         self.max_traces = 10_000
         self._traces: OrderedDict[str, list[Span]] = OrderedDict()
+        self._durations: dict[str, list[tuple[int, str]]] = {}
         self.spans_added = 0
         self.traces_evicted = 0
 
@@ -46,10 +53,19 @@ class TraceStore:
         spans = self._traces.get(span.trace_id)
         if spans is None:
             while len(self._traces) >= self.max_traces:
-                self._traces.popitem(last=False)
+                _, evicted = self._traces.popitem(last=False)
+                for old in evicted:
+                    durations = self._durations[old.service]
+                    del durations[bisect_left(durations, (old.duration_ns, old.trace_id))]
+                    if not durations:
+                        del self._durations[old.service]
                 self.traces_evicted += 1
             spans = self._traces[span.trace_id] = []
         spans.append(span)
+        insort(
+            self._durations.setdefault(span.service, []),
+            (span.duration_ns, span.trace_id),
+        )
         self.spans_added += 1
 
     # ------------------------------------------------------------------
@@ -61,6 +77,12 @@ class TraceStore:
     @property
     def span_count(self) -> int:
         return sum(len(s) for s in self._traces.values())
+
+    def durations_by_service(self) -> dict[str, list[tuple[int, str]]]:
+        """Per service with stored spans, each span's ``(duration_ns,
+        trace_id)`` in ascending order.  The lists are the store's own:
+        read them, do not change them."""
+        return self._durations
 
     def trace_ids(self) -> list[str]:
         """Trace IDs in first-seen order."""

@@ -14,8 +14,9 @@ the context as an argument.
 
 Sampling is head-based and decided once per trace at the root: a sampled-
 out root returns ``None`` and every downstream stage, seeing no context,
-records nothing.  ``sampling <= 0`` short-circuits before the RNG is
-touched, so a disabled tracer is a pure no-op and perturbs nothing.
+records nothing.  Every component holds a tracer; tracing off is
+``sampling = 0.0``, which short-circuits before the RNG is touched, so
+such a tracer records nothing, counts nothing and perturbs nothing.
 """
 
 from __future__ import annotations
@@ -42,7 +43,10 @@ class Tracer:
             raise ValueError(f"sampling must be in [0, 1], got {sampling}")
         self.store = store
         self._clock = clock
-        self._sampling = sampling
+        #: Head-sampling rate; 0.0 is tracing off.  A root span inside a
+        #: loop over records reads it once per batch instead of calling
+        #: :meth:`record` per item.
+        self.sampling = sampling
         self._rng = random.Random(seed)
         #: The context the store write in progress joins, or ``None``.
         self.current: SpanContext | None = None
@@ -66,12 +70,12 @@ class Tracer:
 
     def _sample_root(self) -> bool:
         """One head-sampling decision per new trace."""
-        if self._sampling <= 0.0:
+        if self.sampling <= 0.0:
             return False
         self.traces_started += 1
-        if self._sampling >= 1.0:
+        if self.sampling >= 1.0:
             return True
-        if self._rng.random() < self._sampling:
+        if self._rng.random() < self.sampling:
             return True
         self.traces_sampled_out += 1
         return False

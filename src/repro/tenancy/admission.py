@@ -68,7 +68,7 @@ class AdmissionController:
         self,
         registry: LimitsRegistry,
         clock: SimClock,
-        tracer: Tracer | None = None,
+        tracer: Tracer,
     ) -> None:
         self.registry = registry
         self.clock = clock
@@ -200,14 +200,14 @@ class AdmissionController:
             if tag is not stream.labels:
                 self._tagged[(tenant, stream.labels)] = tag
         counters.entries_accepted += total
-        tracer = self.tracer
         # Join only the tracer's current (sampled) trace, like the
         # distributor: one rooted trace per push would swamp the store.
-        if tracer is not None and tracer.current is not None:
-            tracer.record(
+        parent = self.tracer.current
+        if parent is not None:
+            self.tracer.record(
                 "admission",
                 "admit",
-                tracer.current,
+                parent,
                 attributes={"tenant": tenant, "entries": total},
             )
         return tagged
@@ -217,12 +217,12 @@ class AdmissionController:
     ) -> None:
         counters.pushes_rejected += 1
         counters.discarded[reason] = counters.discarded.get(reason, 0) + entries
-        tracer = self.tracer
-        if tracer is not None and tracer.current is not None:
-            tracer.record(
+        parent = self.tracer.current
+        if parent is not None:
+            self.tracer.record(
                 "admission",
                 f"reject:{reason}",
-                tracer.current,
+                parent,
                 attributes={"tenant": tenant, "entries": entries},
             )
 

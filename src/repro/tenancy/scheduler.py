@@ -86,7 +86,8 @@ class QueryScheduler:
         registry: LimitsRegistry | None = None,
         max_concurrency: int = 4,
         fair: bool = True,
-        tracer: Tracer | None = None,
+        *,
+        tracer: Tracer,
     ) -> None:
         """``fair=False`` degrades to one global FIFO with no per-tenant
         caps — the single-tenant legacy behaviour bench M1 compares
@@ -242,25 +243,24 @@ class QueryScheduler:
             stats.completed += 1
         self._running_total -= 1
         self._running[ticket.tenant] -= 1
-        if self.tracer is not None:
-            ctx = self.tracer.record(
-                "scheduler",
-                "execute",
-                start_ns=ticket.submitted_ns,
-                attributes={
-                    "tenant": ticket.tenant,
-                    "wait_ns": ticket.wait_ns,
-                    "status": "error" if ticket.error else "ok",
-                },
+        ctx = self.tracer.record(
+            "scheduler",
+            "execute",
+            start_ns=ticket.submitted_ns,
+            attributes={
+                "tenant": ticket.tenant,
+                "wait_ns": ticket.wait_ns,
+                "status": "error" if ticket.error else "ok",
+            },
+        )
+        if ctx is not None:
+            self.tracer.record(
+                "querier",
+                "query_range",
+                ctx,
+                start_ns=ticket.started_ns or ticket.submitted_ns,
+                attributes={"query": ticket.query[:80]},
             )
-            if ctx is not None:
-                self.tracer.record(
-                    "querier",
-                    "query_range",
-                    ctx,
-                    start_ns=ticket.started_ns or ticket.submitted_ns,
-                    attributes={"query": ticket.query[:80]},
-                )
         self._dispatch()
 
     # ------------------------------------------------------------------

@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from repro.common.errors import ValidationError
+from repro.common.hashing import unit_interval
 from repro.common.simclock import minutes, seconds
 from repro.resilience.backoff import BackoffPolicy
 
@@ -88,3 +89,18 @@ class TestProperties:
     @given(policies, st.integers(min_value=0, max_value=64))
     def test_at_least_base(self, policy, attempt):
         assert policy.delay_ns(attempt) >= min(policy.base_ns, policy.cap_ns)
+
+
+@pytest.mark.parametrize(
+    "seed, n, value",
+    [
+        (0, 0, 0.30610597695091735),
+        (0, 1, 0.30610591734627257),
+        (7, 3, 0.20709086024643542),
+        ("ingester-2", 41, 0.783199364425298),
+        ("x", -5, 0.122440894019899),
+    ],
+)
+def test_unit_interval_values_are_pinned(seed, n, value):
+    """Every jittered schedule and heartbeat replays from these bits."""
+    assert unit_interval(seed, n) == value

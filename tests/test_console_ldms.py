@@ -15,6 +15,8 @@ from repro.omni.warehouse import OmniWarehouse
 from repro.shasta.console import ConsoleCollector, TOPIC_CONSOLE_LOGS
 from repro.shasta.ldms import LdmsAggregator, LdmsConsumer, TOPIC_LDMS
 from repro.shasta.telemetry_api import TelemetryAPI
+from repro.tempo.instrument import PipelineTracing
+from tests.tracing import off_tracer
 
 
 @pytest.fixture
@@ -111,7 +113,7 @@ class TestLdms:
         api = TelemetryAPI(broker)
         api.register_client("pods", "tok")
         warehouse = OmniWarehouse(clock)
-        consumer = LdmsConsumer(api, "tok", warehouse)
+        consumer = LdmsConsumer(api, "tok", warehouse, tracing=PipelineTracing(off_tracer()))
         agg.sample_once()
         assert consumer.pump() == len(cluster.nodes)
         samples = warehouse.tsdb.samples_ingested
@@ -123,7 +125,8 @@ class TestLdms:
         broker.produce(TOPIC_LDMS, "garbage")
         api = TelemetryAPI(broker)
         api.register_client("pods", "tok")
-        consumer = LdmsConsumer(api, "tok", OmniWarehouse(clock))
+        consumer = LdmsConsumer(api, "tok", OmniWarehouse(clock),
+            tracing=PipelineTracing(off_tracer()))
         consumer.pump()
         assert consumer.records_failed == 1
 
@@ -146,7 +149,7 @@ class TestLdms:
         api = TelemetryAPI(broker)
         api.register_client("pods", "tok")
         warehouse = OmniWarehouse(clock)
-        consumer = LdmsConsumer(api, "tok", warehouse)
+        consumer = LdmsConsumer(api, "tok", warehouse, tracing=PipelineTracing(off_tracer()))
         broker.produce(
             TOPIC_LDMS,
             '{"Context":"x1000c0s0b0n0","Timestamp":5,"Cluster":"p",'

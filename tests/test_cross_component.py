@@ -15,12 +15,13 @@ from repro.loki.ruler import Ruler
 from repro.ring.cluster import RingLokiCluster
 from repro.tsdb.promql import PromQLEngine
 from repro.tsdb.storage import TimeSeriesStore
+from tests.tracing import off_tracer
 
 
 class TestEngineOverShardedCluster:
     @pytest.fixture
     def world(self):
-        cluster = RingLokiCluster(ingesters=4, replication_factor=1)
+        cluster = RingLokiCluster(ingesters=4, replication_factor=1, tracer=off_tracer())
         for i in range(40):
             cluster.push(
                 PushRequest.single(

@@ -3,6 +3,7 @@
 import pytest
 
 from repro.exporters.deltas import RecentDelta
+from tests.tracing import off_tracer
 
 
 class TestRecentDelta:
@@ -74,7 +75,7 @@ class TestExporterMigration:
                 ingestion_rate_lines_s=5.0, ingestion_burst_lines=5
             )
         )
-        admission = AdmissionController(registry, clock)
+        admission = AdmissionController(registry, clock, tracer=off_tracer())
         request = PushRequest(
             streams=(
                 PushStream(

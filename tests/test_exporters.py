@@ -17,13 +17,7 @@ from repro.exporters.blackbox import BlackboxExporter, ProbeTarget
 from repro.exporters.exporter import Exporter
 from repro.exporters.kafka_exporter import KafkaExporter
 from repro.exporters.node import NodeExporter
-from repro.exporters.textformat import (
-    MetricFamily,
-    MetricPoint,
-    parse_exposition,
-    render_exposition,
-    sample_line,
-)
+from repro.exporters.textformat import MetricPoint, parse_exposition, sample_line
 
 _FINITE = st.floats(allow_nan=False, allow_infinity=False, width=32)
 #: Everything a read function may hand over as a sample value.
@@ -38,27 +32,36 @@ _VALUES = st.one_of(
 )
 
 
+def _exposition(value, labels=None, name="m", type="gauge", help=""):
+    """One sample through the one renderer: an exporter's scrape text."""
+    exporter = Exporter((((name, type, help),), lambda: [(name, value, labels)]))
+    return exporter.scrape().text()
+
+
 class TestTextFormat:
     def test_render_basic(self):
-        fam = MetricFamily("m", "help text", "gauge")
-        fam.add(1.5, xname="x1")
-        text = render_exposition([fam])
-        assert "# HELP m help text" in text
-        assert "# TYPE m gauge" in text
-        assert 'm{xname="x1"} 1.5' in text
+        text = _exposition(1.5, {"xname": "x1"}, help="help text")
+        assert text == '# HELP m help text\n# TYPE m gauge\nm{xname="x1"} 1.5\n'
 
     def test_render_no_labels(self):
-        fam = MetricFamily("m")
-        fam.add(2.0)
-        assert "m 2.0" in render_exposition([fam])
+        assert _exposition(2.0) == "# TYPE m gauge\nm 2.0\n"
+        # A counter handed over as an int is stored, and spelled, a float.
+        assert _exposition(7).endswith("\nm 7.0\n")
+
+    def test_render_special_values(self):
+        assert _exposition(math.nan).endswith("\nm NaN\n")
+        assert _exposition(math.inf).endswith("\nm +Inf\n")
+        assert _exposition(-math.inf).endswith("\nm -Inf\n")
+        (p,) = parse_exposition(_exposition(-math.inf))
+        assert p.value == -math.inf
 
     def test_bad_metric_name_rejected(self):
         with pytest.raises(ValidationError):
-            MetricFamily("9bad")
+            _exposition(1.0, name="9bad")
 
     def test_bad_type_rejected(self):
         with pytest.raises(ValidationError):
-            MetricFamily("m", type="histogram")
+            _exposition(1.0, type="histogram")
 
     def test_parse_basic(self):
         points = parse_exposition('m{a="1",b="2"} 3.5\n')
@@ -85,10 +88,10 @@ class TestTextFormat:
             parse_exposition("m notanumber")
 
     def test_escaping_roundtrip(self):
-        fam = MetricFamily("m")
-        fam.add(1.0, msg='say "hi"\\now')
-        (p,) = parse_exposition(render_exposition([fam]))
-        assert p.labels["msg"] == 'say "hi"\\now'
+        text = _exposition(1.0, {"msg": 'say "hi"\\now\nnext'})
+        assert 'msg="say \\"hi\\"\\\\now\\nnext"' in text
+        (p,) = parse_exposition(text)
+        assert p.labels["msg"] == 'say "hi"\\now\nnext'
 
     @given(
         st.dictionaries(
@@ -104,9 +107,7 @@ class TestTextFormat:
         _VALUES,
     )
     def test_roundtrip_property(self, labels, value):
-        fam = MetricFamily("metric_name")
-        fam.add(value, **labels)
-        (p,) = parse_exposition(render_exposition([fam]))
+        (p,) = parse_exposition(_exposition(value, labels, name="metric_name"))
         assert p.labels == labels
         assert p.value == pytest.approx(float(value))
 
@@ -118,7 +119,7 @@ class TestTextFormat:
         assert sample_line("m", None, np.int64(7)) == "m 7"
         assert sample_line("m", None, True) == "m 1"
         assert sample_line("m", None, 7) == "m 7"
-        assert sample_line("m", {"b": "2", "a": "1"}, 2.5, 9) == 'm{a="1",b="2"} 2.5 9'
+        assert sample_line("m", {"b": "2", "a": "1"}, 2.5) == 'm{a="1",b="2"} 2.5'
         assert sample_line("m", None, np.float64("nan")) == "m NaN"
         assert sample_line("m", None, -math.inf) == "m -Inf"
 

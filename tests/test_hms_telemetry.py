@@ -17,6 +17,7 @@ from repro.shasta.hms import (
 )
 from repro.shasta.redfish import RedfishEventSource
 from repro.shasta.telemetry_api import TelemetryAPI
+from tests.tracing import off_tracer
 
 
 @pytest.fixture
@@ -27,7 +28,7 @@ def world():
     injector = FaultInjector(cluster, clock, sensors)
     broker = Broker(clock)
     source = RedfishEventSource(cluster, clock)
-    hms = HmsCollector(broker, clock, source, sensors)
+    hms = HmsCollector(broker, clock, source, sensors, tracer=off_tracer())
     return clock, cluster, injector, broker, hms
 
 

@@ -21,6 +21,8 @@ from repro.core.framework import FrameworkConfig, MonitoringFramework
 from repro.omni.warehouse import OmniWarehouse
 from repro.shasta.hms import TOPIC_SYSLOG
 from repro.shasta.telemetry_api import TelemetryAPI
+from repro.tempo.instrument import PipelineTracing
+from tests.tracing import off_tracer
 
 TEXT = st.text(max_size=40)
 LABELS = st.dictionaries(TEXT, TEXT, max_size=5)
@@ -99,7 +101,8 @@ class TestRoundTrip:
         api = TelemetryAPI(broker)
         api.register_client("pod", "token")
         warehouse = OmniWarehouse(clock)
-        consumer = LogLineConsumer(api, "token", "logs", warehouse)
+        consumer = LogLineConsumer(api, "token", "logs", warehouse,
+            tracing=PipelineTracing(off_tracer()))
         encoder = LogEnvelopeEncoder()
         want: dict[tuple, list[str]] = {}
         for ts, (labels, line) in enumerate(published):

@@ -36,6 +36,7 @@ from repro.queryx.bloom import BloomStore
 from repro.ring.cluster import RingLokiCluster
 from repro.ring.merge import merge_replica_entries, merge_streams
 from repro.tsdb.storage import TimeSeriesStore
+from tests.tracing import off_tracer
 
 #: Small enough that a stream of a dozen lines seals a chunk or two.
 POLICY = ChunkPolicy(target_size_bytes=200, max_age_ns=hours(2))
@@ -48,7 +49,7 @@ WORDS = ("GPU memory error", "link flap", "ok heartbeat", "disk I/O error")
 
 
 def ring():
-    return RingLokiCluster(ingesters=4, replication_factor=3, policy=POLICY)
+    return RingLokiCluster(ingesters=4, replication_factor=3, policy=POLICY, tracer=off_tracer())
 
 
 def tiered(hot):
@@ -60,9 +61,9 @@ def tiered(hot):
         hot,
         objstore,
         index,
-        ChunkShipper(hot, objstore, index, clock),
-        Compactor(objstore, index, clock, derived=(blooms,)),
-        StoreGateway(objstore, index, clock, blooms=blooms),
+        ChunkShipper(hot, objstore, index, clock, tracer=off_tracer()),
+        Compactor(objstore, index, clock, derived=(blooms,), tracer=off_tracer()),
+        StoreGateway(objstore, index, clock, blooms=blooms, tracer=off_tracer()),
     )
 
 
@@ -233,7 +234,7 @@ class TestLogStoreContract:
         cutoff = int(seconds(cutoff_s))
         before = store.select(MATCH_ALL, start, end)
         clock = SimClock(cutoff + HOT)
-        lifecycle = Lifecycle(clock, store, TimeSeriesStore(), Broker(clock))
+        lifecycle = Lifecycle(clock, store, TimeSeriesStore(), Broker(clock), tracer=off_tracer())
         lifecycle.hot_window_ns = HOT
         moved = lifecycle.sweep()
         archived = lifecycle.archive.select(MATCH_ALL, start, end)
@@ -252,7 +253,7 @@ def test_ring_expiry_archives_every_acknowledged_entry_once():
     Retention must archive the union of the replicas, not the fullest
     one: ``delete_before`` drops the stream from all three."""
     clock = SimClock(0)
-    cluster = RingLokiCluster(ingesters=3, replication_factor=3, policy=POLICY)
+    cluster = RingLokiCluster(ingesters=3, replication_factor=3, policy=POLICY, tracer=off_tracer())
     labels = LabelSet({"app": "fm", "host": "n0"})
     acknowledged = []
 
@@ -272,7 +273,7 @@ def test_ring_expiry_archives_every_acknowledged_entry_once():
     assert len(acknowledged) == 15
 
     clock.advance(hours(1))
-    lifecycle = Lifecycle(clock, cluster, TimeSeriesStore(), Broker(clock))
+    lifecycle = Lifecycle(clock, cluster, TimeSeriesStore(), Broker(clock), tracer=off_tracer())
     lifecycle.hot_window_ns = hours(1) - 100
     assert cluster.expired_entries(lifecycle.cutoff_ns()) == [(labels, acknowledged)]
     assert lifecycle.sweep() == 15

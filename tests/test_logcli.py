@@ -9,6 +9,7 @@ from repro.common.simclock import minutes, seconds
 from repro.loki.logcli import run_logcli
 from repro.loki.model import PushRequest
 from repro.loki.store import LokiStore
+from tests.tracing import off_tracer
 
 
 @pytest.fixture
@@ -138,7 +139,7 @@ def _tiered(hot):
 def _ring():
     from repro.ring.cluster import RingLokiCluster
 
-    return RingLokiCluster(ingesters=4, replication_factor=3)
+    return RingLokiCluster(ingesters=4, replication_factor=3, tracer=off_tracer())
 
 
 def _cold_only():

@@ -13,14 +13,15 @@ from repro.loki.store import LokiStore
 from repro.patterns.ingester import PatternIngester
 from repro.patterns.store import PatternStore
 from repro.common.simclock import SimClock
+from tests.tracing import off_tracer
 
 
 @pytest.fixture
 def world():
     clock = SimClock()
     store = LokiStore()
-    patterns = PatternStore()
-    ingester = PatternIngester(clock, patterns)
+    patterns = PatternStore(tracer=off_tracer())
+    ingester = PatternIngester(clock, patterns, tracer=off_tracer())
     labels = {"app": "api"}
     entries = [
         (i, f"I/O error on dev sda, sector {i}") for i in range(5)

@@ -50,6 +50,7 @@ from repro.objstore import (
 from repro.queryx.bloom import BloomStore
 from repro.ring.cluster import RingLokiCluster
 from tests import test_vector_reference as shared
+from tests.tracing import off_tracer
 
 #: Small enough that a stream of a dozen lines seals a chunk or two.
 POLICY = ChunkPolicy(target_size_bytes=200, max_age_ns=hours(2))
@@ -191,7 +192,7 @@ def bare_store(streams):
 def ring_one_replica_behind(streams):
     """RF 3 over four ingesters; one crashes halfway through every
     stream and comes back from its WAL holding only the first halves."""
-    cluster = RingLokiCluster(ingesters=4, replication_factor=3, policy=POLICY)
+    cluster = RingLokiCluster(ingesters=4, replication_factor=3, policy=POLICY, tracer=off_tracer())
     for labels, entries in streams:
         if entries[: len(entries) // 2]:
             cluster.push_stream(labels, entries[: len(entries) // 2])
@@ -210,10 +211,10 @@ def tiered_early_chunks_cold(streams):
     hot = LokiStore(POLICY)
     objstore = ObjectStore(clock)
     index = ShipperIndex(objstore)
-    shipper = ChunkShipper(hot, objstore, index, clock)
+    shipper = ChunkShipper(hot, objstore, index, clock, tracer=off_tracer())
     blooms = BloomStore(objstore)
-    compactor = Compactor(objstore, index, clock, derived=(blooms,))
-    gateway = StoreGateway(objstore, index, clock, blooms=blooms)
+    compactor = Compactor(objstore, index, clock, derived=(blooms,), tracer=off_tracer())
+    gateway = StoreGateway(objstore, index, clock, blooms=blooms, tracer=off_tracer())
     tiered = TieredLokiStore(hot, objstore, index, shipper, compactor, gateway)
     for labels, entries in streams:
         if entries[: len(entries) // 2]:

@@ -9,6 +9,7 @@ from repro.loki.index import LabelIndex
 from repro.loki.model import LogEntry, PushRequest
 from repro.loki.store import LokiStore
 from repro.ring.cluster import RingLokiCluster
+from tests.tracing import off_tracer
 
 
 class TestLabelIndex:
@@ -241,7 +242,7 @@ class TestAntiEntropySurface:
 
 def ring(ingesters):
     """The one sharded cluster: the ingest ring, unreplicated."""
-    return RingLokiCluster(ingesters=ingesters, replication_factor=1)
+    return RingLokiCluster(ingesters=ingesters, replication_factor=1, tracer=off_tracer())
 
 
 def entry_counts(cluster):

@@ -26,6 +26,7 @@ from repro.objstore import (
 from repro.patterns.ingester import PatternIngester
 from repro.patterns.store import PatternStore
 from repro.queryx.bloom import BloomStore
+from tests.tracing import off_tracer
 
 STREAMS = (
     LabelSet({"app": "api", "tenant": "ops"}),
@@ -58,7 +59,7 @@ def lines_for(rng, labels, day, n):
 
 def ship(loki, objstore, index, clock):
     loki.flush_all()
-    ChunkShipper(loki, objstore, index, clock).flush()
+    ChunkShipper(loki, objstore, index, clock, tracer=off_tracer()).flush()
 
 
 def seeded_world():
@@ -74,15 +75,16 @@ def seeded_world():
     objstore = ObjectStore(clock)
     index = ShipperIndex(objstore)
     blooms = BloomStore(objstore)
-    patterns = PatternStore(objstore)
+    patterns = PatternStore(objstore, tracer=off_tracer())
     compactor = Compactor(
         objstore,
         index,
         clock,
         policy=CompactionPolicy(target_object_bytes=2048),
         derived=(blooms, patterns),
+        tracer=off_tracer(),
     )
-    ingester = PatternIngester(clock, patterns)
+    ingester = PatternIngester(clock, patterns, tracer=off_tracer())
     loki = LokiStore(ChunkPolicy(target_size_bytes=512, max_age_ns=minutes(5)))
     for day in range(3):
         for labels in STREAMS:
@@ -135,7 +137,7 @@ class TestBucketBytes:
     def test_rebuild_reproduces_each_table(self):
         objstore, _index, blooms, patterns = seeded_world()
         cold_blooms = BloomStore(objstore)
-        cold_patterns = PatternStore(objstore)
+        cold_patterns = PatternStore(objstore, tracer=off_tracer())
         assert cold_blooms.rebuild() == len(blooms._blocks)
         assert cold_patterns.rebuild() == len(patterns._blocks)
         for warm, cold in ((blooms, cold_blooms), (patterns, cold_patterns)):
@@ -172,13 +174,14 @@ class TestOneFetchPerGroup:
 
         monkeypatch.setattr(ObjectStore, "get_with_latency", counting_get)
         blooms = BloomStore(objstore)
-        patterns = PatternStore(objstore)
+        patterns = PatternStore(objstore, tracer=off_tracer())
         compactor = Compactor(
             objstore,
             index,
             clock,
             policy=CompactionPolicy(min_merge_chunks=1000),  # no merges
             derived=(blooms, patterns),
+            tracer=off_tracer(),
         )
         assert compactor.run().ok
         assert sorted(gets) == sorted(chunk_keys)

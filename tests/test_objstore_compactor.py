@@ -24,6 +24,7 @@ from repro.objstore import (
     ShipperIndex,
     StoreGateway,
 )
+from tests.tracing import off_tracer
 
 MATCH_ALL = [label_matcher("app", "=~", ".+")]
 LABELS = LabelSet({"app": "api"})
@@ -37,14 +38,14 @@ def make_tier(**compactor_kwargs):
     clock = SimClock()
     objstore = ObjectStore(clock)
     index = ShipperIndex(objstore)
-    compactor = Compactor(objstore, index, clock, **compactor_kwargs)
-    gateway = StoreGateway(objstore, index, clock)
+    compactor = Compactor(objstore, index, clock, tracer=off_tracer(), **compactor_kwargs)
+    gateway = StoreGateway(objstore, index, clock, tracer=off_tracer())
     return clock, objstore, index, compactor, gateway
 
 
 def ship(objstore, index, store, clock=None):
     store.flush_all()
-    return ChunkShipper(store, objstore, index, clock or SimClock()).flush()
+    return ChunkShipper(store, objstore, index, clock or SimClock(), tracer=off_tracer()).flush()
 
 
 def entries_for(n, start_ns=0, step_ns=1_000_000, tag=""):
@@ -198,7 +199,8 @@ class TestDeleteRequests:
         expired = compactor.delete_chunks_before(10**13)
         assert expired > 2
         text = ObjstoreExporter(
-            objstore, index, ChunkShipper(store, objstore, index, clock), compactor
+            objstore, index, ChunkShipper(store, objstore, index, clock,
+                tracer=off_tracer()), compactor
         ).scrape().text()
         deleted = 'objstore_retention_chunks_deleted_total{reason="%s"} %s'
         assert deleted % ("request", float(chunks)) in text.splitlines()
@@ -227,7 +229,7 @@ class TestIndexFilesAndOutage:
     def test_run_collapses_index_snapshot_pile(self):
         clock, objstore, index, compactor, _ = make_tier()
         store = LokiStore(small_chunks())
-        shipper = ChunkShipper(store, objstore, index, clock)
+        shipper = ChunkShipper(store, objstore, index, clock, tracer=off_tracer())
         for round_no in range(4):
             store.push_stream(
                 LABELS, entries_for(100, start_ns=round_no * 10**9)

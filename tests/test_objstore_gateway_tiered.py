@@ -25,6 +25,7 @@ from repro.objstore import (
 from repro.omni.lifecycle import Lifecycle
 from repro.ring.cluster import RingLokiCluster
 from repro.tsdb.storage import TimeSeriesStore
+from tests.tracing import off_tracer
 
 MATCH_ALL = [label_matcher("app", "=~", ".+")]
 LABELS = LabelSet({"app": "api"})
@@ -41,9 +42,9 @@ def make_tiered(hot=None):
     hot = hot if hot is not None else LokiStore(small_chunks())
     objstore = ObjectStore(clock)
     index = ShipperIndex(objstore)
-    shipper = ChunkShipper(hot, objstore, index, clock)
-    compactor = Compactor(objstore, index, clock)
-    gateway = StoreGateway(objstore, index, clock)
+    shipper = ChunkShipper(hot, objstore, index, clock, tracer=off_tracer())
+    compactor = Compactor(objstore, index, clock, tracer=off_tracer())
+    gateway = StoreGateway(objstore, index, clock, tracer=off_tracer())
     tiered = TieredLokiStore(hot, objstore, index, shipper, compactor, gateway)
     return clock, tiered
 
@@ -114,7 +115,7 @@ class TestTieredSelect:
         twin = LokiStore(small_chunks())
         twin.push_stream(LABELS, corpus)
         twin.flush_all()
-        ChunkShipper(twin, tiered.objstore, tiered.index, clock).flush()
+        ChunkShipper(twin, tiered.objstore, tiered.index, clock, tracer=off_tracer()).flush()
 
         assert tiered.cold_entry_count() == len(corpus)
         assert hot.stats.entries_ingested == len(corpus)
@@ -123,7 +124,8 @@ class TestTieredSelect:
 
     def test_tiered_through_ring(self):
         ring = RingLokiCluster(
-            ingesters=4, replication_factor=3, policy=small_chunks()
+            ingesters=4, replication_factor=3, policy=small_chunks(),
+            tracer=off_tracer(),
         )
         clock, tiered = make_tiered(hot=ring)
         corpus = entries_for(200)
@@ -157,7 +159,8 @@ class TestShardPushDown:
         [
             lambda: LokiStore(small_chunks()),
             lambda: RingLokiCluster(
-                ingesters=4, replication_factor=3, policy=small_chunks()
+                ingesters=4, replication_factor=3, policy=small_chunks(),
+                tracer=off_tracer(),
             ),
         ],
         ids=["store", "ring_rf3"],
@@ -191,7 +194,8 @@ class TestShardPushDown:
 
         monkeypatch.setattr(distributor, "merge_streams", spy)
         ring = RingLokiCluster(
-            ingesters=4, replication_factor=3, policy=small_chunks()
+            ingesters=4, replication_factor=3, policy=small_chunks(),
+            tracer=off_tracer(),
         )
         tiered = self.world(ring)
         on_shard = tiered.select(MATCH_ALL, 10**10, FAR_FUTURE_NS, shard=(1, 4))
@@ -231,7 +235,7 @@ class TestTieredMaintenance:
         recent = entries_for(80, start_ns=now - days(1))
         tiered.push_stream(LABELS, recent)
 
-        lifecycle = Lifecycle(clock, tiered, TimeSeriesStore(), Broker(clock))
+        lifecycle = Lifecycle(clock, tiered, TimeSeriesStore(), Broker(clock), tracer=off_tracer())
         lifecycle.hot_window_ns = days(365)
         moved = lifecycle.sweep()
         assert moved == len(ancient)

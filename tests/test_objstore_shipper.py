@@ -19,6 +19,7 @@ from repro.objstore import (
     StoreGateway,
 )
 from repro.ring.cluster import RingLokiCluster
+from tests.tracing import off_tracer
 
 MATCH_ALL = [label_matcher("app", "=", "api")]
 LABELS = LabelSet({"app": "api"})
@@ -32,7 +33,7 @@ def make_tier(source):
     clock = SimClock()
     objstore = ObjectStore(clock)
     index = ShipperIndex(objstore)
-    shipper = ChunkShipper(source, objstore, index, clock)
+    shipper = ChunkShipper(source, objstore, index, clock, tracer=off_tracer())
     return clock, objstore, index, shipper
 
 
@@ -62,7 +63,7 @@ class TestFlush:
         assert store.chunk_count() == 0
         assert store.stored_bytes() == 0
         # Every entry is durable cold and reads back identically.
-        gateway = StoreGateway(objstore, index, clock)
+        gateway = StoreGateway(objstore, index, clock, tracer=off_tracer())
         [(labels, got)] = gateway.select(MATCH_ALL, 0, 10**18)
         assert labels == LABELS and got == entries
 
@@ -107,7 +108,8 @@ class TestFlush:
 class TestReplicaDedup:
     def test_rf3_uploads_one_object_per_logical_chunk(self):
         ring = RingLokiCluster(
-            ingesters=4, replication_factor=3, policy=small_chunks()
+            ingesters=4, replication_factor=3, policy=small_chunks(),
+            tracer=off_tracer(),
         )
         clock, objstore, index, shipper = make_tier(ring)
         entries = fill(ring)
@@ -122,7 +124,7 @@ class TestReplicaDedup:
             result.chunks_shipped
         )
         # The cold copy is still exactly the corpus, once.
-        gateway = StoreGateway(objstore, index, clock)
+        gateway = StoreGateway(objstore, index, clock, tracer=off_tracer())
         [(_, got)] = gateway.select(MATCH_ALL, 0, 10**18)
         assert got == entries
 
@@ -177,7 +179,7 @@ class TestOutage:
         objstore.set_outage(False)
         assert shipper.flush().ok
 
-        gateway = StoreGateway(objstore, index, clock)
+        gateway = StoreGateway(objstore, index, clock, tracer=off_tracer())
         [(_, cold)] = gateway.select(MATCH_ALL, 0, 10**18)
         hot = store.select(MATCH_ALL, 0, 10**18)
         got = cold + (hot[0][1] if hot else [])
@@ -212,6 +214,6 @@ class TestIndexPersistence:
         # A post-rebuild persist must not clobber an existing snapshot.
         fill(store, start_ns=10**12)
         store.flush_all()
-        ChunkShipper(store, objstore, fresh, SimClock()).flush()
+        ChunkShipper(store, objstore, fresh, SimClock(), tracer=off_tracer()).flush()
         files_after = set(objstore.list_keys(index.bucket, prefix="index/"))
         assert files_before < files_after

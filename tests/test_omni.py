@@ -12,6 +12,7 @@ from repro.loki.store import LokiStore
 from repro.omni.lifecycle import ARCHIVE_BUCKET, TWO_YEARS_NS, Lifecycle
 from repro.omni.warehouse import OmniWarehouse
 from repro.tsdb.storage import TimeSeriesStore
+from tests.tracing import off_tracer
 
 
 LABELS = LabelSet({"cluster": "perlmutter", "data_type": "syslog"})
@@ -25,7 +26,7 @@ def archived(entries):
     store.push_stream(LABELS, entries)
     store.flush_all()
     clock.advance(days(10))
-    lifecycle = Lifecycle(clock, store, TimeSeriesStore(), Broker(clock))
+    lifecycle = Lifecycle(clock, store, TimeSeriesStore(), Broker(clock), tracer=off_tracer())
     lifecycle.hot_window_ns = days(1)
     assert lifecycle.sweep() == len(entries)
     return lifecycle
@@ -59,7 +60,7 @@ class TestArchive:
         # returns them as one time-ordered stream.
         clock = SimClock(0)
         store = LokiStore(ChunkPolicy(target_size_bytes=64))
-        lifecycle = Lifecycle(clock, store, TimeSeriesStore(), Broker(clock))
+        lifecycle = Lifecycle(clock, store, TimeSeriesStore(), Broker(clock), tracer=off_tracer())
         lifecycle.hot_window_ns = days(1)
         early = [LogEntry(hours(i), f"early {i} " * 4) for i in range(4)]
         late = [LogEntry(days(5) + hours(i), f"late {i} " * 4) for i in range(4)]
@@ -75,7 +76,7 @@ class TestArchive:
     def test_sweeps_into_one_period_leave_one_index_file(self):
         clock = SimClock(0)
         store = LokiStore(ChunkPolicy(target_size_bytes=64))
-        lifecycle = Lifecycle(clock, store, TimeSeriesStore(), Broker(clock))
+        lifecycle = Lifecycle(clock, store, TimeSeriesStore(), Broker(clock), tracer=off_tracer())
         lifecycle.hot_window_ns = days(1)
         morning = [LogEntry(hours(i), f"morning {i} " * 4) for i in range(4)]
         evening = [LogEntry(hours(12 + i), f"evening {i} " * 4) for i in range(4)]
@@ -96,13 +97,14 @@ class TestRetention:
     def make_world(self, hot_days=10):
         clock = SimClock(0)
         store = LokiStore(ChunkPolicy(target_size_bytes=64))
-        lifecycle = Lifecycle(clock, store, TimeSeriesStore(), Broker(clock))
+        lifecycle = Lifecycle(clock, store, TimeSeriesStore(), Broker(clock), tracer=off_tracer())
         lifecycle.hot_window_ns = days(hot_days)
         return clock, store, lifecycle
 
     def test_default_policy_is_two_years(self):
         clock = SimClock(0)
-        lifecycle = Lifecycle(clock, LokiStore(), TimeSeriesStore(), Broker(clock))
+        lifecycle = Lifecycle(clock, LokiStore(), TimeSeriesStore(), Broker(clock),
+            tracer=off_tracer())
         assert lifecycle.hot_window_ns == TWO_YEARS_NS == days(730)
 
     def test_sweep_moves_old_sealed_chunks(self):

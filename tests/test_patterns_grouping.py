@@ -16,6 +16,7 @@ from repro.patterns.ingester import PatternIngester
 from repro.patterns.ruler import PatternRuler
 from repro.patterns.store import PatternStore
 from tests.test_patterns_ruler import burst_rule
+from tests.tracing import off_tracer
 
 LABELS_A = LabelSet({"app": "api", "host": "nid001"})
 LABELS_B = LabelSet({"app": "api", "host": "nid002"})
@@ -44,9 +45,9 @@ def make_world():
         ),
     )
     am.register_receiver(recv)
-    store = PatternStore()
-    ingester = PatternIngester(clock, store)
-    ruler = PatternRuler(clock, am.receive, ingester, store)
+    store = PatternStore(tracer=off_tracer())
+    ingester = PatternIngester(clock, store, tracer=off_tracer())
+    ruler = PatternRuler(clock, am.receive, ingester, store, tracer=off_tracer())
     ruler.add_rule(burst_rule())
     return clock, am, recv, ingester, ruler
 

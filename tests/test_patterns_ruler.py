@@ -11,6 +11,7 @@ from repro.loki.model import LogEntry
 from repro.patterns.ingester import PatternIngester
 from repro.patterns.ruler import BURST_EXPR, NOVEL_EXPR, PatternRuler
 from repro.patterns.store import PatternStore
+from tests.tracing import off_tracer
 
 LABELS = LabelSet({"app": "api"})
 
@@ -18,14 +19,15 @@ LABELS = LabelSet({"app": "api"})
 class Harness:
     def __init__(self, **ruler_kwargs):
         self.clock = SimClock()
-        self.store = PatternStore()
-        self.ingester = PatternIngester(self.clock, self.store)
+        self.store = PatternStore(tracer=off_tracer())
+        self.ingester = PatternIngester(self.clock, self.store, tracer=off_tracer())
         self.events = []
         self.ruler = PatternRuler(
             self.clock,
             self.events.append,
             self.ingester,
             self.store,
+            tracer=off_tracer(),
             **ruler_kwargs,
         )
 

@@ -21,6 +21,7 @@ from repro.objstore import (
 )
 from repro.patterns.ingester import PatternIngester
 from repro.patterns.store import PatternStore
+from tests.tracing import off_tracer
 
 MATCH_ALL = [label_matcher("app", "=~", ".+")]
 LABELS = LabelSet({"app": "api"})
@@ -40,7 +41,7 @@ def observe_lines(store, lines, labels=LABELS, tenant="ops", start_ns=0):
 
 class TestObserveAndQuery:
     def test_query_merges_counts_per_pattern(self):
-        store = PatternStore()
+        store = PatternStore(tracer=off_tracer())
         observe_lines(store, [f"disk error on sector {i}" for i in range(5)])
         rows = store.query(MATCH_ALL, 0, 10)
         assert len(rows) == 1
@@ -48,7 +49,7 @@ class TestObserveAndQuery:
         assert "<*>" in rows[0].template
 
     def test_query_filters_by_matchers(self):
-        store = PatternStore()
+        store = PatternStore(tracer=off_tracer())
         observe_lines(store, ["api handler ok"], labels=LABELS)
         observe_lines(store, ["db checkpoint done"], labels=OTHER)
         rows = store.query([label_matcher("app", "=", "db")], 0, 10)
@@ -56,7 +57,7 @@ class TestObserveAndQuery:
         assert "checkpoint" in rows[0].template
 
     def test_query_filters_by_tenant(self):
-        store = PatternStore()
+        store = PatternStore(tracer=off_tracer())
         observe_lines(store, ["x y z"], tenant="alpha")
         observe_lines(store, ["x y z"], tenant="beta")
         rows = store.query(MATCH_ALL, 0, 10, tenant="alpha")
@@ -64,13 +65,13 @@ class TestObserveAndQuery:
         assert rows[0].count == 1
 
     def test_query_time_window_excludes_outside_records(self):
-        store = PatternStore()
+        store = PatternStore(tracer=off_tracer())
         observe_lines(store, ["link up now"], start_ns=100)
         assert store.query(MATCH_ALL, 0, 100) == []
         assert len(store.query(MATCH_ALL, 100, 101)) == 1
 
     def test_streams_counts_distinct_streams(self):
-        store = PatternStore()
+        store = PatternStore(tracer=off_tracer())
         # Same line shape on two streams → same pattern_id, streams=2.
         observe_lines(store, ["oom killed pid 1"], labels=LABELS)
         observe_lines(store, ["oom killed pid 2"], labels=OTHER)
@@ -82,12 +83,12 @@ class TestObserveAndQuery:
         assert rows[0].count == 3
 
     def test_invalid_range_rejected(self):
-        store = PatternStore()
+        store = PatternStore(tracer=off_tracer())
         with pytest.raises(ValidationError):
             store.query(MATCH_ALL, 10, 10)
 
     def test_counts_by_pattern(self):
-        store = PatternStore()
+        store = PatternStore(tracer=off_tracer())
         observe_lines(store, ["a b c", "a b c"])
         counts = store.counts_by_pattern()
         assert len(counts) == 1
@@ -101,20 +102,20 @@ class TestPersistence:
     def test_persist_and_rebuild_roundtrip(self):
         clock = SimClock()
         objstore = ObjectStore(clock)
-        store = PatternStore(objstore)
+        store = PatternStore(objstore, tracer=off_tracer())
         observe_lines(store, [f"fan {i} failed" for i in range(4)])
         written = store.persist_dirty()
         assert written == 1
         assert objstore.object_count("loki", prefix=PatternStore.prefix) == 1
 
-        cold = PatternStore(objstore)
+        cold = PatternStore(objstore, tracer=off_tracer())
         assert cold.rebuild() == 1
         assert cold.query(MATCH_ALL, 0, 10) == store.query(MATCH_ALL, 0, 10)
 
     def test_outage_keeps_block_dirty_and_retries(self):
         clock = SimClock()
         objstore = ObjectStore(clock)
-        store = PatternStore(objstore)
+        store = PatternStore(objstore, tracer=off_tracer())
         observe_lines(store, ["power supply degraded"])
         objstore.set_outage(True)
         assert store.persist_dirty() == 0
@@ -130,7 +131,7 @@ class TestPersistence:
         )
 
     def test_period_partitioning(self):
-        store = PatternStore()
+        store = PatternStore(tracer=off_tracer())
         observe_lines(store, ["tick a b"], start_ns=0)
         observe_lines(store, ["tick a b"], start_ns=NANOS_PER_DAY + 50)
         assert store.block_count == 2
@@ -148,15 +149,15 @@ class TestCompactorRebuild:
 
     def test_compactor_builds_blocks_from_shipped_chunks(self):
         clock, objstore, index = self._tier()
-        patterns = PatternStore(objstore)
-        compactor = Compactor(objstore, index, clock, derived=(patterns,))
+        patterns = PatternStore(objstore, tracer=off_tracer())
+        compactor = Compactor(objstore, index, clock, derived=(patterns,), tracer=off_tracer())
         loki = LokiStore(ChunkPolicy(target_size_bytes=256, max_age_ns=minutes(5)))
         loki.push_stream(
             LABELS,
             [LogEntry(i, f"I/O error on sector {i}") for i in range(50)],
         )
         loki.flush_all()
-        ChunkShipper(loki, objstore, index, clock).flush()
+        ChunkShipper(loki, objstore, index, clock, tracer=off_tracer()).flush()
 
         assert compactor.run().ok
         assert patterns.blocks_built >= 1
@@ -168,7 +169,7 @@ class TestCompactorRebuild:
     def test_live_block_is_authoritative(self):
         """A period the live miner covered is never rebuilt."""
         clock, objstore, index = self._tier()
-        patterns = PatternStore(objstore)
+        patterns = PatternStore(objstore, tracer=off_tracer())
         observe_lines(patterns, ["seen live already"])
         assert not patterns.needs_build(
             "ops", LABELS, 0, ["chunks/whatever"]
@@ -176,7 +177,7 @@ class TestCompactorRebuild:
 
     def test_compacted_block_rebuilds_on_coverage_change(self):
         clock, objstore, index = self._tier()
-        patterns = PatternStore(objstore)
+        patterns = PatternStore(objstore, tracer=off_tracer())
         entries = [LogEntry(0, "one shot line")]
         patterns.build_block("ops", LABELS, 0, entries, ["k1"])
         assert not patterns.needs_build("ops", LABELS, 0, ["k1"])
@@ -184,12 +185,12 @@ class TestCompactorRebuild:
 
     def test_idempotent_second_run(self):
         clock, objstore, index = self._tier()
-        patterns = PatternStore(objstore)
-        compactor = Compactor(objstore, index, clock, derived=(patterns,))
+        patterns = PatternStore(objstore, tracer=off_tracer())
+        compactor = Compactor(objstore, index, clock, derived=(patterns,), tracer=off_tracer())
         loki = LokiStore()
         loki.push_stream(LABELS, [LogEntry(0, "steady line")])
         loki.flush_all()
-        ChunkShipper(loki, objstore, index, clock).flush()
+        ChunkShipper(loki, objstore, index, clock, tracer=off_tracer()).flush()
         compactor.run()
         built = patterns.blocks_built
         compactor.run()
@@ -201,12 +202,12 @@ class TestColdPath:
     def test_rebuilt_store_answers_without_chunk_gets(self):
         clock = SimClock()
         objstore = ObjectStore(clock)
-        patterns = PatternStore(objstore)
+        patterns = PatternStore(objstore, tracer=off_tracer())
         observe_lines(patterns, [f"node {i} offline" for i in range(3)])
         patterns.persist_dirty()
 
         # A cold querier: rebuild the pattern view from object storage.
-        cold = PatternStore(objstore)
+        cold = PatternStore(objstore, tracer=off_tracer())
         cold.rebuild()
         gets = objstore.gets
         rows = cold.query(MATCH_ALL, 0, 10)
@@ -228,8 +229,8 @@ def split_world(observations):
     """A LogQL engine over a pattern store fed ``(stream, day, shape)``
     observations, and a query frontend in front of it."""
     clock = SimClock()
-    store = PatternStore()
-    ingester = PatternIngester(clock, store)
+    store = PatternStore(tracer=off_tracer())
+    ingester = PatternIngester(clock, store, tracer=off_tracer())
     for i, (stream, day, shape) in enumerate(observations):
         ts = day * NANOS_PER_DAY + minutes(10) + i
         line = SHAPES[shape].format(n=i, m=i * 7, name=NAMES[i % len(NAMES)])

@@ -30,6 +30,7 @@ from repro.queryx.executor import QuerierPool
 from repro.queryx.planner import QueryPlanner
 from repro.ring.cluster import RingLokiCluster
 from repro.tsdb.storage import TimeSeriesStore
+from tests.tracing import off_tracer
 
 NAMES = st.sampled_from(["a", "b", "c"])
 #: Shared between labels, the empty value (legal, and read as absent) and
@@ -163,11 +164,12 @@ class TestPostingsIndex:
         """It used to be a ZeroDivisionError or a silently empty read."""
         clock = SimClock()
         objstore = ObjectStore(clock)
-        cluster = RingLokiCluster(ingesters=2, replication_factor=1)
+        cluster = RingLokiCluster(ingesters=2, replication_factor=1, tracer=off_tracer())
         cluster.push_stream({"app": "x"}, [LogEntry(1, "line")])
         readers = (
             LokiStore().select,
-            StoreGateway(objstore, ShipperIndex(objstore), clock).select,  # no table at all
+            StoreGateway(objstore, ShipperIndex(objstore), clock,
+                tracer=off_tracer()).select,  # no table at all
             cluster.distributor.select,
         )
         for select in readers:
@@ -215,7 +217,7 @@ class TestBudget:
         assert by_value == [] and by_labels == []
 
     def test_an_aggregation_over_the_ring_tests_each_value_once_per_ingester(self):
-        cluster = RingLokiCluster(ingesters=4, replication_factor=3)
+        cluster = RingLokiCluster(ingesters=4, replication_factor=3, tracer=off_tracer())
         apps = [f"app{i}" for i in range(6)]
         for i in range(240):
             cluster.push_stream(
@@ -226,6 +228,7 @@ class TestBudget:
             cluster, SimClock(0),
             planner=QueryPlanner(shard_count=4, split_ns=minutes(15)),
             pool=QuerierPool(workers=4),
+            tracer=off_tracer(),
         )
         patches, by_value, by_labels = counting_matcher_tests()
         with patches:

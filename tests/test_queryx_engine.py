@@ -17,6 +17,7 @@ from repro.queryx.merger import merge_log_partials, merge_metric_partials
 from repro.queryx.planner import QueryPlanner, Subquery
 from repro.tempo.store import TraceStore
 from repro.tempo.tracer import Tracer
+from tests.tracing import off_tracer
 
 QUERY = 'sum(count_over_time({app="fm"}[30m]))'
 
@@ -43,6 +44,7 @@ def make_engine(store, clock=None):
         clock,
         planner=QueryPlanner(shard_count=4, split_ns=hours(1)),
         pool=QuerierPool(workers=4),
+        tracer=off_tracer(),
     )
 
 
@@ -122,6 +124,7 @@ class TestAccounting:
             SimClock(0),
             planner=QueryPlanner(shard_count=4, split_ns=hours(1)),
             pool=QuerierPool(workers=4),
+            tracer=off_tracer(),
         )
         engine.slow_query_threshold_ns = 1  # everything is slow
         engine.query_range(QUERY, 0, int(hours(1)), int(minutes(10)))

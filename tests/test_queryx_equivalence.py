@@ -31,6 +31,7 @@ from repro.queryx.engine import ShardedQueryEngine
 from repro.queryx.executor import QuerierPool
 from repro.queryx.planner import QueryPlanner
 from tests.test_logql_range_equivalence import CountingSource
+from tests.tracing import off_tracer
 
 WORDS = ("GPU memory error", "link flap", "ok heartbeat", "cache miss")
 
@@ -41,10 +42,10 @@ def make_world(streams, with_cold=True):
     hot = LokiStore(ChunkPolicy(target_size_bytes=256, max_age_ns=minutes(5)))
     objstore = ObjectStore(clock)
     index = ShipperIndex(objstore)
-    shipper = ChunkShipper(hot, objstore, index, clock)
+    shipper = ChunkShipper(hot, objstore, index, clock, tracer=off_tracer())
     blooms = BloomStore(objstore)
-    compactor = Compactor(objstore, index, clock, derived=(blooms,))
-    gateway = StoreGateway(objstore, index, clock, blooms=blooms)
+    compactor = Compactor(objstore, index, clock, derived=(blooms,), tracer=off_tracer())
+    gateway = StoreGateway(objstore, index, clock, blooms=blooms, tracer=off_tracer())
     tiered = TieredLokiStore(hot, objstore, index, shipper, compactor, gateway)
     for labels, entries in streams:
         if entries:
@@ -64,6 +65,7 @@ def engines(clock, tiered, shards=4, workers=4):
         clock,
         planner=QueryPlanner(shard_count=shards, split_ns=hours(1)),
         pool=QuerierPool(workers=workers),
+        tracer=off_tracer(),
     )
     return mono, sharded
 
@@ -248,7 +250,8 @@ class TestEdgeShapes:
         total = 'sum(count_over_time({app="fm"}[1h]))'
         args = (int(hours(1)), int(hours(3)), int(minutes(30)))
         recorded = CountingSource(tiered)
-        ShardedQueryEngine(recorded, clock).query_range(f"{errors} / {total}", *args)
+        ShardedQueryEngine(recorded, clock,
+            tracer=off_tracer()).query_range(f"{errors} / {total}", *args)
         assert set(recorded.hints) == {(None, ("GPU memory error",)), (None, ())}
         skipped_before = tiered.gateway.chunks_skipped_total
         got = sharded.query_range(f"{errors} / {total}", *args)

@@ -15,6 +15,7 @@ from repro.objstore import (
 )
 from repro.objstore.index import stream_fingerprint
 from repro.queryx.bloom import BloomStore
+from tests.tracing import off_tracer
 
 MATCH_ALL = [label_matcher("app", "=~", ".+")]
 
@@ -24,10 +25,11 @@ def make_world(streams, with_blooms=True, compact=True):
     hot = LokiStore(ChunkPolicy(target_size_bytes=128, max_age_ns=minutes(5)))
     objstore = ObjectStore(clock)
     index = ShipperIndex(objstore)
-    shipper = ChunkShipper(hot, objstore, index, clock)
+    shipper = ChunkShipper(hot, objstore, index, clock, tracer=off_tracer())
     blooms = BloomStore(objstore) if with_blooms else None
-    compactor = Compactor(objstore, index, clock, derived=(blooms,) if blooms else ())
-    gateway = StoreGateway(objstore, index, clock, blooms=blooms)
+    compactor = Compactor(objstore, index, clock, derived=(blooms,) if blooms else (),
+        tracer=off_tracer())
+    gateway = StoreGateway(objstore, index, clock, blooms=blooms, tracer=off_tracer())
     tiered = TieredLokiStore(hot, objstore, index, shipper, compactor, gateway)
     for labels, entries in streams:
         tiered.push_stream(LabelSet(labels), entries)

@@ -21,6 +21,7 @@ from repro.queryx.planner import (
 )
 from tests.test_logql_range_equivalence import CountingSource
 from tests.test_queryx_gateway import make_world, noisy_streams
+from tests.tracing import off_tracer
 
 
 class TestMergeClass:
@@ -132,7 +133,7 @@ class TestLineFilterNeedles:
     def test_every_subquery_read_carries_its_shard_and_the_needles(self):
         source = CountingSource(LokiStore())
         planner = QueryPlanner(shard_count=2, split_ns=hours(1))
-        engine = ShardedQueryEngine(source, SimClock(0), planner=planner)
+        engine = ShardedQueryEngine(source, SimClock(0), planner=planner, tracer=off_tracer())
         engine.query_logs('{app="fm"} |= "err"', minutes(30), hours(2))
         assert sorted(set(source.hints)) == [((0, 2), ("err",)), ((1, 2), ("err",))]
         assert len(source.hints) == 4  # two windows x two shards

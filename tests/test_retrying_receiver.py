@@ -14,6 +14,7 @@ from repro.resilience.receivers import (
     IdempotentReceiver,
     RetryingReceiver,
 )
+from tests.tracing import off_tracer
 
 
 def make_notification(key: str, ts: int = 0) -> Notification:
@@ -121,7 +122,7 @@ class TestRetryingReceiver:
     def test_healthy_delivery_is_immediate(self, clock, policy):
         inner = MemoryReceiver()
         journal = NotificationJournal(clock)
-        retrying = RetryingReceiver(inner, clock, policy, journal)
+        retrying = RetryingReceiver(inner, clock, policy, journal, tracer=off_tracer())
         retrying.notify(make_notification("a"))
         assert len(inner.notifications) == 1
         assert journal.stats() == {
@@ -136,7 +137,7 @@ class TestRetryingReceiver:
         inner = MemoryReceiver()
         flaky = FlakyReceiver(inner, clock)
         journal = NotificationJournal(clock)
-        retrying = RetryingReceiver(flaky, clock, policy, journal)
+        retrying = RetryingReceiver(flaky, clock, policy, journal, tracer=off_tracer())
         flaky.set_down(True)
         for i in range(3):
             retrying.notify(make_notification(f"n{i}"))
@@ -156,7 +157,8 @@ class TestRetryingReceiver:
         flaky = FlakyReceiver(MemoryReceiver(), clock)
         flaky.set_down(True)
         retrying = RetryingReceiver(
-            flaky, clock, policy, NotificationJournal(clock)
+            flaky, clock, policy, NotificationJournal(clock),
+            tracer=off_tracer(),
         )
         retrying.notify(make_notification("a"))  # no exception
 
@@ -167,7 +169,7 @@ class TestRetryingReceiver:
         breaker = CircuitBreaker(
             clock, failure_threshold=2, reset_timeout_ns=minutes(2)
         )
-        retrying = RetryingReceiver(flaky, clock, policy, journal, breaker)
+        retrying = RetryingReceiver(flaky, clock, policy, journal, breaker, tracer=off_tracer())
         flaky.set_down(True)
         for i in range(4):
             retrying.notify(make_notification(f"n{i}"))
@@ -200,6 +202,7 @@ class TestRetryingReceiver:
             journal,
             max_attempts=3,
             on_dead_letter=dead.append,
+            tracer=off_tracer(),
         )
         retrying.notify(make_notification("doomed"))
         clock.advance(hours(1))
@@ -219,7 +222,7 @@ class TestRetryingReceiver:
         idem = IdempotentReceiver(inner)
         flaky = FlakyReceiver(idem, clock, ambiguous=True)
         journal = NotificationJournal(clock)
-        retrying = RetryingReceiver(flaky, clock, policy, journal)
+        retrying = RetryingReceiver(flaky, clock, policy, journal, tracer=off_tracer())
         flaky.set_down(True)
         retrying.notify(make_notification("once"))
         flaky.set_down(False)
@@ -232,7 +235,7 @@ class TestRetryingReceiver:
         flaky = FlakyReceiver(MemoryReceiver(), clock)
         flaky.set_down(True)
         journal = NotificationJournal(clock)
-        retrying = RetryingReceiver(flaky, clock, policy, journal)
+        retrying = RetryingReceiver(flaky, clock, policy, journal, tracer=off_tracer())
         retrying.notify(make_notification("late"))
         clock.advance(seconds(10))
         flaky.set_down(False)
@@ -249,4 +252,5 @@ class TestRetryingReceiver:
                 policy,
                 NotificationJournal(clock),
                 max_attempts=0,
+                tracer=off_tracer(),
             )

@@ -13,6 +13,7 @@ from repro.loki.model import LogEntry, PushRequest, PushStream
 from repro.ring.cluster import RingLokiCluster
 from repro.ring.distributor import QuorumError, ReadDegradedError
 from repro.selfheal.memberlist import Memberlist, MemberState
+from tests.tracing import off_tracer
 
 MATCH_ALL = [label_matcher("app", "=~", ".+")]
 
@@ -34,10 +35,10 @@ def feed(cluster, count, start=0):
 class TestDistributor:
     def test_rf_larger_than_ring_rejected(self):
         with pytest.raises(ValidationError):
-            RingLokiCluster(ingesters=2, replication_factor=3)
+            RingLokiCluster(ingesters=2, replication_factor=3, tracer=off_tracer())
 
     def test_rf_replicates_to_that_many_stores(self):
-        cluster = RingLokiCluster(ingesters=4, replication_factor=3)
+        cluster = RingLokiCluster(ingesters=4, replication_factor=3, tracer=off_tracer())
         cluster.push(stream_request("svc", [(1, "hello")]))
         holders = [
             i for i in cluster.ingesters.values() if i.store.stream_count() == 1
@@ -45,7 +46,7 @@ class TestDistributor:
         assert len(holders) == 3
 
     def test_quorum_write_survives_one_crash(self):
-        cluster = RingLokiCluster(ingesters=4, replication_factor=3)
+        cluster = RingLokiCluster(ingesters=4, replication_factor=3, tracer=off_tracer())
         # Crash an ingester that definitely takes writes: a stream owner.
         cluster.crash_ingester(cluster.ring.owner("app=svc-0"))
         accepted = feed(cluster, 64)
@@ -54,7 +55,7 @@ class TestDistributor:
         assert cluster.distributor.replica_writes_failed > 0
 
     def test_quorum_error_when_two_replicas_down(self):
-        cluster = RingLokiCluster(ingesters=3, replication_factor=3)
+        cluster = RingLokiCluster(ingesters=3, replication_factor=3, tracer=off_tracer())
         cluster.crash_ingester("ingester-0")
         cluster.crash_ingester("ingester-1")
         with pytest.raises(QuorumError):
@@ -62,7 +63,7 @@ class TestDistributor:
         assert cluster.distributor.quorum_failures == 1
 
     def test_rf1_has_no_redundancy(self):
-        cluster = RingLokiCluster(ingesters=2, replication_factor=1)
+        cluster = RingLokiCluster(ingesters=2, replication_factor=1, tracer=off_tracer())
         cluster.push(stream_request("svc", [(1, "x")]))
         owner = cluster.ring.owner("app=svc")
         cluster.crash_ingester(owner)
@@ -70,7 +71,7 @@ class TestDistributor:
             cluster.push(stream_request("svc", [(2, "y")]))
 
     def test_logical_vs_physical_accounting(self):
-        cluster = RingLokiCluster(ingesters=4, replication_factor=3)
+        cluster = RingLokiCluster(ingesters=4, replication_factor=3, tracer=off_tracer())
         feed(cluster, 50)
         assert cluster.distributor.entries_accepted == 50
         # Physical totals count every replica copy.
@@ -82,7 +83,7 @@ class TestDistributor:
         replica, which then raised from its store part-way through the
         push; the other replicas never saw it, and the first one raised
         again replaying its WAL after a restart."""
-        cluster = RingLokiCluster(ingesters=3, replication_factor=3)
+        cluster = RingLokiCluster(ingesters=3, replication_factor=3, tracer=off_tracer())
         clean, bad = LabelSet({"app": "clean"}), LabelSet({"app": "bad"})
         request = PushRequest(
             streams=(
@@ -104,14 +105,14 @@ class TestDistributor:
 
 class TestQuorumRead:
     def test_read_complete_while_replica_down(self):
-        cluster = RingLokiCluster(ingesters=4, replication_factor=3)
+        cluster = RingLokiCluster(ingesters=4, replication_factor=3, tracer=off_tracer())
         feed(cluster, 80)
         whole = cluster.select(MATCH_ALL, 0, 10**9)
         cluster.crash_ingester("ingester-1")
         assert cluster.select(MATCH_ALL, 0, 10**9) == whole
 
     def test_merge_does_not_duplicate_replicated_entries(self):
-        cluster = RingLokiCluster(ingesters=4, replication_factor=3)
+        cluster = RingLokiCluster(ingesters=4, replication_factor=3, tracer=off_tracer())
         cluster.push(stream_request("svc", [(1, "a"), (2, "b"), (2, "b2")]))
         [(_, got)] = cluster.select([label_matcher("app", "=", "svc")], 0, 10)
         assert [(e.timestamp_ns, e.line) for e in got] == [
@@ -121,7 +122,7 @@ class TestQuorumRead:
         ]
 
     def test_recovered_replicas_gap_is_masked(self):
-        cluster = RingLokiCluster(ingesters=4, replication_factor=3)
+        cluster = RingLokiCluster(ingesters=4, replication_factor=3, tracer=off_tracer())
         feed(cluster, 30)
         cluster.crash_ingester("ingester-0")
         feed(cluster, 30, start=30)  # ingester-0 misses these
@@ -138,14 +139,14 @@ class TestAcceptanceZeroLoss:
     ENTRIES = 120
 
     def _uninterrupted(self):
-        cluster = RingLokiCluster(ingesters=4, replication_factor=3)
+        cluster = RingLokiCluster(ingesters=4, replication_factor=3, tracer=off_tracer())
         feed(cluster, self.ENTRIES)
         return cluster.select(MATCH_ALL, 0, 10**9)
 
     @pytest.mark.parametrize("victim", [f"ingester-{i}" for i in range(4)])
     def test_any_single_crash_loses_nothing(self, victim):
         baseline = self._uninterrupted()
-        cluster = RingLokiCluster(ingesters=4, replication_factor=3)
+        cluster = RingLokiCluster(ingesters=4, replication_factor=3, tracer=off_tracer())
         third = self.ENTRIES // 3
         feed(cluster, third)
         cluster.crash_ingester(victim)
@@ -156,7 +157,7 @@ class TestAcceptanceZeroLoss:
 
     def test_crash_with_checkpoint_mid_run(self):
         baseline = self._uninterrupted()
-        cluster = RingLokiCluster(ingesters=4, replication_factor=3)
+        cluster = RingLokiCluster(ingesters=4, replication_factor=3, tracer=off_tracer())
         feed(cluster, 40)
         cluster.checkpoint_all()
         feed(cluster, 40, start=40)
@@ -168,12 +169,12 @@ class TestAcceptanceZeroLoss:
 
 class TestClusterFacade:
     def test_unknown_ingester_raises(self):
-        cluster = RingLokiCluster(ingesters=3, replication_factor=2)
+        cluster = RingLokiCluster(ingesters=3, replication_factor=2, tracer=off_tracer())
         with pytest.raises(NotFoundError):
             cluster.crash_ingester("ingester-99")
 
     def test_join_ingester_takes_future_writes(self):
-        cluster = RingLokiCluster(ingesters=3, replication_factor=2)
+        cluster = RingLokiCluster(ingesters=3, replication_factor=2, tracer=off_tracer())
         feed(cluster, 40)
         newcomer = cluster.join_ingester("ingester-3")
         with pytest.raises(ValidationError):
@@ -188,7 +189,7 @@ class TestClusterFacade:
         assert total == 240
 
     def test_leave_requires_known_member(self):
-        cluster = RingLokiCluster(ingesters=3, replication_factor=2)
+        cluster = RingLokiCluster(ingesters=3, replication_factor=2, tracer=off_tracer())
         with pytest.raises(NotFoundError):
             cluster.leave_ingester("ghost")
         cluster.leave_ingester("ingester-2")
@@ -196,7 +197,7 @@ class TestClusterFacade:
             cluster.ring.preference_list("k", 3)
 
     def test_ring_health_snapshot(self):
-        cluster = RingLokiCluster(ingesters=3, replication_factor=2)
+        cluster = RingLokiCluster(ingesters=3, replication_factor=2, tracer=off_tracer())
         feed(cluster, 20)
         cluster.crash_ingester("ingester-0")
         health = cluster.ring_health()
@@ -206,7 +207,7 @@ class TestClusterFacade:
         assert health["ingester-1"]["wal_records"] > 0
 
     def test_stream_count_is_union_not_sum(self):
-        cluster = RingLokiCluster(ingesters=4, replication_factor=3)
+        cluster = RingLokiCluster(ingesters=4, replication_factor=3, tracer=off_tracer())
         feed(cluster, 40)
         assert cluster.stream_count() == 8
 
@@ -217,7 +218,7 @@ class TestReadFallback:
     than a quorum answered does it fail, with a *typed* error."""
 
     def test_crashed_replica_mid_read_is_tolerated(self):
-        cluster = RingLokiCluster(ingesters=4, replication_factor=3)
+        cluster = RingLokiCluster(ingesters=4, replication_factor=3, tracer=off_tracer())
         feed(cluster, 80)
         baseline = cluster.select(MATCH_ALL, 0, 10**9)
         cluster.crash_ingester("ingester-1")
@@ -225,7 +226,7 @@ class TestReadFallback:
         assert cluster.select(MATCH_ALL, 0, 10**9) == baseline
 
     def test_below_quorum_raises_typed_degradation(self):
-        cluster = RingLokiCluster(ingesters=4, replication_factor=3)
+        cluster = RingLokiCluster(ingesters=4, replication_factor=3, tracer=off_tracer())
         feed(cluster, 40)
         for ingester_id in ("ingester-0", "ingester-1", "ingester-2"):
             cluster.crash_ingester(ingester_id)
@@ -241,7 +242,7 @@ class TestReadFallback:
     def test_refusal_marks_member_suspect_when_detector_attached(self):
         from repro.common.simclock import SimClock
 
-        cluster = RingLokiCluster(ingesters=4, replication_factor=3)
+        cluster = RingLokiCluster(ingesters=4, replication_factor=3, tracer=off_tracer())
         memberlist = Memberlist(SimClock())
         for member in sorted(cluster.ingesters):
             memberlist.register(member)
@@ -256,7 +257,7 @@ class TestReadFallback:
     def test_dead_members_not_contacted_at_all(self):
         from repro.common.simclock import SimClock
 
-        cluster = RingLokiCluster(ingesters=4, replication_factor=3)
+        cluster = RingLokiCluster(ingesters=4, replication_factor=3, tracer=off_tracer())
         memberlist = Memberlist(SimClock())
         for member in sorted(cluster.ingesters):
             memberlist.register(member)
@@ -274,7 +275,7 @@ class TestReadFallback:
     def test_writes_route_around_excluded_members(self):
         from repro.common.simclock import SimClock
 
-        cluster = RingLokiCluster(ingesters=5, replication_factor=3)
+        cluster = RingLokiCluster(ingesters=5, replication_factor=3, tracer=off_tracer())
         memberlist = Memberlist(SimClock())
         for member in sorted(cluster.ingesters):
             memberlist.register(member)
@@ -296,7 +297,7 @@ class TestReadFallback:
         from repro.common.simclock import SimClock
         from repro.ring.hashring import HashRing, stream_key
 
-        cluster = RingLokiCluster(ingesters=5, replication_factor=3)
+        cluster = RingLokiCluster(ingesters=5, replication_factor=3, tracer=off_tracer())
         memberlist = Memberlist(SimClock())
         for member in sorted(cluster.ingesters):
             memberlist.register(member)

@@ -21,6 +21,7 @@ from repro.omni.lifecycle import Lifecycle
 from repro.ring.cluster import RingLokiCluster
 from repro.tsdb.storage import TimeSeriesStore
 from repro.workloads.loggen import SyslogGenerator
+from tests.tracing import off_tracer
 
 
 def ring_config(**overrides):
@@ -182,8 +183,9 @@ class TestRetentionOverRing:
             ingesters=4,
             replication_factor=3,
             policy=ChunkPolicy(target_size_bytes=64),
+            tracer=off_tracer(),
         )
-        lifecycle = Lifecycle(clock, ring, TimeSeriesStore(), Broker(clock))
+        lifecycle = Lifecycle(clock, ring, TimeSeriesStore(), Broker(clock), tracer=off_tracer())
         lifecycle.hot_window_ns = days(10)
         for i in range(6):
             ring.push(

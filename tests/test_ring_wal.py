@@ -186,9 +186,9 @@ class TestIngesterRecovery:
         ing.checkpoint()
         ing.push_stream(APP, entries(*[(i + 100, f"late-line-{i:02d}") for i in range(5)]))
         ing.push_stream(other, entries((1, "only")))
-        ing.flush_all()
-        for labels, chunk in ing.sealed_chunks()[:2]:
-            ing.drop_chunk(labels, chunk)  # shipped away; replay brings them back
+        ing.store.flush_all()
+        for labels, chunk in ing.store.sealed_chunks()[:2]:
+            ing.store.drop_chunk(labels, chunk)  # shipped away; replay brings them back
         assert ing.stream_inventory()[APP] < 15
         ing.crash()
         ing.restart()

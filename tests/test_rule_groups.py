@@ -43,6 +43,7 @@ from repro.tsdb import PromQLEngine, TimeSeriesStore
 from repro.tsdb.promql import parse_promql
 from repro.tsdb.vmalert import VMAlert
 from tests.counting import counted
+from tests.tracing import off_tracer
 
 STEP = seconds(5)
 LOOKBACK = int(seconds(12))
@@ -421,7 +422,7 @@ class TestHeatmapAlias:
     def test_equals_its_source_at_equal_timestamps(self, order):
         clock = SimClock(0)
         store = TimeSeriesStore()
-        manager = SloManager(clock, PromQLEngine(store), store)
+        manager = SloManager(clock, PromQLEngine(store), store, tracer=off_tracer())
         collectors = {}
 
         def cycle(k: int) -> None:
@@ -456,7 +457,7 @@ def tick_nodes(slos: int) -> list[int]:
     default windows, evaluation by evaluation."""
     clock = SimClock(0)
     store = TimeSeriesStore()
-    manager = SloManager(clock, PromQLEngine(store), store)
+    manager = SloManager(clock, PromQLEngine(store), store, tracer=off_tracer())
     collectors = {
         f"slo-{i}": manager.register(SLO(name=f"slo-{i}", description="x"), StaticSource())
         for i in range(slos)

@@ -19,16 +19,17 @@ from repro.common.simclock import SimClock, minutes, seconds
 from repro.ring.cluster import RingLokiCluster
 from repro.selfheal.detector import FailureDetector, FailureDetectorConfig
 from repro.selfheal.memberlist import Memberlist, MemberState
+from tests.tracing import off_tracer
 
 
 def make_detector(ingesters=4, **cfg_kwargs):
     clock = SimClock()
-    cluster = RingLokiCluster(ingesters=ingesters, replication_factor=3)
+    cluster = RingLokiCluster(ingesters=ingesters, replication_factor=3, tracer=off_tracer())
     memberlist = Memberlist(clock)
     for member in sorted(cluster.ingesters):
         memberlist.register(member)
     config = FailureDetectorConfig(**cfg_kwargs) if cfg_kwargs else None
-    detector = FailureDetector(clock, cluster, memberlist, config)
+    detector = FailureDetector(clock, cluster, memberlist, config, tracer=off_tracer())
     return clock, cluster, memberlist, detector
 
 

@@ -22,6 +22,7 @@ from repro.ring.cluster import RingLokiCluster
 from repro.selfheal.detector import FailureDetector, FailureDetectorConfig
 from repro.selfheal.manager import SelfHealManager
 from repro.selfheal.memberlist import Memberlist, MemberState
+from tests.tracing import off_tracer
 
 MATCH_ALL = [label_matcher("app", "=~", ".+")]
 
@@ -53,11 +54,11 @@ def valid_detector_configs():
 
 def detector_under(config, ingesters=4):
     clock = SimClock()
-    cluster = RingLokiCluster(ingesters=ingesters, replication_factor=3)
+    cluster = RingLokiCluster(ingesters=ingesters, replication_factor=3, tracer=off_tracer())
     memberlist = Memberlist(clock)
     for member in sorted(cluster.ingesters):
         memberlist.register(member)
-    detector = FailureDetector(clock, cluster, memberlist, config)
+    detector = FailureDetector(clock, cluster, memberlist, config, tracer=off_tracer())
     clock.every(detector.config.sweep_interval_ns, detector.sweep)
     return clock, cluster, memberlist, detector
 
@@ -118,8 +119,8 @@ class TestConvergence:
     @given(ops=membership_ops(), data=st.data())
     def test_post_repair_placement_diff_is_empty(self, ops, data):
         clock = SimClock()
-        cluster = RingLokiCluster(ingesters=8, replication_factor=3)
-        mgr = SelfHealManager(clock, cluster)
+        cluster = RingLokiCluster(ingesters=8, replication_factor=3, tracer=off_tracer())
+        mgr = SelfHealManager(clock, cluster, tracer=off_tracer())
         for job in mgr.jobs():
             clock.every(job.interval_ns, job.run)
         expected: dict[LabelSet, list[LogEntry]] = {}
@@ -223,10 +224,12 @@ class TestIncrementalDiff:
             replication_factor=3,
             zones=3,
             policy=ChunkPolicy(target_size_bytes=96),
+            tracer=off_tracer(),
         )
-        mgr = SelfHealManager(clock, cluster)
+        mgr = SelfHealManager(clock, cluster, tracer=off_tracer())
         objstore = ObjectStore(clock)
-        shipper = ChunkShipper(cluster, objstore, ShipperIndex(objstore), clock)
+        shipper = ChunkShipper(cluster, objstore, ShipperIndex(objstore), clock,
+            tracer=off_tracer())
         repairer = mgr.repairer
         checks = [0]
         maintained = repairer.placement_diff

@@ -12,6 +12,7 @@ from repro.loki.model import LogEntry
 from repro.selfheal.manager import SelfHealManager
 from repro.selfheal.memberlist import MemberState
 from repro.ring.cluster import RingLokiCluster
+from tests.tracing import off_tracer
 
 MATCH_ALL = [label_matcher("app", "=~", ".+")]
 N_STREAMS = 12
@@ -21,9 +22,10 @@ ENTRIES_PER_STREAM = 10
 def make_healing_cluster(ingesters=6, zones=0):
     clock = SimClock()
     cluster = RingLokiCluster(
-        ingesters=ingesters, replication_factor=3, zones=zones
+        ingesters=ingesters, replication_factor=3, zones=zones,
+        tracer=off_tracer(),
     )
-    manager = SelfHealManager(clock, cluster)
+    manager = SelfHealManager(clock, cluster, tracer=off_tracer())
     for job in manager.jobs():
         clock.every(job.interval_ns, job.run)
     return clock, cluster, manager
@@ -217,9 +219,10 @@ class TestTouchedSetContract:
             ingesters=5,
             replication_factor=3,
             policy=ChunkPolicy(target_size_bytes=64),
+            tracer=off_tracer(),
         )
         # Not started: no sweep grafts behind the test's back.
-        mgr = SelfHealManager(clock, cluster)
+        mgr = SelfHealManager(clock, cluster, tracer=off_tracer())
         feed(cluster, streams=6, entries=6)
         repairer = mgr.repairer
         assert repairer.placement_diff() == {}
@@ -251,7 +254,7 @@ class TestTouchedSetContract:
         )
         assert repairer.placement_diff() == {}
         member = cluster.distributor.replicas_for(labels)[0]
-        assert cluster.ingesters[member].delete_before(5) >= 1
+        assert cluster.ingesters[member].store.delete_before(5) >= 1
         self.assert_maintained_is_full(cluster, repairer, {labels: [member]})
 
     def test_a_restart_that_lost_a_stream_between_two_asks(self):
@@ -259,8 +262,8 @@ class TestTouchedSetContract:
         # never changed; the torn WAL tail means the stream's only record
         # on this replica is gone and replay marks nothing for it.
         clock = SimClock()
-        cluster = RingLokiCluster(ingesters=5, replication_factor=3)
-        repairer = SelfHealManager(clock, cluster).repairer
+        cluster = RingLokiCluster(ingesters=5, replication_factor=3, tracer=off_tracer())
+        repairer = SelfHealManager(clock, cluster, tracer=off_tracer()).repairer
         feed(cluster, streams=4, entries=3)
         labels = LabelSet({"app": "late"})
         cluster.push_stream(labels, [LogEntry(1, "only")])

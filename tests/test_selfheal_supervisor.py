@@ -16,13 +16,14 @@ from repro.resilience.backoff import BackoffPolicy
 from repro.ring.cluster import RingLokiCluster
 from repro.selfheal.memberlist import Memberlist, MemberState
 from repro.selfheal.supervisor import IngesterSupervisor, SupervisorConfig
+from tests.tracing import off_tracer
 
 MATCH_ALL = [label_matcher("app", "=~", ".+")]
 
 
 def make_supervised(ingesters=4, config=None):
     clock = SimClock()
-    cluster = RingLokiCluster(ingesters=ingesters, replication_factor=3)
+    cluster = RingLokiCluster(ingesters=ingesters, replication_factor=3, tracer=off_tracer())
     memberlist = Memberlist(clock)
     for member in sorted(cluster.ingesters):
         memberlist.register(member)
@@ -66,7 +67,7 @@ class TestRestart:
 
     def test_zone_down_bars_restart_until_lifted(self):
         clock = SimClock()
-        cluster = RingLokiCluster(ingesters=6, replication_factor=3, zones=3)
+        cluster = RingLokiCluster(ingesters=6, replication_factor=3, zones=3, tracer=off_tracer())
         memberlist = Memberlist(clock)
         for member in sorted(cluster.ingesters):
             memberlist.register(member)

@@ -45,6 +45,7 @@ from repro.slo.sources import (
     QueryLatencySource,
 )
 from repro.tsdb import PromQLEngine, TimeSeriesStore
+from tests.tracing import off_tracer
 
 
 # ----------------------------------------------------------------------
@@ -334,7 +335,8 @@ def slo_world():
     promql = PromQLEngine(store)
     events = []
     manager = SloManager(
-        clock, promql, store, events.append, cluster="testcluster"
+        clock, promql, store, events.append, cluster="testcluster",
+        tracer=off_tracer(),
     )
     return clock, store, promql, manager, events
 

@@ -20,6 +20,7 @@ from repro.common.simclock import SimClock, seconds
 from repro.slo import SLO, BurnWindow, SloManager, StaticSource
 from repro.tsdb import PromQLEngine, RecordingRule, TimeSeriesStore
 from repro.tsdb.promql import parse_promql
+from tests.tracing import off_tracer
 
 STEP = seconds(30)
 #: Short windows, so a run of a few minutes sees a window go quiet while
@@ -75,7 +76,7 @@ def run(objectives, joins, cycles):
     clock = SimClock(0)
     store = TimeSeriesStore()
     promql = PromQLEngine(store)
-    manager = SloManager(clock, promql, store, windows=WINDOWS)
+    manager = SloManager(clock, promql, store, windows=WINDOWS, tracer=off_tracer())
     windows = manager._distinct_windows()
     budgets = {name: f"{1 - objective:g}" for name, objective in zip(NAMES, objectives)}
     counters = {name: [0.0, 0.0] for name in (*NAMES, FOREIGN)}  # good, total

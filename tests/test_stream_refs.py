@@ -29,6 +29,7 @@ from repro.shasta.hms import TOPIC_SYSLOG
 from repro.tenancy.admission import AdmissionController
 from repro.tenancy.limits import LimitsRegistry, TenantLimits
 from tests.counting import counted
+from tests.tracing import off_tracer
 
 NAMES = st.from_regex(r"[a-z_][a-z0-9_]{0,5}", fullmatch=True)
 STREAMS = st.lists(
@@ -161,8 +162,8 @@ class TestStoreEndsWhereTheReferenceEnds:
                 return OmniWarehouse(clock)
             return OmniWarehouse(
                 clock,
-                loki=RingLokiCluster(ingesters=3, replication_factor=3),
-                admission=AdmissionController(LimitsRegistry(), clock),
+                loki=RingLokiCluster(ingesters=3, replication_factor=3, tracer=off_tracer()),
+                admission=AdmissionController(LimitsRegistry(), clock, tracer=off_tracer()),
             )
 
         def line_by_line(w):
@@ -196,7 +197,8 @@ def test_what_admission_turns_away_leaves_no_ref():
     tables the limit exists to protect."""
     clock = SimClock(0)
     admission = AdmissionController(
-        LimitsRegistry(TenantLimits(max_active_streams=1)), clock
+        LimitsRegistry(TenantLimits(max_active_streams=1)), clock,
+        tracer=off_tracer(),
     )
     warehouse = OmniWarehouse(clock, admission=admission)
     warehouse.ingest_log({"app": "a"}, 1, "x")

@@ -34,6 +34,8 @@ from repro.shasta.hms import HmsCollector, TOPIC_SENSOR_TELEMETRY
 from repro.shasta.ldms import LdmsAggregator, TOPIC_LDMS, _METRICS
 from repro.shasta.telemetry_api import TelemetryAPI
 from tests.counting import counted
+from repro.tempo.instrument import PipelineTracing
+from tests.tracing import off_tracer
 
 #: Spellings ``repr`` and ``round`` are easy to get wrong on: non-finite,
 #: signed zero, past 2**53, the smallest subnormal, and ties at the
@@ -99,7 +101,7 @@ class TestEnvelopesAreTheOldBytes:
         clock = SimClock(now)
         broker = Broker(clock)
         bank = FixedBank([(SensorId(x, kind, index), v) for x, kind, index, v in readings])
-        hms = HmsCollector(broker, clock, sensors=bank)
+        hms = HmsCollector(broker, clock, sensors=bank, tracer=off_tracer())
         expected = sorted(
             (old_sensor_sample(SensorId(x, kind, index), now, v), str(x))
             for x, kind, index, v in readings
@@ -176,7 +178,8 @@ class TestSensorPodTable:
         api = TelemetryAPI(broker)
         api.register_client("pods", "tok")
         warehouse = OmniWarehouse(clock)
-        consumer = SensorMetricConsumer(api, "tok", TOPIC_SENSOR_TELEMETRY, warehouse)
+        consumer = SensorMetricConsumer(api, "tok", TOPIC_SENSOR_TELEMETRY, warehouse,
+            tracing=PipelineTracing(off_tracer()))
         for sample in samples:
             broker.produce(TOPIC_SENSOR_TELEMETRY, sample)
         consumer.pump()

@@ -8,6 +8,7 @@ guarantee — byte-identical case-study artifacts with tracing on and off.
 
 import hashlib
 import json
+import random
 from collections import Counter
 
 import pytest
@@ -139,8 +140,15 @@ class TestNoObserverEffect:
         assert traced.fig5_chart == baseline.fig5_chart
         assert traced.fig6_slack == baseline.fig6_slack
         assert traced.timeline == baseline.timeline
-        assert baseline.framework.tracer is None
-        assert baseline.framework.traces is None
+        # Tracing off is a tracer at sampling 0: it records nothing and
+        # counts nothing.
+        untraced = baseline.framework
+        assert untraced.tracer.sampling == 0.0
+        assert len(untraced.traces) == 0
+        assert untraced.traces.spans_added == 0
+        assert untraced.tracer.counters() == {
+            "traces_started": 0, "traces_sampled_out": 0, "spans_recorded": 0,
+        }
 
     def test_default_config_has_tracing_off(self):
         assert FrameworkConfig().tracing_sampling == 0.0
@@ -305,6 +313,81 @@ class TestTraceMetricsExporter:
         )
         assert ex[0][1][-1].trace_id == root.trace_id
         assert ex[0][1][-1].value == pytest.approx(3.0)
+
+
+class _IngestLog:
+    """A metric store that keeps every ``ingest`` call, in order."""
+
+    def __init__(self) -> None:
+        self.calls: list[tuple] = []
+
+    def ingest(self, name, labels, value, timestamp_ns, exemplar=None) -> bool:
+        self.calls.append((name, dict(labels), value, timestamp_ns, exemplar))
+        return True
+
+
+def _rescan_export(store: TraceStore, now: int, cluster: str) -> list[tuple]:
+    """The reference: one export as a full rescan of the trace store."""
+
+    def nearest_rank(sorted_values: list[int], quantile: float) -> int:
+        rank = max(1, -(-int(quantile * 1000) * len(sorted_values) // 1000))
+        return sorted_values[min(rank, len(sorted_values)) - 1]
+
+    base = {"cluster": cluster, "job": "tempo"}
+    calls = [("tempo_traces", base, float(len(store)), now, None)]
+    by_service: dict[str, list[tuple[int, str]]] = {}
+    for span in store.all_spans():
+        by_service.setdefault(span.service, []).append((span.duration_ns, span.trace_id))
+    for service, items in sorted(by_service.items()):
+        labels = {**base, "service": service}
+        durations = sorted(d for d, _ in items)
+        slowest_ns, slowest_trace = max(items)
+        calls += [
+            ("tempo_spans", labels, float(len(items)), now, None),
+            (
+                "tempo_stage_latency_p50_seconds", labels,
+                nearest_rank(durations, 0.50) / 1e9, now, None,
+            ),
+            (
+                "tempo_stage_latency_p99_seconds", labels,
+                nearest_rank(durations, 0.99) / 1e9, now,
+                Exemplar(slowest_trace, slowest_ns / 1e9, now),
+            ),
+        ]
+    return calls
+
+
+class TestIncrementalExport:
+    def test_matches_a_full_rescan_across_evictions(self):
+        rng = random.Random(5)
+        clock = SimClock()
+        store = TraceStore()
+        store.max_traces = 6  # small enough that most traces are evicted
+        tracer = Tracer(store, clock, seed=3)
+        tsdb = _IngestLog()
+        exporter = TraceMetricsExporter(store, tsdb, clock, cluster="test")
+        services = ["loki", "ruler", "tsdb", "slack"]
+        for _ in range(8):
+            for _ in range(rng.randrange(1, 5)):
+                start = clock.now_ns
+                root = tracer.record(
+                    rng.choice(services), "root", None, start,
+                    start + seconds(rng.choice([1, 2, 2, 3, 7])),
+                )
+                for _ in range(rng.randrange(0, 4)):
+                    tracer.record(
+                        rng.choice(services), "child", root, start,
+                        start + seconds(rng.choice([0, 1, 2, 5])),
+                    )
+            clock.advance(seconds(60))
+            before = len(tsdb.calls)
+            exporter.export()
+            assert tsdb.calls[before:] == _rescan_export(store, clock.now_ns, "test")
+        assert store.traces_evicted > 0
+        # Evicted spans leave nothing behind: a service whose traces
+        # all went has no list left.
+        live = {s.service for s in store.all_spans()}
+        assert set(store.durations_by_service()) == live
 
 
 class TestExemplarStorage:

@@ -27,6 +27,7 @@ from repro.tenancy.admission import (
     REASON_RATE_LIMITED,
     REASON_STREAM_LIMIT,
 )
+from tests.tracing import off_tracer
 
 
 def push_of(lines, labels=None):
@@ -138,7 +139,7 @@ def admission(clock):
             per_stream_burst_lines=50,
         ),
     )
-    return AdmissionController(registry, clock)
+    return AdmissionController(registry, clock, tracer=off_tracer())
 
 
 class TestAdmission:
@@ -239,7 +240,8 @@ def scheduler_world(clock):
     clock.advance(hours(2))
     registry = LimitsRegistry()
     frontend = QueryFrontend(LogQLEngine(store), clock, split_ns=hours(1))
-    scheduler = QueryScheduler(frontend, clock, registry=registry, max_concurrency=2)
+    scheduler = QueryScheduler(frontend, clock, registry=registry, max_concurrency=2,
+        tracer=off_tracer())
     scheduler.exec_base_ns, scheduler.exec_per_hour_ns = seconds(1), 0
     return clock, registry, scheduler
 
@@ -276,7 +278,8 @@ class TestScheduler:
         frontend = QueryFrontend(
             LogQLEngine(LokiStore()), clock, split_ns=hours(1)
         )
-        fifo = QueryScheduler(frontend, clock, registry=registry, max_concurrency=1, fair=False)
+        fifo = QueryScheduler(frontend, clock, registry=registry, max_concurrency=1, fair=False,
+            tracer=off_tracer())
         fifo.exec_base_ns, fifo.exec_per_hour_ns = seconds(1), 0
         for _ in range(5):
             fifo.submit("hog", QUERY, 0, hours(1), minutes(10))
@@ -311,7 +314,8 @@ class TestScheduler:
         registry = LimitsRegistry()
         registry.update_override("t", max_series_per_query=2)
         scheduler = QueryScheduler(
-            QueryFrontend(LogQLEngine(store), clock, split_ns=hours(1)), clock, registry=registry
+            QueryFrontend(LogQLEngine(store), clock, split_ns=hours(1)), clock, registry=registry,
+            tracer=off_tracer(),
         )
         scheduler.exec_base_ns = scheduler.exec_per_hour_ns = 0
         ticket = scheduler.submit(
@@ -343,7 +347,7 @@ class TestScheduler:
         store.push(PushRequest.single({"app": "fm"}, [(minutes(1), "e")]))
         clock.advance(hours(2))
         frontend = QueryFrontend(LogQLEngine(store), clock, split_ns=hours(1))
-        scheduler = QueryScheduler(frontend, clock, max_concurrency=1)
+        scheduler = QueryScheduler(frontend, clock, max_concurrency=1, tracer=off_tracer())
         scheduler.submit("t", QUERY, 0, hours(1), minutes(10))
         scheduler.submit("t", "sum(", 0, hours(1), minutes(10))
         clock.advance(seconds(2))
@@ -359,13 +363,14 @@ class TestTenancyExporter:
         registry.update_override(
             "small", ingestion_rate_lines_s=1.0, ingestion_burst_lines=10
         )
-        admission = AdmissionController(registry, clock)
+        admission = AdmissionController(registry, clock, tracer=off_tracer())
         admission.admit_push(push_of(5), tenant="small")
         with pytest.raises(RateLimitedError):
             admission.admit_push(push_of(20), tenant="small")
         store = LokiStore()
         scheduler = QueryScheduler(
-            QueryFrontend(LogQLEngine(store), clock, split_ns=hours(1)), clock, registry=registry
+            QueryFrontend(LogQLEngine(store), clock, split_ns=hours(1)), clock, registry=registry,
+            tracer=off_tracer(),
         )
         scheduler.exec_base_ns = scheduler.exec_per_hour_ns = 0
         exporter = TenancyExporter(admission, scheduler)
@@ -383,7 +388,7 @@ class TestTenancyExporter:
         registry.update_override(
             "small", ingestion_rate_lines_s=1.0, ingestion_burst_lines=10
         )
-        admission = AdmissionController(registry, clock)
+        admission = AdmissionController(registry, clock, tracer=off_tracer())
         with pytest.raises(RateLimitedError):
             admission.admit_push(push_of(20), tenant="small")
         exporter = TenancyExporter(admission)

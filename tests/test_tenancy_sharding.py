@@ -14,6 +14,7 @@ from hypothesis import given, settings, strategies as st
 from repro.common.errors import ValidationError
 from repro.ring.hashring import HashRing
 from repro.tenancy.sharding import ShuffleSharder, shard_key
+from tests.tracing import off_tracer
 
 
 def build_ring(members, vnodes=64):
@@ -235,7 +236,8 @@ class TestZonedRing:
         from repro.ring.cluster import RingLokiCluster
 
         cluster = RingLokiCluster(
-            ingesters=6, replication_factor=3, shard_size=3, zones=3
+            ingesters=6, replication_factor=3, shard_size=3, zones=3,
+            tracer=off_tracer(),
         )
         for member in cluster.ring.members_in_zone(zone):
             cluster.crash_ingester(member)
