@@ -25,10 +25,20 @@ both exact):
 ``chunks_considered`` / ``chunks_fetched`` / ``chunks_skipped`` count
 the pruning per query and in total — the numbers Q1 and the "Query
 Engine" dashboard report.
+
+Object keys are content-addressed, so a key's bytes never change and
+neither do its entries: the gateway keeps a bounded LRU of decoded
+entries per key, and a repeated read slices the cached list instead of
+decompressing the payload again.  It is a *decode* cache, not a fetch
+cache — every read still pays its GET, latency and counters, and a
+deleted object still fails on the GET.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_left
+from collections import OrderedDict
+from operator import attrgetter
 from typing import Iterable, Sequence
 
 from repro.common.labels import LabelSet, Matcher
@@ -39,6 +49,12 @@ from repro.objstore.index import ChunkRef, ShipperIndex
 from repro.objstore.objectstore import ObjectStore
 from repro.ring.merge import merge_streams
 from repro.tempo.tracer import Tracer
+
+#: Bound on the decode cache, in the uncompressed bytes of the chunks it
+#: holds (each ref's ``uncompressed_bytes``, added and evicted alike).
+DECODE_CACHE_BYTES = 8 * 1024 * 1024
+
+_TIMESTAMP = attrgetter("timestamp_ns")
 
 
 class StoreGateway:
@@ -72,24 +88,45 @@ class StoreGateway:
         self.last_chunks_considered = 0
         self.last_chunks_fetched = 0
         self.last_chunks_skipped = 0
+        # Object key -> (decoded entries, the bytes they count against
+        # the bound), least recently used first.
+        self._decoded: OrderedDict[str, tuple[list[LogEntry], int]] = OrderedDict()
+        self._decoded_bytes = 0
+        self.decode_hits = 0
+        self.decode_misses = 0
 
     @property
     def bucket(self) -> str:
         return self._index.bucket
 
-    def _fetch(self, ref: ChunkRef) -> tuple[Chunk, int]:
+    def _fetch(self, ref: ChunkRef) -> tuple[list[LogEntry], int]:
+        """GET ``ref``'s object; its entries, decoded once per key while
+        the key stays cached, and the GET's latency."""
         payload, latency = self._objstore.get_with_latency(self.bucket, ref.key)
-        chunk = Chunk.restore(
+        self.chunks_fetched_total += 1
+        self.bytes_fetched_total += len(payload)
+        cached = self._decoded.get(ref.key)
+        if cached is not None:
+            self._decoded.move_to_end(ref.key)
+            self.decode_hits += 1
+            return cached[0], latency
+        self.decode_misses += 1
+        entries = Chunk.restore(
             self._policy,
             payload,
             ref.first_ts_ns,
             ref.last_ts_ns,
             ref.entry_count,
             ref.uncompressed_bytes,
-        )
-        self.chunks_fetched_total += 1
-        self.bytes_fetched_total += len(payload)
-        return chunk, latency
+        ).entries()
+        size = ref.uncompressed_bytes
+        if size <= DECODE_CACHE_BYTES:
+            while self._decoded_bytes + size > DECODE_CACHE_BYTES:
+                _, (_, evicted) = self._decoded.popitem(last=False)
+                self._decoded_bytes -= evicted
+            self._decoded[ref.key] = (entries, size)
+            self._decoded_bytes += size
+        return entries, latency
 
     def select(
         self,
@@ -120,9 +157,11 @@ class StoreGateway:
         latency = 0
         fetched: list[tuple[LabelSet, list[LogEntry]]] = []
         for ref in refs:
-            chunk, chunk_latency = self._fetch(ref)
+            entries, chunk_latency = self._fetch(ref)
             latency += chunk_latency
-            fetched.append((ref.labels, chunk.entries_between(start_ns, end_ns)))
+            lo = bisect_left(entries, start_ns, key=_TIMESTAMP)
+            hi = bisect_left(entries, end_ns, lo, key=_TIMESTAMP)
+            fetched.append((ref.labels, entries[lo:hi]))
         self.last_query_latency_ns = latency
         self.fetch_latency_ns_total += latency
         self.last_chunks_considered = considered
@@ -152,8 +191,9 @@ class StoreGateway:
         wholly before the cutoff) — what a retention sweep archives."""
         fetched: list[tuple[LabelSet, list[LogEntry]]] = []
         for ref in self._index.refs_wholly_before(cutoff_ns):
-            chunk, _ = self._fetch(ref)
-            fetched.append((ref.labels, chunk.entries()))
+            entries, _ = self._fetch(ref)
+            fetched.append((ref.labels, entries))
+        # merge_streams answers fresh lists, so no caller holds a cached one.
         return merge_streams(fetched)
 
     # ------------------------------------------------------------------
@@ -176,4 +216,6 @@ class StoreGateway:
             "chunks_skipped": self.chunks_skipped_total,
             "bytes_fetched": self.bytes_fetched_total,
             "fetch_latency_ns": self.fetch_latency_ns_total,
+            "decode_hits": self.decode_hits,
+            "decode_misses": self.decode_misses,
         }

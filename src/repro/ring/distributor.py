@@ -18,7 +18,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Collection, Iterable, Mapping
 
-from repro.common.errors import StateError, ValidationError
+from repro.common.errors import QueryError, StateError, ValidationError
 from repro.common.labels import LabelSet, Matcher
 from repro.loki.chunks import SEPARATOR
 from repro.loki.model import LogEntry, PushRequest
@@ -41,13 +41,16 @@ class QuorumError(StateError):
     """Fewer than a write quorum of replicas accepted a stream."""
 
 
-class ReadDegradedError(StateError):
+class ReadDegradedError(StateError, QueryError):
     """Fewer than a read quorum of replicas answered a select.
 
     The fan-out read tolerates individual crashed replicas by falling
     back to the survivors; only when the survivors cannot make a quorum
     does the read fail — typed, so the frontend can distinguish "the
-    tier is degraded" from a malformed query.
+    tier is degraded" from a malformed query.  It is also a failed
+    query, so a rule evaluation that reads through it counts an
+    evaluation error and holds the rule's state, as for any query that
+    fails at runtime.
     """
 
     def __init__(self, responded: int, quorum: int) -> None:

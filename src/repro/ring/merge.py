@@ -12,6 +12,7 @@ to several sources' ``select``-shaped answers.
 from __future__ import annotations
 
 from collections import Counter
+from itertools import chain
 from typing import Iterable
 
 from repro.common.labels import LabelSet
@@ -47,7 +48,8 @@ def merge_replica_entries(replica_lists: list[list[LogEntry]]) -> list[LogEntry]
     windows), so per timestamp the fullest replica's ordering is
     authoritative; an identical ``(ts, line)`` seen on several replicas
     is the same write and appears once — its multiplicity is the *max*
-    across replicas, never the sum.
+    across replicas, never the sum.  Each list is time-ordered, as every
+    store's ``select`` answers.
     """
     if not replica_lists:
         return []
@@ -56,6 +58,26 @@ def merge_replica_entries(replica_lists: list[list[LogEntry]]) -> list[LogEntry]
     # the max multiplicity of every line is what any one of them holds.
     if all(entries == first for entries in replica_lists[1:]):
         return list(first)
+    # One stream's consecutive chunks, or its cold part beside its hot
+    # part: time-disjoint lists, where every timestamp has one group and
+    # the general path's answer is the lists laid end to end.  A tied
+    # boundary may hold one write on two lists, so it takes the general
+    # path.
+    spans = sorted(
+        (entries for entries in replica_lists if entries),
+        key=lambda entries: entries[0].timestamp_ns,
+    )
+    if all(
+        earlier[-1].timestamp_ns < later[0].timestamp_ns
+        for earlier, later in zip(spans, spans[1:])
+    ):
+        return list(chain.from_iterable(spans))
+    return _merge_by_timestamp(replica_lists)
+
+
+def _merge_by_timestamp(replica_lists: list[list[LogEntry]]) -> list[LogEntry]:
+    """The general path: per timestamp, the fullest replica's lines in
+    its order, then any line another replica saw more often."""
     # Group each replica's entries by timestamp, preserving intra-ts order.
     by_ts: dict[int, list[list[str]]] = {}
     for entries in replica_lists:

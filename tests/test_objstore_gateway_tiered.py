@@ -6,9 +6,14 @@ surface (retention, expiry preview) must cover both tiers so the OMNI
 retention manager runs unmodified.
 """
 
+import zlib
+from unittest import mock
+
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.bus.broker import Broker
+from repro.common.errors import NotFoundError
 from repro.common.labels import LabelSet, label_matcher
 from repro.common.simclock import SimClock, days, minutes
 from repro.loki.chunks import ChunkPolicy
@@ -22,9 +27,11 @@ from repro.objstore import (
     StoreGateway,
     TieredLokiStore,
 )
+from repro.objstore import gateway as gateway_module
 from repro.omni.lifecycle import Lifecycle
 from repro.ring.cluster import RingLokiCluster
 from repro.tsdb.storage import TimeSeriesStore
+from tests.counting import counted
 from tests.tracing import off_tracer
 
 MATCH_ALL = [label_matcher("app", "=~", ".+")]
@@ -261,3 +268,140 @@ class TestTieredMaintenance:
         assert tiered.cold_entry_count() == len(old)
         assert tiered.cold_bytes() > 0
         assert tiered.stored_bytes() < tiered.cold_bytes()
+
+
+class TestDecodeCache:
+    """The gateway decodes a key once while it stays cached, and answers
+    exactly what a gateway with nothing cached answers: keys are
+    content-addressed, so a key's entries never change."""
+
+    STREAMS = [LabelSet({"app": "api", "host": f"n{i}"}) for i in range(3)]
+    SPAN_NS = 120 * 1_000_000  # entries_for(120)
+
+    def world(self):
+        """Three streams of several cold chunks each, one of them with a
+        lagging replica's divergent chunks beside its own."""
+        clock, tiered = make_tiered()
+        for k, labels in enumerate(self.STREAMS):
+            tiered.push_stream(labels, entries_for(120, start_ns=k))
+        tiered.flush_all()
+        tiered.flush_to_cold()
+        twin = LokiStore(ChunkPolicy(target_size_bytes=180, max_age_ns=minutes(5)))
+        twin.push_stream(self.STREAMS[0], entries_for(90))
+        twin.flush_all()
+        ChunkShipper(twin, tiered.objstore, tiered.index, clock, tracer=off_tracer()).flush()
+        return clock, tiered
+
+    @staticmethod
+    def fresh(tiered, clock):
+        return StoreGateway(tiered.objstore, tiered.index, clock, tracer=off_tracer())
+
+    @staticmethod
+    def spoil(answer):
+        """A caller may do what it likes with its lists; none is cached."""
+        for _labels, entries in answer:
+            entries.clear()
+
+    @staticmethod
+    def assert_within_bound(gateway, bound):
+        sizes = [size for _entries, size in gateway._decoded.values()]
+        assert gateway._decoded_bytes == sum(sizes) <= bound
+
+    window = st.tuples(st.integers(-5, 130), st.integers(0, 130)).map(
+        lambda pair: (pair[0] * 1_000_000, (pair[0] + pair[1]) * 1_000_000)
+    )
+    step = st.one_of(
+        st.tuples(st.just("select"), window, st.integers(1, 3)),
+        st.tuples(st.just("compact"), st.none(), st.just(1)),
+        st.tuples(st.just("sweep"), st.integers(0, 130), st.just(1)),
+    )
+
+    @settings(max_examples=40, deadline=None)
+    @given(steps=st.lists(step, min_size=1, max_size=8), bound=st.sampled_from([300, 1_000, None]))
+    def test_cached_answers_equal_a_fresh_gateways(self, steps, bound):
+        bound = gateway_module.DECODE_CACHE_BYTES if bound is None else bound
+        with mock.patch.object(gateway_module, "DECODE_CACHE_BYTES", bound):
+            clock, tiered = self.world()
+            gateway = tiered.gateway
+            for kind, arg, repeat in steps:
+                if kind == "select":
+                    for _ in range(repeat):
+                        got = gateway.select(MATCH_ALL, *arg)
+                        assert got == self.fresh(tiered, clock).select(MATCH_ALL, *arg)
+                        self.spoil(got)
+                elif kind == "compact":
+                    tiered.compact()  # new keys for merged chunks
+                else:
+                    cutoff = arg * 1_000_000
+                    got = gateway.expired_entries(cutoff)
+                    assert got == self.fresh(tiered, clock).expired_entries(cutoff)
+                    self.spoil(got)
+                    tiered.compactor.delete_chunks_before(cutoff)
+                self.assert_within_bound(gateway, bound)
+            whole = (-1, FAR_FUTURE_NS)
+            assert gateway.select(MATCH_ALL, *whole) == self.fresh(tiered, clock).select(
+                MATCH_ALL, *whole
+            )
+
+    def test_answers_are_fresh_lists(self):
+        # One chunk, read whole: the answer a cached list would be.
+        _clock, tiered = make_tiered()
+        tiered.push_stream(LABELS, entries_for(5))
+        tiered.flush_all()
+        tiered.flush_to_cold()
+        for read in (
+            lambda: tiered.gateway.select(MATCH_ALL, 0, FAR_FUTURE_NS),
+            lambda: tiered.gateway.expired_entries(FAR_FUTURE_NS),
+        ):
+            self.spoil(read())
+            assert read() == [(LABELS, entries_for(5))]
+
+    def test_an_entry_list_over_the_bound_is_not_kept(self):
+        with mock.patch.object(gateway_module, "DECODE_CACHE_BYTES", 10):
+            _clock, tiered = self.world()
+            tiered.gateway.select(MATCH_ALL, 0, FAR_FUTURE_NS)
+            assert tiered.gateway._decoded_bytes == 0
+            assert tiered.gateway.counters()["decode_hits"] == 0
+
+    def test_a_deleted_object_still_fails_on_the_get(self):
+        _clock, tiered = self.world()
+        gateway = tiered.gateway
+        gateway.select(MATCH_ALL, 0, FAR_FUTURE_NS)
+        ref = tiered.index.refs_overlapping(0, FAR_FUTURE_NS)[0]
+        assert ref.key in gateway._decoded
+        tiered.objstore.delete(tiered.index.bucket, ref.key)
+        with pytest.raises(NotFoundError):
+            gateway.select(MATCH_ALL, 0, FAR_FUTURE_NS)
+
+
+class TestDecodeBudget:
+    """Work budget: k repeated cold selects of one window decompress
+    each distinct object once, and pay every GET an uncached gateway
+    pays."""
+
+    REPEATS = 4
+
+    def run(self, bound):
+        with mock.patch.object(gateway_module, "DECODE_CACHE_BYTES", bound):
+            clock, tiered = TestDecodeCache().world()
+            with counted(zlib, "decompress") as decompress:
+                for _ in range(self.REPEATS):
+                    tiered.gateway.select(MATCH_ALL, 10 * 1_000_000, 100 * 1_000_000)
+            return (
+                decompress.call_count,
+                tiered.gateway.counters(),
+                tiered.objstore.counters()["gets"],
+                tiered.gateway.last_chunks_fetched,
+            )
+
+    def test_repeated_selects_decode_each_object_once(self):
+        decodes, counters, gets, per_select = self.run(gateway_module.DECODE_CACHE_BYTES)
+        uncached_decodes, uncached, uncached_gets, _ = self.run(0)
+        assert per_select > 3
+        assert decodes == per_select == counters["decode_misses"]
+        assert counters["decode_hits"] == (self.REPEATS - 1) * per_select
+        assert uncached_decodes == self.REPEATS * per_select
+        assert counters["chunks_fetched"] == uncached["chunks_fetched"] == self.REPEATS * per_select
+        assert counters["bytes_fetched"] == uncached["bytes_fetched"]
+        assert counters["fetch_latency_ns"] == uncached["fetch_latency_ns"]
+        assert gets == uncached_gets

@@ -1,12 +1,12 @@
-"""``merge_replica_entries``: the max-multiplicity merge and its
-all-replicas-agree short-circuit.
+"""``merge_replica_entries``: the max-multiplicity merge, its
+all-replicas-agree short-circuit and its time-disjoint path.
 
 Quorum reads, the tiered read path, the compactor and the repairer all
 lean on this one function, and in the healthy RF-3 steady state every
 replica hands it the same list.  The specification checked here is the
 general one — per timestamp, every line appears as often as the replica
-that saw it most — so the short-circuit is held to exactly what the slow
-path would have answered.
+that saw it most — so the short-circuits are held to exactly what the
+slow path would have answered.
 """
 
 from collections import Counter
@@ -14,7 +14,7 @@ from collections import Counter
 from hypothesis import given, strategies as st
 
 from repro.loki.model import LogEntry
-from repro.ring.merge import merge_replica_entries
+from repro.ring.merge import _merge_by_timestamp, merge_replica_entries
 
 LINES = ("a", "b", "c")
 
@@ -32,6 +32,12 @@ def max_multiplicity(replica_lists):
         for entry, n in Counter(entries).items():
             want[entry] = max(want[entry], n)
     return want
+
+
+#: A history whose timestamps are all distinct: every cut is disjoint.
+increasing = st.lists(st.sampled_from(LINES), max_size=16).map(
+    lambda lines: [LogEntry(ts, line) for ts, line in enumerate(lines)]
+)
 
 
 def subsequence(entries, keep):
@@ -102,3 +108,44 @@ class TestReplicasDisagree:
         assert merge_replica_entries([left, right]) == [
             LogEntry(1, "a"), LogEntry(2, "b"), LogEntry(2, "c"),
         ]
+
+
+def split(entries, data):
+    """``entries`` cut at random points into consecutive pieces (some
+    empty), handed over in a random order."""
+    cuts = sorted(data.draw(st.sets(st.integers(0, len(entries)))))
+    bounds = zip([0, *cuts], [*cuts, len(entries)])
+    return data.draw(st.permutations([entries[lo:hi] for lo, hi in bounds]))
+
+
+class TestTimeDisjointLists:
+    """A stream's consecutive chunks, and its cold part beside its hot
+    part, are laid end to end — which is what the general path answers."""
+
+    @given(history, st.data())
+    def test_any_split_answers_as_the_general_path(self, entries, data):
+        # Cuts between equal timestamps leave tied boundaries, and those
+        # lists take the general path: a line on both sides is one write.
+        pieces = split(entries, data)
+        merged = merge_replica_entries(pieces)
+        assert merged == _merge_by_timestamp(pieces)
+        assert Counter(merged) == max_multiplicity(pieces)
+
+    @given(increasing, st.data())
+    def test_a_disjoint_split_reads_back_the_history(self, entries, data):
+        pieces = split(entries, data)
+        merged = merge_replica_entries(pieces)
+        assert merged == entries == _merge_by_timestamp(pieces)
+
+    def test_a_tied_boundary_keeps_one_copy_of_a_shared_write(self):
+        left = [LogEntry(1, "a"), LogEntry(2, "b")]
+        right = [LogEntry(2, "b"), LogEntry(3, "c")]
+        want = [LogEntry(1, "a"), LogEntry(2, "b"), LogEntry(3, "c")]
+        assert merge_replica_entries([right, left]) == want
+
+    def test_overlapping_lists_still_dedup(self):
+        full = [LogEntry(1, "a"), LogEntry(2, "b"), LogEntry(3, "c")]
+        # A lagging replica and one that missed the middle write overlap
+        # the full one in time: every write reads once.
+        assert merge_replica_entries([full[:2], [full[0], full[2]], full]) == full
+        assert merge_replica_entries([[full[0], full[2]], [full[1]]]) == full

@@ -387,6 +387,30 @@ class TestAFailingAlertRule:
         assert cycle(m=1.0, n=1.0, n2=1.0) == []
         assert [name for name, _ in vmalert.firing_series()] == ["Plain", "Ratio"]
 
+    def test_a_ring_read_that_loses_quorum_is_a_failed_evaluation(self):
+        """Two of three ingesters down: the Loki rules' reads are
+        degraded, which the group counts and rides out, and the leak
+        alert that was firing stays firing."""
+        fw = MonitoringFramework(
+            FrameworkConfig(
+                cluster_spec=ClusterSpec(cabinets=1, chassis_per_cabinet=1),
+                enable_ingest_ring=True,
+                ring_ingesters=3,
+            )
+        )
+        fw.start()
+        fw.faults.schedule(FaultKind.CABINET_LEAK, sorted(fw.cluster.cabinets)[0], delay_ns=minutes(1))
+        fw.run_for(minutes(5))
+        firing = fw.ruler.firing_series()
+        assert [name for name, _ in firing] == ["PerlmutterCabinetLeak"]
+        errors, slack = fw.ruler.eval_errors, len(fw.slack.messages)
+        fw.ring.crash_ingester("ingester-0")
+        fw.ring.crash_ingester("ingester-1")
+        fw.run_for(seconds(30))  # returns
+        assert fw.ruler.eval_errors > errors
+        assert fw.ruler.firing_series() == firing
+        assert len(fw.slack.messages) == slack  # nothing resolved
+
     def test_only_a_query_error_is_a_rule_that_failed(self):
         """A bug in a node the rules share must not be filed under
         ``eval_errors``: the evaluator catches ``QueryError`` alone."""
