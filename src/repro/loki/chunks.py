@@ -10,22 +10,31 @@ disk."
 A chunk here accumulates entries in an in-memory *head block*; when the
 head reaches the policy's target size (or the chunk's age exceeds the
 policy's max age at flush time), it is *sealed*: the content is
-zlib-compressed into immutable bytes.  Reads transparently decompress.
-Compression statistics feed the storage-cost benches (C3/C4).
+zlib-compressed into immutable bytes.  A sealed chunk's entries never
+change, so its owner reads them through a :class:`DecodeCache`: decoded
+once while they stay cached, sliced by time on every read.  Compression
+statistics feed the storage-cost benches (C3/C4).
 """
 
 from __future__ import annotations
 
 import zlib
 from bisect import bisect_left
+from collections import OrderedDict
 from dataclasses import dataclass
 from operator import attrgetter
+from typing import Hashable
 
 from repro.common.errors import StateError, ValidationError
 from repro.loki.model import LogEntry
 
 SEPARATOR = "\x1e"  # record separator; never appears in log lines we accept
 _TIMESTAMP = attrgetter("timestamp_ns")
+
+#: Bound on each owner's :class:`DecodeCache`, in the uncompressed bytes
+#: of the chunks it holds (each chunk's ``uncompressed_bytes``, added and
+#: evicted alike).
+DECODE_CACHE_BYTES = 8 * 1024 * 1024
 
 
 @dataclass(frozen=True)
@@ -58,7 +67,7 @@ class Chunk:
         "_head",
         "_head_bytes",
         "_content_bytes",
-        "_sealed",
+        "sealed",
         "_compressed",
         "entry_count",
     )
@@ -70,23 +79,20 @@ class Chunk:
         self._head: list[LogEntry] = []
         self._head_bytes = 0
         self._content_bytes = 0
-        self._sealed = False
+        #: Compressed and immutable; only an open chunk has a head.
+        self.sealed = False
         self._compressed: bytes | None = None
         self.entry_count = 0
 
     # ------------------------------------------------------------------
     # Writing
     # ------------------------------------------------------------------
-    @property
-    def sealed(self) -> bool:
-        return self._sealed
-
     def space_for(self, entry: LogEntry, size: int | None = None) -> bool:
         """Whether the head block can absorb ``entry`` without exceeding
         the target size (an empty chunk always accepts one entry).
         ``size`` is the entry's ``size_bytes()`` where the caller has
         already taken it."""
-        if self._sealed:
+        if self.sealed:
             return False
         if not self._head:
             return True
@@ -98,7 +104,7 @@ class Chunk:
         """Append one entry. Entries must arrive in timestamp order within
         the stream (the store enforces out-of-order rejection).  ``size``
         as for :meth:`space_for`."""
-        if self._sealed:
+        if self.sealed:
             raise StateError("cannot append to a sealed chunk")
         if SEPARATOR in entry.line:
             raise ValidationError("log line contains reserved separator byte 0x1e")
@@ -118,7 +124,7 @@ class Chunk:
 
     def seal(self) -> None:
         """Compress the head block; the chunk becomes immutable."""
-        if self._sealed:
+        if self.sealed:
             return
         payload = SEPARATOR.join(
             f"{e.timestamp_ns}{SEPARATOR}{e.line}" for e in self._head
@@ -126,7 +132,7 @@ class Chunk:
         self._compressed = zlib.compress(payload.encode(), level=6)
         self._head = []
         self._head_bytes = 0
-        self._sealed = True
+        self.sealed = True
 
     # ------------------------------------------------------------------
     # Shipping (object-store flush / restore)
@@ -138,7 +144,7 @@ class Chunk:
         fixed zlib level), which is what lets identical replica chunks
         dedup to one object by content hash.
         """
-        if not self._sealed:
+        if not self.sealed:
             raise StateError("only sealed chunks have a payload")
         return self._compressed or b""
 
@@ -160,48 +166,32 @@ class Chunk:
         chunk.entry_count = entry_count
         chunk._content_bytes = content_bytes
         chunk._compressed = payload
-        chunk._sealed = True
+        chunk.sealed = True
         return chunk
 
     # ------------------------------------------------------------------
     # Reading
     # ------------------------------------------------------------------
-    def _fields(self) -> list[str]:
-        """A sealed chunk's payload split into ``ts, line, ts, line, ...``."""
-        if self._compressed is None or self.entry_count == 0:
+    def entries(self) -> list[LogEntry]:
+        """All entries in timestamp order, as a fresh list: a sealed
+        chunk's payload decoded whole."""
+        if not self.sealed:
+            return list(self._head)
+        if not self.entry_count:
             return []
         fields = zlib.decompress(self._compressed).decode().split(SEPARATOR)
-        if len(fields) % 2:
-            fields.pop()  # a timestamp without its line: not an entry
-        return fields
-
-    def entries(self) -> list[LogEntry]:
-        """All entries in timestamp order (decompressing if sealed)."""
-        if not self._sealed:
-            return list(self._head)
-        fields = self._fields()
         return list(map(LogEntry, map(int, fields[::2]), fields[1::2]))
 
     def entries_between(self, start_ns: int, end_ns: int) -> list[LogEntry]:
-        """Entries with ``start_ns <= ts < end_ns``, as a fresh list.
-
-        Entries are time-ordered, so the range is a bisect: into the
-        open head directly, and for a sealed chunk into its parsed
-        timestamps, so that only the in-range slice is rebuilt.
-        """
-        if self.first_ts_ns is None:
-            return []
-        if self.last_ts_ns < start_ns or self.first_ts_ns >= end_ns:
-            return []
-        if not self._sealed:
-            head = self._head
-            lo = bisect_left(head, start_ns, key=_TIMESTAMP)
-            return head[lo : bisect_left(head, end_ns, lo, key=_TIMESTAMP)]
-        fields = self._fields()
-        ts = list(map(int, fields[::2]))
-        lo = bisect_left(ts, start_ns)
-        hi = bisect_left(ts, end_ns, lo)
-        return list(map(LogEntry, ts[lo:hi], fields[2 * lo + 1 : 2 * hi : 2]))
+        """An open chunk's entries with ``start_ns <= ts < end_ns``, as a
+        fresh list: the head is time-ordered, so the range is a bisect.
+        A sealed chunk is read whole, through its owner's
+        :class:`DecodeCache`."""
+        if self.sealed:
+            raise StateError("a sealed chunk is read through a DecodeCache")
+        head = self._head
+        lo = bisect_left(head, start_ns, key=_TIMESTAMP)
+        return head[lo : bisect_left(head, end_ns, lo, key=_TIMESTAMP)]
 
     def overlaps(self, start_ns: int, end_ns: int) -> bool:
         if self.first_ts_ns is None:
@@ -217,7 +207,7 @@ class Chunk:
 
     def stored_bytes(self) -> int:
         """Actual resident size: compressed if sealed, raw if in memory."""
-        if self._sealed:
+        if self.sealed:
             return len(self._compressed or b"")
         return self._head_bytes
 
@@ -225,6 +215,63 @@ class Chunk:
         if self.first_ts_ns is None:
             return 0
         return max(0, now_ns - self.first_ts_ns)
+
+
+def window(entries: list[LogEntry], start_ns: int, end_ns: int) -> list[LogEntry]:
+    """The fresh slice of time-ordered ``entries`` with ``start_ns <= ts
+    < end_ns``."""
+    lo = bisect_left(entries, start_ns, key=_TIMESTAMP)
+    return entries[lo : bisect_left(entries, end_ns, lo, key=_TIMESTAMP)]
+
+
+class DecodeCache:
+    """Sealed chunks' decoded entries, least recently used first.
+
+    A sealed chunk never changes, so its owner decodes it once while it
+    stays here and slices the cached list (:func:`window`) on every
+    read.  The hot store keys it by the resident :class:`Chunk` and
+    discards a chunk when it leaves the store; the store-gateway keys it
+    by content-addressed object key.  Bounded by
+    :data:`DECODE_CACHE_BYTES` of the chunks' uncompressed bytes; a
+    chunk larger than the whole bound is decoded and not kept.
+    """
+
+    __slots__ = ("_entries", "bytes", "hits", "misses")
+
+    def __init__(self) -> None:
+        # Key -> (decoded entries, the bytes they count against the bound).
+        self._entries: OrderedDict[Hashable, tuple[list[LogEntry], int]] = OrderedDict()
+        self.bytes = 0
+        self.hits = 0
+        self.misses = 0
+
+    def get(self, key: Hashable) -> list[LogEntry] | None:
+        """The entries cached under ``key`` — the cache's own list, to
+        slice and never to change — or None, a miss to :meth:`put`."""
+        cached = self._entries.get(key)
+        if cached is None:
+            self.misses += 1
+            return None
+        self._entries.move_to_end(key)
+        self.hits += 1
+        return cached[0]
+
+    def put(self, key: Hashable, entries: list[LogEntry], size: int) -> list[LogEntry]:
+        """Keep ``key``'s decoded ``entries``, of ``size`` uncompressed
+        bytes, evicting the least recently used to fit; returns them."""
+        if size <= DECODE_CACHE_BYTES:
+            while self.bytes + size > DECODE_CACHE_BYTES:
+                _, (_, evicted) = self._entries.popitem(last=False)
+                self.bytes -= evicted
+            self._entries[key] = (entries, size)
+            self.bytes += size
+        return entries
+
+    def discard(self, key: Hashable) -> None:
+        """Forget ``key``, cached or not."""
+        cached = self._entries.pop(key, None)
+        if cached is not None:
+            self.bytes -= cached[1]
 
 
 def pack_chunks(entries: list[LogEntry], policy: ChunkPolicy) -> list[Chunk]:

@@ -14,11 +14,14 @@ from __future__ import annotations
 import enum
 import re
 from dataclasses import dataclass, field
-from typing import Union
+from typing import TYPE_CHECKING, Union
 
 from repro.common.errors import QueryError, ValidationError
 from repro.common.labels import Matcher
 from repro.common.vectorlang import BinOp, CmpOp, SetExpr, TopK, VectorAgg, node
+
+if TYPE_CHECKING:
+    from repro.loki.model import LogEntry
 
 
 class LineFilterOp(enum.Enum):
@@ -49,6 +52,19 @@ class LineFilter:
             return self.needle not in line
         hit = self._regex.search(line) is not None  # type: ignore[attr-defined]
         return hit if self.op is LineFilterOp.MATCHES else not hit
+
+    def kept(self, entries: list[LogEntry]) -> list[LogEntry]:
+        """The entries whose lines :meth:`keep` keeps, in order, as a new
+        list: one pass over a stream, not one call per line."""
+        needle = self.needle
+        if self.op is LineFilterOp.CONTAINS:
+            return [e for e in entries if needle in e.line]
+        if self.op is LineFilterOp.NOT_CONTAINS:
+            return [e for e in entries if needle not in e.line]
+        search = self._regex.search  # type: ignore[attr-defined]
+        if self.op is LineFilterOp.MATCHES:
+            return [e for e in entries if search(e.line)]
+        return [e for e in entries if not search(e.line)]
 
 
 class ParserKind(enum.Enum):

@@ -209,9 +209,11 @@ class LogQLEngine:
     # Pipeline evaluation
     # ------------------------------------------------------------------
     def _compile(self, pipeline: LogPipeline) -> tuple:
-        """``(stages, contains, needles)`` of ``pipeline``, worked out once
-        (DESIGN §3, "compiled pipeline").  ``stages`` leave out ``unwrap``,
-        the range aggregation's business.  ``contains`` are the ``|=``
+        """``(prefix, stages, contains, needles)`` of ``pipeline``, worked
+        out once (DESIGN §3, "compiled pipeline").  ``prefix`` is the
+        leading run of line filters, applied a stream at a time;
+        ``stages`` are the rest, run line by line, less ``unwrap``, the
+        range aggregation's business.  ``contains`` are the ``|=``
         needles of the *stored* line — filters after ``line_format`` see
         rewritten lines — each once: a per-leaf pruning aid for stores with
         blooms, so in ``errors / total`` the ``total`` read is never gated
@@ -222,6 +224,9 @@ class LogQLEngine:
             if len(self._compiled) >= self.MAX_COMPILED:
                 self._compiled.clear()
             stages = tuple(s for s in pipeline.stages if not isinstance(s, UnwrapStage))
+            lead = 0
+            while lead < len(stages) and isinstance(stages[lead], LineFilter):
+                lead += 1
             contains, needles, plain = [], [], True
             for stage in stages:
                 if isinstance(stage, LineFormatStage):
@@ -239,7 +244,10 @@ class LogQLEngine:
                 elif stage != _JSON:
                     plain = False
             self._compiled[pipeline] = (
-                stages, tuple(dict.fromkeys(contains)), tuple(dict.fromkeys(needles))
+                stages[:lead],
+                stages[lead:],
+                tuple(dict.fromkeys(contains)),
+                tuple(dict.fromkeys(needles)),
             )
         return self._compiled[pipeline]
 
@@ -250,29 +258,43 @@ class LogQLEngine:
         """Surviving entries per final label set, each list in the order
         ``select`` produced them (stream order, then entry order).
 
-        Label work is per stream or per distinct label tuple, never per
-        entry: stages that cannot rewrite labels keep the stream's own
-        ``LabelSet``, and parser output is interned by its label tuple.
-        ``wanted`` (``None`` = all) is a parser hint (:func:`_sum_hint`).
+        A stream's list goes through the line-filter prefix and the byte
+        prefilter one comprehension at a time; only the entries left run
+        the other stages.  Label work is per stream or per distinct label
+        tuple, never per entry: stages that cannot rewrite labels keep
+        the stream's own ``LabelSet``, and parser output is interned by
+        its label tuple.  ``wanted`` (``None`` = all) is a parser hint
+        (:func:`_sum_hint`).
         """
-        stages, contains, needles = self._compile(pipeline)
+        prefix, stages, contains, needles = self._compile(pipeline)
         raw = self._source.select(
             pipeline.matchers, start_ns, end_ns, shard=self._shard, line_contains=contains
         )
+        if prefix:
+            kept = []
+            for stream_labels, entries in raw:
+                for stage in prefix:
+                    entries = stage.kept(entries)
+                if entries:  # a stream left without entries stays absent
+                    kept.append((stream_labels, entries))
+            raw = kept
         grouped: dict[LabelSet, list[LogEntry]] = {}
         if not stages:
             for stream_labels, entries in raw:
-                grouped.setdefault(stream_labels, []).extend(entries)
+                bucket = grouped.get(stream_labels)
+                if bucket is None:
+                    grouped[stream_labels] = entries  # fresh: the read contract
+                else:
+                    bucket += entries
             return grouped
         # Keyed by the flat (names..., values...) tuple of the label dict.
         interned: dict[tuple[str, ...], LabelSet] = {}
         for stream_labels, entries in raw:
             base = stream_labels.to_dict()
-            absent = [value for name, value in needles if name not in base]
+            for value in [value for name, value in needles if name not in base]:
+                # A line with an escape in it may spell the value otherwise.
+                entries = [e for e in entries if value in (text := e.line) or "\\" in text]
             for entry in entries:
-                if (absent and "\\" not in entry.line
-                        and not all(map(entry.line.__contains__, absent))):
-                    continue
                 final = self._apply_stages(stages, base, entry.line, wanted)
                 if final is None:
                     continue

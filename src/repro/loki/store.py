@@ -13,7 +13,7 @@ from typing import Iterable, Mapping, Sequence
 
 from repro.common.errors import ValidationError
 from repro.common.labels import LabelSet, Matcher
-from repro.loki.chunks import Chunk, ChunkPolicy
+from repro.loki.chunks import Chunk, ChunkPolicy, DecodeCache, window
 from repro.loki.index import LabelIndex
 from repro.loki.model import LogEntry, PushRequest
 
@@ -99,6 +99,9 @@ class LokiStore:
         # entries marks its stream.  Bounded by the streams the index
         # holds, whether or not anyone drains it.
         self._touched: set[LabelSet] = set()
+        # Resident sealed chunks' entries, decoded once while cached; a
+        # chunk is discarded when it leaves the store.
+        self._decoded = DecodeCache()
         self.stats = StoreStats()
 
     # ------------------------------------------------------------------
@@ -190,6 +193,8 @@ class LokiStore:
         re-written entries exactly as they would for fresh pushes.
         """
         stream = self._stream(labels)
+        for chunk in stream.chunks:
+            self._decoded.discard(chunk)
         stream.chunks = []
         stream.last_ts = None
         return self.push_stream(stream.labels, entries)
@@ -231,8 +236,11 @@ class LokiStore:
     ) -> list[tuple[LabelSet, list[LogEntry]]]:
         """Entries per matching stream with ``start <= ts < end``.
 
-        Only chunks overlapping the window are decompressed — the chunk
-        time-bounds act as a coarse secondary index.  ``shard=(i, n)``
+        Only chunks overlapping the window are read — the chunk
+        time-bounds act as a coarse secondary index — an open one by a
+        bisect into its head, a sealed one by slicing its entries,
+        decoded once while they stay in the store's decode cache
+        (DESIGN §3, "One read per range aggregation").  ``shard=(i, n)``
         keeps only the streams whose fingerprint lands in shard ``i`` of
         ``n``, before any chunk is read.  ``line_contains`` is a pruning
         hint for stores with blooms; a hot store has none to consult.
@@ -245,13 +253,23 @@ class LokiStore:
         """
         if end_ns <= start_ns:
             raise ValidationError("empty time range")
+        decoded = self._decoded
         out = []
         for sid in self.index.select(matchers, shard):
             stream = self._streams[sid]
             entries: list[LogEntry] = []
             for chunk in stream.chunks:
-                if chunk.overlaps(start_ns, end_ns):
-                    entries.extend(chunk.entries_between(start_ns, end_ns))
+                if not chunk.overlaps(start_ns, end_ns):
+                    continue
+                if chunk.sealed:
+                    whole = decoded.get(chunk)
+                    if whole is None:
+                        whole = decoded.put(
+                            chunk, chunk.entries(), chunk.uncompressed_bytes()
+                        )
+                    entries += window(whole, start_ns, end_ns)
+                else:
+                    entries += chunk.entries_between(start_ns, end_ns)
             if entries:
                 out.append((stream.labels, entries))
         return out
@@ -271,6 +289,7 @@ class LokiStore:
                     and chunk.last_ts_ns is not None
                     and chunk.last_ts_ns < cutoff_ns
                 ):
+                    self._decoded.discard(chunk)
                     dropped += 1
                 else:
                     keep.append(chunk)
@@ -329,6 +348,7 @@ class LokiStore:
         for i, resident in enumerate(chunks):
             if resident is chunk:
                 del chunks[i]
+                self._decoded.discard(chunk)
                 self._touched.add(labelset)
                 self.stats.chunks_flushed += 1
                 return True

@@ -27,34 +27,26 @@ the pruning per query and in total — the numbers Q1 and the "Query
 Engine" dashboard report.
 
 Object keys are content-addressed, so a key's bytes never change and
-neither do its entries: the gateway keeps a bounded LRU of decoded
-entries per key, and a repeated read slices the cached list instead of
-decompressing the payload again.  It is a *decode* cache, not a fetch
-cache — every read still pays its GET, latency and counters, and a
-deleted object still fails on the GET.
+neither do its entries: the gateway keeps a
+:class:`~repro.loki.chunks.DecodeCache` keyed by object key, and a
+repeated read slices the cached list instead of decompressing the
+payload again.  It is a *decode* cache, not a fetch cache — every read
+still pays its GET, latency and counters, and a deleted object still
+fails on the GET.
 """
 
 from __future__ import annotations
 
-from bisect import bisect_left
-from collections import OrderedDict
-from operator import attrgetter
 from typing import Iterable, Sequence
 
 from repro.common.labels import LabelSet, Matcher
 from repro.common.simclock import SimClock
-from repro.loki.chunks import Chunk, ChunkPolicy
+from repro.loki.chunks import Chunk, ChunkPolicy, DecodeCache, window
 from repro.loki.model import LogEntry
 from repro.objstore.index import ChunkRef, ShipperIndex
 from repro.objstore.objectstore import ObjectStore
 from repro.ring.merge import merge_streams
 from repro.tempo.tracer import Tracer
-
-#: Bound on the decode cache, in the uncompressed bytes of the chunks it
-#: holds (each ref's ``uncompressed_bytes``, added and evicted alike).
-DECODE_CACHE_BYTES = 8 * 1024 * 1024
-
-_TIMESTAMP = attrgetter("timestamp_ns")
 
 
 class StoreGateway:
@@ -88,12 +80,7 @@ class StoreGateway:
         self.last_chunks_considered = 0
         self.last_chunks_fetched = 0
         self.last_chunks_skipped = 0
-        # Object key -> (decoded entries, the bytes they count against
-        # the bound), least recently used first.
-        self._decoded: OrderedDict[str, tuple[list[LogEntry], int]] = OrderedDict()
-        self._decoded_bytes = 0
-        self.decode_hits = 0
-        self.decode_misses = 0
+        self._decoded = DecodeCache()
 
     @property
     def bucket(self) -> str:
@@ -105,27 +92,17 @@ class StoreGateway:
         payload, latency = self._objstore.get_with_latency(self.bucket, ref.key)
         self.chunks_fetched_total += 1
         self.bytes_fetched_total += len(payload)
-        cached = self._decoded.get(ref.key)
-        if cached is not None:
-            self._decoded.move_to_end(ref.key)
-            self.decode_hits += 1
-            return cached[0], latency
-        self.decode_misses += 1
-        entries = Chunk.restore(
-            self._policy,
-            payload,
-            ref.first_ts_ns,
-            ref.last_ts_ns,
-            ref.entry_count,
-            ref.uncompressed_bytes,
-        ).entries()
-        size = ref.uncompressed_bytes
-        if size <= DECODE_CACHE_BYTES:
-            while self._decoded_bytes + size > DECODE_CACHE_BYTES:
-                _, (_, evicted) = self._decoded.popitem(last=False)
-                self._decoded_bytes -= evicted
-            self._decoded[ref.key] = (entries, size)
-            self._decoded_bytes += size
+        entries = self._decoded.get(ref.key)
+        if entries is None:
+            chunk = Chunk.restore(
+                self._policy,
+                payload,
+                ref.first_ts_ns,
+                ref.last_ts_ns,
+                ref.entry_count,
+                ref.uncompressed_bytes,
+            )
+            entries = self._decoded.put(ref.key, chunk.entries(), ref.uncompressed_bytes)
         return entries, latency
 
     def select(
@@ -159,9 +136,7 @@ class StoreGateway:
         for ref in refs:
             entries, chunk_latency = self._fetch(ref)
             latency += chunk_latency
-            lo = bisect_left(entries, start_ns, key=_TIMESTAMP)
-            hi = bisect_left(entries, end_ns, lo, key=_TIMESTAMP)
-            fetched.append((ref.labels, entries[lo:hi]))
+            fetched.append((ref.labels, window(entries, start_ns, end_ns)))
         self.last_query_latency_ns = latency
         self.fetch_latency_ns_total += latency
         self.last_chunks_considered = considered
@@ -216,6 +191,6 @@ class StoreGateway:
             "chunks_skipped": self.chunks_skipped_total,
             "bytes_fetched": self.bytes_fetched_total,
             "fetch_latency_ns": self.fetch_latency_ns_total,
-            "decode_hits": self.decode_hits,
-            "decode_misses": self.decode_misses,
+            "decode_hits": self._decoded.hits,
+            "decode_misses": self._decoded.misses,
         }

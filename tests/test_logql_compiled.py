@@ -1,15 +1,16 @@
 """A compiled pipeline answers what the interpreted one answers.
 
-``LogQLEngine`` compiles a pipeline once and adds two exact
+``LogQLEngine`` compiles a pipeline once and adds three exact
 shortcuts to it (DESIGN §3, "compiled pipeline"): a byte prefilter that
 drops a line before ``json`` decodes it when a ``label="value"`` filter
-cannot hold, and parser hints that make ``json`` extract only the labels a
-``sum [by (…)]`` of counts or byte totals reads.  The property below pins
-both to the ``wanted=None`` path with the prefilter off, entry for entry
-and bit for bit, over JSON built to hit their edges: escapes, duplicate
-keys, keys that flatten or collide into one name, numbers whose text is
-not their string, booleans, ``null`` and lines that are no JSON at all.
-The budgets at the bottom pin the work the shortcuts save.
+cannot hold, parser hints that make ``json`` extract only the labels a
+``sum [by (…)]`` of counts or byte totals reads, and a prefix of leading
+line filters applied to a stream's whole list.  The properties below pin
+them to the line-by-line path with no hint and no prefilter, entry for
+entry and bit for bit, over JSON built to hit their edges: escapes,
+duplicate keys, keys that flatten or collide into one name, numbers whose
+text is not their string, booleans, ``null`` and lines that are no JSON
+at all.  The budgets at the bottom pin the work the shortcuts save.
 """
 
 import json
@@ -22,6 +23,7 @@ from repro.alerting.rules import RuleSpec
 from repro.common.labels import LabelSet
 from repro.common.simclock import SimClock, seconds
 from repro.loki.logql import engine as engine_mod
+from repro.loki.logql.ast import LineFilter, UnwrapStage
 from repro.loki.logql.engine import LogQLEngine
 from repro.loki.model import LogEntry
 from repro.loki.ruler import Ruler
@@ -79,16 +81,18 @@ def store_of(pushes) -> LokiStore:
 
 
 def interpreted(run):
-    """``run()`` with no parser hint and no byte prefilter."""
+    """``run()`` with no parser hint, no byte prefilter and no
+    line-filter prefix: every stage runs line by line."""
     compile_ = LogQLEngine._compile
 
-    def without_prefilter(self, pipeline):
-        stages, contains, _needles = compile_(self, pipeline)
-        return stages, contains, ()
+    def line_by_line(self, pipeline):
+        _prefix, _stages, contains, _needles = compile_(self, pipeline)
+        stages = tuple(s for s in pipeline.stages if not isinstance(s, UnwrapStage))
+        return (), stages, contains, ()
 
     with (
         mock.patch.object(engine_mod, "_sum_hint", return_value=None),
-        mock.patch.object(LogQLEngine, "_compile", without_prefilter),
+        mock.patch.object(LogQLEngine, "_compile", line_by_line),
     ):
         return run()
 
@@ -152,6 +156,53 @@ def test_log_queries_match_the_interpreted_pipeline(shape, pushes, f, g):
     assert run() == interpreted(run)
 
 
+#: Line filters of all four ops, as raw strings: needles at the start and
+#: end of a line, backslashes, a needle no line holds and the empty one.
+NEEDLES = ("{", "}", "\\", '"level"', "error", "err\\u006fr", "nothing-has-this", "")
+PATTERNS = ("^\\{", "\\}$", "\\\\", "err.r", "^$", "1e2")
+LINE_FILTERS = st.one_of(
+    st.tuples(st.sampled_from(["|=", "!="]), st.sampled_from(NEEDLES)),
+    st.tuples(st.sampled_from(["|~", "!~"]), st.sampled_from(PATTERNS)),
+).map(lambda pair: f"{pair[0]} `{pair[1]}`")
+
+
+@pytest.mark.parametrize("shape", [
+    '{{app=~".+"}} {p}',
+    '{{app=~".+"}} {p} {q}',
+    '{{app=~".+"}} {p} {q} | json | {f}',
+    '{{app=~".+"}} {p} | json | {f} {q}',
+    # A filter after line_format reads the rewritten line.
+    '{{app=~".+"}} {p} | json | line_format "{{{{.level}}}}" {q}',
+    'count_over_time({{app=~".+"}} {p} {q} [{r}])',
+    'sum by (app, level) (count_over_time({{app=~".+"}} {p} | json | {f} {q} [{r}]))',
+    'bytes_over_time({{app=~".+"}} {p} {q} | json | {f} [{r}])',
+])
+@settings(max_examples=80, deadline=None)
+@given(
+    pushes=PUSHES,
+    p=LINE_FILTERS,
+    q=LINE_FILTERS,
+    f=st.sampled_from(FILTERS),
+    r=st.sampled_from(["4s", "10s"]),
+)
+@example(pushes=EDGES, p="|= `{`", q="!~ `\\}$`", f='level="error"', r="4s")
+@example(pushes=EDGES, p="|~ `\\\\`", q="!= `nothing-has-this`", f='level="100"', r="4s")
+@example(pushes=EDGES, p="!= ``", q="|= `{`", f='level="error"', r="4s")
+def test_a_line_filter_prefix_matches_the_interpreted_pipeline(shape, pushes, p, q, f, r):
+    """The leading filters run a stream at a time; a stream they empty
+    is absent, as it is when every line is dropped one by one."""
+    query = shape.format(p=p, q=q, f=f, r=r)
+    store = store_of(pushes)
+    engine = LogQLEngine(store)
+
+    def run():
+        if "_over_time" in query:
+            return exact(engine.query_range(query, 0, seconds(SPAN_S), seconds(2)))
+        return engine.query_logs(query, 0, seconds(SPAN_S + 1))
+
+    assert run() == interpreted(run)
+
+
 # ----------------------------------------------------------------------
 # Work budgets
 # ----------------------------------------------------------------------
@@ -211,3 +262,28 @@ def test_a_rule_group_keeps_the_bare_aggregation_whole():
         assert len(bare) == 24
         assert all(set(labels) == {"app", "level", "msg", "latency_ms"} for labels in bare)
         assert sorted(summed, key=LabelSet.items_tuple) == [{"app": f"app{i}"} for i in range(3)]
+
+
+@pytest.mark.parametrize("query", [
+    '{app=~".+"} |= "request 1"',
+    '{app=~".+"} |= "request" !~ `latency_ms": [0-9]{3}`',
+    'sum by (app) (count_over_time({app=~".+"} |= "request 1" [5m]))',
+])
+def test_a_line_filter_prefix_runs_a_stream_at_a_time(query):
+    """Leading line filters alone: no line goes through the line-by-line
+    stages, and no ``LineFilter.keep`` call is made."""
+    store, lines = fixture_store()
+    engine = LogQLEngine(store)
+
+    def run():
+        if query.startswith("sum"):
+            return engine.query_instant(query, seconds(61))
+        return engine.query_logs(query, 0, seconds(61))
+
+    with (
+        counted(LineFilter, "keep") as keep,
+        counted(LogQLEngine, "_apply_stages") as stages,
+    ):
+        got = run()
+    assert (keep.call_count, stages.call_count) == (0, 0)
+    assert got and got == interpreted(run)

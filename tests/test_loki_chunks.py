@@ -7,12 +7,20 @@ import pytest
 from hypothesis import given, strategies as st
 
 from repro.common.errors import StateError, ValidationError
-from repro.loki.chunks import Chunk, ChunkPolicy
+from repro.loki.chunks import Chunk, ChunkPolicy, window
 from repro.loki.model import LogEntry
 
 
 def make_chunk(target=1024, max_age=10**12):
     return Chunk(ChunkPolicy(target_size_bytes=target, max_age_ns=max_age))
+
+
+def read(chunk, start, end):
+    """A window of ``chunk`` as its store reads one: an open head by a
+    bisect in place, a sealed chunk decoded whole and sliced."""
+    if chunk.sealed:
+        return window(chunk.entries(), start, end)
+    return chunk.entries_between(start, end)
 
 
 class TestPolicy:
@@ -131,7 +139,9 @@ class TestWindows:
         for i in range(10):
             chunk.append(LogEntry(i, str(i)))
         chunk.seal()
-        assert len(chunk.entries_between(3, 7)) == 4
+        assert len(read(chunk, 3, 7)) == 4
+        with pytest.raises(StateError):  # a sealed chunk is read whole
+            chunk.entries_between(3, 7)
 
     def test_overlaps(self):
         chunk = make_chunk()
@@ -157,7 +167,8 @@ def _filter_everything(entries, start, end):
 
 
 class TestWindowBoundaries:
-    """``entries_between`` bisects; the reference filters every entry."""
+    """A window bisects, into an open head or a sealed chunk's decoded
+    entries; the reference filters every entry."""
 
     SHAPES = {
         "spread": [10, 20, 20, 20, 35, 50, 50, 90],
@@ -196,7 +207,7 @@ class TestWindowBoundaries:
             for start in edges:
                 for end in edges:
                     if end > start:
-                        assert chunk.entries_between(start, end) == _filter_everything(
+                        assert read(chunk, start, end) == _filter_everything(
                             entries, start, end
                         ), (kind, start, end)
 
@@ -204,12 +215,12 @@ class TestWindowBoundaries:
         entries, chunks = self.chunks(self.SHAPES["gap"])
         for chunk in chunks.values():
             # start == first_ts, end == last_ts + 1: everything.
-            assert chunk.entries_between(10, 82) == entries
+            assert read(chunk, 10, 82) == entries
             # end == last_ts: the last entry is out (end-exclusive).
-            assert chunk.entries_between(10, 81) == entries[:3]
+            assert read(chunk, 10, 81) == entries[:3]
             # A window inside the empty gap between two entries.
-            assert chunk.entries_between(12, 80) == []
-            assert chunk.entries_between(12, 81) == entries[2:3]
+            assert read(chunk, 12, 80) == []
+            assert read(chunk, 12, 81) == entries[2:3]
 
     @given(
         st.lists(st.integers(0, 60), min_size=1, max_size=25),
@@ -219,7 +230,7 @@ class TestWindowBoundaries:
     def test_window_property(self, timestamps, start, width):
         entries, chunks = self.chunks(sorted(timestamps))
         for kind, chunk in chunks.items():
-            assert chunk.entries_between(start, start + width) == _filter_everything(
+            assert read(chunk, start, start + width) == _filter_everything(
                 entries, start, start + width
             ), kind
 
@@ -234,7 +245,7 @@ class TestWindowBoundaries:
 class TestPayloadGolden:
     """Content-addressed dedup (S1) keys on these bytes: the payload of a
     fixed entry sequence must not move.  Hashes taken at commit c18870e,
-    before ``entries_between`` stopped decoding whole chunks."""
+    before reads stopped decoding whole chunks."""
 
     TEXT_SHA256 = "1ceb5dc8c7282752462fa8ef0d4f926edc09c3a52f416196e95a97f784d29dd8"
     PAYLOAD_SHA256 = "575ec406be9f7bfea35412d0bcea62b83bd3a787b95d0e6082375bb61e477b3f"

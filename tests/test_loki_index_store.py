@@ -1,14 +1,20 @@
 """Tests for the label index and the Loki store / sharded cluster."""
 
+import zlib
+from unittest import mock
+
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.common.errors import NotFoundError, ValidationError
 from repro.common.labels import LabelSet, label_matcher
+from repro.loki import chunks as chunks_module
 from repro.loki.chunks import ChunkPolicy
 from repro.loki.index import LabelIndex
 from repro.loki.model import LogEntry, PushRequest
 from repro.loki.store import LokiStore
 from repro.ring.cluster import RingLokiCluster
+from tests.counting import counted
 from tests.tracing import off_tracer
 
 
@@ -238,6 +244,143 @@ class TestAntiEntropySurface:
         assert store.drain_touched() == {a, c}
         assert store.delete_before(4) == 0
         assert store.drain_touched() == set()
+
+
+EVERY_STREAM = [label_matcher("s", "=~", ".*")]
+
+
+def uncached(read):
+    """``read()`` with every decode cache bounded at 0 bytes."""
+    with mock.patch.object(chunks_module, "DECODE_CACHE_BYTES", 0):
+        return read()
+
+
+def spoil(answer):
+    """A caller may do what it likes with its lists; none is cached."""
+    for _labels, entries in answer:
+        entries.clear()
+
+
+class TestDecodeCache:
+    """The hot store reads a sealed chunk through its
+    :class:`~repro.loki.chunks.DecodeCache`, keyed by the resident chunk:
+    at every step of pushes, seals, reads and every way a chunk leaves
+    the store, it answers exactly what an uncached store answers, holds
+    no more than the bound and no chunk the store no longer has."""
+
+    STREAMS = [LabelSet({"s": name}) for name in "abc"]
+    POLICY = ChunkPolicy(target_size_bytes=60)
+
+    step = st.one_of(
+        st.tuples(st.just("push"), st.integers(0, 2), st.integers(1, 30)),
+        st.tuples(st.just("flush_all"), st.none(), st.none()),
+        st.tuples(st.just("select"), st.integers(-2, 100), st.integers(1, 100)),
+        st.tuples(st.just("drop_chunk"), st.integers(0, 50), st.none()),
+        st.tuples(st.just("delete_before"), st.integers(0, 100), st.none()),
+        st.tuples(st.just("replace_stream"), st.integers(0, 2), st.integers(0, 8)),
+        st.tuples(st.just("expired_entries"), st.integers(0, 100), st.none()),
+    )
+
+    @staticmethod
+    def assert_cache_holds_only_resident_chunks(store, bound):
+        cache = store._decoded
+        sizes = [size for _entries, size in cache._entries.values()]
+        assert cache.bytes == sum(sizes) <= bound
+        resident = {
+            id(chunk) for labels in store.stream_labels() for chunk in store.stream_chunks(labels)
+        }
+        assert {id(chunk) for chunk in cache._entries} <= resident
+
+    @settings(max_examples=80, deadline=None)
+    @given(
+        steps=st.lists(step, min_size=1, max_size=20),
+        bound=st.sampled_from([0, 300, None]),
+    )
+    def test_cached_answers_equal_an_uncached_stores(self, steps, bound):
+        bound = chunks_module.DECODE_CACHE_BYTES if bound is None else bound
+        with mock.patch.object(chunks_module, "DECODE_CACHE_BYTES", bound):
+            store, reference = LokiStore(self.POLICY), LokiStore(self.POLICY)
+            clock = 0  # the next timestamp; every stream's entries are newer
+            # Sealed chunks and an open head in every stream to start from.
+            steps = [("push", k, 25) for k in range(3)] + steps
+            for kind, a, b in steps:
+                both = (store, reference)
+                if kind == "push":
+                    entries = [LogEntry(clock + i, f"{a}:{clock + i} line") for i in range(b)]
+                    clock += b
+                    for subject in both:
+                        subject.push_stream(self.STREAMS[a], entries)
+                elif kind == "flush_all":
+                    for subject in both:
+                        subject.flush_all()
+                elif kind == "select":
+                    start, end = a * clock // 100, (a + b) * clock // 100 + 1
+                    for _ in range(2):  # the second read is a hit
+                        got = store.select(EVERY_STREAM, start, end)
+                        assert got == uncached(lambda: reference.select(EVERY_STREAM, start, end))
+                        spoil(got)
+                elif kind == "drop_chunk":
+                    sealed = store.sealed_chunks()
+                    if sealed:
+                        labels, chunk = sealed[a % len(sealed)]
+                        ref_labels, ref_chunk = reference.sealed_chunks()[a % len(sealed)]
+                        assert labels == ref_labels
+                        assert store.drop_chunk(labels, chunk)
+                        reference.drop_chunk(ref_labels, ref_chunk)
+                elif kind == "delete_before":
+                    cutoff = a * clock // 100
+                    assert store.delete_before(cutoff) == reference.delete_before(cutoff)
+                elif kind == "replace_stream":
+                    # An older history than the stream's own, then newer pushes.
+                    entries = [LogEntry(ts, f"{a}:{ts} again") for ts in range(0, clock, 3)][:b]
+                    for subject in both:
+                        subject.replace_stream(self.STREAMS[a], entries)
+                else:
+                    cutoff = a * clock // 100
+                    got = store.expired_entries(cutoff)
+                    assert got == uncached(lambda: reference.expired_entries(cutoff))
+                    spoil(got)
+                self.assert_cache_holds_only_resident_chunks(store, bound)
+            whole = store.select(EVERY_STREAM, -1, clock + 1)
+            spoil(whole)
+            assert store.select(EVERY_STREAM, -1, clock + 1) == uncached(
+                lambda: reference.select(EVERY_STREAM, -1, clock + 1)
+            )
+
+    def test_a_chunk_larger_than_the_bound_is_not_kept(self):
+        with mock.patch.object(chunks_module, "DECODE_CACHE_BYTES", 10):
+            store = LokiStore(self.POLICY)
+            store.push_stream(self.STREAMS[0], [LogEntry(i, "x" * 30) for i in range(6)])
+            store.flush_all()
+            store.select(EVERY_STREAM, 0, 10)
+            assert store._decoded.bytes == 0
+            assert store._decoded.hits == 0
+
+
+class TestHotDecodeBudget:
+    """Work budget: k repeated hot selects of one window decompress each
+    sealed chunk once; the open heads are read in place."""
+
+    REPEATS = 4
+
+    def run(self, bound):
+        with mock.patch.object(chunks_module, "DECODE_CACHE_BYTES", bound):
+            store = LokiStore(ChunkPolicy(target_size_bytes=200))
+            for labels in TestDecodeCache.STREAMS:
+                store.push_stream(labels, [LogEntry(i, f"line {i:03d}") for i in range(60)])
+            with counted(zlib, "decompress") as decompress:
+                for _ in range(self.REPEATS):
+                    store.select(EVERY_STREAM, 5, 55)
+            return decompress.call_count, store
+
+    def test_repeated_selects_decode_each_sealed_chunk_once(self):
+        decodes, store = self.run(chunks_module.DECODE_CACHE_BYTES)
+        read = [chunk for _labels, chunk in store.sealed_chunks() if chunk.overlaps(5, 55)]
+        assert len(read) > 3
+        assert decodes == len(read) == store._decoded.misses
+        assert store._decoded.hits == (self.REPEATS - 1) * len(read)
+        uncached_decodes, _store = self.run(0)
+        assert uncached_decodes == self.REPEATS * len(read)
 
 
 def ring(ingesters):

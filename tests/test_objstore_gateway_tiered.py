@@ -16,6 +16,7 @@ from repro.bus.broker import Broker
 from repro.common.errors import NotFoundError
 from repro.common.labels import LabelSet, label_matcher
 from repro.common.simclock import SimClock, days, minutes
+from repro.loki import chunks as chunks_module
 from repro.loki.chunks import ChunkPolicy
 from repro.loki.model import LogEntry
 from repro.loki.store import LokiStore
@@ -27,7 +28,6 @@ from repro.objstore import (
     StoreGateway,
     TieredLokiStore,
 )
-from repro.objstore import gateway as gateway_module
 from repro.omni.lifecycle import Lifecycle
 from repro.ring.cluster import RingLokiCluster
 from repro.tsdb.storage import TimeSeriesStore
@@ -271,8 +271,9 @@ class TestTieredMaintenance:
 
 
 class TestDecodeCache:
-    """The gateway decodes a key once while it stays cached, and answers
-    exactly what a gateway with nothing cached answers: keys are
+    """The gateway's :class:`~repro.loki.chunks.DecodeCache`, keyed by
+    object key, decodes a key once while it stays cached, and the gateway
+    answers exactly what one with nothing cached answers: keys are
     content-addressed, so a key's entries never change."""
 
     STREAMS = [LabelSet({"app": "api", "host": f"n{i}"}) for i in range(3)]
@@ -304,8 +305,8 @@ class TestDecodeCache:
 
     @staticmethod
     def assert_within_bound(gateway, bound):
-        sizes = [size for _entries, size in gateway._decoded.values()]
-        assert gateway._decoded_bytes == sum(sizes) <= bound
+        sizes = [size for _entries, size in gateway._decoded._entries.values()]
+        assert gateway._decoded.bytes == sum(sizes) <= bound
 
     window = st.tuples(st.integers(-5, 130), st.integers(0, 130)).map(
         lambda pair: (pair[0] * 1_000_000, (pair[0] + pair[1]) * 1_000_000)
@@ -319,8 +320,8 @@ class TestDecodeCache:
     @settings(max_examples=40, deadline=None)
     @given(steps=st.lists(step, min_size=1, max_size=8), bound=st.sampled_from([300, 1_000, None]))
     def test_cached_answers_equal_a_fresh_gateways(self, steps, bound):
-        bound = gateway_module.DECODE_CACHE_BYTES if bound is None else bound
-        with mock.patch.object(gateway_module, "DECODE_CACHE_BYTES", bound):
+        bound = chunks_module.DECODE_CACHE_BYTES if bound is None else bound
+        with mock.patch.object(chunks_module, "DECODE_CACHE_BYTES", bound):
             clock, tiered = self.world()
             gateway = tiered.gateway
             for kind, arg, repeat in steps:
@@ -357,10 +358,10 @@ class TestDecodeCache:
             assert read() == [(LABELS, entries_for(5))]
 
     def test_an_entry_list_over_the_bound_is_not_kept(self):
-        with mock.patch.object(gateway_module, "DECODE_CACHE_BYTES", 10):
+        with mock.patch.object(chunks_module, "DECODE_CACHE_BYTES", 10):
             _clock, tiered = self.world()
             tiered.gateway.select(MATCH_ALL, 0, FAR_FUTURE_NS)
-            assert tiered.gateway._decoded_bytes == 0
+            assert tiered.gateway._decoded.bytes == 0
             assert tiered.gateway.counters()["decode_hits"] == 0
 
     def test_a_deleted_object_still_fails_on_the_get(self):
@@ -368,7 +369,7 @@ class TestDecodeCache:
         gateway = tiered.gateway
         gateway.select(MATCH_ALL, 0, FAR_FUTURE_NS)
         ref = tiered.index.refs_overlapping(0, FAR_FUTURE_NS)[0]
-        assert ref.key in gateway._decoded
+        assert ref.key in gateway._decoded._entries
         tiered.objstore.delete(tiered.index.bucket, ref.key)
         with pytest.raises(NotFoundError):
             gateway.select(MATCH_ALL, 0, FAR_FUTURE_NS)
@@ -382,7 +383,7 @@ class TestDecodeBudget:
     REPEATS = 4
 
     def run(self, bound):
-        with mock.patch.object(gateway_module, "DECODE_CACHE_BYTES", bound):
+        with mock.patch.object(chunks_module, "DECODE_CACHE_BYTES", bound):
             clock, tiered = TestDecodeCache().world()
             with counted(zlib, "decompress") as decompress:
                 for _ in range(self.REPEATS):
@@ -395,7 +396,7 @@ class TestDecodeBudget:
             )
 
     def test_repeated_selects_decode_each_object_once(self):
-        decodes, counters, gets, per_select = self.run(gateway_module.DECODE_CACHE_BYTES)
+        decodes, counters, gets, per_select = self.run(chunks_module.DECODE_CACHE_BYTES)
         uncached_decodes, uncached, uncached_gets, _ = self.run(0)
         assert per_select > 3
         assert decodes == per_select == counters["decode_misses"]
