@@ -2,7 +2,7 @@
 
 Evaluates parsed queries against any log store — a
 :class:`~repro.loki.store.LokiStore`, the ring, the tiered store — through
-the one ``select`` they share (DESIGN §3).  The engine implements
+the one ``select_columns`` they share (DESIGN §3).  The engine implements
 the paper's core conversion: log lines, filtered and parsed, become
 Prometheus-style instant vectors / range series that Grafana plots and
 the Ruler alerts on.
@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import json
 import re
+from array import array
 from dataclasses import replace
 from operator import itemgetter
 from typing import Iterable, Protocol, Sequence
@@ -80,16 +81,22 @@ _LOGFMT_RE = re.compile(r'([A-Za-z_][A-Za-z0-9_]*)=("(?:[^"\\]|\\.)*"|\S*)')
 
 
 class LogSource(Protocol):
-    """What the engine needs from a store: the one log-store ``select``."""
+    """What the engine needs from a store: the one log-store read,
+    entries and their timestamp column per stream."""
 
-    def select(
+    def select_columns(
         self,
         matchers: Iterable[Matcher],
         start_ns: int,
         end_ns: int,
         shard: tuple[int, int] | None = None,
         line_contains: Sequence[str] = (),
-    ) -> list[tuple[LabelSet, list[LogEntry]]]: ...
+    ) -> list[tuple[LabelSet, list[LogEntry], array]]: ...
+
+
+#: A pipeline's surviving entries under one final label set, and their
+#: timestamps in the same order.
+Bucket = tuple[list[LogEntry], array]
 
 
 class PatternSource(Protocol):
@@ -169,9 +176,11 @@ class LogQLEngine:
         if expr.unwrap_label is not None:
             raise QueryError("unwrap is only valid inside a range aggregation")
         grouped = self._eval_pipeline(expr, start_ns, end_ns)
-        for entries in grouped.values():
+        out = []
+        for labels, (entries, _ts) in grouped.items():
             entries.sort()
-        return sorted(grouped.items(), key=lambda kv: kv[0].items_tuple())
+            out.append((labels, entries))
+        return sorted(out, key=lambda kv: kv[0].items_tuple())
 
     def query_instant(self, query: str | Expr, time_ns: int) -> list[Sample]:
         """Evaluate a metric query at one instant; returns a vector.
@@ -254,42 +263,48 @@ class LogQLEngine:
     def _eval_pipeline(
         self, pipeline: LogPipeline, start_ns: int, end_ns: int,
         wanted: frozenset[str] | None = None,
-    ) -> dict[LabelSet, list[LogEntry]]:
+    ) -> dict[LabelSet, Bucket]:
         """Surviving entries per final label set, each list in the order
-        ``select`` produced them (stream order, then entry order).
+        ``select_columns`` produced them (stream order, then entry
+        order), with their timestamp column.
 
         A stream's list goes through the line-filter prefix and the byte
         prefilter one comprehension at a time; only the entries left run
-        the other stages.  Label work is per stream or per distinct label
-        tuple, never per entry: stages that cannot rewrite labels keep
-        the stream's own ``LabelSet``, and parser output is interned by
-        its label tuple.  ``wanted`` (``None`` = all) is a parser hint
-        (:func:`_sum_hint`).
+        the other stages.  A stream's column passes through untouched
+        while no entry is dropped; survivors build their own.  Label work
+        is per stream or per distinct label tuple, never per entry:
+        stages that cannot rewrite labels keep the stream's own
+        ``LabelSet``, and parser output is interned by its label tuple.
+        ``wanted`` (``None`` = all) is a parser hint (:func:`_sum_hint`).
         """
         prefix, stages, contains, needles = self._compile(pipeline)
-        raw = self._source.select(
+        raw = self._source.select_columns(
             pipeline.matchers, start_ns, end_ns, shard=self._shard, line_contains=contains
         )
         if prefix:
             kept = []
-            for stream_labels, entries in raw:
+            for stream_labels, entries, ts in raw:
                 for stage in prefix:
                     entries = stage.kept(entries)
-                if entries:  # a stream left without entries stays absent
-                    kept.append((stream_labels, entries))
+                if not entries:  # a stream left without entries stays absent
+                    continue
+                if len(entries) < len(ts):
+                    ts = array("q", [entry.timestamp_ns for entry in entries])
+                kept.append((stream_labels, entries, ts))
             raw = kept
-        grouped: dict[LabelSet, list[LogEntry]] = {}
+        grouped: dict[LabelSet, Bucket] = {}
         if not stages:
-            for stream_labels, entries in raw:
+            for stream_labels, entries, ts in raw:
                 bucket = grouped.get(stream_labels)
                 if bucket is None:
-                    grouped[stream_labels] = entries  # fresh: the read contract
+                    grouped[stream_labels] = (entries, ts)  # fresh: the read contract
                 else:
-                    bucket += entries
+                    bucket[0].extend(entries)
+                    bucket[1].extend(ts)
             return grouped
         # Keyed by the flat (names..., values...) tuple of the label dict.
         interned: dict[tuple[str, ...], LabelSet] = {}
-        for stream_labels, entries in raw:
+        for stream_labels, entries, _ts in raw:
             base = stream_labels.to_dict()
             for value in [value for name, value in needles if name not in base]:
                 # A line with an escape in it may spell the value otherwise.
@@ -308,10 +323,11 @@ class LogQLEngine:
                         final_labels = interned[key] = LabelSet(labels)
                 bucket = grouped.get(final_labels)
                 if bucket is None:
-                    bucket = grouped[final_labels] = []
-                bucket.append(
+                    bucket = grouped[final_labels] = ([], array("q"))
+                bucket[0].append(
                     entry if line is entry.line else LogEntry(entry.timestamp_ns, line)
                 )
+                bucket[1].append(entry.timestamp_ns)
         return grouped
 
     def _apply_stages(
@@ -466,29 +482,25 @@ class _Evaluation(Evaluation):
             expr = replace(expr, expr=(expr.expr, wanted))
         return super()._aggregate(expr)
 
-    def _counted(
-        self, expr: RangeAgg, grouped: dict[LabelSet, list[LogEntry]]
-    ) -> Vector:
+    def _counted(self, expr: RangeAgg, grouped: dict[LabelSet, Bucket]) -> Vector:
         """``count_over_time``/``rate``/``bytes_*``: every entry is added
         to the steps whose window it is in — from the first step at or
         after it up to the first a whole range after it — for all series
         at once, as a difference array summed along the steps.  Entry
-        order does not matter: counts and byte totals are exact integers."""
+        order does not matter: counts and byte totals are exact integers.
+        The series' timestamp columns are laid end to end and read as one
+        array; no entry is visited for a count."""
         series = sorted(grouped.items(), key=lambda kv: kv[0].items_tuple())
         if not series:
             return Vector([], *self._empty())
         steps, width = self.steps, len(self.steps) + 1
-        # Comprehensions, not generators into `fromiter`: the entries lie
-        # all over the heap, and cache-cold in a large one the generator
-        # cost `logs_plain`'s wide query 24 ms where this loop takes 18
-        # (EXPERIMENTS X5); warm they are equal.
-        ts = np.array(
-            [entry.timestamp_ns for _labels, entries in series for entry in entries],
-            dtype=np.int64,
-        )
+        column = array("q")
+        for _labels, (_entries, stamps) in series:
+            column += stamps
+        ts = np.frombuffer(column, dtype=np.int64)
         row_start = np.repeat(
             np.arange(len(series)) * width,
-            [len(entries) for _labels, entries in series],
+            [len(stamps) for _labels, (_entries, stamps) in series],
         )
         enters = row_start + steps.searchsorted(ts, "left")
         leaves = row_start + steps.searchsorted(ts + expr.range_ns, "left")
@@ -504,20 +516,20 @@ class _Evaluation(Evaluation):
         values = count
         if expr.func in (RangeFunc.BYTES_OVER_TIME, RangeFunc.BYTES_RATE):
             line_bytes = [
-                len(entry.line.encode()) for _labels, entries in series for entry in entries
+                len(entry.line.encode())
+                for _labels, (entries, _stamps) in series
+                for entry in entries
             ]
             values = over_windows(np.array(line_bytes, dtype=np.float64))
         if expr.func in (RangeFunc.RATE, RangeFunc.BYTES_RATE):
             values = values / (expr.range_ns / NANOS_PER_SECOND)
         return Vector(
-            [labels for labels, _entries in series],
+            [labels for labels, _bucket in series],
             values.astype(np.float64, copy=False),
             count > 0,
         )
 
-    def _unwrapped(
-        self, expr: RangeAgg, grouped: dict[LabelSet, list[LogEntry]]
-    ) -> Vector:
+    def _unwrapped(self, expr: RangeAgg, grouped: dict[LabelSet, Bucket]) -> Vector:
         """``sum/avg/min/max_over_time`` of an unwrapped label.  Entries
         whose unwrap label is missing or non-numeric are dropped (real
         Loki marks them ``__error__=SampleExtractionErr``) and the unwrap
@@ -525,13 +537,13 @@ class _Evaluation(Evaluation):
         feed one series."""
         unwrap = expr.pipeline.unwrap_label
         columns: dict[LabelSet, list[tuple[int, float]]] = {}
-        for labels, entries in grouped.items():
+        for labels, (_entries, stamps) in grouped.items():
             try:
                 value = float(labels[unwrap])
             except (KeyError, ValueError):
                 continue
             columns.setdefault(labels.without(unwrap), []).extend(
-                (entry.timestamp_ns, value) for entry in entries
+                (t, value) for t in stamps
             )
         in_order = sorted(columns, key=LabelSet.items_tuple)
         reduce = _UNWRAPPED_REDUCERS[expr.func]

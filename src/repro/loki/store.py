@@ -8,12 +8,13 @@ is :class:`repro.ring.cluster.RingLokiCluster`.
 from __future__ import annotations
 
 import dataclasses
+from array import array
 from dataclasses import dataclass
 from typing import Iterable, Mapping, Sequence
 
 from repro.common.errors import ValidationError
 from repro.common.labels import LabelSet, Matcher
-from repro.loki.chunks import Chunk, ChunkPolicy, DecodeCache, window
+from repro.loki.chunks import Chunk, ChunkPolicy, DecodeCache, between
 from repro.loki.index import LabelIndex
 from repro.loki.model import LogEntry, PushRequest
 
@@ -50,6 +51,28 @@ def aggregate_stats(stores: Iterable["LokiStore"]) -> StoreStats:
     return total
 
 
+class EntrySelect:
+    """``select``: a log store's ``select_columns`` without the timestamp
+    columns.  Every backend inherits it, so the one read each serves is
+    ``select_columns``; the engine reads that, and ``select`` is for
+    callers that want the entries alone."""
+
+    def select(
+        self,
+        matchers: Iterable[Matcher],
+        start_ns: int,
+        end_ns: int,
+        shard: tuple[int, int] | None = None,
+        line_contains: Sequence[str] = (),
+    ) -> list[tuple[LabelSet, list[LogEntry]]]:
+        return [
+            (labels, entries)
+            for labels, entries, _ts in self.select_columns(
+                matchers, start_ns, end_ns, shard, line_contains
+            )
+        ]
+
+
 class _Stream:
     """One stream's resident state — what a push needs once its labels
     are resolved."""
@@ -65,7 +88,7 @@ class _Stream:
         self.last_ts: int | None = None
 
 
-class LokiStore:
+class LokiStore(EntrySelect):
     """A single-ingester Loki.
 
     Per stream the store keeps an ordered list of chunks; only the last may
@@ -76,9 +99,10 @@ class LokiStore:
     the labels exactly as passed are the key, so a steady-state line
     builds no ``LabelSet`` and touches neither index nor postings.
 
-    Its ``push`` / ``push_stream`` / ``select`` / maintenance surface is
-    the one log-store contract :class:`~repro.ring.cluster.RingLokiCluster`
-    and :class:`~repro.objstore.tiered.TieredLokiStore` keep too (DESIGN
+    Its ``push`` / ``push_stream`` / ``select_columns`` / maintenance
+    surface is the one log-store contract
+    :class:`~repro.ring.cluster.RingLokiCluster` and
+    :class:`~repro.objstore.tiered.TieredLokiStore` keep too (DESIGN
     §3); an argument only another backend uses — a line hint — is
     accepted here and ignored.
     """
@@ -226,29 +250,32 @@ class LokiStore:
     # ------------------------------------------------------------------
     # Selection (LogQL's data plane)
     # ------------------------------------------------------------------
-    def select(
+    def select_columns(
         self,
         matchers: Iterable[Matcher],
         start_ns: int,
         end_ns: int,
         shard: tuple[int, int] | None = None,
         line_contains: Sequence[str] = (),
-    ) -> list[tuple[LabelSet, list[LogEntry]]]:
-        """Entries per matching stream with ``start <= ts < end``.
+    ) -> list[tuple[LabelSet, list[LogEntry], array]]:
+        """Entries per matching stream with ``start <= ts < end``, and
+        their timestamps as one ``int64`` column.
 
         Only chunks overlapping the window are read — the chunk
         time-bounds act as a coarse secondary index — an open one by a
-        bisect into its head, a sealed one by slicing its entries,
-        decoded once while they stay in the store's decode cache
-        (DESIGN §3, "One read per range aggregation").  ``shard=(i, n)``
-        keeps only the streams whose fingerprint lands in shard ``i`` of
-        ``n``, before any chunk is read.  ``line_contains`` is a pruning
-        hint for stores with blooms; a hot store has none to consult.
+        bisect into its head's column, a sealed one by slicing its
+        entries and column, decoded once while they stay in the store's
+        decode cache (DESIGN §3, "One read per range aggregation").
+        ``shard=(i, n)`` keeps only the streams whose fingerprint lands
+        in shard ``i`` of ``n``, before any chunk is read.
+        ``line_contains`` is a pruning hint for stores with blooms; a hot
+        store has none to consult.
 
-        The read contract every store's ``select`` keeps: streams with
-        no entry in the window are absent; a stream's entries are in
-        timestamp order, same-timestamp entries in arrival order; each
-        list is fresh (the caller's to keep or reorder) while the
+        The read contract every store's ``select_columns`` keeps: streams
+        with no entry in the window are absent; a stream's entries are in
+        timestamp order, same-timestamp entries in arrival order, and its
+        column holds their timestamps in the same order; each list and
+        column is fresh (the caller's to keep or reorder) while the
         ``LogEntry`` objects in it are the store's own and immutable.
         """
         if end_ns <= start_ns:
@@ -257,7 +284,7 @@ class LokiStore:
         out = []
         for sid in self.index.select(matchers, shard):
             stream = self._streams[sid]
-            entries: list[LogEntry] = []
+            entries = ts = None
             for chunk in stream.chunks:
                 if not chunk.overlaps(start_ns, end_ns):
                     continue
@@ -265,13 +292,18 @@ class LokiStore:
                     whole = decoded.get(chunk)
                     if whole is None:
                         whole = decoded.put(
-                            chunk, chunk.entries(), chunk.uncompressed_bytes()
+                            chunk, chunk.columns(), chunk.uncompressed_bytes()
                         )
-                    entries += window(whole, start_ns, end_ns)
+                    part, part_ts = between(*whole, start_ns, end_ns)
                 else:
-                    entries += chunk.entries_between(start_ns, end_ns)
+                    part, part_ts = chunk.entries_between(start_ns, end_ns)
+                if entries is None:  # fresh slices: the first is the stream's own
+                    entries, ts = part, part_ts
+                else:
+                    entries += part
+                    ts += part_ts
             if entries:
-                out.append((stream.labels, entries))
+                out.append((stream.labels, entries, ts))
         return out
 
     def delete_before(self, cutoff_ns: int) -> int:

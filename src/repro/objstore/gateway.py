@@ -4,16 +4,16 @@ The gateway is the read half of the cold tier.  A select consults the
 shipper index for overlapping chunk refs (matcher filtering happens on
 ref metadata — no chunk is fetched unless its stream matches and its
 time bounds overlap), GETs each payload, restores the chunk, and merges
-per stream with :func:`~repro.ring.merge.merge_streams`, as a quorum read
-does — so divergent replica chunks that were shipped before the
-compactor could dedup them still read back exactly once.
+per stream with :func:`~repro.ring.merge.merge_stream_columns`, as a
+quorum read does — so divergent replica chunks that were shipped before
+the compactor could dedup them still read back exactly once.
 
 Latency is accounted per query from the object store's charge model;
 ``last_query_latency_ns`` is what bench S1 prices cold reads with.
 
-``select`` takes the one log-store signature (DESIGN §3), and its two
-pruning hints cut the fetch set before any GET is paid (both optional,
-both exact):
+``select_columns`` takes the one log-store signature (DESIGN §3), and
+its two pruning hints cut the fetch set before any GET is paid (both
+optional, both exact):
 
 * ``shard=(i, n)`` keeps only refs whose stream fingerprint lands in
   shard ``i`` of ``n`` — the queryx engine's stream partition;
@@ -29,27 +29,29 @@ Engine" dashboard report.
 Object keys are content-addressed, so a key's bytes never change and
 neither do its entries: the gateway keeps a
 :class:`~repro.loki.chunks.DecodeCache` keyed by object key, and a
-repeated read slices the cached list instead of decompressing the
-payload again.  It is a *decode* cache, not a fetch cache — every read
-still pays its GET, latency and counters, and a deleted object still
-fails on the GET.
+repeated read slices the cached entries and timestamp column instead of
+decompressing the payload again.  It is a *decode* cache, not a fetch
+cache — every read still pays its GET, latency and counters, and a
+deleted object still fails on the GET.
 """
 
 from __future__ import annotations
 
+from array import array
 from typing import Iterable, Sequence
 
 from repro.common.labels import LabelSet, Matcher
 from repro.common.simclock import SimClock
-from repro.loki.chunks import Chunk, ChunkPolicy, DecodeCache, window
+from repro.loki.chunks import Chunk, ChunkPolicy, DecodeCache, between
 from repro.loki.model import LogEntry
+from repro.loki.store import EntrySelect
 from repro.objstore.index import ChunkRef, ShipperIndex
 from repro.objstore.objectstore import ObjectStore
-from repro.ring.merge import merge_streams
+from repro.ring.merge import merge_stream_columns, merge_streams
 from repro.tempo.tracer import Tracer
 
 
-class StoreGateway:
+class StoreGateway(EntrySelect):
     """Selects over shipped chunks, transparently to the querier."""
 
     def __init__(
@@ -86,14 +88,14 @@ class StoreGateway:
     def bucket(self) -> str:
         return self._index.bucket
 
-    def _fetch(self, ref: ChunkRef) -> tuple[list[LogEntry], int]:
-        """GET ``ref``'s object; its entries, decoded once per key while
-        the key stays cached, and the GET's latency."""
+    def _fetch(self, ref: ChunkRef) -> tuple[tuple[list[LogEntry], array], int]:
+        """GET ``ref``'s object; its entries and timestamp column, decoded
+        once per key while the key stays cached, and the GET's latency."""
         payload, latency = self._objstore.get_with_latency(self.bucket, ref.key)
         self.chunks_fetched_total += 1
         self.bytes_fetched_total += len(payload)
-        entries = self._decoded.get(ref.key)
-        if entries is None:
+        columns = self._decoded.get(ref.key)
+        if columns is None:
             chunk = Chunk.restore(
                 self._policy,
                 payload,
@@ -102,18 +104,19 @@ class StoreGateway:
                 ref.entry_count,
                 ref.uncompressed_bytes,
             )
-            entries = self._decoded.put(ref.key, chunk.entries(), ref.uncompressed_bytes)
-        return entries, latency
+            columns = self._decoded.put(ref.key, chunk.columns(), ref.uncompressed_bytes)
+        return columns, latency
 
-    def select(
+    def select_columns(
         self,
         matchers: Iterable[Matcher],
         start_ns: int,
         end_ns: int,
         shard: tuple[int, int] | None = None,
         line_contains: Sequence[str] = (),
-    ) -> list[tuple[LabelSet, list[LogEntry]]]:
-        """Cold entries per matching stream with ``start <= ts < end``."""
+    ) -> list[tuple[LabelSet, list[LogEntry], array]]:
+        """Cold entries per matching stream with ``start <= ts < end``,
+        and their timestamp columns."""
         started = self._clock.now_ns
         self.queries += 1
         # Off-shard refs belong to another subquery, not to this query's
@@ -132,11 +135,11 @@ class StoreGateway:
                     kept.append(ref)
             refs = kept
         latency = 0
-        fetched: list[tuple[LabelSet, list[LogEntry]]] = []
+        fetched: list[tuple[LabelSet, list[LogEntry], array]] = []
         for ref in refs:
-            entries, chunk_latency = self._fetch(ref)
+            columns, chunk_latency = self._fetch(ref)
             latency += chunk_latency
-            fetched.append((ref.labels, window(entries, start_ns, end_ns)))
+            fetched.append((ref.labels, *between(*columns, start_ns, end_ns)))
         self.last_query_latency_ns = latency
         self.fetch_latency_ns_total += latency
         self.last_chunks_considered = considered
@@ -144,7 +147,7 @@ class StoreGateway:
         self.last_chunks_skipped = skipped
         self.chunks_considered_total += considered
         self.chunks_skipped_total += skipped
-        out = merge_streams(fetched)
+        out = merge_stream_columns(fetched)
         self._tracer.record(
             "store-gateway",
             "objstore.select",
@@ -166,7 +169,7 @@ class StoreGateway:
         wholly before the cutoff) — what a retention sweep archives."""
         fetched: list[tuple[LabelSet, list[LogEntry]]] = []
         for ref in self._index.refs_wholly_before(cutoff_ns):
-            entries, _ = self._fetch(ref)
+            (entries, _ts), _latency = self._fetch(ref)
             fetched.append((ref.labels, entries))
         # merge_streams answers fresh lists, so no caller holds a cached one.
         return merge_streams(fetched)

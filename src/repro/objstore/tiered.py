@@ -4,9 +4,9 @@ The facade the rest of the stack talks to when object storage is on.
 It wraps whatever hot tier it is given — a bare ``LokiStore`` or the
 RF-3 ring — through the contract both keep (DESIGN §3), so it never asks
 which one it holds.  Writes go to the hot tier unchanged; reads fan out
-to both tiers and :func:`~repro.ring.merge.merge_streams` them, so a
-window spanning resident and flushed data returns every entry exactly
-once even while chunks are mid-flight (resident *and* shipped).
+to both tiers and :func:`~repro.ring.merge.merge_stream_columns` them,
+so a window spanning resident and flushed data returns every entry
+exactly once even while chunks are mid-flight (resident *and* shipped).
 Maintenance — retention, expiry preview, flushes — covers both tiers,
 which is what lets the OMNI lifecycle, the LogQL engine and
 the ruler run unmodified.
@@ -14,20 +14,21 @@ the ruler run unmodified.
 
 from __future__ import annotations
 
+from array import array
 from typing import Iterable, Mapping, Sequence
 
 from repro.common.labels import LabelSet, Matcher
 from repro.loki.model import LogEntry, PushRequest
-from repro.loki.store import LokiStore, StoreStats
+from repro.loki.store import EntrySelect, LokiStore, StoreStats
 from repro.objstore.compactor import CompactionResult, Compactor
 from repro.objstore.gateway import StoreGateway
 from repro.objstore.index import ShipperIndex
 from repro.objstore.objectstore import ObjectStore
 from repro.objstore.shipper import ChunkShipper, FlushResult
-from repro.ring.merge import merge_streams
+from repro.ring.merge import merge_stream_columns, merge_streams
 
 
-class TieredLokiStore:
+class TieredLokiStore(EntrySelect):
     """Hot ingest tier + object-store cold tier, one store surface."""
 
     def __init__(
@@ -60,22 +61,22 @@ class TieredLokiStore:
     # ------------------------------------------------------------------
     # Reads: both tiers, merged
     # ------------------------------------------------------------------
-    def select(
+    def select_columns(
         self,
         matchers: Iterable[Matcher],
         start_ns: int,
         end_ns: int,
         shard: tuple[int, int] | None = None,
         line_contains: Sequence[str] = (),
-    ) -> list[tuple[LabelSet, list[LogEntry]]]:
+    ) -> list[tuple[LabelSet, list[LogEntry], array]]:
         """Both tiers' answers, merged per stream.  The shard cut reaches
         both (the gateway prunes refs before any GET, the hot stores skip
         off-shard streams before any chunk read or replica merge); the
         line hints reach the gateway's bloom gate."""
         matchers = list(matchers)
-        hot = self.hot.select(matchers, start_ns, end_ns, shard, line_contains)
-        cold = self.gateway.select(matchers, start_ns, end_ns, shard, line_contains)
-        return merge_streams(hot + cold)
+        hot = self.hot.select_columns(matchers, start_ns, end_ns, shard, line_contains)
+        cold = self.gateway.select_columns(matchers, start_ns, end_ns, shard, line_contains)
+        return merge_stream_columns(hot + cold)
 
     # ------------------------------------------------------------------
     # Tier movement

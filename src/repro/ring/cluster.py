@@ -2,7 +2,7 @@
 
 Owns the ring, the ingesters and the distributor, and exposes the store
 surface the rest of the stack consumes (``push``/``push_stream``/
-``select`` plus the accounting and maintenance methods), so the OMNI
+``select_columns`` plus the accounting and maintenance methods), so the OMNI
 warehouse, the LogQL engine and the lifecycle can run
 unchanged against a replicated, crash-tolerant ingest tier.
 
@@ -14,13 +14,14 @@ distributor: ``distributor.entries_accepted``.
 
 from __future__ import annotations
 
+from array import array
 from typing import Iterable, Mapping, Sequence
 
 from repro.common.errors import NotFoundError, ValidationError
 from repro.common.labels import LabelSet, Matcher
 from repro.loki.chunks import ChunkPolicy
 from repro.loki.model import LogEntry, PushRequest, PushStream
-from repro.loki.store import LokiStore, StoreStats, aggregate_stats
+from repro.loki.store import EntrySelect, LokiStore, StoreStats, aggregate_stats
 from repro.ring.distributor import REPLICATION_FACTOR, Distributor
 from repro.ring.hashring import HashRing
 from repro.ring.ingester import Ingester
@@ -29,7 +30,7 @@ from repro.tempo.tracer import Tracer
 from repro.tenancy.sharding import ShuffleSharder
 
 
-class RingLokiCluster:
+class RingLokiCluster(EntrySelect):
     """N ingesters on a hash ring behind one distributor."""
 
     def __init__(
@@ -98,17 +99,17 @@ class RingLokiCluster:
     # ------------------------------------------------------------------
     # Store facade: reads + maintenance
     # ------------------------------------------------------------------
-    def select(
+    def select_columns(
         self,
         matchers: Iterable[Matcher],
         start_ns: int,
         end_ns: int,
         shard: tuple[int, int] | None = None,
         line_contains: Sequence[str] = (),
-    ) -> list[tuple[LabelSet, list[LogEntry]]]:
+    ) -> list[tuple[LabelSet, list[LogEntry], array]]:
         """The quorum read; ``line_contains`` is a pruning hint a hot
         replica has no use for."""
-        return self.distributor.select(matchers, start_ns, end_ns, shard=shard)
+        return self.distributor.select_columns(matchers, start_ns, end_ns, shard=shard)
 
     def active_stores(self) -> list["LokiStore"]:
         """The live replicas' stores, in ingester order — the surface the

@@ -15,16 +15,18 @@ replaying its WAL.
 
 from __future__ import annotations
 
+from array import array
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Collection, Iterable, Mapping
+from typing import TYPE_CHECKING, Collection, Iterable, Mapping, Sequence
 
 from repro.common.errors import QueryError, StateError, ValidationError
 from repro.common.labels import LabelSet, Matcher
 from repro.loki.chunks import SEPARATOR
 from repro.loki.model import LogEntry, PushRequest
+from repro.loki.store import EntrySelect
 from repro.ring.hashring import HashRing
 from repro.ring.ingester import Ingester
-from repro.ring.merge import merge_streams
+from repro.ring.merge import merge_stream_columns
 from repro.ring.wal import encode_bodies
 from repro.tempo.tracer import Tracer
 from repro.tenancy.limits import TENANT_LABEL
@@ -71,7 +73,7 @@ class PushResult:
     replicas_failed: int
 
 
-class Distributor:
+class Distributor(EntrySelect):
     """Fans streams out to ring replicas; acknowledges at quorum."""
 
     def __init__(
@@ -173,7 +175,13 @@ class Distributor:
     # ------------------------------------------------------------------
     def push(self, request: PushRequest) -> PushResult:
         """Replicate every stream; raise :class:`QuorumError` if any
-        stream lands on fewer than ``write_quorum`` live replicas."""
+        stream lands on fewer than ``write_quorum`` live replicas.
+
+        Every stream's live replicas are counted before any replica
+        writes: a push refused for one stream's lost quorum leaves
+        nothing in any replica's WAL or store, so the record a reliable
+        consumer redelivers is written once, and one an at-most-once
+        consumer counts failed never reads back."""
         self.pushes += 1
         tracer = self.tracer
         span_ctx = None
@@ -190,9 +198,21 @@ class Distributor:
                     "rf": self.replication_factor,
                 },
             )
+        placed = []
+        for stream in request.streams:
+            replicas = self._write_replicas(stream.labels)
+            live = sum(self.ingesters[replica_id].active for replica_id in replicas)
+            if live < self.write_quorum:
+                self.quorum_failures += 1
+                raise QuorumError(
+                    f"stream {stream.labels!r}: {live} of "
+                    f"{self.replication_factor} replicas live, quorum is "
+                    f"{self.write_quorum}"
+                )
+            placed.append((stream, replicas))
         accepted_total = 0
         ok_total = failed_total = 0
-        for stream in request.streams:
+        for stream, replicas in placed:
             labels, entries = stream.labels, stream.entries
             # Encoded once: every replica's WAL frames the same bodies.
             bodies = encode_bodies(entries)
@@ -203,7 +223,7 @@ class Distributor:
                     "log line contains reserved separator byte 0x1e"
                 )
             accepted_counts = []
-            for replica_id in self._write_replicas(labels):
+            for replica_id in replicas:
                 try:
                     got = self.ingesters[replica_id].push_stream(
                         labels, entries, bodies
@@ -222,13 +242,6 @@ class Distributor:
                         span_ctx,
                         attributes={"ingester": replica_id, "entries": got},
                     )
-            if len(accepted_counts) < self.write_quorum:
-                self.quorum_failures += 1
-                raise QuorumError(
-                    f"stream {labels!r}: {len(accepted_counts)} of "
-                    f"{self.replication_factor} replicas accepted, quorum is "
-                    f"{self.write_quorum}"
-                )
             # Replicas apply the same deterministic rejection logic; a
             # replica that missed earlier pushes (crash window) may reject
             # more, so the healthiest replica's count is the truth.
@@ -243,13 +256,14 @@ class Distributor:
     # ------------------------------------------------------------------
     # Read path
     # ------------------------------------------------------------------
-    def select(
+    def select_columns(
         self,
         matchers: Iterable[Matcher],
         start_ns: int,
         end_ns: int,
         shard: tuple[int, int] | None = None,
-    ) -> list[tuple[LabelSet, list[LogEntry]]]:
+        line_contains: Sequence[str] = (),
+    ) -> list[tuple[LabelSet, list[LogEntry], array]]:
         """Quorum read: gather from every live replica, merge, dedupe.
 
         ``shard`` is handed to every replica, so a sharded sub-query
@@ -265,7 +279,7 @@ class Distributor:
         """
         self.reads += 1
         matchers = list(matchers)
-        gathered: list[tuple[LabelSet, list[LogEntry]]] = []
+        gathered: list[tuple[LabelSet, list[LogEntry], array]] = []
         responded = 0
         for ingester_id, ingester in self.ingesters.items():
             if self.memberlist is not None and self.memberlist.read_excluded(
@@ -273,7 +287,9 @@ class Distributor:
             ):
                 continue
             try:
-                gathered += ingester.select(matchers, start_ns, end_ns, shard=shard)
+                gathered += ingester.select_columns(
+                    matchers, start_ns, end_ns, shard=shard
+                )
             except StateError:
                 if self.memberlist is not None:
                     self.memberlist.suspect_from_read(ingester_id)
@@ -282,4 +298,4 @@ class Distributor:
         if responded < self.write_quorum:
             self.reads_degraded += 1
             raise ReadDegradedError(responded, self.write_quorum)
-        return merge_streams(gathered)
+        return merge_stream_columns(gathered)

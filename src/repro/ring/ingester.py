@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import enum
 import zlib
+from array import array
 from typing import Iterable, Mapping, Sequence
 
 from repro.common.errors import StateError
@@ -21,7 +22,7 @@ from repro.common.jsonutil import dumps_compact, loads
 from repro.common.labels import LabelSet, Matcher
 from repro.loki.chunks import ChunkPolicy
 from repro.loki.model import LogEntry
-from repro.loki.store import LokiStore
+from repro.loki.store import EntrySelect, LokiStore
 from repro.ring.merge import merge_replica_entries
 from repro.ring.wal import WriteAheadLog, encode_bodies
 
@@ -31,7 +32,7 @@ class IngesterState(enum.Enum):
     CRASHED = "crashed"
 
 
-class Ingester:
+class Ingester(EntrySelect):
     """A crash-restartable ingester with WAL-backed durability."""
 
     def __init__(
@@ -176,12 +177,13 @@ class Ingester:
     def active(self) -> bool:
         return self.state is IngesterState.ACTIVE
 
-    def select(
+    def select_columns(
         self,
         matchers: Iterable[Matcher],
         start_ns: int,
         end_ns: int,
         shard: tuple[int, int] | None = None,
-    ) -> list[tuple[LabelSet, list[LogEntry]]]:
+        line_contains: Sequence[str] = (),
+    ) -> list[tuple[LabelSet, list[LogEntry], array]]:
         self._require_active()
-        return self.store.select(matchers, start_ns, end_ns, shard=shard)
+        return self.store.select_columns(matchers, start_ns, end_ns, shard=shard)

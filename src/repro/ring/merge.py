@@ -6,19 +6,27 @@ anti-entropy repairer all face the same problem: several replicas hold
 overlapping views of the same logical stream and the union must count
 every acknowledged write exactly once.  The max-multiplicity merge here
 is the single shared answer; :func:`merge_streams` applies it per stream
-to several sources' ``select``-shaped answers.
+to several sources' ``select``-shaped answers, and
+:func:`merge_stream_columns` to ``select_columns``-shaped ones, carrying
+each stream's timestamp column beside its entries.
 """
 
 from __future__ import annotations
 
+from array import array
 from collections import Counter
-from itertools import chain
+from itertools import chain, pairwise
 from typing import Iterable
 
 from repro.common.labels import LabelSet
 from repro.loki.model import LogEntry
 
-__all__ = ["merge_replica_entries", "merge_streams"]
+__all__ = [
+    "merge_replica_columns",
+    "merge_replica_entries",
+    "merge_stream_columns",
+    "merge_streams",
+]
 
 
 def merge_streams(
@@ -40,6 +48,25 @@ def merge_streams(
     return out
 
 
+def merge_stream_columns(
+    results: Iterable[tuple[LabelSet, list[LogEntry], array]],
+) -> list[tuple[LabelSet, list[LogEntry], array]]:
+    """:func:`merge_streams` of ``select_columns``-shaped triples: each
+    stream's entries and timestamp column merged together
+    (:func:`merge_replica_columns`).  The triples' lists and columns
+    must be fresh, as every ``select_columns`` answers them: the merge
+    may hand one on as the answer's own."""
+    per_stream: dict[LabelSet, list[tuple[list[LogEntry], array]]] = {}
+    for labels, entries, ts in results:
+        if entries:
+            per_stream.setdefault(labels, []).append((entries, ts))
+    out = [
+        (labels, *merge_replica_columns(parts)) for labels, parts in per_stream.items()
+    ]
+    out.sort(key=lambda triple: triple[0].items_tuple())
+    return out
+
+
 def merge_replica_entries(replica_lists: list[list[LogEntry]]) -> list[LogEntry]:
     """Merge one stream's entries across replicas, deduplicating.
 
@@ -49,7 +76,7 @@ def merge_replica_entries(replica_lists: list[list[LogEntry]]) -> list[LogEntry]
     authoritative; an identical ``(ts, line)`` seen on several replicas
     is the same write and appears once — its multiplicity is the *max*
     across replicas, never the sum.  Each list is time-ordered, as every
-    store's ``select`` answers.
+    store's ``select`` answers.  The answer is a fresh list.
     """
     if not replica_lists:
         return []
@@ -58,21 +85,51 @@ def merge_replica_entries(replica_lists: list[list[LogEntry]]) -> list[LogEntry]
     # the max multiplicity of every line is what any one of them holds.
     if all(entries == first for entries in replica_lists[1:]):
         return list(first)
-    # One stream's consecutive chunks, or its cold part beside its hot
-    # part: time-disjoint lists, where every timestamp has one group and
-    # the general path's answer is the lists laid end to end.  A tied
-    # boundary may hold one write on two lists, so it takes the general
-    # path.
+    spans = _end_to_end(replica_lists)
+    if spans is None:
+        return _merge_by_timestamp(replica_lists)
+    return list(chain.from_iterable(replica_lists[i] for i in spans))
+
+
+def merge_replica_columns(
+    replicas: list[tuple[list[LogEntry], array]],
+) -> tuple[list[LogEntry], array]:
+    """:func:`merge_replica_entries` of fresh ``(entries, ts)`` pairs,
+    with the merged entries' timestamp column: equal replicas answer
+    the first pair itself, time-disjoint ones their lists and columns
+    laid end to end; only the general path builds a column from its
+    entries."""
+    first, first_ts = replicas[0]
+    if all(entries == first for entries, _ts in replicas[1:]):
+        return first, first_ts
+    lists = [entries for entries, _ts in replicas]
+    spans = _end_to_end(lists)
+    if spans is None:
+        merged = _merge_by_timestamp(lists)
+        return merged, array("q", [entry.timestamp_ns for entry in merged])
+    ts = array("q")
+    for i in spans:
+        ts += replicas[i][1]
+    return list(chain.from_iterable(lists[i] for i in spans)), ts
+
+
+def _end_to_end(replica_lists: list[list[LogEntry]]) -> list[int] | None:
+    """The indexes of the non-empty lists by first timestamp, if each
+    ends strictly before the next begins; else None.
+
+    One stream's consecutive chunks, or its cold part beside its hot
+    part, are time-disjoint lists: every timestamp has one group, and
+    the general path's answer is the lists laid end to end.  A tied
+    boundary may hold one write on two lists, so it takes the general
+    path."""
     spans = sorted(
-        (entries for entries in replica_lists if entries),
-        key=lambda entries: entries[0].timestamp_ns,
+        (i for i, entries in enumerate(replica_lists) if entries),
+        key=lambda i: replica_lists[i][0].timestamp_ns,
     )
-    if all(
-        earlier[-1].timestamp_ns < later[0].timestamp_ns
-        for earlier, later in zip(spans, spans[1:])
-    ):
-        return list(chain.from_iterable(spans))
-    return _merge_by_timestamp(replica_lists)
+    for earlier, later in pairwise(spans):
+        if replica_lists[earlier][-1].timestamp_ns >= replica_lists[later][0].timestamp_ns:
+            return None
+    return spans
 
 
 def _merge_by_timestamp(replica_lists: list[list[LogEntry]]) -> list[LogEntry]:

@@ -8,6 +8,9 @@ pump, without counting the refusal toward ``MAX_DELIVERY_FAILURES``: a
 429 or a lost quorum is the store's state, not a poison record.
 """
 
+from collections import Counter
+
+from repro.common.labels import label_matcher
 from repro.common.simclock import seconds
 from repro.core.consumers import MAX_DELIVERY_FAILURES
 from repro.core.framework import FrameworkConfig, MonitoringFramework
@@ -83,6 +86,20 @@ class TestRateLimited:
         assert pod.lag() == 0
 
 
+def _lines_read(fw: MonitoringFramework) -> Counter:
+    """How often each of ``_quorum_lost``'s lines reads back."""
+    streams = fw.warehouse.loki.select(
+        [label_matcher("hostname", "=", "nid001")], 0, fw.clock.now_ns + 1
+    )
+    return Counter(
+        f"line {i}"
+        for _labels, entries in streams
+        for entry in entries
+        for i in range(4)
+        if entry.line.endswith(f"line {i}")
+    )
+
+
 class TestQuorumLost:
     def test_at_most_once_counts_the_records_failed(self):
         fw = _quorum_lost(reliable=False)
@@ -105,3 +122,22 @@ class TestQuorumLost:
         fw.run_for(seconds(10))
         assert pod.records_processed == 4
         assert pod.lag() == 0
+
+    def test_reliable_reads_each_redelivered_line_once(self):
+        # The live replica kept each refused attempt: `line 0` read twice.
+        fw = _quorum_lost(reliable=True)
+        fw.run_for(seconds(21))
+        fw.ring.restart_ingester("ingester-0")
+        fw.ring.restart_ingester("ingester-1")
+        fw.run_for(seconds(10))
+        assert fw.syslog_consumer.records_processed == 4
+        assert _lines_read(fw) == Counter(f"line {i}" for i in range(4))
+
+    def test_at_most_once_a_record_counted_failed_does_not_read_back(self):
+        fw = _quorum_lost(reliable=False)
+        fw.run_for(seconds(11))
+        assert fw.syslog_consumer.records_failed == 4
+        fw.ring.restart_ingester("ingester-0")
+        fw.ring.restart_ingester("ingester-1")
+        fw.run_for(seconds(10))
+        assert _lines_read(fw) == Counter()

@@ -22,8 +22,8 @@ ROOT = Path(__file__).resolve().parent.parent
 
 #: File -> its byte ceiling.
 CEILINGS = {
-    "DESIGN.md": 123_387,
-    "EXPERIMENTS.md": 251_925,
+    "DESIGN.md": 123_386,
+    "EXPERIMENTS.md": 251_762,
 }
 ENTRY_CEILING = 2_000
 FIRST_CAPPED_ENTRY = 40

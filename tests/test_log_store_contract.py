@@ -12,6 +12,7 @@ sweeps every one of them alike: what it archives plus what stays resident
 is what was acknowledged.
 """
 
+from array import array
 from collections import Counter
 
 import pytest
@@ -134,6 +135,42 @@ def to_streams(raw_streams):
     ]
 
 
+#: Few seconds, so that timestamps repeat within a stream and across the
+#: halves ``build`` pushes.
+TIED_SPAN_S = 4
+tied_strategy = st.lists(
+    st.tuples(
+        st.fixed_dictionaries({"app": st.sampled_from(["fm", "api"])}),
+        st.lists(
+            st.tuples(st.integers(0, TIED_SPAN_S), st.sampled_from(WORDS)),
+            min_size=1,
+            max_size=14,
+        ),
+    ),
+    min_size=1,
+    max_size=2,
+    unique_by=lambda s: s[0]["app"],
+)
+
+
+def assert_columns_are_the_select(store, start, end):
+    """``select_columns`` answers ``select``'s entries, each stream with
+    its entries' timestamps as a fresh ``int64`` column."""
+    columns = store.select_columns(MATCH_ALL, start, end)
+    assert [(labels, entries) for labels, entries, _ts in columns] == store.select(
+        MATCH_ALL, start, end
+    )
+    for _labels, entries, ts in columns:
+        assert isinstance(ts, array) and ts.typecode == "q"
+        assert list(ts) == [e.timestamp_ns for e in entries]
+        del ts[:]  # fresh: the caller's to change
+    again = store.select_columns(MATCH_ALL, start, end)
+    assert [(labels, list(ts)) for labels, _entries, ts in again] == [
+        (labels, [e.timestamp_ns for e in entries]) for labels, entries, _ts in columns
+    ]
+    return again
+
+
 def window(start_s, end_s):
     return int(seconds(start_s)), int(seconds(end_s))
 
@@ -169,6 +206,22 @@ class TestLogStoreContract:
         assert dict(store.select(MATCH_ALL, start, end)) == {
             labels: es for labels, es in expected.items() if es
         }
+
+    @given(
+        raw_streams=tied_strategy,
+        start_s=st.integers(0, TIED_SPAN_S),
+        span_s=st.integers(1, TIED_SPAN_S + 1),
+    )
+    @settings(max_examples=40, deadline=None)
+    def test_select_columns_is_select_and_its_timestamps(
+        self, kind, raw_streams, start_s, span_s
+    ):
+        # Timestamps repeat, also across the two halves: on a ring the
+        # lagging replica sends reads down the general merge path, on a
+        # tiered store a tie at the hot/cold boundary does.
+        store = build(kind, to_streams(raw_streams))
+        start, end = window(start_s, start_s + span_s)
+        assert_columns_are_the_select(store, start, end)
 
     @given(raw_streams=stream_strategy, shards=st.integers(1, 4))
     @settings(max_examples=30, deadline=None)
@@ -295,6 +348,26 @@ def reference_merge(results):
     ]
     out.sort(key=lambda pair: pair[0].items_tuple())
     return out
+
+
+@pytest.mark.parametrize("kind", ["tiered_bare", "tiered_ring"])
+def test_a_tie_at_the_hot_cold_boundary_takes_the_general_merge(kind):
+    """The cold half ends at the timestamp the hot half starts at, so
+    the tiers' lists are not disjoint: the merged column is rebuilt from
+    the merged entries, in their order."""
+    labels = LabelSet({"app": "fm"})
+    entries = [LogEntry(1, "a"), LogEntry(2, "b"), LogEntry(2, "c"), LogEntry(3, "d")]
+    store = BACKENDS[kind]()
+    store.push_stream(labels, entries[:2])
+    store.flush_all()
+    store.flush_to_cold()
+    store.push_stream(labels, entries[2:])
+    hot = store.hot.select_columns(MATCH_ALL, 0, 10)
+    cold = store.gateway.select_columns(MATCH_ALL, 0, 10)
+    assert [list(ts) for _l, _e, ts in cold] == [[1, 2]]
+    assert [list(ts) for _l, _e, ts in hot] == [[2, 3]]
+    [(got_labels, got, ts)] = assert_columns_are_the_select(store, 0, 10)
+    assert (got_labels, sorted(got), list(ts)) == (labels, entries, [1, 2, 2, 3])
 
 
 @given(

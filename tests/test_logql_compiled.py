@@ -22,6 +22,7 @@ from hypothesis import example, given, settings, strategies as st
 from repro.alerting.rules import RuleSpec
 from repro.common.labels import LabelSet
 from repro.common.simclock import SimClock, seconds
+from repro.loki.chunks import ChunkPolicy
 from repro.loki.logql import engine as engine_mod
 from repro.loki.logql.ast import LineFilter, UnwrapStage
 from repro.loki.logql.engine import LogQLEngine
@@ -287,3 +288,30 @@ def test_a_line_filter_prefix_runs_a_stream_at_a_time(query):
         got = run()
     assert (keep.call_count, stages.call_count) == (0, 0)
     assert got and got == interpreted(run)
+
+
+@pytest.mark.parametrize("query", [
+    'count_over_time({app=~".+"}[10s])',
+    'sum by (app) (rate({app=~".+"} |= "line 3" [10s]))',
+    'sum(count_over_time({app=~".+"} | json | level="error" [10s]))',
+])
+def test_a_count_leaf_converts_its_timestamps_once(query):
+    """However many streams and chunks a count leaf reads, sealed or
+    open, its timestamps reach numpy in one conversion: the streams'
+    columns are laid end to end first."""
+    store = LokiStore(ChunkPolicy(target_size_bytes=120))
+    for i in range(6):
+        lines = [json.dumps({"level": ("error", "info")[s % 2], "n": f"line {s}"}) for s in range(40)]
+        store.push_stream(
+            {"app": f"app{i}"}, [LogEntry(seconds(s), line) for s, line in enumerate(lines)]
+        )
+    assert store.chunk_count() > 24 and len(store.sealed_chunks()) > 18
+    engine = LogQLEngine(store)
+    for run in (
+        lambda: engine.query_range(query, seconds(10), seconds(40), seconds(5)),
+        lambda: engine.query_instant(query, seconds(40)),
+    ):
+        with counted(engine_mod.np, "frombuffer") as frombuffer:
+            got = run()
+        assert got and got == interpreted(run)
+        assert frombuffer.call_count == 1

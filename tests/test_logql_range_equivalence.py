@@ -352,10 +352,10 @@ class CountingSource:
         self.selects = []
         self.hints = []
 
-    def select(self, matchers, start_ns, end_ns, shard=None, line_contains=()):
+    def select_columns(self, matchers, start_ns, end_ns, shard=None, line_contains=()):
         self.selects.append((start_ns, end_ns))
         self.hints.append((shard, tuple(line_contains)))
-        return self._inner.select(matchers, start_ns, end_ns, shard, line_contains)
+        return self._inner.select_columns(matchers, start_ns, end_ns, shard, line_contains)
 
 
 class TestOneReadPerRangeQuery:

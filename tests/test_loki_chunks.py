@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from repro.common.errors import StateError, ValidationError
-from repro.loki.chunks import Chunk, ChunkPolicy, window
+from repro.loki.chunks import Chunk, ChunkPolicy, between
 from repro.loki.model import LogEntry
 
 
@@ -17,10 +17,14 @@ def make_chunk(target=1024, max_age=10**12):
 
 def read(chunk, start, end):
     """A window of ``chunk`` as its store reads one: an open head by a
-    bisect in place, a sealed chunk decoded whole and sliced."""
+    bisect of its column in place, a sealed chunk decoded whole and
+    sliced.  The column read beside the entries is their timestamps."""
     if chunk.sealed:
-        return window(chunk.entries(), start, end)
-    return chunk.entries_between(start, end)
+        entries, ts = between(*chunk.columns(), start, end)
+    else:
+        entries, ts = chunk.entries_between(start, end)
+    assert list(ts) == [e.timestamp_ns for e in entries]
+    return entries
 
 
 class TestPolicy:
@@ -122,8 +126,11 @@ class TestSeal:
         entries = [LogEntry(i, line) for i, line in enumerate(lines)]
         for e in entries:
             chunk.append(e)
+        head = chunk.columns()
         chunk.seal()
         assert chunk.entries() == entries
+        assert chunk.columns() == head
+        assert list(head[1]) == [e.timestamp_ns for e in entries]
 
 
 class TestWindows:
@@ -131,8 +138,8 @@ class TestWindows:
         chunk = make_chunk()
         for i in range(10):
             chunk.append(LogEntry(i * 10, str(i)))
-        got = chunk.entries_between(20, 50)
-        assert [e.timestamp_ns for e in got] == [20, 30, 40]
+        got, ts = chunk.entries_between(20, 50)
+        assert [e.timestamp_ns for e in got] == list(ts) == [20, 30, 40]
 
     def test_window_after_seal(self):
         chunk = make_chunk()
@@ -237,9 +244,10 @@ class TestWindowBoundaries:
     def test_window_is_a_fresh_list(self):
         _entries, chunks = self.chunks(self.SHAPES["spread"])
         head = chunks["open head"]
-        window = head.entries_between(0, 100)
+        window, ts = head.entries_between(0, 100)
         window.clear()
-        assert len(head.entries_between(0, 100)) == 8
+        del ts[:]
+        assert [len(column) for column in head.entries_between(0, 100)] == [8, 8]
 
 
 class TestPayloadGolden:

@@ -193,13 +193,13 @@ class TestShardPushDown:
         from repro.ring import distributor
 
         merged_streams = set()
-        real_merge = distributor.merge_streams
+        real_merge = distributor.merge_stream_columns
 
         def spy(results):
-            merged_streams.update(labels for labels, _entries in results)
+            merged_streams.update(labels for labels, _entries, _ts in results)
             return real_merge(results)
 
-        monkeypatch.setattr(distributor, "merge_streams", spy)
+        monkeypatch.setattr(distributor, "merge_stream_columns", spy)
         ring = RingLokiCluster(
             ingesters=4, replication_factor=3, policy=small_chunks(),
             tracer=off_tracer(),

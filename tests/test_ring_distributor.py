@@ -62,6 +62,54 @@ class TestDistributor:
             cluster.push(stream_request("svc", [(1, "x")]))
         assert cluster.distributor.quorum_failures == 1
 
+    def test_a_push_that_loses_quorum_writes_nothing(self):
+        """The live replica took the write and kept it, WAL and store,
+        while the push was refused: a retry wrote it twice, a refused
+        push still read back."""
+        cluster = RingLokiCluster(ingesters=3, replication_factor=3, tracer=off_tracer())
+        cluster.crash_ingester("ingester-0")
+        cluster.crash_ingester("ingester-1")
+        for _ in range(2):
+            with pytest.raises(QuorumError):
+                cluster.push(stream_request("svc", [(1, "x")]))
+        survivor = cluster.ingesters["ingester-2"]
+        assert list(survivor.wal.replay()) == []
+        assert survivor.store.stream_count() == 0
+        assert cluster.distributor.replica_writes_ok == 0
+        cluster.restart_ingester("ingester-0")
+        cluster.restart_ingester("ingester-1")
+        assert cluster.select(MATCH_ALL, 0, 10) == []
+        cluster.push(stream_request("svc", [(1, "x")]))
+        assert cluster.select(MATCH_ALL, 0, 10) == [
+            (LabelSet({"app": "svc"}), [LogEntry(1, "x")])
+        ]
+
+    def test_every_stream_is_checked_before_any_replica_writes(self):
+        """One stream of a push keeps its quorum, the next loses it: the
+        first is not written either."""
+        cluster = RingLokiCluster(ingesters=5, replication_factor=3, tracer=off_tracer())
+        lost = LabelSet({"app": "lost"})
+        down = cluster.distributor.replicas_for(lost)[:2]
+        kept = next(
+            labels
+            for labels in (LabelSet({"app": f"kept-{i}"}) for i in range(100))
+            if len(set(cluster.distributor.replicas_for(labels)) & set(down)) <= 1
+        )
+        for member in down:
+            cluster.crash_ingester(member)
+        request = PushRequest(
+            streams=(
+                PushStream(kept, (LogEntry(1, "ok"),)),
+                PushStream(lost, (LogEntry(2, "refused"),)),
+            )
+        )
+        with pytest.raises(QuorumError):
+            cluster.push(request)
+        for ingester in cluster.ingesters.values():
+            if ingester.active:
+                assert list(ingester.wal.replay()) == []
+        assert cluster.select(MATCH_ALL, 0, 10) == []
+
     def test_rf1_has_no_redundancy(self):
         cluster = RingLokiCluster(ingesters=2, replication_factor=1, tracer=off_tracer())
         cluster.push(stream_request("svc", [(1, "x")]))
@@ -267,8 +315,8 @@ class TestReadFallback:
         memberlist.declare_dead("ingester-3")
         contacted = []
         dead = cluster.ingesters["ingester-3"]
-        real_select = dead.select
-        dead.select = lambda *a, **k: contacted.append(1) or real_select(*a, **k)  # type: ignore[method-assign]
+        real_select = dead.select_columns
+        dead.select_columns = lambda *a, **k: contacted.append(1) or real_select(*a, **k)  # type: ignore[method-assign]
         cluster.select(MATCH_ALL, 0, 10**9)
         assert not contacted
 

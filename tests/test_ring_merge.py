@@ -1,5 +1,6 @@
 """``merge_replica_entries``: the max-multiplicity merge, its
-all-replicas-agree short-circuit and its time-disjoint path.
+all-replicas-agree short-circuit and its time-disjoint path, and
+``merge_replica_columns``, the same merge carrying timestamp columns.
 
 Quorum reads, the tiered read path, the compactor and the repairer all
 lean on this one function, and in the healthy RF-3 steady state every
@@ -9,12 +10,13 @@ that saw it most — so the short-circuits are held to exactly what the
 slow path would have answered.
 """
 
+from array import array
 from collections import Counter
 
 from hypothesis import given, strategies as st
 
 from repro.loki.model import LogEntry
-from repro.ring.merge import _merge_by_timestamp, merge_replica_entries
+from repro.ring.merge import _merge_by_timestamp, merge_replica_columns, merge_replica_entries
 
 LINES = ("a", "b", "c")
 
@@ -149,3 +151,43 @@ class TestTimeDisjointLists:
         # the full one in time: every write reads once.
         assert merge_replica_entries([full[:2], [full[0], full[2]], full]) == full
         assert merge_replica_entries([[full[0], full[2]], [full[1]]]) == full
+
+
+def with_column(entries):
+    return entries, array("q", [e.timestamp_ns for e in entries])
+
+
+class TestColumns:
+    """``merge_replica_columns`` answers ``merge_replica_entries`` and the
+    answer's timestamps, on each of the three paths: equal replicas pass
+    the first column on, disjoint ones lay theirs end to end, the
+    general path rebuilds one."""
+
+    @staticmethod
+    def assert_merged_columns(lists):
+        merged, ts = merge_replica_columns([with_column(entries) for entries in lists])
+        assert merged == merge_replica_entries(lists)
+        assert isinstance(ts, array) and list(ts) == [e.timestamp_ns for e in merged]
+
+    @given(history, st.integers(1, 4))
+    def test_equal_replicas(self, entries, replicas):
+        self.assert_merged_columns([list(entries) for _ in range(replicas)])
+
+    def test_equal_replicas_answer_the_first_pair_itself(self):
+        entries = [LogEntry(1, "a"), LogEntry(2, "b")]
+        parts = [with_column(list(entries)) for _ in range(3)]
+        merged, ts = merge_replica_columns(parts)
+        assert merged is parts[0][0] and ts is parts[0][1]
+
+    @given(history, st.data())
+    def test_any_split(self, entries, data):
+        self.assert_merged_columns(split(entries, data))
+
+    @given(history, st.data())
+    def test_lossy_replicas(self, entries, data):
+        self.assert_merged_columns([
+            subsequence(
+                entries, data.draw(st.lists(st.booleans(), min_size=len(entries), max_size=len(entries)))
+            )
+            for _ in range(3)
+        ])
