@@ -213,11 +213,6 @@ class Chunk:
         hi = bisect_left(ts, end_ns, lo)
         return self._head[lo:hi], ts[lo:hi]
 
-    def overlaps(self, start_ns: int, end_ns: int) -> bool:
-        if self.first_ts_ns is None:
-            return False
-        return self.last_ts_ns >= start_ns and self.first_ts_ns < end_ns
-
     # ------------------------------------------------------------------
     # Accounting
     # ------------------------------------------------------------------

@@ -48,10 +48,11 @@ class LabelIndex:
     # ------------------------------------------------------------------
     def select(
         self, matchers: Iterable[Matcher], shard: tuple[int, int] | None = None
-    ) -> list[int]:
+    ) -> tuple[int, ...]:
         """Stream ids, ascending, whose labels satisfy every matcher —
-        only those in stream shard ``i`` of ``n`` when ``shard=(i, n)``."""
-        return list(self._postings.select(matchers, shard))
+        only those in stream shard ``i`` of ``n`` when ``shard=(i, n)``.
+        The postings' memoised tuple itself, not a copy."""
+        return self._postings.select(matchers, shard)
 
     # ------------------------------------------------------------------
     # Introspection (Grafana's label browser; bench C3 sizing)

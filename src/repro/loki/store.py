@@ -281,12 +281,16 @@ class LokiStore(EntrySelect):
         if end_ns <= start_ns:
             raise ValidationError("empty time range")
         decoded = self._decoded
+        streams = self._streams
         out = []
         for sid in self.index.select(matchers, shard):
-            stream = self._streams[sid]
+            stream = streams[sid]
             entries = ts = None
             for chunk in stream.chunks:
-                if not chunk.overlaps(start_ns, end_ns):
+                # The chunk's time bounds against the window (an empty
+                # chunk, left by a refused first line, has none).
+                first = chunk.first_ts_ns
+                if first is None or first >= end_ns or chunk.last_ts_ns < start_ns:
                     continue
                 if chunk.sealed:
                     whole = decoded.get(chunk)

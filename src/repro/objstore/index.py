@@ -84,7 +84,7 @@ class ChunkRef:
     period: int
 
     def order(self) -> tuple:
-        """What a list of refs is returned sorted by."""
+        """What :meth:`ShipperIndex.refs_wholly_before` sorts by."""
         return self.labels.items_tuple(), self.first_ts_ns, self.key
 
     def to_obj(self) -> dict:
@@ -256,19 +256,21 @@ class ShipperIndex:
         shard: tuple[int, int] | None = None,
     ) -> list[ChunkRef]:
         """Refs with an entry span reaching into ``[start, end)``, cut to
-        one tenant, the streams ``matchers`` select and a stream shard."""
+        one tenant, the streams ``matchers`` select and a stream shard —
+        in ``(period, tenant, labels)`` order, so each stream's refs are
+        in ``(first_ts_ns, key)`` order with no sort of the whole list."""
         if shard is not None:
             check_shard(shard)  # even with no table to ask
         matchers = tuple(matchers or ())
         out: list[ChunkRef] = []
-        for (_, of), (table, streams) in self._tables.items():
-            if tenant is None or of == tenant:
+        for at in sorted(self._tables):
+            if tenant is None or at[1] == tenant:
+                table, streams = self._tables[at]
                 for labels in table.select(matchers, shard):
                     refs, reach = streams[labels]
                     low = bisect_left(reach, start_ns)
                     high = bisect_left(refs, end_ns, low, key=attrgetter("first_ts_ns"))
                     out.extend(r for r in refs[low:high] if r.last_ts_ns >= start_ns)
-        out.sort(key=ChunkRef.order)
         return out
 
     def refs_wholly_before(self, cutoff_ns: int) -> list[ChunkRef]:

@@ -5,11 +5,13 @@ import json
 import pytest
 
 from repro.common.errors import QueryError
+from repro.common.labels import LabelSet
 from repro.common.simclock import minutes, seconds
 from repro.loki.logql.engine import LogQLEngine
 from repro.loki.logql.parser import parse
-from repro.loki.model import PushRequest
+from repro.loki.model import LogEntry, PushRequest
 from repro.loki.store import LokiStore
+from tests.test_log_store_contract import BACKENDS
 
 
 @pytest.fixture
@@ -106,3 +108,21 @@ class TestEvaluation:
             seconds(3),
         )
         assert sample.value == 10.0 + 20.0 + 30.0
+
+
+@pytest.mark.parametrize("kind", sorted(BACKENDS))
+def test_an_unwrapped_sum_does_not_depend_on_the_backend(kind):
+    """Floats added in another order sum to another float: 1e16 + -1e16
+    + 1 is 1.0, -1e16 + 1 + 1e16 is 0.0.  No store orders its streams
+    (a bare one answers in creation order, a tiered one cold first), so
+    the leaf reads them in label order on every backend."""
+    store = BACKENDS[kind]()
+    for pid in ("1e16", "-1e16", "1"):
+        store.push_stream(LabelSet({"job": "x", "pid": pid}), [LogEntry(seconds(1), "up")])
+        if pid == "1e16" and kind.startswith("tiered"):
+            store.flush_all()
+            store.flush_to_cold()  # one stream cold, two hot
+    (sample,) = LogQLEngine(store).query_instant(
+        'sum_over_time({job="x"} | unwrap pid [1m])', minutes(1)
+    )
+    assert sample.value.hex() == "0x0.0p+0"

@@ -150,18 +150,6 @@ class TestWindows:
         with pytest.raises(StateError):  # a sealed chunk is read whole
             chunk.entries_between(3, 7)
 
-    def test_overlaps(self):
-        chunk = make_chunk()
-        chunk.append(LogEntry(10, "x"))
-        chunk.append(LogEntry(20, "y"))
-        assert chunk.overlaps(15, 25)
-        assert chunk.overlaps(0, 11)
-        assert not chunk.overlaps(21, 30)
-        assert not chunk.overlaps(0, 10)  # end-exclusive
-
-    def test_empty_chunk_never_overlaps(self):
-        assert not make_chunk().overlaps(0, 10**18)
-
     def test_age(self):
         chunk = make_chunk()
         chunk.append(LogEntry(100, "x"))

@@ -61,7 +61,7 @@ class TestLabelIndex:
     def test_select_no_match_is_empty(self):
         idx = LabelIndex()
         idx.get_or_create(LabelSet({"a": "b"}))
-        assert idx.select([label_matcher("a", "=", "zzz")]) == []
+        assert idx.select([label_matcher("a", "=", "zzz")]) == ()
 
     def test_label_browsing(self):
         idx = LabelIndex()
@@ -375,12 +375,37 @@ class TestHotDecodeBudget:
 
     def test_repeated_selects_decode_each_sealed_chunk_once(self):
         decodes, store = self.run(chunks_module.DECODE_CACHE_BYTES)
-        read = [chunk for _labels, chunk in store.sealed_chunks() if chunk.overlaps(5, 55)]
+        read = [
+            chunk for _labels, chunk in store.sealed_chunks()
+            if chunk.last_ts_ns >= 5 and chunk.first_ts_ns < 55
+        ]
         assert len(read) > 3
         assert decodes == len(read) == store._decoded.misses
         assert store._decoded.hits == (self.REPEATS - 1) * len(read)
         uncached_decodes, _store = self.run(0)
         assert uncached_decodes == self.REPEATS * len(read)
+
+    def test_only_chunks_overlapping_the_window_are_decoded(self):
+        # A sealed chunk spanning [10, 20] is read by a window reaching
+        # it; the window's end is exclusive, the chunk's last entry not.
+        for start, end, decodes in [(15, 25, 1), (0, 11, 1), (20, 21, 1), (21, 30, 0), (0, 10, 0)]:
+            store = LokiStore()
+            store.push_stream(TestDecodeCache.STREAMS[0], [LogEntry(10, "x"), LogEntry(20, "y")])
+            store.flush_all()
+            with counted(zlib, "decompress") as decompress:
+                got = store.select(EVERY_STREAM, start, end)
+            assert decompress.call_count == decodes == len(got), (start, end)
+
+    def test_an_empty_chunk_is_never_read(self):
+        # A stream's first line refused leaves the chunk opened for it
+        # empty: it has no time bounds, and a read skips it.
+        store = LokiStore()
+        with pytest.raises(ValidationError):
+            store.push_stream(TestDecodeCache.STREAMS[0], [LogEntry(10, "bad \x1e line")])
+        assert store.chunk_count() == 1
+        assert store.select(EVERY_STREAM, 0, 10**18) == []
+        store.flush_all()
+        assert store.select(EVERY_STREAM, 0, 10**18) == []
 
 
 def ring(ingesters):

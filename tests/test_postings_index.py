@@ -6,7 +6,8 @@ also after the index changed, so the memo never serves another
 generation.  (b) The budget: an unchanged index answers a repeated
 selector without testing a matcher, and a first ask tests each distinct
 value of the matched label once per index, not once per stream.
-(c) ``refs_overlapping`` is the list comprehension it replaced.
+(c) ``refs_overlapping`` is the list comprehension it replaced, in
+``(period, tenant, labels)`` order rather than sorted by labels.
 """
 
 from collections import Counter
@@ -119,7 +120,10 @@ class TestSelectIsALinearFilter:
                 and (tenant is None or ref.tenant == tenant)
                 and matches_all(ref.labels, matchers) and in_shard(ref.labels, shard)
             ]
-            want.sort(key=lambda r: (r.labels.items_tuple(), r.first_ts_ns, r.key))
+            # By table, then stream: each stream's refs in time order.
+            want.sort(key=lambda r: (
+                r.period, r.tenant, r.labels.items_tuple(), r.first_ts_ns, r.key
+            ))
             got = index.refs_overlapping(
                 start, start + width, tenant=tenant, matchers=matchers, shard=shard
             )

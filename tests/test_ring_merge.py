@@ -1,6 +1,8 @@
 """``merge_replica_entries``: the max-multiplicity merge, its
-all-replicas-agree short-circuit and its time-disjoint path, and
-``merge_replica_columns``, the same merge carrying timestamp columns.
+all-replicas-agree short-circuit and its time-disjoint path,
+``merge_replica_columns``, the same merge carrying timestamp columns,
+and ``merge_stream_columns``, the one-pass per-stream merge of several
+stores' answers.
 
 Quorum reads, the tiered read path, the compactor and the repairer all
 lean on this one function, and in the healthy RF-3 steady state every
@@ -15,8 +17,14 @@ from collections import Counter
 
 from hypothesis import given, strategies as st
 
+from repro.common.labels import LabelSet
 from repro.loki.model import LogEntry
-from repro.ring.merge import _merge_by_timestamp, merge_replica_columns, merge_replica_entries
+from repro.ring.merge import (
+    _merge_by_timestamp,
+    merge_replica_columns,
+    merge_replica_entries,
+    merge_stream_columns,
+)
 
 LINES = ("a", "b", "c")
 
@@ -191,3 +199,91 @@ class TestColumns:
             )
             for _ in range(3)
         ])
+
+
+def sorted_merge_stream_columns(results):
+    """``merge_stream_columns`` as it was before the one-pass merge:
+    group every non-empty part by stream, merge each group, sort the
+    streams by label."""
+    per_stream = {}
+    for labels, entries, ts in results:
+        if entries:
+            per_stream.setdefault(labels, []).append((entries, ts))
+    out = [(labels, *merge_replica_columns(parts)) for labels, parts in per_stream.items()]
+    out.sort(key=lambda triple: triple[0].items_tuple())
+    return out
+
+
+STREAMS = [LabelSet({"app": app}) for app in ("fm", "api", "db")]
+
+
+@st.composite
+def stream_answers(draw):
+    """Several stores' ``select_columns`` triples over a few streams,
+    interleaved: per stream, replicas that agree (sharing entries, or
+    holding equal copies), lag or lose writes, or hold the stream's
+    history cut into time-disjoint or tied pieces; empty answers too."""
+    triples = []
+    for labels in draw(st.lists(st.sampled_from(STREAMS), max_size=3, unique=True)):
+        entries = draw(history)
+        shape = draw(st.sampled_from(["shared", "copies", "lossy", "split"]))
+        if shape == "shared":
+            lists = [list(entries) for _ in range(draw(st.integers(1, 3)))]
+        elif shape == "copies":
+            lists = [
+                [LogEntry(e.timestamp_ns, e.line) for e in entries]
+                for _ in range(draw(st.integers(1, 3)))
+            ]
+        elif shape == "lossy":
+            lists = [
+                subsequence(entries, draw(st.lists(
+                    st.booleans(), min_size=len(entries), max_size=len(entries)
+                )))
+                for _ in range(3)
+            ]
+            # A lossy replica may also be duplicated, ahead of or
+            # behind the one it copies.
+            lists += [list(lists[0])] * draw(st.integers(0, 1))
+        else:
+            lists = split(entries, draw(st.data()))
+        triples += [(labels, *with_column(part)) for part in lists]
+    return draw(st.permutations(triples))
+
+
+def by_stream(answer):
+    return {labels: (entries, list(ts)) for labels, entries, ts in answer}
+
+
+class TestStreamColumns:
+    """``merge_stream_columns`` answers what the group-merge-sort loop it
+    replaced answered, stream by stream, in first-seen stream order."""
+
+    @given(stream_answers())
+    def test_is_the_sorted_merge_by_stream(self, triples):
+        merged = merge_stream_columns(triples)
+        assert by_stream(merged) == by_stream(sorted_merge_stream_columns(triples))
+        first_seen = list(dict.fromkeys(labels for labels, entries, _ts in triples if entries))
+        assert [labels for labels, _entries, _ts in merged] == first_seen
+        for _labels, entries, ts in merged:
+            assert isinstance(ts, array) and list(ts) == [e.timestamp_ns for e in entries]
+
+    def test_agreeing_replicas_answer_the_first_pair_itself(self):
+        labels = STREAMS[0]
+        entries = [LogEntry(1, "a"), LogEntry(2, "b")]
+        parts = [with_column(list(entries)) for _ in range(3)]
+        [(got_labels, got, ts)] = merge_stream_columns((labels, *part) for part in parts)
+        assert got_labels is labels and got is parts[0][0] and ts is parts[0][1]
+
+    def test_a_tied_boundary_in_either_order(self):
+        labels = STREAMS[0]
+        older = [LogEntry(1, "a"), LogEntry(2, "b")]
+        newer = [LogEntry(2, "c"), LogEntry(3, "d")]
+        for parts in ([older, newer], [newer, older]):
+            triples = [(labels, *with_column(list(part))) for part in parts]
+            want = sorted_merge_stream_columns(triples)
+            assert by_stream(merge_stream_columns(triples)) == by_stream(want)
+        # First seen, first at the tie: the order a tiered read relies on.
+        [(_labels, got, ts)] = merge_stream_columns(
+            [(labels, *with_column(list(part))) for part in (older, newer)]
+        )
+        assert [e.line for e in got] == ["a", "b", "c", "d"] and list(ts) == [1, 2, 2, 3]
