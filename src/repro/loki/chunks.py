@@ -142,7 +142,7 @@ class Chunk:
         self.sealed = True
 
     # ------------------------------------------------------------------
-    # Shipping (object-store flush / restore)
+    # Shipping (object-store flush)
     # ------------------------------------------------------------------
     def payload(self) -> bytes:
         """The sealed, compressed payload — what the shipper uploads.
@@ -154,27 +154,6 @@ class Chunk:
         if not self.sealed:
             raise StateError("only sealed chunks have a payload")
         return self._compressed or b""
-
-    @classmethod
-    def restore(
-        cls,
-        policy: ChunkPolicy,
-        payload: bytes,
-        first_ts_ns: int | None,
-        last_ts_ns: int | None,
-        entry_count: int,
-        content_bytes: int,
-    ) -> "Chunk":
-        """Rebuild a sealed chunk from a shipped payload plus the metadata
-        its index ref carried — the store-gateway's read path."""
-        chunk = cls(policy)
-        chunk.first_ts_ns = first_ts_ns
-        chunk.last_ts_ns = last_ts_ns
-        chunk.entry_count = entry_count
-        chunk._content_bytes = content_bytes
-        chunk._compressed = payload
-        chunk.sealed = True
-        return chunk
 
     # ------------------------------------------------------------------
     # Reading
@@ -189,11 +168,7 @@ class Chunk:
         both fresh: a sealed chunk's payload decoded whole."""
         if not self.sealed:
             return list(self._head), self._ts[:]
-        if not self.entry_count:
-            return [], array("q")
-        fields = zlib.decompress(self._compressed).decode().split(SEPARATOR)
-        stamps = list(map(int, fields[::2]))
-        return list(map(LogEntry, stamps, fields[1::2])), array("q", stamps)
+        return decode(self._compressed)
 
     def entries_between(
         self, start_ns: int, end_ns: int
@@ -230,6 +205,17 @@ class Chunk:
         if self.first_ts_ns is None:
             return 0
         return max(0, now_ns - self.first_ts_ns)
+
+
+def decode(payload: bytes) -> tuple[list[LogEntry], array]:
+    """A sealed chunk's payload as fresh ``(entries, ts)`` — how a cold
+    read turns the bytes it fetched back into entries."""
+    text = zlib.decompress(payload).decode()
+    if not text:  # a chunk sealed with nothing in it
+        return [], array("q")
+    fields = text.split(SEPARATOR)
+    stamps = list(map(int, fields[::2]))
+    return list(map(LogEntry, stamps, fields[1::2])), array("q", stamps)
 
 
 def between(

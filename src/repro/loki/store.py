@@ -14,7 +14,7 @@ from typing import Iterable, Mapping, Sequence
 
 from repro.common.errors import ValidationError
 from repro.common.labels import LabelSet, Matcher
-from repro.loki.chunks import Chunk, ChunkPolicy, DecodeCache, between
+from repro.loki.chunks import SEPARATOR, Chunk, ChunkPolicy, DecodeCache, between
 from repro.loki.index import LabelIndex
 from repro.loki.model import LogEntry, PushRequest
 
@@ -184,6 +184,11 @@ class LokiStore(EntrySelect):
                     continue
                 size = entry.size_bytes()
                 if chunk is None or not chunk.space_for(entry, size):
+                    # A line the chunk would refuse cuts no chunk for it.
+                    if SEPARATOR in entry.line:
+                        raise ValidationError(
+                            "log line contains reserved separator byte 0x1e"
+                        )
                     if chunk is not None:
                         chunk.seal()
                         stats.chunks_sealed += 1
@@ -287,10 +292,7 @@ class LokiStore(EntrySelect):
             stream = streams[sid]
             entries = ts = None
             for chunk in stream.chunks:
-                # The chunk's time bounds against the window (an empty
-                # chunk, left by a refused first line, has none).
-                first = chunk.first_ts_ns
-                if first is None or first >= end_ns or chunk.last_ts_ns < start_ns:
+                if chunk.first_ts_ns >= end_ns or chunk.last_ts_ns < start_ns:
                     continue
                 if chunk.sealed:
                     whole = decoded.get(chunk)
@@ -320,11 +322,7 @@ class LokiStore(EntrySelect):
         for stream in self._streams.values():
             keep = []
             for chunk in stream.chunks:
-                if (
-                    chunk.sealed
-                    and chunk.last_ts_ns is not None
-                    and chunk.last_ts_ns < cutoff_ns
-                ):
+                if chunk.sealed and chunk.last_ts_ns < cutoff_ns:
                     self._decoded.discard(chunk)
                     dropped += 1
                 else:
@@ -336,21 +334,21 @@ class LokiStore(EntrySelect):
 
     def expired_entries(
         self, cutoff_ns: int
-    ) -> list[tuple[LabelSet, list[LogEntry]]]:
-        """Entries :meth:`delete_before` would drop at ``cutoff_ns``,
-        grouped per stream — what a retention sweep archives first."""
+    ) -> list[tuple[LabelSet, list[LogEntry], array]]:
+        """Entries :meth:`delete_before` would drop at ``cutoff_ns`` and
+        their timestamps, per stream as ``select_columns`` answers them —
+        what a retention sweep archives first."""
         out = []
         for stream in self._streams.values():
             doomed: list[LogEntry] = []
+            ts = array("q")
             for chunk in stream.chunks:
-                if (
-                    chunk.sealed
-                    and chunk.last_ts_ns is not None
-                    and chunk.last_ts_ns < cutoff_ns
-                ):
-                    doomed.extend(chunk.entries())
+                if chunk.sealed and chunk.last_ts_ns < cutoff_ns:
+                    entries, chunk_ts = chunk.columns()
+                    doomed += entries
+                    ts += chunk_ts
             if doomed:
-                out.append((stream.labels, doomed))
+                out.append((stream.labels, doomed, ts))
         return out
 
     # ------------------------------------------------------------------
@@ -459,9 +457,7 @@ class LokiStore(EntrySelect):
         oldest: int | None = None
         for stream in self._streams.values():
             for chunk in stream.chunks:
-                if chunk.first_ts_ns is not None and (
-                    oldest is None or chunk.first_ts_ns < oldest
-                ):
+                if oldest is None or chunk.first_ts_ns < oldest:
                     oldest = chunk.first_ts_ns
         return oldest
 

@@ -27,18 +27,19 @@ because an object is only deleted after its replacement is durable.
 
 from __future__ import annotations
 
+from array import array
 from dataclasses import dataclass
 from typing import Sequence
 
 from repro.common.errors import ValidationError
 from repro.common.labels import LabelSet, Matcher
 from repro.common.simclock import SimClock
-from repro.loki.chunks import Chunk, ChunkPolicy, pack_chunks
+from repro.loki.chunks import ChunkPolicy, decode, pack_chunks
 from repro.loki.model import LogEntry
 from repro.objstore.blocks import BlockStore
 from repro.objstore.index import ChunkRef, ShipperIndex
 from repro.objstore.objectstore import ObjectStore, ObjectStoreUnavailable
-from repro.ring.merge import merge_replica_entries
+from repro.ring.merge import merge_replica_columns
 from repro.tempo.model import SpanStatus
 from repro.tempo.tracer import Tracer
 
@@ -162,17 +163,8 @@ class Compactor:
     # ------------------------------------------------------------------
     # Building blocks
     # ------------------------------------------------------------------
-    def _fetch_entries(self, ref: ChunkRef) -> list[LogEntry]:
-        payload = self._objstore.get(self.bucket, ref.key)
-        chunk = Chunk.restore(
-            self._chunk_policy,
-            payload,
-            ref.first_ts_ns,
-            ref.last_ts_ns,
-            ref.entry_count,
-            ref.uncompressed_bytes,
-        )
-        return chunk.entries()
+    def _fetch_columns(self, ref: ChunkRef) -> tuple[list[LogEntry], array]:
+        return decode(self._objstore.get(self.bucket, ref.key))
 
     def _delete_ref(self, ref: ChunkRef) -> None:
         self._objstore.delete(self.bucket, ref.key)
@@ -182,12 +174,12 @@ class Compactor:
         self, labels: LabelSet, refs: list[ChunkRef], result: CompactionResult
     ) -> None:
         refs = sorted(refs, key=lambda r: (r.first_ts_ns, r.last_ts_ns, r.key))
-        entry_lists = [self._fetch_entries(ref) for ref in refs]
-        entries_in = sum(len(entries) for entries in entry_lists)
+        parts = [self._fetch_columns(ref) for ref in refs]
+        entries_in = sum(len(entries) for entries, _ts in parts)
         # Max-multiplicity merge: disjoint sequential chunks concatenate
         # unchanged; overlapping divergent-replica chunks dedup per
         # (timestamp, line), the same semantics the ring read path uses.
-        merged = merge_replica_entries(entry_lists)
+        merged, _ts = merge_replica_columns(parts)
         new_keys: set[str] = set()
         for chunk in pack_chunks(merged, self._chunk_policy):
             key, put = self._index.write_chunk(labels, chunk)
@@ -235,8 +227,8 @@ class Compactor:
                 ]
                 if not stale:
                     continue
-                entries = merge_replica_entries(
-                    [self._fetch_entries(ref) for ref in refs]
+                entries, _ts = merge_replica_columns(
+                    [self._fetch_columns(ref) for ref in refs]
                 )
                 for store in stale:
                     store.build_block(tenant, labels, period, entries, keys)

@@ -3,7 +3,7 @@
 The gateway is the read half of the cold tier.  A select consults the
 shipper index for overlapping chunk refs (matcher filtering happens on
 ref metadata — no chunk is fetched unless its stream matches and its
-time bounds overlap), GETs each payload, restores the chunk, and merges
+time bounds overlap), GETs each payload, decodes it, and merges
 per stream with :func:`~repro.ring.merge.merge_stream_columns`, as a
 quorum read does — so divergent replica chunks that were shipped before
 the compactor could dedup them still read back exactly once.
@@ -42,12 +42,12 @@ from typing import Iterable, Sequence
 
 from repro.common.labels import LabelSet, Matcher
 from repro.common.simclock import SimClock
-from repro.loki.chunks import Chunk, ChunkPolicy, DecodeCache, between
+from repro.loki.chunks import DecodeCache, between, decode
 from repro.loki.model import LogEntry
 from repro.loki.store import EntrySelect
 from repro.objstore.index import ChunkRef, ShipperIndex
 from repro.objstore.objectstore import ObjectStore
-from repro.ring.merge import merge_stream_columns, merge_streams
+from repro.ring.merge import merge_stream_columns
 from repro.tempo.tracer import Tracer
 
 
@@ -59,7 +59,6 @@ class StoreGateway(EntrySelect):
         store: ObjectStore,
         index: ShipperIndex,
         clock: SimClock,
-        policy: ChunkPolicy | None = None,
         blooms=None,
         *,
         tracer: Tracer,
@@ -67,7 +66,6 @@ class StoreGateway(EntrySelect):
         self._objstore = store
         self._index = index
         self._clock = clock
-        self._policy = policy or ChunkPolicy()
         self._tracer = tracer
         #: Optional ``repro.queryx.bloom.BloomStore`` (duck-typed so the
         #: storage layer carries no dependency on the query engine).
@@ -96,15 +94,7 @@ class StoreGateway(EntrySelect):
         self.bytes_fetched_total += len(payload)
         columns = self._decoded.get(ref.key)
         if columns is None:
-            chunk = Chunk.restore(
-                self._policy,
-                payload,
-                ref.first_ts_ns,
-                ref.last_ts_ns,
-                ref.entry_count,
-                ref.uncompressed_bytes,
-            )
-            columns = self._decoded.put(ref.key, chunk.columns(), ref.uncompressed_bytes)
+            columns = self._decoded.put(ref.key, decode(payload), ref.uncompressed_bytes)
         return columns, latency
 
     def select_columns(
@@ -164,15 +154,17 @@ class StoreGateway(EntrySelect):
 
     def expired_entries(
         self, cutoff_ns: int
-    ) -> list[tuple[LabelSet, list[LogEntry]]]:
+    ) -> list[tuple[LabelSet, list[LogEntry], array]]:
         """Entries cold retention would drop at ``cutoff_ns`` (chunks
-        wholly before the cutoff) — what a retention sweep archives."""
-        fetched: list[tuple[LabelSet, list[LogEntry]]] = []
+        wholly before the cutoff) and their timestamps, merged per
+        stream — what a retention sweep archives."""
+        fetched: list[tuple[LabelSet, list[LogEntry], array]] = []
         for ref in self._index.refs_wholly_before(cutoff_ns):
-            (entries, _ts), _latency = self._fetch(ref)
-            fetched.append((ref.labels, entries))
-        # merge_streams answers fresh lists, so no caller holds a cached one.
-        return merge_streams(fetched)
+            (entries, ts), _latency = self._fetch(ref)
+            # Copies of the cached pair: the merge hands a stream's
+            # only part on as it is.
+            fetched.append((ref.labels, entries[:], ts[:]))
+        return merge_stream_columns(fetched)
 
     # ------------------------------------------------------------------
     # Introspection

@@ -26,7 +26,7 @@ from repro.objstore.gateway import StoreGateway
 from repro.objstore.index import ShipperIndex
 from repro.objstore.objectstore import ObjectStore
 from repro.objstore.shipper import ChunkShipper, FlushResult
-from repro.ring.merge import merge_stream_columns, merge_streams
+from repro.ring.merge import merge_stream_columns
 
 
 class TieredLokiStore(EntrySelect):
@@ -115,10 +115,11 @@ class TieredLokiStore(EntrySelect):
 
     def expired_entries(
         self, cutoff_ns: int
-    ) -> list[tuple[LabelSet, list[LogEntry]]]:
-        """What :meth:`delete_before` would doom, cold and hot merged —
-        entries flushed but still WAL-resident in a replica count once."""
-        return merge_streams(
+    ) -> list[tuple[LabelSet, list[LogEntry], array]]:
+        """What :meth:`delete_before` would doom, merged cold before hot
+        as a read merges them — entries flushed but still WAL-resident in
+        a replica count once."""
+        return merge_stream_columns(
             self.gateway.expired_entries(cutoff_ns)
             + self.hot.expired_entries(cutoff_ns)
         )

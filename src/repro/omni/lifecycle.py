@@ -54,8 +54,7 @@ class Lifecycle:
         self.objstore = ObjectStore(clock)
         self.archive_index = ShipperIndex(self.objstore, bucket=ARCHIVE_BUCKET)
         self.archive = StoreGateway(
-            self.objstore, self.archive_index, clock, policy=_ARCHIVE_CHUNKS,
-            tracer=tracer,
+            self.objstore, self.archive_index, clock, tracer=tracer
         )
         self.sweeps = 0
         #: Sweeps whose log part an object-store outage cut short.
@@ -85,7 +84,7 @@ class Lifecycle:
         try:
             # A replicated or tiered store merges its replicas and tiers
             # here, so the archive holds every acknowledged entry once.
-            for labels, doomed in self._store.expired_entries(cutoff):
+            for labels, doomed, _ts in self._store.expired_entries(cutoff):
                 for chunk in pack_chunks(doomed, _ARCHIVE_CHUNKS):
                     self.archive_index.write_chunk(labels, chunk)
                 moved += len(doomed)

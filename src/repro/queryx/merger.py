@@ -8,12 +8,13 @@ Two merge surfaces, matching the two query families:
   the stream partition); across time windows the per-label points
   simply concatenate, because every evaluation instant belongs to
   exactly one window.
-- **Log partials** are ``(labels, entries)`` groups.  Shard streams are
-  disjoint and time windows abut, so a plain union would do — but the
-  merger is the same ``merge_streams`` every store's ``select`` answers
-  with, so a retried subquery whose partial ever arrived twice, or a
-  hot/cold overlap inside one shard, still counts every entry exactly
-  once.  Same dedup semantics end to end.
+- **Log partials** are ``(labels, entries)`` groups.  Shards partition
+  the source streams and time windows partition the instants, so no
+  entry reaches two partials: a group's lists join in plan order and
+  are sorted as :meth:`LogQLEngine.query_logs` sorts a group, which
+  makes the sharded answer the unsharded one by construction.  Nothing
+  here is a replica merge — two shards' equal ``(ts, line)`` entries are
+  two writes, from two streams a label stage collapsed into one group.
 """
 
 from __future__ import annotations
@@ -30,7 +31,6 @@ from repro.queryx.planner import (
     QueryPlan,
     Subquery,
 )
-from repro.ring.merge import merge_streams
 
 _MERGE_FN = {
     MERGE_SUM: sum,
@@ -77,6 +77,17 @@ def merge_metric_partials(
 def merge_log_partials(
     partials: list[tuple[Subquery, list[tuple[LabelSet, list[LogEntry]]]]],
 ) -> list[tuple[LabelSet, list[LogEntry]]]:
-    """Union log groups across shards and windows, deduplicated with
-    the stores' max-multiplicity semantics."""
-    return merge_streams(pair for _sub, groups in partials for pair in groups)
+    """Join log groups across shards and windows: per final label set
+    the partials' lists in plan order, sorted, groups in label order —
+    the unsharded engine's answer.  The partials' lists are consumed."""
+    groups: dict[LabelSet, list[LogEntry]] = {}
+    for _sub, partial in partials:
+        for labels, entries in partial:
+            held = groups.get(labels)
+            if held is None:
+                groups[labels] = entries
+            else:
+                held += entries
+    for entries in groups.values():
+        entries.sort()
+    return sorted(groups.items(), key=lambda kv: kv[0].items_tuple())

@@ -25,7 +25,7 @@ from repro.loki.store import EntrySelect, LokiStore, StoreStats, aggregate_stats
 from repro.ring.distributor import REPLICATION_FACTOR, Distributor
 from repro.ring.hashring import HashRing
 from repro.ring.ingester import Ingester
-from repro.ring.merge import merge_streams
+from repro.ring.merge import merge_stream_columns
 from repro.tempo.tracer import Tracer
 from repro.tenancy.sharding import ShuffleSharder
 
@@ -132,14 +132,14 @@ class RingLokiCluster(EntrySelect):
 
     def expired_entries(
         self, cutoff_ns: int
-    ) -> list[tuple[LabelSet, list[LogEntry]]]:
+    ) -> list[tuple[LabelSet, list[LogEntry], array]]:
         """What retention would archive, merged across replicas like a
         read: a replica that missed a crash window's entries still
         doomed the others', and :meth:`delete_before` drops them all."""
-        return merge_streams(
-            pair
+        return merge_stream_columns(
+            triple
             for store in self.active_stores()
-            for pair in store.expired_entries(cutoff_ns)
+            for triple in store.expired_entries(cutoff_ns)
         )
 
     # ------------------------------------------------------------------

@@ -23,7 +23,7 @@ from repro.common.labels import LabelSet, Matcher
 from repro.loki.chunks import ChunkPolicy
 from repro.loki.model import LogEntry
 from repro.loki.store import EntrySelect, LokiStore
-from repro.ring.merge import merge_replica_entries
+from repro.ring.merge import merge_replica_columns
 from repro.ring.wal import WriteAheadLog, encode_bodies
 
 
@@ -85,19 +85,27 @@ class Ingester(EntrySelect):
         self._require_active()
         return self.store.resident_entry_counts(streams)
 
-    def entries_of(self, labels: LabelSet | Mapping[str, str]) -> list[LogEntry]:
-        """Every resident entry of one stream, in store order."""
+    def entries_of(
+        self, labels: LabelSet | Mapping[str, str]
+    ) -> tuple[list[LogEntry], array]:
+        """Every resident entry of one stream, in store order, and their
+        timestamps: fresh, as ``select_columns`` answers them."""
         self._require_active()
         labelset = labels if isinstance(labels, LabelSet) else LabelSet(labels)
-        out: list[LogEntry] = []
+        entries: list[LogEntry] = []
+        ts = array("q")
         for chunk in self.store.stream_chunks(labelset):
-            out.extend(chunk.entries())
-        return out
+            chunk_entries, chunk_ts = chunk.columns()
+            entries += chunk_entries
+            ts += chunk_ts
+        return entries, ts
 
     def repair_stream(
-        self, labels: LabelSet | Mapping[str, str], entries: Iterable[LogEntry]
+        self,
+        labels: LabelSet | Mapping[str, str],
+        donor: tuple[list[LogEntry], array],
     ) -> int:
-        """Graft a donor replica's history into this stream.
+        """Graft a donor's ``(entries, ts)`` history into this stream.
 
         A repair target may hold a *suffix* of the stream (it joined the
         replica set after the stream started), so the donor's older
@@ -115,9 +123,7 @@ class Ingester(EntrySelect):
         """
         self._require_active()
         labelset = labels if isinstance(labels, LabelSet) else LabelSet(labels)
-        incoming = list(entries)
-        local = self.entries_of(labelset)
-        merged = merge_replica_entries([local, incoming]) if local else incoming
+        merged, _ts = merge_replica_columns([self.entries_of(labelset), donor])
         return self.store.replace_stream(labelset, merged)
 
     # ------------------------------------------------------------------

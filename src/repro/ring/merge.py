@@ -1,14 +1,15 @@
-"""Replica-entry merging: one stream's history across several copies.
+"""Replica merging: one stream's history across several copies.
 
-Quorum reads, the tiered hot+cold read path, the store-gateway, queryx's
-log merger, retention's expiry preview, the compactor and the
-anti-entropy repairer all face the same problem: several replicas hold
-overlapping views of the same logical stream and the union must count
-every acknowledged write exactly once.  The max-multiplicity merge here
-is the single shared answer; :func:`merge_streams` applies it per stream
-to several sources' ``select``-shaped answers, and
-:func:`merge_stream_columns` to ``select_columns``-shaped ones, carrying
-each stream's timestamp column beside its entries.
+Quorum reads, the tiered hot+cold read path, the store-gateway,
+retention's expiry preview, the compactor and the anti-entropy repairer
+all face the same problem: several copies hold overlapping views of the
+same logical stream and the union must count every acknowledged write
+exactly once.  The max-multiplicity merge here is the single shared
+answer: :func:`merge_replica_columns` merges one stream's ``(entries,
+ts)`` copies, and :func:`merge_stream_columns` applies it per stream to
+several sources' ``select_columns``-shaped answers.  Answers that are not
+copies of one stream — queryx's shard and time-window partials — never
+come here: they concatenate.
 """
 
 from __future__ import annotations
@@ -21,41 +22,17 @@ from typing import Iterable
 from repro.common.labels import LabelSet
 from repro.loki.model import LogEntry
 
-__all__ = [
-    "merge_replica_columns",
-    "merge_replica_entries",
-    "merge_stream_columns",
-    "merge_streams",
-]
-
-
-def merge_streams(
-    results: Iterable[tuple[LabelSet, list[LogEntry]]],
-) -> list[tuple[LabelSet, list[LogEntry]]]:
-    """Several sources' ``(labels, entries)`` pairs as one answer: per
-    stream the :func:`merge_replica_entries` of its non-empty lists,
-    streams in label order — the order queryx's log answer and a
-    retention preview show (a stream with nothing left is absent, each
-    list fresh)."""
-    per_stream: dict[LabelSet, list[list[LogEntry]]] = {}
-    for labels, entries in results:
-        if entries:
-            per_stream.setdefault(labels, []).append(entries)
-    out = [
-        (labels, merge_replica_entries(entry_lists))
-        for labels, entry_lists in per_stream.items()
-    ]
-    out.sort(key=lambda pair: pair[0].items_tuple())
-    return out
+__all__ = ["merge_replica_columns", "merge_stream_columns"]
 
 
 def merge_stream_columns(
     results: Iterable[tuple[LabelSet, list[LogEntry], array]],
 ) -> list[tuple[LabelSet, list[LogEntry], array]]:
-    """:func:`merge_streams` of ``select_columns``-shaped triples, in one
-    pass and in no label order: streams come out in the order they are
-    first seen, each stream's entries and timestamp column merged
-    together (:func:`merge_replica_columns`).  A copy equal to a
+    """Several sources' ``select_columns``-shaped triples as one answer,
+    in one pass and in no label order: streams come out in the order
+    they are first seen, each stream's entries and timestamp column
+    merged together (:func:`merge_replica_columns`); a stream with
+    nothing is absent.  A copy equal to a
     stream's first non-empty one is dropped as it arrives — it cannot
     change a max-multiplicity merge — so a stream whose replicas agree
     is its first pair, handed on as it is, with no per-stream list or
@@ -83,38 +60,22 @@ def merge_stream_columns(
     ]
 
 
-def merge_replica_entries(replica_lists: list[list[LogEntry]]) -> list[LogEntry]:
-    """Merge one stream's entries across replicas, deduplicating.
-
-    Replicas hold consistent prefixes/subsequences of the same logical
-    stream (they applied the same pushes in the same order, minus crash
-    windows), so per timestamp the fullest replica's ordering is
-    authoritative; an identical ``(ts, line)`` seen on several replicas
-    is the same write and appears once — its multiplicity is the *max*
-    across replicas, never the sum.  Each list is time-ordered, as every
-    store's ``select`` answers.  The answer is a fresh list.
-    """
-    if not replica_lists:
-        return []
-    first = replica_lists[0]
-    # The healthy steady state: every replica returned the same list, so
-    # the max multiplicity of every line is what any one of them holds.
-    if all(entries == first for entries in replica_lists[1:]):
-        return list(first)
-    spans = _end_to_end(replica_lists)
-    if spans is None:
-        return _merge_by_timestamp(replica_lists)
-    return list(chain.from_iterable(replica_lists[i] for i in spans))
-
-
 def merge_replica_columns(
     replicas: list[tuple[list[LogEntry], array]],
 ) -> tuple[list[LogEntry], array]:
-    """:func:`merge_replica_entries` of fresh ``(entries, ts)`` pairs,
-    with the merged entries' timestamp column: equal replicas answer
-    the first pair itself, time-disjoint ones their lists and columns
-    laid end to end; only the general path builds a column from its
-    entries."""
+    """Merge one stream's fresh ``(entries, ts)`` copies, deduplicating.
+
+    Copies hold consistent prefixes/subsequences of the same logical
+    stream (replicas applied the same pushes in the same order, minus
+    crash windows), so per timestamp the fullest copy's ordering is
+    authoritative; an identical ``(ts, line)`` seen on several copies is
+    the same write and appears once — its multiplicity is the *max*
+    across copies, never the sum.  Each list is time-ordered, as every
+    store's ``select_columns`` answers, and each column holds its list's
+    timestamps.  Equal copies answer the first pair itself,
+    time-disjoint ones their lists and columns laid end to end; only
+    the general path builds a column from its entries.
+    """
     first, first_ts = replicas[0]
     if all(entries == first for entries, _ts in replicas[1:]):
         return first, first_ts

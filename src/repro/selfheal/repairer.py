@@ -40,7 +40,7 @@ from repro.common.labels import LabelSet
 from repro.common.simclock import NANOS_PER_SECOND, SimClock
 from repro.ring.cluster import RingLokiCluster
 from repro.ring.ingester import Ingester
-from repro.ring.merge import merge_replica_entries
+from repro.ring.merge import merge_replica_columns
 from repro.selfheal.memberlist import Memberlist, MemberState
 from repro.tempo.tracer import Tracer
 
@@ -284,7 +284,7 @@ class RingRepairer:
             ]
             if not donors:
                 continue
-            merged = merge_replica_entries(donors)
+            merged = merge_replica_columns(donors)
             repaired_here = False
             for target in targets:
                 before = inventories.get(target, {}).get(labels, 0)

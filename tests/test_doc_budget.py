@@ -22,7 +22,7 @@ ROOT = Path(__file__).resolve().parent.parent
 
 #: File -> its byte ceiling.
 CEILINGS = {
-    "DESIGN.md": 123_378,
+    "DESIGN.md": 123_277,
     "EXPERIMENTS.md": 251_700,
 }
 ENTRY_CEILING = 2_000

@@ -10,7 +10,7 @@ from repro.common.labels import label_matcher
 from repro.common.simclock import hours, minutes
 from repro.core.framework import FrameworkConfig, MonitoringFramework
 from repro.omni.lifecycle import SWEEP_INTERVAL_NS, TWO_YEARS_NS
-from repro.ring.merge import merge_streams
+from repro.ring.merge import merge_stream_columns
 
 SMALL = ClusterSpec(cabinets=1, chassis_per_cabinet=2)
 ALL_PLANES = dict(
@@ -27,7 +27,7 @@ SYSLOG = [label_matcher("data_type", "=", "syslog")]
 
 
 def lines(result):
-    return Counter(entry.line for _labels, entries in result for entry in entries)
+    return Counter(entry.line for _labels, entries, *_ts in result for entry in entries)
 
 
 def test_the_framework_sweeps_hourly():
@@ -66,10 +66,10 @@ def test_a_sweep_in_an_outage_deletes_nothing_and_the_next_one_completes():
     fw.run_for(minutes(36))
 
     def resident():
-        return fw.warehouse.loki.select(SYSLOG, began, fw.clock.now_ns + 1)
+        return fw.warehouse.loki.select_columns(SYSLOG, began, fw.clock.now_ns + 1)
 
     def archived():
-        return fw.lifecycle.archive.select(SYSLOG, began, fw.clock.now_ns + 1)
+        return fw.lifecycle.archive.select_columns(SYSLOG, began, fw.clock.now_ns + 1)
 
     assert fw.tiered.cold_chunk_count() > 0
     assert (fw.lifecycle.sweeps, fw.lifecycle.sweep_failures) == (1, 1)
@@ -83,4 +83,4 @@ def test_a_sweep_in_an_outage_deletes_nothing_and_the_next_one_completes():
     assert fw.lifecycle.entries_archived == fw.lifecycle.archive_index.entry_count()
     assert lines(resident()) == Counter()
     assert lines(archived()) == published
-    assert lines(merge_streams(resident() + archived())) == published
+    assert lines(merge_stream_columns(resident() + archived())) == published

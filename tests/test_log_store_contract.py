@@ -35,7 +35,7 @@ from repro.objstore import (
 from repro.omni.lifecycle import Lifecycle
 from repro.queryx.bloom import BloomStore
 from repro.ring.cluster import RingLokiCluster
-from repro.ring.merge import merge_replica_entries, merge_streams
+from repro.ring.merge import merge_stream_columns
 from repro.tsdb.storage import TimeSeriesStore
 from tests.counting import counted
 from tests.tracing import off_tracer
@@ -180,6 +180,16 @@ def as_multiset(result):
     return Counter((labels, entry) for labels, entries in result for entry in entries)
 
 
+def expired(store, cutoff):
+    """``expired_entries`` as ``(labels, entries)`` pairs, each stream's
+    column checked against its entries' timestamps."""
+    out = []
+    for labels, entries, ts in store.expired_entries(cutoff):
+        assert isinstance(ts, array) and list(ts) == [e.timestamp_ns for e in entries]
+        out.append((labels, entries))
+    return out
+
+
 @pytest.mark.parametrize("kind", sorted(BACKENDS))
 class TestLogStoreContract:
     @given(
@@ -272,11 +282,11 @@ class TestLogStoreContract:
         start, end = window(0, SPAN_S + 1)
         cutoff = int(seconds(cutoff_s))
         before = as_multiset(store.select(MATCH_ALL, start, end))
-        expired = store.expired_entries(cutoff)
-        assert all(entries for _labels, entries in expired)
+        doomed = expired(store, cutoff)
+        assert all(entries for _labels, entries in doomed)
         store.delete_before(cutoff)
         after = as_multiset(store.select(MATCH_ALL, start, end))
-        assert as_multiset(expired) == before - after
+        assert as_multiset(doomed) == before - after
 
     @given(raw_streams=stream_strategy, cutoff_s=st.integers(0, SPAN_S + 1))
     @settings(max_examples=30, deadline=None)
@@ -292,13 +302,18 @@ class TestLogStoreContract:
         lifecycle = Lifecycle(clock, store, TimeSeriesStore(), Broker(clock), tracer=off_tracer())
         lifecycle.hot_window_ns = HOT
         moved = lifecycle.sweep()
-        archived = lifecycle.archive.select(MATCH_ALL, start, end)
+        archived = lifecycle.archive.select_columns(MATCH_ALL, start, end)
         # The archive holds each expired entry once, all before the cutoff.
-        assert sum(len(entries) for _labels, entries in archived) == moved
-        assert all(e.timestamp_ns < cutoff for _labels, es in archived for e in es)
+        assert sum(len(entries) for _labels, entries, _ts in archived) == moved
+        assert all(e.timestamp_ns < cutoff for _labels, es, _ts in archived for e in es)
         # Resident and archived together are the acknowledged history,
         # and the same answer the store gave before the sweep.
-        both = merge_streams(store.select(MATCH_ALL, start, end) + archived)
+        both = [
+            (labels, entries)
+            for labels, entries, _ts in merge_stream_columns(
+                store.select_columns(MATCH_ALL, start, end) + archived
+            )
+        ]
         assert dict(both) == dict(before)
         assert as_multiset(both) == as_multiset(streams)
 
@@ -330,26 +345,10 @@ def test_ring_expiry_archives_every_acknowledged_entry_once():
     clock.advance(hours(1))
     lifecycle = Lifecycle(clock, cluster, TimeSeriesStore(), Broker(clock), tracer=off_tracer())
     lifecycle.hot_window_ns = hours(1) - 100
-    assert cluster.expired_entries(lifecycle.cutoff_ns()) == [(labels, acknowledged)]
+    assert expired(cluster, lifecycle.cutoff_ns()) == [(labels, acknowledged)]
     assert lifecycle.sweep() == 15
     assert cluster.select(MATCH_ALL, 0, int(hours(2))) == []
     assert lifecycle.archive.select(MATCH_ALL, 0, int(hours(2))) == [(labels, acknowledged)]
-
-
-def reference_merge(results):
-    """The group → merge → sort loop ``merge_streams`` replaced, as the
-    store-gateway wrote it (the other four copies never saw an empty
-    list: no store's ``select`` returns one)."""
-    per_stream = {}
-    for labels, entries in results:
-        if entries:
-            per_stream.setdefault(labels, []).append(entries)
-    out = [
-        (labels, merge_replica_entries(entry_lists))
-        for labels, entry_lists in per_stream.items()
-    ]
-    out.sort(key=lambda pair: pair[0].items_tuple())
-    return out
 
 
 @pytest.mark.parametrize("kind", ["tiered_bare", "tiered_ring"])
@@ -373,7 +372,7 @@ def test_a_tie_at_the_hot_cold_boundary_takes_the_general_merge(kind):
     [(got_labels, got, ts)] = assert_columns_are_the_select(store, 0, 10)
     assert (got_labels, got, list(ts)) == (labels, entries, [1, 2, 2, 3])
     store.flush_all()  # the hot half sealed too: retention would doom both tiers
-    assert store.expired_entries(10) == [(labels, entries)]
+    assert expired(store, 10) == [(labels, entries)]
 
 
 @pytest.mark.parametrize("kind", ["tiered_bare", "tiered_ring"])
@@ -388,21 +387,3 @@ def test_a_tiered_read_with_nothing_cold_orders_no_stream(kind):
         got = store.select_columns(MATCH_ALL, 0, 10)
     assert [labels for labels, _entries, _ts in got] == streams  # creation order
     assert items_tuple.call_count == 0
-
-
-@given(
-    st.lists(
-        st.tuples(
-            st.sampled_from([LabelSet({"app": a}) for a in ("fm", "api", "db")]),
-            st.lists(
-                st.builds(LogEntry, st.integers(0, 5), st.sampled_from(["a", "b", "c"])),
-                max_size=6,
-            ).map(sorted),
-        ),
-        max_size=8,
-    )
-)
-@settings(max_examples=200, deadline=None)
-def test_merge_streams_is_the_loop_it_replaced(results):
-    assert merge_streams(results) == reference_merge(results)
-    assert merge_streams(iter(results)) == reference_merge(results)

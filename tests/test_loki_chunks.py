@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from repro.common.errors import StateError, ValidationError
-from repro.loki.chunks import Chunk, ChunkPolicy, between
+from repro.loki.chunks import Chunk, ChunkPolicy, between, decode
 from repro.loki.model import LogEntry
 
 
@@ -16,10 +16,13 @@ def make_chunk(target=1024, max_age=10**12):
 
 
 def read(chunk, start, end):
-    """A window of ``chunk`` as its store reads one: an open head by a
+    """A window of ``chunk`` as its owner reads one: an open head by a
     bisect of its column in place, a sealed chunk decoded whole and
-    sliced.  The column read beside the entries is their timestamps."""
-    if chunk.sealed:
+    sliced, a decoded payload's ``(entries, ts)`` sliced.  The column
+    read beside the entries is their timestamps."""
+    if isinstance(chunk, tuple):
+        entries, ts = between(*chunk, start, end)
+    elif chunk.sealed:
         entries, ts = between(*chunk.columns(), start, end)
     else:
         entries, ts = chunk.entries_between(start, end)
@@ -182,14 +185,7 @@ class TestWindowBoundaries:
         for e in entries:
             sealed.append(e)
         sealed.seal()
-        restored = Chunk.restore(
-            sealed.policy,
-            sealed.payload(),
-            sealed.first_ts_ns,
-            sealed.last_ts_ns,
-            sealed.entry_count,
-            sealed.uncompressed_bytes(),
-        )
+        restored = decode(sealed.payload())
         return entries, {"open head": head, "sealed": sealed, "restored": restored}
 
     @pytest.mark.parametrize("shape", sorted(SHAPES))

@@ -256,9 +256,12 @@ def uncached(read):
 
 
 def spoil(answer):
-    """A caller may do what it likes with its lists; none is cached."""
-    for _labels, entries in answer:
+    """A caller may do what it likes with its lists and columns; none
+    is cached."""
+    for _labels, entries, *columns in answer:
         entries.clear()
+        for ts in columns:
+            del ts[:]
 
 
 class TestDecodeCache:
@@ -397,15 +400,29 @@ class TestHotDecodeBudget:
             assert decompress.call_count == decodes == len(got), (start, end)
 
     def test_an_empty_chunk_is_never_read(self):
-        # A stream's first line refused leaves the chunk opened for it
-        # empty: it has no time bounds, and a read skips it.
+        # A stream's first line refused opens no chunk for it: there is
+        # nothing empty to read, open or sealed.
         store = LokiStore()
         with pytest.raises(ValidationError):
             store.push_stream(TestDecodeCache.STREAMS[0], [LogEntry(10, "bad \x1e line")])
-        assert store.chunk_count() == 1
+        assert store.chunk_count() == 0
         assert store.select(EVERY_STREAM, 0, 10**18) == []
         store.flush_all()
         assert store.select(EVERY_STREAM, 0, 10**18) == []
+
+    def test_a_refused_line_cuts_no_chunk(self):
+        # The refused line would not fit beside the full one: it is
+        # refused before the full chunk is sealed or a new one opened.
+        store = LokiStore(ChunkPolicy(target_size_bytes=20))
+        labels = TestDecodeCache.STREAMS[0]
+        store.push_stream(labels, [LogEntry(10, "a line of twenty chr")])
+        before = (store.chunk_count(), store.stats.chunks_created, store.sealed_chunks())
+        with pytest.raises(ValidationError):
+            store.push_stream(labels, [LogEntry(20, "bad \x1e line")])
+        assert (store.chunk_count(), store.stats.chunks_created, store.sealed_chunks()) == before
+        store.flush_all()
+        [(_labels, chunk)] = store.sealed_chunks()
+        assert chunk.first_ts_ns == 10 and chunk.entry_count == 1
 
 
 def ring(ingesters):

@@ -223,8 +223,8 @@ class TestTieredMaintenance:
         tiered.flush_all()  # sealed but still hot
 
         cutoff = now - days(2)
-        [(_, doomed)] = tiered.expired_entries(cutoff)
-        assert doomed == old
+        [(_, doomed, ts)] = tiered.expired_entries(cutoff)
+        assert doomed == old and list(ts) == [e.timestamp_ns for e in old]
         dropped = tiered.delete_before(cutoff)
         assert dropped > 0
         assert tiered.cold_entry_count() == 0
@@ -299,9 +299,12 @@ class TestDecodeCache:
 
     @staticmethod
     def spoil(answer):
-        """A caller may do what it likes with its lists; none is cached."""
-        for _labels, entries in answer:
+        """A caller may do what it likes with its lists and columns; none
+        is cached."""
+        for _labels, entries, *columns in answer:
             entries.clear()
+            for ts in columns:
+                del ts[:]
 
     @staticmethod
     def assert_within_bound(gateway, bound):
@@ -355,7 +358,9 @@ class TestDecodeCache:
             lambda: tiered.gateway.expired_entries(FAR_FUTURE_NS),
         ):
             self.spoil(read())
-            assert read() == [(LABELS, entries_for(5))]
+            assert [(labels, entries) for labels, entries, *_ts in read()] == [
+                (LABELS, entries_for(5))
+            ]
 
     def test_an_entry_list_over_the_bound_is_not_kept(self):
         with mock.patch.object(chunks_module, "DECODE_CACHE_BYTES", 10):

@@ -93,7 +93,10 @@ class TestMerger:
         with pytest.raises(ValidationError):
             merge_metric_partials(plan, partials)
 
-    def test_log_merge_dedups_replicas(self):
+    def test_log_merge_keeps_every_shards_entries(self):
+        # Two shards' groups under one final label set (a label stage
+        # collapsed their streams): an equal (ts, line) on both is two
+        # writes, and the joined group is sorted.
         labels = LabelSet({"app": "fm"})
         a = [LogEntry(1, "x"), LogEntry(2, "y")]
         b = [LogEntry(2, "y"), LogEntry(3, "z")]
@@ -101,10 +104,13 @@ class TestMerger:
             '{app="fm"}', 0, int(hours(1))
         )
         merged = merge_log_partials(
-            [(plan.subqueries[0], [(labels, a)]), (plan.subqueries[1], [(labels, b)])]
+            [(plan.subqueries[1], [(labels, b)]), (plan.subqueries[0], [(labels, a)])]
         )
         [(got_labels, entries)] = merged
-        assert [e.line for e in entries] == ["x", "y", "z"]
+        assert got_labels == labels
+        assert [(e.timestamp_ns, e.line) for e in entries] == [
+            (1, "x"), (2, "y"), (2, "y"), (3, "z"),
+        ]
 
 
 class TestAccounting:

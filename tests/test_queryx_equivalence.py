@@ -80,7 +80,8 @@ stream_strategy = st.lists(
         ),
         st.lists(
             st.tuples(
-                st.integers(0, int(hours(6))),
+                # Whole minutes, so streams share timestamps and lines.
+                st.integers(0, 360).map(minutes),
                 st.sampled_from(WORDS),
             ),
             max_size=20,
@@ -117,11 +118,16 @@ class TestRandomizedEquivalence:
         streams = [(labels, to_entries(raw)) for labels, raw in raw_streams]
         clock, tiered = make_world(streams)
         mono, sharded = engines(clock, tiered)
-        query = '{app=~".+"} |= "GPU memory error"'
         start, end = 0, int(hours(6))
-        assert sharded.query_logs(query, start, end) == mono.query_logs(
-            query, start, end
-        )
+        # The second collapses every host of an app into one group, whose
+        # entries come from several shards.
+        for query in (
+            '{app=~".+"} |= "GPU memory error"',
+            '{app=~".+"} | label_format host=app',
+        ):
+            assert sharded.query_logs(query, start, end) == mono.query_logs(
+                query, start, end
+            ), query
 
     @given(stream_strategy, st.integers(0, int(hours(5))))
     @settings(max_examples=20, deadline=None)
@@ -169,6 +175,23 @@ class TestEdgeShapes:
         assert sharded.query_range(
             q, 0, int(hours(1)), int(minutes(5))
         ) == mono.query_range(q, 0, int(hours(1)), int(minutes(5)))
+
+    def test_a_label_stage_collapsing_streams_keeps_every_line(self):
+        # Eight streams, one equal line each, and one line naming the
+        # stream: a stage that drops the telling label makes one group of
+        # lines from every shard, equal lines that are eight writes.
+        streams = [
+            ({"job": "x", "pid": str(i)}, [LogEntry(1000, "hello"), LogEntry(2000, f"p{i}")])
+            for i in range(8)
+        ]
+        clock, tiered = make_world(streams)
+        mono, sharded = engines(clock, tiered, shards=4)
+        q = '{job="x"} | label_format pid=job'
+        got = sharded.query_logs(q, 0, int(hours(1)))
+        assert got == mono.query_logs(q, 0, int(hours(1)))
+        [(labels, entries)] = got
+        assert labels == LabelSet({"job": "x", "pid": "x"})
+        assert [e.line for e in entries] == ["hello"] * 8 + [f"p{i}" for i in range(8)]
 
     def test_unshardable_query_still_exact(self):
         streams = [

@@ -1,28 +1,29 @@
-"""``merge_replica_entries``: the max-multiplicity merge, its
-all-replicas-agree short-circuit and its time-disjoint path,
-``merge_replica_columns``, the same merge carrying timestamp columns,
-and ``merge_stream_columns``, the one-pass per-stream merge of several
-stores' answers.
+"""``merge_replica_columns``: the max-multiplicity merge of one
+stream's ``(entries, ts)`` copies, its all-replicas-agree short-circuit
+and its time-disjoint path, and ``merge_stream_columns``, the one-pass
+per-stream merge of several stores' answers.
 
 Quorum reads, the tiered read path, the compactor and the repairer all
 lean on this one function, and in the healthy RF-3 steady state every
 replica hands it the same list.  The specification checked here is the
 general one — per timestamp, every line appears as often as the replica
 that saw it most — so the short-circuits are held to exactly what the
-slow path would have answered.
+slow path would have answered, and every answer's column to its
+entries' timestamps.
 """
 
 from array import array
 from collections import Counter
+from itertools import chain
 
 from hypothesis import given, strategies as st
 
 from repro.common.labels import LabelSet
 from repro.loki.model import LogEntry
 from repro.ring.merge import (
+    _end_to_end,
     _merge_by_timestamp,
     merge_replica_columns,
-    merge_replica_entries,
     merge_stream_columns,
 )
 
@@ -54,26 +55,58 @@ def subsequence(entries, keep):
     return [e for e, kept in zip(entries, keep) if kept]
 
 
+def with_column(entries):
+    return entries, array("q", [e.timestamp_ns for e in entries])
+
+
+def merge(lists):
+    """``merge_replica_columns`` of ``lists`` with their columns: the
+    merged entries, once their column is checked against them."""
+    merged, ts = merge_replica_columns([with_column(entries) for entries in lists])
+    assert isinstance(ts, array) and list(ts) == [e.timestamp_ns for e in merged]
+    return merged
+
+
+def merge_replica_entries(replica_lists):
+    """The entry form of the merge as it was before only the column form
+    was kept: the frozen reference ``TestColumns`` holds
+    ``merge_replica_columns`` to."""
+    if not replica_lists:
+        return []
+    first = replica_lists[0]
+    if all(entries == first for entries in replica_lists[1:]):
+        return list(first)
+    spans = _end_to_end(replica_lists)
+    if spans is None:
+        return _merge_by_timestamp(replica_lists)
+    return list(chain.from_iterable(replica_lists[i] for i in spans))
+
+
 class TestAllReplicasAgree:
     @given(history, st.integers(1, 4))
     def test_identical_replicas_return_the_list_itself(self, entries, replicas):
         # Separate but equal lists of separate but equal entries, as
         # replicas that replayed a WAL or decoded their own chunk hold.
         copies = [[LogEntry(e.timestamp_ns, e.line) for e in entries] for _ in range(replicas)]
-        merged = merge_replica_entries(copies)
-        assert merged == entries
+        merged = merge(copies)
+        assert merged == entries and merged is copies[0]
         assert Counter(merged) == max_multiplicity(copies)
 
     def test_result_is_a_fresh_list(self):
+        # Copies that disagree: the answer is no copy's list or column.
         entries = [LogEntry(1, "a"), LogEntry(2, "b")]
-        merged = merge_replica_entries([entries, list(entries), list(entries)])
-        assert merged == entries and merged is not entries
+        parts = [with_column(entries[:1]), with_column(entries[1:])]
+        merged, ts = merge_replica_columns(parts)
+        assert merged == entries
         merged.clear()
-        assert len(entries) == 2
+        del ts[:]
+        assert [len(part) for pair in parts for part in pair] == [1, 1, 1, 1]
 
     def test_no_replicas_and_empty_replicas(self):
-        assert merge_replica_entries([]) == []
-        assert merge_replica_entries([[], []]) == []
+        labels = LabelSet({"app": "fm"})
+        assert merge_stream_columns([]) == []
+        assert merge_stream_columns([(labels, *with_column([])) for _ in range(2)]) == []
+        assert merge([[], []]) == []
 
 
 class TestReplicasDisagree:
@@ -88,34 +121,32 @@ class TestReplicasDisagree:
             )
             for _ in range(3)
         ]
-        merged = merge_replica_entries(replicas)
+        merged = merge(replicas)
         assert Counter(merged) == max_multiplicity(replicas)
         assert [e.timestamp_ns for e in merged] == sorted(e.timestamp_ns for e in merged)
 
     @given(history, st.integers(0, 16))
     def test_lagging_replica_does_not_shorten_the_answer(self, entries, behind):
         lagging = entries[: max(0, len(entries) - behind)]
-        assert merge_replica_entries([lagging, entries, entries]) == merge_replica_entries(
-            [entries]
-        )
-        assert Counter(merge_replica_entries([entries, lagging])) == Counter(entries)
+        assert merge([lagging, entries, entries]) == merge([entries])
+        assert Counter(merge([entries, lagging])) == Counter(entries)
 
     def test_differing_lengths_with_an_equal_prefix(self):
         full = [LogEntry(1, "a"), LogEntry(2, "b"), LogEntry(3, "c")]
-        assert merge_replica_entries([full[:2], full, full[:1]]) == full
+        assert merge([full[:2], full, full[:1]]) == full
 
     def test_duplicate_lines_keep_their_multiplicity(self):
         twice = [LogEntry(5, "a"), LogEntry(5, "a")]
         once = [LogEntry(5, "a")]
         # Two writes of the same line are two writes, on whichever
         # replica saw both; one replica seeing both is not four.
-        assert merge_replica_entries([once, twice, once]) == twice
-        assert merge_replica_entries([twice, twice, twice]) == twice
+        assert merge([once, twice, once]) == twice
+        assert merge([twice, twice, twice]) == twice
 
     def test_same_length_different_content(self):
         left = [LogEntry(1, "a"), LogEntry(2, "b")]
         right = [LogEntry(1, "a"), LogEntry(2, "c")]
-        assert merge_replica_entries([left, right]) == [
+        assert merge([left, right]) == [
             LogEntry(1, "a"), LogEntry(2, "b"), LogEntry(2, "c"),
         ]
 
@@ -137,45 +168,39 @@ class TestTimeDisjointLists:
         # Cuts between equal timestamps leave tied boundaries, and those
         # lists take the general path: a line on both sides is one write.
         pieces = split(entries, data)
-        merged = merge_replica_entries(pieces)
+        merged = merge(pieces)
         assert merged == _merge_by_timestamp(pieces)
         assert Counter(merged) == max_multiplicity(pieces)
 
     @given(increasing, st.data())
     def test_a_disjoint_split_reads_back_the_history(self, entries, data):
         pieces = split(entries, data)
-        merged = merge_replica_entries(pieces)
+        merged = merge(pieces)
         assert merged == entries == _merge_by_timestamp(pieces)
 
     def test_a_tied_boundary_keeps_one_copy_of_a_shared_write(self):
         left = [LogEntry(1, "a"), LogEntry(2, "b")]
         right = [LogEntry(2, "b"), LogEntry(3, "c")]
         want = [LogEntry(1, "a"), LogEntry(2, "b"), LogEntry(3, "c")]
-        assert merge_replica_entries([right, left]) == want
+        assert merge([right, left]) == want
 
     def test_overlapping_lists_still_dedup(self):
         full = [LogEntry(1, "a"), LogEntry(2, "b"), LogEntry(3, "c")]
         # A lagging replica and one that missed the middle write overlap
         # the full one in time: every write reads once.
-        assert merge_replica_entries([full[:2], [full[0], full[2]], full]) == full
-        assert merge_replica_entries([[full[0], full[2]], [full[1]]]) == full
-
-
-def with_column(entries):
-    return entries, array("q", [e.timestamp_ns for e in entries])
+        assert merge([full[:2], [full[0], full[2]], full]) == full
+        assert merge([[full[0], full[2]], [full[1]]]) == full
 
 
 class TestColumns:
-    """``merge_replica_columns`` answers ``merge_replica_entries`` and the
-    answer's timestamps, on each of the three paths: equal replicas pass
-    the first column on, disjoint ones lay theirs end to end, the
-    general path rebuilds one."""
+    """``merge_replica_columns`` answers the frozen entry form
+    (``merge_replica_entries`` above) and the answer's timestamps, on
+    each of the three paths: equal replicas pass the first column on,
+    disjoint ones lay theirs end to end, the general path rebuilds one."""
 
     @staticmethod
     def assert_merged_columns(lists):
-        merged, ts = merge_replica_columns([with_column(entries) for entries in lists])
-        assert merged == merge_replica_entries(lists)
-        assert isinstance(ts, array) and list(ts) == [e.timestamp_ns for e in merged]
+        assert merge(lists) == merge_replica_entries(lists)
 
     @given(history, st.integers(1, 4))
     def test_equal_replicas(self, entries, replicas):

@@ -22,7 +22,7 @@ def small_chunks():
 
 
 def preview_count(store, cutoff):
-    return sum(len(e) for _, e in store.expired_entries(cutoff))
+    return sum(len(e) for _, e, _ts in store.expired_entries(cutoff))
 
 
 class TestStraddlingChunks:
@@ -110,7 +110,7 @@ class TestPreviewActionAgreement:
 
         cutoff = 20_500
         doomed = store.expired_entries(cutoff)
-        doomed_total = sum(len(e) for _, e in doomed)
+        doomed_total = sum(len(e) for _, e, _ts in doomed)
         before = store.stats.entries_ingested
         dropped_chunks = store.delete_before(cutoff)
         assert dropped_chunks > 0
@@ -122,7 +122,7 @@ class TestPreviewActionAgreement:
             )
         )
         assert survivors == before - doomed_total
-        for labels, entries in doomed:
+        for labels, entries, _ts in doomed:
             remaining = {
                 e.line
                 for _, got in store.select(

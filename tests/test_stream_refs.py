@@ -19,7 +19,7 @@ from repro.common.labels import LabelSet
 from repro.common.simclock import SimClock
 from repro.core.framework import FrameworkConfig, MonitoringFramework
 from repro.core.planes import PLANES
-from repro.loki.chunks import Chunk, ChunkPolicy
+from repro.loki.chunks import SEPARATOR, Chunk, ChunkPolicy
 from repro.loki.model import LogEntry
 from repro.loki.store import LokiStore, StoreStats
 from repro.omni.warehouse import OmniWarehouse
@@ -104,6 +104,8 @@ class PerLineStore:
                 self.stats.entries_rejected += 1
                 continue
             if not chunks or not chunks[-1].space_for(entry):
+                if SEPARATOR in entry.line:  # refused before any chunk is cut
+                    raise ValidationError("log line contains reserved separator byte 0x1e")
                 if chunks:
                     chunks[-1].seal()
                     self.stats.chunks_sealed += 1
