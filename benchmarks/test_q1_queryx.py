@@ -14,6 +14,12 @@ are printed beside it — one thread, so sharding buys none of those back):
    must shrink the accounted cold-read bill.
 3. **Exactness.**  Both of the above are pure optimisations: every
    frame must be byte-identical to the monolithic engine's answer.
+
+The world holds about 80 KB, below ``SHARD_TARGET_BYTES`` (one default
+chunk): at the default the planner runs such a plan as one subquery.  So
+the claims above are priced with the target at 0, on the plan as cut,
+and a last row prints the default plan beside them — its subqueries,
+accounted wall and real milliseconds.
 """
 
 import time
@@ -32,6 +38,7 @@ from repro.objstore import (
     StoreGateway,
     TieredLokiStore,
 )
+from repro.queryx import planner as planner_module
 from repro.queryx.bloom import BloomStore
 from repro.queryx.engine import ShardedQueryEngine
 from repro.queryx.executor import QuerierPool
@@ -95,10 +102,11 @@ def _timed(fn):
     return result, (time.perf_counter() - started) * 1e3
 
 
-def test_q1_queryx_speedup_and_skipping(benchmark):
+def test_q1_queryx_speedup_and_skipping(benchmark, monkeypatch):
     clock, tiered, gateway = _world()
     mono = LogQLEngine(tiered)
     sharded = _engine(clock, tiered, workers=4)
+    monkeypatch.setattr(planner_module, "SHARD_TARGET_BYTES", 0)  # every plan as cut
 
     step_ns = int(minutes(10))
     mono_frame, mono_real_ms = _timed(
@@ -138,6 +146,19 @@ def test_q1_queryx_speedup_and_skipping(benchmark):
     skip_ratio = skipped / considered if considered else 0.0
     assert skipped > 0, "needle filter must skip clean chunks via blooms"
 
+    # The default target: the plan is sized, and this world is one subquery.
+    monkeypatch.undo()
+    sized = _engine(clock, tiered, workers=4)
+    sized_frame, sized_real_ms = _timed(
+        lambda: sized.query_range(METRIC_QUERY, 0, SPAN_NS, step_ns)
+    )
+    assert sized_frame == mono_frame
+    assert sized.subqueries_total == 1
+    sized_wall_ms = sized.last_wall_ns / 1e6
+    plan = sized.planner.plan_range(METRIC_QUERY, 0, SPAN_NS, step_ns)
+    window_bytes = sum(tiered.bytes_overlapping(*read, 10**9) for read in plan.reads)
+    assert window_bytes < planner_module.SHARD_TARGET_BYTES
+
     rows = [
         f"{'engine':<14} {'workers':>7} {'subqueries':>10} "
         f"{'serial_ms':>10} {'wall_ms':>8} {'speedup':>8} {'real_ms':>8}",
@@ -145,9 +166,15 @@ def test_q1_queryx_speedup_and_skipping(benchmark):
         f"{serial_ms:>8.2f} {1.0:>7.2f}x {mono_real_ms:>8.1f}",
         f"{'sharded':<14} {4:>7} {subqueries:>10} {serial_ms:>10.2f} "
         f"{wall_ms:>8.2f} {speedup:>7.2f}x {sharded_real_ms:>8.1f}",
+        f"{'default plan':<14} {4:>7} {sized.subqueries_total:>10} "
+        f"{sized_wall_ms:>10.2f} {sized_wall_ms:>8.2f} {1.0:>7.2f}x {sized_real_ms:>8.1f}",
         "",
         f"plan: 6 h range split into 1 h windows x 4 stream shards "
-        f"({N_STREAMS} streams, {N_STREAMS * N_ENTRIES:,} entries)",
+        f"({N_STREAMS} streams, {N_STREAMS * N_ENTRIES:,} entries), with the "
+        f"shard target at 0; the default plan sizes the window "
+        f"({window_bytes:,} bytes, below the "
+        f"{planner_module.SHARD_TARGET_BYTES:,}-byte target) "
+        f"and runs it as one subquery",
         f"needle filter |= \"{NEEDLE}\": skipped {skipped:,} of "
         f"{considered:,} cold chunks (skip ratio {skip_ratio:.3f}), "
         f"needle still returned exactly once",

@@ -9,8 +9,9 @@ LokiStore:
    for both plus the per-ingester balance the hash ring achieves.
 2. Does quorum + WAL replay actually lose nothing?  The bench kills an
    ingester a third of the way through the corpus, restarts it (WAL
-   replay) two thirds in, and asserts the final quorum read is
-   byte-identical to an uninterrupted run.
+   replay) two thirds in, and asserts the final quorum read holds every
+   stream of an uninterrupted run with the same entries in the same
+   order (the streams themselves come in no promised order).
 """
 
 import time
@@ -107,7 +108,10 @@ def test_r1_ring_ingest(benchmark):
         cluster.push(request)
 
     got = cluster.select(MATCH_ALL, 0, 10**15)
-    assert got == expect, "kill/restart cycle must lose zero entries"
+    # No store orders its streams: the two reads meet theirs in different
+    # orders, so they compare as a mapping, each stream's entries in order.
+    assert len(dict(got)) == len(got)
+    assert dict(got) == dict(expect), "kill/restart cycle must lose zero entries"
     assert cluster.distributor.entries_accepted == N_LOGS
     assert cluster.distributor.quorum_failures == 0
     health = cluster.ring_health()[victim]
@@ -120,7 +124,8 @@ def test_r1_ring_ingest(benchmark):
         f"{cluster.distributor.replica_writes_failed}\n"
         f"victim crashes/restarts: {health['crashes']:.0f}/"
         f"{health['restarts']:.0f}\n"
-        f"quorum read after recovery: byte-identical to uninterrupted run "
+        f"quorum read after recovery: every stream's entries identical to "
+        f"the uninterrupted run's "
         f"({sum(len(e) for _, e in got)} entries over {len(got)} streams)\n"
         f"\ncorpus: {N_LOGS} entries in {len(requests)} pushes over "
         f"{INGESTERS} ingesters, write quorum 2/3."

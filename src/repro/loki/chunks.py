@@ -265,6 +265,12 @@ class DecodeCache:
         self.hits += 1
         return cached[0]
 
+    def peek(self, key: Hashable) -> tuple[list[LogEntry], array] | None:
+        """As :meth:`get`, for a reader that is not a query: counting
+        neither hit nor miss, and leaving the eviction order alone."""
+        cached = self._entries.get(key)
+        return None if cached is None else cached[0]
+
     def put(
         self, key: Hashable, columns: tuple[list[LogEntry], array], size: int
     ) -> tuple[list[LogEntry], array]:

@@ -73,13 +73,20 @@ class EntrySelect:
         ]
 
 
+#: A stream with nothing resident spans no time: it starts after every
+#: window and ends before every one.
+_NO_FIRST = 2**63 - 1
+_NO_LAST = -(2**63)
+
+
 class _Stream:
     """One stream's resident state — what a push needs once its labels
     are resolved."""
 
-    __slots__ = ("labels", "chunks", "last_ts")
+    __slots__ = ("sid", "labels", "chunks", "last_ts")
 
-    def __init__(self, labels: LabelSet) -> None:
+    def __init__(self, sid: int, labels: LabelSet) -> None:
+        self.sid = sid
         self.labels = labels
         #: Oldest first; only the last may be open.
         self.chunks: list[Chunk] = []
@@ -126,6 +133,15 @@ class LokiStore(EntrySelect):
         # Resident sealed chunks' entries, decoded once while cached; a
         # chunk is discarded when it leaves the store.
         self._decoded = DecodeCache()
+        # By stream id: the first and last timestamps of its resident
+        # chunks, their count and their uncompressed bytes, as compact
+        # columns — how bytes_overlapping sizes a window without visiting
+        # a stream it either misses or reads every chunk of.  Kept by
+        # every change to a stream's chunks (_measure).
+        self._first = array("q")
+        self._last = array("q")
+        self._chunks = array("q")
+        self._bytes = array("q")
         self.stats = StoreStats()
 
     # ------------------------------------------------------------------
@@ -159,7 +175,11 @@ class LokiStore(EntrySelect):
         sid = self.index.get_or_create(labelset)
         stream = self._streams.get(sid)
         if stream is None:  # then the index entry is new too, and holds `labelset`
-            stream = self._streams[sid] = _Stream(labelset)
+            stream = self._streams[sid] = _Stream(sid, labelset)
+            self._first.append(_NO_FIRST)
+            self._last.append(_NO_LAST)
+            self._chunks.append(0)
+            self._bytes.append(0)
         return stream
 
     def push_stream(
@@ -195,6 +215,9 @@ class LokiStore(EntrySelect):
                     chunk = Chunk(self.policy)
                     chunks.append(chunk)
                     stats.chunks_created += 1
+                    self._chunks[stream.sid] = len(chunks)
+                    if len(chunks) == 1:
+                        self._first[stream.sid] = entry.timestamp_ns
                 chunk.append(entry, size)
                 last = entry.timestamp_ns
                 accepted += 1
@@ -203,7 +226,19 @@ class LokiStore(EntrySelect):
             stream.last_ts = last
             stats.entries_ingested += accepted
             stats.bytes_ingested += accepted_bytes
+            if accepted:
+                self._last[stream.sid] = last
+                self._bytes[stream.sid] += accepted_bytes
         return accepted
+
+    def _measure(self, stream: _Stream) -> None:
+        """Re-read ``stream``'s span and bytes off its resident chunks,
+        after chunks left it."""
+        chunks, sid = stream.chunks, stream.sid
+        self._first[sid] = chunks[0].first_ts_ns if chunks else _NO_FIRST
+        self._last[sid] = chunks[-1].last_ts_ns if chunks else _NO_LAST
+        self._chunks[sid] = len(chunks)
+        self._bytes[sid] = sum(chunk.uncompressed_bytes() for chunk in chunks)
 
     def replace_stream(
         self, labels: LabelSet | Mapping[str, str], entries: Iterable[LogEntry]
@@ -226,6 +261,7 @@ class LokiStore(EntrySelect):
             self._decoded.discard(chunk)
         stream.chunks = []
         stream.last_ts = None
+        self._measure(stream)
         return self.push_stream(stream.labels, entries)
 
     def flush_aged(self, now_ns: int) -> int:
@@ -312,6 +348,36 @@ class LokiStore(EntrySelect):
                 out.append((stream.labels, entries, ts))
         return out
 
+    def bytes_overlapping(
+        self, matchers: Iterable[Matcher], start_ns: int, end_ns: int, limit: int
+    ) -> int:
+        """Uncompressed bytes of the chunks a ``select_columns`` of
+        ``[start, end)`` would read, off postings and chunk bounds —
+        nothing decodes.  A stream is sized off the span columns: one
+        the window misses counts nothing, and one it holds whole, or
+        that has a single resident chunk, counts all its bytes; only a
+        stream of several chunks the window cuts is walked.  Counting
+        stops at the first stream that brings the sum to ``limit``: a
+        caller asking which side of ``limit`` a window is on learns it
+        either way.
+
+        The sizing read every store keeps beside ``select_columns``
+        (DESIGN §12, "Sizing a plan")."""
+        first, last, count, size = self._first, self._last, self._chunks, self._bytes
+        total = 0
+        for sid in self.index.select(matchers):
+            if (lo := first[sid]) >= end_ns or (hi := last[sid]) < start_ns:
+                continue
+            if count[sid] == 1 or (lo >= start_ns and hi < end_ns):
+                total += size[sid]
+            else:
+                for chunk in self._streams[sid].chunks:
+                    if chunk.first_ts_ns < end_ns and chunk.last_ts_ns >= start_ns:
+                        total += chunk.uncompressed_bytes()
+            if total >= limit:
+                break
+        return total
+
     def delete_before(self, cutoff_ns: int) -> int:
         """Retention: drop sealed chunks entirely before ``cutoff_ns``.
 
@@ -329,7 +395,8 @@ class LokiStore(EntrySelect):
                     keep.append(chunk)
             if len(keep) != len(stream.chunks):
                 self._touched.add(stream.labels)
-            stream.chunks = keep
+                stream.chunks = keep
+                self._measure(stream)
         return dropped
 
     def expired_entries(
@@ -378,10 +445,14 @@ class LokiStore(EntrySelect):
         logical deletion.  Returns whether the chunk was resident.
         """
         labelset = labels if isinstance(labels, LabelSet) else LabelSet(labels)
-        chunks = self.stream_chunks(labelset)
-        for i, resident in enumerate(chunks):
+        sid = self.index.lookup(labelset)
+        if sid is None:
+            return False
+        stream = self._streams[sid]
+        for i, resident in enumerate(stream.chunks):
             if resident is chunk:
-                del chunks[i]
+                del stream.chunks[i]
+                self._measure(stream)
                 self._decoded.discard(chunk)
                 self._touched.add(labelset)
                 self.stats.chunks_flushed += 1

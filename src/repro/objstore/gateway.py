@@ -152,17 +152,31 @@ class StoreGateway(EntrySelect):
         )
         return out
 
+    def bytes_overlapping(
+        self, matchers: Iterable[Matcher], start_ns: int, end_ns: int, limit: int
+    ) -> int:
+        """Uncompressed bytes of the refs a ``select_columns`` of
+        ``[start, end)`` would consider, off the shipper index alone and
+        no further than ``limit``: no GET, no counter."""
+        return self._index.bytes_overlapping(start_ns, end_ns, matchers, limit)
+
     def expired_entries(
         self, cutoff_ns: int
     ) -> list[tuple[LabelSet, list[LogEntry], array]]:
         """Entries cold retention would drop at ``cutoff_ns`` (chunks
         wholly before the cutoff) and their timestamps, merged per
-        stream — what a retention sweep archives."""
+        stream — what a retention sweep archives.  A preview is not a
+        query: it reads through the decode cache where the key is
+        cached, GETs where it is not, and moves no fetch counter and
+        fills no cache entry."""
         fetched: list[tuple[LabelSet, list[LogEntry], array]] = []
         for ref in self._index.refs_wholly_before(cutoff_ns):
-            (entries, ts), _latency = self._fetch(ref)
-            # Copies of the cached pair: the merge hands a stream's
-            # only part on as it is.
+            columns = self._decoded.peek(ref.key)
+            if columns is None:
+                columns = decode(self._objstore.get(self.bucket, ref.key))
+            entries, ts = columns
+            # Copies of a cached pair: the merge hands a stream's only
+            # part on as it is.
             fetched.append((ref.labels, entries[:], ts[:]))
         return merge_stream_columns(fetched)
 

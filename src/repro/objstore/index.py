@@ -22,7 +22,7 @@ from __future__ import annotations
 import zlib
 from bisect import bisect_left, insort
 from dataclasses import dataclass
-from itertools import accumulate
+from itertools import accumulate, islice
 from operator import attrgetter
 from typing import TYPE_CHECKING, Iterable
 
@@ -261,17 +261,42 @@ class ShipperIndex:
         in ``(first_ts_ns, key)`` order with no sort of the whole list."""
         if shard is not None:
             check_shard(shard)  # even with no table to ask
+        return list(self._overlapping(start_ns, end_ns, tenant, matchers, shard))
+
+    def bytes_overlapping(
+        self,
+        start_ns: int,
+        end_ns: int,
+        matchers: Iterable[Matcher],
+        limit: int,
+    ) -> int:
+        """Uncompressed bytes of :meth:`refs_overlapping`'s refs, summed
+        no further than the first that brings the sum to ``limit``."""
+        total = 0
+        for ref in self._overlapping(start_ns, end_ns, None, matchers, None):
+            total += ref.uncompressed_bytes
+            if total >= limit:
+                break
+        return total
+
+    def _overlapping(self, start_ns, end_ns, tenant, matchers, shard):
+        """The refs reaching into ``[start, end)``, stream by stream in
+        ``(period, tenant, labels)`` order: a stream's ``reach`` bisects
+        to the first ref that may, and its refs are read until one starts
+        at or after ``end``."""
         matchers = tuple(matchers or ())
-        out: list[ChunkRef] = []
         for at in sorted(self._tables):
             if tenant is None or at[1] == tenant:
                 table, streams = self._tables[at]
                 for labels in table.select(matchers, shard):
                     refs, reach = streams[labels]
-                    low = bisect_left(reach, start_ns)
-                    high = bisect_left(refs, end_ns, low, key=attrgetter("first_ts_ns"))
-                    out.extend(r for r in refs[low:high] if r.last_ts_ns >= start_ns)
-        return out
+                    if reach[-1] < start_ns:
+                        continue  # every ref ends before the window
+                    for ref in islice(refs, bisect_left(reach, start_ns), None):
+                        if ref.first_ts_ns >= end_ns:
+                            break
+                        if ref.last_ts_ns >= start_ns:
+                            yield ref
 
     def refs_wholly_before(self, cutoff_ns: int) -> list[ChunkRef]:
         """Refs whose entire time range precedes ``cutoff_ns`` — retention's

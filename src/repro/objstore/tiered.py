@@ -87,6 +87,19 @@ class TieredLokiStore(EntrySelect):
             return cold
         return merge_stream_columns(cold + hot)
 
+    def bytes_overlapping(
+        self, matchers: Iterable[Matcher], start_ns: int, end_ns: int, limit: int
+    ) -> int:
+        """Cold, then hot with what is left of ``limit``.  The shipper
+        drops each chunk it ships, so a chunk is counted in the tier that
+        holds it, and a ring's replicas of it once in either: one object
+        cold, one replica's copy hot."""
+        matchers = list(matchers)
+        cold = self.gateway.bytes_overlapping(matchers, start_ns, end_ns, limit)
+        if cold >= limit:
+            return cold
+        return cold + self.hot.bytes_overlapping(matchers, start_ns, end_ns, limit - cold)
+
     # ------------------------------------------------------------------
     # Tier movement
     # ------------------------------------------------------------------

@@ -4,7 +4,11 @@ Implements the same ``query_range`` / ``query_logs`` surface as
 :class:`~repro.loki.logql.engine.LogQLEngine`, so it can sit anywhere
 the monolithic engine does (under the query-frontend cache, behind the
 ruler) — but each call is planned into time × shard subqueries, executed
-across the querier pool, and merged back exactly.
+across the querier pool, and merged back exactly.  A plan of more than
+one subquery is first sized: the source says how many bytes its reads
+hold (``bytes_overlapping``, the sizing read every log store keeps),
+and below the planner's target the plan is one subquery, dispatched and
+accounted the same way.
 
 Latency accounting: each subquery is priced by the pool's cost model
 plus the *actual* cold object-store latency it incurred (measured as
@@ -28,6 +32,7 @@ from repro.common.simclock import SimClock, seconds
 from repro.common.vector import Series
 from repro.loki.logql.engine import LogQLEngine
 from repro.loki.model import LogEntry
+from repro.queryx import planner as planning
 from repro.queryx.executor import QuerierPool, QuerierWorker
 from repro.queryx.merger import merge_log_partials, merge_metric_partials
 from repro.queryx.planner import QueryPlan, QueryPlanner, Subquery
@@ -80,7 +85,7 @@ class ShardedQueryEngine:
     def query_range(
         self, query, start_ns: int, end_ns: int, step_ns: int
     ) -> list[Series]:
-        plan = self.planner.plan_range(query, start_ns, end_ns, step_ns)
+        plan = self._sized(self.planner.plan_range(query, start_ns, end_ns, step_ns))
         partials = self._execute_plan(plan, phase=start_ns % step_ns)
         result = merge_metric_partials(plan, partials)
         self.queries_total += 1
@@ -89,7 +94,7 @@ class ShardedQueryEngine:
     def query_logs(
         self, query, start_ns: int, end_ns: int
     ) -> list[tuple[LabelSet, list[LogEntry]]]:
-        plan = self.planner.plan_logs(query, start_ns, end_ns)
+        plan = self._sized(self.planner.plan_logs(query, start_ns, end_ns))
         partials = self._execute_plan(plan, phase=0)
         result = merge_log_partials(partials)
         self.queries_total += 1
@@ -99,6 +104,22 @@ class ShardedQueryEngine:
     # ------------------------------------------------------------------
     # Execution internals
     # ------------------------------------------------------------------
+    def _sized(self, plan: QueryPlan) -> QueryPlan:
+        """The plan to run: a plan of one subquery as it is, any other
+        after asking the source what its reads hold — each read counted
+        no further than what is left of the target."""
+        if len(plan.subqueries) == 1:
+            return plan
+        target = planning.SHARD_TARGET_BYTES
+        size = 0
+        for matchers, start_ns, end_ns in plan.reads:
+            if size >= target:
+                break
+            size += self._source.bytes_overlapping(
+                matchers, start_ns, end_ns, target - size
+            )
+        return self.planner.sized(plan, size)
+
     def _engine_for(self, sub: Subquery) -> LogQLEngine:
         shard = (sub.shard_index, sub.shard_count) if sub.shard_count > 1 else None
         engine = self._engines.get(shard)
@@ -230,7 +251,5 @@ class ShardedQueryEngine:
             "cold_ns_total": self.cold_ns_total,
             "speedup": self.speedup(),
             **{f"pool_{k}": v for k, v in self.pool.counters().items()},
-            "plans_built": self.planner.plans_built,
-            "subqueries_planned": self.planner.subqueries_planned,
             "unsharded_plans": self.planner.unsharded_plans,
         }

@@ -15,6 +15,10 @@ Two merge surfaces, matching the two query families:
   makes the sharded answer the unsharded one by construction.  Nothing
   here is a replica merge — two shards' equal ``(ts, line)`` entries are
   two writes, from two streams a label stage collapsed into one group.
+
+A plan of one subquery (a small or unshardable one-window plan) merges
+nothing: its one partial is the engine's own answer and is handed on as
+it is.
 """
 
 from __future__ import annotations
@@ -48,6 +52,8 @@ def merge_metric_partials(
     fn = _MERGE_FN.get(plan.merge, None)
     if plan.merge not in _MERGE_FN:
         raise ValidationError(f"not a metric merge class: {plan.merge!r}")
+    if len(partials) == 1:
+        return partials[0][1]
     # (labels, ts) -> shard values within the owning window.  Windows
     # partition the instants, so ts alone identifies the window.
     cells: dict[tuple[LabelSet, int], list[float]] = {}
@@ -80,6 +86,8 @@ def merge_log_partials(
     """Join log groups across shards and windows: per final label set
     the partials' lists in plan order, sorted, groups in label order —
     the unsharded engine's answer.  The partials' lists are consumed."""
+    if len(partials) == 1:
+        return partials[0][1]
     groups: dict[LabelSet, list[LogEntry]] = {}
     for _sub, partial in partials:
         for labels, entries in partial:

@@ -17,6 +17,14 @@ The planner cuts along two independent axes:
   parallel — the same posture real Loki takes, where only provably
   shardable AST shapes are rewritten into downstream queries.
 
+Both cuts pay only on data worth cutting.  A plan carries the store
+windows its leaves read; the engine asks its source how many bytes
+those hold (``bytes_overlapping``, counted no further than the target)
+and hands the figure to :meth:`QueryPlanner.sized`.  Below
+:data:`SHARD_TARGET_BYTES` the plan is one subquery over the whole
+window; at or above it, the plan as cut above (DESIGN §12, "Sizing a
+plan").
+
 Shardability (merge class per AST shape):
 
 ======================================  ==========================
@@ -35,14 +43,21 @@ log pipeline                            concat (streams disjoint)
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
+from typing import Iterator
 
 from repro.common.errors import ValidationError
+from repro.common.labels import Matcher
 from repro.common.simclock import hours
-from repro.common.vectorlang import VectorAgg, VectorOp
+from repro.common.vectorlang import BinOp, SetExpr, TopK, VectorAgg, VectorOp
+from repro.loki.chunks import ChunkPolicy
 from repro.loki.frontend import aligned_windows
 from repro.loki.logql.ast import Expr, LogPipeline, RangeAgg, RangeFunc
 from repro.loki.logql.parser import parse
+
+#: A plan whose reads hold fewer uncompressed bytes than one default
+#: chunk runs as one subquery: below it a cut costs more than it splits.
+SHARD_TARGET_BYTES = ChunkPolicy().target_size_bytes
 
 #: Merge classes — how shard partials recombine per (labels, instant).
 MERGE_SUM = "sum"
@@ -94,6 +109,17 @@ def merge_class(expr: Expr) -> str:
     return MERGE_NONE
 
 
+def _range_aggs(expr) -> Iterator[RangeAgg]:
+    """The leaves of a metric expression: every range aggregation."""
+    if isinstance(expr, RangeAgg):
+        yield expr
+    elif isinstance(expr, (VectorAgg, TopK)):
+        yield from _range_aggs(expr.expr)
+    elif isinstance(expr, (BinOp, SetExpr)):
+        yield from _range_aggs(expr.lhs)
+        yield from _range_aggs(expr.rhs)
+
+
 @dataclass(frozen=True)
 class Subquery:
     """One independently executable slice of the original query."""
@@ -120,6 +146,9 @@ class QueryPlan:
     subqueries: tuple[Subquery, ...]
     time_splits: int
     shard_count: int
+    #: ``(matchers, start_ns, end_ns)`` of each distinct store read the
+    #: whole plan makes, half-open — the windows its size is asked for.
+    reads: tuple[tuple[tuple[Matcher, ...], int, int], ...]
 
     @property
     def is_log_query(self) -> bool:
@@ -140,8 +169,6 @@ class QueryPlanner:
             raise ValidationError("split interval must be positive")
         self.shard_count = shard_count
         self.split_ns = split_ns
-        self.plans_built = 0
-        self.subqueries_planned = 0
         self.unsharded_plans = 0
 
     def plan_range(
@@ -163,7 +190,16 @@ class QueryPlanner:
             windows = list(aligned_windows(start_ns, end_ns, self.split_ns))
         else:
             windows = [(start_ns, end_ns)]
-        return self._build(query, expr, merge, windows, step_ns, shards)
+        # A leaf reads (t - range, t] for every instant t, the first at
+        # start and the last on the grid at or before end.
+        last = end_ns - (end_ns - start_ns) % step_ns
+        reads = tuple(
+            dict.fromkeys(
+                (leaf.pipeline.matchers, start_ns - leaf.range_ns + 1, last + 1)
+                for leaf in _range_aggs(expr)
+            )
+        )
+        return self._build(query, expr, merge, windows, step_ns, shards, reads)
 
     def plan_logs(
         self, query: str | Expr, start_ns: int, end_ns: int
@@ -184,7 +220,25 @@ class QueryPlanner:
         ]
         if windows:
             windows[-1] = (windows[-1][0], end_ns)
-        return self._build(query, expr, MERGE_CONCAT, windows, 0, self.shard_count)
+        reads = ((expr.matchers, start_ns, end_ns),)
+        return self._build(
+            query, expr, MERGE_CONCAT, windows, 0, self.shard_count, reads
+        )
+
+    def sized(self, plan: QueryPlan, window_bytes: int) -> QueryPlan:
+        """``plan``, once its reads are known to hold ``window_bytes``
+        uncompressed: below :data:`SHARD_TARGET_BYTES`, one subquery over
+        the whole window, with no shard and no time split; at or above
+        it, ``plan`` as it is.
+
+        Binary, not ``ceil(bytes / target)`` shards: a plan that is cut
+        is cut exactly as before, so a big read's accounted latency (and
+        what the slow-query alert makes of it) does not move."""
+        if window_bytes >= SHARD_TARGET_BYTES or len(plan.subqueries) == 1:
+            return plan
+        first, last = plan.subqueries[0], plan.subqueries[-1]
+        whole = replace(first, end_ns=last.end_ns, shard_index=0, shard_count=1)
+        return replace(plan, subqueries=(whole,), time_splits=1, shard_count=1)
 
     def _build(
         self,
@@ -194,6 +248,7 @@ class QueryPlanner:
         windows: list[tuple[int, int]],
         step_ns: int,
         shards: int,
+        reads: tuple[tuple[tuple[Matcher, ...], int, int], ...],
     ) -> QueryPlan:
         subqueries = []
         for sub_start, sub_end in windows:
@@ -208,8 +263,6 @@ class QueryPlanner:
                         shard_count=shards,
                     )
                 )
-        self.plans_built += 1
-        self.subqueries_planned += len(subqueries)
         if shards == 1 and merge != MERGE_CONCAT:
             self.unsharded_plans += 1
         return QueryPlan(
@@ -219,4 +272,5 @@ class QueryPlanner:
             subqueries=tuple(subqueries),
             time_splits=len(windows),
             shard_count=shards,
+            reads=reads,
         )

@@ -111,6 +111,11 @@ class RingLokiCluster(EntrySelect):
         replica has no use for."""
         return self.distributor.select_columns(matchers, start_ns, end_ns, shard=shard)
 
+    def bytes_overlapping(
+        self, matchers: Iterable[Matcher], start_ns: int, end_ns: int, limit: int
+    ) -> int:
+        return self.distributor.bytes_overlapping(matchers, start_ns, end_ns, limit)
+
     def active_stores(self) -> list["LokiStore"]:
         """The live replicas' stores, in ingester order — the surface the
         chunk shipper walks when flushing sealed chunks to the cold tier.

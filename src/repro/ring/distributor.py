@@ -281,21 +281,54 @@ class Distributor(EntrySelect):
         matchers = list(matchers)
         gathered: list[tuple[LabelSet, list[LogEntry], array]] = []
         responded = 0
+        for answer in self._replica_answers(
+            lambda ingester: ingester.select_columns(matchers, start_ns, end_ns, shard=shard)
+        ):
+            gathered += answer
+            responded += 1
+        if responded < self.write_quorum:
+            self.reads_degraded += 1
+            raise ReadDegradedError(responded, self.write_quorum)
+        return merge_stream_columns(gathered)
+
+    def bytes_overlapping(
+        self, matchers: Iterable[Matcher], start_ns: int, end_ns: int, limit: int
+    ) -> int:
+        """A window's size under the quorum read's rules (fewer than a
+        quorum of answers is a degraded read: the data read it stands
+        before would have failed the same way).
+
+        Replicas combine by max.  Each holds a subset of the window's
+        streams, so each answer is a lower bound of the whole and the
+        largest is the best of them; the walk ends at the first quorum of
+        answers, in ingester order, each stopped at ``limit``.  The
+        answer only sizes a plan: it changes no read's result."""
+        matchers = list(matchers)
+        largest = responded = 0
+        for size in self._replica_answers(
+            lambda ingester: ingester.bytes_overlapping(matchers, start_ns, end_ns, limit)
+        ):
+            largest = max(largest, size)
+            responded += 1
+            if responded == self.write_quorum:
+                return largest
+        self.reads_degraded += 1
+        raise ReadDegradedError(responded, self.write_quorum)
+
+    def _replica_answers(self, ask):
+        """``ask(ingester)`` of each replica a read contacts, in ingester
+        order: members the detector holds DEAD are skipped, and a replica
+        that refuses (crashed) is passed over and, with a detector
+        attached, marked SUSPECT."""
         for ingester_id, ingester in self.ingesters.items():
             if self.memberlist is not None and self.memberlist.read_excluded(
                 ingester_id
             ):
                 continue
             try:
-                gathered += ingester.select_columns(
-                    matchers, start_ns, end_ns, shard=shard
-                )
+                answer = ask(ingester)
             except StateError:
                 if self.memberlist is not None:
                     self.memberlist.suspect_from_read(ingester_id)
                 continue
-            responded += 1
-        if responded < self.write_quorum:
-            self.reads_degraded += 1
-            raise ReadDegradedError(responded, self.write_quorum)
-        return merge_stream_columns(gathered)
+            yield answer

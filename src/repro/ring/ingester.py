@@ -193,3 +193,9 @@ class Ingester(EntrySelect):
     ) -> list[tuple[LabelSet, list[LogEntry], array]]:
         self._require_active()
         return self.store.select_columns(matchers, start_ns, end_ns, shard=shard)
+
+    def bytes_overlapping(
+        self, matchers: Iterable[Matcher], start_ns: int, end_ns: int, limit: int
+    ) -> int:
+        self._require_active()
+        return self.store.bytes_overlapping(matchers, start_ns, end_ns, limit)

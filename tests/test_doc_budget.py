@@ -22,8 +22,8 @@ ROOT = Path(__file__).resolve().parent.parent
 
 #: File -> its byte ceiling.
 CEILINGS = {
-    "DESIGN.md": 123_277,
-    "EXPERIMENTS.md": 251_700,
+    "DESIGN.md": 123_240,
+    "EXPERIMENTS.md": 249_949,
 }
 ENTRY_CEILING = 2_000
 FIRST_CAPPED_ENTRY = 40

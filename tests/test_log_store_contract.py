@@ -35,6 +35,7 @@ from repro.objstore import (
 from repro.omni.lifecycle import Lifecycle
 from repro.queryx.bloom import BloomStore
 from repro.ring.cluster import RingLokiCluster
+from repro.ring.distributor import ReadDegradedError
 from repro.ring.merge import merge_stream_columns
 from repro.tsdb.storage import TimeSeriesStore
 from tests.counting import counted
@@ -152,6 +153,28 @@ tied_strategy = st.lists(
     max_size=2,
     unique_by=lambda s: s[0]["app"],
 )
+
+
+def reference_bytes(store, matchers, start, end):
+    """What ``bytes_overlapping`` owes with no limit, off each backend's
+    own chunks and refs: a store's chunks overlapping ``[start, end)``;
+    a ring's first quorum of live replicas, the largest of them; a tiered
+    store's cold refs and its hot tier."""
+    if isinstance(store, TieredLokiStore):
+        refs = store.index.refs_overlapping(start, end, matchers=matchers)
+        return sum(ref.uncompressed_bytes for ref in refs) + reference_bytes(
+            store.hot, matchers, start, end
+        )
+    if isinstance(store, RingLokiCluster):
+        live = [i.store for i in store.ingesters.values() if i.active]
+        quorum = live[: store.distributor.write_quorum]
+        return max(reference_bytes(replica, matchers, start, end) for replica in quorum)
+    return sum(
+        chunk.uncompressed_bytes()
+        for labels in store.stream_labels(matchers)
+        for chunk in store.stream_chunks(labels)
+        if chunk.first_ts_ns < end and chunk.last_ts_ns >= start
+    )
 
 
 def assert_columns_are_the_select(store, start, end):
@@ -273,6 +296,26 @@ class TestLogStoreContract:
         assert dict(matching(hinted)) == dict(matching(plain))
         assert not as_multiset(hinted) - as_multiset(plain)
 
+    @given(
+        raw_streams=stream_strategy,
+        start_s=st.integers(0, SPAN_S),
+        span_s=st.integers(1, SPAN_S),
+        app=st.sampled_from([".+", "fm"]),
+        limit=st.integers(1, 3000),
+    )
+    @settings(max_examples=40, deadline=None)
+    def test_bytes_overlapping_sizes_what_a_read_reaches(
+        self, kind, raw_streams, start_s, span_s, app, limit
+    ):
+        store = build(kind, to_streams(raw_streams))
+        start, end = window(start_s, start_s + span_s)
+        matchers = [label_matcher("app", "=~", app)]
+        whole = reference_bytes(store, matchers, start, end)
+        assert store.bytes_overlapping(matchers, start, end, whole + 1) == whole
+        # Exact below the limit; at it, counting may stop.
+        got = store.bytes_overlapping(matchers, start, end, limit)
+        assert got == whole if whole < limit else limit <= got <= whole
+
     @given(raw_streams=stream_strategy, cutoff_s=st.integers(0, SPAN_S + 1))
     @settings(max_examples=30, deadline=None)
     def test_expired_entries_is_what_delete_before_removes(
@@ -349,6 +392,58 @@ def test_ring_expiry_archives_every_acknowledged_entry_once():
     assert lifecycle.sweep() == 15
     assert cluster.select(MATCH_ALL, 0, int(hours(2))) == []
     assert lifecycle.archive.select(MATCH_ALL, 0, int(hours(2))) == [(labels, acknowledged)]
+
+
+def test_ring_sizing_keeps_the_read_quorum():
+    """A crashed replica is passed over, as a read passes it over; below
+    a quorum of live replicas sizing fails as the read would, and counts
+    as a degraded read."""
+    cluster = ring()
+    streams = [LabelSet({"app": "fm", "host": f"n{i}"}) for i in range(8)]
+    for i, labels in enumerate(streams):
+        cluster.push_stream(labels, [LogEntry(t, f"line {i} {t}") for t in range(i, 40, 3)])
+    cluster.crash_ingester("ingester-0")
+    expect = max(
+        reference_bytes(cluster.ingesters[i].store, MATCH_ALL, 0, 50)
+        for i in ("ingester-1", "ingester-2")
+    )
+    assert expect > 0
+    assert cluster.bytes_overlapping(MATCH_ALL, 0, 50, 10**6) == expect
+    cluster.crash_ingester("ingester-1")
+    cluster.crash_ingester("ingester-2")
+    with pytest.raises(ReadDegradedError):
+        cluster.bytes_overlapping(MATCH_ALL, 0, 50, 10**6)
+    assert cluster.distributor.reads_degraded == 1
+
+
+@pytest.mark.parametrize("hot", ["bare", "ring"])
+def test_tiered_sizing_counts_each_chunk_once(hot):
+    """Half the history shipped and compacted, half resident: a window
+    over all of it sizes the acknowledged bytes once.  The shipper drops
+    what it ships, and a ring's three replicas of a chunk are one object
+    cold and one replica's copy hot."""
+    replicas = RingLokiCluster(
+        ingesters=3, replication_factor=3, policy=POLICY, tracer=off_tracer()
+    )
+    store = tiered(LokiStore(POLICY) if hot == "bare" else replicas)
+    streams = [LabelSet({"app": "fm", "host": f"n{i}"}) for i in range(4)]
+    history = {
+        labels: [LogEntry(int(seconds(t)) + i, f"{WORDS[t % 4]} {t}") for t in range(30)]
+        for i, labels in enumerate(streams)
+    }
+    for labels, entries in history.items():
+        store.push_stream(labels, entries[:15])
+    store.flush_all()
+    store.flush_to_cold()
+    store.compact()
+    for labels, entries in history.items():
+        store.push_stream(labels, entries[15:])
+    store.flush_all()
+    assert store.index.ref_count() and store.hot.chunk_count()
+    acknowledged = sum(e.size_bytes() for entries in history.values() for e in entries)
+    start, end = window(0, 31)
+    assert store.bytes_overlapping(MATCH_ALL, start, end, 10**9) == acknowledged
+    assert reference_bytes(store, MATCH_ALL, start, end) == acknowledged
 
 
 @pytest.mark.parametrize("kind", ["tiered_bare", "tiered_ring"])

@@ -345,17 +345,23 @@ class TestWindowEdges:
 
 class CountingSource:
     """A ``LogSource`` double that counts the reads it serves and records
-    the ``(shard, line_contains)`` hints each one carried."""
+    the ``(shard, line_contains)`` hints each one carried, and the
+    windows it was asked the size of."""
 
     def __init__(self, inner):
         self._inner = inner
         self.selects = []
         self.hints = []
+        self.sizings = []
 
     def select_columns(self, matchers, start_ns, end_ns, shard=None, line_contains=()):
         self.selects.append((start_ns, end_ns))
         self.hints.append((shard, tuple(line_contains)))
         return self._inner.select_columns(matchers, start_ns, end_ns, shard, line_contains)
+
+    def bytes_overlapping(self, matchers, start_ns, end_ns, limit):
+        self.sizings.append((start_ns, end_ns))
+        return self._inner.bytes_overlapping(matchers, start_ns, end_ns, limit)
 
 
 class TestOneReadPerRangeQuery:

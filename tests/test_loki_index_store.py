@@ -15,6 +15,7 @@ from repro.loki.model import LogEntry, PushRequest
 from repro.loki.store import LokiStore
 from repro.ring.cluster import RingLokiCluster
 from tests.counting import counted
+from tests.test_log_store_contract import reference_bytes
 from tests.tracing import off_tracer
 
 
@@ -358,6 +359,44 @@ class TestDecodeCache:
             store.select(EVERY_STREAM, 0, 10)
             assert store._decoded.bytes == 0
             assert store._decoded.hits == 0
+
+
+class TestSizingColumns:
+    """The span columns ``bytes_overlapping`` sizes a window from follow
+    every way a stream's chunks change: after each step of the decode
+    cache's walk, each window sizes to the bytes of the chunks that
+    overlap it."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        steps=st.lists(TestDecodeCache.step, min_size=1, max_size=20),
+        cuts=st.lists(st.tuples(st.integers(-2, 100), st.integers(1, 100)), min_size=1, max_size=3),
+    )
+    def test_every_window_sizes_to_its_chunks(self, steps, cuts):
+        store = LokiStore(TestDecodeCache.POLICY)
+        streams = TestDecodeCache.STREAMS
+        clock = 0
+        for kind, a, b in [("push", k, 25) for k in range(3)] + steps:
+            if kind == "push":
+                store.push_stream(
+                    streams[a], [LogEntry(clock + i, f"{a}:{clock + i} line") for i in range(b)]
+                )
+                clock += b
+            elif kind == "flush_all":
+                store.flush_all()
+            elif kind == "drop_chunk" and store.sealed_chunks():
+                sealed = store.sealed_chunks()
+                assert store.drop_chunk(*sealed[a % len(sealed)])
+            elif kind == "delete_before":
+                store.delete_before(a * clock // 100)
+            elif kind == "replace_stream":
+                entries = [LogEntry(ts, f"{a}:{ts} again") for ts in range(0, clock, 3)][:b]
+                store.replace_stream(streams[a], entries)
+            for x, y in cuts:
+                start, end = x * clock // 100, (x + y) * clock // 100 + 1
+                assert store.bytes_overlapping(EVERY_STREAM, start, end, 2**40) == (
+                    reference_bytes(store, EVERY_STREAM, start, end)
+                )
 
 
 class TestHotDecodeBudget:

@@ -7,6 +7,7 @@ retention manager runs unmodified.
 """
 
 import zlib
+from array import array
 from unittest import mock
 
 import pytest
@@ -93,6 +94,52 @@ class TestGateway:
             [label_matcher("app", "=", "db")], 0, FAR_FUTURE_NS
         )
         assert [labels for labels, _ in out] == [LabelSet({"app": "db"})]
+
+
+class TestGatewayCountsQueriesOnly:
+    """The gateway's fetch counters and decode cache are a query's story
+    (exported as fetched "for cold selects"): a retention preview and a
+    plan's sizing read move neither."""
+
+    @staticmethod
+    def three_chunks_cold():
+        clock, tiered = make_tiered()
+        corpus = entries_for(30)
+        for part in (corpus[:10], corpus[10:20], corpus[20:]):
+            tiered.push_stream(LABELS, part)
+            tiered.flush_all()  # one sealed chunk a part
+        tiered.flush_to_cold()
+        assert tiered.index.ref_count() == 3
+        return tiered, corpus
+
+    def test_a_retention_preview_fetches_and_caches_nothing(self):
+        tiered, corpus = self.three_chunks_cold()
+        gateway, objstore = tiered.gateway, tiered.objstore
+        before = gateway.counters()
+        assert tiered.expired_entries(FAR_FUTURE_NS) == [
+            (LABELS, corpus, array("q", [e.timestamp_ns for e in corpus]))
+        ]
+        assert gateway.counters() == before
+        assert objstore.gets == 3  # the payloads were read, and not kept:
+        gateway.select(MATCH_ALL, 0, FAR_FUTURE_NS)
+        assert gateway.counters()["decode_misses"] == 3
+
+    def test_a_retention_preview_reads_a_cached_key_without_a_get(self):
+        tiered, corpus = self.three_chunks_cold()
+        gateway, objstore = tiered.gateway, tiered.objstore
+        gateway.select(MATCH_ALL, 0, FAR_FUTURE_NS)  # every key cached
+        before, gets = gateway.counters(), objstore.gets
+        [(_labels, entries, _ts)] = gateway.expired_entries(FAR_FUTURE_NS)
+        assert entries == corpus
+        assert (gateway.counters(), objstore.gets) == (before, gets)
+
+    def test_sizing_makes_no_get_and_moves_no_counter(self):
+        tiered, corpus = self.three_chunks_cold()
+        gateway, objstore = tiered.gateway, tiered.objstore
+        before, gets = gateway.counters(), objstore.gets
+        whole = sum(e.size_bytes() for e in corpus)
+        assert gateway.bytes_overlapping(MATCH_ALL, 0, FAR_FUTURE_NS, whole + 1) == whole
+        assert (gateway.counters(), objstore.gets) == (before, gets)
 
 
 class TestTieredSelect:

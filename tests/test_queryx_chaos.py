@@ -15,6 +15,9 @@ from repro.cluster.topology import ClusterSpec
 from repro.common.errors import ValidationError
 from repro.common.simclock import minutes
 from repro.core.framework import FrameworkConfig, MonitoringFramework
+from tests.sharding import every_plan_shards  # noqa: F401
+
+pytestmark = pytest.mark.usefixtures("every_plan_shards")
 
 QUERY = 'sum(count_over_time({data_type=~".+"}[5m]))'
 

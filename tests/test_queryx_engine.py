@@ -11,12 +11,15 @@ from repro.core.planes import PLANES
 from repro.cluster.topology import ClusterSpec
 from repro.loki.model import LogEntry, PushRequest
 from repro.loki.store import LokiStore
+from repro.queryx import planner as planner_module
 from repro.queryx.engine import ShardedQueryEngine
 from repro.queryx.executor import QuerierPool
 from repro.queryx.merger import merge_log_partials, merge_metric_partials
 from repro.queryx.planner import QueryPlanner, Subquery
 from repro.tempo.store import TraceStore
 from repro.tempo.tracer import Tracer
+from tests.counting import counted
+from tests.sharding import every_plan_shards  # noqa: F401
 from tests.tracing import off_tracer
 
 QUERY = 'sum(count_over_time({app="fm"}[30m]))'
@@ -113,6 +116,43 @@ class TestMerger:
         ]
 
 
+class TestSizingBudget:
+    """A plan is sized with one read of the index per leaf, and only when
+    it has more than one subquery; a small plan is one data read."""
+
+    def budget(self, run, store=None):
+        store = store or make_store()
+        with counted(LokiStore, "select_columns") as selects, counted(
+            LokiStore, "bytes_overlapping"
+        ) as sizings:
+            run(make_engine(store))
+        return selects.call_count, sizings.call_count
+
+    def test_a_small_log_query_is_one_read(self):
+        # Four hour windows x four shards, planned; one read, sized once.
+        assert self.budget(lambda e: e.query_logs('{app="fm"}', 0, int(hours(4)))) == (1, 1)
+
+    def test_a_small_range_query_is_one_read(self):
+        assert self.budget(
+            lambda e: e.query_range(QUERY, 0, int(hours(4)), int(minutes(10)))
+        ) == (1, 1)
+
+    def test_a_one_window_plan_is_not_sized(self):
+        store = make_store()
+        engine = ShardedQueryEngine(
+            store, SimClock(0), planner=QueryPlanner(shard_count=1), tracer=off_tracer()
+        )
+        with counted(LokiStore, "bytes_overlapping") as sizings:
+            engine.query_logs('{app="fm"}', 0, int(minutes(30)))
+            engine.query_range(QUERY, 0, int(minutes(30)), int(minutes(10)))
+        assert sizings.call_count == 0
+
+    def test_a_plan_at_the_target_runs_as_cut(self, monkeypatch):
+        monkeypatch.setattr(planner_module, "SHARD_TARGET_BYTES", 0)
+        assert self.budget(lambda e: e.query_logs('{app="fm"}', 0, int(hours(4)))) == (16, 0)
+
+
+@pytest.mark.usefixtures("every_plan_shards")
 class TestAccounting:
     def test_wall_below_serial_with_speedup(self):
         store = make_store()
@@ -149,6 +189,7 @@ class TestAccounting:
         assert stats["pool_retries_total"] == 0
 
 
+@pytest.mark.usefixtures("every_plan_shards")
 class TestTracing:
     def test_spans_recorded(self):
         clock = SimClock(0)
@@ -173,6 +214,7 @@ class TestTracing:
         assert names.count("queryx.subquery") == 4  # 2 windows x 2 shards
 
 
+@pytest.mark.usefixtures("every_plan_shards")
 class TestSchedulerPath:
     def test_the_query_is_the_fairness_unit(self):
         """All planes on: one range query is one scheduler ticket, and

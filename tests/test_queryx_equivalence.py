@@ -9,11 +9,13 @@ shards and single-entry streams), every query answered both ways must
 match byte for byte.
 """
 
+from unittest import mock
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.common.labels import LabelSet
-from repro.common.simclock import SimClock, hours, minutes
+from repro.common.simclock import SimClock, hours, minutes, seconds
 from repro.loki.chunks import ChunkPolicy
 from repro.loki.logql.engine import LogQLEngine
 from repro.loki.model import LogEntry
@@ -29,7 +31,12 @@ from repro.objstore import (
 from repro.queryx.bloom import BloomStore
 from repro.queryx.engine import ShardedQueryEngine
 from repro.queryx.executor import QuerierPool
+from repro.queryx import planner
 from repro.queryx.planner import QueryPlanner
+from tests.sharding import every_plan_shards  # noqa: F401
+from tests.test_log_store_contract import BACKENDS as CONTRACT_BACKENDS
+from tests.test_log_store_contract import build, to_streams
+from tests.test_log_store_contract import stream_strategy as contract_streams
 from tests.test_logql_range_equivalence import CountingSource
 from tests.tracing import off_tracer
 
@@ -92,6 +99,17 @@ stream_strategy = st.lists(
 )
 
 
+def at_each_target(answer):
+    """``answer()`` at the default shard target, then at 0.  A world here
+    is far below the target, so the first runs every plan as one
+    subquery and the second as the planner cut it."""
+    answers = []
+    for target in (planner.SHARD_TARGET_BYTES, 0):
+        with mock.patch.object(planner, "SHARD_TARGET_BYTES", target):
+            answers.append(answer())
+    return answers
+
+
 def to_entries(raw):
     return [
         LogEntry(ts, line)
@@ -108,9 +126,9 @@ class TestRandomizedEquivalence:
         mono, sharded = engines(clock, tiered, shards=shards)
         query = 'sum(count_over_time({app=~".+"}[30m]))'
         start, end, step = 0, int(hours(6)), int(minutes(10))
-        assert sharded.query_range(query, start, end, step) == mono.query_range(
-            query, start, end, step
-        )
+        assert at_each_target(
+            lambda: sharded.query_range(query, start, end, step)
+        ) == [mono.query_range(query, start, end, step)] * 2
 
     @given(stream_strategy)
     @settings(max_examples=30, deadline=None)
@@ -125,9 +143,9 @@ class TestRandomizedEquivalence:
             '{app=~".+"} |= "GPU memory error"',
             '{app=~".+"} | label_format host=app',
         ):
-            assert sharded.query_logs(query, start, end) == mono.query_logs(
-                query, start, end
-            ), query
+            assert at_each_target(
+                lambda: sharded.query_logs(query, start, end)
+            ) == [mono.query_logs(query, start, end)] * 2, query
 
     @given(stream_strategy, st.integers(0, int(hours(5))))
     @settings(max_examples=20, deadline=None)
@@ -137,9 +155,9 @@ class TestRandomizedEquivalence:
         mono, sharded = engines(clock, tiered)
         query = 'sum(count_over_time({app=~".+"}[30m]))'
         end, step = start + int(hours(1)), int(minutes(10))
-        assert sharded.query_range(query, start, end, step) == mono.query_range(
-            query, start, end, step
-        )
+        assert at_each_target(
+            lambda: sharded.query_range(query, start, end, step)
+        ) == [mono.query_range(query, start, end, step)] * 2
 
 
 class TestEdgeShapes:
@@ -289,6 +307,47 @@ class TestEdgeShapes:
         # Set operators take the same unsharded, ungated path.
         either = f"{errors} > 100 or {total}"
         assert sharded.query_range(either, *args) == mono.query_range(total, *args)
+
+
+@pytest.mark.usefixtures("every_plan_shards")
+class TestEdgeShapesSharded(TestEdgeShapes):
+    """The edge shapes with every plan run as the planner cut it: the
+    worlds here are far below the shard target, so at the default every
+    plan is one subquery."""
+
+
+class TestSizingChangesNoAnswer:
+    """Over a bare store, an RF-3 ring and tiered stores over either,
+    built as the log-store contract builds them: the default target, the
+    target at 0 (every plan as cut) and the direct engine answer alike."""
+
+    QUERIES = (
+        'sum by (host) (count_over_time({app=~".+"} |= "error" [10s]))',
+        'sum(bytes_rate({app="fm"}[15s]))',
+        'count_over_time({app=~".+"}[5s]) > 1',
+    )
+
+    @pytest.mark.parametrize("kind", sorted(CONTRACT_BACKENDS))
+    @given(raw_streams=contract_streams, start_s=st.integers(0, 30))
+    @settings(max_examples=15, deadline=None)
+    def test_every_target_answers_as_the_direct_engine(self, kind, raw_streams, start_s):
+        store = build(kind, to_streams(raw_streams))
+        mono = LogQLEngine(store)
+        sharded = ShardedQueryEngine(
+            store,
+            SimClock(0),
+            planner=QueryPlanner(shard_count=3, split_ns=seconds(20)),
+            tracer=off_tracer(),
+        )
+        start, end, step = seconds(start_s), seconds(start_s + 40), seconds(5)
+        for query in self.QUERIES:
+            assert at_each_target(
+                lambda: sharded.query_range(query, start, end, step)
+            ) == [mono.query_range(query, start, end, step)] * 2, query
+        for query in ('{app=~".+"} |= "error"', '{app=~".+"} | label_format host=app'):
+            assert at_each_target(
+                lambda: sharded.query_logs(query, start, end)
+            ) == [mono.query_logs(query, start, end)] * 2, query
 
 
 @pytest.mark.parametrize("seed", [0, 1, 2])

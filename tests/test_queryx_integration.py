@@ -12,6 +12,7 @@ import pytest
 from repro.cluster.topology import ClusterSpec
 from repro.common.simclock import minutes, seconds
 from repro.core.framework import FrameworkConfig, MonitoringFramework
+from tests.sharding import every_plan_shards  # noqa: F401
 
 QUERY = 'sum(count_over_time({data_type=~".+"}[5m]))'
 
@@ -77,6 +78,7 @@ class TestWiring:
         )
 
 
+@pytest.mark.usefixtures("every_plan_shards")
 class TestMetricsPlane:
     def test_scrape_lands_in_tsdb(self, fw):
         start, end = last_window(fw)

@@ -5,10 +5,12 @@ import pytest
 
 from repro.common.errors import ValidationError
 from repro.common.simclock import SimClock, hours, minutes
+from repro.loki.chunks import ChunkPolicy
 from repro.loki.logql.ast import LogPipeline
 from repro.loki.logql.engine import LogQLEngine
 from repro.loki.logql.parser import parse
 from repro.loki.store import LokiStore
+from repro.queryx import planner as planner_module
 from repro.queryx.engine import ShardedQueryEngine
 from repro.queryx.planner import (
     MERGE_CONCAT,
@@ -16,6 +18,7 @@ from repro.queryx.planner import (
     MERGE_MIN,
     MERGE_NONE,
     MERGE_SUM,
+    SHARD_TARGET_BYTES,
     QueryPlanner,
     merge_class,
 )
@@ -130,7 +133,8 @@ class TestLineFilterNeedles:
         # One side's filter must never skip the other side's chunks.
         assert leaf_hints(query) == TWO_LEAVES[query]
 
-    def test_every_subquery_read_carries_its_shard_and_the_needles(self):
+    def test_every_subquery_read_carries_its_shard_and_the_needles(self, monkeypatch):
+        monkeypatch.setattr(planner_module, "SHARD_TARGET_BYTES", 0)  # an empty store shards
         source = CountingSource(LokiStore())
         planner = QueryPlanner(shard_count=2, split_ns=hours(1))
         engine = ShardedQueryEngine(source, SimClock(0), planner=planner, tracer=off_tracer())
@@ -215,6 +219,52 @@ class TestPlanLogs:
             QueryPlanner().plan_logs(
                 'count_over_time({app="fm"}[5m])', 0, hours(1)
             )
+
+
+class TestSizedPlans:
+    """A plan carries the windows its leaves read; below the target its
+    size turns it into one subquery over the whole window, and at or
+    above it leaves it as cut."""
+
+    def test_a_log_plan_reads_its_window(self):
+        plan = QueryPlanner().plan_logs('{app="fm"} |= "err"', minutes(30), hours(2))
+        assert plan.reads == ((parse('{app="fm"}').matchers, minutes(30), hours(2)),)
+
+    def test_a_range_plan_reads_each_distinct_leaf_widened_by_its_range(self):
+        query = (
+            'sum(rate({app="fm"} |= "err" [5m])) / sum(rate({app="fm"}[1h]))'
+            ' or sum(rate({app="fm"} |= "err" [5m]))'
+        )
+        # Instants 0, 7m, ..., 56m: the last one on the grid, not 1h.
+        plan = QueryPlanner().plan_range(query, 0, hours(1), minutes(7))
+        fm = parse('{app="fm"}').matchers
+        assert plan.reads == (
+            (fm, 1 - minutes(5), minutes(56) + 1),
+            (fm, 1 - hours(1), minutes(56) + 1),
+        )
+
+    @pytest.mark.parametrize("log", [True, False])
+    def test_below_the_target_one_subquery_over_the_whole_window(self, log):
+        planner = QueryPlanner(shard_count=4, split_ns=hours(1))
+        if log:
+            plan = planner.plan_logs('{app="fm"}', minutes(30), hours(3))
+        else:
+            plan = planner.plan_range(
+                'sum(count_over_time({app="fm"}[5m]))', minutes(30), hours(3), minutes(1)
+            )
+        assert plan.time_splits > 1 and plan.shard_count == 4
+        small = planner.sized(plan, SHARD_TARGET_BYTES - 1)
+        [whole] = small.subqueries
+        assert (whole.start_ns, whole.end_ns, whole.step_ns) == (
+            minutes(30), hours(3), plan.subqueries[0].step_ns
+        )
+        assert (whole.index, whole.shard_index, whole.shard_count) == (0, 0, 1)
+        assert (small.time_splits, small.shard_count) == (1, 1)
+        assert (small.expr, small.merge, small.reads) == (plan.expr, plan.merge, plan.reads)
+        assert planner.sized(plan, SHARD_TARGET_BYTES) is plan
+
+    def test_the_target_is_one_default_chunk(self):
+        assert SHARD_TARGET_BYTES == ChunkPolicy().target_size_bytes == 256 * 1024
 
 
 class TestPlannerValidation:

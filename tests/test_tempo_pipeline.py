@@ -204,7 +204,7 @@ RECORDED = {
 }
 
 #: sha256 over every span of that run, in the order the store got them.
-SPAN_DIGEST = "d2a6d352f2a3d3f0dc9eb02a3e36358529182c54a799b3dbfba86d3193363c6a"
+SPAN_DIGEST = "a48e75c4529b133cc021dc3d9e917ec9e0813546836dbee22b53e1c256805bb7"
 
 
 def span_digest() -> tuple[str, Counter, int]:
@@ -280,7 +280,7 @@ class TestSpanDigest:
     def test_every_span_is_pinned(self):
         digest, pairs, recorded = span_digest()
         assert set(pairs) == RECORDED
-        assert sum(pairs.values()) == recorded == 8483
+        assert sum(pairs.values()) == recorded == 8471
         assert digest == SPAN_DIGEST
 
 
