@@ -106,6 +106,64 @@ def _join_keys(vector: Vector) -> list[LabelSet]:
     return [labels.nameless() for labels in vector.labels]
 
 
+def _grouped(expr: VectorAgg, labels: list[LabelSet]) -> tuple[list[LabelSet], np.ndarray]:
+    """An aggregation's groups in ascending label order, and each row's
+    group.  A row's key is the tuple of what it keeps; the group's label
+    set is worked out once per distinct key, not once per row."""
+    if expr.mode is GroupMode.NONE:
+        groups = [EMPTY_LABELS] if labels else []
+        return groups, np.zeros(len(labels), dtype=np.intp)
+    if expr.mode is GroupMode.BY:
+        by = [name for name in expr.labels if name != METRIC_NAME_LABEL]
+        # A column of values per name, then a row's key across them; any
+        # row of a key projects to the same label set.
+        columns = [[row.get(name) for row in labels] for name in by]
+        keys = list(zip(*columns)) if by else [()] * len(labels)
+        group_of_key = {key: row.project(by) for key, row in dict(zip(keys, labels)).items()}
+    else:
+        # The key is the kept part of a row's canonical items: canonical
+        # itself, so it is the group's label set as it stands.
+        drop = {METRIC_NAME_LABEL, *expr.labels}
+        keys = [
+            tuple([pair for pair in items if pair[0] not in drop])
+            for items in map(LabelSet.items_tuple, labels)
+        ]
+        group_of_key = {key: LabelSet._trusted(key) for key in dict.fromkeys(keys)}
+    groups = sorted(group_of_key.values(), key=LabelSet.items_tuple)
+    number = {group: g for g, group in enumerate(groups)}
+    return groups, np.array([number[group_of_key[key]] for key in keys], dtype=np.intp)
+
+
+def _extremes(
+    op: VectorOp, group_of: np.ndarray, groups: int, vector: Vector
+) -> tuple[np.ndarray, np.ndarray]:
+    """Python's ``min()``/``max()`` of each group's present values at
+    every step, bit for bit: the first value, replaced only by a
+    strictly better one.  So a NaN is the answer only as the group's
+    first value, and the first of ``0.0`` and ``-0.0`` stays.  The
+    answer is the first present row's value if that is NaN, else the
+    first row equal to the extreme of the rows that are not NaN — three
+    ``reduceat`` over rows sorted stably by group, however many rows."""
+    rows = len(group_of)
+    order = np.argsort(group_of, kind="stable")
+    sorted_groups = group_of[order]
+    starts = np.searchsorted(sorted_groups, np.arange(groups))
+    values, present = vector.values[order], vector.present[order]
+    counted = present & ~np.isnan(values)
+    extreme, fill = (np.minimum, np.inf) if op is VectorOp.MIN else (np.maximum, -np.inf)
+    best = extreme.reduceat(np.where(counted, values, fill), starts)
+    position = np.arange(rows)[:, None]
+    first = np.minimum.reduceat(np.where(present, position, rows), starts)
+    hit = counted & (values == best[sorted_groups])
+    first_hit = np.minimum.reduceat(np.where(hit, position, rows), starts)
+    # Flat indexes into `values`; an absent cell's (row `rows`) is clipped
+    # and its value never looked at.
+    steps = np.arange(values.shape[1])
+    first_value = values.take(first * len(steps) + steps, mode="clip")
+    chosen = np.where(np.isnan(first_value), first, first_hit)
+    return values.take(chosen * len(steps) + steps, mode="clip"), first < rows
+
+
 class Evaluation:
     """Any number of expressions over one grid of steps: a query, or a
     rule group at one instant.
@@ -124,7 +182,8 @@ class Evaluation:
     Python runs it: a vector is consumed in row order — ascending label
     order out of a leaf (which owes that) and out of an aggregation,
     whose groups are sorted — and ``sum``/``avg`` add their rows in that
-    order, one IEEE addition at a time.
+    order, one IEEE addition at a time.  ``min``/``max`` answer Python's
+    ``min()``/``max()`` over the rows in that order, bit for bit.
     """
 
     def __init__(self, steps: np.ndarray) -> None:
@@ -216,39 +275,23 @@ class Evaluation:
 
     def _aggregate(self, expr: VectorAgg) -> Vector:
         inner = self.vector(expr.expr)
-        if expr.mode is GroupMode.BY:
-            by = [name for name in expr.labels if name != METRIC_NAME_LABEL]
-            keys = [labels.project(by) for labels in inner.labels]
-        elif expr.mode is GroupMode.WITHOUT:
-            drop = (METRIC_NAME_LABEL, *expr.labels)
-            keys = [labels.without(*drop) for labels in inner.labels]
-        else:
-            keys = [EMPTY_LABELS] * len(inner.labels)
-        groups = sorted(set(keys), key=LabelSet.items_tuple)
-        number = {key: g for g, key in enumerate(groups)}
-        group_of = np.array([number[key] for key in keys], dtype=np.intp)
-
+        groups, group_of = _grouped(expr, inner.labels)
+        if not groups:
+            return Vector(groups, *self._empty())
+        if expr.op in (VectorOp.MIN, VectorOp.MAX):
+            return Vector(groups, *_extremes(expr.op, group_of, len(groups), inner))
         values, _ = self._empty(len(groups))
         count = np.zeros(values.shape, dtype=np.int64)
         np.add.at(count, group_of, inner.present.astype(np.int64))
         if expr.op is VectorOp.COUNT:
             values = count.astype(np.float64)
-        elif expr.op in (VectorOp.SUM, VectorOp.AVG):
+        else:
             # Row by row, top to bottom: `ufunc.at` is unbuffered, so each
             # step's vector is added up in row order, one IEEE addition at
             # a time, for every step at once.
             np.add.at(values, group_of, np.where(inner.present, inner.values, 0.0))
             if expr.op is VectorOp.AVG:
                 values /= np.maximum(count, 1)
-        else:
-            # Python's min()/max(): the first value, then each one that
-            # is strictly better.
-            better = np.less if expr.op is VectorOp.MIN else np.greater
-            seen = np.zeros(values.shape, dtype=bool)
-            for g, row, here in zip(group_of, inner.values, inner.present):
-                take = here & (~seen[g] | better(row, values[g]))
-                values[g] = np.where(take, row, values[g])
-                seen[g] |= here
         return Vector(groups, values, count > 0)
 
     def _scalar_binop(self, expr: BinOp) -> Vector:

@@ -21,6 +21,8 @@ one leaf here is ``range_agg``.
 
 from __future__ import annotations
 
+from functools import lru_cache
+
 from repro.common.errors import QueryError
 from repro.common.labels import Matcher
 from repro.common.vectorlang import CMP_TOKENS, MATCH_TOKENS, CmpOp, Tok, VectorParser
@@ -129,6 +131,13 @@ class _Parser(VectorParser):
         return RangeAgg(func, pipeline, range_ns)
 
 
+@lru_cache(maxsize=1 << 10)
 def parse(query: str) -> Expr:
-    """Parse a LogQL query into its AST. Raises :class:`QueryError`."""
+    """Parse a LogQL query into its AST. Raises :class:`QueryError`.
+
+    Once per text: the planner, the frontend and the engine all parse the
+    query they are handed, and a dashboard or rule asks the same texts
+    again and again.  The last 1,024 texts are kept, as many as
+    ``LogQLEngine`` keeps compiled pipelines; nodes are frozen values, so
+    every caller may share one.  A text that fails is not kept."""
     return _Parser(query).parse()

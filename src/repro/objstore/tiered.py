@@ -71,9 +71,10 @@ class TieredLokiStore(EntrySelect):
         line_contains: Sequence[str] = (),
     ) -> list[tuple[LabelSet, list[LogEntry], array]]:
         """Both tiers' answers, merged per stream, cold before hot: at a
-        timestamp both tiers hold in equally long groups, the older
-        (shipped) writes come first.  A tier that answered nothing
-        leaves the other's answer as it is.
+        timestamp both tiers hold, cold's group comes first, then what
+        only hot holds, in hot's order — the order the writes arrived
+        in.  A tier that answered nothing leaves the other's answer as
+        it is.
         The shard cut reaches both (the gateway prunes refs before any
         GET, the hot stores skip off-shard streams before any chunk read
         or replica merge); the line hints reach the gateway's bloom
@@ -85,7 +86,7 @@ class TieredLokiStore(EntrySelect):
             return hot
         if not hot:
             return cold
-        return merge_stream_columns(cold + hot)
+        return merge_stream_columns(cold + hot, in_copy_order=True)
 
     def bytes_overlapping(
         self, matchers: Iterable[Matcher], start_ns: int, end_ns: int, limit: int
@@ -134,7 +135,8 @@ class TieredLokiStore(EntrySelect):
         a replica count once."""
         return merge_stream_columns(
             self.gateway.expired_entries(cutoff_ns)
-            + self.hot.expired_entries(cutoff_ns)
+            + self.hot.expired_entries(cutoff_ns),
+            in_copy_order=True,
         )
 
     # ------------------------------------------------------------------

@@ -7,9 +7,11 @@ same logical stream and the union must count every acknowledged write
 exactly once.  The max-multiplicity merge here is the single shared
 answer: :func:`merge_replica_columns` merges one stream's ``(entries,
 ts)`` copies, and :func:`merge_stream_columns` applies it per stream to
-several sources' ``select_columns``-shaped answers.  Answers that are not
-copies of one stream — queryx's shard and time-window partials — never
-come here: they concatenate.
+several sources' ``select_columns``-shaped answers.  Copies differ only
+in how a timestamp's group is ordered: replicas put the fullest copy's
+group first, tiers (``in_copy_order``) the cold tier's.  Answers that are
+not copies of one stream — queryx's shard and time-window partials —
+never come here: they concatenate.
 """
 
 from __future__ import annotations
@@ -27,6 +29,7 @@ __all__ = ["merge_replica_columns", "merge_stream_columns"]
 
 def merge_stream_columns(
     results: Iterable[tuple[LabelSet, list[LogEntry], array]],
+    in_copy_order: bool = False,
 ) -> list[tuple[LabelSet, list[LogEntry], array]]:
     """Several sources' ``select_columns``-shaped triples as one answer,
     in one pass and in no label order: streams come out in the order
@@ -37,7 +40,8 @@ def merge_stream_columns(
     change a max-multiplicity merge — so a stream whose replicas agree
     is its first pair, handed on as it is, with no per-stream list or
     call (EXPERIMENTS X25).  The triples' lists and columns must be
-    fresh, as every ``select_columns`` answers them."""
+    fresh, as every ``select_columns`` answers them.  ``in_copy_order``
+    is handed to :func:`merge_replica_columns`."""
     first: dict[LabelSet, tuple[list[LogEntry], array]] = {}
     diverged: dict[LabelSet, list[tuple[list[LogEntry], array]]] = {}
     for labels, entries, ts in results:
@@ -53,7 +57,7 @@ def merge_stream_columns(
             else:
                 parts.append((entries, ts))
     return [
-        (labels, *merge_replica_columns(diverged[labels]))
+        (labels, *merge_replica_columns(diverged[labels], in_copy_order))
         if labels in diverged
         else (labels, entries, ts)
         for labels, (entries, ts) in first.items()
@@ -62,6 +66,7 @@ def merge_stream_columns(
 
 def merge_replica_columns(
     replicas: list[tuple[list[LogEntry], array]],
+    in_copy_order: bool = False,
 ) -> tuple[list[LogEntry], array]:
     """Merge one stream's fresh ``(entries, ts)`` copies, deduplicating.
 
@@ -75,6 +80,13 @@ def merge_replica_columns(
     timestamps.  Equal copies answer the first pair itself,
     time-disjoint ones their lists and columns laid end to end; only
     the general path builds a column from its entries.
+
+    ``in_copy_order`` is the tiers' rule, for copies that are not
+    replicas but one stream's older and newer parts: per timestamp the
+    first copy's group, then each later copy's extras in its own order.
+    A cold ``[1 a, 2 b]`` and a hot ``[2 c, 2 e, 3 d]`` read ``a, b, c,
+    e, d``, the order they were written in, where the replicas' rule
+    would put the longer hot group first.
     """
     first, first_ts = replicas[0]
     if all(entries == first for entries, _ts in replicas[1:]):
@@ -82,7 +94,7 @@ def merge_replica_columns(
     lists = [entries for entries, _ts in replicas]
     spans = _end_to_end(lists)
     if spans is None:
-        merged = _merge_by_timestamp(lists)
+        merged = _merge_by_timestamp(lists, in_copy_order)
         return merged, array("q", [entry.timestamp_ns for entry in merged])
     ts = array("q")
     for i in spans:
@@ -109,9 +121,13 @@ def _end_to_end(replica_lists: list[list[LogEntry]]) -> list[int] | None:
     return spans
 
 
-def _merge_by_timestamp(replica_lists: list[list[LogEntry]]) -> list[LogEntry]:
-    """The general path: per timestamp, the fullest replica's lines in
-    its order, then any line another replica saw more often."""
+def _merge_by_timestamp(
+    replica_lists: list[list[LogEntry]], in_copy_order: bool = False
+) -> list[LogEntry]:
+    """The general path: per timestamp, a base group in its order, then
+    any line another copy saw more often.  The base is the fullest
+    group and the extras are sorted, or, ``in_copy_order``, the first
+    copy's group and the extras in copy order."""
     # Group each replica's entries by timestamp, preserving intra-ts order.
     by_ts: dict[int, list[list[str]]] = {}
     for entries in replica_lists:
@@ -123,20 +139,43 @@ def _merge_by_timestamp(replica_lists: list[list[LogEntry]]) -> list[LogEntry]:
     merged: list[LogEntry] = []
     for ts in sorted(by_ts):
         groups = by_ts[ts]
-        base = max(groups, key=len)
-        counts = Counter(base)
-        merged.extend(LogEntry(ts, line) for line in base)
-        # Any line a smaller group saw more often than the base is a
-        # genuine extra write the base replica missed.
-        extras: Counter[str] = Counter()
-        for group in groups:
-            if group is base:
-                continue
-            group_counts = Counter(group)
-            for line, n in group_counts.items():
-                short = n - counts[line]
-                if short > extras[line]:
-                    extras[line] = short
-        for line in sorted(extras):
-            merged.extend(LogEntry(ts, line) for _ in range(extras[line]))
+        lines = _in_copy_order(groups) if in_copy_order else _fullest_first(groups)
+        merged.extend(LogEntry(ts, line) for line in lines)
     return merged
+
+
+def _fullest_first(groups: list[list[str]]) -> list[str]:
+    """The replicas' rule for one timestamp: the fullest group, then
+    what the others saw more often, sorted."""
+    base = max(groups, key=len)
+    counts = Counter(base)
+    # Any line a smaller group saw more often than the base is a
+    # genuine extra write the base replica missed.
+    extras: Counter[str] = Counter()
+    for group in groups:
+        if group is base:
+            continue
+        group_counts = Counter(group)
+        for line, n in group_counts.items():
+            short = n - counts[line]
+            if short > extras[line]:
+                extras[line] = short
+    lines = list(base)
+    for line in sorted(extras):
+        lines.extend([line] * extras[line])
+    return lines
+
+
+def _in_copy_order(groups: list[list[str]]) -> list[str]:
+    """The tiers' rule for one timestamp: the first group, then each
+    later group's lines past what came before, in that group's order."""
+    lines = list(groups[0])
+    counts = Counter(lines)
+    for group in groups[1:]:
+        seen: Counter[str] = Counter()
+        for line in group:
+            seen[line] += 1
+            if seen[line] > counts[line]:
+                lines.append(line)
+                counts[line] += 1
+    return lines

@@ -17,7 +17,7 @@ PromQL's leaves, their grammar and how each reads the TSDB:
 from __future__ import annotations
 
 import enum
-from functools import cached_property
+from functools import cached_property, lru_cache
 from typing import Iterable, Iterator, Protocol, Sequence, Union
 
 import numpy as np
@@ -136,8 +136,11 @@ class _Parser(VectorParser):
         return VectorSelector(tuple(matchers))
 
 
+@lru_cache(maxsize=1 << 10)
 def parse_promql(query: str) -> PromExpr:
-    """Parse a PromQL query into its AST. Raises :class:`QueryError`."""
+    """Parse a PromQL query into its AST. Raises :class:`QueryError`.
+
+    Once per text, the last 1,024 kept, as LogQL's ``parse`` does."""
     return _Parser(query).parse()
 
 

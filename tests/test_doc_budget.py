@@ -22,8 +22,8 @@ ROOT = Path(__file__).resolve().parent.parent
 
 #: File -> its byte ceiling.
 CEILINGS = {
-    "DESIGN.md": 123_240,
-    "EXPERIMENTS.md": 249_949,
+    "DESIGN.md": 123_220,
+    "EXPERIMENTS.md": 248_720,
 }
 ENTRY_CEILING = 2_000
 FIRST_CAPPED_ENTRY = 40

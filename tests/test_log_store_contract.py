@@ -471,6 +471,50 @@ def test_a_tie_at_the_hot_cold_boundary_takes_the_general_merge(kind):
 
 
 @pytest.mark.parametrize("kind", ["tiered_bare", "tiered_ring"])
+def test_a_hot_cold_tie_reads_cold_then_hot_in_arrival_order(kind):
+    """Unequal groups at the tied timestamp: cold's group first, then
+    hot's in hot's order, however long either is — the order the
+    writes arrived in."""
+    labels = LabelSet({"app": "fm"})
+    cold = [LogEntry(1, "a"), LogEntry(2, "b")]
+    hot = [LogEntry(2, "c"), LogEntry(2, "e"), LogEntry(3, "d")]
+    store = BACKENDS[kind]()
+    store.push_stream(labels, cold)
+    store.flush_all()
+    store.flush_to_cold()
+    store.push_stream(labels, hot)
+    [(_labels, got, _ts)] = assert_columns_are_the_select(store, 0, 10)
+    assert [(e.timestamp_ns, e.line) for e in got] == [
+        (1, "a"), (2, "b"), (2, "c"), (2, "e"), (3, "d")
+    ]
+    store.flush_all()
+    assert expired(store, 10) == [(labels, cold + hot)]
+
+
+@pytest.mark.parametrize("kind", ["tiered_bare", "tiered_ring"])
+def test_a_write_both_hot_and_shipped_reads_once(kind, monkeypatch):
+    """A chunk shipped but not yet dropped from the hot tier (mid-flight)
+    holds writes both tiers answer: each reads once, in arrival order."""
+    labels = LabelSet({"app": "fm"})
+    store = BACKENDS[kind]()
+    store.push_stream(labels, [LogEntry(2, "b")])
+    store.flush_all()
+    with monkeypatch.context() as patch:
+        patch.setattr(LokiStore, "drop_chunk", lambda *_args: None)
+        store.flush_to_cold()
+    store.push_stream(labels, [LogEntry(2, "c")])
+
+    def lines(tier):
+        return [[e.line for e in entries] for _l, entries, _ts in tier.select_columns(
+            MATCH_ALL, 0, 10
+        )]
+
+    assert (lines(store.gateway), lines(store.hot)) == ([["b"]], [["b", "c"]])
+    [(_labels, got, _ts)] = assert_columns_are_the_select(store, 0, 10)
+    assert got == [LogEntry(2, "b"), LogEntry(2, "c")]
+
+
+@pytest.mark.parametrize("kind", ["tiered_bare", "tiered_ring"])
 def test_a_tiered_read_with_nothing_cold_orders_no_stream(kind):
     """The work budget of a tiered read whose cold tier answers nothing:
     the hot answer is handed on, and no layer sorts streams by label."""

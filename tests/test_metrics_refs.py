@@ -10,11 +10,9 @@ a four-cabinet cluster costs what a one-cabinet cluster does.  Counting
 is done from here, by patching, so the hot path carries nothing for it.
 """
 
-import sys
 from collections import Counter
 from unittest import mock
 
-import numpy as np
 import pytest
 
 from repro.cluster.topology import ClusterSpec
@@ -22,7 +20,7 @@ from repro.common.labels import LabelSet
 from repro.common.simclock import minutes
 from repro.core.framework import FrameworkConfig, MonitoringFramework
 from repro.exporters import exporter as exporter_module, textformat
-from tests.counting import counted
+from tests.counting import counted, numpy_calls
 
 
 def warmed(cabinets: int) -> MonitoringFramework:
@@ -32,29 +30,6 @@ def warmed(cabinets: int) -> MonitoringFramework:
     fw.start()
     fw.run_for(minutes(10))
     return fw
-
-
-def numpy_calls(fn) -> Counter:
-    """The numpy C functions and array methods ``fn()`` calls, by name."""
-    calls: Counter = Counter()
-
-    def profile(frame, event, arg):
-        if event != "c_call":
-            return
-        owner = getattr(arg, "__self__", None)
-        if (
-            isinstance(owner, np.ndarray)
-            or isinstance(owner, np.ufunc)
-            or (getattr(arg, "__module__", None) or "").startswith("numpy")
-        ):
-            calls[getattr(arg, "__qualname__", arg.__name__)] += 1
-
-    sys.setprofile(profile)
-    try:
-        fn()
-    finally:
-        sys.setprofile(None)
-    return calls
 
 
 def test_a_steady_state_scrape_formats_parses_and_labels_nothing():

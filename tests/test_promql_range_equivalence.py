@@ -494,6 +494,76 @@ class TestPinnedSemantics:
         assert engine.query_instant("avg(m)", 0)[0].value == add_up(values) / 5
         assert engine.query_range("sum(m)", 0, 0, 1)[0].values() == [add_up(values)]
 
+    # min/max as Python's min()/max() have them: the first present value,
+    # replaced only by a strictly better one.  Each group's values are in
+    # ascending label order (i); compared by float.hex and sign.
+    EXTREMES = {
+        # group: (values, min, max)
+        "nan_first": ([math.nan, 1.0, 3.0], math.nan, math.nan),
+        "nan_later": ([1.0, math.nan, 3.0], 1.0, 3.0),
+        "zero_then_minus_zero": ([0.0, -0.0], 0.0, 0.0),
+        "minus_zero_then_zero": ([-0.0, 0.0], -0.0, -0.0),
+        "zeros_below_one": ([1.0, -0.0, 0.0], -0.0, 1.0),
+        "infinities": ([1.0, math.inf, -math.inf, math.nan], -math.inf, math.inf),
+        "all_nan": ([math.nan, math.nan], math.nan, math.nan),
+    }
+
+    @staticmethod
+    def bits(value: float) -> tuple[str, float]:
+        return float.hex(value), math.copysign(1.0, value)
+
+    @pytest.mark.parametrize("op", ["min", "max"])
+    def test_min_and_max_keep_the_first_of_equals_and_a_first_nan(self, op):
+        for group, (values, *want) in self.EXTREMES.items():
+            engine = PromQLEngine(
+                store_of(*(("m", {"g": group, "i": str(i)}, v, 0) for i, v in enumerate(values)))
+            )
+            expected = self.bits(want[op == "max"])
+            (sample,) = engine.query_instant(f"{op}(m)", 0)
+            assert self.bits(sample.value) == expected, (op, group)
+            (series,) = engine.query_range(f"{op}(m)", 0, 0, 1)
+            assert [self.bits(v) for v in series.values()] == [expected], (op, group)
+
+    @pytest.mark.parametrize("op", ["min", "max"])
+    def test_min_and_max_by_group(self, op):
+        store = store_of(
+            *(
+                ("m", {"g": group, "i": str(i)}, v, 0)
+                for group, (values, *_want) in self.EXTREMES.items()
+                for i, v in enumerate(values)
+            )
+        )
+        got = {
+            s.labels["g"]: self.bits(s.value)
+            for s in PromQLEngine(store).query_instant(f"{op} by (g) (m)", 0)
+        }
+        assert got == {
+            group: self.bits(want[op == "max"])
+            for group, (_values, *want) in self.EXTREMES.items()
+        }
+
+    @pytest.mark.parametrize("op", ["min", "max"])
+    def test_a_group_absent_at_a_step_and_a_nan_first_only_where_present(self, op):
+        # Group "a" has a value at 0s only.  In group "b", i=0 (NaN) is
+        # present at 0s only, so the NaN is first there and absent at 10s.
+        step = int(seconds(10))
+        store = store_of(
+            ("m", {"g": "a", "i": "0"}, -0.0, 0),
+            ("m", {"g": "b", "i": "0"}, math.nan, 0),
+            ("m", {"g": "b", "i": "1"}, 2.0, 0),
+            ("m", {"g": "b", "i": "1"}, -0.0, step),
+            ("m", {"g": "b", "i": "2"}, 0.0, step),
+        )
+        engine = PromQLEngine(store, lookback_ns=int(seconds(5)))
+        got = {
+            s.labels["g"]: [(t, self.bits(v)) for t, v in s.points]
+            for s in engine.query_range(f"{op} by (g) (m)", 0, step, step)
+        }
+        assert got == {
+            "a": [(0, self.bits(-0.0))],
+            "b": [(0, self.bits(math.nan)), (step, self.bits(-0.0))],
+        }
+
     def test_an_aggregation_hands_on_its_groups_in_ascending_label_order(self):
         # Series sort by (i, job); their groups by job sort the other way
         # round from the order they are first met in.

@@ -192,6 +192,42 @@ class TestTimeDisjointLists:
         assert merge([[full[0], full[2]], [full[1]]]) == full
 
 
+#: A history whose ``(ts, line)`` pairs are distinct, in arrival order:
+#: two parts of it share no write, whatever the cut.
+distinct_writes = st.lists(
+    st.tuples(st.integers(0, 6), st.sampled_from(LINES)), max_size=16, unique=True
+).map(lambda pairs: [LogEntry(ts, line) for ts, line in sorted(pairs, key=lambda p: p[0])])
+
+
+class TestInCopyOrder:
+    """The tiers' rule (``in_copy_order``): a stream's older and newer
+    parts — cold and hot — cut anywhere, a tied timestamp included,
+    read back in arrival order: per timestamp the older part's group,
+    then the newer part's."""
+
+    @given(distinct_writes, st.data())
+    def test_a_cut_history_reads_back_in_arrival_order(self, entries, data):
+        cut = data.draw(st.integers(0, len(entries)))
+        parts = [with_column(entries[:cut]), with_column(entries[cut:])]
+        merged, ts = merge_replica_columns(parts, True)
+        assert merged == entries
+        assert list(ts) == [e.timestamp_ns for e in entries]
+
+    @given(st.lists(history, min_size=1, max_size=3))
+    def test_every_write_reads_once(self, lists):
+        merged, ts = merge_replica_columns([with_column(e) for e in lists], True)
+        assert Counter(merged) == max_multiplicity(lists)
+        assert list(ts) == [e.timestamp_ns for e in merged]
+
+    def test_a_longer_newer_group_still_follows_the_older_one(self):
+        older = [LogEntry(1, "a"), LogEntry(2, "b")]
+        newer = [LogEntry(2, "c"), LogEntry(2, "e"), LogEntry(3, "d")]
+        parts = [with_column(older), with_column(newer)]
+        assert merge_replica_columns(parts, True)[0] == older + newer
+        # The replicas' rule puts the fullest group first.
+        assert [e.line for e in merge_replica_columns(parts)[0]] == list("acebd")
+
+
 class TestColumns:
     """``merge_replica_columns`` answers the frozen entry form
     (``merge_replica_entries`` above) and the answer's timestamps, on

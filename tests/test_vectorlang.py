@@ -8,6 +8,7 @@ leaves.  The value tests pin that the tree is also what gets evaluated.
 """
 
 import math
+import sys
 
 import pytest
 
@@ -34,6 +35,7 @@ from repro.loki.model import LogEntry
 from repro.loki.store import LokiStore
 from repro.tsdb.promql import PromQLEngine, parse_promql
 from repro.tsdb.storage import TimeSeriesStore
+from tests.counting import counted
 
 #: Per language: its parser and the text of three distinct leaves.
 LANGUAGES = {
@@ -181,6 +183,34 @@ class TestSharedProductions:
     def test_malformed_input_is_a_query_error(self, language, template):
         with pytest.raises(QueryError):
             language.tree(template)
+
+
+class TestParseOnce:
+    """Both parsers keep the tree of each text they parsed, so the
+    planner, the frontend and the engine, each handed the same text,
+    tokenise it once between them.  A text that fails is never kept."""
+
+    @pytest.mark.parametrize("name", sorted(LANGUAGES))
+    def test_one_text_is_one_parse_and_one_tree(self, name):
+        parser, leaves = LANGUAGES[name]
+        module = sys.modules[parser.__module__]
+        text = "sum by (x) ({b}) / 7".format(**leaves)
+        parser.cache_clear()
+        with counted(module, "_Parser") as built:
+            first = parser(text)
+            assert parser(text) is first
+            assert parser(text + " ") == first and parser(text + " ") is not first
+        assert built.call_count == 2
+
+    @pytest.mark.parametrize("name", sorted(LANGUAGES))
+    def test_a_bad_text_raises_on_every_call(self, name):
+        parser, _leaves = LANGUAGES[name]
+        module = sys.modules[parser.__module__]
+        with counted(module, "_Parser") as built:
+            for _ in range(3):
+                with pytest.raises(QueryError):
+                    parser("sum(")
+        assert built.call_count == 3
 
 
 class TestOneLexer:
