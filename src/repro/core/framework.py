@@ -195,8 +195,8 @@ class FrameworkConfig:
     # per-stream n-gram bloom blocks and the store-gateway uses them to
     # skip cold chunks that cannot match a line filter.
     enable_query_engine: bool = field(default_factory=env_flag("REPRO_QUERY_ENGINE"))
-    #: Time-split interval; shared with the frontend cache so both cut a
-    #: range at identical aligned boundaries.
+    #: Time-split interval of the queryx planner and of tenancy's
+    #: frontend cache, so both cut a range at identical aligned boundaries.
     queryx_split_interval_ns: int = hours(1)
     # Online log-template mining (repro.patterns).  Off by default (or
     # via the REPRO_PATTERNS env var, for CI's pattern-mining leg).  On:
@@ -205,10 +205,9 @@ class FrameworkConfig:
     # period-partitioned pattern blocks persist through the object store
     # beside the chunks (when object storage is on) and the compactor
     # rebuilds them cold; ``detected_patterns`` is served through the
-    # LogQL engine, logcli and the frontend cache; and a pattern ruler
-    # emits self-resolving PatternBurst / NovelErrorPattern alerts whose
-    # ``pattern_id`` label lets Alertmanager collapse an alert storm
-    # into one grouped incident.
+    # LogQL engine and logcli; and a pattern ruler emits self-resolving
+    # PatternBurst / NovelErrorPattern alerts whose ``pattern_id`` label
+    # lets Alertmanager collapse an alert storm into one grouped incident.
     enable_pattern_mining: bool = field(default_factory=env_flag("REPRO_PATTERNS"))
     # Service-level objectives (repro.slo).  Off by default (or via the
     # REPRO_SLO env var, for CI's SLO leg).  On: built-in SLOs for

@@ -12,8 +12,7 @@ from __future__ import annotations
 import os
 from typing import TYPE_CHECKING, Callable
 
-from repro.common.simclock import Job, hours
-from repro.loki.frontend import QueryFrontend
+from repro.common.simclock import Job
 
 if TYPE_CHECKING:
     from repro.alerting.alertmanager import Route
@@ -64,8 +63,8 @@ class Plane:
 
     def build_alerting(self, fw: MonitoringFramework) -> None:
         """After Alertmanager, ``fw.ruler`` and ``fw.vmalert``: whatever
-        notifies, evaluates, or reads the finished pipeline — the query
-        frontend over ``fw.logql`` and what fronts it included."""
+        notifies, evaluates, or reads the finished pipeline (tenancy's
+        query frontend and scheduler, over ``fw.queryx`` or ``fw.logql``)."""
 
     # -- contributions, each made in plane order -------------------------
     def routes(self, fw: MonitoringFramework) -> list[Route]:
@@ -88,24 +87,3 @@ class Plane:
     def health(self, fw: MonitoringFramework) -> dict[str, float]:
         """The plane's ``health_summary()`` keys."""
         return {}
-
-
-def query_frontend(fw: MonitoringFramework) -> QueryFrontend:
-    """The split/cache frontend, built for the first plane that asks.
-
-    It caches over whichever engine is configured: with queryx on, every
-    uncached sub-window fans out across the querier pool, and the split
-    intervals match so planner and cache cut at the same boundaries.
-    Pattern queries always go to the LogQL engine (they read period
-    blocks, not chunks, so sharding buys nothing), split on the store's
-    period — the frontend's default, a day — so window merging is exact."""
-    if fw.frontend is None:
-        cfg = fw.config
-        sharded = fw.queryx is not None
-        fw.frontend = QueryFrontend(
-            fw.queryx if sharded else fw.logql,
-            fw.clock,
-            split_ns=cfg.queryx_split_interval_ns if sharded else hours(1),
-            pattern_source=fw.logql if fw.pattern_store is not None else None,
-        )
-    return fw.frontend

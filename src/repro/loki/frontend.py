@@ -22,24 +22,12 @@ from repro.common.errors import ValidationError
 from repro.common.labels import LabelSet
 from repro.common.simclock import SimClock, hours
 from repro.common.vector import Series
-from repro.objstore.index import INDEX_PERIOD_NS
-from repro.patterns.store import merge_patterns
 
 
 class RangeQueryable(Protocol):
     def query_range(
         self, query: str, start_ns: int, end_ns: int, step_ns: int
     ) -> list[Series]: ...
-
-
-class PatternQueryable(Protocol):
-    def detected_patterns(
-        self,
-        selector: str,
-        start_ns: int,
-        end_ns: int,
-        tenant: str | None = None,
-    ) -> list: ...
 
 
 def aligned_windows(start_ns: int, end_ns: int, split_ns: int):
@@ -74,23 +62,14 @@ class _CacheKey:
     phase_ns: int
     #: Cache entries are tenant-scoped: identical LogQL submitted by two
     #: tenants must never share results (their visible streams differ).
-    tenant: str | None = None
-    #: The split interval the window was cut with.  A sub-window is only
-    #: reusable under the *same* split size: after a resize the aligned
-    #: boundaries move, and a stale differently-split window must miss
-    #: rather than alias a new one that happens to share its endpoints.
-    split_ns: int = 0
+    tenant: str | None
 
 
 class QueryFrontend:
     """Splits + caches range queries in front of a query engine."""
 
     def __init__(
-        self,
-        engine: RangeQueryable,
-        clock: SimClock,
-        split_ns: int = hours(1),
-        pattern_source: PatternQueryable | None = None,
+        self, engine: RangeQueryable, clock: SimClock, split_ns: int = hours(1)
     ) -> None:
         if split_ns <= 0:
             raise ValidationError("split interval must be positive")
@@ -99,22 +78,12 @@ class QueryFrontend:
         self._split_ns = split_ns
         #: LRU capacity, in cached windows.
         self.max_entries = 1024
-        #: Engine exposing ``detected_patterns`` (the LogQL engine when
-        #: pattern mining is on); pattern windows split on the block
-        #: store's period so each pattern record lands in exactly one
-        #: sub-window and the merged rows equal the direct call.
-        self._pattern_source = pattern_source
         # True LRU: ordered oldest-access-first; hits refresh recency.
-        # Values are lists of Series (range queries) or DetectedPattern
-        # rows (pattern queries) — the key's query string disambiguates.
-        self._cache: OrderedDict[_CacheKey, list] = OrderedDict()
+        self._cache: OrderedDict[_CacheKey, list[Series]] = OrderedDict()
         self.splits_executed = 0
         self.cache_hits = 0
         self.cache_misses = 0
 
-    # ------------------------------------------------------------------
-    # Public API
-    # ------------------------------------------------------------------
     def query_range(
         self,
         query: str,
@@ -143,7 +112,7 @@ class QueryFrontend:
 
         phase = start_ns % step_ns
         merged: dict[LabelSet, list[tuple[int, float]]] = {}
-        for sub_start, sub_end in self._aligned_windows(start_ns, end_ns):
+        for sub_start, sub_end in aligned_windows(start_ns, end_ns, self._split_ns):
             for series in self._sub_query(
                 query, sub_start, sub_end, step_ns, phase, tenant
             ):
@@ -155,64 +124,14 @@ class QueryFrontend:
         out.sort(key=lambda s: s.labels.items_tuple())
         return out
 
-    def detected_patterns(
-        self,
-        selector: str,
-        start_ns: int,
-        end_ns: int,
-        tenant: str | None = None,
-    ) -> list:
-        """Split + cached ``detected_patterns``, merged across windows.
-
-        Windows are aligned to the pattern store's index period, so each
-        period-partitioned pattern record falls in exactly one window,
-        and :func:`~repro.patterns.store.merge_patterns` — the merge the
-        store runs across blocks — reproduces the direct answer.
-        Completed windows are cached under a ``patterns:``-prefixed key
-        (step 0 — patterns have no evaluation grid).
-        """
-        if self._pattern_source is None:
-            raise ValidationError("no pattern source wired into the frontend")
-        if end_ns <= start_ns:
-            raise ValidationError("detected_patterns requires start < end")
-        return merge_patterns(
-            row
-            for sub_start, sub_end in aligned_windows(
-                start_ns, end_ns - 1, INDEX_PERIOD_NS
-            )
-            for row in self._pattern_sub_query(
-                selector, sub_start, sub_end + 1, tenant
-            )
-        )
-
     def invalidate(self) -> None:
-        """Drop every cached sub-result (config or data rewrite)."""
+        """Drop every cached sub-result: the cure for late data landing
+        in a window that was already cached."""
         self._cache.clear()
-
-    @property
-    def split_ns(self) -> int:
-        return self._split_ns
-
-    def set_split_ns(self, split_ns: int) -> None:
-        """Change the split interval.
-
-        Old entries stay resident but can no longer be hit (the key
-        carries the split they were cut with), so they age out of the
-        LRU naturally instead of poisoning the new alignment.
-        """
-        if split_ns <= 0:
-            raise ValidationError("split interval must be positive")
-        self._split_ns = split_ns
 
     def hit_rate(self) -> float:
         total = self.cache_hits + self.cache_misses
         return self.cache_hits / total if total else 0.0
-
-    # ------------------------------------------------------------------
-    # Internals
-    # ------------------------------------------------------------------
-    def _aligned_windows(self, start_ns: int, end_ns: int):
-        return aligned_windows(start_ns, end_ns, self._split_ns)
 
     def _sub_query(
         self,
@@ -223,59 +142,25 @@ class QueryFrontend:
         phase: int,
         tenant: str | None,
     ) -> list[Series]:
-        key = _CacheKey(
-            query, start_ns, end_ns, step_ns, phase, tenant, self._split_ns
-        )
-        # First on-grid instant inside this sub-window.
-        first = start_ns + (phase - start_ns) % step_ns
-        return self._cached(
-            key,
-            end_ns < self._clock.now_ns,  # complete, immutable window
-            lambda: (
-                []
-                if first > end_ns
-                else self._engine.query_range(query, first, end_ns, step_ns)
-            ),
-        )
-
-    def _pattern_sub_query(
-        self,
-        selector: str,
-        start_ns: int,
-        end_ns: int,
-        tenant: str | None,
-    ) -> list:
-        key = _CacheKey(
-            "patterns:" + selector,
-            start_ns,
-            end_ns,
-            0,
-            0,
-            tenant,
-            INDEX_PERIOD_NS,
-        )
-        assert self._pattern_source is not None
-        source = self._pattern_source
-        return self._cached(
-            key,
-            end_ns <= self._clock.now_ns,  # half-open window entirely past
-            lambda: source.detected_patterns(
-                selector, start_ns, end_ns, tenant=tenant
-            ),
-        )
-
-    def _cached(self, key: _CacheKey, complete: bool, compute) -> list:
-        """The LRU: a hit refreshes recency; a miss computes, and only a
-        ``complete`` window is stored, evicting the least recently used."""
+        """One aligned window, through the LRU: a hit refreshes recency; a
+        miss computes, and only a window wholly in the past is stored,
+        evicting the least recently used."""
+        key = _CacheKey(query, start_ns, end_ns, step_ns, phase, tenant)
         cached = self._cache.get(key)
         if cached is not None:
             self.cache_hits += 1
             self._cache.move_to_end(key)
             return cached
         self.cache_misses += 1
-        result = compute()
+        # First on-grid instant inside this sub-window.
+        first = start_ns + (phase - start_ns) % step_ns
+        result = (
+            []
+            if first > end_ns
+            else self._engine.query_range(query, first, end_ns, step_ns)
+        )
         self.splits_executed += 1
-        if complete:
+        if end_ns < self._clock.now_ns:  # complete, immutable window
             if len(self._cache) >= self.max_entries:
                 self._cache.popitem(last=False)
             self._cache[key] = result

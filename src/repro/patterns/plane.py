@@ -7,7 +7,7 @@ from repro.alerting.alertmanager import Route
 from repro.alerting.rules import RuleSpec
 from repro.common.labels import Matcher, MatchOp
 from repro.common.simclock import Job, seconds
-from repro.core.plane import Plane, query_frontend
+from repro.core.plane import Plane
 from repro.exporters.patterns_exporter import PatternsExporter
 from repro.grafana.panels import StatPanel, TimeSeriesPanel, TopListPanel
 from repro.patterns.ingester import PatternIngester
@@ -27,8 +27,7 @@ class PatternsPlane(Plane):
     name = "patterns"
     flag = "enable_pattern_mining"
     components = (
-        "pattern_store", "pattern_ingester", "frontend", "pattern_ruler",
-        "patterns_exporter",
+        "pattern_store", "pattern_ingester", "pattern_ruler", "patterns_exporter",
     )
     scrape_targets = (("patterns", "patterns-exporter:9108", "patterns_exporter"),)
 
@@ -43,9 +42,6 @@ class PatternsPlane(Plane):
             fw.compactor.derived += (fw.pattern_store,)
 
     def build_alerting(self, fw):
-        # Even with no tenancy plane (so no scheduler in front),
-        # detected_patterns wants the frontend's window split + cache.
-        query_frontend(fw)
         cfg = fw.config
         fw.pattern_ruler = PatternRuler(
             fw.clock,

@@ -14,8 +14,8 @@ blocks.  Blocks come from two producers:
   merged chunk entries it already holds, pinning the chunk keys it mined,
   so ``detected_patterns`` can be answered from object storage alone.
 
-:func:`merge_patterns` is the one merge of ``detected_patterns`` rows:
-across the blocks of one query and across the query frontend's windows.
+:func:`merge_patterns` is the one merge of ``detected_patterns`` rows,
+across the blocks of one query.
 """
 
 from __future__ import annotations
@@ -93,8 +93,7 @@ class DetectedPattern:
 def merge_patterns(rows: Iterable[DetectedPattern]) -> list[DetectedPattern]:
     """One row per pattern id, busiest first: counts summed, time bounds
     widened, the first row's template, the earliest row's exemplar and
-    the union of the streams.  Rows arrive in period order, so merging
-    per-window answers gives what one query over all windows gives."""
+    the union of the streams.  Rows arrive in period order."""
     merged: dict[str, DetectedPattern] = {}
     for row in rows:
         have = merged.get(row.pattern_id)

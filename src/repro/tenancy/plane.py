@@ -9,9 +9,10 @@ from repro.common.errors import CapacityError, ValidationError
 from repro.common.labels import LabelSet
 from repro.common.simclock import seconds
 from repro.core.faults import push_lines
-from repro.core.plane import Plane, query_frontend
+from repro.core.plane import Plane
 from repro.exporters.tenancy_exporter import TenancyExporter
 from repro.grafana.panels import StatPanel, TimeSeriesPanel, TopListPanel
+from repro.loki.frontend import QueryFrontend
 from repro.ring.distributor import REPLICATION_FACTOR
 from repro.tenancy.admission import AdmissionController
 from repro.tenancy.limits import LimitsRegistry
@@ -88,8 +89,16 @@ class TenancyPlane(Plane):
         fw.admission = AdmissionController(fw.limits, fw.clock, tracer=fw.tracer)
 
     def build_alerting(self, fw):
+        # The split/cache frontend in front of whichever engine runs the
+        # range queries; with queryx on, planner and cache cut a range at
+        # the same aligned boundaries.
+        fw.frontend = QueryFrontend(
+            fw.queryx or fw.logql,
+            fw.clock,
+            split_ns=fw.config.queryx_split_interval_ns,
+        )
         fw.scheduler = QueryScheduler(
-            query_frontend(fw),
+            fw.frontend,
             fw.clock,
             registry=fw.limits,
             tracer=fw.tracer,

@@ -11,7 +11,7 @@ and values with amortised-doubling appends, so range selections are
 vectorised ``searchsorted`` slices rather than Python loops.
 """
 
-from repro.tsdb.storage import TimeSeriesStore, MetricSample
+from repro.tsdb.storage import TimeSeriesStore
 from repro.tsdb.promql import PromQLEngine
 from repro.tsdb.recording import RecordingEngine, RecordingRule
 from repro.tsdb.vmagent import VMAgent, ScrapeTarget
@@ -19,7 +19,6 @@ from repro.tsdb.vmalert import VMAlert
 
 __all__ = [
     "TimeSeriesStore",
-    "MetricSample",
     "PromQLEngine",
     "RecordingEngine",
     "RecordingRule",

@@ -59,16 +59,6 @@ EXEMPLARS_PER_SERIES = 10
 
 
 @dataclass(frozen=True)
-class MetricSample:
-    """One ingested sample."""
-
-    name: str
-    labels: LabelSet
-    value: float
-    timestamp_ns: int
-
-
-@dataclass(frozen=True)
 class Exemplar:
     """A trace reference attached to a sample (OpenMetrics exemplars).
 

@@ -2,7 +2,7 @@
 
 import sys
 from collections import Counter
-from contextlib import contextmanager
+from contextlib import ExitStack, contextmanager
 from unittest import mock
 
 import numpy as np
@@ -55,11 +55,13 @@ class _Counting:
 
 
 @contextmanager
-def numpy_through(module):
-    """Patch ``module.np`` so that every numpy function, ufunc and ufunc
-    method ``module`` calls is counted; the context yields the
+def numpy_through(*modules):
+    """Patch each module's ``np`` so that every numpy function, ufunc and
+    ufunc method the modules call is counted; the context yields the one
     ``Counter``.  Unlike :func:`numpy_calls` it sees ufunc calls and
     ``np.where``, and nothing of array methods or operators."""
     calls: Counter = Counter()
-    with mock.patch.object(module, "np", _Counting(np, calls)):
+    with ExitStack() as stack:
+        for module in modules:
+            stack.enter_context(mock.patch.object(module, "np", _Counting(np, calls)))
         yield calls

@@ -22,7 +22,7 @@ ROOT = Path(__file__).resolve().parent.parent
 
 #: File -> its byte ceiling.
 CEILINGS = {
-    "DESIGN.md": 123_220,
+    "DESIGN.md": 123_049,
     "EXPERIMENTS.md": 248_720,
 }
 ENTRY_CEILING = 2_000

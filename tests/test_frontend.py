@@ -282,60 +282,6 @@ class TestLateArrivingData:
         )
 
 
-class TestSplitAwareKeys:
-    """Cache keys carry the split interval they were cut with.
-
-    Regression: before the key carried ``split_ns``, resizing the split
-    could alias a stale window onto a new one that happened to share its
-    endpoints (e.g. the first hour cut at 1h vs the first of two 30m
-    windows starting at 0) and serve wrong sub-results.
-    """
-
-    def test_resize_misses_instead_of_aliasing(self, world):
-        clock, engine, frontend = world
-        frontend.query_range(QUERY, 0, hours(4), minutes(10))
-        calls_before = engine.calls
-        # Same range under a different split: every sub-window must miss
-        # even where boundaries coincide, and results stay correct.
-        frontend.set_split_ns(hours(2))
-        direct = engine._engine.query_range(QUERY, 0, hours(4), minutes(10))
-        assert frontend.query_range(QUERY, 0, hours(4), minutes(10)) == direct
-        assert engine.calls > calls_before
-
-    def test_resize_back_rehits_original_entries(self, world):
-        clock, engine, frontend = world
-        frontend.query_range(QUERY, 0, hours(4), minutes(10))
-        frontend.set_split_ns(hours(2))
-        frontend.query_range(QUERY, 0, hours(4), minutes(10))
-        # Back to the original split: the old entries are still resident
-        # (they never aliased, only went cold) and hit again.
-        frontend.set_split_ns(hours(1))
-        calls = engine.calls
-        frontend.query_range(QUERY, 0, hours(4), minutes(10))
-        assert engine.calls == calls
-
-    def test_stale_split_entries_age_out_of_lru(self, world):
-        clock, engine, _ = world
-        frontend = QueryFrontend(engine, clock, split_ns=hours(1))
-        frontend.max_entries = 4
-        frontend.query_range(QUERY, 0, hours(4) - minutes(10), minutes(10))
-        assert len(frontend._cache) == 4
-        # After a resize the old-split entries are unreachable; new
-        # queries push them out of the LRU rather than growing the cache.
-        frontend.set_split_ns(minutes(30))
-        frontend.query_range(QUERY, 0, hours(4) - minutes(10), minutes(10))
-        assert len(frontend._cache) == 4
-        assert all(k.split_ns == minutes(30) for k in frontend._cache)
-
-    def test_hit_rate_recovers_after_resize(self, world):
-        clock, engine, frontend = world
-        frontend.set_split_ns(minutes(30))
-        for _ in range(3):
-            frontend.query_range(QUERY, 0, hours(3), minutes(10))
-        # First pass misses, next two passes hit every complete window.
-        assert frontend.hit_rate() > 0.5
-
-
 class TestValidation:
     def test_bad_params(self, world):
         _, _, frontend = world

@@ -12,6 +12,9 @@ postings index sits in ``repro.common`` too (DESIGN §3): the TSDB and the
 cold tier hold it directly, never by way of ``repro.loki.index``.  The
 cold tier wraps whatever hot tier it is given through the one log-store
 contract (DESIGN §3), so of the ring it imports ``repro.ring.merge`` only.
+``repro.loki`` is the base log stack every plane builds on, so it imports
+no plane package.  The plane base, ``repro.core.plane``, builds no
+component: beyond ``repro.common`` it names only the types its hooks take.
 """
 
 import ast
@@ -21,16 +24,35 @@ import pytest
 
 SRC = pathlib.Path(__file__).resolve().parent.parent / "src"
 
+#: The feature planes' packages (``repro.core.planes``); ``repro.omni``
+#: also holds the base warehouse, so it is not among them.
+PLANE_PACKAGES = (
+    "repro.objstore",
+    "repro.patterns",
+    "repro.queryx",
+    "repro.resilience",
+    "repro.ring",
+    "repro.selfheal",
+    "repro.slo",
+    "repro.tenancy",
+)
+
 #: package -> the only ``repro`` packages it may import besides itself.
 ONLY = {
     "repro.common": (),
     "repro.common.postings": ("repro.common",),
     "repro.cluster": ("repro.common",),
+    "repro.core.plane": (
+        "repro.common",
+        "repro.alerting.alertmanager",
+        "repro.alerting.receivers",
+        "repro.core.framework",
+    ),
 }
 #: package -> the ``repro`` packages it must not import.
 FORBIDDEN = {
     "repro.tsdb": ("repro.loki",),
-    "repro.loki": ("repro.tsdb",),
+    "repro.loki": ("repro.tsdb", *PLANE_PACKAGES),
     "repro.objstore": (
         "repro.loki.index",
         "repro.ring.cluster",

@@ -16,11 +16,13 @@ from unittest import mock
 import pytest
 
 from repro.cluster.topology import ClusterSpec
+from repro.common import vector
 from repro.common.labels import LabelSet
 from repro.common.simclock import minutes
 from repro.core.framework import FrameworkConfig, MonitoringFramework
 from repro.exporters import exporter as exporter_module, textformat
-from tests.counting import counted, numpy_calls
+from repro.tsdb import promql, storage
+from tests.counting import counted, numpy_calls, numpy_through
 
 
 def warmed(cabinets: int) -> MonitoringFramework:
@@ -56,11 +58,20 @@ def test_a_steady_state_scrape_formats_parses_and_labels_nothing():
 
 @pytest.fixture(scope="module")
 def evaluation_calls() -> dict[int, Counter]:
+    """Per cluster size, the numpy calls of one ``evaluate_all``: array
+    methods and builtin functions as the profiler sees them, and, under
+    ``np.``, every function, ufunc and ufunc method the rule path's
+    modules call (a ufunc is no builtin call, so only the patch sees a
+    per-series loop of them)."""
     out = {}
     for cabinets in (1, 4):
         fw = warmed(cabinets)
-        out[cabinets] = numpy_calls(fw.vmalert.evaluate_all)
-        out[cabinets]["nodes"] = len(fw.cluster.nodes)
+        with numpy_through(vector, promql, storage) as through:
+            calls = numpy_calls(fw.vmalert.evaluate_all)
+        assert through["minimum"], "the rule path's ufuncs went uncounted"
+        calls.update({f"np.{name}": n for name, n in through.items()})
+        calls["nodes"] = len(fw.cluster.nodes)
+        out[cabinets] = calls
     return out
 
 

@@ -5,7 +5,7 @@ an injected LOG_STORM fault collapses into ONE grouped notification
 (≥ 50× fewer notifications than per-line alerting would send), an
 injected NOVEL_ERROR fault raises ``NovelErrorPattern`` within the
 ruler's evaluation interval (plus group_wait for the notification), and
-the query path (``detected_patterns`` via engine, frontend, logcli),
+the query path (``detected_patterns`` via engine and logcli),
 exporter, dashboard and health summary all surface the mined templates.
 """
 
@@ -136,21 +136,6 @@ class TestNovelErrorDetection:
 
 
 class TestQueryPath:
-    def test_frontend_merge_equals_direct_query(self):
-        fw, _ = storm_world()
-        selector = '{app="gpudriver"}'
-        end = fw.clock.now_ns
-        start = end - minutes(30)  # a dashboard-style recent window
-        direct = fw.logql.detected_patterns(selector, start, end)
-        via_frontend = fw.frontend.detected_patterns(selector, start, end)
-        assert [
-            (r.pattern_id, r.count) for r in direct
-        ] == [(r.pattern_id, r.count) for r in via_frontend]
-        # A repeat query hits the cache for completed windows.
-        hits_before = fw.frontend.cache_hits
-        fw.frontend.detected_patterns(selector, start, end)
-        assert fw.frontend.cache_hits > hits_before
-
     def test_logcli_patterns_flag(self):
         fw, _ = storm_world()
         out = run_logcli(

@@ -1,15 +1,12 @@
 """Pattern blocks: live recording, queries, persistence, the compactor
-rebuild path, the cold ``detected_patterns`` answered from the bucket,
-and the query frontend's window split."""
+rebuild path, and the cold ``detected_patterns`` answered from the bucket."""
 
 import pytest
-from hypothesis import example, given, settings, strategies as st
 
 from repro.common.errors import ValidationError
 from repro.common.labels import LabelSet, label_matcher
 from repro.common.simclock import NANOS_PER_DAY, SimClock, minutes
 from repro.loki.chunks import ChunkPolicy
-from repro.loki.frontend import QueryFrontend
 from repro.loki.logql.engine import LogQLEngine
 from repro.loki.model import LogEntry
 from repro.loki.store import LokiStore
@@ -225,9 +222,9 @@ SHAPES = (
 NAMES = ("alice", "bob", "carol")
 
 
-def split_world(observations):
+def engine_over(observations):
     """A LogQL engine over a pattern store fed ``(stream, day, shape)``
-    observations, and a query frontend in front of it."""
+    observations."""
     clock = SimClock()
     store = PatternStore(tracer=off_tracer())
     ingester = PatternIngester(clock, store, tracer=off_tracer())
@@ -235,51 +232,13 @@ def split_world(observations):
         ts = day * NANOS_PER_DAY + minutes(10) + i
         line = SHAPES[shape].format(n=i, m=i * 7, name=NAMES[i % len(NAMES)])
         ingester.observe(STREAM_LABELS[stream], [LogEntry(ts, line)])
-    engine = LogQLEngine(LokiStore(), patterns=store)
-    return engine, QueryFrontend(engine, clock, pattern_source=engine)
+    return LogQLEngine(LokiStore(), patterns=store)
 
 
-class TestFrontendSplit:
-    def test_streams_are_distinct_on_both_paths(self):
+class TestEngineQuery:
+    def test_streams_are_distinct_across_periods(self):
         # {job="a"}: p1 on day 0, p2 on days 0 and 1; {job="b"}: p1 on day 1.
-        engine, frontend = split_world([(0, 0, 0), (0, 0, 1), (0, 1, 1), (1, 1, 0)])
-        selector = '{job=~".+"}'
-        for rows in (
-            engine.detected_patterns(selector, 0, 2 * NANOS_PER_DAY),
-            frontend.detected_patterns(selector, 0, 2 * NANOS_PER_DAY),
-        ):
-            streams = {r.template.split()[0]: r.streams for r in rows}
-            assert streams == {"fan": 2, "link": 1}
-
-    @settings(max_examples=40, deadline=None)
-    @given(
-        observations=st.lists(
-            st.tuples(
-                st.integers(0, len(STREAM_LABELS) - 1),
-                st.integers(0, 3),
-                st.integers(0, len(SHAPES) - 1),
-            ),
-            min_size=1,
-            max_size=30,
-        ),
-        first_day=st.integers(0, 2),
-        start_offset=st.integers(0, NANOS_PER_DAY - 1),
-        periods=st.integers(1, 3),
-    )
-    @example(
-        observations=[(0, 0, 0), (0, 0, 1), (0, 1, 1), (1, 1, 0)],
-        first_day=0,
-        start_offset=0,
-        periods=2,
-    )
-    def test_frontend_split_equals_direct(
-        self, observations, first_day, start_offset, periods
-    ):
-        engine, frontend = split_world(observations)
-        start = first_day * NANOS_PER_DAY + start_offset
-        end = (first_day + periods) * NANOS_PER_DAY
-        selector = '{job=~".+"}'
-        direct = engine.detected_patterns(selector, start, end)
-        assert frontend.detected_patterns(selector, start, end) == direct
-        # The second answer comes from cached windows and is the same.
-        assert frontend.detected_patterns(selector, start, end) == direct
+        engine = engine_over([(0, 0, 0), (0, 0, 1), (0, 1, 1), (1, 1, 0)])
+        rows = engine.detected_patterns('{job=~".+"}', 0, 2 * NANOS_PER_DAY)
+        streams = {r.template.split()[0]: r.streams for r in rows}
+        assert streams == {"fan": 2, "link": 1}

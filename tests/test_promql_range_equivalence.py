@@ -27,7 +27,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from repro.common.errors import QueryError
 from repro.common.labels import METRIC_NAME_LABEL, LabelSet, MatchOp
@@ -242,7 +242,8 @@ def assert_close(got, want):
     ]
     for g, w in zip(got, want):
         for a, b in zip(g.values(), w.values()):
-            assert math.isclose(a, b, rel_tol=1e-9, abs_tol=1e-9), (g.labels, a, b)
+            both_nan = a != a and b != b  # 0/0 on both sides, as in nan_as_text
+            assert both_nan or math.isclose(a, b, rel_tol=1e-9, abs_tol=1e-9), (g.labels, a, b)
 
 
 # ----------------------------------------------------------------------
@@ -320,6 +321,11 @@ class TestRangeEqualsPerInstant:
 
     @given(raw_series=series_strategy(FLOATS), query=st.sampled_from(ROUNDED), **grid)
     @settings(max_examples=200, deadline=None)
+    @example(  # 0/0 on both sides: NaN matches NaN
+        raw_series=[("m", "b", "0", [(0, 1.0), (0, 1.0)]), ("n", "b", "0", [(0, 1.0), (0, 1.0)])],
+        query="increase(m[{r}s]) / increase(n[{r}s])",
+        step_s=1, range_s=1, lookback_s=1, start_s=0, steps=0,
+    )
     def test_rounded_functions_close_on_any_floats(self, raw_series, query, **at):
         got, want = run_both(raw_series, query, **at)
         assert_close(got, want)

@@ -271,7 +271,7 @@ def span_digest() -> tuple[str, Counter, int]:
             )
         fw.run_for(minutes(1))
     now = fw.clock.now_ns
-    fw.frontend.detected_patterns('{data_type="syslog"}', now - minutes(30), now)
+    fw.logql.detected_patterns('{data_type="syslog"}', now - minutes(30), now)
     fw.compactor.run()
     return digest.hexdigest(), pairs, fw.tracer.spans_recorded
 

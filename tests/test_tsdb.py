@@ -6,7 +6,7 @@ from hypothesis import given, strategies as st
 
 from repro.common.errors import ValidationError
 from repro.common.labels import METRIC_NAME_LABEL, label_matcher
-from repro.tsdb.storage import MetricSample, TimeSeriesStore
+from repro.tsdb.storage import TimeSeriesStore
 from repro.common.labels import LabelSet
 
 
@@ -41,8 +41,7 @@ class TestIngest:
         assert store.series_count() == 3
 
     def test_ingest_many(self, store):
-        samples = [MetricSample("m", LabelSet({"i": str(i)}), float(i), i) for i in range(5)]
-        accepted = [store.ingest(s.name, s.labels, s.value, s.timestamp_ns) for s in samples]
+        accepted = [store.ingest("m", LabelSet({"i": str(i)}), float(i), i) for i in range(5)]
         assert sum(accepted) == 5
 
     @given(st.lists(st.integers(0, 10**6), min_size=1, max_size=50))
